@@ -210,13 +210,6 @@ pub trait Pruner {
     /// Return `false` to skip this firing. `rule_idx` indexes the engine's
     /// constraint list; `m` is the premise match.
     fn allow_firing(&mut self, inst: &Instance, rule_idx: usize, tgd: &Tgd, m: &Match) -> bool;
-
-    /// Called by the engine at the end of every chase round (before the
-    /// next round's enumeration). Cost-threshold pruners use it to
-    /// re-estimate their incumbent against the grown instance — thresholds
-    /// may only *tighten* here, since a vetoed firing is not re-offered
-    /// under semi-naïve evaluation until a premise fact is re-stamped.
-    fn end_round(&mut self, _inst: &Instance) {}
 }
 
 /// Pruner that allows everything (the naive PACB behaviour).
@@ -229,11 +222,8 @@ impl Pruner for NoPrune {
 }
 
 /// Oracle answering cost questions about prospective TGD firings — the
-/// shared abstraction behind `Prune_prov` (paper §7.3) for both rewriting
-/// paths: PACB's backchase prices a firing by the provenance of its premise
-/// image (relational scan costs), and the LA chase prices it by the
-/// operator facts its conclusion would create (flops from propagated
-/// `size`/`density` facts).
+/// abstraction behind `Prune_prov` (paper §7.3): PACB's backchase prices a
+/// firing by the provenance of its premise image (relational scan costs).
 pub trait CostOracle {
     /// Estimated lower-bound cost of any rewriting that uses what this
     /// firing derives. `0.0` means "nothing can be bounded" and the firing
@@ -242,44 +232,24 @@ pub trait CostOracle {
 }
 
 /// `Prune_prov` as a [`Pruner`]: vetoes firings whose oracle cost exceeds
-/// the incumbent best-plan cost. The incumbent starts at the cost of the
-/// unrewritten input and may only tighten (see [`CostPruner::tighten`]), so
-/// the pruner is safe under semi-naïve evaluation.
+/// a fixed threshold (PACB passes the cost of the original query). The
+/// threshold never loosens, so the pruner is safe under semi-naïve
+/// evaluation.
 pub struct CostPruner<'a> {
     oracle: &'a dyn CostOracle,
-    incumbent: f64,
+    threshold: f64,
 }
 
 impl<'a> CostPruner<'a> {
-    /// A pruner vetoing firings the oracle prices above `incumbent`.
-    pub fn new(oracle: &'a dyn CostOracle, incumbent: f64) -> Self {
-        CostPruner { oracle, incumbent }
-    }
-
-    /// Lowers the incumbent (a cheaper plan was found); raising is refused
-    /// so earlier vetoes stay justified.
-    pub fn tighten(&mut self, cost: f64) {
-        if cost < self.incumbent {
-            self.incumbent = cost;
-        }
-    }
-
-    /// The current pruning threshold.
-    pub fn incumbent(&self) -> f64 {
-        self.incumbent
-    }
-
-    /// The pruning decision for an already-computed firing cost (wrappers
-    /// that compute the oracle cost themselves use this to avoid pricing a
-    /// firing twice).
-    pub fn allows_cost(&self, cost: f64) -> bool {
-        cost <= self.incumbent
+    /// A pruner vetoing firings the oracle prices above `threshold`.
+    pub fn new(oracle: &'a dyn CostOracle, threshold: f64) -> Self {
+        CostPruner { oracle, threshold }
     }
 }
 
 impl Pruner for CostPruner<'_> {
     fn allow_firing(&mut self, inst: &Instance, _: usize, tgd: &Tgd, m: &Match) -> bool {
-        self.allows_cost(self.oracle.firing_cost(inst, tgd, m))
+        self.oracle.firing_cost(inst, tgd, m) <= self.threshold
     }
 }
 
@@ -566,7 +536,6 @@ impl ChaseEngine {
             if !changed {
                 return (ChaseOutcome::Saturated, stats);
             }
-            pruner.end_round(inst);
         }
         stats.exhausted = Some(ExhaustedBy::Rounds);
         (ChaseOutcome::BudgetExhausted, stats)
@@ -949,7 +918,7 @@ mod tests {
     }
 
     #[test]
-    fn cost_pruner_vetoes_above_incumbent_and_tightens() {
+    fn cost_pruner_vetoes_above_threshold() {
         /// Prices every firing at the number of premise facts, scaled.
         struct FactCountOracle(f64);
         impl CostOracle for FactCountOracle {
@@ -973,7 +942,7 @@ mod tests {
         };
         let engine = ChaseEngine::new(vec![tgd.into()]);
 
-        // Incumbent below the firing cost: vetoed, counted per rule.
+        // Threshold below the firing cost: vetoed, counted per rule.
         let oracle = FactCountOracle(10.0);
         let mut inst = build(&mut vocab);
         let mut pruner = CostPruner::new(&oracle, 5.0);
@@ -982,62 +951,12 @@ mod tests {
         assert_eq!(stats.pruned_firings, 1);
         assert_eq!(stats.rule_vetoes, vec![("p-q".to_owned(), 1)]);
 
-        // Incumbent above: fires. Tightening never raises the threshold.
+        // Threshold above: fires.
         let mut inst = build(&mut vocab);
         let mut pruner = CostPruner::new(&oracle, 50.0);
-        pruner.tighten(100.0);
-        assert_eq!(pruner.incumbent(), 50.0);
-        pruner.tighten(20.0);
-        assert_eq!(pruner.incumbent(), 20.0);
         let (_, stats) = engine.chase_with(&mut inst, &mut pruner);
         assert_eq!(inst.facts_with_pred(q).len(), 1);
         assert_eq!(stats.pruned_firings, 0);
-    }
-
-    #[test]
-    fn end_round_fires_between_rounds() {
-        struct RoundCounter(usize);
-        impl Pruner for RoundCounter {
-            fn allow_firing(&mut self, _: &Instance, _: usize, _: &Tgd, _: &Match) -> bool {
-                true
-            }
-            fn end_round(&mut self, _: &Instance) {
-                self.0 += 1;
-            }
-        }
-        // Transitive step over a 4-node path saturates in 4 rounds; the
-        // hook runs after every round that changed the instance (not after
-        // the final quiet round).
-        let mut vocab = Vocabulary::new();
-        let e = vocab.predicate("E", 2);
-        let t = vocab.predicate("T", 2);
-        let rules: Vec<Constraint> = vec![
-            Tgd::new(
-                "base",
-                vec![Atom::new(e, vec![Term::Var(0), Term::Var(1)])],
-                vec![Atom::new(t, vec![Term::Var(0), Term::Var(1)])],
-            )
-            .into(),
-            Tgd::new(
-                "step",
-                vec![
-                    Atom::new(t, vec![Term::Var(0), Term::Var(1)]),
-                    Atom::new(e, vec![Term::Var(1), Term::Var(2)]),
-                ],
-                vec![Atom::new(t, vec![Term::Var(0), Term::Var(2)])],
-            )
-            .into(),
-        ];
-        let mut inst = Instance::new();
-        let ns: Vec<NodeId> =
-            (0..4).map(|i| inst.const_node(vocab.constant(format!("n{i}")))).collect();
-        for w in ns.windows(2) {
-            inst.insert(e, vec![w[0], w[1]], Provenance::empty(), None);
-        }
-        let mut counter = RoundCounter(0);
-        let (outcome, stats) = ChaseEngine::new(rules).chase_with(&mut inst, &mut counter);
-        assert_eq!(outcome, ChaseOutcome::Saturated);
-        assert_eq!(counter.0, stats.rounds - 1, "hook runs after every changing round");
     }
 
     #[test]

@@ -149,11 +149,6 @@ impl Instance {
         self.nulls
     }
 
-    /// Total node count (constants + nulls).
-    pub fn num_nodes(&self) -> usize {
-        self.parent.len()
-    }
-
     /// Union-find root with path halving.
     pub fn find(&self, n: NodeId) -> NodeId {
         let mut x = n.0 as usize;

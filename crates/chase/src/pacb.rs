@@ -107,8 +107,7 @@ pub struct Pacb<'a> {
 /// Prices a backchase firing by the provenance of its premise image
 /// (Example 7.2): the cheapest conjunct of the combined premise provenance,
 /// since any rewriting the step contributes to must read at least that much.
-/// Fed to the generic [`CostPruner`] — the same `Prune_prov` machinery the
-/// LA chase uses with its flops oracle — with the incumbent set to the
+/// Fed to the generic [`CostPruner`] with the threshold fixed at the
 /// original query's scan cost. Vetoed firings are counted by the engine
 /// (`ChaseStats::pruned_firings`), which PACB surfaces as `backchase_stats`.
 struct ProvCostOracle<'b> {

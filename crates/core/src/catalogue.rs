@@ -566,14 +566,13 @@ impl Catalogue {
 
     /// Dimension- and density-propagating TGDs: classes the *chase*
     /// creates (re-associations, transposed factors, view expansions)
-    /// inherit `size` facts from their operands — previously extraction
-    /// re-inferred shapes bottom-up and the chase itself was blind to what
-    /// an intermediate costs, which is what kept `Prune_prov` off the LA
-    /// path. Dimensions propagate wherever they follow from variable
-    /// sharing alone (Kron/DirectSum need arithmetic and are left to the
-    /// in-process estimator); densities propagate where the estimate is
-    /// exactly the operand's (transpose, reverse, scalar scaling) — the
-    /// cost oracle computes the multiplicative cases from operand facts.
+    /// inherit `size` facts from their operands, so extraction does not
+    /// re-infer shapes bottom-up. Dimensions propagate wherever they follow
+    /// from variable sharing alone (Kron/DirectSum need arithmetic and are
+    /// left to the in-process estimator); densities propagate where the
+    /// estimate is exactly the operand's (transpose, reverse, scalar
+    /// scaling) — the extraction DP computes the multiplicative cases from
+    /// operand stats.
     pub fn propagation_rules(vrem: &mut Vrem) -> Vec<Constraint> {
         use OpKind::*;
         let size = vrem.size;

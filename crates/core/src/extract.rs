@@ -204,105 +204,6 @@ impl<'a> Extractor<'a> {
         ex
     }
 
-    /// [`Extractor::new`] warm-started from a previously solved DP table
-    /// (for example the one [`Extractor::dp_table`] returned on an earlier,
-    /// smaller snapshot of the same growing instance). Seeds are *not*
-    /// trusted: each surviving `(class, e-node)` pair is re-priced through
-    /// the same relaxation step the cold solver uses, so a stale seed can
-    /// only pre-populate achievable costs — never under-estimates — and the
-    /// Bellman-Ford fixpoint (costs and tie-broken winners alike) is
-    /// identical to a cold solve, just reached in fewer passes.
-    pub fn with_seed(
-        vrem: &Vrem,
-        inst: &'a Instance,
-        cost: &(dyn ExtractionCost + Sync),
-        seed: &HashMap<NodeId, (f64, usize)>,
-    ) -> Self {
-        let _ = hadad_failpoint::hit("extract.solve");
-        static SEEDED: hadad_obs::LazyCounter =
-            hadad_obs::LazyCounter::new("extract.seeded_solves");
-        SEEDED.incr();
-        let _span = hadad_obs::span("extract.solve");
-        let mut ex = Extractor {
-            inst,
-            classes: HashMap::new(),
-            shapes: HashMap::new(),
-            densities: HashMap::new(),
-            best: HashMap::new(),
-        };
-        ex.collect(vrem);
-        ex.seed(seed, cost);
-        ex.solve(cost);
-        ex
-    }
-
-    /// The solved DP table: canonical class → (best cost, winning e-node
-    /// index). Callers cache it next to the extracted plan and pass it back
-    /// through [`Extractor::with_seed`] to warm-start a later extraction.
-    pub fn dp_table(&self) -> &HashMap<NodeId, (f64, usize)> {
-        &self.best
-    }
-
-    /// Replays a prior DP table against the freshly collected e-graph:
-    /// every seed pair still naming a valid derivation is re-priced with
-    /// [`node_candidate`] over the seeded snapshot, iterating until no
-    /// price lands (children resolve in dependency order). Classes merged
-    /// or re-numbered since the seed was taken simply drop out.
-    fn seed(&mut self, seed: &HashMap<NodeId, (f64, usize)>, cost: &dyn ExtractionCost) {
-        let nodes_here = self.inst.num_nodes();
-        let mut pending: Vec<(NodeId, usize)> = seed
-            .iter()
-            .filter_map(|(&class, &(_, idx))| {
-                // A seed may come from a *larger* instance (a plan-cache
-                // entry's table replayed onto an early-round snapshot of a
-                // fresh chase): ids past this instance's node space cannot
-                // name anything here.
-                if class.0 as usize >= nodes_here {
-                    return None;
-                }
-                let class = self.inst.find(class);
-                self.classes
-                    .get(&class)
-                    .is_some_and(|nodes| idx < nodes.len())
-                    .then_some((class, idx))
-            })
-            .collect();
-        // Deterministic replay order (seed iteration order is not).
-        pending.sort_unstable();
-        pending.dedup();
-        loop {
-            let mut landed = false;
-            pending.retain(|&(class, idx)| {
-                let node = &self.classes[&class][idx];
-                match node_candidate(
-                    node,
-                    class,
-                    &self.best,
-                    &self.shapes,
-                    &self.densities,
-                    cost,
-                ) {
-                    Some((c, shape)) => {
-                        self.shapes.entry(class).or_insert(shape);
-                        let incumbent = self
-                            .best
-                            .get(&class)
-                            .map(|&(cur, ci)| (cur, &self.classes[&class][ci]));
-                        if improves((c, node), incumbent, &self.best) {
-                            self.best.insert(class, (c, idx));
-                        }
-                        landed = true;
-                        false
-                    }
-                    None => true,
-                }
-            });
-            if !landed || pending.is_empty() {
-                break;
-            }
-        }
-    }
-
     fn push(&mut self, class: NodeId, node: ENode) {
         let nodes = self.classes.entry(class).or_default();
         if !nodes.contains(&node) {

@@ -2,8 +2,8 @@
 //! non-zero counts, structural type flags, optional MNC count-histograms
 //! (the paper's §7.2 metadata files), and the single shape/density/flops
 //! propagation table every consumer shares — the naïve estimator of §7.2.1
-//! ([`op_stats`]/[`op_flops`]), the extraction DP's cost
-//! (`hadad_rewrite::FlopsCost`), and the chase's `Prune_prov` oracle.
+//! ([`op_stats`]/[`op_flops`]) and the extraction DP's cost
+//! (`hadad_rewrite::FlopsCost`).
 //! Before this unification, extraction re-inferred shapes bottom-up and the
 //! two cost models disagreed on chase-created intermediates.
 
@@ -261,8 +261,8 @@ pub fn op_stats(kind: OpKind, out_idx: usize, child: &[ClassStats]) -> ClassStat
 
 /// Sparsity-aware flop estimate of one operator application (children
 /// excluded) — §7.2.1's cost table, single-sourced for the ranking cost
-/// model, the extraction DP, and the chase pruner. Densities of 1.0
-/// reproduce the dense counts.
+/// model and the extraction DP. Densities of 1.0 reproduce the dense
+/// counts.
 pub fn op_flops(kind: OpKind, _out_idx: usize, child: &[ClassStats]) -> f64 {
     use OpKind::*;
     let n = child.first().map_or(1.0, |c| c.rows as f64);
@@ -298,10 +298,10 @@ pub fn op_flops(kind: OpKind, _out_idx: usize, child: &[ClassStats]) -> f64 {
 /// Calibration constants for one execution backend
 /// (`hadad_linalg::backend`): how much faster than the reference kernels
 /// its product kernels run, per representation class. Every cost consumer
-/// (ranking `CostModel`, extraction `FlopsCost`, chase `Prune_prov`)
-/// prices plans through [`op_cost_with`] under the optimizer's profile, so
-/// plan choice tracks what the selected hardware backend actually runs
-/// fastest — the SystemML lesson that abstract flops alone mis-rank plans.
+/// (ranking `CostModel`, extraction `FlopsCost`) prices plans through
+/// [`op_cost_with`] under the optimizer's profile, so plan choice tracks
+/// what the selected hardware backend actually runs fastest — the SystemML
+/// lesson that abstract flops alone mis-rank plans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendProfile {
     /// Backend name, as reported by `ExecBackend::name`.

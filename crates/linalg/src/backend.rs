@@ -754,32 +754,6 @@ mod tests {
     }
 
     #[test]
-    fn kernel_panic_degrades_to_reference_with_event() {
-        let _fp = hadad_failpoint::scoped("linalg.kernel", hadad_failpoint::FailAction::Panic);
-        // Silence the default panic hook for the injected worker panics.
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        take_backend_panics();
-        let backend = Parallel::with_threads(2);
-        // bt shares a's row count so `aᵀ · bt` is well-shaped.
-        for (a, b, bt) in [
-            (dense(20, 10, 21), dense(10, 6, 22), dense(20, 6, 25)),
-            (sparse(20, 10, 23), sparse(10, 6, 24), sparse(20, 6, 26)),
-        ] {
-            let got = backend.multiply(&a, &b).unwrap();
-            assert_eq!(got, REFERENCE.multiply(&a, &b).unwrap());
-            let tgot = backend.transpose_multiply(&a, &bt).unwrap();
-            assert_eq!(tgot, REFERENCE.transpose_multiply(&a, &bt).unwrap());
-        }
-        std::panic::set_hook(hook);
-        let events = take_backend_panics();
-        assert!(!events.is_empty());
-        assert!(events.iter().all(|e| e.backend == "parallel"));
-        assert!(events.iter().any(|e| e.op == "multiply"));
-        assert!(events.iter().any(|e| e.op == "transpose_multiply"));
-    }
-
-    #[test]
     fn env_default_is_parallel() {
         // The test env does not set HADAD_BACKEND=reference; the default
         // kind resolves Parallel and the instance reports its threads.

@@ -13,9 +13,8 @@
 //! Schweikardt anchor answering under updates: every entry is stamped with
 //! the [`Catalog`](hadad_relational::Catalog) epoch it was computed at,
 //! and a probe carrying a newer epoch *refuses* the entry (it is evicted
-//! on the spot). The refused entry still returns its extraction DP table,
-//! which warm-starts the cold path's `TighteningPruner` — stale work is
-//! recycled, never trusted.
+//! on the spot) and the caller takes the cold path — stale work is never
+//! trusted.
 //!
 //! Concurrency: the map is sharded by key hash, each shard behind its own
 //! mutex, so reader threads rewriting against catalog snapshots contend
@@ -31,15 +30,10 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use hadad_obs::{Counter, LazyCounter};
 
-use hadad_chase::NodeId;
 use hadad_core::fingerprint::{structural_hash, CanonicalExpr, StatsBand};
 use hadad_core::Expr;
 
 use crate::optimizer::RankedPlans;
-
-/// The per-class extraction DP table cached alongside each plan entry:
-/// class → (best cost, winning e-node index).
-pub type DpTable = HashMap<NodeId, (f64, usize)>;
 
 /// Plan-cache counters for one `rewrite` call, surfaced on
 /// `RewriteReport`. Cumulative counts cover the whole cache (shared by
@@ -63,7 +57,7 @@ pub struct CacheReport {
 
 /// Probe key: the canonical skeleton of the input expression, its leaf
 /// names in first-occurrence order, one [`StatsBand`] per leaf, an opaque
-/// configuration hash (budget/mode/backend/views/rules), and the catalog
+/// configuration hash (budget/backend/views/rules), and the catalog
 /// epoch the probing optimizer is pinned to.
 #[derive(Debug, Clone)]
 pub struct PlanCacheKey {
@@ -116,8 +110,8 @@ impl PlanCacheKey {
     }
 }
 
-/// A served cache entry: the ranked plans as extracted at insert time,
-/// the leaf names they were extracted under, and the DP table.
+/// A served cache entry: the ranked plans as extracted at insert time and
+/// the leaf names they were extracted under.
 #[derive(Debug, Clone)]
 pub(crate) struct CachedPlans {
     /// The plans, still under the entry's own leaf names.
@@ -131,8 +125,8 @@ pub(crate) enum Lookup {
     /// Same epoch, matching key: serve.
     Hit(Box<CachedPlans>),
     /// Matching key at a *different* epoch: the entry is refused and
-    /// evicted; its DP table is returned to warm-start the cold path.
-    Stale(DpTable),
+    /// evicted.
+    Stale,
     /// No matching entry.
     Miss,
 }
@@ -145,7 +139,6 @@ struct Entry {
     epoch: u64,
     names_bound: bool,
     plans: RankedPlans,
-    dp: DpTable,
     last_used: u64,
 }
 
@@ -167,7 +160,7 @@ const NUM_SHARDS: usize = 8;
 pub const DEFAULT_CAPACITY: usize = 256;
 
 /// Sharded, epoch-validated map from canonical plan fingerprints to
-/// extracted [`RankedPlans`] (plus their extraction DP tables).
+/// extracted [`RankedPlans`].
 pub struct PlanCache {
     shards: Vec<Mutex<HashMap<u64, Entry>>>,
     per_shard: usize,
@@ -260,15 +253,15 @@ impl PlanCache {
                         names: entry.names.clone(),
                     }))
                 } else {
-                    // Epoch mismatch: refuse and evict, recycle the DP.
-                    let entry = shard.remove(&key.hash).expect("entry present");
+                    // Epoch mismatch: refuse and evict.
+                    shard.remove(&key.hash);
                     self.misses.incr();
                     self.evictions.incr();
                     self.stale_refusals.incr();
                     M_MISSES.incr();
                     M_EVICTIONS.incr();
                     M_STALE.incr();
-                    Lookup::Stale(entry.dp)
+                    Lookup::Stale
                 }
             }
             _ => {
@@ -281,7 +274,7 @@ impl PlanCache {
 
     /// Inserts (or replaces, on bucket collision) an entry under `key`.
     /// Full shards evict their least-recently-used entry first.
-    pub(crate) fn insert(&self, key: &PlanCacheKey, plans: RankedPlans, dp: DpTable) {
+    pub(crate) fn insert(&self, key: &PlanCacheKey, plans: RankedPlans) {
         let mut shard = lock(self.shard(key));
         if !shard.contains_key(&key.hash) && shard.len() >= self.per_shard {
             if let Some(&lru) = shard.iter().min_by_key(|(_, e)| e.last_used).map(|(h, _)| h) {
@@ -300,7 +293,6 @@ impl PlanCache {
                 epoch: key.epoch,
                 names_bound: key.names_bound,
                 plans,
-                dp,
                 last_used: self.tick.fetch_add(1, Ordering::Relaxed),
             },
         );

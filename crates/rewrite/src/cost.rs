@@ -1,4 +1,4 @@
-//! Cost estimation for candidate plans (paper §7.1–§7.3), built on the
+//! Cost estimation for candidate plans (paper §7.1–§7.2), built on the
 //! **unified estimator** in `hadad_core::stats`: one shape/density/flops
 //! propagation table (`op_stats`/`op_flops`/`op_cost`) feeds
 //!
@@ -6,23 +6,14 @@
 //!   class's propagated `size`/`density` facts (chase-created classes
 //!   without density facts are assumed dense, deterministically);
 //! * [`CostModel`] — the naïve metadata estimator of §7.2.1 over full
-//!   expressions, used to rank extracted candidates;
-//! * [`VremCostOracle`] — the chase-facing [`CostOracle`] behind
-//!   `Prune_prov` on the LA path (§7.3): it prices a prospective TGD
-//!   firing by the cheapest operator chain its conclusion would create,
-//!   reading operand stats straight from the instance's facts.
+//!   expressions, used to rank extracted candidates.
 //!
-//! Before this refactor the three disagreed: extraction assumed dense
-//! shapes it re-inferred bottom-up, the ranking model propagated densities
-//! privately, and the chase had no estimator at all.
+//! The LA chase itself runs unpruned: `Prune_prov` (§7.3) lives in PACB's
+//! backchase (`hadad_chase::pacb`), against a fixed threshold.
 
-use std::cell::RefCell;
-use std::collections::HashMap;
-
-use hadad_chase::{CostOracle, CostPruner, Instance, Match, NodeId, Pruner, SymId, Term, Tgd};
 use hadad_core::{
-    op_cost_with, op_stats, BackendProfile, ClassStats, Expr, ExtractionCost, Extractor,
-    MetaCatalog, OpKind, ShapeError, Vrem, DENSITY_SCALE,
+    op_cost_with, op_stats, BackendProfile, ClassStats, Expr, ExtractionCost, MetaCatalog,
+    OpKind, ShapeError,
 };
 
 /// Stats-aware cost for the extraction DP: the shared per-operator charge
@@ -84,8 +75,8 @@ impl Estimate {
 }
 
 /// The naïve sparsity-aware estimator over full expressions, ranking the
-/// candidates extraction produces. Shares every formula with the DP and
-/// the chase pruner through `hadad_core::stats`.
+/// candidates extraction produces. Shares every formula with the DP
+/// through `hadad_core::stats`.
 pub struct CostModel<'a> {
     cat: &'a MetaCatalog,
     profile: BackendProfile,
@@ -174,326 +165,11 @@ fn validate(e: &Expr, kind: OpKind, child: &[ClassStats]) -> Result<(), ShapeErr
     }
 }
 
-/// The LA path's `Prune_prov` oracle: prices a prospective TGD firing by a
-/// lower bound on any plan that uses the operator facts its conclusion
-/// would create. Operand statistics come from the instance's propagated
-/// `size`/`density` facts; an operand without a density fact is priced at
-/// density 0 (the optimistic bound — pruning must never overstate a
-/// candidate's cost), and an operand without a size fact makes the atom
-/// unpriceable (bound 0, never vetoed). Conclusion-internal dependencies
-/// chain: in `trace-cyclic`, the rotated `trace` can only be reached by
-/// paying for the rotated product, so its bound includes the `mul` atom's.
-/// The firing's cost is the *minimum* over its conclusion operator atoms —
-/// a firing survives if any part of it could still beat the incumbent.
-pub struct VremCostOracle<'a> {
-    vrem: &'a Vrem,
-    /// Calibration constants of the backend that will execute the plan —
-    /// pruning bounds must be priced in the same currency as extraction.
-    profile: BackendProfile,
-    /// Parsed numeric constants, keyed by symbol (sizes and ppm densities).
-    nums: RefCell<HashMap<SymId, Option<f64>>>,
-}
-
-impl<'a> VremCostOracle<'a> {
-    /// Oracle under the reference backend's constants.
-    pub fn new(vrem: &'a Vrem) -> Self {
-        Self::with_profile(vrem, BackendProfile::reference())
-    }
-
-    /// Oracle under a specific backend's calibration constants.
-    pub fn with_profile(vrem: &'a Vrem, profile: BackendProfile) -> Self {
-        VremCostOracle { vrem, profile, nums: RefCell::new(HashMap::new()) }
-    }
-
-    /// Calibration constants this oracle prices under.
-    pub fn profile(&self) -> BackendProfile {
-        self.profile
-    }
-
-    fn num(&self, sym: SymId) -> Option<f64> {
-        *self
-            .nums
-            .borrow_mut()
-            .entry(sym)
-            .or_insert_with(|| self.vrem.vocab.const_name(sym).parse::<f64>().ok())
-    }
-
-    fn arg_num(&self, inst: &Instance, node: NodeId) -> Option<f64> {
-        self.num(inst.const_of(node)?)
-    }
-
-    /// Shape of a class from its `size` facts, via the positional index
-    /// when canonical (the common case during TGD application).
-    fn class_shape(&self, inst: &Instance, class: NodeId) -> Option<(usize, usize)> {
-        let fact = match inst.facts_with_pred_arg(self.vrem.size, 0, class) {
-            Some(idxs) => idxs.first().map(|&i| inst.fact(i)),
-            None => inst
-                .facts_with_pred(self.vrem.size)
-                .iter()
-                .map(|&i| inst.fact(i))
-                .find(|f| inst.find(f.args[0]) == class),
-        }?;
-        let r = self.arg_num(inst, fact.args[1])?;
-        let c = self.arg_num(inst, fact.args[2])?;
-        Some((r as usize, c as usize))
-    }
-
-    /// Minimum density over a class's `density` facts, or 0 when none are
-    /// known (the optimistic lower bound).
-    fn class_density(&self, inst: &Instance, class: NodeId) -> f64 {
-        let min_over = |idxs: &[usize]| {
-            idxs.iter()
-                .filter_map(|&i| self.arg_num(inst, inst.fact(i).args[1]))
-                .map(|ppm| (ppm / DENSITY_SCALE).clamp(0.0, 1.0))
-                .fold(f64::INFINITY, f64::min)
-        };
-        let d = match inst.facts_with_pred_arg(self.vrem.density, 0, class) {
-            Some(idxs) => min_over(idxs),
-            None => {
-                let idxs: Vec<usize> = inst
-                    .facts_with_pred(self.vrem.density)
-                    .iter()
-                    .copied()
-                    .filter(|&i| inst.find(inst.fact(i).args[0]) == class)
-                    .collect();
-                min_over(&idxs)
-            }
-        };
-        if d.is_finite() {
-            d
-        } else {
-            0.0
-        }
-    }
-}
-
-impl CostOracle for VremCostOracle<'_> {
-    fn firing_cost(&self, inst: &Instance, tgd: &Tgd, m: &Match) -> f64 {
-        // Conclusion operator atoms, with their kinds.
-        let ops: Vec<(usize, OpKind)> = tgd
-            .conclusion
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| self.vrem.kind_of(a.pred).map(|k| (i, k)))
-            .collect();
-        if ops.is_empty() {
-            return 0.0;
-        }
-        // Existential output variable -> producing conclusion atom.
-        let premise_bound = |v: u32| m.bindings.contains_key(&v);
-        let mut producer: HashMap<u32, usize> = HashMap::new();
-        for &(i, kind) in &ops {
-            for t in &tgd.conclusion[i].args[kind.num_inputs()..] {
-                if let Term::Var(v) = t {
-                    if !premise_bound(*v) {
-                        producer.entry(*v).or_insert(i);
-                    }
-                }
-            }
-        }
-        // Resolve atoms to (cumulative bound, output stats) to fixpoint;
-        // catalogue conclusions are written producer-first, so one or two
-        // passes suffice. Unresolvable atoms bound to 0 (never vetoed).
-        let mut bound: HashMap<usize, (f64, ClassStats)> = HashMap::new();
-        for _ in 0..ops.len() {
-            let mut progressed = false;
-            for &(i, kind) in &ops {
-                if bound.contains_key(&i) {
-                    continue;
-                }
-                let atom = &tgd.conclusion[i];
-                let mut child = Vec::with_capacity(kind.num_inputs());
-                let mut chained = 0.0f64;
-                let mut ok = true;
-                for t in &atom.args[..kind.num_inputs()] {
-                    let stats = match t {
-                        Term::Var(v) => match m.bindings.get(v) {
-                            Some(&n) => {
-                                let class = inst.find(n);
-                                match self.class_shape(inst, class) {
-                                    Some((rows, cols)) => ClassStats {
-                                        rows,
-                                        cols,
-                                        density: self.class_density(inst, class),
-                                    },
-                                    None => {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                            }
-                            None => match producer.get(v).and_then(|p| bound.get(p)) {
-                                Some(&(b, stats)) => {
-                                    // Count each producer once even when
-                                    // its output feeds several inputs.
-                                    chained = chained.max(b);
-                                    stats
-                                }
-                                None => {
-                                    ok = false;
-                                    break;
-                                }
-                            },
-                        },
-                        Term::Const(_) => {
-                            ok = false;
-                            break;
-                        }
-                    };
-                    child.push(stats);
-                }
-                if !ok {
-                    continue;
-                }
-                let out = op_stats(kind, 0, &child);
-                let own = op_cost_with(&self.profile, kind, 0, &child, &out);
-                bound.insert(i, (own + chained, out));
-                progressed = true;
-            }
-            if !progressed {
-                break;
-            }
-        }
-        ops.iter()
-            .map(|(i, _)| bound.get(i).map_or(0.0, |&(b, _)| b))
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-/// Fraction of the incumbent above which an allowed firing's bound counts
-/// as a *close call* — only those are worth re-running the DP for before
-/// deciding, since flipping a bound far below the incumbent would need the
-/// DP to shrink it many-fold in one step. Vetoes must stay justified, so
-/// the re-check only ever tightens.
-const CLOSE_BAND: f64 = 0.3;
-
-/// Minimum consultations between mid-round re-extractions, bounding the DP
-/// overhead when close calls cluster.
-const TIGHTEN_INTERVAL: u64 = 4;
-
-/// [`CostPruner`] wrapper that re-runs the extraction DP at round ends and
-/// on close-call firings, tightening the incumbent to the cheapest plan
-/// found so far — seeded from the unrewritten expression, tightened as
-/// extraction finds cheaper plans. The DP is tens to hundreds of
-/// microseconds on the instances the LA chase produces, while each
-/// tightening step unlocks vetoes for the rest of the saturation.
-pub struct TighteningPruner<'a> {
-    oracle: &'a VremCostOracle<'a>,
-    inner: CostPruner<'a>,
-    vrem: &'a Vrem,
-    root: NodeId,
-    consultations: u64,
-    last_tighten: u64,
-    last_clock: u64,
-    last_facts: usize,
-    /// The most recent solved extraction DP table, chained across
-    /// [`TighteningPruner::retighten`] calls so each mid-chase
-    /// re-extraction warm-starts from the previous one instead of
-    /// re-solving from scratch — the incremental cost oracle. May be
-    /// pre-loaded from a plan cache via [`TighteningPruner::with_seed`].
-    dp: Option<HashMap<NodeId, (f64, usize)>>,
-}
-
-impl<'a> TighteningPruner<'a> {
-    /// Pruner over `inner`, re-extracting from `root` to tighten it.
-    pub fn new(
-        oracle: &'a VremCostOracle<'a>,
-        inner: CostPruner<'a>,
-        vrem: &'a Vrem,
-        root: NodeId,
-    ) -> Self {
-        TighteningPruner {
-            oracle,
-            inner,
-            vrem,
-            root,
-            consultations: 0,
-            last_tighten: 0,
-            last_clock: 0,
-            last_facts: 0,
-            dp: None,
-        }
-    }
-
-    /// Pre-loads the extraction DP seed (e.g. the table cached alongside a
-    /// now-stale plan-cache entry): the first mid-chase re-extraction then
-    /// warm-starts instead of solving cold. Seed prices are re-validated
-    /// inside the extractor, so a stale table can never loosen pruning
-    /// soundness — at worst it is ignored.
-    pub fn with_seed(mut self, seed: HashMap<NodeId, (f64, usize)>) -> Self {
-        self.dp = Some(seed);
-        self
-    }
-
-    /// Current incumbent cost bound.
-    pub fn incumbent(&self) -> f64 {
-        self.inner.incumbent()
-    }
-
-    /// Re-runs the extraction DP and lowers the incumbent to the cheapest
-    /// plan derivable from the instance so far. The DP best only ever
-    /// *over*-estimates the final best (more derivations can only lower
-    /// it), so every veto it justifies is also justified against the final
-    /// plan — pruning stays cost-preserving.
-    /// The DP only pays for itself while the instance is growing: a
-    /// re-extraction is worth running once a meaningful number of new
-    /// derivations landed since the last one.
-    fn grown(&self, inst: &Instance) -> bool {
-        inst.clock() != self.last_clock && inst.num_facts() * 4 >= self.last_facts * 5
-    }
-
-    fn retighten(&mut self, inst: &Instance) {
-        self.last_tighten = self.consultations;
-        self.last_clock = inst.clock();
-        self.last_facts = inst.num_facts();
-        // Tighten in the same currency the pruning bounds are priced in.
-        let cost_fn = FlopsCost::with_profile(self.oracle.profile());
-        let ex = match &self.dp {
-            Some(seed) => Extractor::with_seed(self.vrem, inst, &cost_fn, seed),
-            None => Extractor::new(self.vrem, inst, &cost_fn),
-        };
-        if let Some(best) = ex.class_cost(self.root) {
-            self.inner.tighten(best);
-        }
-        self.dp = Some(ex.dp_table().clone());
-    }
-}
-
-impl Pruner for TighteningPruner<'_> {
-    fn allow_firing(&mut self, inst: &Instance, _idx: usize, tgd: &Tgd, m: &Match) -> bool {
-        self.consultations += 1;
-        let cost = self.oracle.firing_cost(inst, tgd, m);
-        if !self.inner.allows_cost(cost) {
-            return false;
-        }
-        // Close call on a grown instance: cheaper plans may have landed
-        // since the incumbent was last computed — re-extract, re-decide.
-        if cost > self.inner.incumbent() * CLOSE_BAND
-            && inst.clock() != self.last_clock
-            && self.consultations - self.last_tighten >= TIGHTEN_INTERVAL
-        {
-            self.retighten(inst);
-            return self.inner.allows_cost(cost);
-        }
-        true
-    }
-
-    fn end_round(&mut self, inst: &Instance) {
-        // Rounds that grew the instance substantially refresh the
-        // incumbent eagerly; otherwise the close-call path refreshes it
-        // lazily, exactly when a veto is plausible.
-        if self.grown(inst) {
-            self.retighten(inst);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hadad_chase::Provenance;
     use hadad_core::expr::dsl::*;
-    use hadad_core::{Encoder, MatrixMeta};
+    use hadad_core::MatrixMeta;
 
     fn cat() -> MetaCatalog {
         let mut c = MetaCatalog::new();
@@ -575,7 +251,7 @@ mod tests {
 
     /// Backend profiles scale product charges uniformly, so the *ordering*
     /// of candidate plans is preserved while absolute costs drop — and the
-    /// profiled estimator, DP cost, and oracle all drop together.
+    /// profiled estimator and DP cost drop together.
     #[test]
     fn parallel_profile_lowers_costs_consistently() {
         let c = cat();
@@ -596,89 +272,5 @@ mod tests {
         let dp = f.op_cost(OpKind::Mul, 0, &child, out);
         let reference = FlopsCost::default().op_cost(OpKind::Mul, 0, &child, out);
         assert!(dp < reference);
-    }
-
-    /// The oracle prices a `trace-cyclic`-shaped firing by the rotated
-    /// product *plus* the trace that rides on it: the cheap trace alone
-    /// must not shield the expensive intermediate from the pruner.
-    #[test]
-    fn oracle_chains_conclusion_dependencies() {
-        let mut vrem = Vrem::new();
-        let mut c = MetaCatalog::new();
-        c.register("T", MatrixMeta::dense(4, 1000));
-        c.register("W", MatrixMeta::dense(1000, 4));
-        // Encode trace(T W) so the instance carries size/density facts.
-        let enc = Encoder::new(&mut vrem, &c).encode(&trace(mul(m("T"), m("W")))).unwrap();
-        let inst = enc.instance;
-        let mul_pred = vrem.op(OpKind::Mul);
-        let trace_pred = vrem.op(OpKind::Trace);
-        let mul_fact = inst.facts()[inst.facts_with_pred(mul_pred)[0]].clone();
-        let trace_fact = inst.facts()[inst.facts_with_pred(trace_pred)[0]].clone();
-
-        // trace-cyclic: mul(a,b,ab) ∧ trace(ab,s) → mul(b,a,ba) ∧ trace(ba,s).
-        let tgd = Tgd::new(
-            "trace-cyclic",
-            vec![
-                hadad_chase::Atom::new(
-                    mul_pred,
-                    vec![Term::Var(0), Term::Var(1), Term::Var(2)],
-                ),
-                hadad_chase::Atom::new(trace_pred, vec![Term::Var(2), Term::Var(3)]),
-            ],
-            vec![
-                hadad_chase::Atom::new(
-                    mul_pred,
-                    vec![Term::Var(1), Term::Var(0), Term::Var(4)],
-                ),
-                hadad_chase::Atom::new(trace_pred, vec![Term::Var(4), Term::Var(3)]),
-            ],
-        );
-        let mut bindings = HashMap::new();
-        bindings.insert(0u32, mul_fact.args[0]);
-        bindings.insert(1u32, mul_fact.args[1]);
-        bindings.insert(2u32, mul_fact.args[2]);
-        bindings.insert(3u32, trace_fact.args[1]);
-        let m = Match { bindings, fact_indices: vec![] };
-
-        let oracle = VremCostOracle::new(&vrem);
-        let cost = oracle.firing_cost(&inst, &tgd, &m);
-        // The rotated product is 1000×1000: ~9.5·10⁶ (flops + output +
-        // materialization) dominates both conclusion atoms; had the trace
-        // atom been priced independently the minimum would be ~10³.
-        assert!(cost > 9e6, "chained bound missing: {cost}");
-
-        // And as a pruner: an incumbent below the bound vetoes the firing.
-        let mut pruner = CostPruner::new(&oracle, 1e6);
-        assert!(!pruner.allow_firing(&inst, 0, &tgd, &m));
-        pruner.tighten(1e5); // tightening only lowers
-        assert!(!pruner.allow_firing(&inst, 0, &tgd, &m));
-        let mut generous = CostPruner::new(&oracle, 1e12);
-        assert!(generous.allow_firing(&inst, 0, &tgd, &m));
-    }
-
-    /// Firings whose conclusions carry no operator atoms (identity/zero
-    /// tagging, view tagging) are never vetoed.
-    #[test]
-    fn oracle_leaves_non_operator_conclusions_alone() {
-        let vrem = Vrem::new();
-        let zero = vrem.zero;
-        let mul_pred = vrem.op(OpKind::Mul);
-        let tgd = Tgd::new(
-            "mul-zero-l",
-            vec![
-                hadad_chase::Atom::new(zero, vec![Term::Var(0)]),
-                hadad_chase::Atom::new(
-                    mul_pred,
-                    vec![Term::Var(0), Term::Var(1), Term::Var(2)],
-                ),
-            ],
-            vec![hadad_chase::Atom::new(zero, vec![Term::Var(2)])],
-        );
-        let mut inst = Instance::new();
-        let a = inst.fresh_null();
-        inst.insert(zero, vec![a], Provenance::empty(), None);
-        let m = Match { bindings: HashMap::new(), fact_indices: vec![] };
-        let oracle = VremCostOracle::new(&vrem);
-        assert_eq!(oracle.firing_cost(&inst, &tgd, &m), 0.0);
     }
 }

@@ -25,9 +25,8 @@ pub mod maintain;
 pub mod optimizer;
 
 pub use cache::{CacheReport, PlanCache};
-pub use cost::{CostModel, Estimate, FlopsCost, TighteningPruner, VremCostOracle};
+pub use cost::{CostModel, Estimate, FlopsCost};
 pub use eval::{eval, eval_with, Env, EvalError};
-pub use hadad_chase::EvalMode;
 pub use hadad_linalg::{BackendKind, ExecBackend};
 pub use hybrid::{
     eval_cq, CastKind, CatalogSnapshot, CompiledQuery, HybridError, HybridOptimizer,
@@ -35,6 +34,4 @@ pub use hybrid::{
     TableView, TableVocab,
 };
 pub use maintain::{MaintenanceReport, ViewChange, ViewMaintainer};
-pub use optimizer::{
-    LaView, Optimizer, Plan, PruneMode, RankedPlans, RewriteError, RewriteReport,
-};
+pub use optimizer::{LaView, Optimizer, Plan, RankedPlans, RewriteError, RewriteReport};

@@ -15,8 +15,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use hadad_chase::{
-    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, Constraint, CostPruner,
-    DegradeReason, Degraded, EvalMode, RewritePhase,
+    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, Constraint,
+    DegradeReason, Degraded, RewritePhase,
 };
 use hadad_core::fingerprint::{canonicalize, leaf_bands, rename_leaves};
 use hadad_core::{
@@ -25,8 +25,8 @@ use hadad_core::{
 };
 use hadad_linalg::{approx_eq, BackendKind, Matrix};
 
-use crate::cache::{CacheReport, CachedPlans, DpTable, Lookup, PlanCache, PlanCacheKey};
-use crate::cost::{CostModel, FlopsCost, TighteningPruner, VremCostOracle};
+use crate::cache::{CacheReport, CachedPlans, Lookup, PlanCache, PlanCacheKey};
+use crate::cost::{CostModel, FlopsCost};
 use crate::eval::{eval_with, Env, EvalError};
 
 // Shared-registry instrumentation for the rewrite pipeline. The phase
@@ -46,21 +46,6 @@ static M_RANK_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("rewr
 
 fn record_total_us(us: u128) {
     M_TOTAL_US.record(u64::try_from(us).unwrap_or(u64::MAX));
-}
-
-/// Whether the chase runs under `Prune_prov` (paper §7.3). The default
-/// consults the cost oracle: a TGD firing whose conclusion cannot beat the
-/// incumbent plan (seeded from the unrewritten expression, tightened every
-/// round by the extraction DP) is vetoed. `Off` is kept for differential
-/// testing — both modes must produce best plans of identical cost.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PruneMode {
-    /// Veto TGD firings whose provenance already costs more than the
-    /// incumbent plan.
-    #[default]
-    CostThreshold,
-    /// Chase without pruning (differential-testing baseline).
-    Off,
 }
 
 /// One candidate plan: an expression equivalent to the input under the
@@ -88,8 +73,8 @@ pub struct RewriteReport {
     pub num_facts: usize,
     /// Candidate plans extracted.
     pub num_candidates: usize,
-    /// TGD firings vetoed by `Prune_prov` (0 under [`PruneMode::Off`]);
-    /// per-rule veto counts are in `chase_stats.rule_vetoes`.
+    /// `chase_stats.pruned_firings`: always 0 here, since the LA chase
+    /// runs unpruned — `Prune_prov` vetoes only in PACB's backchase.
     pub pruned_firings: usize,
     /// End-to-end wall-clock time of the `rewrite` call, microseconds.
     pub elapsed_us: u128,
@@ -102,7 +87,7 @@ pub struct RewriteReport {
     /// Time spent costing and sorting candidates.
     pub rank_us: u128,
     /// The backend calibration constants every cost in this report was
-    /// priced under (estimator, extraction DP, and chase pruner alike).
+    /// priced under (estimator and extraction DP alike).
     pub cost_profile: BackendProfile,
     /// Per-rule firings/matches and per-round delta sizes from the chase.
     pub chase_stats: ChaseStats,
@@ -125,8 +110,9 @@ pub struct RewriteReport {
 pub struct RankedPlans {
     /// The unrewritten input, priced under the same profile.
     pub original: Plan,
-    /// Candidates sorted by ascending estimated cost (the original
-    /// expression is among them whenever extraction can rebuild it).
+    /// Candidates sorted by ascending estimated cost, exact ties going to
+    /// the original expression — which is among them whenever extraction
+    /// rebuilds it or no candidate is strictly cheaper.
     pub plans: Vec<Plan>,
     /// Diagnostics for this call.
     pub report: RewriteReport,
@@ -249,11 +235,6 @@ pub struct Optimizer {
     pub cat: MetaCatalog,
     /// Chase resource budget.
     pub budget: ChaseBudget,
-    /// Premise-matching strategy for the chase; semi-naïve by default,
-    /// naive kept for differential testing and baselining.
-    pub mode: EvalMode,
-    /// Cost-threshold pruning of chase firings; on by default.
-    pub prune: PruneMode,
     /// Materialized LA views registered for view-based reformulation:
     /// each contributes `V_IO`/`V_OI` constraints to the chase, so plans
     /// can land on (and expand through) `Mat(view)` leaves.
@@ -308,8 +289,6 @@ impl Optimizer {
                 max_nulls: 15_000,
                 deadline: None,
             },
-            mode: EvalMode::default(),
-            prune: PruneMode::default(),
             views: Vec::new(),
             backend: BackendKind::from_env(),
             deadline: None,
@@ -371,18 +350,6 @@ impl Optimizer {
     /// Replaces the chase budget.
     pub fn with_budget(mut self, budget: ChaseBudget) -> Self {
         self.budget = budget;
-        self
-    }
-
-    /// Selects the premise-matching strategy.
-    pub fn with_mode(mut self, mode: EvalMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Toggles cost-threshold pruning.
-    pub fn with_prune(mut self, prune: PruneMode) -> Self {
-        self.prune = prune;
         self
     }
 
@@ -571,8 +538,6 @@ impl Optimizer {
     fn config_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
         format!("{:?}", self.backend).hash(&mut h);
-        format!("{:?}", self.mode).hash(&mut h);
-        format!("{:?}", self.prune).hash(&mut h);
         self.budget.max_rounds.hash(&mut h);
         self.budget.max_facts.hash(&mut h);
         self.budget.max_nulls.hash(&mut h);
@@ -608,36 +573,27 @@ impl Optimizer {
         let _span = hadad_obs::span("rewrite");
         M_REWRITE_CALLS.incr();
         let cat = self.effective_cat()?;
-        // Every cost consumer below — ranking estimator, chase pruner,
-        // extraction DP — prices plans under the selected backend's
-        // calibration constants, so plan choice tracks the kernels that
-        // will actually execute.
+        // Both cost consumers below — ranking estimator and extraction DP —
+        // price plans under the selected backend's calibration constants,
+        // so plan choice tracks the kernels that will actually execute.
         let profile = self.profile();
         let cm = CostModel::with_profile(&cat, profile);
         let original = Plan { expr: e.clone(), est_cost: cm.cost(e)? };
 
         // Plan-cache probe: a hit at the current epoch is served straight
-        // from the cache; a stale entry is refused but donates its DP
-        // table, warm-starting the pruner's mid-chase re-extractions.
-        let mut warm_dp: Option<DpTable> = None;
+        // from the cache; a stale entry is refused and, like a miss, takes
+        // the cold path below.
         let mut pending: Option<(Arc<PlanCache>, PlanCacheKey)> = None;
         if let Some(cache) = &self.cache {
             if let Some(key) = self.cache_key(e, &cat) {
-                match cache.lookup(&key) {
-                    Lookup::Hit(cached) => {
-                        if let Some(served) =
-                            serve_hit(cache, *cached, &key, &cm, original.clone(), start)
-                        {
-                            return Ok(served);
-                        }
-                        pending = Some((Arc::clone(cache), key));
+                if let Lookup::Hit(cached) = cache.lookup(&key) {
+                    if let Some(served) =
+                        serve_hit(cache, *cached, &key, &cm, original.clone(), start)
+                    {
+                        return Ok(served);
                     }
-                    Lookup::Stale(dp) => {
-                        warm_dp = Some(dp);
-                        pending = Some((Arc::clone(cache), key));
-                    }
-                    Lookup::Miss => pending = Some((Arc::clone(cache), key)),
                 }
+                pending = Some((Arc::clone(cache), key));
             }
         }
 
@@ -651,39 +607,15 @@ impl Optimizer {
             Some(timeout) => self.budget.with_deadline(timeout),
             None => self.budget,
         };
-        let engine = ChaseEngine::new(constraints).with_budget(budget).with_mode(self.mode);
+        let engine = ChaseEngine::new(constraints).with_budget(budget);
         let mut inst = encoded.instance;
-        // `Prune_prov` for the LA path: the oracle reads propagated
-        // size/density facts, the incumbent starts at the original plan's
-        // cost and tightens each round as the DP finds cheaper plans in
-        // the partially saturated instance. A refused cache entry's DP
-        // table seeds the first re-extraction.
-        let oracle = VremCostOracle::with_profile(&vrem, profile);
-        let mut pruner = match self.prune {
-            PruneMode::Off => None,
-            PruneMode::CostThreshold => {
-                let p = TighteningPruner::new(
-                    &oracle,
-                    CostPruner::new(&oracle, original.est_cost),
-                    &vrem,
-                    encoded.root,
-                );
-                Some(match warm_dp.take() {
-                    Some(seed) => p.with_seed(seed),
-                    None => p,
-                })
-            }
-        };
         // Phase supervision: a panic inside the chase (a bug, or an injected
         // fault) is contained here. The partially saturated instance is still
         // a sound under-approximation — every fact in it was derived from the
         // catalogue — so extraction proceeds on whatever was built.
         let ((chase_outcome, stats, mut degraded), chase_us) =
             hadad_obs::timed("rewrite.chase", &M_CHASE_US, || {
-                let chased = catch_unwind(AssertUnwindSafe(|| match pruner.as_mut() {
-                    None => engine.chase(&mut inst),
-                    Some(p) => engine.chase_with(&mut inst, p),
-                }));
+                let chased = catch_unwind(AssertUnwindSafe(|| engine.chase(&mut inst)));
                 match chased {
                     Ok((outcome, stats)) => {
                         let degraded = degradation_of(&stats, RewritePhase::Chase);
@@ -701,8 +633,7 @@ impl Optimizer {
             });
 
         let cost_fn = FlopsCost::with_profile(profile);
-        let want_dp = pending.is_some();
-        let ((candidates, dp_table), extract_us) =
+        let (candidates, extract_us) =
             hadad_obs::timed("rewrite.extract", &M_EXTRACT_US, || {
                 catch_unwind(AssertUnwindSafe(|| {
                     let extractor = Extractor::new(&vrem, &inst, &cost_fn);
@@ -712,15 +643,14 @@ impl Optimizer {
                         // `extract`.
                         candidates.extend(extractor.extract(encoded.root));
                     }
-                    let dp = want_dp.then(|| extractor.dp_table().clone());
-                    (candidates, dp)
+                    candidates
                 }))
                 .unwrap_or_else(|_| {
                     degraded.get_or_insert(Degraded {
                         reason: DegradeReason::WorkerPanic,
                         phase: RewritePhase::Extraction,
                     });
-                    (Vec::new(), None)
+                    Vec::new()
                 })
             });
         if candidates.is_empty() && degraded.is_none() {
@@ -736,14 +666,15 @@ impl Optimizer {
                     });
                     Vec::new()
                 });
-            if plans.is_empty() && degraded.is_some() {
-                // Anytime guarantee: the unrewritten expression is always a
-                // sound incumbent, so a degraded call still returns a plan.
+            // The unrewritten expression is always a sound incumbent: unless
+            // a candidate is strictly cheaper it is the answer, so it joins
+            // the ranking even when extraction did not rebuild it (children
+            // decode through min-cost ties) or a degraded call found nothing.
+            if !plans.iter().any(|p| p.est_cost < original.est_cost || p.expr == original.expr)
+            {
                 plans.push(original.clone());
             }
-            plans.sort_by(|a, b| {
-                a.est_cost.partial_cmp(&b.est_cost).unwrap_or(std::cmp::Ordering::Equal)
-            });
+            sort_plans(&mut plans, &original.expr);
             plans
         });
 
@@ -773,7 +704,7 @@ impl Optimizer {
         // cheaper plans, and serving it later would freeze the degradation.
         if let Some((cache, key)) = pending {
             if ranked.report.degraded.is_none() {
-                cache.insert(&key, ranked.clone(), dp_table.unwrap_or_default());
+                cache.insert(&key, ranked.clone());
             }
         }
         Ok(ranked)
@@ -843,6 +774,18 @@ fn hash_views_and_gens(views: &[LaView], gens: &[ConstraintGen], h: &mut impl Ha
     }
 }
 
+/// Sorts `plans` cheapest first. Exact cost ties go to the input
+/// expression, so `best()` is a rewrite only when something is strictly
+/// cheaper.
+fn sort_plans(plans: &mut [Plan], original: &Expr) {
+    plans.sort_by(|a, b| {
+        a.est_cost
+            .partial_cmp(&b.est_cost)
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| (&b.expr == original).cmp(&(&a.expr == original)))
+    });
+}
+
 /// Serves a cache hit: the cached plans are re-anchored on this call's
 /// freshly priced original and, on a cross-name hit (same skeleton and
 /// bands, different leaf names), re-skinned onto the probe's names and
@@ -870,9 +813,7 @@ fn serve_hit(
         if reskinned.is_empty() {
             return None;
         }
-        reskinned.sort_by(|a, b| {
-            a.est_cost.partial_cmp(&b.est_cost).unwrap_or(std::cmp::Ordering::Equal)
-        });
+        sort_plans(&mut reskinned, &original.expr);
         plans.plans = reskinned;
         plans.original = original;
         plans.report.num_candidates = plans.plans.len();
@@ -988,22 +929,19 @@ mod tests {
         assert!(opt.cat.get("V").is_none());
     }
 
-    /// `Prune_prov` is on by default and must not change the best plan:
-    /// the trace rotation survives pruning (its oracle bound beats the
-    /// incumbent), while `PruneMode::Off` remains available and agrees.
+    /// Rank ties return the input: the ridge normal equations only admit
+    /// the commuted sum at identical cost, so `best()` stays the original.
     #[test]
-    fn default_pruning_matches_off_mode() {
-        let (opt, _) = trace_setup();
-        let e = trace(mul(m("A"), m("B")));
-        let pruned = opt.rewrite(&e).unwrap();
-        let unpruned = opt.clone().with_prune(PruneMode::Off).rewrite(&e).unwrap();
-        assert_eq!(unpruned.report.pruned_firings, 0);
-        assert_eq!(pruned.best().expr, unpruned.best().expr);
-        assert_eq!(pruned.best().est_cost, unpruned.best().est_cost);
-        // Per-rule veto counts line up with the total.
-        let per_rule: usize =
-            pruned.report.chase_stats.rule_vetoes.iter().map(|(_, n)| n).sum();
-        assert_eq!(per_rule, pruned.report.pruned_firings);
+    fn cost_tie_keeps_original_expression() {
+        let mut cat = MetaCatalog::new();
+        cat.register("X", MatrixMeta::dense(200, 30));
+        cat.register("y", MatrixMeta::dense(200, 1));
+        let gram = add(mul(t(m("X")), m("X")), smul(lit(0.5), Expr::Identity(30)));
+        let e = mul(inv(gram), mul(t(m("X")), m("y")));
+        let ranked = Optimizer::new(cat).rewrite(&e).unwrap();
+        assert!(ranked.plans.len() >= 2, "the commuted sum is a candidate too");
+        assert_eq!(ranked.plans[1].est_cost, ranked.original.est_cost);
+        assert_eq!(ranked.best().expr, e);
     }
 
     /// Anytime behaviour under an already-expired deadline: the chase stops

@@ -107,42 +107,6 @@ fn stale_epoch_probe_refuses_entry() {
     assert!(!opt.rewrite(&e).expect("old epoch probe").report.cache.hit);
 }
 
-/// Warm-starting from a big entry's DP table must survive the fresh
-/// chase's *smaller* early-round instances: the cached table of a
-/// saturated 12-chain carries node ids past the node space of a fresh
-/// encode, and replaying it must drop them — not index out of bounds,
-/// panic the chase worker, and silently degrade the re-prime.
-#[test]
-fn stale_seed_from_larger_instance_stays_clean() {
-    let dims = [96usize, 88, 80, 64, 48, 40, 36, 24, 16, 12, 6, 4, 1];
-    let mut cat = MetaCatalog::new();
-    let names: Vec<String> = (0..dims.len() - 1).map(|i| format!("M{i}")).collect();
-    for (i, name) in names.iter().enumerate() {
-        cat.register(name, MatrixMeta::dense(dims[i], dims[i + 1]));
-    }
-    let mut e = m(&names[0]);
-    for name in &names[1..] {
-        e = mul(e, m(name));
-    }
-    let mut opt = Optimizer::new(cat).with_plan_cache(16);
-    let cold = opt.rewrite(&e).expect("prime");
-    assert!(cold.report.degraded.is_none(), "cold 12-chain pass must be clean");
-
-    opt.set_cache_epoch(opt.cache_epoch() + 1);
-    let refused = opt.rewrite(&e).expect("stale probe re-runs cold");
-    assert!(!refused.report.cache.hit, "newer-epoch probe must refuse the entry");
-    assert!(
-        refused.report.degraded.is_none(),
-        "warm-started re-run must not degrade: {:?}",
-        refused.report.degraded
-    );
-    assert_eq!(refused.best().expr, cold.best().expr);
-    assert!(
-        opt.rewrite(&e).expect("re-primed").report.cache.hit,
-        "the clean warm-started result must re-prime the cache"
-    );
-}
-
 /// The cache is off by default: without `HADAD_PLAN_CACHE` or
 /// `with_plan_cache`, repeats are full rewrites with zeroed counters.
 #[test]

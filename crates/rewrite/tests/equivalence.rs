@@ -14,7 +14,7 @@ use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, EvalMode, Instance, No
 use hadad_core::expr::dsl::*;
 use hadad_core::{Catalogue, Encoder, Expr, Extractor, MatrixMeta, MetaCatalog, Vrem};
 use hadad_linalg::rng::Rng64;
-use hadad_rewrite::{FlopsCost, Optimizer, PruneMode};
+use hadad_rewrite::FlopsCost;
 
 mod common;
 use common::{corpus_catalog, random_expr};
@@ -201,92 +201,4 @@ fn chain8_saturates_in_default_budget_and_semi_naive_wins() {
     let ex = Extractor::new(&pair.vrem, &pair.semi_inst, &cost_fn);
     let best = ex.extract(pair.root).expect("chain decodes");
     assert_eq!(best.to_string(), "(M1 (M2 (M3 (M4 (M5 (M6 (M7 M8)))))))");
-}
-
-/// `Prune_prov` on the LA path is *safe*, not just fast: over the full
-/// 120-expression corpus the pruned and unpruned chase must return best
-/// plans of identical estimated cost (ISSUE 4 acceptance).
-#[test]
-fn pruned_and_unpruned_rewrites_agree_on_best_cost() {
-    let cat = corpus_catalog();
-    let budget =
-        ChaseBudget { max_rounds: 12, max_facts: 20_000, max_nulls: 10_000, deadline: None };
-    let mut rng = Rng64::new(0xADAD_5EED);
-    let pruned_opt = Optimizer::new(cat.clone()).with_budget(budget);
-    assert_eq!(pruned_opt.prune, PruneMode::CostThreshold, "pruning is the default");
-    let off_opt = Optimizer::new(cat).with_budget(budget).with_prune(PruneMode::Off);
-    let mut total_vetoes = 0usize;
-    for i in 0..120 {
-        let e = random_expr(&mut rng);
-        let pruned = pruned_opt.rewrite(&e).unwrap_or_else(|err| panic!("pruned {e}: {err}"));
-        let off = off_opt.rewrite(&e).unwrap_or_else(|err| panic!("unpruned {e}: {err}"));
-        let (cp, co) = (pruned.best().est_cost, off.best().est_cost);
-        assert!(
-            (cp - co).abs() <= 1e-6 * co.abs().max(1.0),
-            "sample {i} ({e}): pruned best {} (cost {cp}) vs unpruned best {} (cost {co})",
-            pruned.best().expr,
-            off.best().expr,
-        );
-        assert_eq!(off.report.pruned_firings, 0);
-        total_vetoes += pruned.report.pruned_firings;
-    }
-    // The corpus as a whole must exercise the pruner (individual samples
-    // may be too small to veto anything).
-    assert!(total_vetoes > 0, "pruning never fired on the corpus");
-}
-
-/// On the chain families the pruner must actually veto firings — the
-/// tightened incumbent (right-deep chain) undercuts the expensive
-/// regroupings — while the best plan cost stays identical to the unpruned
-/// chase and saturation completes.
-#[test]
-fn chain_families_prune_and_keep_best_cost() {
-    let chains: [(&[usize], ChaseBudget); 2] = [
-        (
-            &[96, 80, 64, 48, 36, 24, 12, 6, 1],
-            ChaseBudget {
-                max_rounds: 12,
-                max_facts: 30_000,
-                max_nulls: 15_000,
-                deadline: None,
-            },
-        ),
-        (
-            &[96, 88, 80, 64, 48, 40, 36, 24, 16, 12, 6, 4, 1],
-            ChaseBudget {
-                max_rounds: 20,
-                max_facts: 60_000,
-                max_nulls: 30_000,
-                deadline: None,
-            },
-        ),
-    ];
-    for (dims, budget) in chains {
-        let n = dims.len() - 1;
-        let mut cat = MetaCatalog::new();
-        let e = chain_expr(dims, &mut cat);
-        let pruned = Optimizer::new(cat.clone()).with_budget(budget).rewrite(&e).unwrap();
-        let off = Optimizer::new(cat)
-            .with_budget(budget)
-            .with_prune(PruneMode::Off)
-            .rewrite(&e)
-            .unwrap();
-        assert_eq!(
-            pruned.report.chase_outcome,
-            ChaseOutcome::Saturated,
-            "pruned chain-{n} did not saturate"
-        );
-        assert!(
-            pruned.report.pruned_firings > 0,
-            "chain-{n}: pruning vetoed nothing ({} rounds)",
-            pruned.report.chase_rounds
-        );
-        let (cp, co) = (pruned.best().est_cost, off.best().est_cost);
-        assert!(
-            (cp - co).abs() <= 1e-6 * co.abs().max(1.0),
-            "chain-{n}: pruned best cost {cp} != unpruned {co}"
-        );
-        // The winner is the right-deep chain either way.
-        assert_eq!(pruned.best().expr, off.best().expr, "chain-{n} best plans diverge");
-    }
 }

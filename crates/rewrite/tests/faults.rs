@@ -23,7 +23,7 @@ use hadad_failpoint::{scoped, FailAction};
 use hadad_linalg::{rand_gen, take_backend_panics, BackendKind, Matrix};
 use hadad_relational::{Catalog, Column, Table, Value};
 use hadad_rewrite::{
-    CastKind, Env, HybridError, HybridOptimizer, HybridPipeline, Optimizer, PruneMode, RelQuery,
+    CastKind, Env, HybridError, HybridOptimizer, HybridPipeline, Optimizer, RelQuery,
 };
 
 /// A left-deep matmul chain over `dims.len() - 1` matrices, with matching
@@ -66,9 +66,7 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 #[test]
 fn fact_budget_exhaustion_still_yields_verified_plan() {
     let (cat, env, expr) = chain(&[96, 80, 64, 48, 24, 1]);
-    // Pruning off so the chase actually generates facts up to the budget
-    // (under `Prune_prov` this instance saturates below any useful bound).
-    let opt = Optimizer::new(cat).with_prune(PruneMode::Off).with_budget(ChaseBudget {
+    let opt = Optimizer::new(cat).with_budget(ChaseBudget {
         max_rounds: 12,
         // Full saturation of this chain needs 49 facts; 40 forces the stop.
         max_facts: 40,
@@ -151,9 +149,7 @@ fn chase_delay_trips_the_deadline() {
 #[test]
 fn extraction_panic_falls_back_to_original_plan() {
     let (cat, env, expr) = chain(&[60, 40, 20, 1]);
-    // `Prune_prov`'s tightening pass runs the extraction DP *inside* the
-    // chase; pruning off keeps this fault in the extraction phase proper.
-    let opt = Optimizer::new(cat).with_prune(PruneMode::Off);
+    let opt = Optimizer::new(cat);
     let _g = scoped("extract.solve", FailAction::Panic);
     let (ranked, plan, _) = quiet_panics(|| opt.rewrite_verified(&expr, &env, 1e-9)).unwrap();
     let d = ranked.report.degraded.as_ref().unwrap();
