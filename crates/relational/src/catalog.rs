@@ -4,7 +4,8 @@
 
 use std::collections::BTreeMap;
 
-use crate::ivm::{apply_delta, Delta, IvmError, TableUpdate, UpdateLog};
+use crate::ivm::{Delta, IvmError, TableUpdate, UpdateLog};
+use crate::row_index::IndexedTable;
 use crate::table::{Table, Value};
 
 /// A registry of named tables (and materialized relational views).
@@ -14,9 +15,14 @@ use crate::table::{Table, Value};
 /// append a [`Delta`] to the catalog's update log; a view maintainer
 /// drains the log ([`Catalog::take_updates`]) and delta-maintains every
 /// materialized view instead of re-executing its definition.
+///
+/// Each entry owns its table's row-multiset index (see
+/// [`crate::row_index`]): built by the first retraction against the table,
+/// dropped when [`Catalog::register`] replaces it, and left behind by
+/// `clone()` — a cloned catalog is a read snapshot and carries rows only.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    tables: BTreeMap<String, Table>,
+    tables: BTreeMap<String, IndexedTable>,
     log: UpdateLog,
     /// Monotonic state version: bumped by every successful mutation —
     /// logged inserts/deletes, maintenance writes, (re-)registration. See
@@ -54,15 +60,16 @@ impl Catalog {
     /// Registers a table under `name`, returning the table it displaced,
     /// if any. A `Some` return on a name you expected to be fresh means a
     /// view registration collision — callers that materialize views check
-    /// it instead of silently shadowing a base table.
+    /// it instead of silently shadowing a base table. The displaced
+    /// table's row index goes with it.
     pub fn register(&mut self, name: impl Into<String>, table: Table) -> Option<Table> {
         self.bump_epoch();
-        self.tables.insert(name.into(), table)
+        self.tables.insert(name.into(), IndexedTable::new(table)).map(IndexedTable::into_table)
     }
 
     /// Table registered under `name`.
     pub fn get(&self, name: &str) -> Option<&Table> {
-        self.tables.get(name)
+        self.tables.get(name).map(IndexedTable::table)
     }
 
     /// Registered table names, sorted.
@@ -72,7 +79,7 @@ impl Catalog {
 
     /// Row count of a registered table.
     pub fn cardinality(&self, name: &str) -> Option<usize> {
-        self.tables.get(name).map(super::table::Table::num_rows)
+        self.get(name).map(Table::num_rows)
     }
 
     /// Appends `rows` to a base table (arity- and type-checked, atomic)
@@ -85,8 +92,8 @@ impl Catalog {
     ) -> Result<usize, IvmError> {
         let table =
             self.tables.get_mut(name).ok_or_else(|| IvmError::MissingTable(name.to_owned()))?;
-        let delta = Delta::inserts(table, rows);
-        let (inserted, _) = apply_delta(table, &delta, name)?;
+        let delta = Delta::inserts(table.table(), rows);
+        let (inserted, _) = table.apply(&delta, name)?;
         self.log.push(name, delta);
         self.bump_epoch();
         Ok(inserted)
@@ -103,8 +110,8 @@ impl Catalog {
     ) -> Result<usize, IvmError> {
         let table =
             self.tables.get_mut(name).ok_or_else(|| IvmError::MissingTable(name.to_owned()))?;
-        let delta = Delta::deletes(table, rows);
-        let (_, deleted) = apply_delta(table, &delta, name)?;
+        let delta = Delta::deletes(table.table(), rows);
+        let (_, deleted) = table.apply(&delta, name)?;
         self.log.push(name, delta);
         self.bump_epoch();
         Ok(deleted)
@@ -119,7 +126,7 @@ impl Catalog {
     ) -> Result<(usize, usize), IvmError> {
         let table =
             self.tables.get_mut(name).ok_or_else(|| IvmError::MissingTable(name.to_owned()))?;
-        let applied = apply_delta(table, delta, name)?;
+        let applied = table.apply(delta, name)?;
         self.bump_epoch();
         Ok(applied)
     }
@@ -132,6 +139,15 @@ impl Catalog {
     /// Drains the update log for the maintainer.
     pub fn take_updates(&mut self) -> Vec<TableUpdate> {
         self.log.drain()
+    }
+
+    /// Checks every built row index against its table (every live row
+    /// reachable exactly once, no dangling position), naming the first
+    /// table that fails — a diagnostic for tests and debugging.
+    pub fn check_indexes(&self) -> Result<(), String> {
+        self.tables
+            .iter()
+            .try_for_each(|(name, t)| t.check_index().map_err(|e| format!("table {name}: {e}")))
     }
 
     /// Row-count cost of a plan that scans the named tables once each: the
@@ -249,6 +265,50 @@ mod tests {
         let delta = Delta::inserts(table, vec![vec![Value::Int(9)]]);
         cat.apply_unlogged("users", &delta).unwrap();
         assert_eq!(cat.epoch(), 4);
+    }
+
+    fn built_indexes(cat: &Catalog) -> usize {
+        cat.tables.values().filter(|t| t.has_index()).count()
+    }
+
+    #[test]
+    fn clone_leaves_the_row_indexes_behind() {
+        let mut cat = Catalog::new();
+        cat.register("users", Table::new(vec![("id", Column::Int(vec![1, 2, 3]))]));
+        cat.register("tweets", Table::new(vec![("tid", Column::Int(vec![7]))]));
+        assert_eq!(built_indexes(&cat), 0, "no retraction yet, no index");
+        cat.delete_rows("users", vec![vec![Value::Int(2)]]).unwrap();
+        assert_eq!(built_indexes(&cat), 1);
+
+        let mut snapshot = cat.clone();
+        assert_eq!(built_indexes(&snapshot), 0, "a clone is rows only");
+        assert_eq!(built_indexes(&cat), 1, "the source keeps its own");
+        assert_eq!(snapshot.get("users"), cat.get("users"));
+        // A clone that does get retracted from builds an index of its own.
+        snapshot.delete_rows("users", vec![vec![Value::Int(3)]]).unwrap();
+        assert_eq!(snapshot.cardinality("users"), Some(1));
+        assert_eq!(cat.cardinality("users"), Some(2));
+        snapshot.check_indexes().unwrap();
+        cat.check_indexes().unwrap();
+    }
+
+    #[test]
+    fn register_drops_the_displaced_tables_index() {
+        let mut cat = Catalog::new();
+        cat.register("users", Table::new(vec![("id", Column::Int(vec![1, 2, 3, 4]))]));
+        cat.delete_rows("users", vec![vec![Value::Int(1)]]).unwrap();
+        assert_eq!(built_indexes(&cat), 1);
+
+        // Same name, different rows at the old positions.
+        cat.register("users", Table::new(vec![("id", Column::Int(vec![9, 8]))]));
+        assert_eq!(built_indexes(&cat), 0, "the stale index went with the old table");
+        assert!(matches!(
+            cat.delete_rows("users", vec![vec![Value::Int(4)]]),
+            Err(IvmError::MissingRow { .. })
+        ));
+        assert_eq!(cat.delete_rows("users", vec![vec![Value::Int(8)]]), Ok(1));
+        assert_eq!(cat.get("users").unwrap().row(0), vec![Value::Int(9)]);
+        cat.check_indexes().unwrap();
     }
 
     #[test]

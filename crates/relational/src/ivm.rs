@@ -15,11 +15,33 @@
 //! `as_i64` and drop `None` keys, join output columns are prefixed
 //! `right.` until unique), so a delta-maintained view is bit-identical, up
 //! to row order, to re-running its definition from scratch.
+//!
+//! **Row order.** A table is a multiset: [`apply_delta`] appends the
+//! batch's insertions and then deletes by moving the table's last row into
+//! each vacated position, so surviving rows do *not* keep their relative
+//! order across a delete. Anything that needs an order (a dense cast) fixes
+//! it with a sort key, as the data model already requires.
+//!
+//! **Cost.** One batch costs hash work proportional to the delta: a
+//! retraction finds its rows through the target's row-multiset index
+//! ([`crate::row_index`]), and each join half hashes the *delta* and probes
+//! it with one typed pass over the table's key column — skipped outright
+//! when the delta is empty. The index belongs to the owner of the mutable
+//! table ([`crate::IndexedTable`]: a catalog entry, a maintainer's cached
+//! join input), is built by the first retraction, and is never cloned.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
-use crate::table::{Table, Value};
+use crate::row_index::RowIndex;
+use crate::table::{Column, Table, Value};
+
+/// Table rows the update path reads: rows hashed into a row index, chain
+/// candidates a retraction compares, rows a delete relocates, and
+/// key-column cells a join half scans. A batch against an indexed table
+/// adds a small multiple of |Δ| here, whatever the table's size.
+pub(crate) static ROWS_EXAMINED: hadad_obs::LazyCounter =
+    hadad_obs::LazyCounter::new("ivm.rows_examined");
 
 /// Maintenance failure: the delta and the target disagree structurally, or
 /// a retraction has nothing to retract.
@@ -159,24 +181,23 @@ pub fn row_hash(row: &[Value]) -> u64 {
     h
 }
 
-/// Per-row fingerprints of a whole table, computed column-major with no
-/// per-cell allocation — this is what keeps counting-semantics retraction
-/// linear in the table instead of allocation-bound.
+/// Per-row fingerprints ([`row_hash`]) of a whole table, computed
+/// column-major with no per-cell allocation.
 pub fn table_row_hashes(t: &Table) -> Vec<u64> {
     let mut hashes = vec![FNV_OFFSET; t.num_rows()];
     for c in 0..t.num_cols() {
         match t.column_at(c) {
-            crate::table::Column::Int(v) => {
+            Column::Int(v) => {
                 for (h, x) in hashes.iter_mut().zip(v) {
                     *h = fnv_cell(*h, 0, *x as u64);
                 }
             }
-            crate::table::Column::Float(v) => {
+            Column::Float(v) => {
                 for (h, x) in hashes.iter_mut().zip(v) {
                     *h = fnv_cell(*h, 1, x.to_bits());
                 }
             }
-            crate::table::Column::Str(v) => {
+            Column::Str(v) => {
                 for (h, x) in hashes.iter_mut().zip(v) {
                     *h = fnv_str(*h, x);
                 }
@@ -184,6 +205,15 @@ pub fn table_row_hashes(t: &Table) -> Vec<u64> {
         }
     }
     hashes
+}
+
+/// [`row_hash`] of table row `r`, read straight from the columns.
+pub(crate) fn table_row_hash(t: &Table, r: usize) -> u64 {
+    (0..t.num_cols()).fold(FNV_OFFSET, |h, c| match t.column_at(c) {
+        Column::Int(v) => fnv_cell(h, 0, v[r] as u64),
+        Column::Float(v) => fnv_cell(h, 1, v[r].to_bits()),
+        Column::Str(v) => fnv_str(h, &v[r]),
+    })
 }
 
 /// Output column names of `ops::hash_join(left, _, right, right_key)`:
@@ -208,6 +238,44 @@ pub fn joined_columns(
         kept.push(i);
     }
     (names, kept)
+}
+
+/// The shared core of both join halves, driven from the delta side: hashes
+/// the delta's rows by integer join key (`None` keys never join), makes one
+/// typed pass over the table's key column, and returns every
+/// `(delta_row, table_row)` pair whose keys agree. Pairs come back in delta
+/// order (table order within one delta row), so a batch that arrived
+/// clustered leaves the join clustered. An empty delta reads nothing.
+fn matches(
+    table: &Table,
+    table_key: usize,
+    delta: &Delta,
+    delta_key: usize,
+) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    if delta.rows.is_empty() {
+        return pairs;
+    }
+    // Delta rows sharing a key chain through `next`, newest first.
+    let mut heads: HashMap<i64, usize> = HashMap::new();
+    let mut next: Vec<Option<usize>> = vec![None; delta.rows.len()];
+    for (d, (row, _)) in delta.rows.iter().enumerate() {
+        if let Some(k) = row[delta_key].as_i64() {
+            next[d] = heads.insert(k, d);
+        }
+    }
+    ROWS_EXAMINED.add(table.num_rows() as u64);
+    let keys = table.column_at(table_key);
+    for r in 0..table.num_rows() {
+        let Some(k) = keys.key_at(r) else { continue };
+        let mut hit = heads.get(&k).copied();
+        while let Some(d) = hit {
+            pairs.push((d, r));
+            hit = next[d];
+        }
+    }
+    pairs.sort_by_key(|&(d, _)| d);
+    pairs
 }
 
 impl Delta {
@@ -312,7 +380,8 @@ impl Delta {
 
     /// ΔL ⋈ R: joins every delta row against the (full) right table.
     /// Multiplicities multiply — table rows count 1 each, so each match
-    /// inherits the delta row's signed count.
+    /// inherits the delta row's signed count. An empty delta reads no row
+    /// of `right`.
     pub fn join_right(
         &self,
         right: &Table,
@@ -324,30 +393,22 @@ impl Delta {
             .column_index(right_key)
             .ok_or_else(|| IvmError::MissingColumn(right_key.to_owned()))?;
         let (columns, kept) = joined_columns(&self.columns, right.column_names(), right_key);
-
-        // Build side: right-key -> row indices, as in ops::hash_join.
-        let mut index: HashMap<i64, Vec<usize>> = HashMap::new();
-        for r in 0..right.num_rows() {
-            if let Some(k) = right.column_at(rk).value(r).as_i64() {
-                index.entry(k).or_default().push(r);
-            }
-        }
-        let mut rows = Vec::new();
-        for (row, n) in &self.rows {
-            let Some(k) = row[lk].as_i64() else { continue };
-            let Some(matches) = index.get(&k) else { continue };
-            for &r in matches {
+        let rows = matches(right, rk, self, lk)
+            .into_iter()
+            .map(|(d, r)| {
+                let (row, n) = &self.rows[d];
                 let mut out = row.clone();
                 out.extend(kept.iter().map(|&i| right.column_at(i).value(r)));
-                rows.push((out, *n));
-            }
-        }
+                (out, *n)
+            })
+            .collect();
         Ok(Delta { columns, rows })
     }
 
     /// L ⋈ ΔR: joins the (full, *pre-update*) left table against a delta of
     /// the right table. Output schema matches [`Delta::join_right`] — the
-    /// two halves of Δ(L ⋈ R) concatenate by [`Delta::merge`].
+    /// two halves of Δ(L ⋈ R) concatenate by [`Delta::merge`]. An empty
+    /// delta reads no row of `left`.
     pub fn join_left(
         left: &Table,
         right_delta: &Delta,
@@ -360,25 +421,15 @@ impl Delta {
         let rk = right_delta.col_index(right_key)?;
         let (columns, kept) =
             joined_columns(left.column_names(), &right_delta.columns, right_key);
-
-        // Build side: left-key -> row indices (the delta is the small side,
-        // but indexing the table keeps the scan single-pass).
-        let mut index: HashMap<i64, Vec<usize>> = HashMap::new();
-        for r in 0..left.num_rows() {
-            if let Some(k) = left.column_at(lk).value(r).as_i64() {
-                index.entry(k).or_default().push(r);
-            }
-        }
-        let mut rows = Vec::new();
-        for (drow, n) in &right_delta.rows {
-            let Some(k) = drow[rk].as_i64() else { continue };
-            let Some(matches) = index.get(&k) else { continue };
-            for &l in matches {
+        let rows = matches(left, lk, right_delta, rk)
+            .into_iter()
+            .map(|(d, l)| {
+                let (drow, n) = &right_delta.rows[d];
                 let mut out = left.row(l);
                 out.extend(kept.iter().map(|&i| drow[i].clone()));
-                rows.push((out, *n));
-            }
-        }
+                (out, *n)
+            })
+            .collect();
         Ok(Delta { columns, rows })
     }
 
@@ -400,9 +451,31 @@ impl Delta {
 /// re-insertion of the same row cancel), then negative nets retract
 /// matching rows (erroring — before any mutation — if the table holds too
 /// few copies) and positive nets append. Returns `(inserted, deleted)` row
-/// counts. Surviving rows keep their relative order; insertions append.
+/// counts.
+///
+/// Row order: insertions append, then each retracted row is replaced by
+/// the table's then-last row — so surviving rows do **not** keep their
+/// relative order after a delete, and a batch that both inserts and
+/// retracts overwrites retracted rows with inserted ones.
+///
+/// This index-less form builds a throw-away row index when the delta
+/// retracts anything — O(|table|). Owners of a long-lived mutable table
+/// hold it as a [`crate::IndexedTable`] and call its `apply`, which
+/// keeps the index across batches and so costs O(|Δ|).
 pub fn apply_delta(
     table: &mut Table,
+    delta: &Delta,
+    name: &str,
+) -> Result<(usize, usize), IvmError> {
+    apply_delta_indexed(table, &mut None, delta, name)
+}
+
+/// [`apply_delta`] against a table whose row index, if built, is `index`:
+/// the one retraction implementation. The index is built here on the first
+/// retraction and kept in sync by every insert and delete from then on.
+pub(crate) fn apply_delta_indexed(
+    table: &mut Table,
+    index: &mut Option<RowIndex>,
     delta: &Delta,
     name: &str,
 ) -> Result<(usize, usize), IvmError> {
@@ -418,21 +491,22 @@ pub fn apply_delta(
     }
     // Net multiplicity per distinct row (first occurrence is the
     // representative): bucketed by row hash, disambiguated exactly.
-    let mut net: Vec<(&Vec<Value>, i64)> = Vec::new();
+    let mut net: Vec<(&Vec<Value>, u64, i64)> = Vec::new();
     let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
     for (row, n) in &delta.rows {
-        let bucket = by_hash.entry(row_hash(row)).or_default();
+        let hash = row_hash(row);
+        let bucket = by_hash.entry(hash).or_default();
         match bucket.iter().find(|&&i| rows_identical(net[i].0, row)) {
-            Some(&i) => net[i].1 += n,
+            Some(&i) => net[i].2 += n,
             None => {
                 bucket.push(net.len());
-                net.push((row, *n));
+                net.push((row, hash, *n));
             }
         }
     }
 
     // Pre-validate insert types so the whole application is atomic.
-    for (row, n) in &net {
+    for (row, _, n) in &net {
         if *n > 0 {
             table.row_matches_schema(row).map_err(|detail| IvmError::SchemaMismatch {
                 table: name.to_owned(),
@@ -441,57 +515,63 @@ pub fn apply_delta(
         }
     }
 
-    // Retractions: drop |n| copies of each negative-net row. Table rows
-    // match retractions through column-major hashes plus an exact
-    // comparison — no per-row allocation on the scan.
-    let mut deleted = 0usize;
-    if net.iter().any(|(_, n)| *n < 0) {
-        let mut to_drop: HashMap<u64, Vec<(usize, i64)>> = HashMap::new();
-        for (i, (row, n)) in net.iter().enumerate() {
+    // Retractions, step one: locate |n| copies of each negative-net row
+    // through the index — all of them before the first mutation, so an
+    // underflow leaves the table untouched.
+    let mut doomed: Vec<(u32, u64)> = Vec::new();
+    if net.iter().any(|(_, _, n)| *n < 0) {
+        let idx = index.get_or_insert_with(|| RowIndex::build(table));
+        let mut examined = 0;
+        for (row, hash, n) in &net {
             if *n < 0 {
-                to_drop.entry(row_hash(row)).or_default().push((i, -n));
+                let want = usize::try_from(n.unsigned_abs()).unwrap_or(usize::MAX);
+                let before = doomed.len();
+                examined += idx.find(table, *hash, row, want, &mut doomed);
+                let found = doomed.len() - before;
+                if found < want {
+                    return Err(IvmError::MissingRow {
+                        table: name.to_owned(),
+                        row: format!(
+                            "{} ({} unmatched retractions)",
+                            row_key(row),
+                            n.unsigned_abs() - found as u64
+                        ),
+                    });
+                }
             }
         }
-        let hashes = table_row_hashes(table);
-        let mut keep = Vec::with_capacity(table.num_rows());
-        for (r, h) in hashes.iter().enumerate() {
-            let dropped = to_drop.get_mut(h).is_some_and(|cands| {
-                cands.iter_mut().any(|(i, left)| {
-                    if *left > 0 && table.row_eq(r, net[*i].0) {
-                        *left -= 1;
-                        true
-                    } else {
-                        false
-                    }
-                })
-            });
-            if dropped {
-                deleted += 1;
-            } else {
-                keep.push(r);
-            }
-        }
-        if let Some((i, left)) = to_drop.values().flatten().find(|(_, left)| *left > 0) {
-            return Err(IvmError::MissingRow {
-                table: name.to_owned(),
-                row: format!("{} ({left} unmatched retractions)", row_key(net[*i].0)),
-            });
-        }
-        *table = table.gather(&keep);
+        // Every delete also reads the row it relocates.
+        ROWS_EXAMINED.add((examined + doomed.len()) as u64);
     }
 
-    // Insertions: append n copies of each positive-net row.
+    // Insertions: append n copies of each positive-net row. Appending
+    // moves nothing, so the located positions stay valid.
     let mut inserted = 0usize;
-    for (row, n) in &net {
+    for (row, hash, n) in &net {
         for _ in 0..*n {
             table.push_row(row).map_err(|detail| IvmError::SchemaMismatch {
                 table: name.to_owned(),
                 detail,
             })?;
+            if let Some(idx) = index.as_mut() {
+                idx.push(table, *hash);
+            }
             inserted += 1;
         }
     }
-    Ok((inserted, deleted))
+
+    // Retractions, step two: delete highest position first, so the row
+    // each delete moves in from the end is never itself doomed. Coming
+    // after the appends, a batch that both inserts and retracts overwrites
+    // the retracted rows with the inserted ones, in order — an update in
+    // place that keeps a clustered table clustered.
+    doomed.sort_unstable_by_key(|&(pos, _)| std::cmp::Reverse(pos));
+    if let Some(idx) = index.as_mut() {
+        for &(pos, hash) in &doomed {
+            idx.remove(table, pos, hash);
+        }
+    }
+    Ok((inserted, doomed.len()))
 }
 
 /// One logged base-table mutation batch.
@@ -623,6 +703,57 @@ mod tests {
             ops::sort_by_int(&joined, "tid").unwrap(),
             ops::sort_by_int(&full, "tid").unwrap()
         );
+    }
+
+    /// Both halves against `ops::hash_join` on the shapes the typed probe
+    /// special-cases: duplicate keys on both sides, integral and
+    /// non-integral float keys, a signed delta, and string keys (which
+    /// never join).
+    #[test]
+    fn join_halves_mirror_hash_join_on_float_and_duplicate_keys() {
+        let left = Table::new(vec![
+            ("k", Column::Float(vec![1.0, 1.0, 2.5, 3.0, f64::NAN])),
+            ("a", Column::Int(vec![10, 11, 12, 13, 14])),
+        ]);
+        let right = Table::new(vec![
+            ("k", Column::Int(vec![1, 3, 3, 9])),
+            ("b", Column::Str(vec!["p".into(), "q".into(), "r".into(), "s".into()])),
+        ]);
+        let full =
+            |l: &Table, r: &Table| table_fingerprint(&ops::hash_join(l, "k", r, "k").unwrap());
+        let signed = |d: &Delta| {
+            let mut keys: Vec<String> =
+                d.rows.iter().map(|(r, n)| format!("{n:+} {}", row_key(r))).collect();
+            keys.sort();
+            keys
+        };
+        let plus = |fp: Vec<String>| -> Vec<String> {
+            fp.into_iter().map(|k| format!("+1 {k}")).collect()
+        };
+
+        // ΔL ⋈ R for an all-insert ΔL is hash_join(ΔL as a table, R).
+        let dl = Delta::inserts(&left, (0..left.num_rows()).map(|r| left.row(r)).collect());
+        let got = dl.join_right(&right, "k", "k").unwrap();
+        assert_eq!(signed(&got), plus(full(&left, &right)));
+        // Matches come back in delta order, table order within a row.
+        let a_col: Vec<_> = got.rows.iter().map(|(r, _)| r[1].clone()).collect();
+        assert_eq!(a_col, [10, 11, 13, 13].map(Value::Int));
+
+        // L ⋈ ΔR likewise, with a retraction riding along.
+        let mut dr =
+            Delta::inserts(&right, (0..right.num_rows()).map(|r| right.row(r)).collect());
+        let got = Delta::join_left(&left, &dr, "k", "k").unwrap();
+        assert_eq!(signed(&got), plus(full(&left, &right)));
+        dr.rows[1].1 = -2;
+        let got = Delta::join_left(&left, &dr, "k", "k").unwrap();
+        // Key 1 matches two left rows (+1 each), key 3 one (-2 and +1).
+        assert_eq!(got.rows.iter().map(|(_, n)| *n).sum::<i64>(), 1);
+
+        // String keys never join, in either role.
+        let names = Table::new(vec![("k", Column::Str(vec!["1".into()]))]);
+        let dn = Delta::inserts(&names, vec![vec![Value::Str("1".into())]]);
+        assert!(dn.join_right(&right, "k", "k").unwrap().rows.is_empty());
+        assert!(Delta::join_left(&names, &dr, "k", "k").unwrap().rows.is_empty());
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! operators, and the table↔matrix conversions of the paper's §3 data
 //! model (matrix → relation forgets row order; relation → matrix fixes an
 //! arbitrary one unless sorted first).
-
 //!
 //! Base tables mutate through the catalog's logged `insert_rows` /
 //! `delete_rows` API; the [`ivm`] module supplies the signed-multiset
@@ -15,13 +14,17 @@
 //! view maintainer keep materialized views consistent without
 //! re-executing their definitions.
 
+#![forbid(unsafe_code)]
+
 pub mod cast;
 pub mod catalog;
 pub mod ivm;
 pub mod ops;
+pub mod row_index;
 pub mod table;
 
 pub use catalog::Catalog;
 pub use ivm::{apply_delta, Delta, IvmError, TableUpdate, UpdateLog};
 pub use ops::OpsError;
+pub use row_index::IndexedTable;
 pub use table::{Column, Table, Value};

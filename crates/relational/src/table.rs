@@ -39,15 +39,18 @@ impl Value {
     pub fn as_i64(&self) -> Option<i64> {
         match self {
             Value::Int(v) => Some(*v),
-            Value::Float(v) => {
-                if v.fract() == 0.0 && *v >= i64::MIN as f64 && *v <= i64::MAX as f64 {
-                    Some(*v as i64)
-                } else {
-                    None
-                }
-            }
+            Value::Float(v) => float_key(*v),
             Value::Str(_) => None,
         }
+    }
+}
+
+/// The integer a float cell keys as: integral, in-range floats only.
+fn float_key(v: f64) -> Option<i64> {
+    if v.fract() == 0.0 && v >= i64::MIN as f64 && v <= i64::MAX as f64 {
+        Some(v as i64)
+    } else {
+        None
     }
 }
 
@@ -86,6 +89,17 @@ impl Column {
         }
     }
 
+    /// Integer key of the cell at `row` — exactly `self.value(row).as_i64()`
+    /// without building the [`Value`] (no `String` clone on `Str` columns,
+    /// which never key).
+    pub fn key_at(&self, row: usize) -> Option<i64> {
+        match self {
+            Column::Int(v) => Some(v[row]),
+            Column::Float(v) => float_key(v[row]),
+            Column::Str(_) => None,
+        }
+    }
+
     /// Appends a value of the column's own type; `false` (and no change) on
     /// a type mismatch — the mutation API refuses heterogeneous columns
     /// rather than silently coercing.
@@ -118,6 +132,21 @@ impl Column {
             (Column::Float(c), Value::Float(x)) => c[row].to_bits() == x.to_bits(),
             (Column::Str(c), Value::Str(x)) => c[row] == *x,
             _ => false,
+        }
+    }
+
+    /// Removes the cell at `row` by moving the last cell into its place.
+    fn swap_remove(&mut self, row: usize) {
+        match self {
+            Column::Int(v) => {
+                v.swap_remove(row);
+            }
+            Column::Float(v) => {
+                v.swap_remove(row);
+            }
+            Column::Str(v) => {
+                v.swap_remove(row);
+            }
         }
     }
 
@@ -267,6 +296,17 @@ impl Table {
         Ok(())
     }
 
+    /// Removes row `r` in O(columns) by moving the last row into its
+    /// place; every other row keeps its position. Panics when `r` is out
+    /// of range.
+    pub fn swap_remove_row(&mut self, r: usize) {
+        assert!(r < self.rows, "row {r} out of range for {} rows", self.rows);
+        for c in &mut self.columns {
+            c.swap_remove(r);
+        }
+        self.rows -= 1;
+    }
+
     /// Appends a column; panics on length mismatch.
     pub fn with_column(mut self, name: &str, col: Column) -> Table {
         assert_eq!(col.len(), self.rows);
@@ -322,6 +362,33 @@ mod tests {
         assert_eq!(t.num_rows(), 4);
         for c in 0..t.num_cols() {
             assert_eq!(t.column_at(c).len(), 4);
+        }
+    }
+
+    #[test]
+    fn swap_remove_row_moves_the_last_row_in() {
+        let mut t = sample();
+        t.swap_remove_row(0);
+        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t.row(0), vec![Value::Int(3), Value::Float(2.5), Value::Str("c".into())]);
+        assert_eq!(t.row(1), vec![Value::Int(2), Value::Float(1.5), Value::Str("b".into())]);
+        t.swap_remove_row(1);
+        t.swap_remove_row(0);
+        assert_eq!(t.num_rows(), 0);
+        assert!((0..t.num_cols()).all(|c| t.column_at(c).is_empty()));
+    }
+
+    #[test]
+    fn key_at_agrees_with_value_as_i64() {
+        let cols = [
+            Column::Int(vec![i64::MIN, -1, 0, 7]),
+            Column::Float(vec![2.0, 2.5, -0.0, f64::NAN, f64::INFINITY, 1e300]),
+            Column::Str(vec!["7".into(), "".into()]),
+        ];
+        for c in &cols {
+            for r in 0..c.len() {
+                assert_eq!(c.key_at(r), c.value(r).as_i64(), "{c:?} row {r}");
+            }
         }
     }
 

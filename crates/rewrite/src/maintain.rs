@@ -7,7 +7,11 @@
 //!
 //! The join rule Δ(L ⋈ R) = ΔL ⋈ Rⁿᵉʷ + Lᵒˡᵈ ⋈ ΔR needs the *old* left
 //! input of every join stage, so the maintainer caches those intermediates
-//! per view (selections and projections are linear — they need no state).
+//! per view (selections and projections are linear — they need no state),
+//! each with the row index its retractions go through (owned here, built on
+//! the first retraction — see [`hadad_relational::row_index`]). Each half
+//! of the rule is driven from its delta, and a half whose delta is empty
+//! reads nothing.
 //! Update batches that touch several tables compose sequentially: entries
 //! are propagated in log order, and when a join's right table carries
 //! *later* pending entries, the maintainer reconstructs the table as of
@@ -20,7 +24,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use hadad_relational::ivm::{apply_delta, Delta, TableUpdate};
-use hadad_relational::{Catalog, Table};
+use hadad_relational::{Catalog, IndexedTable, Table};
 
 use crate::hybrid::{HybridError, RelOp, TableView};
 
@@ -28,7 +32,7 @@ use crate::hybrid::{HybridError, RelOp, TableView};
 /// keyed by the op's position in the view definition.
 #[derive(Debug, Clone, Default)]
 struct ViewState {
-    join_inputs: HashMap<usize, Table>,
+    join_inputs: HashMap<usize, IndexedTable>,
 }
 
 /// What one maintenance pass did to one view.
@@ -102,18 +106,36 @@ impl ViewMaintainer {
                 catalog.pending_updates().iter().map(|e| e.table.clone()).collect(),
             ));
         }
-        let mut state = ViewState::default();
-        let mut t = catalog
+        let scan = catalog
             .get(&view.def.table)
-            .ok_or_else(|| HybridError::MissingTable(view.def.table.clone()))?
-            .clone();
-        for (k, op) in view.def.ops.iter().enumerate() {
-            if matches!(op, RelOp::HashJoin { .. }) {
-                state.join_inputs.insert(k, t.clone());
+            .ok_or_else(|| HybridError::MissingTable(view.def.table.clone()))?;
+        let mut state = ViewState::default();
+        // Replay only as far as the last join: what follows it needs no
+        // state, and a join-free view needs none at all (nor a scan copy).
+        let is_join = |op: &RelOp| matches!(op, RelOp::HashJoin { .. });
+        if let Some(last) = view.def.ops.iter().rposition(is_join) {
+            let mut t = scan.clone();
+            for (k, op) in view.def.ops[..last].iter().enumerate() {
+                if is_join(op) {
+                    state.join_inputs.insert(k, IndexedTable::new(t.clone()));
+                }
+                t = view.def.apply_op(t, op, catalog)?;
             }
-            t = view.def.apply_op(t, op, catalog)?;
+            state.join_inputs.insert(last, IndexedTable::new(t));
         }
         self.states.insert(view.name.clone(), state);
+        Ok(())
+    }
+
+    /// Checks the row index of every cached join input (every live row
+    /// reachable exactly once, no dangling position) — a diagnostic for
+    /// tests and debugging.
+    pub fn check_indexes(&self) -> Result<(), String> {
+        for (view, state) in &self.states {
+            for (k, input) in &state.join_inputs {
+                input.check_index().map_err(|e| format!("view {view} join stage {k}: {e}"))?;
+            }
+        }
         Ok(())
     }
 
@@ -277,15 +299,22 @@ impl ViewMaintainer {
                         .and_then(|s| s.join_inputs.get(&k))
                         .ok_or_else(|| HybridError::UntrackedView(view.name.clone()))?;
                     // R as of this entry: the catalog already holds every
-                    // queued delta, so unapply the ones that come later.
-                    let right = right_as_of(catalog, queue, idx, table)?;
+                    // queued delta, so unapply the ones that come later —
+                    // unless ΔL is empty, when no row of R is read at all.
+                    let later = if delta.rows.is_empty() { &[] } else { &queue[idx + 1..] };
+                    let right = right_as_of(catalog, later, table)?;
                     let mut out = delta
                         .join_right(&right, left_key, right_key)
                         .map_err(HybridError::Ivm)?;
                     if table == &entry.table {
                         out.merge(
-                            Delta::join_left(left_old, &entry.delta, left_key, right_key)
-                                .map_err(HybridError::Ivm)?,
+                            Delta::join_left(
+                                left_old.table(),
+                                &entry.delta,
+                                left_key,
+                                right_key,
+                            )
+                            .map_err(HybridError::Ivm)?,
                         )
                         .map_err(HybridError::Ivm)?;
                     }
@@ -298,7 +327,7 @@ impl ViewMaintainer {
                             .join_inputs
                             .get_mut(&k)
                             .unwrap();
-                        apply_delta(left, &delta, &view.name).map_err(HybridError::Ivm)?;
+                        left.apply(&delta, &view.name).map_err(HybridError::Ivm)?;
                     }
                     delta = Cow::Owned(out);
                 }
@@ -320,18 +349,17 @@ fn references(view: &TableView, table: &str) -> bool {
             .any(|op| matches!(op, RelOp::HashJoin { table: t, .. } if t == table))
 }
 
-/// The named table as of queue position `idx`: the catalog state with
-/// every *later* queued delta for it unapplied. Borrows when nothing later
+/// The named table as of before the queued entries `later`: the catalog
+/// state with each of their deltas for it unapplied. Borrows when none
 /// touches the table (the common, single-table-batch fast path).
 fn right_as_of<'a>(
     catalog: &'a Catalog,
-    queue: &[TableUpdate],
-    idx: usize,
+    later: &[TableUpdate],
     name: &str,
 ) -> Result<Cow<'a, Table>, HybridError> {
     let t = catalog.get(name).ok_or_else(|| HybridError::MissingTable(name.to_owned()))?;
     let later: Vec<&Delta> =
-        queue[idx + 1..].iter().filter(|e| e.table == name).map(|e| &e.delta).collect();
+        later.iter().filter(|e| e.table == name).map(|e| &e.delta).collect();
     if later.is_empty() {
         return Ok(Cow::Borrowed(t));
     }
@@ -340,4 +368,51 @@ fn right_as_of<'a>(
         apply_delta(&mut t, &d.negated(), name).map_err(HybridError::Ivm)?;
     }
     Ok(Cow::Owned(t))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hybrid::RelQuery;
+    use hadad_relational::Column;
+
+    /// `track` caches the left input of each join stage and nothing else:
+    /// no state (and no scan copy) for a join-free view, and no replay of
+    /// the stages after the last join.
+    #[test]
+    fn track_caches_join_inputs_only() {
+        let mut catalog = Catalog::new();
+        catalog.register(
+            "l",
+            Table::new(vec![
+                ("k", Column::Int(vec![1, 2, 3])),
+                ("a", Column::Int(vec![7, 8, 7])),
+            ]),
+        );
+        catalog.register(
+            "r",
+            Table::new(vec![("k", Column::Int(vec![1, 3])), ("b", Column::Int(vec![5, 6]))]),
+        );
+        let view = |name: &str, def: RelQuery| TableView { name: name.into(), def };
+        let mut m = ViewMaintainer::new();
+
+        m.track(&catalog, &view("flat", RelQuery::scan("l").select_eq("a", 7).project(&["k"])))
+            .unwrap();
+        assert!(m.states["flat"].join_inputs.is_empty());
+
+        let joined = RelQuery::scan("l")
+            .select_eq("a", 7)
+            .join("r", "k", "k")
+            .select_eq("b", 6)
+            .project(&["k"]);
+        m.track(&catalog, &view("joined", joined)).unwrap();
+        let inputs = &m.states["joined"].join_inputs;
+        assert_eq!(inputs.keys().collect::<Vec<_>>(), [&1]);
+        let expected = RelQuery::scan("l").select_eq("a", 7).execute(&catalog).unwrap();
+        assert_eq!(inputs[&1].table(), &expected);
+
+        // A missing scan table is still an error, join or no join.
+        let ghost = view("ghost", RelQuery::scan("nope").select_eq("a", 7));
+        assert!(matches!(m.track(&catalog, &ghost), Err(HybridError::MissingTable(_))));
+    }
 }

@@ -189,6 +189,45 @@ fn held_snapshot_survives_later_updates() {
     assert_eq!(fresh.catalog().cardinality("events"), Some(held_rows + 1));
 }
 
+/// The same isolation under deletes: the live catalog retracts by moving
+/// its last row into the vacated position, through a row index the
+/// snapshot never shares — a snapshot taken before the batch must keep
+/// serving the pre-batch rows, in their pre-batch positions, for the base
+/// table and the view alike.
+#[test]
+fn held_snapshot_survives_swap_removing_deletes() {
+    let (mut hy, pipeline) = fixture();
+    // One delete up front, so the live tables carry built indexes by the
+    // time the snapshot is cloned from them.
+    hy.delete_rows("events", vec![vec![Value::Int(63), Value::Int(3)]])
+        .expect("delete applies");
+    let reader = hy.reader().expect("reader");
+    let held = reader.current();
+    let events_before = held.catalog().get("events").expect("events snapshotted").clone();
+    let spikes_before = held.catalog().get("spikes").expect("view snapshotted").clone();
+    assert_eq!(events_before.num_rows(), 63);
+
+    // Delete from the front: every vacated position is refilled from the
+    // tail, so the live tables' leading rows all change.
+    let batch: Vec<Vec<Value>> =
+        (0..16).map(|i| vec![Value::Int(i), Value::Int(i % 4)]).collect();
+    hy.delete_rows("events", batch).expect("delete batch applies");
+    hy.catalog.check_indexes().expect("live indexes stay consistent");
+    let live = hy.catalog.get("events").expect("events live");
+    assert_eq!(live.num_rows(), 47);
+    assert_ne!(live.row(0), events_before.row(0), "the live table did swap-remove");
+
+    assert_eq!(held.catalog().get("events"), Some(&events_before));
+    assert_eq!(held.catalog().get("spikes"), Some(&spikes_before));
+    assert_eq!(events_before.row(0), vec![Value::Int(0), Value::Int(0)]);
+    let r = held.rewrite_hybrid(&pipeline).expect("held snapshot rewrite");
+    assert!(r.best.est_cost <= r.ranked.original.est_cost);
+    // A fresh load sees the batch: four of the sixteen were spikes.
+    let fresh = reader.current();
+    assert_eq!(fresh.catalog().cardinality("events"), Some(47));
+    assert_eq!(fresh.catalog().cardinality("spikes"), Some(spikes_before.num_rows() - 4));
+}
+
 /// A poisoned maintainer refuses to hand out readers (a snapshot of an
 /// unknown view state would serve wrong plans forever), and existing
 /// readers keep the last clean snapshot rather than observing the

@@ -174,9 +174,16 @@ fn property_random_update_sequences_keep_views_fresh() {
                     catalog.insert_rows(table, rows).unwrap();
                 }
             }
+            // Row indexes (catalog entries, cached join inputs) must hold
+            // their invariant both mid-batch and after the pass.
+            catalog.check_indexes().unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
             let report = maintainer.maintain(&mut catalog, &views).unwrap();
             assert!(report.entries_processed > 0);
             assert_views_fresh(&catalog, &views, &format!("seed {seed} step {step}"));
+            catalog.check_indexes().unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
+            maintainer
+                .check_indexes()
+                .unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
         }
     }
 }
