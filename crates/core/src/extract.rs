@@ -107,6 +107,10 @@ pub struct Extractor<'a> {
 /// thread setup and converges in fewer passes.
 const PARALLEL_CLASS_THRESHOLD: usize = 768;
 
+/// E-node count of a root class from which [`Extractor::candidates`]
+/// shards the per-derivation builds across worker threads.
+const PARALLEL_BUILD_THRESHOLD: usize = 16;
+
 /// Workers for the parallel paths: physical parallelism, capped so a large
 /// host does not drown small workloads in spawn overhead.
 pub fn worker_count() -> usize {
@@ -397,27 +401,13 @@ impl<'a> Extractor<'a> {
     /// The caller ranks these with its own (richer) cost model. Roots with
     /// many derivations build their candidates on worker threads.
     pub fn candidates(&self, root: NodeId) -> Vec<Expr> {
-        self.build_candidates(root, 16)
-    }
-
-    /// Candidates for several root classes at once, sharded across worker
-    /// threads (the parallel backchase side: each root e-class decodes
-    /// independently against the shared solved DP). The per-root builds
-    /// run sequentially inside each worker — nesting a second fan-out
-    /// would only oversubscribe the cores this layer already fills.
-    pub fn candidates_many(&self, roots: &[NodeId]) -> Vec<Vec<Expr>> {
-        par_map(roots, 2, |&r| self.build_candidates(r, usize::MAX))
-    }
-
-    /// Shared body of [`Self::candidates`]/[`Self::candidates_many`]:
-    /// `parallel_min` is the e-node count from which the per-node builds
-    /// shard across threads (`usize::MAX` forces sequential).
-    fn build_candidates(&self, root: NodeId, parallel_min: usize) -> Vec<Expr> {
         let root = self.inst.find(root);
         let Some(nodes) = self.classes.get(&root) else {
             return Vec::new();
         };
-        let built = par_map(nodes, parallel_min, |n| self.build(root, n).map(|e| resugar(&e)));
+        let built = par_map(nodes, PARALLEL_BUILD_THRESHOLD, |n| {
+            self.build(root, n).map(|e| resugar(&e))
+        });
         let mut out: Vec<Expr> = Vec::new();
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
         for e in built.into_iter().flatten() {
@@ -790,21 +780,6 @@ mod tests {
         assert_eq!(ex.extract(enc.root).unwrap(), e);
         // Tree size: 640 leaves + 639 adds.
         assert!((ex.class_cost(enc.root).unwrap() - 1279.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn candidates_many_matches_per_root_candidates() {
-        let mut vrem = Vrem::new();
-        let c = cat();
-        let e1 = mul(m("M"), m("N"));
-        let e2 = t(m("D"));
-        let (inst, roots) = Encoder::new(&mut vrem, &c).encode_many(&[&e1, &e2]).unwrap();
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
-        let many = ex.candidates_many(&roots);
-        assert_eq!(many.len(), 2);
-        for (i, &r) in roots.iter().enumerate() {
-            assert_eq!(many[i], ex.candidates(r));
-        }
     }
 
     #[test]

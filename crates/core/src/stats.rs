@@ -1,11 +1,17 @@
 //! Matrix metadata and the **unified cost oracle's** estimator: dimensions,
-//! non-zero counts, structural type flags, optional MNC count-histograms
-//! (the paper's §7.2 metadata files), and the single shape/density/flops
-//! propagation table every consumer shares — the naïve estimator of §7.2.1
-//! ([`op_stats`]/[`op_flops`]) and the extraction DP's cost
-//! (`hadad_rewrite::FlopsCost`).
-//! Before this unification, extraction re-inferred shapes bottom-up and the
-//! two cost models disagreed on chase-created intermediates.
+//! non-zero counts, structural type flags, and the single
+//! shape/density/flops propagation every consumer shares — per operator
+//! ([`op_stats`]/[`op_flops`]/[`op_cost_with`], which the extraction DP's
+//! `hadad_rewrite::FlopsCost` prices classes with) and per expression
+//! ([`expr_estimate`], the one recursion over [`Expr`] behind
+//! [`expr_stats`] and `hadad_rewrite::CostModel`).
+//!
+//! The estimator is the paper's *naïve* metadata propagation (§7.2.1) and
+//! the only one here: it reads `rows`, `cols` and `nnz`, so that is what
+//! [`MatrixMeta`] carries. The MNC estimator of §7.2.2 is not implemented;
+//! when someone builds it, it brings its row/column count histograms with
+//! their reader, built once at registration, and a q-error metric in its
+//! own `[benchmark]` change.
 
 use std::collections::BTreeMap;
 
@@ -29,32 +35,6 @@ pub struct TypeFlags {
     pub orthogonal: bool,
 }
 
-/// MNC-style count histograms: per-row and per-column non-zero counts
-/// (Sommer et al., the estimator HADAD adopts in §7.2.2).
-#[derive(Debug, Clone, PartialEq)]
-pub struct MncHistogram {
-    /// Non-zero count per row.
-    pub row_counts: Vec<u32>,
-    /// Non-zero count per column.
-    pub col_counts: Vec<u32>,
-}
-
-impl MncHistogram {
-    /// Exact histograms counted from a materialized matrix.
-    pub fn from_matrix(m: &Matrix) -> Self {
-        let s = m.to_sparse();
-        MncHistogram {
-            row_counts: s.row_nnz().iter().map(|&c| c as u32).collect(),
-            col_counts: s.col_nnz().iter().map(|&c| c as u32).collect(),
-        }
-    }
-
-    /// Total non-zero count.
-    pub fn nnz(&self) -> u64 {
-        self.row_counts.iter().map(|&c| c as u64).sum()
-    }
-}
-
 /// Metadata for one base matrix (or materialized view).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixMeta {
@@ -66,30 +46,22 @@ pub struct MatrixMeta {
     pub nnz: usize,
     /// Structural type flags (§6.2.5).
     pub flags: TypeFlags,
-    /// Offline MNC histograms (built once per base matrix).
-    pub mnc: Option<MncHistogram>,
 }
 
 impl MatrixMeta {
     /// Dense metadata (`nnz = rows * cols`).
     pub fn dense(rows: usize, cols: usize) -> Self {
-        MatrixMeta { rows, cols, nnz: rows * cols, flags: TypeFlags::default(), mnc: None }
+        MatrixMeta { rows, cols, nnz: rows * cols, flags: TypeFlags::default() }
     }
 
     /// Sparse metadata from an nnz count.
     pub fn sparse(rows: usize, cols: usize, nnz: usize) -> Self {
-        MatrixMeta { rows, cols, nnz, flags: TypeFlags::default(), mnc: None }
+        MatrixMeta { rows, cols, nnz, flags: TypeFlags::default() }
     }
 
-    /// Extracts metadata (including MNC histograms) from an actual matrix.
+    /// Shape and exact non-zero count of an actual matrix.
     pub fn from_matrix(m: &Matrix) -> Self {
-        MatrixMeta {
-            rows: m.rows(),
-            cols: m.cols(),
-            nnz: m.nnz(),
-            flags: TypeFlags::default(),
-            mnc: Some(MncHistogram::from_matrix(m)),
-        }
+        MatrixMeta::sparse(m.rows(), m.cols(), m.nnz())
     }
 
     /// Replaces the structural flags.
@@ -409,105 +381,82 @@ pub fn shape(e: &Expr, cat: &MetaCatalog) -> Result<(usize, usize), ShapeError> 
 /// validating operator shapes along the way. This is what the encoder
 /// attaches to every subexpression as `size`/`density` facts, so the chase
 /// and the extractor start from the same estimates the ranking cost model
-/// would compute.
+/// computes: the stats half of [`expr_estimate`], which does not depend
+/// on the backend profile.
 pub fn expr_stats(e: &Expr, cat: &MetaCatalog) -> Result<ClassStats, ShapeError> {
+    expr_estimate(e, cat, &BackendProfile::reference()).map(|(stats, _)| stats)
+}
+
+/// The estimator over full expressions (§7.2.1): shape and density of `e`
+/// plus the accumulated cost of computing it under `profile` — children
+/// first, then this operator's [`op_cost_with`] charge. Leaves read the
+/// metadata catalog and cost nothing (base matrices and literals are
+/// already materialized); every operator application is validated by the
+/// one shape-rule table (`check_shapes`).
+pub fn expr_estimate(
+    e: &Expr,
+    cat: &MetaCatalog,
+    profile: &BackendProfile,
+) -> Result<(ClassStats, f64), ShapeError> {
     use Expr::*;
-    let same = |e: &Expr, a: ClassStats, b: ClassStats| {
-        if a.shape() != b.shape() {
-            return Err(ShapeError::Mismatch(format!("{e}")));
-        }
-        Ok(())
-    };
-    let square = |e: &Expr, a: ClassStats| {
-        if a.rows != a.cols {
-            return Err(ShapeError::Mismatch(format!("{e} requires square input")));
-        }
-        Ok(())
-    };
     Ok(match e {
-        Mat(n) => cat.get(n).ok_or_else(|| ShapeError::UnknownMatrix(n.clone()))?.stats(),
-        Const(_) => ClassStats::dense(1, 1),
-        Identity(n) => ClassStats { rows: *n, cols: *n, density: 1.0 / (*n).max(1) as f64 },
-        Zero(r, c) => ClassStats { rows: *r, cols: *c, density: 0.0 },
-        Add(a, b) | Sub(a, b) | Hadamard(a, b) | Div(a, b) => {
-            let (sa, sb) = (expr_stats(a, cat)?, expr_stats(b, cat)?);
-            same(e, sa, sb)?;
-            let kind = match e {
-                Hadamard(..) => OpKind::Hadamard,
-                Div(..) => OpKind::Div,
-                _ => OpKind::Add,
-            };
-            op_stats(kind, 0, &[sa, sb])
+        Mat(n) => {
+            (cat.get(n).ok_or_else(|| ShapeError::UnknownMatrix(n.clone()))?.stats(), 0.0)
         }
-        Mul(a, b) => {
-            let (sa, sb) = (expr_stats(a, cat)?, expr_stats(b, cat)?);
-            if sa.cols != sb.rows {
-                return Err(ShapeError::Mismatch(format!("{e}")));
+        Const(_) => (ClassStats::dense(1, 1), 0.0),
+        Identity(n) => {
+            (ClassStats { rows: *n, cols: *n, density: 1.0 / (*n).max(1) as f64 }, 0.0)
+        }
+        Zero(r, c) => (ClassStats { rows: *r, cols: *c, density: 0.0 }, 0.0),
+        _ => {
+            let children = e.children();
+            let mut child = [ClassStats::dense(0, 0); 2];
+            let mut cost = 0.0;
+            for (slot, c) in child.iter_mut().zip(&children) {
+                let (stats, child_cost) = expr_estimate(c, cat, profile)?;
+                *slot = stats;
+                cost += child_cost;
             }
-            op_stats(OpKind::Mul, 0, &[sa, sb])
-        }
-        Kron(a, b) => op_stats(OpKind::Kron, 0, &[expr_stats(a, cat)?, expr_stats(b, cat)?]),
-        DirectSum(a, b) => {
-            op_stats(OpKind::DirectSum, 0, &[expr_stats(a, cat)?, expr_stats(b, cat)?])
-        }
-        ScalarMul(s, a) => {
-            let ss = expr_stats(s, cat)?;
-            if ss.shape() != (1, 1) {
-                return Err(ShapeError::Mismatch(format!("non-scalar multiplier in {e}")));
-            }
-            op_stats(OpKind::ScalarMul, 0, &[ss, expr_stats(a, cat)?])
-        }
-        Transpose(a) => op_stats(OpKind::Transpose, 0, &[expr_stats(a, cat)?]),
-        Rev(a) => op_stats(OpKind::Rev, 0, &[expr_stats(a, cat)?]),
-        Inv(a) | Adj(a) | Exp(a) | Cho(a) | QrQ(a) | LuL(a) | Diag(a) | Det(a) | Trace(a) => {
-            let sa = expr_stats(a, cat)?;
-            square(e, sa)?;
-            let (kind, out_idx) = match e {
-                Inv(_) => (OpKind::Inv, 0),
-                Adj(_) => (OpKind::Adj, 0),
-                Exp(_) => (OpKind::Exp, 0),
-                Cho(_) => (OpKind::Cho, 0),
-                QrQ(_) => (OpKind::Qr, 0),
-                LuL(_) => (OpKind::Lu, 0),
-                Diag(_) => (OpKind::Diag, 0),
-                Det(_) => (OpKind::Det, 0),
-                _ => (OpKind::Trace, 0),
-            };
-            op_stats(kind, out_idx, &[sa])
-        }
-        QrR(a) => op_stats(OpKind::Qr, 1, &[expr_stats(a, cat)?]),
-        LuU(a) => op_stats(OpKind::Lu, 1, &[expr_stats(a, cat)?]),
-        RowSums(a) | RowMeans(a) | RowMin(a) | RowMax(a) | RowVar(a) => {
-            let kind = match e {
-                RowSums(_) => OpKind::RowSums,
-                RowMeans(_) => OpKind::RowMeans,
-                RowMin(_) => OpKind::RowMin,
-                RowMax(_) => OpKind::RowMax,
-                _ => OpKind::RowVar,
-            };
-            op_stats(kind, 0, &[expr_stats(a, cat)?])
-        }
-        ColSums(a) | ColMeans(a) | ColMin(a) | ColMax(a) | ColVar(a) => {
-            let kind = match e {
-                ColSums(_) => OpKind::ColSums,
-                ColMeans(_) => OpKind::ColMeans,
-                ColMin(_) => OpKind::ColMin,
-                ColMax(_) => OpKind::ColMax,
-                _ => OpKind::ColVar,
-            };
-            op_stats(kind, 0, &[expr_stats(a, cat)?])
-        }
-        Sum(a) | Min(a) | Max(a) | Mean(a) | Var(a) => {
-            let kind = match e {
-                Sum(_) => OpKind::Sum,
-                Min(_) => OpKind::Min,
-                Max(_) => OpKind::Max,
-                Mean(_) => OpKind::Mean,
-                _ => OpKind::Var,
-            };
-            op_stats(kind, 0, &[expr_stats(a, cat)?])
+            let child = &child[..children.len()];
+            let (kind, out_idx) = op_of(e);
+            check_shapes(e, kind, child)?;
+            let out = op_stats(kind, out_idx, child);
+            (out, cost + op_cost_with(profile, kind, out_idx, child, &out))
         }
     })
+}
+
+/// Operator kind and output index of a non-leaf expression (`Sub` is
+/// estimated as the `Add` it desugars to).
+fn op_of(e: &Expr) -> (OpKind, usize) {
+    match e {
+        Expr::QrQ(_) => (OpKind::Qr, 0),
+        Expr::QrR(_) => (OpKind::Qr, 1),
+        Expr::LuL(_) => (OpKind::Lu, 0),
+        Expr::LuU(_) => (OpKind::Lu, 1),
+        _ => (crate::encode::op_kind_of(e).expect("non-leaf expression"), 0),
+    }
+}
+
+/// The shape rules of the operator set: what [`op_stats`] assumes of its
+/// inputs, checked once per operator application.
+fn check_shapes(e: &Expr, kind: OpKind, child: &[ClassStats]) -> Result<(), ShapeError> {
+    use OpKind::*;
+    match kind {
+        Add | Hadamard | Div if child[0].shape() != child[1].shape() => {
+            Err(ShapeError::Mismatch(format!("{e}")))
+        }
+        Mul if child[0].cols != child[1].rows => Err(ShapeError::Mismatch(format!("{e}"))),
+        ScalarMul if child[0].shape() != (1, 1) => {
+            Err(ShapeError::Mismatch(format!("non-scalar multiplier in {e}")))
+        }
+        Inv | Adj | Exp | Cho | Qr | Lu | Diag | Det | Trace
+            if child[0].rows != child[0].cols =>
+        {
+            Err(ShapeError::Mismatch(format!("{e} requires square input")))
+        }
+        _ => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -539,17 +488,6 @@ mod tests {
         assert!(shape(&mul(m("M"), m("M")), &c).is_err());
         assert!(shape(&det(m("M")), &c).is_err());
         assert!(shape(&m("missing"), &c).is_err());
-    }
-
-    #[test]
-    fn metadata_from_matrix_builds_histograms() {
-        let mat = Matrix::sparse(3, 4, vec![(0, 0, 1.0), (0, 1, 1.0), (2, 3, 1.0)]);
-        let meta = MatrixMeta::from_matrix(&mat);
-        assert_eq!(meta.nnz, 3);
-        let h = meta.mnc.unwrap();
-        assert_eq!(h.row_counts, vec![2, 0, 1]);
-        assert_eq!(h.col_counts, vec![1, 1, 0, 1]);
-        assert_eq!(h.nnz(), 3);
     }
 
     #[test]

@@ -190,12 +190,12 @@ impl SparseMatrix {
         SparseMatrix { rows: self.cols, cols: self.rows, indptr, indices, values }
     }
 
-    /// Per-row non-zero counts (used by the MNC sparsity estimator).
+    /// Per-row non-zero counts.
     pub fn row_nnz(&self) -> Vec<usize> {
         (0..self.rows).map(|r| self.indptr[r + 1] - self.indptr[r]).collect()
     }
 
-    /// Per-column non-zero counts (used by the MNC sparsity estimator).
+    /// Per-column non-zero counts.
     pub fn col_nnz(&self) -> Vec<usize> {
         let mut counts = vec![0usize; self.cols];
         for &c in &self.indices {

@@ -266,8 +266,15 @@ mod tests {
         let json = chrome_trace_json(&records);
         assert!(json.trim_start().starts_with('['));
         assert!(json.trim_end().ends_with(']'));
+        // Every field a Chrome-trace consumer needs, on every event.
+        for event in json.lines().filter(|l| l.contains('{')) {
+            for field in ["name", "cat", "ph", "ts", "dur", "pid", "tid"] {
+                assert!(event.contains(&format!("\"{field}\": ")), "{event} lost {field}");
+            }
+        }
         assert!(json.contains("\"ph\": \"X\""));
         assert!(json.contains("\"name\": \"a\""));
+        assert!(json.contains("\"ts\": 10"));
         assert!(json.contains("\"dur\": 15"));
         assert!(json.contains("\"tid\": 1"));
     }

@@ -120,17 +120,6 @@ pub(crate) struct CachedPlans {
     pub names: Vec<String>,
 }
 
-/// Outcome of a cache probe.
-pub(crate) enum Lookup {
-    /// Same epoch, matching key: serve.
-    Hit(Box<CachedPlans>),
-    /// Matching key at a *different* epoch: the entry is refused and
-    /// evicted.
-    Stale,
-    /// No matching entry.
-    Miss,
-}
-
 struct Entry {
     skeleton: Expr,
     names: Vec<String>,
@@ -240,7 +229,10 @@ impl PlanCache {
         &self.shards[(key.hash as usize) % NUM_SHARDS]
     }
 
-    pub(crate) fn lookup(&self, key: &PlanCacheKey) -> Lookup {
+    /// Probes for `key`: `Some` on a matching entry at the probe's epoch.
+    /// A matching entry at a *different* epoch is refused and evicted, and
+    /// reads as a miss like any other.
+    pub(crate) fn lookup(&self, key: &PlanCacheKey) -> Option<Box<CachedPlans>> {
         let mut shard = lock(self.shard(key));
         match shard.get_mut(&key.hash) {
             Some(entry) if entry.matches(key) => {
@@ -248,7 +240,7 @@ impl PlanCache {
                     entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                     self.hits.incr();
                     M_HITS.incr();
-                    Lookup::Hit(Box::new(CachedPlans {
+                    Some(Box::new(CachedPlans {
                         plans: entry.plans.clone(),
                         names: entry.names.clone(),
                     }))
@@ -261,13 +253,13 @@ impl PlanCache {
                     M_MISSES.incr();
                     M_EVICTIONS.incr();
                     M_STALE.incr();
-                    Lookup::Stale
+                    None
                 }
             }
             _ => {
                 self.misses.incr();
                 M_MISSES.incr();
-                Lookup::Miss
+                None
             }
         }
     }

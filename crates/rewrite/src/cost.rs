@@ -1,18 +1,19 @@
-//! Cost estimation for candidate plans (paper §7.1–§7.2), built on the
-//! **unified estimator** in `hadad_core::stats`: one shape/density/flops
-//! propagation table (`op_stats`/`op_flops`/`op_cost`) feeds
+//! Cost estimation for candidate plans (paper §7.1–§7.2): two thin
+//! adapters over the **unified estimator** in `hadad_core::stats`, which
+//! owns every formula, shape rule and the one recursion over expressions.
 //!
-//! * [`FlopsCost`] — the extraction DP's [`ExtractionCost`], reading each
-//!   class's propagated `size`/`density` facts (chase-created classes
-//!   without density facts are assumed dense, deterministically);
+//! * [`FlopsCost`] — the extraction DP's [`ExtractionCost`], pricing each
+//!   class from its propagated `size`/`density` facts (chase-created
+//!   classes without density facts are assumed dense, deterministically)
+//!   through `op_cost_with`;
 //! * [`CostModel`] — the naïve metadata estimator of §7.2.1 over full
-//!   expressions, used to rank extracted candidates.
+//!   expressions (`expr_estimate`), used to rank extracted candidates.
 //!
 //! The LA chase itself runs unpruned: `Prune_prov` (§7.3) lives in PACB's
 //! backchase (`hadad_chase::pacb`), against a fixed threshold.
 
 use hadad_core::{
-    op_cost_with, op_stats, BackendProfile, ClassStats, Expr, ExtractionCost, MetaCatalog,
+    expr_estimate, op_cost_with, BackendProfile, ClassStats, Expr, ExtractionCost, MetaCatalog,
     OpKind, ShapeError,
 };
 
@@ -64,16 +65,6 @@ pub struct Estimate {
     pub cost: f64,
 }
 
-impl Estimate {
-    fn stats(&self) -> ClassStats {
-        ClassStats { rows: self.rows, cols: self.cols, density: self.density }
-    }
-
-    fn from_stats(stats: ClassStats, cost: f64) -> Self {
-        Estimate { rows: stats.rows, cols: stats.cols, density: stats.density, cost }
-    }
-}
-
 /// The naïve sparsity-aware estimator over full expressions, ranking the
 /// candidates extraction produces. Shares every formula with the DP
 /// through `hadad_core::stats`.
@@ -102,66 +93,8 @@ impl<'a> CostModel<'a> {
 
     /// Full shape/density/cost estimate of `e`.
     pub fn estimate(&self, e: &Expr) -> Result<Estimate, ShapeError> {
-        use Expr::*;
-        // Leaves read the metadata catalog; everything else recurses, has
-        // its shape validated by `expr_stats`' rules, and is charged
-        // through the shared per-operator table.
-        let est = match e {
-            Mat(_) | Const(_) | Identity(_) | Zero(..) => {
-                Estimate::from_stats(hadad_core::expr_stats(e, self.cat)?, 0.0)
-            }
-            _ => {
-                let children = e.children();
-                let mut child_est = Vec::with_capacity(children.len());
-                for c in &children {
-                    child_est.push(self.estimate(c)?);
-                }
-                let child_stats: Vec<ClassStats> =
-                    child_est.iter().map(Estimate::stats).collect();
-                let (kind, out_idx) = op_of(e);
-                validate(e, kind, &child_stats)?;
-                let out = op_stats(kind, out_idx, &child_stats);
-                let children_cost: f64 = child_est.iter().map(|c| c.cost).sum();
-                let op = op_cost_with(&self.profile, kind, out_idx, &child_stats, &out);
-                Estimate::from_stats(out, children_cost + op)
-            }
-        };
-        Ok(est)
-    }
-}
-
-/// Operator kind and output index of a non-leaf expression (`Sub` is
-/// costed like the `Add` it desugars to).
-fn op_of(e: &Expr) -> (OpKind, usize) {
-    use Expr::*;
-    match e {
-        QrQ(_) => (OpKind::Qr, 0),
-        QrR(_) => (OpKind::Qr, 1),
-        LuL(_) => (OpKind::Lu, 0),
-        LuU(_) => (OpKind::Lu, 1),
-        _ => (hadad_core::encode::op_kind_of(e).expect("non-leaf expression"), 0),
-    }
-}
-
-/// Shape validation for one operator application, mirroring
-/// `hadad_core::expr_stats` (kept here so ranking candidates that fall
-/// outside the catalog surface errors, not panics).
-fn validate(e: &Expr, kind: OpKind, child: &[ClassStats]) -> Result<(), ShapeError> {
-    use OpKind::*;
-    match kind {
-        Add | Hadamard | Div if child[0].shape() != child[1].shape() => {
-            Err(ShapeError::Mismatch(format!("{e}")))
-        }
-        Mul if child[0].cols != child[1].rows => Err(ShapeError::Mismatch(format!("{e}"))),
-        ScalarMul if child[0].shape() != (1, 1) => {
-            Err(ShapeError::Mismatch(format!("non-scalar multiplier in {e}")))
-        }
-        Inv | Adj | Exp | Cho | Qr | Lu | Diag | Det | Trace
-            if child[0].rows != child[0].cols =>
-        {
-            Err(ShapeError::Mismatch(format!("{e} requires square input")))
-        }
-        _ => Ok(()),
+        let (stats, cost) = expr_estimate(e, self.cat, &self.profile)?;
+        Ok(Estimate { rows: stats.rows, cols: stats.cols, density: stats.density, cost })
     }
 }
 
@@ -169,7 +102,7 @@ fn validate(e: &Expr, kind: OpKind, child: &[ClassStats]) -> Result<(), ShapeErr
 mod tests {
     use super::*;
     use hadad_core::expr::dsl::*;
-    use hadad_core::MatrixMeta;
+    use hadad_core::{op_stats, MatrixMeta};
 
     fn cat() -> MetaCatalog {
         let mut c = MetaCatalog::new();

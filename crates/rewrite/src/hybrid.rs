@@ -18,6 +18,7 @@
 //! the operator pipeline, and the winning LA plan must agree with the
 //! original suffix on the backend.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -251,34 +252,35 @@ impl RelQuery {
     }
 
     /// Runs the query with the executable operators from
-    /// `hadad_relational::ops`, stage by stage.
+    /// `hadad_relational::ops`, stage by stage. The first stage reads the
+    /// catalog's scan table in place; only a stage-less query copies it.
     pub fn execute(&self, catalog: &Catalog) -> Result<Table, HybridError> {
-        let mut t = catalog
+        let scan = catalog
             .get(&self.table)
-            .ok_or_else(|| HybridError::MissingTable(self.table.clone()))?
-            .clone();
+            .ok_or_else(|| HybridError::MissingTable(self.table.clone()))?;
+        let mut t = Cow::Borrowed(scan);
         for op in &self.ops {
-            t = self.apply_op(t, op, catalog)?;
+            t = Cow::Owned(self.apply_op(&t, op, catalog)?);
         }
-        Ok(t)
+        Ok(t.into_owned())
     }
 
     /// One executable pipeline stage — shared by [`RelQuery::execute`] and
     /// the view maintainer (which replays stages to cache join inputs).
     pub(crate) fn apply_op(
         &self,
-        t: Table,
+        t: &Table,
         op: &RelOp,
         catalog: &Catalog,
     ) -> Result<Table, HybridError> {
         Ok(match op {
             RelOp::SelectEq { column, value } => {
-                require_column(&t, column)?;
-                ops::select(&t, |tab, r| tab.value(r, column).as_i64() == Some(*value))
+                require_column(t, column)?;
+                ops::select(t, |tab, r| tab.value(r, column).as_i64() == Some(*value))
             }
             RelOp::SelectStrEq { column, value } => {
-                require_column(&t, column)?;
-                ops::select(&t, |tab, r| match tab.value(r, column) {
+                require_column(t, column)?;
+                ops::select(t, |tab, r| match tab.value(r, column) {
                     Value::Str(s) => s == *value,
                     _ => false,
                 })
@@ -287,16 +289,16 @@ impl RelQuery {
                 let right = catalog
                     .get(table)
                     .ok_or_else(|| HybridError::MissingTable(table.clone()))?;
-                require_column(&t, left_key)?;
+                require_column(t, left_key)?;
                 require_column(right, right_key)?;
-                ops::hash_join(&t, left_key, right, right_key)?
+                ops::hash_join(t, left_key, right, right_key)?
             }
             RelOp::Project { columns } => {
                 for c in columns {
-                    require_column(&t, c)?;
+                    require_column(t, c)?;
                 }
                 let refs: Vec<&str> = columns.iter().map(std::string::String::as_str).collect();
-                ops::project(&t, &refs)?
+                ops::project(t, &refs)?
             }
         })
     }
@@ -699,16 +701,19 @@ pub struct TableView {
 
 /// A cast whose matrix metadata is kept fresh across base-table updates:
 /// after each maintenance pass the source view (or base table) is re-cast
-/// and its [`MatrixMeta`] — shape, nnz, MNC histograms — re-stamped into
-/// the LA optimizer's catalog, so the suffix cost oracle prices
-/// post-update instances correctly.
+/// and its [`MatrixMeta`] — shape and nnz, all the cost oracle reads —
+/// re-stamped into the LA optimizer's catalog, so the suffix cost oracle
+/// prices post-update instances correctly.
 #[derive(Debug, Clone)]
 pub struct MaintainedCast {
     /// Name the matrix metadata is stamped under in the LA catalog.
     pub cast_name: String,
     /// Catalog table (usually a maintained view) the cast reads.
     pub view: String,
-    /// Sort applied before a dense cast, as in [`HybridPipeline`].
+    /// Row order of a dense cast, as in [`HybridPipeline`]. Part of the
+    /// cast's description and validated (the column must exist), but never
+    /// applied when stamping: shape and nnz are invariant under row
+    /// permutation.
     pub sort_key: Option<String>,
     /// How the source rows become the maintained matrix.
     pub cast: CastKind,
@@ -744,10 +749,9 @@ pub struct HybridResult {
     /// Output of the (possibly rewritten) relational prefix.
     pub table: Table,
     /// Metadata the cast matrix was catalogued under for the LA suffix:
-    /// real shape, nnz, and MNC histograms from the materialization — a
-    /// sparse cast must surface its true density here (not a dense
-    /// default), or the suffix's cost oracle would misprice every plan
-    /// touching it.
+    /// real shape and nnz from the materialization — a sparse cast must
+    /// surface its true density here (not a dense default), or the
+    /// suffix's cost oracle would misprice every plan touching it.
     pub cast_meta: MatrixMeta,
     /// Wall-time of the relation-to-matrix cast, microseconds.
     pub cast_us: u128,
@@ -1329,9 +1333,9 @@ fn run_state(
     let mat = mat?;
 
     // Phase 5: LA suffix rewriting with the cast matrix catalogued from
-    // its actual materialization (shape, nnz, MNC histograms) — for a
-    // sparse cast this records the true ultra-sparse density, which the
-    // encoder turns into the `density` facts the cost oracle reads. The
+    // its actual materialization (shape and nnz) — for a sparse cast this
+    // records the true ultra-sparse density, which the encoder turns into
+    // the `density` facts the cost oracle reads. The
     // clone is pinned to the captured epoch so plan-cache entries it
     // creates (or serves) are validated against the snapshotted catalog
     // state, not whatever the live catalog has moved on to.
@@ -1519,7 +1523,9 @@ impl SnapshotReader {
 }
 
 /// Re-casts a maintained cast's source table and stamps the resulting
-/// matrix metadata into the LA optimizer's catalog.
+/// matrix metadata into the LA optimizer's catalog. The rows are cast in
+/// table order: the stamped shape and nnz do not depend on it, so the
+/// `sort_key` is checked, not applied.
 fn restamp_cast_into(
     catalog: &Catalog,
     optimizer: &mut Optimizer,
@@ -1530,16 +1536,9 @@ fn restamp_cast_into(
     hadad_failpoint::hit("hybrid.restamp")?;
     let t =
         catalog.get(&cast.view).ok_or_else(|| HybridError::MissingTable(cast.view.clone()))?;
-    // Clone only when a sort actually reorders; the unsorted path casts
-    // straight from the catalog table (it can be a large base table).
-    let sorted;
-    let t = match &cast.sort_key {
-        Some(_) => {
-            sorted = maybe_sort(t.clone(), &cast.sort_key)?;
-            &sorted
-        }
-        None => t,
-    };
+    if let Some(key) = &cast.sort_key {
+        require_column(t, key)?;
+    }
     let mat = apply_cast(t, &cast.cast)?;
     optimizer.cat.register(&cast.cast_name, MatrixMeta::from_matrix(&mat));
     Ok(())

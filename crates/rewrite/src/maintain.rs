@@ -114,14 +114,14 @@ impl ViewMaintainer {
         // state, and a join-free view needs none at all (nor a scan copy).
         let is_join = |op: &RelOp| matches!(op, RelOp::HashJoin { .. });
         if let Some(last) = view.def.ops.iter().rposition(is_join) {
-            let mut t = scan.clone();
+            let mut t = Cow::Borrowed(scan);
             for (k, op) in view.def.ops[..last].iter().enumerate() {
                 if is_join(op) {
-                    state.join_inputs.insert(k, IndexedTable::new(t.clone()));
+                    state.join_inputs.insert(k, IndexedTable::new(Table::clone(&t)));
                 }
-                t = view.def.apply_op(t, op, catalog)?;
+                t = Cow::Owned(view.def.apply_op(&t, op, catalog)?);
             }
-            state.join_inputs.insert(last, IndexedTable::new(t));
+            state.join_inputs.insert(last, IndexedTable::new(t.into_owned()));
         }
         self.states.insert(view.name.clone(), state);
         Ok(())

@@ -25,7 +25,7 @@ use hadad_core::{
 };
 use hadad_linalg::{approx_eq, BackendKind, Matrix};
 
-use crate::cache::{CacheReport, CachedPlans, Lookup, PlanCache, PlanCacheKey};
+use crate::cache::{CacheReport, CachedPlans, PlanCache, PlanCacheKey};
 use crate::cost::{CostModel, FlopsCost};
 use crate::eval::{eval_with, Env, EvalError};
 
@@ -586,7 +586,7 @@ impl Optimizer {
         let mut pending: Option<(Arc<PlanCache>, PlanCacheKey)> = None;
         if let Some(cache) = &self.cache {
             if let Some(key) = self.cache_key(e, &cat) {
-                if let Lookup::Hit(cached) = cache.lookup(&key) {
+                if let Some(cached) = cache.lookup(&key) {
                     if let Some(served) =
                         serve_hit(cache, *cached, &key, &cm, original.clone(), start)
                     {

@@ -12,9 +12,12 @@ use std::hash::{Hash, Hasher};
 
 use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, EvalMode, Instance, NodeId};
 use hadad_core::expr::dsl::*;
-use hadad_core::{Catalogue, Encoder, Expr, Extractor, MatrixMeta, MetaCatalog, Vrem};
+use hadad_core::{
+    expr_stats, BackendProfile, Catalogue, Encoder, Expr, Extractor, MatrixMeta, MetaCatalog,
+    ShapeError, Vrem,
+};
 use hadad_linalg::rng::Rng64;
-use hadad_rewrite::FlopsCost;
+use hadad_rewrite::{CostModel, FlopsCost};
 
 mod common;
 use common::{corpus_catalog, random_expr};
@@ -201,4 +204,38 @@ fn chain8_saturates_in_default_budget_and_semi_naive_wins() {
     let ex = Extractor::new(&pair.vrem, &pair.semi_inst, &cost_fn);
     let best = ex.extract(pair.root).expect("chain decodes");
     assert_eq!(best.to_string(), "(M1 (M2 (M3 (M4 (M5 (M6 (M7 M8)))))))");
+}
+
+/// One estimator: the encoder's `expr_stats` and the ranking `CostModel`
+/// report the same shape and density, bit for bit, for every subexpression
+/// of the corpus — under any backend profile, which only prices — and
+/// enforce the same shape rules: `qr.R`/`lu.U` need a square input like
+/// their `Q`/`L` halves, whichever of the two is asked.
+#[test]
+fn expr_stats_and_cost_model_are_one_estimator() {
+    let cat = corpus_catalog();
+    let cm = CostModel::with_profile(&cat, BackendProfile::parallel(4));
+    let mut rng = Rng64::new(0xADAD_5EED);
+    let mut checked = 0usize;
+    for _ in 0..120 {
+        let e = random_expr(&mut rng);
+        let mut todo = vec![&e];
+        while let Some(sub) = todo.pop() {
+            let stats = expr_stats(sub, &cat).expect("generator emits valid shapes");
+            let est = cm.estimate(sub).expect("generator emits valid shapes");
+            assert_eq!(
+                (stats.rows, stats.cols, stats.density.to_bits()),
+                (est.rows, est.cols, est.density.to_bits()),
+                "estimates diverge on {sub}"
+            );
+            checked += 1;
+            todo.extend(sub.children());
+        }
+    }
+    assert!(checked >= 600, "corpus too degenerate: {checked} subexpressions");
+
+    for e in [Expr::QrR(Box::new(m("A"))), Expr::LuU(Box::new(m("A")))] {
+        assert!(matches!(expr_stats(&e, &cat), Err(ShapeError::Mismatch(_))), "{e}");
+        assert!(matches!(cm.estimate(&e), Err(ShapeError::Mismatch(_))), "{e}");
+    }
 }

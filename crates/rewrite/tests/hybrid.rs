@@ -142,8 +142,8 @@ fn sparse_cast_records_real_density_for_the_oracle() {
     let true_density = expected_nnz as f64 / (NUM_TWEETS * NUM_TOPICS) as f64;
     assert!((r.cast_meta.density() - true_density).abs() < 1e-12);
     assert!(r.cast_meta.density() <= 0.05, "cast metadata defaulted to dense");
-    // MNC histograms come from the materialization, not a dense default.
-    assert_eq!(r.cast_meta.mnc.as_ref().unwrap().nnz(), expected_nnz as u64);
+    // The whole meta comes from the materialization, not a dense default.
+    assert_eq!(r.cast_meta, MatrixMeta::sparse(NUM_TWEETS, NUM_TOPICS, expected_nnz));
 
     // The suffix's cost estimate is sparsity-aware: pricing the same plan
     // against dense-default metadata is orders of magnitude higher.
@@ -394,10 +394,37 @@ fn maintained_cast_restamps_meta_to_match_scratch_materialization() {
     assert_eq!(meta.nnz, scratch_meta.nnz);
     assert_eq!((meta.rows, meta.cols), (scratch_meta.rows, scratch_meta.cols));
     assert_eq!(meta.density(), scratch_meta.density());
-    assert_eq!(
-        meta.mnc.as_ref().map(hadad_core::MncHistogram::nnz),
-        scratch_meta.mnc.as_ref().map(hadad_core::MncHistogram::nnz)
-    );
+    assert_eq!(meta, scratch_meta);
+
+    // A dense maintained cast with a sort key over rows that arrive out of
+    // key order (tid 50 and 51 were appended after tid 487; the zero level
+    // makes the nnz data-dependent): stamping casts in table order, and the
+    // stamped meta still equals that of the *sorted* fresh cast — shape and
+    // nnz are invariant under row permutation.
+    let dense = |sort_key: &str| MaintainedCast {
+        cast_name: "X".into(),
+        view: "covid_tweets".into(),
+        sort_key: Some(sort_key.into()),
+        cast: CastKind::Dense { columns: vec!["tid".into(), "level".into()] },
+    };
+    hy.register_maintained_cast(dense("tid")).unwrap();
+    hy.insert_rows("tweets", vec![vec![Value::Int(3), Value::Int(COVID_TOPIC), Value::Int(0)]])
+        .unwrap();
+    let view = hy.catalog.get("covid_tweets").unwrap();
+    let tids: Vec<i64> =
+        (0..view.num_rows()).map(|r| view.value(r, "tid").as_i64().unwrap()).collect();
+    assert!(tids.windows(2).any(|w| w[0] > w[1]), "view rows must be out of key order");
+    let sorted = hadad_relational::ops::sort_by_int(view, "tid").unwrap();
+    let sorted_cast = hadad_relational::cast::table_to_matrix(&sorted, &["tid", "level"]);
+    assert_eq!(hy.optimizer.cat.get("X").unwrap(), &MatrixMeta::from_matrix(&sorted_cast));
+
+    // The sort key is still validated: a cast naming a missing one is
+    // refused with the typed error, and nothing is stamped.
+    let mut bad = dense("nope");
+    bad.cast_name = "Y".into();
+    let err = hy.register_maintained_cast(bad).unwrap_err();
+    assert!(matches!(err, HybridError::MissingColumn(ref c) if c == "nope"), "{err:?}");
+    assert!(hy.optimizer.cat.get("Y").is_none());
 }
 
 /// A maintained cast can read a *base table* directly; pending updates on

@@ -162,8 +162,12 @@ fn obs_dump() -> ExitCode {
         }
     }
 
-    // Coverage gate: every layer must have lit its headline counter.
-    let mut ok = true;
+    // Coverage gate: the armed run recorded spans, and every layer lit
+    // its headline counter.
+    let mut ok = !spans.is_empty();
+    if !ok {
+        eprintln!("obs-dump: TRACE_rewrite.json carries no spans");
+    }
     for key in [
         "chase.rule_firings",
         "extract.solves",
