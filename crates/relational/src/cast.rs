@@ -7,16 +7,21 @@ use hadad_linalg::{DenseMatrix, Matrix, SparseMatrix};
 use crate::table::{Column, Table};
 
 /// Casts the named numeric columns of a table into a dense matrix, one row
-/// per tuple in the table's current row order.
+/// per tuple in the table's current row order. Each column is resolved once
+/// and written down its matrix column by a loop typed on the column.
 pub fn table_to_matrix(t: &Table, cols: &[&str]) -> Matrix {
-    let idx: Vec<usize> = cols
-        .iter()
-        .map(|c| t.column_index(c).unwrap_or_else(|| panic!("no column {c}")))
-        .collect();
-    let mut out = DenseMatrix::zeros(t.num_rows(), idx.len());
-    for r in 0..t.num_rows() {
-        for (j, &ci) in idx.iter().enumerate() {
-            out.set(r, j, t.column_at(ci).numeric(r));
+    let width = cols.len();
+    let mut out = DenseMatrix::zeros(t.num_rows(), width);
+    let data = out.data_mut();
+    for (j, c) in cols.iter().enumerate() {
+        let column = t.column(c).unwrap_or_else(|| panic!("no column {c}"));
+        let cells = data.iter_mut().skip(j).step_by(width);
+        match column {
+            Column::Int(v) => cells.zip(v).for_each(|(d, x)| *d = *x as f64),
+            Column::Float(v) => cells.zip(v).for_each(|(d, x)| *d = *x),
+            Column::Str(_) => {
+                cells.enumerate().for_each(|(r, d)| *d = column.numeric(r));
+            }
         }
     }
     Matrix::Dense(out)
@@ -42,17 +47,18 @@ pub fn table_to_sparse(
     let rc = t.column(row_col).unwrap_or_else(|| panic!("no column {row_col}"));
     let cc = t.column(col_col).unwrap_or_else(|| panic!("no column {col_col}"));
     let vc = t.column(val_col).unwrap_or_else(|| panic!("no column {val_col}"));
-    let triplets: Vec<(usize, usize, f64)> = (0..t.num_rows())
-        .filter_map(|r| {
-            let row = rc.value(r).as_i64()? as usize;
-            let col = cc.value(r).as_i64()? as usize;
-            if row < rows && col < cols {
-                Some((row, col, vc.numeric(r)))
-            } else {
-                None
-            }
-        })
-        .collect();
+    // An id is the cell's integer key, in range: negative, non-integral and
+    // string ids are dropped with the out-of-range ones.
+    let id = |c: &Column, r: usize, bound: usize| {
+        c.key_at(r).and_then(|k| usize::try_from(k).ok()).filter(|&k| k < bound)
+    };
+    let entry = |r: usize, v: f64| Some((id(rc, r, rows)?, id(cc, r, cols)?, v));
+    let n = 0..t.num_rows();
+    let triplets: Vec<(usize, usize, f64)> = match vc {
+        Column::Int(v) => n.filter_map(|r| entry(r, v[r] as f64)).collect(),
+        Column::Float(v) => n.filter_map(|r| entry(r, v[r])).collect(),
+        Column::Str(_) => n.filter_map(|r| entry(r, vc.numeric(r))).collect(),
+    };
     Matrix::Sparse(SparseMatrix::from_triplets(rows, cols, triplets))
 }
 
@@ -107,11 +113,13 @@ mod tests {
     #[test]
     fn sparse_cast_drops_out_of_range() {
         let t = Table::new(vec![
-            ("r", Column::Int(vec![0, 99])),
-            ("c", Column::Int(vec![0, 0])),
-            ("v", Column::Int(vec![1, 1])),
+            ("r", Column::Int(vec![0, 99, -1, 3])),
+            ("c", Column::Int(vec![0, 0, 0, -1])),
+            ("v", Column::Int(vec![1, 1, 1, 1])),
         ]);
+        // Row 99 is past the shape; a negative id (either column) is no id.
         let m = table_to_sparse(&t, "r", "c", "v", 10, 1);
         assert_eq!(m.nnz(), 1);
+        assert_eq!(m.get(0, 0), 1.0);
     }
 }

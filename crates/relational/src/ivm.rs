@@ -225,6 +225,17 @@ pub fn joined_columns(
     right_key: &str,
 ) -> (Vec<String>, Vec<usize>) {
     let mut names = left.to_vec();
+    let kept = push_joined_columns(&mut names, right_cols, right_key);
+    (names, kept)
+}
+
+/// [`joined_columns`] in place: appends the join's right-side output names
+/// to the left side's `names` and returns the kept right column indices.
+pub(crate) fn push_joined_columns(
+    names: &mut Vec<String>,
+    right_cols: &[String],
+    right_key: &str,
+) -> Vec<usize> {
     let mut kept = Vec::new();
     for (i, n) in right_cols.iter().enumerate() {
         if n == right_key {
@@ -237,7 +248,7 @@ pub fn joined_columns(
         names.push(out_name);
         kept.push(i);
     }
-    (names, kept)
+    kept
 }
 
 /// The shared core of both join halves, driven from the delta side: hashes

@@ -1,5 +1,8 @@
 //! Relational operators: selection, projection, hash join, aggregates.
-//! These are the `Rops` of the paper's hybrid language (§3).
+//! These are the `Rops` of the paper's hybrid language (§3). Each takes
+//! tables and returns a table; [`hash_join`] and [`sort_by_int`] are one
+//! step of the [`crate::rowset`] executor followed by its gather, which is
+//! where a pipeline of several stages should stay until its last one.
 //!
 //! Operators that look columns up by name return [`OpsError`] when the
 //! name does not resolve — a malformed query must surface as a typed error
@@ -8,6 +11,7 @@
 use std::collections::HashMap;
 use std::fmt;
 
+use crate::rowset::{ColRef, RowSet};
 use crate::table::{Column, Table, Value};
 
 /// A relational operator was pointed at a column the table does not have.
@@ -34,8 +38,12 @@ impl fmt::Display for OpsError {
 
 impl std::error::Error for OpsError {}
 
+fn require_index(t: &Table, op: &'static str, col: &str) -> Result<usize, OpsError> {
+    t.column_index(col).ok_or_else(|| OpsError::MissingColumn { op, column: col.to_owned() })
+}
+
 fn require<'t>(t: &'t Table, op: &'static str, col: &str) -> Result<&'t Column, OpsError> {
-    t.column(col).ok_or_else(|| OpsError::MissingColumn { op, column: col.to_owned() })
+    require_index(t, op, col).map(|i| t.column_at(i))
 }
 
 /// Selection: keeps rows where `pred(row)` holds.
@@ -62,52 +70,20 @@ pub fn project(t: &Table, cols: &[&str]) -> Result<Table, OpsError> {
 
 /// Hash equi-join on integer key columns. Output keeps all columns of the
 /// left table and the non-key columns of the right, prefixing right-side
-/// names that collide with `right.`.
+/// names that collide with `right.` (repeatedly, until unique — the left
+/// table may itself carry a `right.<name>` column from an earlier join).
+/// Rows come out in left order, right rows ascending within one left row.
 pub fn hash_join(
     left: &Table,
     left_key: &str,
     right: &Table,
     right_key: &str,
 ) -> Result<Table, OpsError> {
-    let lk = require(left, "hash_join", left_key)?;
-    let rk = require(right, "hash_join", right_key)?;
-
-    // Build side: key -> row indices (right).
-    let mut index: HashMap<i64, Vec<usize>> = HashMap::new();
-    for r in 0..right.num_rows() {
-        if let Some(k) = rk.value(r).as_i64() {
-            index.entry(k).or_default().push(r);
-        }
-    }
-    // Probe side.
-    let mut left_rows: Vec<usize> = Vec::new();
-    let mut right_rows: Vec<usize> = Vec::new();
-    for l in 0..left.num_rows() {
-        if let Some(k) = lk.value(l).as_i64() {
-            if let Some(matches) = index.get(&k) {
-                for &r in matches {
-                    left_rows.push(l);
-                    right_rows.push(r);
-                }
-            }
-        }
-    }
-
-    let mut out = left.gather(&left_rows);
-    let gathered_right = right.gather(&right_rows);
-    for (i, name) in right.column_names().iter().enumerate() {
-        if name == right_key {
-            continue; // key already present from the left side
-        }
-        // Prefix until unique: the left table may itself already carry a
-        // `right.<name>` column (e.g. the output of an earlier join).
-        let mut out_name = name.clone();
-        while out.column_index(&out_name).is_some() {
-            out_name = format!("right.{out_name}");
-        }
-        out = out.with_column(&out_name, gathered_right.column_at(i).clone());
-    }
-    Ok(out)
+    let lk = require_index(left, "hash_join", left_key)?;
+    let rk = require_index(right, "hash_join", right_key)?;
+    let mut rows = RowSet::scan(left);
+    rows.hash_join(ColRef { source: 0, column: lk }, right, rk);
+    Ok(rows.gather())
 }
 
 /// Aggregate: sum of a numeric column.
@@ -131,12 +107,13 @@ pub fn group_count(t: &Table, key: &str) -> Result<Vec<(i64, usize)>, OpsError> 
 }
 
 /// Sorts rows ascending by an integer key (relation → matrix casts need a
-/// defined order, cf. paper §3).
+/// defined order, cf. paper §3). The sort is stable; cells without an
+/// integer key sort last.
 pub fn sort_by_int(t: &Table, key: &str) -> Result<Table, OpsError> {
-    let c = require(t, "sort_by_int", key)?;
-    let mut idx: Vec<usize> = (0..t.num_rows()).collect();
-    idx.sort_by_key(|&r| c.value(r).as_i64().unwrap_or(i64::MAX));
-    Ok(t.gather(&idx))
+    let column = require_index(t, "sort_by_int", key)?;
+    let mut rows = RowSet::scan(t);
+    rows.sort_by_key(ColRef { source: 0, column });
+    Ok(rows.gather())
 }
 
 /// Filters rows whose string column contains `needle` (the paper's Twitter

@@ -21,11 +21,11 @@ use crate::ivm::{
 };
 use crate::table::{Table, Value};
 
-const NIL: u32 = u32::MAX;
+pub(crate) const NIL: u32 = u32::MAX;
 /// 2^64 / φ: multiplicative (Fibonacci) hashing takes the *top* bits of the
-/// product, which depend on every bit of the FNV row hash.
-const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
-const MIN_BUCKETS: usize = 8;
+/// product, which depend on every bit of the hashed word.
+pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+pub(crate) const MIN_BUCKETS: usize = 8;
 
 /// Chained hash index over the rows of one table, keyed by
 /// [`crate::ivm::row_hash`]. Positions are `u32`; chains are doubly linked.
@@ -41,10 +41,10 @@ pub(crate) struct RowIndex {
     shift: u32,
 }
 
-fn position(r: usize) -> u32 {
+pub(crate) fn position(r: usize) -> u32 {
     match u32::try_from(r) {
         Ok(p) if p != NIL => p,
-        _ => panic!("row index addresses tables below 2^32 - 1 rows, got row {r}"),
+        _ => panic!("row positions are u32: tables stay below 2^32 - 1 rows, got {r}"),
     }
 }
 

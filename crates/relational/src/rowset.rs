@@ -1,0 +1,892 @@
+//! The relational executor: typed passes over row ids, one gather at the
+//! end.
+//!
+//! A relation under construction ([`RowSet`]) is a list of *borrowed*
+//! source tables, one `u32` selection vector per source (position `i` of
+//! every vector names the source row that output row `i` reads; a bare
+//! scan's "all rows" is represented, not allocated) and the output columns
+//! as `(name, source, column position)`. Operators only rewrite selection
+//! vectors:
+//!
+//! * a filter is one pass over a column slice, typed outside the loop;
+//! * an equi-join is one chained hash index in flat `u32` arrays (the
+//!   `heads`/`next` + Fibonacci-hash layout of [`crate::row_index`]: no
+//!   `Vec` per key, no `String` keys, no SipHash) built over the *smaller*
+//!   side and probed with one typed pass over the other side's key column;
+//!   a chain candidate is confirmed against the key column itself;
+//! * a projection reorders the output-column list;
+//! * a sort reorders the selection vectors by a cached typed key;
+//! * [`RowSet::gather`] copies each *output* column once — the only place
+//!   a cell is copied or a `String` cloned.
+//!
+//! **Order contract.** Filters keep row order; a join emits its matches in
+//! left order, right rows ascending within one left row, whichever side
+//! the index was built over — row for row what a nested loop over
+//! (left, right) would emit.
+//!
+//! **Keys.** The one join kernel serves two equalities ([`JoinKey`]):
+//! `Int` is [`Column::key_at`] (integers and integral floats; strings never
+//! key) — the `ops::hash_join` contract — and `Value` equates any two equal
+//! cells the way a conjunctive query's shared variable does (numeric cells
+//! by value, so `Int 7` = `Float 7.0` and `-0.0` = `0.0` while `NaN` joins
+//! nothing; strings verbatim; `"7"` never equals `7`).
+
+use crate::ivm::push_joined_columns;
+use crate::row_index::{position, GOLDEN, MIN_BUCKETS, NIL};
+use crate::table::{float_key, stable_hash, Column, Table, Value};
+
+/// Rows every filter and probe pass reads.
+static ROWS_IN: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("relexec.rows_in");
+/// Rows of every gathered result.
+static ROWS_OUT: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("relexec.rows_out");
+/// Cells copied out of source tables — `rows_out × output columns` of each
+/// gather and nothing else, since no intermediate is materialized.
+static CELLS_GATHERED: hadad_obs::LazyCounter =
+    hadad_obs::LazyCounter::new("relexec.cells_gathered");
+
+/// A cell position inside a [`RowSet`]: a source table and one of its
+/// columns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ColRef {
+    /// Index of the source table, in the order sources joined the set.
+    pub source: usize,
+    /// Column position inside that table.
+    pub column: usize,
+}
+
+/// A single-column equality predicate.
+#[derive(Debug, Clone, Copy)]
+pub enum CellPred<'p> {
+    /// [`Column::key_at`] equals the integer: integer cells and integral
+    /// float cells, never strings.
+    Key(i64),
+    /// Numeric cells (integers widened to `f64`) equal to the number by
+    /// value; never strings.
+    Num(f64),
+    /// `Str` cells equal to the string verbatim.
+    Str(&'p str),
+}
+
+/// Which cells an equi-join (or a column-against-column filter) equates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JoinKey {
+    /// [`Column::key_at`]: integers and integral floats; strings never key.
+    Int,
+    /// Any two equal cells: numeric cells by value (`Int 7` = `Float 7.0`,
+    /// `-0.0` = `0.0`, `NaN` equals nothing), strings verbatim, and a
+    /// string never equals a number.
+    Value,
+}
+
+/// One output column of [`RowSet::gather_as`].
+#[derive(Debug, Clone)]
+pub enum Out {
+    /// The cells the row set selects from a source column.
+    Cell(ColRef),
+    /// The same value on every row.
+    Const(Value),
+}
+
+/// The source rows a [`RowSet`] reads from one table, in output order.
+#[derive(Debug)]
+enum Sel {
+    /// Every row of the table, in table order.
+    All,
+    /// The listed rows.
+    Rows(Vec<u32>),
+}
+
+impl Sel {
+    /// Source row behind output position `i`.
+    fn row(&self, i: usize) -> usize {
+        match self {
+            Sel::All => i,
+            Sel::Rows(rows) => rows[i] as usize,
+        }
+    }
+}
+
+#[derive(Debug)]
+struct Source<'a> {
+    table: &'a Table,
+    sel: Sel,
+}
+
+/// A relation under construction; see the [module docs](self).
+#[derive(Debug)]
+pub struct RowSet<'a> {
+    sources: Vec<Source<'a>>,
+    /// Output row count; every `Sel::Rows` holds this many positions and
+    /// a `Sel::All` source has this many rows.
+    rows: usize,
+    names: Vec<String>,
+    cells: Vec<ColRef>,
+}
+
+/// Row counts stay addressable by `u32` positions; larger tables are
+/// refused the way the row index refuses them.
+fn checked_rows(n: usize) -> usize {
+    position(n);
+    n
+}
+
+/// A join-key column viewed through one [`JoinKey`] equality: `key` is
+/// `None` for a cell that equals nothing.
+trait KeyCol: Copy {
+    type Key: KeyWord;
+    fn key(self, row: usize) -> Option<Self::Key>;
+}
+
+/// A join key: compared exactly, bucketed by `word`.
+trait KeyWord: Copy + PartialEq {
+    fn word(self) -> u64;
+}
+
+impl KeyWord for u64 {
+    fn word(self) -> u64 {
+        self
+    }
+}
+
+impl KeyWord for &str {
+    fn word(self) -> u64 {
+        stable_hash(self)
+    }
+}
+
+/// `key_at` of an `Int` column.
+#[derive(Clone, Copy)]
+struct IntKey<'c>(&'c [i64]);
+/// `key_at` of a `Float` column: integral, in-range cells only.
+#[derive(Clone, Copy)]
+struct IntegralKey<'c>(&'c [f64]);
+/// An `Int` column's cells as numbers.
+#[derive(Clone, Copy)]
+struct IntNum<'c>(&'c [i64]);
+/// A `Float` column's cells as numbers.
+#[derive(Clone, Copy)]
+struct FloatNum<'c>(&'c [f64]);
+/// A `Str` column's cells.
+#[derive(Clone, Copy)]
+struct StrKey<'c>(&'c [String]);
+
+impl KeyCol for IntKey<'_> {
+    type Key = u64;
+    fn key(self, row: usize) -> Option<u64> {
+        Some(self.0[row] as u64)
+    }
+}
+
+impl KeyCol for IntegralKey<'_> {
+    type Key = u64;
+    fn key(self, row: usize) -> Option<u64> {
+        float_key(self.0[row]).map(|k| k as u64)
+    }
+}
+
+impl KeyCol for IntNum<'_> {
+    type Key = u64;
+    fn key(self, row: usize) -> Option<u64> {
+        // An integer never widens to NaN or -0.0.
+        Some((self.0[row] as f64).to_bits())
+    }
+}
+
+impl KeyCol for FloatNum<'_> {
+    type Key = u64;
+    fn key(self, row: usize) -> Option<u64> {
+        let v = self.0[row];
+        // `NaN` equals nothing; `-0.0 + 0.0` is `0.0`, so both zeros share
+        // one bit pattern and `==` on the bits is `==` on the numbers.
+        (!v.is_nan()).then(|| (v + 0.0).to_bits())
+    }
+}
+
+impl<'c> KeyCol for StrKey<'c> {
+    type Key = &'c str;
+    fn key(self, row: usize) -> Option<&'c str> {
+        Some(self.0[row].as_str())
+    }
+}
+
+/// Evaluates `$body` with `$l`/`$r` bound to the typed key views of two
+/// columns under a [`JoinKey`], or `$none` when no cell of one can equal a
+/// cell of the other — the column-type match that keeps every pass typed
+/// outside its loop.
+macro_rules! with_keys {
+    ($key:expr, $lc:expr, $rc:expr, |$l:ident, $r:ident| $body:expr, $none:expr) => {
+        match ($key, $lc, $rc) {
+            (JoinKey::Int, Column::Int(a), Column::Int(b)) => {
+                let ($l, $r) = (IntKey(a), IntKey(b));
+                $body
+            }
+            (JoinKey::Int, Column::Int(a), Column::Float(b)) => {
+                let ($l, $r) = (IntKey(a), IntegralKey(b));
+                $body
+            }
+            (JoinKey::Int, Column::Float(a), Column::Int(b)) => {
+                let ($l, $r) = (IntegralKey(a), IntKey(b));
+                $body
+            }
+            (JoinKey::Int, Column::Float(a), Column::Float(b)) => {
+                let ($l, $r) = (IntegralKey(a), IntegralKey(b));
+                $body
+            }
+            (JoinKey::Value, Column::Int(a), Column::Int(b)) => {
+                let ($l, $r) = (IntNum(a), IntNum(b));
+                $body
+            }
+            (JoinKey::Value, Column::Int(a), Column::Float(b)) => {
+                let ($l, $r) = (IntNum(a), FloatNum(b));
+                $body
+            }
+            (JoinKey::Value, Column::Float(a), Column::Int(b)) => {
+                let ($l, $r) = (FloatNum(a), IntNum(b));
+                $body
+            }
+            (JoinKey::Value, Column::Float(a), Column::Float(b)) => {
+                let ($l, $r) = (FloatNum(a), FloatNum(b));
+                $body
+            }
+            (JoinKey::Value, Column::Str(a), Column::Str(b)) => {
+                let ($l, $r) = (StrKey(a), StrKey(b));
+                $body
+            }
+            _ => $none,
+        }
+    };
+}
+
+/// Chained hash index over positions `0..n` of one join side: `heads` maps
+/// a bucket to its first position, `next` a position to the following one
+/// in the same bucket. No keys or hashes are stored — a candidate is
+/// confirmed by re-reading its key.
+struct Chains {
+    heads: Vec<u32>,
+    next: Vec<u32>,
+    /// `64 - log2(heads.len())`.
+    shift: u32,
+}
+
+impl Chains {
+    fn build<K: KeyWord>(n: usize, key: &impl Fn(usize) -> Option<K>) -> Self {
+        // At most one key per two buckets: most probes of a selective join
+        // miss, and a miss should end at an empty bucket.
+        let buckets = (2 * n).max(MIN_BUCKETS).next_power_of_two();
+        let mut index = Chains {
+            heads: vec![NIL; buckets],
+            next: vec![NIL; n],
+            shift: 64 - buckets.trailing_zeros(),
+        };
+        // Linked last to first, so every chain runs in ascending position.
+        for i in (0..n).rev() {
+            if let Some(k) = key(i) {
+                let b = index.bucket(k);
+                index.next[i] = index.heads[b];
+                index.heads[b] = i as u32;
+            }
+        }
+        index
+    }
+
+    fn bucket<K: KeyWord>(&self, k: K) -> usize {
+        (k.word().wrapping_mul(GOLDEN) >> self.shift) as usize
+    }
+
+    /// Calls `hit` with every indexed position whose key is `k`, ascending.
+    fn probe<K: KeyWord>(
+        &self,
+        k: K,
+        key: &impl Fn(usize) -> Option<K>,
+        mut hit: impl FnMut(u32),
+    ) {
+        let mut at = self.heads[self.bucket(k)];
+        while at != NIL {
+            if key(at as usize) == Some(k) {
+                hit(at);
+            }
+            at = self.next[at as usize];
+        }
+    }
+}
+
+/// The one join kernel: every `(left, right)` position pair whose keys are
+/// equal, as two parallel vectors in left order with right positions
+/// ascending within one left position. The index goes over the smaller
+/// side; the other side's keys are read in one pass.
+fn join_pairs<K: KeyWord>(
+    nl: usize,
+    lkey: impl Fn(usize) -> Option<K>,
+    nr: usize,
+    rkey: impl Fn(usize) -> Option<K>,
+) -> (Vec<u32>, Vec<u32>) {
+    if nr <= nl {
+        let index = Chains::build(nr, &rkey);
+        // Sized for the foreign-key shape: one match per left row.
+        let (mut lpos, mut rpos) = (Vec::with_capacity(nl), Vec::with_capacity(nl));
+        for i in 0..nl {
+            if let Some(k) = lkey(i) {
+                index.probe(k, &rkey, |j| {
+                    lpos.push(i as u32);
+                    rpos.push(j);
+                });
+            }
+        }
+        return (lpos, rpos);
+    }
+    let index = Chains::build(nl, &lkey);
+    // Matches arrive right-major. A counting sort on the left position puts
+    // them in left order and, being stable, keeps right ascending within it.
+    let mut pairs: Vec<(u32, u32)> = Vec::new();
+    let mut starts = vec![0usize; nl + 1];
+    for j in 0..nr {
+        if let Some(k) = rkey(j) {
+            index.probe(k, &lkey, |i| {
+                pairs.push((i, j as u32));
+                starts[i as usize + 1] += 1;
+            });
+        }
+    }
+    for i in 0..nl {
+        starts[i + 1] += starts[i];
+    }
+    let (mut lpos, mut rpos) = (vec![0; pairs.len()], vec![0; pairs.len()]);
+    for (i, j) in pairs {
+        let at = &mut starts[i as usize];
+        lpos[*at] = i;
+        rpos[*at] = j;
+        *at += 1;
+    }
+    (lpos, rpos)
+}
+
+/// The positions in `0..n` that satisfy `keep`, ascending. Branch-free:
+/// every position is written and the cursor moves past the kept ones only,
+/// so a pass costs the same at any selectivity.
+fn compact(n: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+    let mut out = vec![0u32; n];
+    let mut kept = 0;
+    for i in 0..n {
+        out[kept] = i as u32;
+        kept += usize::from(keep(i));
+    }
+    out.truncate(kept);
+    out
+}
+
+/// Output positions `0..n` whose source row satisfies `keep`.
+fn positions(sel: &Sel, n: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
+    match sel {
+        Sel::All => compact(n, keep),
+        Sel::Rows(rows) => compact(n, |i| keep(rows[i] as usize)),
+    }
+}
+
+/// `(key, position)` of every output position, for sorting.
+fn sort_keys(sel: &Sel, n: usize, key: impl Fn(usize) -> i64) -> Vec<(i64, u32)> {
+    (0..n).map(|i| (key(sel.row(i)), i as u32)).collect()
+}
+
+impl<'a> RowSet<'a> {
+    /// Every row and column of `table`, borrowed. Panics on a table of
+    /// 2³² − 1 rows or more (positions are `u32`).
+    pub fn scan(table: &'a Table) -> Self {
+        RowSet {
+            sources: vec![Source { table, sel: Sel::All }],
+            rows: checked_rows(table.num_rows()),
+            names: table.column_names().to_vec(),
+            cells: (0..table.num_cols()).map(|column| ColRef { source: 0, column }).collect(),
+        }
+    }
+
+    /// The relation of one empty row: no source, no column. It is the unit
+    /// of [`RowSet::product`], and what an empty conjunction evaluates to.
+    pub fn unit() -> Self {
+        RowSet { sources: Vec::new(), rows: 1, names: Vec::new(), cells: Vec::new() }
+    }
+
+    /// Number of rows.
+    pub fn num_rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The cell behind output column `name`, if present.
+    pub fn column(&self, name: &str) -> Option<ColRef> {
+        self.names.iter().position(|n| n == name).map(|i| self.cells[i])
+    }
+
+    /// Replaces every selection vector by its entries at `positions`.
+    fn pick(&mut self, positions: &[u32]) {
+        for s in &mut self.sources {
+            s.sel = Sel::Rows(match &s.sel {
+                Sel::All => positions.to_vec(),
+                Sel::Rows(rows) => positions.iter().map(|&i| rows[i as usize]).collect(),
+            });
+        }
+        self.rows = positions.len();
+    }
+
+    /// Keeps the rows whose `col` cell satisfies `pred`, in order.
+    pub fn filter(&mut self, col: ColRef, pred: CellPred<'_>) {
+        let _span = hadad_obs::span("relexec.filter");
+        ROWS_IN.add(self.rows as u64);
+        let Source { table, sel } = &self.sources[col.source];
+        let n = self.rows;
+        let keep = match (table.column_at(col.column), pred) {
+            (Column::Int(v), CellPred::Key(k)) => positions(sel, n, |r| v[r] == k),
+            (Column::Float(v), CellPred::Key(k)) => {
+                positions(sel, n, |r| float_key(v[r]) == Some(k))
+            }
+            (Column::Int(v), CellPred::Num(x)) => positions(sel, n, |r| v[r] as f64 == x),
+            (Column::Float(v), CellPred::Num(x)) => positions(sel, n, |r| v[r] == x),
+            (Column::Str(v), CellPred::Str(s)) => positions(sel, n, |r| v[r] == s),
+            // A string never equals a number, nor a number a string.
+            _ => Vec::new(),
+        };
+        self.pick(&keep);
+    }
+
+    /// Keeps the rows whose `a` and `b` cells are equal under `key`.
+    pub fn filter_eq(&mut self, a: ColRef, b: ColRef, key: JoinKey) {
+        let _span = hadad_obs::span("relexec.filter");
+        ROWS_IN.add(self.rows as u64);
+        let (sa, sb) = (&self.sources[a.source], &self.sources[b.source]);
+        let keep: Vec<u32> = with_keys!(
+            key,
+            sa.table.column_at(a.column),
+            sb.table.column_at(b.column),
+            |x, y| compact(self.rows, |i| {
+                let k = x.key(sa.sel.row(i));
+                k.is_some() && k == y.key(sb.sel.row(i))
+            }),
+            Vec::new()
+        );
+        self.pick(&keep);
+    }
+
+    /// Equi-joins with `right` on `left = right_col` under `key`, in the
+    /// module's order contract. `right`'s sources are appended to this
+    /// set's — the returned offset rebases a [`ColRef`] into `right` — and
+    /// its output columns are dropped.
+    pub fn join(
+        &mut self,
+        left: ColRef,
+        mut right: RowSet<'a>,
+        right_col: ColRef,
+        key: JoinKey,
+    ) -> usize {
+        let _span = hadad_obs::span("relexec.join");
+        ROWS_IN.add((self.rows + right.rows) as u64);
+        let (ls, rs) = (&self.sources[left.source], &right.sources[right_col.source]);
+        let (lpos, rpos) = with_keys!(
+            key,
+            ls.table.column_at(left.column),
+            rs.table.column_at(right_col.column),
+            |l, r| join_pairs(
+                self.rows,
+                |i| l.key(ls.sel.row(i)),
+                right.rows,
+                |j| r.key(rs.sel.row(j))
+            ),
+            (Vec::new(), Vec::new())
+        );
+        checked_rows(lpos.len());
+        self.pick(&lpos);
+        right.pick(&rpos);
+        self.append(right)
+    }
+
+    /// Left-major Cartesian product with `right`; sources and columns as in
+    /// [`RowSet::join`].
+    pub fn product(&mut self, mut right: RowSet<'a>) -> usize {
+        let (nl, nr) = (self.rows, right.rows);
+        checked_rows(nl.saturating_mul(nr));
+        // Repeating every position once, or tiling them once, is the
+        // identity: a one-row side leaves the other as it is.
+        if nr != 1 {
+            let each: Vec<u32> =
+                (0..nl as u32).flat_map(|i| std::iter::repeat(i).take(nr)).collect();
+            self.pick(&each);
+        }
+        if nl != 1 {
+            let tiled: Vec<u32> = (0..nl).flat_map(|_| 0..nr as u32).collect();
+            right.pick(&tiled);
+        }
+        self.append(right)
+    }
+
+    fn append(&mut self, right: RowSet<'a>) -> usize {
+        let base = self.sources.len();
+        self.sources.extend(right.sources);
+        base
+    }
+
+    /// `ops::hash_join` against a whole table: joins on
+    /// `left = right[right_key]` under [`JoinKey::Int`] and appends the
+    /// right table's non-key columns to the output, prefixed `right.` until
+    /// unique.
+    pub fn hash_join(&mut self, left: ColRef, right: &'a Table, right_key: usize) {
+        let right_names = right.column_names();
+        let kept = push_joined_columns(&mut self.names, right_names, &right_names[right_key]);
+        let key = ColRef { source: 0, column: right_key };
+        let source = self.join(left, RowSet::scan(right), key, JoinKey::Int);
+        self.cells.extend(kept.into_iter().map(|column| ColRef { source, column }));
+    }
+
+    /// Restricts (and reorders) the output to the named columns; `Err`
+    /// carries the first name the set does not have.
+    pub fn project<S: AsRef<str>>(&mut self, columns: &[S]) -> Result<(), String> {
+        let cells = columns
+            .iter()
+            .map(|c| self.column(c.as_ref()).ok_or_else(|| c.as_ref().to_owned()))
+            .collect::<Result<_, _>>()?;
+        self.cells = cells;
+        self.names = columns.iter().map(|c| c.as_ref().to_owned()).collect();
+        Ok(())
+    }
+
+    /// Stably sorts the rows ascending by `col`'s [`Column::key_at`]; cells
+    /// without an integer key sort last.
+    pub fn sort_by_key(&mut self, col: ColRef) {
+        let Source { table, sel } = &self.sources[col.source];
+        let mut keyed = match table.column_at(col.column) {
+            Column::Int(v) => sort_keys(sel, self.rows, |r| v[r]),
+            Column::Float(v) => {
+                sort_keys(sel, self.rows, |r| float_key(v[r]).unwrap_or(i64::MAX))
+            }
+            // No cell keys: every row ties and a stable sort moves nothing.
+            Column::Str(_) => return,
+        };
+        // (key, position) pairs are distinct, so this is the stable order.
+        keyed.sort_unstable();
+        let order: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
+        self.pick(&order);
+    }
+
+    /// Materializes the output columns.
+    pub fn gather(&self) -> Table {
+        let head = self.names.iter().zip(&self.cells);
+        self.gather_as(head.map(|(n, c)| (n.as_str(), Out::Cell(*c))).collect())
+    }
+
+    /// Materializes the given columns over this set's rows: one typed copy
+    /// per [`Out::Cell`], one fill per [`Out::Const`].
+    pub fn gather_as(&self, head: Vec<(&str, Out)>) -> Table {
+        let _span = hadad_obs::span("relexec.gather");
+        ROWS_OUT.add(self.rows as u64);
+        let columns = head.into_iter().map(|(name, out)| {
+            let column = match out {
+                Out::Cell(c) => self.gather_cell(c),
+                Out::Const(Value::Int(v)) => Column::Int(vec![v; self.rows]),
+                Out::Const(Value::Float(v)) => Column::Float(vec![v; self.rows]),
+                Out::Const(Value::Str(v)) => Column::Str(vec![v; self.rows]),
+            };
+            (name, column)
+        });
+        Table::new(columns.collect())
+    }
+
+    fn gather_cell(&self, c: ColRef) -> Column {
+        CELLS_GATHERED.add(self.rows as u64);
+        let Source { table, sel } = &self.sources[c.source];
+        let column = table.column_at(c.column);
+        let Sel::Rows(rows) = sel else { return column.clone() };
+        let rows = rows.iter().map(|&r| r as usize);
+        match column {
+            Column::Int(v) => Column::Int(rows.map(|r| v[r]).collect()),
+            Column::Float(v) => Column::Float(rows.map(|r| v[r]).collect()),
+            Column::Str(v) => Column::Str(rows.map(|r| v[r].clone()).collect()),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ivm::joined_columns;
+    use crate::ops;
+
+    fn cell(source: usize, column: usize) -> ColRef {
+        ColRef { source, column }
+    }
+
+    fn strs(v: &[&str]) -> Column {
+        Column::Str(v.iter().map(|s| (*s).to_owned()).collect())
+    }
+
+    /// Int, Float (integral, fractional, `-0.0`, `NaN`) and Str (with a
+    /// `"7"`) side by side.
+    fn mixed() -> Table {
+        Table::new(vec![
+            ("i", Column::Int(vec![7, 0, -3, 7, 2])),
+            ("f", Column::Float(vec![7.0, -0.0, 2.5, f64::NAN, 2.0])),
+            ("s", strs(&["7", "a", "", "7", "b"])),
+        ])
+    }
+
+    fn kept(t: &Table, col: usize, pred: CellPred<'_>) -> Vec<i64> {
+        let tagged =
+            t.clone().with_column("row", Column::Int((0..t.num_rows() as i64).collect()));
+        let mut rows = RowSet::scan(&tagged);
+        rows.filter(cell(0, col), pred);
+        match rows.gather().column("row").unwrap() {
+            Column::Int(v) => v.clone(),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    #[test]
+    fn filters_follow_the_cell_type_rules_and_keep_order() {
+        let t = mixed();
+        // key_at: integers, integral floats, never strings.
+        assert_eq!(kept(&t, 0, CellPred::Key(7)), [0, 3]);
+        assert_eq!(kept(&t, 1, CellPred::Key(7)), [0]);
+        assert_eq!(kept(&t, 1, CellPred::Key(0)), [1]);
+        assert_eq!(kept(&t, 1, CellPred::Key(2)), [4]);
+        assert_eq!(kept(&t, 2, CellPred::Key(7)), [] as [i64; 0]);
+        // By value: 2.5 is reachable, -0.0 is 0, NaN is nothing.
+        assert_eq!(kept(&t, 0, CellPred::Num(7.0)), [0, 3]);
+        assert_eq!(kept(&t, 1, CellPred::Num(2.5)), [2]);
+        assert_eq!(kept(&t, 1, CellPred::Num(0.0)), [1]);
+        assert_eq!(kept(&t, 1, CellPred::Num(f64::NAN)), [] as [i64; 0]);
+        assert_eq!(kept(&t, 2, CellPred::Num(7.0)), [] as [i64; 0]);
+        // Strings verbatim, on string columns only.
+        assert_eq!(kept(&t, 2, CellPred::Str("7")), [0, 3]);
+        assert_eq!(kept(&t, 2, CellPred::Str("")), [2]);
+        assert_eq!(kept(&t, 0, CellPred::Str("7")), [] as [i64; 0]);
+    }
+
+    #[test]
+    fn a_second_filter_refines_the_first_selection() {
+        let t = mixed();
+        let mut rows = RowSet::scan(&t);
+        rows.filter(cell(0, 0), CellPred::Key(7));
+        rows.filter(cell(0, 2), CellPred::Str("7"));
+        rows.filter(cell(0, 1), CellPred::Num(7.0));
+        assert_eq!(rows.num_rows(), 1);
+        assert_eq!(rows.gather(), t.gather(&[0]));
+        rows.filter(cell(0, 0), CellPred::Key(8));
+        let empty = rows.gather();
+        assert_eq!(empty.num_rows(), 0);
+        // An empty result keeps its source columns' types.
+        assert_eq!(empty, t.gather(&[]));
+    }
+
+    /// `ops::hash_join` as a nested loop over `Value`s.
+    fn nested_loop_join(left: &Table, lk: &str, right: &Table, rk: &str) -> Table {
+        let (mut ls, mut rs) = (Vec::new(), Vec::new());
+        for l in 0..left.num_rows() {
+            for r in 0..right.num_rows() {
+                let (a, b) = (left.value(l, lk).as_i64(), right.value(r, rk).as_i64());
+                if a.is_some() && a == b {
+                    ls.push(l);
+                    rs.push(r);
+                }
+            }
+        }
+        let (names, kept) = joined_columns(left.column_names(), right.column_names(), rk);
+        let (lt, rt) = (left.gather(&ls), right.gather(&rs));
+        let columns = (0..lt.num_cols())
+            .map(|c| lt.column_at(c).clone())
+            .chain(kept.iter().map(|&c| rt.column_at(c).clone()));
+        Table::new(names.iter().map(String::as_str).zip(columns).collect())
+    }
+
+    /// `n` rows keyed `(i * step) % modulus`: duplicate keys, and keys the
+    /// other side does not have.
+    fn keyed(n: i64, step: i64, modulus: i64, payload: &str) -> Table {
+        Table::new(vec![
+            ("k", Column::Int((0..n).map(|i| i * step % modulus).collect())),
+            (payload, Column::Int((0..n).map(|i| 100 + i).collect())),
+        ])
+    }
+
+    /// The index goes over the smaller side; the output must not show
+    /// which. Left ≪ right, left ≫ right and both sides of the boundary
+    /// (`right ≤ left` builds right) against the nested loop, row for row.
+    #[test]
+    fn join_output_does_not_depend_on_the_build_side() {
+        for (nl, nr) in [(3, 40), (40, 3), (8, 8), (8, 9), (9, 8), (0, 5), (5, 0), (1, 1)] {
+            let left = keyed(nl, 3, 7, "a");
+            let right = keyed(nr, 5, 11, "b");
+            let got = ops::hash_join(&left, "k", &right, "k").unwrap();
+            assert_eq!(got, nested_loop_join(&left, "k", &right, "k"), "{nl} x {nr}");
+        }
+        // The same rows, probed from either side, are the same multiset:
+        // swapping the operands only swaps the order contract.
+        let (a, b) = (keyed(6, 1, 4, "a"), keyed(30, 1, 4, "b"));
+        assert_eq!(
+            ops::hash_join(&a, "k", &b, "k").unwrap().num_rows(),
+            ops::hash_join(&b, "k", &a, "k").unwrap().num_rows()
+        );
+    }
+
+    #[test]
+    fn int_keys_join_integral_floats_and_never_strings() {
+        let left = Table::new(vec![
+            ("k", Column::Float(vec![1.0, 1.5, -0.0, f64::NAN, 3.0, 1e300])),
+            ("a", Column::Int((0..6).collect())),
+        ]);
+        let right = keyed(4, 1, 4, "b"); // keys 0, 1, 2, 3
+        let got = ops::hash_join(&left, "k", &right, "k").unwrap();
+        assert_eq!(got, nested_loop_join(&left, "k", &right, "k"));
+        assert_eq!(got.column("a").unwrap(), &Column::Int(vec![0, 2, 4]));
+        // Float keys on both sides, and the flipped build side.
+        let wide =
+            Table::new(vec![("k", Column::Float(vec![3.0, 0.0, 0.5, 3.0, 9.0, 1.0, 1.0]))]);
+        for (l, r) in [(&left, &wide), (&wide, &left)] {
+            assert_eq!(
+                ops::hash_join(l, "k", r, "k").unwrap(),
+                nested_loop_join(l, "k", r, "k")
+            );
+        }
+        let names = Table::new(vec![("k", strs(&["1", "3"]))]);
+        assert_eq!(ops::hash_join(&names, "k", &right, "k").unwrap().num_rows(), 0);
+        assert_eq!(ops::hash_join(&right, "k", &names, "k").unwrap().num_rows(), 0);
+        assert_eq!(ops::hash_join(&names, "k", &names, "k").unwrap().num_rows(), 0);
+    }
+
+    /// `JoinKey::Value` pairs as `(left row, right row)`.
+    fn value_pairs(left: &Column, right: &Column) -> Vec<(i64, i64)> {
+        let tag = |c: &Column| {
+            Table::new(vec![
+                ("k", c.clone()),
+                ("row", Column::Int((0..c.len() as i64).collect())),
+            ])
+        };
+        let (l, r) = (tag(left), tag(right));
+        let mut rows = RowSet::scan(&l);
+        let source = rows.join(cell(0, 0), RowSet::scan(&r), cell(0, 0), JoinKey::Value);
+        let out = rows
+            .gather_as(vec![("l", Out::Cell(cell(0, 1))), ("r", Out::Cell(cell(source, 1)))]);
+        (0..out.num_rows())
+            .map(|i| (out.column_at(0).key_at(i).unwrap(), out.column_at(1).key_at(i).unwrap()))
+            .collect()
+    }
+
+    #[test]
+    fn shared_variables_equate_numbers_by_value_and_strings_verbatim() {
+        let ints = Column::Int(vec![7, 0, 2, 7]);
+        let floats = Column::Float(vec![7.0, -0.0, 2.5, f64::NAN, 0.0]);
+        // Int 7 = Float 7.0; 0 = -0.0 = 0.0; 2 ≠ 2.5; NaN joins nothing.
+        assert_eq!(value_pairs(&ints, &floats), [(0, 0), (1, 1), (1, 4), (3, 0)]);
+        assert_eq!(value_pairs(&floats, &ints), [(0, 0), (0, 3), (1, 1), (4, 1)]);
+        // NaN does not even equal itself; fractional floats do.
+        assert_eq!(
+            value_pairs(&floats, &floats),
+            [(0, 0), (1, 1), (1, 4), (2, 2), (4, 1), (4, 4)]
+        );
+        let names = strs(&["7", "a", "", "a"]);
+        assert_eq!(
+            value_pairs(&names, &names),
+            [(0, 0), (1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]
+        );
+        // "7" is not 7, from either side.
+        assert_eq!(value_pairs(&names, &ints), []);
+        assert_eq!(value_pairs(&floats, &names), []);
+    }
+
+    #[test]
+    fn column_against_column_filter_spans_sources() {
+        let l = Table::new(vec![
+            ("k", Column::Int(vec![1, 1, 2])),
+            ("x", Column::Float(vec![5.0, 6.0, 7.0])),
+        ]);
+        let r = Table::new(vec![
+            ("k", Column::Int(vec![1, 2, 1])),
+            ("y", Column::Int(vec![5, 7, 6])),
+        ]);
+        let mut rows = RowSet::scan(&l);
+        let source = rows.join(cell(0, 0), RowSet::scan(&r), cell(0, 0), JoinKey::Value);
+        assert_eq!(rows.num_rows(), 5);
+        rows.filter_eq(cell(0, 1), cell(source, 1), JoinKey::Value);
+        let out = rows
+            .gather_as(vec![("x", Out::Cell(cell(0, 1))), ("y", Out::Cell(cell(source, 1)))]);
+        assert_eq!(out.column_at(0), &Column::Float(vec![5.0, 6.0, 7.0]));
+        assert_eq!(out.column_at(1), &Column::Int(vec![5, 6, 7]));
+        // Inside one source: a variable an atom repeats.
+        let mut rows = RowSet::scan(&r);
+        rows.filter_eq(cell(0, 0), cell(0, 1), JoinKey::Value);
+        assert_eq!(rows.num_rows(), 0);
+    }
+
+    #[test]
+    fn product_is_left_major_and_the_unit_changes_nothing() {
+        let l = Table::new(vec![("a", Column::Int(vec![1, 2]))]);
+        let r = Table::new(vec![("b", strs(&["x", "y", "z"]))]);
+        let mut rows = RowSet::unit();
+        assert_eq!(rows.product(RowSet::scan(&l)), 0);
+        assert_eq!(rows.num_rows(), 2);
+        let source = rows.product(RowSet::scan(&r));
+        let out = rows.gather_as(vec![
+            ("a", Out::Cell(cell(0, 0))),
+            ("b", Out::Cell(cell(source, 0))),
+            ("c", Out::Const(Value::Float(0.5))),
+        ]);
+        assert_eq!(out.column_at(0), &Column::Int(vec![1, 1, 1, 2, 2, 2]));
+        assert_eq!(out.column_at(1), &strs(&["x", "y", "z", "x", "y", "z"]));
+        assert_eq!(out.column_at(2), &Column::Float(vec![0.5; 6]));
+        // One row on either side leaves the other side's selection alone.
+        let one = Table::new(vec![("c", Column::Int(vec![9]))]);
+        let mut rows = RowSet::scan(&one);
+        let source = rows.product(RowSet::scan(&r));
+        let out = rows
+            .gather_as(vec![("c", Out::Cell(cell(0, 0))), ("b", Out::Cell(cell(source, 0)))]);
+        assert_eq!(out.column_at(0), &Column::Int(vec![9, 9, 9]));
+        assert_eq!(out.column_at(1), r.column_at(0));
+        // The empty conjunction: one row, no column.
+        let unit = RowSet::unit().gather_as(vec![("k", Out::Const(Value::Str("v".into())))]);
+        assert_eq!(unit, Table::new(vec![("k", strs(&["v"]))]));
+    }
+
+    /// Chained joins, a filter between them, a projection and a sort: the
+    /// selection vectors of three sources stay aligned, `right.` prefixes
+    /// stack, and the one gather equals the stage-by-stage operators.
+    #[test]
+    fn a_pipeline_gathers_once_what_the_operators_build_stage_by_stage() {
+        let tweets = Table::new(vec![
+            ("tid", Column::Int((0..48).rev().collect())),
+            ("uid", Column::Int((0..48).map(|i| i * 7 % 10).collect())),
+            ("score", Column::Int((0..48).map(|i| i % 3).collect())),
+        ]);
+        let users = Table::new(vec![
+            ("uid", Column::Int(vec![0, 1, 2, 3, 4, 5, 6, 3])),
+            ("score", Column::Int(vec![1, 0, 1, 0, 1, 0, 1, 1])),
+            ("name", strs(&["a", "b", "c", "d", "e", "f", "g", "d2"])),
+        ]);
+        let mut rows = RowSet::scan(&tweets);
+        rows.hash_join(rows.column("uid").unwrap(), &users, 0);
+        rows.filter(rows.column("right.score").unwrap(), CellPred::Key(1));
+        rows.hash_join(rows.column("uid").unwrap(), &users, 0);
+        assert_eq!(
+            rows.gather().column_names(),
+            ["tid", "uid", "score", "right.score", "name", "right.right.score", "right.name"]
+        );
+        rows.project(&["right.name", "tid", "right.right.score"]).unwrap();
+        assert_eq!(rows.project(&["tid", "nope"]), Err("nope".to_owned()));
+        rows.sort_by_key(rows.column("tid").unwrap());
+
+        let j1 = nested_loop_join(&tweets, "uid", &users, "uid");
+        let keep: Vec<usize> = (0..j1.num_rows())
+            .filter(|&r| j1.value(r, "right.score").as_i64() == Some(1))
+            .collect();
+        let j2 = nested_loop_join(&j1.gather(&keep), "uid", &users, "uid");
+        let expected = ops::project(&j2, &["right.name", "tid", "right.right.score"]).unwrap();
+        let mut order: Vec<usize> = (0..expected.num_rows()).collect();
+        order.sort_by_key(|&r| expected.value(r, "tid").as_i64());
+        assert_eq!(rows.gather(), expected.gather(&order));
+    }
+
+    #[test]
+    fn sort_is_stable_and_keyless_cells_sort_last() {
+        let t = Table::new(vec![
+            ("k", Column::Float(vec![2.0, f64::NAN, 1.0, 2.0, 0.5, 1.0])),
+            ("row", Column::Int((0..6).collect())),
+        ]);
+        let sorted = ops::sort_by_int(&t, "k").unwrap();
+        assert_eq!(sorted.column("row").unwrap(), &Column::Int(vec![2, 5, 0, 3, 1, 4]));
+        // Strings never key: nothing moves.
+        let s = Table::new(vec![("k", strs(&["b", "a"]))]);
+        assert_eq!(ops::sort_by_int(&s, "k").unwrap(), s);
+    }
+}

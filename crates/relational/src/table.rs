@@ -46,7 +46,7 @@ impl Value {
 }
 
 /// The integer a float cell keys as: integral, in-range floats only.
-fn float_key(v: f64) -> Option<i64> {
+pub(crate) fn float_key(v: f64) -> Option<i64> {
     if v.fract() == 0.0 && v >= i64::MIN as f64 && v <= i64::MAX as f64 {
         Some(v as i64)
     } else {
@@ -174,7 +174,7 @@ impl Column {
     }
 }
 
-fn stable_hash(s: &str) -> u64 {
+pub(crate) fn stable_hash(s: &str) -> u64 {
     // FNV-1a: deterministic across runs (unlike `DefaultHasher` seeds).
     let mut h: u64 = 0xcbf29ce484222325;
     for b in s.as_bytes() {

@@ -13,12 +13,20 @@
 //!   LA views contribute `V_IO`/`V_OI` constraints to the chase, so the
 //!   pipeline lands on zero-cost `Mat(view)` leaves.
 //!
+//! Both forms of a prefix — the operator pipeline ([`RelQuery::execute`])
+//! and a rewriting's CQ ([`eval_cq`]) — run on one executor,
+//! [`hadad_relational::rowset`]: stages and atoms rewrite `u32` selection
+//! vectors over the borrowed catalog tables, the pipeline's sort key
+//! reorders those vectors, and each output column is gathered once at the
+//! end. The two differ only in which cells a join equates
+//! ([`JoinKey::Int`] for a `HashJoin` stage, [`JoinKey::Value`] for a CQ
+//! variable).
+//!
 //! Execution verifies both halves (the paper's machine-checkable
 //! soundness): the rewritten prefix must produce the same cast matrix as
 //! the operator pipeline, and the winning LA plan must agree with the
 //! original suffix on the backend.
 
-use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
@@ -29,7 +37,8 @@ use hadad_chase::{
 };
 use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
-use hadad_relational::{cast, ops, Catalog, Column, Table, Value};
+use hadad_relational::rowset::{CellPred, ColRef, JoinKey, Out};
+use hadad_relational::{cast, Catalog, RowSet, Table, Value};
 
 use crate::eval::{Env, EvalError};
 use crate::optimizer::{Optimizer, Plan, RankedPlans, RewriteError};
@@ -72,9 +81,6 @@ pub enum HybridError {
     /// A delta-maintenance step failed (schema drift, retraction of a
     /// missing row, ...).
     Ivm(hadad_relational::IvmError),
-    /// An executable relational operator was handed a column its input
-    /// table does not carry (schema drift between planning and execution).
-    Ops(hadad_relational::OpsError),
     /// An `error`-armed failpoint fired (fault-injection runs only).
     Fault {
         /// The failpoint that fired.
@@ -118,7 +124,6 @@ impl std::fmt::Display for HybridError {
                 )
             }
             HybridError::Ivm(e) => write!(f, "{e}"),
-            HybridError::Ops(e) => write!(f, "{e}"),
             HybridError::Fault { site } => write!(f, "injected fault at failpoint `{site}`"),
             HybridError::RejectedView(r) => write!(f, "{r}"),
             HybridError::Rewrite(e) => write!(f, "{e}"),
@@ -132,12 +137,6 @@ impl std::error::Error for HybridError {}
 impl From<hadad_relational::IvmError> for HybridError {
     fn from(e: hadad_relational::IvmError) -> Self {
         HybridError::Ivm(e)
-    }
-}
-
-impl From<hadad_relational::OpsError> for HybridError {
-    fn from(e: hadad_relational::OpsError) -> Self {
-        HybridError::Ops(e)
     }
 }
 
@@ -160,8 +159,9 @@ impl From<EvalError> for HybridError {
 }
 
 /// One declarative relational stage. These mirror the executable operators
-/// in `hadad_relational::ops`, restricted to the CQ-expressible fragment so
-/// the prefix can be reformulated by PACB.
+/// in `hadad_relational::ops` (and run on the executor under them),
+/// restricted to the CQ-expressible fragment so the prefix can be
+/// reformulated by PACB.
 #[derive(Debug, Clone)]
 pub enum RelOp {
     /// Equality selection on an integer column (the column position becomes
@@ -195,6 +195,45 @@ pub enum RelOp {
         /// Output columns, in order.
         columns: Vec<String>,
     },
+}
+
+impl RelOp {
+    /// Applies this stage to a relation under construction — shared by
+    /// [`RelQuery::execute`] and the view maintainer (which replays stages
+    /// to cache join inputs).
+    pub(crate) fn apply<'c>(
+        &self,
+        rows: &mut RowSet<'c>,
+        catalog: &'c Catalog,
+    ) -> Result<(), HybridError> {
+        match self {
+            RelOp::SelectEq { column: name, value } => {
+                rows.filter(column(rows, name)?, CellPred::Key(*value));
+            }
+            RelOp::SelectStrEq { column: name, value } => {
+                rows.filter(column(rows, name)?, CellPred::Str(value));
+            }
+            RelOp::HashJoin { table, left_key, right_key } => {
+                let right = catalog
+                    .get(table)
+                    .ok_or_else(|| HybridError::MissingTable(table.clone()))?;
+                let left = column(rows, left_key)?;
+                let right_key = right
+                    .column_index(right_key)
+                    .ok_or_else(|| HybridError::MissingColumn(right_key.clone()))?;
+                rows.hash_join(left, right, right_key);
+            }
+            RelOp::Project { columns } => {
+                rows.project(columns).map_err(HybridError::MissingColumn)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The cell behind output column `name` of a relation under construction.
+fn column(rows: &RowSet<'_>, name: &str) -> Result<ColRef, HybridError> {
+    rows.column(name).ok_or_else(|| HybridError::MissingColumn(name.to_owned()))
 }
 
 /// A relational query: a scan of a catalog table followed by stages.
@@ -251,56 +290,33 @@ impl RelQuery {
         self
     }
 
-    /// Runs the query with the executable operators from
-    /// `hadad_relational::ops`, stage by stage. The first stage reads the
-    /// catalog's scan table in place; only a stage-less query copies it.
+    /// Runs the query on the [`RowSet`] executor: every stage rewrites
+    /// selection vectors over the borrowed catalog tables, and the output
+    /// columns are gathered once, after the last stage. A stage-less query
+    /// is the only one that copies its whole scan table.
     pub fn execute(&self, catalog: &Catalog) -> Result<Table, HybridError> {
+        self.execute_sorted(catalog, None)
+    }
+
+    /// [`RelQuery::execute`] with the rows stably sorted ascending by the
+    /// integer key `sort_key` — the sort reorders selection vectors before
+    /// the gather, so nothing is materialized twice.
+    pub(crate) fn execute_sorted(
+        &self,
+        catalog: &Catalog,
+        sort_key: Option<&str>,
+    ) -> Result<Table, HybridError> {
         let scan = catalog
             .get(&self.table)
             .ok_or_else(|| HybridError::MissingTable(self.table.clone()))?;
-        let mut t = Cow::Borrowed(scan);
+        let mut rows = RowSet::scan(scan);
         for op in &self.ops {
-            t = Cow::Owned(self.apply_op(&t, op, catalog)?);
+            op.apply(&mut rows, catalog)?;
         }
-        Ok(t.into_owned())
-    }
-
-    /// One executable pipeline stage — shared by [`RelQuery::execute`] and
-    /// the view maintainer (which replays stages to cache join inputs).
-    pub(crate) fn apply_op(
-        &self,
-        t: &Table,
-        op: &RelOp,
-        catalog: &Catalog,
-    ) -> Result<Table, HybridError> {
-        Ok(match op {
-            RelOp::SelectEq { column, value } => {
-                require_column(t, column)?;
-                ops::select(t, |tab, r| tab.value(r, column).as_i64() == Some(*value))
-            }
-            RelOp::SelectStrEq { column, value } => {
-                require_column(t, column)?;
-                ops::select(t, |tab, r| match tab.value(r, column) {
-                    Value::Str(s) => s == *value,
-                    _ => false,
-                })
-            }
-            RelOp::HashJoin { table, left_key, right_key } => {
-                let right = catalog
-                    .get(table)
-                    .ok_or_else(|| HybridError::MissingTable(table.clone()))?;
-                require_column(t, left_key)?;
-                require_column(right, right_key)?;
-                ops::hash_join(t, left_key, right, right_key)?
-            }
-            RelOp::Project { columns } => {
-                for c in columns {
-                    require_column(t, c)?;
-                }
-                let refs: Vec<&str> = columns.iter().map(std::string::String::as_str).collect();
-                ops::project(t, &refs)?
-            }
-        })
+        if let Some(key) = sort_key {
+            rows.sort_by_key(column(&rows, key)?);
+        }
+        Ok(rows.gather())
     }
 
     /// Compiles the query to a CQ over the table vocabulary. Selections
@@ -488,151 +504,115 @@ fn unquote(s: &str) -> Option<&str> {
     s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"'))
 }
 
-/// `true` when a cell matches an interned CQ constant, mirroring the
-/// executable operators exactly: quoted constants match `Str` cells only,
-/// numeric constants match numerically (`Int 7` and `Float 7.0`, never
+/// The filter an interned CQ constant stands for, mirroring the executable
+/// operators exactly: quoted constants match `Str` cells only, numeric
+/// constants match numerically (`Int 7` and `Float 7.0`, never
 /// `Str("7")`), and bare symbolic constants match `Str` cells verbatim.
-fn const_matches(cell: &Value, s: &str) -> bool {
+fn const_pred(s: &str) -> CellPred<'_> {
     if let Some(inner) = unquote(s) {
-        return matches!(cell, Value::Str(v) if v == inner);
-    }
-    if let Ok(p) = s.parse::<f64>() {
-        return cell.as_f64() == Some(p);
-    }
-    matches!(cell, Value::Str(v) if v == s)
-}
-
-/// Numeric-tolerant value equality (Int 7 joins Float 7.0).
-fn value_matches(a: &Value, b: &Value) -> bool {
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => x == y,
-        _ => a == b,
-    }
-}
-
-/// Canonical hash key for [`value_matches`]-equality: numerically equal
-/// values share a key.
-fn value_key(v: &Value) -> String {
-    match v.as_f64() {
-        Some(f) => {
-            let f = if f == 0.0 { 0.0 } else { f }; // -0.0 == 0.0
-            format!("n{}", f.to_bits())
-        }
-        None => format!("s{v}"),
+        CellPred::Str(inner)
+    } else if let Ok(p) = s.parse::<f64>() {
+        CellPred::Num(p)
+    } else {
+        CellPred::Str(s)
     }
 }
 
 /// Evaluates a CQ against the catalog's tables under *bag* semantics,
-/// mirroring the executable operator pipeline (`ops::project` does not
+/// mirroring the executable operator pipeline (a projection does not
 /// deduplicate, so neither may the rewriting's evaluation — otherwise a
 /// rewritten prefix would silently drop duplicate tuples from the cast).
-/// Joins probe a hash index on the first already-bound variable position;
-/// constant positions filter each table once per atom. Used to execute
-/// PACB rewritings, whose bodies range over materialized view tables.
+/// Used to execute PACB rewritings, whose bodies range over materialized
+/// view tables.
+///
+/// Runs atom by atom on the same [`RowSet`] executor as
+/// [`RelQuery::execute`]: an atom's constants (classified once per atom)
+/// and a variable it repeats filter its table; its first already-bound
+/// variable joins it to the rows so far ([`JoinKey::Value`]: numeric cells
+/// by value, strings verbatim); further shared variables filter column
+/// against column; an atom sharing nothing is a left-major product; an
+/// empty body is the single row of head constants. A head variable is
+/// gathered from the column that first bound it, so an empty answer keeps
+/// its source columns' types (a head constant its own).
 pub fn eval_cq(
     q: &Cq,
     columns: &[String],
     catalog: &Catalog,
     tv: &TableVocab,
 ) -> Result<Table, HybridError> {
-    let mut bindings: Vec<HashMap<u32, Value>> = vec![HashMap::new()];
+    eval_cq_sorted(q, columns, catalog, tv, None)
+}
+
+/// [`eval_cq`] with the rows stably sorted ascending by the integer key of
+/// head column `sort_key`, before anything is gathered.
+fn eval_cq_sorted(
+    q: &Cq,
+    columns: &[String],
+    catalog: &Catalog,
+    tv: &TableVocab,
+    sort_key: Option<&str>,
+) -> Result<Table, HybridError> {
+    let mut rows = RowSet::unit();
+    let mut bound: HashMap<u32, ColRef> = HashMap::new();
     for atom in &q.body {
         let name = tv
             .table_of(atom.pred)
             .ok_or_else(|| HybridError::MissingTable(format!("pred#{}", atom.pred.0)))?;
         let t = catalog.get(name).ok_or_else(|| HybridError::MissingTable(name.into()))?;
 
-        // Rows surviving the constant positions, computed once per atom.
-        let consts: Vec<(usize, &str)> = atom
-            .args
-            .iter()
-            .enumerate()
-            .filter_map(|(i, term)| term.as_const().map(|c| (i, tv.vocab.const_name(c))))
-            .collect();
-        let rows_ok: Vec<usize> = (0..t.num_rows())
-            .filter(|&r| {
-                consts.iter().all(|(i, s)| const_matches(&t.column_at(*i).value(r), s))
-            })
-            .collect();
-
-        // Pivot: the first argument whose variable is already bound (every
-        // binding at this stage binds the same variable set), probed
-        // through a hash index instead of scanning all rows per binding.
-        let pivot = bindings.first().and_then(|b| {
-            atom.args.iter().enumerate().find_map(|(i, term)| match term {
-                Term::Var(v) if b.contains_key(v) => Some((i, *v)),
-                _ => None,
-            })
-        });
-        let index: Option<HashMap<String, Vec<usize>>> = pivot.map(|(i, _)| {
-            let mut idx: HashMap<String, Vec<usize>> = HashMap::new();
-            for &r in &rows_ok {
-                idx.entry(value_key(&t.column_at(i).value(r))).or_default().push(r);
-            }
-            idx
-        });
-
-        let empty: Vec<usize> = Vec::new();
-        let mut next: Vec<HashMap<u32, Value>> = Vec::new();
-        for b in &bindings {
-            let candidates: &[usize] = match (&pivot, &index) {
-                (Some((_, v)), Some(idx)) => {
-                    idx.get(&value_key(&b[v])).map_or(&empty[..], |r| r.as_slice())
+        // The atom alone: constants and a repeated variable filter its
+        // table. `vars` keeps each variable's first position, in order.
+        let mut scan = RowSet::scan(t);
+        let cell = |source: usize, column: usize| ColRef { source, column };
+        let mut vars: Vec<(u32, usize)> = Vec::new();
+        for (i, term) in atom.args.iter().enumerate() {
+            match term {
+                Term::Const(c) => {
+                    scan.filter(cell(0, i), const_pred(tv.vocab.const_name(*c)));
                 }
-                _ => &rows_ok,
-            };
-            'row: for &r in candidates {
-                let mut ext = b.clone();
-                for (i, term) in atom.args.iter().enumerate() {
-                    if let Term::Var(v) = term {
-                        let cell = t.column_at(i).value(r);
-                        match ext.get(v) {
-                            Some(bound) => {
-                                if !value_matches(bound, &cell) {
-                                    continue 'row;
-                                }
-                            }
-                            None => {
-                                ext.insert(*v, cell);
-                            }
-                        }
+                Term::Var(v) => match vars.iter().find(|(w, _)| w == v) {
+                    Some(&(_, first)) => {
+                        scan.filter_eq(cell(0, first), cell(0, i), JoinKey::Value);
                     }
-                }
-                next.push(ext);
+                    None => vars.push((*v, i)),
+                },
             }
         }
-        bindings = next;
+
+        let mut shared = vars.iter().filter_map(|(v, i)| bound.get(v).map(|c| (*c, *i)));
+        let source = match shared.next() {
+            Some((left, i)) => rows.join(left, scan, cell(0, i), JoinKey::Value),
+            None => rows.product(scan),
+        };
+        for (left, i) in shared {
+            rows.filter_eq(left, cell(source, i), JoinKey::Value);
+        }
+        for (v, i) in vars {
+            bound.entry(v).or_insert(cell(source, i));
+        }
     }
 
     // Head projection (bag semantics).
-    let rows: Vec<Vec<Value>> = bindings
+    let head: Vec<(&str, Out)> = columns
         .iter()
-        .map(|b| {
-            q.head
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => b.get(v).cloned().expect("safe head variable is bound"),
-                    Term::Const(c) => decode_const(tv.vocab.const_name(*c)),
-                })
-                .collect()
+        .zip(&q.head)
+        .map(|(name, t)| {
+            let out = match t {
+                Term::Var(v) => Out::Cell(*bound.get(v).expect("safe head variable is bound")),
+                Term::Const(c) => Out::Const(decode_const(tv.vocab.const_name(*c))),
+            };
+            (name.as_str(), out)
         })
         .collect();
-
-    // Column-major assembly: integer columns stay Int, numeric mixes widen
-    // to Float, anything with strings renders as Str.
-    let mut table = Vec::with_capacity(columns.len());
-    for (i, name) in columns.iter().enumerate() {
-        let cells: Vec<&Value> = rows.iter().map(|r| &r[i]).collect();
-        let col = if cells.iter().all(|v| matches!(v, Value::Int(_))) {
-            Column::Int(cells.iter().map(|v| v.as_i64().unwrap()).collect())
-        } else if cells.iter().all(|v| v.as_f64().is_some()) {
-            Column::Float(cells.iter().map(|v| v.as_f64().unwrap()).collect())
-        } else {
-            Column::Str(cells.iter().map(std::string::ToString::to_string).collect())
-        };
-        table.push((name.as_str(), col));
+    if let Some(key) = sort_key {
+        let at = head.iter().position(|(name, _)| *name == key);
+        let (_, out) = &head[at.ok_or_else(|| HybridError::MissingColumn(key.to_owned()))?];
+        // A constant column ties on every row: nothing to reorder.
+        if let Out::Cell(c) = out {
+            rows.sort_by_key(*c);
+        }
     }
-    Ok(Table::new(table))
+    Ok(rows.gather_as(head))
 }
 
 fn decode_const(s: &str) -> Value {
@@ -1318,12 +1298,10 @@ fn run_state(
 
     // Phase 3: execute the chosen prefix (and, under verification, the
     // original too).
-    let (table, exec_us) = hadad_obs::timed("hybrid.rel_exec", &EXEC_US, || {
-        let table = match best_rw {
-            Some(rw) => eval_cq(&rw.query, &compiled.columns, state.catalog, &tv)?,
-            None => p.prefix.execute(state.catalog)?,
-        };
-        maybe_sort(table, &p.sort_key)
+    let sort_key = p.sort_key.as_deref();
+    let (table, exec_us) = hadad_obs::timed("hybrid.rel_exec", &EXEC_US, || match best_rw {
+        Some(rw) => eval_cq_sorted(&rw.query, &compiled.columns, state.catalog, &tv, sort_key),
+        None => p.prefix.execute_sorted(state.catalog, sort_key),
     });
     let table = table?;
 
@@ -1367,7 +1345,7 @@ fn run_state(
             let rel_ok = match &rel.rewriting {
                 None => true,
                 Some(_) => {
-                    let orig = maybe_sort(p.prefix.execute(state.catalog)?, &p.sort_key)?;
+                    let orig = p.prefix.execute_sorted(state.catalog, sort_key)?;
                     let orig_mat = apply_cast(&orig, &p.cast)?;
                     approx_eq(&orig_mat, &mat, rtol)
                 }
@@ -1544,16 +1522,6 @@ fn restamp_cast_into(
     Ok(())
 }
 
-fn maybe_sort(t: Table, key: &Option<String>) -> Result<Table, HybridError> {
-    match key {
-        Some(k) => {
-            require_column(&t, k)?;
-            Ok(ops::sort_by_int(&t, k)?)
-        }
-        None => Ok(t),
-    }
-}
-
 fn apply_cast(t: &Table, kind: &CastKind) -> Result<Matrix, HybridError> {
     match kind {
         CastKind::Dense { columns } => {
@@ -1577,6 +1545,7 @@ mod tests {
     use super::*;
     use hadad_core::expr::dsl::*;
     use hadad_core::MetaCatalog;
+    use hadad_relational::{ops, Column};
 
     fn tweets() -> Table {
         // 60 tweets over 6 topics; level cycles 1..=4.

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use hadad_relational::ivm::{apply_delta, Delta, TableUpdate};
-use hadad_relational::{Catalog, IndexedTable, Table};
+use hadad_relational::{Catalog, IndexedTable, RowSet, Table};
 
 use crate::hybrid::{HybridError, RelOp, TableView};
 
@@ -114,14 +114,14 @@ impl ViewMaintainer {
         // state, and a join-free view needs none at all (nor a scan copy).
         let is_join = |op: &RelOp| matches!(op, RelOp::HashJoin { .. });
         if let Some(last) = view.def.ops.iter().rposition(is_join) {
-            let mut t = Cow::Borrowed(scan);
+            let mut rows = RowSet::scan(scan);
             for (k, op) in view.def.ops[..last].iter().enumerate() {
                 if is_join(op) {
-                    state.join_inputs.insert(k, IndexedTable::new(Table::clone(&t)));
+                    state.join_inputs.insert(k, IndexedTable::new(rows.gather()));
                 }
-                t = Cow::Owned(view.def.apply_op(&t, op, catalog)?);
+                op.apply(&mut rows, catalog)?;
             }
-            state.join_inputs.insert(last, IndexedTable::new(t.into_owned()));
+            state.join_inputs.insert(last, IndexedTable::new(rows.gather()));
         }
         self.states.insert(view.name.clone(), state);
         Ok(())

@@ -1,0 +1,516 @@
+//! Differential tests of the relational executor behind
+//! `RelQuery::execute` and `eval_cq`, against row-at-a-time oracles written
+//! here over `Table::row` / `Value`: a stage-by-stage pipeline interpreter
+//! (selection through `Value::as_i64`, nested-loop join, projection) and a
+//! binding-map CQ evaluator. `execute` must agree with the first in names,
+//! column types and row order; `eval_cq` with the second row for row — and
+//! with `execute` as a multiset wherever `compile` relates the two.
+
+use std::collections::HashMap;
+
+use hadad_chase::{Atom, Cq, Term};
+use hadad_linalg::rng::Rng64;
+use hadad_relational::ivm::{row_key, table_fingerprint};
+use hadad_relational::{Catalog, Column, Table, Value};
+use hadad_rewrite::hybrid::{eval_cq, HybridError, RelOp, RelQuery, TableVocab};
+
+// --- random tables ---------------------------------------------------------
+
+/// Small domains: duplicate keys, unmatched keys, integral and fractional
+/// floats, both zeros, `NaN`, and a string that looks like a number.
+const INTS: [i64; 5] = [0, 1, 2, 3, 7];
+const FLOATS: [f64; 7] = [0.0, -0.0, 1.0, 2.0, 2.5, f64::NAN, 7.0];
+const STRS: [&str; 4] = ["7", "a", "", "1"];
+
+fn pick<T: Copy>(rng: &mut Rng64, from: &[T]) -> T {
+    from[rng.range_usize(from.len())]
+}
+
+fn random_column(rng: &mut Rng64, ty: char, n: usize) -> Column {
+    match ty {
+        'i' => Column::Int((0..n).map(|_| pick(rng, &INTS)).collect()),
+        'f' => Column::Float((0..n).map(|_| pick(rng, &FLOATS)).collect()),
+        _ => Column::Str((0..n).map(|_| pick(rng, &STRS).to_owned()).collect()),
+    }
+}
+
+fn random_table(rng: &mut Rng64, schema: &[(&str, char)], n: usize) -> Table {
+    Table::new(schema.iter().map(|&(name, ty)| (name, random_column(rng, ty, n))).collect())
+}
+
+/// Four tables sharing column names (so joins collide and prefix), one of
+/// them several times larger than the rest (so the join's build side
+/// flips), one empty; payload column types drawn per seed.
+fn random_catalog(rng: &mut Rng64) -> Catalog {
+    let mut any = || pick(rng, &['i', 'f', 's']);
+    let (x, y, z, k) = (any(), any(), any(), any());
+    let mut catalog = Catalog::new();
+    let n = |rng: &mut Rng64, max: usize| rng.range_usize(max + 1);
+    let rows = n(rng, 10);
+    catalog.register("a", random_table(rng, &[("k", 'i'), ("x", x), ("y", y)], rows));
+    let rows = n(rng, 10);
+    catalog.register("b", random_table(rng, &[("k", 'i'), ("x", y), ("z", z)], rows));
+    let rows = 20 + n(rng, 20);
+    catalog.register("big", random_table(rng, &[("k", k), ("j", 'i'), ("w", 's')], rows));
+    catalog.register("none", random_table(rng, &[("k", 'i'), ("x", 'f'), ("w", 's')], 0));
+    catalog
+}
+
+// --- the pipeline oracle ---------------------------------------------------
+
+/// A relation as rows of `Value`s, with one empty typed column per output
+/// column so that an empty result still has a schema.
+struct Rel {
+    names: Vec<String>,
+    types: Vec<Column>,
+    rows: Vec<Vec<Value>>,
+}
+
+fn type_tag(c: &Column) -> char {
+    match c {
+        Column::Int(_) => 'i',
+        Column::Float(_) => 'f',
+        Column::Str(_) => 's',
+    }
+}
+
+fn empty_like(c: &Column) -> Column {
+    match c {
+        Column::Int(_) => Column::Int(Vec::new()),
+        Column::Float(_) => Column::Float(Vec::new()),
+        Column::Str(_) => Column::Str(Vec::new()),
+    }
+}
+
+impl Rel {
+    fn scan(t: &Table) -> Rel {
+        Rel {
+            names: t.column_names().to_vec(),
+            types: (0..t.num_cols()).map(|c| empty_like(t.column_at(c))).collect(),
+            rows: (0..t.num_rows()).map(|r| t.row(r)).collect(),
+        }
+    }
+
+    fn index(&self, name: &str) -> usize {
+        self.names.iter().position(|n| n == name).unwrap()
+    }
+
+    /// Columns of the given type tag (see [`type_tag`]), or all of them.
+    fn columns_of(&self, ty: Option<char>) -> Vec<&str> {
+        let wanted = |c: &Column| ty.map_or(true, |t| type_tag(c) == t);
+        self.names
+            .iter()
+            .zip(&self.types)
+            .filter(|(_, c)| wanted(c))
+            .map(|(n, _)| &**n)
+            .collect()
+    }
+
+    fn table(&self) -> Table {
+        let mut columns = self.types.clone();
+        for row in &self.rows {
+            for (c, v) in columns.iter_mut().zip(row) {
+                assert!(c.push(v), "oracle cell {v} does not fit its column");
+            }
+        }
+        Table::new(self.names.iter().map(String::as_str).zip(columns).collect())
+    }
+
+    /// One stage, row at a time.
+    fn apply(self, op: &RelOp, catalog: &Catalog) -> Rel {
+        match op {
+            RelOp::SelectEq { column, value } => {
+                let i = self.index(column);
+                let rows = self.rows.into_iter().filter(|r| r[i].as_i64() == Some(*value));
+                Rel { rows: rows.collect(), ..self }
+            }
+            RelOp::SelectStrEq { column, value } => {
+                let i = self.index(column);
+                let rows = self
+                    .rows
+                    .into_iter()
+                    .filter(|r| matches!(&r[i], Value::Str(s) if s == value));
+                Rel { rows: rows.collect(), ..self }
+            }
+            RelOp::Project { columns } => {
+                let idx: Vec<usize> = columns.iter().map(|c| self.index(c)).collect();
+                Rel {
+                    names: columns.clone(),
+                    types: idx.iter().map(|&i| self.types[i].clone()).collect(),
+                    rows: self
+                        .rows
+                        .iter()
+                        .map(|r| idx.iter().map(|&i| r[i].clone()).collect())
+                        .collect(),
+                }
+            }
+            RelOp::HashJoin { table, left_key, right_key } => {
+                let right = Rel::scan(catalog.get(table).unwrap());
+                let (lk, rk) = (self.index(left_key), right.index(right_key));
+                let mut out = Rel { names: self.names, types: self.types, rows: Vec::new() };
+                let kept: Vec<usize> = (0..right.names.len()).filter(|&c| c != rk).collect();
+                for &c in &kept {
+                    let mut name = right.names[c].clone();
+                    while out.names.contains(&name) {
+                        name = format!("right.{name}");
+                    }
+                    out.names.push(name);
+                    out.types.push(right.types[c].clone());
+                }
+                for l in &self.rows {
+                    for r in &right.rows {
+                        if l[lk].as_i64().is_some() && l[lk].as_i64() == r[rk].as_i64() {
+                            let mut row = l.clone();
+                            row.extend(kept.iter().map(|&c| r[c].clone()));
+                            out.rows.push(row);
+                        }
+                    }
+                }
+                out
+            }
+        }
+    }
+}
+
+/// A random pipeline of up to five stages over the catalog, together with
+/// what the oracle makes of it. `int_keyed` keeps every integer selection
+/// and join key on `Int` columns and every string selection on `Str`
+/// columns — the fragment on which the compiled CQ means the same thing.
+fn random_pipeline(rng: &mut Rng64, catalog: &Catalog, int_keyed: bool) -> (RelQuery, Rel) {
+    let tables: Vec<&str> = catalog.names().collect();
+    let start = pick(rng, &tables);
+    let mut q = RelQuery::scan(start);
+    let mut rel = Rel::scan(catalog.get(start).unwrap());
+    let (ints, strs) = if int_keyed { (Some('i'), Some('s')) } else { (None, None) };
+    for _ in 0..rng.range_usize(6) {
+        let before = q.ops.len();
+        match rng.range_usize(5) {
+            0 => {
+                if let Some(&c) = rel.columns_of(ints).get(rng.range_usize(4)) {
+                    q = q.select_eq(c, pick(rng, &INTS));
+                }
+            }
+            1 => {
+                if let Some(&c) = rel.columns_of(strs).get(rng.range_usize(4)) {
+                    q = q.select_str_eq(c, pick(rng, &STRS));
+                }
+            }
+            2 | 3 => {
+                let table = pick(rng, &tables);
+                let right = Rel::scan(catalog.get(table).unwrap());
+                let (l, r) = (rel.columns_of(ints), right.columns_of(ints));
+                if !l.is_empty() && !r.is_empty() {
+                    q = q.join(table, pick(rng, &l), pick(rng, &r));
+                }
+            }
+            _ => {
+                let mut cols = rel.columns_of(None);
+                let keep = 1 + rng.range_usize(cols.len());
+                let picked: Vec<&str> =
+                    (0..keep).map(|_| cols.swap_remove(rng.range_usize(cols.len()))).collect();
+                q = q.project(&picked);
+            }
+        }
+        if let Some(op) = q.ops.get(before) {
+            rel = rel.apply(op, catalog);
+        }
+    }
+    (q, rel)
+}
+
+/// Same names, same column types, same rows in the same order. Cells
+/// compare through `row_key` (floats bitwise), so a `NaN` equals itself.
+fn assert_identical(got: &Table, want: &Table, ctx: &str) {
+    assert_eq!(got.column_names(), want.column_names(), "{ctx}");
+    for c in 0..want.num_cols() {
+        assert_eq!(
+            std::mem::discriminant(got.column_at(c)),
+            std::mem::discriminant(want.column_at(c)),
+            "{ctx}: type of column {}",
+            want.column_names()[c]
+        );
+    }
+    let rows = |t: &Table| (0..t.num_rows()).map(|r| row_key(&t.row(r))).collect::<Vec<_>>();
+    assert_eq!(rows(got), rows(want), "{ctx}");
+}
+
+// --- the CQ oracle ---------------------------------------------------------
+
+fn unquote(s: &str) -> Option<&str> {
+    s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"'))
+}
+
+fn const_matches(cell: &Value, s: &str) -> bool {
+    if let Some(inner) = unquote(s) {
+        return matches!(cell, Value::Str(v) if v == inner);
+    }
+    if let Ok(p) = s.parse::<f64>() {
+        return cell.as_f64() == Some(p);
+    }
+    matches!(cell, Value::Str(v) if v == s)
+}
+
+fn value_matches(a: &Value, b: &Value) -> bool {
+    match (a.as_f64(), b.as_f64()) {
+        (Some(x), Some(y)) => x == y,
+        _ => a == b,
+    }
+}
+
+fn decode_const(s: &str) -> Value {
+    if let Some(inner) = unquote(s) {
+        Value::Str(inner.to_owned())
+    } else if let Ok(v) = s.parse::<i64>() {
+        Value::Int(v)
+    } else if let Ok(v) = s.parse::<f64>() {
+        Value::Float(v)
+    } else {
+        Value::Str(s.to_owned())
+    }
+}
+
+/// Bag evaluation of a CQ with one binding map per partial answer: atoms
+/// in order, table rows in order, a variable bound by its first occurrence.
+fn cq_oracle(q: &Cq, catalog: &Catalog, tv: &TableVocab) -> Vec<Vec<Value>> {
+    let mut bindings: Vec<HashMap<u32, Value>> = vec![HashMap::new()];
+    for atom in &q.body {
+        let t = catalog.get(tv.table_of(atom.pred).unwrap()).unwrap();
+        let mut next = Vec::new();
+        for b in &bindings {
+            'row: for r in 0..t.num_rows() {
+                let row = t.row(r);
+                let mut ext = b.clone();
+                for (term, cell) in atom.args.iter().zip(&row) {
+                    let ok = match term {
+                        Term::Const(c) => const_matches(cell, tv.vocab.const_name(*c)),
+                        Term::Var(v) => match ext.get(v) {
+                            Some(bound) => value_matches(bound, cell),
+                            None => ext.insert(*v, cell.clone()).is_none(),
+                        },
+                    };
+                    if !ok {
+                        continue 'row;
+                    }
+                }
+                next.push(ext);
+            }
+        }
+        bindings = next;
+    }
+    let cell = |b: &HashMap<u32, Value>, t: &Term| match t {
+        Term::Var(v) => b[v].clone(),
+        Term::Const(c) => decode_const(tv.vocab.const_name(*c)),
+    };
+    bindings.iter().map(|b| q.head.iter().map(|t| cell(b, t)).collect()).collect()
+}
+
+/// `eval_cq` returns the oracle's rows, in the oracle's order.
+fn assert_cq_matches_oracle(
+    q: &Cq,
+    columns: &[String],
+    catalog: &Catalog,
+    tv: &TableVocab,
+    ctx: &str,
+) -> Table {
+    let got = eval_cq(q, columns, catalog, tv).unwrap();
+    assert_eq!(got.column_names(), columns, "{ctx}");
+    let rows: Vec<String> = (0..got.num_rows()).map(|r| row_key(&got.row(r))).collect();
+    let want: Vec<String> = cq_oracle(q, catalog, tv).iter().map(|r| row_key(r)).collect();
+    assert_eq!(rows, want, "{ctx}");
+    got
+}
+
+// --- the tests -------------------------------------------------------------
+
+#[test]
+fn execute_is_the_row_at_a_time_pipeline() {
+    let mut joins = 0;
+    let mut stacked = 0;
+    for seed in 0..300u64 {
+        let mut rng = Rng64::new(0x5E1_EC7 + seed);
+        let catalog = random_catalog(&mut rng);
+        for case in 0..4 {
+            let (q, oracle) = random_pipeline(&mut rng, &catalog, false);
+            let ctx = format!("seed {seed} case {case}: {q:?}");
+            assert_identical(&q.execute(&catalog).unwrap(), &oracle.table(), &ctx);
+            joins += q.ops.iter().filter(|op| matches!(op, RelOp::HashJoin { .. })).count();
+            stacked += usize::from(oracle.names.iter().any(|n| n.starts_with("right.right.")));
+        }
+        // The same table joined three times: `x`, `right.x`, `right.right.x`.
+        let q = RelQuery::scan("a").join("a", "k", "k").join("a", "k", "k");
+        let oracle = q
+            .ops
+            .iter()
+            .fold(Rel::scan(catalog.get("a").unwrap()), |rel, op| rel.apply(op, &catalog));
+        assert!(oracle.names.contains(&"right.right.x".to_owned()));
+        assert_identical(
+            &q.execute(&catalog).unwrap(),
+            &oracle.table(),
+            &format!("seed {seed}"),
+        );
+    }
+    // The generator reaches what it is meant to reach.
+    assert!(joins > 300, "{joins} joins");
+    assert!(stacked > 10, "{stacked} random pipelines with a right.right. column");
+}
+
+#[test]
+fn compiled_int_keyed_pipelines_evaluate_to_the_same_bag() {
+    let mut compared = 0;
+    let mut nonempty = 0;
+    for seed in 0..300u64 {
+        let mut rng = Rng64::new(0xC0_FFEE + seed);
+        let catalog = random_catalog(&mut rng);
+        for case in 0..4 {
+            let (q, oracle) = random_pipeline(&mut rng, &catalog, true);
+            let ctx = format!("seed {seed} case {case}: {q:?}");
+            let direct = q.execute(&catalog).unwrap();
+            assert_identical(&direct, &oracle.table(), &ctx);
+            let mut tv = TableVocab::from_catalog(&catalog);
+            let compiled = match q.compile(&catalog, &mut tv) {
+                Ok(c) => c,
+                // Two different constants on one column: nothing survives.
+                Err(HybridError::Unsatisfiable(_)) => {
+                    assert_eq!(direct.num_rows(), 0, "{ctx}");
+                    continue;
+                }
+                Err(e) => panic!("{ctx}: {e}"),
+            };
+            assert_eq!(compiled.columns, direct.column_names(), "{ctx}");
+            let via_cq =
+                assert_cq_matches_oracle(&compiled.cq, &compiled.columns, &catalog, &tv, &ctx);
+            assert_eq!(table_fingerprint(&via_cq), table_fingerprint(&direct), "{ctx}");
+            compared += 1;
+            nonempty += usize::from(direct.num_rows() > 0);
+        }
+    }
+    assert!(compared > 1000 && nonempty > 300, "{compared} compared, {nonempty} non-empty");
+}
+
+fn column_type(t: &Table, name: &str) -> char {
+    type_tag(t.column(name).unwrap())
+}
+
+/// What `compile` never emits, against the binding-map oracle.
+#[test]
+fn hand_built_cqs_match_the_binding_map_evaluation() {
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "r",
+        Table::new(vec![
+            ("a", Column::Int(vec![7, 0, 2, 7, 3, 3])),
+            ("b", Column::Int(vec![7, 1, 2, 0, 3, 1])),
+        ]),
+    );
+    catalog.register(
+        "s",
+        Table::new(vec![
+            ("a", Column::Float(vec![7.0, -0.0, 2.5, f64::NAN, 3.0, 7.0])),
+            ("c", Column::Str(["x", "sym", "7", "y", "sym", ""].map(String::from).to_vec())),
+        ]),
+    );
+    let mut tv = TableVocab::from_catalog(&catalog);
+    let (r, s) = (tv.pred("r").unwrap(), tv.pred("s").unwrap());
+    let v = Term::Var;
+    let int = |tv: &mut TableVocab, n: i64| Term::Const(tv.vocab.int(n));
+    let sym = |tv: &mut TableVocab, name: &str| Term::Const(tv.vocab.constant(name));
+    let names = |n: usize| (0..n).map(|i| format!("h{i}")).collect::<Vec<_>>();
+    let run = |tv: &TableVocab, what: &str, head: Vec<Term>, body: Vec<Atom>| {
+        let q = Cq::new(head, body);
+        assert_cq_matches_oracle(&q, &names(q.head.len()), &catalog, tv, what)
+    };
+
+    // A variable repeated inside one atom.
+    let t = run(&tv, "repeated variable", vec![v(0)], vec![Atom::new(r, vec![v(0), v(0)])]);
+    assert_eq!(t.num_rows(), 3);
+
+    // Head constants of every kind, between head variables.
+    let head = vec![
+        v(0),
+        int(&mut tv, 5),
+        sym(&mut tv, "\"lit\""),
+        sym(&mut tv, "2.5"),
+        sym(&mut tv, "sym"),
+        v(1),
+    ];
+    let t = run(&tv, "head constants", head, vec![Atom::new(r, vec![v(0), v(1)])]);
+    assert_eq!(t.num_rows(), 6);
+    let types: String = names(6).iter().map(|n| column_type(&t, n)).collect();
+    assert_eq!(types, "iisfsi");
+
+    // An atom sharing no variable with what came before: a product.
+    let body = vec![Atom::new(r, vec![v(0), v(1)]), Atom::new(s, vec![v(2), v(3)])];
+    assert_eq!(run(&tv, "product", vec![v(0), v(3), v(2)], body).num_rows(), 36);
+
+    // An Int column joined to a Float column: 7 = 7.0, 0 = -0.0, 3 = 3.0,
+    // 2 ≠ 2.5, NaN joins nothing. The variable keeps its first column's type.
+    let body = vec![Atom::new(r, vec![v(0), v(1)]), Atom::new(s, vec![v(0), v(2)])];
+    let t = run(&tv, "int = float", vec![v(0), v(2)], body);
+    assert_eq!(t.num_rows(), 7);
+    assert_eq!(column_type(&t, "h0"), 'i');
+    let body = vec![Atom::new(s, vec![v(0), v(2)]), Atom::new(r, vec![v(0), v(1)])];
+    let t = run(&tv, "float = int", vec![v(0), v(2)], body);
+    assert_eq!((t.num_rows(), column_type(&t, "h0")), (7, 'f'));
+
+    // A second shared variable after the join key, and a third atom.
+    let body = vec![
+        Atom::new(r, vec![v(0), v(1)]),
+        Atom::new(r, vec![v(1), v(0)]),
+        Atom::new(s, vec![v(1), v(2)]),
+    ];
+    run(&tv, "two shared variables", vec![v(0), v(1), v(2)], body);
+
+    // Body constants: numeric against Float and Int cells, a quoted string,
+    // a bare symbol, and "7" the string against 7 the number.
+    let seven = int(&mut tv, 7);
+    let t = run(&tv, "7 on a float column", vec![v(0)], vec![Atom::new(s, vec![seven, v(0)])]);
+    assert_eq!(t.num_rows(), 2);
+    run(&tv, "7 on an int column", vec![v(0)], vec![Atom::new(r, vec![seven, v(0)])]);
+    let quoted = sym(&mut tv, "\"7\"");
+    let t = run(&tv, "\"7\"", vec![v(0), quoted], vec![Atom::new(s, vec![v(0), quoted])]);
+    assert_eq!(t.num_rows(), 1);
+    let bare = sym(&mut tv, "sym");
+    let t = run(&tv, "bare symbol", vec![v(0)], vec![Atom::new(s, vec![v(0), bare])]);
+    assert_eq!(t.num_rows(), 2);
+    let t = run(&tv, "7 is not \"7\"", vec![v(0)], vec![Atom::new(s, vec![v(0), seven])]);
+    assert_eq!(t.num_rows(), 0);
+
+    // An empty body: the single row of head constants.
+    let t = run(&tv, "empty body", vec![seven, quoted], Vec::new());
+    assert_eq!(
+        (t.num_rows(), t.value(0, "h0"), t.value(0, "h1")),
+        (1, Value::Int(7), Value::Str("7".into()))
+    );
+
+    // An empty answer is typed by its source columns, a head constant by
+    // itself — the schema `RelQuery::execute` gives the same empty answer.
+    let nine = int(&mut tv, 9);
+    let body = vec![Atom::new(r, vec![v(0), nine]), Atom::new(s, vec![v(1), v(2)])];
+    let head = vec![v(0), v(1), v(2), seven, quoted, sym(&mut tv, "2.5")];
+    let t = run(&tv, "empty answer", head, body);
+    assert_eq!(t.num_rows(), 0);
+    let types: String = names(6).iter().map(|n| column_type(&t, n)).collect();
+    assert_eq!(types, "ifsisf");
+}
+
+/// The one intended output change, on the compiled form of a pipeline: an
+/// empty answer has the columns types `execute` gives it.
+#[test]
+fn an_empty_answer_has_the_same_schema_from_both_entry_points() {
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "t",
+        Table::new(vec![
+            ("k", Column::Int(vec![1, 2])),
+            ("f", Column::Float(vec![0.5, 1.5])),
+            ("s", Column::Str(vec!["a".into(), "b".into()])),
+        ]),
+    );
+    let q = RelQuery::scan("t").select_eq("k", 3).project(&["s", "f", "k"]);
+    let direct = q.execute(&catalog).unwrap();
+    let mut tv = TableVocab::from_catalog(&catalog);
+    let compiled = q.compile(&catalog, &mut tv).unwrap();
+    let via_cq = eval_cq(&compiled.cq, &compiled.columns, &catalog, &tv).unwrap();
+    assert_eq!(via_cq.num_rows(), 0);
+    assert_identical(&via_cq, &direct, "empty answer");
+}

@@ -172,6 +172,7 @@ fn obs_dump() -> ExitCode {
         "chase.rule_firings",
         "extract.solves",
         "maintain.passes",
+        "relexec.rows_out",
         "kernel.gemm",
         "cache.hits",
         "cache.stale_refusals",
