@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use hadad_chase::homomorphism::{for_each_match, satisfiable_with};
-use hadad_chase::{Constraint, Egd, Instance, NodeId, Provenance, Term, Tgd};
+use hadad_chase::{Bindings, Constraint, Egd, Instance, NodeId, Provenance, Term, Tgd};
 
 use crate::{IssueKind, RuleIssue, Severity};
 
@@ -94,15 +94,15 @@ fn arity_inconsistent_rules(constraints: &[Constraint]) -> Vec<bool> {
 /// Canonical database of a premise: every variable frozen to its own
 /// labelled null, constants interned. Returns the instance plus the
 /// frozen variable map.
-fn freeze_premise(atoms: &[hadad_chase::Atom]) -> (Instance, HashMap<u32, NodeId>) {
+fn freeze_premise(atoms: &[hadad_chase::Atom]) -> (Instance, Bindings) {
     let mut inst = Instance::new();
-    let mut frozen: HashMap<u32, NodeId> = HashMap::new();
+    let mut frozen = Bindings::default();
     for atom in atoms {
         let args: Vec<NodeId> = atom
             .args
             .iter()
             .map(|t| match t {
-                Term::Var(v) => *frozen.entry(*v).or_insert_with(|| inst.fresh_null()),
+                Term::Var(v) => frozen.get_or_insert_with(*v, || inst.fresh_null()),
                 Term::Const(c) => inst.const_node(*c),
             })
             .collect();
@@ -112,9 +112,9 @@ fn freeze_premise(atoms: &[hadad_chase::Atom]) -> (Instance, HashMap<u32, NodeId
 }
 
 /// Resolves a term under `bindings`, interning constants into `inst`.
-fn resolve(inst: &mut Instance, bindings: &HashMap<u32, NodeId>, t: &Term) -> Option<NodeId> {
+fn resolve(inst: &mut Instance, bindings: &Bindings, t: &Term) -> Option<NodeId> {
     match t {
-        Term::Var(v) => bindings.get(v).copied(),
+        Term::Var(v) => bindings.get(*v),
         Term::Const(c) => Some(inst.const_node(*c)),
     }
 }
@@ -122,7 +122,7 @@ fn resolve(inst: &mut Instance, bindings: &HashMap<u32, NodeId>, t: &Term) -> Op
 fn tgd_subsumes(a: &Tgd, b: &Tgd) -> bool {
     let (inst, frozen) = freeze_premise(&b.premise);
     let mut found = false;
-    let mut matches: Vec<HashMap<u32, NodeId>> = Vec::new();
+    let mut matches: Vec<Bindings> = Vec::new();
     for_each_match(&inst, &a.premise, &mut |m| {
         matches.push(m.bindings.clone());
         true
@@ -134,7 +134,7 @@ fn tgd_subsumes(a: &Tgd, b: &Tgd) -> bool {
         let mut h = bindings;
         for v in a.existential_vars() {
             let null = chased.fresh_null();
-            h.insert(v, null);
+            h.set(v, null);
         }
         let mut ok = true;
         for atom in &a.conclusion {
@@ -162,7 +162,7 @@ fn tgd_subsumes(a: &Tgd, b: &Tgd) -> bool {
 
 fn egd_subsumes(a: &Egd, b: &Egd) -> bool {
     let (inst, frozen) = freeze_premise(&b.premise);
-    let mut matches: Vec<HashMap<u32, NodeId>> = Vec::new();
+    let mut matches: Vec<Bindings> = Vec::new();
     for_each_match(&inst, &a.premise, &mut |m| {
         matches.push(m.bindings.clone());
         true

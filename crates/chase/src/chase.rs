@@ -17,6 +17,16 @@
 //! naive mode re-enumerates every homomorphism each round and is kept for
 //! differential testing and as the enumeration-count baseline.
 //!
+//! Rules are *compiled* once into a [`RuleSet`] — slot count, existential
+//! variables, the symmetric-EGD test, the functional signatures the engine's
+//! own EGDs prove, shared rule names — and the engine borrows it, so
+//! nothing about a rule is recomputed per application or per run. Premise
+//! matches bind variables in a dense slot array
+//! ([`crate::homomorphism::Bindings`]); a TGD's conclusion check runs
+//! *while* its premise matches are enumerated, and only the matches whose
+//! conclusion is not yet satisfied are buffered (in one flat arena) for
+//! application. Matching and checking allocate nothing per match.
+//!
 //! Cost-based pruning (`Prune_prov`, §7.3) plugs in through the [`Pruner`]
 //! trait: a firing whose premise image already costs more than the best
 //! known rewriting never executes (Example 7.2). Note that under semi-naïve
@@ -24,13 +34,15 @@
 //! its premise facts is re-stamped; pruners whose thresholds loosen over
 //! time should run in naive mode.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::atom::Atom;
 use crate::constraint::{Constraint, Egd, Tgd};
-use crate::homomorphism::{self, Match};
-use crate::instance::{ConstClash, Instance, NodeId};
+use crate::homomorphism::{slot_count, Bindings, Match, Matcher};
+use crate::instance::{ConstClash, Fact, Instance, NodeId};
 use crate::provenance::Provenance;
+use crate::symbols::{PredId, SymId};
 use crate::term::Term;
 
 /// Budgets bounding the chase.
@@ -208,7 +220,8 @@ pub enum ChaseOutcome {
 /// Veto hook for TGD firings (cost-based pruning).
 pub trait Pruner {
     /// Return `false` to skip this firing. `rule_idx` indexes the engine's
-    /// constraint list; `m` is the premise match.
+    /// rule set; `tgd` is that rule as compiled (see [`RuleSet::compile`])
+    /// and `m` the premise match, its bindings indexed by `tgd`'s variables.
     fn allow_firing(&mut self, inst: &Instance, rule_idx: usize, tgd: &Tgd, m: &Match) -> bool;
 }
 
@@ -253,25 +266,33 @@ impl Pruner for CostPruner<'_> {
     }
 }
 
-/// Per-rule statistics from a chase run (exposed so the optimizer can report
-/// which LA properties fired, cf. the paper's per-pipeline discussions).
+/// One rule's counters in a [`ChaseStats`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RuleStats {
+    /// The rule's name, shared with the [`RuleSet`] it was compiled into.
+    pub name: Arc<str>,
+    /// Premise matches enumerated. Semi-naïve evaluation should report
+    /// dramatically fewer than naive on saturating workloads.
+    pub matches: u64,
+    /// Successful firings (always 0 for an EGD; see
+    /// [`ChaseStats::egd_merges`]).
+    pub firings: usize,
+    /// Firings vetoed by the pruner (EGDs are never offered to it).
+    pub vetoes: usize,
+}
+
+/// Statistics from a chase run (exposed so the optimizer can report which
+/// LA properties fired, cf. the paper's per-pipeline discussions).
 #[derive(Debug, Clone, Default)]
 pub struct ChaseStats {
     /// Rounds the chase ran before saturating or exhausting its budget.
     pub rounds: usize,
-    /// Successful firings per TGD, in the engine's constraint order.
-    pub tgd_firings: Vec<(String, usize)>,
+    /// Per-rule counters, in the engine's rule order.
+    pub rules: Vec<RuleStats>,
     /// Node merges performed by EGDs.
     pub egd_merges: usize,
     /// Total firings vetoed by the cost pruner.
     pub pruned_firings: usize,
-    /// Firings vetoed by the pruner, per rule (same order as the engine's
-    /// constraint list; EGDs are never offered to the pruner and stay 0).
-    pub rule_vetoes: Vec<(String, usize)>,
-    /// Premise matches enumerated per rule (same order as the engine's
-    /// constraint list). Semi-naïve evaluation should report dramatically
-    /// fewer than naive on saturating workloads.
-    pub rule_matches: Vec<(String, u64)>,
     /// Size of the delta frontier at the start of each round (round one
     /// counts every fact).
     pub round_deltas: Vec<usize>,
@@ -283,12 +304,12 @@ pub struct ChaseStats {
 impl ChaseStats {
     /// Total premise matches enumerated across all rules and rounds.
     pub fn matches_enumerated(&self) -> u64 {
-        self.rule_matches.iter().map(|(_, n)| n).sum()
+        self.rules.iter().map(|r| r.matches).sum()
     }
 
     /// Total successful TGD firings across all rules.
     pub fn firings(&self) -> u64 {
-        self.tgd_firings.iter().map(|(_, n)| *n as u64).sum()
+        self.rules.iter().map(|r| r.firings as u64).sum()
     }
 }
 
@@ -311,14 +332,6 @@ fn publish_chase_metrics(stats: &ChaseStats) {
     if stats.exhausted == Some(ExhaustedBy::Deadline) {
         DEADLINES.incr();
     }
-}
-
-/// A premise match buffered for application, flattened so the enumeration
-/// sink copies two small vectors instead of cloning a whole [`Match`]
-/// (with its `HashMap`) per match.
-struct PendingFiring {
-    bindings: Vec<(u32, NodeId)>,
-    fact_indices: Vec<usize>,
 }
 
 /// Positions a predicate is functional in, derived from the engine's own
@@ -383,21 +396,207 @@ pub fn functional_sig(egd: &Egd) -> Option<(crate::symbols::PredId, FunctionalSi
     Some((a.pred, FunctionalSig { inputs, outputs }))
 }
 
-/// The chase engine: an ordered list of constraints plus budgets.
+/// One rule of a [`RuleSet`]: the constraint plus everything the engine
+/// needs to know about it that does not depend on the instance.
 #[derive(Debug, Clone)]
-pub struct ChaseEngine {
+pub struct CompiledRule {
+    name: Arc<str>,
+    constraint: Constraint,
+    /// Slots a match of this rule needs: largest variable id in premise,
+    /// conclusion and equalities, plus one.
+    slots: usize,
+    /// A TGD's existential variables, in first-occurrence order.
+    existentials: Vec<u32>,
+    /// An EGD of the symmetric two-atom shape (see [`is_symmetric_pair`]).
+    symmetric: bool,
+}
+
+impl CompiledRule {
+    /// The rule's name.
+    pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The rule as the engine applies it — variables renumbered densely if
+    /// the registered rule's ids had gaps (see [`RuleSet::compile`]).
+    pub fn constraint(&self) -> &Constraint {
+        &self.constraint
+    }
+}
+
+/// An ordered constraint list compiled for the engine: per rule the slot
+/// count, existential variables, symmetric-EGD flag and a shared name; per
+/// predicate the [`FunctionalSig`] the set's own EGDs prove. Built once —
+/// `hadad-rewrite` builds it when it builds a catalogue prefix and shares
+/// it behind an `Arc` — and borrowed by every [`ChaseEngine`] over it.
+#[derive(Debug, Clone)]
+pub struct RuleSet {
+    rules: Vec<CompiledRule>,
+    /// Indexed by predicate id: the signature the *last* functional EGD
+    /// over that predicate proves. Conclusion atoms over such predicates
+    /// may bind existentials to existing witnesses (core-chase-style
+    /// reuse) instead of churning fresh nulls the EGDs would merge a round
+    /// later.
+    functional: Vec<Option<FunctionalSig>>,
+}
+
+impl RuleSet {
+    /// Compiles `constraints`, keeping their order (it is the firing
+    /// order). A rule whose variable ids have gaps is renumbered by first
+    /// occurrence, so that its matches fit a slot array no longer than its
+    /// variable count; dense rules — the catalogue's, view constraints',
+    /// compiled CQs' — are kept as they are.
+    pub fn compile(constraints: Vec<Constraint>) -> Self {
+        let mut functional: Vec<Option<FunctionalSig>> = Vec::new();
+        let rules = constraints
+            .into_iter()
+            .map(|c| {
+                let constraint = densify(c);
+                let (slots, existentials, symmetric) = match &constraint {
+                    Constraint::Tgd(t) => (
+                        slot_count(&t.premise).max(slot_count(&t.conclusion)),
+                        t.existential_vars(),
+                        false,
+                    ),
+                    Constraint::Egd(e) => {
+                        if let Some((pred, sig)) = functional_sig(e) {
+                            let p = pred.0 as usize;
+                            if functional.len() <= p {
+                                functional.resize(p + 1, None);
+                            }
+                            functional[p] = Some(sig);
+                        }
+                        let slots = e
+                            .equalities
+                            .iter()
+                            .flat_map(|(l, r)| [l, r])
+                            .filter_map(Term::as_var)
+                            .fold(slot_count(&e.premise), |n, v| n.max(v as usize + 1));
+                        (slots, Vec::new(), is_symmetric_pair(e))
+                    }
+                };
+                CompiledRule {
+                    name: Arc::from(constraint.name()),
+                    constraint,
+                    slots,
+                    existentials,
+                    symmetric,
+                }
+            })
+            .collect();
+        RuleSet { rules, functional }
+    }
+
+    /// The compiled rules, in firing order.
+    pub fn rules(&self) -> &[CompiledRule] {
+        &self.rules
+    }
+
+    /// Number of rules.
+    pub fn len(&self) -> usize {
+        self.rules.len()
+    }
+
+    /// True when the set has no rule.
+    pub fn is_empty(&self) -> bool {
+        self.rules.is_empty()
+    }
+
+    fn functional(&self, pred: PredId) -> Option<&FunctionalSig> {
+        self.functional.get(pred.0 as usize)?.as_ref()
+    }
+}
+
+/// Renumbers a rule's variables by first occurrence (premise, then
+/// conclusion or equalities) when their ids have gaps; a rule whose ids are
+/// already `0..n` is returned untouched.
+fn densify(c: Constraint) -> Constraint {
+    let mut vars: Vec<u32> = Vec::new();
+    let mut note = |t: &Term| match t {
+        Term::Var(v) if !vars.contains(v) => vars.push(*v),
+        _ => {}
+    };
+    match &c {
+        Constraint::Tgd(t) => {
+            t.premise.iter().chain(&t.conclusion).flat_map(|a| &a.args).for_each(&mut note);
+        }
+        Constraint::Egd(e) => {
+            e.premise.iter().flat_map(|a| &a.args).for_each(&mut note);
+            for (l, r) in &e.equalities {
+                note(l);
+                note(r);
+            }
+        }
+    }
+    // Distinct ids all below their count are exactly `0..n`.
+    if vars.iter().all(|&v| (v as usize) < vars.len()) {
+        return c;
+    }
+    let term = |t: &Term| match t {
+        Term::Var(v) => Term::Var(
+            vars.iter().position(|x| x == v).expect("every variable was collected") as u32,
+        ),
+        constant => *constant,
+    };
+    let atoms = |atoms: &[Atom]| -> Vec<Atom> {
+        atoms.iter().map(|a| Atom::new(a.pred, a.args.iter().map(term).collect())).collect()
+    };
+    match &c {
+        Constraint::Tgd(t) => {
+            Tgd::new(t.name.clone(), atoms(&t.premise), atoms(&t.conclusion)).into()
+        }
+        Constraint::Egd(e) => Egd::new(
+            e.name.clone(),
+            atoms(&e.premise),
+            e.equalities.iter().map(|(l, r)| (term(l), term(r))).collect(),
+        )
+        .into(),
+    }
+}
+
+/// The chase engine: a borrowed, compiled rule set plus budgets.
+#[derive(Debug, Clone, Copy)]
+pub struct ChaseEngine<'r> {
     /// The dependencies to saturate under, in firing order.
-    pub constraints: Vec<Constraint>,
+    pub rules: &'r RuleSet,
     /// Resource bounds ending a divergent run.
     pub budget: ChaseBudget,
     /// Naive or semi-naïve premise evaluation.
     pub mode: EvalMode,
 }
 
-impl ChaseEngine {
-    /// An engine over `constraints` with default budget and mode.
-    pub fn new(constraints: Vec<Constraint>) -> Self {
-        ChaseEngine { constraints, budget: ChaseBudget::default(), mode: EvalMode::default() }
+/// A merge an EGD match asks for: a node bound during the match, or a
+/// constant to intern at application time.
+#[derive(Debug, Clone, Copy)]
+enum MergeArg {
+    Node(NodeId),
+    Const(SymId),
+}
+
+/// Buffers one chase run reuses across rule applications, so that applying
+/// a rule allocates only for the facts it inserts.
+#[derive(Default)]
+struct RunScratch {
+    /// Enumerates premise matches.
+    premise: Matcher,
+    /// Runs conclusion checks — while `premise` is mid-enumeration, hence a
+    /// second matcher.
+    check: Matcher,
+    /// The pending match being applied (what the pruner is shown).
+    firing: Match,
+    /// Flat arena of pending TGD matches: binding slots at a stride of the
+    /// rule's slot count ...
+    pending_slots: Vec<NodeId>,
+    /// ... and premise fact indices at a stride of `premise.len()`.
+    pending_facts: Vec<usize>,
+    /// Merge requests of the EGD being applied.
+    merges: Vec<(MergeArg, MergeArg)>,
+}
+
+impl<'r> ChaseEngine<'r> {
+    /// An engine over `rules` with default budget and mode.
+    pub fn new(rules: &'r RuleSet) -> Self {
+        ChaseEngine { rules, budget: ChaseBudget::default(), mode: EvalMode::default() }
     }
 
     /// Replaces the budget.
@@ -423,7 +622,7 @@ impl ChaseEngine {
     /// `hadad-obs` metrics registry (`chase.rounds`, `chase.rule_firings`,
     /// `chase.rule_vetoes`, `chase.egd_merges`, `chase.matches`,
     /// `chase.deadline_expiries`) and executes under a `"chase"` tracing
-    /// span — the per-rule vectors in the returned stats stay the
+    /// span — the per-rule counters in the returned stats stay the
     /// fine-grained record.
     pub fn chase_with(
         &self,
@@ -441,27 +640,23 @@ impl ChaseEngine {
         inst: &mut Instance,
         pruner: &mut dyn Pruner,
     ) -> (ChaseOutcome, ChaseStats) {
+        let rules = self.rules.rules();
         let mut stats = ChaseStats {
-            tgd_firings: self.constraints.iter().map(|c| (c.name().to_owned(), 0)).collect(),
-            rule_matches: self.constraints.iter().map(|c| (c.name().to_owned(), 0)).collect(),
-            rule_vetoes: self.constraints.iter().map(|c| (c.name().to_owned(), 0)).collect(),
+            rules: rules
+                .iter()
+                .map(|r| RuleStats {
+                    name: Arc::clone(&r.name),
+                    matches: 0,
+                    firings: 0,
+                    vetoes: 0,
+                })
+                .collect(),
             ..Default::default()
         };
-        // Predicates the engine's own EGDs prove functional: conclusion
-        // atoms over them may bind existentials to existing witnesses
-        // (core-chase-style reuse) instead of churning fresh nulls the
-        // EGDs would merge a round later.
-        let functional: HashMap<crate::symbols::PredId, FunctionalSig> = self
-            .constraints
-            .iter()
-            .filter_map(|c| match c {
-                Constraint::Egd(e) => functional_sig(e),
-                Constraint::Tgd(_) => None,
-            })
-            .collect();
+        let mut scratch = RunScratch::default();
         // Per-rule clock watermark: facts stamped after it are this rule's
         // delta. Zero means "everything is new" (the naive first round).
-        let mut last_seen: Vec<u64> = vec![0; self.constraints.len()];
+        let mut last_seen: Vec<u64> = vec![0; rules.len()];
         let mut prev_round_clock = 0u64;
         for _round in 0..self.budget.max_rounds {
             if self.budget.deadline_passed() {
@@ -476,7 +671,7 @@ impl ChaseEngine {
             stats.round_deltas.push(inst.delta_size(prev_round_clock));
             prev_round_clock = inst.clock();
             let mut changed = false;
-            for (ci, c) in self.constraints.iter().enumerate() {
+            for (ci, rule) in rules.iter().enumerate() {
                 let watermark = match self.mode {
                     EvalMode::Naive => 0,
                     EvalMode::SemiNaive => last_seen[ci],
@@ -484,14 +679,10 @@ impl ChaseEngine {
                 // Snapshot before enumeration: facts this rule creates (or
                 // EGD re-stamps) during application stay in its next delta.
                 let snapshot = inst.clock();
-                match c {
+                let rule_stats = &mut stats.rules[ci];
+                match &rule.constraint {
                     Constraint::Egd(egd) => {
-                        match self.apply_egd(
-                            inst,
-                            egd,
-                            watermark,
-                            &mut stats.rule_matches[ci].1,
-                        ) {
+                        match apply_egd(inst, rule, egd, watermark, &mut scratch, rule_stats) {
                             Ok(merges) => {
                                 if merges > 0 {
                                     stats.egd_merges += merges;
@@ -502,19 +693,18 @@ impl ChaseEngine {
                         }
                     }
                     Constraint::Tgd(tgd) => {
-                        let (fired, pruned, over_budget) = self.apply_tgd(
+                        let firings_before = rule_stats.firings;
+                        let vetoes_before = rule_stats.vetoes;
+                        let over_budget = self.apply_tgd(
                             inst,
-                            ci,
-                            tgd,
+                            (ci, rule, tgd),
                             pruner,
                             watermark,
-                            &functional,
-                            &mut stats.rule_matches[ci].1,
+                            &mut scratch,
+                            rule_stats,
                         );
-                        stats.tgd_firings[ci].1 += fired;
-                        stats.pruned_firings += pruned;
-                        stats.rule_vetoes[ci].1 += pruned;
-                        if fired > 0 {
+                        stats.pruned_firings += rule_stats.vetoes - vetoes_before;
+                        if rule_stats.firings > firings_before {
                             changed = true;
                         }
                         if let Some(by) = over_budget {
@@ -541,124 +731,68 @@ impl ChaseEngine {
         (ChaseOutcome::BudgetExhausted, stats)
     }
 
-    /// Applies one EGD over its delta; returns the number of merges, or the
-    /// clashing constants. Merge requests stream out of the enumeration
-    /// sink (no match materialization) and apply afterwards.
-    fn apply_egd(
-        &self,
-        inst: &mut Instance,
-        egd: &Egd,
-        watermark: u64,
-        matches_seen: &mut u64,
-    ) -> Result<usize, ConstClash> {
-        // A merge target is either a node bound during the match or a
-        // constant to intern at application time.
-        enum MergeArg {
-            Node(NodeId),
-            Const(crate::symbols::SymId),
-        }
-        let resolve = |bindings: &HashMap<u32, NodeId>, t: &Term| match t {
-            Term::Var(v) => bindings.get(v).copied().map(MergeArg::Node),
-            Term::Const(c) => Some(MergeArg::Const(*c)),
-        };
-        let mut merges: Vec<(MergeArg, MergeArg)> = Vec::new();
-        let mut collect = |m: &Match| {
-            *matches_seen += 1;
-            for (l, r) in &egd.equalities {
-                if let (Some(ln), Some(rn)) = (resolve(&m.bindings, l), resolve(&m.bindings, r))
-                {
-                    merges.push((ln, rn));
-                }
-            }
-            true
-        };
-        if is_symmetric_pair(egd) {
-            homomorphism::for_each_match_since_symmetric(
-                inst,
-                &egd.premise,
-                watermark,
-                &mut collect,
-            );
-        } else {
-            homomorphism::for_each_match_since(inst, &egd.premise, watermark, &mut collect);
-        }
-        if merges.is_empty() {
-            return Ok(0);
-        }
-        let mut count = 0;
-        for (a, b) in merges {
-            let a = match a {
-                MergeArg::Node(n) => n,
-                MergeArg::Const(c) => inst.const_node(c),
-            };
-            let b = match b {
-                MergeArg::Node(n) => n,
-                MergeArg::Const(c) => inst.const_node(c),
-            };
-            if inst.find(a) != inst.find(b) {
-                inst.merge(a, b)?;
-                count += 1;
-            }
-        }
-        if count > 0 {
-            inst.rehash();
-        }
-        Ok(count)
-    }
-
     /// Applies one TGD (restricted semantics, with core-chase-style
-    /// existential reuse through `functional` predicates) over its delta.
-    /// Returns `(firings, pruned, over_budget)`.
-    #[allow(clippy::too_many_arguments)]
+    /// existential reuse through functional predicates) over its delta,
+    /// counting matches, firings and vetoes into `stats`. Returns the bound
+    /// that tripped, if one did.
     fn apply_tgd(
         &self,
         inst: &mut Instance,
-        rule_idx: usize,
-        tgd: &Tgd,
+        (rule_idx, rule, tgd): (usize, &CompiledRule, &Tgd),
         pruner: &mut dyn Pruner,
         watermark: u64,
-        functional: &HashMap<crate::symbols::PredId, FunctionalSig>,
-        matches_seen: &mut u64,
-    ) -> (usize, usize, Option<ExhaustedBy>) {
-        let existentials = tgd.existential_vars();
-        // Phase 1: stream premise matches into a flat buffer (immutable
-        // borrow; the sink copies bindings + fact indices, not Matches).
-        let mut pending: Vec<PendingFiring> = Vec::new();
-        homomorphism::for_each_match_since(inst, &tgd.premise, watermark, &mut |m| {
-            *matches_seen += 1;
-            pending.push(PendingFiring {
-                bindings: m.bindings.iter().map(|(&v, &n)| (v, n)).collect(),
-                fact_indices: m.fact_indices.clone(),
-            });
+        scratch: &mut RunScratch,
+        stats: &mut RuleStats,
+    ) -> Option<ExhaustedBy> {
+        let RunScratch { premise, check, firing, pending_slots, pending_facts, .. } = scratch;
+        let slots = rule.slots;
+        let arity = tgd.premise.len();
+        // Phase 1: enumerate premise matches against the still-immutable
+        // instance and run the restricted-chase check on each right away.
+        // Applying a TGD only appends facts and never merges, so a
+        // conclusion satisfied now stays satisfied for the whole
+        // application: such a match (most of them) is dropped without
+        // being buffered. Survivors go into the flat pending arena.
+        pending_slots.clear();
+        pending_facts.clear();
+        let mut pending = 0usize;
+        premise.for_each_match_since(inst, &tgd.premise, slots, watermark, &mut |m| {
+            stats.matches += 1;
+            if !check.satisfiable(inst, &tgd.conclusion, slots, &m.bindings) {
+                pending_slots.extend_from_slice(m.bindings.slots());
+                pending_facts.extend_from_slice(&m.fact_indices);
+                pending += 1;
+            }
             true
         });
-        let mut fired = 0usize;
-        let mut pruned = 0usize;
 
         // Phase 2: re-check satisfiability against the instance as it grows
-        // (restricted chase), consult the pruner, and apply. Fact indices
-        // stay valid throughout: TGD application only appends facts.
-        // The deadline is re-checked every `DEADLINE_STRIDE` firings so a
-        // rule with a huge pending buffer can't blow past it by a round.
+        // (an earlier firing of this application may have satisfied a later
+        // pending match), consult the pruner, and apply. Fact indices stay
+        // valid throughout: TGD application only appends facts.
+        // The deadline is re-checked every `DEADLINE_STRIDE` pending matches
+        // so a rule with a huge pending buffer can't blow past it by a round.
         const DEADLINE_STRIDE: usize = 64;
-        for (fi, firing) in pending.into_iter().enumerate() {
+        firing.bindings.reset(slots);
+        for fi in 0..pending {
             if fi % DEADLINE_STRIDE == 0 && self.budget.deadline_passed() {
-                return (fired, pruned, Some(ExhaustedBy::Deadline));
+                return Some(ExhaustedBy::Deadline);
             }
-            let relevant: HashMap<u32, NodeId> = firing.bindings.iter().copied().collect();
-            if homomorphism::satisfiable_with(inst, &tgd.conclusion, &relevant) {
+            firing.bindings.load(&pending_slots[fi * slots..(fi + 1) * slots]);
+            firing.fact_indices.clear();
+            firing.fact_indices.extend_from_slice(&pending_facts[fi * arity..(fi + 1) * arity]);
+            if check.satisfiable(inst, &tgd.conclusion, slots, &firing.bindings) {
                 continue;
             }
-            let m = Match { bindings: relevant, fact_indices: firing.fact_indices };
-            if !pruner.allow_firing(inst, rule_idx, tgd, &m) {
-                pruned += 1;
+            if !pruner.allow_firing(inst, rule_idx, tgd, firing) {
+                stats.vetoes += 1;
                 continue;
             }
             // Provenance of new facts: conjunction of the premise image.
             let premise_provs: Vec<&Provenance> =
-                m.fact_indices.iter().map(|&fi| &inst.fact(fi).prov).collect();
+                firing.fact_indices.iter().map(|&fi| &inst.fact(fi).prov).collect();
             let prov = Provenance::and_all(&premise_provs);
-            let mut bindings = m.bindings;
+            let bindings = &mut firing.bindings;
             // Existential reuse: a conclusion atom over a functional
             // predicate whose input positions are fully bound determines
             // its outputs semantically — if a witnessing fact exists, bind
@@ -669,94 +803,146 @@ impl ChaseEngine {
             loop {
                 let mut progressed = false;
                 for atom in &tgd.conclusion {
-                    let Some(sig) = functional.get(&atom.pred) else {
+                    let Some(sig) = self.rules.functional(atom.pred) else {
                         continue;
                     };
-                    let unbound: Vec<(usize, u32)> = sig
-                        .outputs
-                        .iter()
-                        .filter_map(|&p| match atom.args[p] {
-                            Term::Var(v) if !bindings.contains_key(&v) => Some((p, v)),
-                            _ => None,
-                        })
-                        .collect();
-                    if unbound.is_empty() {
+                    let unbound =
+                        |t: Term| t.as_var().is_some_and(|v| bindings.get(v).is_none());
+                    if !sig.outputs.iter().any(|&p| unbound(atom.args[p])) {
                         continue;
                     }
-                    let input_nodes: Option<Vec<(usize, NodeId)>> = sig
-                        .inputs
-                        .iter()
-                        .map(|&p| match atom.args[p] {
-                            Term::Var(v) => bindings.get(&v).map(|&n| (p, n)),
-                            Term::Const(c) => inst.node_of_const(c).map(|n| (p, n)),
-                        })
-                        .collect();
-                    let Some(input_nodes) = input_nodes else {
+                    let Some(witness) = find_witness(inst, atom, sig, bindings) else {
                         continue;
                     };
-                    if let Some(fact) = find_witness(inst, atom.pred, &input_nodes) {
-                        for &(p, v) in &unbound {
-                            bindings.insert(v, fact[p]);
+                    // Last position first, binding only what is unbound: a
+                    // variable repeated across output positions ends up with
+                    // its last position's node.
+                    for &p in sig.outputs.iter().rev() {
+                        match atom.args[p] {
+                            Term::Var(v) if bindings.get(v).is_none() => {
+                                bindings.set(v, inst.find(witness.args[p]));
+                            }
+                            _ => {}
                         }
-                        progressed = true;
                     }
+                    progressed = true;
                 }
                 if !progressed {
                     break;
                 }
             }
-            for &ev in &existentials {
-                bindings.entry(ev).or_insert_with(|| inst.fresh_null());
+            for &ev in &rule.existentials {
+                bindings.get_or_insert_with(ev, || inst.fresh_null());
             }
             for atom in &tgd.conclusion {
                 let args: Vec<NodeId> = atom
                     .args
                     .iter()
                     .map(|t| match t {
-                        Term::Var(v) => *bindings.get(v).expect("conclusion var bound"),
+                        Term::Var(v) => bindings.get(*v).expect("conclusion var bound"),
                         Term::Const(c) => inst.const_node(*c),
                     })
                     .collect();
                 inst.insert(atom.pred, args, prov.clone(), Some(rule_idx));
             }
-            fired += 1;
+            stats.firings += 1;
             if inst.num_facts() > self.budget.max_facts {
-                return (fired, pruned, Some(ExhaustedBy::Facts));
+                return Some(ExhaustedBy::Facts);
             }
             if inst.num_nulls() > self.budget.max_nulls {
-                return (fired, pruned, Some(ExhaustedBy::Nulls));
+                return Some(ExhaustedBy::Nulls);
             }
         }
-        (fired, pruned, None)
+        None
     }
 }
 
-/// Canonical args of a fact over `pred` agreeing with `input_nodes` at the
-/// given positions, if one exists — the witness an existential reuse binds
-/// to. Probes the positional index through the first input position (the
-/// instance is canonical during TGD application); a predicate functional
-/// in *all* positions has at most one semantically distinct fact, so the
-/// first is taken.
-fn find_witness(
-    inst: &Instance,
-    pred: crate::symbols::PredId,
-    input_nodes: &[(usize, NodeId)],
-) -> Option<Vec<NodeId>> {
-    let matches_inputs =
-        |args: &[NodeId]| input_nodes.iter().all(|&(p, n)| inst.find(args[p]) == inst.find(n));
-    let scan = |idxs: &[usize]| {
-        idxs.iter()
-            .map(|&i| inst.fact(i))
-            .find(|f| matches_inputs(&f.args))
-            .map(|f| f.args.iter().map(|&a| inst.find(a)).collect())
+/// Applies one EGD over its delta; returns the number of merges, or the
+/// clashing constants. Merge requests stream out of the enumeration sink
+/// (no match materialization) and apply afterwards.
+fn apply_egd(
+    inst: &mut Instance,
+    rule: &CompiledRule,
+    egd: &Egd,
+    watermark: u64,
+    scratch: &mut RunScratch,
+    stats: &mut RuleStats,
+) -> Result<usize, ConstClash> {
+    let RunScratch { premise, merges, .. } = scratch;
+    let resolve = |bindings: &Bindings, t: &Term| match t {
+        Term::Var(v) => bindings.get(*v).map(MergeArg::Node),
+        Term::Const(c) => Some(MergeArg::Const(*c)),
     };
-    match input_nodes.first() {
-        Some(&(p, n)) => match inst.facts_with_pred_arg(pred, p as u32, inst.find(n)) {
-            Some(idxs) => scan(idxs),
-            None => scan(inst.facts_with_pred(pred)),
-        },
-        None => scan(inst.facts_with_pred(pred)),
+    merges.clear();
+    let mut collect = |m: &Match| {
+        stats.matches += 1;
+        for (l, r) in &egd.equalities {
+            if let (Some(ln), Some(rn)) = (resolve(&m.bindings, l), resolve(&m.bindings, r)) {
+                merges.push((ln, rn));
+            }
+        }
+        true
+    };
+    if rule.symmetric {
+        premise.for_each_match_since_symmetric(
+            inst,
+            &egd.premise,
+            rule.slots,
+            watermark,
+            &mut collect,
+        );
+    } else {
+        premise.for_each_match_since(inst, &egd.premise, rule.slots, watermark, &mut collect);
     }
+    let mut count = 0;
+    for &(a, b) in merges.iter() {
+        let mut node = |arg| match arg {
+            MergeArg::Node(n) => n,
+            MergeArg::Const(c) => inst.const_node(c),
+        };
+        let (a, b) = (node(a), node(b));
+        if inst.find(a) != inst.find(b) {
+            inst.merge(a, b)?;
+            count += 1;
+        }
+    }
+    if count > 0 {
+        inst.rehash();
+    }
+    Ok(count)
+}
+
+/// A fact over `atom`'s predicate agreeing with the nodes `bindings` (or
+/// the instance's constants) give the `sig.inputs` positions of `atom`, if
+/// those are all bound and such a fact exists — the witness an existential
+/// reuse binds to. Probes the positional index through the first input
+/// position (the instance is canonical during TGD application); a
+/// predicate functional in *all* positions has at most one semantically
+/// distinct fact, so the first is taken.
+fn find_witness<'a>(
+    inst: &'a Instance,
+    atom: &Atom,
+    sig: &FunctionalSig,
+    bindings: &Bindings,
+) -> Option<&'a Fact> {
+    let input = |p: usize| match atom.args[p] {
+        Term::Var(v) => bindings.get(v),
+        Term::Const(c) => inst.node_of_const(c),
+    };
+    if sig.inputs.iter().any(|&p| input(p).is_none()) {
+        return None;
+    }
+    let agrees = |f: &&Fact| {
+        sig.inputs
+            .iter()
+            .all(|&p| input(p).is_some_and(|n| inst.find(f.args[p]) == inst.find(n)))
+    };
+    let indexed = sig
+        .inputs
+        .first()
+        .and_then(|&p| inst.facts_with_pred_arg(atom.pred, p as u32, inst.find(input(p)?)));
+    let candidates = indexed.unwrap_or_else(|| inst.facts_with_pred(atom.pred));
+    candidates.iter().map(|&i| inst.fact(i)).find(agrees)
 }
 
 /// True for the `Egd::functional` shape: two atoms over the same predicate
@@ -834,7 +1020,8 @@ mod tests {
         inst.insert(review, vec![p, r1, t1], Provenance::empty(), None);
         inst.insert(review, vec![p, r2, t2], Provenance::empty(), None);
 
-        let engine = ChaseEngine::new(vec![tgd.into(), egd.into()]);
+        let rules = RuleSet::compile(vec![tgd.into(), egd.into()]);
+        let engine = ChaseEngine::new(&rules);
         let (outcome, stats) = engine.chase(&mut inst);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         // Tracks merged by the EGD.
@@ -858,7 +1045,8 @@ mod tests {
         let mut inst = Instance::new();
         let a = inst.const_node(vocab.constant("a"));
         inst.insert(p, vec![a], Provenance::empty(), None);
-        let engine = ChaseEngine::new(vec![tgd.into()]);
+        let rules = RuleSet::compile(vec![tgd.into()]);
+        let engine = ChaseEngine::new(&rules);
         let (outcome, _) = engine.chase(&mut inst);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(inst.facts_with_pred(q).len(), 1);
@@ -879,7 +1067,8 @@ mod tests {
         let a = inst.const_node(vocab.constant("a"));
         let b = inst.const_node(vocab.constant("b"));
         inst.insert(e, vec![a, b], Provenance::empty(), None);
-        let engine = ChaseEngine::new(vec![tgd.into()]).with_budget(ChaseBudget {
+        let rules = RuleSet::compile(vec![tgd.into()]);
+        let engine = ChaseEngine::new(&rules).with_budget(ChaseBudget {
             max_rounds: 3,
             max_facts: 1000,
             max_nulls: 1000,
@@ -910,7 +1099,8 @@ mod tests {
         let mut inst = Instance::new();
         let a = inst.const_node(vocab.constant("a"));
         inst.insert(p, vec![a], Provenance::empty(), None);
-        let engine = ChaseEngine::new(vec![tgd.into()]);
+        let rules = RuleSet::compile(vec![tgd.into()]);
+        let engine = ChaseEngine::new(&rules);
         let (outcome, stats) = engine.chase_with(&mut inst, &mut VetoAll);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(inst.facts_with_pred(q).len(), 0);
@@ -940,7 +1130,8 @@ mod tests {
             inst.insert(p, vec![a], Provenance::empty(), None);
             inst
         };
-        let engine = ChaseEngine::new(vec![tgd.into()]);
+        let rules = RuleSet::compile(vec![tgd.into()]);
+        let engine = ChaseEngine::new(&rules);
 
         // Threshold below the firing cost: vetoed, counted per rule.
         let oracle = FactCountOracle(10.0);
@@ -949,7 +1140,10 @@ mod tests {
         let (_, stats) = engine.chase_with(&mut inst, &mut pruner);
         assert_eq!(inst.facts_with_pred(q).len(), 0);
         assert_eq!(stats.pruned_firings, 1);
-        assert_eq!(stats.rule_vetoes, vec![("p-q".to_owned(), 1)]);
+        assert_eq!(
+            stats.rules,
+            vec![RuleStats { name: "p-q".into(), matches: 1, firings: 0, vetoes: 1 }]
+        );
 
         // Threshold above: fires.
         let mut inst = build(&mut vocab);
@@ -970,7 +1164,8 @@ mod tests {
         let o2 = inst.fresh_null();
         inst.insert(f, vec![x, o1], Provenance::empty(), None);
         inst.insert(f, vec![x, o2], Provenance::empty(), None);
-        let engine = ChaseEngine::new(vec![egd.into()]);
+        let rules = RuleSet::compile(vec![egd.into()]);
+        let engine = ChaseEngine::new(&rules);
         let (outcome, _) = engine.chase(&mut inst);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(inst.find(o1), inst.find(o2));
@@ -990,7 +1185,8 @@ mod tests {
         let n2 = inst.const_node(two);
         inst.insert(f, vec![x, n1], Provenance::empty(), None);
         inst.insert(f, vec![x, n2], Provenance::empty(), None);
-        let engine = ChaseEngine::new(vec![egd.into()]);
+        let rules = RuleSet::compile(vec![egd.into()]);
+        let engine = ChaseEngine::new(&rules);
         let (outcome, _) = engine.chase(&mut inst);
         match outcome {
             ChaseOutcome::ConstClash(clash) => {
@@ -1048,7 +1244,8 @@ mod tests {
         // EGD ordered first so its first (naive) round sees only f(a,a);
         // the TGD then adds f(a,n) and the EGD's delta round must pair the
         // old f(a,a) with the new f(a,n) to merge a = n.
-        let engine = ChaseEngine::new(vec![egd.into(), tgd.into()]);
+        let rules = RuleSet::compile(vec![egd.into(), tgd.into()]);
+        let engine = ChaseEngine::new(&rules);
         let (outcome, stats) = engine.chase(&mut inst);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert!(stats.egd_merges >= 1, "old⋈new merge missed: {stats:?}");
@@ -1092,8 +1289,9 @@ mod tests {
         };
         let mut naive_inst = build();
         let mut semi_inst = build();
-        let naive = ChaseEngine::new(rules.clone()).with_mode(EvalMode::Naive);
-        let semi = ChaseEngine::new(rules);
+        let rules = RuleSet::compile(rules);
+        let naive = ChaseEngine::new(&rules).with_mode(EvalMode::Naive);
+        let semi = ChaseEngine::new(&rules);
         let (o1, s1) = naive.chase(&mut naive_inst);
         let (o2, s2) = semi.chase(&mut semi_inst);
         assert_eq!(o1, ChaseOutcome::Saturated);
@@ -1107,5 +1305,120 @@ mod tests {
             s1.matches_enumerated()
         );
         assert_eq!(s2.round_deltas[0], 5, "round one sees all base facts");
+    }
+
+    /// Pruner that allows every firing and counts how many it was offered.
+    struct CountOffers(usize);
+
+    impl Pruner for CountOffers {
+        fn allow_firing(&mut self, _: &Instance, _: usize, _: &Tgd, _: &Match) -> bool {
+            self.0 += 1;
+            true
+        }
+    }
+
+    /// Streamed check ≡ buffered check, case 1: two matches pend (neither
+    /// conclusion holds while enumerating); the first firing satisfies the
+    /// second's conclusion, and the phase-2 re-check must still drop it.
+    #[test]
+    fn pending_match_satisfied_by_an_earlier_firing_is_dropped() {
+        let mut vocab = Vocabulary::new();
+        let p = vocab.predicate("P", 2);
+        let q = vocab.predicate("Q", 2);
+        // P(x, y) → ∃z Q(x, z)
+        let tgd = Tgd::new(
+            "p-q",
+            vec![Atom::new(p, vec![Term::Var(0), Term::Var(1)])],
+            vec![Atom::new(q, vec![Term::Var(0), Term::Var(2)])],
+        );
+        let mut inst = Instance::new();
+        let a = inst.const_node(vocab.constant("a"));
+        let b = inst.const_node(vocab.constant("b"));
+        let c = inst.const_node(vocab.constant("c"));
+        inst.insert(p, vec![a, b], Provenance::empty(), None);
+        inst.insert(p, vec![a, c], Provenance::empty(), None);
+        let rules = RuleSet::compile(vec![tgd.into()]);
+        let mut offers = CountOffers(0);
+        let (outcome, stats) = ChaseEngine::new(&rules).chase_with(&mut inst, &mut offers);
+        assert_eq!(outcome, ChaseOutcome::Saturated);
+        assert_eq!(stats.rules[0].matches, 2, "round two's delta holds no P fact");
+        assert_eq!(stats.rules[0].firings, 1, "the second pending match was re-checked");
+        assert_eq!(offers.0, 1, "and dropped before the pruner saw it");
+        assert_eq!(inst.num_facts(), 3);
+        assert_eq!(inst.num_nulls(), 1);
+    }
+
+    /// Case 2: a conclusion that holds before enumeration starts is dropped
+    /// in the sink — counted as a match, never offered, never fired.
+    #[test]
+    fn match_whose_conclusion_already_holds_never_pends() {
+        let mut vocab = Vocabulary::new();
+        let p = vocab.predicate("P", 1);
+        let q = vocab.predicate("Q", 1);
+        let tgd = Tgd::new(
+            "p-q",
+            vec![Atom::new(p, vec![Term::Var(0)])],
+            vec![Atom::new(q, vec![Term::Var(0)])],
+        );
+        let mut inst = Instance::new();
+        let a = inst.const_node(vocab.constant("a"));
+        let b = inst.const_node(vocab.constant("b"));
+        inst.insert(p, vec![a], Provenance::empty(), None);
+        inst.insert(p, vec![b], Provenance::empty(), None);
+        inst.insert(q, vec![a], Provenance::empty(), None);
+        let rules = RuleSet::compile(vec![tgd.into()]);
+        let mut offers = CountOffers(0);
+        let (outcome, stats) = ChaseEngine::new(&rules).chase_with(&mut inst, &mut offers);
+        assert_eq!(outcome, ChaseOutcome::Saturated);
+        assert_eq!(stats.rules[0].matches, 2);
+        assert_eq!(stats.rules[0].firings, 1, "only P(b) lacks its Q");
+        assert_eq!(offers.0, 1);
+        assert_eq!(inst.num_facts(), 4);
+        assert_eq!(stats.firings(), 1);
+        assert_eq!(stats.matches_enumerated(), 2);
+    }
+
+    #[test]
+    fn compile_renumbers_sparse_rules_and_keeps_dense_ones() {
+        let mut vocab = Vocabulary::new();
+        let p = vocab.predicate("P", 2);
+        let q = vocab.predicate("Q", 2);
+        // P(?7, ?900) → ∃?40 Q(?900, ?40): ids with gaps.
+        let sparse = Tgd::new(
+            "sparse",
+            vec![Atom::new(p, vec![Term::Var(7), Term::Var(900)])],
+            vec![Atom::new(q, vec![Term::Var(900), Term::Var(40)])],
+        );
+        let dense = Egd::functional("q-func", q, 2);
+        let rules = RuleSet::compile(vec![sparse.into(), dense.clone().into()]);
+        assert_eq!(rules.len(), 2);
+        let Constraint::Tgd(t) = rules.rules()[0].constraint() else {
+            panic!("kind is kept");
+        };
+        assert_eq!(t.premise[0].args, vec![Term::Var(0), Term::Var(1)]);
+        assert_eq!(t.conclusion[0].args, vec![Term::Var(1), Term::Var(2)]);
+        assert_eq!(rules.rules()[0].slots, 3);
+        assert_eq!(rules.rules()[0].existentials, vec![2]);
+        assert_eq!(rules.rules()[0].name(), "sparse");
+        assert_eq!(rules.rules()[1].constraint(), &Constraint::Egd(dense));
+        assert_eq!(rules.rules()[1].slots, 3, "?0, ?1 and the equated ?2");
+        assert!(rules.rules()[1].symmetric);
+        assert_eq!(
+            rules.functional(q),
+            Some(&FunctionalSig { inputs: vec![0], outputs: vec![1] })
+        );
+        assert_eq!(rules.functional(p), None);
+
+        // The renumbered rule chases like the original.
+        let mut inst = Instance::new();
+        let a = inst.const_node(vocab.constant("a"));
+        let b = inst.const_node(vocab.constant("b"));
+        inst.insert(p, vec![a, b], Provenance::empty(), None);
+        let (outcome, stats) = ChaseEngine::new(&rules).chase(&mut inst);
+        assert_eq!(outcome, ChaseOutcome::Saturated);
+        assert_eq!(stats.rules[0].firings, 1);
+        let derived = inst.fact(inst.facts_with_pred(q)[0]);
+        assert_eq!(inst.find(derived.args[0]), inst.find(b));
+        assert_eq!(inst.const_of(derived.args[1]), None, "a fresh null for the existential");
     }
 }

@@ -10,6 +10,7 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::atom::Atom;
 use crate::provenance::Provenance;
@@ -39,6 +40,77 @@ pub struct Fact {
     pub stamp: u64,
 }
 
+/// Multiply-rotate hasher for the instance's maps. Every key is made of
+/// ids the instance or its vocabulary handed out itself (`PredId`, `SymId`,
+/// `NodeId`, argument positions) — small dense integers nobody adversarial
+/// chooses — so the maps trade SipHash's collision resistance, which
+/// protects nothing here, for a few cycles per probe. Deliberately *not*
+/// DoS-resistant: never key it with values from outside the program.
+#[derive(Debug, Default, Clone, Copy)]
+struct IdHasher(u64);
+
+impl IdHasher {
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.mix(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.mix(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.mix(n);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// End of a `same_key` chain.
+const NO_FACT: u32 = u32::MAX;
+
+/// Hash of a fact's identity — predicate plus argument nodes as given
+/// (callers pass canonical ones) — the key of [`Instance::index`].
+fn fact_key(pred: PredId, args: &[NodeId]) -> u64 {
+    let mut h = IdHasher::default();
+    h.mix(u64::from(pred.0));
+    for a in args {
+        h.mix(u64::from(a.0));
+    }
+    h.0
+}
+
+/// The fact carrying exactly `(pred, args)` among those whose key hashes
+/// collide, walking their `same_key` chain from `head`.
+fn in_chain(
+    facts: &[Fact],
+    same_key: &[u32],
+    head: u32,
+    pred: PredId,
+    args: &[NodeId],
+) -> Option<usize> {
+    let mut next = head;
+    while next != NO_FACT {
+        let f = &facts[next as usize];
+        if f.pred == pred && f.args == args {
+            return Some(next as usize);
+        }
+        next = same_key[next as usize];
+    }
+    None
+}
+
 /// Canonical database: facts over union-find nodes.
 #[derive(Debug, Clone)]
 pub struct Instance {
@@ -46,16 +118,24 @@ pub struct Instance {
     rank: Vec<u8>,
     /// Constant symbol attached to a (root) node, if any.
     const_of: Vec<Option<SymId>>,
-    node_of_const: HashMap<SymId, NodeId>,
+    node_of_const: IdMap<SymId, NodeId>,
     facts: Vec<Fact>,
-    /// Canonical (pred, canonical args) -> fact index, for dedup.
-    index: HashMap<(PredId, Vec<NodeId>), usize>,
-    /// Per-predicate fact indices (not canonicalized; consult `find`).
-    by_pred: HashMap<PredId, Vec<usize>>,
-    /// (pred, arg position, canonical node) -> fact indices. Seeds
-    /// homomorphism search with only the facts that can match a bound
-    /// argument; valid only while `canonical` holds.
-    pos_index: HashMap<(PredId, u32, NodeId), Vec<usize>>,
+    /// Dedup index: [`fact_key`] of (pred, canonical args) -> the newest
+    /// fact with that key hash. Facts whose hashes collide are chained
+    /// through `same_key`, and a probe compares predicate and args along
+    /// the chain, so no argument vector is stored (or cloned) as a key.
+    index: IdMap<u64, u32>,
+    /// Per fact: the next-older fact with the same key hash, or `NO_FACT`.
+    same_key: Vec<u32>,
+    /// Per-predicate fact indices, sorted by stamp (args are canonical at
+    /// last rehash; consult `find`). Indexed by predicate id.
+    by_pred: Vec<Vec<usize>>,
+    /// (pred, arg position, canonical node) -> fact indices, ascending.
+    /// Seeds homomorphism search with only the facts that can match a
+    /// bound argument; valid only while `canonical` holds. `rehash` empties
+    /// the lists but keeps them (and their keys) allocated, so an absent
+    /// key and an empty list mean the same thing.
+    pos_index: IdMap<(PredId, u32, NodeId), Vec<usize>>,
     /// Monotonic revision clock feeding fact stamps.
     clock: u64,
     /// False between a `merge` and the next `rehash`: positional-index
@@ -101,11 +181,12 @@ impl Default for Instance {
             parent: Vec::new(),
             rank: Vec::new(),
             const_of: Vec::new(),
-            node_of_const: HashMap::new(),
+            node_of_const: IdMap::default(),
             facts: Vec::new(),
-            index: HashMap::new(),
-            by_pred: HashMap::new(),
-            pos_index: HashMap::new(),
+            index: IdMap::default(),
+            same_key: Vec::new(),
+            by_pred: Vec::new(),
+            pos_index: IdMap::default(),
             clock: 0,
             canonical: true,
             const_dirty: Vec::new(),
@@ -149,7 +230,12 @@ impl Instance {
         self.nulls
     }
 
-    /// Union-find root with path halving.
+    /// Union-find root. Read-only, so it walks the parent chain without
+    /// compressing it. The chains stay short without that: [`Self::merge`]
+    /// halves the paths it walks (`find_compress`) and [`Self::rehash`]
+    /// leaves every fact argument a root — over the benchmark's LA corpus,
+    /// 12-factor chains included, a call takes 0.02 hops on average and
+    /// never more than one.
     pub fn find(&self, n: NodeId) -> NodeId {
         let mut x = n.0 as usize;
         while self.parent[x] as usize != x {
@@ -211,58 +297,90 @@ impl Instance {
     /// duplicates are coalesced; their provenance formulas are OR-ed (either
     /// derivation justifies the fact, cf. PACB's provenance semantics).
     pub fn rehash(&mut self) {
-        let roots: Vec<Vec<NodeId>> =
-            self.facts.iter().map(|f| f.args.iter().map(|&a| self.find(a)).collect()).collect();
-        let dirty_roots: HashSet<NodeId> =
-            std::mem::take(&mut self.const_dirty).iter().map(|&n| self.find(n)).collect();
-        self.index.clear();
-        let mut keep: Vec<bool> = vec![true; self.facts.len()];
-        for (i, canon) in roots.iter().enumerate() {
-            let key = (self.facts[i].pred, canon.clone());
-            match self.index.entry(key) {
-                Entry::Vacant(e) => {
-                    e.insert(i);
-                }
-                Entry::Occupied(e) => {
-                    let first = *e.get();
-                    let prov = self.facts[i].prov.clone();
-                    self.facts[first].prov.or_with(&prov);
-                    keep[i] = false;
-                }
-            }
+        let mut dirty_roots: Vec<NodeId> = std::mem::take(&mut self.const_dirty);
+        for n in &mut dirty_roots {
+            *n = self.find(*n);
         }
-        // Compact: drop duplicate facts, rewrite args to canonical roots.
-        // A fact whose canonical args changed (or whose classes gained a
-        // constant) is re-stamped: it can participate in matches that did
-        // not exist before the merge, so semi-naïve rules must revisit it.
-        let mut new_facts = Vec::with_capacity(self.facts.len());
-        for (i, mut f) in std::mem::take(&mut self.facts).into_iter().enumerate() {
-            if keep[i] {
-                if f.args != roots[i] || roots[i].iter().any(|a| dirty_roots.contains(a)) {
-                    self.clock += 1;
-                    f.stamp = self.clock;
-                }
-                f.args = roots[i].clone();
-                new_facts.push(f);
-            }
-        }
-        self.facts = new_facts;
         self.index.clear();
-        self.by_pred.clear();
-        self.pos_index.clear();
-        for (i, f) in self.facts.iter().enumerate() {
-            self.index.insert((f.pred, f.args.clone()), i);
-            self.by_pred.entry(f.pred).or_default().push(i);
-            for (p, &a) in f.args.iter().enumerate() {
-                self.pos_index.entry((f.pred, p as u32, a)).or_default().push(i);
+        self.same_key.clear();
+        for list in &mut self.by_pred {
+            list.clear();
+        }
+        for list in self.pos_index.values_mut() {
+            list.clear();
+        }
+        // One pass, in fact order: rewrite args to canonical roots in place,
+        // drop a fact whose canonical form an earlier fact already has
+        // (OR-ing its provenance into that one), and re-stamp a kept fact
+        // whose canonical args changed (or whose classes gained a
+        // constant): it can participate in matches that did not exist
+        // before the merge, so semi-naïve rules must revisit it.
+        let old = std::mem::take(&mut self.facts);
+        self.facts.reserve(old.len());
+        for mut f in old {
+            let mut rewritten = false;
+            for a in &mut f.args {
+                let root = self.find(*a);
+                rewritten |= root != *a;
+                *a = root;
+            }
+            match self.dedup(f.pred, &f.args) {
+                Some(first) => self.facts[first].prov.or_with(&f.prov),
+                None => {
+                    if rewritten || f.args.iter().any(|a| dirty_roots.contains(a)) {
+                        self.clock += 1;
+                        f.stamp = self.clock;
+                    }
+                    self.push_indexed(f);
+                }
             }
         }
         // Restore the stamp-sorted invariant (re-stamping scrambles it):
         // delta slices are then suffix lookups, not full scans.
-        for list in self.by_pred.values_mut() {
+        for list in &mut self.by_pred {
             list.sort_by_key(|&i| self.facts[i].stamp);
         }
         self.canonical = true;
+    }
+
+    /// One probe of the dedup index: the existing fact with these
+    /// (canonical) args, or `None` after entering the *next* fact index
+    /// under their key — the caller must then [`Self::push_indexed`] the
+    /// fact.
+    fn dedup(&mut self, pred: PredId, args: &[NodeId]) -> Option<usize> {
+        let new = u32::try_from(self.facts.len()).expect("fact count fits the dedup chain");
+        debug_assert_eq!(self.same_key.len(), self.facts.len());
+        let older = match self.index.entry(fact_key(pred, args)) {
+            Entry::Occupied(mut e) => {
+                let head = *e.get();
+                if let Some(i) = in_chain(&self.facts, &self.same_key, head, pred, args) {
+                    return Some(i);
+                }
+                e.insert(new);
+                head
+            }
+            Entry::Vacant(e) => {
+                e.insert(new);
+                NO_FACT
+            }
+        };
+        self.same_key.push(older);
+        None
+    }
+
+    /// Appends a fact [`Self::dedup`] just made room for, entering it into
+    /// the per-predicate and positional indexes.
+    fn push_indexed(&mut self, f: Fact) {
+        let i = self.facts.len();
+        let p = f.pred.0 as usize;
+        if self.by_pred.len() <= p {
+            self.by_pred.resize_with(p + 1, Vec::new);
+        }
+        self.by_pred[p].push(i);
+        for (pos, &a) in f.args.iter().enumerate() {
+            self.pos_index.entry((f.pred, pos as u32, a)).or_default().push(i);
+        }
+        self.facts.push(f);
     }
 
     /// Inserts a fact (args canonicalized). Returns `(fact index, inserted)`;
@@ -270,24 +388,20 @@ impl Instance {
     pub fn insert(
         &mut self,
         pred: PredId,
-        args: Vec<NodeId>,
+        mut args: Vec<NodeId>,
         prov: Provenance,
         rule: Option<usize>,
     ) -> (usize, bool) {
-        let canon: Vec<NodeId> = args.iter().map(|&a| self.find(a)).collect();
-        if let Some(&i) = self.index.get(&(pred, canon.clone())) {
+        for a in &mut args {
+            *a = self.find(*a);
+        }
+        if let Some(i) = self.dedup(pred, &args) {
             self.facts[i].prov.or_with(&prov);
             return (i, false);
         }
-        let i = self.facts.len();
-        self.index.insert((pred, canon.clone()), i);
-        self.by_pred.entry(pred).or_default().push(i);
-        for (p, &a) in canon.iter().enumerate() {
-            self.pos_index.entry((pred, p as u32, a)).or_default().push(i);
-        }
         self.clock += 1;
-        self.facts.push(Fact { pred, args: canon, prov, rule, stamp: self.clock });
-        (i, true)
+        self.push_indexed(Fact { pred, args, prov, rule, stamp: self.clock });
+        (self.facts.len() - 1, true)
     }
 
     /// Inserts a ground atom whose terms must all be constants. A variable
@@ -309,7 +423,9 @@ impl Instance {
         Ok(self.insert(atom.pred, args, prov, None).0)
     }
 
-    /// All facts, in insertion order (including merged-away duplicates).
+    /// All facts, in insertion order. After a [`Self::rehash`] duplicates
+    /// that merges created are gone: each was coalesced into the earliest
+    /// fact with the same canonical args.
     pub fn facts(&self) -> &[Fact] {
         &self.facts
     }
@@ -326,7 +442,7 @@ impl Instance {
 
     /// Indices of facts with the given predicate, sorted by stamp.
     pub fn facts_with_pred(&self, pred: PredId) -> &[usize] {
-        self.by_pred.get(&pred).map_or(&[], |v| v.as_slice())
+        self.by_pred.get(pred.0 as usize).map_or(&[], |v| v.as_slice())
     }
 
     /// Suffix of [`Self::facts_with_pred`] with stamps above `watermark`
@@ -388,7 +504,8 @@ impl Instance {
     /// True when the instance contains a fact with these canonical args.
     pub fn contains(&self, pred: PredId, args: &[NodeId]) -> bool {
         let canon: Vec<NodeId> = args.iter().map(|&a| self.find(a)).collect();
-        self.index.contains_key(&(pred, canon))
+        let head = self.index.get(&fact_key(pred, &canon)).copied().unwrap_or(NO_FACT);
+        in_chain(&self.facts, &self.same_key, head, pred, &canon).is_some()
     }
 
     /// Renders all facts for debugging.

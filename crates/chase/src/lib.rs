@@ -15,8 +15,9 @@
 //! * [`Tgd`] / [`Egd`]: tuple- and equality-generating dependencies.
 //! * [`Instance`]: a canonical database whose elements live in a union-find
 //!   (labelled nulls + constants), supporting homomorphism enumeration.
-//! * [`chase::ChaseEngine`]: bounded restricted chase with cost-pruning
-//!   hooks (the paper's `Prune_prov`, §7.3).
+//! * [`chase::RuleSet`]: a constraint list compiled once for the engine;
+//!   [`chase::ChaseEngine`]: bounded restricted chase over a borrowed rule
+//!   set, with cost-pruning hooks (the paper's `Prune_prov`, §7.3).
 //! * [`pacb::Pacb`]: view-based reformulation via Chase & Backchase with
 //!   provenance formulas (paper §4.2, Example 4.1).
 
@@ -34,12 +35,12 @@ pub mod term;
 pub use atom::Atom;
 pub use chase::{
     degradation_of, functional_sig, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats,
-    CostOracle, CostPruner, DegradeReason, Degraded, EvalMode, ExhaustedBy, FunctionalSig,
-    NoPrune, Pruner, RewritePhase,
+    CompiledRule, CostOracle, CostPruner, DegradeReason, Degraded, EvalMode, ExhaustedBy,
+    FunctionalSig, NoPrune, Pruner, RewritePhase, RuleSet, RuleStats,
 };
 pub use constraint::{Constraint, Egd, Tgd};
 pub use cq::Cq;
-pub use homomorphism::Match;
+pub use homomorphism::{Bindings, Match};
 pub use instance::{ConstClash, Instance, NodeId, NonGroundAtom};
 pub use pacb::{CostFn, Pacb, PacbOptions, PacbResult, Rewriting, View};
 pub use provenance::Provenance;

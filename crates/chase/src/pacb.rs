@@ -20,11 +20,11 @@ use std::collections::HashMap;
 use crate::atom::Atom;
 use crate::chase::{
     degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, CostOracle, CostPruner,
-    Degraded, RewritePhase,
+    Degraded, RewritePhase, RuleSet,
 };
 use crate::constraint::{Constraint, Tgd};
 use crate::cq::Cq;
-use crate::homomorphism::{self, Match};
+use crate::homomorphism::{self, Bindings, Match};
 use crate::instance::{Instance, NodeId};
 use crate::provenance::{Provenance, MAX_PROV_TERMS};
 use crate::symbols::PredId;
@@ -176,32 +176,23 @@ impl<'a> Pacb<'a> {
     pub fn rewrite(&self, q: &Cq) -> PacbResult {
         // Phase (i): canonical instance of Q, chased with I ∪ C_IO.
         let mut inst = Instance::new();
-        let mut var_node: HashMap<u32, NodeId> = HashMap::new();
+        let mut var_node = Bindings::default();
+        let mut node_of = |inst: &mut Instance, t: &Term| match t {
+            Term::Var(v) => var_node.get_or_insert_with(*v, || inst.fresh_null()),
+            Term::Const(c) => inst.const_node(*c),
+        };
         for atom in &q.body {
-            let args: Vec<NodeId> = atom
-                .args
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => *var_node.entry(*v).or_insert_with(|| inst.fresh_null()),
-                    Term::Const(c) => inst.const_node(*c),
-                })
-                .collect();
+            let args: Vec<NodeId> = atom.args.iter().map(|t| node_of(&mut inst, t)).collect();
             inst.insert(atom.pred, args, Provenance::empty(), None);
         }
-        let head_nodes: Vec<NodeId> = q
-            .head
-            .iter()
-            .map(|t| match t {
-                Term::Var(v) => *var_node.entry(*v).or_insert_with(|| inst.fresh_null()),
-                Term::Const(c) => inst.const_node(*c),
-            })
-            .collect();
+        let head_nodes: Vec<NodeId> = q.head.iter().map(|t| node_of(&mut inst, t)).collect();
 
         let mut io_constraints: Vec<Constraint> = self.constraints.to_vec();
         for v in self.views {
             io_constraints.push(v.io_constraint().into());
         }
-        let engine = ChaseEngine::new(io_constraints).with_budget(self.options.budget);
+        let io_rules = RuleSet::compile(io_constraints);
+        let engine = ChaseEngine::new(&io_rules).with_budget(self.options.budget);
         let (chase_outcome, chase_stats) = {
             let _span = hadad_obs::span("pacb.chase");
             engine.chase(&mut inst)
@@ -244,7 +235,8 @@ impl<'a> Pacb<'a> {
         for v in self.views {
             oi_constraints.push(v.oi_constraint().into());
         }
-        let back_engine = ChaseEngine::new(oi_constraints).with_budget(self.options.budget);
+        let oi_rules = RuleSet::compile(oi_constraints);
+        let back_engine = ChaseEngine::new(&oi_rules).with_budget(self.options.budget);
         let (backchase_outcome, backchase_stats) = {
             let _span = hadad_obs::span("pacb.backchase");
             match (self.options.prune_threshold, self.cost_fn) {
@@ -267,7 +259,7 @@ impl<'a> Pacb<'a> {
             let compatible = q.head.iter().zip(&head_in_u).all(|(t, hu)| match hu {
                 Some(hu) => {
                     let image = match t {
-                        Term::Var(v) => m.bindings.get(v).map(|n| u.find(*n)),
+                        Term::Var(v) => m.bindings.get(*v).map(|n| u.find(n)),
                         Term::Const(c) => u.node_of_const(*c).map(|n| u.find(n)),
                     };
                     image == Some(u.find(*hu))

@@ -762,7 +762,7 @@ mod tests {
     use crate::expr::dsl::*;
     use crate::extract::{Extractor, TreeSizeCost};
     use crate::stats::{MatrixMeta, MetaCatalog, TypeFlags};
-    use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome};
+    use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, RuleSet};
 
     fn chase_of(
         e: &crate::expr::Expr,
@@ -771,7 +771,8 @@ mod tests {
         let mut vrem = Vrem::new();
         let enc = Encoder::new(&mut vrem, cat).encode(e).unwrap();
         let catalogue = Catalogue::standard(&mut vrem);
-        let engine = ChaseEngine::new(catalogue.constraints).with_budget(ChaseBudget {
+        let rules = RuleSet::compile(catalogue.constraints);
+        let engine = ChaseEngine::new(&rules).with_budget(ChaseBudget {
             max_rounds: 8,
             max_facts: 20_000,
             max_nulls: 10_000,
@@ -873,7 +874,8 @@ mod tests {
         let dup = inst.fresh_null();
         let sn = inst.const_node(sym);
         inst.insert(vrem.name, vec![dup, sn], hadad_chase::Provenance::empty(), None);
-        let engine = ChaseEngine::new(Catalogue::standard(&mut vrem).constraints);
+        let rules = RuleSet::compile(Catalogue::standard(&mut vrem).constraints);
+        let engine = ChaseEngine::new(&rules);
         let (outcome, _) = engine.chase(&mut inst);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(inst.find(dup), inst.find(enc.root));
@@ -894,7 +896,8 @@ mod tests {
         catalogue.constraints.extend(
             Catalogue::la_view_constraints(&mut vrem, &cat, "W", &mul(m("A"), m("B"))).unwrap(),
         );
-        let engine = ChaseEngine::new(catalogue.constraints);
+        let rules = RuleSet::compile(catalogue.constraints);
+        let engine = ChaseEngine::new(&rules);
         let mut inst = enc.instance;
         engine.chase(&mut inst);
         let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
@@ -923,7 +926,8 @@ mod tests {
         catalogue.constraints.extend(
             Catalogue::la_view_constraints(&mut vrem, &cat, "W", &mul(m("A"), m("B"))).unwrap(),
         );
-        let engine = ChaseEngine::new(catalogue.constraints);
+        let rules = RuleSet::compile(catalogue.constraints);
+        let engine = ChaseEngine::new(&rules);
         let mut inst = enc.instance;
         let (outcome, _) = engine.chase(&mut inst);
         assert_eq!(outcome, ChaseOutcome::Saturated);

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use hadad_chase::{
     degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, Constraint,
-    DegradeReason, Degraded, RewritePhase,
+    DegradeReason, Degraded, RewritePhase, RuleSet,
 };
 use hadad_core::fingerprint::{canonicalize, leaf_bands, rename_leaves};
 use hadad_core::{
@@ -267,12 +267,13 @@ pub struct Optimizer {
 }
 
 /// One memoized catalogue prefix: the [`Vrem`] the constraints were
-/// interned into and the constraints themselves, both cloned per call so
-/// the per-call encoding builds on a consistent schema.
+/// interned into — cloned per call, since each call's encoding interns
+/// into it — and the compiled rule set, which every call's chase engine
+/// borrows through the shared `Arc`.
 struct ConstraintMemo {
     key: u64,
     vrem: Vrem,
-    constraints: Vec<Constraint>,
+    rules: Arc<RuleSet>,
 }
 
 impl Optimizer {
@@ -480,20 +481,21 @@ impl Optimizer {
 
     /// The memoized catalogue prefix: standard MMC rules, view
     /// constraints, and registered-generator output, all interned into one
-    /// fresh [`Vrem`]. Rebuilt only when its inputs change (catalog
-    /// entries, views, generators, cache epoch); otherwise the memoized
-    /// schema and constraints are cloned — generator re-runs and their
-    /// `hadad-analyze` certification stay off the per-rewrite hot path.
+    /// fresh [`Vrem`] and compiled into one [`RuleSet`]. Rebuilt only when
+    /// its inputs change (views, generators, the metadata of the leaves
+    /// view definitions mention); otherwise the memoized schema is cloned
+    /// and the rule set shared — generator re-runs, rule compilation and
+    /// constraint copies stay off the per-rewrite hot path.
     fn catalogue_prefix(
         &self,
         cat: &MetaCatalog,
-    ) -> Result<(Vrem, Vec<Constraint>), RewriteError> {
+    ) -> Result<(Vrem, Arc<RuleSet>), RewriteError> {
         let key = self.prefix_key(cat);
         {
             let memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(m) = memo.as_ref() {
                 if m.key == key {
-                    return Ok((m.vrem.clone(), m.constraints.clone()));
+                    return Ok((m.vrem.clone(), Arc::clone(&m.rules)));
                 }
             }
         }
@@ -509,27 +511,28 @@ impl Optimizer {
         for gen in &self.extra_constraints {
             catalogue.constraints.extend(gen(&mut vrem));
         }
-        let constraints = catalogue.constraints;
+        let rules = Arc::new(RuleSet::compile(catalogue.constraints));
         let mut memo = self.memo.lock().unwrap_or_else(PoisonError::into_inner);
-        *memo =
-            Some(ConstraintMemo { key, vrem: vrem.clone(), constraints: constraints.clone() });
-        Ok((vrem, constraints))
+        *memo = Some(ConstraintMemo { key, vrem: vrem.clone(), rules: Arc::clone(&rules) });
+        Ok((vrem, rules))
     }
 
-    /// Hash of everything [`Optimizer::catalogue_prefix`] reads: catalog
-    /// shapes, views, generator identities, and the catalog epoch.
+    /// Hash of everything [`Optimizer::catalogue_prefix`] reads. The
+    /// standard catalogue and the generators read nothing from `cat`; a
+    /// view's constraints read the shape and density of the leaves its
+    /// definition mentions (`expr_stats` over the definition) and nothing
+    /// else — so that is all of `cat` the key covers, and a catalog entry
+    /// no view is defined over (a per-pipeline cast, say) can change
+    /// freely without rebuilding the prefix.
     fn prefix_key(&self, cat: &MetaCatalog) -> u64 {
         let mut h = DefaultHasher::new();
-        self.cache_epoch.hash(&mut h);
-        for name in cat.names() {
-            if let Some(m) = cat.get(name) {
-                name.hash(&mut h);
-                m.rows.hash(&mut h);
-                m.cols.hash(&mut h);
-                m.nnz.hash(&mut h);
+        hash_views_and_gens(&self.views, &self.extra_constraints, &mut h);
+        for v in &self.views {
+            for leaf in v.def.base_matrices() {
+                leaf.hash(&mut h);
+                cat.get(leaf).map(|m| (m.rows, m.cols, m.nnz)).hash(&mut h);
             }
         }
-        hash_views_and_gens(&self.views, &self.extra_constraints, &mut h);
         h.finish()
     }
 
@@ -597,7 +600,7 @@ impl Optimizer {
             }
         }
 
-        let (mut vrem, constraints) = self.catalogue_prefix(&cat)?;
+        let (mut vrem, rules) = self.catalogue_prefix(&cat)?;
         let (encoded, encode_us) = hadad_obs::timed("rewrite.encode", &M_ENCODE_US, || {
             Encoder::new(&mut vrem, &cat).encode(e)
         });
@@ -607,7 +610,7 @@ impl Optimizer {
             Some(timeout) => self.budget.with_deadline(timeout),
             None => self.budget,
         };
-        let engine = ChaseEngine::new(constraints).with_budget(budget);
+        let engine = ChaseEngine::new(&rules).with_budget(budget);
         let mut inst = encoded.instance;
         // Phase supervision: a panic inside the chase (a bug, or an injected
         // fault) is contained here. The partially saturated instance is still
@@ -981,5 +984,57 @@ mod tests {
         let opt = Optimizer::new(cat);
         let ranked = opt.rewrite(&m("A")).unwrap();
         assert_eq!(ranked.best().expr, m("A"));
+    }
+
+    /// The catalogue-prefix memo is keyed on what the prefix reads — views,
+    /// generators, and the metadata of the leaves view definitions mention
+    /// — not on every catalog entry.
+    #[test]
+    fn prefix_memo_is_keyed_on_what_the_prefix_reads() {
+        let mut cat = MetaCatalog::new();
+        cat.register("X", MatrixMeta::dense(200, 8));
+        cat.register("Z", MatrixMeta::dense(5, 5));
+        let mut opt = Optimizer::new(cat);
+        opt.register_la_view("G", mul(t(m("X")), m("X"))).unwrap();
+        let prefix = |opt: &Optimizer| {
+            opt.catalogue_prefix(&opt.effective_cat().unwrap()).expect("prefix builds")
+        };
+        // The `size(root, r, c)` atom `V_IO:G` concludes, as constant names.
+        let view_size = |vrem: &Vrem, rules: &RuleSet| -> Vec<String> {
+            let rule = rules.rules().iter().find(|r| r.name() == "V_IO:G").expect("view rule");
+            let Constraint::Tgd(tgd) = rule.constraint() else { panic!("V_IO is a TGD") };
+            let size = tgd.conclusion.iter().find(|a| a.pred == vrem.size).expect("size atom");
+            size.args[1..]
+                .iter()
+                .map(|t| vrem.vocab.const_name(t.as_const().expect("constant")).to_owned())
+                .collect()
+        };
+
+        let (vrem, first) = prefix(&opt);
+        assert_eq!(view_size(&vrem, &first), ["8", "8"]);
+        assert!(Arc::ptr_eq(&first, &prefix(&opt).1), "same inputs: a hit shares the set");
+
+        // An entry no view is defined over (a per-pipeline cast, say).
+        opt.cat.register("Z", MatrixMeta::sparse(5, 5, 3));
+        opt.cat.register("cast_17", MatrixMeta::sparse(1000, 3, 40));
+        opt.set_cache_epoch(7);
+        assert!(Arc::ptr_eq(&first, &prefix(&opt).1), "unrelated metadata must not miss");
+
+        // A view leaf's density, then its shape.
+        opt.cat.register("X", MatrixMeta::sparse(200, 8, 100));
+        let (_, sparser) = prefix(&opt);
+        assert!(!Arc::ptr_eq(&first, &sparser), "a view leaf's nnz is read");
+        opt.cat.register("X", MatrixMeta::dense(200, 6));
+        let (vrem, reshaped) = prefix(&opt);
+        assert!(!Arc::ptr_eq(&sparser, &reshaped), "a view leaf's shape is read");
+        assert_eq!(view_size(&vrem, &reshaped), ["6", "6"], "rebuilt with the new size");
+
+        // Registering a view or a generator.
+        opt.register_la_view("H", mul(m("X"), t(m("X")))).unwrap();
+        let (_, with_view) = prefix(&opt);
+        assert!(!Arc::ptr_eq(&reshaped, &with_view));
+        assert_eq!(with_view.len(), reshaped.len() + 2, "V_IO:H and V_OI:H");
+        opt.register_constraints(|_| Vec::new()).unwrap();
+        assert!(!Arc::ptr_eq(&with_view, &prefix(&opt).1));
     }
 }

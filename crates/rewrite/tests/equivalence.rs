@@ -10,7 +10,9 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
-use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, EvalMode, Instance, NodeId};
+use hadad_chase::{
+    ChaseBudget, ChaseEngine, ChaseOutcome, EvalMode, Instance, NodeId, RuleSet,
+};
 use hadad_core::expr::dsl::*;
 use hadad_core::{
     expr_stats, BackendProfile, Catalogue, Encoder, Expr, Extractor, MatrixMeta, MetaCatalog,
@@ -94,10 +96,9 @@ fn chase_both(e: &Expr, cat: &MetaCatalog, budget: ChaseBudget) -> ChasePair {
     let mut vrem = Vrem::new();
     let enc = Encoder::new(&mut vrem, cat).encode(e).expect("generator emits valid shapes");
     let catalogue = Catalogue::standard(&mut vrem);
-    let naive_engine = ChaseEngine::new(catalogue.constraints.clone())
-        .with_budget(budget)
-        .with_mode(EvalMode::Naive);
-    let semi_engine = ChaseEngine::new(catalogue.constraints).with_budget(budget);
+    let rules = RuleSet::compile(catalogue.constraints);
+    let naive_engine = ChaseEngine::new(&rules).with_budget(budget).with_mode(EvalMode::Naive);
+    let semi_engine = ChaseEngine::new(&rules).with_budget(budget);
     assert_eq!(semi_engine.mode, EvalMode::SemiNaive, "semi-naïve is the default");
     let mut naive_inst = enc.instance.clone();
     let mut semi_inst = enc.instance;
