@@ -338,7 +338,7 @@ fn publish_chase_metrics(stats: &ChaseStats) {
 /// EGDs: `inputs` are the agreeing positions of the two-atom premise,
 /// `outputs` the equated ones. Existence of such an EGD proves that the
 /// outputs are semantically determined by the inputs, which is what makes
-/// conclusion-atom *reuse* sound (see [`ChaseEngine::apply_tgd`]). Public
+/// conclusion-atom *reuse* sound (see `ChaseEngine::apply_tgd`). Public
 /// so static analysis (`hadad-analyze`) can certify which TGD existentials
 /// the engine will bind by reuse rather than mint as fresh nulls.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -13,7 +13,7 @@
 //! conjunction's variables are small integers known before the search
 //! starts, so binding is an indexed store, unbinding pops an undo trail,
 //! and the search hashes and allocates nothing per candidate fact or per
-//! match. All buffers of an enumeration live in a [`Matcher`] the chase
+//! match. All buffers of an enumeration live in a `Matcher` the chase
 //! engine keeps for a whole run; the free functions below build one per
 //! call.
 

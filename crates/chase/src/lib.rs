@@ -1,6 +1,6 @@
 //! Relational constraint framework: conjunctive queries, integrity
 //! constraints (TGDs / EGDs), the (bounded, restricted) chase, and the
-//! Provenance-Aware Chase & Backchase (PACB) of Ileana et al. [32], the
+//! Provenance-Aware Chase & Backchase (PACB) of Ileana et al. \[32\], the
 //! rewriting engine HADAD builds on (paper §4–§5).
 //!
 //! The crate is domain-agnostic: `hadad-core` instantiates it with the VREM

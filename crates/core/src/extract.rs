@@ -45,7 +45,7 @@ pub enum ENode {
 /// Pluggable cost for the extraction DP. Implementations see operator
 /// kinds and per-class [`ClassStats`] (shape + estimated density), so
 /// `hadad-core` stays decoupled from any particular estimator;
-/// `hadad-rewrite` supplies one built on the shared `op_cost` table.
+/// `hadad-rewrite` supplies one built on the shared `op_cost_with` table.
 /// Densities come from the chased instance's `density` facts (catalogued
 /// leaves, view roots, shape-preserving propagation) and default to dense
 /// for chase-created classes without facts — a deterministic,
@@ -101,93 +101,10 @@ pub struct Extractor<'a> {
     best: HashMap<NodeId, (f64, usize)>,
 }
 
-/// Class count above which the cost relaxation switches from sequential
-/// Gauss-Seidel sweeps to parallel Jacobi passes. Small instances (the
-/// common per-expression case) stay on the sequential path, which needs no
-/// thread setup and converges in fewer passes.
-const PARALLEL_CLASS_THRESHOLD: usize = 768;
-
-/// E-node count of a root class from which [`Extractor::candidates`]
-/// shards the per-derivation builds across worker threads.
-const PARALLEL_BUILD_THRESHOLD: usize = 16;
-
-/// Workers for the parallel paths: physical parallelism, capped so a large
-/// host does not drown small workloads in spawn overhead.
-pub fn worker_count() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(8)
-}
-
-/// Order-preserving parallel map over `std::thread::scope`, the one
-/// fan-out shape every parallel path here (and plan ranking in
-/// `hadad-rewrite`) shares. Falls back to a plain sequential map below
-/// `min_len` items or without real parallelism.
-///
-/// Workers run under `catch_unwind` supervision: a panicking worker loses
-/// only its own chunk, which is retried sequentially on the calling
-/// thread. Only if the retry panics too (a deterministic bug, not a
-/// transient worker failure) does the panic propagate to the caller —
-/// where the rewrite pipeline's phase-level supervision turns it into a
-/// degraded result instead of a crash.
-pub fn par_map<'i, T, R>(
-    items: &'i [T],
-    min_len: usize,
-    f: impl Fn(&'i T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    par_map_with(items, min_len, worker_count(), f)
-}
-
-/// [`par_map`] with an explicit worker count (tests force the threaded
-/// path with it regardless of the host's core count).
-fn par_map_with<'i, T, R>(
-    items: &'i [T],
-    min_len: usize,
-    workers: usize,
-    f: impl Fn(&'i T) -> R + Sync,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-{
-    if items.len() < min_len || workers < 2 {
-        return items.iter().map(f).collect();
-    }
-    static PAR_SHARDS: hadad_obs::LazyCounter =
-        hadad_obs::LazyCounter::new("extract.par_shards");
-    let chunk = items.len().div_ceil(workers);
-    PAR_SHARDS.add(items.len().div_ceil(chunk) as u64);
-    let f = &f;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|c| {
-                let h = s.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        c.iter().map(f).collect::<Vec<R>>()
-                    }))
-                });
-                (c, h)
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|(c, h)| match h.join() {
-                Ok(Ok(results)) => results,
-                // Worker panicked (joining never fails: the closure's own
-                // panic is caught inside it). Retry the chunk in-line.
-                _ => c.iter().map(f).collect(),
-            })
-            .collect()
-    })
-}
-
 impl<'a> Extractor<'a> {
     /// Collects e-nodes and shapes from the instance and runs the cost
     /// relaxation to fixpoint.
-    pub fn new(vrem: &Vrem, inst: &'a Instance, cost: &(dyn ExtractionCost + Sync)) -> Self {
+    pub fn new(vrem: &Vrem, inst: &'a Instance, cost: &dyn ExtractionCost) -> Self {
         // Fault-injection site: `extract.solve=panic` exercises the
         // optimizer's phase-level catch_unwind (degrade to the original
         // plan); `delay:<ms>` exercises deadlines. The `error` action has
@@ -266,26 +183,15 @@ impl<'a> Extractor<'a> {
 
     /// Bellman-Ford relaxation: every pass can only lower class costs, and
     /// each finite cost certifies a finite (cycle-free) derivation, so the
-    /// loop reaches fixpoint in at most `#classes` passes. Large instances
-    /// run Jacobi-style parallel passes (each pass reads the previous
-    /// pass's costs, proposals merge at a barrier); small ones run the
-    /// in-place sequential sweep, which propagates further per pass.
-    fn solve(&mut self, cost: &(dyn ExtractionCost + Sync)) {
+    /// in-place sweep reaches fixpoint in at most `#classes` passes.
+    fn solve(&mut self, cost: &dyn ExtractionCost) {
         let class_ids: Vec<NodeId> = self.classes.keys().copied().collect();
-        if class_ids.len() >= PARALLEL_CLASS_THRESHOLD && worker_count() > 1 {
-            self.solve_parallel(&class_ids, cost);
-        } else {
-            self.solve_sequential(&class_ids, cost);
-        }
-    }
-
-    fn solve_sequential(&mut self, class_ids: &[NodeId], cost: &dyn ExtractionCost) {
         // Costs converge within #classes passes; tie-break refinement (keys
         // depend on child costs) may take as long again.
         let max_rounds = 2 * (class_ids.len() + 1);
         for _ in 0..max_rounds {
             let mut changed = false;
-            for &class in class_ids {
+            for &class in &class_ids {
                 let num_nodes = self.classes[&class].len();
                 for idx in 0..num_nodes {
                     // Borrow the node per iteration (instead of cloning the
@@ -311,55 +217,6 @@ impl<'a> Extractor<'a> {
                             changed = true;
                         }
                     }
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
-    }
-
-    fn solve_parallel(&mut self, class_ids: &[NodeId], cost: &(dyn ExtractionCost + Sync)) {
-        /// One accepted improvement: (class, cost, winning e-node index, shape).
-        type Proposal = (NodeId, f64, usize, (usize, usize));
-        // Jacobi needs at most one extra pass per level of the deepest
-        // derivation, bounded by the class count; doubled for tie-break
-        // refinement, as in the sequential path.
-        let max_rounds = 2 * (class_ids.len() + 1);
-        for _ in 0..max_rounds {
-            let proposals: Vec<Option<Proposal>> = {
-                let classes = &self.classes;
-                let best = &self.best;
-                let shapes = &self.shapes;
-                let densities = &self.densities;
-                par_map(class_ids, 2, |&class| {
-                    let nodes = &classes[&class];
-                    let mut winner: Option<(f64, usize, (usize, usize))> = None;
-                    for (idx, node) in nodes.iter().enumerate() {
-                        if let Some((c, shape)) =
-                            node_candidate(node, class, best, shapes, densities, cost)
-                        {
-                            let cur = winner.map(|(w, wi, _)| (w, &nodes[wi]));
-                            if improves((c, node), cur, best) {
-                                winner = Some((c, idx, shape));
-                            }
-                        }
-                    }
-                    winner.and_then(|(c, idx, shape)| {
-                        let incumbent = best.get(&class).map(|&(cur, ci)| (cur, &nodes[ci]));
-                        improves((c, &nodes[idx]), incumbent, best)
-                            .then_some((class, c, idx, shape))
-                    })
-                })
-            };
-            let mut changed = false;
-            for (class, c, idx, shape) in proposals.into_iter().flatten() {
-                self.shapes.entry(class).or_insert(shape);
-                let incumbent =
-                    self.best.get(&class).map(|&(cur, ci)| (cur, &self.classes[&class][ci]));
-                if improves((c, &self.classes[&class][idx]), incumbent, &self.best) {
-                    self.best.insert(class, (c, idx));
-                    changed = true;
                 }
             }
             if !changed {
@@ -398,24 +255,16 @@ impl<'a> Extractor<'a> {
 
     /// One candidate expression per derivation of the root class, each
     /// completed with min-cost children and deduplicated syntactically.
-    /// The caller ranks these with its own (richer) cost model. Roots with
-    /// many derivations build their candidates on worker threads.
+    /// The caller ranks these with its own (richer) cost model.
     pub fn candidates(&self, root: NodeId) -> Vec<Expr> {
         let root = self.inst.find(root);
-        let Some(nodes) = self.classes.get(&root) else {
-            return Vec::new();
-        };
-        let built = par_map(nodes, PARALLEL_BUILD_THRESHOLD, |n| {
-            self.build(root, n).map(|e| resugar(&e))
-        });
-        let mut out: Vec<Expr> = Vec::new();
+        let nodes = self.classes.get(&root).map_or(&[][..], Vec::as_slice);
         let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        for e in built.into_iter().flatten() {
-            if seen.insert(e.to_string()) {
-                out.push(e);
-            }
-        }
-        out
+        nodes
+            .iter()
+            .filter_map(|n| self.build(root, n).map(|e| resugar(&e)))
+            .filter(|e| seen.insert(e.to_string()))
+            .collect()
     }
 
     /// Rebuilds an expression from a chosen e-node, following best
@@ -487,11 +336,10 @@ fn improves(
 }
 
 /// Cost and shape of one e-node derivation against a cost/shape snapshot,
-/// or `None` while some child is still unsolved. Shared by the sequential
-/// sweep and the parallel Jacobi passes, which only differ in when writes
-/// land. Densities come from the class's `density` facts; classes without
-/// facts assume dense children and [`op_stats`]-propagated outputs — both
-/// derivation-order-independent, so extraction stays deterministic.
+/// or `None` while some child is still unsolved. Densities come from the
+/// class's `density` facts; classes without facts assume dense children and
+/// [`op_stats`]-propagated outputs — both derivation-order-independent, so
+/// extraction stays deterministic.
 fn node_candidate(
     node: &ENode,
     class: NodeId,
@@ -748,41 +596,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_solver_handles_wide_instances() {
-        // A balanced sum over 640 distinct leaves yields >1200 distinct
-        // classes, pushing the DP over PARALLEL_CLASS_THRESHOLD so the
-        // Jacobi path runs (while recursion depth stays ~10).
-        let mut vrem = Vrem::new();
-        let mut c = MetaCatalog::new();
-        let mut layer: Vec<Expr> = (0..640)
-            .map(|i| {
-                let name = format!("L{i}");
-                c.register(&name, MatrixMeta::dense(10, 10));
-                m(&name)
-            })
-            .collect();
-        while layer.len() > 1 {
-            layer =
-                layer
-                    .chunks(2)
-                    .map(|p| {
-                        if p.len() == 2 {
-                            add(p[0].clone(), p[1].clone())
-                        } else {
-                            p[0].clone()
-                        }
-                    })
-                    .collect();
-        }
-        let e = layer.pop().unwrap();
-        let enc = Encoder::new(&mut vrem, &c).encode(&e).unwrap();
-        let ex = Extractor::new(&vrem, &enc.instance, &TreeSizeCost);
-        assert_eq!(ex.extract(enc.root).unwrap(), e);
-        // Tree size: 640 leaves + 639 adds.
-        assert!((ex.class_cost(enc.root).unwrap() - 1279.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn extraction_picks_cheaper_enode_after_merge() {
         // Manually merge the class of (M N) with the class of a base matrix
         // "P": extraction under tree size must then prefer P.
@@ -799,24 +612,5 @@ mod tests {
         // Both derivations remain available as candidates.
         let cands = ex.candidates(roots[0]);
         assert_eq!(cands.len(), 2);
-    }
-
-    #[test]
-    fn par_map_contains_worker_panics() {
-        // A function that panics on one input: the worker chunk holding it
-        // dies, the chunk is retried in-line, and since the panic is
-        // deterministic the retry panics too — but only *after* every
-        // other chunk's results survived. Here we use an input-dependent
-        // transient instead: panic only on the first attempt per item.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let attempts = AtomicUsize::new(0);
-        let items: Vec<usize> = (0..64).collect();
-        let out = par_map_with(&items, 1, 4, |&i| {
-            if i == 17 && attempts.fetch_add(1, Ordering::SeqCst) == 0 {
-                panic!("transient worker failure");
-            }
-            i * 2
-        });
-        assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
     }
 }

@@ -9,7 +9,7 @@
 //! facts and the extraction DP prices against them — so the key also
 //! carries a [`StatsBand`] per distinct leaf, bucketing density at the
 //! same ppm granularity the VREM encoding itself uses
-//! ([`DENSITY_SCALE`](crate::schema::DENSITY_SCALE)). Matching skeleton +
+//! ([`DENSITY_SCALE`]). Matching skeleton +
 //! matching bands ⇒ the cold pipeline would have produced the same plan
 //! shapes, which is exactly when serving from the cache is sound.
 

@@ -143,7 +143,7 @@ impl std::error::Error for ShapeError {}
 /// Shape + density estimate of one equivalence class of expressions — the
 /// currency of the unified cost oracle. Carried as `size`/`density` facts
 /// in the chased instance, propagated per operator by [`op_stats`], and
-/// priced by [`op_flops`]/[`op_cost`].
+/// priced by [`op_flops`]/[`op_cost_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassStats {
     /// Row count.
@@ -177,7 +177,7 @@ impl ClassStats {
 }
 
 /// Weight of one materialized output cell relative to one flop, shared by
-/// every estimator built on [`op_cost`] (paper §7.1: flops plus
+/// every estimator built on [`op_cost_with`] (paper §7.1: flops plus
 /// intermediate materialization).
 pub const MEM_WEIGHT: f64 = 0.5;
 
@@ -341,18 +341,12 @@ impl Default for BackendProfile {
     }
 }
 
-/// Full per-operator charge: flops plus the materialization of the output's
-/// estimated non-zeros, priced under the reference backend. Backend-aware
-/// consumers go through [`op_cost_with`].
-pub fn op_cost(kind: OpKind, out_idx: usize, child: &[ClassStats], out: &ClassStats) -> f64 {
-    op_cost_with(&BackendProfile::reference(), kind, out_idx, child, out)
-}
-
-/// [`op_cost`] under a backend's calibration constants. Only products
-/// route through [`ExecBackend`](hadad_linalg::ExecBackend) kernels, so
-/// only `Mul` flops are scaled; the representation policy of the kernels
-/// (sparse × sparse stays sparse, anything dense densifies) picks which
-/// speedup applies via the child densities.
+/// Full per-operator charge under a backend's calibration constants: flops
+/// plus the materialization of the output's estimated non-zeros. Only
+/// products route through [`ExecBackend`](hadad_linalg::ExecBackend)
+/// kernels, so only `Mul` flops are scaled; the representation policy of
+/// the kernels (sparse × sparse stays sparse, anything dense densifies)
+/// picks which speedup applies via the child densities.
 pub fn op_cost_with(
     profile: &BackendProfile,
     kind: OpKind,
@@ -370,11 +364,6 @@ pub fn op_cost_with(
         flops /= speedup.max(1e-9);
     }
     flops + profile.mem_weight * out.nnz()
-}
-
-/// Infers the shape of an expression from base-matrix metadata.
-pub fn shape(e: &Expr, cat: &MetaCatalog) -> Result<(usize, usize), ShapeError> {
-    expr_stats(e, cat).map(|s| s.shape())
 }
 
 /// Infers shape *and* density of an expression from base-matrix metadata,
@@ -474,20 +463,21 @@ mod tests {
     #[test]
     fn shapes_of_products_and_transposes() {
         let c = cat();
-        assert_eq!(shape(&mul(m("M"), m("N")), &c).unwrap(), (50, 50));
-        assert_eq!(shape(&t(mul(m("M"), m("N"))), &c).unwrap(), (50, 50));
-        assert_eq!(shape(&col_sums(m("M")), &c).unwrap(), (1, 10));
-        assert_eq!(shape(&row_sums(m("M")), &c).unwrap(), (50, 1));
-        assert_eq!(shape(&sum(m("M")), &c).unwrap(), (1, 1));
+        let shape = |e: Expr| c.expr_stats(&e).unwrap().shape();
+        assert_eq!(shape(mul(m("M"), m("N"))), (50, 50));
+        assert_eq!(shape(t(mul(m("M"), m("N")))), (50, 50));
+        assert_eq!(shape(col_sums(m("M"))), (1, 10));
+        assert_eq!(shape(row_sums(m("M"))), (50, 1));
+        assert_eq!(shape(sum(m("M"))), (1, 1));
     }
 
     #[test]
     fn mismatches_detected() {
         let c = cat();
-        assert!(shape(&add(m("M"), m("N")), &c).is_err());
-        assert!(shape(&mul(m("M"), m("M")), &c).is_err());
-        assert!(shape(&det(m("M")), &c).is_err());
-        assert!(shape(&m("missing"), &c).is_err());
+        assert!(c.expr_stats(&add(m("M"), m("N"))).is_err());
+        assert!(c.expr_stats(&mul(m("M"), m("M"))).is_err());
+        assert!(c.expr_stats(&det(m("M"))).is_err());
+        assert!(c.expr_stats(&m("missing")).is_err());
     }
 
     #[test]
@@ -524,7 +514,7 @@ mod tests {
         let out = op_stats(OpKind::Mul, 0, &[a, b]);
         assert_eq!(out.shape(), (30, 30));
         assert_eq!(out.density, 1.0);
-        let cost = op_cost(OpKind::Mul, 0, &[a, b], &out);
+        let cost = op_cost_with(&BackendProfile::reference(), OpKind::Mul, 0, &[a, b], &out);
         // 2·30·4·30 flops + 30·30 output term + mem weight on 900 cells.
         assert!((cost - (7200.0 + 900.0 + MEM_WEIGHT * 900.0)).abs() < 1e-9);
     }
@@ -537,11 +527,6 @@ mod tests {
         let out = op_stats(OpKind::Mul, 0, &[a, a]);
         let base = op_cost_with(&refp, OpKind::Mul, 0, &[a, a], &out);
         let fast = op_cost_with(&par, OpKind::Mul, 0, &[a, a], &out);
-        assert_eq!(
-            base,
-            op_cost(OpKind::Mul, 0, &[a, a], &out),
-            "op_cost is the reference wrapper"
-        );
         assert!(fast < base, "parallel profile must price products cheaper");
         // The materialization term is backend-invariant: the gap is purely
         // the flops term divided by the dense speedup.

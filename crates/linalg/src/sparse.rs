@@ -190,20 +190,6 @@ impl SparseMatrix {
         SparseMatrix { rows: self.cols, cols: self.rows, indptr, indices, values }
     }
 
-    /// Per-row non-zero counts.
-    pub fn row_nnz(&self) -> Vec<usize> {
-        (0..self.rows).map(|r| self.indptr[r + 1] - self.indptr[r]).collect()
-    }
-
-    /// Per-column non-zero counts.
-    pub fn col_nnz(&self) -> Vec<usize> {
-        let mut counts = vec![0usize; self.cols];
-        for &c in &self.indices {
-            counts[c] += 1;
-        }
-        counts
-    }
-
     /// Iterator over stored `(row, col, value)` triplets.
     pub fn triplets(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
         (0..self.rows).flat_map(move |r| {
@@ -278,13 +264,6 @@ mod tests {
         let s = SparseMatrix::from_dense(&d);
         assert_eq!(s.nnz(), 3);
         assert_eq!(s.to_dense(), d);
-    }
-
-    #[test]
-    fn row_and_col_counts() {
-        let m = SparseMatrix::from_triplets(2, 3, vec![(0, 0, 1.), (0, 2, 1.), (1, 2, 1.)]);
-        assert_eq!(m.row_nnz(), vec![2, 1]);
-        assert_eq!(m.col_nnz(), vec![1, 0, 2]);
     }
 
     #[test]

@@ -64,7 +64,7 @@ pub fn now_us() -> u64 {
 /// microseconds into `hist`, and returns `(result, elapsed_us)`.
 ///
 /// This is the single timing primitive the legacy report structs
-/// ([`RewriteReport`], `MaintenanceReport`, …) derive their public timing
+/// (`RewriteReport`, `MaintenanceReport`, …) derive their public timing
 /// fields from: the value recorded into the shared registry and the value
 /// placed in the report are the *same* measurement.
 pub fn timed<T>(site: &'static str, hist: &LazyHistogram, f: impl FnOnce() -> T) -> (T, u128) {

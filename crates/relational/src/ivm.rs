@@ -11,10 +11,11 @@
 //! translations emit for joins).
 //!
 //! Every rule mirrors the executable operators in [`crate::ops`] *exactly*
-//! (`select_eq` matches through [`Value::as_i64`], joins key through
-//! `as_i64` and drop `None` keys, join output columns are prefixed
-//! `right.` until unique), so a delta-maintained view is bit-identical, up
-//! to row order, to re-running its definition from scratch.
+//! (`select_eq` matches through [`Value::as_i64`], both join halves pair
+//! rows through [`crate::rowset`]'s one cell equality on the kernel
+//! `ops::hash_join` runs, join output columns are prefixed `right.` until
+//! unique), so a delta-maintained view is bit-identical, up to row order,
+//! to re-running its definition from scratch.
 //!
 //! **Row order.** A table is a multiset: [`apply_delta`] appends the
 //! batch's insertions and then deletes by moving the table's last row into
@@ -24,16 +25,18 @@
 //!
 //! **Cost.** One batch costs hash work proportional to the delta: a
 //! retraction finds its rows through the target's row-multiset index
-//! ([`crate::row_index`]), and each join half hashes the *delta* and probes
-//! it with one typed pass over the table's key column — skipped outright
-//! when the delta is empty. The index belongs to the owner of the mutable
-//! table ([`crate::IndexedTable`]: a catalog entry, a maintainer's cached
-//! join input), is built by the first retraction, and is never cloned.
+//! ([`crate::row_index`]), and each join half indexes the *delta*'s key
+//! cells and probes them with one typed pass over the table's key column —
+//! skipped outright when the delta is empty. The row index belongs to the
+//! owner of the mutable table ([`crate::IndexedTable`]: a catalog entry, a
+//! maintainer's cached join input), is built by the first retraction, and
+//! is never cloned.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
 use crate::row_index::RowIndex;
+use crate::rowset;
 use crate::table::{Column, Table, Value};
 
 /// Table rows the update path reads: rows hashed into a row index, chain
@@ -251,42 +254,25 @@ pub(crate) fn push_joined_columns(
     kept
 }
 
-/// The shared core of both join halves, driven from the delta side: hashes
-/// the delta's rows by integer join key (`None` keys never join), makes one
-/// typed pass over the table's key column, and returns every
-/// `(delta_row, table_row)` pair whose keys agree. Pairs come back in delta
-/// order (table order within one delta row), so a batch that arrived
-/// clustered leaves the join clustered. An empty delta reads nothing.
+/// The shared core of both join halves, driven from the delta side: every
+/// `(delta_row, table_row)` pair whose key cells are equal, from
+/// [`rowset::join_columns`] over the delta's key cells and the table's key
+/// column. Pairs come back in delta order (table order within one delta
+/// row), so a batch that arrived clustered leaves the join clustered. An
+/// empty delta reads nothing.
 fn matches(
     table: &Table,
     table_key: usize,
     delta: &Delta,
     delta_key: usize,
-) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    if delta.rows.is_empty() {
-        return pairs;
+) -> Result<impl Iterator<Item = (usize, usize)>, IvmError> {
+    let (mut ds, mut rs) = (Vec::new(), Vec::new());
+    if !delta.rows.is_empty() {
+        let keys = delta.column(delta_key)?;
+        ROWS_EXAMINED.add(table.num_rows() as u64);
+        (ds, rs) = rowset::join_columns(&keys, table.column_at(table_key));
     }
-    // Delta rows sharing a key chain through `next`, newest first.
-    let mut heads: HashMap<i64, usize> = HashMap::new();
-    let mut next: Vec<Option<usize>> = vec![None; delta.rows.len()];
-    for (d, (row, _)) in delta.rows.iter().enumerate() {
-        if let Some(k) = row[delta_key].as_i64() {
-            next[d] = heads.insert(k, d);
-        }
-    }
-    ROWS_EXAMINED.add(table.num_rows() as u64);
-    let keys = table.column_at(table_key);
-    for r in 0..table.num_rows() {
-        let Some(k) = keys.key_at(r) else { continue };
-        let mut hit = heads.get(&k).copied();
-        while let Some(d) = hit {
-            pairs.push((d, r));
-            hit = next[d];
-        }
-    }
-    pairs.sort_by_key(|&(d, _)| d);
-    pairs
+    Ok(ds.into_iter().zip(rs).map(|(d, r)| (d as usize, r as usize)))
 }
 
 impl Delta {
@@ -335,6 +321,24 @@ impl Delta {
         Delta {
             columns: self.columns.clone(),
             rows: self.rows.iter().map(|(r, n)| (r.clone(), -n)).collect(),
+        }
+    }
+
+    /// Column `i` as a typed column of the first row's cell type; a delta
+    /// mixing cell types in one column matches no table schema.
+    fn column(&self, i: usize) -> Result<Column, IvmError> {
+        let mut cells = self.rows.iter().map(|(row, _)| &row[i]).peekable();
+        let mut column = match cells.peek() {
+            None | Some(Value::Int(_)) => Column::Int(Vec::new()),
+            Some(Value::Float(_)) => Column::Float(Vec::new()),
+            Some(Value::Str(_)) => Column::Str(Vec::new()),
+        };
+        match cells.find(|v| !column.push(v)) {
+            None => Ok(column),
+            Some(v) => Err(IvmError::SchemaMismatch {
+                table: "<delta>".into(),
+                detail: format!("column {} mixes cell types at {v}", self.columns[i]),
+            }),
         }
     }
 
@@ -404,8 +408,7 @@ impl Delta {
             .column_index(right_key)
             .ok_or_else(|| IvmError::MissingColumn(right_key.to_owned()))?;
         let (columns, kept) = joined_columns(&self.columns, right.column_names(), right_key);
-        let rows = matches(right, rk, self, lk)
-            .into_iter()
+        let rows = matches(right, rk, self, lk)?
             .map(|(d, r)| {
                 let (row, n) = &self.rows[d];
                 let mut out = row.clone();
@@ -432,8 +435,7 @@ impl Delta {
         let rk = right_delta.col_index(right_key)?;
         let (columns, kept) =
             joined_columns(left.column_names(), &right_delta.columns, right_key);
-        let rows = matches(left, lk, right_delta, rk)
-            .into_iter()
+        let rows = matches(left, lk, right_delta, rk)?
             .map(|(d, l)| {
                 let (drow, n) = &right_delta.rows[d];
                 let mut out = left.row(l);
@@ -716,19 +718,28 @@ mod tests {
         );
     }
 
-    /// Both halves against `ops::hash_join` on the shapes the typed probe
-    /// special-cases: duplicate keys on both sides, integral and
-    /// non-integral float keys, a signed delta, and string keys (which
-    /// never join).
+    /// Both halves against `ops::hash_join` for every pairing of key types:
+    /// duplicate keys on both sides, integral and fractional float keys,
+    /// `NaN`, string keys (which join strings and never numbers), and a
+    /// signed delta.
     #[test]
     fn join_halves_mirror_hash_join_on_float_and_duplicate_keys() {
+        let strs = |v: &[&str]| Column::Str(v.iter().map(|s| (*s).to_owned()).collect());
         let left = Table::new(vec![
             ("k", Column::Float(vec![1.0, 1.0, 2.5, 3.0, f64::NAN])),
             ("a", Column::Int(vec![10, 11, 12, 13, 14])),
         ]);
         let right = Table::new(vec![
             ("k", Column::Int(vec![1, 3, 3, 9])),
-            ("b", Column::Str(vec!["p".into(), "q".into(), "r".into(), "s".into()])),
+            ("b", strs(&["p", "q", "r", "s"])),
+        ]);
+        let fractional = Table::new(vec![
+            ("k", Column::Float(vec![2.5, f64::NAN, 1.0, 2.5])),
+            ("b", Column::Int(vec![20, 21, 22, 23])),
+        ]);
+        let names = Table::new(vec![
+            ("k", strs(&["1", "x", "", "x"])),
+            ("c", Column::Int(vec![30, 31, 32, 33])),
         ]);
         let full =
             |l: &Table, r: &Table| table_fingerprint(&ops::hash_join(l, "k", r, "k").unwrap());
@@ -741,30 +752,39 @@ mod tests {
         let plus = |fp: Vec<String>| -> Vec<String> {
             fp.into_iter().map(|k| format!("+1 {k}")).collect()
         };
+        let all = |t: &Table| Delta::inserts(t, (0..t.num_rows()).map(|r| t.row(r)).collect());
 
-        // ΔL ⋈ R for an all-insert ΔL is hash_join(ΔL as a table, R).
-        let dl = Delta::inserts(&left, (0..left.num_rows()).map(|r| left.row(r)).collect());
-        let got = dl.join_right(&right, "k", "k").unwrap();
-        assert_eq!(signed(&got), plus(full(&left, &right)));
+        // ΔL ⋈ R for an all-insert ΔL is hash_join(ΔL as a table, R), and
+        // L ⋈ ΔR likewise.
+        let tables = [&left, &right, &fractional, &names];
+        for l in tables {
+            for r in tables {
+                let want = plus(full(l, r));
+                assert_eq!(signed(&all(l).join_right(r, "k", "k").unwrap()), want);
+                assert_eq!(signed(&Delta::join_left(l, &all(r), "k", "k").unwrap()), want);
+            }
+        }
+        // 2.5 = 2.5 twice, NaN = NaN, 1.0 = 1.0 twice; "x" = "x" both ways;
+        // "1" is not 1.
+        assert_eq!(full(&left, &fractional).len(), 5);
+        assert_eq!(full(&names, &names).len(), 6);
+        assert!(full(&names, &right).is_empty() && full(&right, &names).is_empty());
+
         // Matches come back in delta order, table order within a row.
+        let got = all(&left).join_right(&right, "k", "k").unwrap();
         let a_col: Vec<_> = got.rows.iter().map(|(r, _)| r[1].clone()).collect();
         assert_eq!(a_col, [10, 11, 13, 13].map(Value::Int));
 
-        // L ⋈ ΔR likewise, with a retraction riding along.
-        let mut dr =
-            Delta::inserts(&right, (0..right.num_rows()).map(|r| right.row(r)).collect());
-        let got = Delta::join_left(&left, &dr, "k", "k").unwrap();
-        assert_eq!(signed(&got), plus(full(&left, &right)));
+        // A retraction riding along: key 1 matches two left rows (+1 each),
+        // key 3 one (-2 and +1).
+        let mut dr = all(&right);
         dr.rows[1].1 = -2;
         let got = Delta::join_left(&left, &dr, "k", "k").unwrap();
-        // Key 1 matches two left rows (+1 each), key 3 one (-2 and +1).
         assert_eq!(got.rows.iter().map(|(_, n)| *n).sum::<i64>(), 1);
 
-        // String keys never join, in either role.
-        let names = Table::new(vec![("k", Column::Str(vec!["1".into()]))]);
-        let dn = Delta::inserts(&names, vec![vec![Value::Str("1".into())]]);
-        assert!(dn.join_right(&right, "k", "k").unwrap().rows.is_empty());
-        assert!(Delta::join_left(&names, &dr, "k", "k").unwrap().rows.is_empty());
+        // A delta no table could hold is refused, not guessed at.
+        dr.rows[0].0[0] = Value::Str("1".into());
+        assert!(matches!(dr.join_right(&left, "k", "k"), Err(IvmError::SchemaMismatch { .. })));
     }
 
     #[test]

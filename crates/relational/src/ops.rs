@@ -12,7 +12,7 @@ use std::collections::HashMap;
 use std::fmt;
 
 use crate::rowset::{ColRef, RowSet};
-use crate::table::{Column, Table, Value};
+use crate::table::{Column, Table};
 
 /// A relational operator was pointed at a column the table does not have.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,12 +46,6 @@ fn require<'t>(t: &'t Table, op: &'static str, col: &str) -> Result<&'t Column, 
     require_index(t, op, col).map(|i| t.column_at(i))
 }
 
-/// Selection: keeps rows where `pred(row)` holds.
-pub fn select(t: &Table, pred: impl Fn(&Table, usize) -> bool) -> Table {
-    let keep: Vec<usize> = (0..t.num_rows()).filter(|&r| pred(t, r)).collect();
-    t.gather(&keep)
-}
-
 /// Selection on a single numeric column.
 pub fn select_num(t: &Table, col: &str, pred: impl Fn(f64) -> bool) -> Result<Table, OpsError> {
     let c = require(t, "select_num", col)?;
@@ -68,11 +62,12 @@ pub fn project(t: &Table, cols: &[&str]) -> Result<Table, OpsError> {
     Ok(Table::new(pairs))
 }
 
-/// Hash equi-join on integer key columns. Output keeps all columns of the
-/// left table and the non-key columns of the right, prefixing right-side
-/// names that collide with `right.` (repeatedly, until unique — the left
-/// table may itself carry a `right.<name>` column from an earlier join).
-/// Rows come out in left order, right rows ascending within one left row.
+/// Hash equi-join on key columns of any type, under [`crate::rowset`]'s one
+/// cell equality. Output keeps all columns of the left table and the
+/// non-key columns of the right, prefixing right-side names that collide
+/// with `right.` (repeatedly, until unique — the left table may itself
+/// carry a `right.<name>` column from an earlier join). Rows come out in
+/// left order, right rows ascending within one left row.
 pub fn hash_join(
     left: &Table,
     left_key: &str,
@@ -84,12 +79,6 @@ pub fn hash_join(
     let mut rows = RowSet::scan(left);
     rows.hash_join(ColRef { source: 0, column: lk }, right, rk);
     Ok(rows.gather())
-}
-
-/// Aggregate: sum of a numeric column.
-pub fn sum_column(t: &Table, col: &str) -> Result<f64, OpsError> {
-    let c = require(t, "sum_column", col)?;
-    Ok((0..t.num_rows()).map(|r| c.numeric(r)).sum())
 }
 
 /// Group-by on an integer key with per-group count.
@@ -116,18 +105,10 @@ pub fn sort_by_int(t: &Table, key: &str) -> Result<Table, OpsError> {
     Ok(rows.gather())
 }
 
-/// Filters rows whose string column contains `needle` (the paper's Twitter
-/// benchmark text-search selection, e.g. tweets mentioning "covid").
-pub fn select_contains(t: &Table, col: &str, needle: &str) -> Table {
-    select(t, |tab, r| match tab.value(r, col) {
-        Value::Str(s) => s.contains(needle),
-        _ => false,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::table::Value;
 
     fn users() -> Table {
         Table::new(vec![
@@ -182,12 +163,6 @@ mod tests {
         assert_eq!(uid_one, 2);
     }
 
-    #[test]
-    fn text_search() {
-        let t = select_contains(&tweets(), "text", "covid");
-        assert_eq!(t.num_rows(), 2);
-    }
-
     /// A float key column joins on exact integral values only: 1.0 matches
     /// key 1, while 1.2 and 1.9 match nothing (truncation used to merge
     /// them all onto key 1).
@@ -235,7 +210,6 @@ mod tests {
 
     #[test]
     fn aggregation_and_sort() {
-        assert_eq!(sum_column(&users(), "followers").unwrap(), 60.0);
         let shuffled = users().gather(&[2, 0, 1]);
         let sorted = sort_by_int(&shuffled, "id").unwrap();
         assert_eq!(sorted.value(0, "id"), Value::Int(1));
@@ -258,7 +232,6 @@ mod tests {
         missing(hash_join(&u, "nope", &u, "id"), "hash_join");
         missing(hash_join(&u, "id", &u, "nope"), "hash_join");
         missing(sort_by_int(&u, "nope"), "sort_by_int");
-        assert!(sum_column(&u, "nope").is_err());
         assert!(group_count(&u, "nope").is_err());
     }
 }

@@ -24,12 +24,26 @@
 //! the index was built over — row for row what a nested loop over
 //! (left, right) would emit.
 //!
-//! **Keys.** The one join kernel serves two equalities ([`JoinKey`]):
-//! `Int` is [`Column::key_at`] (integers and integral floats; strings never
-//! key) — the `ops::hash_join` contract — and `Value` equates any two equal
-//! cells the way a conjunctive query's shared variable does (numeric cells
-//! by value, so `Int 7` = `Float 7.0` and `-0.0` = `0.0` while `NaN` joins
-//! nothing; strings verbatim; `"7"` never equals `7`).
+//! **Equality.** There is one answer to "do these two cells join", used by
+//! [`RowSet::join`], [`RowSet::filter_eq`], [`RowSet::filter`] and the IVM
+//! join halves (`join_columns`) alike — the `KeyCol` views `with_keys!`
+//! picks per column-type pair — and it is an equivalence relation:
+//!
+//! * `Int` × `Int`: the same `i64` (exact: 2⁵³ and 2⁵³ + 1 stay distinct);
+//! * `Int` × `Float`: the float is integral, in `i64` range, and is that
+//!   integer (`Value::as_i64`), so `7` = `7.0` and `2` ≠ `2.5`; the integer
+//!   is never widened, so 2⁵³ + 1 does not equal the float 2⁵³ it would
+//!   round to;
+//! * `Float` × `Float`: the same number, with one zero (`-0.0` = `0.0`) and
+//!   a `NaN` that equals itself;
+//! * `Str` × `Str`: the same bytes; a string never equals a number, so `"7"`
+//!   ≠ `7`.
+//!
+//! Equal cells need not be identical: `Int 7` and `Float 7.0`, or `-0.0`
+//! and `0.0`, are one key with two representatives. A join's output carries
+//! the representative of whichever column the output reads (the left key of
+//! a `HashJoin` stage, the column that first bound a CQ variable), so two
+//! equivalent plans return the same bag *up to representative*.
 
 use crate::ivm::push_joined_columns;
 use crate::row_index::{position, GOLDEN, MIN_BUCKETS, NIL};
@@ -52,30 +66,6 @@ pub struct ColRef {
     pub source: usize,
     /// Column position inside that table.
     pub column: usize,
-}
-
-/// A single-column equality predicate.
-#[derive(Debug, Clone, Copy)]
-pub enum CellPred<'p> {
-    /// [`Column::key_at`] equals the integer: integer cells and integral
-    /// float cells, never strings.
-    Key(i64),
-    /// Numeric cells (integers widened to `f64`) equal to the number by
-    /// value; never strings.
-    Num(f64),
-    /// `Str` cells equal to the string verbatim.
-    Str(&'p str),
-}
-
-/// Which cells an equi-join (or a column-against-column filter) equates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum JoinKey {
-    /// [`Column::key_at`]: integers and integral floats; strings never key.
-    Int,
-    /// Any two equal cells: numeric cells by value (`Int 7` = `Float 7.0`,
-    /// `-0.0` = `0.0`, `NaN` equals nothing), strings verbatim, and a
-    /// string never equals a number.
-    Value,
 }
 
 /// One output column of [`RowSet::gather_as`].
@@ -130,8 +120,8 @@ fn checked_rows(n: usize) -> usize {
     n
 }
 
-/// A join-key column viewed through one [`JoinKey`] equality: `key` is
-/// `None` for a cell that equals nothing.
+/// A column seen through the module's one equality, as one side of a
+/// column-type pair: two cells are equal iff their keys are `Some` and equal.
 trait KeyCol: Copy {
     type Key: KeyWord;
     fn key(self, row: usize) -> Option<Self::Key>;
@@ -154,19 +144,17 @@ impl KeyWord for &str {
     }
 }
 
-/// `key_at` of an `Int` column.
+/// An `Int` column: the integer itself.
 #[derive(Clone, Copy)]
 struct IntKey<'c>(&'c [i64]);
-/// `key_at` of a `Float` column: integral, in-range cells only.
+/// A `Float` column against an `Int` one: the integer an integral, in-range
+/// cell is, and nothing for any other cell — no integer equals it.
 #[derive(Clone, Copy)]
-struct IntegralKey<'c>(&'c [f64]);
-/// An `Int` column's cells as numbers.
+struct FloatAsInt<'c>(&'c [f64]);
+/// A `Float` column against a `Float` one: the number, by bit pattern.
 #[derive(Clone, Copy)]
-struct IntNum<'c>(&'c [i64]);
-/// A `Float` column's cells as numbers.
-#[derive(Clone, Copy)]
-struct FloatNum<'c>(&'c [f64]);
-/// A `Str` column's cells.
+struct FloatKey<'c>(&'c [f64]);
+/// A `Str` column: the string.
 #[derive(Clone, Copy)]
 struct StrKey<'c>(&'c [String]);
 
@@ -177,28 +165,20 @@ impl KeyCol for IntKey<'_> {
     }
 }
 
-impl KeyCol for IntegralKey<'_> {
+impl KeyCol for FloatAsInt<'_> {
     type Key = u64;
     fn key(self, row: usize) -> Option<u64> {
         float_key(self.0[row]).map(|k| k as u64)
     }
 }
 
-impl KeyCol for IntNum<'_> {
-    type Key = u64;
-    fn key(self, row: usize) -> Option<u64> {
-        // An integer never widens to NaN or -0.0.
-        Some((self.0[row] as f64).to_bits())
-    }
-}
-
-impl KeyCol for FloatNum<'_> {
+impl KeyCol for FloatKey<'_> {
     type Key = u64;
     fn key(self, row: usize) -> Option<u64> {
         let v = self.0[row];
-        // `NaN` equals nothing; `-0.0 + 0.0` is `0.0`, so both zeros share
-        // one bit pattern and `==` on the bits is `==` on the numbers.
-        (!v.is_nan()).then(|| (v + 0.0).to_bits())
+        // One bit pattern per number: every `NaN` is the canonical one, and
+        // `-0.0 + 0.0` is `0.0`.
+        Some(if v.is_nan() { f64::NAN.to_bits() } else { (v + 0.0).to_bits() })
     }
 }
 
@@ -209,46 +189,30 @@ impl<'c> KeyCol for StrKey<'c> {
     }
 }
 
-/// Evaluates `$body` with `$l`/`$r` bound to the typed key views of two
-/// columns under a [`JoinKey`], or `$none` when no cell of one can equal a
-/// cell of the other — the column-type match that keeps every pass typed
-/// outside its loop.
+/// The one definition of cell equality. Evaluates `$body` with `$l`/`$r`
+/// bound to the key views of two columns, or `$none` when no cell of one
+/// can equal a cell of the other (a string and a number) — the column-type
+/// match that keeps every pass typed outside its loop.
 macro_rules! with_keys {
-    ($key:expr, $lc:expr, $rc:expr, |$l:ident, $r:ident| $body:expr, $none:expr) => {
-        match ($key, $lc, $rc) {
-            (JoinKey::Int, Column::Int(a), Column::Int(b)) => {
+    ($lc:expr, $rc:expr, |$l:ident, $r:ident| $body:expr, $none:expr) => {
+        match ($lc, $rc) {
+            (Column::Int(a), Column::Int(b)) => {
                 let ($l, $r) = (IntKey(a), IntKey(b));
                 $body
             }
-            (JoinKey::Int, Column::Int(a), Column::Float(b)) => {
-                let ($l, $r) = (IntKey(a), IntegralKey(b));
+            (Column::Int(a), Column::Float(b)) => {
+                let ($l, $r) = (IntKey(a), FloatAsInt(b));
                 $body
             }
-            (JoinKey::Int, Column::Float(a), Column::Int(b)) => {
-                let ($l, $r) = (IntegralKey(a), IntKey(b));
+            (Column::Float(a), Column::Int(b)) => {
+                let ($l, $r) = (FloatAsInt(a), IntKey(b));
                 $body
             }
-            (JoinKey::Int, Column::Float(a), Column::Float(b)) => {
-                let ($l, $r) = (IntegralKey(a), IntegralKey(b));
+            (Column::Float(a), Column::Float(b)) => {
+                let ($l, $r) = (FloatKey(a), FloatKey(b));
                 $body
             }
-            (JoinKey::Value, Column::Int(a), Column::Int(b)) => {
-                let ($l, $r) = (IntNum(a), IntNum(b));
-                $body
-            }
-            (JoinKey::Value, Column::Int(a), Column::Float(b)) => {
-                let ($l, $r) = (IntNum(a), FloatNum(b));
-                $body
-            }
-            (JoinKey::Value, Column::Float(a), Column::Int(b)) => {
-                let ($l, $r) = (FloatNum(a), IntNum(b));
-                $body
-            }
-            (JoinKey::Value, Column::Float(a), Column::Float(b)) => {
-                let ($l, $r) = (FloatNum(a), FloatNum(b));
-                $body
-            }
-            (JoinKey::Value, Column::Str(a), Column::Str(b)) => {
+            (Column::Str(a), Column::Str(b)) => {
                 let ($l, $r) = (StrKey(a), StrKey(b));
                 $body
             }
@@ -360,6 +324,28 @@ fn join_pairs<K: KeyWord>(
     (lpos, rpos)
 }
 
+/// [`join_pairs`] over the selected cells of two columns: position `i` of
+/// the left side is cell `lsel.row(i)` of `lc`, and likewise on the right.
+fn equal_pairs(
+    (lc, lsel, nl): (&Column, &Sel, usize),
+    (rc, rsel, nr): (&Column, &Sel, usize),
+) -> (Vec<u32>, Vec<u32>) {
+    with_keys!(
+        lc,
+        rc,
+        |l, r| join_pairs(nl, |i| l.key(lsel.row(i)), nr, |j| r.key(rsel.row(j))),
+        (Vec::new(), Vec::new())
+    )
+}
+
+/// Every `(left row, right row)` pair of two whole columns whose cells are
+/// equal, in the module's order contract — the join the IVM delta rules
+/// run, on the kernel [`RowSet::join`] runs.
+pub(crate) fn join_columns(left: &Column, right: &Column) -> (Vec<u32>, Vec<u32>) {
+    let (nl, nr) = (checked_rows(left.len()), checked_rows(right.len()));
+    equal_pairs((left, &Sel::All, nl), (right, &Sel::All, nr))
+}
+
 /// The positions in `0..n` that satisfy `keep`, ascending. Branch-free:
 /// every position is written and the cursor moves past the kept ones only,
 /// so a pass costs the same at any selectivity.
@@ -379,6 +365,15 @@ fn positions(sel: &Sel, n: usize, keep: impl Fn(usize) -> bool) -> Vec<u32> {
     match sel {
         Sel::All => compact(n, keep),
         Sel::Rows(rows) => compact(n, |i| keep(rows[i] as usize)),
+    }
+}
+
+/// `n` copies of one cell.
+fn repeated(v: &Value, n: usize) -> Column {
+    match v {
+        Value::Int(v) => Column::Int(vec![*v; n]),
+        Value::Float(v) => Column::Float(vec![*v; n]),
+        Value::Str(v) => Column::Str(vec![v.clone(); n]),
     }
 }
 
@@ -426,33 +421,31 @@ impl<'a> RowSet<'a> {
         self.rows = positions.len();
     }
 
-    /// Keeps the rows whose `col` cell satisfies `pred`, in order.
-    pub fn filter(&mut self, col: ColRef, pred: CellPred<'_>) {
+    /// Keeps the rows whose `col` cell equals the constant, in order.
+    pub fn filter(&mut self, col: ColRef, constant: &Value) {
         let _span = hadad_obs::span("relexec.filter");
         ROWS_IN.add(self.rows as u64);
         let Source { table, sel } = &self.sources[col.source];
         let n = self.rows;
-        let keep = match (table.column_at(col.column), pred) {
-            (Column::Int(v), CellPred::Key(k)) => positions(sel, n, |r| v[r] == k),
-            (Column::Float(v), CellPred::Key(k)) => {
-                positions(sel, n, |r| float_key(v[r]) == Some(k))
-            }
-            (Column::Int(v), CellPred::Num(x)) => positions(sel, n, |r| v[r] as f64 == x),
-            (Column::Float(v), CellPred::Num(x)) => positions(sel, n, |r| v[r] == x),
-            (Column::Str(v), CellPred::Str(s)) => positions(sel, n, |r| v[r] == s),
-            // A string never equals a number, nor a number a string.
-            _ => Vec::new(),
-        };
+        // A constant is a one-cell column.
+        let keep = with_keys!(
+            table.column_at(col.column),
+            &repeated(constant, 1),
+            |cells, one| match one.key(0) {
+                Some(k) => positions(sel, n, |r| cells.key(r) == Some(k)),
+                None => Vec::new(),
+            },
+            Vec::new()
+        );
         self.pick(&keep);
     }
 
-    /// Keeps the rows whose `a` and `b` cells are equal under `key`.
-    pub fn filter_eq(&mut self, a: ColRef, b: ColRef, key: JoinKey) {
+    /// Keeps the rows whose `a` and `b` cells are equal.
+    pub fn filter_eq(&mut self, a: ColRef, b: ColRef) {
         let _span = hadad_obs::span("relexec.filter");
         ROWS_IN.add(self.rows as u64);
         let (sa, sb) = (&self.sources[a.source], &self.sources[b.source]);
         let keep: Vec<u32> = with_keys!(
-            key,
             sa.table.column_at(a.column),
             sb.table.column_at(b.column),
             |x, y| compact(self.rows, |i| {
@@ -464,31 +457,17 @@ impl<'a> RowSet<'a> {
         self.pick(&keep);
     }
 
-    /// Equi-joins with `right` on `left = right_col` under `key`, in the
-    /// module's order contract. `right`'s sources are appended to this
-    /// set's — the returned offset rebases a [`ColRef`] into `right` — and
-    /// its output columns are dropped.
-    pub fn join(
-        &mut self,
-        left: ColRef,
-        mut right: RowSet<'a>,
-        right_col: ColRef,
-        key: JoinKey,
-    ) -> usize {
+    /// Equi-joins with `right` on `left = right_col`, in the module's order
+    /// contract. `right`'s sources are appended to this set's — the
+    /// returned offset rebases a [`ColRef`] into `right` — and its output
+    /// columns are dropped.
+    pub fn join(&mut self, left: ColRef, mut right: RowSet<'a>, right_col: ColRef) -> usize {
         let _span = hadad_obs::span("relexec.join");
         ROWS_IN.add((self.rows + right.rows) as u64);
         let (ls, rs) = (&self.sources[left.source], &right.sources[right_col.source]);
-        let (lpos, rpos) = with_keys!(
-            key,
-            ls.table.column_at(left.column),
-            rs.table.column_at(right_col.column),
-            |l, r| join_pairs(
-                self.rows,
-                |i| l.key(ls.sel.row(i)),
-                right.rows,
-                |j| r.key(rs.sel.row(j))
-            ),
-            (Vec::new(), Vec::new())
+        let (lpos, rpos) = equal_pairs(
+            (ls.table.column_at(left.column), &ls.sel, self.rows),
+            (rs.table.column_at(right_col.column), &rs.sel, right.rows),
         );
         checked_rows(lpos.len());
         self.pick(&lpos);
@@ -522,14 +501,13 @@ impl<'a> RowSet<'a> {
     }
 
     /// `ops::hash_join` against a whole table: joins on
-    /// `left = right[right_key]` under [`JoinKey::Int`] and appends the
-    /// right table's non-key columns to the output, prefixed `right.` until
-    /// unique.
+    /// `left = right[right_key]` and appends the right table's non-key
+    /// columns to the output, prefixed `right.` until unique.
     pub fn hash_join(&mut self, left: ColRef, right: &'a Table, right_key: usize) {
         let right_names = right.column_names();
         let kept = push_joined_columns(&mut self.names, right_names, &right_names[right_key]);
         let key = ColRef { source: 0, column: right_key };
-        let source = self.join(left, RowSet::scan(right), key, JoinKey::Int);
+        let source = self.join(left, RowSet::scan(right), key);
         self.cells.extend(kept.into_iter().map(|column| ColRef { source, column }));
     }
 
@@ -577,9 +555,7 @@ impl<'a> RowSet<'a> {
         let columns = head.into_iter().map(|(name, out)| {
             let column = match out {
                 Out::Cell(c) => self.gather_cell(c),
-                Out::Const(Value::Int(v)) => Column::Int(vec![v; self.rows]),
-                Out::Const(Value::Float(v)) => Column::Float(vec![v; self.rows]),
-                Out::Const(Value::Str(v)) => Column::Str(vec![v; self.rows]),
+                Out::Const(v) => repeated(&v, self.rows),
             };
             (name, column)
         });
@@ -603,11 +579,23 @@ impl<'a> RowSet<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivm::joined_columns;
+    use crate::ivm::{joined_columns, Delta};
     use crate::ops;
+    use Value::{Float, Int, Str};
 
     fn cell(source: usize, column: usize) -> ColRef {
         ColRef { source, column }
+    }
+
+    /// The one equality, spelled out cell against cell.
+    fn equal(a: &Value, b: &Value) -> bool {
+        match (a, b) {
+            (Int(x), Int(y)) => x == y,
+            (Int(x), f @ Float(_)) | (f @ Float(_), Int(x)) => f.as_i64() == Some(*x),
+            (Float(x), Float(y)) => x == y || (x.is_nan() && y.is_nan()),
+            (Str(x), Str(y)) => x == y,
+            _ => false,
+        }
     }
 
     fn strs(v: &[&str]) -> Column {
@@ -624,11 +612,11 @@ mod tests {
         ])
     }
 
-    fn kept(t: &Table, col: usize, pred: CellPred<'_>) -> Vec<i64> {
+    fn kept(t: &Table, col: usize, constant: Value) -> Vec<i64> {
         let tagged =
             t.clone().with_column("row", Column::Int((0..t.num_rows() as i64).collect()));
         let mut rows = RowSet::scan(&tagged);
-        rows.filter(cell(0, col), pred);
+        rows.filter(cell(0, col), &constant);
         match rows.gather().column("row").unwrap() {
             Column::Int(v) => v.clone(),
             other => panic!("{other:?}"),
@@ -638,34 +626,35 @@ mod tests {
     #[test]
     fn filters_follow_the_cell_type_rules_and_keep_order() {
         let t = mixed();
-        // key_at: integers, integral floats, never strings.
-        assert_eq!(kept(&t, 0, CellPred::Key(7)), [0, 3]);
-        assert_eq!(kept(&t, 1, CellPred::Key(7)), [0]);
-        assert_eq!(kept(&t, 1, CellPred::Key(0)), [1]);
-        assert_eq!(kept(&t, 1, CellPred::Key(2)), [4]);
-        assert_eq!(kept(&t, 2, CellPred::Key(7)), [] as [i64; 0]);
-        // By value: 2.5 is reachable, -0.0 is 0, NaN is nothing.
-        assert_eq!(kept(&t, 0, CellPred::Num(7.0)), [0, 3]);
-        assert_eq!(kept(&t, 1, CellPred::Num(2.5)), [2]);
-        assert_eq!(kept(&t, 1, CellPred::Num(0.0)), [1]);
-        assert_eq!(kept(&t, 1, CellPred::Num(f64::NAN)), [] as [i64; 0]);
-        assert_eq!(kept(&t, 2, CellPred::Num(7.0)), [] as [i64; 0]);
+        // An integer: integers, integral floats, never strings.
+        assert_eq!(kept(&t, 0, Int(7)), [0, 3]);
+        assert_eq!(kept(&t, 1, Int(7)), [0]);
+        assert_eq!(kept(&t, 1, Int(0)), [1]);
+        assert_eq!(kept(&t, 1, Int(2)), [4]);
+        assert_eq!(kept(&t, 2, Int(7)), [] as [i64; 0]);
+        // A float: 2.5 is reachable, -0.0 is 0, NaN is NaN, 7.0 is 7.
+        assert_eq!(kept(&t, 0, Float(7.0)), [0, 3]);
+        assert_eq!(kept(&t, 0, Float(2.5)), [] as [i64; 0]);
+        assert_eq!(kept(&t, 1, Float(2.5)), [2]);
+        assert_eq!(kept(&t, 1, Float(0.0)), [1]);
+        assert_eq!(kept(&t, 1, Float(f64::NAN)), [3]);
+        assert_eq!(kept(&t, 2, Float(7.0)), [] as [i64; 0]);
         // Strings verbatim, on string columns only.
-        assert_eq!(kept(&t, 2, CellPred::Str("7")), [0, 3]);
-        assert_eq!(kept(&t, 2, CellPred::Str("")), [2]);
-        assert_eq!(kept(&t, 0, CellPred::Str("7")), [] as [i64; 0]);
+        assert_eq!(kept(&t, 2, Str("7".into())), [0, 3]);
+        assert_eq!(kept(&t, 2, Str("".into())), [2]);
+        assert_eq!(kept(&t, 0, Str("7".into())), [] as [i64; 0]);
     }
 
     #[test]
     fn a_second_filter_refines_the_first_selection() {
         let t = mixed();
         let mut rows = RowSet::scan(&t);
-        rows.filter(cell(0, 0), CellPred::Key(7));
-        rows.filter(cell(0, 2), CellPred::Str("7"));
-        rows.filter(cell(0, 1), CellPred::Num(7.0));
+        rows.filter(cell(0, 0), &Int(7));
+        rows.filter(cell(0, 2), &Str("7".into()));
+        rows.filter(cell(0, 1), &Float(7.0));
         assert_eq!(rows.num_rows(), 1);
         assert_eq!(rows.gather(), t.gather(&[0]));
-        rows.filter(cell(0, 0), CellPred::Key(8));
+        rows.filter(cell(0, 0), &Int(8));
         let empty = rows.gather();
         assert_eq!(empty.num_rows(), 0);
         // An empty result keeps its source columns' types.
@@ -677,8 +666,7 @@ mod tests {
         let (mut ls, mut rs) = (Vec::new(), Vec::new());
         for l in 0..left.num_rows() {
             for r in 0..right.num_rows() {
-                let (a, b) = (left.value(l, lk).as_i64(), right.value(r, rk).as_i64());
-                if a.is_some() && a == b {
+                if equal(&left.value(l, lk), &right.value(r, rk)) {
                     ls.push(l);
                     rs.push(r);
                 }
@@ -731,59 +719,131 @@ mod tests {
         let got = ops::hash_join(&left, "k", &right, "k").unwrap();
         assert_eq!(got, nested_loop_join(&left, "k", &right, "k"));
         assert_eq!(got.column("a").unwrap(), &Column::Int(vec![0, 2, 4]));
-        // Float keys on both sides, and the flipped build side.
-        let wide =
-            Table::new(vec![("k", Column::Float(vec![3.0, 0.0, 0.5, 3.0, 9.0, 1.0, 1.0]))]);
+        // Float keys on both sides join by value — 0.5 = 0.5, NaN = NaN —
+        // on either build side.
+        let wide = Table::new(vec![(
+            "k",
+            Column::Float(vec![3.0, 0.0, 0.5, 3.0, 9.0, 1.0, 1.5, f64::NAN]),
+        )]);
         for (l, r) in [(&left, &wide), (&wide, &left)] {
+            let got = ops::hash_join(l, "k", r, "k").unwrap();
+            assert_eq!(got.num_rows(), 6);
             assert_eq!(
-                ops::hash_join(l, "k", r, "k").unwrap(),
-                nested_loop_join(l, "k", r, "k")
+                crate::ivm::table_fingerprint(&got),
+                crate::ivm::table_fingerprint(&nested_loop_join(l, "k", r, "k"))
             );
         }
-        let names = Table::new(vec![("k", strs(&["1", "3"]))]);
+        // A string is never a number; strings join strings.
+        let names = Table::new(vec![("k", strs(&["1", "3", "1"]))]);
         assert_eq!(ops::hash_join(&names, "k", &right, "k").unwrap().num_rows(), 0);
         assert_eq!(ops::hash_join(&right, "k", &names, "k").unwrap().num_rows(), 0);
-        assert_eq!(ops::hash_join(&names, "k", &names, "k").unwrap().num_rows(), 0);
+        assert_eq!(ops::hash_join(&names, "k", &names, "k").unwrap().num_rows(), 5);
     }
 
-    /// `JoinKey::Value` pairs as `(left row, right row)`.
-    fn value_pairs(left: &Column, right: &Column) -> Vec<(i64, i64)> {
-        let tag = |c: &Column| {
-            Table::new(vec![
-                ("k", c.clone()),
-                ("row", Column::Int((0..c.len() as i64).collect())),
-            ])
-        };
-        let (l, r) = (tag(left), tag(right));
+    /// `(left row, right row)` of every pair [`RowSet::join`] emits.
+    fn join_rows(left: &Column, right: &Column) -> Vec<(usize, usize)> {
+        let (l, r) = (tagged(left), tagged(right));
         let mut rows = RowSet::scan(&l);
-        let source = rows.join(cell(0, 0), RowSet::scan(&r), cell(0, 0), JoinKey::Value);
+        let source = rows.join(cell(0, 0), RowSet::scan(&r), cell(0, 0));
+        tag_pairs(&rows, source)
+    }
+
+    /// A key column beside its row numbers.
+    fn tagged(k: &Column) -> Table {
+        Table::new(vec![("k", k.clone()), ("row", Column::Int((0..k.len() as i64).collect()))])
+    }
+
+    /// The `row` tags of [`tagged`] source 0 and of the one at `source`.
+    fn tag_pairs(rows: &RowSet<'_>, source: usize) -> Vec<(usize, usize)> {
         let out = rows
             .gather_as(vec![("l", Out::Cell(cell(0, 1))), ("r", Out::Cell(cell(source, 1)))]);
-        (0..out.num_rows())
-            .map(|i| (out.column_at(0).key_at(i).unwrap(), out.column_at(1).key_at(i).unwrap()))
-            .collect()
+        let tag = |c: usize, i: usize| out.column_at(c).key_at(i).unwrap() as usize;
+        (0..out.num_rows()).map(|i| (tag(0, i), tag(1, i))).collect()
     }
 
     #[test]
     fn shared_variables_equate_numbers_by_value_and_strings_verbatim() {
         let ints = Column::Int(vec![7, 0, 2, 7]);
         let floats = Column::Float(vec![7.0, -0.0, 2.5, f64::NAN, 0.0]);
-        // Int 7 = Float 7.0; 0 = -0.0 = 0.0; 2 ≠ 2.5; NaN joins nothing.
-        assert_eq!(value_pairs(&ints, &floats), [(0, 0), (1, 1), (1, 4), (3, 0)]);
-        assert_eq!(value_pairs(&floats, &ints), [(0, 0), (0, 3), (1, 1), (4, 1)]);
-        // NaN does not even equal itself; fractional floats do.
+        // Int 7 = Float 7.0; 0 = -0.0 = 0.0; 2 ≠ 2.5; NaN is no integer.
+        assert_eq!(join_rows(&ints, &floats), [(0, 0), (1, 1), (1, 4), (3, 0)]);
+        assert_eq!(join_rows(&floats, &ints), [(0, 0), (0, 3), (1, 1), (4, 1)]);
+        // Fractional floats equal themselves, and so does NaN.
         assert_eq!(
-            value_pairs(&floats, &floats),
-            [(0, 0), (1, 1), (1, 4), (2, 2), (4, 1), (4, 4)]
+            join_rows(&floats, &floats),
+            [(0, 0), (1, 1), (1, 4), (2, 2), (3, 3), (4, 1), (4, 4)]
         );
         let names = strs(&["7", "a", "", "a"]);
-        assert_eq!(
-            value_pairs(&names, &names),
-            [(0, 0), (1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]
-        );
+        assert_eq!(join_rows(&names, &names), [(0, 0), (1, 1), (1, 3), (2, 2), (3, 1), (3, 3)]);
         // "7" is not 7, from either side.
-        assert_eq!(value_pairs(&names, &ints), []);
-        assert_eq!(value_pairs(&floats, &names), []);
+        assert_eq!(join_rows(&names, &ints), []);
+        assert_eq!(join_rows(&floats, &names), []);
+    }
+
+    /// The equality's laws on a domain with every corner in it — both
+    /// zeros, `NaN`, ∞, the first integers a float rounds together, a
+    /// numeric-looking string — and then every operator that compares two
+    /// cells against it, cell by cell.
+    #[test]
+    fn the_equality_is_an_equivalence_and_every_operator_agrees_with_it() {
+        const P53: i64 = 1 << 53;
+        let columns = [
+            Column::Int(vec![i64::MIN, -1, 0, 7, P53, P53 + 1]),
+            Column::Float(vec![0.0, -0.0, 2.5, 7.0, P53 as f64, f64::NAN, f64::INFINITY]),
+            strs(&["7", "a", ""]),
+        ];
+        let values = |c: &Column| (0..c.len()).map(|r| c.value(r)).collect::<Vec<_>>();
+        let cells: Vec<Value> = columns.iter().flat_map(values).collect();
+        for a in &cells {
+            assert!(equal(a, a), "{a} = {a}");
+            for b in &cells {
+                assert_eq!(equal(a, b), equal(b, a), "{a} = {b}");
+                for c in cells.iter().filter(|c| equal(a, b) && equal(b, c)) {
+                    assert!(equal(a, c), "{a} = {b} = {c}");
+                }
+            }
+        }
+        // Exact where `f64` is not: 2⁵³ + 1 widens to 2⁵³ and is not it.
+        assert!(equal(&Int(P53), &Float(P53 as f64)));
+        assert!(!equal(&Int(P53 + 1), &Float(P53 as f64)));
+
+        for l in &columns {
+            for r in &columns {
+                let (lv, rv) = (values(l), values(r));
+                let want: Vec<(usize, usize)> = (0..lv.len())
+                    .flat_map(|i| (0..rv.len()).map(move |j| (i, j)))
+                    .filter(|&(i, j)| equal(&lv[i], &rv[j]))
+                    .collect();
+                assert_eq!(join_rows(l, r), want, "join of {l:?} with {r:?}");
+
+                // A product narrowed column against column.
+                let (lt, rt) = (tagged(l), tagged(r));
+                let mut rows = RowSet::scan(&lt);
+                let source = rows.product(RowSet::scan(&rt));
+                rows.filter_eq(cell(0, 0), cell(source, 0));
+                assert_eq!(tag_pairs(&rows, source), want, "filter_eq of {l:?} with {r:?}");
+
+                // Each right cell as a constant.
+                for (j, constant) in rv.iter().enumerate() {
+                    let kept: Vec<i64> =
+                        want.iter().filter(|p| p.1 == j).map(|p| p.0 as i64).collect();
+                    assert_eq!(self::kept(&lt, 0, constant.clone()), kept);
+                }
+
+                // The IVM halves: columns are `k`, `row`, `right.row`.
+                let all = |t: &Table| {
+                    Delta::inserts(t, (0..t.num_rows()).map(|i| t.row(i)).collect())
+                };
+                let tags = |d: Delta| -> Vec<(usize, usize)> {
+                    let tag = |v: &Value| v.as_i64().unwrap() as usize;
+                    d.rows.iter().map(|(row, _)| (tag(&row[1]), tag(&row[2]))).collect()
+                };
+                assert_eq!(tags(all(&lt).join_right(&rt, "k", "k").unwrap()), want);
+                let mut right_major = tags(Delta::join_left(&lt, &all(&rt), "k", "k").unwrap());
+                right_major.sort_unstable();
+                assert_eq!(right_major, want);
+            }
+        }
     }
 
     #[test]
@@ -797,16 +857,16 @@ mod tests {
             ("y", Column::Int(vec![5, 7, 6])),
         ]);
         let mut rows = RowSet::scan(&l);
-        let source = rows.join(cell(0, 0), RowSet::scan(&r), cell(0, 0), JoinKey::Value);
+        let source = rows.join(cell(0, 0), RowSet::scan(&r), cell(0, 0));
         assert_eq!(rows.num_rows(), 5);
-        rows.filter_eq(cell(0, 1), cell(source, 1), JoinKey::Value);
+        rows.filter_eq(cell(0, 1), cell(source, 1));
         let out = rows
             .gather_as(vec![("x", Out::Cell(cell(0, 1))), ("y", Out::Cell(cell(source, 1)))]);
         assert_eq!(out.column_at(0), &Column::Float(vec![5.0, 6.0, 7.0]));
         assert_eq!(out.column_at(1), &Column::Int(vec![5, 6, 7]));
         // Inside one source: a variable an atom repeats.
         let mut rows = RowSet::scan(&r);
-        rows.filter_eq(cell(0, 0), cell(0, 1), JoinKey::Value);
+        rows.filter_eq(cell(0, 0), cell(0, 1));
         assert_eq!(rows.num_rows(), 0);
     }
 
@@ -856,7 +916,7 @@ mod tests {
         ]);
         let mut rows = RowSet::scan(&tweets);
         rows.hash_join(rows.column("uid").unwrap(), &users, 0);
-        rows.filter(rows.column("right.score").unwrap(), CellPred::Key(1));
+        rows.filter(rows.column("right.score").unwrap(), &Int(1));
         rows.hash_join(rows.column("uid").unwrap(), &users, 0);
         assert_eq!(
             rows.gather().column_names(),

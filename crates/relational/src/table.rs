@@ -45,9 +45,10 @@ impl Value {
     }
 }
 
-/// The integer a float cell keys as: integral, in-range floats only.
+/// The integer a float cell is: integral, in-range floats only. The range
+/// ends below 2⁶³, which `i64::MAX as f64` rounds up to and no `i64` is.
 pub(crate) fn float_key(v: f64) -> Option<i64> {
-    if v.fract() == 0.0 && v >= i64::MIN as f64 && v <= i64::MAX as f64 {
+    if v.fract() == 0.0 && v >= i64::MIN as f64 && v < i64::MAX as f64 {
         Some(v as i64)
     } else {
         None
@@ -401,6 +402,9 @@ mod tests {
         assert_eq!(Value::Float(2.5).as_i64(), None);
         assert_eq!(Value::Float(-0.5).as_i64(), None);
         assert_eq!(Value::Float(f64::NAN).as_i64(), None);
+        // The `i64` range exactly: -2⁶³ is in it, 2⁶³ is not.
+        assert_eq!(Value::Float(i64::MIN as f64).as_i64(), Some(i64::MIN));
+        assert_eq!(Value::Float(i64::MAX as f64).as_i64(), None);
         assert_eq!(Value::Str("x".into()).as_f64(), None);
     }
 

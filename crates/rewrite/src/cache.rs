@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 use hadad_obs::{Counter, LazyCounter};
 
@@ -145,9 +145,6 @@ impl Entry {
 /// contend on collisions.
 const NUM_SHARDS: usize = 8;
 
-/// Default total capacity when `HADAD_PLAN_CACHE` is set without a number.
-pub const DEFAULT_CAPACITY: usize = 256;
-
 /// Sharded, epoch-validated map from canonical plan fingerprints to
 /// extracted [`RankedPlans`].
 pub struct PlanCache {
@@ -192,14 +189,6 @@ impl PlanCache {
             stale_refusals: Counter::new(),
             tick: AtomicU64::new(0),
         }
-    }
-
-    /// Cache configured from the `HADAD_PLAN_CACHE` environment variable:
-    /// unset / `0` / `off` → `None` (disabled), a positive integer → that
-    /// total capacity, any other value → [`DEFAULT_CAPACITY`].
-    pub fn from_env() -> Option<Arc<PlanCache>> {
-        capacity_from(&std::env::var("HADAD_PLAN_CACHE").ok()?)
-            .map(|c| Arc::new(PlanCache::new(c)))
     }
 
     /// Entries currently cached, across all shards.
@@ -291,40 +280,9 @@ impl PlanCache {
     }
 }
 
-/// Parses a `HADAD_PLAN_CACHE` value into a total capacity: `0`, `off`,
-/// `false`, or empty disable the cache (`None`); a positive integer sets
-/// the capacity; anything else (e.g. `on`) selects [`DEFAULT_CAPACITY`].
-pub fn capacity_from(value: &str) -> Option<usize> {
-    let v = value.trim().to_ascii_lowercase();
-    if v.is_empty() || v == "0" || v == "off" || v == "false" {
-        return None;
-    }
-    match v.parse::<usize>() {
-        Ok(n) => Some(n),
-        Err(_) => Some(DEFAULT_CAPACITY),
-    }
-}
-
 /// Locks a shard, continuing through poison: entries are always internally
 /// consistent (each insert/remove completes under the lock before any
 /// panic can propagate), so a poisoned shard is still a valid map.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn env_capacity_parsing() {
-        assert_eq!(capacity_from(""), None);
-        assert_eq!(capacity_from("0"), None);
-        assert_eq!(capacity_from("off"), None);
-        assert_eq!(capacity_from("OFF"), None);
-        assert_eq!(capacity_from("false"), None);
-        assert_eq!(capacity_from("128"), Some(128));
-        assert_eq!(capacity_from(" 64 "), Some(64));
-        assert_eq!(capacity_from("on"), Some(DEFAULT_CAPACITY));
-    }
 }

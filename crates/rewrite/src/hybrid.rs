@@ -18,9 +18,8 @@
 //! [`hadad_relational::rowset`]: stages and atoms rewrite `u32` selection
 //! vectors over the borrowed catalog tables, the pipeline's sort key
 //! reorders those vectors, and each output column is gathered once at the
-//! end. The two differ only in which cells a join equates
-//! ([`JoinKey::Int`] for a `HashJoin` stage, [`JoinKey::Value`] for a CQ
-//! variable).
+//! end — and on its one cell equality, so a `HashJoin` stage and the
+//! shared variable it compiles to pair the same rows.
 //!
 //! Execution verifies both halves (the paper's machine-checkable
 //! soundness): the rewritten prefix must produce the same cast matrix as
@@ -37,7 +36,7 @@ use hadad_chase::{
 };
 use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
-use hadad_relational::rowset::{CellPred, ColRef, JoinKey, Out};
+use hadad_relational::rowset::{ColRef, Out};
 use hadad_relational::{cast, Catalog, RowSet, Table, Value};
 
 use crate::eval::{Env, EvalError};
@@ -208,10 +207,10 @@ impl RelOp {
     ) -> Result<(), HybridError> {
         match self {
             RelOp::SelectEq { column: name, value } => {
-                rows.filter(column(rows, name)?, CellPred::Key(*value));
+                rows.filter(column(rows, name)?, &Value::Int(*value));
             }
             RelOp::SelectStrEq { column: name, value } => {
-                rows.filter(column(rows, name)?, CellPred::Str(value));
+                rows.filter(column(rows, name)?, &Value::Str(value.clone()));
             }
             RelOp::HashJoin { table, left_key, right_key } => {
                 let right = catalog
@@ -504,20 +503,6 @@ fn unquote(s: &str) -> Option<&str> {
     s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"'))
 }
 
-/// The filter an interned CQ constant stands for, mirroring the executable
-/// operators exactly: quoted constants match `Str` cells only, numeric
-/// constants match numerically (`Int 7` and `Float 7.0`, never
-/// `Str("7")`), and bare symbolic constants match `Str` cells verbatim.
-fn const_pred(s: &str) -> CellPred<'_> {
-    if let Some(inner) = unquote(s) {
-        CellPred::Str(inner)
-    } else if let Ok(p) = s.parse::<f64>() {
-        CellPred::Num(p)
-    } else {
-        CellPred::Str(s)
-    }
-}
-
 /// Evaluates a CQ against the catalog's tables under *bag* semantics,
 /// mirroring the executable operator pipeline (a projection does not
 /// deduplicate, so neither may the rewriting's evaluation — otherwise a
@@ -526,12 +511,11 @@ fn const_pred(s: &str) -> CellPred<'_> {
 /// view tables.
 ///
 /// Runs atom by atom on the same [`RowSet`] executor as
-/// [`RelQuery::execute`]: an atom's constants (classified once per atom)
+/// [`RelQuery::execute`]: an atom's constants (decoded once per atom)
 /// and a variable it repeats filter its table; its first already-bound
-/// variable joins it to the rows so far ([`JoinKey::Value`]: numeric cells
-/// by value, strings verbatim); further shared variables filter column
-/// against column; an atom sharing nothing is a left-major product; an
-/// empty body is the single row of head constants. A head variable is
+/// variable joins it to the rows so far; further shared variables filter
+/// column against column; an atom sharing nothing is a left-major product;
+/// an empty body is the single row of head constants. A head variable is
 /// gathered from the column that first bound it, so an empty answer keeps
 /// its source columns' types (a head constant its own).
 pub fn eval_cq(
@@ -568,11 +552,11 @@ fn eval_cq_sorted(
         for (i, term) in atom.args.iter().enumerate() {
             match term {
                 Term::Const(c) => {
-                    scan.filter(cell(0, i), const_pred(tv.vocab.const_name(*c)));
+                    scan.filter(cell(0, i), &decode_const(tv.vocab.const_name(*c)));
                 }
                 Term::Var(v) => match vars.iter().find(|(w, _)| w == v) {
                     Some(&(_, first)) => {
-                        scan.filter_eq(cell(0, first), cell(0, i), JoinKey::Value);
+                        scan.filter_eq(cell(0, first), cell(0, i));
                     }
                     None => vars.push((*v, i)),
                 },
@@ -581,11 +565,11 @@ fn eval_cq_sorted(
 
         let mut shared = vars.iter().filter_map(|(v, i)| bound.get(v).map(|c| (*c, *i)));
         let source = match shared.next() {
-            Some((left, i)) => rows.join(left, scan, cell(0, i), JoinKey::Value),
+            Some((left, i)) => rows.join(left, scan, cell(0, i)),
             None => rows.product(scan),
         };
         for (left, i) in shared {
-            rows.filter_eq(left, cell(source, i), JoinKey::Value);
+            rows.filter_eq(left, cell(source, i));
         }
         for (v, i) in vars {
             bound.entry(v).or_insert(cell(source, i));
@@ -615,6 +599,11 @@ fn eval_cq_sorted(
     Ok(rows.gather_as(head))
 }
 
+/// The cell an interned CQ constant stands for — what a body position is
+/// filtered by and what a head position holds: a quoted constant is that
+/// string, an `i64`-parsable one that integer (so a compiled `SelectEq`
+/// keeps exactly the rows the stage keeps), any other number a float, and a
+/// bare symbol a string verbatim.
 fn decode_const(s: &str) -> Value {
     if let Some(inner) = unquote(s) {
         Value::Str(inner.to_owned())

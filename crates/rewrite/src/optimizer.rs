@@ -180,10 +180,6 @@ impl From<RuleRejection> for RewriteError {
     }
 }
 
-/// Candidate count from which plan ranking shards cost estimation across
-/// worker threads.
-const PARALLEL_RANK_THRESHOLD: usize = 16;
-
 /// A generator of additional constraints (e.g. mined from workload logs),
 /// re-evaluated against each `rewrite` call's fresh [`Vrem`] so predicate
 /// and constant interning stay consistent with that call's encoding.
@@ -294,16 +290,16 @@ impl Optimizer {
             backend: BackendKind::from_env(),
             deadline: None,
             extra_constraints: Vec::new(),
-            cache: PlanCache::from_env(),
+            cache: None,
             cache_epoch: 0,
             memo: Arc::new(Mutex::new(None)),
         }
     }
 
     /// Enables the plan cache with `capacity` total entries (`0`
-    /// disables), replacing any env-configured cache. Clones of this
-    /// optimizer share the cache; see [`crate::cache`] for the key and
-    /// the epoch-invalidation rule.
+    /// disables); it is off until this is called. Clones of this optimizer
+    /// share the cache; see [`crate::cache`] for the key and the
+    /// epoch-invalidation rule.
     pub fn with_plan_cache(mut self, capacity: usize) -> Self {
         self.cache = (capacity > 0).then(|| Arc::new(PlanCache::new(capacity)));
         self
@@ -832,17 +828,15 @@ fn serve_hit(
     Some(plans)
 }
 
-/// Estimates candidate costs, sharding across worker threads when the
-/// candidate set is large. Candidates assembled from chase-created classes
-/// can in rare cases fall outside the metadata catalog (e.g. a literal the
-/// cost model cannot shape); those are skipped rather than failing the call.
+/// Estimates candidate costs. Candidates assembled from chase-created
+/// classes can in rare cases fall outside the metadata catalog (e.g. a
+/// literal the cost model cannot shape); those are skipped rather than
+/// failing the call.
 fn rank_candidates(cm: &CostModel<'_>, candidates: Vec<Expr>) -> Vec<Plan> {
-    hadad_core::extract::par_map(&candidates, PARALLEL_RANK_THRESHOLD, |expr| {
-        cm.cost(expr).ok().map(|est_cost| Plan { expr: expr.clone(), est_cost })
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    candidates
+        .into_iter()
+        .filter_map(|expr| cm.cost(&expr).ok().map(|est_cost| Plan { expr, est_cost }))
+        .collect()
 }
 
 #[cfg(test)]

@@ -107,13 +107,10 @@ fn stale_epoch_probe_refuses_entry() {
     assert!(!opt.rewrite(&e).expect("old epoch probe").report.cache.hit);
 }
 
-/// The cache is off by default: without `HADAD_PLAN_CACHE` or
-/// `with_plan_cache`, repeats are full rewrites with zeroed counters.
+/// The cache is off by default: without `with_plan_cache`, repeats are
+/// full rewrites with zeroed counters.
 #[test]
 fn cache_disabled_by_default() {
-    if std::env::var("HADAD_PLAN_CACHE").is_ok() {
-        return; // explicit env opt-in overrides the default under test
-    }
     let opt = Optimizer::new(common::corpus_catalog());
     let e = trace(mul(m("A"), m("B")));
     for _ in 0..2 {

@@ -7,7 +7,9 @@ use hadad_chase::{DegradeReason, Degraded, RewritePhase};
 use hadad_core::expr::dsl::*;
 use hadad_core::{MatrixMeta, MetaCatalog};
 use hadad_linalg::{approx_eq, rand_gen, Matrix};
+use hadad_relational::ivm::table_fingerprint;
 use hadad_relational::{Catalog, Column, Table, Value};
+use hadad_rewrite::hybrid::{eval_cq, TableVocab};
 use hadad_rewrite::{
     eval, CastKind, Env, HybridError, HybridOptimizer, HybridPipeline, MaintainedCast,
     Optimizer, RelQuery,
@@ -666,4 +668,64 @@ fn pipeline_without_views_falls_back_cleanly() {
     // The suffix still evaluates and verifies (no LA view: the original
     // shape survives as the best verified plan).
     assert!(r.best.est_cost <= r.ranked.original.est_cost);
+}
+
+/// A rewriting is the same relation whatever the join key's type. With
+/// views `v = σ_{c=1}(l)` and `rv = r`, the prefix `σ_{c=1}(l) ⋈_k r` is
+/// rewritten to `v ⋈_k rv`; on a fractional-`Float` or a `Str` key the
+/// operator pipeline used to join nothing (its keys were integers only)
+/// while the rewriting's shared variable joined every equal pair.
+#[test]
+fn float_and_string_join_keys_rewrite_to_the_same_bag() {
+    let strs = |v: &[&str]| Column::Str(v.iter().map(|s| (*s).to_owned()).collect());
+    let keyed = [
+        (
+            Column::Float(vec![2.5, 2.5, 0.5, 7.5, f64::NAN, -1.25]),
+            Column::Float(vec![2.5, f64::NAN, 7.5, 2.5, 9.75]),
+            6,
+        ),
+        (strs(&["x", "7", "", "x", "y", "7"]), strs(&["7", "x", "z", "7.0", ""]), 3),
+    ];
+    for (left_keys, right_keys, joined) in keyed {
+        let mut catalog = Catalog::new();
+        catalog.register(
+            "l",
+            Table::new(vec![
+                ("k", left_keys),
+                ("c", Column::Int(vec![1, 1, 0, 1, 1, 0])),
+                ("a", Column::Int((0..6).collect())),
+            ]),
+        );
+        catalog.register(
+            "r",
+            Table::new(vec![("k", right_keys), ("b", Column::Int((10..15).collect()))]),
+        );
+        let mut hy = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
+        hy.register_table_view("v", RelQuery::scan("l").select_eq("c", 1)).unwrap();
+        hy.register_table_view("rv", RelQuery::scan("r")).unwrap();
+
+        let prefix = RelQuery::scan("l").select_eq("c", 1).join("r", "k", "k");
+        let direct = prefix.execute(&hy.catalog).unwrap();
+        assert_eq!(direct.num_rows(), joined);
+
+        let mut tv = TableVocab::from_catalog(&hy.catalog);
+        let compiled = prefix.compile(&hy.catalog, &mut tv).unwrap();
+        let via_cq = eval_cq(&compiled.cq, &compiled.columns, &hy.catalog, &tv).unwrap();
+        assert_eq!(table_fingerprint(&via_cq), table_fingerprint(&direct));
+
+        let pipeline = HybridPipeline {
+            prefix,
+            sort_key: Some("a".into()),
+            cast: CastKind::Dense { columns: vec!["a".into(), "b".into()] },
+            cast_name: "X".into(),
+            suffix: mul(t(m("X")), m("X")),
+        };
+        let r = hy.rewrite_hybrid(&pipeline).unwrap();
+        assert!(r.rel.rewriting.is_some(), "the prefix should land on v ⋈ rv");
+        assert_eq!(r.rel.cost_best, Some(9.0));
+        assert_eq!(table_fingerprint(&r.table), table_fingerprint(&direct));
+        let r = hy.rewrite_hybrid_verified(&pipeline, &Env::new(), 1e-9).unwrap();
+        assert!(r.rel.rewriting.is_some());
+        assert_eq!(r.verified, Some(true));
+    }
 }

@@ -39,13 +39,16 @@ fn assert_views_fresh(catalog: &Catalog, views: &[TableView], ctx: &str) {
     }
 }
 
-/// Base schema: orders(oid, cust, qty, tag) and custs(cid, region).
-/// Key domains are tiny so joins hit duplicates — the regime where bag
-/// (counting) semantics and set semantics diverge.
+const TAGS: [&str; 3] = ["covid", "sports", "news"];
+/// Fractional, both zeros, and a `NaN` that must join itself.
+const SCORES: [f64; 6] = [0.5, 1.5, 2.5, 0.0, -0.0, f64::NAN];
+
+/// Base schema: orders(oid, cust, qty, tag, score), custs(cid, region) and
+/// labels(tag, score). Key domains are tiny so joins hit duplicates — the
+/// regime where bag (counting) semantics and set semantics diverge.
 fn seed_catalog(rng: &mut Rng64) -> Catalog {
     let n = 30 + rng.range_usize(20) as i64;
     let m = 8 + rng.range_usize(6) as i64;
-    let tags = ["covid", "sports", "news"];
     let regions = ["eu", "us"];
     let mut cat = Catalog::new();
     cat.register(
@@ -56,8 +59,19 @@ fn seed_catalog(rng: &mut Rng64) -> Catalog {
             ("qty", Column::Int((0..n).map(|_| rng.range_i64(1, 4)).collect())),
             (
                 "tag",
-                Column::Str((0..n).map(|_| tags[rng.range_usize(3)].to_string()).collect()),
+                Column::Str((0..n).map(|_| TAGS[rng.range_usize(3)].to_string()).collect()),
             ),
+            ("score", Column::Float((0..n).map(|_| SCORES[rng.range_usize(6)]).collect())),
+        ]),
+    );
+    cat.register(
+        "labels",
+        Table::new(vec![
+            (
+                "tag",
+                Column::Str((0..6).map(|_| TAGS[rng.range_usize(3)].to_string()).collect()),
+            ),
+            ("score", Column::Float((0..6).map(|_| SCORES[rng.range_usize(6)]).collect())),
         ]),
     );
     cat.register(
@@ -75,14 +89,21 @@ fn seed_catalog(rng: &mut Rng64) -> Catalog {
 }
 
 fn random_order_row(rng: &mut Rng64, next_oid: &mut i64) -> Vec<Value> {
-    let tags = ["covid", "sports", "news"];
     let oid = *next_oid;
     *next_oid += 1;
     vec![
         Value::Int(oid),
         Value::Int(rng.range_i64(0, 5)),
         Value::Int(rng.range_i64(1, 4)),
-        Value::Str(tags[rng.range_usize(3)].to_string()),
+        Value::Str(TAGS[rng.range_usize(3)].to_string()),
+        Value::Float(SCORES[rng.range_usize(6)]),
+    ]
+}
+
+fn random_label_row(rng: &mut Rng64) -> Vec<Value> {
+    vec![
+        Value::Str(TAGS[rng.range_usize(3)].to_string()),
+        Value::Float(SCORES[rng.range_usize(6)]),
     ]
 }
 
@@ -108,14 +129,17 @@ fn sample_rows(t: &Table, rng: &mut Rng64, k: usize) -> Vec<Vec<Value>> {
 }
 
 /// Views covering every operator: equality selection (int and string),
-/// join (with duplicate keys), projection (dropping the key, so the view
-/// holds genuine duplicates), and their composition — plus a view over a
-/// view, maintained transitively.
+/// join (with duplicate keys; on an integer, a string and a fractional
+/// float key), projection (dropping the key, so the view holds genuine
+/// duplicates), and their composition — plus a view over a view,
+/// maintained transitively.
 fn view_suite() -> Vec<(&'static str, RelQuery)> {
     vec![
         ("v_sel", RelQuery::scan("orders").select_eq("cust", 2)),
         ("v_str", RelQuery::scan("orders").select_str_eq("tag", "covid")),
         ("v_join", RelQuery::scan("orders").join("custs", "cust", "cid")),
+        ("v_str_key", RelQuery::scan("orders").join("labels", "tag", "tag")),
+        ("v_float_key", RelQuery::scan("orders").join("labels", "score", "score")),
         (
             "v_mix",
             RelQuery::scan("orders")
@@ -146,6 +170,9 @@ fn property_random_update_sequences_keep_views_fresh() {
             views.push(view);
         }
         assert_views_fresh(&catalog, &views, "seed state");
+        // String and fractional-float keys do join.
+        assert!(catalog.cardinality("v_str_key") > Some(0), "seed {seed}");
+        assert!(catalog.cardinality("v_float_key") > Some(0), "seed {seed}");
 
         for step in 0..18 {
             // Batch 1..=3 mutations (possibly over both tables) before one
@@ -153,8 +180,9 @@ fn property_random_update_sequences_keep_views_fresh() {
             // sequential-composition path.
             let batch = 1 + rng.range_usize(3);
             for _ in 0..batch {
-                let on_orders = rng.range_usize(4) != 0; // orders updates dominate
-                let table = if on_orders { "orders" } else { "custs" };
+                // Orders updates dominate.
+                let table =
+                    ["orders", "orders", "orders", "custs", "labels"][rng.range_usize(5)];
                 let deleting =
                     rng.range_usize(3) == 0 && catalog.cardinality(table).unwrap_or(0) > 4;
                 let k = 1 + rng.range_usize(4);
@@ -163,12 +191,10 @@ fn property_random_update_sequences_keep_views_fresh() {
                     catalog.delete_rows(table, rows).unwrap();
                 } else {
                     let rows: Vec<Vec<Value>> = (0..k)
-                        .map(|_| {
-                            if on_orders {
-                                random_order_row(&mut rng, &mut next_oid)
-                            } else {
-                                random_cust_row(&mut rng)
-                            }
+                        .map(|_| match table {
+                            "orders" => random_order_row(&mut rng, &mut next_oid),
+                            "custs" => random_cust_row(&mut rng),
+                            _ => random_label_row(&mut rng),
                         })
                         .collect();
                     catalog.insert_rows(table, rows).unwrap();

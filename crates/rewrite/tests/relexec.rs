@@ -1,16 +1,18 @@
 //! Differential tests of the relational executor behind
 //! `RelQuery::execute` and `eval_cq`, against row-at-a-time oracles written
 //! here over `Table::row` / `Value`: a stage-by-stage pipeline interpreter
-//! (selection through `Value::as_i64`, nested-loop join, projection) and a
-//! binding-map CQ evaluator. `execute` must agree with the first in names,
-//! column types and row order; `eval_cq` with the second row for row — and
-//! with `execute` as a multiset wherever `compile` relates the two.
+//! (selection, nested-loop join, projection) and a binding-map CQ
+//! evaluator, both deciding "are these two cells equal" through the one
+//! [`equal`] below. `execute` must agree with the first in names, column
+//! types and row order; `eval_cq` with the second row for row — and with
+//! `execute` as a multiset, whatever the key types, wherever `compile`
+//! relates the two.
 
 use std::collections::HashMap;
 
 use hadad_chase::{Atom, Cq, Term};
 use hadad_linalg::rng::Rng64;
-use hadad_relational::ivm::{row_key, table_fingerprint};
+use hadad_relational::ivm::row_key;
 use hadad_relational::{Catalog, Column, Table, Value};
 use hadad_rewrite::hybrid::{eval_cq, HybridError, RelOp, RelQuery, TableVocab};
 
@@ -56,6 +58,38 @@ fn random_catalog(rng: &mut Rng64) -> Catalog {
     catalog
 }
 
+// --- the one equality ------------------------------------------------------
+
+/// When two cells are equal, spelled out: integers exactly, an integer and
+/// a float when the float is that integer, floats by value with one zero
+/// and a `NaN` that equals itself, strings verbatim, a string never a number.
+fn equal(a: &Value, b: &Value) -> bool {
+    use Value::{Float, Int, Str};
+    match (a, b) {
+        (Int(x), Int(y)) => x == y,
+        (Int(x), f @ Float(_)) | (f @ Float(_), Int(x)) => f.as_i64() == Some(*x),
+        (Float(x), Float(y)) => x == y || (x.is_nan() && y.is_nan()),
+        (Str(x), Str(y)) => x == y,
+        _ => false,
+    }
+}
+
+/// [`table_fingerprint`] with every cell replaced by one representative of
+/// its equality class (`7.0` by `7`, `-0.0` by `0`, any `NaN` by one): two
+/// plans that bind an output column from different members of a join, or
+/// from a selection's constant, return the same bag only up to that.
+fn fingerprint_up_to_representative(t: &Table) -> Vec<String> {
+    let representative = |v: Value| match v {
+        Value::Float(f) if f.is_nan() => Value::Float(f64::NAN),
+        Value::Float(_) => v.as_i64().map_or(v, Value::Int),
+        other => other,
+    };
+    let row = |r: usize| t.row(r).into_iter().map(representative).collect::<Vec<_>>();
+    let mut rows: Vec<String> = (0..t.num_rows()).map(|r| row_key(&row(r))).collect();
+    rows.sort();
+    rows
+}
+
 // --- the pipeline oracle ---------------------------------------------------
 
 /// A relation as rows of `Value`s, with one empty typed column per output
@@ -95,15 +129,8 @@ impl Rel {
         self.names.iter().position(|n| n == name).unwrap()
     }
 
-    /// Columns of the given type tag (see [`type_tag`]), or all of them.
-    fn columns_of(&self, ty: Option<char>) -> Vec<&str> {
-        let wanted = |c: &Column| ty.map_or(true, |t| type_tag(c) == t);
-        self.names
-            .iter()
-            .zip(&self.types)
-            .filter(|(_, c)| wanted(c))
-            .map(|(n, _)| &**n)
-            .collect()
+    fn columns(&self) -> Vec<&str> {
+        self.names.iter().map(|n| &**n).collect()
     }
 
     fn table(&self) -> Table {
@@ -121,15 +148,13 @@ impl Rel {
         match op {
             RelOp::SelectEq { column, value } => {
                 let i = self.index(column);
-                let rows = self.rows.into_iter().filter(|r| r[i].as_i64() == Some(*value));
+                let rows = self.rows.into_iter().filter(|r| equal(&r[i], &Value::Int(*value)));
                 Rel { rows: rows.collect(), ..self }
             }
             RelOp::SelectStrEq { column, value } => {
                 let i = self.index(column);
-                let rows = self
-                    .rows
-                    .into_iter()
-                    .filter(|r| matches!(&r[i], Value::Str(s) if s == value));
+                let value = Value::Str(value.clone());
+                let rows = self.rows.into_iter().filter(|r| equal(&r[i], &value));
                 Rel { rows: rows.collect(), ..self }
             }
             RelOp::Project { columns } => {
@@ -159,7 +184,7 @@ impl Rel {
                 }
                 for l in &self.rows {
                     for r in &right.rows {
-                        if l[lk].as_i64().is_some() && l[lk].as_i64() == r[rk].as_i64() {
+                        if equal(&l[lk], &r[rk]) {
                             let mut row = l.clone();
                             row.extend(kept.iter().map(|&c| r[c].clone()));
                             out.rows.push(row);
@@ -173,38 +198,41 @@ impl Rel {
 }
 
 /// A random pipeline of up to five stages over the catalog, together with
-/// what the oracle makes of it. `int_keyed` keeps every integer selection
-/// and join key on `Int` columns and every string selection on `Str`
-/// columns — the fragment on which the compiled CQ means the same thing.
-fn random_pipeline(rng: &mut Rng64, catalog: &Catalog, int_keyed: bool) -> (RelQuery, Rel) {
+/// what the oracle makes of it. Selections and join keys land on columns of
+/// any type.
+fn random_pipeline(rng: &mut Rng64, catalog: &Catalog) -> (RelQuery, Rel) {
     let tables: Vec<&str> = catalog.names().collect();
     let start = pick(rng, &tables);
     let mut q = RelQuery::scan(start);
     let mut rel = Rel::scan(catalog.get(start).unwrap());
-    let (ints, strs) = if int_keyed { (Some('i'), Some('s')) } else { (None, None) };
     for _ in 0..rng.range_usize(6) {
         let before = q.ops.len();
         match rng.range_usize(5) {
             0 => {
-                if let Some(&c) = rel.columns_of(ints).get(rng.range_usize(4)) {
+                if let Some(&c) = rel.columns().get(rng.range_usize(4)) {
                     q = q.select_eq(c, pick(rng, &INTS));
                 }
             }
             1 => {
-                if let Some(&c) = rel.columns_of(strs).get(rng.range_usize(4)) {
+                if let Some(&c) = rel.columns().get(rng.range_usize(4)) {
                     q = q.select_str_eq(c, pick(rng, &STRS));
                 }
             }
             2 | 3 => {
                 let table = pick(rng, &tables);
                 let right = Rel::scan(catalog.get(table).unwrap());
-                let (l, r) = (rel.columns_of(ints), right.columns_of(ints));
-                if !l.is_empty() && !r.is_empty() {
-                    q = q.join(table, pick(rng, &l), pick(rng, &r));
+                let left_key = pick(rng, &rel.columns());
+                // Mostly a key of the left key's type, so that most joins
+                // can match; sometimes any column at all.
+                let ty = type_tag(&rel.types[rel.index(left_key)]);
+                let mut keys = right.columns();
+                if rng.range_usize(4) > 0 && right.types.iter().any(|c| type_tag(c) == ty) {
+                    keys.retain(|k| type_tag(&right.types[right.index(k)]) == ty);
                 }
+                q = q.join(table, left_key, pick(rng, &keys));
             }
             _ => {
-                let mut cols = rel.columns_of(None);
+                let mut cols = rel.columns();
                 let keep = 1 + rng.range_usize(cols.len());
                 let picked: Vec<&str> =
                     (0..keep).map(|_| cols.swap_remove(rng.range_usize(cols.len()))).collect();
@@ -240,23 +268,6 @@ fn unquote(s: &str) -> Option<&str> {
     s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"'))
 }
 
-fn const_matches(cell: &Value, s: &str) -> bool {
-    if let Some(inner) = unquote(s) {
-        return matches!(cell, Value::Str(v) if v == inner);
-    }
-    if let Ok(p) = s.parse::<f64>() {
-        return cell.as_f64() == Some(p);
-    }
-    matches!(cell, Value::Str(v) if v == s)
-}
-
-fn value_matches(a: &Value, b: &Value) -> bool {
-    match (a.as_f64(), b.as_f64()) {
-        (Some(x), Some(y)) => x == y,
-        _ => a == b,
-    }
-}
-
 fn decode_const(s: &str) -> Value {
     if let Some(inner) = unquote(s) {
         Value::Str(inner.to_owned())
@@ -282,9 +293,9 @@ fn cq_oracle(q: &Cq, catalog: &Catalog, tv: &TableVocab) -> Vec<Vec<Value>> {
                 let mut ext = b.clone();
                 for (term, cell) in atom.args.iter().zip(&row) {
                     let ok = match term {
-                        Term::Const(c) => const_matches(cell, tv.vocab.const_name(*c)),
+                        Term::Const(c) => equal(cell, &decode_const(tv.vocab.const_name(*c))),
                         Term::Var(v) => match ext.get(v) {
-                            Some(bound) => value_matches(bound, cell),
+                            Some(bound) => equal(bound, cell),
                             None => ext.insert(*v, cell.clone()).is_none(),
                         },
                     };
@@ -330,7 +341,7 @@ fn execute_is_the_row_at_a_time_pipeline() {
         let mut rng = Rng64::new(0x5E1_EC7 + seed);
         let catalog = random_catalog(&mut rng);
         for case in 0..4 {
-            let (q, oracle) = random_pipeline(&mut rng, &catalog, false);
+            let (q, oracle) = random_pipeline(&mut rng, &catalog);
             let ctx = format!("seed {seed} case {case}: {q:?}");
             assert_identical(&q.execute(&catalog).unwrap(), &oracle.table(), &ctx);
             joins += q.ops.iter().filter(|op| matches!(op, RelOp::HashJoin { .. })).count();
@@ -354,15 +365,21 @@ fn execute_is_the_row_at_a_time_pipeline() {
     assert!(stacked > 10, "{stacked} random pipelines with a right.right. column");
 }
 
+/// `execute(q)` and `eval_cq(compile(q))` are the same bag — up to which
+/// member of an equality class an output cell shows — with selections and
+/// join keys on `Int`, `Float` (fractional, both zeros, `NaN`) and `Str`
+/// columns alike.
 #[test]
-fn compiled_int_keyed_pipelines_evaluate_to_the_same_bag() {
+fn compiled_pipelines_evaluate_to_the_same_bag_on_every_key_type() {
     let mut compared = 0;
     let mut nonempty = 0;
+    // Non-empty joins by the type of their left key column.
+    let mut joined = HashMap::from([('i', 0), ('f', 0), ('s', 0)]);
     for seed in 0..300u64 {
         let mut rng = Rng64::new(0xC0_FFEE + seed);
         let catalog = random_catalog(&mut rng);
         for case in 0..4 {
-            let (q, oracle) = random_pipeline(&mut rng, &catalog, true);
+            let (q, oracle) = random_pipeline(&mut rng, &catalog);
             let ctx = format!("seed {seed} case {case}: {q:?}");
             let direct = q.execute(&catalog).unwrap();
             assert_identical(&direct, &oracle.table(), &ctx);
@@ -379,12 +396,22 @@ fn compiled_int_keyed_pipelines_evaluate_to_the_same_bag() {
             assert_eq!(compiled.columns, direct.column_names(), "{ctx}");
             let via_cq =
                 assert_cq_matches_oracle(&compiled.cq, &compiled.columns, &catalog, &tv, &ctx);
-            assert_eq!(table_fingerprint(&via_cq), table_fingerprint(&direct), "{ctx}");
+            assert_eq!(
+                fingerprint_up_to_representative(&via_cq),
+                fingerprint_up_to_representative(&direct),
+                "{ctx}"
+            );
             compared += 1;
             nonempty += usize::from(direct.num_rows() > 0);
+            if let Some(RelOp::HashJoin { left_key, .. }) = q.ops.last() {
+                if direct.num_rows() > 0 {
+                    *joined.get_mut(&column_type(&direct, left_key)).unwrap() += 1;
+                }
+            }
         }
     }
     assert!(compared > 1000 && nonempty > 300, "{compared} compared, {nonempty} non-empty");
+    assert!(joined.values().all(|&n| n >= 5), "non-empty joins by key type: {joined:?}");
 }
 
 fn column_type(t: &Table, name: &str) -> char {
