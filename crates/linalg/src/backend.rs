@@ -32,7 +32,7 @@ use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 use crate::ops;
-use crate::sparse::SparseMatrix;
+use crate::sparse::{SparseBuilder, SparseMatrix};
 
 /// A contained kernel-worker panic. `Parallel` discards the partial
 /// output, records one of these in the process-wide event log, and retries
@@ -397,8 +397,7 @@ pub fn spmm_rows(
     let (m, n) = (a.rows(), b.cols());
     let mut out = DenseMatrix::zeros(m, n);
     partition_rows(out.data_mut(), m, n, threads, |chunk, r0, r1| {
-        for i in r0..r1 {
-            let (idx, vals) = a.row(i);
+        for (i, idx, vals) in a.stored_rows_in(r0, r1) {
             let out_row = &mut chunk[(i - r0) * n..(i - r0 + 1) * n];
             for (&kk, &aik) in idx.iter().zip(vals) {
                 let b_row = b.row(kk);
@@ -424,11 +423,11 @@ pub fn dense_sparse_rows(
         for i in r0..r1 {
             let a_row = a.row(i);
             let out_row = &mut chunk[(i - r0) * n..(i - r0 + 1) * n];
-            for (kk, &aik) in a_row.iter().enumerate() {
+            for (kk, idx, vals) in b.stored_rows() {
+                let aik = a_row[kk];
                 if aik == 0.0 {
                     continue;
                 }
-                let (idx, vals) = b.row(kk);
                 for (&j, &bkj) in idx.iter().zip(vals) {
                     out_row[j] += aik * bkj;
                 }
@@ -438,34 +437,30 @@ pub fn dense_sparse_rows(
     Ok(out)
 }
 
-/// One worker's SpGEMM output: CSR fragments for a contiguous row range.
-struct CsrChunk {
-    row_lens: Vec<usize>,
-    indices: Vec<usize>,
-    values: Vec<f64>,
-}
-
-/// Threaded row-wise SpGEMM: per-thread row ranges with thread-local dense
-/// accumulators, assembling sorted CSR rows directly — no global triplet
-/// sort, which is what dominates the reference kernel on chain workloads.
+/// Threaded row-wise SpGEMM: each worker takes a contiguous range of `A`'s
+/// stored rows with a thread-local dense accumulator and writes sorted
+/// output rows straight into its own builder — no global triplet sort — and
+/// the builders are joined in row order. An `A` with few stored rows costs
+/// what it stores, not its row count.
 pub fn spgemm_rows(
     a: &SparseMatrix,
     b: &SparseMatrix,
     threads: usize,
 ) -> std::result::Result<SparseMatrix, WorkerPanicked> {
     let (m, n) = (a.rows(), b.cols());
-    let ranges = row_ranges(m, threads);
-    let run_range = |r0: usize, r1: usize| -> CsrChunk {
+    let ranges = row_ranges(a.slots(), threads);
+    let run_range = |k0: usize, k1: usize| -> SparseBuilder {
         hadad_failpoint::hit("linalg.kernel").expect("linalg.kernel failpoint");
         let mut acc = vec![0.0f64; n];
         let mut touched: Vec<usize> = Vec::new();
-        let mut chunk = CsrChunk {
-            row_lens: Vec::with_capacity(r1 - r0),
-            indices: Vec::new(),
-            values: Vec::new(),
-        };
-        for i in r0..r1 {
-            let (idx, vals) = a.row(i);
+        // No output row holds more than the `B` entries its products touch,
+        // or than `n`: reserved once, the output never grows by copying.
+        let bound: usize = a
+            .slot_rows(k0..k1)
+            .map(|(_, idx, _)| idx.iter().map(|&kk| b.row(kk).0.len()).sum::<usize>().min(n))
+            .sum();
+        let mut out = SparseBuilder::new(m, n, bound);
+        for (i, idx, vals) in a.slot_rows(k0..k1) {
             for (&kk, &aik) in idx.iter().zip(vals) {
                 let (bidx, bvals) = b.row(kk);
                 for (&j, &bkj) in bidx.iter().zip(bvals) {
@@ -476,28 +471,25 @@ pub fn spgemm_rows(
                 }
             }
             touched.sort_unstable();
-            let before = chunk.indices.len();
             for &j in &touched {
                 if acc[j] != 0.0 {
-                    chunk.indices.push(j);
-                    chunk.values.push(acc[j]);
+                    out.append(i, j, acc[j]);
                 }
                 acc[j] = 0.0;
             }
-            chunk.row_lens.push(chunk.indices.len() - before);
             touched.clear();
         }
-        chunk
+        out
     };
     // Supervised workers: each catches its own panics, so join() cannot
     // fail and one bad worker surfaces as `WorkerPanicked` for the whole
     // product (the chunks are interdependent only at assembly).
     let supervised =
-        |r0: usize, r1: usize| catch_unwind(AssertUnwindSafe(|| run_range(r0, r1)));
-    let chunks: Vec<CsrChunk> = if ranges.len() <= 1 {
+        |k0: usize, k1: usize| catch_unwind(AssertUnwindSafe(|| run_range(k0, k1)));
+    let chunks: Vec<SparseBuilder> = if ranges.len() <= 1 {
         ranges
             .iter()
-            .map(|&(r0, r1)| supervised(r0, r1).map_err(|_| WorkerPanicked))
+            .map(|&(k0, k1)| supervised(k0, k1).map_err(|_| WorkerPanicked))
             .collect::<std::result::Result<_, _>>()?
     } else {
         std::thread::scope(|s| {
@@ -507,7 +499,7 @@ pub fn spgemm_rows(
             // a time.
             #[allow(clippy::needless_collect)]
             let handles: Vec<_> =
-                ranges.iter().map(|&(r0, r1)| s.spawn(move || supervised(r0, r1))).collect();
+                ranges.iter().map(|&(k0, k1)| s.spawn(move || supervised(k0, k1))).collect();
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or(Err(Box::new(WorkerPanicked))))
@@ -515,20 +507,8 @@ pub fn spgemm_rows(
                 .map_err(|_| WorkerPanicked)
         })?
     };
-    let nnz: usize = chunks.iter().map(|c| c.values.len()).sum();
-    let mut indptr = Vec::with_capacity(m + 1);
-    indptr.push(0usize);
-    let mut indices = Vec::with_capacity(nnz);
-    let mut values = Vec::with_capacity(nnz);
-    for c in chunks {
-        for len in c.row_lens {
-            indptr.push(indptr.last().unwrap() + len);
-        }
-        indices.extend_from_slice(&c.indices);
-        values.extend_from_slice(&c.values);
-    }
-    debug_assert_eq!(indptr.len(), m + 1);
-    Ok(SparseMatrix::from_csr(m, n, indptr, indices, values))
+    let joined = chunks.into_iter().reduce(SparseBuilder::concat);
+    Ok(joined.map_or_else(|| SparseMatrix::zeros(m, n), SparseBuilder::finish))
 }
 
 /// Fused dense `Aᵀ·B` (both dense): output rows (= columns of `A`)
@@ -569,17 +549,16 @@ pub fn tmul_dense_sparse(
     b: &SparseMatrix,
     threads: usize,
 ) -> std::result::Result<DenseMatrix, WorkerPanicked> {
-    let (m, p, n) = (a.rows(), a.cols(), b.cols());
+    let (p, n) = (a.cols(), b.cols());
     let mut out = DenseMatrix::zeros(p, n);
     partition_rows(out.data_mut(), p, n, threads, |chunk, r0, r1| {
         for r in r0..r1 {
             let out_row = &mut chunk[(r - r0) * n..(r - r0 + 1) * n];
-            for i in 0..m {
+            for (i, idx, vals) in b.stored_rows() {
                 let air = a.row(i)[r];
                 if air == 0.0 {
                     continue;
                 }
-                let (idx, vals) = b.row(i);
                 for (&j, &bij) in idx.iter().zip(vals) {
                     out_row[j] += air * bij;
                 }
@@ -677,6 +656,78 @@ mod tests {
 
     fn sparse(r: usize, c: usize, seed: u64) -> Matrix {
         Matrix::Sparse(rand_gen::random_sparse(r, c, 0.15, seed))
+    }
+
+    /// `r x c` with entries in three of its rows only: few enough stored
+    /// rows (for `r >= 13`) that the matrix takes the compact layout.
+    fn few_rows(r: usize, c: usize, seed: u64) -> Matrix {
+        let picked = rand_gen::random_sparse(3, c, 0.4, seed);
+        let rows = [1, r / 2, r - 1];
+        let m = Matrix::sparse(r, c, picked.triplets().map(|(i, j, v)| (rows[i], j, v)));
+        assert!(m.to_sparse().is_compact());
+        m
+    }
+
+    /// Representation, stored count and every cell, bit for bit.
+    fn bits(m: &Matrix) -> (bool, usize, Vec<u64>) {
+        (m.is_sparse(), m.nnz(), m.to_dense().data().iter().map(|v| v.to_bits()).collect())
+    }
+
+    /// Layout independence: a compact operand and the same content forced
+    /// flat give bitwise the same result from every kernel that reads a
+    /// sparse matrix, on every backend — and `Parallel` agrees with
+    /// `Reference` on them (spmm, spgemm and fused `Aᵀ·B` walk a compact
+    /// operand's stored rows under two threads here).
+    #[test]
+    fn backend_results_do_not_depend_on_the_row_layout() {
+        use crate::ops::aggregates;
+        let flat = |m: &Matrix| Matrix::Sparse(m.to_sparse().flat_twin());
+        for &(m, k, n) in &[(40, 48, 13), (130, 64, 33)] {
+            let (sa, sb) = (few_rows(m, k, 1), few_rows(k, n, 2));
+            let (da, db) = (dense(m, k, 3), dense(k, n, 4));
+            // Same-shape partners for the element-wise kernels and the
+            // left operand of `Aᵀ·B`.
+            let (sa2, st, dt) = (few_rows(m, k, 5), few_rows(m, n, 6), dense(m, n, 7));
+            let backends: [&dyn ExecBackend; 3] =
+                [&REFERENCE, &Parallel::with_threads(1), &Parallel::with_threads(2)];
+            let mut per_backend = Vec::new();
+            for backend in backends {
+                let run = |twin: &dyn Fn(&Matrix) -> Matrix| {
+                    let (sa, sb, sa2, st) = (twin(&sa), twin(&sb), twin(&sa2), twin(&st));
+                    vec![
+                        backend.multiply(&sa, &sb).unwrap(),
+                        backend.multiply(&sa, &db).unwrap(),
+                        backend.multiply(&da, &sb).unwrap(),
+                        backend.multiply(&da, &db).unwrap(),
+                        backend.transpose_multiply(&sa, &st).unwrap(),
+                        backend.transpose_multiply(&sa, &dt).unwrap(),
+                        backend.transpose_multiply(&da, &st).unwrap(),
+                        sa.add(&sa2).unwrap(),
+                        sa.sub(&sa2).unwrap(),
+                        sa.add(&da).unwrap(),
+                        da.sub(&sa).unwrap(),
+                        sa.hadamard(&sa2).unwrap(),
+                        sa.hadamard(&da).unwrap(),
+                        sa.transpose(),
+                        sa.transpose().transpose(),
+                        sa.row_sums(),
+                        sa.col_sums(),
+                        Matrix::scalar(sa.sum()),
+                        Matrix::scalar(aggregates::min(&sa)),
+                        Matrix::scalar(aggregates::max(&sa)),
+                        Matrix::Dense(sa.to_dense()),
+                    ]
+                };
+                let compact: Vec<_> = run(&Matrix::clone).iter().map(bits).collect();
+                let flat: Vec<_> = run(&flat).iter().map(bits).collect();
+                assert_eq!(compact, flat, "{m}x{k}x{n} on {}", backend.name());
+                per_backend.push(compact);
+            }
+            assert!(
+                per_backend.windows(2).all(|w| w[0] == w[1]),
+                "{m}x{k}x{n} across backends"
+            );
+        }
     }
 
     /// Every representation pair, odd shapes straddling the tile width,

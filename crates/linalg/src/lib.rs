@@ -1,8 +1,9 @@
 //! Matrix substrate for the HADAD reproduction.
 //!
 //! This crate provides the linear-algebra execution substrate that the
-//! paper's evaluation runs on: dense (row-major) and sparse (CSR) matrices,
-//! the full operator set `Lops` of HADAD §6.1 (products, element-wise ops,
+//! paper's evaluation runs on: dense (row-major) and sparse (compressed
+//! rows whose pointers follow `nnz`, see [`sparse`]) matrices, the full
+//! operator set `Lops` of HADAD §6.1 (products, element-wise ops,
 //! transposition, inversion, determinants, traces, aggregates, Kronecker /
 //! direct sums, matrix exponential), the matrix decompositions the
 //! constraint catalogue reasons about (LU, pivoted LU, Cholesky, QR), and
@@ -47,7 +48,7 @@ pub use backend::{
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;
-pub use sparse::SparseMatrix;
+pub use sparse::{SparseBuilder, SparseMatrix};
 
 /// Relative tolerance used across the workspace when comparing an original
 /// expression's value against a rewriting's value (machine-checkable
@@ -55,16 +56,33 @@ pub use sparse::SparseMatrix;
 pub const SOUNDNESS_RTOL: f64 = 1e-8;
 
 /// Returns true when `a` and `b` are element-wise equal within a relative
-/// tolerance of `rtol` (absolute floor `1e-10`).
+/// tolerance of `rtol` (absolute floor `1e-10`). Two sparse matrices are
+/// compared over the cells either stores, in O(nnz).
 pub fn approx_eq(a: &Matrix, b: &Matrix, rtol: f64) -> bool {
     if a.rows() != b.rows() || a.cols() != b.cols() {
         return false;
     }
+    let differ = |x: f64, y: f64| {
+        let scale = x.abs().max(y.abs()).max(1.0);
+        (x - y).abs() > rtol * scale + 1e-10
+    };
+    if let (Matrix::Sparse(x), Matrix::Sparse(y)) = (a, b) {
+        let (mut p, mut q) = (x.triplets().peekable(), y.triplets().peekable());
+        // The lowest cell either side still holds comes next.
+        while let Some(cell) =
+            [p.peek(), q.peek()].into_iter().flatten().map(|t| (t.0, t.1)).min()
+        {
+            let xv = p.next_if(|t| (t.0, t.1) == cell).map_or(0.0, |t| t.2);
+            let yv = q.next_if(|t| (t.0, t.1) == cell).map_or(0.0, |t| t.2);
+            if differ(xv, yv) {
+                return false;
+            }
+        }
+        return true;
+    }
     for r in 0..a.rows() {
         for c in 0..a.cols() {
-            let (x, y) = (a.get(r, c), b.get(r, c));
-            let scale = x.abs().max(y.abs()).max(1.0);
-            if (x - y).abs() > rtol * scale + 1e-10 {
+            if differ(a.get(r, c), b.get(r, c)) {
                 return false;
             }
         }

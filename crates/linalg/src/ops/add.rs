@@ -7,7 +7,7 @@
 use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::sparse::SparseMatrix;
+use crate::sparse::{SparseBuilder, SparseMatrix};
 
 fn check(a: &Matrix, b: &Matrix, op: &'static str) -> Result<()> {
     if a.shape() != b.shape() {
@@ -67,43 +67,39 @@ fn dense_combine(a: &Matrix, b: &Matrix, sign: f64) -> DenseMatrix {
     }
 }
 
+/// Merges the stored rows of both operands in row order, and each pair of
+/// rows in column order.
 fn sparse_sparse(a: &SparseMatrix, b: &SparseMatrix, sign: f64) -> SparseMatrix {
-    let mut triplets: Vec<(usize, usize, f64)> = Vec::with_capacity(a.nnz() + b.nnz());
-    for r in 0..a.rows() {
-        let (ai, av) = a.row(r);
-        let (bi, bv) = b.row(r);
+    let mut out = SparseBuilder::new(a.rows(), a.cols(), a.nnz() + b.nnz());
+    let (mut ra, mut rb) = (a.stored_rows().peekable(), b.stored_rows().peekable());
+    loop {
+        // The lower row id comes next; on a tie both rows are consumed.
+        let r = match (ra.peek(), rb.peek()) {
+            (Some(x), Some(y)) => x.0.min(y.0),
+            (Some(x), None) => x.0,
+            (None, Some(y)) => y.0,
+            (None, None) => break,
+        };
+        let (ai, av) = ra.next_if(|x| x.0 == r).map_or((&[][..], &[][..]), |x| (x.1, x.2));
+        let (bi, bv) = rb.next_if(|y| y.0 == r).map_or((&[][..], &[][..]), |y| (y.1, y.2));
         let (mut p, mut q) = (0usize, 0usize);
         while p < ai.len() || q < bi.len() {
-            match (ai.get(p), bi.get(q)) {
-                (Some(&ca), Some(&cb)) if ca == cb => {
-                    let v = av[p] + sign * bv[q];
-                    if v != 0.0 {
-                        triplets.push((r, ca, v));
-                    }
-                    p += 1;
-                    q += 1;
-                }
-                (Some(&ca), Some(&cb)) if ca < cb => {
-                    triplets.push((r, ca, av[p]));
-                    p += 1;
-                }
-                (Some(_), Some(&cb)) => {
-                    triplets.push((r, cb, sign * bv[q]));
-                    q += 1;
-                }
-                (Some(&ca), None) => {
-                    triplets.push((r, ca, av[p]));
-                    p += 1;
-                }
-                (None, Some(&cb)) => {
-                    triplets.push((r, cb, sign * bv[q]));
-                    q += 1;
-                }
-                (None, None) => break,
+            // A cell both hold is summed (and dropped if it cancels).
+            let ca = ai.get(p).copied().unwrap_or(usize::MAX);
+            let cb = bi.get(q).copied().unwrap_or(usize::MAX);
+            let mut v = 0.0;
+            if ca <= cb {
+                v = av[p];
+                p += 1;
             }
+            if cb <= ca {
+                v += sign * bv[q];
+                q += 1;
+            }
+            out.push(r, ca.min(cb), v);
         }
     }
-    SparseMatrix::from_triplets(a.rows(), a.cols(), triplets)
+    out.finish()
 }
 
 #[cfg(test)]

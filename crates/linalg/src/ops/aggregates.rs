@@ -58,7 +58,7 @@ pub fn col_sums(a: &Matrix) -> Matrix {
 
 /// Mean of all cells (implicit zeros included).
 pub fn mean(a: &Matrix) -> f64 {
-    let cells = (a.rows() * a.cols()) as f64;
+    let cells = a.rows() as f64 * a.cols() as f64;
     if cells == 0.0 {
         0.0
     } else {
@@ -103,7 +103,7 @@ fn fold_cells(a: &Matrix, init: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
                 acc = f(acc, v);
                 stored += 1;
             }
-            if stored < s.rows() * s.cols() {
+            if (stored as u128) < s.rows() as u128 * s.cols() as u128 {
                 acc = f(acc, 0.0);
             }
             acc

@@ -4,7 +4,7 @@
 use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
-use crate::sparse::SparseMatrix;
+use crate::sparse::SparseBuilder;
 
 fn check(a: &Matrix, b: &Matrix, op: &'static str) -> Result<()> {
     if a.shape() != b.shape() {
@@ -26,12 +26,12 @@ pub fn hadamard(a: &Matrix, b: &Matrix) -> Result<Matrix> {
             Matrix::Dense(out)
         }
         (Matrix::Sparse(x), other) | (other, Matrix::Sparse(x)) => {
-            let triplets: Vec<_> = x
-                .triplets()
-                .map(|(r, c, v)| (r, c, v * other.get(r, c)))
-                .filter(|&(_, _, v)| v != 0.0)
-                .collect();
-            Matrix::Sparse(SparseMatrix::from_triplets(x.rows(), x.cols(), triplets))
+            // Stored entries come in order: the product is written as is.
+            let mut out = SparseBuilder::new(x.rows(), x.cols(), x.nnz());
+            for (r, c, v) in x.triplets() {
+                out.push(r, c, v * other.get(r, c));
+            }
+            Matrix::Sparse(out.finish())
         }
     })
 }

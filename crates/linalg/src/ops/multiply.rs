@@ -54,10 +54,8 @@ pub fn dense_dense(a: &DenseMatrix, b: &DenseMatrix) -> DenseMatrix {
 
 /// Sparse x dense: for each stored `a[i,k]`, accumulate `a[i,k] * B[k,:]`.
 pub fn sparse_dense(a: &SparseMatrix, b: &DenseMatrix) -> DenseMatrix {
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = DenseMatrix::zeros(m, n);
-    for i in 0..m {
-        let (idx, vals) = a.row(i);
+    let mut out = DenseMatrix::zeros(a.rows(), b.cols());
+    for (i, idx, vals) in a.stored_rows() {
         let out_row = out.row_mut(i);
         for (&kk, &aik) in idx.iter().zip(vals) {
             let b_row = b.row(kk);
@@ -74,8 +72,7 @@ pub fn sparse_dense(a: &SparseMatrix, b: &DenseMatrix) -> DenseMatrix {
 pub fn dense_sparse(a: &DenseMatrix, b: &SparseMatrix) -> DenseMatrix {
     let (m, n) = (a.rows(), b.cols());
     let mut out = DenseMatrix::zeros(m, n);
-    for kk in 0..b.rows() {
-        let (idx, vals) = b.row(kk);
+    for (kk, idx, vals) in b.stored_rows() {
         if idx.is_empty() {
             continue;
         }
@@ -99,8 +96,7 @@ pub fn sparse_sparse(a: &SparseMatrix, b: &SparseMatrix) -> SparseMatrix {
     let mut acc = vec![0.0f64; n];
     let mut touched: Vec<usize> = Vec::new();
     let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-    for i in 0..m {
-        let (idx, vals) = a.row(i);
+    for (i, idx, vals) in a.stored_rows() {
         for (&kk, &aik) in idx.iter().zip(vals) {
             let (bidx, bvals) = b.row(kk);
             for (&j, &bkj) in bidx.iter().zip(bvals) {

@@ -1,18 +1,85 @@
-//! Compressed Sparse Row (CSR) matrix with a COO builder.
+//! Compressed-row sparse matrix whose cost follows `nnz`, with a streaming
+//! builder.
 //!
 //! HADAD's evaluation depends heavily on sparse inputs (ultra-sparse
 //! tweet-hashtag matrices at 0.00018% density, Amazon/Netflix rating
 //! matrices): several of its winning rewrites are wins precisely because an
-//! operand is sparse. CSR gives `O(nnz)` row-wise kernels for those paths.
+//! operand is sparse, and its hybrid pipelines cast a few thousand selected
+//! tuples into a matrix over the whole id space.
+//!
+//! # Two row layouts, one rule
+//!
+//! Entries are stored row by row (`indices`/`values`, columns ascending
+//! within a row). What differs is how a row finds its entries:
+//!
+//! * **flat** — the classical CSR pointer array of `rows + 1` entries:
+//!   `row(r)` is O(1), the matrix costs O(rows + nnz) to build, hold and
+//!   scan;
+//! * **compact** — pointers for the non-empty rows only, beside their
+//!   ascending row ids (DCSR): the matrix costs O(nnz) to build, hold,
+//!   clone and scan whatever `rows` is, and `row(r)` is a binary search
+//!   over the stored row ids.
+//!
+//! The layout is chosen from the data when a matrix is constructed, by one
+//! constant: compact when `stored_rows * COMPACT_RATIO < rows`
+//! (`COMPACT_RATIO` = 4, so a compact matrix holds at most half the
+//! pointer words of its flat twin), flat otherwise. Nothing selects it from
+//! outside. A flat pointer array that is already paid for is kept as it is:
+//! the one [`SparseMatrix::from_csr`] is handed, and the one a counting-pass
+//! [`SparseMatrix::transpose`] builds (never more than `COMPACT_RATIO * nnz`
+//! words). `==` compares content, never layout, and every kernel gives
+//! bitwise the same result on either.
+//!
+//! The measurement behind the constant (200 000 × 200, one entry per
+//! stored row, each layout against its twin forced into the other; 2-vCPU
+//! build host, release build, medians of 31): with 3 125 rows stored a
+//! build from ordered entries takes 23 µs compact against 590 µs flat,
+//! `clone` + `sum` + `colSums` 24 against 720, `transpose` 11 against 210;
+//! with 48 780 stored — just under a quarter — the same three still read
+//! 375 against 730, 490 against 1 180 and 230 against 290, while 100 000
+//! random `row(r)` calls (the inner lookup of SpGEMM's right operand) take
+//! 3.6 ms against 0.17 ms: 36 ns a binary search, 1.7 ns an index. The
+//! gain shrinks to nothing at half the rows stored (both layouts then hold
+//! as many pointer words) and the lookup penalty grows with `log stored`,
+//! so the rule stops where compact still wins 2× on what it is for.
+//! `la_exec`'s 2 000 × 2 000 operands at 1 % and its 4 000-row SpMM
+//! operand store every row and stay flat; a cast of 1 000 or 40 000
+//! selected tuples into a 202 000-row id space is compact.
+//!
+//! # What costs what
+//!
+//! | operation | flat | compact |
+//! |---|---|---|
+//! | [`SparseBuilder`], [`SparseMatrix::from_triplets`] in `(row, col)` order | O(n + rows) | O(n) |
+//! | — out of order | O(n log n + rows) | O(n log n) |
+//! | `clone`, `triplets`, `to_dense`'s scatter, `filter`, `prune`, `map_values`, `==`, the aggregates, `add`, `hadamard` | O(rows + nnz) | O(nnz) |
+//! | `row(r)`, `get(r, c)` | O(1), O(log row) | O(log stored) more |
+//! | `transpose` | O(nnz + rows + cols) | O(nnz log nnz) when the result is compact too |
+//! | products | walk the slots of a sparse left operand; a dense `m × n` output stays O(m·n) | |
+
+use std::ops::Range;
 
 use crate::dense::DenseMatrix;
 
-/// CSR sparse matrix of `f64`.
-#[derive(Debug, Clone, PartialEq)]
+/// The layout rule's one constant: see the module docs.
+const COMPACT_RATIO: usize = 4;
+
+/// Whether `stored` non-empty rows out of `rows` are few enough for the
+/// compact layout.
+fn compact_pays(stored: usize, rows: usize) -> bool {
+    stored.saturating_mul(COMPACT_RATIO) < rows
+}
+
+/// Compressed-row sparse matrix of `f64` (layouts: see the module docs).
+#[derive(Debug, Clone)]
 pub struct SparseMatrix {
     rows: usize,
     cols: usize,
-    /// Row pointer array of length `rows + 1`.
+    /// Compact layout: ids of the non-empty rows, ascending, one per slot.
+    /// `None` in the flat layout, where slot `r` is row `r`.
+    row_ids: Option<Vec<usize>>,
+    /// Slot `k` holds entries `indptr[k]..indptr[k + 1]`: `rows + 1`
+    /// pointers when flat, `row_ids.len() + 1` when compact.
     indptr: Vec<usize>,
     /// Column indices of stored entries, sorted within each row.
     indices: Vec<usize>,
@@ -20,48 +87,201 @@ pub struct SparseMatrix {
     values: Vec<f64>,
 }
 
+/// Content equality: two matrices holding the same entries are equal
+/// whichever layout each is in.
+impl PartialEq for SparseMatrix {
+    fn eq(&self, other: &Self) -> bool {
+        (self.rows, self.cols) == (other.rows, other.cols)
+            && self.indices == other.indices
+            && self.values == other.values
+            && self.row_lens().eq(other.row_lens())
+    }
+}
+
+/// Builds a [`SparseMatrix`] from entries pushed one at a time. Entries
+/// that arrive in `(row, col)` order — the order a cast of a sorted table
+/// produces — are written straight into the matrix's arrays; the first
+/// entry below its predecessor switches the builder to buffering, and
+/// [`finish`](SparseBuilder::finish) sorts once. Explicit zeros are
+/// dropped; entries at equal coordinates are summed — in arrival order
+/// when the input is in order, in the sort's order otherwise (a sum that
+/// cancels stays stored as `0.0`, see [`SparseMatrix::prune`]).
+#[derive(Debug)]
+pub struct SparseBuilder {
+    rows: usize,
+    cols: usize,
+    /// Non-empty rows so far, ascending.
+    row_ids: Vec<usize>,
+    /// First entry of each row in `row_ids`.
+    starts: Vec<usize>,
+    indices: Vec<usize>,
+    values: Vec<f64>,
+    /// Once an entry arrived below its predecessor: every entry so far, in
+    /// arrival order (and the four arrays above are empty).
+    spill: Vec<(usize, usize, f64)>,
+}
+
+impl SparseBuilder {
+    /// Builder for a `rows x cols` matrix expecting about `capacity`
+    /// entries.
+    pub fn new(rows: usize, cols: usize, capacity: usize) -> Self {
+        SparseBuilder {
+            rows,
+            cols,
+            row_ids: Vec::with_capacity(capacity.min(rows)),
+            starts: Vec::with_capacity(capacity.min(rows) + 1),
+            indices: Vec::with_capacity(capacity),
+            values: Vec::with_capacity(capacity),
+            spill: Vec::new(),
+        }
+    }
+
+    /// `(rows, cols)` of the matrix being built.
+    pub fn shape(&self) -> (usize, usize) {
+        (self.rows, self.cols)
+    }
+
+    /// Adds `v` at `(r, c)`.
+    ///
+    /// # Panics
+    ///
+    /// When `(r, c)` lies outside the matrix.
+    pub fn push(&mut self, r: usize, c: usize, v: f64) {
+        assert!(
+            r < self.rows && c < self.cols,
+            "triplet ({r},{c}) out of bounds {}x{}",
+            self.rows,
+            self.cols
+        );
+        if v == 0.0 {
+            return;
+        }
+        if self.spill.is_empty() {
+            if !self.last().is_some_and(|l| (r, c) < l) {
+                self.merge(r, c, v);
+                return;
+            }
+            // First entry below its predecessor: the in-order prefix (already
+            // merged) moves in front of it, and every entry is buffered from
+            // here on.
+            self.spill.reserve(self.indices.capacity());
+            let mut k = 0;
+            for (i, (&c, &v)) in self.indices.iter().zip(&self.values).enumerate() {
+                if self.starts.get(k + 1) == Some(&i) {
+                    k += 1;
+                }
+                self.spill.push((self.row_ids[k], c, v));
+            }
+            self.row_ids.clear();
+            self.starts.clear();
+            self.indices.clear();
+            self.values.clear();
+        }
+        self.spill.push((r, c, v));
+    }
+
+    /// The highest stored coordinate.
+    fn last(&self) -> Option<(usize, usize)> {
+        Some((*self.row_ids.last()?, *self.indices.last()?))
+    }
+
+    /// Adds `v` at `(r, c)`, which must not lie below [`last`](Self::last).
+    fn merge(&mut self, r: usize, c: usize, v: f64) {
+        if self.last() == Some((r, c)) {
+            *self.values.last_mut().expect("an entry is stored at `last`") += v;
+        } else {
+            self.append(r, c, v);
+        }
+    }
+
+    /// Stores `v` at `(r, c)`, which must lie above [`last`](Self::last): the
+    /// unchecked push of kernels that produce their entries in order.
+    pub(crate) fn append(&mut self, r: usize, c: usize, v: f64) {
+        debug_assert!(self.spill.is_empty() && !self.last().is_some_and(|l| (r, c) <= l));
+        debug_assert!(r < self.rows && c < self.cols);
+        if self.row_ids.last() != Some(&r) {
+            self.row_ids.push(r);
+            self.starts.push(self.indices.len());
+        }
+        self.indices.push(c);
+        self.values.push(v);
+    }
+
+    /// Joins `tail`, whose every entry lies in a row above this builder's
+    /// last, onto the end (the halves of a row-partitioned kernel).
+    pub(crate) fn concat(mut self, tail: SparseBuilder) -> SparseBuilder {
+        debug_assert!(self.spill.is_empty() && tail.spill.is_empty());
+        debug_assert!(self.row_ids.last() < tail.row_ids.first() || tail.row_ids.is_empty());
+        let base = self.indices.len();
+        self.row_ids.extend(tail.row_ids);
+        self.starts.extend(tail.starts.iter().map(|s| s + base));
+        self.indices.extend(tail.indices);
+        self.values.extend(tail.values);
+        self
+    }
+
+    /// The matrix of everything pushed.
+    pub fn finish(mut self) -> SparseMatrix {
+        if !self.spill.is_empty() {
+            // The sort `from_triplets` has always used, on the same array:
+            // which of three or more values at one coordinate is added first
+            // is its choice, and sums — `corpus_hash` reads their last bit —
+            // stay what they were.
+            let mut entries = std::mem::take(&mut self.spill);
+            entries.sort_unstable_by_key(|&(r, c, _)| (r, c));
+            for (r, c, v) in entries {
+                self.merge(r, c, v);
+            }
+        }
+        self.seal()
+    }
+
+    /// Closes the pointer array, in the layout the rule picks.
+    fn seal(self) -> SparseMatrix {
+        let SparseBuilder { rows, cols, row_ids, mut starts, indices, values, .. } = self;
+        starts.push(indices.len());
+        if compact_pays(row_ids.len(), rows) {
+            return SparseMatrix {
+                rows,
+                cols,
+                row_ids: Some(row_ids),
+                indptr: starts,
+                indices,
+                values,
+            };
+        }
+        // Most rows are stored: one pointer per row. An empty row starts
+        // (and ends) where the next stored row starts.
+        let mut indptr = Vec::with_capacity(rows + 1);
+        let mut k = 0;
+        for r in 0..rows {
+            indptr.push(starts[k]);
+            k += usize::from(row_ids.get(k) == Some(&r));
+        }
+        indptr.push(indices.len());
+        SparseMatrix { rows, cols, row_ids: None, indptr, indices, values }
+    }
+}
+
 impl SparseMatrix {
-    /// Builds from COO triplets; duplicate coordinates are summed.
+    /// Builds from COO triplets in any order; duplicate coordinates are
+    /// summed, explicit zeros dropped (the rules of [`SparseBuilder`]).
     pub fn from_triplets(
         rows: usize,
         cols: usize,
         triplets: impl IntoIterator<Item = (usize, usize, f64)>,
     ) -> Self {
-        let mut trips: Vec<(usize, usize, f64)> = triplets
-            .into_iter()
-            .inspect(|&(r, c, _)| {
-                assert!(r < rows && c < cols, "triplet ({r},{c}) out of bounds {rows}x{cols}");
-            })
-            .filter(|&(_, _, v)| v != 0.0)
-            .collect();
-        trips.sort_unstable_by_key(|t| (t.0, t.1));
-
-        let mut indptr = vec![0usize; rows + 1];
-        let mut indices = Vec::with_capacity(trips.len());
-        let mut values: Vec<f64> = Vec::with_capacity(trips.len());
-        for (r, c, v) in trips {
-            if let (Some(&last_c), true) = (indices.last(), indptr[r + 1] > 0) {
-                // Merge duplicates that landed adjacent after the sort.
-                let row_has_entries = indptr[r + 1] > indptr[r];
-                if row_has_entries && last_c == c {
-                    *values.last_mut().expect("non-empty") += v;
-                    continue;
-                }
-            }
-            indices.push(c);
-            values.push(v);
-            indptr[r + 1] = indices.len();
+        let triplets = triplets.into_iter();
+        let mut b = SparseBuilder::new(rows, cols, triplets.size_hint().0);
+        for (r, c, v) in triplets {
+            b.push(r, c, v);
         }
-        // Forward-fill row pointers for empty rows.
-        for r in 0..rows {
-            if indptr[r + 1] < indptr[r] {
-                indptr[r + 1] = indptr[r];
-            }
-        }
-        SparseMatrix { rows, cols, indptr, indices, values }
+        b.finish()
     }
 
-    /// Builds directly from CSR arrays (caller guarantees validity).
+    /// Builds directly from CSR arrays (caller guarantees validity). The
+    /// caller has paid for a `rows + 1` pointer array, so it is kept: the
+    /// result is in the flat layout.
     pub fn from_csr(
         rows: usize,
         cols: usize,
@@ -72,12 +292,12 @@ impl SparseMatrix {
         assert_eq!(indptr.len(), rows + 1);
         assert_eq!(indices.len(), values.len());
         assert_eq!(*indptr.last().unwrap_or(&0), indices.len());
-        SparseMatrix { rows, cols, indptr, indices, values }
+        SparseMatrix { rows, cols, row_ids: None, indptr, indices, values }
     }
 
     /// All-zero sparse matrix.
     pub fn zeros(rows: usize, cols: usize) -> Self {
-        SparseMatrix { rows, cols, indptr: vec![0; rows + 1], indices: vec![], values: vec![] }
+        SparseBuilder::new(rows, cols, 0).seal()
     }
 
     /// Sparse identity of order `n`.
@@ -85,6 +305,7 @@ impl SparseMatrix {
         SparseMatrix {
             rows: n,
             cols: n,
+            row_ids: None,
             indptr: (0..=n).collect(),
             indices: (0..n).collect(),
             values: vec![1.0; n],
@@ -118,14 +339,69 @@ impl SparseMatrix {
         }
     }
 
-    /// Column indices / values of row `r`.
+    /// Column indices / values of the `k`-th slot.
     #[inline]
-    pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
-        let (s, e) = (self.indptr[r], self.indptr[r + 1]);
+    fn slot(&self, k: usize) -> (&[usize], &[f64]) {
+        let (s, e) = (self.indptr[k], self.indptr[k + 1]);
         (&self.indices[s..e], &self.values[s..e])
     }
 
-    /// Random access (O(log nnz_row)).
+    /// Column indices / values of row `r`: O(1) in the flat layout, a
+    /// binary search over the stored rows in the compact one.
+    #[inline]
+    pub fn row(&self, r: usize) -> (&[usize], &[f64]) {
+        debug_assert!(r < self.rows, "row {r} of {}", self.rows);
+        match &self.row_ids {
+            None => self.slot(r),
+            Some(ids) => match ids.binary_search(&r) {
+                Ok(k) => self.slot(k),
+                Err(_) => (&[], &[]),
+            },
+        }
+    }
+
+    /// `(row, length)` of every non-empty row, ascending.
+    fn row_lens(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.stored_rows().map(|(r, idx, _)| (r, idx.len())).filter(|&(_, len)| len > 0)
+    }
+
+    /// Number of slots: the rows that have a pointer.
+    #[inline]
+    pub(crate) fn slots(&self) -> usize {
+        self.indptr.len() - 1
+    }
+
+    /// `(row, column indices, values)` of slots `range`, rows ascending.
+    pub(crate) fn slot_rows(
+        &self,
+        range: Range<usize>,
+    ) -> impl Iterator<Item = (usize, &[usize], &[f64])> + '_ {
+        let (ids, indices, values) = (self.row_ids.as_deref(), &self.indices, &self.values);
+        self.indptr[range.start..=range.end].windows(2).zip(range).map(move |(w, k)| {
+            (ids.map_or(k, |ids| ids[k]), &indices[w[0]..w[1]], &values[w[0]..w[1]])
+        })
+    }
+
+    /// Every row that can hold entries, ascending: the non-empty rows of a
+    /// compact matrix, all rows of a flat one. What kernels iterate instead
+    /// of `0..rows`.
+    pub(crate) fn stored_rows(&self) -> impl Iterator<Item = (usize, &[usize], &[f64])> + '_ {
+        self.slot_rows(0..self.slots())
+    }
+
+    /// [`stored_rows`](Self::stored_rows) restricted to rows `r0..r1`.
+    pub(crate) fn stored_rows_in(
+        &self,
+        r0: usize,
+        r1: usize,
+    ) -> impl Iterator<Item = (usize, &[usize], &[f64])> + '_ {
+        self.slot_rows(match &self.row_ids {
+            None => r0..r1,
+            Some(ids) => ids.partition_point(|&r| r < r0)..ids.partition_point(|&r| r < r1),
+        })
+    }
+
+    /// Random access (O(log nnz_row) once the row is found).
     pub fn get(&self, r: usize, c: usize) -> f64 {
         let (idx, vals) = self.row(r);
         match idx.binary_search(&c) {
@@ -137,49 +413,55 @@ impl SparseMatrix {
     /// Densifies.
     pub fn to_dense(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.rows, self.cols);
-        for r in 0..self.rows {
-            let (idx, vals) = self.row(r);
+        for (r, idx, vals) in self.stored_rows() {
+            let out_row = out.row_mut(r);
             for (&c, &v) in idx.iter().zip(vals) {
-                out.set(r, c, v);
+                out_row[c] = v;
             }
         }
         out
     }
 
-    /// Builds a CSR from a dense matrix, dropping zeros.
+    /// Builds from a dense matrix, dropping zeros.
     pub fn from_dense(d: &DenseMatrix) -> Self {
-        let mut indptr = Vec::with_capacity(d.rows() + 1);
-        indptr.push(0);
-        let mut indices = Vec::new();
-        let mut values = Vec::new();
+        let mut b = SparseBuilder::new(d.rows(), d.cols(), 0);
         for r in 0..d.rows() {
             for (c, &v) in d.row(r).iter().enumerate() {
                 if v != 0.0 {
-                    indices.push(c);
-                    values.push(v);
+                    b.append(r, c, v);
                 }
             }
-            indptr.push(indices.len());
         }
-        SparseMatrix { rows: d.rows(), cols: d.cols(), indptr, indices, values }
+        b.seal()
     }
 
-    /// CSR transpose in O(nnz).
+    /// Transpose. O(nnz log nnz) when the result has so few entries for its
+    /// rows that it is compact whatever they are; otherwise a counting pass
+    /// over the column ids, O(nnz + cols), whose pointer array — at most
+    /// `COMPACT_RATIO * nnz` words — is kept, as `from_csr` keeps one.
     pub fn transpose(&self) -> SparseMatrix {
         let nnz = self.nnz();
-        let mut counts = vec![0usize; self.cols + 1];
+        if compact_pays(nnz, self.cols) {
+            let mut entries: Vec<_> = self.triplets().map(|(r, c, v)| (c, r, v)).collect();
+            // Stable: within a column the row ids stay ascending.
+            entries.sort_by_key(|&(c, _, _)| c);
+            let mut b = SparseBuilder::new(self.cols, self.rows, nnz);
+            for (c, r, v) in entries {
+                b.append(c, r, v);
+            }
+            return b.seal();
+        }
+        let mut next = vec![0; self.cols + 1];
         for &c in &self.indices {
-            counts[c + 1] += 1;
+            next[c + 1] += 1;
         }
         for c in 0..self.cols {
-            counts[c + 1] += counts[c];
+            next[c + 1] += next[c];
         }
-        let indptr = counts.clone();
+        let indptr = next.clone();
         let mut indices = vec![0usize; nnz];
         let mut values = vec![0f64; nnz];
-        let mut next = counts;
-        for r in 0..self.rows {
-            let (idx, vals) = self.row(r);
+        for (r, idx, vals) in self.stored_rows() {
             for (&c, &v) in idx.iter().zip(vals) {
                 let pos = next[c];
                 indices[pos] = r;
@@ -187,24 +469,26 @@ impl SparseMatrix {
                 next[c] += 1;
             }
         }
-        SparseMatrix { rows: self.cols, cols: self.rows, indptr, indices, values }
+        SparseMatrix::from_csr(self.cols, self.rows, indptr, indices, values)
     }
 
-    /// Iterator over stored `(row, col, value)` triplets.
+    /// Iterator over stored `(row, col, value)` triplets, `(row, col)`
+    /// ascending.
     pub fn triplets(&self) -> impl Iterator<Item = (usize, usize, f64)> + '_ {
-        (0..self.rows).flat_map(move |r| {
-            let (idx, vals) = self.row(r);
-            idx.iter().zip(vals).map(move |(&c, &v)| (r, c, v))
-        })
+        self.stored_rows()
+            .flat_map(|(r, idx, vals)| idx.iter().zip(vals).map(move |(&c, &v)| (r, c, v)))
     }
 
-    /// Keeps only entries satisfying the predicate on `(row, col, value)`.
+    /// Keeps only entries satisfying the predicate on `(row, col, value)`
+    /// (and no explicit zero), compacted in row order.
     pub fn filter(&self, mut pred: impl FnMut(usize, usize, f64) -> bool) -> SparseMatrix {
-        SparseMatrix::from_triplets(
-            self.rows,
-            self.cols,
-            self.triplets().filter(|&(r, c, v)| pred(r, c, v)).collect::<Vec<_>>(),
-        )
+        let mut b = SparseBuilder::new(self.rows, self.cols, self.nnz());
+        for (r, c, v) in self.triplets() {
+            if pred(r, c, v) && v != 0.0 {
+                b.append(r, c, v);
+            }
+        }
+        b.seal()
     }
 
     /// Applies `f` to every stored value (implicit zeros untouched; results
@@ -214,15 +498,48 @@ impl SparseMatrix {
         for v in &mut out.values {
             *v = f(*v);
         }
-        out.prune()
+        if out.values.contains(&0.0) {
+            out.filter(|_, _, _| true)
+        } else {
+            out
+        }
     }
 
     /// Drops explicit zeros.
     pub fn prune(&self) -> SparseMatrix {
-        if self.values.iter().all(|&v| v != 0.0) {
-            return self.clone();
+        if self.values.contains(&0.0) {
+            self.filter(|_, _, _| true)
+        } else {
+            self.clone()
         }
-        SparseMatrix::from_triplets(self.rows, self.cols, self.triplets())
+    }
+}
+
+#[cfg(test)]
+impl SparseMatrix {
+    /// Whether row pointers are kept for the stored rows only.
+    pub(crate) fn is_compact(&self) -> bool {
+        self.row_ids.is_some()
+    }
+
+    /// The same content forced into the flat layout through `from_csr`.
+    pub(crate) fn flat_twin(&self) -> SparseMatrix {
+        let mut indptr = vec![0; self.rows + 1];
+        for (r, _, _) in self.triplets() {
+            indptr[r + 1] += 1;
+        }
+        for r in 0..self.rows {
+            indptr[r + 1] += indptr[r];
+        }
+        let flat = SparseMatrix::from_csr(
+            self.rows,
+            self.cols,
+            indptr,
+            self.indices.clone(),
+            self.values.clone(),
+        );
+        assert!(!flat.is_compact());
+        flat
     }
 }
 
@@ -280,5 +597,169 @@ mod tests {
         assert_eq!(m.get(3, 3), 1.0);
         assert_eq!(m.row(0).0.len(), 0);
         assert_eq!(m.row(2).0.len(), 0);
+    }
+
+    /// The parent commit's `from_triplets` (comparison sort, zeroed
+    /// `rows + 1` pointer array, forward-fill), verbatim: the oracle the
+    /// builder is compared against.
+    fn oracle(rows: usize, cols: usize, triplets: &[(usize, usize, f64)]) -> SparseMatrix {
+        let mut trips: Vec<(usize, usize, f64)> =
+            triplets.iter().copied().filter(|&(_, _, v)| v != 0.0).collect();
+        trips.sort_unstable_by_key(|t| (t.0, t.1));
+
+        let mut indptr = vec![0usize; rows + 1];
+        let mut indices = Vec::with_capacity(trips.len());
+        let mut values: Vec<f64> = Vec::with_capacity(trips.len());
+        for (r, c, v) in trips {
+            if let (Some(&last_c), true) = (indices.last(), indptr[r + 1] > 0) {
+                let row_has_entries = indptr[r + 1] > indptr[r];
+                if row_has_entries && last_c == c {
+                    *values.last_mut().expect("non-empty") += v;
+                    continue;
+                }
+            }
+            indices.push(c);
+            values.push(v);
+            indptr[r + 1] = indices.len();
+        }
+        for r in 0..rows {
+            if indptr[r + 1] < indptr[r] {
+                indptr[r + 1] = indptr[r];
+            }
+        }
+        SparseMatrix::from_csr(rows, cols, indptr, indices, values)
+    }
+
+    fn assert_same(got: &SparseMatrix, want: &SparseMatrix, what: &str) {
+        assert_eq!(got.nnz(), want.nnz(), "{what}: nnz");
+        let bits = |m: &SparseMatrix| {
+            m.triplets().map(|(r, c, v)| (r, c, v.to_bits())).collect::<Vec<_>>()
+        };
+        assert_eq!(bits(got), bits(want), "{what}: triplets");
+        for r in 0..want.rows() {
+            for c in 0..want.cols() {
+                assert_eq!(
+                    got.get(r, c).to_bits(),
+                    want.get(r, c).to_bits(),
+                    "{what}: ({r},{c})"
+                );
+            }
+        }
+        assert_eq!(got, want, "{what}: ==");
+        assert_eq!(want, got, "{what}: == the other way");
+    }
+
+    /// A bag of `n` triplets over `stored` of the rows: values are multiples
+    /// of 0.5 in `[-1.5, 1.5]` (sums are exact in any order; explicit zeros
+    /// and duplicates that cancel both occur).
+    fn bag(
+        rng: &mut crate::rng::Rng64,
+        rows: usize,
+        cols: usize,
+        stored: usize,
+        n: usize,
+    ) -> Vec<(usize, usize, f64)> {
+        let stride = rows / stored.max(1);
+        (0..n)
+            .map(|_| {
+                let r = rng.range_usize(stored) * stride;
+                (r, rng.range_usize(cols), rng.range_i64(-3, 3) as f64 * 0.5)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sparse_builder_agrees_with_the_parent_from_triplets() {
+        let mut rng = crate::rng::Rng64::new(22);
+        // (rows, cols, rows drawn from): on both sides of the layout rule —
+        // 9 of 40 rows is compact, 10 of 40 is not — down to one stored row
+        // and up to every row.
+        let shapes = [
+            (1, 1, 1),
+            (3, 4, 3),
+            (40, 6, 9),
+            (40, 6, 10),
+            (40, 2, 40),
+            (64, 5, 1),
+            (64, 3, 2),
+            (200, 3, 7),
+            (200, 3, 200),
+        ];
+        for &(rows, cols, stored) in &shapes {
+            for n in [0, 1, 2, 7, 30, 120] {
+                let trips = bag(&mut rng, rows, cols, stored, n);
+                let want = oracle(rows, cols, &trips);
+                let what = format!("{rows}x{cols} over {stored} rows, {n} triplets");
+                let got = SparseMatrix::from_triplets(rows, cols, trips.clone());
+                assert_same(&got, &want, &what);
+                let kept =
+                    got.triplets().map(|t| t.0).collect::<std::collections::BTreeSet<_>>();
+                assert_eq!(got.is_compact(), compact_pays(kept.len(), rows), "{what}: layout");
+                // The same bag in (row, col) order takes the streaming path.
+                let mut sorted = trips;
+                sorted.sort_by_key(|t| (t.0, t.1));
+                assert_same(&SparseMatrix::from_triplets(rows, cols, sorted), &want, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn sparse_layout_follows_the_rule_and_equality_ignores_it() {
+        let diag = |rows: usize, stored: usize| {
+            SparseMatrix::from_triplets(
+                rows,
+                3,
+                (0..stored).map(|k| (k * 4, k % 3, 1.0 + k as f64)),
+            )
+        };
+        let (few, many) = (diag(40, 9), diag(40, 10));
+        assert!(few.is_compact() && few.slots() == 9);
+        assert!(!many.is_compact() && many.slots() == 40);
+        assert!(SparseMatrix::zeros(40, 3).is_compact());
+        assert!(!SparseMatrix::zeros(0, 3).is_compact());
+        assert!(!SparseMatrix::identity(5).is_compact());
+        // Content equality across layouts, both ways; a differing cell,
+        // row or shape is still unequal.
+        let twin = few.flat_twin();
+        assert_eq!(few, twin);
+        assert_eq!(twin, few);
+        assert_eq!(few.row(8), twin.row(8));
+        assert_eq!(few.row(9), twin.row(9));
+        assert_ne!(few, diag(40, 8).flat_twin());
+        assert_ne!(few, few.filter(|r, _, _| r != 4));
+        assert_ne!(few.flat_twin(), few.map_values(|v| v + 1.0));
+        assert_ne!(SparseMatrix::zeros(40, 3), SparseMatrix::zeros(41, 3));
+        // Rebuilding kernels re-apply the rule to what they keep.
+        assert!(many.filter(|r, _, _| r < 8).is_compact());
+        assert!(!few.transpose().is_compact(), "3 x 40 with every row stored");
+        assert!(few.transpose().transpose().is_compact());
+        assert!(SparseMatrix::from_dense(&few.to_dense()).is_compact());
+    }
+
+    #[test]
+    fn sparse_rebuilds_keep_order_and_drop_zeros() {
+        for m in [
+            SparseMatrix::from_triplets(50, 4, vec![(7, 1, 2.0), (7, 3, -2.0), (30, 0, 0.5)]),
+            SparseMatrix::from_triplets(4, 4, vec![(0, 1, 2.0), (1, 3, -2.0), (3, 0, 0.5)]),
+        ] {
+            assert_eq!(m.prune(), m);
+            let halved = m.map_values(|v| v * 0.5);
+            assert_eq!(halved.nnz(), 3);
+            assert_eq!(halved.get(m.triplets().next().unwrap().0, 1), 1.0);
+            // A value mapped to zero is dropped, and its row with it.
+            let clipped = m.map_values(|v| v.max(0.0) - 0.5);
+            assert_eq!(clipped.triplets().count(), 2);
+            assert_eq!(clipped.nnz(), 2);
+            assert_eq!(clipped, clipped.flat_twin());
+            assert_eq!(m.filter(|_, c, _| c != 3).nnz(), 2);
+            assert_eq!(m.to_dense(), m.flat_twin().to_dense());
+        }
+        // Explicit zeros (a cancelled duplicate) survive construction, as
+        // before, and `prune` removes them.
+        let cancelled =
+            SparseMatrix::from_triplets(9, 2, vec![(8, 1, 1.0), (8, 1, -1.0), (2, 0, 3.0)]);
+        assert_eq!(cancelled.nnz(), 2);
+        assert_eq!(cancelled.prune().nnz(), 1);
+        assert_eq!(cancelled.prune().triplets().collect::<Vec<_>>(), vec![(2, 0, 3.0)]);
     }
 }

@@ -167,12 +167,17 @@ impl Column {
         match self {
             Column::Int(v) => v[row] as f64,
             Column::Float(v) => v[row],
-            // Reduce in u64 *before* the f64 cast: hashes exceed 2^53, so
-            // casting first would round and make the encoding depend on
-            // platform float rounding.
-            Column::Str(v) => (stable_hash(&v[row]) % 1000) as f64,
+            Column::Str(v) => str_numeric(&v[row]),
         }
     }
+}
+
+/// The numeric view of a string cell ([`Column::numeric`]).
+pub(crate) fn str_numeric(s: &str) -> f64 {
+    // Reduce in u64 *before* the f64 cast: hashes exceed 2^53, so casting
+    // first would round and make the encoding depend on platform float
+    // rounding.
+    (stable_hash(s) % 1000) as f64
 }
 
 pub(crate) fn stable_hash(s: &str) -> u64 {

@@ -27,6 +27,11 @@ impl Env {
         self
     }
 
+    /// Removes and returns the matrix bound to `name`.
+    pub fn unbind(&mut self, name: &str) -> Option<Matrix> {
+        self.bindings.remove(name)
+    }
+
     /// Matrix bound to `name`.
     pub fn get(&self, name: &str) -> Option<&Matrix> {
         self.bindings.get(name)

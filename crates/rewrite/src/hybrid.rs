@@ -717,6 +717,10 @@ pub struct HybridResult {
     pub rel: RelPhase,
     /// Output of the (possibly rewritten) relational prefix.
     pub table: Table,
+    /// The matrix `table` was cast into: bind it under the pipeline's
+    /// `cast_name` to evaluate `best` — casting `table` again would only
+    /// rebuild it.
+    pub cast: Matrix,
     /// Metadata the cast matrix was catalogued under for the LA suffix:
     /// real shape and nnz from the materialization — a sparse cast must
     /// surface its true density here (not a dense default), or the
@@ -1297,7 +1301,7 @@ fn run_state(
     // Phase 4: cast into the LA world.
     let (mat, cast_us) =
         hadad_obs::timed("hybrid.cast", &CAST_US, || apply_cast(&table, &p.cast));
-    let mat = mat?;
+    let mut mat = mat?;
 
     // Phase 5: LA suffix rewriting with the cast matrix catalogued from
     // its actual materialization (shape and nnz) — for a sparse cast this
@@ -1339,9 +1343,12 @@ fn run_state(
                     approx_eq(&orig_mat, &mat, rtol)
                 }
             };
+            // The cast is lent to the verification environment and taken
+            // back for the result.
             let mut env = env.clone();
-            env.bind(&p.cast_name, mat.clone());
+            env.bind(&p.cast_name, mat);
             let (ranked, plan, _) = la_opt.rewrite_verified(&p.suffix, &env, rtol)?;
+            mat = env.unbind(&p.cast_name).expect("bound above");
             // Verified only if the *best-ranked* plan is the one that
             // passed execution (a fallback to a later plan or to the
             // original means the top plan failed the check).
@@ -1361,6 +1368,7 @@ fn run_state(
     Ok(HybridResult {
         rel,
         table,
+        cast: mat,
         cast_meta,
         cast_us,
         ranked,

@@ -108,6 +108,11 @@ fn tweet_pipeline_rewrites_both_halves_and_verifies() {
     let reference = eval(&pipeline.suffix, &check_env).unwrap();
     let best_val = eval(&r.best.expr, &check_env).unwrap();
     assert!(approx_eq(&reference, &best_val, 1e-9));
+
+    // The result returns the matrix it cast (the verified path lends it to
+    // the check and takes it back): a caller binds it, it does not re-cast.
+    assert_eq!(r.cast, direct_n);
+    assert_eq!(MatrixMeta::from_matrix(&r.cast), r.cast_meta);
 }
 
 /// The sparse-cast path must catalogue the cast matrix under its *real*
@@ -146,6 +151,7 @@ fn sparse_cast_records_real_density_for_the_oracle() {
     assert!(r.cast_meta.density() <= 0.05, "cast metadata defaulted to dense");
     // The whole meta comes from the materialization, not a dense default.
     assert_eq!(r.cast_meta, MatrixMeta::sparse(NUM_TWEETS, NUM_TOPICS, expected_nnz));
+    assert_eq!(MatrixMeta::from_matrix(&r.cast), r.cast_meta, "the unverified path too");
 
     // The suffix's cost estimate is sparsity-aware: pricing the same plan
     // against dense-default metadata is orders of magnitude higher.
