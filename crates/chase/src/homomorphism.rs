@@ -383,7 +383,7 @@ fn candidate_facts<'a>(
             },
         };
         if let Some(list) = inst.facts_with_pred_arg(atom.pred, p as u32, node) {
-            if best.map_or(true, |b| list.len() < b.len()) {
+            if best.is_none_or(|b| list.len() < b.len()) {
                 best = Some(list);
                 if list.is_empty() {
                     break;

@@ -5,19 +5,29 @@
 //!
 //! * [`Reference`] — the original naive single-threaded kernels in
 //!   [`crate::ops`], kept verbatim as the differential-testing baseline.
-//! * [`Parallel`] — cache-blocked tiled dense×dense GEMM (i-k-j
-//!   micro-kernels over cache-resident B panels), multi-threaded
-//!   row-partitioned
-//!   dense/sparse products over `std::thread::scope`, parallel CSR
-//!   SpMV/SpGEMM with per-thread row ranges and thread-local accumulators,
-//!   and a fused `Aᵀ·B` transpose-multiply that never materializes the
-//!   transpose.
+//! * [`Parallel`] — every dense-output product on one register-blocked
+//!   micro-kernel (`micro.rs`): a block of the output is held in locals
+//!   across the whole `k` (or stored-entry) loop instead of being loaded
+//!   and stored once per `k`. Dense×dense GEMM and the fused `Aᵀ·B` (which
+//!   never materializes the transpose) run 4-row blocks, depth-blocked at
+//!   [`GEMM_TILE`]; CSR×dense runs one accumulator strip per stored row;
+//!   dense×CSR and `Aᵀ·CSR` run as `(Sᵀ·Dᵀ)ᵀ` on that same SpMM kernel, a
+//!   panel of output rows at a time. The kernel is compiled once per vector
+//!   [`Width`] (AVX-512, AVX2, portable) and the width is picked from the
+//!   CPU once per process — there is no setting. SpGEMM keeps a dense
+//!   accumulator per row and finds its touched columns, in order, in a
+//!   two-level bitmap. Output rows are partitioned across
+//!   `std::thread::scope` workers, each supervised.
 //!
 //! Every `Parallel` kernel accumulates each output cell in the same
-//! floating-point order as its `Reference` counterpart (blocking and row
-//! partitioning only re-tile the iteration space, never the per-cell `k`
-//! order), so the two backends agree bitwise on products — the
-//! differential property test in `hadad-rewrite` pins this.
+//! floating-point order as its `Reference` counterpart: blocking, strips and
+//! row partitioning only re-tile rows and columns, never the per-cell `k`
+//! order; the micro-kernel is plain Rust the compiler vectorizes, and Rust
+//! never contracts `a*b + c` into a fused multiply-add, so wider lanes
+//! perform the same IEEE operations. The two backends therefore agree
+//! bitwise on products at every width: the tests below pin it per
+//! instantiation, the differential property test in `hadad-rewrite` end to
+//! end.
 //!
 //! Only products route through the backend: element-wise ops, aggregates,
 //! and decompositions are memory-bound or inherently sequential and stay
@@ -28,9 +38,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use crate::dense::DenseMatrix;
+use crate::dense::{transpose_into, DenseMatrix};
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
+use crate::micro;
+pub use crate::micro::Width;
 use crate::ops;
 use crate::sparse::{SparseBuilder, SparseMatrix};
 
@@ -81,12 +93,11 @@ pub fn take_backend_panics() -> Vec<BackendPanic> {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerPanicked;
 
-/// Tile width of the blocked dense GEMM micro-kernel. A 256×256 `f64`
-/// panel of B is 512 KiB — comfortably L2-resident — and wide enough that
-/// each B row loaded into cache is reused across many A rows before
-/// eviction. Measured on 512×512 GEMM: 256 runs ~1.4× faster than the
-/// unblocked reference single-threaded, while 64 (strict L1 blocking) sits
-/// at parity because the per-tile loop overhead eats the locality win.
+/// Depth (`k`) block of the dense GEMM and fused `Aᵀ·B` kernels: a block of
+/// the output is loaded, accumulated over this many steps and stored, so
+/// the `B` strip the blocks of one column share — 256 × 16 `f64` at the
+/// widest strip, 32 KiB — stays L1-resident while every row block passes
+/// over it. Also the tile `BackendProfile::parallel` reports.
 pub const GEMM_TILE: usize = 256;
 
 /// Upper bound on worker threads, matching the extraction DP's cap so a
@@ -173,25 +184,25 @@ impl ExecBackend for Reference {
     }
 }
 
-/// Cache-blocked, multi-threaded kernels. `threads = 0` resolves to
-/// [`auto_threads`] at call time, so one static instance adapts to the
-/// host; fixed counts are for the differential tests.
+/// Register-blocked, multi-threaded kernels at the detected vector
+/// [`Width`]. `threads = 0` resolves to [`auto_threads`] at call time, so
+/// one static instance adapts to the host; fixed counts are for the
+/// differential tests.
 #[derive(Debug)]
 pub struct Parallel {
     threads: usize,
-    tile: usize,
     fused: AtomicUsize,
 }
 
 impl Parallel {
     /// Auto-sized instance (thread count resolved per call).
     pub const fn auto() -> Self {
-        Parallel { threads: 0, tile: GEMM_TILE, fused: AtomicUsize::new(0) }
+        Parallel { threads: 0, fused: AtomicUsize::new(0) }
     }
 
     /// Fixed thread count (still capped by the row count per kernel).
     pub const fn with_threads(threads: usize) -> Self {
-        Parallel { threads, tile: GEMM_TILE, fused: AtomicUsize::new(0) }
+        Parallel { threads, fused: AtomicUsize::new(0) }
     }
 }
 
@@ -216,19 +227,19 @@ impl ExecBackend for Parallel {
         static SPGEMM: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("kernel.spgemm");
         check_mul(a, b)?;
         let _span = hadad_obs::span("kernel.multiply");
-        let t = self.threads();
+        let (t, w) = (self.threads(), Width::detected());
         let attempt = match (a, b) {
             (Matrix::Dense(x), Matrix::Dense(y)) => {
                 GEMM.incr();
-                gemm_blocked(x, y, t, self.tile).map(Matrix::Dense)
+                gemm_blocked(x, y, t, w).map(Matrix::Dense)
             }
             (Matrix::Sparse(x), Matrix::Dense(y)) => {
                 SPMM.incr();
-                spmm_rows(x, y, t).map(Matrix::Dense)
+                spmm_rows(x, y, t, w).map(Matrix::Dense)
             }
             (Matrix::Dense(x), Matrix::Sparse(y)) => {
                 DENSE_SPARSE.incr();
-                dense_sparse_rows(x, y, t).map(Matrix::Dense)
+                dense_sparse_rows(x, y, t, w).map(Matrix::Dense)
             }
             (Matrix::Sparse(x), Matrix::Sparse(y)) => {
                 SPGEMM.incr();
@@ -255,10 +266,10 @@ impl ExecBackend for Parallel {
                     hadad_obs::LazyCounter::new("kernel.tmul_fused");
                 TMUL.incr();
                 let _span = hadad_obs::span("kernel.tmul");
-                let t = self.threads();
+                let (t, w) = (self.threads(), Width::detected());
                 let attempt = match b {
-                    Matrix::Dense(y) => tmul_dense_dense(x, y, t),
-                    Matrix::Sparse(y) => tmul_dense_sparse(x, y, t),
+                    Matrix::Dense(y) => tmul_dense_dense(x, y, t, w),
+                    Matrix::Sparse(y) => tmul_dense_sparse(x, y, t, w),
                 };
                 match attempt {
                     Ok(m) => {
@@ -338,103 +349,103 @@ fn partition_rows(
     }
 }
 
-/// Blocked dense GEMM over one row range: j/k tiled so a `tile×tile` panel
-/// of B stays cache-resident, i-k-j order inside the tile. For every output
-/// cell the `k` accumulation order (ascending, zeros skipped) matches the
-/// reference kernel, so results are bitwise identical.
-fn gemm_rows(
-    a: &DenseMatrix,
-    b: &DenseMatrix,
-    out: &mut [f64],
-    r0: usize,
-    r1: usize,
-    tile: usize,
-) {
-    let (k, n) = (a.cols(), b.cols());
-    for jb in (0..n).step_by(tile) {
-        let je = (jb + tile).min(n);
-        for kb in (0..k).step_by(tile) {
-            let ke = (kb + tile).min(k);
-            for i in r0..r1 {
-                let a_row = &a.row(i)[kb..ke];
-                let out_row = &mut out[(i - r0) * n + jb..(i - r0) * n + je];
-                for (kk, &aik) in a_row.iter().enumerate() {
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b.row(kb + kk)[jb..je];
-                    for (j, &bkj) in b_row.iter().enumerate() {
-                        out_row[j] += aik * bkj;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Threaded, cache-blocked dense×dense GEMM.
+/// Threaded dense×dense GEMM on the register-blocked micro-kernel.
 pub fn gemm_blocked(
     a: &DenseMatrix,
     b: &DenseMatrix,
     threads: usize,
-    tile: usize,
+    width: Width,
 ) -> std::result::Result<DenseMatrix, WorkerPanicked> {
     let (m, n) = (a.rows(), b.cols());
     let mut out = DenseMatrix::zeros(m, n);
     partition_rows(out.data_mut(), m, n, threads, |chunk, r0, r1| {
-        gemm_rows(a, b, chunk, r0, r1, tile);
+        micro::gemm_rows(width, a, b, chunk, r0, r1, GEMM_TILE);
     })?;
     Ok(out)
 }
 
 /// Threaded CSR × dense (SpMV when `b` is a vector, SpMM otherwise):
-/// output rows partitioned across workers, each streaming its rows of `A`.
+/// output rows partitioned across workers, each streaming its stored rows
+/// of `A` through one accumulator strip.
 pub fn spmm_rows(
     a: &SparseMatrix,
     b: &DenseMatrix,
     threads: usize,
+    width: Width,
 ) -> std::result::Result<DenseMatrix, WorkerPanicked> {
     let (m, n) = (a.rows(), b.cols());
     let mut out = DenseMatrix::zeros(m, n);
+    let b = micro::Panel { data: b.data(), ld: n, c0: 0, c1: n };
     partition_rows(out.data_mut(), m, n, threads, |chunk, r0, r1| {
-        for (i, idx, vals) in a.stored_rows_in(r0, r1) {
-            let out_row = &mut chunk[(i - r0) * n..(i - r0 + 1) * n];
-            for (&kk, &aik) in idx.iter().zip(vals) {
-                let b_row = b.row(kk);
-                for (j, &bkj) in b_row.iter().enumerate() {
-                    out_row[j] += aik * bkj;
-                }
-            }
+        micro::spmm_rows(width, a, b, chunk, r0, r1, false);
+    })?;
+    Ok(out)
+}
+
+/// Output rows a dense×sparse product computes at a time: one single-row
+/// strip of the widest kernel, and small enough that the two transposed
+/// panels of a few-thousand-column product stay in L2.
+const SPARSE_RIGHT_PANEL: usize = 64;
+
+/// `D·S` (`left_transposed` false) or `Dᵀ·S` (true) for dense `D` and CSR
+/// `S`, as `(Sᵀ·Dᵀ)ᵀ` — resp. `(Sᵀ·D)ᵀ` — on the SpMM kernel, a panel of
+/// output rows at a time: the scatter of a stored `S[k,j]` into column `j`
+/// of the output becomes a strip across the panel's rows. `Sᵀ` is O(nnz)
+/// and keeps each column's entries in ascending `k`, so every cell sums in
+/// the reference's order; the zeros of `D` the reference skips contribute
+/// `+0.0`. Output rows are partitioned across workers.
+fn sparse_right(
+    d: &DenseMatrix,
+    left_transposed: bool,
+    s: &SparseMatrix,
+    threads: usize,
+    width: Width,
+) -> std::result::Result<DenseMatrix, WorkerPanicked> {
+    let (k, n) = (s.rows(), s.cols());
+    let m = if left_transposed { d.cols() } else { d.rows() };
+    let st = s.transpose();
+    let mut out = DenseMatrix::zeros(m, n);
+    partition_rows(out.data_mut(), m, n, threads, |chunk, r0, r1| {
+        let widest = SPARSE_RIGHT_PANEL.min(r1 - r0);
+        // The panel's rows of `D` as columns (when they are not already),
+        // and its rows of the product as columns.
+        let mut d_t = vec![0.0; if left_transposed { 0 } else { k * widest }];
+        let mut out_t = vec![0.0; n * widest];
+        for i0 in (r0..r1).step_by(SPARSE_RIGHT_PANEL) {
+            let i1 = (i0 + SPARSE_RIGHT_PANEL).min(r1);
+            let pw = i1 - i0;
+            let panel = if left_transposed {
+                micro::Panel { data: d.data(), ld: d.cols(), c0: i0, c1: i1 }
+            } else {
+                transpose_into(&d.data()[i0 * k..i1 * k], pw, k, &mut d_t[..k * pw]);
+                micro::Panel { data: &d_t, ld: pw, c0: 0, c1: pw }
+            };
+            let out_t = &mut out_t[..n * pw];
+            out_t.fill(0.0);
+            micro::spmm_rows(width, &st, panel, out_t, 0, n, true);
+            transpose_into(out_t, n, pw, &mut chunk[(i0 - r0) * n..(i1 - r0) * n]);
         }
     })?;
     Ok(out)
 }
 
-/// Threaded dense × CSR: output rows partitioned; each worker walks its
-/// rows of `A`, scattering the stored entries of the matching `B` rows.
+/// Threaded dense × CSR, as `(Sᵀ·Dᵀ)ᵀ` on the SpMM kernel, a panel of
+/// output rows at a time; bitwise the reference's scatter.
 pub fn dense_sparse_rows(
     a: &DenseMatrix,
     b: &SparseMatrix,
     threads: usize,
+    width: Width,
 ) -> std::result::Result<DenseMatrix, WorkerPanicked> {
-    let (m, n) = (a.rows(), b.cols());
-    let mut out = DenseMatrix::zeros(m, n);
-    partition_rows(out.data_mut(), m, n, threads, |chunk, r0, r1| {
-        for i in r0..r1 {
-            let a_row = a.row(i);
-            let out_row = &mut chunk[(i - r0) * n..(i - r0 + 1) * n];
-            for (kk, idx, vals) in b.stored_rows() {
-                let aik = a_row[kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                for (&j, &bkj) in idx.iter().zip(vals) {
-                    out_row[j] += aik * bkj;
-                }
-            }
-        }
-    })?;
-    Ok(out)
+    sparse_right(a, false, b, threads, width)
+}
+
+/// Calls `f` with the position of every set bit of `bits`, lowest first.
+fn for_each_bit(mut bits: u64, mut f: impl FnMut(usize)) {
+    while bits != 0 {
+        f(bits.trailing_zeros() as usize);
+        bits &= bits - 1;
+    }
 }
 
 /// Threaded row-wise SpGEMM: each worker takes a contiguous range of `A`'s
@@ -452,7 +463,14 @@ pub fn spgemm_rows(
     let run_range = |k0: usize, k1: usize| -> SparseBuilder {
         hadad_failpoint::hit("linalg.kernel").expect("linalg.kernel failpoint");
         let mut acc = vec![0.0f64; n];
-        let mut touched: Vec<usize> = Vec::new();
+        // Touched columns of the current output row, as a two-level bitmap:
+        // a bit per column in `marks`, a bit per non-empty word of `marks`
+        // in `groups`. Draining it lowest bit first yields the columns in
+        // order without sorting them, for what the row touches plus
+        // `n / 4096` words, and a cell touched again after it cancelled to
+        // zero is still one bit.
+        let mut marks = vec![0u64; n.div_ceil(64)];
+        let mut groups = vec![0u64; marks.len().div_ceil(64)];
         // No output row holds more than the `B` entries its products touch,
         // or than `n`: reserved once, the output never grows by copying.
         let bound: usize = a
@@ -464,20 +482,23 @@ pub fn spgemm_rows(
             for (&kk, &aik) in idx.iter().zip(vals) {
                 let (bidx, bvals) = b.row(kk);
                 for (&j, &bkj) in bidx.iter().zip(bvals) {
-                    if acc[j] == 0.0 {
-                        touched.push(j);
-                    }
+                    marks[j / 64] |= 1 << (j % 64);
+                    groups[j / 4096] |= 1 << (j / 64 % 64);
                     acc[j] += aik * bkj;
                 }
             }
-            touched.sort_unstable();
-            for &j in &touched {
-                if acc[j] != 0.0 {
-                    out.append(i, j, acc[j]);
-                }
-                acc[j] = 0.0;
+            for (g, group) in groups.iter_mut().enumerate() {
+                for_each_bit(std::mem::take(group), |w| {
+                    let w = g * 64 + w;
+                    for_each_bit(std::mem::take(&mut marks[w]), |j| {
+                        let j = w * 64 + j;
+                        if acc[j] != 0.0 {
+                            out.append(i, j, acc[j]);
+                        }
+                        acc[j] = 0.0;
+                    });
+                });
             }
-            touched.clear();
         }
         out
     };
@@ -512,60 +533,31 @@ pub fn spgemm_rows(
 }
 
 /// Fused dense `Aᵀ·B` (both dense): output rows (= columns of `A`)
-/// partitioned across workers; each worker streams `A` and `B` row-major
-/// once, accumulating `out[j,:] += A[i,j] · B[i,:]` — no transposed copy
-/// of `A` is ever built.
+/// partitioned across workers; each block of the micro-kernel reads `A`
+/// and `B` row-major in place — no transposed copy of `A` is ever built.
 pub fn tmul_dense_dense(
     a: &DenseMatrix,
     b: &DenseMatrix,
     threads: usize,
-) -> std::result::Result<DenseMatrix, WorkerPanicked> {
-    let (m, p, n) = (a.rows(), a.cols(), b.cols());
-    let mut out = DenseMatrix::zeros(p, n);
-    partition_rows(out.data_mut(), p, n, threads, |chunk, r0, r1| {
-        for i in 0..m {
-            let a_row = a.row(i);
-            let b_row = b.row(i);
-            for j in r0..r1 {
-                let aij = a_row[j];
-                if aij == 0.0 {
-                    continue;
-                }
-                let out_row = &mut chunk[(j - r0) * n..(j - r0 + 1) * n];
-                for (c, &bic) in b_row.iter().enumerate() {
-                    out_row[c] += aij * bic;
-                }
-            }
-        }
-    })?;
-    Ok(out)
-}
-
-/// Fused dense-`A` `Aᵀ·B` with sparse `B`: each worker owns a range of
-/// output rows and scatters the stored entries of `B`'s rows against the
-/// matching column of `A`, read in place.
-pub fn tmul_dense_sparse(
-    a: &DenseMatrix,
-    b: &SparseMatrix,
-    threads: usize,
+    width: Width,
 ) -> std::result::Result<DenseMatrix, WorkerPanicked> {
     let (p, n) = (a.cols(), b.cols());
     let mut out = DenseMatrix::zeros(p, n);
     partition_rows(out.data_mut(), p, n, threads, |chunk, r0, r1| {
-        for r in r0..r1 {
-            let out_row = &mut chunk[(r - r0) * n..(r - r0 + 1) * n];
-            for (i, idx, vals) in b.stored_rows() {
-                let air = a.row(i)[r];
-                if air == 0.0 {
-                    continue;
-                }
-                for (&j, &bij) in idx.iter().zip(vals) {
-                    out_row[j] += air * bij;
-                }
-            }
-        }
+        micro::tmul_rows(width, a, b, chunk, r0, r1, GEMM_TILE);
     })?;
     Ok(out)
+}
+
+/// Fused dense-`A` `Aᵀ·B` with sparse `B`, as `(Bᵀ·A)ᵀ` on the SpMM
+/// kernel, a panel of output rows at a time: `A` is read in place.
+pub fn tmul_dense_sparse(
+    a: &DenseMatrix,
+    b: &SparseMatrix,
+    threads: usize,
+    width: Width,
+) -> std::result::Result<DenseMatrix, WorkerPanicked> {
+    sparse_right(a, true, b, threads, width)
 }
 
 /// Backend selection, settable per `Optimizer` (builder) or process-wide
@@ -747,6 +739,139 @@ mod tests {
                 for t in [1, 2, 8] {
                     let got = Parallel::with_threads(t).multiply(&a, &b).unwrap();
                     assert_eq!(want, got, "{m}x{k}x{n} t={t}");
+                }
+            }
+        }
+    }
+
+    /// `r x c`, about one cell in five replaced by a value the kernels' zero
+    /// rules turn on: exact zeros, `-0.0`, both infinities and `NaN`.
+    fn salted(r: usize, c: usize, seed: u64) -> DenseMatrix {
+        let salt = [0.0, 0.0, 0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut rng = crate::rng::Rng64::new(seed ^ 0x5a17);
+        let mut d = rand_gen::random_dense(r, c, seed);
+        for v in d.data_mut() {
+            if rng.range_usize(5) == 0 {
+                *v = salt[rng.range_usize(salt.len())];
+            }
+        }
+        d
+    }
+
+    /// About a third of `d`'s cells, stored as they are — the exact zeros
+    /// among them, which `from_csr` keeps and SpMM must multiply.
+    fn stored_third(d: &DenseMatrix, seed: u64) -> SparseMatrix {
+        let mut rng = crate::rng::Rng64::new(seed);
+        let (mut indptr, mut indices, mut values) = (vec![0], Vec::new(), Vec::new());
+        for i in 0..d.rows() {
+            for (j, &v) in d.row(i).iter().enumerate() {
+                if rng.range_usize(3) == 0 {
+                    indices.push(j);
+                    values.push(v);
+                }
+            }
+            indptr.push(indices.len());
+        }
+        SparseMatrix::from_csr(d.rows(), d.cols(), indptr, indices, values)
+    }
+
+    /// Every product kind, at every vector width this host supports (each
+    /// instantiation called directly, not through the dispatch), on shapes
+    /// ragged around every block and strip edge, on plain operands and on
+    /// operands salted with zeros, `-0.0`, `inf` and `NaN`, across thread
+    /// counts: bit for bit the `Reference` result.
+    #[test]
+    fn every_kernel_at_every_width_matches_reference() {
+        let dims = [1, 3, 5, 17, 47, 61, 130];
+        // Every dimension in every position, against two different partners.
+        let shapes = (0..dims.len()).flat_map(|i| {
+            [(2, 4), (5, 3)].map(|(p, q)| (dims[i], dims[(i + p) % 7], dims[(i + q) % 7]))
+        });
+        for (m, k, n) in shapes {
+            for salt in [false, true] {
+                let d = |r, c, seed| {
+                    if salt {
+                        salted(r, c, seed)
+                    } else {
+                        rand_gen::random_dense(r, c, seed)
+                    }
+                };
+                // `a: m x k`, `b: k x n`, and `t: m x n` for `aᵀ·t`.
+                let (da, db, dt) = (d(m, k, 1), d(k, n, 2), d(m, n, 3));
+                let (sa, sb, st) =
+                    (stored_third(&da, 4), stored_third(&db, 5), stored_third(&dt, 6));
+                let (ma, mb, mt) = (
+                    Matrix::Dense(da.clone()),
+                    Matrix::Dense(db.clone()),
+                    Matrix::Dense(dt.clone()),
+                );
+                let (xa, xb, xt) = (
+                    Matrix::Sparse(sa.clone()),
+                    Matrix::Sparse(sb.clone()),
+                    Matrix::Sparse(st.clone()),
+                );
+                type Run<'a> = Box<dyn Fn(usize, Width) -> Matrix + 'a>;
+                let kinds: [(&str, Matrix, Run<'_>); 8] = [
+                    (
+                        "D·D",
+                        REFERENCE.multiply(&ma, &mb).unwrap(),
+                        Box::new(|t, w| Matrix::Dense(gemm_blocked(&da, &db, t, w).unwrap())),
+                    ),
+                    (
+                        "S·D",
+                        REFERENCE.multiply(&xa, &mb).unwrap(),
+                        Box::new(|t, w| Matrix::Dense(spmm_rows(&sa, &db, t, w).unwrap())),
+                    ),
+                    (
+                        "D·S",
+                        REFERENCE.multiply(&ma, &xb).unwrap(),
+                        Box::new(|t, w| {
+                            Matrix::Dense(dense_sparse_rows(&da, &sb, t, w).unwrap())
+                        }),
+                    ),
+                    (
+                        "S·S",
+                        REFERENCE.multiply(&xa, &xb).unwrap(),
+                        Box::new(|t, _| Matrix::Sparse(spgemm_rows(&sa, &sb, t).unwrap())),
+                    ),
+                    (
+                        "Dᵀ·D",
+                        REFERENCE.transpose_multiply(&ma, &mt).unwrap(),
+                        Box::new(|t, w| {
+                            Matrix::Dense(tmul_dense_dense(&da, &dt, t, w).unwrap())
+                        }),
+                    ),
+                    (
+                        "Dᵀ·S",
+                        REFERENCE.transpose_multiply(&ma, &xt).unwrap(),
+                        Box::new(|t, w| {
+                            Matrix::Dense(tmul_dense_sparse(&da, &st, t, w).unwrap())
+                        }),
+                    ),
+                    // A sparse left operand is transposed, then multiplied.
+                    (
+                        "Sᵀ·D",
+                        REFERENCE.transpose_multiply(&xa, &mt).unwrap(),
+                        Box::new(|t, w| {
+                            Matrix::Dense(spmm_rows(&sa.transpose(), &dt, t, w).unwrap())
+                        }),
+                    ),
+                    (
+                        "Sᵀ·S",
+                        REFERENCE.transpose_multiply(&xa, &xt).unwrap(),
+                        Box::new(|t, _| {
+                            Matrix::Sparse(spgemm_rows(&sa.transpose(), &st, t).unwrap())
+                        }),
+                    ),
+                ];
+                for (kind, want, run) in &kinds {
+                    for w in Width::supported() {
+                        for t in [1, 2, 3, 8] {
+                            let what =
+                                format!("{kind} {m}x{k}x{n} salt={salt} {} t={t}", w.name());
+                            assert!(crate::bitwise_eq(want, &run(t, w)), "{what}");
+                        }
+                    }
                 }
             }
         }

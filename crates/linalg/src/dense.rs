@@ -119,15 +119,10 @@ impl DenseMatrix {
         self.data.iter().filter(|v| **v != 0.0).count()
     }
 
-    /// Transposed copy.
+    /// Transposed copy, moved in cache-resident tiles.
     pub fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.cols, self.rows);
-        for r in 0..self.rows {
-            let row = self.row(r);
-            for (c, &v) in row.iter().enumerate() {
-                out.data[c * self.rows + r] = v;
-            }
-        }
+        transpose_into(&self.data, self.rows, self.cols, &mut out.data);
         out
     }
 
@@ -159,6 +154,33 @@ impl DenseMatrix {
     }
 }
 
+/// Writes the transpose of the row-major `rows × cols` matrix `src` into
+/// `dst` (`cols × rows`), in 16×16 tiles: a tile's source rows and
+/// destination rows are two cache lines each, so both sides stay
+/// cache-resident instead of one of them striding a whole matrix per
+/// element.
+pub(crate) fn transpose_into(src: &[f64], rows: usize, cols: usize, dst: &mut [f64]) {
+    const T: usize = 16;
+    assert!(src.len() == rows * cols && dst.len() == rows * cols, "transpose buffer sizes");
+    if rows <= 1 || cols <= 1 {
+        // A vector keeps its element order.
+        dst.copy_from_slice(src);
+        return;
+    }
+    for r0 in (0..rows).step_by(T) {
+        let r1 = (r0 + T).min(rows);
+        for c0 in (0..cols).step_by(T) {
+            let c1 = (c0 + T).min(cols);
+            for c in c0..c1 {
+                let out = &mut dst[c * rows + r0..c * rows + r1];
+                for (r, v) in (r0..r1).zip(out) {
+                    *v = src[r * cols + c];
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,6 +203,28 @@ mod tests {
         assert_eq!(t.cols(), 2);
         assert_eq!(t.get(2, 1), 6.0);
         assert_eq!(t.get(0, 1), 4.0);
+    }
+
+    /// The tiled copy against the definition, on shapes around the tile
+    /// edge and the vector fast path, values distinct per cell.
+    #[test]
+    fn transpose_matches_the_definition_on_ragged_shapes() {
+        for &(r, c) in &[(0, 3), (1, 1), (1, 7), (7, 1), (15, 17), (16, 16), (33, 47), (130, 5)]
+        {
+            let m = DenseMatrix::from_fn(r, c, |i, j| (i * c + j) as f64 - 0.5);
+            let t = m.transpose();
+            assert_eq!((t.rows(), t.cols()), (c, r));
+            for i in 0..r {
+                for j in 0..c {
+                    assert_eq!(
+                        t.get(j, i).to_bits(),
+                        m.get(i, j).to_bits(),
+                        "{r}x{c} ({i},{j})"
+                    );
+                }
+            }
+            assert_eq!(t.transpose(), m);
+        }
     }
 
     #[test]

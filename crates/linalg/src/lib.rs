@@ -11,13 +11,20 @@
 //!
 //! Everything is implemented from scratch on `Vec<f64>` storage — no BLAS —
 //! so that benchmark wall-times are a deterministic function of the
-//! intermediate-result sizes HADAD's cost model reasons about.
+//! intermediate-result sizes HADAD's cost model reasons about and, for
+//! products on the `Parallel` backend, of the vector width detected on the
+//! host ([`backend::Width`]: the product kernels are compiled for AVX-512,
+//! AVX2 and the portable baseline, and the widest the CPU runs is picked
+//! once per process). *Values* are not a function of the width: every
+//! width performs the same IEEE operations in the same order and equals
+//! the `Reference` kernels bit for bit.
 
 pub mod backend;
 pub mod dense;
 pub mod error;
 pub mod io;
 pub mod matrix;
+mod micro;
 pub mod rand_gen;
 pub mod rng;
 pub mod sparse;
@@ -54,6 +61,28 @@ pub use sparse::{SparseBuilder, SparseMatrix};
 /// expression's value against a rewriting's value (machine-checkable
 /// soundness, cf. Theorem 8.1 of the paper).
 pub const SOUNDNESS_RTOL: f64 = 1e-8;
+
+/// Returns true when `a` and `b` have the same representation, shape and
+/// stored cells with every value equal bit for bit — `-0.0` is not `0.0` —
+/// except that any `NaN` equals any `NaN` (which payload survives
+/// `NaN + NaN` is the operand order the compiler picked, not a value). The
+/// equality the `Parallel` kernels are held to against `Reference`.
+pub fn bitwise_eq(a: &Matrix, b: &Matrix) -> bool {
+    let same = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
+    match (a, b) {
+        (Matrix::Dense(x), Matrix::Dense(y)) => {
+            (x.rows(), x.cols()) == (y.rows(), y.cols())
+                && x.data().iter().zip(y.data()).all(|(&p, &q)| same(p, q))
+        }
+        (Matrix::Sparse(x), Matrix::Sparse(y)) => {
+            (x.rows(), x.cols(), x.nnz()) == (y.rows(), y.cols(), y.nnz())
+                && x.triplets()
+                    .zip(y.triplets())
+                    .all(|(p, q)| (p.0, p.1) == (q.0, q.1) && same(p.2, q.2))
+        }
+        _ => false,
+    }
+}
 
 /// Returns true when `a` and `b` are element-wise equal within a relative
 /// tolerance of `rtol` (absolute floor `1e-10`). Two sparse matrices are

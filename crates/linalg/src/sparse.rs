@@ -157,7 +157,7 @@ impl SparseBuilder {
             return;
         }
         if self.spill.is_empty() {
-            if !self.last().is_some_and(|l| (r, c) < l) {
+            if self.last().is_none_or(|l| (r, c) >= l) {
                 self.merge(r, c, v);
                 return;
             }
@@ -197,7 +197,7 @@ impl SparseBuilder {
     /// Stores `v` at `(r, c)`, which must lie above [`last`](Self::last): the
     /// unchecked push of kernels that produce their entries in order.
     pub(crate) fn append(&mut self, r: usize, c: usize, v: f64) {
-        debug_assert!(self.spill.is_empty() && !self.last().is_some_and(|l| (r, c) <= l));
+        debug_assert!(self.spill.is_empty() && self.last().is_none_or(|l| (r, c) > l));
         debug_assert!(r < self.rows && c < self.cols);
         if self.row_ids.last() != Some(&r) {
             self.row_ids.push(r);

@@ -13,6 +13,9 @@ fn sparse(r: usize, c: usize, seed: u64) -> Matrix {
     Matrix::Sparse(rand_gen::random_sparse(r, c, 0.15, seed))
 }
 
+/// Every kernel route — D·D, S·S, D·S (the transposed SpMM route), S·D,
+/// and `Aᵀ·B` over the same pairs — runs under the failpoint: each call
+/// returns the `REFERENCE` value and leaves exactly one typed event.
 #[test]
 fn kernel_panic_degrades_to_reference_with_event() {
     let _fp = hadad_failpoint::scoped("linalg.kernel", hadad_failpoint::FailAction::Panic);
@@ -21,20 +24,33 @@ fn kernel_panic_degrades_to_reference_with_event() {
     std::panic::set_hook(Box::new(|_| {}));
     take_backend_panics();
     let backend = Parallel::with_threads(2);
+    let mut failures = Vec::new();
     // bt shares a's row count so `aᵀ · bt` is well-shaped.
-    for (a, b, bt) in [
-        (dense(20, 10, 21), dense(10, 6, 22), dense(20, 6, 25)),
-        (sparse(20, 10, 23), sparse(10, 6, 24), sparse(20, 6, 26)),
+    for (kind, a, b, bt) in [
+        ("D·D", dense(20, 10, 21), dense(10, 6, 22), dense(20, 6, 25)),
+        ("S·S", sparse(20, 10, 23), sparse(10, 6, 24), sparse(20, 6, 26)),
+        ("D·S", dense(20, 10, 27), sparse(10, 6, 28), sparse(20, 6, 29)),
+        ("S·D", sparse(20, 10, 30), dense(10, 6, 31), dense(20, 6, 32)),
     ] {
         let got = backend.multiply(&a, &b).unwrap();
-        assert_eq!(got, REFERENCE.multiply(&a, &b).unwrap());
+        if got != REFERENCE.multiply(&a, &b).unwrap() {
+            failures.push(format!("{kind}: degraded product differs from REFERENCE"));
+        }
+        let events = take_backend_panics();
+        if events.len() != 1 || events[0].backend != "parallel" || events[0].op != "multiply" {
+            failures.push(format!("{kind}: multiply left {events:?}"));
+        }
         let tgot = backend.transpose_multiply(&a, &bt).unwrap();
-        assert_eq!(tgot, REFERENCE.transpose_multiply(&a, &bt).unwrap());
+        if tgot != REFERENCE.transpose_multiply(&a, &bt).unwrap() {
+            failures.push(format!("{kind}: degraded transpose-product differs from REFERENCE"));
+        }
+        // A sparse left operand is transposed (O(nnz)) and multiplied.
+        let op = if a.is_sparse() { "multiply" } else { "transpose_multiply" };
+        let events = take_backend_panics();
+        if events.len() != 1 || events[0].backend != "parallel" || events[0].op != op {
+            failures.push(format!("{kind}: transpose_multiply left {events:?}"));
+        }
     }
     std::panic::set_hook(hook);
-    let events = take_backend_panics();
-    assert!(!events.is_empty());
-    assert!(events.iter().all(|e| e.backend == "parallel"));
-    assert!(events.iter().any(|e| e.op == "multiply"));
-    assert!(events.iter().any(|e| e.op == "transpose_multiply"));
+    assert!(failures.is_empty(), "{failures:#?}");
 }

@@ -484,7 +484,7 @@ impl<'a> RowSet<'a> {
         // identity: a one-row side leaves the other as it is.
         if nr != 1 {
             let each: Vec<u32> =
-                (0..nl as u32).flat_map(|i| std::iter::repeat(i).take(nr)).collect();
+                (0..nl as u32).flat_map(|i| std::iter::repeat_n(i, nr)).collect();
             self.pick(&each);
         }
         if nl != 1 {

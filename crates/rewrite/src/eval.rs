@@ -3,6 +3,7 @@
 //! (machine-checkable soundness, paper Theorem 8.1) and the substrate the
 //! benchmarks time.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use hadad_core::Expr;
@@ -82,7 +83,7 @@ pub fn eval(e: &Expr, env: &Env) -> Result<Matrix, EvalError> {
 /// ROADMAP item).
 pub fn eval_with(e: &Expr, env: &Env, backend: &dyn ExecBackend) -> Result<Matrix, EvalError> {
     let mut memo: HashMap<String, Matrix> = HashMap::new();
-    eval_memo(e, env, backend, &mut memo)
+    eval_memo(e, env, backend, &mut memo).map(Cow::into_owned)
 }
 
 /// QR/LU factorizations memoized per input subexpression, so an
@@ -114,86 +115,73 @@ fn decomp_pair(
     Ok(memo[&key].clone())
 }
 
-fn eval_memo(
+/// The value of `e`: a bound matrix is borrowed from `env` (a leaf costs
+/// nothing, whatever its size), a computed node is owned.
+fn eval_memo<'e>(
     e: &Expr,
-    env: &Env,
+    env: &'e Env,
     backend: &dyn ExecBackend,
     memo: &mut HashMap<String, Matrix>,
-) -> Result<Matrix, EvalError> {
+) -> Result<Cow<'e, Matrix>, EvalError> {
     use Expr::*;
-    Ok(match e {
-        Mat(n) => env.get(n).ok_or_else(|| EvalError::Unbound(n.clone()))?.clone(),
+    let mut go = |x: &Expr| eval_memo(x, env, backend, memo);
+    Ok(Cow::Owned(match e {
+        Mat(n) => {
+            return env.get(n).map(Cow::Borrowed).ok_or_else(|| EvalError::Unbound(n.clone()))
+        }
         Const(v) => Matrix::scalar(*v),
         Identity(n) => Matrix::identity(*n),
         Zero(r, c) => Matrix::zeros(*r, *c),
-        Add(a, b) => {
-            eval_memo(a, env, backend, memo)?.add(&eval_memo(b, env, backend, memo)?)?
-        }
-        Sub(a, b) => {
-            eval_memo(a, env, backend, memo)?.sub(&eval_memo(b, env, backend, memo)?)?
-        }
+        Add(a, b) => go(a)?.add(&*go(b)?)?,
+        Sub(a, b) => go(a)?.sub(&*go(b)?)?,
         // Rewrite-aware fusion: a resugared `tr(A)·B` never materializes
         // the transpose — the backend's fused kernel reads `A` in place.
         Mul(a, b) => match a.as_ref() {
             Transpose(inner) => {
-                let lhs = eval_memo(inner, env, backend, memo)?;
-                let rhs = eval_memo(b, env, backend, memo)?;
+                let lhs = go(inner)?;
+                let rhs = go(b)?;
                 backend.transpose_multiply(&lhs, &rhs)?
             }
             _ => {
-                let lhs = eval_memo(a, env, backend, memo)?;
-                let rhs = eval_memo(b, env, backend, memo)?;
+                let lhs = go(a)?;
+                let rhs = go(b)?;
                 backend.multiply(&lhs, &rhs)?
             }
         },
-        Hadamard(a, b) => {
-            eval_memo(a, env, backend, memo)?.hadamard(&eval_memo(b, env, backend, memo)?)?
-        }
-        Div(a, b) => {
-            eval_memo(a, env, backend, memo)?.divide(&eval_memo(b, env, backend, memo)?)?
-        }
-        Kron(a, b) => structural::kronecker(
-            &eval_memo(a, env, backend, memo)?,
-            &eval_memo(b, env, backend, memo)?,
-        ),
-        DirectSum(a, b) => structural::direct_sum(
-            &eval_memo(a, env, backend, memo)?,
-            &eval_memo(b, env, backend, memo)?,
-        ),
+        Hadamard(a, b) => go(a)?.hadamard(&*go(b)?)?,
+        Div(a, b) => go(a)?.divide(&*go(b)?)?,
+        Kron(a, b) => structural::kronecker(&*go(a)?, &*go(b)?),
+        DirectSum(a, b) => structural::direct_sum(&*go(a)?, &*go(b)?),
         ScalarMul(s, a) => {
-            let sv = eval_memo(s, env, backend, memo)?
-                .as_scalar()
-                .ok_or_else(|| EvalError::NonScalar(e.to_string()))?;
-            eval_memo(a, env, backend, memo)?.scalar_mul(sv)
+            let sv = go(s)?.as_scalar().ok_or_else(|| EvalError::NonScalar(e.to_string()))?;
+            go(a)?.scalar_mul(sv)
         }
-        Transpose(a) => eval_memo(a, env, backend, memo)?.transpose(),
-        Inv(a) => eval_memo(a, env, backend, memo)?.inverse()?,
-        Adj(a) => decomp::adjugate::adjugate(&eval_memo(a, env, backend, memo)?)?,
-        Exp(a) => decomp::exp::matrix_exp(&eval_memo(a, env, backend, memo)?)?,
-        Diag(a) => structural::diag(&eval_memo(a, env, backend, memo)?)?,
-        Rev(a) => structural::reverse_rows(&eval_memo(a, env, backend, memo)?),
-        RowSums(a) => aggregates::row_sums(&eval_memo(a, env, backend, memo)?),
-        ColSums(a) => aggregates::col_sums(&eval_memo(a, env, backend, memo)?),
-        RowMeans(a) => aggregates::row_means(&eval_memo(a, env, backend, memo)?),
-        ColMeans(a) => aggregates::col_means(&eval_memo(a, env, backend, memo)?),
-        RowMin(a) => aggregates::row_min(&eval_memo(a, env, backend, memo)?),
-        RowMax(a) => aggregates::row_max(&eval_memo(a, env, backend, memo)?),
-        ColMin(a) => aggregates::col_min(&eval_memo(a, env, backend, memo)?),
-        ColMax(a) => aggregates::col_max(&eval_memo(a, env, backend, memo)?),
-        RowVar(a) => aggregates::row_var(&eval_memo(a, env, backend, memo)?),
-        ColVar(a) => aggregates::col_var(&eval_memo(a, env, backend, memo)?),
-        Det(a) => Matrix::scalar(eval_memo(a, env, backend, memo)?.det()?),
-        Trace(a) => Matrix::scalar(eval_memo(a, env, backend, memo)?.trace()?),
-        Sum(a) => Matrix::scalar(eval_memo(a, env, backend, memo)?.sum()),
-        Min(a) => Matrix::scalar(aggregates::min(&eval_memo(a, env, backend, memo)?)),
-        Max(a) => Matrix::scalar(aggregates::max(&eval_memo(a, env, backend, memo)?)),
-        Mean(a) => Matrix::scalar(aggregates::mean(&eval_memo(a, env, backend, memo)?)),
-        Var(a) => Matrix::scalar(aggregates::var(&eval_memo(a, env, backend, memo)?)),
-        Cho(a) => {
-            Matrix::Dense(decomp::cholesky::cholesky(&eval_memo(a, env, backend, memo)?)?)
-        }
+        Transpose(a) => go(a)?.transpose(),
+        Inv(a) => go(a)?.inverse()?,
+        Adj(a) => decomp::adjugate::adjugate(&*go(a)?)?,
+        Exp(a) => decomp::exp::matrix_exp(&*go(a)?)?,
+        Diag(a) => structural::diag(&*go(a)?)?,
+        Rev(a) => structural::reverse_rows(&*go(a)?),
+        RowSums(a) => aggregates::row_sums(&*go(a)?),
+        ColSums(a) => aggregates::col_sums(&*go(a)?),
+        RowMeans(a) => aggregates::row_means(&*go(a)?),
+        ColMeans(a) => aggregates::col_means(&*go(a)?),
+        RowMin(a) => aggregates::row_min(&*go(a)?),
+        RowMax(a) => aggregates::row_max(&*go(a)?),
+        ColMin(a) => aggregates::col_min(&*go(a)?),
+        ColMax(a) => aggregates::col_max(&*go(a)?),
+        RowVar(a) => aggregates::row_var(&*go(a)?),
+        ColVar(a) => aggregates::col_var(&*go(a)?),
+        Det(a) => Matrix::scalar(go(a)?.det()?),
+        Trace(a) => Matrix::scalar(go(a)?.trace()?),
+        Sum(a) => Matrix::scalar(go(a)?.sum()),
+        Min(a) => Matrix::scalar(aggregates::min(&*go(a)?)),
+        Max(a) => Matrix::scalar(aggregates::max(&*go(a)?)),
+        Mean(a) => Matrix::scalar(aggregates::mean(&*go(a)?)),
+        Var(a) => Matrix::scalar(aggregates::var(&*go(a)?)),
+        Cho(a) => Matrix::Dense(decomp::cholesky::cholesky(&*go(a)?)?),
         QrQ(a) | QrR(a) | LuL(a) | LuU(a) => decomp_pair(e, a, env, backend, memo)?,
-    })
+    }))
 }
 
 #[cfg(test)]

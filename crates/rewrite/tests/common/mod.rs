@@ -87,7 +87,7 @@ pub fn random_expr(rng: &mut Rng64) -> Expr {
         if let Some((e, shape)) = made {
             let n = e.node_count();
             if n <= 16 {
-                if last_composite.as_ref().map_or(true, |(_, best)| n >= *best) {
+                if last_composite.as_ref().is_none_or(|(_, best)| n >= *best) {
                     last_composite = Some((e.clone(), n));
                 }
                 pool.push((e, shape));

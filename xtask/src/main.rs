@@ -14,12 +14,22 @@
 //! (`METRICS_snapshot.json`) and Prometheus text
 //! (`METRICS_snapshot.prom`). Exits nonzero if any layer failed to light
 //! up its counters — CI runs it as the observability smoke gate.
+//!
+//! `kernels` times the `Parallel` backend's product kernels on the operand
+//! shapes of the `la_exec` benchmark workload, one thread, at every vector
+//! width the host supports (run it with `--release`), prints ms and
+//! Gflop/s per kernel and width plus the width dispatch picked, and exits
+//! nonzero if any value differs from `Reference` in any bit. `--short`
+//! times one repetition instead of nine: the CI form, where only the
+//! comparison matters.
 
 use std::process::ExitCode;
 
 use hadad_core::expr::dsl::{add, m, mul, smul, t, trace};
 use hadad_core::{Catalogue, MatrixMeta, MetaCatalog, Vrem};
-use hadad_linalg::{rand_gen, Matrix, PARALLEL};
+use hadad_linalg::backend::{self, Width};
+use hadad_linalg::ops::multiply::{dense_dense, dense_sparse, sparse_dense, sparse_sparse};
+use hadad_linalg::{rand_gen, DenseMatrix, Matrix, PARALLEL};
 use hadad_relational::{Catalog, Column, Table, Value};
 use hadad_rewrite::{
     eval_with, CastKind, Env, HybridOptimizer, HybridPipeline, Optimizer, RelQuery,
@@ -30,15 +40,17 @@ fn main() -> ExitCode {
     match args.next().as_deref() {
         Some("analyze") => analyze(),
         Some("obs-dump") => obs_dump(),
+        Some("kernels") => kernels(args.next().as_deref() == Some("--short")),
         Some(other) => {
-            eprintln!("unknown task `{other}`; available tasks: analyze, obs-dump");
+            eprintln!("unknown task `{other}`; available tasks: analyze, obs-dump, kernels");
             ExitCode::FAILURE
         }
         None => {
             eprintln!(
                 "usage: cargo run -p xtask -- <task>\n\ntasks:\n  \
                  analyze    static rule-soundness gate over the MMC catalogue\n  \
-                 obs-dump   trace + metrics export over a cross-layer corpus"
+                 obs-dump   trace + metrics export over a cross-layer corpus\n  \
+                 kernels    product kernels per vector width vs Reference (--release; --short)"
             );
             ExitCode::FAILURE
         }
@@ -232,6 +244,157 @@ fn analyze() -> ExitCode {
         ExitCode::SUCCESS
     } else {
         eprintln!("static analysis gate FAILED");
+        ExitCode::FAILURE
+    }
+}
+
+/// One row group of the `kernels` table: the reference loop and the
+/// `Parallel` kernel (one thread) over the same operands.
+struct KernelCase<'a> {
+    label: &'static str,
+    flops: f64,
+    reference: Box<dyn Fn() -> Matrix + 'a>,
+    /// `None` for a kernel that holds no dense strip and is the same code
+    /// at every width.
+    kernel: Box<dyn Fn(Option<Width>) -> Matrix + 'a>,
+    per_width: bool,
+}
+
+const NOT_ARMED: &str = "no failpoint is armed";
+
+impl<'a> KernelCase<'a> {
+    /// Dense `a·b`, or the fused `aᵀ·b` against transpose-then-multiply.
+    fn dense(
+        label: &'static str,
+        transposed: bool,
+        a: &'a DenseMatrix,
+        b: &'a DenseMatrix,
+    ) -> Self {
+        let (m, k) = if transposed { (a.cols(), a.rows()) } else { (a.rows(), a.cols()) };
+        KernelCase {
+            label,
+            flops: 2.0 * (m * k * b.cols()) as f64,
+            reference: Box::new(move || {
+                Matrix::Dense(if transposed {
+                    dense_dense(&a.transpose(), b)
+                } else {
+                    dense_dense(a, b)
+                })
+            }),
+            kernel: Box::new(move |w| {
+                let w = w.expect("per width");
+                let run =
+                    if transposed { backend::tmul_dense_dense } else { backend::gemm_blocked };
+                Matrix::Dense(run(a, b, 1, w).expect(NOT_ARMED))
+            }),
+            per_width: true,
+        }
+    }
+}
+
+fn kernels(short: bool) -> ExitCode {
+    // `bench/src/corpus.rs::exec_size`, the operands `la_exec` multiplies.
+    let dense = rand_gen::random_dense;
+    let sparse = |n, seed| rand_gen::random_sparse(n, n, 0.01, seed);
+    let (g1, g2) = (dense(352, 352, 1), dense(352, 352, 2));
+    let (c1, c2) = (dense(224, 224, 4), dense(224, 224, 5));
+    let (x, y) = (dense(2400, 96, 3), dense(2400, 1, 6));
+    let (ta, tb) = (dense(1200, 128, 10), dense(1200, 128, 11));
+    let (s4, d4) = (sparse(4000, 9), dense(4000, 96, 12));
+    let (s1, s2) = (sparse(2000, 7), sparse(2000, 8));
+    let d = dense(256, 2000, 13);
+    let spgemm_flops: f64 = s1.triplets().map(|(_, k, _)| 2.0 * s2.row(k).0.len() as f64).sum();
+    let cases = [
+        KernelCase::dense("gemm 352^3", false, &g1, &g2),
+        KernelCase::dense("gemm 224^3", false, &c1, &c2),
+        KernelCase::dense("gram 2400x96", true, &x, &x),
+        KernelCase::dense("At.b 2400x96", true, &x, &y),
+        KernelCase::dense("At.B 1200x128", true, &ta, &tb),
+        KernelCase {
+            label: "spmm 4000^2@1% x96",
+            flops: 2.0 * (s4.nnz() * 96) as f64,
+            reference: Box::new(|| Matrix::Dense(sparse_dense(&s4, &d4))),
+            kernel: Box::new(|w| {
+                Matrix::Dense(
+                    backend::spmm_rows(&s4, &d4, 1, w.expect("per width")).expect(NOT_ARMED),
+                )
+            }),
+            per_width: true,
+        },
+        KernelCase {
+            label: "spgemm 2000^2@1%",
+            flops: spgemm_flops,
+            reference: Box::new(|| Matrix::Sparse(sparse_sparse(&s1, &s2))),
+            kernel: Box::new(|_| {
+                Matrix::Sparse(backend::spgemm_rows(&s1, &s2, 1).expect(NOT_ARMED))
+            }),
+            per_width: false,
+        },
+        KernelCase {
+            label: "dense x sparse 256x2000",
+            flops: 2.0 * (256 * s2.nnz()) as f64,
+            reference: Box::new(|| Matrix::Dense(dense_sparse(&d, &s2))),
+            kernel: Box::new(|w| {
+                let w = w.expect("per width");
+                Matrix::Dense(backend::dense_sparse_rows(&d, &s2, 1, w).expect(NOT_ARMED))
+            }),
+            per_width: true,
+        },
+    ];
+    let reps = if short { 1 } else { 9 };
+    let widths = Width::supported();
+    println!(
+        "dispatch picked: {} ({} f64 lanes); widths this host supports: {}",
+        Width::detected().name(),
+        Width::detected().lanes(),
+        widths.iter().map(|w| w.name()).collect::<Vec<_>>().join(", "),
+    );
+    println!("{:<26} {:<10} {:>9} {:>9} {:>9}", "kernel", "width", "ms", "Gflop/s", "best ms");
+    let mut ok = true;
+    for case in &cases {
+        // The last value, and the median and the best of `reps` timed runs
+        // after one untimed (on a shared host the best is the steadier).
+        let timed = |f: &dyn Fn() -> Matrix| {
+            let mut out = f();
+            let mut secs: Vec<f64> = (0..reps)
+                .map(|_| {
+                    let t0 = std::time::Instant::now();
+                    out = std::hint::black_box(f());
+                    t0.elapsed().as_secs_f64()
+                })
+                .collect();
+            secs.sort_by(f64::total_cmp);
+            (out, secs[secs.len() / 2], secs[0])
+        };
+        let row = |width: &str, secs: f64, best: f64| {
+            let (label, gflops) = (case.label, case.flops / secs / 1e9);
+            println!(
+                "{label:<26} {width:<10} {:>9.3} {gflops:>9.2} {:>9.3}",
+                secs * 1e3,
+                best * 1e3
+            );
+        };
+        let (want, secs, best) = timed(&*case.reference);
+        row("reference", secs, best);
+        let runs: Vec<Option<Width>> = if case.per_width {
+            widths.iter().copied().map(Some).collect()
+        } else {
+            vec![None]
+        };
+        for w in runs {
+            let name = w.map_or("any", Width::name);
+            let (got, secs, best) = timed(&|| (case.kernel)(w));
+            row(name, secs, best);
+            if !hadad_linalg::bitwise_eq(&want, &got) {
+                eprintln!("kernels: {} at width {name} differs from Reference", case.label);
+                ok = false;
+            }
+        }
+    }
+    if ok {
+        println!("kernels: every kernel at every width equals Reference bit for bit");
+        ExitCode::SUCCESS
+    } else {
         ExitCode::FAILURE
     }
 }
