@@ -20,7 +20,9 @@
 //! Rules are *compiled* once into a [`RuleSet`] — slot count, existential
 //! variables, the symmetric-EGD test, the functional signatures the engine's
 //! own EGDs prove, shared rule names — and the engine borrows it, so
-//! nothing about a rule is recomputed per application or per run. Premise
+//! nothing about a rule is recomputed per application or per run; a set
+//! that adds rules to another ([`RuleSet::extended`]) shares the other's
+//! compiled rules. Premise
 //! matches bind variables in a dense slot array
 //! ([`crate::homomorphism::Bindings`]); a TGD's conclusion check runs
 //! *while* its premise matches are enumerated, and only the matches whose
@@ -426,18 +428,22 @@ impl CompiledRule {
 
 /// An ordered constraint list compiled for the engine: per rule the slot
 /// count, existential variables, symmetric-EGD flag and a shared name; per
-/// predicate the [`FunctionalSig`] the set's own EGDs prove. Built once —
-/// `hadad-rewrite` builds it when it builds a catalogue prefix and shares
-/// it behind an `Arc` — and borrowed by every [`ChaseEngine`] over it.
-#[derive(Debug, Clone)]
+/// predicate the [`FunctionalSig`] the set's own EGDs prove. Built once
+/// *per process* for the standard catalogue (`hadad-core` keeps it behind
+/// `Catalogue::shared_standard`) and borrowed by every [`ChaseEngine`] over
+/// it; a caller with rules of its own — an optimizer's view constraints —
+/// chases over [`RuleSet::extended`], which shares the base's compiled
+/// rules instead of copying or recompiling them.
+#[derive(Debug, Clone, Default)]
 pub struct RuleSet {
-    rules: Vec<CompiledRule>,
+    rules: Vec<Arc<CompiledRule>>,
     /// Indexed by predicate id: the signature the *last* functional EGD
     /// over that predicate proves. Conclusion atoms over such predicates
     /// may bind existentials to existing witnesses (core-chase-style
     /// reuse) instead of churning fresh nulls the EGDs would merge a round
-    /// later.
-    functional: Vec<Option<FunctionalSig>>,
+    /// later. Shared with the set this one extends until an added EGD
+    /// proves a signature of its own.
+    functional: Arc<Vec<Option<FunctionalSig>>>,
 }
 
 impl RuleSet {
@@ -447,48 +453,58 @@ impl RuleSet {
     /// variable count; dense rules — the catalogue's, view constraints',
     /// compiled CQs' — are kept as they are.
     pub fn compile(constraints: Vec<Constraint>) -> Self {
-        let mut functional: Vec<Option<FunctionalSig>> = Vec::new();
-        let rules = constraints
-            .into_iter()
-            .map(|c| {
-                let constraint = densify(c);
-                let (slots, existentials, symmetric) = match &constraint {
-                    Constraint::Tgd(t) => (
-                        slot_count(&t.premise).max(slot_count(&t.conclusion)),
-                        t.existential_vars(),
-                        false,
-                    ),
-                    Constraint::Egd(e) => {
-                        if let Some((pred, sig)) = functional_sig(e) {
-                            let p = pred.0 as usize;
-                            if functional.len() <= p {
-                                functional.resize(p + 1, None);
-                            }
-                            functional[p] = Some(sig);
+        RuleSet::default().extended(constraints)
+    }
+
+    /// This set followed by `extra`, compiled as [`RuleSet::compile`]
+    /// would compile the concatenation: this set's rules are shared (one
+    /// pointer copy each, nothing recompiled), only `extra` is compiled,
+    /// and a functional EGD in `extra` overrides the signature an earlier
+    /// one proved for the same predicate.
+    pub fn extended(&self, extra: Vec<Constraint>) -> Self {
+        let mut rules = Vec::with_capacity(self.rules.len() + extra.len());
+        rules.extend(self.rules.iter().cloned());
+        let mut functional = Arc::clone(&self.functional);
+        for c in extra {
+            let constraint = densify(c);
+            let (slots, existentials, symmetric) = match &constraint {
+                Constraint::Tgd(t) => (
+                    slot_count(&t.premise).max(slot_count(&t.conclusion)),
+                    t.existential_vars(),
+                    false,
+                ),
+                Constraint::Egd(e) => {
+                    if let Some((pred, sig)) = functional_sig(e) {
+                        let functional = Arc::make_mut(&mut functional);
+                        let p = pred.0 as usize;
+                        if functional.len() <= p {
+                            functional.resize(p + 1, None);
                         }
-                        let slots = e
-                            .equalities
-                            .iter()
-                            .flat_map(|(l, r)| [l, r])
-                            .filter_map(Term::as_var)
-                            .fold(slot_count(&e.premise), |n, v| n.max(v as usize + 1));
-                        (slots, Vec::new(), is_symmetric_pair(e))
+                        functional[p] = Some(sig);
                     }
-                };
-                CompiledRule {
-                    name: Arc::from(constraint.name()),
-                    constraint,
-                    slots,
-                    existentials,
-                    symmetric,
+                    let slots = e
+                        .equalities
+                        .iter()
+                        .flat_map(|(l, r)| [l, r])
+                        .filter_map(Term::as_var)
+                        .fold(slot_count(&e.premise), |n, v| n.max(v as usize + 1));
+                    (slots, Vec::new(), is_symmetric_pair(e))
                 }
-            })
-            .collect();
+            };
+            rules.push(Arc::new(CompiledRule {
+                name: Arc::from(constraint.name()),
+                constraint,
+                slots,
+                existentials,
+                symmetric,
+            }));
+        }
         RuleSet { rules, functional }
     }
 
-    /// The compiled rules, in firing order.
-    pub fn rules(&self) -> &[CompiledRule] {
+    /// The compiled rules, in firing order. A rule an extension inherited
+    /// is the very allocation of the set it extends.
+    pub fn rules(&self) -> &[Arc<CompiledRule>] {
         &self.rules
     }
 
@@ -1420,5 +1436,57 @@ mod tests {
         let derived = inst.fact(inst.facts_with_pred(q)[0]);
         assert_eq!(inst.find(derived.args[0]), inst.find(b));
         assert_eq!(inst.const_of(derived.args[1]), None, "a fresh null for the existential");
+    }
+
+    /// An extension is the concatenation compiled — without compiling the
+    /// base again: inherited rules are the base's allocations, a functional
+    /// EGD among the added rules wins over the base's for its predicate,
+    /// and the base itself is left as it was.
+    #[test]
+    fn extended_shares_the_base_rules_and_merges_functional_last_wins() {
+        let mut vocab = Vocabulary::new();
+        let p = vocab.predicate("P", 3);
+        let q = vocab.predicate("Q", 2);
+        let copy = Tgd::new(
+            "copy",
+            vec![Atom::new(p, vec![Term::Var(0), Term::Var(1), Term::Var(2)])],
+            vec![Atom::new(q, vec![Term::Var(0), Term::Var(1)])],
+        );
+        let base_list: Vec<Constraint> =
+            vec![copy.into(), Egd::functional("p-func", p, 3).into()];
+        // Functional in its *first* position only: a different signature.
+        let narrower = Egd::new(
+            "p-narrow",
+            vec![
+                Atom::new(p, vec![Term::Var(0), Term::Var(1), Term::Var(2)]),
+                Atom::new(p, vec![Term::Var(0), Term::Var(3), Term::Var(4)]),
+            ],
+            vec![(Term::Var(1), Term::Var(3)), (Term::Var(2), Term::Var(4))],
+        );
+        let extra: Vec<Constraint> =
+            vec![Egd::functional("q-func", q, 2).into(), narrower.into()];
+
+        let base = RuleSet::compile(base_list.clone());
+        let ext = base.extended(extra.clone());
+        let whole = RuleSet::compile(base_list.into_iter().chain(extra).collect());
+
+        assert_eq!(ext.len(), 4);
+        for (inherited, own) in ext.rules().iter().zip(base.rules()) {
+            assert!(Arc::ptr_eq(inherited, own), "{} was recompiled", own.name());
+        }
+        for (e, w) in ext.rules().iter().zip(whole.rules()) {
+            assert_eq!(e.constraint(), w.constraint());
+            assert_eq!(
+                (e.slots, &e.existentials, e.symmetric),
+                (w.slots, &w.existentials, w.symmetric)
+            );
+        }
+        assert_eq!(ext.functional, whole.functional);
+        assert_eq!(ext.functional(p).unwrap().inputs, vec![0], "the later EGD over P wins");
+        assert_eq!(base.functional(p).unwrap().inputs, vec![0, 1], "the base keeps its own");
+        assert_eq!(base.functional(q), None);
+
+        // Nothing added: the signatures are shared, not copied.
+        assert!(Arc::ptr_eq(&base.extended(Vec::new()).functional, &base.functional));
     }
 }

@@ -15,7 +15,8 @@
 //! * [`Tgd`] / [`Egd`]: tuple- and equality-generating dependencies.
 //! * [`Instance`]: a canonical database whose elements live in a union-find
 //!   (labelled nulls + constants), supporting homomorphism enumeration.
-//! * [`chase::RuleSet`]: a constraint list compiled once for the engine;
+//! * [`chase::RuleSet`]: a constraint list compiled once for the engine
+//!   and extensible without recompiling ([`chase::RuleSet::extended`]);
 //!   [`chase::ChaseEngine`]: bounded restricted chase over a borrowed rule
 //!   set, with cost-pruning hooks (the paper's `Prune_prov`, §7.3).
 //! * [`pacb::Pacb`]: view-based reformulation via Chase & Backchase with

@@ -19,7 +19,9 @@
 //! [`hadad_chase::ChaseBudget`] bounds them exactly as the paper's PACB++
 //! implementation does (§6.3).
 
-use hadad_chase::{Atom, Constraint, Egd, Term, Tgd};
+use std::sync::{Arc, OnceLock};
+
+use hadad_chase::{Atom, Constraint, Egd, RuleSet, Term, Tgd};
 
 use crate::encode::CqEncoder;
 use crate::expr::Expr;
@@ -47,6 +49,23 @@ impl Catalogue {
         constraints.extend(Self::decomposition_rules(vrem));
         constraints.extend(Self::propagation_rules(vrem));
         Catalogue { constraints }
+    }
+
+    /// The standard catalogue as every rewrite reads it: the schema it was
+    /// interned into and its compiled rule set, built once per process.
+    /// LA properties are a fixed set of constraints; only views add to it,
+    /// so a caller clones the [`Vrem`] (its own encoding interns into it),
+    /// builds its view rules against the clone, and chases over
+    /// [`RuleSet::extended`] — or over the shared set itself when it has
+    /// nothing to add. The constraints read back from the compiled rules
+    /// ([`hadad_chase::CompiledRule::constraint`]).
+    pub fn shared_standard() -> &'static (Vrem, Arc<RuleSet>) {
+        static SHARED: OnceLock<(Vrem, Arc<RuleSet>)> = OnceLock::new();
+        SHARED.get_or_init(|| {
+            let mut vrem = Vrem::new();
+            let rules = RuleSet::compile(Catalogue::standard(&mut vrem).constraints);
+            (vrem, Arc::new(rules))
+        })
     }
 
     /// Names of all constraints (for tests and diagnostics).
@@ -518,8 +537,9 @@ impl Catalogue {
     /// `name(class, view)` plus the materialized `size`, so extraction can
     /// pick the zero-cost `Mat(view)` leaf), and `V_OI` expands a use of
     /// the view name back into the definition so rewriting can continue
-    /// *through* it. Appended to [`Catalogue::standard`] by the optimizer
-    /// for each registered view.
+    /// *through* it. The optimizer extends
+    /// [`Catalogue::shared_standard`] with them, per rewrite, for each
+    /// registered view.
     pub fn la_view_constraints(
         vrem: &mut Vrem,
         cat: &MetaCatalog,

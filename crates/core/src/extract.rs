@@ -240,11 +240,6 @@ impl<'a> Extractor<'a> {
         self.densities.get(&self.inst.find(class)).copied()
     }
 
-    /// Candidate e-nodes of a class.
-    pub fn enodes(&self, class: NodeId) -> &[ENode] {
-        self.classes.get(&self.inst.find(class)).map_or(&[], |v| v.as_slice())
-    }
-
     /// The cheapest expression of a class, resugared.
     pub fn extract(&self, root: NodeId) -> Option<Expr> {
         let root = self.inst.find(root);

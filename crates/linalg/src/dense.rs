@@ -1,7 +1,5 @@
 //! Row-major dense matrix.
 
-use crate::error::{LinalgError, Result};
-
 /// A dense `rows x cols` matrix of `f64`, stored row-major.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DenseMatrix {
@@ -139,18 +137,6 @@ impl DenseMatrix {
             }
         }
         true
-    }
-
-    /// Checks both operands have identical shape.
-    pub fn check_same_shape(&self, other: &DenseMatrix, op: &'static str) -> Result<()> {
-        if self.rows != other.rows || self.cols != other.cols {
-            return Err(LinalgError::DimensionMismatch {
-                op,
-                lhs: (self.rows, self.cols),
-                rhs: (other.rows, other.cols),
-            });
-        }
-        Ok(())
     }
 }
 

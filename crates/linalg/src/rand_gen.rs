@@ -3,7 +3,6 @@
 //! stand-ins for its real datasets (Table 4).
 
 use crate::dense::DenseMatrix;
-use crate::matrix::Matrix;
 use crate::rng::Rng64;
 use crate::sparse::SparseMatrix;
 
@@ -90,14 +89,10 @@ pub fn random_spd(n: usize, seed: u64) -> DenseMatrix {
     out
 }
 
-/// Column vector with uniform entries.
-pub fn random_vector(n: usize, seed: u64) -> Matrix {
-    Matrix::Dense(random_dense(n, 1, seed))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matrix::Matrix;
 
     #[test]
     fn generation_is_deterministic() {

@@ -27,12 +27,6 @@ pub fn table_to_matrix(t: &Table, cols: &[&str]) -> Matrix {
     Matrix::Dense(out)
 }
 
-/// Casts all columns of a table into a dense matrix.
-pub fn table_to_matrix_all(t: &Table) -> Matrix {
-    let names: Vec<&str> = t.column_names().iter().map(std::string::String::as_str).collect();
-    table_to_matrix(t, &names)
-}
-
 /// Builds an ultra-sparse `rows x cols` matrix from (row-id, col-id, value)
 /// columns — the construction of the tweet-hashtag filter-level matrix `N`
 /// in the paper's §2 and of the MIMIC patient-service matrix in §9.2.2.

@@ -1,4 +1,4 @@
-//! Relational operators: selection, projection, hash join, aggregates.
+//! Relational operators: projection, hash join, sort.
 //! These are the `Rops` of the paper's hybrid language (§3). Each takes
 //! tables and returns a table; [`hash_join`] and [`sort_by_int`] are one
 //! step of the [`crate::rowset`] executor followed by its gather, which is
@@ -8,7 +8,6 @@
 //! name does not resolve — a malformed query must surface as a typed error
 //! through `RelQuery` execution, never as a panic.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use crate::rowset::{ColRef, RowSet};
@@ -46,13 +45,6 @@ fn require<'t>(t: &'t Table, op: &'static str, col: &str) -> Result<&'t Column, 
     require_index(t, op, col).map(|i| t.column_at(i))
 }
 
-/// Selection on a single numeric column.
-pub fn select_num(t: &Table, col: &str, pred: impl Fn(f64) -> bool) -> Result<Table, OpsError> {
-    let c = require(t, "select_num", col)?;
-    let keep: Vec<usize> = (0..t.num_rows()).filter(|&r| pred(c.numeric(r))).collect();
-    Ok(t.gather(&keep))
-}
-
 /// Projection to the named columns, in the given order.
 pub fn project(t: &Table, cols: &[&str]) -> Result<Table, OpsError> {
     let pairs: Vec<(&str, Column)> = cols
@@ -79,20 +71,6 @@ pub fn hash_join(
     let mut rows = RowSet::scan(left);
     rows.hash_join(ColRef { source: 0, column: lk }, right, rk);
     Ok(rows.gather())
-}
-
-/// Group-by on an integer key with per-group count.
-pub fn group_count(t: &Table, key: &str) -> Result<Vec<(i64, usize)>, OpsError> {
-    let c = require(t, "group_count", key)?;
-    let mut counts: HashMap<i64, usize> = HashMap::new();
-    for r in 0..t.num_rows() {
-        if let Some(k) = c.value(r).as_i64() {
-            *counts.entry(k).or_default() += 1;
-        }
-    }
-    let mut out: Vec<(i64, usize)> = counts.into_iter().collect();
-    out.sort_unstable();
-    Ok(out)
 }
 
 /// Sorts rows ascending by an integer key (relation → matrix casts need a
@@ -131,13 +109,6 @@ mod tests {
                 ]),
             ),
         ])
-    }
-
-    #[test]
-    fn select_filters_rows() {
-        let t = select_num(&users(), "followers", |v| v >= 20.0).unwrap();
-        assert_eq!(t.num_rows(), 2);
-        assert_eq!(t.value(0, "id"), Value::Int(2));
     }
 
     #[test]
@@ -214,7 +185,6 @@ mod tests {
         let sorted = sort_by_int(&shuffled, "id").unwrap();
         assert_eq!(sorted.value(0, "id"), Value::Int(1));
         assert_eq!(sorted.value(2, "id"), Value::Int(3));
-        assert_eq!(group_count(&tweets(), "uid").unwrap(), vec![(1, 2), (2, 1), (9, 1)]);
     }
 
     #[test]
@@ -227,11 +197,9 @@ mod tests {
             }
             other => panic!("expected MissingColumn from {op}, got {other:?}"),
         };
-        missing(select_num(&u, "nope", |_| true), "select_num");
         missing(project(&u, &["id", "nope"]), "project");
         missing(hash_join(&u, "nope", &u, "id"), "hash_join");
         missing(hash_join(&u, "id", &u, "nope"), "hash_join");
         missing(sort_by_int(&u, "nope"), "sort_by_int");
-        assert!(group_count(&u, "nope").is_err());
     }
 }

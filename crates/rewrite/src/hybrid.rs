@@ -13,37 +13,39 @@
 //!   LA views contribute `V_IO`/`V_OI` constraints to the chase, so the
 //!   pipeline lands on zero-cost `Mat(view)` leaves.
 //!
-//! Both forms of a prefix — the operator pipeline ([`RelQuery::execute`])
-//! and a rewriting's CQ ([`eval_cq`]) — run on one executor,
-//! [`hadad_relational::rowset`]: stages and atoms rewrite `u32` selection
-//! vectors over the borrowed catalog tables, the pipeline's sort key
-//! reorders those vectors, and each output column is gathered once at the
-//! end — and on its one cell equality, so a `HashJoin` stage and the
-//! shared variable it compiles to pair the same rows.
+//! This module is the engine: the pipeline and result types, the one
+//! implementation of a hybrid rewrite (`run_state`), the writer
+//! ([`HybridOptimizer`]) and the read side ([`SnapshotReader`] →
+//! [`CatalogSnapshot`]). The prefix's query language and its two
+//! executions live in [`crate::query`], the cast in [`crate::cast`]; both
+//! are re-exported here, so `hybrid::RelQuery` and the like resolve.
 //!
 //! Execution verifies both halves (the paper's machine-checkable
 //! soundness): the rewritten prefix must produce the same cast matrix as
 //! the operator pipeline, and the winning LA plan must agree with the
 //! original suffix on the backend.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use hadad_chase::{
-    Atom, ChaseBudget, ChaseOutcome, ChaseStats, Cq, DegradeReason, Degraded, Instance, Pacb,
-    PacbOptions, PacbResult, PredId, RewritePhase, Term, Vocabulary,
+    ChaseBudget, ChaseOutcome, ChaseStats, Cq, DegradeReason, Degraded, Instance, Pacb,
+    PacbOptions, PacbResult, RewritePhase,
 };
 use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
-use hadad_relational::rowset::{ColRef, Out};
-use hadad_relational::{cast, Catalog, RowSet, Table, Value};
+use hadad_relational::{Catalog, Table, Value};
 
+use crate::cast::{apply_cast, restamp_cast_into};
 use crate::eval::{Env, EvalError};
 use crate::optimizer::{Optimizer, Plan, RankedPlans, RewriteError};
+use crate::query::eval_cq_sorted;
 use hadad_core::Expr;
 
+pub use crate::cast::{CastKind, MaintainedCast};
 pub use crate::maintain::{MaintenanceReport, ViewChange, ViewMaintainer};
+pub use crate::query::{eval_cq, CompiledQuery, RelOp, RelQuery, TableVocab};
 
 /// Hybrid-pipeline failure.
 #[derive(Debug)]
@@ -157,489 +159,6 @@ impl From<EvalError> for HybridError {
     }
 }
 
-/// One declarative relational stage. These mirror the executable operators
-/// in `hadad_relational::ops` (and run on the executor under them),
-/// restricted to the CQ-expressible fragment so the prefix can be
-/// reformulated by PACB.
-#[derive(Debug, Clone)]
-pub enum RelOp {
-    /// Equality selection on an integer column (the column position becomes
-    /// a constant in the compiled CQ).
-    SelectEq {
-        /// Column the selection filters on.
-        column: String,
-        /// The integer constant selected.
-        value: i64,
-    },
-    /// Equality selection on a string column.
-    SelectStrEq {
-        /// Column the selection filters on.
-        column: String,
-        /// The string constant selected.
-        value: String,
-    },
-    /// Hash equi-join with another catalog table; right-side columns that
-    /// collide are prefixed `right.` (repeatedly, until unique), exactly as
-    /// `ops::hash_join` does.
-    HashJoin {
-        /// Right-side catalog table.
-        table: String,
-        /// Join key on the accumulated left side.
-        left_key: String,
-        /// Join key on the right table.
-        right_key: String,
-    },
-    /// Projection to the named columns, in order.
-    Project {
-        /// Output columns, in order.
-        columns: Vec<String>,
-    },
-}
-
-impl RelOp {
-    /// Applies this stage to a relation under construction — shared by
-    /// [`RelQuery::execute`] and the view maintainer (which replays stages
-    /// to cache join inputs).
-    pub(crate) fn apply<'c>(
-        &self,
-        rows: &mut RowSet<'c>,
-        catalog: &'c Catalog,
-    ) -> Result<(), HybridError> {
-        match self {
-            RelOp::SelectEq { column: name, value } => {
-                rows.filter(column(rows, name)?, &Value::Int(*value));
-            }
-            RelOp::SelectStrEq { column: name, value } => {
-                rows.filter(column(rows, name)?, &Value::Str(value.clone()));
-            }
-            RelOp::HashJoin { table, left_key, right_key } => {
-                let right = catalog
-                    .get(table)
-                    .ok_or_else(|| HybridError::MissingTable(table.clone()))?;
-                let left = column(rows, left_key)?;
-                let right_key = right
-                    .column_index(right_key)
-                    .ok_or_else(|| HybridError::MissingColumn(right_key.clone()))?;
-                rows.hash_join(left, right, right_key);
-            }
-            RelOp::Project { columns } => {
-                rows.project(columns).map_err(HybridError::MissingColumn)?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The cell behind output column `name` of a relation under construction.
-fn column(rows: &RowSet<'_>, name: &str) -> Result<ColRef, HybridError> {
-    rows.column(name).ok_or_else(|| HybridError::MissingColumn(name.to_owned()))
-}
-
-/// A relational query: a scan of a catalog table followed by stages.
-#[derive(Debug, Clone)]
-pub struct RelQuery {
-    /// The catalog table the scan starts from.
-    pub table: String,
-    /// The declarative stages applied to the scan, in order.
-    pub ops: Vec<RelOp>,
-}
-
-impl RelQuery {
-    /// A bare scan of `table` with no stages yet.
-    pub fn scan(table: impl Into<String>) -> Self {
-        RelQuery { table: table.into(), ops: Vec::new() }
-    }
-
-    /// Appends an integer equality selection.
-    pub fn select_eq(mut self, column: impl Into<String>, value: i64) -> Self {
-        self.ops.push(RelOp::SelectEq { column: column.into(), value });
-        self
-    }
-
-    /// Appends a string equality selection.
-    pub fn select_str_eq(
-        mut self,
-        column: impl Into<String>,
-        value: impl Into<String>,
-    ) -> Self {
-        self.ops.push(RelOp::SelectStrEq { column: column.into(), value: value.into() });
-        self
-    }
-
-    /// Appends a hash equi-join with `table` on `left_key = right_key`.
-    pub fn join(
-        mut self,
-        table: impl Into<String>,
-        left_key: impl Into<String>,
-        right_key: impl Into<String>,
-    ) -> Self {
-        self.ops.push(RelOp::HashJoin {
-            table: table.into(),
-            left_key: left_key.into(),
-            right_key: right_key.into(),
-        });
-        self
-    }
-
-    /// Appends a projection to `columns`, in order.
-    pub fn project(mut self, columns: &[&str]) -> Self {
-        self.ops.push(RelOp::Project {
-            columns: columns.iter().map(std::string::ToString::to_string).collect(),
-        });
-        self
-    }
-
-    /// Runs the query on the [`RowSet`] executor: every stage rewrites
-    /// selection vectors over the borrowed catalog tables, and the output
-    /// columns are gathered once, after the last stage. A stage-less query
-    /// is the only one that copies its whole scan table.
-    pub fn execute(&self, catalog: &Catalog) -> Result<Table, HybridError> {
-        self.execute_sorted(catalog, None)
-    }
-
-    /// [`RelQuery::execute`] with the rows stably sorted ascending by the
-    /// integer key `sort_key` — the sort reorders selection vectors before
-    /// the gather, so nothing is materialized twice.
-    pub(crate) fn execute_sorted(
-        &self,
-        catalog: &Catalog,
-        sort_key: Option<&str>,
-    ) -> Result<Table, HybridError> {
-        let scan = catalog
-            .get(&self.table)
-            .ok_or_else(|| HybridError::MissingTable(self.table.clone()))?;
-        let mut rows = RowSet::scan(scan);
-        for op in &self.ops {
-            op.apply(&mut rows, catalog)?;
-        }
-        if let Some(key) = sort_key {
-            rows.sort_by_key(column(&rows, key)?);
-        }
-        Ok(rows.gather())
-    }
-
-    /// Compiles the query to a CQ over the table vocabulary. Selections
-    /// become constants (possibly in the head — rewritings preserve them),
-    /// joins share variables across atoms, and the projection picks the
-    /// head terms. The returned column names mirror the executable
-    /// pipeline's output schema exactly, including `right.` prefixing.
-    pub fn compile(
-        &self,
-        catalog: &Catalog,
-        tv: &mut TableVocab,
-    ) -> Result<CompiledQuery, HybridError> {
-        let mut next_var = 0u32;
-        let fresh = |n: &mut u32| {
-            let v = *n;
-            *n += 1;
-            Term::Var(v)
-        };
-
-        let base = catalog
-            .get(&self.table)
-            .ok_or_else(|| HybridError::MissingTable(self.table.clone()))?;
-        let mut cols: Vec<(String, Term)> =
-            base.column_names().iter().map(|n| (n.clone(), fresh(&mut next_var))).collect();
-        let mut atoms =
-            vec![Atom::new(tv.pred(&self.table)?, cols.iter().map(|(_, t)| *t).collect())];
-
-        let select_const = |column: &str,
-                            sym: Term,
-                            cols: &mut Vec<(String, Term)>,
-                            atoms: &mut Vec<Atom>|
-         -> Result<(), HybridError> {
-            let cur = cols
-                .iter()
-                .find(|(n, _)| n == column)
-                .map(|(_, t)| *t)
-                .ok_or_else(|| HybridError::MissingColumn(column.to_owned()))?;
-            match cur {
-                Term::Var(v) => {
-                    let subst = |t: &mut Term| {
-                        if *t == Term::Var(v) {
-                            *t = sym;
-                        }
-                    };
-                    for a in atoms.iter_mut() {
-                        a.args.iter_mut().for_each(&subst);
-                    }
-                    for (_, t) in cols.iter_mut() {
-                        subst(t);
-                    }
-                    Ok(())
-                }
-                c if c == sym => Ok(()),
-                _ => Err(HybridError::Unsatisfiable(column.to_owned())),
-            }
-        };
-
-        for op in &self.ops {
-            match op {
-                RelOp::SelectEq { column, value } => {
-                    let sym = Term::Const(tv.vocab.int(*value));
-                    select_const(column, sym, &mut cols, &mut atoms)?;
-                }
-                RelOp::SelectStrEq { column, value } => {
-                    let sym = Term::Const(tv.vocab.constant(intern_str_const(value)));
-                    select_const(column, sym, &mut cols, &mut atoms)?;
-                }
-                RelOp::HashJoin { table, left_key, right_key } => {
-                    let right = catalog
-                        .get(table)
-                        .ok_or_else(|| HybridError::MissingTable(table.clone()))?;
-                    let key_term = cols
-                        .iter()
-                        .find(|(n, _)| n == left_key)
-                        .map(|(_, t)| *t)
-                        .ok_or_else(|| HybridError::MissingColumn(left_key.clone()))?;
-                    if right.column_index(right_key).is_none() {
-                        return Err(HybridError::MissingColumn(right_key.clone()));
-                    }
-                    let mut args = Vec::with_capacity(right.num_cols());
-                    let mut new_cols: Vec<(String, Term)> = Vec::new();
-                    for n in right.column_names() {
-                        if n == right_key {
-                            args.push(key_term);
-                        } else {
-                            let t = fresh(&mut next_var);
-                            args.push(t);
-                            // Mirror ops::hash_join's collision prefixing.
-                            let mut out_name = n.clone();
-                            while cols.iter().chain(&new_cols).any(|(c, _)| *c == out_name) {
-                                out_name = format!("right.{out_name}");
-                            }
-                            new_cols.push((out_name, t));
-                        }
-                    }
-                    atoms.push(Atom::new(tv.pred(table)?, args));
-                    cols.extend(new_cols);
-                }
-                RelOp::Project { columns } => {
-                    let mut picked = Vec::with_capacity(columns.len());
-                    for c in columns {
-                        let t = cols
-                            .iter()
-                            .find(|(n, _)| n == c)
-                            .cloned()
-                            .ok_or_else(|| HybridError::MissingColumn(c.clone()))?;
-                        picked.push(t);
-                    }
-                    cols = picked;
-                }
-            }
-        }
-
-        let head: Vec<Term> = cols.iter().map(|(_, t)| *t).collect();
-        let columns: Vec<String> = cols.into_iter().map(|(n, _)| n).collect();
-        Ok(CompiledQuery { cq: Cq::new(head, atoms), columns })
-    }
-}
-
-fn require_column(t: &Table, name: &str) -> Result<(), HybridError> {
-    if t.column_index(name).is_none() {
-        return Err(HybridError::MissingColumn(name.to_owned()));
-    }
-    Ok(())
-}
-
-/// A compiled relational prefix: the CQ plus its output column names (head
-/// order).
-#[derive(Debug, Clone)]
-pub struct CompiledQuery {
-    /// The conjunctive query over table predicates.
-    pub cq: Cq,
-    /// Output column names, in head order.
-    pub columns: Vec<String>,
-}
-
-/// Vocabulary derived from the table catalog: one predicate per table
-/// (arity = column count), with both directions of the mapping.
-#[derive(Debug, Clone)]
-pub struct TableVocab {
-    /// The chase vocabulary the table predicates are interned in.
-    pub vocab: Vocabulary,
-    by_name: HashMap<String, PredId>,
-    by_pred: HashMap<PredId, String>,
-}
-
-impl TableVocab {
-    /// Interns one predicate per catalog table (arity = column count).
-    pub fn from_catalog(catalog: &Catalog) -> Self {
-        let mut tv = TableVocab {
-            vocab: Vocabulary::new(),
-            by_name: HashMap::new(),
-            by_pred: HashMap::new(),
-        };
-        for name in catalog.names() {
-            let arity = catalog.get(name).map_or(0, hadad_relational::Table::num_cols);
-            let pred = tv.vocab.predicate(name, arity);
-            tv.by_name.insert(name.to_owned(), pred);
-            tv.by_pred.insert(pred, name.to_owned());
-        }
-        tv
-    }
-
-    /// The predicate interned for `table`.
-    pub fn pred(&self, table: &str) -> Result<PredId, HybridError> {
-        self.by_name.get(table).copied().ok_or_else(|| HybridError::MissingTable(table.into()))
-    }
-
-    /// Reverse lookup: the table `pred` was interned for.
-    pub fn table_of(&self, pred: PredId) -> Option<&str> {
-        self.by_pred.get(&pred).map(std::string::String::as_str)
-    }
-}
-
-/// Interned rendering of a *string* constant: wrapped in quotes so the
-/// integer 7 and the string "7" intern to different symbols — otherwise a
-/// rewriting's selection semantics could diverge from the executable
-/// operators (which never equate `Int(7)` with `Str("7")`).
-fn intern_str_const(s: &str) -> String {
-    format!("\"{s}\"")
-}
-
-/// Inner value of a quote-wrapped string constant.
-fn unquote(s: &str) -> Option<&str> {
-    s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"'))
-}
-
-/// Evaluates a CQ against the catalog's tables under *bag* semantics,
-/// mirroring the executable operator pipeline (a projection does not
-/// deduplicate, so neither may the rewriting's evaluation — otherwise a
-/// rewritten prefix would silently drop duplicate tuples from the cast).
-/// Used to execute PACB rewritings, whose bodies range over materialized
-/// view tables.
-///
-/// Runs atom by atom on the same [`RowSet`] executor as
-/// [`RelQuery::execute`]: an atom's constants (decoded once per atom)
-/// and a variable it repeats filter its table; its first already-bound
-/// variable joins it to the rows so far; further shared variables filter
-/// column against column; an atom sharing nothing is a left-major product;
-/// an empty body is the single row of head constants. A head variable is
-/// gathered from the column that first bound it, so an empty answer keeps
-/// its source columns' types (a head constant its own).
-pub fn eval_cq(
-    q: &Cq,
-    columns: &[String],
-    catalog: &Catalog,
-    tv: &TableVocab,
-) -> Result<Table, HybridError> {
-    eval_cq_sorted(q, columns, catalog, tv, None)
-}
-
-/// [`eval_cq`] with the rows stably sorted ascending by the integer key of
-/// head column `sort_key`, before anything is gathered.
-fn eval_cq_sorted(
-    q: &Cq,
-    columns: &[String],
-    catalog: &Catalog,
-    tv: &TableVocab,
-    sort_key: Option<&str>,
-) -> Result<Table, HybridError> {
-    let mut rows = RowSet::unit();
-    let mut bound: HashMap<u32, ColRef> = HashMap::new();
-    for atom in &q.body {
-        let name = tv
-            .table_of(atom.pred)
-            .ok_or_else(|| HybridError::MissingTable(format!("pred#{}", atom.pred.0)))?;
-        let t = catalog.get(name).ok_or_else(|| HybridError::MissingTable(name.into()))?;
-
-        // The atom alone: constants and a repeated variable filter its
-        // table. `vars` keeps each variable's first position, in order.
-        let mut scan = RowSet::scan(t);
-        let cell = |source: usize, column: usize| ColRef { source, column };
-        let mut vars: Vec<(u32, usize)> = Vec::new();
-        for (i, term) in atom.args.iter().enumerate() {
-            match term {
-                Term::Const(c) => {
-                    scan.filter(cell(0, i), &decode_const(tv.vocab.const_name(*c)));
-                }
-                Term::Var(v) => match vars.iter().find(|(w, _)| w == v) {
-                    Some(&(_, first)) => {
-                        scan.filter_eq(cell(0, first), cell(0, i));
-                    }
-                    None => vars.push((*v, i)),
-                },
-            }
-        }
-
-        let mut shared = vars.iter().filter_map(|(v, i)| bound.get(v).map(|c| (*c, *i)));
-        let source = match shared.next() {
-            Some((left, i)) => rows.join(left, scan, cell(0, i)),
-            None => rows.product(scan),
-        };
-        for (left, i) in shared {
-            rows.filter_eq(left, cell(source, i));
-        }
-        for (v, i) in vars {
-            bound.entry(v).or_insert(cell(source, i));
-        }
-    }
-
-    // Head projection (bag semantics).
-    let head: Vec<(&str, Out)> = columns
-        .iter()
-        .zip(&q.head)
-        .map(|(name, t)| {
-            let out = match t {
-                Term::Var(v) => Out::Cell(*bound.get(v).expect("safe head variable is bound")),
-                Term::Const(c) => Out::Const(decode_const(tv.vocab.const_name(*c))),
-            };
-            (name.as_str(), out)
-        })
-        .collect();
-    if let Some(key) = sort_key {
-        let at = head.iter().position(|(name, _)| *name == key);
-        let (_, out) = &head[at.ok_or_else(|| HybridError::MissingColumn(key.to_owned()))?];
-        // A constant column ties on every row: nothing to reorder.
-        if let Out::Cell(c) = out {
-            rows.sort_by_key(*c);
-        }
-    }
-    Ok(rows.gather_as(head))
-}
-
-/// The cell an interned CQ constant stands for — what a body position is
-/// filtered by and what a head position holds: a quoted constant is that
-/// string, an `i64`-parsable one that integer (so a compiled `SelectEq`
-/// keeps exactly the rows the stage keeps), any other number a float, and a
-/// bare symbol a string verbatim.
-fn decode_const(s: &str) -> Value {
-    if let Some(inner) = unquote(s) {
-        Value::Str(inner.to_owned())
-    } else if let Ok(v) = s.parse::<i64>() {
-        Value::Int(v)
-    } else if let Ok(v) = s.parse::<f64>() {
-        Value::Float(v)
-    } else {
-        Value::Str(s.to_owned())
-    }
-}
-
-/// How the relational prefix's output becomes a matrix (paper §3).
-#[derive(Debug, Clone)]
-pub enum CastKind {
-    /// One row per tuple, one column per named numeric column.
-    Dense {
-        /// Numeric columns that become the matrix columns, in order.
-        columns: Vec<String>,
-    },
-    /// Ultra-sparse `rows x cols` matrix from (row-id, col-id, value)
-    /// columns — the tweet/MIMIC filter-level matrix construction.
-    Sparse {
-        /// Column holding the 0-based row id of each entry.
-        row: String,
-        /// Column holding the 0-based column id of each entry.
-        col: String,
-        /// Column holding the numeric value of each entry.
-        val: String,
-        /// Row count of the cast matrix.
-        rows: usize,
-        /// Column count of the cast matrix.
-        cols: usize,
-    },
-}
-
 /// A full hybrid pipeline: relational prefix → cast → LA suffix.
 #[derive(Debug, Clone)]
 pub struct HybridPipeline {
@@ -666,26 +185,6 @@ pub struct TableView {
     pub name: String,
     /// The defining query over base tables.
     pub def: RelQuery,
-}
-
-/// A cast whose matrix metadata is kept fresh across base-table updates:
-/// after each maintenance pass the source view (or base table) is re-cast
-/// and its [`MatrixMeta`] — shape and nnz, all the cost oracle reads —
-/// re-stamped into the LA optimizer's catalog, so the suffix cost oracle
-/// prices post-update instances correctly.
-#[derive(Debug, Clone)]
-pub struct MaintainedCast {
-    /// Name the matrix metadata is stamped under in the LA catalog.
-    pub cast_name: String,
-    /// Catalog table (usually a maintained view) the cast reads.
-    pub view: String,
-    /// Row order of a dense cast, as in [`HybridPipeline`]. Part of the
-    /// cast's description and validated (the column must exist), but never
-    /// applied when stamping: shape and nnz are invariant under row
-    /// permutation.
-    pub sort_key: Option<String>,
-    /// How the source rows become the maintained matrix.
-    pub cast: CastKind,
 }
 
 /// Timings and outcomes of the relational (PACB) phase.
@@ -872,7 +371,7 @@ impl HybridOptimizer {
         {
             return Err(HybridError::DuplicateName(cast.cast_name));
         }
-        self.restamp_cast(&cast)?;
+        restamp_cast_into(&self.catalog, &mut self.optimizer, &cast)?;
         self.maintained_casts.push(cast);
         self.publish();
         Ok(())
@@ -946,10 +445,6 @@ impl HybridOptimizer {
         drop(_restamp_span);
         self.publish();
         Ok(report)
-    }
-
-    fn restamp_cast(&mut self, cast: &MaintainedCast) -> Result<(), HybridError> {
-        restamp_cast_into(&self.catalog, &mut self.optimizer, cast)
     }
 
     /// Tables carrying unmaintained state: pending-update base tables plus
@@ -1034,11 +529,14 @@ impl HybridOptimizer {
         Ok(())
     }
 
-    /// Captures the current rewriting state as an owned, immutable
-    /// [`CatalogSnapshot`]. Refused while the state is not committable: a
-    /// poisoned maintainer or stale materializations would bake unknown
-    /// or outdated view contents into every read served from it.
-    pub fn snapshot(&self) -> Result<CatalogSnapshot, HybridError> {
+    /// Whether the current state may be rewritten against and committed
+    /// to a snapshot — the one check [`HybridOptimizer::reader`],
+    /// `publish` and every live rewrite share. A poisoned maintainer means
+    /// view contents are unknown; stale materializations mean PACB could
+    /// land a prefix on a view whose contents no longer match its
+    /// definition, or the LA catalog's stamped metadata would misprice
+    /// the suffix.
+    fn committable(&self) -> Result<(), HybridError> {
         if self.maintainer.is_poisoned() {
             return Err(HybridError::MaintenancePoisoned);
         }
@@ -1046,25 +544,20 @@ impl HybridOptimizer {
         if !stale.is_empty() {
             return Err(HybridError::StaleViews(stale));
         }
-        Ok(self.make_snapshot())
+        Ok(())
     }
 
     /// A [`SnapshotReader`] tracking this optimizer's latest published
     /// snapshot. The first call allocates the shared slot (snapshot clones
     /// are only paid for once a concurrent reader exists); every call
-    /// republishes the current state first, and is refused under the same
-    /// conditions as [`HybridOptimizer::snapshot`]. Clone the returned
-    /// handle freely across threads — the writer's later clean commits
-    /// (registrations, maintenance passes, rebuilds) show up in readers
-    /// automatically.
+    /// republishes the current state first, and is refused while that
+    /// state is not committable: a poisoned maintainer or stale
+    /// materializations would bake unknown or outdated view contents into
+    /// every read served from it. Clone the returned handle freely across
+    /// threads — the writer's later clean commits (registrations,
+    /// maintenance passes, rebuilds) show up in readers automatically.
     pub fn reader(&mut self) -> Result<SnapshotReader, HybridError> {
-        if self.maintainer.is_poisoned() {
-            return Err(HybridError::MaintenancePoisoned);
-        }
-        let stale = self.stale_materializations();
-        if !stale.is_empty() {
-            return Err(HybridError::StaleViews(stale));
-        }
+        self.committable()?;
         match &self.shared {
             Some(shared) => {
                 let shared = Arc::clone(shared);
@@ -1098,16 +591,16 @@ impl HybridOptimizer {
 
     /// Republishes the shared snapshot after a state change. A no-op until
     /// a reader exists; silently skipped when the state is not committable
-    /// (poisoned maintainer, pending updates) — readers then keep serving
-    /// the last clean snapshot, which is exactly the wanted semantics for
-    /// a writer mid-batch.
+    /// (poisoned maintainer, stale materializations) — readers then keep
+    /// serving the last clean snapshot, which is exactly the wanted
+    /// semantics for a writer mid-batch.
     fn publish(&self) {
         static PUBLISHES: hadad_obs::LazyCounter =
             hadad_obs::LazyCounter::new("snapshot.publishes");
         static EPOCH_ADVANCE: hadad_obs::LazyHistogram =
             hadad_obs::LazyHistogram::new("snapshot.epoch_advance");
         let Some(shared) = &self.shared else { return };
-        if self.maintainer.is_poisoned() || !self.catalog.pending_updates().is_empty() {
+        if self.committable().is_err() {
             return;
         }
         let snap = Arc::new(self.make_snapshot());
@@ -1117,14 +610,6 @@ impl HybridOptimizer {
         EPOCH_ADVANCE.record(snap.epoch().saturating_sub(slot.epoch()));
         PUBLISHES.incr();
         *slot = snap;
-    }
-
-    /// Point-in-time snapshot of the process-wide observability registry;
-    /// see [`Optimizer::metrics`]. Covers both halves of the hybrid
-    /// pipeline (PACB, relational execution, cast, LA rewriting) plus
-    /// maintenance and snapshot publication counters.
-    pub fn metrics(&self) -> hadad_obs::MetricsSnapshot {
-        hadad_obs::snapshot()
     }
 
     /// Rewrites the pipeline without executing the LA verification step
@@ -1157,25 +642,17 @@ impl HybridOptimizer {
         // refusing, degrade: run the pipeline against base tables only, with
         // no materialized views offered to either rewriter. The caller sees
         // the degradation on the result and can `rebuild_views()` at leisure.
-        let mut degraded: Option<Degraded> = None;
-        if self.maintainer.is_poisoned() {
-            degraded = Some(Degraded {
+        // Stale materializations, unlike poisoning, have a cheap remedy —
+        // `maintain_views()` — so they stay a hard error rather than a
+        // silent degradation.
+        let degraded = match self.committable() {
+            Ok(()) => None,
+            Err(HybridError::MaintenancePoisoned) => Some(Degraded {
                 reason: DegradeReason::MaintenancePoisoned,
                 phase: RewritePhase::Maintenance,
-            });
-        } else {
-            // Refuse to rewrite against stale materializations: pending
-            // updates touching a view's base tables mean PACB could land the
-            // prefix on a view whose contents no longer match its
-            // definition, and a dirty maintained-cast source means the LA
-            // catalog's stamped metadata would misprice the suffix. Unlike
-            // poisoning this has a cheap remedy — `maintain_views()` — so
-            // it stays a hard error rather than a silent degradation.
-            let stale = self.stale_materializations();
-            if !stale.is_empty() {
-                return Err(HybridError::StaleViews(stale));
-            }
-        }
+            }),
+            Err(stale) => return Err(stale),
+        };
         run_state(
             &RunState {
                 catalog: &self.catalog,
@@ -1386,7 +863,7 @@ fn run_state(
 /// Every method takes `&self`, so one snapshot (behind an [`Arc`]) serves
 /// hybrid rewrites from any number of threads while the writer keeps
 /// mutating and maintaining the live optimizer. Snapshots are only ever
-/// published from clean states (no pending updates, maintainer healthy),
+/// published from committable states (maintainer healthy, nothing stale),
 /// so the stale-view and poisoning checks of the live path are vacuous
 /// here by construction.
 #[derive(Clone)]
@@ -1454,12 +931,12 @@ impl CatalogSnapshot {
 /// A cloneable, `Send` handle onto a [`HybridOptimizer`]'s latest
 /// *published* [`CatalogSnapshot`].
 ///
-/// Hand clones to reader threads: each rewrite loads the current snapshot
-/// (the lock is held only for the `Arc` pointer copy) and runs against it
-/// lock-free, while the writer maintains the live state and republishes
-/// after every clean commit. Readers never observe a mid-maintenance
-/// state — publication happens only when the update log is drained and
-/// the maintainer is healthy.
+/// Hand clones to reader threads: each loads the current snapshot
+/// ([`SnapshotReader::current`]; the lock is held only for the `Arc`
+/// pointer copy) and rewrites against it lock-free, while the writer
+/// maintains the live state and republishes after every clean commit.
+/// Readers never observe a mid-maintenance state — publication happens
+/// only when nothing is stale and the maintainer is healthy.
 #[derive(Clone)]
 pub struct SnapshotReader {
     shared: Arc<Mutex<Arc<CatalogSnapshot>>>,
@@ -1473,73 +950,15 @@ impl SnapshotReader {
         READS.incr();
         Arc::clone(&self.shared.lock().unwrap_or_else(PoisonError::into_inner))
     }
-
-    /// [`CatalogSnapshot::rewrite_hybrid`] against the latest published
-    /// snapshot.
-    pub fn rewrite_hybrid(&self, p: &HybridPipeline) -> Result<HybridResult, HybridError> {
-        self.current().rewrite_hybrid(p)
-    }
-
-    /// [`CatalogSnapshot::rewrite_hybrid_verified`] against the latest
-    /// published snapshot.
-    pub fn rewrite_hybrid_verified(
-        &self,
-        p: &HybridPipeline,
-        env: &Env,
-        rtol: f64,
-    ) -> Result<HybridResult, HybridError> {
-        self.current().rewrite_hybrid_verified(p, env, rtol)
-    }
-
-    /// [`CatalogSnapshot::rewrite`] against the latest published snapshot.
-    pub fn rewrite(&self, e: &Expr) -> Result<RankedPlans, RewriteError> {
-        self.current().rewrite(e)
-    }
 }
 
-/// Re-casts a maintained cast's source table and stamps the resulting
-/// matrix metadata into the LA optimizer's catalog. The rows are cast in
-/// table order: the stamped shape and nnz do not depend on it, so the
-/// `sort_key` is checked, not applied.
-fn restamp_cast_into(
-    catalog: &Catalog,
-    optimizer: &mut Optimizer,
-    cast: &MaintainedCast,
-) -> Result<(), HybridError> {
-    // Fault surface: a re-stamp failure after maintenance drained the log
-    // must poison the maintainer (see `maintain_views`), not pass silently.
-    hadad_failpoint::hit("hybrid.restamp")?;
-    let t =
-        catalog.get(&cast.view).ok_or_else(|| HybridError::MissingTable(cast.view.clone()))?;
-    if let Some(key) = &cast.sort_key {
-        require_column(t, key)?;
-    }
-    let mat = apply_cast(t, &cast.cast)?;
-    optimizer.cat.register(&cast.cast_name, MatrixMeta::from_matrix(&mat));
-    Ok(())
-}
-
-fn apply_cast(t: &Table, kind: &CastKind) -> Result<Matrix, HybridError> {
-    match kind {
-        CastKind::Dense { columns } => {
-            for c in columns {
-                require_column(t, c)?;
-            }
-            let refs: Vec<&str> = columns.iter().map(std::string::String::as_str).collect();
-            Ok(cast::table_to_matrix(t, &refs))
-        }
-        CastKind::Sparse { row, col, val, rows, cols } => {
-            require_column(t, row)?;
-            require_column(t, col)?;
-            require_column(t, val)?;
-            Ok(cast::table_to_sparse(t, row, col, val, *rows, *cols))
-        }
-    }
-}
-
+// The first five tests are `crate::query`'s (compile, and `execute` against
+// `eval_cq`); they stay here, reaching it through the re-exports above, so
+// that the names the suite prints for them do not change.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hadad_chase::Term;
     use hadad_core::expr::dsl::*;
     use hadad_core::MetaCatalog;
     use hadad_relational::{ops, Column};

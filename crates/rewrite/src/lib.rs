@@ -18,11 +18,13 @@
 //! ```
 
 pub mod cache;
+pub mod cast;
 pub mod cost;
 pub mod eval;
 pub mod hybrid;
 pub mod maintain;
 pub mod optimizer;
+pub mod query;
 
 pub use cache::{CacheReport, PlanCache};
 pub use cost::{CostModel, Estimate, FlopsCost};

@@ -1,0 +1,475 @@
+//! The relational query language of a hybrid pipeline's prefix and its two
+//! executions.
+//!
+//! A [`RelQuery`] is a scan plus declarative stages ([`RelOp`]), restricted
+//! to the CQ-expressible fragment. It runs as written
+//! ([`RelQuery::execute`]), and it compiles ([`RelQuery::compile`]) to a
+//! [`Cq`] over a [`TableVocab`] — the form PACB reformulates over table
+//! views, whose rewritings [`eval_cq`] then runs. Both executions sit on
+//! one executor, [`hadad_relational::rowset`]: stages and atoms rewrite
+//! `u32` selection vectors over the borrowed catalog tables, a sort key
+//! reorders those vectors, each output column is gathered once at the end —
+//! and on its one cell equality, so a `HashJoin` stage and the shared
+//! variable it compiles to pair the same rows. Constants cross the CQ as
+//! interned symbols: strings quote-wrapped, so `Str("7")` never meets the
+//! number 7.
+
+use std::collections::HashMap;
+
+use hadad_chase::{Atom, Cq, PredId, Term, Vocabulary};
+use hadad_relational::rowset::{ColRef, Out};
+use hadad_relational::{Catalog, RowSet, Table, Value};
+
+use crate::hybrid::HybridError;
+
+/// One declarative relational stage. These mirror the executable operators
+/// in `hadad_relational::ops` (and run on the executor under them),
+/// restricted to the CQ-expressible fragment so the prefix can be
+/// reformulated by PACB.
+#[derive(Debug, Clone)]
+pub enum RelOp {
+    /// Equality selection on an integer column (the column position becomes
+    /// a constant in the compiled CQ).
+    SelectEq {
+        /// Column the selection filters on.
+        column: String,
+        /// The integer constant selected.
+        value: i64,
+    },
+    /// Equality selection on a string column.
+    SelectStrEq {
+        /// Column the selection filters on.
+        column: String,
+        /// The string constant selected.
+        value: String,
+    },
+    /// Hash equi-join with another catalog table; right-side columns that
+    /// collide are prefixed `right.` (repeatedly, until unique), exactly as
+    /// `ops::hash_join` does.
+    HashJoin {
+        /// Right-side catalog table.
+        table: String,
+        /// Join key on the accumulated left side.
+        left_key: String,
+        /// Join key on the right table.
+        right_key: String,
+    },
+    /// Projection to the named columns, in order.
+    Project {
+        /// Output columns, in order.
+        columns: Vec<String>,
+    },
+}
+
+impl RelOp {
+    /// Applies this stage to a relation under construction — shared by
+    /// [`RelQuery::execute`] and the view maintainer (which replays stages
+    /// to cache join inputs).
+    pub(crate) fn apply<'c>(
+        &self,
+        rows: &mut RowSet<'c>,
+        catalog: &'c Catalog,
+    ) -> Result<(), HybridError> {
+        match self {
+            RelOp::SelectEq { column: name, value } => {
+                rows.filter(column(rows, name)?, &Value::Int(*value));
+            }
+            RelOp::SelectStrEq { column: name, value } => {
+                rows.filter(column(rows, name)?, &Value::Str(value.clone()));
+            }
+            RelOp::HashJoin { table, left_key, right_key } => {
+                let right = catalog
+                    .get(table)
+                    .ok_or_else(|| HybridError::MissingTable(table.clone()))?;
+                let left = column(rows, left_key)?;
+                let right_key = right
+                    .column_index(right_key)
+                    .ok_or_else(|| HybridError::MissingColumn(right_key.clone()))?;
+                rows.hash_join(left, right, right_key);
+            }
+            RelOp::Project { columns } => {
+                rows.project(columns).map_err(HybridError::MissingColumn)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The cell behind output column `name` of a relation under construction.
+pub(crate) fn column(rows: &RowSet<'_>, name: &str) -> Result<ColRef, HybridError> {
+    rows.column(name).ok_or_else(|| HybridError::MissingColumn(name.to_owned()))
+}
+
+/// A relational query: a scan of a catalog table followed by stages.
+#[derive(Debug, Clone)]
+pub struct RelQuery {
+    /// The catalog table the scan starts from.
+    pub table: String,
+    /// The declarative stages applied to the scan, in order.
+    pub ops: Vec<RelOp>,
+}
+
+impl RelQuery {
+    /// A bare scan of `table` with no stages yet.
+    pub fn scan(table: impl Into<String>) -> Self {
+        RelQuery { table: table.into(), ops: Vec::new() }
+    }
+
+    /// Appends an integer equality selection.
+    pub fn select_eq(mut self, column: impl Into<String>, value: i64) -> Self {
+        self.ops.push(RelOp::SelectEq { column: column.into(), value });
+        self
+    }
+
+    /// Appends a string equality selection.
+    pub fn select_str_eq(
+        mut self,
+        column: impl Into<String>,
+        value: impl Into<String>,
+    ) -> Self {
+        self.ops.push(RelOp::SelectStrEq { column: column.into(), value: value.into() });
+        self
+    }
+
+    /// Appends a hash equi-join with `table` on `left_key = right_key`.
+    pub fn join(
+        mut self,
+        table: impl Into<String>,
+        left_key: impl Into<String>,
+        right_key: impl Into<String>,
+    ) -> Self {
+        self.ops.push(RelOp::HashJoin {
+            table: table.into(),
+            left_key: left_key.into(),
+            right_key: right_key.into(),
+        });
+        self
+    }
+
+    /// Appends a projection to `columns`, in order.
+    pub fn project(mut self, columns: &[&str]) -> Self {
+        self.ops.push(RelOp::Project {
+            columns: columns.iter().map(std::string::ToString::to_string).collect(),
+        });
+        self
+    }
+
+    /// Runs the query on the [`RowSet`] executor: every stage rewrites
+    /// selection vectors over the borrowed catalog tables, and the output
+    /// columns are gathered once, after the last stage. A stage-less query
+    /// is the only one that copies its whole scan table.
+    pub fn execute(&self, catalog: &Catalog) -> Result<Table, HybridError> {
+        self.execute_sorted(catalog, None)
+    }
+
+    /// [`RelQuery::execute`] with the rows stably sorted ascending by the
+    /// integer key `sort_key` — the sort reorders selection vectors before
+    /// the gather, so nothing is materialized twice.
+    pub(crate) fn execute_sorted(
+        &self,
+        catalog: &Catalog,
+        sort_key: Option<&str>,
+    ) -> Result<Table, HybridError> {
+        let scan = catalog
+            .get(&self.table)
+            .ok_or_else(|| HybridError::MissingTable(self.table.clone()))?;
+        let mut rows = RowSet::scan(scan);
+        for op in &self.ops {
+            op.apply(&mut rows, catalog)?;
+        }
+        if let Some(key) = sort_key {
+            rows.sort_by_key(column(&rows, key)?);
+        }
+        Ok(rows.gather())
+    }
+
+    /// Compiles the query to a CQ over the table vocabulary. Selections
+    /// become constants (possibly in the head — rewritings preserve them),
+    /// joins share variables across atoms, and the projection picks the
+    /// head terms. The returned column names mirror the executable
+    /// pipeline's output schema exactly, including `right.` prefixing.
+    pub fn compile(
+        &self,
+        catalog: &Catalog,
+        tv: &mut TableVocab,
+    ) -> Result<CompiledQuery, HybridError> {
+        let mut next_var = 0u32;
+        let fresh = |n: &mut u32| {
+            let v = *n;
+            *n += 1;
+            Term::Var(v)
+        };
+
+        let base = catalog
+            .get(&self.table)
+            .ok_or_else(|| HybridError::MissingTable(self.table.clone()))?;
+        let mut cols: Vec<(String, Term)> =
+            base.column_names().iter().map(|n| (n.clone(), fresh(&mut next_var))).collect();
+        let mut atoms =
+            vec![Atom::new(tv.pred(&self.table)?, cols.iter().map(|(_, t)| *t).collect())];
+
+        let select_const = |column: &str,
+                            sym: Term,
+                            cols: &mut Vec<(String, Term)>,
+                            atoms: &mut Vec<Atom>|
+         -> Result<(), HybridError> {
+            let cur = cols
+                .iter()
+                .find(|(n, _)| n == column)
+                .map(|(_, t)| *t)
+                .ok_or_else(|| HybridError::MissingColumn(column.to_owned()))?;
+            match cur {
+                Term::Var(v) => {
+                    let subst = |t: &mut Term| {
+                        if *t == Term::Var(v) {
+                            *t = sym;
+                        }
+                    };
+                    for a in atoms.iter_mut() {
+                        a.args.iter_mut().for_each(&subst);
+                    }
+                    for (_, t) in cols.iter_mut() {
+                        subst(t);
+                    }
+                    Ok(())
+                }
+                c if c == sym => Ok(()),
+                _ => Err(HybridError::Unsatisfiable(column.to_owned())),
+            }
+        };
+
+        for op in &self.ops {
+            match op {
+                RelOp::SelectEq { column, value } => {
+                    let sym = Term::Const(tv.vocab.int(*value));
+                    select_const(column, sym, &mut cols, &mut atoms)?;
+                }
+                RelOp::SelectStrEq { column, value } => {
+                    let sym = Term::Const(tv.vocab.constant(intern_str_const(value)));
+                    select_const(column, sym, &mut cols, &mut atoms)?;
+                }
+                RelOp::HashJoin { table, left_key, right_key } => {
+                    let right = catalog
+                        .get(table)
+                        .ok_or_else(|| HybridError::MissingTable(table.clone()))?;
+                    let key_term = cols
+                        .iter()
+                        .find(|(n, _)| n == left_key)
+                        .map(|(_, t)| *t)
+                        .ok_or_else(|| HybridError::MissingColumn(left_key.clone()))?;
+                    if right.column_index(right_key).is_none() {
+                        return Err(HybridError::MissingColumn(right_key.clone()));
+                    }
+                    let mut args = Vec::with_capacity(right.num_cols());
+                    let mut new_cols: Vec<(String, Term)> = Vec::new();
+                    for n in right.column_names() {
+                        if n == right_key {
+                            args.push(key_term);
+                        } else {
+                            let t = fresh(&mut next_var);
+                            args.push(t);
+                            // Mirror ops::hash_join's collision prefixing.
+                            let mut out_name = n.clone();
+                            while cols.iter().chain(&new_cols).any(|(c, _)| *c == out_name) {
+                                out_name = format!("right.{out_name}");
+                            }
+                            new_cols.push((out_name, t));
+                        }
+                    }
+                    atoms.push(Atom::new(tv.pred(table)?, args));
+                    cols.extend(new_cols);
+                }
+                RelOp::Project { columns } => {
+                    let mut picked = Vec::with_capacity(columns.len());
+                    for c in columns {
+                        let t = cols
+                            .iter()
+                            .find(|(n, _)| n == c)
+                            .cloned()
+                            .ok_or_else(|| HybridError::MissingColumn(c.clone()))?;
+                        picked.push(t);
+                    }
+                    cols = picked;
+                }
+            }
+        }
+
+        let head: Vec<Term> = cols.iter().map(|(_, t)| *t).collect();
+        let columns: Vec<String> = cols.into_iter().map(|(n, _)| n).collect();
+        Ok(CompiledQuery { cq: Cq::new(head, atoms), columns })
+    }
+}
+
+/// A compiled relational prefix: the CQ plus its output column names (head
+/// order).
+#[derive(Debug, Clone)]
+pub struct CompiledQuery {
+    /// The conjunctive query over table predicates.
+    pub cq: Cq,
+    /// Output column names, in head order.
+    pub columns: Vec<String>,
+}
+
+/// Vocabulary derived from the table catalog: one predicate per table
+/// (arity = column count), with both directions of the mapping.
+#[derive(Debug, Clone)]
+pub struct TableVocab {
+    /// The chase vocabulary the table predicates are interned in.
+    pub vocab: Vocabulary,
+    by_name: HashMap<String, PredId>,
+    by_pred: HashMap<PredId, String>,
+}
+
+impl TableVocab {
+    /// Interns one predicate per catalog table (arity = column count).
+    pub fn from_catalog(catalog: &Catalog) -> Self {
+        let mut tv = TableVocab {
+            vocab: Vocabulary::new(),
+            by_name: HashMap::new(),
+            by_pred: HashMap::new(),
+        };
+        for name in catalog.names() {
+            let arity = catalog.get(name).map_or(0, hadad_relational::Table::num_cols);
+            let pred = tv.vocab.predicate(name, arity);
+            tv.by_name.insert(name.to_owned(), pred);
+            tv.by_pred.insert(pred, name.to_owned());
+        }
+        tv
+    }
+
+    /// The predicate interned for `table`.
+    pub fn pred(&self, table: &str) -> Result<PredId, HybridError> {
+        self.by_name.get(table).copied().ok_or_else(|| HybridError::MissingTable(table.into()))
+    }
+
+    /// Reverse lookup: the table `pred` was interned for.
+    pub fn table_of(&self, pred: PredId) -> Option<&str> {
+        self.by_pred.get(&pred).map(std::string::String::as_str)
+    }
+}
+
+/// Interned rendering of a *string* constant: wrapped in quotes so the
+/// integer 7 and the string "7" intern to different symbols — otherwise a
+/// rewriting's selection semantics could diverge from the executable
+/// operators (which never equate `Int(7)` with `Str("7")`).
+fn intern_str_const(s: &str) -> String {
+    format!("\"{s}\"")
+}
+
+/// Inner value of a quote-wrapped string constant.
+fn unquote(s: &str) -> Option<&str> {
+    s.strip_prefix('"').and_then(|rest| rest.strip_suffix('"'))
+}
+
+/// Evaluates a CQ against the catalog's tables under *bag* semantics,
+/// mirroring the executable operator pipeline (a projection does not
+/// deduplicate, so neither may the rewriting's evaluation — otherwise a
+/// rewritten prefix would silently drop duplicate tuples from the cast).
+/// Used to execute PACB rewritings, whose bodies range over materialized
+/// view tables.
+///
+/// Runs atom by atom on the same [`RowSet`] executor as
+/// [`RelQuery::execute`]: an atom's constants (decoded once per atom)
+/// and a variable it repeats filter its table; its first already-bound
+/// variable joins it to the rows so far; further shared variables filter
+/// column against column; an atom sharing nothing is a left-major product;
+/// an empty body is the single row of head constants. A head variable is
+/// gathered from the column that first bound it, so an empty answer keeps
+/// its source columns' types (a head constant its own).
+pub fn eval_cq(
+    q: &Cq,
+    columns: &[String],
+    catalog: &Catalog,
+    tv: &TableVocab,
+) -> Result<Table, HybridError> {
+    eval_cq_sorted(q, columns, catalog, tv, None)
+}
+
+/// [`eval_cq`] with the rows stably sorted ascending by the integer key of
+/// head column `sort_key`, before anything is gathered.
+pub(crate) fn eval_cq_sorted(
+    q: &Cq,
+    columns: &[String],
+    catalog: &Catalog,
+    tv: &TableVocab,
+    sort_key: Option<&str>,
+) -> Result<Table, HybridError> {
+    let mut rows = RowSet::unit();
+    let mut bound: HashMap<u32, ColRef> = HashMap::new();
+    for atom in &q.body {
+        let name = tv
+            .table_of(atom.pred)
+            .ok_or_else(|| HybridError::MissingTable(format!("pred#{}", atom.pred.0)))?;
+        let t = catalog.get(name).ok_or_else(|| HybridError::MissingTable(name.into()))?;
+
+        // The atom alone: constants and a repeated variable filter its
+        // table. `vars` keeps each variable's first position, in order.
+        let mut scan = RowSet::scan(t);
+        let cell = |source: usize, column: usize| ColRef { source, column };
+        let mut vars: Vec<(u32, usize)> = Vec::new();
+        for (i, term) in atom.args.iter().enumerate() {
+            match term {
+                Term::Const(c) => {
+                    scan.filter(cell(0, i), &decode_const(tv.vocab.const_name(*c)));
+                }
+                Term::Var(v) => match vars.iter().find(|(w, _)| w == v) {
+                    Some(&(_, first)) => {
+                        scan.filter_eq(cell(0, first), cell(0, i));
+                    }
+                    None => vars.push((*v, i)),
+                },
+            }
+        }
+
+        let mut shared = vars.iter().filter_map(|(v, i)| bound.get(v).map(|c| (*c, *i)));
+        let source = match shared.next() {
+            Some((left, i)) => rows.join(left, scan, cell(0, i)),
+            None => rows.product(scan),
+        };
+        for (left, i) in shared {
+            rows.filter_eq(left, cell(source, i));
+        }
+        for (v, i) in vars {
+            bound.entry(v).or_insert(cell(source, i));
+        }
+    }
+
+    // Head projection (bag semantics).
+    let head: Vec<(&str, Out)> = columns
+        .iter()
+        .zip(&q.head)
+        .map(|(name, t)| {
+            let out = match t {
+                Term::Var(v) => Out::Cell(*bound.get(v).expect("safe head variable is bound")),
+                Term::Const(c) => Out::Const(decode_const(tv.vocab.const_name(*c))),
+            };
+            (name.as_str(), out)
+        })
+        .collect();
+    if let Some(key) = sort_key {
+        let at = head.iter().position(|(name, _)| *name == key);
+        let (_, out) = &head[at.ok_or_else(|| HybridError::MissingColumn(key.to_owned()))?];
+        // A constant column ties on every row: nothing to reorder.
+        if let Out::Cell(c) = out {
+            rows.sort_by_key(*c);
+        }
+    }
+    Ok(rows.gather_as(head))
+}
+
+/// The cell an interned CQ constant stands for — what a body position is
+/// filtered by and what a head position holds: a quoted constant is that
+/// string, an `i64`-parsable one that integer (so a compiled `SelectEq`
+/// keeps exactly the rows the stage keeps), any other number a float, and a
+/// bare symbol a string verbatim.
+fn decode_const(s: &str) -> Value {
+    if let Some(inner) = unquote(s) {
+        Value::Str(inner.to_owned())
+    } else if let Ok(v) = s.parse::<i64>() {
+        Value::Int(v)
+    } else if let Ok(v) = s.parse::<f64>() {
+        Value::Float(v)
+    } else {
+        Value::Str(s.to_owned())
+    }
+}

@@ -9,7 +9,9 @@ use std::thread;
 use hadad_core::expr::dsl::*;
 use hadad_core::{MatrixMeta, MetaCatalog};
 use hadad_relational::{Catalog, Column, Table, Value};
-use hadad_rewrite::{CastKind, HybridOptimizer, HybridPipeline, Optimizer, RelQuery};
+use hadad_rewrite::{
+    CastKind, HybridOptimizer, HybridPipeline, MaintainedCast, Optimizer, RelQuery,
+};
 
 fn fixture() -> (HybridOptimizer, HybridPipeline) {
     let events = Table::new(vec![
@@ -98,7 +100,7 @@ fn concurrent_rewrites_while_maintaining() {
         "published snapshot must carry the final committed epoch"
     );
     // And the converged snapshot still serves sound rewrites.
-    let r = reader.rewrite_hybrid(&pipeline).expect("final rewrite");
+    let r = reader.current().rewrite_hybrid(&pipeline).expect("final rewrite");
     assert!(r.best.est_cost <= r.ranked.original.est_cost);
 }
 
@@ -159,8 +161,8 @@ fn metric_counter_totals_are_exact_under_stress() {
     // Deterministic cache-hit delta: two same-epoch rewrites through the
     // reader — whatever the stress left cached, the second must hit.
     let hits_before = after.counter("cache.hits").unwrap_or(0);
-    let _ = reader.rewrite_hybrid(&pipeline).expect("post-stress rewrite");
-    let _ = reader.rewrite_hybrid(&pipeline).expect("post-stress rewrite");
+    let _ = reader.current().rewrite_hybrid(&pipeline).expect("post-stress rewrite");
+    let _ = reader.current().rewrite_hybrid(&pipeline).expect("post-stress rewrite");
     let hits_after = hadad_obs::snapshot().counter("cache.hits").unwrap_or(0);
     assert!(hits_after > hits_before, "same-epoch repeat must land a cache hit");
 }
@@ -248,11 +250,79 @@ fn poisoned_state_is_never_published() {
 
     // Readers still serve the last clean snapshot.
     assert_eq!(reader.current().epoch(), clean_epoch);
-    assert!(reader.rewrite_hybrid(&pipeline).is_ok());
+    assert!(reader.current().rewrite_hybrid(&pipeline).is_ok());
     // No new readers from a poisoned optimizer.
     assert!(hy.reader().is_err(), "poisoned state must not be snapshottable");
     // Recovery: rebuild republishes a clean snapshot at a newer epoch.
     hy.rebuild_views().expect("rebuild succeeds");
     assert!(reader.current().epoch() > clean_epoch, "rebuild must republish");
     assert!(hy.reader().is_ok());
+}
+
+/// Readers on *different* snapshots rewrite a view-carrying expression at
+/// the same time and each gets what its snapshot answers alone. The LA
+/// view is defined over a maintained cast, so its `V_IO`/`V_OI` constants
+/// differ from snapshot to snapshot: every call builds its own view rules
+/// on top of the one shared standard set — no reader waits for, or
+/// evicts, another's. The view is registered ahead of the cast, so the
+/// first rewrites also race to certify it.
+#[test]
+fn readers_on_different_snapshots_rewrite_over_views_independently() {
+    let (hy, _) = fixture();
+    let mut la_cat = MetaCatalog::new();
+    la_cat.register("v", MatrixMeta::dense(4, 1));
+    let mut hy = HybridOptimizer::new(hy.catalog, Optimizer::new(la_cat));
+    hy.register_la_view("G", mul(t(m("E")), m("E"))).expect("forward reference is accepted");
+    hy.register_maintained_cast(MaintainedCast {
+        cast_name: "E".into(),
+        view: "events".into(),
+        sort_key: None,
+        cast: CastKind::Sparse {
+            row: "eid".into(),
+            col: "kind".into(),
+            val: "kind".into(),
+            rows: 4096,
+            cols: 4,
+        },
+    })
+    .expect("cast stamps");
+    let reader = hy.reader().expect("reader");
+
+    // Three snapshots, each with more non-zeros under the view's leaf.
+    let mut snapshots = vec![reader.current()];
+    for batch in 0..2i64 {
+        let rows = (0..40).map(|i| vec![Value::Int(100 + batch * 40 + i), Value::Int(3)]);
+        hy.insert_rows("events", rows.collect()).expect("insert applies");
+        snapshots.push(reader.current());
+    }
+
+    let e = mul(mul(t(m("E")), m("E")), m("v"));
+    let answer = |snap: &hadad_rewrite::CatalogSnapshot| {
+        let ranked = snap.rewrite(&e).expect("rewrites");
+        let plans: Vec<String> =
+            ranked.plans.iter().map(|p| format!("{} @ {}", p.expr, p.est_cost)).collect();
+        (plans, ranked.report.chase_rounds, ranked.report.num_facts)
+    };
+    let start = std::sync::Barrier::new(4);
+    let concurrent: Vec<Vec<_>> = thread::scope(|s| {
+        let spawned: Vec<_> = (0..4)
+            .map(|tid| {
+                let (snapshots, answer, start) = (&snapshots, &answer, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (0..30).map(|i| answer(&snapshots[(tid + i) % 3])).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        spawned.into_iter().map(|h| h.join().expect("reader thread")).collect()
+    });
+
+    let sequential: Vec<_> = snapshots.iter().map(|s| answer(s)).collect();
+    assert!(sequential[0].0[0].starts_with("(G v) @ "), "lands on the view");
+    assert_ne!(sequential[0], sequential[2], "the snapshots price the original differently");
+    for (tid, answers) in concurrent.iter().enumerate() {
+        for (i, got) in answers.iter().enumerate() {
+            assert_eq!(got, &sequential[(tid + i) % 3], "thread {tid}, call {i}");
+        }
+    }
 }

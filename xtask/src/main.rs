@@ -1,11 +1,12 @@
 //! Repository automation (`cargo run -p xtask -- <task>`).
 //!
-//! `analyze` is the CI gate for rule soundness: it builds the standard
-//! MMC catalogue (functional EGDs, structural and decomposition rules,
-//! stats-propagation TGDs) plus a representative sample of view
-//! constraints, runs the `hadad-analyze` static checks, prints the
-//! report, and exits nonzero unless the set is certified —
-//! range-restricted and weakly acyclic modulo conclusion-atom reuse.
+//! `analyze` is the CI gate for rule soundness: it takes the process-wide
+//! standard MMC catalogue every rewrite chases with (functional EGDs,
+//! structural and decomposition rules, stats-propagation TGDs), adds a
+//! representative sample of view constraints, runs the `hadad-analyze`
+//! static checks, prints the report, and exits nonzero unless the set is
+//! certified — range-restricted and weakly acyclic modulo conclusion-atom
+//! reuse.
 //!
 //! `obs-dump` arms the tracing gate, drives a small corpus through every
 //! pipeline layer (chase, extraction, kernels, view maintenance, plan
@@ -26,7 +27,7 @@
 use std::process::ExitCode;
 
 use hadad_core::expr::dsl::{add, m, mul, smul, t, trace};
-use hadad_core::{Catalogue, MatrixMeta, MetaCatalog, Vrem};
+use hadad_core::{Catalogue, MatrixMeta, MetaCatalog};
 use hadad_linalg::backend::{self, Width};
 use hadad_linalg::ops::multiply::{dense_dense, dense_sparse, sparse_dense, sparse_sparse};
 use hadad_linalg::{rand_gen, DenseMatrix, Matrix, PARALLEL};
@@ -215,8 +216,15 @@ fn obs_dump() -> ExitCode {
 }
 
 fn analyze() -> ExitCode {
-    let mut vrem = Vrem::new();
-    let mut cat = Catalogue::standard(&mut vrem);
+    // The shared standard value itself — the object every rewrite chases
+    // with, its constraints read back from the compiled rules — and the
+    // sampled views built, as a rewrite builds them, on a clone of its
+    // schema.
+    let (vrem, standard) = Catalogue::shared_standard();
+    let mut vrem = vrem.clone();
+    let mut cat = Catalogue {
+        constraints: standard.rules().iter().map(|r| r.constraint().clone()).collect(),
+    };
 
     let mut meta = MetaCatalog::new();
     meta.register("A", MatrixMeta::dense(64, 32));
