@@ -230,6 +230,13 @@ impl Instance {
         self.nulls
     }
 
+    /// Number of nodes (constants and nulls, roots or not) created so far:
+    /// every [`NodeId`] of this instance is below it, so per-class data can
+    /// live in a `Vec` indexed by `NodeId.0`.
+    pub fn num_nodes(&self) -> usize {
+        self.parent.len()
+    }
+
     /// Union-find root. Read-only, so it walks the parent chain without
     /// compressing it. The chains stay short without that: [`Self::merge`]
     /// halves the paths it walks (`find_compress`) and [`Self::rehash`]

@@ -9,20 +9,178 @@
 //!
 //! Surface subtraction is desugared to `a + (-1 · b)` so that the addition
 //! property catalogue covers it; the decoder resugars (see `extract`).
+//!
+//! Both encoders hash-cons: a subexpression is keyed by what it is made of
+//! once its operands are encoded — operator, output index and operand
+//! classes; a leaf's interned symbol; the dims of `I` and `0` — so equal
+//! subexpressions share one class, and every node is keyed, shape-checked
+//! and estimated once, bottom-up, by the estimator's one-level step.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 
-use hadad_chase::{Atom, Instance, NodeId, Provenance, Term};
+use hadad_chase::{Atom, Instance, NodeId, PredId, Provenance, SymId, Term};
 
 use crate::expr::Expr;
 use crate::schema::{OpKind, Vrem, DENSITY_SCALE};
-use crate::stats::{ClassStats, MetaCatalog, ShapeError, TypeFlags};
+use crate::stats::{
+    leaf_stats, op_stats, op_step, ClassStats, MetaCatalog, ShapeError, TypeFlags,
+};
 
 /// Interns a density as the parts-per-million integer constant the
 /// `density` relation carries (shared with the view constraints in
 /// `catalogue` so every `density` fact uses one encoding).
-pub(crate) fn density_sym(vrem: &mut Vrem, density: f64) -> hadad_chase::SymId {
+pub(crate) fn density_sym(vrem: &mut Vrem, density: f64) -> SymId {
     vrem.vocab.int((density.clamp(0.0, 1.0) * DENSITY_SCALE).round() as i64)
+}
+
+/// What makes two subexpressions one class before any chase runs.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+enum Key<C> {
+    /// Base matrix, by interned name.
+    Mat(SymId),
+    /// Scalar literal, by interned rendering.
+    Lit(SymId),
+    /// Identity of this order.
+    Identity(usize),
+    /// Zero matrix of these dims.
+    Zero(usize, usize),
+    /// Operator, output index, operand classes (a unary operand twice).
+    Op(OpKind, usize, [C; 2]),
+}
+
+/// Hash-consing state of one encoder.
+struct Memo<C> {
+    classes: HashMap<Key<C>, (C, ClassStats)>,
+    /// QR/LU: one fact with two output classes per operator and input.
+    pairs: HashMap<(OpKind, C), (C, C)>,
+}
+
+impl<C> Default for Memo<C> {
+    fn default() -> Self {
+        Memo { classes: HashMap::new(), pairs: HashMap::new() }
+    }
+}
+
+/// The traversal both encoders share. An implementation only says what a
+/// new class is made of: instance facts for [`Encoder`], CQ atoms for
+/// [`CqEncoder`].
+trait HashCons {
+    /// An instance node, or a CQ variable.
+    type Class: Copy + Eq + Hash;
+
+    fn cat(&self) -> &MetaCatalog;
+    fn vrem(&mut self) -> &mut Vrem;
+    fn memo(&mut self) -> &mut Memo<Self::Class>;
+    /// A new leaf class: `pred(class)`, or `pred(class, sym)`.
+    fn new_leaf(&mut self, e: &Expr, pred: PredId, sym: Option<SymId>) -> Self::Class;
+    /// The new class a single-output operator computes from `inputs`.
+    fn new_op(&mut self, kind: OpKind, inputs: &[Self::Class]) -> Self::Class;
+    /// The two new classes QR/LU computes from `input`.
+    fn new_pair(&mut self, kind: OpKind, input: Self::Class) -> (Self::Class, Self::Class);
+    /// Records the estimated stats of a new class.
+    fn new_stats(&mut self, class: Self::Class, stats: ClassStats);
+
+    /// The class of `e` and its stats, encoding what is not encoded yet.
+    /// Operands go first, left to right, so new classes appear in the
+    /// order a depth-first walk first meets each distinct subexpression,
+    /// and a shape error is the one [`crate::stats::expr_stats`] reports.
+    fn class_of(&mut self, e: &Expr) -> Result<(Self::Class, ClassStats), ShapeError> {
+        use Expr::*;
+        match e {
+            Mat(_) | Const(_) | Identity(_) | Zero(..) => {
+                let stats = leaf_stats(e, self.cat())?;
+                let vrem = self.vrem();
+                let (key, pred, sym) = match e {
+                    Mat(n) => {
+                        let sym = vrem.vocab.constant(n);
+                        (Key::Mat(sym), vrem.name, Some(sym))
+                    }
+                    Const(v) => {
+                        let sym = vrem.vocab.constant(format!("{v}"));
+                        (Key::Lit(sym), vrem.lit, Some(sym))
+                    }
+                    Identity(n) => (Key::Identity(*n), vrem.identity, None),
+                    Zero(r, c) => (Key::Zero(*r, *c), vrem.zero, None),
+                    _ => unreachable!("matched a leaf"),
+                };
+                if let Some(&hit) = self.memo().classes.get(&key) {
+                    return Ok(hit);
+                }
+                let class = self.new_leaf(e, pred, sym);
+                Ok(self.remember(key, class, stats))
+            }
+            Sub(a, b) => {
+                // a - b = a + (-1 · b), shape-checked (and estimated) as the
+                // `Add` so the error names the subtraction.
+                let (an, sa) = self.class_of(a)?;
+                let (minus_one, sm) = self.class_of(&Const(-1.0))?;
+                let (bn, sb) = self.class_of(b)?;
+                let (_, _, out) = op_step(e, &[sa, sb])?;
+                let scaled = op_stats(OpKind::ScalarMul, 0, &[sm, sb]);
+                let (negated, _) = self.apply(OpKind::ScalarMul, 0, [minus_one, bn], scaled);
+                Ok(self.apply(OpKind::Add, 0, [an, negated], out))
+            }
+            _ => {
+                let operands = e.children();
+                let (an, sa) = self.class_of(operands[0])?;
+                let (inputs, child) = match operands.get(1) {
+                    Some(b) => {
+                        let (bn, sb) = self.class_of(b)?;
+                        ([an, bn], [sa, sb])
+                    }
+                    None => ([an, an], [sa, sa]),
+                };
+                let (kind, out_idx, out) = op_step(e, &child[..operands.len()])?;
+                Ok(self.apply(kind, out_idx, inputs, out))
+            }
+        }
+    }
+
+    /// Output `out_idx` of `kind` over `inputs`: the existing class, or a
+    /// new one with `stats`.
+    fn apply(
+        &mut self,
+        kind: OpKind,
+        out_idx: usize,
+        inputs: [Self::Class; 2],
+        stats: ClassStats,
+    ) -> (Self::Class, ClassStats) {
+        let key = Key::Op(kind, out_idx, inputs);
+        if let Some(&hit) = self.memo().classes.get(&key) {
+            return hit;
+        }
+        let class = match kind {
+            OpKind::Qr | OpKind::Lu => {
+                let pair = match self.memo().pairs.get(&(kind, inputs[0])) {
+                    Some(&pair) => pair,
+                    None => {
+                        let pair = self.new_pair(kind, inputs[0]);
+                        self.memo().pairs.insert((kind, inputs[0]), pair);
+                        pair
+                    }
+                };
+                if out_idx == 0 {
+                    pair.0
+                } else {
+                    pair.1
+                }
+            }
+            _ => self.new_op(kind, &inputs[..kind.num_inputs()]),
+        };
+        self.remember(key, class, stats)
+    }
+
+    fn remember(
+        &mut self,
+        key: Key<Self::Class>,
+        class: Self::Class,
+        stats: ClassStats,
+    ) -> (Self::Class, ClassStats) {
+        self.new_stats(class, stats);
+        self.memo().classes.insert(key, (class, stats));
+        (class, stats)
+    }
 }
 
 /// Result of encoding an expression.
@@ -42,26 +200,18 @@ pub struct Encoder<'a> {
     /// Metadata for base-matrix stats facts.
     pub cat: &'a MetaCatalog,
     inst: Instance,
-    memo: HashMap<String, NodeId>,
-    /// QR/LU produce two outputs; memoized as a pair per input class.
-    decomp_memo: HashMap<(OpKind, NodeId), (NodeId, NodeId)>,
+    memo: Memo<NodeId>,
 }
 
 impl<'a> Encoder<'a> {
     /// An encoder over `vrem` with metadata from `cat`.
     pub fn new(vrem: &'a mut Vrem, cat: &'a MetaCatalog) -> Self {
-        Encoder {
-            vrem,
-            cat,
-            inst: Instance::new(),
-            memo: HashMap::new(),
-            decomp_memo: HashMap::new(),
-        }
+        Encoder { vrem, cat, inst: Instance::new(), memo: Memo::default() }
     }
 
     /// Encodes `e`, returning the instance and the root class.
     pub fn encode(mut self, e: &Expr) -> Result<Encoded, ShapeError> {
-        let root = self.enc(e)?;
+        let (root, _) = self.class_of(e)?;
         Ok(Encoded { instance: self.inst, root })
     }
 
@@ -70,23 +220,9 @@ impl<'a> Encoder<'a> {
     pub fn encode_many(mut self, es: &[&Expr]) -> Result<(Instance, Vec<NodeId>), ShapeError> {
         let mut roots = Vec::with_capacity(es.len());
         for e in es {
-            roots.push(self.enc(e)?);
+            roots.push(self.class_of(e)?.0);
         }
         Ok((self.inst, roots))
-    }
-
-    /// `size` + `density` facts: the per-class statistics the cost oracle
-    /// reads. Emitted for every encoded subexpression so the chase starts
-    /// from the same estimates the ranking cost model would compute.
-    fn stats_facts(&mut self, node: NodeId, stats: ClassStats) {
-        let r = self.vrem.vocab.int(stats.rows as i64);
-        let c = self.vrem.vocab.int(stats.cols as i64);
-        let rn = self.inst.const_node(r);
-        let cn = self.inst.const_node(c);
-        self.inst.insert(self.vrem.size, vec![node, rn, cn], Provenance::empty(), None);
-        let d = density_sym(self.vrem, stats.density);
-        let dn = self.inst.const_node(d);
-        self.inst.insert(self.vrem.density, vec![node, dn], Provenance::empty(), None);
     }
 
     fn type_facts(&mut self, node: NodeId, flags: TypeFlags) {
@@ -108,128 +244,66 @@ impl<'a> Encoder<'a> {
             add(self, "O");
         }
     }
+}
 
-    fn op_fact(&mut self, kind: OpKind, inputs: &[NodeId], out: NodeId) {
-        let pred = self.vrem.op(kind);
-        let mut args = inputs.to_vec();
-        args.push(out);
+impl HashCons for Encoder<'_> {
+    type Class = NodeId;
+
+    fn cat(&self) -> &MetaCatalog {
+        self.cat
+    }
+
+    fn vrem(&mut self) -> &mut Vrem {
+        self.vrem
+    }
+
+    fn memo(&mut self) -> &mut Memo<NodeId> {
+        &mut self.memo
+    }
+
+    /// A `name`/`lit`/`identity`/`zero` fact over a fresh null; base
+    /// matrices also get their catalogued `type` facts.
+    fn new_leaf(&mut self, e: &Expr, pred: PredId, sym: Option<SymId>) -> NodeId {
+        let sym_node = sym.map(|s| self.inst.const_node(s));
+        let class = self.inst.fresh_null();
+        let args = std::iter::once(class).chain(sym_node).collect();
         self.inst.insert(pred, args, Provenance::empty(), None);
-    }
-
-    fn enc(&mut self, e: &Expr) -> Result<NodeId, ShapeError> {
-        let key = format!("{e}");
-        if let Some(&n) = self.memo.get(&key) {
-            return Ok(n);
-        }
-        let node = self.enc_uncached(e)?;
-        self.memo.insert(key, node);
-        Ok(node)
-    }
-
-    fn enc_uncached(&mut self, e: &Expr) -> Result<NodeId, ShapeError> {
-        use Expr::*;
-        let stats = crate::stats::expr_stats(e, self.cat)?;
-        let node = match e {
-            Mat(n) => {
-                let meta =
-                    self.cat.get(n).ok_or_else(|| ShapeError::UnknownMatrix(n.clone()))?;
-                let sym = self.vrem.vocab.constant(n);
-                let sn = self.inst.const_node(sym);
-                let class = self.inst.fresh_null();
-                self.inst.insert(self.vrem.name, vec![class, sn], Provenance::empty(), None);
+        if let Expr::Mat(n) = e {
+            if let Some(meta) = self.cat.get(n) {
                 self.type_facts(class, meta.flags);
-                class
             }
-            Const(v) => {
-                let sym = self.vrem.vocab.constant(format!("{v}"));
-                let sn = self.inst.const_node(sym);
-                let class = self.inst.fresh_null();
-                self.inst.insert(self.vrem.lit, vec![class, sn], Provenance::empty(), None);
-                class
-            }
-            Identity(_) => {
-                let class = self.inst.fresh_null();
-                self.inst.insert(self.vrem.identity, vec![class], Provenance::empty(), None);
-                class
-            }
-            Zero(..) => {
-                let class = self.inst.fresh_null();
-                self.inst.insert(self.vrem.zero, vec![class], Provenance::empty(), None);
-                class
-            }
-            Sub(a, b) => {
-                // Desugar: a - b = a + (-1 · b).
-                let desugared =
-                    Add(a.clone(), Box::new(ScalarMul(Box::new(Const(-1.0)), b.clone())));
-                return self.enc(&desugared);
-            }
-            Add(a, b) => self.binary(OpKind::Add, a, b)?,
-            Mul(a, b) => self.binary(OpKind::Mul, a, b)?,
-            Hadamard(a, b) => self.binary(OpKind::Hadamard, a, b)?,
-            Div(a, b) => self.binary(OpKind::Div, a, b)?,
-            Kron(a, b) => self.binary(OpKind::Kron, a, b)?,
-            DirectSum(a, b) => self.binary(OpKind::DirectSum, a, b)?,
-            ScalarMul(s, a) => self.binary(OpKind::ScalarMul, s, a)?,
-            Transpose(a) => self.unary(OpKind::Transpose, a)?,
-            Inv(a) => self.unary(OpKind::Inv, a)?,
-            Adj(a) => self.unary(OpKind::Adj, a)?,
-            Exp(a) => self.unary(OpKind::Exp, a)?,
-            Diag(a) => self.unary(OpKind::Diag, a)?,
-            Rev(a) => self.unary(OpKind::Rev, a)?,
-            RowSums(a) => self.unary(OpKind::RowSums, a)?,
-            ColSums(a) => self.unary(OpKind::ColSums, a)?,
-            RowMeans(a) => self.unary(OpKind::RowMeans, a)?,
-            ColMeans(a) => self.unary(OpKind::ColMeans, a)?,
-            RowMin(a) => self.unary(OpKind::RowMin, a)?,
-            RowMax(a) => self.unary(OpKind::RowMax, a)?,
-            ColMin(a) => self.unary(OpKind::ColMin, a)?,
-            ColMax(a) => self.unary(OpKind::ColMax, a)?,
-            RowVar(a) => self.unary(OpKind::RowVar, a)?,
-            ColVar(a) => self.unary(OpKind::ColVar, a)?,
-            Det(a) => self.unary(OpKind::Det, a)?,
-            Trace(a) => self.unary(OpKind::Trace, a)?,
-            Sum(a) => self.unary(OpKind::Sum, a)?,
-            Min(a) => self.unary(OpKind::Min, a)?,
-            Max(a) => self.unary(OpKind::Max, a)?,
-            Mean(a) => self.unary(OpKind::Mean, a)?,
-            Var(a) => self.unary(OpKind::Var, a)?,
-            Cho(a) => self.unary(OpKind::Cho, a)?,
-            QrQ(a) => self.decomp(OpKind::Qr, a)?.0,
-            QrR(a) => self.decomp(OpKind::Qr, a)?.1,
-            LuL(a) => self.decomp(OpKind::Lu, a)?.0,
-            LuU(a) => self.decomp(OpKind::Lu, a)?.1,
-        };
-        self.stats_facts(node, stats);
-        Ok(node)
-    }
-
-    fn binary(&mut self, kind: OpKind, a: &Expr, b: &Expr) -> Result<NodeId, ShapeError> {
-        let an = self.enc(a)?;
-        let bn = self.enc(b)?;
-        let out = self.inst.fresh_null();
-        self.op_fact(kind, &[an, bn], out);
-        Ok(out)
-    }
-
-    fn unary(&mut self, kind: OpKind, a: &Expr) -> Result<NodeId, ShapeError> {
-        let an = self.enc(a)?;
-        let out = self.inst.fresh_null();
-        self.op_fact(kind, &[an], out);
-        Ok(out)
-    }
-
-    /// QR / LU: one fact with two output classes, memoized per input.
-    fn decomp(&mut self, kind: OpKind, a: &Expr) -> Result<(NodeId, NodeId), ShapeError> {
-        let an = self.enc(a)?;
-        if let Some(&pair) = self.decomp_memo.get(&(kind, an)) {
-            return Ok(pair);
         }
+        class
+    }
+
+    fn new_op(&mut self, kind: OpKind, inputs: &[NodeId]) -> NodeId {
+        let out = self.inst.fresh_null();
+        let mut args = Vec::with_capacity(inputs.len() + 1);
+        args.extend_from_slice(inputs);
+        args.push(out);
+        self.inst.insert(self.vrem.op(kind), args, Provenance::empty(), None);
+        out
+    }
+
+    fn new_pair(&mut self, kind: OpKind, input: NodeId) -> (NodeId, NodeId) {
         let o1 = self.inst.fresh_null();
         let o2 = self.inst.fresh_null();
-        let pred = self.vrem.op(kind);
-        self.inst.insert(pred, vec![an, o1, o2], Provenance::empty(), None);
-        self.decomp_memo.insert((kind, an), (o1, o2));
-        Ok((o1, o2))
+        self.inst.insert(self.vrem.op(kind), vec![input, o1, o2], Provenance::empty(), None);
+        (o1, o2)
+    }
+
+    /// `size` + `density` facts: the per-class statistics the cost oracle
+    /// reads. Emitted for every encoded subexpression so the chase starts
+    /// from the same estimates the ranking cost model would compute.
+    fn new_stats(&mut self, node: NodeId, stats: ClassStats) {
+        let r = self.vrem.vocab.int(stats.rows as i64);
+        let c = self.vrem.vocab.int(stats.cols as i64);
+        let rn = self.inst.const_node(r);
+        let cn = self.inst.const_node(c);
+        self.inst.insert(self.vrem.size, vec![node, rn, cn], Provenance::empty(), None);
+        let d = density_sym(self.vrem, stats.density);
+        let dn = self.inst.const_node(d);
+        self.inst.insert(self.vrem.density, vec![node, dn], Provenance::empty(), None);
     }
 }
 
@@ -245,7 +319,7 @@ pub struct CqEncoder<'a> {
     /// The accumulated CQ body.
     pub atoms: Vec<Atom>,
     next_var: u32,
-    memo: HashMap<String, u32>,
+    memo: Memo<u32>,
     /// When set, `size(v, r, c)` and `density(v, d)` atoms (constant
     /// stats) are emitted per encoded subexpression, so TGD conclusions
     /// built from these atoms carry shapes and sparsity for classes the
@@ -262,7 +336,7 @@ impl<'a> CqEncoder<'a> {
             cat,
             atoms: Vec::new(),
             next_var: 0,
-            memo: HashMap::new(),
+            memo: Memo::default(),
             emit_sizes: false,
         }
     }
@@ -282,81 +356,48 @@ impl<'a> CqEncoder<'a> {
 
     /// Encodes `e`; returns the variable of its class.
     pub fn enc(&mut self, e: &Expr) -> Result<u32, ShapeError> {
-        use Expr::*;
-        let key = format!("{e}");
-        if let Some(&v) = self.memo.get(&key) {
-            return Ok(v);
-        }
-        // Validate shapes eagerly (errors surface at view-registration time).
-        let stats = crate::stats::expr_stats(e, self.cat)?;
-        let var = match e {
-            Mat(n) => {
-                let sym = self.vrem.vocab.constant(n);
-                let v = self.fresh_var();
-                self.atoms
-                    .push(Atom::new(self.vrem.name, vec![Term::Var(v), Term::Const(sym)]));
-                v
-            }
-            Const(c) => {
-                let sym = self.vrem.vocab.constant(format!("{c}"));
-                let v = self.fresh_var();
-                self.atoms.push(Atom::new(self.vrem.lit, vec![Term::Var(v), Term::Const(sym)]));
-                v
-            }
-            Identity(_) => {
-                let v = self.fresh_var();
-                self.atoms.push(Atom::new(self.vrem.identity, vec![Term::Var(v)]));
-                v
-            }
-            Zero(..) => {
-                let v = self.fresh_var();
-                self.atoms.push(Atom::new(self.vrem.zero, vec![Term::Var(v)]));
-                v
-            }
-            Sub(a, b) => {
-                let desugared =
-                    Add(a.clone(), Box::new(ScalarMul(Box::new(Const(-1.0)), b.clone())));
-                return self.enc(&desugared);
-            }
-            QrQ(a) | QrR(a) | LuL(a) | LuU(a) => {
-                let kind = match e {
-                    QrQ(_) | QrR(_) => OpKind::Qr,
-                    _ => OpKind::Lu,
-                };
-                let first = matches!(e, QrQ(_) | LuL(_));
-                let an = self.enc(a)?;
-                let dkey = format!("{}({a})", kind.pred_name());
-                let (o1, o2) = if let Some(&v1) = self.memo.get(&dkey) {
-                    (v1, v1 + 1)
-                } else {
-                    let o1 = self.fresh_var();
-                    let o2 = self.fresh_var();
-                    debug_assert_eq!(o2, o1 + 1);
-                    self.memo.insert(dkey, o1);
-                    self.atoms.push(Atom::new(
-                        self.vrem.op(kind),
-                        vec![Term::Var(an), Term::Var(o1), Term::Var(o2)],
-                    ));
-                    (o1, o2)
-                };
-                if first {
-                    o1
-                } else {
-                    o2
-                }
-            }
-            _ => {
-                // Generic operator node.
-                let kind = op_kind_of(e).expect("leaves handled above");
-                let child_vars: Vec<u32> =
-                    e.children().iter().map(|c| self.enc(c)).collect::<Result<_, _>>()?;
-                let out = self.fresh_var();
-                let mut args: Vec<Term> = child_vars.into_iter().map(Term::Var).collect();
-                args.push(Term::Var(out));
-                self.atoms.push(Atom::new(self.vrem.op(kind), args));
-                out
-            }
-        };
+        Ok(self.class_of(e)?.0)
+    }
+}
+
+impl HashCons for CqEncoder<'_> {
+    type Class = u32;
+
+    fn cat(&self) -> &MetaCatalog {
+        self.cat
+    }
+
+    fn vrem(&mut self) -> &mut Vrem {
+        self.vrem
+    }
+
+    fn memo(&mut self) -> &mut Memo<u32> {
+        &mut self.memo
+    }
+
+    fn new_leaf(&mut self, _e: &Expr, pred: PredId, sym: Option<SymId>) -> u32 {
+        let v = self.fresh_var();
+        let args = std::iter::once(Term::Var(v)).chain(sym.map(Term::Const)).collect();
+        self.atoms.push(Atom::new(pred, args));
+        v
+    }
+
+    fn new_op(&mut self, kind: OpKind, inputs: &[u32]) -> u32 {
+        let out = self.fresh_var();
+        let args = inputs.iter().chain([&out]).map(|&v| Term::Var(v)).collect();
+        self.atoms.push(Atom::new(self.vrem.op(kind), args));
+        out
+    }
+
+    fn new_pair(&mut self, kind: OpKind, input: u32) -> (u32, u32) {
+        let o1 = self.fresh_var();
+        let o2 = self.fresh_var();
+        let args = vec![Term::Var(input), Term::Var(o1), Term::Var(o2)];
+        self.atoms.push(Atom::new(self.vrem.op(kind), args));
+        (o1, o2)
+    }
+
+    fn new_stats(&mut self, var: u32, stats: ClassStats) {
         if self.emit_sizes {
             let r = self.vrem.vocab.int(stats.rows as i64);
             let c = self.vrem.vocab.int(stats.cols as i64);
@@ -367,8 +408,6 @@ impl<'a> CqEncoder<'a> {
             let d = density_sym(self.vrem, stats.density);
             self.atoms.push(Atom::new(self.vrem.density, vec![Term::Var(var), Term::Const(d)]));
         }
-        self.memo.insert(key, var);
-        Ok(var)
     }
 }
 

@@ -5,13 +5,21 @@
 //! After the chase saturates an encoded instance under the MMC catalogue,
 //! each union-find class is an equivalence class of value-equal
 //! subexpressions and each operator fact is one way to compute its output
-//! class: the instance is an e-graph. The extractor runs a Bellman-Ford
-//! style cost relaxation over that e-graph (classes may be cyclic —
-//! `(Aᵀ)ᵀ = A` merges a class with a descendant of itself) and rebuilds the
-//! cheapest expression per class, resugaring the encoder's
-//! `a + (-1 · b)` desugaring back to subtraction.
+//! class: the instance is an e-graph, and it may be cyclic (`(Aᵀ)ᵀ = A`
+//! merges a class with a descendant of itself). The extractor groups the
+//! e-nodes of every class in arrays indexed by the class's dense
+//! union-find id and finds each class's cheapest derivation in one
+//! worklist pass — Knuth's generalization of Dijkstra's algorithm. An
+//! e-node costs `max(op, 1e-9) + Σ operand classes`, which is monotone in
+//! every operand and never below any of them, so the cheapest class still
+//! queued is final when it is popped, and an e-node is costed exactly
+//! once, when the last of its operand classes is popped. Expressions are
+//! rebuilt from the chosen e-nodes on demand, resugaring the encoder's
+//! `a + (-1 · b)` back to subtraction.
 
-use std::collections::HashMap;
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+use std::ops::Range;
 
 use hadad_chase::{Instance, NodeId};
 
@@ -20,26 +28,29 @@ use crate::schema::{OpKind, Vrem, DENSITY_SCALE};
 use crate::stats::{op_stats, ClassStats};
 
 /// One way to produce a class: a leaf fact or an operator application.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ENode {
-    /// `name(class, n)` — base matrix `n`.
-    Mat(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum ENode {
+    /// `name(class, n)` — base matrix `names[n]`.
+    Mat(u32),
     /// `lit(class, v)` — scalar literal.
     Const(f64),
-    /// `identity(class)`; the order comes from the class's `size` fact.
+    /// `identity(class)`; the order comes from the class's shape.
     Identity,
-    /// `zero(class)`; dims come from the class's `size` fact.
+    /// `zero(class)`; dims come from the class's shape.
     Zero,
     /// Operator fact producing this class as output `out_idx` (QR/LU have
-    /// two outputs; everything else one).
-    Op {
-        /// The operator.
-        kind: OpKind,
-        /// Input classes, in operand order.
-        inputs: Vec<NodeId>,
-        /// Which output of the operator this class is (QR/LU have two).
-        out_idx: usize,
-    },
+    /// two outputs; everything else one) from the first
+    /// `kind.num_inputs()` classes of `inputs` (a unary operand twice).
+    Op { kind: OpKind, out_idx: usize, inputs: [NodeId; 2] },
+}
+
+impl ENode {
+    fn operands(&self) -> &[NodeId] {
+        match self {
+            ENode::Op { kind, inputs, .. } => &inputs[..kind.num_inputs()],
+            _ => &[],
+        }
+    }
 }
 
 /// Pluggable cost for the extraction DP. Implementations see operator
@@ -85,25 +96,62 @@ impl ExtractionCost for TreeSizeCost {
     }
 }
 
-/// Min-cost extractor over a VREM instance.
+/// Min-cost extractor over a VREM instance. Every per-class vector is
+/// indexed by the class's canonical `NodeId.0`.
 pub struct Extractor<'a> {
     inst: &'a Instance,
-    /// Canonical class -> candidate e-nodes.
-    classes: HashMap<NodeId, Vec<ENode>>,
-    /// Canonical class -> shape, from `size` facts (the chase propagates
-    /// them to created classes) or inferred during the relaxation.
-    shapes: HashMap<NodeId, (usize, usize)>,
-    /// Canonical class -> estimated density, the minimum over the class's
-    /// `density` facts (min is order-independent, keeping extraction
-    /// deterministic when merged derivations disagree on the estimate).
-    densities: HashMap<NodeId, f64>,
-    /// Canonical class -> (best cost, index into `classes[class]`).
-    best: HashMap<NodeId, (f64, usize)>,
+    /// Base-matrix names the `Mat` e-nodes point into.
+    names: Vec<String>,
+    /// Every class's e-nodes, grouped by class and in fact order within
+    /// one: class `c`'s are `nodes[first[c]..first[c + 1]]`.
+    nodes: Vec<ENode>,
+    first: Vec<u32>,
+    /// Shape, from `size` facts (the chase propagates them to created
+    /// classes) or, failing those, from the first costed literal (1 × 1)
+    /// or operator e-node.
+    shapes: Vec<Option<(usize, usize)>>,
+    /// Estimated density, the minimum over the class's `density` facts
+    /// (min is order-independent, keeping extraction deterministic when
+    /// merged derivations disagree on the estimate).
+    densities: Vec<Option<f64>>,
+    /// Cheapest derivation: its cost and its index into `nodes`.
+    best: Vec<Option<(f64, u32)>>,
+}
+
+/// A class queued at a tentative cost. The heap pops the cheapest first
+/// (equal costs: the lower id).
+struct Queued(f64, u32);
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Queued {}
+
+/// The solver's frontier: classes with a tentative cost, and the classes
+/// whose cost is final.
+struct Worklist {
+    heap: BinaryHeap<Reverse<Queued>>,
+    done: Vec<bool>,
 }
 
 impl<'a> Extractor<'a> {
-    /// Collects e-nodes and shapes from the instance and runs the cost
-    /// relaxation to fixpoint.
+    /// Collects e-nodes, shapes and densities from the instance and solves
+    /// for every class's cheapest derivation.
     pub fn new(vrem: &Vrem, inst: &'a Instance, cost: &dyn ExtractionCost) -> Self {
         // Fault-injection site: `extract.solve=panic` exercises the
         // optimizer's phase-level catch_unwind (degrade to the original
@@ -113,423 +161,412 @@ impl<'a> Extractor<'a> {
         static SOLVES: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("extract.solves");
         SOLVES.incr();
         let _span = hadad_obs::span("extract.solve");
+        let n = inst.num_nodes();
         let mut ex = Extractor {
             inst,
-            classes: HashMap::new(),
-            shapes: HashMap::new(),
-            densities: HashMap::new(),
-            best: HashMap::new(),
+            names: Vec::new(),
+            nodes: Vec::new(),
+            first: vec![0; n + 1],
+            shapes: vec![None; n],
+            densities: vec![None; n],
+            best: vec![None; n],
         };
         ex.collect(vrem);
         ex.solve(cost);
         ex
     }
 
-    fn push(&mut self, class: NodeId, node: ENode) {
-        let nodes = self.classes.entry(class).or_default();
-        if !nodes.contains(&node) {
-            nodes.push(node);
-        }
+    fn class_nodes(&self, class: usize) -> Range<usize> {
+        self.first[class] as usize..self.first[class + 1] as usize
     }
 
     fn collect(&mut self, vrem: &Vrem) {
-        for f in self.inst.facts() {
-            let canon: Vec<NodeId> = f.args.iter().map(|&a| self.inst.find(a)).collect();
+        let inst = self.inst;
+        let constant = |n: NodeId| inst.const_of(n).map(|s| vrem.vocab.const_name(s));
+        let mut found: Vec<(u32, ENode)> = Vec::with_capacity(inst.num_facts());
+        for f in inst.facts() {
+            let arg = |i: usize| inst.find(f.args[i]);
             if f.pred == vrem.name {
-                if let Some(sym) = self.inst.const_of(canon[1]) {
-                    let name = vrem.vocab.const_name(sym).to_owned();
-                    self.push(canon[0], ENode::Mat(name));
+                if let Some(name) = constant(arg(1)) {
+                    let i = match self.names.iter().position(|n| n == name) {
+                        Some(i) => i,
+                        None => {
+                            self.names.push(name.to_owned());
+                            self.names.len() - 1
+                        }
+                    };
+                    found.push((arg(0).0, ENode::Mat(i as u32)));
                 }
             } else if f.pred == vrem.lit {
-                if let Some(sym) = self.inst.const_of(canon[1]) {
-                    if let Ok(v) = vrem.vocab.const_name(sym).parse::<f64>() {
-                        self.push(canon[0], ENode::Const(v));
-                    }
+                if let Some(v) = constant(arg(1)).and_then(|s| s.parse::<f64>().ok()) {
+                    found.push((arg(0).0, ENode::Const(v)));
                 }
             } else if f.pred == vrem.identity {
-                self.push(canon[0], ENode::Identity);
+                found.push((arg(0).0, ENode::Identity));
             } else if f.pred == vrem.zero {
-                self.push(canon[0], ENode::Zero);
+                found.push((arg(0).0, ENode::Zero));
             } else if f.pred == vrem.size {
-                let dim = |n: NodeId| {
-                    self.inst
-                        .const_of(n)
-                        .and_then(|s| vrem.vocab.const_name(s).parse::<usize>().ok())
-                };
-                if let (Some(r), Some(c)) = (dim(canon[1]), dim(canon[2])) {
-                    self.shapes.insert(canon[0], (r, c));
+                let dim = |i: usize| constant(arg(i)).and_then(|s| s.parse::<usize>().ok());
+                if let (Some(r), Some(c)) = (dim(1), dim(2)) {
+                    self.shapes[arg(0).0 as usize] = Some((r, c));
                 }
             } else if f.pred == vrem.density {
-                if let Some(ppm) = self
-                    .inst
-                    .const_of(canon[1])
-                    .and_then(|s| vrem.vocab.const_name(s).parse::<i64>().ok())
-                {
+                if let Some(ppm) = constant(arg(1)).and_then(|s| s.parse::<i64>().ok()) {
                     let d = (ppm as f64 / DENSITY_SCALE).clamp(0.0, 1.0);
-                    self.densities
-                        .entry(canon[0])
-                        .and_modify(|cur| *cur = cur.min(d))
-                        .or_insert(d);
+                    let slot = &mut self.densities[arg(0).0 as usize];
+                    *slot = Some(slot.map_or(d, |cur| cur.min(d)));
                 }
             } else if let Some(kind) = vrem.kind_of(f.pred) {
                 let n_in = kind.num_inputs();
-                let inputs = canon[..n_in].to_vec();
-                for (out_idx, &out) in canon[n_in..].iter().enumerate() {
-                    self.push(out, ENode::Op { kind, inputs: inputs.clone(), out_idx });
+                let inputs = [arg(0), arg(n_in - 1)];
+                for out_idx in 0..f.args.len() - n_in {
+                    found.push((arg(n_in + out_idx).0, ENode::Op { kind, out_idx, inputs }));
+                }
+            }
+        }
+        // Group by class; the sort is stable, so fact order within a class
+        // survives, and a repeated e-node keeps its first position.
+        found.sort_by_key(|&(class, _)| class);
+        let mut group = (u32::MAX, 0);
+        for (class, node) in found {
+            if group.0 != class {
+                group = (class, self.nodes.len());
+            }
+            if !self.nodes[group.1..].contains(&node) {
+                self.nodes.push(node);
+                self.first[class as usize + 1] += 1;
+            }
+        }
+        for c in 1..self.first.len() {
+            self.first[c] += self.first[c - 1];
+        }
+    }
+
+    /// Knuth's worklist: pop the cheapest queued class, which makes its
+    /// cost final; every e-node reading it that has no operand left to
+    /// wait for is costed and offered to its own class.
+    fn solve(&mut self, cost: &dyn ExtractionCost) {
+        let n = self.best.len();
+        // Per e-node: its class and its operands not yet final. Per class:
+        // the e-nodes reading it, once per operand position —
+        // `readers[reader_first[c]..reader_first[c + 1]]`.
+        let mut owner = vec![0; self.nodes.len()];
+        let mut waiting = vec![0u8; self.nodes.len()];
+        let mut reader_first = vec![0u32; n + 1];
+        for class in 0..n {
+            for i in self.class_nodes(class) {
+                owner[i] = class;
+                let operands = self.nodes[i].operands();
+                waiting[i] = operands.len() as u8;
+                for o in operands {
+                    reader_first[o.0 as usize + 1] += 1;
+                }
+            }
+        }
+        for c in 1..=n {
+            reader_first[c] += reader_first[c - 1];
+        }
+        let mut readers = vec![0u32; reader_first[n] as usize];
+        let mut cursor = reader_first.clone();
+        for (i, node) in self.nodes.iter().enumerate() {
+            for o in node.operands() {
+                let slot = &mut cursor[o.0 as usize];
+                readers[*slot as usize] = i as u32;
+                *slot += 1;
+            }
+        }
+
+        let mut queue = Worklist { heap: BinaryHeap::new(), done: vec![false; n] };
+        for class in 0..n {
+            for i in self.class_nodes(class) {
+                match self.nodes[i] {
+                    ENode::Const(_) => {
+                        let c = cost.leaf_cost(self.stats(class, (1, 1)));
+                        self.set_shape(class, (1, 1), cost, &mut queue);
+                        self.offer(class, i, c, &mut queue);
+                    }
+                    ENode::Mat(_) | ENode::Identity | ENode::Zero => {
+                        if let Some(shape) = self.shapes[class] {
+                            let c = cost.leaf_cost(self.stats(class, shape));
+                            self.offer(class, i, c, &mut queue);
+                        }
+                    }
+                    ENode::Op { .. } => {}
+                }
+            }
+        }
+        while let Some(Reverse(Queued(_, class))) = queue.heap.pop() {
+            let class = class as usize;
+            if queue.done[class] {
+                continue;
+            }
+            queue.done[class] = true;
+            for r in reader_first[class]..reader_first[class + 1] {
+                let i = readers[r as usize] as usize;
+                waiting[i] -= 1;
+                if waiting[i] == 0 {
+                    self.cost_op(owner[i], i, cost, &mut queue);
                 }
             }
         }
     }
 
-    /// Bellman-Ford relaxation: every pass can only lower class costs, and
-    /// each finite cost certifies a finite (cycle-free) derivation, so the
-    /// in-place sweep reaches fixpoint in at most `#classes` passes.
-    fn solve(&mut self, cost: &dyn ExtractionCost) {
-        let class_ids: Vec<NodeId> = self.classes.keys().copied().collect();
-        // Costs converge within #classes passes; tie-break refinement (keys
-        // depend on child costs) may take as long again.
-        let max_rounds = 2 * (class_ids.len() + 1);
-        for _ in 0..max_rounds {
-            let mut changed = false;
-            for &class in &class_ids {
-                let num_nodes = self.classes[&class].len();
-                for idx in 0..num_nodes {
-                    // Borrow the node per iteration (instead of cloning the
-                    // whole e-node vector per round); `best`/`shapes` are
-                    // only written after the borrow ends.
-                    let node = &self.classes[&class][idx];
-                    let computed = node_candidate(
-                        node,
-                        class,
-                        &self.best,
-                        &self.shapes,
-                        &self.densities,
-                        cost,
-                    );
-                    if let Some((c, shape)) = computed {
-                        self.shapes.entry(class).or_insert(shape);
-                        let incumbent = self
-                            .best
-                            .get(&class)
-                            .map(|&(cur, ci)| (cur, &self.classes[&class][ci]));
-                        if improves((c, node), incumbent, &self.best) {
-                            self.best.insert(class, (c, idx));
-                            changed = true;
-                        }
-                    }
-                }
+    /// Costs operator e-node `i` of `class`, whose operands are all final.
+    fn cost_op(&mut self, class: usize, i: usize, cost: &dyn ExtractionCost, q: &mut Worklist) {
+        if q.done[class] {
+            return;
+        }
+        let ENode::Op { kind, out_idx, .. } = self.nodes[i] else {
+            unreachable!("only operator e-nodes wait for operands")
+        };
+        let mut child = [ClassStats::dense(0, 0); 2];
+        let mut child_costs = 0.0;
+        let operands = self.nodes[i].operands();
+        for (slot, o) in child.iter_mut().zip(operands) {
+            let o = o.0 as usize;
+            let (c, _) = self.best[o].expect("a final class has a derivation");
+            child_costs += c;
+            *slot = self.stats(o, self.shapes[o].expect("a final class has a shape"));
+        }
+        let child = &child[..operands.len()];
+        let propagated = op_stats(kind, out_idx, child);
+        let shape = self.shapes[class].unwrap_or_else(|| propagated.shape());
+        let out = ClassStats {
+            rows: shape.0,
+            cols: shape.1,
+            density: self.densities[class].unwrap_or(propagated.density),
+        };
+        // Clamp so a parent costs more than its children. In f64 the clamp
+        // can vanish into a large child cost; a popped class is final all
+        // the same, so a cyclic class never becomes its own derivation.
+        let total = cost.op_cost(kind, out_idx, child, out).max(1e-9) + child_costs;
+        self.set_shape(class, shape, cost, q);
+        self.offer(class, i, total, q);
+    }
+
+    /// Fixes a shapeless class's shape, which prices its shape-dependent
+    /// leaves (`Mat`/`Identity`/`Zero`).
+    fn set_shape(
+        &mut self,
+        class: usize,
+        shape: (usize, usize),
+        cost: &dyn ExtractionCost,
+        q: &mut Worklist,
+    ) {
+        if self.shapes[class].is_some() {
+            return;
+        }
+        self.shapes[class] = Some(shape);
+        for i in self.class_nodes(class) {
+            if matches!(self.nodes[i], ENode::Mat(_) | ENode::Identity | ENode::Zero) {
+                let c = cost.leaf_cost(self.stats(class, shape));
+                self.offer(class, i, c, q);
             }
-            if !changed {
-                break;
+        }
+    }
+
+    /// Makes e-node `i` (costing `c`) the class's derivation if it beats
+    /// the incumbent: strictly cheaper, or as cheap with a smaller
+    /// [`Self::tie_cmp`] key.
+    fn offer(&mut self, class: usize, i: usize, c: f64, q: &mut Worklist) {
+        if q.done[class] {
+            return;
+        }
+        let better = match self.best[class] {
+            None => true,
+            Some((cur, j)) => {
+                c < cur
+                    || (c == cur
+                        && self.tie_cmp(&self.nodes[i], &self.nodes[j as usize]).is_lt())
             }
+        };
+        if better {
+            self.best[class] = Some((c, i as u32));
+            q.heap.push(Reverse(Queued(c, class as u32)));
+        }
+    }
+
+    /// Deterministic order of e-nodes whose derivations cost exactly the
+    /// same: variant, then a leaf's name or value bits, or an operator's
+    /// kind, output index and operands' best-cost bits. It reads only
+    /// isomorphism-invariant data (never `NodeId`s or collection order), so
+    /// two structurally equal instances extract the same plan regardless of
+    /// fact order — which keeps the naive and semi-naïve chase engines
+    /// observationally identical.
+    fn tie_cmp(&self, a: &ENode, b: &ENode) -> Ordering {
+        let variant = |n: &ENode| match n {
+            ENode::Mat(_) => 0,
+            ENode::Const(_) => 1,
+            ENode::Identity => 2,
+            ENode::Zero => 3,
+            ENode::Op { .. } => 4,
+        };
+        let bits = |o: &NodeId| self.best[o.0 as usize].map_or(u64::MAX, |(c, _)| c.to_bits());
+        variant(a).cmp(&variant(b)).then_with(|| match (a, b) {
+            (ENode::Mat(x), ENode::Mat(y)) => {
+                self.names[*x as usize].cmp(&self.names[*y as usize])
+            }
+            (ENode::Const(x), ENode::Const(y)) => x.to_bits().cmp(&y.to_bits()),
+            (
+                ENode::Op { kind: ka, out_idx: oa, .. },
+                ENode::Op { kind: kb, out_idx: ob, .. },
+            ) => ka
+                .cmp(kb)
+                .then(oa.cmp(ob))
+                .then_with(|| a.operands().iter().map(bits).cmp(b.operands().iter().map(bits))),
+            _ => Ordering::Equal,
+        })
+    }
+
+    /// The stats the cost sees for `class` at `shape`: dense unless the
+    /// class has `density` facts.
+    fn stats(&self, class: usize, shape: (usize, usize)) -> ClassStats {
+        ClassStats {
+            rows: shape.0,
+            cols: shape.1,
+            density: self.densities[class].unwrap_or(1.0),
         }
     }
 
     /// Cost of the cheapest derivation of a class, if one exists.
     pub fn class_cost(&self, class: NodeId) -> Option<f64> {
-        self.best.get(&self.inst.find(class)).map(|&(c, _)| c)
+        self.best[self.inst.find(class).0 as usize].map(|(c, _)| c)
     }
 
     /// Shape of a class, from `size` facts or inference.
     pub fn shape(&self, class: NodeId) -> Option<(usize, usize)> {
-        self.shapes.get(&self.inst.find(class)).copied()
+        self.shapes[self.inst.find(class).0 as usize]
     }
 
     /// Estimated density of a class from its `density` facts, if any.
     pub fn density(&self, class: NodeId) -> Option<f64> {
-        self.densities.get(&self.inst.find(class)).copied()
+        self.densities[self.inst.find(class).0 as usize]
     }
 
     /// The cheapest expression of a class, resugared.
     pub fn extract(&self, root: NodeId) -> Option<Expr> {
-        let root = self.inst.find(root);
-        let &(_, idx) = self.best.get(&root)?;
-        let e = self.build(root, &self.classes[&root][idx])?;
-        Some(resugar(&e))
+        self.build_best(self.inst.find(root))
     }
 
     /// One candidate expression per derivation of the root class, each
-    /// completed with min-cost children and deduplicated syntactically.
+    /// completed with min-cost children and deduplicated.
     /// The caller ranks these with its own (richer) cost model.
     pub fn candidates(&self, root: NodeId) -> Vec<Expr> {
-        let root = self.inst.find(root);
-        let nodes = self.classes.get(&root).map_or(&[][..], Vec::as_slice);
-        let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
-        nodes
-            .iter()
-            .filter_map(|n| self.build(root, n).map(|e| resugar(&e)))
-            .filter(|e| seen.insert(e.to_string()))
-            .collect()
+        let root = self.inst.find(root).0 as usize;
+        let mut out: Vec<Expr> = Vec::new();
+        for i in self.class_nodes(root) {
+            if let Some(e) = self.build(root, self.nodes[i]) {
+                if !out.contains(&e) {
+                    out.push(e);
+                }
+            }
+        }
+        out
+    }
+
+    fn build_best(&self, class: NodeId) -> Option<Expr> {
+        let class = class.0 as usize;
+        let (_, i) = self.best[class]?;
+        self.build(class, self.nodes[i as usize])
     }
 
     /// Rebuilds an expression from a chosen e-node, following best
-    /// derivations below it. Finite best costs certify acyclicity.
-    fn build(&self, class: NodeId, node: &ENode) -> Option<Expr> {
-        let expr = match node {
-            ENode::Mat(n) => Expr::Mat(n.clone()),
-            ENode::Const(v) => Expr::Const(*v),
-            ENode::Identity => {
-                let (r, _) = self.shape(class)?;
-                Expr::Identity(r)
-            }
+    /// derivations below it — an acyclic walk, since a class's best
+    /// e-node only reads classes that were final before it.
+    fn build(&self, class: usize, node: ENode) -> Option<Expr> {
+        Some(match node {
+            ENode::Mat(i) => Expr::Mat(self.names[i as usize].clone()),
+            ENode::Const(v) => Expr::Const(v),
+            ENode::Identity => Expr::Identity(self.shapes[class]?.0),
             ENode::Zero => {
-                let (r, c) = self.shape(class)?;
+                let (r, c) = self.shapes[class]?;
                 Expr::Zero(r, c)
             }
-            ENode::Op { kind, inputs, out_idx } => {
-                let mut children = Vec::with_capacity(inputs.len());
-                for &i in inputs {
-                    let &(_, idx) = self.best.get(&i)?;
-                    children.push(self.build(i, &self.classes[&i][idx])?);
-                }
-                op_expr(*kind, *out_idx, children)?
-            }
-        };
-        Some(expr)
-    }
-}
-
-/// Deterministic tie-break key for e-nodes whose derivations cost exactly
-/// the same: variant, operator, output index, then the child best-cost
-/// bits. Depends only on isomorphism-invariant data (never on `NodeId`s or
-/// collection order), so two structurally equal instances extract the same
-/// plan regardless of fact ordering — which keeps the naive and semi-naïve
-/// chase engines observationally identical.
-fn tie_key<'n>(
-    node: &'n ENode,
-    best: &HashMap<NodeId, (f64, usize)>,
-) -> (u8, u32, u8, Vec<u64>, &'n str) {
-    match node {
-        ENode::Mat(n) => (0, 0, 0, Vec::new(), n.as_str()),
-        ENode::Const(v) => (1, 0, 0, vec![v.to_bits()], ""),
-        ENode::Identity => (2, 0, 0, Vec::new(), ""),
-        ENode::Zero => (3, 0, 0, Vec::new(), ""),
-        ENode::Op { kind, inputs, out_idx } => {
-            let child_costs = inputs
-                .iter()
-                .map(|i| best.get(i).map_or(u64::MAX, |&(c, _)| c.to_bits()))
-                .collect();
-            (4, *kind as u32, *out_idx as u8, child_costs, "")
-        }
-    }
-}
-
-/// `true` when `candidate` should replace the incumbent `(cur_cost, cur_idx)`
-/// derivation: strictly cheaper, or equally cheap with a smaller tie key.
-fn improves(
-    candidate: (f64, &ENode),
-    incumbent: Option<(f64, &ENode)>,
-    best: &HashMap<NodeId, (f64, usize)>,
-) -> bool {
-    match incumbent {
-        None => true,
-        Some((cur, cur_node)) => {
-            let (c, node) = candidate;
-            c < cur || (c == cur && tie_key(node, best) < tie_key(cur_node, best))
-        }
-    }
-}
-
-/// Cost and shape of one e-node derivation against a cost/shape snapshot,
-/// or `None` while some child is still unsolved. Densities come from the
-/// class's `density` facts; classes without facts assume dense children and
-/// [`op_stats`]-propagated outputs — both derivation-order-independent, so
-/// extraction stays deterministic.
-fn node_candidate(
-    node: &ENode,
-    class: NodeId,
-    best: &HashMap<NodeId, (f64, usize)>,
-    shapes: &HashMap<NodeId, (usize, usize)>,
-    densities: &HashMap<NodeId, f64>,
-    cost: &dyn ExtractionCost,
-) -> Option<(f64, (usize, usize))> {
-    let stats_of = |n: NodeId, shape: (usize, usize)| ClassStats {
-        rows: shape.0,
-        cols: shape.1,
-        density: densities.get(&n).copied().unwrap_or(1.0),
-    };
-    match node {
-        ENode::Mat(_) | ENode::Identity | ENode::Zero => {
-            shapes.get(&class).map(|&s| (cost.leaf_cost(stats_of(class, s)), s))
-        }
-        ENode::Const(_) => Some((cost.leaf_cost(stats_of(class, (1, 1))), (1, 1))),
-        ENode::Op { kind, inputs, out_idx } => {
-            let mut child_costs = 0.0;
-            let mut child_stats = Vec::with_capacity(inputs.len());
-            for &i in inputs {
-                match (best.get(&i), shapes.get(&i)) {
-                    (Some(&(c, _)), Some(&s)) => {
-                        child_costs += c;
-                        child_stats.push(stats_of(i, s));
-                    }
-                    _ => return None,
+            ENode::Op { kind, out_idx, inputs } => {
+                let a = Box::new(self.build_best(inputs[0])?);
+                if kind.num_inputs() == 1 {
+                    unary_expr(kind, out_idx, a)
+                } else {
+                    binary_expr(kind, a, Box::new(self.build_best(inputs[1])?))
                 }
             }
-            let propagated = op_stats(*kind, *out_idx, &child_stats);
-            let out_shape = shapes.get(&class).copied().unwrap_or_else(|| propagated.shape());
-            let out = ClassStats {
-                rows: out_shape.0,
-                cols: out_shape.1,
-                density: densities.get(&class).copied().unwrap_or(propagated.density),
-            };
-            let op = cost.op_cost(*kind, *out_idx, &child_stats, out);
-            // Clamp so parents always cost strictly more than children;
-            // cyclic classes then cannot be their own best derivation.
-            Some((op.max(1e-9) + child_costs, out_shape))
-        }
+        })
     }
 }
 
-/// Builds the `Expr` node for an operator kind and output index.
-fn op_expr(kind: OpKind, out_idx: usize, mut ch: Vec<Expr>) -> Option<Expr> {
+/// The `Expr` node of a binary operator; `Add` resugars.
+fn binary_expr(kind: OpKind, a: Box<Expr>, b: Box<Expr>) -> Expr {
     use OpKind::*;
-    let bin = |ch: &mut Vec<Expr>| {
-        let b = Box::new(ch.pop().unwrap());
-        let a = Box::new(ch.pop().unwrap());
-        (a, b)
+    match kind {
+        Add => add_or_sub(a, b),
+        Mul => Expr::Mul(a, b),
+        Hadamard => Expr::Hadamard(a, b),
+        Div => Expr::Div(a, b),
+        ScalarMul => Expr::ScalarMul(a, b),
+        Kron => Expr::Kron(a, b),
+        DirectSum => Expr::DirectSum(a, b),
+        _ => unreachable!("{kind:?} is unary"),
+    }
+}
+
+/// The `Expr` node of a unary operator's output `out_idx`.
+fn unary_expr(kind: OpKind, out_idx: usize, a: Box<Expr>) -> Expr {
+    use OpKind::*;
+    match kind {
+        Transpose => Expr::Transpose(a),
+        Inv => Expr::Inv(a),
+        Adj => Expr::Adj(a),
+        Exp => Expr::Exp(a),
+        Diag => Expr::Diag(a),
+        Rev => Expr::Rev(a),
+        RowSums => Expr::RowSums(a),
+        ColSums => Expr::ColSums(a),
+        RowMeans => Expr::RowMeans(a),
+        ColMeans => Expr::ColMeans(a),
+        RowMin => Expr::RowMin(a),
+        RowMax => Expr::RowMax(a),
+        ColMin => Expr::ColMin(a),
+        ColMax => Expr::ColMax(a),
+        RowVar => Expr::RowVar(a),
+        ColVar => Expr::ColVar(a),
+        Det => Expr::Det(a),
+        Trace => Expr::Trace(a),
+        Sum => Expr::Sum(a),
+        Min => Expr::Min(a),
+        Max => Expr::Max(a),
+        Mean => Expr::Mean(a),
+        Var => Expr::Var(a),
+        Cho => Expr::Cho(a),
+        Qr if out_idx == 0 => Expr::QrQ(a),
+        Qr => Expr::QrR(a),
+        Lu if out_idx == 0 => Expr::LuL(a),
+        Lu => Expr::LuU(a),
+        _ => unreachable!("{kind:?} is binary"),
+    }
+}
+
+/// `a + b`, resugaring the encoder's `a + (-1 · b)` to `a - b` — in either
+/// addend order, since the chase may commute additions. Operands are built
+/// bottom-up, so they are resugared already.
+fn add_or_sub(a: Box<Expr>, b: Box<Expr>) -> Expr {
+    let b = match negated_operand(b) {
+        Ok(x) => return Expr::Sub(a, x),
+        Err(b) => b,
     };
-    let un = |ch: &mut Vec<Expr>| Box::new(ch.pop().unwrap());
-    Some(match kind {
-        Add => {
-            let (a, b) = bin(&mut ch);
-            Expr::Add(a, b)
-        }
-        Mul => {
-            let (a, b) = bin(&mut ch);
-            Expr::Mul(a, b)
-        }
-        Hadamard => {
-            let (a, b) = bin(&mut ch);
-            Expr::Hadamard(a, b)
-        }
-        Div => {
-            let (a, b) = bin(&mut ch);
-            Expr::Div(a, b)
-        }
-        ScalarMul => {
-            let (a, b) = bin(&mut ch);
-            Expr::ScalarMul(a, b)
-        }
-        Kron => {
-            let (a, b) = bin(&mut ch);
-            Expr::Kron(a, b)
-        }
-        DirectSum => {
-            let (a, b) = bin(&mut ch);
-            Expr::DirectSum(a, b)
-        }
-        Transpose => Expr::Transpose(un(&mut ch)),
-        Inv => Expr::Inv(un(&mut ch)),
-        Adj => Expr::Adj(un(&mut ch)),
-        Exp => Expr::Exp(un(&mut ch)),
-        Diag => Expr::Diag(un(&mut ch)),
-        Rev => Expr::Rev(un(&mut ch)),
-        RowSums => Expr::RowSums(un(&mut ch)),
-        ColSums => Expr::ColSums(un(&mut ch)),
-        RowMeans => Expr::RowMeans(un(&mut ch)),
-        ColMeans => Expr::ColMeans(un(&mut ch)),
-        RowMin => Expr::RowMin(un(&mut ch)),
-        RowMax => Expr::RowMax(un(&mut ch)),
-        ColMin => Expr::ColMin(un(&mut ch)),
-        ColMax => Expr::ColMax(un(&mut ch)),
-        RowVar => Expr::RowVar(un(&mut ch)),
-        ColVar => Expr::ColVar(un(&mut ch)),
-        Det => Expr::Det(un(&mut ch)),
-        Trace => Expr::Trace(un(&mut ch)),
-        Sum => Expr::Sum(un(&mut ch)),
-        Min => Expr::Min(un(&mut ch)),
-        Max => Expr::Max(un(&mut ch)),
-        Mean => Expr::Mean(un(&mut ch)),
-        Var => Expr::Var(un(&mut ch)),
-        Cho => Expr::Cho(un(&mut ch)),
-        Qr => {
-            let a = un(&mut ch);
-            if out_idx == 0 {
-                Expr::QrQ(a)
-            } else {
-                Expr::QrR(a)
-            }
-        }
-        Lu => {
-            let a = un(&mut ch);
-            if out_idx == 0 {
-                Expr::LuL(a)
-            } else {
-                Expr::LuU(a)
-            }
-        }
-    })
+    match negated_operand(a) {
+        Ok(x) => Expr::Sub(b, x),
+        Err(a) => Expr::Add(a, b),
+    }
 }
 
-/// Resugars the encoder's subtraction desugaring: `a + (-1 · b)` becomes
-/// `a - b` (in either addend order, since the chase may commute additions).
-pub fn resugar(e: &Expr) -> Expr {
-    use Expr::*;
-    let rebuilt = map_children(e, &|c| resugar(c));
-    if let Add(a, b) = &rebuilt {
-        if let Some(neg) = negated_operand(b) {
-            return Sub(a.clone(), Box::new(neg));
-        }
-        if let Some(neg) = negated_operand(a) {
-            return Sub(b.clone(), Box::new(neg));
+/// `x` if `e` is `(-1) · x`, else `e` back.
+fn negated_operand(e: Box<Expr>) -> Result<Box<Expr>, Box<Expr>> {
+    if matches!(&*e, Expr::ScalarMul(s, _) if matches!(**s, Expr::Const(v) if v == -1.0)) {
+        if let Expr::ScalarMul(_, x) = *e {
+            return Ok(x);
         }
     }
-    rebuilt
-}
-
-/// If `e` is `(-1) · x`, returns `x`.
-fn negated_operand(e: &Expr) -> Option<Expr> {
-    if let Expr::ScalarMul(s, x) = e {
-        if matches!(**s, Expr::Const(v) if v == -1.0) {
-            return Some((**x).clone());
-        }
-    }
-    None
-}
-
-/// Rebuilds an expression with each child replaced by `f(child)`.
-pub(crate) fn map_children(e: &Expr, f: &impl Fn(&Expr) -> Expr) -> Expr {
-    use Expr::*;
-    let b = |x: &Expr| Box::new(f(x));
-    match e {
-        Mat(_) | Const(_) | Identity(_) | Zero(..) => e.clone(),
-        Add(x, y) => Add(b(x), b(y)),
-        Sub(x, y) => Sub(b(x), b(y)),
-        Mul(x, y) => Mul(b(x), b(y)),
-        Hadamard(x, y) => Hadamard(b(x), b(y)),
-        Div(x, y) => Div(b(x), b(y)),
-        Kron(x, y) => Kron(b(x), b(y)),
-        DirectSum(x, y) => DirectSum(b(x), b(y)),
-        ScalarMul(x, y) => ScalarMul(b(x), b(y)),
-        Transpose(x) => Transpose(b(x)),
-        Inv(x) => Inv(b(x)),
-        Adj(x) => Adj(b(x)),
-        Exp(x) => Exp(b(x)),
-        Diag(x) => Diag(b(x)),
-        Rev(x) => Rev(b(x)),
-        RowSums(x) => RowSums(b(x)),
-        ColSums(x) => ColSums(b(x)),
-        RowMeans(x) => RowMeans(b(x)),
-        ColMeans(x) => ColMeans(b(x)),
-        RowMin(x) => RowMin(b(x)),
-        RowMax(x) => RowMax(b(x)),
-        ColMin(x) => ColMin(b(x)),
-        ColMax(x) => ColMax(b(x)),
-        RowVar(x) => RowVar(b(x)),
-        ColVar(x) => ColVar(b(x)),
-        Det(x) => Det(b(x)),
-        Trace(x) => Trace(b(x)),
-        Sum(x) => Sum(b(x)),
-        Min(x) => Min(b(x)),
-        Max(x) => Max(b(x)),
-        Mean(x) => Mean(b(x)),
-        Var(x) => Var(b(x)),
-        Cho(x) => Cho(b(x)),
-        QrQ(x) => QrQ(b(x)),
-        QrR(x) => QrR(b(x)),
-        LuL(x) => LuL(b(x)),
-        LuU(x) => LuU(b(x)),
-    }
+    Err(e)
 }
 
 #[cfg(test)]
@@ -537,7 +574,7 @@ mod tests {
     use super::*;
     use crate::encode::Encoder;
     use crate::expr::dsl::*;
-    use crate::stats::{MatrixMeta, MetaCatalog};
+    use crate::stats::{op_cost_with, BackendProfile, MatrixMeta, MetaCatalog};
 
     fn cat() -> MetaCatalog {
         let mut c = MetaCatalog::new();
@@ -588,6 +625,55 @@ mod tests {
         assert_eq!(roundtrip(&e), e);
         let z = add(m("D"), Expr::Zero(10, 10));
         assert_eq!(roundtrip(&z), z);
+    }
+
+    /// Flops pricing as `hadad_rewrite::FlopsCost` does it, on the
+    /// reference profile.
+    struct Flops;
+
+    impl ExtractionCost for Flops {
+        fn leaf_cost(&self, _stats: ClassStats) -> f64 {
+            0.0
+        }
+
+        fn op_cost(
+            &self,
+            kind: OpKind,
+            out_idx: usize,
+            ch: &[ClassStats],
+            out: ClassStats,
+        ) -> f64 {
+            op_cost_with(&BackendProfile::reference(), kind, out_idx, ch, &out)
+        }
+    }
+
+    /// `X = diag(S)` of an all-zero 10⁸ × 10⁸ sparse `S` costs 10⁸ flops;
+    /// a transpose of it moves no non-zeros, so each costs the 1e-9 clamp,
+    /// which 10⁸ + 1e-9 absorbs. Merging `(Xᵀ)ᵀ` into `X` gives the class a
+    /// cyclic e-node exactly as cheap as `diag(S)` and with a smaller tie
+    /// key (`Transpose` sorts before `Diag`): a relaxation to fixpoint
+    /// would pick it and `extract` would never return. The worklist
+    /// finalizes `X` before its cyclic e-node is ever costed.
+    #[test]
+    fn a_class_is_never_its_own_best_derivation() {
+        let n = 100_000_000;
+        let mut c = MetaCatalog::new();
+        c.register("S", MatrixMeta::sparse(n, n, 0));
+        let x = Expr::Diag(Box::new(m("S")));
+        let mut vrem = Vrem::new();
+        let (mut inst, roots) = Encoder::new(&mut vrem, &c)
+            .encode_many(&[&x, &t(x.clone()), &t(t(x.clone()))])
+            .unwrap();
+        inst.merge(roots[0], roots[2]).unwrap();
+        inst.rehash();
+        let ex = Extractor::new(&vrem, &inst, &Flops);
+        assert_eq!(ex.class_cost(roots[0]), Some(n as f64));
+        assert_eq!(ex.class_cost(roots[1]), Some(n as f64), "the clamp is absorbed");
+        assert_eq!(ex.extract(roots[0]), Some(x.clone()));
+        assert_eq!(ex.extract(roots[2]), Some(x.clone()));
+        assert_eq!(ex.extract(roots[1]), Some(t(x.clone())));
+        // The cyclic derivation is still a candidate, built on the acyclic one.
+        assert_eq!(ex.candidates(roots[0]), vec![x.clone(), t(t(x))]);
     }
 
     #[test]

@@ -60,7 +60,7 @@ fn canon_rec(e: &Expr, leaves: &std::cell::RefCell<Vec<String>>) -> Expr {
         };
         return Expr::Mat(placeholder(idx));
     }
-    crate::extract::map_children(e, &|c| canon_rec(c, leaves))
+    map_children(e, &|c| canon_rec(c, leaves))
 }
 
 /// Rewrites every `Mat` leaf whose name appears in `from` to the
@@ -75,7 +75,52 @@ pub fn rename_leaves(e: &Expr, from: &[String], to: &[String]) -> Expr {
         }
         return e.clone();
     }
-    crate::extract::map_children(e, &|c| rename_leaves(c, from, to))
+    map_children(e, &|c| rename_leaves(c, from, to))
+}
+
+/// Rebuilds an expression with each child replaced by `f(child)`.
+fn map_children(e: &Expr, f: &impl Fn(&Expr) -> Expr) -> Expr {
+    use Expr::*;
+    let b = |x: &Expr| Box::new(f(x));
+    match e {
+        Mat(_) | Const(_) | Identity(_) | Zero(..) => e.clone(),
+        Add(x, y) => Add(b(x), b(y)),
+        Sub(x, y) => Sub(b(x), b(y)),
+        Mul(x, y) => Mul(b(x), b(y)),
+        Hadamard(x, y) => Hadamard(b(x), b(y)),
+        Div(x, y) => Div(b(x), b(y)),
+        Kron(x, y) => Kron(b(x), b(y)),
+        DirectSum(x, y) => DirectSum(b(x), b(y)),
+        ScalarMul(x, y) => ScalarMul(b(x), b(y)),
+        Transpose(x) => Transpose(b(x)),
+        Inv(x) => Inv(b(x)),
+        Adj(x) => Adj(b(x)),
+        Exp(x) => Exp(b(x)),
+        Diag(x) => Diag(b(x)),
+        Rev(x) => Rev(b(x)),
+        RowSums(x) => RowSums(b(x)),
+        ColSums(x) => ColSums(b(x)),
+        RowMeans(x) => RowMeans(b(x)),
+        ColMeans(x) => ColMeans(b(x)),
+        RowMin(x) => RowMin(b(x)),
+        RowMax(x) => RowMax(b(x)),
+        ColMin(x) => ColMin(b(x)),
+        ColMax(x) => ColMax(b(x)),
+        RowVar(x) => RowVar(b(x)),
+        ColVar(x) => ColVar(b(x)),
+        Det(x) => Det(b(x)),
+        Trace(x) => Trace(b(x)),
+        Sum(x) => Sum(b(x)),
+        Min(x) => Min(b(x)),
+        Max(x) => Max(b(x)),
+        Mean(x) => Mean(b(x)),
+        Var(x) => Var(b(x)),
+        Cho(x) => Cho(b(x)),
+        QrQ(x) => QrQ(b(x)),
+        QrR(x) => QrR(b(x)),
+        LuL(x) => LuL(b(x)),
+        LuU(x) => LuU(b(x)),
+    }
 }
 
 /// Shape/density bucket of one leaf, derived from [`ClassStats`]: exact

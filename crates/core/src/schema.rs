@@ -6,8 +6,6 @@
 //! (§6.2.1): the chase's functional EGDs merge IDs of provably value-equal
 //! expressions, so the saturated instance doubles as an e-graph.
 
-use std::collections::HashMap;
-
 use hadad_chase::{PredId, Vocabulary};
 
 /// Operator tags shared by the encoder, the constraint catalogue, and the
@@ -142,7 +140,7 @@ impl OpKind {
         }
     }
 
-    /// All operator kinds.
+    /// All operator kinds, in declaration (discriminant) order.
     pub fn all() -> &'static [OpKind] {
         use OpKind::*;
         &[
@@ -175,7 +173,10 @@ pub struct Vrem {
     /// [`crate::stats::ClassStats`]). Read by the cost oracle so the chase
     /// and extraction agree with the ranking estimator on sparsity.
     pub density: PredId,
-    ops: HashMap<OpKind, PredId>,
+    /// Operator relation per `OpKind`, indexed by discriminant.
+    ops: Vec<PredId>,
+    /// Reverse of `ops`, indexed by `PredId.0`.
+    kinds: Vec<Option<OpKind>>,
 }
 
 /// Scale of the `density` relation's integer constants: densities are
@@ -193,21 +194,23 @@ impl Vrem {
         let ty = vocab.predicate("type", 2);
         let lit = vocab.predicate("lit", 2);
         let density = vocab.predicate("density", 2);
-        let mut ops = HashMap::new();
-        for &k in OpKind::all() {
-            ops.insert(k, vocab.predicate(k.pred_name(), k.arity()));
+        let ops: Vec<PredId> =
+            OpKind::all().iter().map(|k| vocab.predicate(k.pred_name(), k.arity())).collect();
+        let mut kinds = vec![None; vocab.num_preds()];
+        for (&k, p) in OpKind::all().iter().zip(&ops) {
+            kinds[p.0 as usize] = Some(k);
         }
-        Vrem { vocab, name, size, zero, identity, ty, lit, density, ops }
+        Vrem { vocab, name, size, zero, identity, ty, lit, density, ops, kinds }
     }
 
     /// Predicate of an operator relation.
     pub fn op(&self, kind: OpKind) -> PredId {
-        self.ops[&kind]
+        self.ops[kind as usize]
     }
 
     /// Reverse lookup: operator kind of a predicate, if it is one.
     pub fn kind_of(&self, pred: PredId) -> Option<OpKind> {
-        self.ops.iter().find(|(_, &p)| p == pred).map(|(&k, _)| k)
+        self.kinds.get(pred.0 as usize).copied().flatten()
     }
 }
 

@@ -4,7 +4,8 @@
 //! ([`op_stats`]/[`op_flops`]/[`op_cost_with`], which the extraction DP's
 //! `hadad_rewrite::FlopsCost` prices classes with) and per expression
 //! ([`expr_estimate`], the one recursion over [`Expr`] behind
-//! [`expr_stats`] and `hadad_rewrite::CostModel`).
+//! [`expr_stats`] and `hadad_rewrite::CostModel`, whose one-level step the
+//! encoders run bottom-up).
 //!
 //! The estimator is the paper's *naïve* metadata propagation (§7.2.1) and
 //! the only one here: it reads `rows`, `cols` and `nnz`, so that is what
@@ -367,11 +368,12 @@ pub fn op_cost_with(
 }
 
 /// Infers shape *and* density of an expression from base-matrix metadata,
-/// validating operator shapes along the way. This is what the encoder
-/// attaches to every subexpression as `size`/`density` facts, so the chase
-/// and the extractor start from the same estimates the ranking cost model
-/// computes: the stats half of [`expr_estimate`], which does not depend
-/// on the backend profile.
+/// validating operator shapes along the way: the stats half of
+/// [`expr_estimate`], which does not depend on the backend profile. The
+/// encoder attaches the same stats to every subexpression as
+/// `size`/`density` facts (computed by the same one-level step, once per
+/// node), so the chase and the extractor start from the estimates the
+/// ranking cost model computes.
 pub fn expr_stats(e: &Expr, cat: &MetaCatalog) -> Result<ClassStats, ShapeError> {
     expr_estimate(e, cat, &BackendProfile::reference()).map(|(stats, _)| stats)
 }
@@ -387,32 +389,47 @@ pub fn expr_estimate(
     cat: &MetaCatalog,
     profile: &BackendProfile,
 ) -> Result<(ClassStats, f64), ShapeError> {
+    let children = e.children();
+    if children.is_empty() {
+        return Ok((leaf_stats(e, cat)?, 0.0));
+    }
+    let mut child = [ClassStats::dense(0, 0); 2];
+    let mut cost = 0.0;
+    for (slot, c) in child.iter_mut().zip(&children) {
+        let (stats, child_cost) = expr_estimate(c, cat, profile)?;
+        *slot = stats;
+        cost += child_cost;
+    }
+    let child = &child[..children.len()];
+    let (kind, out_idx, out) = op_step(e, child)?;
+    Ok((out, cost + op_cost_with(profile, kind, out_idx, child, &out)))
+}
+
+/// Stats of a leaf (`Mat`, `Const`, `Identity`, `Zero`) — the leaf half of
+/// the estimator's one-level step. Base matrices read `cat`.
+pub(crate) fn leaf_stats(e: &Expr, cat: &MetaCatalog) -> Result<ClassStats, ShapeError> {
     use Expr::*;
     Ok(match e {
-        Mat(n) => {
-            (cat.get(n).ok_or_else(|| ShapeError::UnknownMatrix(n.clone()))?.stats(), 0.0)
-        }
-        Const(_) => (ClassStats::dense(1, 1), 0.0),
-        Identity(n) => {
-            (ClassStats { rows: *n, cols: *n, density: 1.0 / (*n).max(1) as f64 }, 0.0)
-        }
-        Zero(r, c) => (ClassStats { rows: *r, cols: *c, density: 0.0 }, 0.0),
-        _ => {
-            let children = e.children();
-            let mut child = [ClassStats::dense(0, 0); 2];
-            let mut cost = 0.0;
-            for (slot, c) in child.iter_mut().zip(&children) {
-                let (stats, child_cost) = expr_estimate(c, cat, profile)?;
-                *slot = stats;
-                cost += child_cost;
-            }
-            let child = &child[..children.len()];
-            let (kind, out_idx) = op_of(e);
-            check_shapes(e, kind, child)?;
-            let out = op_stats(kind, out_idx, child);
-            (out, cost + op_cost_with(profile, kind, out_idx, child, &out))
-        }
+        Mat(n) => cat.get(n).ok_or_else(|| ShapeError::UnknownMatrix(n.clone()))?.stats(),
+        Identity(n) => ClassStats { rows: *n, cols: *n, density: 1.0 / (*n).max(1) as f64 },
+        Zero(r, c) => ClassStats { rows: *r, cols: *c, density: 0.0 },
+        Const(_) => ClassStats::dense(1, 1),
+        _ => unreachable!("{e} is not a leaf"),
     })
+}
+
+/// The operator half of the estimator's one-level step: operator kind,
+/// output index and output stats of the non-leaf `e` from its operands'
+/// stats (`child`, in operand order), after checking the shape rules.
+/// [`expr_estimate`] runs it at every node of its recursion; the encoders
+/// run it once per hash-consed node, bottom-up.
+pub(crate) fn op_step(
+    e: &Expr,
+    child: &[ClassStats],
+) -> Result<(OpKind, usize, ClassStats), ShapeError> {
+    let (kind, out_idx) = op_of(e);
+    check_shapes(e, kind, child)?;
+    Ok((kind, out_idx, op_stats(kind, out_idx, child)))
 }
 
 /// Operator kind and output index of a non-leaf expression (`Sub` is

@@ -100,13 +100,21 @@ pub struct WorkerPanicked;
 /// over it. Also the tile `BackendProfile::parallel` reports.
 pub const GEMM_TILE: usize = 256;
 
-/// Upper bound on worker threads, matching the extraction DP's cap so a
-/// large host does not drown small kernels in spawn overhead.
+/// Upper bound on worker threads, so a large host does not drown small
+/// kernels in spawn overhead.
 const MAX_THREADS: usize = 8;
 
-/// Worker count for `threads = 0` (auto): physical parallelism, capped.
+/// Worker count for `threads = 0` (auto): physical parallelism, capped,
+/// observed once per process like [`Width::detected`] —
+/// `available_parallelism` reads cgroup files, and `BackendProfile` asks on
+/// every rewrite.
 pub fn auto_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get).min(MAX_THREADS)
+    static DETECTED: OnceLock<usize> = OnceLock::new();
+    *DETECTED.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(MAX_THREADS)
+    })
 }
 
 /// The kernel layer the evaluator dispatches matrix products through.
@@ -185,9 +193,9 @@ impl ExecBackend for Reference {
 }
 
 /// Register-blocked, multi-threaded kernels at the detected vector
-/// [`Width`]. `threads = 0` resolves to [`auto_threads`] at call time, so
-/// one static instance adapts to the host; fixed counts are for the
-/// differential tests.
+/// [`Width`]. `threads = 0` resolves to [`auto_threads`], so one static
+/// instance adapts to the host; fixed counts are for the differential
+/// tests.
 #[derive(Debug)]
 pub struct Parallel {
     threads: usize,
@@ -195,7 +203,7 @@ pub struct Parallel {
 }
 
 impl Parallel {
-    /// Auto-sized instance (thread count resolved per call).
+    /// Auto-sized instance (the host's [`auto_threads`]).
     pub const fn auto() -> Self {
         Parallel { threads: 0, fused: AtomicUsize::new(0) }
     }

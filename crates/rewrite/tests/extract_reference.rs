@@ -1,0 +1,348 @@
+//! Differential test of the extractor's worklist solver against the
+//! fixpoint relaxation it replaced, kept here as the reference the way the
+//! naive chase engine is kept for the semi-naïve one. Over the 124
+//! expressions `same_chase.rs` pins, each chased as a cold `rewrite` chases
+//! it, every class's best cost must be bitwise equal, and the extracted
+//! root expression and the root's candidates equal — under tree size, and
+//! under flops with both backend profiles.
+
+use std::collections::HashMap;
+
+use hadad_chase::{ChaseEngine, Instance, NodeId};
+use hadad_core::expr::dsl::*;
+use hadad_core::{
+    op_stats, BackendProfile, Catalogue, ClassStats, Encoder, Expr, ExtractionCost, Extractor,
+    MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, Vrem, DENSITY_SCALE,
+};
+use hadad_linalg::rng::Rng64;
+use hadad_linalg::BackendKind;
+use hadad_rewrite::{FlopsCost, Optimizer};
+
+mod common;
+use common::{corpus_catalog, random_expr};
+
+#[derive(Debug, Clone, PartialEq)]
+enum ENode {
+    Mat(String),
+    Const(f64),
+    Identity,
+    Zero,
+    Op { kind: OpKind, inputs: Vec<NodeId>, out_idx: usize },
+}
+
+/// The extractor before the worklist: e-nodes, shapes, densities and best
+/// derivations in `HashMap`s, solved by in-place Bellman-Ford sweeps over
+/// every class until nothing changes. Classes are swept in id order, so
+/// the reference is deterministic.
+struct Relaxation {
+    classes: HashMap<NodeId, Vec<ENode>>,
+    shapes: HashMap<NodeId, (usize, usize)>,
+    densities: HashMap<NodeId, f64>,
+    best: HashMap<NodeId, (f64, usize)>,
+}
+
+impl Relaxation {
+    fn new(vrem: &Vrem, inst: &Instance, cost: &dyn ExtractionCost) -> Self {
+        let mut r = Relaxation {
+            classes: HashMap::new(),
+            shapes: HashMap::new(),
+            densities: HashMap::new(),
+            best: HashMap::new(),
+        };
+        r.collect(vrem, inst);
+        r.solve(cost);
+        r
+    }
+
+    fn push(&mut self, class: NodeId, node: ENode) {
+        let nodes = self.classes.entry(class).or_default();
+        if !nodes.contains(&node) {
+            nodes.push(node);
+        }
+    }
+
+    fn collect(&mut self, vrem: &Vrem, inst: &Instance) {
+        let constant =
+            |n: NodeId| inst.const_of(n).map(|s| vrem.vocab.const_name(s).to_owned());
+        for f in inst.facts() {
+            let canon: Vec<NodeId> = f.args.iter().map(|&a| inst.find(a)).collect();
+            if f.pred == vrem.name {
+                if let Some(name) = constant(canon[1]) {
+                    self.push(canon[0], ENode::Mat(name));
+                }
+            } else if f.pred == vrem.lit {
+                if let Some(v) = constant(canon[1]).and_then(|s| s.parse::<f64>().ok()) {
+                    self.push(canon[0], ENode::Const(v));
+                }
+            } else if f.pred == vrem.identity {
+                self.push(canon[0], ENode::Identity);
+            } else if f.pred == vrem.zero {
+                self.push(canon[0], ENode::Zero);
+            } else if f.pred == vrem.size {
+                let dim = |n: NodeId| constant(n).and_then(|s| s.parse::<usize>().ok());
+                if let (Some(r), Some(c)) = (dim(canon[1]), dim(canon[2])) {
+                    self.shapes.insert(canon[0], (r, c));
+                }
+            } else if f.pred == vrem.density {
+                if let Some(ppm) = constant(canon[1]).and_then(|s| s.parse::<i64>().ok()) {
+                    let d = (ppm as f64 / DENSITY_SCALE).clamp(0.0, 1.0);
+                    self.densities.entry(canon[0]).and_modify(|c| *c = c.min(d)).or_insert(d);
+                }
+            } else if let Some(kind) = vrem.kind_of(f.pred) {
+                let n_in = kind.num_inputs();
+                for (out_idx, &out) in canon[n_in..].iter().enumerate() {
+                    let inputs = canon[..n_in].to_vec();
+                    self.push(out, ENode::Op { kind, inputs, out_idx });
+                }
+            }
+        }
+    }
+
+    /// Costs converge within #classes sweeps; tie-break refinement (keys
+    /// depend on child costs) may take as long again.
+    fn solve(&mut self, cost: &dyn ExtractionCost) {
+        let mut class_ids: Vec<NodeId> = self.classes.keys().copied().collect();
+        class_ids.sort_unstable();
+        for _ in 0..2 * (class_ids.len() + 1) {
+            let mut changed = false;
+            for &class in &class_ids {
+                for idx in 0..self.classes[&class].len() {
+                    let node = &self.classes[&class][idx];
+                    let Some((c, shape)) = self.candidate(node, class, cost) else {
+                        continue;
+                    };
+                    self.shapes.entry(class).or_insert(shape);
+                    let improves = match self.best.get(&class) {
+                        None => true,
+                        Some(&(cur, ci)) => {
+                            let cur_node = &self.classes[&class][ci];
+                            c < cur || (c == cur && self.tie_key(node) < self.tie_key(cur_node))
+                        }
+                    };
+                    if improves {
+                        self.best.insert(class, (c, idx));
+                        changed = true;
+                    }
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    fn tie_key<'n>(&self, node: &'n ENode) -> (u8, u32, u8, Vec<u64>, &'n str) {
+        match node {
+            ENode::Mat(n) => (0, 0, 0, Vec::new(), n.as_str()),
+            ENode::Const(v) => (1, 0, 0, vec![v.to_bits()], ""),
+            ENode::Identity => (2, 0, 0, Vec::new(), ""),
+            ENode::Zero => (3, 0, 0, Vec::new(), ""),
+            ENode::Op { kind, inputs, out_idx } => {
+                let child_costs = inputs
+                    .iter()
+                    .map(|i| self.best.get(i).map_or(u64::MAX, |&(c, _)| c.to_bits()))
+                    .collect();
+                (4, *kind as u32, *out_idx as u8, child_costs, "")
+            }
+        }
+    }
+
+    fn candidate(
+        &self,
+        node: &ENode,
+        class: NodeId,
+        cost: &dyn ExtractionCost,
+    ) -> Option<(f64, (usize, usize))> {
+        let stats_of = |n: NodeId, shape: (usize, usize)| ClassStats {
+            rows: shape.0,
+            cols: shape.1,
+            density: self.densities.get(&n).copied().unwrap_or(1.0),
+        };
+        match node {
+            ENode::Mat(_) | ENode::Identity | ENode::Zero => {
+                self.shapes.get(&class).map(|&s| (cost.leaf_cost(stats_of(class, s)), s))
+            }
+            ENode::Const(_) => Some((cost.leaf_cost(stats_of(class, (1, 1))), (1, 1))),
+            ENode::Op { kind, inputs, out_idx } => {
+                let mut child_costs = 0.0;
+                let mut child_stats = Vec::with_capacity(inputs.len());
+                for &i in inputs {
+                    let (&(c, _), &s) = (self.best.get(&i)?, self.shapes.get(&i)?);
+                    child_costs += c;
+                    child_stats.push(stats_of(i, s));
+                }
+                let propagated = op_stats(*kind, *out_idx, &child_stats);
+                let shape = self.shapes.get(&class).copied().unwrap_or(propagated.shape());
+                let out = ClassStats {
+                    rows: shape.0,
+                    cols: shape.1,
+                    density: self.densities.get(&class).copied().unwrap_or(propagated.density),
+                };
+                let op = cost.op_cost(*kind, *out_idx, &child_stats, out);
+                Some((op.max(1e-9) + child_costs, shape))
+            }
+        }
+    }
+
+    fn extract(&self, root: NodeId) -> Option<Expr> {
+        let &(_, idx) = self.best.get(&root)?;
+        self.build(root, &self.classes[&root][idx])
+    }
+
+    /// Old `candidates`: every root derivation, deduplicated by rendering.
+    fn candidates(&self, root: NodeId) -> Vec<Expr> {
+        let mut seen = std::collections::HashSet::new();
+        self.classes[&root]
+            .iter()
+            .filter_map(|n| self.build(root, n))
+            .filter(|e| seen.insert(e.to_string()))
+            .collect()
+    }
+
+    /// Builds bottom-up, resugaring each `Add` from already resugared
+    /// operands — what the old build-then-`resugar` pass computed.
+    fn build(&self, class: NodeId, node: &ENode) -> Option<Expr> {
+        Some(match node {
+            ENode::Mat(n) => m(n),
+            ENode::Const(v) => lit(*v),
+            ENode::Identity => Expr::Identity(self.shapes.get(&class)?.0),
+            ENode::Zero => {
+                let &(r, c) = self.shapes.get(&class)?;
+                Expr::Zero(r, c)
+            }
+            ENode::Op { kind, inputs, out_idx } => {
+                let mut ch = Vec::new();
+                for i in inputs {
+                    ch.push(self.extract(*i)?);
+                }
+                op_expr(*kind, *out_idx, ch)
+            }
+        })
+    }
+}
+
+fn op_expr(kind: OpKind, out_idx: usize, mut ch: Vec<Expr>) -> Expr {
+    use OpKind::*;
+    let b = Box::new(ch.pop().expect("an operand"));
+    let Some(a) = ch.pop().map(Box::new) else {
+        return match kind {
+            Transpose => Expr::Transpose(b),
+            Inv => Expr::Inv(b),
+            Adj => Expr::Adj(b),
+            Exp => Expr::Exp(b),
+            Diag => Expr::Diag(b),
+            Rev => Expr::Rev(b),
+            RowSums => Expr::RowSums(b),
+            ColSums => Expr::ColSums(b),
+            RowMeans => Expr::RowMeans(b),
+            ColMeans => Expr::ColMeans(b),
+            RowMin => Expr::RowMin(b),
+            RowMax => Expr::RowMax(b),
+            ColMin => Expr::ColMin(b),
+            ColMax => Expr::ColMax(b),
+            RowVar => Expr::RowVar(b),
+            ColVar => Expr::ColVar(b),
+            Det => Expr::Det(b),
+            Trace => Expr::Trace(b),
+            Sum => Expr::Sum(b),
+            Min => Expr::Min(b),
+            Max => Expr::Max(b),
+            Mean => Expr::Mean(b),
+            Var => Expr::Var(b),
+            Cho => Expr::Cho(b),
+            Qr if out_idx == 0 => Expr::QrQ(b),
+            Qr => Expr::QrR(b),
+            Lu if out_idx == 0 => Expr::LuL(b),
+            Lu => Expr::LuU(b),
+            _ => unreachable!("{kind:?} is binary"),
+        };
+    };
+    let negated = |e: &Expr| match e {
+        Expr::ScalarMul(s, x) if **s == lit(-1.0) => Some(x.clone()),
+        _ => None,
+    };
+    match kind {
+        Add => match (negated(&a), negated(&b)) {
+            (_, Some(x)) => Expr::Sub(a, x),
+            (Some(x), None) => Expr::Sub(b, x),
+            (None, None) => Expr::Add(a, b),
+        },
+        Mul => Expr::Mul(a, b),
+        Hadamard => Expr::Hadamard(a, b),
+        Div => Expr::Div(a, b),
+        ScalarMul => Expr::ScalarMul(a, b),
+        Kron => Expr::Kron(a, b),
+        DirectSum => Expr::DirectSum(a, b),
+        _ => unreachable!("{kind:?} is unary"),
+    }
+}
+
+/// `same_chase.rs`'s corpus: its 120 random expressions, then left-deep
+/// product chains of 4, 6, 8 and 12 factors.
+fn corpus() -> Vec<(MetaCatalog, Expr)> {
+    let mut rng = Rng64::new(0xADAD_5EED);
+    let mut out: Vec<_> = (0..120).map(|_| (corpus_catalog(), random_expr(&mut rng))).collect();
+    let dims = [96, 80, 64, 48, 36, 24, 20, 16, 12, 8, 6, 4, 1];
+    for len in [4, 6, 8, 12] {
+        let mut cat = MetaCatalog::new();
+        let mut chain: Option<Expr> = None;
+        for i in 0..len {
+            let name = format!("M{}", i + 1);
+            cat.register(&name, MatrixMeta::dense(dims[i], dims[i + 1]));
+            chain = Some(match chain {
+                Some(e) => mul(e, m(&name)),
+                None => m(&name),
+            });
+        }
+        out.push((cat, chain.expect("len >= 1")));
+    }
+    out
+}
+
+#[test]
+fn worklist_extraction_equals_the_fixpoint_relaxation() {
+    let (standard_vrem, rules) = Catalogue::shared_standard();
+    let budget = Optimizer::new(MetaCatalog::new()).budget;
+    let costs: [(&str, Box<dyn ExtractionCost>); 3] = [
+        ("tree size", Box::new(TreeSizeCost)),
+        (
+            "flops, reference profile",
+            Box::new(FlopsCost::with_profile(BackendProfile::for_kind(BackendKind::Reference))),
+        ),
+        (
+            "flops, parallel profile",
+            Box::new(FlopsCost::with_profile(BackendProfile::for_kind(BackendKind::Parallel))),
+        ),
+    ];
+    let samples = corpus();
+    assert_eq!(samples.len(), 124);
+    let mut solved = 0usize;
+    for (i, (cat, e)) in samples.iter().enumerate() {
+        let mut vrem = standard_vrem.clone();
+        let enc = Encoder::new(&mut vrem, cat).encode(e).expect("generator emits valid shapes");
+        let mut inst = enc.instance;
+        ChaseEngine::new(rules).with_budget(budget).chase(&mut inst);
+        let root = inst.find(enc.root);
+        for (name, cost) in &costs {
+            let ex = Extractor::new(&vrem, &inst, cost.as_ref());
+            let reference = Relaxation::new(&vrem, &inst, cost.as_ref());
+            for n in 0..inst.num_nodes() {
+                let class = inst.find(NodeId(n as u32));
+                let want = reference.best.get(&class).map(|&(c, _)| c.to_bits());
+                assert_eq!(
+                    ex.class_cost(class).map(f64::to_bits),
+                    want,
+                    "sample {i} ({e}), {name}: class {class:?} costs differ"
+                );
+                solved += usize::from(want.is_some() && class.0 as usize == n);
+            }
+            assert_eq!(ex.extract(root), reference.extract(root), "sample {i} ({e}), {name}");
+            assert_eq!(
+                ex.candidates(root),
+                reference.candidates(root),
+                "sample {i} ({e}), {name}"
+            );
+        }
+    }
+    assert!(solved >= 124 * 3 * 5, "corpus too degenerate: {solved} solved classes");
+}
