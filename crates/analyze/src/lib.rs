@@ -1,8 +1,8 @@
 //! Static rule-soundness analysis for HADAD constraint sets.
 //!
 //! The chase's guarantees are only as good as the constraints it runs:
-//! the MMC catalogue, the stats-propagation TGDs, per-view `V_IO`/`V_OI`
-//! constraints, and any future *mined* constraints are all just
+//! the MMC catalogue, per-view `V_IO`/`V_OI` constraints, and any future
+//! *mined* constraints are all just
 //! `Vec<Constraint>` values trusted at face value, with runtime
 //! fact/null/round budgets as the only backstop. This crate provides the
 //! classic *static* certificates of dependency theory (Fagin et al., data
@@ -32,15 +32,11 @@
 //! * **Duplicate/subsumed rules** ([`subsume`]): premise-homomorphism
 //!   based redundancy detection, reusing the chase's own
 //!   [`hadad_chase::homomorphism`] machinery.
-//! * **Stats-propagation coverage** ([`coverage`]): every predicate a
-//!   TGD conclusion can produce must have a size-propagation rule, so
-//!   chase-created classes never lack the stats the cost oracle reads.
 //!
 //! EGD interactions are out of scope for the termination certificate
 //! (weak acyclicity is defined over TGDs); the functional EGDs are instead
 //! consumed as the *reuse* evidence described above.
 
-pub mod coverage;
 pub mod graph;
 pub mod safety;
 pub mod subsume;
@@ -118,13 +114,6 @@ pub enum IssueKind {
         /// Name of the subsuming rule.
         by: String,
     },
-    /// A predicate producible by some TGD conclusion has no
-    /// stats-propagation rule, so chase-created classes over it would
-    /// carry no statistics.
-    MissingStatsCoverage {
-        /// The uncovered predicate.
-        pred: PredId,
-    },
 }
 
 /// One finding: which rule, how severe, what kind.
@@ -199,12 +188,6 @@ impl RuleIssue {
             IssueKind::Subsumed { by } => {
                 format!("[{}] subsumed by [{by}]: every firing is already derived", self.rule)
             }
-            IssueKind::MissingStatsCoverage { pred } => format!(
-                "[{}] produces `{}` facts but no propagation rule concludes stats for them \
-                 (chase-created classes would carry no size)",
-                self.rule,
-                pred_name(*pred)
-            ),
         }
     }
 }
@@ -317,43 +300,20 @@ impl std::error::Error for RuleRejection {}
 pub struct Analyzer<'a> {
     constraints: &'a [Constraint],
     vocab: Option<&'a Vocabulary>,
-    stats_preds: Vec<PredId>,
-    coverage_exempt: Vec<PredId>,
     subsumption: bool,
 }
 
 impl<'a> Analyzer<'a> {
-    /// Analyzer over `constraints` with every optional check disabled
-    /// (no arity validation, no coverage check; subsumption on).
+    /// Analyzer over `constraints` without arity validation, with
+    /// subsumption on.
     pub fn new(constraints: &'a [Constraint]) -> Self {
-        Analyzer {
-            constraints,
-            vocab: None,
-            stats_preds: Vec::new(),
-            coverage_exempt: Vec::new(),
-            subsumption: true,
-        }
+        Analyzer { constraints, vocab: None, subsumption: true }
     }
 
     /// Enables arity validation and name resolution against the
     /// vocabulary the constraints were built over.
     pub fn with_vocab(mut self, vocab: &'a Vocabulary) -> Self {
         self.vocab = Some(vocab);
-        self
-    }
-
-    /// Enables the stats-propagation coverage check: every
-    /// conclusion-producible predicate (minus the exempt set) must have a
-    /// propagation rule concluding one of `stats_preds` for it.
-    pub fn with_stats_preds(mut self, stats_preds: Vec<PredId>) -> Self {
-        self.stats_preds = stats_preds;
-        self
-    }
-
-    /// Predicates exempt from the coverage check (metadata/flag
-    /// relations like `name`, `type`, `identity`).
-    pub fn with_coverage_exempt(mut self, exempt: Vec<PredId>) -> Self {
-        self.coverage_exempt = exempt;
         self
     }
 
@@ -385,13 +345,6 @@ impl<'a> Analyzer<'a> {
 
         if self.subsumption {
             issues.extend(subsume::check(self.constraints));
-        }
-        if !self.stats_preds.is_empty() {
-            issues.extend(coverage::check(
-                self.constraints,
-                &self.stats_preds,
-                &self.coverage_exempt,
-            ));
         }
 
         issues.sort_by(|a, b| b.severity.cmp(&a.severity).then(a.rule.cmp(&b.rule)));

@@ -17,12 +17,14 @@
 //! The test is sound but deliberately single-step (no recursive chase),
 //! which is exactly the "accidentally registered the same rewrite twice
 //! under different names" class of mistake it exists to catch. Mutual
-//! subsumption (true duplicates) flags only the later rule.
+//! subsumption (true duplicates) flags only the later rule. A TGD's guard
+//! counts as one more premise atom: a guarded rule subsumes only rules
+//! whose premise carries the guard too.
 
 use std::collections::HashMap;
 
 use hadad_chase::homomorphism::{for_each_match, satisfiable_with};
-use hadad_chase::{Bindings, Constraint, Egd, Instance, NodeId, Provenance, Term, Tgd};
+use hadad_chase::{Atom, Bindings, Constraint, Egd, Instance, NodeId, Provenance, Term, Tgd};
 
 use crate::{IssueKind, RuleIssue, Severity};
 
@@ -120,10 +122,12 @@ fn resolve(inst: &mut Instance, bindings: &Bindings, t: &Term) -> Option<NodeId>
 }
 
 fn tgd_subsumes(a: &Tgd, b: &Tgd) -> bool {
-    let (inst, frozen) = freeze_premise(&b.premise);
+    let guarded =
+        |t: &Tgd| -> Vec<Atom> { t.premise.iter().chain(&t.guard).cloned().collect() };
+    let (inst, frozen) = freeze_premise(&guarded(b));
     let mut found = false;
     let mut matches: Vec<Bindings> = Vec::new();
-    for_each_match(&inst, &a.premise, &mut |m| {
+    for_each_match(&inst, &guarded(a), &mut |m| {
         matches.push(m.bindings.clone());
         true
     });

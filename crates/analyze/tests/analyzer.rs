@@ -1,7 +1,7 @@
 //! Unit-level checks of the static analyzer over small hand-built rule
 //! sets: cycle classification (special vs reuse-guarded), the safety /
-//! range-restriction checks, subsumption, stats coverage, and the
-//! reuse-binding fixpoint the guarded-edge downgrade relies on.
+//! range-restriction checks, subsumption, and the reuse-binding fixpoint
+//! the guarded-edge downgrade relies on.
 
 use std::collections::HashMap;
 
@@ -191,44 +191,6 @@ fn specialized_rule_is_subsumed_by_general_rule() {
         })
         .collect();
     assert_eq!(subsumed, vec![("specific", "general")]);
-}
-
-#[test]
-fn stats_coverage_flags_unpriced_predicates() {
-    let mut vocab = Vocabulary::new();
-    let q = vocab.predicate("q", 2);
-    let r = vocab.predicate("r", 2);
-    let size = vocab.predicate("size", 2);
-    let n = vocab.int(7);
-
-    let produce: Constraint = Tgd::new(
-        "produce",
-        vec![Atom::new(q, vec![v(0), v(1)])],
-        vec![Atom::new(r, vec![v(0), v(1)])],
-    )
-    .into();
-    let propagate: Constraint = Tgd::new(
-        "prop-r",
-        vec![Atom::new(r, vec![v(0), v(1)]), Atom::new(size, vec![v(0), v(2)])],
-        vec![Atom::new(size, vec![v(1), Term::Const(n)])],
-    )
-    .into();
-
-    // Without the propagation rule, `r` is producible but unpriced.
-    let bare = vec![produce.clone()];
-    let report = Analyzer::new(&bare).with_vocab(&vocab).with_stats_preds(vec![size]).report();
-    assert!(has_kind(
-        &report,
-        |k| matches!(k, IssueKind::MissingStatsCoverage { pred } if *pred == r)
-    ));
-    assert!(!report.certified());
-
-    // With it, coverage is satisfied (the `prop-r` premise reads `r` and
-    // concludes a connected `size` atom).
-    let covered = vec![produce, propagate];
-    let report =
-        Analyzer::new(&covered).with_vocab(&vocab).with_stats_preds(vec![size]).report();
-    assert!(!has_kind(&report, |k| matches!(k, IssueKind::MissingStatsCoverage { .. })));
 }
 
 /// The reuse fixpoint resolves chained existentials: `u` from `f(x)=u`

@@ -35,10 +35,15 @@
 //! evaluation a *vetoed* firing is not re-offered to the pruner until one of
 //! its premise facts is re-stamped; pruners whose thresholds loosen over
 //! time should run in naive mode.
+//!
+//! Per-class data a domain keeps beside the instance plugs in through the
+//! [`Analysis`] trait ([`ChaseEngine::chase_analyzed`]): it sees every fact
+//! a firing inserts and every merge, and decides rule guards.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::analysis::{Analysis, AnalysisConflict, NoAnalysis};
 use crate::atom::Atom;
 use crate::constraint::{Constraint, Egd, Tgd};
 use crate::homomorphism::{slot_count, Bindings, Match, Matcher};
@@ -140,6 +145,10 @@ pub enum DegradeReason {
     Fault,
     /// View maintenance is poisoned; rewriting proceeded without views.
     MaintenancePoisoned,
+    /// A constraint merged classes the chase's analysis knows to differ
+    /// (see [`ChaseOutcome::AnalysisConflict`]): the instance is unsound,
+    /// so nothing was extracted from it.
+    AnalysisConflict,
 }
 
 impl std::fmt::Display for DegradeReason {
@@ -150,6 +159,9 @@ impl std::fmt::Display for DegradeReason {
             DegradeReason::WorkerPanic => f.write_str("worker panic contained"),
             DegradeReason::Fault => f.write_str("injected fault"),
             DegradeReason::MaintenancePoisoned => f.write_str("view maintenance poisoned"),
+            DegradeReason::AnalysisConflict => {
+                f.write_str("a constraint merged classes whose analysis data disagree")
+            }
         }
     }
 }
@@ -217,6 +229,9 @@ pub enum ChaseOutcome {
     /// An EGD equated the two distinct constants carried in the payload:
     /// constraints inconsistent with the instance.
     ConstClash(ConstClash),
+    /// An EGD merged two classes the run's [`Analysis`] refused to join:
+    /// constraints inconsistent with what the analysis knows.
+    AnalysisConflict(AnalysisConflict),
 }
 
 /// Veto hook for TGD firings (cost-based pruning).
@@ -534,7 +549,12 @@ fn densify(c: Constraint) -> Constraint {
     };
     match &c {
         Constraint::Tgd(t) => {
-            t.premise.iter().chain(&t.conclusion).flat_map(|a| &a.args).for_each(&mut note);
+            t.premise
+                .iter()
+                .chain(&t.conclusion)
+                .chain(&t.guard)
+                .flat_map(|a| &a.args)
+                .for_each(&mut note);
         }
         Constraint::Egd(e) => {
             e.premise.iter().flat_map(|a| &a.args).for_each(&mut note);
@@ -554,13 +574,14 @@ fn densify(c: Constraint) -> Constraint {
         ),
         constant => *constant,
     };
-    let atoms = |atoms: &[Atom]| -> Vec<Atom> {
-        atoms.iter().map(|a| Atom::new(a.pred, a.args.iter().map(term).collect())).collect()
-    };
+    let atom = |a: &Atom| Atom::new(a.pred, a.args.iter().map(term).collect());
+    let atoms = |atoms: &[Atom]| -> Vec<Atom> { atoms.iter().map(atom).collect() };
     match &c {
-        Constraint::Tgd(t) => {
-            Tgd::new(t.name.clone(), atoms(&t.premise), atoms(&t.conclusion)).into()
+        Constraint::Tgd(t) => Tgd {
+            guard: t.guard.as_ref().map(atom),
+            ..Tgd::new(t.name.clone(), atoms(&t.premise), atoms(&t.conclusion))
         }
+        .into(),
         Constraint::Egd(e) => Egd::new(
             e.name.clone(),
             atoms(&e.premise),
@@ -627,12 +648,12 @@ impl<'r> ChaseEngine<'r> {
         self
     }
 
-    /// Runs the chase to fixpoint (or budget) without pruning.
+    /// Runs the chase to fixpoint (or budget) without pruning or analysis.
     pub fn chase(&self, inst: &mut Instance) -> (ChaseOutcome, ChaseStats) {
         self.chase_with(inst, &mut NoPrune)
     }
 
-    /// Runs the chase with a pruning hook.
+    /// Runs the chase with a pruning hook and no analysis.
     ///
     /// Every run publishes its aggregate [`ChaseStats`] to the shared
     /// `hadad-obs` metrics registry (`chase.rounds`, `chase.rule_firings`,
@@ -645,16 +666,37 @@ impl<'r> ChaseEngine<'r> {
         inst: &mut Instance,
         pruner: &mut dyn Pruner,
     ) -> (ChaseOutcome, ChaseStats) {
+        self.chase_observed(inst, pruner, &mut NoAnalysis)
+    }
+
+    /// Runs the chase without pruning, keeping `analysis` up to date with
+    /// every fact it inserts and every merge, and letting it decide rule
+    /// guards. Publishes metrics as [`Self::chase_with`] does.
+    pub fn chase_analyzed<A: Analysis>(
+        &self,
+        inst: &mut Instance,
+        analysis: &mut A,
+    ) -> (ChaseOutcome, ChaseStats) {
+        self.chase_observed(inst, &mut NoPrune, analysis)
+    }
+
+    fn chase_observed<A: Analysis>(
+        &self,
+        inst: &mut Instance,
+        pruner: &mut dyn Pruner,
+        analysis: &mut A,
+    ) -> (ChaseOutcome, ChaseStats) {
         let _span = hadad_obs::span("chase");
-        let (outcome, stats) = self.chase_run(inst, pruner);
+        let (outcome, stats) = self.chase_run(inst, pruner, analysis);
         publish_chase_metrics(&stats);
         (outcome, stats)
     }
 
-    fn chase_run(
+    fn chase_run<A: Analysis>(
         &self,
         inst: &mut Instance,
         pruner: &mut dyn Pruner,
+        analysis: &mut A,
     ) -> (ChaseOutcome, ChaseStats) {
         let rules = self.rules.rules();
         let mut stats = ChaseStats {
@@ -698,14 +740,22 @@ impl<'r> ChaseEngine<'r> {
                 let rule_stats = &mut stats.rules[ci];
                 match &rule.constraint {
                     Constraint::Egd(egd) => {
-                        match apply_egd(inst, rule, egd, watermark, &mut scratch, rule_stats) {
+                        let applied = apply_egd(
+                            inst,
+                            (rule, egd),
+                            analysis,
+                            watermark,
+                            &mut scratch,
+                            rule_stats,
+                        );
+                        match applied {
                             Ok(merges) => {
                                 if merges > 0 {
                                     stats.egd_merges += merges;
                                     changed = true;
                                 }
                             }
-                            Err(clash) => return (ChaseOutcome::ConstClash(clash), stats),
+                            Err(failed) => return (failed, stats),
                         }
                     }
                     Constraint::Tgd(tgd) => {
@@ -714,7 +764,7 @@ impl<'r> ChaseEngine<'r> {
                         let over_budget = self.apply_tgd(
                             inst,
                             (ci, rule, tgd),
-                            pruner,
+                            (pruner, analysis),
                             watermark,
                             &mut scratch,
                             rule_stats,
@@ -749,13 +799,14 @@ impl<'r> ChaseEngine<'r> {
 
     /// Applies one TGD (restricted semantics, with core-chase-style
     /// existential reuse through functional predicates) over its delta,
-    /// counting matches, firings and vetoes into `stats`. Returns the bound
-    /// that tripped, if one did.
-    fn apply_tgd(
+    /// counting matches, firings and vetoes into `stats` and showing
+    /// `analysis` every fact it inserts. Returns the bound that tripped, if
+    /// one did.
+    fn apply_tgd<A: Analysis>(
         &self,
         inst: &mut Instance,
         (rule_idx, rule, tgd): (usize, &CompiledRule, &Tgd),
-        pruner: &mut dyn Pruner,
+        (pruner, analysis): (&mut dyn Pruner, &mut A),
         watermark: u64,
         scratch: &mut RunScratch,
         stats: &mut RuleStats,
@@ -764,16 +815,21 @@ impl<'r> ChaseEngine<'r> {
         let slots = rule.slots;
         let arity = tgd.premise.len();
         // Phase 1: enumerate premise matches against the still-immutable
-        // instance and run the restricted-chase check on each right away.
-        // Applying a TGD only appends facts and never merges, so a
-        // conclusion satisfied now stays satisfied for the whole
-        // application: such a match (most of them) is dropped without
-        // being buffered. Survivors go into the flat pending arena.
+        // instance, drop those the guard refuses, and run the
+        // restricted-chase check on the rest right away. Applying a TGD
+        // only appends facts and never merges, so a conclusion satisfied
+        // now stays satisfied for the whole application: such a match
+        // (most of them) is dropped without being buffered. Survivors go
+        // into the flat pending arena.
         pending_slots.clear();
         pending_facts.clear();
         let mut pending = 0usize;
+        let analysis_now = &*analysis;
         premise.for_each_match_since(inst, &tgd.premise, slots, watermark, &mut |m| {
             stats.matches += 1;
+            if tgd.guard.as_ref().is_some_and(|g| !analysis_now.guard(inst, g, &m.bindings)) {
+                return true;
+            }
             if !check.satisfiable(inst, &tgd.conclusion, slots, &m.bindings) {
                 pending_slots.extend_from_slice(m.bindings.slots());
                 pending_facts.extend_from_slice(&m.fact_indices);
@@ -859,7 +915,8 @@ impl<'r> ChaseEngine<'r> {
                         Term::Const(c) => inst.const_node(*c),
                     })
                     .collect();
-                inst.insert(atom.pred, args, prov.clone(), Some(rule_idx));
+                let (fact, _) = inst.insert(atom.pred, args, prov.clone(), Some(rule_idx));
+                analysis.make(inst, rule_idx, atom, &inst.fact(fact).args);
             }
             stats.firings += 1;
             if inst.num_facts() > self.budget.max_facts {
@@ -873,17 +930,19 @@ impl<'r> ChaseEngine<'r> {
     }
 }
 
-/// Applies one EGD over its delta; returns the number of merges, or the
-/// clashing constants. Merge requests stream out of the enumeration sink
-/// (no match materialization) and apply afterwards.
-fn apply_egd(
+/// Applies one EGD over its delta, joining each merge into `analysis`;
+/// returns the number of merges, or the outcome that ends the chase (two
+/// constants clashed, or the analysis refused a merge). Merge requests
+/// stream out of the enumeration sink (no match materialization) and apply
+/// afterwards.
+fn apply_egd<A: Analysis>(
     inst: &mut Instance,
-    rule: &CompiledRule,
-    egd: &Egd,
+    (rule, egd): (&CompiledRule, &Egd),
+    analysis: &mut A,
     watermark: u64,
     scratch: &mut RunScratch,
     stats: &mut RuleStats,
-) -> Result<usize, ConstClash> {
+) -> Result<usize, ChaseOutcome> {
     let RunScratch { premise, merges, .. } = scratch;
     let resolve = |bindings: &Bindings, t: &Term| match t {
         Term::Var(v) => bindings.get(*v).map(MergeArg::Node),
@@ -912,13 +971,15 @@ fn apply_egd(
     }
     let mut count = 0;
     for &(a, b) in merges.iter() {
-        let mut node = |arg| match arg {
-            MergeArg::Node(n) => n,
+        let mut root_of = |arg| match arg {
+            MergeArg::Node(n) => inst.find(n),
             MergeArg::Const(c) => inst.const_node(c),
         };
-        let (a, b) = (node(a), node(b));
-        if inst.find(a) != inst.find(b) {
-            inst.merge(a, b)?;
+        let (a, b) = (root_of(a), root_of(b));
+        if a != b {
+            let root = inst.merge(a, b).map_err(ChaseOutcome::ConstClash)?;
+            let absorbed = if root == a { b } else { a };
+            analysis.join(inst, root, absorbed).map_err(ChaseOutcome::AnalysisConflict)?;
             count += 1;
         }
     }
@@ -1436,6 +1497,101 @@ mod tests {
         let derived = inst.fact(inst.facts_with_pred(q)[0]);
         assert_eq!(inst.find(derived.args[0]), inst.find(b));
         assert_eq!(inst.const_of(derived.args[1]), None, "a fresh null for the existential");
+    }
+
+    /// A toy analysis: every class carries a depth. `make` gives the class
+    /// a `Q(y, z)` fact mints the depth of `y` plus one, `join` refuses to
+    /// merge classes of different depths, and `even(?v)` holds on even
+    /// depths.
+    struct Depth {
+        depths: Vec<Option<u32>>,
+        even: PredId,
+    }
+
+    impl Analysis for Depth {
+        fn make(&mut self, inst: &Instance, _: usize, _: &Atom, args: &[NodeId]) {
+            self.depths.resize(inst.num_nodes(), None);
+            let [y, z] = args else { return };
+            let next = self.depths[y.0 as usize].map(|d| d + 1);
+            self.depths[z.0 as usize].get_or_insert(next.unwrap_or(0));
+        }
+
+        fn join(
+            &mut self,
+            _: &Instance,
+            root: NodeId,
+            absorbed: NodeId,
+        ) -> Result<(), AnalysisConflict> {
+            match (self.depths[root.0 as usize], self.depths[absorbed.0 as usize]) {
+                (Some(a), Some(b)) if a != b => Err(AnalysisConflict { root, absorbed }),
+                (a, b) => {
+                    self.depths[root.0 as usize] = a.or(b);
+                    Ok(())
+                }
+            }
+        }
+
+        fn guard(&self, inst: &Instance, guard: &Atom, bindings: &Bindings) -> bool {
+            let Some(Term::Var(v)) = guard.args.first() else { return false };
+            guard.pred == self.even
+                && bindings
+                    .get(*v)
+                    .and_then(|n| self.depths[inst.find(n).0 as usize])
+                    .is_some_and(|d| d % 2 == 0)
+        }
+    }
+
+    #[test]
+    fn analysis_makes_joins_and_guards() {
+        let mut vocab = Vocabulary::new();
+        let p = vocab.predicate("P", 2);
+        let q = vocab.predicate("Q", 2);
+        let even = vocab.predicate("even", 1);
+        // P(x, y) → ∃z Q(y, z), only where y's depth is even.
+        let step = Tgd::new(
+            "step",
+            vec![Atom::new(p, vec![Term::Var(0), Term::Var(1)])],
+            vec![Atom::new(q, vec![Term::Var(1), Term::Var(2)])],
+        )
+        .with_guard(Atom::new(even, vec![Term::Var(1)]));
+        let build = |depths: [u32; 4]| {
+            let mut inst = Instance::new();
+            let n: Vec<NodeId> = (0..4).map(|_| inst.fresh_null()).collect();
+            inst.insert(p, vec![n[0], n[1]], Provenance::empty(), None);
+            inst.insert(p, vec![n[2], n[3]], Provenance::empty(), None);
+            (inst, Depth { depths: depths.map(Some).to_vec(), even })
+        };
+
+        let rules = RuleSet::compile(vec![step.clone().into()]);
+        let (mut inst, mut depth) = build([5, 0, 5, 1]);
+        let (outcome, stats) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut depth);
+        assert_eq!(outcome, ChaseOutcome::Saturated);
+        assert_eq!(stats.rules[0].matches, 2, "both premise matches are enumerated");
+        assert_eq!(stats.rules[0].firings, 1, "the odd one is refused by the guard");
+        assert_eq!(stats.pruned_firings, 0, "a refusal is not a veto");
+        let minted = inst.fact(inst.facts_with_pred(q)[0]).args[1];
+        assert_eq!(depth.depths[minted.0 as usize], Some(1), "make saw the minted class");
+
+        // Without an analysis nothing vouches for the guard.
+        let (mut bare, _) = build([5, 0, 5, 1]);
+        ChaseEngine::new(&rules).chase(&mut bare);
+        assert!(bare.facts_with_pred(q).is_empty());
+
+        // P(x, y) → x = y merges depth 5 with depth 0: refused, typed.
+        let collapse = Egd::new(
+            "collapse",
+            vec![Atom::new(p, vec![Term::Var(0), Term::Var(1)])],
+            vec![(Term::Var(0), Term::Var(1))],
+        );
+        let rules = RuleSet::compile(vec![collapse.into()]);
+        let (mut inst, mut depth) = build([5, 0, 5, 5]);
+        let (outcome, _) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut depth);
+        let ChaseOutcome::AnalysisConflict(conflict) = outcome else {
+            panic!("expected a conflict, got {outcome:?}");
+        };
+        let mut pair = [conflict.root.0, conflict.absorbed.0];
+        pair.sort_unstable();
+        assert_eq!(pair, [0, 1]);
     }
 
     /// An extension is the concatenation compiled — without compiling the

@@ -19,12 +19,22 @@ pub struct Tgd {
     pub premise: Vec<Atom>,
     /// Conclusion conjunction (facts asserted on each match).
     pub conclusion: Vec<Atom>,
+    /// A test over premise variables that no fact answers: the chase's
+    /// [`crate::Analysis`] decides it on each premise match, and the rule
+    /// fires only where it holds (see [`crate::Analysis::guard`]).
+    pub guard: Option<Atom>,
 }
 
 impl Tgd {
     /// A TGD `premise → conclusion` named `name`.
     pub fn new(name: impl Into<String>, premise: Vec<Atom>, conclusion: Vec<Atom>) -> Self {
-        Tgd { name: name.into(), premise, conclusion }
+        Tgd { name: name.into(), premise, conclusion, guard: None }
+    }
+
+    /// This TGD, firing only on the premise matches `guard` holds for.
+    pub fn with_guard(mut self, guard: Atom) -> Self {
+        self.guard = Some(guard);
+        self
     }
 
     /// Variables that occur in the conclusion but not in the premise: the
@@ -44,11 +54,13 @@ impl Tgd {
         out
     }
 
-    /// Renders `[name] premise → conclusion` for debugging.
+    /// Renders `[name] premise (if guard) → conclusion` for debugging.
     pub fn display(&self, vocab: &Vocabulary) -> String {
         let p: Vec<String> = self.premise.iter().map(|a| a.display(vocab)).collect();
         let c: Vec<String> = self.conclusion.iter().map(|a| a.display(vocab)).collect();
-        format!("[{}] {} → {}", self.name, p.join(" ∧ "), c.join(" ∧ "))
+        let guard =
+            self.guard.as_ref().map_or(String::new(), |g| format!(" if {}", g.display(vocab)));
+        format!("[{}] {}{guard} → {}", self.name, p.join(" ∧ "), c.join(" ∧ "))
     }
 }
 

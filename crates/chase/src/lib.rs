@@ -19,9 +19,12 @@
 //!   and extensible without recompiling ([`chase::RuleSet::extended`]);
 //!   [`chase::ChaseEngine`]: bounded restricted chase over a borrowed rule
 //!   set, with cost-pruning hooks (the paper's `Prune_prov`, §7.3).
+//! * [`Analysis`]: per-class data kept beside the chase (an e-class
+//!   analysis), which also decides rule guards.
 //! * [`pacb::Pacb`]: view-based reformulation via Chase & Backchase with
 //!   provenance formulas (paper §4.2, Example 4.1).
 
+pub mod analysis;
 pub mod atom;
 pub mod chase;
 pub mod constraint;
@@ -33,6 +36,7 @@ pub mod provenance;
 pub mod symbols;
 pub mod term;
 
+pub use analysis::{Analysis, AnalysisConflict, NoAnalysis};
 pub use atom::Atom;
 pub use chase::{
     degradation_of, functional_sig, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats,

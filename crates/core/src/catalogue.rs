@@ -15,6 +15,10 @@
 //!   decomposition *reuse* (a second `QR(M, _, _)` fact merges with a
 //!   materialized one through the functional EGDs).
 //!
+//! No rule derives shapes or densities: those are the chase's analysis
+//! ([`crate::analysis::LaAnalysis`]), and the one rule gated on them —
+//! `inv-mul`, on "A square" — reads them through a guard.
+//!
 //! Associativity-style rules are fresh-ID generators; the
 //! [`hadad_chase::ChaseBudget`] bounds them exactly as the paper's PACB++
 //! implementation does (§6.3).
@@ -23,6 +27,7 @@ use std::sync::{Arc, OnceLock};
 
 use hadad_chase::{Atom, Constraint, Egd, RuleSet, Term, Tgd};
 
+use crate::analysis::ClassData;
 use crate::encode::CqEncoder;
 use crate::expr::Expr;
 use crate::schema::{OpKind, Vrem};
@@ -40,14 +45,25 @@ pub struct Catalogue {
     pub constraints: Vec<Constraint>,
 }
 
+/// A registered LA view's `V_IO`/`V_OI` pair and what their firings tell
+/// the chase's analysis.
+#[derive(Debug, Clone)]
+pub struct ViewRules {
+    /// `V_IO`, then `V_OI`.
+    pub constraints: Vec<Constraint>,
+    /// Shape and estimated density of each class the definition's CQ names,
+    /// by variable: a firing of either rule joins them into the classes it
+    /// concludes on ([`crate::analysis::LaAnalysis::with_view`]).
+    pub classes: Vec<Option<ClassData>>,
+}
+
 impl Catalogue {
     /// The full standard catalogue: functional + structural +
-    /// decomposition + statistics-propagation constraints.
+    /// decomposition constraints.
     pub fn standard(vrem: &mut Vrem) -> Catalogue {
         let mut constraints = Self::functional_egds(vrem);
         constraints.extend(Self::structural_rules(vrem));
         constraints.extend(Self::decomposition_rules(vrem));
-        constraints.extend(Self::propagation_rules(vrem));
         Catalogue { constraints }
     }
 
@@ -75,23 +91,12 @@ impl Catalogue {
 
     /// Static analysis of the catalogue (`hadad-analyze`): range
     /// restriction, weak acyclicity modulo conclusion-atom reuse,
-    /// functional-signature cross-checks, duplicate detection, and
-    /// stats-propagation coverage. `vrem` must be the schema the
-    /// constraints were built over. [`hadad_analyze::RuleReport::certified`]
-    /// is the registration / CI gate.
+    /// functional-signature cross-checks and duplicate detection. `vrem`
+    /// must be the schema the constraints were built over.
+    /// [`hadad_analyze::RuleReport::certified`] is the registration / CI
+    /// gate.
     pub fn analyze(&self, vrem: &Vrem) -> hadad_analyze::RuleReport {
-        hadad_analyze::Analyzer::new(&self.constraints)
-            .with_vocab(&vrem.vocab)
-            .with_stats_preds(vec![vrem.size])
-            .with_coverage_exempt(vec![
-                vrem.name,
-                vrem.lit,
-                vrem.ty,
-                vrem.identity,
-                vrem.zero,
-                vrem.density,
-            ])
-            .report()
+        hadad_analyze::Analyzer::new(&self.constraints).with_vocab(&vrem.vocab).report()
     }
 
     /// `I_<rel>`: each operator relation is functional in its outputs.
@@ -133,7 +138,7 @@ impl Catalogue {
         let inv = vrem.op(OpKind::Inv);
         let trace = vrem.op(OpKind::Trace);
         let smul = vrem.op(OpKind::ScalarMul);
-        let size = vrem.size;
+        let square = vrem.square;
         let identity = vrem.identity;
         let zero = vrem.zero;
         let ty = vrem.ty;
@@ -420,21 +425,19 @@ impl Catalogue {
             .into(),
         );
         // (A B)⁻¹ = B⁻¹ A⁻¹, gated on A square so both factors are
-        // invertible-shaped (the paper gates on metadata the same way).
+        // invertible-shaped (the paper gates on metadata the same way): a
+        // guard the analysis decides, since no fact carries shapes.
         out.push(
             Tgd::new(
                 "inv-mul",
+                vec![Atom::new(mul, vec![v(0), v(1), v(2)]), Atom::new(inv, vec![v(2), v(3)])],
                 vec![
-                    Atom::new(mul, vec![v(0), v(1), v(2)]),
-                    Atom::new(inv, vec![v(2), v(3)]),
-                    Atom::new(size, vec![v(0), v(4), v(4)]),
-                ],
-                vec![
-                    Atom::new(inv, vec![v(0), v(5)]),
-                    Atom::new(inv, vec![v(1), v(6)]),
-                    Atom::new(mul, vec![v(6), v(5), v(3)]),
+                    Atom::new(inv, vec![v(0), v(4)]),
+                    Atom::new(inv, vec![v(1), v(5)]),
+                    Atom::new(mul, vec![v(5), v(4), v(3)]),
                 ],
             )
+            .with_guard(Atom::new(square, vec![v(0)]))
             .into(),
         );
         // Q orthogonal ⇒ Q⁻¹ = Qᵀ.
@@ -534,10 +537,11 @@ impl Catalogue {
     /// `V_IO`/`V_OI` constraints for a registered, materialized LA view
     /// (paper §6.2.4, Figure 3): `V_IO` says every occurrence of the view's
     /// defining expression *is* the view (the chase tags its class with
-    /// `name(class, view)` plus the materialized `size`, so extraction can
-    /// pick the zero-cost `Mat(view)` leaf), and `V_OI` expands a use of
-    /// the view name back into the definition so rewriting can continue
-    /// *through* it. The optimizer extends
+    /// `name(class, view)`, so extraction can pick the zero-cost
+    /// `Mat(view)` leaf), and `V_OI` expands a use of the view name back
+    /// into the definition so rewriting can continue *through* it. Both
+    /// come with the definition's estimated class stats, which the
+    /// analysis joins where they fire. The optimizer extends
     /// [`Catalogue::shared_standard`] with them, per rewrite, for each
     /// registered view.
     pub fn la_view_constraints(
@@ -545,179 +549,16 @@ impl Catalogue {
         cat: &MetaCatalog,
         view_name: &str,
         def: &Expr,
-    ) -> Result<Vec<Constraint>, ShapeError> {
-        let stats = crate::stats::expr_stats(def, cat)?;
+    ) -> Result<ViewRules, ShapeError> {
         let view_sym = vrem.vocab.constant(view_name);
-        let r_sym = vrem.vocab.int(stats.rows as i64);
-        let c_sym = vrem.vocab.int(stats.cols as i64);
-        let d_sym = crate::encode::density_sym(vrem, stats.density);
         let name_pred = vrem.name;
-        let size_pred = vrem.size;
-        let density_pred = vrem.density;
-
-        let mut enc = CqEncoder::new(vrem, cat).with_sizes();
+        let mut enc = CqEncoder::new(vrem, cat);
         let root = enc.enc(def)?;
-        let body_sized = enc.atoms;
-        // The IO premise must not demand `size`/`density` facts: classes
-        // the chase itself creates (re-associations etc.) may carry none,
-        // and they are exactly the subexpressions worth landing on the
-        // view. `with_sizes` only appends atoms, so filtering keeps
-        // variable numbering intact.
-        let body_bare: Vec<Atom> = body_sized
-            .iter()
-            .filter(|a| a.pred != size_pred && a.pred != density_pred)
-            .cloned()
-            .collect();
-
         let name_atom = Atom::new(name_pred, vec![Term::Var(root), Term::Const(view_sym)]);
-        let size_atom =
-            Atom::new(size_pred, vec![Term::Var(root), Term::Const(r_sym), Term::Const(c_sym)]);
-        let density_atom = Atom::new(density_pred, vec![Term::Var(root), Term::Const(d_sym)]);
-        Ok(vec![
-            Tgd::new(
-                format!("V_IO:{view_name}"),
-                body_bare,
-                vec![name_atom.clone(), size_atom, density_atom],
-            )
-            .into(),
-            Tgd::new(format!("V_OI:{view_name}"), vec![name_atom], body_sized).into(),
-        ])
-    }
-
-    /// Dimension- and density-propagating TGDs: classes the *chase*
-    /// creates (re-associations, transposed factors, view expansions)
-    /// inherit `size` facts from their operands, so extraction does not
-    /// re-infer shapes bottom-up. Dimensions propagate wherever they follow
-    /// from variable sharing alone (Kron/DirectSum need arithmetic and are
-    /// left to the in-process estimator); densities propagate where the
-    /// estimate is exactly the operand's (transpose, reverse, scalar
-    /// scaling) — the extraction DP computes the multiplicative cases from
-    /// operand stats.
-    pub fn propagation_rules(vrem: &mut Vrem) -> Vec<Constraint> {
-        use OpKind::*;
-        let size = vrem.size;
-        let density = vrem.density;
-        let one = vrem.vocab.int(1);
-        let mut out: Vec<Constraint> = Vec::new();
-        let mut rule = |name: String, premise: Vec<Atom>, conclusion: Vec<Atom>| {
-            out.push(Tgd::new(name, premise, conclusion).into());
-        };
-
-        for &kind in OpKind::all() {
-            let op = vrem.op(kind);
-            let name = format!("size-{}", kind.pred_name());
-            match kind {
-                // size(o) = size(a) for same-shape binary operators.
-                Add | Hadamard | Div => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1), v(2)]),
-                        Atom::new(size, vec![v(0), v(3), v(4)]),
-                    ],
-                    vec![Atom::new(size, vec![v(2), v(3), v(4)])],
-                ),
-                // multiM(a, b, o) with a: r×k, b: k×c gives o: r×c.
-                Mul => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1), v(2)]),
-                        Atom::new(size, vec![v(0), v(3), v(4)]),
-                        Atom::new(size, vec![v(1), v(4), v(5)]),
-                    ],
-                    vec![Atom::new(size, vec![v(2), v(3), v(5)])],
-                ),
-                ScalarMul => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1), v(2)]),
-                        Atom::new(size, vec![v(1), v(3), v(4)]),
-                    ],
-                    vec![Atom::new(size, vec![v(2), v(3), v(4)])],
-                ),
-                Transpose => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1)]),
-                        Atom::new(size, vec![v(0), v(2), v(3)]),
-                    ],
-                    vec![Atom::new(size, vec![v(1), v(3), v(2)])],
-                ),
-                Rev | Inv | Adj | Exp | Cho => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1)]),
-                        Atom::new(size, vec![v(0), v(2), v(3)]),
-                    ],
-                    vec![Atom::new(size, vec![v(1), v(2), v(3)])],
-                ),
-                // Both decomposition outputs share the (square) input shape.
-                Qr | Lu => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1), v(2)]),
-                        Atom::new(size, vec![v(0), v(3), v(4)]),
-                    ],
-                    vec![
-                        Atom::new(size, vec![v(1), v(3), v(4)]),
-                        Atom::new(size, vec![v(2), v(3), v(4)]),
-                    ],
-                ),
-                Diag => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1)]),
-                        Atom::new(size, vec![v(0), v(2), v(3)]),
-                    ],
-                    vec![Atom::new(size, vec![v(1), v(2), Term::Const(one)])],
-                ),
-                RowSums | RowMeans | RowMin | RowMax | RowVar => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1)]),
-                        Atom::new(size, vec![v(0), v(2), v(3)]),
-                    ],
-                    vec![Atom::new(size, vec![v(1), v(2), Term::Const(one)])],
-                ),
-                ColSums | ColMeans | ColMin | ColMax | ColVar => rule(
-                    name,
-                    vec![
-                        Atom::new(op, vec![v(0), v(1)]),
-                        Atom::new(size, vec![v(0), v(2), v(3)]),
-                    ],
-                    vec![Atom::new(size, vec![v(1), Term::Const(one), v(3)])],
-                ),
-                Det | Trace | Sum | Min | Max | Mean | Var => rule(
-                    name,
-                    vec![Atom::new(op, vec![v(0), v(1)])],
-                    vec![Atom::new(size, vec![v(1), Term::Const(one), Term::Const(one)])],
-                ),
-                // Output dims are products/sums of operand dims: arithmetic
-                // the chase cannot do; the extractor's op_stats covers them.
-                Kron | DirectSum => {}
-            }
-        }
-
-        // Exact density transfers.
-        let tr = vrem.op(Transpose);
-        let rev = vrem.op(Rev);
-        let smul = vrem.op(ScalarMul);
-        rule(
-            "dens-tr".into(),
-            vec![Atom::new(tr, vec![v(0), v(1)]), Atom::new(density, vec![v(0), v(2)])],
-            vec![Atom::new(density, vec![v(1), v(2)])],
-        );
-        rule(
-            "dens-rev".into(),
-            vec![Atom::new(rev, vec![v(0), v(1)]), Atom::new(density, vec![v(0), v(2)])],
-            vec![Atom::new(density, vec![v(1), v(2)])],
-        );
-        rule(
-            "dens-multiMS".into(),
-            vec![Atom::new(smul, vec![v(0), v(1), v(2)]), Atom::new(density, vec![v(1), v(3)])],
-            vec![Atom::new(density, vec![v(2), v(3)])],
-        );
-
-        out
+        let io =
+            Tgd::new(format!("V_IO:{view_name}"), enc.atoms.clone(), vec![name_atom.clone()]);
+        let oi = Tgd::new(format!("V_OI:{view_name}"), vec![name_atom], enc.atoms);
+        Ok(ViewRules { constraints: vec![io.into(), oi.into()], classes: enc.classes })
     }
 
     /// Decomposition recomposition and implied structural flags (§6.2.5).
@@ -778,29 +619,74 @@ impl Catalogue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::LaAnalysis;
     use crate::encode::Encoder;
     use crate::expr::dsl::*;
     use crate::extract::{Extractor, TreeSizeCost};
     use crate::stats::{MatrixMeta, MetaCatalog, TypeFlags};
-    use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, RuleSet};
+    use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, Instance, NodeId, RuleSet};
 
-    fn chase_of(
-        e: &crate::expr::Expr,
-        cat: &MetaCatalog,
-    ) -> (Vrem, hadad_chase::Instance, hadad_chase::NodeId, ChaseOutcome) {
-        let mut vrem = Vrem::new();
-        let enc = Encoder::new(&mut vrem, cat).encode(e).unwrap();
-        let catalogue = Catalogue::standard(&mut vrem);
-        let rules = RuleSet::compile(catalogue.constraints);
-        let engine = ChaseEngine::new(&rules).with_budget(ChaseBudget {
-            max_rounds: 8,
-            max_facts: 20_000,
-            max_nulls: 10_000,
-            deadline: None,
-        });
-        let mut inst = enc.instance;
-        let (outcome, _) = engine.chase(&mut inst);
-        (vrem, inst, enc.root, outcome)
+    /// An expression chased under the standard catalogue plus the
+    /// `(name, definition)` views given, with its analysis.
+    struct Chased {
+        vrem: Vrem,
+        inst: Instance,
+        root: NodeId,
+        outcome: ChaseOutcome,
+        analysis: LaAnalysis,
+    }
+
+    impl Chased {
+        fn new(e: &Expr, cat: &MetaCatalog, views: &[(&str, Expr)]) -> Self {
+            let mut vrem = Vrem::new();
+            let enc = Encoder::new(&mut vrem, cat).encode(e).unwrap();
+            let mut constraints = Catalogue::standard(&mut vrem).constraints;
+            let mut view_rules = Vec::new();
+            for (name, def) in views {
+                let view = Catalogue::la_view_constraints(&mut vrem, cat, name, def).unwrap();
+                let first = constraints.len();
+                constraints.extend(view.constraints);
+                view_rules.push((first..constraints.len(), view.classes));
+            }
+            let mut analysis = LaAnalysis::new(&vrem, enc.classes);
+            for (rules, classes) in view_rules {
+                analysis = analysis.with_view(rules, classes);
+            }
+            let rules = RuleSet::compile(constraints);
+            let engine = ChaseEngine::new(&rules).with_budget(ChaseBudget {
+                max_rounds: 8,
+                max_facts: 20_000,
+                max_nulls: 10_000,
+                deadline: None,
+            });
+            let mut inst = enc.instance;
+            let (outcome, _) = engine.chase_analyzed(&mut inst, &mut analysis);
+            Chased { vrem, inst, root: enc.root, outcome, analysis }
+        }
+
+        fn extractor(&self) -> Extractor<'_> {
+            Extractor::new(&self.vrem, &self.inst, &self.analysis, &TreeSizeCost)
+        }
+
+        fn candidates(&self, class: NodeId) -> Vec<String> {
+            self.extractor().candidates(class).iter().map(ToString::to_string).collect()
+        }
+
+        /// The class `name(class, n)` anchors.
+        fn named(&mut self, n: &str) -> NodeId {
+            let sym = self.vrem.vocab.constant(n);
+            let inst = &self.inst;
+            inst.facts_with_pred(self.vrem.name)
+                .iter()
+                .map(|&i| inst.fact(i))
+                .find(|f| inst.const_of(f.args[1]) == Some(sym))
+                .map(|f| inst.find(f.args[0]))
+                .expect("a class carries the name")
+        }
+    }
+
+    fn chase_of(e: &Expr, cat: &MetaCatalog) -> Chased {
+        Chased::new(e, cat, &[])
     }
 
     #[test]
@@ -820,11 +706,8 @@ mod tests {
         let mut cat = MetaCatalog::new();
         cat.register("A", MatrixMeta::dense(30, 4));
         cat.register("B", MatrixMeta::dense(4, 30));
-        let e = trace(mul(m("A"), m("B")));
-        let (vrem, inst, root, _) = chase_of(&e, &cat);
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
-        let cands = ex.candidates(root);
-        let strs: Vec<String> = cands.iter().map(std::string::ToString::to_string).collect();
+        let c = chase_of(&trace(mul(m("A"), m("B"))), &cat);
+        let strs = c.candidates(c.root);
         assert!(strs.contains(&"trace((A B))".to_string()), "{strs:?}");
         assert!(strs.contains(&"trace((B A))".to_string()), "{strs:?}");
     }
@@ -833,11 +716,9 @@ mod tests {
     fn double_transpose_collapses() {
         let mut cat = MetaCatalog::new();
         cat.register("A", MatrixMeta::dense(6, 4));
-        let e = t(t(m("A")));
-        let (vrem, inst, root, outcome) = chase_of(&e, &cat);
-        assert_eq!(outcome, ChaseOutcome::Saturated);
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
-        assert_eq!(ex.extract(root).unwrap(), m("A"));
+        let c = chase_of(&t(t(m("A"))), &cat);
+        assert_eq!(c.outcome, ChaseOutcome::Saturated);
+        assert_eq!(c.extractor().extract(c.root).unwrap(), m("A"));
     }
 
     #[test]
@@ -845,13 +726,9 @@ mod tests {
         // trace(Q·R) where [Q,R] = QR(D) must land in trace(D)'s class.
         let mut cat = MetaCatalog::new();
         cat.register("D", MatrixMeta::dense(8, 8));
-        let e = trace(mul(
-            crate::expr::Expr::QrQ(Box::new(m("D"))),
-            crate::expr::Expr::QrR(Box::new(m("D"))),
-        ));
-        let (vrem, inst, root, _) = chase_of(&e, &cat);
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
-        assert_eq!(ex.extract(root).unwrap(), trace(m("D")));
+        let e = trace(mul(Expr::QrQ(Box::new(m("D"))), Expr::QrR(Box::new(m("D")))));
+        let c = chase_of(&e, &cat);
+        assert_eq!(c.extractor().extract(c.root).unwrap(), trace(m("D")));
     }
 
     #[test]
@@ -863,20 +740,16 @@ mod tests {
                 .with_flags(TypeFlags { symmetric_pd: true, ..Default::default() }),
         );
         // cho(S) · cho(S)ᵀ = S.
-        let e = mul(cho(m("S")), t(cho(m("S"))));
-        let (vrem, inst, root, _) = chase_of(&e, &cat);
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
-        assert_eq!(ex.extract(root).unwrap(), m("S"));
+        let c = chase_of(&mul(cho(m("S")), t(cho(m("S")))), &cat);
+        assert_eq!(c.extractor().extract(c.root).unwrap(), m("S"));
     }
 
     #[test]
     fn identity_collapses_product() {
         let mut cat = MetaCatalog::new();
         cat.register("A", MatrixMeta::dense(5, 5));
-        let e = mul(m("A"), crate::expr::Expr::Identity(5));
-        let (vrem, inst, root, _) = chase_of(&e, &cat);
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
-        assert_eq!(ex.extract(root).unwrap(), m("A"));
+        let c = chase_of(&mul(m("A"), Expr::Identity(5)), &cat);
+        assert_eq!(c.extractor().extract(c.root).unwrap(), m("A"));
     }
 
     #[test]
@@ -909,29 +782,34 @@ mod tests {
         let mut cat = MetaCatalog::new();
         cat.register("A", MatrixMeta::dense(30, 4));
         cat.register("B", MatrixMeta::dense(4, 30));
-        let mut vrem = Vrem::new();
-        let e = trace(mul(m("A"), m("B")));
-        let enc = Encoder::new(&mut vrem, &cat).encode(&e).unwrap();
-        let mut catalogue = Catalogue::standard(&mut vrem);
-        catalogue.constraints.extend(
-            Catalogue::la_view_constraints(&mut vrem, &cat, "W", &mul(m("A"), m("B"))).unwrap(),
-        );
-        let rules = RuleSet::compile(catalogue.constraints);
-        let engine = ChaseEngine::new(&rules);
-        let mut inst = enc.instance;
-        engine.chase(&mut inst);
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
+        let c = Chased::new(&trace(mul(m("A"), m("B"))), &cat, &[("W", mul(m("A"), m("B")))]);
         // trace(W) (size 2) beats trace((A B)) (size 4) under tree size.
-        assert_eq!(ex.extract(enc.root).unwrap(), trace(m("W")));
-        let strs: Vec<String> =
-            ex.candidates(enc.root).iter().map(std::string::ToString::to_string).collect();
+        assert_eq!(c.extractor().extract(c.root).unwrap(), trace(m("W")));
+        let strs = c.candidates(c.root);
         assert!(strs.contains(&"trace(W)".to_string()), "{strs:?}");
+    }
+
+    /// A view rule's firing joins the definition's estimate into the
+    /// classes it concludes on: expanding a use of `V` leaves `V`'s class
+    /// with the lower of its catalogued density (dense) and the estimate of
+    /// its sparse definition.
+    #[test]
+    fn view_rules_join_the_definition_estimate() {
+        let mut cat = MetaCatalog::new();
+        cat.register("S", MatrixMeta::sparse(40, 40, 80));
+        cat.register("V", MatrixMeta::dense(40, 40));
+        let def = mul(m("S"), m("S"));
+        let mut c = Chased::new(&m("V"), &cat, &[("V", def.clone())]);
+        let estimate = ClassData::estimated(cat.expr_stats(&def).unwrap());
+        assert!(estimate.density < Some(1.0));
+        let v_class = c.named("V");
+        assert_eq!(c.analysis.class(v_class), Some(estimate));
     }
 
     /// `V_OI`: a query *using* the view name expands into the definition,
     /// so rewriting can continue through it (here: nothing better exists,
-    /// but both derivations are decodable and shapes are known for the
-    /// expanded leaves via the emitted `size` atoms + `name-unique`).
+    /// but both derivations are decodable, and the expanded classes carry
+    /// the definition's stats, which `name-unique` merges into the leaves).
     #[test]
     fn view_oi_expands_view_uses() {
         let mut cat = MetaCatalog::new();
@@ -939,107 +817,100 @@ mod tests {
         cat.register("B", MatrixMeta::dense(4, 6));
         cat.register("W", MatrixMeta::dense(6, 6));
         cat.register("x", MatrixMeta::dense(6, 1));
-        let mut vrem = Vrem::new();
-        let e = mul(m("W"), m("x"));
-        let enc = Encoder::new(&mut vrem, &cat).encode(&e).unwrap();
-        let mut catalogue = Catalogue::standard(&mut vrem);
-        catalogue.constraints.extend(
-            Catalogue::la_view_constraints(&mut vrem, &cat, "W", &mul(m("A"), m("B"))).unwrap(),
-        );
-        let rules = RuleSet::compile(catalogue.constraints);
-        let engine = ChaseEngine::new(&rules);
-        let mut inst = enc.instance;
-        let (outcome, _) = engine.chase(&mut inst);
-        assert_eq!(outcome, ChaseOutcome::Saturated);
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
-        let strs: Vec<String> =
-            ex.candidates(enc.root).iter().map(std::string::ToString::to_string).collect();
+        let mut c = Chased::new(&mul(m("W"), m("x")), &cat, &[("W", mul(m("A"), m("B")))]);
+        assert_eq!(c.outcome, ChaseOutcome::Saturated);
+        let strs = c.candidates(c.root);
         // The expansion feeds the structural rules: re-association through
         // the view definition surfaces at the root.
         assert!(strs.contains(&"(W x)".to_string()), "{strs:?}");
         assert!(strs.contains(&"(A (B x))".to_string()), "{strs:?}");
         // The W leaf class itself now carries the expanded derivation too.
-        let w_sym = vrem.vocab.constant("W");
-        let w_class = inst
-            .facts()
-            .iter()
-            .find(|f| f.pred == vrem.name && inst.const_of(inst.find(f.args[1])) == Some(w_sym))
-            .map(|f| inst.find(f.args[0]))
-            .unwrap();
-        let w_strs: Vec<String> =
-            ex.candidates(w_class).iter().map(std::string::ToString::to_string).collect();
+        let w_class = c.named("W");
+        let w_strs = c.candidates(w_class);
         assert!(w_strs.contains(&"W".to_string()), "{w_strs:?}");
         assert!(w_strs.contains(&"(A B)".to_string()), "{w_strs:?}");
+        let a_class = c.named("A");
+        assert_eq!(c.analysis.class(a_class).map(|d| d.shape()), Some((6, 4)));
     }
 
-    /// Size propagation: every operator fact the chase creates gets a
-    /// `size` fact for its output class — extraction and the cost oracle
-    /// no longer re-infer shapes bottom-up for chase-created classes.
+    /// Every class a chase firing creates gets its shape from the
+    /// analysis' `make` — extraction and the cost oracle never re-infer
+    /// shapes bottom-up for chase-created classes.
     #[test]
     fn chase_created_classes_carry_size_facts() {
         let mut cat = MetaCatalog::new();
         cat.register("A", MatrixMeta::dense(40, 10));
         cat.register("B", MatrixMeta::dense(10, 40));
         cat.register("x", MatrixMeta::dense(40, 1));
-        let e = mul(mul(m("A"), m("B")), m("x"));
-        let (vrem, inst, _, outcome) = chase_of(&e, &cat);
-        assert_eq!(outcome, ChaseOutcome::Saturated);
-        let sized: std::collections::HashSet<_> = inst
-            .facts_with_pred(vrem.size)
-            .iter()
-            .map(|&i| inst.find(inst.facts()[i].args[0]))
-            .collect();
-        let mul_pred = vrem.op(OpKind::Mul);
+        let c = chase_of(&mul(mul(m("A"), m("B")), m("x")), &cat);
+        assert_eq!(c.outcome, ChaseOutcome::Saturated);
+        let inst = &c.inst;
+        let mul_pred = c.vrem.op(OpKind::Mul);
         assert!(inst.facts_with_pred(mul_pred).len() > 2, "re-association happened");
         for &i in inst.facts_with_pred(mul_pred) {
-            let out = inst.find(inst.facts()[i].args[2]);
-            assert!(sized.contains(&out), "mul output class without size fact");
+            let out = inst.find(inst.fact(i).args[2]);
+            assert!(c.analysis.class(out).is_some(), "mul output class without a shape");
         }
-        // The re-associated (B x) intermediate got the right shape.
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
+        // The re-associated (B x) intermediate got the right shape, and no
+        // density estimate: it is priced from its operands.
+        let ex = c.extractor();
         let bx = inst
             .facts_with_pred(mul_pred)
             .iter()
-            .map(|&i| &inst.facts()[i])
+            .map(|&i| inst.fact(i))
             .find(|f| {
                 ex.shape(f.args[0]) == Some((10, 40)) && ex.shape(f.args[1]) == Some((40, 1))
             })
             .map(|f| f.args[2])
             .expect("chase derived mul(B, x, ·)");
         assert_eq!(ex.shape(bx), Some((10, 1)));
+        assert_eq!(ex.density(bx), None);
     }
 
     /// Density propagation: a chase-created transpose class inherits the
-    /// operand's catalogued sparsity through the `dens-tr` TGD.
+    /// operand's catalogued sparsity from the analysis' `make`.
     #[test]
     fn density_propagates_through_transpose() {
         let mut cat = MetaCatalog::new();
         cat.register("S", MatrixMeta::sparse(100, 50, 250)); // density 0.05
         cat.register("D", MatrixMeta::dense(100, 50));
-        // (S D ᵀ-style shapes don't matter; use (D ᵀ S)ᵀ so tr-mul creates
-        // transposes of both leaves.)
-        let e = t(mul(t(m("D")), m("S")));
-        let (mut vrem, inst, _, outcome) = chase_of(&e, &cat);
-        assert_eq!(outcome, ChaseOutcome::Saturated);
-        let s_sym = vrem.vocab.constant("S");
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
+        // (Dᵀ S)ᵀ, so tr-mul creates transposes of both leaves.
+        let mut c = chase_of(&t(mul(t(m("D")), m("S"))), &cat);
+        assert_eq!(c.outcome, ChaseOutcome::Saturated);
         // tr-mul derived Sᵀ (shape 50x100); its class must carry S's
         // density even though the encoder never saw that subexpression.
-        let tr_pred = vrem.op(OpKind::Transpose);
-        let s_class = inst
-            .facts()
-            .iter()
-            .find(|f| f.pred == vrem.name && inst.const_of(inst.find(f.args[1])) == Some(s_sym))
-            .map(|f| inst.find(f.args[0]))
-            .unwrap();
+        let s_class = c.named("S");
+        let inst = &c.inst;
         let st_class = inst
-            .facts_with_pred(tr_pred)
+            .facts_with_pred(c.vrem.op(OpKind::Transpose))
             .iter()
-            .map(|&i| &inst.facts()[i])
+            .map(|&i| inst.fact(i))
             .find(|f| inst.find(f.args[0]) == s_class)
             .map(|f| inst.find(f.args[1]))
             .expect("chase derived Sᵀ");
-        assert_eq!(ex.density(st_class), Some(0.05));
+        assert_eq!(c.extractor().density(st_class), Some(0.05));
+    }
+
+    /// `inv-mul`'s "A square" is a guard: `(A B)⁻¹` pushes the inverse
+    /// through the product for a square `A` only, and a refusal is no veto.
+    #[test]
+    fn inv_mul_fires_only_for_a_square_left_factor() {
+        let fired = |a: (usize, usize)| {
+            let mut cat = MetaCatalog::new();
+            cat.register("A", MatrixMeta::dense(a.0, a.1));
+            cat.register("B", MatrixMeta::dense(a.1, a.0));
+            let mut vrem = Vrem::new();
+            let enc = Encoder::new(&mut vrem, &cat).encode(&inv(mul(m("A"), m("B")))).unwrap();
+            let rules = RuleSet::compile(Catalogue::standard(&mut vrem).constraints);
+            let mut analysis = LaAnalysis::new(&vrem, enc.classes);
+            let mut inst = enc.instance;
+            let (_, stats) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut analysis);
+            assert_eq!(stats.pruned_firings, 0);
+            let rule = stats.rules.iter().find(|r| &*r.name == "inv-mul").unwrap();
+            (rule.firings, rule.vetoes)
+        };
+        assert_eq!(fired((5, 5)), (1, 0));
+        assert_eq!(fired((5, 3)), (0, 0), "(A B) is square, A is not");
     }
 
     #[test]
@@ -1048,11 +919,8 @@ mod tests {
         cat.register("A", MatrixMeta::dense(40, 10));
         cat.register("B", MatrixMeta::dense(10, 40));
         cat.register("x", MatrixMeta::dense(40, 1));
-        let e = mul(mul(m("A"), m("B")), m("x"));
-        let (vrem, inst, root, _) = chase_of(&e, &cat);
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
-        let strs: Vec<String> =
-            ex.candidates(root).iter().map(std::string::ToString::to_string).collect();
+        let c = chase_of(&mul(mul(m("A"), m("B")), m("x")), &cat);
+        let strs = c.candidates(c.root);
         assert!(strs.contains(&"((A B) x)".to_string()), "{strs:?}");
         assert!(strs.contains(&"(A (B x))".to_string()), "{strs:?}");
     }

@@ -3,9 +3,10 @@
 //!
 //! Each subexpression becomes an equivalence-class node in a canonical
 //! [`Instance`]; each operator application becomes a fact of the matching
-//! VREM relation whose last argument is the (fresh) result class. `size`
-//! facts record static shapes, `type` facts record structural flags, and
-//! base matrices are anchored by `name` facts.
+//! VREM relation whose last argument is the (fresh) result class. `type`
+//! facts record structural flags and base matrices are anchored by `name`
+//! facts; shapes and estimated densities are not facts but the seed of the
+//! chase's analysis ([`Encoded::classes`], [`crate::analysis`]).
 //!
 //! Surface subtraction is desugared to `a + (-1 · b)` so that the addition
 //! property catalogue covers it; the decoder resugars (see `extract`).
@@ -21,17 +22,19 @@ use std::hash::Hash;
 
 use hadad_chase::{Atom, Instance, NodeId, PredId, Provenance, SymId, Term};
 
+use crate::analysis::ClassData;
 use crate::expr::Expr;
-use crate::schema::{OpKind, Vrem, DENSITY_SCALE};
+use crate::schema::{OpKind, Vrem};
 use crate::stats::{
     leaf_stats, op_stats, op_step, ClassStats, MetaCatalog, ShapeError, TypeFlags,
 };
 
-/// Interns a density as the parts-per-million integer constant the
-/// `density` relation carries (shared with the view constraints in
-/// `catalogue` so every `density` fact uses one encoding).
-pub(crate) fn density_sym(vrem: &mut Vrem, density: f64) -> SymId {
-    vrem.vocab.int((density.clamp(0.0, 1.0) * DENSITY_SCALE).round() as i64)
+/// Sets `classes[i]`, growing the vector to reach it.
+fn record(classes: &mut Vec<Option<ClassData>>, i: usize, data: ClassData) {
+    if classes.len() <= i {
+        classes.resize(i + 1, None);
+    }
+    classes[i] = Some(data);
 }
 
 /// What makes two subexpressions one class before any chase runs.
@@ -190,6 +193,9 @@ pub struct Encoded {
     pub instance: Instance,
     /// Class of the whole expression (the CQ head of `enc_LA(E)`).
     pub root: NodeId,
+    /// Shape and estimated density of every class, indexed by `NodeId.0`:
+    /// the seed of [`crate::analysis::LaAnalysis`].
+    pub classes: Vec<Option<ClassData>>,
 }
 
 /// Encoder state: shares subexpression classes structurally so that e.g.
@@ -201,28 +207,34 @@ pub struct Encoder<'a> {
     pub cat: &'a MetaCatalog,
     inst: Instance,
     memo: Memo<NodeId>,
+    classes: Vec<Option<ClassData>>,
 }
 
 impl<'a> Encoder<'a> {
     /// An encoder over `vrem` with metadata from `cat`.
     pub fn new(vrem: &'a mut Vrem, cat: &'a MetaCatalog) -> Self {
-        Encoder { vrem, cat, inst: Instance::new(), memo: Memo::default() }
+        Encoder { vrem, cat, inst: Instance::new(), memo: Memo::default(), classes: Vec::new() }
     }
 
-    /// Encodes `e`, returning the instance and the root class.
+    /// Encodes `e`, returning the instance, the root class and the
+    /// classes' stats.
     pub fn encode(mut self, e: &Expr) -> Result<Encoded, ShapeError> {
         let (root, _) = self.class_of(e)?;
-        Ok(Encoded { instance: self.inst, root })
+        Ok(Encoded { instance: self.inst, root, classes: self.classes })
     }
 
-    /// Encodes several expressions into one shared instance (used when a
-    /// query and candidate views must coexist).
-    pub fn encode_many(mut self, es: &[&Expr]) -> Result<(Instance, Vec<NodeId>), ShapeError> {
+    /// Encodes several expressions into one shared instance, returning
+    /// each one's class and the classes' stats.
+    #[allow(clippy::type_complexity)]
+    pub fn encode_many(
+        mut self,
+        es: &[&Expr],
+    ) -> Result<(Instance, Vec<NodeId>, Vec<Option<ClassData>>), ShapeError> {
         let mut roots = Vec::with_capacity(es.len());
         for e in es {
             roots.push(self.class_of(e)?.0);
         }
-        Ok((self.inst, roots))
+        Ok((self.inst, roots, self.classes))
     }
 
     fn type_facts(&mut self, node: NodeId, flags: TypeFlags) {
@@ -285,25 +297,25 @@ impl HashCons for Encoder<'_> {
         out
     }
 
+    /// Both outputs get the input's shape; the one the expression reads
+    /// gets its estimate from [`HashCons::new_stats`] next, the other stays
+    /// without a density, like any class the chase creates.
     fn new_pair(&mut self, kind: OpKind, input: NodeId) -> (NodeId, NodeId) {
         let o1 = self.inst.fresh_null();
         let o2 = self.inst.fresh_null();
         self.inst.insert(self.vrem.op(kind), vec![input, o1, o2], Provenance::empty(), None);
+        if let Some(&Some(of)) = self.classes.get(input.0 as usize) {
+            for out in [o1, o2] {
+                record(&mut self.classes, out.0 as usize, ClassData { density: None, ..of });
+            }
+        }
         (o1, o2)
     }
 
-    /// `size` + `density` facts: the per-class statistics the cost oracle
-    /// reads. Emitted for every encoded subexpression so the chase starts
-    /// from the same estimates the ranking cost model would compute.
+    /// The analysis seed: every encoded subexpression starts from the
+    /// estimate the ranking cost model computes for it.
     fn new_stats(&mut self, node: NodeId, stats: ClassStats) {
-        let r = self.vrem.vocab.int(stats.rows as i64);
-        let c = self.vrem.vocab.int(stats.cols as i64);
-        let rn = self.inst.const_node(r);
-        let cn = self.inst.const_node(c);
-        self.inst.insert(self.vrem.size, vec![node, rn, cn], Provenance::empty(), None);
-        let d = density_sym(self.vrem, stats.density);
-        let dn = self.inst.const_node(d);
-        self.inst.insert(self.vrem.density, vec![node, dn], Provenance::empty(), None);
+        record(&mut self.classes, node.0 as usize, ClassData::estimated(stats));
     }
 }
 
@@ -318,14 +330,12 @@ pub struct CqEncoder<'a> {
     pub cat: &'a MetaCatalog,
     /// The accumulated CQ body.
     pub atoms: Vec<Atom>,
+    /// Shape and estimated density of each variable's class, indexed by
+    /// variable (`None` for the output of QR/LU the expression never
+    /// reads): what a rule concluding these atoms tells the analysis.
+    pub classes: Vec<Option<ClassData>>,
     next_var: u32,
     memo: Memo<u32>,
-    /// When set, `size(v, r, c)` and `density(v, d)` atoms (constant
-    /// stats) are emitted per encoded subexpression, so TGD conclusions
-    /// built from these atoms carry shapes and sparsity for classes the
-    /// chase creates (view-leaf stats in extraction and the cost oracle
-    /// rely on this).
-    emit_sizes: bool,
 }
 
 impl<'a> CqEncoder<'a> {
@@ -335,16 +345,10 @@ impl<'a> CqEncoder<'a> {
             vrem,
             cat,
             atoms: Vec::new(),
+            classes: Vec::new(),
             next_var: 0,
             memo: Memo::default(),
-            emit_sizes: false,
         }
-    }
-
-    /// Enables per-subexpression `size` + `density` atoms.
-    pub fn with_sizes(mut self) -> Self {
-        self.emit_sizes = true;
-        self
     }
 
     /// A fresh CQ variable.
@@ -398,16 +402,7 @@ impl HashCons for CqEncoder<'_> {
     }
 
     fn new_stats(&mut self, var: u32, stats: ClassStats) {
-        if self.emit_sizes {
-            let r = self.vrem.vocab.int(stats.rows as i64);
-            let c = self.vrem.vocab.int(stats.cols as i64);
-            self.atoms.push(Atom::new(
-                self.vrem.size,
-                vec![Term::Var(var), Term::Const(r), Term::Const(c)],
-            ));
-            let d = density_sym(self.vrem, stats.density);
-            self.atoms.push(Atom::new(self.vrem.density, vec![Term::Var(var), Term::Const(d)]));
-        }
+        record(&mut self.classes, var as usize, ClassData::estimated(stats));
     }
 }
 
@@ -480,9 +475,11 @@ mod tests {
         // The transpose fact's output is the root.
         let tr_fact = &inst.facts()[inst.facts_with_pred(vrem.op(OpKind::Transpose))[0]];
         assert_eq!(inst.find(tr_fact.args[1]), inst.find(enc.root));
-        // size + density facts for M, N, MN, (MN)^T.
-        assert_eq!(inst.facts_with_pred(vrem.size).len(), 4);
-        assert_eq!(inst.facts_with_pred(vrem.density).len(), 4);
+        // Stats, not facts, for M, N, MN, (MN)^T.
+        assert_eq!(inst.num_facts(), 4);
+        assert_eq!(enc.classes.iter().flatten().count(), 4);
+        let root = enc.classes[enc.root.0 as usize].expect("the root is estimated");
+        assert_eq!((root.shape(), root.density), ((100, 100), Some(1.0)));
     }
 
     #[test]
@@ -537,28 +534,22 @@ mod tests {
     }
 
     #[test]
-    fn cq_encoder_with_sizes_emits_stats_atoms() {
+    fn cq_encoder_records_stats_per_variable() {
         let mut vrem = Vrem::new();
         let mut c = MetaCatalog::new();
         c.register("M", MatrixMeta::dense(6, 4));
-        let four = vrem.vocab.constant("4");
-        let six = vrem.vocab.constant("6");
-        let full = vrem.vocab.int(1_000_000);
-        let (size_pred, density_pred) = (vrem.size, vrem.density);
-        let mut enc = CqEncoder::new(&mut vrem, &c).with_sizes();
+        c.register("D", MatrixMeta::dense(5, 5));
+        let mut enc = CqEncoder::new(&mut vrem, &c);
         let root = enc.enc(&t(m("M"))).unwrap();
-        // name(M) + size(M) + density(M) + tr + size(root) + density(root).
-        assert_eq!(enc.atoms.len(), 6);
-        let sizes: Vec<&Atom> = enc.atoms.iter().filter(|a| a.pred == size_pred).collect();
-        assert_eq!(sizes.len(), 2);
-        // The root's size atom carries the transposed constant dims.
-        assert!(sizes
-            .iter()
-            .any(|a| a.args == vec![Term::Var(root), Term::Const(four), Term::Const(six)]));
-        // Dense metadata renders as the full-scale ppm density constant.
-        let dens: Vec<&Atom> = enc.atoms.iter().filter(|a| a.pred == density_pred).collect();
-        assert_eq!(dens.len(), 2);
-        assert!(dens.iter().all(|a| a.args[1] == Term::Const(full)));
+        // name(M) + tr: the stats are beside the atoms, not among them.
+        assert_eq!(enc.atoms.len(), 2);
+        let q = enc.enc(&Expr::QrQ(Box::new(m("D")))).unwrap();
+        let of = |v: u32| enc.classes.get(v as usize)?.map(|d| (d.shape(), d.density));
+        assert_eq!(of(0), Some(((6, 4), Some(1.0))));
+        assert_eq!(of(root), Some(((4, 6), Some(1.0))), "the transposed dims");
+        // QR read through Q only: R's variable has no estimate.
+        assert_eq!(of(q), Some(((5, 5), Some(1.0))));
+        assert_eq!(of(q + 1), None);
     }
 
     #[test]
@@ -567,11 +558,8 @@ mod tests {
         let mut c = MetaCatalog::new();
         c.register("S", MatrixMeta::sparse(100, 100, 500)); // density 0.05
         let enc = Encoder::new(&mut vrem, &c).encode(&t(m("S"))).unwrap();
-        let inst = &enc.instance;
-        let ppm = vrem.vocab.int(50_000);
-        let dens = inst.facts_with_pred(vrem.density);
-        assert_eq!(dens.len(), 2, "one density fact per subexpression");
-        assert!(dens.iter().all(|&i| inst.const_of(inst.facts()[i].args[1]) == Some(ppm)));
+        let dens: Vec<Option<f64>> = enc.classes.iter().flatten().map(|d| d.density).collect();
+        assert_eq!(dens, [Some(0.05); 2], "one estimate per subexpression");
     }
 
     #[test]

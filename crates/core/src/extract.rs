@@ -13,9 +13,10 @@
 //! e-node costs `max(op, 1e-9) + Σ operand classes`, which is monotone in
 //! every operand and never below any of them, so the cheapest class still
 //! queued is final when it is popped, and an e-node is costed exactly
-//! once, when the last of its operand classes is popped. Expressions are
-//! rebuilt from the chosen e-nodes on demand, resugaring the encoder's
-//! `a + (-1 · b)` back to subtraction.
+//! once, when the last of its operand classes is popped. Classes are priced
+//! at the shapes and densities the chase's analysis holds
+//! ([`LaAnalysis`]). Expressions are rebuilt from the chosen e-nodes on
+//! demand, resugaring the encoder's `a + (-1 · b)` back to subtraction.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -23,8 +24,9 @@ use std::ops::Range;
 
 use hadad_chase::{Instance, NodeId};
 
+use crate::analysis::LaAnalysis;
 use crate::expr::Expr;
-use crate::schema::{OpKind, Vrem, DENSITY_SCALE};
+use crate::schema::{OpKind, Vrem};
 use crate::stats::{op_stats, ClassStats};
 
 /// One way to produce a class: a leaf fact or an operator application.
@@ -57,10 +59,11 @@ impl ENode {
 /// kinds and per-class [`ClassStats`] (shape + estimated density), so
 /// `hadad-core` stays decoupled from any particular estimator;
 /// `hadad-rewrite` supplies one built on the shared `op_cost_with` table.
-/// Densities come from the chased instance's `density` facts (catalogued
-/// leaves, view roots, shape-preserving propagation) and default to dense
-/// for chase-created classes without facts — a deterministic,
-/// derivation-order-independent choice.
+/// Densities are the analysis's (encoded subexpressions, view classes, and
+/// the transposes, `rev`s and scalar multiples that copy them). A
+/// chase-created class without one is priced as dense where it is an
+/// operand, and at its operator's propagated estimate where it is the
+/// output — a deterministic, derivation-order-independent choice.
 pub trait ExtractionCost {
     /// Cost of reading a leaf (base matrix / literal / identity / zero).
     fn leaf_cost(&self, stats: ClassStats) -> f64;
@@ -106,13 +109,12 @@ pub struct Extractor<'a> {
     /// one: class `c`'s are `nodes[first[c]..first[c + 1]]`.
     nodes: Vec<ENode>,
     first: Vec<u32>,
-    /// Shape, from `size` facts (the chase propagates them to created
-    /// classes) or, failing those, from the first costed literal (1 × 1)
-    /// or operator e-node.
+    /// Shape, from the analysis or, for a class it knows nothing of, from
+    /// the first costed literal (1 × 1) or operator e-node.
     shapes: Vec<Option<(usize, usize)>>,
-    /// Estimated density, the minimum over the class's `density` facts
-    /// (min is order-independent, keeping extraction deterministic when
-    /// merged derivations disagree on the estimate).
+    /// Estimated density, from the analysis (which keeps the minimum of
+    /// merged derivations' estimates: min is order-independent, keeping
+    /// extraction deterministic when they disagree).
     densities: Vec<Option<f64>>,
     /// Cheapest derivation: its cost and its index into `nodes`.
     best: Vec<Option<(f64, u32)>>,
@@ -150,9 +152,14 @@ struct Worklist {
 }
 
 impl<'a> Extractor<'a> {
-    /// Collects e-nodes, shapes and densities from the instance and solves
-    /// for every class's cheapest derivation.
-    pub fn new(vrem: &Vrem, inst: &'a Instance, cost: &dyn ExtractionCost) -> Self {
+    /// Collects e-nodes from the instance, shapes and densities from its
+    /// analysis, and solves for every class's cheapest derivation.
+    pub fn new(
+        vrem: &Vrem,
+        inst: &'a Instance,
+        analysis: &LaAnalysis,
+        cost: &dyn ExtractionCost,
+    ) -> Self {
         // Fault-injection site: `extract.solve=panic` exercises the
         // optimizer's phase-level catch_unwind (degrade to the original
         // plan); `delay:<ms>` exercises deadlines. The `error` action has
@@ -162,13 +169,14 @@ impl<'a> Extractor<'a> {
         SOLVES.incr();
         let _span = hadad_obs::span("extract.solve");
         let n = inst.num_nodes();
+        let class = |c: usize| analysis.class(NodeId(c as u32));
         let mut ex = Extractor {
             inst,
             names: Vec::new(),
             nodes: Vec::new(),
             first: vec![0; n + 1],
-            shapes: vec![None; n],
-            densities: vec![None; n],
+            shapes: (0..n).map(|c| class(c).map(|d| d.shape())).collect(),
+            densities: (0..n).map(|c| class(c).and_then(|d| d.density)).collect(),
             best: vec![None; n],
         };
         ex.collect(vrem);
@@ -205,17 +213,6 @@ impl<'a> Extractor<'a> {
                 found.push((arg(0).0, ENode::Identity));
             } else if f.pred == vrem.zero {
                 found.push((arg(0).0, ENode::Zero));
-            } else if f.pred == vrem.size {
-                let dim = |i: usize| constant(arg(i)).and_then(|s| s.parse::<usize>().ok());
-                if let (Some(r), Some(c)) = (dim(1), dim(2)) {
-                    self.shapes[arg(0).0 as usize] = Some((r, c));
-                }
-            } else if f.pred == vrem.density {
-                if let Some(ppm) = constant(arg(1)).and_then(|s| s.parse::<i64>().ok()) {
-                    let d = (ppm as f64 / DENSITY_SCALE).clamp(0.0, 1.0);
-                    let slot = &mut self.densities[arg(0).0 as usize];
-                    *slot = Some(slot.map_or(d, |cur| cur.min(d)));
-                }
             } else if let Some(kind) = vrem.kind_of(f.pred) {
                 let n_in = kind.num_inputs();
                 let inputs = [arg(0), arg(n_in - 1)];
@@ -419,7 +416,7 @@ impl<'a> Extractor<'a> {
     }
 
     /// The stats the cost sees for `class` at `shape`: dense unless the
-    /// class has `density` facts.
+    /// analysis has a density for it.
     fn stats(&self, class: usize, shape: (usize, usize)) -> ClassStats {
         ClassStats {
             rows: shape.0,
@@ -433,12 +430,12 @@ impl<'a> Extractor<'a> {
         self.best[self.inst.find(class).0 as usize].map(|(c, _)| c)
     }
 
-    /// Shape of a class, from `size` facts or inference.
+    /// Shape of a class, from the analysis or inference.
     pub fn shape(&self, class: NodeId) -> Option<(usize, usize)> {
         self.shapes[self.inst.find(class).0 as usize]
     }
 
-    /// Estimated density of a class from its `density` facts, if any.
+    /// Estimated density of a class, if the analysis has one.
     pub fn density(&self, class: NodeId) -> Option<f64> {
         self.densities[self.inst.find(class).0 as usize]
     }
@@ -589,7 +586,8 @@ mod tests {
         let mut vrem = Vrem::new();
         let c = cat();
         let enc = Encoder::new(&mut vrem, &c).encode(e).unwrap();
-        let ex = Extractor::new(&vrem, &enc.instance, &TreeSizeCost);
+        let analysis = LaAnalysis::new(&vrem, enc.classes);
+        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &TreeSizeCost);
         ex.extract(enc.root).expect("root extractable")
     }
 
@@ -661,12 +659,12 @@ mod tests {
         c.register("S", MatrixMeta::sparse(n, n, 0));
         let x = Expr::Diag(Box::new(m("S")));
         let mut vrem = Vrem::new();
-        let (mut inst, roots) = Encoder::new(&mut vrem, &c)
+        let (mut inst, roots, classes) = Encoder::new(&mut vrem, &c)
             .encode_many(&[&x, &t(x.clone()), &t(t(x.clone()))])
             .unwrap();
         inst.merge(roots[0], roots[2]).unwrap();
         inst.rehash();
-        let ex = Extractor::new(&vrem, &inst, &Flops);
+        let ex = Extractor::new(&vrem, &inst, &LaAnalysis::new(&vrem, classes), &Flops);
         assert_eq!(ex.class_cost(roots[0]), Some(n as f64));
         assert_eq!(ex.class_cost(roots[1]), Some(n as f64), "the clamp is absorbed");
         assert_eq!(ex.extract(roots[0]), Some(x.clone()));
@@ -684,11 +682,11 @@ mod tests {
         let mut c = cat();
         c.register("P", MatrixMeta::dense(100, 100));
         let e = mul(m("M"), m("N"));
-        let enc = Encoder::new(&mut vrem, &c).encode_many(&[&e, &m("P")]).unwrap();
-        let (mut inst, roots) = enc;
+        let (mut inst, roots, classes) =
+            Encoder::new(&mut vrem, &c).encode_many(&[&e, &m("P")]).unwrap();
         inst.merge(roots[0], roots[1]).unwrap();
         inst.rehash();
-        let ex = Extractor::new(&vrem, &inst, &TreeSizeCost);
+        let ex = Extractor::new(&vrem, &inst, &LaAnalysis::new(&vrem, classes), &TreeSizeCost);
         assert_eq!(ex.extract(roots[0]).unwrap(), m("P"));
         // Both derivations remain available as candidates.
         let cands = ex.candidates(roots[0]);

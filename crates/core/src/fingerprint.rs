@@ -5,11 +5,11 @@
 //! instances and extract isomorphic plans, so the cache abstracts leaves
 //! to first-occurrence indices: `trace(A B)` and `trace(C D)` share a
 //! canonical skeleton, and a hit is re-skinned onto the probe's names.
-//! Shape and density still matter — the chase propagates `size`/`density`
-//! facts and the extraction DP prices against them — so the key also
-//! carries a [`StatsBand`] per distinct leaf, bucketing density at the
-//! same ppm granularity the VREM encoding itself uses
-//! ([`DENSITY_SCALE`]). Matching skeleton +
+//! Shape and density still matter — the chase's analysis carries them and
+//! the extraction DP prices against them — so the key also carries a
+//! [`StatsBand`] per distinct leaf, bucketing density at the same ppm
+//! granularity the analysis itself uses ([`DENSITY_SCALE`]). Matching
+//! skeleton +
 //! matching bands ⇒ the cold pipeline would have produced the same plan
 //! shapes, which is exactly when serving from the cache is sound.
 
@@ -125,7 +125,7 @@ fn map_children(e: &Expr, f: &impl Fn(&Expr) -> Expr) -> Expr {
 
 /// Shape/density bucket of one leaf, derived from [`ClassStats`]: exact
 /// dimensions plus density quantized to parts-per-million — the same
-/// granularity `density` facts carry through the chase, so two leaves in
+/// granularity the chase's analysis keeps densities at, so two leaves in
 /// the same band are indistinguishable to the whole cost pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatsBand {

@@ -1,10 +1,14 @@
 //! The VREM schema (Virtual Relational Encoding of Matrices, paper §6.2,
-//! Table 1): one virtual relation per LA operation, plus `name`, `size`,
-//! `zero`, `identity`, `type`, and scalar-literal relations.
+//! Table 1): one virtual relation per LA operation, plus `name`, `zero`,
+//! `identity`, `type`, and scalar-literal relations. The paper's `size`
+//! relation is not one here: shapes and densities are the per-class data
+//! of [`crate::analysis::LaAnalysis`], which rules read through guards.
 //!
 //! IDs in these relations denote *value-equivalence classes* of expressions
 //! (§6.2.1): the chase's functional EGDs merge IDs of provably value-equal
 //! expressions, so the saturated instance doubles as an e-graph.
+
+use std::sync::Arc;
 
 use hadad_chase::{PredId, Vocabulary};
 
@@ -158,8 +162,6 @@ pub struct Vrem {
     pub vocab: Vocabulary,
     /// `name(M, n)`: class `M` is the matrix stored under name `n`.
     pub name: PredId,
-    /// `size(M, k, z)`: class `M` has `k` rows and `z` columns.
-    pub size: PredId,
     /// `zero(O)`: class `O` is an all-zeros matrix.
     pub zero: PredId,
     /// `identity(I)`: class `I` is an identity matrix.
@@ -168,19 +170,18 @@ pub struct Vrem {
     pub ty: PredId,
     /// `lit(S, v)`: class `S` is the 1x1 scalar literal `v`.
     pub lit: PredId,
-    /// `density(M, d)`: class `M` has an estimated non-zero fraction of
-    /// `d` parts-per-million (integer constant; see
-    /// [`crate::stats::ClassStats`]). Read by the cost oracle so the chase
-    /// and extraction agree with the ranking estimator on sparsity.
-    pub density: PredId,
+    /// `square(M)`: a rule guard, never a fact — it holds when the
+    /// analysis gives class `M` a square shape.
+    pub square: PredId,
     /// Operator relation per `OpKind`, indexed by discriminant.
     ops: Vec<PredId>,
-    /// Reverse of `ops`, indexed by `PredId.0`.
-    kinds: Vec<Option<OpKind>>,
+    /// Reverse of `ops`, indexed by `PredId.0`; shared with every clone
+    /// and with the analysis.
+    kinds: Arc<[Option<OpKind>]>,
 }
 
-/// Scale of the `density` relation's integer constants: densities are
-/// recorded in parts-per-million.
+/// Densities are estimated in parts per million: the resolution of the
+/// analysis's density data and of the plan cache's stats bands.
 pub const DENSITY_SCALE: f64 = 1_000_000.0;
 
 impl Vrem {
@@ -188,19 +189,18 @@ impl Vrem {
     pub fn new() -> Self {
         let mut vocab = Vocabulary::new();
         let name = vocab.predicate("name", 2);
-        let size = vocab.predicate("size", 3);
         let zero = vocab.predicate("zero", 1);
         let identity = vocab.predicate("identity", 1);
         let ty = vocab.predicate("type", 2);
         let lit = vocab.predicate("lit", 2);
-        let density = vocab.predicate("density", 2);
+        let square = vocab.predicate("square", 1);
         let ops: Vec<PredId> =
             OpKind::all().iter().map(|k| vocab.predicate(k.pred_name(), k.arity())).collect();
         let mut kinds = vec![None; vocab.num_preds()];
         for (&k, p) in OpKind::all().iter().zip(&ops) {
             kinds[p.0 as usize] = Some(k);
         }
-        Vrem { vocab, name, size, zero, identity, ty, lit, density, ops, kinds }
+        Vrem { vocab, name, zero, identity, ty, lit, square, ops, kinds: kinds.into() }
     }
 
     /// Predicate of an operator relation.
@@ -211,6 +211,11 @@ impl Vrem {
     /// Reverse lookup: operator kind of a predicate, if it is one.
     pub fn kind_of(&self, pred: PredId) -> Option<OpKind> {
         self.kinds.get(pred.0 as usize).copied().flatten()
+    }
+
+    /// The [`Self::kind_of`] table, shared.
+    pub(crate) fn kinds(&self) -> Arc<[Option<OpKind>]> {
+        Arc::clone(&self.kinds)
     }
 }
 

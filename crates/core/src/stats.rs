@@ -142,9 +142,9 @@ impl std::fmt::Display for ShapeError {
 impl std::error::Error for ShapeError {}
 
 /// Shape + density estimate of one equivalence class of expressions — the
-/// currency of the unified cost oracle. Carried as `size`/`density` facts
-/// in the chased instance, propagated per operator by [`op_stats`], and
-/// priced by [`op_flops`]/[`op_cost_with`].
+/// currency of the unified cost oracle. Seeds the chase's analysis
+/// ([`crate::analysis`]), is propagated per operator by [`op_stats`], and
+/// is priced by [`op_flops`]/[`op_cost_with`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassStats {
     /// Row count.
@@ -370,10 +370,10 @@ pub fn op_cost_with(
 /// Infers shape *and* density of an expression from base-matrix metadata,
 /// validating operator shapes along the way: the stats half of
 /// [`expr_estimate`], which does not depend on the backend profile. The
-/// encoder attaches the same stats to every subexpression as
-/// `size`/`density` facts (computed by the same one-level step, once per
-/// node), so the chase and the extractor start from the estimates the
-/// ranking cost model computes.
+/// encoder seeds the chase's analysis with the same stats for every
+/// subexpression (computed by the same one-level step, once per node), so
+/// the chase and the extractor start from the estimates the ranking cost
+/// model computes.
 pub fn expr_stats(e: &Expr, cat: &MetaCatalog) -> Result<ClassStats, ShapeError> {
     expr_estimate(e, cat, &BackendProfile::reference()).map(|(stats, _)| stats)
 }

@@ -3,9 +3,9 @@
 //! owns every formula, shape rule and the one recursion over expressions.
 //!
 //! * [`FlopsCost`] — the extraction DP's [`ExtractionCost`], pricing each
-//!   class from its propagated `size`/`density` facts (chase-created
-//!   classes without density facts are assumed dense, deterministically)
-//!   through `op_cost_with`;
+//!   class at the shape and density the chase's analysis holds for it
+//!   (see [`ExtractionCost`] for classes without a density) through
+//!   `op_cost_with`;
 //! * [`CostModel`] — the naïve metadata estimator of §7.2.1 over full
 //!   expressions (`expr_estimate`), used to rank extracted candidates.
 //!

@@ -782,9 +782,8 @@ fn run_state(
 
     // Phase 5: LA suffix rewriting with the cast matrix catalogued from
     // its actual materialization (shape and nnz) — for a sparse cast this
-    // records the true ultra-sparse density, which the encoder turns into
-    // the `density` facts the cost oracle reads. The
-    // clone is pinned to the captured epoch so plan-cache entries it
+    // records the true ultra-sparse density, which the encoder seeds the
+    // chase's analysis with for the cost oracle to read. The clone is pinned to the captured epoch so plan-cache entries it
     // creates (or serves) are validated against the snapshotted catalog
     // state, not whatever the live catalog has moved on to.
     let cast_meta = MatrixMeta::from_matrix(&mat);

@@ -18,9 +18,16 @@
 //! one with `v` views compiles `2·v` rules per call and shares the rest
 //! ([`RuleSet::extended`]). Nothing is kept from one call to the next, so
 //! nothing is keyed, locked or evicted.
+//!
+//! The chase runs with the LA analysis ([`LaAnalysis`]): shapes and
+//! densities seeded by the encoder, kept for the classes the chase creates
+//! and merges, and read by extraction. A constraint that merges classes of
+//! different shapes ends the call with the original plan, degraded
+//! ([`DegradeReason::AnalysisConflict`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -31,8 +38,8 @@ use hadad_chase::{
 };
 use hadad_core::fingerprint::{canonicalize, leaf_bands, rename_leaves};
 use hadad_core::{
-    BackendProfile, Catalogue, Encoder, Expr, Extractor, MatrixMeta, MetaCatalog,
-    RuleRejection, ShapeError, Vrem,
+    BackendProfile, Catalogue, ClassData, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta,
+    MetaCatalog, RuleRejection, ShapeError, Vrem,
 };
 use hadad_linalg::{approx_eq, BackendKind, Matrix};
 
@@ -47,6 +54,8 @@ static M_REWRITE_CALLS: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("re
 static M_CACHE_SERVED: hadad_obs::LazyCounter =
     hadad_obs::LazyCounter::new("rewrite.cache_served");
 static M_DEGRADED: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("rewrite.degraded");
+static M_CONFLICTS: hadad_obs::LazyCounter =
+    hadad_obs::LazyCounter::new("rewrite.analysis_conflicts");
 static M_TOTAL_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("rewrite.total_us");
 static M_ENCODE_US: hadad_obs::LazyHistogram =
     hadad_obs::LazyHistogram::new("rewrite.encode_us");
@@ -199,25 +208,16 @@ pub type ConstraintGen = Arc<dyn Fn(&mut Vrem) -> Vec<Constraint> + Send + Sync>
 /// Static gate shared by every registration entry point: the standard
 /// catalogue — read back from the shared compiled rules — followed by the
 /// `offered` rules must certify (range restriction, weak acyclicity modulo
-/// conclusion-atom reuse, stats coverage). `vrem` is the clone of the
-/// shared schema `offered` was built over. Subsumption is skipped here —
-/// it can only produce warnings, which never reject — keeping registration
-/// O(rules), not O(rules²).
+/// conclusion-atom reuse). `vrem` is the clone of the shared schema
+/// `offered` was built over. Subsumption is skipped here — it can only
+/// produce warnings, which never reject — keeping registration O(rules),
+/// not O(rules²).
 fn registration_gate(offered: &[Constraint], vrem: &Vrem) -> Result<(), RuleRejection> {
     let (_, standard) = Catalogue::shared_standard();
     let constraints: Vec<Constraint> =
         standard.rules().iter().map(|r| r.constraint()).chain(offered).cloned().collect();
     let report = hadad_core::analyze::Analyzer::new(&constraints)
         .with_vocab(&vrem.vocab)
-        .with_stats_preds(vec![vrem.size])
-        .with_coverage_exempt(vec![
-            vrem.name,
-            vrem.lit,
-            vrem.ty,
-            vrem.identity,
-            vrem.zero,
-            vrem.density,
-        ])
         .without_subsumption()
         .report();
     match report.rejection() {
@@ -412,13 +412,13 @@ impl Optimizer {
         let candidate = LaView { name, def, meta, gate: Arc::default() };
         if let Ok(meta_cat) = self.effective_cat() {
             let mut vrem = Catalogue::shared_standard().0.clone();
-            if let Ok(pair) = Catalogue::la_view_constraints(
+            if let Ok(view) = Catalogue::la_view_constraints(
                 &mut vrem,
                 &meta_cat,
                 &candidate.name,
                 &candidate.def,
             ) {
-                candidate.certified(&pair, &vrem)?;
+                candidate.certified(&view.constraints, &vrem)?;
             }
         }
         self.views.push(candidate);
@@ -487,29 +487,31 @@ impl Optimizer {
     /// What one call chases with: a clone of the shared schema and the
     /// shared standard rules extended — in this order, which fixes symbol
     /// ids and firing order — by each view's `V_IO`/`V_OI` pair built
-    /// against `cat` (the shape and density constants they carry follow
-    /// the metadata of the leaves the definition mentions, call by call)
-    /// and by the registered generators' output. With neither, the shared
-    /// set itself.
-    fn chase_rules(&self, cat: &MetaCatalog) -> Result<(Vrem, Arc<RuleSet>), RewriteError> {
+    /// against `cat` (the class stats they come with follow the metadata
+    /// of the leaves the definition mentions, call by call) and by the
+    /// registered generators' output. With neither, the shared set itself.
+    fn chase_rules(&self, cat: &MetaCatalog) -> Result<CallRules, RewriteError> {
         let (vrem, standard) = Catalogue::shared_standard();
         let mut vrem = vrem.clone();
         if self.views.is_empty() && self.extra_constraints.is_empty() {
-            return Ok((vrem, Arc::clone(standard)));
+            return Ok(CallRules { vrem, rules: Arc::clone(standard), views: Vec::new() });
         }
         let mut extra = Vec::with_capacity(2 * self.views.len());
+        let mut views = Vec::with_capacity(self.views.len());
         for v in &self.views {
-            let pair = Catalogue::la_view_constraints(&mut vrem, cat, &v.name, &v.def)?;
+            let view = Catalogue::la_view_constraints(&mut vrem, cat, &v.name, &v.def)?;
             // A view registered ahead of its leaves is certified here, once.
-            v.certified(&pair, &vrem)?;
-            extra.extend(pair);
+            v.certified(&view.constraints, &vrem)?;
+            let first = standard.len() + extra.len();
+            extra.extend(view.constraints);
+            views.push((first..standard.len() + extra.len(), view.classes));
         }
         // Mined constraints re-generate against this schema; their shape
         // was certified at registration time.
         for gen in &self.extra_constraints {
             extra.extend(gen(&mut vrem));
         }
-        Ok((vrem, Arc::new(standard.extended(extra))))
+        Ok(CallRules { vrem, rules: Arc::new(standard.extended(extra)), views })
     }
 
     /// Opaque configuration hash for plan-cache keys: two optimizers with
@@ -579,11 +581,15 @@ impl Optimizer {
             }
         }
 
-        let (mut vrem, rules) = self.chase_rules(&cat)?;
+        let CallRules { mut vrem, rules, views } = self.chase_rules(&cat)?;
         let (encoded, encode_us) = hadad_obs::timed("rewrite.encode", &M_ENCODE_US, || {
             Encoder::new(&mut vrem, &cat).encode(e)
         });
         let encoded = encoded?;
+        let mut analysis = LaAnalysis::new(&vrem, encoded.classes);
+        for (rules, classes) in views {
+            analysis = analysis.with_view(rules, classes);
+        }
 
         let budget = match self.deadline {
             Some(timeout) => self.budget.with_deadline(timeout),
@@ -597,8 +603,20 @@ impl Optimizer {
         // catalogue — so extraction proceeds on whatever was built.
         let ((chase_outcome, stats, mut degraded), chase_us) =
             hadad_obs::timed("rewrite.chase", &M_CHASE_US, || {
-                let chased = catch_unwind(AssertUnwindSafe(|| engine.chase(&mut inst)));
+                let chased = catch_unwind(AssertUnwindSafe(|| {
+                    engine.chase_analyzed(&mut inst, &mut analysis)
+                }));
                 match chased {
+                    // An unsound merge: nothing in the instance is to be
+                    // trusted, so only the original is returned.
+                    Ok((outcome @ ChaseOutcome::AnalysisConflict(_), stats)) => {
+                        M_CONFLICTS.incr();
+                        let degraded = Degraded {
+                            reason: DegradeReason::AnalysisConflict,
+                            phase: RewritePhase::Chase,
+                        };
+                        (outcome, stats, Some(degraded))
+                    }
                     Ok((outcome, stats)) => {
                         let degraded = degradation_of(&stats, RewritePhase::Chase);
                         (outcome, stats, degraded)
@@ -615,10 +633,14 @@ impl Optimizer {
             });
 
         let cost_fn = FlopsCost::with_profile(profile);
+        let conflict = matches!(chase_outcome, ChaseOutcome::AnalysisConflict(_));
         let (candidates, extract_us) =
             hadad_obs::timed("rewrite.extract", &M_EXTRACT_US, || {
+                if conflict {
+                    return Vec::new();
+                }
                 catch_unwind(AssertUnwindSafe(|| {
-                    let extractor = Extractor::new(&vrem, &inst, &cost_fn);
+                    let extractor = Extractor::new(&vrem, &inst, &analysis, &cost_fn);
                     let mut candidates = extractor.candidates(encoded.root);
                     if candidates.is_empty() {
                         // Un-chased leaf-only expressions still decode via
@@ -735,6 +757,17 @@ impl Optimizer {
         let plan = ranked.original.clone();
         Ok((ranked, plan, reference))
     }
+}
+
+/// What one `rewrite` call chases with (see [`Optimizer::chase_rules`]).
+struct CallRules {
+    /// The call's clone of the shared schema.
+    vrem: Vrem,
+    /// The shared standard rules, extended by the call's own.
+    rules: Arc<RuleSet>,
+    /// Each view's `V_IO`/`V_OI` rule indexes in `rules`, and the class
+    /// stats their firings join ([`LaAnalysis::with_view`]).
+    views: Vec<(Range<usize>, Vec<Option<ClassData>>)>,
 }
 
 /// Sorts `plans` cheapest first. Exact cost ties go to the input
@@ -959,34 +992,32 @@ mod tests {
         let inherits_standard = |rules: &RuleSet| {
             rules.rules().iter().zip(standard.rules()).all(|(a, b)| Arc::ptr_eq(a, b))
         };
-        // The `size(root, r, c)` atom `V_IO:G` concludes, as constant names.
-        let view_size = |vrem: &Vrem, rules: &RuleSet| -> Vec<String> {
-            let rule = rules.rules().iter().find(|r| r.name() == "V_IO:G").expect("view rule");
-            let Constraint::Tgd(tgd) = rule.constraint() else { panic!("V_IO is a TGD") };
-            let size = tgd.conclusion.iter().find(|a| a.pred == vrem.size).expect("size atom");
-            size.args[1..]
-                .iter()
-                .map(|t| vrem.vocab.const_name(t.as_const().expect("constant")).to_owned())
-                .collect()
+        // The shape the analysis joins into the class `V_IO:G` tags.
+        let view_shape = |call: &CallRules| -> (usize, usize) {
+            let (rules, classes) = &call.views[0];
+            let io = &call.rules.rules()[rules.start];
+            assert_eq!(io.name(), "V_IO:G");
+            let Constraint::Tgd(tgd) = io.constraint() else { panic!("V_IO is a TGD") };
+            let root = tgd.conclusion[0].args[0].as_var().expect("name(root, G)");
+            classes[root as usize].expect("the view's class is estimated").shape()
         };
 
         let mut opt = Optimizer::new(cat);
-        assert!(Arc::ptr_eq(&rules_of(&opt).1, standard), "no view: the shared set as it is");
+        assert!(
+            Arc::ptr_eq(&rules_of(&opt).rules, standard),
+            "no view: the shared set as it is"
+        );
 
         opt.register_la_view("G", mul(t(m("X")), m("X"))).unwrap();
-        let (vrem, one_view) = rules_of(&opt);
-        assert_eq!(one_view.len(), standard.len() + 2, "V_IO:G and V_OI:G");
-        assert!(inherits_standard(&one_view), "the standard rules are shared, not recompiled");
-        assert_eq!(view_size(&vrem, &one_view), ["8", "8"]);
+        let one_view = rules_of(&opt);
+        assert_eq!(one_view.rules.len(), standard.len() + 2, "V_IO:G and V_OI:G");
+        assert_eq!(one_view.views[0].0, standard.len()..standard.len() + 2);
+        assert!(inherits_standard(&one_view.rules), "the standard rules are shared");
+        assert_eq!(view_shape(&one_view), (8, 8));
 
         // The same optimizer after the view's leaf changed shape.
         opt.cat.register("X", MatrixMeta::dense(200, 6));
-        let (vrem, reshaped) = rules_of(&opt);
-        assert_eq!(
-            view_size(&vrem, &reshaped),
-            ["6", "6"],
-            "built against this call's catalog"
-        );
+        assert_eq!(view_shape(&rules_of(&opt)), (6, 6), "built against this call's catalog");
 
         opt.register_la_view("H", mul(m("X"), t(m("X")))).unwrap();
         opt.register_constraints(|vrem| {
@@ -999,10 +1030,13 @@ mod tests {
             vec![hadad_chase::Tgd::new("mined", twice.clone(), twice).into()]
         })
         .unwrap();
-        let (_, all) = rules_of(&opt);
-        assert!(inherits_standard(&all));
-        let own: Vec<&str> = all.rules()[standard.len()..].iter().map(|r| r.name()).collect();
+        let all = rules_of(&opt);
+        assert!(inherits_standard(&all.rules));
+        let own: Vec<&str> =
+            all.rules.rules()[standard.len()..].iter().map(|r| r.name()).collect();
         assert_eq!(own, ["V_IO:G", "V_OI:G", "V_IO:H", "V_OI:H", "mined"]);
+        let h = standard.len() + 2..standard.len() + 4;
+        assert_eq!(all.views.iter().map(|(r, _)| r.clone()).nth(1), Some(h));
     }
 
     /// One optimizer whose view leaf alternates between two shapes (what a

@@ -15,8 +15,8 @@ use hadad_chase::{
 };
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    expr_stats, BackendProfile, Catalogue, Encoder, Expr, Extractor, MatrixMeta, MetaCatalog,
-    ShapeError, Vrem,
+    expr_stats, BackendProfile, Catalogue, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta,
+    MetaCatalog, ShapeError, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::{CostModel, FlopsCost};
@@ -86,6 +86,8 @@ fn active_classes(inst: &Instance) -> usize {
 struct ChasePair {
     naive_inst: Instance,
     semi_inst: Instance,
+    naive_analysis: LaAnalysis,
+    semi_analysis: LaAnalysis,
     naive_matches: u64,
     semi_matches: u64,
     root: NodeId,
@@ -102,13 +104,19 @@ fn chase_both(e: &Expr, cat: &MetaCatalog, budget: ChaseBudget) -> ChasePair {
     assert_eq!(semi_engine.mode, EvalMode::SemiNaive, "semi-naïve is the default");
     let mut naive_inst = enc.instance.clone();
     let mut semi_inst = enc.instance;
-    let (naive_outcome, naive_stats) = naive_engine.chase(&mut naive_inst);
-    let (semi_outcome, semi_stats) = semi_engine.chase(&mut semi_inst);
+    let mut naive_analysis = LaAnalysis::new(&vrem, enc.classes.clone());
+    let mut semi_analysis = LaAnalysis::new(&vrem, enc.classes);
+    let (naive_outcome, naive_stats) =
+        naive_engine.chase_analyzed(&mut naive_inst, &mut naive_analysis);
+    let (semi_outcome, semi_stats) =
+        semi_engine.chase_analyzed(&mut semi_inst, &mut semi_analysis);
     assert_eq!(naive_outcome, ChaseOutcome::Saturated, "naive did not saturate on {e}");
     assert_eq!(semi_outcome, ChaseOutcome::Saturated, "semi-naïve did not saturate on {e}");
     ChasePair {
         naive_inst,
         semi_inst,
+        naive_analysis,
+        semi_analysis,
         naive_matches: naive_stats.matches_enumerated(),
         semi_matches: semi_stats.matches_enumerated(),
         root: enc.root,
@@ -147,8 +155,10 @@ fn naive_and_semi_naive_chases_agree_on_random_corpus() {
             "sample {i} ({e}): saturated instances are not isomorphic"
         );
         let cost_fn = FlopsCost::default();
-        let naive_ex = Extractor::new(&pair.vrem, &pair.naive_inst, &cost_fn);
-        let semi_ex = Extractor::new(&pair.vrem, &pair.semi_inst, &cost_fn);
+        let naive_ex =
+            Extractor::new(&pair.vrem, &pair.naive_inst, &pair.naive_analysis, &cost_fn);
+        let semi_ex =
+            Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cost_fn);
         let (np, sp) = (naive_ex.extract(pair.root), semi_ex.extract(pair.root));
         if np != sp {
             panic!(
@@ -202,7 +212,7 @@ fn chain8_saturates_in_default_budget_and_semi_naive_wins() {
         pair.naive_matches
     );
     let cost_fn = FlopsCost::default();
-    let ex = Extractor::new(&pair.vrem, &pair.semi_inst, &cost_fn);
+    let ex = Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cost_fn);
     let best = ex.extract(pair.root).expect("chain decodes");
     assert_eq!(best.to_string(), "(M1 (M2 (M3 (M4 (M5 (M6 (M7 M8)))))))");
 }

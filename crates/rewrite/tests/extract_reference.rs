@@ -4,7 +4,8 @@
 //! expressions `same_chase.rs` pins, each chased as a cold `rewrite` chases
 //! it, every class's best cost must be bitwise equal, and the extracted
 //! root expression and the root's candidates equal — under tree size, and
-//! under flops with both backend profiles.
+//! under flops with both backend profiles. Both read shapes and densities
+//! from the same chase's analysis.
 
 use std::collections::HashMap;
 
@@ -12,7 +13,7 @@ use hadad_chase::{ChaseEngine, Instance, NodeId};
 use hadad_core::expr::dsl::*;
 use hadad_core::{
     op_stats, BackendProfile, Catalogue, ClassStats, Encoder, Expr, ExtractionCost, Extractor,
-    MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, Vrem, DENSITY_SCALE,
+    LaAnalysis, MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_linalg::BackendKind;
@@ -42,13 +43,27 @@ struct Relaxation {
 }
 
 impl Relaxation {
-    fn new(vrem: &Vrem, inst: &Instance, cost: &dyn ExtractionCost) -> Self {
+    fn new(
+        vrem: &Vrem,
+        inst: &Instance,
+        analysis: &LaAnalysis,
+        cost: &dyn ExtractionCost,
+    ) -> Self {
         let mut r = Relaxation {
             classes: HashMap::new(),
             shapes: HashMap::new(),
             densities: HashMap::new(),
             best: HashMap::new(),
         };
+        for class in (0..inst.num_nodes() as u32).map(NodeId) {
+            let Some(data) = analysis.class(class).filter(|_| inst.find(class) == class) else {
+                continue;
+            };
+            r.shapes.insert(class, data.shape());
+            if let Some(d) = data.density {
+                r.densities.insert(class, d);
+            }
+        }
         r.collect(vrem, inst);
         r.solve(cost);
         r
@@ -78,16 +93,6 @@ impl Relaxation {
                 self.push(canon[0], ENode::Identity);
             } else if f.pred == vrem.zero {
                 self.push(canon[0], ENode::Zero);
-            } else if f.pred == vrem.size {
-                let dim = |n: NodeId| constant(n).and_then(|s| s.parse::<usize>().ok());
-                if let (Some(r), Some(c)) = (dim(canon[1]), dim(canon[2])) {
-                    self.shapes.insert(canon[0], (r, c));
-                }
-            } else if f.pred == vrem.density {
-                if let Some(ppm) = constant(canon[1]).and_then(|s| s.parse::<i64>().ok()) {
-                    let d = (ppm as f64 / DENSITY_SCALE).clamp(0.0, 1.0);
-                    self.densities.entry(canon[0]).and_modify(|c| *c = c.min(d)).or_insert(d);
-                }
             } else if let Some(kind) = vrem.kind_of(f.pred) {
                 let n_in = kind.num_inputs();
                 for (out_idx, &out) in canon[n_in..].iter().enumerate() {
@@ -321,11 +326,12 @@ fn worklist_extraction_equals_the_fixpoint_relaxation() {
         let mut vrem = standard_vrem.clone();
         let enc = Encoder::new(&mut vrem, cat).encode(e).expect("generator emits valid shapes");
         let mut inst = enc.instance;
-        ChaseEngine::new(rules).with_budget(budget).chase(&mut inst);
+        let mut analysis = LaAnalysis::new(&vrem, enc.classes);
+        ChaseEngine::new(rules).with_budget(budget).chase_analyzed(&mut inst, &mut analysis);
         let root = inst.find(enc.root);
         for (name, cost) in &costs {
-            let ex = Extractor::new(&vrem, &inst, cost.as_ref());
-            let reference = Relaxation::new(&vrem, &inst, cost.as_ref());
+            let ex = Extractor::new(&vrem, &inst, &analysis, cost.as_ref());
+            let reference = Relaxation::new(&vrem, &inst, &analysis, cost.as_ref());
             for n in 0..inst.num_nodes() {
                 let class = inst.find(NodeId(n as u32));
                 let want = reference.best.get(&class).map(|&(c, _)| c.to_bits());

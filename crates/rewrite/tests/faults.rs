@@ -68,8 +68,8 @@ fn fact_budget_exhaustion_still_yields_verified_plan() {
     let (cat, env, expr) = chain(&[96, 80, 64, 48, 24, 1]);
     let opt = Optimizer::new(cat).with_budget(ChaseBudget {
         max_rounds: 12,
-        // Full saturation of this chain needs 49 facts; 40 forces the stop.
-        max_facts: 40,
+        // Full saturation of this chain needs 25 facts; 20 forces the stop.
+        max_facts: 20,
         max_nulls: 15_000,
         deadline: None,
     });

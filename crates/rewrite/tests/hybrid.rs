@@ -117,8 +117,8 @@ fn tweet_pipeline_rewrites_both_halves_and_verifies() {
 
 /// The sparse-cast path must catalogue the cast matrix under its *real*
 /// ultra-sparse density — dense-default metadata would mislead the cost
-/// oracle (the suffix encoder turns this metadata into the `density` facts
-/// the chase pruner and extraction DP read).
+/// oracle (the suffix encoder turns this metadata into the densities the
+/// chase's analysis carries and the extraction DP reads).
 #[test]
 fn sparse_cast_records_real_density_for_the_oracle() {
     let mut catalog = Catalog::new();

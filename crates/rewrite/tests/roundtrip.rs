@@ -4,7 +4,9 @@
 //! * the optimizer's best plan evaluates to the same matrix as the
 //!   original (within `1e-9` relative tolerance).
 
-use hadad_core::{Encoder, Expr, Extractor, MatrixMeta, MetaCatalog, TreeSizeCost, Vrem};
+use hadad_core::{
+    Encoder, Expr, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, TreeSizeCost, Vrem,
+};
 use hadad_linalg::rng::Rng64;
 use hadad_linalg::{approx_eq, rand_gen, Matrix};
 use hadad_rewrite::{Env, Optimizer};
@@ -96,7 +98,8 @@ fn encode_extract_roundtrips_random_corpus() {
         let enc = Encoder::new(&mut vrem, &g.cat)
             .encode(&e)
             .unwrap_or_else(|err| panic!("encode {e}: {err}"));
-        let ex = Extractor::new(&vrem, &enc.instance, &TreeSizeCost);
+        let analysis = LaAnalysis::new(&vrem, enc.classes);
+        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &TreeSizeCost);
         let back = ex.extract(enc.root).unwrap_or_else(|| panic!("extract {e}"));
         assert_eq!(back, e, "round-trip mismatch for corpus item {i}");
     }

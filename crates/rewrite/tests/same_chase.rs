@@ -4,7 +4,9 @@
 //! matcher was rewritten (slot bindings, streamed conclusion check, id-keyed
 //! instance indexes, compiled rule set). A matcher change that enumerates,
 //! fires or derives anything different — even with an isomorphic result —
-//! fails here, not only in a bench count.
+//! fails here, not only in a bench count. The count columns were
+//! re-recorded once, when shapes and densities moved from stats rules and
+//! facts into the chase's analysis; every plan stayed byte-equal.
 
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog};
