@@ -131,7 +131,7 @@ impl CostOracle for ProvCostOracle<'_> {
 }
 
 /// Result of a PACB run.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct PacbResult {
     /// Every equivalent rewriting found, over view predicates.
     pub rewritings: Vec<Rewriting>,

@@ -13,7 +13,7 @@ use crate::hybrid::HybridError;
 use crate::optimizer::Optimizer;
 
 /// How the relational prefix's output becomes a matrix (paper §3).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum CastKind {
     /// One row per tuple, one column per named numeric column.
     Dense {

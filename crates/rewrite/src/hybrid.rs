@@ -16,7 +16,8 @@
 //! This module is the engine: the pipeline and result types, the one
 //! implementation of a hybrid rewrite (`run_state`), the writer
 //! ([`HybridOptimizer`]) and the read side ([`SnapshotReader`] →
-//! [`CatalogSnapshot`]). The prefix's query language and its two
+//! [`CatalogSnapshot`], which answers each relational prefix once per
+//! published snapshot). The prefix's query language and its two
 //! executions live in [`crate::query`], the cast in [`crate::cast`]; both
 //! are re-exported here, so `hybrid::RelQuery` and the like resolve.
 //!
@@ -25,8 +26,8 @@
 //! the operator pipeline, and the winning LA plan must agree with the
 //! original suffix on the backend.
 
-use std::collections::HashSet;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use hadad_chase::{
@@ -35,7 +36,7 @@ use hadad_chase::{
 };
 use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
-use hadad_relational::{Catalog, Table, Value};
+use hadad_relational::{Catalog, Column, Table, Value};
 
 use crate::cast::{apply_cast, restamp_cast_into};
 use crate::eval::{Env, EvalError};
@@ -188,7 +189,7 @@ pub struct TableView {
 }
 
 /// Timings and outcomes of the relational (PACB) phase.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RelPhase {
     /// The compiled prefix (CQ + output columns).
     pub compiled: CompiledQuery,
@@ -200,12 +201,17 @@ pub struct RelPhase {
     pub cost_best: Option<f64>,
     /// The chosen rewriting over view predicates, when used.
     pub rewriting: Option<Cq>,
-    /// Wall-time of the PACB phase, microseconds.
+    /// Wall-time this call spent in the PACB phase, microseconds (0 on a
+    /// snapshot memo hit).
     pub pacb_us: u128,
-    /// Wall-time of executing the chosen prefix, microseconds.
+    /// Wall-time this call spent executing the chosen prefix, microseconds
+    /// (0 on a snapshot memo hit).
     pub exec_us: u128,
     /// Row count of the prefix's output.
     pub rows_out: usize,
+    /// Whether this phase, the table and the cast were served from the
+    /// snapshot's prefix memo instead of being computed by this call.
+    pub memo_hit: bool,
 }
 
 /// Result of a hybrid rewrite: the relational phase, the cast, and the LA
@@ -225,7 +231,8 @@ pub struct HybridResult {
     /// surface its true density here (not a dense default), or the
     /// suffix's cost oracle would misprice every plan touching it.
     pub cast_meta: MatrixMeta,
-    /// Wall-time of the relation-to-matrix cast, microseconds.
+    /// Wall-time this call spent in the relation-to-matrix cast,
+    /// microseconds (0 on a snapshot memo hit).
     pub cast_us: u128,
     /// The ranked LA plans for the suffix.
     pub ranked: RankedPlans,
@@ -586,6 +593,7 @@ impl HybridOptimizer {
             optimizer,
             budget: self.budget,
             epoch,
+            memo: Arc::default(),
         }
     }
 
@@ -661,6 +669,7 @@ impl HybridOptimizer {
                 budget: self.budget,
                 epoch: self.catalog.epoch(),
                 degraded,
+                memo: None,
             },
             p,
             verify,
@@ -684,31 +693,55 @@ struct RunState<'a> {
     /// Pre-determined degradation (poisoned maintainer): the run proceeds
     /// with no materialized views offered.
     degraded: Option<Degraded>,
+    /// The snapshot memo the prefix is answered from, on the one path
+    /// that reads it ([`CatalogSnapshot::rewrite_hybrid`]).
+    memo: Option<&'a PrefixMemo>,
 }
 
-/// One hybrid rewrite over a captured [`RunState`]: shared verbatim by the
-/// live `&self` path and by snapshot readers on other threads.
-fn run_state(
-    state: &RunState<'_>,
-    p: &HybridPipeline,
-    verify: Option<(&Env, f64)>,
-) -> Result<HybridResult, HybridError> {
-    static RUNS: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("hybrid.runs");
-    static TOTAL_US: hadad_obs::LazyHistogram =
-        hadad_obs::LazyHistogram::new("hybrid.total_us");
+/// The relational half of one run (phases 1–4): the prefix's PACB phase,
+/// its output table, the matrix that table was cast into and the metadata
+/// that matrix is catalogued under.
+#[derive(Clone)]
+struct PrefixOutcome {
+    rel: RelPhase,
+    table: Table,
+    cast: Matrix,
+    cast_meta: MatrixMeta,
+    cast_us: u128,
+}
+
+impl PrefixOutcome {
+    /// Approximate heap footprint: what a memo entry holds on to.
+    fn bytes(&self) -> usize {
+        let table: usize = (0..self.table.num_cols())
+            .map(|i| match self.table.column_at(i) {
+                Column::Str(v) => v.iter().map(|s| size_of::<String>() + s.len()).sum(),
+                c => c.len() * size_of::<i64>(),
+            })
+            .sum();
+        let cast = match &self.cast {
+            Matrix::Dense(_) => self.cast_meta.rows * self.cast_meta.cols * size_of::<f64>(),
+            Matrix::Sparse(_) => self.cast_meta.nnz * (size_of::<usize>() + size_of::<f64>()),
+        };
+        table + cast
+    }
+}
+
+/// Phases 1–4 of a run: compile, PACB, execute and cast the prefix. What
+/// they return depends only on the pipeline's prefix, sort key and cast
+/// and on the state's catalog and views — which is what lets a snapshot
+/// memoize it.
+fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome, HybridError> {
     static PACB_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("hybrid.pacb_us");
     static EXEC_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("hybrid.exec_us");
     static CAST_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("hybrid.cast_us");
-    let _span = hadad_obs::span("hybrid.run");
-    RUNS.incr();
-    let start = Instant::now();
-    let degraded = state.degraded.clone();
 
     // Phase 1: compile the prefix and the view definitions to CQs over
     // the catalog vocabulary. A degraded run offers no views.
     let mut tv = TableVocab::from_catalog(state.catalog);
     let compiled = p.prefix.compile(state.catalog, &mut tv)?;
-    let usable_views: &[TableView] = if degraded.is_some() { &[] } else { state.table_views };
+    let usable_views: &[TableView] =
+        if state.degraded.is_some() { &[] } else { state.table_views };
     let mut views = Vec::with_capacity(usable_views.len());
     for v in usable_views {
         let def = v.def.compile(state.catalog, &mut tv)?;
@@ -766,8 +799,7 @@ fn run_state(
 
     let best_rw = pacb.rewritings.iter().find(|r| r.cost.is_some_and(|c| c < cost_original));
 
-    // Phase 3: execute the chosen prefix (and, under verification, the
-    // original too).
+    // Phase 3: execute the chosen prefix.
     let sort_key = p.sort_key.as_deref();
     let (table, exec_us) = hadad_obs::timed("hybrid.rel_exec", &EXEC_US, || match best_rw {
         Some(rw) => eval_cq_sorted(&rw.query, &compiled.columns, state.catalog, &tv, sort_key),
@@ -776,20 +808,10 @@ fn run_state(
     let table = table?;
 
     // Phase 4: cast into the LA world.
-    let (mat, cast_us) =
+    let (cast, cast_us) =
         hadad_obs::timed("hybrid.cast", &CAST_US, || apply_cast(&table, &p.cast));
-    let mut mat = mat?;
-
-    // Phase 5: LA suffix rewriting with the cast matrix catalogued from
-    // its actual materialization (shape and nnz) — for a sparse cast this
-    // records the true ultra-sparse density, which the encoder seeds the
-    // chase's analysis with for the cost oracle to read. The clone is pinned to the captured epoch so plan-cache entries it
-    // creates (or serves) are validated against the snapshotted catalog
-    // state, not whatever the live catalog has moved on to.
-    let cast_meta = MatrixMeta::from_matrix(&mat);
-    let mut la_opt = state.optimizer.clone();
-    la_opt.set_cache_epoch(state.epoch);
-    la_opt.cat.register(&p.cast_name, cast_meta.clone());
+    let cast = cast?;
+    let cast_meta = MatrixMeta::from_matrix(&cast);
 
     let rel = RelPhase {
         compiled,
@@ -800,7 +822,41 @@ fn run_state(
         pacb_us,
         exec_us,
         rows_out: table.num_rows(),
+        memo_hit: false,
     };
+    Ok(PrefixOutcome { rel, table, cast, cast_meta, cast_us })
+}
+
+/// One hybrid rewrite over a captured [`RunState`]: shared verbatim by the
+/// live `&self` path and by snapshot readers on other threads.
+fn run_state(
+    state: &RunState<'_>,
+    p: &HybridPipeline,
+    verify: Option<(&Env, f64)>,
+) -> Result<HybridResult, HybridError> {
+    static RUNS: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("hybrid.runs");
+    static TOTAL_US: hadad_obs::LazyHistogram =
+        hadad_obs::LazyHistogram::new("hybrid.total_us");
+    let _span = hadad_obs::span("hybrid.run");
+    RUNS.incr();
+    let start = Instant::now();
+
+    let PrefixOutcome { rel, table, cast: mut mat, cast_meta, cast_us } = match state.memo {
+        Some(memo) => memo.answer(p, || run_prefix(state, p))?,
+        None => run_prefix(state, p)?,
+    };
+
+    // Phase 5: LA suffix rewriting with the cast matrix catalogued from
+    // its actual materialization (shape and nnz) — for a sparse cast this
+    // records the true ultra-sparse density, which the encoder seeds the
+    // chase's analysis with for the cost oracle to read.
+    //
+    // The clone is pinned to the captured epoch so plan-cache entries it
+    // creates (or serves) are validated against the snapshotted catalog
+    // state, not whatever the live catalog has moved on to.
+    let mut la_opt = state.optimizer.clone();
+    la_opt.set_cache_epoch(state.epoch);
+    la_opt.cat.register(&p.cast_name, cast_meta.clone());
 
     let (ranked, best, verified) = match verify {
         None => {
@@ -814,7 +870,7 @@ fn run_state(
             let rel_ok = match &rel.rewriting {
                 None => true,
                 Some(_) => {
-                    let orig = p.prefix.execute_sorted(state.catalog, sort_key)?;
+                    let orig = p.prefix.execute_sorted(state.catalog, p.sort_key.as_deref())?;
                     let orig_mat = apply_cast(&orig, &p.cast)?;
                     approx_eq(&orig_mat, &mat, rtol)
                 }
@@ -835,7 +891,9 @@ fn run_state(
 
     // Most upstream degradation wins: maintenance, then the relational
     // (PACB) phase, then the LA phase.
-    let degraded = degraded
+    let degraded = state
+        .degraded
+        .clone()
         .or_else(|| rel.pacb.degraded.clone())
         .or_else(|| ranked.report.degraded.clone());
 
@@ -855,6 +913,70 @@ fn run_state(
     })
 }
 
+/// Heap bytes one snapshot's prefix memo may hold. A prefix whose outcome
+/// would overflow it runs cold, every time: nothing is evicted, because
+/// the memo only lives until the writer's next publish.
+const PREFIX_MEMO_BYTES: usize = 32 << 20;
+
+/// A published snapshot's answers to the relational prefixes it was asked
+/// for, keyed by value on what [`run_prefix`] reads of a pipeline. The
+/// snapshot never changes, so an entry never goes stale: there is no
+/// invalidation, only the byte bound.
+#[derive(Default)]
+struct PrefixMemo {
+    entries: RwLock<MemoEntries>,
+}
+
+#[derive(Default)]
+struct MemoEntries {
+    /// Stored as a hit reads them: timings zeroed, `memo_hit` set.
+    by_prefix: HashMap<(RelQuery, Option<String>, CastKind), Arc<PrefixOutcome>>,
+    bytes: usize,
+}
+
+impl PrefixMemo {
+    /// The memoized outcome for `p`'s prefix, or `cold()`'s. Only a clean
+    /// outcome is stored — an error, an injected fault or a budget cut is
+    /// recomputed by the next call. The lock is never held while `cold`
+    /// runs, so two racing misses may both compute; the first to finish
+    /// stores.
+    fn answer(
+        &self,
+        p: &HybridPipeline,
+        cold: impl FnOnce() -> Result<PrefixOutcome, HybridError>,
+    ) -> Result<PrefixOutcome, HybridError> {
+        static HITS: hadad_obs::LazyCounter =
+            hadad_obs::LazyCounter::new("hybrid.prefix_memo_hits");
+        let key = (p.prefix.clone(), p.sort_key.clone(), p.cast.clone());
+        let hit = self
+            .entries
+            .read()
+            .unwrap_or_else(PoisonError::into_inner)
+            .by_prefix
+            .get(&key)
+            .cloned();
+        if let Some(entry) = hit {
+            HITS.incr();
+            return Ok(PrefixOutcome::clone(&entry));
+        }
+        let out = cold()?;
+        if out.rel.pacb.degraded.is_none() {
+            let bytes = out.bytes();
+            let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
+            if entries.bytes + bytes <= PREFIX_MEMO_BYTES
+                && !entries.by_prefix.contains_key(&key)
+            {
+                let mut stored = out.clone();
+                stored.rel.memo_hit = true;
+                (stored.rel.pacb_us, stored.rel.exec_us, stored.cast_us) = (0, 0, 0);
+                entries.bytes += bytes;
+                entries.by_prefix.insert(key, Arc::new(stored));
+            }
+        }
+        Ok(out)
+    }
+}
+
 /// An immutable, owned copy of a [`HybridOptimizer`]'s rewriting state —
 /// relational catalog, table views, LA optimizer (plan-cache epoch already
 /// stamped), and chase budget — captured at a committed catalog epoch.
@@ -864,7 +986,10 @@ fn run_state(
 /// mutating and maintaining the live optimizer. Snapshots are only ever
 /// published from committable states (maintainer healthy, nothing stale),
 /// so the stale-view and poisoning checks of the live path are vacuous
-/// here by construction.
+/// here by construction. Because a snapshot never changes, it memoizes
+/// the relational half of [`CatalogSnapshot::rewrite_hybrid`] for all of
+/// its readers: created empty at publish, bounded by a byte constant,
+/// dropped with the snapshot.
 #[derive(Clone)]
 pub struct CatalogSnapshot {
     catalog: Catalog,
@@ -872,6 +997,9 @@ pub struct CatalogSnapshot {
     optimizer: Optimizer,
     budget: ChaseBudget,
     epoch: u64,
+    /// Prefix outcomes computed against this snapshot; published empty,
+    /// dropped with the snapshot (a clone of the snapshot shares it).
+    memo: Arc<PrefixMemo>,
 }
 
 impl CatalogSnapshot {
@@ -892,21 +1020,25 @@ impl CatalogSnapshot {
 
     /// Rewrites a hybrid pipeline against the snapshot, without the LA
     /// verification step — the snapshot analogue of
-    /// [`HybridOptimizer::rewrite_hybrid`].
+    /// [`HybridOptimizer::rewrite_hybrid`]. The relational half (PACB,
+    /// prefix execution, cast) is memoized per snapshot: a prefix already
+    /// answered cleanly here is served from the memo
+    /// (`result.rel.memo_hit`); the LA suffix is rewritten every call.
     pub fn rewrite_hybrid(&self, p: &HybridPipeline) -> Result<HybridResult, HybridError> {
-        run_state(&self.state(), p, None)
+        run_state(&self.state(Some(&self.memo)), p, None)
     }
 
     /// Rewrites and execution-verifies a hybrid pipeline against the
     /// snapshot — the snapshot analogue of
-    /// [`HybridOptimizer::rewrite_hybrid_verified`].
+    /// [`HybridOptimizer::rewrite_hybrid_verified`]. Never reads the
+    /// prefix memo: verification re-executes the prefix it checks.
     pub fn rewrite_hybrid_verified(
         &self,
         p: &HybridPipeline,
         env: &Env,
         rtol: f64,
     ) -> Result<HybridResult, HybridError> {
-        run_state(&self.state(), p, Some((env, rtol)))
+        run_state(&self.state(None), p, Some((env, rtol)))
     }
 
     /// Rewrites a pure-LA expression against the snapshot's optimizer
@@ -915,7 +1047,7 @@ impl CatalogSnapshot {
         self.optimizer.rewrite(e)
     }
 
-    fn state(&self) -> RunState<'_> {
+    fn state<'a>(&'a self, memo: Option<&'a PrefixMemo>) -> RunState<'a> {
         RunState {
             catalog: &self.catalog,
             table_views: &self.table_views,
@@ -923,6 +1055,7 @@ impl CatalogSnapshot {
             budget: self.budget,
             epoch: self.epoch,
             degraded: None,
+            memo,
         }
     }
 }

@@ -26,7 +26,7 @@ use crate::hybrid::HybridError;
 /// in `hadad_relational::ops` (and run on the executor under them),
 /// restricted to the CQ-expressible fragment so the prefix can be
 /// reformulated by PACB.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum RelOp {
     /// Equality selection on an integer column (the column position becomes
     /// a constant in the compiled CQ).
@@ -101,7 +101,7 @@ pub(crate) fn column(rows: &RowSet<'_>, name: &str) -> Result<ColRef, HybridErro
 }
 
 /// A relational query: a scan of a catalog table followed by stages.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RelQuery {
     /// The catalog table the scan starts from.
     pub table: String,

@@ -8,10 +8,20 @@ use std::thread;
 
 use hadad_core::expr::dsl::*;
 use hadad_core::{MatrixMeta, MetaCatalog};
+use hadad_linalg::Matrix;
+use hadad_relational::cast::table_to_sparse;
 use hadad_relational::{Catalog, Column, Table, Value};
 use hadad_rewrite::{
     CastKind, HybridOptimizer, HybridPipeline, MaintainedCast, Optimizer, RelQuery,
 };
+
+/// Holds the process-wide fault-test lock through an inert site for the
+/// rest of a test that maintains views: `poisoned_state_is_never_published`
+/// arms `maintain.midpass` for every thread of this binary while it runs,
+/// and a pass of another test landing in that window would fail.
+fn unarmed() -> hadad_failpoint::ScopedFailpoint {
+    hadad_failpoint::scoped("concurrency.unarmed", hadad_failpoint::FailAction::Delay(0))
+}
 
 fn fixture() -> (HybridOptimizer, HybridPipeline) {
     let events = Table::new(vec![
@@ -52,6 +62,7 @@ fn fixture() -> (HybridOptimizer, HybridPipeline) {
 /// writer finishes, readers converge on the final epoch.
 #[test]
 fn concurrent_rewrites_while_maintaining() {
+    let _unarmed = unarmed();
     let (mut hy, pipeline) = fixture();
     let reader = hy.reader().expect("clean state must be snapshottable");
     let initial_epoch = reader.current().epoch();
@@ -113,6 +124,7 @@ fn concurrent_rewrites_while_maintaining() {
 /// binary shares the global registry.
 #[test]
 fn metric_counter_totals_are_exact_under_stress() {
+    let _unarmed = unarmed();
     static PROBE: hadad_obs::LazyCounter =
         hadad_obs::LazyCounter::new("test.concurrency.probe");
     static PROBE_ITERS: hadad_obs::LazyHistogram =
@@ -171,6 +183,7 @@ fn metric_counter_totals_are_exact_under_stress() {
 /// and consistent even after the writer mutates and republishes.
 #[test]
 fn held_snapshot_survives_later_updates() {
+    let _unarmed = unarmed();
     let (mut hy, pipeline) = fixture();
     let reader = hy.reader().expect("reader");
     let held = reader.current();
@@ -198,6 +211,7 @@ fn held_snapshot_survives_later_updates() {
 /// table and the view alike.
 #[test]
 fn held_snapshot_survives_swap_removing_deletes() {
+    let _unarmed = unarmed();
     let (mut hy, pipeline) = fixture();
     // One delete up front, so the live tables carry built indexes by the
     // time the snapshot is cloned from them.
@@ -268,6 +282,7 @@ fn poisoned_state_is_never_published() {
 /// first rewrites also race to certify it.
 #[test]
 fn readers_on_different_snapshots_rewrite_over_views_independently() {
+    let _unarmed = unarmed();
     let (hy, _) = fixture();
     let mut la_cat = MetaCatalog::new();
     la_cat.register("v", MatrixMeta::dense(4, 1));
@@ -325,4 +340,87 @@ fn readers_on_different_snapshots_rewrite_over_views_independently() {
             assert_eq!(got, &sequential[(tid + i) % 3], "thread {tid}, call {i}");
         }
     }
+}
+
+/// A cast's stored cells as `(row, col, value bits)`.
+type CastBits = Vec<(usize, usize, u64)>;
+
+/// The cast's stored cells with their exact bits (the fixture casts sparse).
+fn cast_bits(m: &Matrix) -> CastBits {
+    match m {
+        Matrix::Sparse(s) => s.triplets().map(|(r, c, v)| (r, c, v.to_bits())).collect(),
+        Matrix::Dense(_) => unreachable!("the fixture's cast is sparse"),
+    }
+}
+
+/// The prefix memo lives and dies with its snapshot. Four threads race
+/// their first reads of a fresh snapshot (racing misses may both compute,
+/// then one stores): every cast is bitwise the live path's, and each
+/// thread's reads after its first are memo hits. The next publish starts
+/// empty and answers from the new catalog; a snapshot held across the
+/// publish keeps returning its first answer.
+#[test]
+fn prefix_memo_is_per_snapshot() {
+    let _unarmed = unarmed();
+    let (mut hy, pipeline) = fixture();
+    let reader = hy.reader().expect("reader");
+    let cold = cast_bits(&hy.rewrite_hybrid(&pipeline).expect("live rewrite").cast);
+    let old = reader.current();
+    let hits_before = hadad_obs::snapshot().counter("hybrid.prefix_memo_hits").unwrap_or(0);
+
+    let start = std::sync::Barrier::new(4);
+    let reads: Vec<Vec<(bool, CastBits)>> = thread::scope(|s| {
+        let spawned: Vec<_> = (0..4)
+            .map(|_| {
+                let (old, pipeline, start) = (&old, &pipeline, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (0..25)
+                        .map(|_| {
+                            let r = old.rewrite_hybrid(pipeline).expect("snapshot rewrite");
+                            assert!(r.degraded.is_none());
+                            if r.rel.memo_hit {
+                                assert_eq!(
+                                    (r.rel.pacb_us, r.rel.exec_us, r.cast_us),
+                                    (0, 0, 0)
+                                );
+                            }
+                            (r.rel.memo_hit, cast_bits(&r.cast))
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        spawned.into_iter().map(|h| h.join().expect("reader thread")).collect()
+    });
+    for (tid, thread_reads) in reads.iter().enumerate() {
+        for (i, (hit, bits)) in thread_reads.iter().enumerate() {
+            assert_eq!(bits, &cold, "thread {tid}, read {i}: cast differs from the live path");
+            assert!(*hit || i == 0, "thread {tid}, read {i}: a stored prefix missed");
+        }
+    }
+    let hits = reads.iter().flatten().filter(|(hit, _)| *hit).count() as u64;
+    assert!(hits >= 4 * 24);
+    let hits_after = hadad_obs::snapshot().counter("hybrid.prefix_memo_hits").unwrap_or(0);
+    assert!(hits_after >= hits_before + hits, "every memo hit is counted");
+
+    // A raw insert plus a maintenance pass publishes a new snapshot.
+    hy.catalog
+        .insert_rows("events", vec![vec![Value::Int(4000), Value::Int(3)]])
+        .expect("raw insert applies");
+    hy.maintain_views().expect("maintenance publishes");
+    let new = reader.current();
+    assert!(new.epoch() > old.epoch());
+    let r = new.rewrite_hybrid(&pipeline).expect("new snapshot rewrite");
+    assert!(!r.rel.memo_hit, "a new snapshot starts with an empty memo");
+    let executed = pipeline.prefix.execute(new.catalog()).expect("prefix executes");
+    let expected = table_to_sparse(&executed, "eid", "kind", "kind", 4096, 4);
+    assert_eq!(cast_bits(&r.cast), cast_bits(&expected));
+    assert_eq!(r.rel.rows_out, old.catalog().cardinality("spikes").unwrap() + 1);
+    assert!(new.rewrite_hybrid(&pipeline).expect("repeat").rel.memo_hit);
+
+    // The held snapshot still answers from its own memo, bitwise as before.
+    let held = old.rewrite_hybrid(&pipeline).expect("held snapshot rewrite");
+    assert!(held.rel.memo_hit);
+    assert_eq!(cast_bits(&held.cast), cold);
 }

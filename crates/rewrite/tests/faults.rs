@@ -270,6 +270,36 @@ fn restamp_fault_poisons_then_rebuild_recovers() {
     assert!(hy.rewrite_hybrid(&p).unwrap().degraded.is_none());
 }
 
+/// A degraded prefix is never memoized: a snapshot read under a PACB panic
+/// returns the contained `WorkerPanic` and stores nothing, so the next read
+/// runs cold (and clean), and only the read after that hits.
+#[test]
+fn degraded_prefix_is_never_memoized() {
+    let (mut hy, p) = hybrid_with_view();
+    let snap = hy.reader().unwrap().current();
+    let r = quiet_panics(|| {
+        let _g = scoped("chase.round", FailAction::Panic);
+        snap.rewrite_hybrid(&p).unwrap()
+    });
+    assert_eq!(r.degraded.map(|d| d.reason), Some(DegradeReason::WorkerPanic));
+    assert!(!r.rel.memo_hit);
+    assert!(r.rel.rewriting.is_none());
+
+    // Take the fault-test lock back (through an inert site): the reads
+    // below must be unarmed, and another test's fault would land on them.
+    let _lock = scoped("memo.hold", FailAction::Delay(0));
+    let cold = snap.rewrite_hybrid(&p).unwrap();
+    assert!(!cold.rel.memo_hit, "the panicked read must not have been stored");
+    assert!(cold.degraded.is_none());
+    assert!(cold.rel.rewriting.is_some());
+
+    let hit = snap.rewrite_hybrid(&p).unwrap();
+    assert!(hit.rel.memo_hit);
+    assert!(hit.degraded.is_none());
+    assert_eq!(hit.table, cold.table);
+    assert_eq!(hit.cast, cold.cast);
+}
+
 /// CI's fault-matrix entry point: arms nothing itself — it runs whatever
 /// `HADAD_FAILPOINTS` injected (one config per CI job) and asserts the
 /// whole pipeline degrades cleanly: every call returns `Ok` (or the typed

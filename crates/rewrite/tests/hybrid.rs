@@ -115,6 +115,60 @@ fn tweet_pipeline_rewrites_both_halves_and_verifies() {
     assert_eq!(MatrixMeta::from_matrix(&r.cast), r.cast_meta);
 }
 
+/// Only `CatalogSnapshot::rewrite_hybrid` reads the snapshot's prefix memo.
+/// The live path recomputes the prefix every call (it has no snapshot),
+/// and the verified snapshot path recomputes it even after a hit, so the
+/// rewriting it checks is one it ran.
+#[test]
+fn live_and_verified_paths_never_read_the_prefix_memo() {
+    let mut catalog = Catalog::new();
+    catalog.register("tweets", tweets());
+    let mut la_cat = MetaCatalog::new();
+    la_cat.register("w", MatrixMeta::dense(NUM_TWEETS, 1));
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(la_cat));
+    hy.register_table_view(
+        "covid_tweets",
+        RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC),
+    )
+    .unwrap();
+    let pipeline = HybridPipeline {
+        prefix: RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC),
+        sort_key: None,
+        cast: CastKind::Sparse {
+            row: "tid".into(),
+            col: "topic".into(),
+            val: "level".into(),
+            rows: NUM_TWEETS,
+            cols: NUM_TOPICS,
+        },
+        cast_name: "N".into(),
+        suffix: mul(t(m("N")), m("w")),
+    };
+    let mut env = Env::new();
+    env.bind("w", Matrix::Dense(rand_gen::random_dense(NUM_TWEETS, 1, 99)));
+
+    for _ in 0..2 {
+        let r = hy.rewrite_hybrid(&pipeline).unwrap();
+        assert!(!r.rel.memo_hit, "the live path never memoizes");
+        assert!(r.rel.pacb_us > 0);
+    }
+
+    let snap = hy.reader().unwrap().current();
+    let first = snap.rewrite_hybrid(&pipeline).unwrap();
+    assert!(!first.rel.memo_hit);
+    let hit = snap.rewrite_hybrid(&pipeline).unwrap();
+    assert!(hit.rel.memo_hit);
+    assert_eq!((hit.rel.pacb_us, hit.rel.exec_us, hit.cast_us), (0, 0, 0));
+    assert_eq!(hit.cast, first.cast);
+
+    let verified = snap.rewrite_hybrid_verified(&pipeline, &env, 1e-9).unwrap();
+    assert!(!verified.rel.memo_hit, "verification re-executes the prefix");
+    assert!(verified.rel.pacb_us > 0);
+    assert!(verified.rel.rewriting.is_some());
+    assert_eq!(verified.verified, Some(true));
+    assert_eq!(verified.cast, first.cast);
+}
+
 /// The sparse-cast path must catalogue the cast matrix under its *real*
 /// ultra-sparse density — dense-default metadata would mislead the cost
 /// oracle (the suffix encoder turns this metadata into the densities the

@@ -9,7 +9,7 @@
 //!
 //! `obs-dump` arms the tracing gate, drives a small corpus through every
 //! pipeline layer (chase, extraction, kernels, view maintenance, plan
-//! cache), and exports the run profile: `TRACE_rewrite.json` (Chrome
+//! cache, snapshot prefix memo), and exports the run profile: `TRACE_rewrite.json` (Chrome
 //! `chrome://tracing` / Perfetto format) plus a metrics snapshot in JSON
 //! (`METRICS_snapshot.json`) and Prometheus text
 //! (`METRICS_snapshot.prom`). Exits nonzero if any layer failed to light
@@ -102,7 +102,8 @@ fn obs_dump() -> ExitCode {
     // Relational layer: a filtered view over an events table behind a
     // plan-cached hybrid optimizer. Two same-epoch rewrites (miss + hit),
     // a logged insert + maintenance pass (IVM + epoch bump), then two
-    // more rewrites (stale refusal + re-primed hit).
+    // more rewrites (stale refusal + re-primed hit), then two reads of the
+    // published snapshot (prefix memo miss + hit).
     let events = Table::new(vec![
         ("eid", Column::Int((0..64).collect())),
         ("kind", Column::Int((0..64).map(|i| i % 4).collect())),
@@ -158,6 +159,15 @@ fn obs_dump() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
+    // Two reads of one published snapshot: the second answers the prefix
+    // from the snapshot's memo.
+    let snapshot = reader.current();
+    for _ in 0..2 {
+        if snapshot.rewrite_hybrid(&pipeline).is_err() {
+            eprintln!("obs-dump: snapshot hybrid rewrite failed");
+            return ExitCode::FAILURE;
+        }
+    }
 
     // Export: Chrome trace + metrics snapshot (JSON and Prometheus text).
     let spans = hadad_obs::take_trace();
@@ -190,6 +200,7 @@ fn obs_dump() -> ExitCode {
         "cache.stale_refusals",
         "snapshot.publishes",
         "snapshot.reads",
+        "hybrid.prefix_memo_hits",
     ] {
         let v = snap.counter(key).unwrap_or(0);
         println!("  {key} = {v}");
