@@ -14,13 +14,19 @@
 //!   it: the chase then stops with [`crate::ChaseOutcome::AnalysisConflict`].
 //! * [`Analysis::guard`] decides a rule's guard ([`crate::Tgd::guard`]) on
 //!   each premise match. A refused match is never buffered, never offered
-//!   to the [`crate::Pruner`], and never counts as a veto.
+//!   to `allow`, and never counts as a veto.
+//! * [`Analysis::allow`] may veto a firing just before it applies — the
+//!   hook cost-based pruning (PACB's `Prune_prov`, §7.3) is built on. It
+//!   defaults to allowing everything.
 //!
-//! The engine is generic over the analysis, so a run without one
-//! ([`NoAnalysis`], as PACB runs) compiles the three calls away.
+//! An analysis is the engine's only extension point, and the engine is
+//! generic over it, so a run without one ([`NoAnalysis`], as PACB's forward
+//! chase runs) compiles the calls away, as does the defaulted `allow` of an
+//! analysis that never vetoes.
 
 use crate::atom::Atom;
-use crate::homomorphism::Bindings;
+use crate::constraint::Tgd;
+use crate::homomorphism::{Bindings, Match};
 use crate::instance::{Instance, NodeId};
 
 /// Per-class data the chase maintains while it runs.
@@ -45,6 +51,19 @@ pub trait Analysis {
     /// evaluation a refused match is not asked again until one of its
     /// premise facts is re-stamped.
     fn guard(&self, inst: &Instance, guard: &Atom, bindings: &Bindings) -> bool;
+
+    /// Whether the firing of TGD `tgd` (rule `rule` of the engine's set, as
+    /// compiled — see [`crate::RuleSet::compile`]) on premise match `m` may
+    /// apply. Asked just before it would: after the guard held and the
+    /// conclusion was re-checked unsatisfied. A refusal is a *veto*,
+    /// counted in [`crate::RuleStats::vetoes`]; under semi-naïve evaluation
+    /// the match is not offered again until one of its premise facts is
+    /// re-stamped, so a refusal must not rest on anything that loosens
+    /// during the run. Everything is allowed by default.
+    fn allow(&mut self, inst: &Instance, rule: usize, tgd: &Tgd, m: &Match) -> bool {
+        let _ = (inst, rule, tgd, m);
+        true
+    }
 }
 
 /// The run without an analysis: nothing is kept, and since nothing can

@@ -8,14 +8,14 @@
 //! generate fresh IDs without bound, so the engine carries the same
 //! practical budgets the paper's PACB++ implementation does.
 //!
-//! Premise matching is **semi-naïve** by default ([`EvalMode::SemiNaive`]):
-//! each rule keeps a watermark into the instance's revision clock and only
-//! enumerates matches touching facts stamped after it — fresh insertions
-//! plus facts rewritten by EGD merges (the merged classes feed back into
-//! the frontier through `rehash` re-stamping). The first time a rule runs
-//! its watermark is zero, so round one is the classic naive round. The
-//! naive mode re-enumerates every homomorphism each round and is kept for
-//! differential testing and as the enumeration-count baseline.
+//! Premise matching is **semi-naïve**: each rule keeps a watermark into
+//! the instance's revision clock and only enumerates matches touching facts
+//! stamped after it — fresh insertions plus facts rewritten by EGD merges
+//! (the merged classes feed back into the frontier through `rehash`
+//! re-stamping). Every run starts with all watermarks at zero, so its
+//! first round is the classic naive round; a naive chase is therefore this
+//! engine restarted every round, which is how the differential tests build
+//! their naive reference.
 //!
 //! Rules are *compiled* once into a [`RuleSet`] — slot count, existential
 //! variables, the symmetric-EGD test, the functional signatures the engine's
@@ -29,16 +29,16 @@
 //! conclusion is not yet satisfied are buffered (in one flat arena) for
 //! application. Matching and checking allocate nothing per match.
 //!
-//! Cost-based pruning (`Prune_prov`, §7.3) plugs in through the [`Pruner`]
-//! trait: a firing whose premise image already costs more than the best
-//! known rewriting never executes (Example 7.2). Note that under semi-naïve
-//! evaluation a *vetoed* firing is not re-offered to the pruner until one of
-//! its premise facts is re-stamped; pruners whose thresholds loosen over
-//! time should run in naive mode.
-//!
-//! Per-class data a domain keeps beside the instance plugs in through the
-//! [`Analysis`] trait ([`ChaseEngine::chase_analyzed`]): it sees every fact
-//! a firing inserts and every merge, and decides rule guards.
+//! The engine has one extension point, the [`Analysis`] trait
+//! ([`ChaseEngine::chase_analyzed`]; [`ChaseEngine::chase`] runs with
+//! [`NoAnalysis`]): per-class data a domain keeps beside the instance sees
+//! every fact a firing inserts and every merge, decides rule guards, and
+//! may veto a firing ([`Analysis::allow`]). Cost-based pruning (PACB's
+//! `Prune_prov`, §7.3: a firing whose premise image already costs more than
+//! a fixed threshold never executes, Example 7.2) is such a veto. Under
+//! semi-naïve evaluation a vetoed firing is not offered again until one of
+//! its premise facts is re-stamped, so a veto must not rest on a threshold
+//! that loosens during the run.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -207,17 +207,6 @@ impl std::fmt::Display for RewritePhase {
     }
 }
 
-/// Premise-matching strategy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalMode {
-    /// Re-enumerate every homomorphism of every rule each round.
-    Naive,
-    /// Delta-driven: only enumerate matches touching facts stamped after
-    /// the rule's last run (plus one full first round per rule).
-    #[default]
-    SemiNaive,
-}
-
 /// How a chase run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChaseOutcome {
@@ -234,55 +223,6 @@ pub enum ChaseOutcome {
     AnalysisConflict(AnalysisConflict),
 }
 
-/// Veto hook for TGD firings (cost-based pruning).
-pub trait Pruner {
-    /// Return `false` to skip this firing. `rule_idx` indexes the engine's
-    /// rule set; `tgd` is that rule as compiled (see [`RuleSet::compile`])
-    /// and `m` the premise match, its bindings indexed by `tgd`'s variables.
-    fn allow_firing(&mut self, inst: &Instance, rule_idx: usize, tgd: &Tgd, m: &Match) -> bool;
-}
-
-/// Pruner that allows everything (the naive PACB behaviour).
-pub struct NoPrune;
-
-impl Pruner for NoPrune {
-    fn allow_firing(&mut self, _: &Instance, _: usize, _: &Tgd, _: &Match) -> bool {
-        true
-    }
-}
-
-/// Oracle answering cost questions about prospective TGD firings — the
-/// abstraction behind `Prune_prov` (paper §7.3): PACB's backchase prices a
-/// firing by the provenance of its premise image (relational scan costs).
-pub trait CostOracle {
-    /// Estimated lower-bound cost of any rewriting that uses what this
-    /// firing derives. `0.0` means "nothing can be bounded" and the firing
-    /// is always allowed.
-    fn firing_cost(&self, inst: &Instance, tgd: &Tgd, m: &Match) -> f64;
-}
-
-/// `Prune_prov` as a [`Pruner`]: vetoes firings whose oracle cost exceeds
-/// a fixed threshold (PACB passes the cost of the original query). The
-/// threshold never loosens, so the pruner is safe under semi-naïve
-/// evaluation.
-pub struct CostPruner<'a> {
-    oracle: &'a dyn CostOracle,
-    threshold: f64,
-}
-
-impl<'a> CostPruner<'a> {
-    /// A pruner vetoing firings the oracle prices above `threshold`.
-    pub fn new(oracle: &'a dyn CostOracle, threshold: f64) -> Self {
-        CostPruner { oracle, threshold }
-    }
-}
-
-impl Pruner for CostPruner<'_> {
-    fn allow_firing(&mut self, inst: &Instance, _: usize, tgd: &Tgd, m: &Match) -> bool {
-        self.oracle.firing_cost(inst, tgd, m) <= self.threshold
-    }
-}
-
 /// One rule's counters in a [`ChaseStats`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleStats {
@@ -294,7 +234,8 @@ pub struct RuleStats {
     /// Successful firings (always 0 for an EGD; see
     /// [`ChaseStats::egd_merges`]).
     pub firings: usize,
-    /// Firings vetoed by the pruner (EGDs are never offered to it).
+    /// Firings the run's analysis vetoed ([`Analysis::allow`]; EGDs are
+    /// never offered to it).
     pub vetoes: usize,
 }
 
@@ -308,8 +249,6 @@ pub struct ChaseStats {
     pub rules: Vec<RuleStats>,
     /// Node merges performed by EGDs.
     pub egd_merges: usize,
-    /// Total firings vetoed by the cost pruner.
-    pub pruned_firings: usize,
     /// Size of the delta frontier at the start of each round (round one
     /// counts every fact).
     pub round_deltas: Vec<usize>,
@@ -328,6 +267,11 @@ impl ChaseStats {
     pub fn firings(&self) -> u64 {
         self.rules.iter().map(|r| r.firings as u64).sum()
     }
+
+    /// Total firings vetoed across all rules.
+    pub fn pruned_firings(&self) -> usize {
+        self.rules.iter().map(|r| r.vetoes).sum()
+    }
 }
 
 /// Publishes one run's aggregate counters to the shared metrics registry.
@@ -343,7 +287,7 @@ fn publish_chase_metrics(stats: &ChaseStats) {
     RUNS.incr();
     ROUNDS.add(stats.rounds as u64);
     FIRINGS.add(stats.firings());
-    VETOES.add(stats.pruned_firings as u64);
+    VETOES.add(stats.pruned_firings() as u64);
     MERGES.add(stats.egd_merges as u64);
     MATCHES.add(stats.matches_enumerated());
     if stats.exhausted == Some(ExhaustedBy::Deadline) {
@@ -598,8 +542,6 @@ pub struct ChaseEngine<'r> {
     pub rules: &'r RuleSet,
     /// Resource bounds ending a divergent run.
     pub budget: ChaseBudget,
-    /// Naive or semi-naïve premise evaluation.
-    pub mode: EvalMode,
 }
 
 /// A merge an EGD match asks for: a node bound during the match, or a
@@ -619,7 +561,7 @@ struct RunScratch {
     /// Runs conclusion checks — while `premise` is mid-enumeration, hence a
     /// second matcher.
     check: Matcher,
-    /// The pending match being applied (what the pruner is shown).
+    /// The pending match being applied (what [`Analysis::allow`] is shown).
     firing: Match,
     /// Flat arena of pending TGD matches: binding slots at a stride of the
     /// rule's slot count ...
@@ -631,9 +573,9 @@ struct RunScratch {
 }
 
 impl<'r> ChaseEngine<'r> {
-    /// An engine over `rules` with default budget and mode.
+    /// An engine over `rules` with the default budget.
     pub fn new(rules: &'r RuleSet) -> Self {
-        ChaseEngine { rules, budget: ChaseBudget::default(), mode: EvalMode::default() }
+        ChaseEngine { rules, budget: ChaseBudget::default() }
     }
 
     /// Replaces the budget.
@@ -642,18 +584,15 @@ impl<'r> ChaseEngine<'r> {
         self
     }
 
-    /// Replaces the evaluation mode.
-    pub fn with_mode(mut self, mode: EvalMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// Runs the chase to fixpoint (or budget) without pruning or analysis.
+    /// Runs the chase to fixpoint (or budget) with [`NoAnalysis`]: nothing
+    /// is vetoed, and a guarded rule never fires.
     pub fn chase(&self, inst: &mut Instance) -> (ChaseOutcome, ChaseStats) {
-        self.chase_with(inst, &mut NoPrune)
+        self.chase_analyzed(inst, &mut NoAnalysis)
     }
 
-    /// Runs the chase with a pruning hook and no analysis.
+    /// Runs the chase to fixpoint (or budget), keeping `analysis` up to
+    /// date with every fact it inserts and every merge, and letting it
+    /// decide rule guards and veto firings.
     ///
     /// Every run publishes its aggregate [`ChaseStats`] to the shared
     /// `hadad-obs` metrics registry (`chase.rounds`, `chase.rule_firings`,
@@ -661,33 +600,13 @@ impl<'r> ChaseEngine<'r> {
     /// `chase.deadline_expiries`) and executes under a `"chase"` tracing
     /// span — the per-rule counters in the returned stats stay the
     /// fine-grained record.
-    pub fn chase_with(
-        &self,
-        inst: &mut Instance,
-        pruner: &mut dyn Pruner,
-    ) -> (ChaseOutcome, ChaseStats) {
-        self.chase_observed(inst, pruner, &mut NoAnalysis)
-    }
-
-    /// Runs the chase without pruning, keeping `analysis` up to date with
-    /// every fact it inserts and every merge, and letting it decide rule
-    /// guards. Publishes metrics as [`Self::chase_with`] does.
     pub fn chase_analyzed<A: Analysis>(
         &self,
         inst: &mut Instance,
         analysis: &mut A,
     ) -> (ChaseOutcome, ChaseStats) {
-        self.chase_observed(inst, &mut NoPrune, analysis)
-    }
-
-    fn chase_observed<A: Analysis>(
-        &self,
-        inst: &mut Instance,
-        pruner: &mut dyn Pruner,
-        analysis: &mut A,
-    ) -> (ChaseOutcome, ChaseStats) {
         let _span = hadad_obs::span("chase");
-        let (outcome, stats) = self.chase_run(inst, pruner, analysis);
+        let (outcome, stats) = self.chase_run(inst, analysis);
         publish_chase_metrics(&stats);
         (outcome, stats)
     }
@@ -695,7 +614,6 @@ impl<'r> ChaseEngine<'r> {
     fn chase_run<A: Analysis>(
         &self,
         inst: &mut Instance,
-        pruner: &mut dyn Pruner,
         analysis: &mut A,
     ) -> (ChaseOutcome, ChaseStats) {
         let rules = self.rules.rules();
@@ -730,10 +648,7 @@ impl<'r> ChaseEngine<'r> {
             prev_round_clock = inst.clock();
             let mut changed = false;
             for (ci, rule) in rules.iter().enumerate() {
-                let watermark = match self.mode {
-                    EvalMode::Naive => 0,
-                    EvalMode::SemiNaive => last_seen[ci],
-                };
+                let watermark = last_seen[ci];
                 // Snapshot before enumeration: facts this rule creates (or
                 // EGD re-stamps) during application stay in its next delta.
                 let snapshot = inst.clock();
@@ -760,16 +675,14 @@ impl<'r> ChaseEngine<'r> {
                     }
                     Constraint::Tgd(tgd) => {
                         let firings_before = rule_stats.firings;
-                        let vetoes_before = rule_stats.vetoes;
                         let over_budget = self.apply_tgd(
                             inst,
                             (ci, rule, tgd),
-                            (pruner, analysis),
+                            analysis,
                             watermark,
                             &mut scratch,
                             rule_stats,
                         );
-                        stats.pruned_firings += rule_stats.vetoes - vetoes_before;
                         if rule_stats.firings > firings_before {
                             changed = true;
                         }
@@ -799,14 +712,14 @@ impl<'r> ChaseEngine<'r> {
 
     /// Applies one TGD (restricted semantics, with core-chase-style
     /// existential reuse through functional predicates) over its delta,
-    /// counting matches, firings and vetoes into `stats` and showing
-    /// `analysis` every fact it inserts. Returns the bound that tripped, if
-    /// one did.
+    /// counting matches, firings and vetoes into `stats`, letting
+    /// `analysis` veto each firing and showing it every fact one inserts.
+    /// Returns the bound that tripped, if one did.
     fn apply_tgd<A: Analysis>(
         &self,
         inst: &mut Instance,
         (rule_idx, rule, tgd): (usize, &CompiledRule, &Tgd),
-        (pruner, analysis): (&mut dyn Pruner, &mut A),
+        analysis: &mut A,
         watermark: u64,
         scratch: &mut RunScratch,
         stats: &mut RuleStats,
@@ -840,7 +753,7 @@ impl<'r> ChaseEngine<'r> {
 
         // Phase 2: re-check satisfiability against the instance as it grows
         // (an earlier firing of this application may have satisfied a later
-        // pending match), consult the pruner, and apply. Fact indices stay
+        // pending match), let the analysis veto, and apply. Fact indices stay
         // valid throughout: TGD application only appends facts.
         // The deadline is re-checked every `DEADLINE_STRIDE` pending matches
         // so a rule with a huge pending buffer can't blow past it by a round.
@@ -856,7 +769,7 @@ impl<'r> ChaseEngine<'r> {
             if check.satisfiable(inst, &tgd.conclusion, slots, &firing.bindings) {
                 continue;
             }
-            if !pruner.allow_firing(inst, rule_idx, tgd, firing) {
+            if !analysis.allow(inst, rule_idx, tgd, firing) {
                 stats.vetoes += 1;
                 continue;
             }
@@ -1157,14 +1070,29 @@ mod tests {
         assert!(inst.num_facts() >= 3);
     }
 
+    /// An analysis that keeps nothing and refuses every guard, as
+    /// [`NoAnalysis`] does, and asks its closure whether each firing offered
+    /// to it may apply.
+    struct Allow<F>(F);
+
+    impl<F: FnMut(&Match) -> bool> Analysis for Allow<F> {
+        fn make(&mut self, _: &Instance, _: usize, _: &Atom, _: &[NodeId]) {}
+
+        fn join(&mut self, _: &Instance, _: NodeId, _: NodeId) -> Result<(), AnalysisConflict> {
+            Ok(())
+        }
+
+        fn guard(&self, _: &Instance, _: &Atom, _: &Bindings) -> bool {
+            false
+        }
+
+        fn allow(&mut self, _: &Instance, _: usize, _: &Tgd, m: &Match) -> bool {
+            (self.0)(m)
+        }
+    }
+
     #[test]
     fn pruner_vetoes_firings() {
-        struct VetoAll;
-        impl Pruner for VetoAll {
-            fn allow_firing(&mut self, _: &Instance, _: usize, _: &Tgd, _: &Match) -> bool {
-                false
-            }
-        }
         let mut vocab = Vocabulary::new();
         let p = vocab.predicate("P", 1);
         let q = vocab.predicate("Q", 1);
@@ -1178,21 +1106,19 @@ mod tests {
         inst.insert(p, vec![a], Provenance::empty(), None);
         let rules = RuleSet::compile(vec![tgd.into()]);
         let engine = ChaseEngine::new(&rules);
-        let (outcome, stats) = engine.chase_with(&mut inst, &mut VetoAll);
+        let (outcome, stats) = engine.chase_analyzed(&mut inst, &mut Allow(|_: &Match| false));
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(inst.facts_with_pred(q).len(), 0);
-        assert!(stats.pruned_firings > 0);
+        assert!(stats.pruned_firings() > 0);
     }
 
     #[test]
     fn cost_pruner_vetoes_above_threshold() {
-        /// Prices every firing at the number of premise facts, scaled.
-        struct FactCountOracle(f64);
-        impl CostOracle for FactCountOracle {
-            fn firing_cost(&self, _: &Instance, _: &Tgd, m: &Match) -> f64 {
-                self.0 * m.fact_indices.len() as f64
-            }
-        }
+        // Prices every firing at ten times its number of premise facts and
+        // vetoes it above `threshold`.
+        let priced_below = |threshold: f64| {
+            Allow(move |m: &Match| 10.0 * m.fact_indices.len() as f64 <= threshold)
+        };
         let mut vocab = Vocabulary::new();
         let p = vocab.predicate("P", 1);
         let q = vocab.predicate("Q", 1);
@@ -1211,12 +1137,10 @@ mod tests {
         let engine = ChaseEngine::new(&rules);
 
         // Threshold below the firing cost: vetoed, counted per rule.
-        let oracle = FactCountOracle(10.0);
         let mut inst = build(&mut vocab);
-        let mut pruner = CostPruner::new(&oracle, 5.0);
-        let (_, stats) = engine.chase_with(&mut inst, &mut pruner);
+        let (_, stats) = engine.chase_analyzed(&mut inst, &mut priced_below(5.0));
         assert_eq!(inst.facts_with_pred(q).len(), 0);
-        assert_eq!(stats.pruned_firings, 1);
+        assert_eq!(stats.pruned_firings(), 1);
         assert_eq!(
             stats.rules,
             vec![RuleStats { name: "p-q".into(), matches: 1, firings: 0, vetoes: 1 }]
@@ -1224,10 +1148,9 @@ mod tests {
 
         // Threshold above: fires.
         let mut inst = build(&mut vocab);
-        let mut pruner = CostPruner::new(&oracle, 50.0);
-        let (_, stats) = engine.chase_with(&mut inst, &mut pruner);
+        let (_, stats) = engine.chase_analyzed(&mut inst, &mut priced_below(50.0));
         assert_eq!(inst.facts_with_pred(q).len(), 1);
-        assert_eq!(stats.pruned_firings, 0);
+        assert_eq!(stats.pruned_firings(), 0);
     }
 
     #[test]
@@ -1367,14 +1290,16 @@ mod tests {
         let mut naive_inst = build();
         let mut semi_inst = build();
         let rules = RuleSet::compile(rules);
-        let naive = ChaseEngine::new(&rules).with_mode(EvalMode::Naive);
-        let semi = ChaseEngine::new(&rules);
-        let (o1, s1) = naive.chase(&mut naive_inst);
-        let (o2, s2) = semi.chase(&mut semi_inst);
+        let engine = ChaseEngine::new(&rules);
+        let (o1, s1) = chase_naive(engine, &mut naive_inst);
+        let (o2, s2) = engine.chase(&mut semi_inst);
         assert_eq!(o1, ChaseOutcome::Saturated);
         assert_eq!(o2, ChaseOutcome::Saturated);
         assert_eq!(naive_inst.num_facts(), semi_inst.num_facts());
         assert_eq!(naive_inst.facts_with_pred(t).len(), 15); // 5+4+3+2+1
+                                                             // Five naive rounds: `base` matches its 5 E facts each round, `step`
+                                                             // the 4 + 7 + 9 + 10 + 10 paths it can extend.
+        assert_eq!((s1.rounds, s1.matches_enumerated()), (5, 65));
         assert!(
             s2.matches_enumerated() < s1.matches_enumerated(),
             "semi-naïve {} should beat naive {}",
@@ -1384,14 +1309,36 @@ mod tests {
         assert_eq!(s2.round_deltas[0], 5, "round one sees all base facts");
     }
 
-    /// Pruner that allows every firing and counts how many it was offered.
-    struct CountOffers(usize);
-
-    impl Pruner for CountOffers {
-        fn allow_firing(&mut self, _: &Instance, _: usize, _: &Tgd, _: &Match) -> bool {
-            self.0 += 1;
-            true
+    /// The naive reference: the engine restarted every round. A run's first
+    /// round starts with every watermark at 0, which is exactly a naive
+    /// round, so one-round runs looped over one instance re-enumerate every
+    /// homomorphism each round. Rounds, merges and per-rule counters are
+    /// summed over the runs.
+    fn chase_naive(engine: ChaseEngine<'_>, inst: &mut Instance) -> (ChaseOutcome, ChaseStats) {
+        let one_round =
+            ChaseEngine { budget: ChaseBudget { max_rounds: 1, ..engine.budget }, ..engine };
+        let mut total = ChaseStats::default();
+        for _ in 0..engine.budget.max_rounds {
+            let (outcome, stats) = one_round.chase(inst);
+            total.rounds += stats.rounds;
+            total.egd_merges += stats.egd_merges;
+            total.exhausted = stats.exhausted;
+            if total.rules.is_empty() {
+                total.rules = stats.rules;
+            } else {
+                for (sum, run) in total.rules.iter_mut().zip(&stats.rules) {
+                    sum.matches += run.matches;
+                    sum.firings += run.firings;
+                    sum.vetoes += run.vetoes;
+                }
+            }
+            if outcome != ChaseOutcome::BudgetExhausted
+                || total.exhausted != Some(ExhaustedBy::Rounds)
+            {
+                return (outcome, total);
+            }
         }
+        (ChaseOutcome::BudgetExhausted, total)
     }
 
     /// Streamed check ≡ buffered check, case 1: two matches pend (neither
@@ -1415,12 +1362,16 @@ mod tests {
         inst.insert(p, vec![a, b], Provenance::empty(), None);
         inst.insert(p, vec![a, c], Provenance::empty(), None);
         let rules = RuleSet::compile(vec![tgd.into()]);
-        let mut offers = CountOffers(0);
-        let (outcome, stats) = ChaseEngine::new(&rules).chase_with(&mut inst, &mut offers);
+        let mut offers = 0;
+        let mut count = Allow(|_: &Match| {
+            offers += 1;
+            true
+        });
+        let (outcome, stats) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut count);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(stats.rules[0].matches, 2, "round two's delta holds no P fact");
         assert_eq!(stats.rules[0].firings, 1, "the second pending match was re-checked");
-        assert_eq!(offers.0, 1, "and dropped before the pruner saw it");
+        assert_eq!(offers, 1, "and dropped before `allow` saw it");
         assert_eq!(inst.num_facts(), 3);
         assert_eq!(inst.num_nulls(), 1);
     }
@@ -1444,12 +1395,16 @@ mod tests {
         inst.insert(p, vec![b], Provenance::empty(), None);
         inst.insert(q, vec![a], Provenance::empty(), None);
         let rules = RuleSet::compile(vec![tgd.into()]);
-        let mut offers = CountOffers(0);
-        let (outcome, stats) = ChaseEngine::new(&rules).chase_with(&mut inst, &mut offers);
+        let mut offers = 0;
+        let mut count = Allow(|_: &Match| {
+            offers += 1;
+            true
+        });
+        let (outcome, stats) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut count);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(stats.rules[0].matches, 2);
         assert_eq!(stats.rules[0].firings, 1, "only P(b) lacks its Q");
-        assert_eq!(offers.0, 1);
+        assert_eq!(offers, 1);
         assert_eq!(inst.num_facts(), 4);
         assert_eq!(stats.firings(), 1);
         assert_eq!(stats.matches_enumerated(), 2);
@@ -1568,7 +1523,7 @@ mod tests {
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(stats.rules[0].matches, 2, "both premise matches are enumerated");
         assert_eq!(stats.rules[0].firings, 1, "the odd one is refused by the guard");
-        assert_eq!(stats.pruned_firings, 0, "a refusal is not a veto");
+        assert_eq!(stats.pruned_firings(), 0, "a refusal is not a veto");
         let minted = inst.fact(inst.facts_with_pred(q)[0]).args[1];
         assert_eq!(depth.depths[minted.0 as usize], Some(1), "make saw the minted class");
 

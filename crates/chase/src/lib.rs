@@ -40,8 +40,8 @@ pub use analysis::{Analysis, AnalysisConflict, NoAnalysis};
 pub use atom::Atom;
 pub use chase::{
     degradation_of, functional_sig, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats,
-    CompiledRule, CostOracle, CostPruner, DegradeReason, Degraded, EvalMode, ExhaustedBy,
-    FunctionalSig, NoPrune, Pruner, RewritePhase, RuleSet, RuleStats,
+    CompiledRule, DegradeReason, Degraded, ExhaustedBy, FunctionalSig, RewritePhase, RuleSet,
+    RuleStats,
 };
 pub use constraint::{Constraint, Egd, Tgd};
 pub use cq::Cq;

@@ -17,10 +17,11 @@
 
 use std::collections::HashMap;
 
+use crate::analysis::{Analysis, AnalysisConflict};
 use crate::atom::Atom;
 use crate::chase::{
-    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, CostOracle, CostPruner,
-    Degraded, RewritePhase, RuleSet,
+    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, Degraded, RewritePhase,
+    RuleSet,
 };
 use crate::constraint::{Constraint, Tgd};
 use crate::cq::Cq;
@@ -104,29 +105,52 @@ pub struct Pacb<'a> {
     pub cost_fn: Option<CostFn<'a>>,
 }
 
-/// Prices a backchase firing by the provenance of its premise image
-/// (Example 7.2): the cheapest conjunct of the combined premise provenance,
-/// since any rewriting the step contributes to must read at least that much.
-/// Fed to the generic [`CostPruner`] with the threshold fixed at the
-/// original query's scan cost. Vetoed firings are counted by the engine
-/// (`ChaseStats::pruned_firings`), which PACB surfaces as `backchase_stats`.
-struct ProvCostOracle<'b> {
+/// `Prune_prov` (§7.3) as the backchase's analysis: it keeps no per-class
+/// data (its `make`, `join` and `guard` are those of
+/// [`crate::NoAnalysis`]) and vetoes a firing whose premise image already
+/// costs more than `threshold` — the cost of the original query, fixed for
+/// the run, so a veto never needs revisiting. Vetoes are counted by the
+/// engine (`ChaseStats::pruned_firings()`), which PACB surfaces as
+/// `backchase_stats`.
+struct PruneProv<'b> {
     cost_fn: CostFn<'b>,
+    threshold: f64,
 }
 
-impl CostOracle for ProvCostOracle<'_> {
-    fn firing_cost(&self, inst: &Instance, _tgd: &Tgd, m: &Match) -> f64 {
+impl PruneProv<'_> {
+    /// Prices a firing by the provenance of its premise image (Example
+    /// 7.2): the cheapest conjunct of the combined premise provenance, since
+    /// any rewriting the step contributes to must read at least that much.
+    /// `0.0` — never vetoed — when nothing in the universal plan justifies
+    /// the premise.
+    fn firing_cost(&self, inst: &Instance, m: &Match) -> f64 {
         let provs: Vec<&Provenance> =
             m.fact_indices.iter().map(|&fi| &inst.fact(fi).prov).collect();
         let combined = Provenance::and_all(&provs);
         if combined.is_empty() {
-            return 0.0; // no universal-plan justification — not prunable
+            return 0.0;
         }
         combined
             .conjuncts()
             .iter()
             .map(|&c| (self.cost_fn)(inst, &Provenance::conjunct_terms(c)))
             .fold(f64::INFINITY, f64::min)
+    }
+}
+
+impl Analysis for PruneProv<'_> {
+    fn make(&mut self, _: &Instance, _: usize, _: &Atom, _: &[NodeId]) {}
+
+    fn join(&mut self, _: &Instance, _: NodeId, _: NodeId) -> Result<(), AnalysisConflict> {
+        Ok(())
+    }
+
+    fn guard(&self, _: &Instance, _: &Atom, _: &Bindings) -> bool {
+        false
+    }
+
+    fn allow(&mut self, inst: &Instance, _: usize, _: &Tgd, m: &Match) -> bool {
+        self.firing_cost(inst, m) <= self.threshold
     }
 }
 
@@ -143,8 +167,8 @@ pub struct PacbResult {
     pub universal_plan_size: usize,
     /// Statistics of the forward chase (phase i).
     pub chase_stats: ChaseStats,
-    /// Statistics of the backchase (phase iv); `pruned_firings` counts the
-    /// steps vetoed by `Prune_prov`.
+    /// Statistics of the backchase (phase iv); `pruned_firings()` counts
+    /// the steps vetoed by `Prune_prov`.
     pub backchase_stats: ChaseStats,
     /// Set when either chase phase ran out of budget/deadline: the
     /// rewritings found are a sound subset of the full search's (anytime
@@ -240,10 +264,8 @@ impl<'a> Pacb<'a> {
         let (backchase_outcome, backchase_stats) = {
             let _span = hadad_obs::span("pacb.backchase");
             match (self.options.prune_threshold, self.cost_fn) {
-                (Some(t), Some(f)) => {
-                    let oracle = ProvCostOracle { cost_fn: f };
-                    let mut pruner = CostPruner::new(&oracle, t);
-                    back_engine.chase_with(&mut u, &mut pruner)
+                (Some(threshold), Some(cost_fn)) => {
+                    back_engine.chase_analyzed(&mut u, &mut PruneProv { cost_fn, threshold })
                 }
                 _ => back_engine.chase(&mut u),
             }
@@ -523,7 +545,7 @@ mod tests {
 
         assert_eq!(result.universal_plan_size, 2);
         // The Ve-justified backchase step was pruned...
-        assert_eq!(result.backchase_stats.pruned_firings, 1);
+        assert_eq!(result.backchase_stats.pruned_firings(), 1);
         // ...and only the cheap rewriting survives, with its cost attached.
         assert_eq!(result.rewritings.len(), 1);
         let rw = &result.rewritings[0];

@@ -905,7 +905,7 @@ mod tests {
             let mut analysis = LaAnalysis::new(&vrem, enc.classes);
             let mut inst = enc.instance;
             let (_, stats) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut analysis);
-            assert_eq!(stats.pruned_firings, 0);
+            assert_eq!(stats.pruned_firings(), 0);
             let rule = stats.rules.iter().find(|r| &*r.name == "inv-mul").unwrap();
             (rule.firings, rule.vetoes)
         };

@@ -3,9 +3,9 @@
 //! shape/density/flops propagation every consumer shares — per operator
 //! ([`op_stats`]/[`op_flops`]/[`op_cost_with`], which the extraction DP's
 //! `hadad_rewrite::FlopsCost` prices classes with) and per expression
-//! ([`expr_estimate`], the one recursion over [`Expr`] behind
-//! [`expr_stats`] and `hadad_rewrite::CostModel`, whose one-level step the
-//! encoders run bottom-up).
+//! ([`expr_estimate`], the one recursion over [`Expr`], which
+//! [`expr_stats`] wraps, `hadad_rewrite::Optimizer` ranks plans with, and
+//! whose one-level step the encoders run bottom-up).
 //!
 //! The estimator is the paper's *naïve* metadata propagation (§7.2.1) and
 //! the only one here: it reads `rows`, `cols` and `nnz`, so that is what
@@ -271,10 +271,10 @@ pub fn op_flops(kind: OpKind, _out_idx: usize, child: &[ClassStats]) -> f64 {
 /// Calibration constants for one execution backend
 /// (`hadad_linalg::backend`): how much faster than the reference kernels
 /// its product kernels run, per representation class. Every cost consumer
-/// (ranking `CostModel`, extraction `FlopsCost`) prices plans through
-/// [`op_cost_with`] under the optimizer's profile, so plan choice tracks
-/// what the selected hardware backend actually runs fastest — the SystemML
-/// lesson that abstract flops alone mis-rank plans.
+/// (ranking through [`expr_estimate`], extraction `FlopsCost`) prices
+/// plans through [`op_cost_with`] under the optimizer's profile, so plan
+/// choice tracks what the selected hardware backend actually runs fastest
+/// — the SystemML lesson that abstract flops alone mis-rank plans.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendProfile {
     /// Backend name, as reported by `ExecBackend::name`.

@@ -568,10 +568,9 @@ pub fn tmul_dense_sparse(
     sparse_right(a, true, b, threads, width)
 }
 
-/// Backend selection, settable per `Optimizer` (builder) or process-wide
-/// via the `HADAD_BACKEND` env var (`reference` | `parallel`); the default
-/// is [`BackendKind::Parallel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// Backend selection, settable per `Optimizer` (builder); the default is
+/// [`BackendKind::Parallel`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum BackendKind {
     /// The single-threaded textbook kernels.
     Reference,
@@ -586,51 +585,7 @@ pub static REFERENCE: Reference = Reference;
 /// Shared [`Parallel`] instance with auto-sized workers.
 pub static PARALLEL: Parallel = Parallel::auto();
 
-/// `HADAD_BACKEND` held a value that names no backend. Carries the
-/// offending value so the panic/report names the typo.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UnknownBackend(pub String);
-
-impl std::fmt::Display for UnknownBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "unknown backend `{}` (valid values: `reference`, `parallel`)", self.0)
-    }
-}
-
-impl std::error::Error for UnknownBackend {}
-
-impl std::str::FromStr for BackendKind {
-    type Err = UnknownBackend;
-
-    fn from_str(s: &str) -> std::result::Result<Self, UnknownBackend> {
-        match s {
-            "reference" => Ok(BackendKind::Reference),
-            "parallel" => Ok(BackendKind::Parallel),
-            other => Err(UnknownBackend(other.to_owned())),
-        }
-    }
-}
-
 impl BackendKind {
-    /// Env-selected kind (`HADAD_BACKEND=reference|parallel`), cached for
-    /// the process; unset means `Parallel`.
-    ///
-    /// An unrecognized value panics instead of silently falling back: a
-    /// typo like `HADAD_BACKEND=refrence` would otherwise run every
-    /// differential test against the default backend and pass vacuously.
-    ///
-    /// # Panics
-    ///
-    /// When `HADAD_BACKEND` is set to anything other than `reference` or
-    /// `parallel`.
-    pub fn from_env() -> Self {
-        static CACHE: OnceLock<BackendKind> = OnceLock::new();
-        *CACHE.get_or_init(|| match std::env::var("HADAD_BACKEND").ok() {
-            None => BackendKind::Parallel,
-            Some(v) => v.parse().unwrap_or_else(|e| panic!("HADAD_BACKEND: {e}")),
-        })
-    }
-
     /// The shared instance of this kind.
     pub fn select(self) -> &'static dyn ExecBackend {
         match self {
@@ -640,9 +595,9 @@ impl BackendKind {
     }
 }
 
-/// The process-default backend (env-selected kind's shared instance).
+/// The process-default backend: the shared [`Parallel`] instance.
 pub fn default_backend() -> &'static dyn ExecBackend {
-    BackendKind::from_env().select()
+    BackendKind::Parallel.select()
 }
 
 #[cfg(test)]
@@ -935,34 +890,5 @@ mod tests {
         let empty = Matrix::zeros(0, 3);
         let rhs = Matrix::zeros(3, 2);
         assert_eq!(PARALLEL.multiply(&empty, &rhs).unwrap().shape(), (0, 2));
-    }
-
-    #[test]
-    fn env_default_is_parallel() {
-        // The test env does not set HADAD_BACKEND=reference; the default
-        // kind resolves Parallel and the instance reports its threads.
-        if std::env::var("HADAD_BACKEND").as_deref() != Ok("reference") {
-            assert_eq!(default_backend().name(), "parallel");
-        }
-        assert!(PARALLEL.threads() >= 1);
-        assert_eq!(Parallel::with_threads(3).threads(), 3);
-    }
-
-    /// The parser `from_env` delegates to: valid names resolve, anything
-    /// else is a typed error naming the offending value — a typo in
-    /// `HADAD_BACKEND` must fail loudly, not silently select `Parallel`
-    /// and let differential tests pass vacuously. (The env path itself is
-    /// process-cached by `OnceLock`, so it is exercised via the parser.)
-    #[test]
-    fn backend_kind_parse_rejects_unknown_values() {
-        assert_eq!("reference".parse::<BackendKind>(), Ok(BackendKind::Reference));
-        assert_eq!("parallel".parse::<BackendKind>(), Ok(BackendKind::Parallel));
-        for bogus in ["refrence", "Reference", "PARALLEL", "", "threads=4"] {
-            let err = bogus.parse::<BackendKind>().unwrap_err();
-            assert_eq!(err, UnknownBackend(bogus.to_owned()));
-            let msg = err.to_string();
-            assert!(msg.contains(bogus) || bogus.is_empty(), "message names the typo: {msg}");
-            assert!(msg.contains("reference") && msg.contains("parallel"));
-        }
     }
 }

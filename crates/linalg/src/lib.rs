@@ -50,7 +50,7 @@ pub mod decomp {
 
 pub use backend::{
     backend_panics, default_backend, take_backend_panics, BackendKind, BackendPanic,
-    ExecBackend, Parallel, Reference, UnknownBackend, PARALLEL, REFERENCE,
+    ExecBackend, Parallel, Reference, PARALLEL, REFERENCE,
 };
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, Result};

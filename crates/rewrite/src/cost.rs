@@ -1,21 +1,18 @@
-//! Cost estimation for candidate plans (paper §7.1–§7.2): two thin
-//! adapters over the **unified estimator** in `hadad_core::stats`, which
-//! owns every formula, shape rule and the one recursion over expressions.
+//! Cost of candidate plans (paper §7.1–§7.2): the extraction DP's adapter
+//! over the **unified estimator** in `hadad_core::stats`, which owns every
+//! formula, shape rule and the one recursion over expressions.
 //!
-//! * [`FlopsCost`] — the extraction DP's [`ExtractionCost`], pricing each
-//!   class at the shape and density the chase's analysis holds for it
-//!   (see [`ExtractionCost`] for classes without a density) through
-//!   `op_cost_with`;
-//! * [`CostModel`] — the naïve metadata estimator of §7.2.1 over full
-//!   expressions (`expr_estimate`), used to rank extracted candidates.
+//! [`FlopsCost`] is the extraction DP's [`ExtractionCost`], pricing each
+//! class at the shape and density the chase's analysis holds for it (see
+//! [`ExtractionCost`] for classes without a density) through
+//! `op_cost_with`. Full expressions — the original and every extracted
+//! candidate — are priced by `hadad_core::expr_estimate` itself, the
+//! naïve metadata estimator of §7.2.1.
 //!
 //! The LA chase itself runs unpruned: `Prune_prov` (§7.3) lives in PACB's
 //! backchase (`hadad_chase::pacb`), against a fixed threshold.
 
-use hadad_core::{
-    expr_estimate, op_cost_with, BackendProfile, ClassStats, Expr, ExtractionCost, MetaCatalog,
-    OpKind, ShapeError,
-};
+use hadad_core::{op_cost_with, BackendProfile, ClassStats, ExtractionCost, OpKind};
 
 /// Stats-aware cost for the extraction DP: the shared per-operator charge
 /// (sparsity-discounted flops plus materialization of the output's
@@ -52,57 +49,11 @@ impl ExtractionCost for FlopsCost {
     }
 }
 
-/// Shape + density estimate of a subexpression.
-#[derive(Debug, Clone, Copy)]
-pub struct Estimate {
-    /// Estimated row count.
-    pub rows: usize,
-    /// Estimated column count.
-    pub cols: usize,
-    /// Estimated fraction of non-zero cells in `[0, 1]`.
-    pub density: f64,
-    /// Accumulated cost of computing the subexpression.
-    pub cost: f64,
-}
-
-/// The naïve sparsity-aware estimator over full expressions, ranking the
-/// candidates extraction produces. Shares every formula with the DP
-/// through `hadad_core::stats`.
-pub struct CostModel<'a> {
-    cat: &'a MetaCatalog,
-    profile: BackendProfile,
-}
-
-impl<'a> CostModel<'a> {
-    /// Estimator under the reference backend's constants.
-    pub fn new(cat: &'a MetaCatalog) -> Self {
-        CostModel { cat, profile: BackendProfile::reference() }
-    }
-
-    /// Estimator under a specific backend's calibration constants — the
-    /// optimizer passes its selected backend's profile so ranking tracks
-    /// the kernels that will actually run.
-    pub fn with_profile(cat: &'a MetaCatalog, profile: BackendProfile) -> Self {
-        CostModel { cat, profile }
-    }
-
-    /// Total estimated cost of evaluating `e`.
-    pub fn cost(&self, e: &Expr) -> Result<f64, ShapeError> {
-        Ok(self.estimate(e)?.cost)
-    }
-
-    /// Full shape/density/cost estimate of `e`.
-    pub fn estimate(&self, e: &Expr) -> Result<Estimate, ShapeError> {
-        let (stats, cost) = expr_estimate(e, self.cat, &self.profile)?;
-        Ok(Estimate { rows: stats.rows, cols: stats.cols, density: stats.density, cost })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hadad_core::expr::dsl::*;
-    use hadad_core::{op_stats, MatrixMeta};
+    use hadad_core::{expr_estimate, op_stats, Expr, MatrixMeta, MetaCatalog};
 
     fn cat() -> MetaCatalog {
         let mut c = MetaCatalog::new();
@@ -112,12 +63,16 @@ mod tests {
         c
     }
 
+    /// `expr_estimate`'s cost of `e` under the reference profile.
+    fn cost(c: &MetaCatalog, e: &Expr) -> f64 {
+        expr_estimate(e, c, &BackendProfile::reference()).unwrap().1
+    }
+
     #[test]
     fn rotated_trace_is_cheaper() {
         let c = cat();
-        let cm = CostModel::new(&c);
-        let ab = cm.cost(&trace(mul(m("A"), m("B")))).unwrap();
-        let ba = cm.cost(&trace(mul(m("B"), m("A")))).unwrap();
+        let ab = cost(&c, &trace(mul(m("A"), m("B"))));
+        let ba = cost(&c, &trace(mul(m("B"), m("A"))));
         assert!(ba < ab, "trace(BA)={ba} should beat trace(AB)={ab}");
     }
 
@@ -125,20 +80,17 @@ mod tests {
     fn right_deep_chain_is_cheaper() {
         let mut c = cat();
         c.register("x", MatrixMeta::dense(30, 1));
-        let cm = CostModel::new(&c);
-        let left = cm.cost(&mul(mul(m("A"), m("B")), m("x"))).unwrap();
-        let right = cm.cost(&mul(m("A"), mul(m("B"), m("x")))).unwrap();
+        let left = cost(&c, &mul(mul(m("A"), m("B")), m("x")));
+        let right = cost(&c, &mul(m("A"), mul(m("B"), m("x"))));
         assert!(right < left);
     }
 
     #[test]
     fn sparsity_lowers_product_cost() {
-        let c = cat();
-        let cm = CostModel::new(&c);
-        let sparse = cm.cost(&mul(m("S"), m("S"))).unwrap();
+        let sparse = cost(&cat(), &mul(m("S"), m("S")));
         let mut dense_cat = MetaCatalog::new();
         dense_cat.register("S", MatrixMeta::dense(1000, 1000));
-        let dense = CostModel::new(&dense_cat).cost(&mul(m("S"), m("S"))).unwrap();
+        let dense = cost(&dense_cat, &mul(m("S"), m("S")));
         assert!(sparse < dense / 10.0, "sparse={sparse} dense={dense}");
     }
 
@@ -146,22 +98,22 @@ mod tests {
     fn subtraction_costs_like_addition() {
         let mut c = MetaCatalog::new();
         c.register("P", MatrixMeta::dense(8, 8));
-        let cm = CostModel::new(&c);
         // Sub desugars to a + (-1 · b); the direct estimate must at least
         // cover the Add part and carry the union density.
-        let e = cm.estimate(&sub(m("P"), m("P"))).unwrap();
-        assert_eq!((e.rows, e.cols), (8, 8));
-        assert_eq!(e.density, 1.0);
-        assert!(e.cost > 0.0);
+        let (stats, cost) =
+            expr_estimate(&sub(m("P"), m("P")), &c, &BackendProfile::reference()).unwrap();
+        assert_eq!((stats.rows, stats.cols), (8, 8));
+        assert_eq!(stats.density, 1.0);
+        assert!(cost > 0.0);
     }
 
     #[test]
     fn shape_errors_surface() {
         let c = cat();
-        let cm = CostModel::new(&c);
-        assert!(cm.cost(&add(m("A"), m("B"))).is_err());
-        assert!(cm.cost(&m("missing")).is_err());
-        assert!(cm.cost(&trace(m("A"))).is_err());
+        let reference = BackendProfile::reference();
+        assert!(expr_estimate(&add(m("A"), m("B")), &c, &reference).is_err());
+        assert!(expr_estimate(&m("missing"), &c, &reference).is_err());
+        assert!(expr_estimate(&trace(m("A")), &c, &reference).is_err());
     }
 
     #[test]
@@ -189,14 +141,14 @@ mod tests {
     fn parallel_profile_lowers_costs_consistently() {
         let c = cat();
         let profile = BackendProfile::parallel(4);
+        let priced = |e: &Expr| expr_estimate(e, &c, &profile).unwrap().1;
         let e = trace(mul(m("A"), m("B")));
-        let base = CostModel::new(&c).cost(&e).unwrap();
-        let fast = CostModel::with_profile(&c, profile).cost(&e).unwrap();
+        let base = cost(&c, &e);
+        let fast = priced(&e);
         assert!(fast < base, "parallel profile must cheapen products: {fast} vs {base}");
         // Ranking is preserved: the rotated trace still wins under either.
-        let cm = CostModel::with_profile(&c, profile);
-        let ab = cm.cost(&trace(mul(m("A"), m("B")))).unwrap();
-        let ba = cm.cost(&trace(mul(m("B"), m("A")))).unwrap();
+        let ab = priced(&trace(mul(m("A"), m("B"))));
+        let ba = priced(&trace(mul(m("B"), m("A"))));
         assert!(ba < ab);
         // The DP's cost function agrees with the estimator's scaling.
         let f = FlopsCost::with_profile(profile);

@@ -68,8 +68,8 @@ impl From<LinalgError> for EvalError {
     }
 }
 
-/// Evaluates `e` under `env` on the process-default execution backend
-/// (`HADAD_BACKEND`, `Parallel` unless overridden) — see [`eval_with`].
+/// Evaluates `e` under `env` on the process-default execution backend (the
+/// shared `Parallel` instance) — see [`eval_with`].
 pub fn eval(e: &Expr, env: &Env) -> Result<Matrix, EvalError> {
     eval_with(e, env, default_backend())
 }

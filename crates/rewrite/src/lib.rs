@@ -27,7 +27,7 @@ pub mod optimizer;
 pub mod query;
 
 pub use cache::{CacheReport, PlanCache};
-pub use cost::{CostModel, Estimate, FlopsCost};
+pub use cost::FlopsCost;
 pub use eval::{eval, eval_with, Env, EvalError};
 pub use hadad_linalg::{BackendKind, ExecBackend};
 pub use hybrid::{

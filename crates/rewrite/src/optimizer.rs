@@ -38,13 +38,13 @@ use hadad_chase::{
 };
 use hadad_core::fingerprint::{canonicalize, leaf_bands, rename_leaves};
 use hadad_core::{
-    BackendProfile, Catalogue, ClassData, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta,
-    MetaCatalog, RuleRejection, ShapeError, Vrem,
+    expr_estimate, expr_stats, BackendProfile, Catalogue, ClassData, Encoder, Expr, Extractor,
+    LaAnalysis, MatrixMeta, MetaCatalog, RuleRejection, ShapeError, Vrem,
 };
 use hadad_linalg::{approx_eq, BackendKind, Matrix};
 
 use crate::cache::{CacheReport, CachedPlans, PlanCache, PlanCacheKey};
-use crate::cost::{CostModel, FlopsCost};
+use crate::cost::FlopsCost;
 use crate::eval::{eval_with, Env, EvalError};
 
 // Shared-registry instrumentation for the rewrite pipeline. The phase
@@ -93,7 +93,7 @@ pub struct RewriteReport {
     pub num_facts: usize,
     /// Candidate plans extracted.
     pub num_candidates: usize,
-    /// `chase_stats.pruned_firings`: always 0 here, since the LA chase
+    /// `chase_stats.pruned_firings()`: always 0 here, since the LA chase
     /// runs unpruned — `Prune_prov` vetoes only in PACB's backchase.
     pub pruned_firings: usize,
     /// End-to-end wall-clock time of the `rewrite` call, microseconds.
@@ -268,7 +268,7 @@ pub struct Optimizer {
     /// Execution backend the chosen plan will run on: selects the kernels
     /// `rewrite_verified`/`check_equivalent` evaluate with *and* the
     /// calibration constants every cost estimate is priced under. Defaults
-    /// to the `HADAD_BACKEND` env selection (`Parallel` unless overridden).
+    /// to `Parallel`.
     pub backend: BackendKind,
     /// Optional wall-clock allowance for each `rewrite` call. When set, the
     /// chase budget is stamped with `Instant::now() + deadline` at the start
@@ -290,7 +290,7 @@ pub struct Optimizer {
 
 impl Optimizer {
     /// Optimizer over `cat` with default budgets, the standard catalogue,
-    /// and the env-selected backend.
+    /// and the `Parallel` backend.
     pub fn new(cat: MetaCatalog) -> Self {
         Optimizer {
             cat,
@@ -303,7 +303,7 @@ impl Optimizer {
                 deadline: None,
             },
             views: Vec::new(),
-            backend: BackendKind::from_env(),
+            backend: BackendKind::Parallel,
             deadline: None,
             extra_constraints: Vec::new(),
             cache: None,
@@ -458,7 +458,7 @@ impl Optimizer {
             let meta = match &v.meta {
                 Some(m) => m.clone(),
                 None => {
-                    let est = CostModel::new(&cat).estimate(&v.def)?;
+                    let est = expr_stats(&v.def, &cat)?;
                     let nnz = (est.density * est.rows as f64 * est.cols as f64).round();
                     MatrixMeta::sparse(est.rows, est.cols, nnz as usize)
                 }
@@ -518,7 +518,7 @@ impl Optimizer {
     /// the same hash would run an identical cold pipeline on equal inputs.
     fn config_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        format!("{:?}", self.backend).hash(&mut h);
+        self.backend.hash(&mut h);
         self.budget.max_rounds.hash(&mut h);
         self.budget.max_facts.hash(&mut h);
         self.budget.max_nulls.hash(&mut h);
@@ -561,8 +561,7 @@ impl Optimizer {
         // price plans under the selected backend's calibration constants,
         // so plan choice tracks the kernels that will actually execute.
         let profile = self.profile();
-        let cm = CostModel::with_profile(&cat, profile);
-        let original = Plan { expr: e.clone(), est_cost: cm.cost(e)? };
+        let original = Plan { expr: e.clone(), est_cost: expr_estimate(e, &cat, &profile)?.1 };
 
         // Plan-cache probe: a hit at the current epoch is served straight
         // from the cache; a stale entry is refused and, like a miss, takes
@@ -571,8 +570,9 @@ impl Optimizer {
         if let Some(cache) = &self.cache {
             if let Some(key) = self.cache_key(e, &cat) {
                 if let Some(cached) = cache.lookup(&key) {
+                    let priced = (&cat, &profile);
                     if let Some(served) =
-                        serve_hit(cache, *cached, &key, &cm, original.clone(), start)
+                        serve_hit(cache, *cached, &key, priced, original.clone(), start)
                     {
                         return Ok(served);
                     }
@@ -662,14 +662,15 @@ impl Optimizer {
         }
 
         let (plans, rank_us) = hadad_obs::timed("rewrite.rank", &M_RANK_US, || {
-            let mut plans = catch_unwind(AssertUnwindSafe(|| rank_candidates(&cm, candidates)))
-                .unwrap_or_else(|_| {
-                    degraded.get_or_insert(Degraded {
-                        reason: DegradeReason::WorkerPanic,
-                        phase: RewritePhase::Ranking,
+            let mut plans =
+                catch_unwind(AssertUnwindSafe(|| rank_candidates(&cat, &profile, candidates)))
+                    .unwrap_or_else(|_| {
+                        degraded.get_or_insert(Degraded {
+                            reason: DegradeReason::WorkerPanic,
+                            phase: RewritePhase::Ranking,
+                        });
+                        Vec::new()
                     });
-                    Vec::new()
-                });
             // The unrewritten expression is always a sound incumbent: unless
             // a candidate is strictly cheaper it is the answer, so it joins
             // the ranking even when extraction did not rebuild it (children
@@ -692,7 +693,7 @@ impl Optimizer {
             chase_rounds: stats.rounds,
             num_facts: inst.num_facts(),
             num_candidates: plans.len(),
-            pruned_firings: stats.pruned_firings,
+            pruned_firings: stats.pruned_firings(),
             elapsed_us,
             encode_us,
             chase_us,
@@ -791,7 +792,7 @@ fn serve_hit(
     cache: &PlanCache,
     cached: CachedPlans,
     key: &PlanCacheKey,
-    cm: &CostModel<'_>,
+    (cat, profile): (&MetaCatalog, &BackendProfile),
     original: Plan,
     start: Instant,
 ) -> Option<RankedPlans> {
@@ -799,13 +800,8 @@ fn serve_hit(
     if names == key.names {
         plans.original = original;
     } else {
-        let mut reskinned = Vec::with_capacity(plans.plans.len());
-        for p in &plans.plans {
-            let expr = rename_leaves(&p.expr, &names, &key.names);
-            if let Ok(est_cost) = cm.cost(&expr) {
-                reskinned.push(Plan { expr, est_cost });
-            }
-        }
+        let renamed = plans.plans.iter().map(|p| rename_leaves(&p.expr, &names, &key.names));
+        let mut reskinned = rank_candidates(cat, profile, renamed.collect());
         if reskinned.is_empty() {
             return None;
         }
@@ -829,10 +825,16 @@ fn serve_hit(
 /// classes can in rare cases fall outside the metadata catalog (e.g. a
 /// literal the cost model cannot shape); those are skipped rather than
 /// failing the call.
-fn rank_candidates(cm: &CostModel<'_>, candidates: Vec<Expr>) -> Vec<Plan> {
+fn rank_candidates(
+    cat: &MetaCatalog,
+    profile: &BackendProfile,
+    candidates: Vec<Expr>,
+) -> Vec<Plan> {
     candidates
         .into_iter()
-        .filter_map(|expr| cm.cost(&expr).ok().map(|est_cost| Plan { expr, est_cost }))
+        .filter_map(|expr| {
+            expr_estimate(&expr, cat, profile).ok().map(|(_, est_cost)| Plan { expr, est_cost })
+        })
         .collect()
 }
 

@@ -1,25 +1,28 @@
-//! Differential property test: the naive and semi-naïve chase engines must
-//! agree. For a corpus of random shape-valid expressions, both engines
-//! chase the same encoded instance and the results are compared on
-//! structure (facts and union-find partition, modulo labelled-null
-//! renaming, via a colour-refinement signature) and on behaviour (the
-//! extracted min-cost plan). The semi-naïve engine must also enumerate
-//! fewer premise matches over the corpus — that is the point of it.
+//! Differential property test: the naive and semi-naïve chases must
+//! agree. For a corpus of random shape-valid expressions, both chase the
+//! same encoded instance and the results are compared on structure (facts
+//! and union-find partition, modulo labelled-null renaming, via a
+//! colour-refinement signature) and on behaviour (the extracted min-cost
+//! plan). The semi-naïve chase must also enumerate fewer premise matches
+//! over the corpus — that is the point of it.
+//!
+//! The naive reference is the engine restarted every round
+//! ([`chase_naive`]).
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
 use hadad_chase::{
-    ChaseBudget, ChaseEngine, ChaseOutcome, EvalMode, Instance, NodeId, RuleSet,
+    ChaseBudget, ChaseEngine, ChaseOutcome, ExhaustedBy, Instance, NodeId, RuleSet,
 };
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    expr_stats, BackendProfile, Catalogue, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta,
-    MetaCatalog, ShapeError, Vrem,
+    expr_estimate, expr_stats, BackendProfile, Catalogue, Encoder, Expr, Extractor, LaAnalysis,
+    MatrixMeta, MetaCatalog, ShapeError, Vrem,
 };
 use hadad_linalg::rng::Rng64;
-use hadad_rewrite::{CostModel, FlopsCost};
+use hadad_rewrite::FlopsCost;
 
 mod common;
 use common::{corpus_catalog, random_expr};
@@ -99,17 +102,14 @@ fn chase_both(e: &Expr, cat: &MetaCatalog, budget: ChaseBudget) -> ChasePair {
     let enc = Encoder::new(&mut vrem, cat).encode(e).expect("generator emits valid shapes");
     let catalogue = Catalogue::standard(&mut vrem);
     let rules = RuleSet::compile(catalogue.constraints);
-    let naive_engine = ChaseEngine::new(&rules).with_budget(budget).with_mode(EvalMode::Naive);
-    let semi_engine = ChaseEngine::new(&rules).with_budget(budget);
-    assert_eq!(semi_engine.mode, EvalMode::SemiNaive, "semi-naïve is the default");
+    let engine = ChaseEngine::new(&rules).with_budget(budget);
     let mut naive_inst = enc.instance.clone();
     let mut semi_inst = enc.instance;
     let mut naive_analysis = LaAnalysis::new(&vrem, enc.classes.clone());
     let mut semi_analysis = LaAnalysis::new(&vrem, enc.classes);
-    let (naive_outcome, naive_stats) =
-        naive_engine.chase_analyzed(&mut naive_inst, &mut naive_analysis);
-    let (semi_outcome, semi_stats) =
-        semi_engine.chase_analyzed(&mut semi_inst, &mut semi_analysis);
+    let (naive_outcome, naive_matches) =
+        chase_naive(engine, &mut naive_inst, &mut naive_analysis);
+    let (semi_outcome, semi_stats) = engine.chase_analyzed(&mut semi_inst, &mut semi_analysis);
     assert_eq!(naive_outcome, ChaseOutcome::Saturated, "naive did not saturate on {e}");
     assert_eq!(semi_outcome, ChaseOutcome::Saturated, "semi-naïve did not saturate on {e}");
     ChasePair {
@@ -117,11 +117,36 @@ fn chase_both(e: &Expr, cat: &MetaCatalog, budget: ChaseBudget) -> ChasePair {
         semi_inst,
         naive_analysis,
         semi_analysis,
-        naive_matches: naive_stats.matches_enumerated(),
+        naive_matches,
         semi_matches: semi_stats.matches_enumerated(),
         root: enc.root,
         vrem,
     }
+}
+
+/// The naive reference: the semi-naïve engine restarted every round. A
+/// run's first round starts with every watermark at 0 — exactly a naive
+/// round — so one-round runs looped over the same instance re-enumerate
+/// every homomorphism each round, at most `budget.max_rounds` times.
+/// Returns the outcome and the matches enumerated over all runs.
+fn chase_naive(
+    engine: ChaseEngine<'_>,
+    inst: &mut Instance,
+    analysis: &mut LaAnalysis,
+) -> (ChaseOutcome, u64) {
+    let one_round =
+        ChaseEngine { budget: ChaseBudget { max_rounds: 1, ..engine.budget }, ..engine };
+    let mut matches = 0;
+    for _ in 0..engine.budget.max_rounds {
+        let (outcome, stats) = one_round.chase_analyzed(inst, analysis);
+        matches += stats.matches_enumerated();
+        if outcome != ChaseOutcome::BudgetExhausted
+            || stats.exhausted != Some(ExhaustedBy::Rounds)
+        {
+            return (outcome, matches);
+        }
+    }
+    (ChaseOutcome::BudgetExhausted, matches)
 }
 
 #[test]
@@ -217,15 +242,16 @@ fn chain8_saturates_in_default_budget_and_semi_naive_wins() {
     assert_eq!(best.to_string(), "(M1 (M2 (M3 (M4 (M5 (M6 (M7 M8)))))))");
 }
 
-/// One estimator: the encoder's `expr_stats` and the ranking `CostModel`
-/// report the same shape and density, bit for bit, for every subexpression
-/// of the corpus — under any backend profile, which only prices — and
-/// enforce the same shape rules: `qr.R`/`lu.U` need a square input like
-/// their `Q`/`L` halves, whichever of the two is asked.
+/// One estimator: the encoder's `expr_stats` and the ranking's
+/// `expr_estimate` under a parallel profile report the same shape and
+/// density, bit for bit, for every subexpression of the corpus — a backend
+/// profile only prices — and enforce the same shape rules: `qr.R`/`lu.U`
+/// need a square input like their `Q`/`L` halves, whichever of the two is
+/// asked.
 #[test]
 fn expr_stats_and_cost_model_are_one_estimator() {
     let cat = corpus_catalog();
-    let cm = CostModel::with_profile(&cat, BackendProfile::parallel(4));
+    let profile = BackendProfile::parallel(4);
     let mut rng = Rng64::new(0xADAD_5EED);
     let mut checked = 0usize;
     for _ in 0..120 {
@@ -233,7 +259,8 @@ fn expr_stats_and_cost_model_are_one_estimator() {
         let mut todo = vec![&e];
         while let Some(sub) = todo.pop() {
             let stats = expr_stats(sub, &cat).expect("generator emits valid shapes");
-            let est = cm.estimate(sub).expect("generator emits valid shapes");
+            let (est, _) =
+                expr_estimate(sub, &cat, &profile).expect("generator emits valid shapes");
             assert_eq!(
                 (stats.rows, stats.cols, stats.density.to_bits()),
                 (est.rows, est.cols, est.density.to_bits()),
@@ -247,6 +274,9 @@ fn expr_stats_and_cost_model_are_one_estimator() {
 
     for e in [Expr::QrR(Box::new(m("A"))), Expr::LuU(Box::new(m("A")))] {
         assert!(matches!(expr_stats(&e, &cat), Err(ShapeError::Mismatch(_))), "{e}");
-        assert!(matches!(cm.estimate(&e), Err(ShapeError::Mismatch(_))), "{e}");
+        assert!(
+            matches!(expr_estimate(&e, &cat, &profile), Err(ShapeError::Mismatch(_))),
+            "{e}"
+        );
     }
 }

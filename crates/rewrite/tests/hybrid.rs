@@ -212,7 +212,9 @@ fn sparse_cast_records_real_density_for_the_oracle() {
     let mut dense_cat = MetaCatalog::new();
     dense_cat.register("N", MatrixMeta::dense(NUM_TWEETS, NUM_TOPICS));
     dense_cat.register("w", MatrixMeta::dense(NUM_TWEETS, 1));
-    let dense_cost = hadad_rewrite::CostModel::new(&dense_cat).cost(&pipeline.suffix).unwrap();
+    let reference = hadad_core::BackendProfile::reference();
+    let (_, dense_cost) =
+        hadad_core::expr_estimate(&pipeline.suffix, &dense_cat, &reference).unwrap();
     assert!(
         r.ranked.original.est_cost < dense_cost / 10.0,
         "oracle priced the sparse cast as dense: {} vs {}",
