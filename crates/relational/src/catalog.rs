@@ -1,11 +1,15 @@
 //! Named-table catalog with basic statistics — the "source schema" side of
 //! a hybrid HADAD deployment — plus the logged mutation API that feeds
-//! incremental view maintenance.
+//! incremental view maintenance. Each entry is an [`IndexedTable`]: the
+//! rows and the two indexes it owns (a row-multiset index for retractions,
+//! an equality index per column for the executor's lookups through
+//! [`Catalog::scan`]).
 
 use std::collections::BTreeMap;
 
 use crate::ivm::{Delta, IvmError, TableUpdate, UpdateLog};
 use crate::row_index::IndexedTable;
+use crate::rowset::RowSet;
 use crate::table::{Table, Value};
 
 /// A registry of named tables (and materialized relational views).
@@ -16,10 +20,13 @@ use crate::table::{Table, Value};
 /// drains the log ([`Catalog::take_updates`]) and delta-maintains every
 /// materialized view instead of re-executing its definition.
 ///
-/// Each entry owns its table's row-multiset index (see
-/// [`crate::row_index`]): built by the first retraction against the table,
-/// dropped when [`Catalog::register`] replaces it, and left behind by
-/// `clone()` — a cloned catalog is a read snapshot and carries rows only.
+/// Each entry ([`IndexedTable`]) owns two kinds of index beside its rows
+/// (see [`crate::row_index`]): the row-multiset index, built by the first
+/// retraction against the table and kept in sync by every mutation, and one
+/// equality index per column, built on the column's second lookup through
+/// [`Catalog::scan`] and dropped by every mutation. [`Catalog::register`]
+/// drops both with the table it replaces, and `clone()` leaves both behind
+/// — a cloned catalog is a read snapshot and carries rows only.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     tables: BTreeMap<String, IndexedTable>,
@@ -70,6 +77,13 @@ impl Catalog {
     /// Table registered under `name`.
     pub fn get(&self, name: &str) -> Option<&Table> {
         self.tables.get(name).map(IndexedTable::table)
+    }
+
+    /// A scan of the table registered under `name`, for the
+    /// [`crate::rowset`] executor: equality selections and joins against it
+    /// read through the entry's column indexes.
+    pub fn scan(&self, name: &str) -> Option<RowSet<'_>> {
+        self.tables.get(name).map(RowSet::scan_entry)
     }
 
     /// Registered table names, sorted.
@@ -178,6 +192,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rowset::ColRef;
     use crate::table::Column;
 
     #[test]
@@ -271,6 +286,18 @@ mod tests {
         cat.tables.values().filter(|t| t.has_index()).count()
     }
 
+    fn column_indexes(cat: &Catalog) -> usize {
+        cat.tables.values().map(IndexedTable::column_indexes).sum()
+    }
+
+    /// The rows of `name` whose column `column` holds `v`, selected
+    /// through the catalog's scan (and so through its column indexes).
+    fn select(cat: &Catalog, name: &str, column: usize, v: i64) -> Table {
+        let mut rows = cat.scan(name).unwrap();
+        rows.filter(ColRef { source: 0, column }, &Value::Int(v));
+        rows.gather()
+    }
+
     #[test]
     fn clone_leaves_the_row_indexes_behind() {
         let mut cat = Catalog::new();
@@ -279,10 +306,22 @@ mod tests {
         assert_eq!(built_indexes(&cat), 0, "no retraction yet, no index");
         cat.delete_rows("users", vec![vec![Value::Int(2)]]).unwrap();
         assert_eq!(built_indexes(&cat), 1);
+        // Two lookups of `tweets.tid`: its column index.
+        for _ in 0..2 {
+            assert_eq!(select(&cat, "tweets", 0, 7).num_rows(), 1);
+        }
+        assert_eq!(column_indexes(&cat), 1);
 
         let mut snapshot = cat.clone();
         assert_eq!(built_indexes(&snapshot), 0, "a clone is rows only");
+        assert_eq!(column_indexes(&snapshot), 0, "a clone is rows only");
         assert_eq!(built_indexes(&cat), 1, "the source keeps its own");
+        assert_eq!(column_indexes(&cat), 1, "the source keeps its own");
+        // A clone looked up in twice builds a column index of its own.
+        for _ in 0..2 {
+            assert_eq!(select(&snapshot, "tweets", 0, 7).num_rows(), 1);
+        }
+        assert_eq!(column_indexes(&snapshot), 1);
         assert_eq!(snapshot.get("users"), cat.get("users"));
         // A clone that does get retracted from builds an index of its own.
         snapshot.delete_rows("users", vec![vec![Value::Int(3)]]).unwrap();
@@ -290,6 +329,59 @@ mod tests {
         assert_eq!(cat.cardinality("users"), Some(2));
         snapshot.check_indexes().unwrap();
         cat.check_indexes().unwrap();
+    }
+
+    /// Every mutation path — logged inserts and deletes, maintenance
+    /// writes, re-registration — drops a built column index with its lookup
+    /// count. The next two answers (a scan, then a rebuild) equal a fresh
+    /// catalog's over the same rows.
+    #[test]
+    fn mutations_drop_the_column_indexes() {
+        let table = |modulus: i64| {
+            Table::new(vec![
+                ("id", Column::Int((0..40).collect())),
+                ("g", Column::Int((0..40).map(|i| i % modulus).collect())),
+            ])
+        };
+        for mutation in 0..4 {
+            let mut cat = Catalog::new();
+            cat.register("t", table(4));
+            for _ in 0..2 {
+                assert_eq!(select(&cat, "t", 1, 1).num_rows(), 10);
+            }
+            assert_eq!(column_indexes(&cat), 1);
+            match mutation {
+                0 => assert_eq!(
+                    cat.insert_rows("t", vec![vec![Value::Int(40), Value::Int(1)]]),
+                    Ok(1)
+                ),
+                1 => assert_eq!(
+                    cat.delete_rows("t", vec![vec![Value::Int(5), Value::Int(1)]]),
+                    Ok(1)
+                ),
+                2 => {
+                    let delta = Delta::inserts(
+                        cat.get("t").unwrap(),
+                        vec![
+                            vec![Value::Int(41), Value::Int(1)],
+                            vec![Value::Int(42), Value::Int(2)],
+                        ],
+                    );
+                    cat.apply_unlogged("t", &delta).unwrap();
+                }
+                _ => assert!(cat.register("t", table(3)).is_some()),
+            }
+            assert_eq!(column_indexes(&cat), 0, "mutation {mutation}");
+            let mut fresh = Catalog::new();
+            fresh.register("t", cat.get("t").unwrap().clone());
+            for run in 0..3 {
+                for g in 0..4 {
+                    let got = select(&cat, "t", 1, g);
+                    assert_eq!(got, select(&fresh, "t", 1, g), "mutation {mutation} run {run}");
+                }
+            }
+            assert_eq!(column_indexes(&cat), 1, "mutation {mutation}: rebuilt once");
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Relational operators: projection, hash join, sort.
+//! Relational operators: hash join, sort.
 //! These are the `Rops` of the paper's hybrid language (§3). Each takes
 //! tables and returns a table; [`hash_join`] and [`sort_by_int`] are one
 //! step of the [`crate::rowset`] executor followed by its gather, which is
@@ -11,14 +11,14 @@
 use std::fmt;
 
 use crate::rowset::{ColRef, RowSet};
-use crate::table::{Column, Table};
+use crate::table::Table;
 
 /// A relational operator was pointed at a column the table does not have.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpsError {
     /// A named column was absent from the operator's input.
     MissingColumn {
-        /// Operator that failed (`"project"`, `"hash_join"`, ...).
+        /// Operator that failed (`"hash_join"`, `"sort_by_int"`).
         op: &'static str,
         /// The missing column.
         column: String,
@@ -41,19 +41,6 @@ fn require_index(t: &Table, op: &'static str, col: &str) -> Result<usize, OpsErr
     t.column_index(col).ok_or_else(|| OpsError::MissingColumn { op, column: col.to_owned() })
 }
 
-fn require<'t>(t: &'t Table, op: &'static str, col: &str) -> Result<&'t Column, OpsError> {
-    require_index(t, op, col).map(|i| t.column_at(i))
-}
-
-/// Projection to the named columns, in the given order.
-pub fn project(t: &Table, cols: &[&str]) -> Result<Table, OpsError> {
-    let pairs: Vec<(&str, Column)> = cols
-        .iter()
-        .map(|&name| Ok((name, require(t, "project", name)?.clone())))
-        .collect::<Result<_, OpsError>>()?;
-    Ok(Table::new(pairs))
-}
-
 /// Hash equi-join on key columns of any type, under [`crate::rowset`]'s one
 /// cell equality. Output keeps all columns of the left table and the
 /// non-key columns of the right, prefixing right-side names that collide
@@ -69,7 +56,7 @@ pub fn hash_join(
     let lk = require_index(left, "hash_join", left_key)?;
     let rk = require_index(right, "hash_join", right_key)?;
     let mut rows = RowSet::scan(left);
-    rows.hash_join(ColRef { source: 0, column: lk }, right, rk);
+    rows.hash_join(ColRef { source: 0, column: lk }, RowSet::scan(right), rk);
     Ok(rows.gather())
 }
 
@@ -86,7 +73,7 @@ pub fn sort_by_int(t: &Table, key: &str) -> Result<Table, OpsError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::Value;
+    use crate::table::{Column, Value};
 
     fn users() -> Table {
         Table::new(vec![
@@ -109,12 +96,6 @@ mod tests {
                 ]),
             ),
         ])
-    }
-
-    #[test]
-    fn project_keeps_order() {
-        let t = project(&users(), &["followers", "id"]).unwrap();
-        assert_eq!(t.column_names(), &["followers".to_string(), "id".to_string()]);
     }
 
     #[test]
@@ -197,7 +178,6 @@ mod tests {
             }
             other => panic!("expected MissingColumn from {op}, got {other:?}"),
         };
-        missing(project(&u, &["id", "nope"]), "project");
         missing(hash_join(&u, "nope", &u, "id"), "hash_join");
         missing(hash_join(&u, "id", &u, "nope"), "hash_join");
         missing(sort_by_int(&u, "nope"), "sort_by_int");

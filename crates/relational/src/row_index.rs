@@ -1,20 +1,37 @@
-//! Row-multiset index: finds the rows of a mutable table by content, so a
-//! retraction costs O(1) expected hash work instead of a whole-table scan.
+//! The two indexes a catalog entry ([`IndexedTable`]) owns beside its rows.
 //!
-//! The index is a chained hash table laid out in three `u32` arrays —
-//! `heads` (bucket → first row position) and `next`/`prev` (row position →
-//! chain neighbours) — at most 16 bytes per row, with no stored hashes or
-//! keys: a chain candidate is confirmed by comparing the table row itself.
-//! Duplicate rows simply share a chain. Deleting row `p` unlinks it and
-//! moves the table's last row into `p` (per-column swap-remove), patching
-//! that row's two neighbours; the doubly linked chains make both steps O(1)
-//! however many duplicates a chain holds.
+//! **Row-multiset index** (`RowIndex`): finds the rows of a mutable table
+//! by content, so a retraction costs O(1) expected hash work instead of a
+//! whole-table scan. It is a chained hash table laid out in three `u32`
+//! arrays — `heads` (bucket → first row position) and `next`/`prev` (row
+//! position → chain neighbours) — at most 16 bytes per row, with no stored
+//! hashes or keys: a chain candidate is confirmed by comparing the table row
+//! itself. Duplicate rows simply share a chain. Deleting row `p` unlinks it
+//! and moves the table's last row into `p` (per-column swap-remove),
+//! patching that row's two neighbours; the doubly linked chains make both
+//! steps O(1) however many duplicates a chain holds. It is built lazily by
+//! the first retraction and kept in sync by every later insert and delete.
 //!
-//! Ownership: an index belongs to whoever owns the *mutable* table
-//! ([`IndexedTable`]: a catalog entry, a maintainer's cached join input).
-//! It is built lazily by the first retraction, kept in sync by every later
-//! insert and delete, and never cloned — a clone of an [`IndexedTable`]
-//! carries the rows only, so read snapshots stay as cheap as the tables.
+//! **Column indexes** (`ColumnIndex`): one equality index per column, so
+//! that a selection or a join against a catalog table reads the rows it
+//! returns instead of the whole column. Two `u32` arrays: bucket starts (at
+//! most one bucket per two rows) and the row positions grouped by bucket,
+//! ascending inside one — a lookup is one contiguous slice. No keys are
+//! stored: the executor ([`crate::rowset`]) hashes a column's cells through
+//! its key views and confirms each candidate against the column itself. A
+//! column's index is built on its **second** equality lookup since the
+//! table last changed (one atomic counter per column; racing readers share
+//! one build through a `OnceLock`), so a one-shot scan never pays for one.
+//! Nothing maintains it: [`IndexedTable::apply`] drops it with its counter.
+//!
+//! Ownership: both belong to whoever owns the table ([`IndexedTable`]: a
+//! catalog entry, a maintainer's cached join input) and neither is cloned —
+//! a clone of an [`IndexedTable`] carries the rows only, so read snapshots
+//! stay as cheap as the tables, and each snapshot builds the column indexes
+//! its readers ask for, once, shared by all of them.
+
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::OnceLock;
 
 use crate::ivm::{
     apply_delta_indexed, table_row_hash, table_row_hashes, Delta, IvmError, ROWS_EXAMINED,
@@ -204,18 +221,88 @@ impl RowIndex {
     }
 }
 
-/// A mutable table together with its lazily built row-multiset index: the
-/// unit of ownership for anything the update path retracts from. The table
-/// is only ever mutated through [`IndexedTable::apply`], which is what
-/// keeps the index (once a retraction has built it) in sync.
+/// Equality index over one column: the column's row positions grouped by
+/// the bucket their key word hashes to (Fibonacci hashing, as [`RowIndex`]),
+/// ascending inside a bucket. The key words come from the caller; a bucket
+/// holds every row whose word lands there, equal keys or not.
+#[derive(Debug)]
+pub(crate) struct ColumnIndex {
+    /// Bucket `b` holds `rows[starts[b]..starts[b + 1]]`.
+    starts: Vec<u32>,
+    /// Row positions, grouped by bucket.
+    rows: Vec<u32>,
+    /// `64 - log2(starts.len() - 1)`.
+    shift: u32,
+}
+
+impl ColumnIndex {
+    /// Indexes rows `0..n`, row `r` under the key word `word(r)`.
+    pub(crate) fn build(n: usize, word: impl Fn(usize) -> u64) -> Self {
+        // Rows are addressed by `u32` positions, as in `RowIndex`.
+        position(n);
+        // At most one bucket per two rows: the index stays under 6 bytes a
+        // row, and a distinct key still shares its bucket with ~2 others.
+        let buckets = 1usize << (usize::BITS - 1 - (n / 2).max(1).leading_zeros());
+        let mut index = ColumnIndex {
+            starts: vec![0; buckets + 1],
+            rows: vec![0; n],
+            shift: 64 - buckets.trailing_zeros(),
+        };
+        let of: Vec<u32> = (0..n).map(|r| index.bucket(word(r)) as u32).collect();
+        // Counting sort: `starts[b]` first counts bucket `b`, then marks its
+        // end, then — filled back to front — its start.
+        for &b in &of {
+            index.starts[b as usize] += 1;
+        }
+        let mut end = 0;
+        for s in &mut index.starts[..buckets] {
+            end += *s;
+            *s = end;
+        }
+        index.starts[buckets] = end;
+        for (r, &b) in of.iter().enumerate().rev() {
+            let at = &mut index.starts[b as usize];
+            *at -= 1;
+            index.rows[*at as usize] = r as u32;
+        }
+        index
+    }
+
+    fn bucket(&self, word: u64) -> usize {
+        // One bucket is a shift by 64: every word lands in it.
+        word.wrapping_mul(GOLDEN).checked_shr(self.shift).unwrap_or(0) as usize
+    }
+
+    /// The rows whose key word shares `word`'s bucket, ascending: every row
+    /// whose key is the one `word` came from, and maybe others.
+    pub(crate) fn lookup(&self, word: u64) -> &[u32] {
+        let b = self.bucket(word);
+        &self.rows[self.starts[b] as usize..self.starts[b + 1] as usize]
+    }
+}
+
+/// One column's index slot in an [`IndexedTable`].
+#[derive(Debug, Default)]
+struct ColumnSlot {
+    /// Equality lookups of the column since the table last changed.
+    lookups: AtomicU32,
+    index: OnceLock<ColumnIndex>,
+}
+
+/// A table together with the two indexes of the [module docs](self): the
+/// unit of ownership for a catalog entry and for anything the update path
+/// retracts from. The table is only ever mutated through
+/// [`IndexedTable::apply`], which keeps the row index (once a retraction
+/// has built it) in sync and drops every column index.
 ///
-/// `Clone` copies the rows and **not** the index — clones are read
-/// snapshots or scratch copies, and rebuild an index of their own if they
-/// are ever retracted from.
+/// `Clone` copies the rows and **neither** index — clones are read
+/// snapshots or scratch copies, and build indexes of their own when they
+/// are retracted from or looked up in.
 #[derive(Debug)]
 pub struct IndexedTable {
     table: Table,
     index: Option<RowIndex>,
+    columns: Box<[ColumnSlot]>,
 }
 
 impl Clone for IndexedTable {
@@ -225,9 +312,30 @@ impl Clone for IndexedTable {
 }
 
 impl IndexedTable {
-    /// Wraps a table; no index is built until the first retraction.
+    /// Wraps a table; no index is built until it is asked for.
     pub fn new(table: Table) -> Self {
-        IndexedTable { table, index: None }
+        let columns = (0..table.num_cols()).map(|_| ColumnSlot::default()).collect();
+        IndexedTable { table, index: None, columns }
+    }
+
+    /// Column `c`'s equality index for one equality lookup: `None` on the
+    /// column's first lookup since the table last changed, built by `build`
+    /// on its second (once, however many threads ask), the same index after.
+    pub(crate) fn column_index(
+        &self,
+        c: usize,
+        build: impl FnOnce() -> ColumnIndex,
+    ) -> Option<&ColumnIndex> {
+        let slot = &self.columns[c];
+        if let Some(index) = slot.index.get() {
+            return Some(index);
+        }
+        // Relaxed: the count publishes nothing; the `OnceLock` publishes the
+        // index.
+        if slot.lookups.fetch_add(1, Ordering::Relaxed) == 0 {
+            return None;
+        }
+        Some(slot.index.get_or_init(build))
     }
 
     /// The rows.
@@ -240,16 +348,25 @@ impl IndexedTable {
         self.table
     }
 
-    /// [`crate::ivm::apply_delta`] through this table's index: a batch
-    /// costs hash work proportional to the delta, not to the table.
+    /// [`crate::ivm::apply_delta`] through this table's row index: a batch
+    /// costs hash work proportional to the delta, not to the table. Every
+    /// column index goes, with its lookup count.
     pub fn apply(&mut self, delta: &Delta, name: &str) -> Result<(usize, usize), IvmError> {
-        apply_delta_indexed(&mut self.table, &mut self.index, delta, name)
+        let applied = apply_delta_indexed(&mut self.table, &mut self.index, delta, name)?;
+        self.columns.iter_mut().for_each(|slot| *slot = ColumnSlot::default());
+        Ok(applied)
     }
 
-    /// Whether a retraction has built the index yet.
+    /// Whether a retraction has built the row index yet.
     #[cfg(test)]
     pub(crate) fn has_index(&self) -> bool {
         self.index.is_some()
+    }
+
+    /// How many columns carry a built equality index.
+    #[cfg(test)]
+    pub(crate) fn column_indexes(&self) -> usize {
+        self.columns.iter().filter(|s| s.index.get().is_some()).count()
     }
 
     /// Checks the index invariant (every live row reachable exactly once,

@@ -5,15 +5,23 @@
 //! source tables, one `u32` selection vector per source (position `i` of
 //! every vector names the source row that output row `i` reads; a bare
 //! scan's "all rows" is represented, not allocated) and the output columns
-//! as `(name, source, column position)`. Operators only rewrite selection
-//! vectors:
+//! as `(name, source, column position)`. A source scanned from a catalog
+//! ([`crate::Catalog::scan`]) also borrows its entry's column indexes (see
+//! [`crate::row_index`]), which serve equality lookups while the source is
+//! still a bare scan. Operators only rewrite selection vectors:
 //!
-//! * a filter is one pass over a column slice, typed outside the loop;
+//! * a filter is one pass over a column slice, typed outside the loop — or,
+//!   for a same-typed constant on a bare catalog scan whose column index is
+//!   built (on the column's second lookup), a read of the constant's bucket;
 //! * an equi-join is one chained hash index in flat `u32` arrays (the
 //!   `heads`/`next` + Fibonacci-hash layout of [`crate::row_index`]: no
 //!   `Vec` per key, no `String` keys, no SipHash) built over the *smaller*
 //!   side and probed with one typed pass over the other side's key column;
-//!   a chain candidate is confirmed against the key column itself;
+//!   a chain candidate is confirmed against the key column itself. When one
+//!   side is a bare catalog scan with a built index on a key of the other
+//!   side's type, and the other side's keys select at most a quarter of its
+//!   rows (the sum of their buckets), the join is an index-nested loop
+//!   instead: one lookup per key of the other side, nothing built;
 //! * a projection reorders the output-column list;
 //! * a sort reorders the selection vectors by a cached typed key;
 //! * [`RowSet::gather`] copies each *output* column once — the only place
@@ -22,7 +30,10 @@
 //! **Order contract.** Filters keep row order; a join emits its matches in
 //! left order, right rows ascending within one left row, whichever side
 //! the index was built over — row for row what a nested loop over
-//! (left, right) would emit.
+//! (left, right) would emit. An index-nested loop with the index on the
+//! right emits in that order as it probes; with the index on the left it
+//! restores left order over the matches only (a sort of packed
+//! `(left, right)` pairs), never in time proportional to the indexed side.
 //!
 //! **Equality.** There is one answer to "do these two cells join", used by
 //! [`RowSet::join`], [`RowSet::filter_eq`], [`RowSet::filter`] and the IVM
@@ -46,11 +57,16 @@
 //! equivalent plans return the same bag *up to representative*.
 
 use crate::ivm::push_joined_columns;
-use crate::row_index::{position, GOLDEN, MIN_BUCKETS, NIL};
+use crate::row_index::{position, ColumnIndex, IndexedTable, GOLDEN, MIN_BUCKETS, NIL};
 use crate::table::{float_key, stable_hash, Column, Table, Value};
 
-/// Rows every filter and probe pass reads.
+/// Rows every filter and probe pass reads: a whole pass over the rows it
+/// filters or probes with, or, through a column index, the rows of the
+/// buckets it looks up (plus, for a join, the keys it looks up with).
 static ROWS_IN: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("relexec.rows_in");
+/// Column indexes built (see [`crate::row_index`]).
+static INDEX_BUILDS: hadad_obs::LazyCounter =
+    hadad_obs::LazyCounter::new("relexec.index_builds");
 /// Rows of every gathered result.
 static ROWS_OUT: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("relexec.rows_out");
 /// Cells copied out of source tables — `rows_out × output columns` of each
@@ -100,6 +116,40 @@ impl Sel {
 struct Source<'a> {
     table: &'a Table,
     sel: Sel,
+    /// The catalog entry `table` is, for a catalog scan.
+    entry: Option<&'a IndexedTable>,
+}
+
+impl<'a> Source<'a> {
+    /// One equality lookup of column `c`: its index, while this source is a
+    /// bare catalog scan and the entry has built (or now builds) one.
+    fn index(&self, c: usize) -> Option<&'a ColumnIndex> {
+        let entry = self.entry.filter(|_| matches!(self.sel, Sel::All))?;
+        entry.column_index(c, || build_index(self.table.column_at(c)))
+    }
+}
+
+/// Indexes a column under its own key view — the view of a same-typed pair,
+/// which keys every cell.
+fn build_index(column: &Column) -> ColumnIndex {
+    fn word<C: KeyCol>(view: C, r: usize) -> u64 {
+        view.key(r).map_or(0, KeyWord::word)
+    }
+    let _span = hadad_obs::span("relexec.index_build");
+    INDEX_BUILDS.incr();
+    let n = column.len();
+    match column {
+        Column::Int(v) => ColumnIndex::build(n, |r| word(IntKey(v), r)),
+        Column::Float(v) => ColumnIndex::build(n, |r| word(FloatKey(v), r)),
+        Column::Str(v) => ColumnIndex::build(n, |r| word(StrKey(v), r)),
+    }
+}
+
+/// Whether two columns hold one cell type: the pairs a column index serves.
+/// A mixed pair (`Int` × `Float`) keys one side through the other's view,
+/// which the index was not built under.
+fn same_type(a: &Column, b: &Column) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b)
 }
 
 /// A relation under construction; see the [module docs](self).
@@ -324,6 +374,53 @@ fn join_pairs<K: KeyWord>(
     (lpos, rpos)
 }
 
+/// A join through a column index reads at most this share (1 / 4) of the
+/// indexed side's rows; past it, one pass of [`join_pairs`] over both
+/// sides is the cheaper join.
+const INDEX_JOIN_SHARE: usize = 4;
+
+/// The index-nested loop: every `(probe, indexed)` position pair whose keys
+/// are equal, in probe order, indexed positions ascending within one probe
+/// position — one bucket lookup per probe key. `None`, having stopped
+/// early, once the buckets looked up hold more than `ni / INDEX_JOIN_SHARE`
+/// rows.
+fn index_pairs<K: KeyWord>(
+    index: &ColumnIndex,
+    np: usize,
+    pkey: impl Fn(usize) -> Option<K>,
+    ni: usize,
+    ikey: impl Fn(usize) -> Option<K>,
+) -> Option<(Vec<u32>, Vec<u32>)> {
+    let budget = ni / INDEX_JOIN_SHARE;
+    let mut read = 0;
+    let (mut ppos, mut ipos) = (Vec::new(), Vec::new());
+    for p in 0..np {
+        let Some(k) = pkey(p) else { continue };
+        let bucket = index.lookup(k.word());
+        read += bucket.len();
+        if read > budget {
+            return None;
+        }
+        for &i in bucket {
+            if ikey(i as usize) == Some(k) {
+                ppos.push(p as u32);
+                ipos.push(i);
+            }
+        }
+    }
+    ROWS_IN.add((np + read) as u64);
+    Some((ppos, ipos))
+}
+
+/// `(left, right)` pairs that arrived right-major, in left order with right
+/// ascending within one left position: a sort of the matches alone.
+fn left_major(rpos: &[u32], lpos: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let mut packed: Vec<u64> =
+        lpos.iter().zip(rpos).map(|(&l, &r)| u64::from(l) << 32 | u64::from(r)).collect();
+    packed.sort_unstable();
+    packed.iter().map(|&p| ((p >> 32) as u32, p as u32)).unzip()
+}
+
 /// [`join_pairs`] over the selected cells of two columns: position `i` of
 /// the left side is cell `lsel.row(i)` of `lc`, and likewise on the right.
 fn equal_pairs(
@@ -386,8 +483,19 @@ impl<'a> RowSet<'a> {
     /// Every row and column of `table`, borrowed. Panics on a table of
     /// 2³² − 1 rows or more (positions are `u32`).
     pub fn scan(table: &'a Table) -> Self {
+        RowSet::scan_source(Source { table, sel: Sel::All, entry: None })
+    }
+
+    /// [`RowSet::scan`] of a catalog entry, whose column indexes serve the
+    /// equality lookups against it; see [`crate::Catalog::scan`].
+    pub(crate) fn scan_entry(entry: &'a IndexedTable) -> Self {
+        RowSet::scan_source(Source { table: entry.table(), sel: Sel::All, entry: Some(entry) })
+    }
+
+    fn scan_source(source: Source<'a>) -> Self {
+        let table = source.table;
         RowSet {
-            sources: vec![Source { table, sel: Sel::All }],
+            sources: vec![source],
             rows: checked_rows(table.num_rows()),
             names: table.column_names().to_vec(),
             cells: (0..table.num_cols()).map(|column| ColRef { source: 0, column }).collect(),
@@ -424,16 +532,30 @@ impl<'a> RowSet<'a> {
     /// Keeps the rows whose `col` cell equals the constant, in order.
     pub fn filter(&mut self, col: ColRef, constant: &Value) {
         let _span = hadad_obs::span("relexec.filter");
-        ROWS_IN.add(self.rows as u64);
-        let Source { table, sel } = &self.sources[col.source];
-        let n = self.rows;
+        let source = &self.sources[col.source];
         // A constant is a one-cell column.
+        let (column, one) = (source.table.column_at(col.column), repeated(constant, 1));
+        let index = if same_type(column, &one) { source.index(col.column) } else { None };
+        let n = self.rows;
+        if index.is_none() {
+            ROWS_IN.add(n as u64);
+        }
         let keep = with_keys!(
-            table.column_at(col.column),
-            &repeated(constant, 1),
-            |cells, one| match one.key(0) {
-                Some(k) => positions(sel, n, |r| cells.key(r) == Some(k)),
-                None => Vec::new(),
+            column,
+            &one,
+            |cells, one| match (one.key(0), index) {
+                // A bare scan: the bucket's rows are output positions.
+                (Some(k), Some(index)) => {
+                    let bucket = index.lookup(k.word());
+                    ROWS_IN.add(bucket.len() as u64);
+                    bucket
+                        .iter()
+                        .copied()
+                        .filter(|&r| cells.key(r as usize) == Some(k))
+                        .collect()
+                }
+                (Some(k), None) => positions(&source.sel, n, |r| cells.key(r) == Some(k)),
+                (None, _) => Vec::new(),
             },
             Vec::new()
         );
@@ -463,12 +585,35 @@ impl<'a> RowSet<'a> {
     /// columns are dropped.
     pub fn join(&mut self, left: ColRef, mut right: RowSet<'a>, right_col: ColRef) -> usize {
         let _span = hadad_obs::span("relexec.join");
-        ROWS_IN.add((self.rows + right.rows) as u64);
         let (ls, rs) = (&self.sources[left.source], &right.sources[right_col.source]);
-        let (lpos, rpos) = equal_pairs(
-            (ls.table.column_at(left.column), &ls.sel, self.rows),
-            (rs.table.column_at(right_col.column), &rs.sel, right.rows),
-        );
+        let (lc, rc) = (ls.table.column_at(left.column), rs.table.column_at(right_col.column));
+        let (nl, nr) = (self.rows, right.rows);
+        // An index on the right probes in left order; one on the left needs
+        // its matches sorted back into it.
+        let by_index = if same_type(lc, rc) {
+            with_keys!(
+                lc,
+                rc,
+                |l, r| {
+                    let lkey = |i: usize| l.key(ls.sel.row(i));
+                    let rkey = |j: usize| r.key(rs.sel.row(j));
+                    rs.index(right_col.column)
+                        .and_then(|index| index_pairs(index, nl, lkey, nr, rkey))
+                        .or_else(|| {
+                            let (rpos, lpos) =
+                                index_pairs(ls.index(left.column)?, nr, rkey, nl, lkey)?;
+                            Some(left_major(&rpos, &lpos))
+                        })
+                },
+                None
+            )
+        } else {
+            None
+        };
+        let (lpos, rpos) = by_index.unwrap_or_else(|| {
+            ROWS_IN.add((nl + nr) as u64);
+            equal_pairs((lc, &ls.sel, nl), (rc, &rs.sel, nr))
+        });
         checked_rows(lpos.len());
         self.pick(&lpos);
         right.pick(&rpos);
@@ -479,18 +624,20 @@ impl<'a> RowSet<'a> {
     /// [`RowSet::join`].
     pub fn product(&mut self, mut right: RowSet<'a>) -> usize {
         let (nl, nr) = (self.rows, right.rows);
-        checked_rows(nl.saturating_mul(nr));
+        let rows = checked_rows(nl.saturating_mul(nr));
         // Repeating every position once, or tiling them once, is the
-        // identity: a one-row side leaves the other as it is.
-        if nr != 1 {
+        // identity: a one-row side leaves the other as it is. A side with
+        // no source (the unit) has no selection to rewrite.
+        if nr != 1 && !self.sources.is_empty() {
             let each: Vec<u32> =
                 (0..nl as u32).flat_map(|i| std::iter::repeat_n(i, nr)).collect();
             self.pick(&each);
         }
-        if nl != 1 {
+        if nl != 1 && !right.sources.is_empty() {
             let tiled: Vec<u32> = (0..nl).flat_map(|_| 0..nr as u32).collect();
             right.pick(&tiled);
         }
+        self.rows = rows;
         self.append(right)
     }
 
@@ -500,15 +647,18 @@ impl<'a> RowSet<'a> {
         base
     }
 
-    /// `ops::hash_join` against a whole table: joins on
-    /// `left = right[right_key]` and appends the right table's non-key
-    /// columns to the output, prefixed `right.` until unique.
-    pub fn hash_join(&mut self, left: ColRef, right: &'a Table, right_key: usize) {
-        let right_names = right.column_names();
-        let kept = push_joined_columns(&mut self.names, right_names, &right_names[right_key]);
-        let key = ColRef { source: 0, column: right_key };
-        let source = self.join(left, RowSet::scan(right), key);
-        self.cells.extend(kept.into_iter().map(|column| ColRef { source, column }));
+    /// `ops::hash_join` against another relation (a whole table's
+    /// [`RowSet::scan`], or a catalog's [`crate::Catalog::scan`]): joins on
+    /// `left` = `right`'s output column `right_key` and appends `right`'s
+    /// other output columns, prefixed `right.` until unique.
+    pub fn hash_join(&mut self, left: ColRef, right: RowSet<'a>, right_key: usize) {
+        let kept = push_joined_columns(&mut self.names, &right.names, &right.names[right_key]);
+        // `right`'s sources will follow this set's.
+        let base = self.sources.len();
+        let rebased = |c: ColRef| ColRef { source: base + c.source, ..c };
+        self.cells.extend(kept.into_iter().map(|c| rebased(right.cells[c])));
+        let key = right.cells[right_key];
+        self.join(left, right, key);
     }
 
     /// Restricts (and reorders) the output to the named columns; `Err`
@@ -526,7 +676,7 @@ impl<'a> RowSet<'a> {
     /// Stably sorts the rows ascending by `col`'s [`Column::key_at`]; cells
     /// without an integer key sort last.
     pub fn sort_by_key(&mut self, col: ColRef) {
-        let Source { table, sel } = &self.sources[col.source];
+        let Source { table, sel, .. } = &self.sources[col.source];
         let mut keyed = match table.column_at(col.column) {
             Column::Int(v) => sort_keys(sel, self.rows, |r| v[r]),
             Column::Float(v) => {
@@ -564,7 +714,7 @@ impl<'a> RowSet<'a> {
 
     fn gather_cell(&self, c: ColRef) -> Column {
         CELLS_GATHERED.add(self.rows as u64);
-        let Source { table, sel } = &self.sources[c.source];
+        let Source { table, sel, .. } = &self.sources[c.source];
         let column = table.column_at(c.column);
         let Sel::Rows(rows) = sel else { return column.clone() };
         let rows = rows.iter().map(|&r| r as usize);
@@ -753,6 +903,23 @@ mod tests {
         Table::new(vec![("k", k.clone()), ("row", Column::Int((0..k.len() as i64).collect()))])
     }
 
+    /// The `row` tags of a [`tagged`] table's selected rows.
+    fn row_tags(rows: &RowSet<'_>) -> Vec<usize> {
+        let out = rows.gather_as(vec![("r", Out::Cell(cell(0, 1)))]);
+        (0..out.num_rows()).map(|i| out.column_at(0).key_at(i).unwrap() as usize).collect()
+    }
+
+    /// A scan of `entry` if there is one, else of the plain `table`.
+    fn scan_of<'t>(table: &'t Table, entry: Option<&'t IndexedTable>) -> RowSet<'t> {
+        entry.map_or_else(|| RowSet::scan(table), RowSet::scan_entry)
+    }
+
+    /// `column` repeated end to end `times` times.
+    fn tile(column: &Column, times: usize) -> Column {
+        let picks: Vec<usize> = (0..times * column.len()).map(|i| i % column.len()).collect();
+        Table::new(vec![("k", column.clone())]).gather(&picks).column_at(0).clone()
+    }
+
     /// The `row` tags of [`tagged`] source 0 and of the one at `source`.
     fn tag_pairs(rows: &RowSet<'_>, source: usize) -> Vec<(usize, usize)> {
         let out = rows
@@ -830,6 +997,62 @@ mod tests {
                     assert_eq!(self::kept(&lt, 0, constant.clone()), kept);
                 }
 
+                // The same join and constants against catalog entries, three
+                // times: the later runs go through the column indexes the
+                // second lookups built. A mixed pair never builds one.
+                let (le, re) = (IndexedTable::new(tagged(l)), IndexedTable::new(tagged(r)));
+                for run in 0..3 {
+                    for (a, b) in [(Some(&le), Some(&re)), (Some(&le), None), (None, Some(&re))]
+                    {
+                        let mut rows = scan_of(&lt, a);
+                        let source = rows.join(cell(0, 0), scan_of(&rt, b), cell(0, 0));
+                        assert_eq!(
+                            tag_pairs(&rows, source),
+                            want,
+                            "run {run}: {l:?} with {r:?}"
+                        );
+                    }
+                    for (j, constant) in rv.iter().enumerate() {
+                        let mut rows = RowSet::scan_entry(&le);
+                        rows.filter(cell(0, 0), constant);
+                        let kept: Vec<usize> =
+                            want.iter().filter(|p| p.1 == j).map(|p| p.0).collect();
+                        assert_eq!(row_tags(&rows), kept, "run {run}: {constant} in {l:?}");
+                    }
+                }
+                let indexed = usize::from(same_type(l, r));
+                assert_eq!((le.column_indexes(), re.column_indexes()), (indexed, indexed));
+
+                // One probe cell against eight copies of the other column:
+                // its bucket is small enough for an index-nested loop with
+                // the index on either side, in the order contract.
+                let big = IndexedTable::new(tagged(&tile(l, 8)));
+                for (j, constant) in rv.iter().enumerate() {
+                    let probe = tagged(&repeated(constant, 1));
+                    let hits: Vec<usize> = (0..8 * lv.len())
+                        .filter(|&i| equal(&lv[i % lv.len()], constant))
+                        .collect();
+                    for _ in 0..3 {
+                        let mut rows = RowSet::scan(&probe);
+                        let source =
+                            rows.join(cell(0, 0), RowSet::scan_entry(&big), cell(0, 0));
+                        let got = tag_pairs(&rows, source);
+                        assert_eq!(
+                            got,
+                            hits.iter().map(|&i| (0, i)).collect::<Vec<_>>(),
+                            "{j}"
+                        );
+                        let mut rows = RowSet::scan_entry(&big);
+                        let source = rows.join(cell(0, 0), RowSet::scan(&probe), cell(0, 0));
+                        let got = tag_pairs(&rows, source);
+                        assert_eq!(
+                            got,
+                            hits.iter().map(|&i| (i, 0)).collect::<Vec<_>>(),
+                            "{j}"
+                        );
+                    }
+                }
+
                 // The IVM halves: columns are `k`, `row`, `right.row`.
                 let all = |t: &Table| {
                     Delta::inserts(t, (0..t.num_rows()).map(|i| t.row(i)).collect())
@@ -899,6 +1122,85 @@ mod tests {
         assert_eq!(unit, Table::new(vec![("k", strs(&["v"]))]));
     }
 
+    /// The unit times a scan is that scan, untouched: its selection stays
+    /// "all rows", so a catalog scan stays bare and its column indexes still
+    /// serve the next join.
+    #[test]
+    fn the_unit_leaves_a_scan_bare() {
+        let t = keyed(40, 1, 40, "a");
+        let mut rows = RowSet::unit();
+        assert_eq!(rows.product(RowSet::scan(&t)), 0);
+        assert!(matches!(rows.sources[0].sel, Sel::All));
+        assert_eq!(rows.num_rows(), 40);
+        let out =
+            rows.gather_as(vec![("k", Out::Cell(cell(0, 0))), ("a", Out::Cell(cell(0, 1)))]);
+        assert_eq!(out, t);
+        // The empty conjunction times a one-row scan, and times nothing.
+        let one = keyed(1, 1, 1, "a");
+        let mut rows = RowSet::unit();
+        rows.product(RowSet::scan(&one));
+        assert!(matches!(rows.sources[0].sel, Sel::All));
+        let mut rows = RowSet::unit();
+        rows.product(RowSet::unit());
+        assert_eq!((rows.num_rows(), rows.sources.len()), (1, 0));
+    }
+
+    /// Many probe rows against an indexed side, whose matches interleave:
+    /// with the index on the left they arrive right-major and must be put
+    /// back into left order. Both directions against the nested loop, on
+    /// the index's first use (a scan), its second (the build) and after.
+    #[test]
+    fn index_joins_keep_the_order_contract_from_either_side() {
+        // 256 rows over 64 keys, four copies each, spread out.
+        let big = keyed(256, 5, 64, "a");
+        let entry = IndexedTable::new(big.clone());
+        // Duplicate, missing and shared keys, out of order.
+        let probe = Table::new(vec![
+            ("k", Column::Int(vec![33, 3, 99, 3, 7, 33])),
+            ("b", Column::Int((0..6).collect())),
+        ]);
+        for run in 0..3 {
+            let mut rows = RowSet::scan(&probe);
+            rows.hash_join(cell(0, 0), RowSet::scan_entry(&entry), 0);
+            let want = nested_loop_join(&probe, "k", &big, "k");
+            assert_eq!(rows.gather(), want, "run {run}: index on the right");
+            let mut rows = RowSet::scan_entry(&entry);
+            rows.hash_join(cell(0, 0), RowSet::scan(&probe), 0);
+            let want = nested_loop_join(&big, "k", &probe, "k");
+            assert_eq!(rows.gather(), want, "run {run}: index on the left");
+        }
+        // The probe keys select at most a quarter of `big` through its index,
+        // which is what sends both joins through it.
+        let index = entry.column_index(0, || unreachable!("built")).unwrap();
+        let read: usize = [33u64, 3, 99, 3, 7, 33].iter().map(|&k| index.lookup(k).len()).sum();
+        assert!(read <= 256 / INDEX_JOIN_SHARE, "{read}");
+    }
+
+    /// A constant of another type than its column never counts a lookup:
+    /// mixed pairs scan, and leave the column without an index.
+    #[test]
+    fn mixed_pairs_scan_and_build_nothing() {
+        let t = mixed();
+        let entry = IndexedTable::new(t.clone());
+        for _ in 0..3 {
+            for (col, constant) in
+                [(0, Float(7.0)), (1, Int(7)), (2, Int(7)), (0, Str("7".into()))]
+            {
+                let mut rows = RowSet::scan_entry(&entry);
+                rows.filter(cell(0, col), &constant);
+                let mut scanned = RowSet::scan(&t);
+                scanned.filter(cell(0, col), &constant);
+                let fingerprint = |r: &RowSet<'_>| crate::ivm::table_fingerprint(&r.gather());
+                assert_eq!(fingerprint(&rows), fingerprint(&scanned));
+            }
+            let ints = Table::new(vec![("k", Column::Int(vec![7, 2]))]);
+            let mut rows = RowSet::scan(&ints);
+            rows.join(cell(0, 0), RowSet::scan_entry(&entry), cell(0, 1));
+            assert_eq!(rows.num_rows(), 2);
+        }
+        assert_eq!(entry.column_indexes(), 0);
+    }
+
     /// Chained joins, a filter between them, a projection and a sort: the
     /// selection vectors of three sources stay aligned, `right.` prefixes
     /// stack, and the one gather equals the stage-by-stage operators.
@@ -915,9 +1217,9 @@ mod tests {
             ("name", strs(&["a", "b", "c", "d", "e", "f", "g", "d2"])),
         ]);
         let mut rows = RowSet::scan(&tweets);
-        rows.hash_join(rows.column("uid").unwrap(), &users, 0);
+        rows.hash_join(rows.column("uid").unwrap(), RowSet::scan(&users), 0);
         rows.filter(rows.column("right.score").unwrap(), &Int(1));
-        rows.hash_join(rows.column("uid").unwrap(), &users, 0);
+        rows.hash_join(rows.column("uid").unwrap(), RowSet::scan(&users), 0);
         assert_eq!(
             rows.gather().column_names(),
             ["tid", "uid", "score", "right.score", "name", "right.right.score", "right.name"]
@@ -931,7 +1233,9 @@ mod tests {
             .filter(|&r| j1.value(r, "right.score").as_i64() == Some(1))
             .collect();
         let j2 = nested_loop_join(&j1.gather(&keep), "uid", &users, "uid");
-        let expected = ops::project(&j2, &["right.name", "tid", "right.right.score"]).unwrap();
+        let picked = ["right.name", "tid", "right.right.score"];
+        let expected =
+            Table::new(picked.map(|name| (name, j2.column(name).unwrap().clone())).to_vec());
         let mut order: Vec<usize> = (0..expected.num_rows()).collect();
         order.sort_by_key(|&r| expected.value(r, "tid").as_i64());
         assert_eq!(rows.gather(), expected.gather(&order));

@@ -799,11 +799,12 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
 
     let best_rw = pacb.rewritings.iter().find(|r| r.cost.is_some_and(|c| c < cost_original));
 
-    // Phase 3: execute the chosen prefix.
+    // Phase 3: execute the chosen prefix — the winning rewriting, or else
+    // the compiled original, whose constants each filter their own atom.
     let sort_key = p.sort_key.as_deref();
-    let (table, exec_us) = hadad_obs::timed("hybrid.rel_exec", &EXEC_US, || match best_rw {
-        Some(rw) => eval_cq_sorted(&rw.query, &compiled.columns, state.catalog, &tv, sort_key),
-        None => p.prefix.execute_sorted(state.catalog, sort_key),
+    let chosen = best_rw.map_or(&compiled.cq, |rw| &rw.query);
+    let (table, exec_us) = hadad_obs::timed("hybrid.rel_exec", &EXEC_US, || {
+        eval_cq_sorted(chosen, &compiled.columns, state.catalog, &tv, sort_key)
     });
     let table = table?;
 

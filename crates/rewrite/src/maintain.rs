@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use hadad_relational::ivm::{apply_delta, Delta, TableUpdate};
-use hadad_relational::{Catalog, IndexedTable, RowSet, Table};
+use hadad_relational::{Catalog, IndexedTable, Table};
 
 use crate::hybrid::{HybridError, RelOp, TableView};
 
@@ -106,15 +106,14 @@ impl ViewMaintainer {
                 catalog.pending_updates().iter().map(|e| e.table.clone()).collect(),
             ));
         }
-        let scan = catalog
-            .get(&view.def.table)
+        let mut rows = catalog
+            .scan(&view.def.table)
             .ok_or_else(|| HybridError::MissingTable(view.def.table.clone()))?;
         let mut state = ViewState::default();
         // Replay only as far as the last join: what follows it needs no
         // state, and a join-free view needs none at all (nor a scan copy).
         let is_join = |op: &RelOp| matches!(op, RelOp::HashJoin { .. });
         if let Some(last) = view.def.ops.iter().rposition(is_join) {
-            let mut rows = RowSet::scan(scan);
             for (k, op) in view.def.ops[..last].iter().enumerate() {
                 if is_join(op) {
                     state.join_inputs.insert(k, IndexedTable::new(rows.gather()));

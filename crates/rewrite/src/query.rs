@@ -79,12 +79,10 @@ impl RelOp {
             }
             RelOp::HashJoin { table, left_key, right_key } => {
                 let right = catalog
-                    .get(table)
+                    .scan(table)
                     .ok_or_else(|| HybridError::MissingTable(table.clone()))?;
                 let left = column(rows, left_key)?;
-                let right_key = right
-                    .column_index(right_key)
-                    .ok_or_else(|| HybridError::MissingColumn(right_key.clone()))?;
+                let right_key = column(&right, right_key)?.column;
                 rows.hash_join(left, right, right_key);
             }
             RelOp::Project { columns } => {
@@ -155,9 +153,11 @@ impl RelQuery {
     }
 
     /// Runs the query on the [`RowSet`] executor: every stage rewrites
-    /// selection vectors over the borrowed catalog tables, and the output
-    /// columns are gathered once, after the last stage. A stage-less query
-    /// is the only one that copies its whole scan table.
+    /// selection vectors over the borrowed catalog tables (the scan and
+    /// every join's right side through [`Catalog::scan`], so their column
+    /// indexes serve a selection or a join key), and the output columns are
+    /// gathered once, after the last stage. A stage-less query is the only
+    /// one that copies its whole scan table.
     pub fn execute(&self, catalog: &Catalog) -> Result<Table, HybridError> {
         self.execute_sorted(catalog, None)
     }
@@ -170,10 +170,9 @@ impl RelQuery {
         catalog: &Catalog,
         sort_key: Option<&str>,
     ) -> Result<Table, HybridError> {
-        let scan = catalog
-            .get(&self.table)
+        let mut rows = catalog
+            .scan(&self.table)
             .ok_or_else(|| HybridError::MissingTable(self.table.clone()))?;
-        let mut rows = RowSet::scan(scan);
         for op in &self.ops {
             op.apply(&mut rows, catalog)?;
         }
@@ -369,11 +368,15 @@ fn unquote(s: &str) -> Option<&str> {
 /// view tables.
 ///
 /// Runs atom by atom on the same [`RowSet`] executor as
-/// [`RelQuery::execute`]: an atom's constants (decoded once per atom)
-/// and a variable it repeats filter its table; its first already-bound
-/// variable joins it to the rows so far; further shared variables filter
-/// column against column; an atom sharing nothing is a left-major product;
-/// an empty body is the single row of head constants. A head variable is
+/// [`RelQuery::execute`], each atom a [`Catalog::scan`] of its table: an
+/// atom's constants (decoded once per atom; the first one can read its
+/// column's index) and a variable it repeats filter its table; its first
+/// already-bound variable joins it to the rows so far (through either
+/// side's column index, when one side is still a bare scan); further
+/// shared variables filter column against column; an atom sharing nothing
+/// is a left-major product (the first atom's, with the empty conjunction,
+/// is that atom untouched); an empty body is the single row of head
+/// constants. A head variable is
 /// gathered from the column that first bound it, so an empty answer keeps
 /// its source columns' types (a head constant its own).
 pub fn eval_cq(
@@ -400,11 +403,10 @@ pub(crate) fn eval_cq_sorted(
         let name = tv
             .table_of(atom.pred)
             .ok_or_else(|| HybridError::MissingTable(format!("pred#{}", atom.pred.0)))?;
-        let t = catalog.get(name).ok_or_else(|| HybridError::MissingTable(name.into()))?;
-
         // The atom alone: constants and a repeated variable filter its
         // table. `vars` keeps each variable's first position, in order.
-        let mut scan = RowSet::scan(t);
+        let mut scan =
+            catalog.scan(name).ok_or_else(|| HybridError::MissingTable(name.into()))?;
         let cell = |source: usize, column: usize| ColRef { source, column };
         let mut vars: Vec<(u32, usize)> = Vec::new();
         for (i, term) in atom.args.iter().enumerate() {

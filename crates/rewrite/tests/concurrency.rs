@@ -424,3 +424,45 @@ fn prefix_memo_is_per_snapshot() {
     assert!(held.rel.memo_hit);
     assert_eq!(cast_bits(&held.cast), cold);
 }
+
+/// A snapshot's column indexes are built by its readers, once. Four
+/// threads race their first two reads of one fresh snapshot — a selection
+/// on `events.kind` joined to the `spikes` view on `eid`, so two columns
+/// are looked up eight times each: the first lookups scan, a second builds
+/// (once per column, whichever thread gets there), the rest read the
+/// index. Every read returns bitwise what the live catalog returns.
+#[test]
+fn racing_readers_build_each_column_index_once() {
+    let _unarmed = unarmed();
+    let (mut hy, _) = fixture();
+    let reader = hy.reader().expect("reader");
+    let snap = reader.current();
+    let query = RelQuery::scan("events").select_eq("kind", 3).join("spikes", "eid", "eid");
+    let live = query.execute(&hy.catalog).expect("live read");
+    assert_eq!(live.num_rows(), 16);
+    let builds = || hadad_obs::snapshot().counter("relexec.index_builds").unwrap_or(0);
+    let before = builds();
+
+    let start = std::sync::Barrier::new(4);
+    let reads: Vec<Vec<Table>> = thread::scope(|s| {
+        let spawned: Vec<_> = (0..4)
+            .map(|_| {
+                let (snap, query, start) = (&snap, &query, &start);
+                s.spawn(move || {
+                    start.wait();
+                    (0..2).map(|_| query.execute(snap.catalog()).expect("read")).collect()
+                })
+            })
+            .collect();
+        spawned.into_iter().map(|h| h.join().expect("reader thread")).collect()
+    });
+    for (tid, thread_reads) in reads.iter().enumerate() {
+        for (i, got) in thread_reads.iter().enumerate() {
+            assert_eq!(got, &live, "thread {tid}, read {i}");
+        }
+    }
+    assert_eq!(builds() - before, 2, "one build per column touched: events.kind, spikes.eid");
+    // Built: the next read of the snapshot builds nothing more.
+    assert_eq!(query.execute(snap.catalog()).expect("read"), live);
+    assert_eq!(builds() - before, 2);
+}

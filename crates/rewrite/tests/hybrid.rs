@@ -791,3 +791,72 @@ fn float_and_string_join_keys_rewrite_to_the_same_bag() {
         assert_eq!(r.verified, Some(true));
     }
 }
+
+/// With no view to land on, a prefix runs as its compiled CQ — each
+/// selection's constant filtering its own atom, through the catalog's
+/// column indexes from the second run on — and still returns the operator
+/// pipeline's table row for row, sorted as asked, cast bit for bit: the
+/// bench corpus's shapes, over a table whose `tid`s run backwards.
+#[test]
+fn an_unrewritten_prefix_runs_as_its_cq_and_returns_the_pipelines_rows() {
+    let n = 4_000i64;
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "tweets",
+        Table::new(vec![
+            ("tid", Column::Int((0..n).rev().collect())),
+            ("uid", Column::Int((0..n).map(|i| i * 7 % 220).collect())),
+            ("topic", Column::Int((0..n).map(|i| i % 40).collect())),
+            ("level", Column::Int((0..n).map(|i| i % 5 + 1).collect())),
+        ]),
+    );
+    catalog.register(
+        "users",
+        Table::new(vec![
+            ("uid", Column::Int((0..200).collect())),
+            ("country", Column::Int((0..200).map(|u| u % 10).collect())),
+            ("followers", Column::Int((0..200).map(|u| u * 13 % 97).collect())),
+        ]),
+    );
+    let hy = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
+    let feats = ["tid", "level", "followers", "country"];
+    let prefixes = [
+        RelQuery::scan("tweets").select_eq("topic", 3),
+        RelQuery::scan("tweets").select_eq("topic", 4).project(&["tid", "level", "uid"]),
+        RelQuery::scan("tweets")
+            .select_eq("topic", 5)
+            .join("users", "uid", "uid")
+            .project(&feats),
+        RelQuery::scan("tweets").select_eq("topic", 6).join("users", "uid", "uid"),
+        RelQuery::scan("tweets")
+            .join("users", "uid", "uid")
+            .select_eq("country", 2)
+            .project(&feats),
+        RelQuery::scan("tweets").select_eq("level", 2),
+    ];
+    for prefix in prefixes {
+        for sort_key in [None, Some("tid")] {
+            let executed = prefix.execute(&hy.catalog).unwrap();
+            let expected = match sort_key {
+                Some(key) => hadad_relational::ops::sort_by_int(&executed, key).unwrap(),
+                None => executed,
+            };
+            assert!(expected.num_rows() > 10);
+            let columns = ["tid", "level"];
+            let pipeline = HybridPipeline {
+                prefix: prefix.clone(),
+                sort_key: sort_key.map(str::to_owned),
+                cast: CastKind::Dense { columns: columns.map(str::to_owned).to_vec() },
+                cast_name: "X".into(),
+                suffix: mul(t(m("X")), m("X")),
+            };
+            let cast = hadad_relational::cast::table_to_matrix(&expected, &columns);
+            for run in 0..3 {
+                let r = hy.rewrite_hybrid(&pipeline).unwrap();
+                assert!(r.rel.rewriting.is_none(), "no view to rewrite onto");
+                assert_eq!(r.table, expected, "{prefix:?} sorted by {sort_key:?}, run {run}");
+                assert_eq!(r.cast, cast, "{prefix:?} sorted by {sort_key:?}, run {run}");
+            }
+        }
+    }
+}

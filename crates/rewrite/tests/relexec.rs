@@ -7,6 +7,11 @@
 //! types and row order; `eval_cq` with the second row for row — and with
 //! `execute` as a multiset, whatever the key types, wherever `compile`
 //! relates the two.
+//!
+//! Every query runs three times on one catalog: a column's second equality
+//! lookup builds its index, so the later runs select and join through the
+//! catalog's column indexes wherever the key types match, and must return
+//! exactly what the first run's scans returned.
 
 use std::collections::HashMap;
 
@@ -18,10 +23,14 @@ use hadad_rewrite::hybrid::{eval_cq, HybridError, RelOp, RelQuery, TableVocab};
 
 // --- random tables ---------------------------------------------------------
 
+/// 2⁵³: the first integer whose successor `f64` cannot hold.
+const P53: i64 = 1 << 53;
+
 /// Small domains: duplicate keys, unmatched keys, integral and fractional
-/// floats, both zeros, `NaN`, and a string that looks like a number.
-const INTS: [i64; 5] = [0, 1, 2, 3, 7];
-const FLOATS: [f64; 7] = [0.0, -0.0, 1.0, 2.0, 2.5, f64::NAN, 7.0];
+/// floats, both zeros, `NaN`, integers on either side of 2⁵³ (which the
+/// float 2⁵³ equals neither of), and a string that looks like a number.
+const INTS: [i64; 7] = [0, 1, 2, 3, 7, P53 - 1, P53 + 1];
+const FLOATS: [f64; 8] = [0.0, -0.0, 1.0, 2.0, 2.5, f64::NAN, 7.0, P53 as f64];
 const STRS: [&str; 4] = ["7", "a", "", "1"];
 
 fn pick<T: Copy>(rng: &mut Rng64, from: &[T]) -> T {
@@ -342,8 +351,10 @@ fn execute_is_the_row_at_a_time_pipeline() {
         let catalog = random_catalog(&mut rng);
         for case in 0..4 {
             let (q, oracle) = random_pipeline(&mut rng, &catalog);
-            let ctx = format!("seed {seed} case {case}: {q:?}");
-            assert_identical(&q.execute(&catalog).unwrap(), &oracle.table(), &ctx);
+            for run in 0..3 {
+                let ctx = format!("seed {seed} case {case} run {run}: {q:?}");
+                assert_identical(&q.execute(&catalog).unwrap(), &oracle.table(), &ctx);
+            }
             joins += q.ops.iter().filter(|op| matches!(op, RelOp::HashJoin { .. })).count();
             stacked += usize::from(oracle.names.iter().any(|n| n.starts_with("right.right.")));
         }
@@ -396,6 +407,17 @@ fn compiled_pipelines_evaluate_to_the_same_bag_on_every_key_type() {
             assert_eq!(compiled.columns, direct.column_names(), "{ctx}");
             let via_cq =
                 assert_cq_matches_oracle(&compiled.cq, &compiled.columns, &catalog, &tv, &ctx);
+            for run in 1..3 {
+                let ctx = format!("{ctx} run {run}");
+                let again = assert_cq_matches_oracle(
+                    &compiled.cq,
+                    &compiled.columns,
+                    &catalog,
+                    &tv,
+                    &ctx,
+                );
+                assert_identical(&again, &via_cq, &ctx);
+            }
             assert_eq!(
                 fingerprint_up_to_representative(&via_cq),
                 fingerprint_up_to_representative(&direct),
@@ -540,4 +562,120 @@ fn an_empty_answer_has_the_same_schema_from_both_entry_points() {
     let via_cq = eval_cq(&compiled.cq, &compiled.columns, &catalog, &tv).unwrap();
     assert_eq!(via_cq.num_rows(), 0);
     assert_identical(&via_cq, &direct, "empty answer");
+}
+
+/// A table whose columns cycle through every corner of the equality —
+/// integers around 2⁵³, both zeros, `NaN`, the float 2⁵³, strings that
+/// look like numbers or differ by a space — and a six-row probe table
+/// whose rows hit each corner once. Large enough that one probe key reads
+/// at most a quarter of `c` through `c`'s indexes.
+fn corner_catalog() -> Catalog {
+    let ints = [P53 - 1, P53, P53 + 1, 0, 7, -1];
+    let floats = [0.0, -0.0, f64::NAN, P53 as f64, 7.0, 2.5, 1.0, 3.0];
+    let strs = ["7", "a", "", "A", "7 "];
+    let n = 240;
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "c",
+        Table::new(vec![
+            ("i", Column::Int((0..n).map(|r| ints[r % ints.len()]).collect())),
+            ("f", Column::Float((0..n).map(|r| floats[r % floats.len()]).collect())),
+            ("s", Column::Str((0..n).map(|r| strs[r % strs.len()].to_owned()).collect())),
+            ("row", Column::Int((0..n as i64).collect())),
+        ]),
+    );
+    catalog.register(
+        "probe",
+        Table::new(vec![
+            ("i", Column::Int(vec![P53 + 1, P53, 7, 5, P53 - 1, 0])),
+            ("f", Column::Float(vec![-0.0, f64::NAN, 7.0, 4.5, P53 as f64, 2.5])),
+            ("s", Column::Str(["7", "", "b", "A", "a", "7 "].map(String::from).to_vec())),
+            ("row", Column::Int((0..6).collect())),
+        ]),
+    );
+    catalog
+}
+
+/// Selections and joins on every corner of the equality, each run three
+/// times on one catalog — scans first, then through the column indexes
+/// their second lookups built — as a pipeline and as its compiled CQ,
+/// against the oracles. Same-typed constants and keys read the indexes;
+/// mixed ones (`Int` against `Float`, a string against a number) must keep
+/// the scan's answer, which for a string and a number is nothing.
+#[test]
+fn indexed_lookups_return_what_scans_return_on_every_corner() {
+    let catalog = corner_catalog();
+    let mut queries = Vec::new();
+    for v in [P53 - 1, P53, P53 + 1, 7, 0, 3] {
+        queries.push(RelQuery::scan("c").select_eq("i", v));
+        queries.push(RelQuery::scan("c").select_eq("f", v));
+        queries.push(RelQuery::scan("c").select_eq("s", v));
+    }
+    for v in ["7", "", "A", "7 ", "b"] {
+        queries.push(RelQuery::scan("c").select_str_eq("s", v));
+        queries.push(RelQuery::scan("c").select_str_eq("i", v));
+    }
+    let keys = [("i", "i"), ("f", "f"), ("s", "s"), ("i", "f"), ("f", "i"), ("s", "i")];
+    for k in 0..6 {
+        for (probe_key, c_key) in keys {
+            // The probe row on the left of an index on `c`; then `c` on the
+            // left, which the compiled form joins through `c`'s index too.
+            queries
+                .push(RelQuery::scan("probe").select_eq("row", k).join("c", probe_key, c_key));
+            queries.push(
+                RelQuery::scan("c").join("probe", c_key, probe_key).select_eq("right.row", k),
+            );
+        }
+    }
+    let mut nonempty = 0;
+    for q in &queries {
+        let oracle = q
+            .ops
+            .iter()
+            .fold(Rel::scan(catalog.get(&q.table).unwrap()), |rel, op| rel.apply(op, &catalog));
+        let want = oracle.table();
+        for run in 0..3 {
+            let ctx = format!("{q:?} run {run}");
+            assert_identical(&q.execute(&catalog).unwrap(), &want, &ctx);
+        }
+        let mut tv = TableVocab::from_catalog(&catalog);
+        let compiled = q.compile(&catalog, &mut tv).unwrap();
+        for run in 0..3 {
+            let ctx = format!("{q:?} compiled, run {run}");
+            let via_cq =
+                assert_cq_matches_oracle(&compiled.cq, &compiled.columns, &catalog, &tv, &ctx);
+            assert_eq!(
+                fingerprint_up_to_representative(&via_cq),
+                fingerprint_up_to_representative(&want),
+                "{ctx}"
+            );
+        }
+        nonempty += usize::from(want.num_rows() > 0);
+    }
+    assert!(nonempty > queries.len() / 2, "{nonempty} of {} non-empty", queries.len());
+
+    // Constants only a CQ carries — floats, `NaN`, the float 2⁵³, a quoted
+    // string — on every column, three times each.
+    let mut tv = TableVocab::from_catalog(&catalog);
+    let c = tv.pred("c").unwrap();
+    let head = ["row".to_owned()];
+    let names =
+        ["0", "-0.0", "NaN", "2.5", "7", "9007199254740992.0", "9007199254740993", "\"7\""];
+    for name in names {
+        let constant = Term::Const(tv.vocab.constant(name));
+        for column in 0..3 {
+            let mut args: Vec<Term> = (0..4).map(Term::Var).collect();
+            args[column] = constant;
+            let q = Cq::new(vec![Term::Var(3)], vec![Atom::new(c, args)]);
+            let first = assert_cq_matches_oracle(&q, &head, &catalog, &tv, name);
+            for run in 1..3 {
+                let again = assert_cq_matches_oracle(&q, &head, &catalog, &tv, name);
+                assert_identical(
+                    &again,
+                    &first,
+                    &format!("{name} on column {column}, run {run}"),
+                );
+            }
+        }
+    }
 }

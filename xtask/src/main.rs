@@ -100,10 +100,11 @@ fn obs_dump() -> ExitCode {
     }
 
     // Relational layer: a filtered view over an events table behind a
-    // plan-cached hybrid optimizer. Two same-epoch rewrites (miss + hit),
-    // a logged insert + maintenance pass (IVM + epoch bump), then two
-    // more rewrites (stale refusal + re-primed hit), then two reads of the
-    // published snapshot (prefix memo miss + hit).
+    // plan-cached hybrid optimizer. Two same-epoch rewrites (miss + hit;
+    // both filter the `spikes` view, so the second builds its column
+    // index), a logged insert + maintenance pass (IVM + epoch bump), then
+    // two more rewrites (stale refusal + re-primed hit), then two reads of
+    // the published snapshot (prefix memo miss + hit).
     let events = Table::new(vec![
         ("eid", Column::Int((0..64).collect())),
         ("kind", Column::Int((0..64).map(|i| i % 4).collect())),
@@ -195,6 +196,7 @@ fn obs_dump() -> ExitCode {
         "extract.solves",
         "maintain.passes",
         "relexec.rows_out",
+        "relexec.index_builds",
         "kernel.gemm",
         "cache.hits",
         "cache.stale_refusals",
