@@ -4,6 +4,13 @@
 //! rows and the two indexes it owns (a row-multiset index for retractions,
 //! an equality index per column for the executor's lookups through
 //! [`Catalog::scan`]).
+//!
+//! The mutation API is the edge where rows arrive as `Vec<Value>`s:
+//! [`Catalog::insert_rows`] / [`Catalog::delete_rows`] convert them once
+//! into a typed [`Delta`] (a table of the target's schema plus a
+//! multiplicity column), refusing a wrong arity or cell type with
+//! [`IvmError::SchemaMismatch`] before the table changes; the apply, the
+//! log and every maintenance step after it read typed columns only.
 
 use std::collections::BTreeMap;
 
@@ -31,8 +38,9 @@ use crate::table::{Table, Value};
 pub struct Catalog {
     tables: BTreeMap<String, IndexedTable>,
     log: UpdateLog,
-    /// Monotonic state version: bumped by every successful mutation —
-    /// logged inserts/deletes, maintenance writes, (re-)registration. See
+    /// Monotonic state version: bumped by every successful mutation that
+    /// changes a row — logged inserts/deletes, maintenance writes — and by
+    /// (re-)registration. See
     /// [`Catalog::epoch`].
     epoch: u64,
 }
@@ -44,9 +52,10 @@ impl Catalog {
     }
 
     /// The catalog's monotonically increasing epoch. Every successful
-    /// mutation — [`Catalog::insert_rows`], [`Catalog::delete_rows`],
-    /// [`Catalog::apply_unlogged`] (maintenance commits),
-    /// [`Catalog::register`] — bumps it, so any derived artifact stamped
+    /// mutation that changes a row — [`Catalog::insert_rows`],
+    /// [`Catalog::delete_rows`], [`Catalog::apply_unlogged`] (maintenance
+    /// commits) — and every [`Catalog::register`] bumps it, so any derived
+    /// artifact stamped
     /// with an epoch (a cached plan, a snapshot) is verifiably from the
     /// current state: a stale stamp is refused, which is what keeps plan
     /// cache hits sound under incremental view maintenance.
@@ -104,12 +113,7 @@ impl Catalog {
         name: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<usize, IvmError> {
-        let table =
-            self.tables.get_mut(name).ok_or_else(|| IvmError::MissingTable(name.to_owned()))?;
-        let delta = Delta::inserts(table.table(), rows);
-        let (inserted, _) = table.apply(&delta, name)?;
-        self.log.push(name, delta);
-        self.bump_epoch();
+        let (inserted, _) = self.apply_logged(name, rows, Delta::inserts)?;
         Ok(inserted)
     }
 
@@ -122,17 +126,32 @@ impl Catalog {
         name: &str,
         rows: Vec<Vec<Value>>,
     ) -> Result<usize, IvmError> {
-        let table =
-            self.tables.get_mut(name).ok_or_else(|| IvmError::MissingTable(name.to_owned()))?;
-        let delta = Delta::deletes(table.table(), rows);
-        let (_, deleted) = table.apply(&delta, name)?;
-        self.log.push(name, delta);
-        self.bump_epoch();
+        let (_, deleted) = self.apply_logged(name, rows, Delta::deletes)?;
         Ok(deleted)
     }
 
+    /// The logged mutation: converts `rows` into a typed delta once — the
+    /// one place rows arrive as `Vec<Value>`s, checked against the table's
+    /// schema before anything changes — applies and logs it.
+    fn apply_logged(
+        &mut self,
+        name: &str,
+        rows: Vec<Vec<Value>>,
+        delta: fn(&Table, Vec<Vec<Value>>) -> Result<Delta, String>,
+    ) -> Result<(usize, usize), IvmError> {
+        let table =
+            self.tables.get_mut(name).ok_or_else(|| IvmError::MissingTable(name.to_owned()))?;
+        let delta = delta(table.table(), rows)
+            .map_err(|detail| IvmError::SchemaMismatch { table: name.to_owned(), detail })?;
+        let applied = self.apply_unlogged(name, &delta)?;
+        self.log.push(name, delta);
+        Ok(applied)
+    }
+
     /// Applies a maintenance delta to a table *without* logging it — the
-    /// view-maintenance path, which must not re-enqueue its own writes.
+    /// view-maintenance path, which must not re-enqueue its own writes. A
+    /// delta that nets to nothing leaves the table and the epoch as they
+    /// are and returns `(0, 0)`.
     pub fn apply_unlogged(
         &mut self,
         name: &str,
@@ -141,7 +160,9 @@ impl Catalog {
         let table =
             self.tables.get_mut(name).ok_or_else(|| IvmError::MissingTable(name.to_owned()))?;
         let applied = table.apply(delta, name)?;
-        self.bump_epoch();
+        if applied != (0, 0) {
+            self.bump_epoch();
+        }
         Ok(applied)
     }
 
@@ -277,7 +298,7 @@ mod tests {
         assert_eq!(cat.epoch(), 3);
         // Maintenance writes commit a new epoch.
         let table = cat.get("users").unwrap();
-        let delta = Delta::inserts(table, vec![vec![Value::Int(9)]]);
+        let delta = Delta::inserts(table, vec![vec![Value::Int(9)]]).unwrap();
         cat.apply_unlogged("users", &delta).unwrap();
         assert_eq!(cat.epoch(), 4);
     }
@@ -366,7 +387,8 @@ mod tests {
                             vec![Value::Int(41), Value::Int(1)],
                             vec![Value::Int(42), Value::Int(2)],
                         ],
-                    );
+                    )
+                    .unwrap();
                     cat.apply_unlogged("t", &delta).unwrap();
                 }
                 _ => assert!(cat.register("t", table(3)).is_some()),
@@ -423,5 +445,76 @@ mod tests {
         ));
         assert_eq!(cat.cardinality("users"), Some(2));
         assert!(cat.pending_updates().is_empty());
+    }
+
+    /// The edge conversion's errors: the first failing row's detail, the
+    /// table, its index, the log and the epoch untouched.
+    #[test]
+    fn mutation_errors_name_the_first_failing_row_and_change_nothing() {
+        let mut cat = Catalog::new();
+        let users = Table::new(vec![
+            ("id", Column::Int(vec![1, 2, 2])),
+            ("name", Column::Str(vec!["a".into(), "b".into(), "b".into()])),
+        ]);
+        cat.register("users", users.clone());
+        cat.delete_rows("users", vec![vec![Value::Int(1), Value::Str("a".into())]]).unwrap();
+        let _ = cat.take_updates();
+        let (before, epoch) = (cat.get("users").unwrap().clone(), cat.epoch());
+        let ok = || vec![Value::Int(3), Value::Str("c".into())];
+        let mismatch = |detail: &str| {
+            Err(IvmError::SchemaMismatch { table: "users".into(), detail: detail.into() })
+        };
+        assert_eq!(
+            cat.insert_rows("users", vec![ok(), vec![Value::Int(4)], vec![Value::Float(1.0)]]),
+            mismatch("row has 1 cells, table has 2 columns")
+        );
+        assert_eq!(
+            cat.insert_rows(
+                "users",
+                vec![ok(), vec![Value::Int(5), Value::Int(6)], vec![Value::Str("x".into()); 2]]
+            ),
+            mismatch("cell 6 does not match the type of column name")
+        );
+        assert_eq!(
+            cat.delete_rows("users", vec![ok(), vec![Value::Float(2.0), Value::Int(0)]]),
+            mismatch("cell 2 does not match the type of column id")
+        );
+        // Two copies of (2, "b") are held; three are retracted.
+        let b = || vec![Value::Int(2), Value::Str("b".into())];
+        assert_eq!(
+            cat.delete_rows("users", vec![b(), b(), b()]),
+            Err(IvmError::MissingRow {
+                table: "users".into(),
+                row: "i2;s1:b; (1 unmatched retractions)".into()
+            })
+        );
+        assert_eq!((cat.get("users").unwrap(), cat.epoch()), (&before, epoch));
+        assert!(cat.pending_updates().is_empty());
+        cat.check_indexes().unwrap();
+    }
+
+    /// Row order after a mutation is a function of the batch and the table:
+    /// inserts append (each distinct row's copies together, in order of
+    /// first occurrence), and each delete, highest position first, moves
+    /// the then-last row into the hole.
+    #[test]
+    fn row_order_after_inserts_and_deletes_is_pinned() {
+        let mut cat = Catalog::new();
+        cat.register("t", Table::new(vec![("v", Column::Int(vec![10, 11, 12, 13, 14]))]));
+        let ints = |v: &[i64]| v.iter().map(|&x| vec![Value::Int(x)]).collect::<Vec<_>>();
+        let order = |cat: &Catalog| match cat.get("t").unwrap().column_at(0) {
+            Column::Int(v) => v.clone(),
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(cat.insert_rows("t", ints(&[20, 21, 20, 22])), Ok(4));
+        assert_eq!(order(&cat), [10, 11, 12, 13, 14, 20, 20, 21, 22]);
+        // 11 at 1 and 13 at 3: 13 takes the last row (22), then 11 the new
+        // last (21).
+        assert_eq!(cat.delete_rows("t", ints(&[11, 13])), Ok(2));
+        assert_eq!(order(&cat), [10, 21, 12, 22, 14, 20, 20]);
+        // One copy of a duplicate: the chain's first, the later one.
+        assert_eq!(cat.delete_rows("t", ints(&[20, 10])), Ok(2));
+        assert_eq!(order(&cat), [20, 21, 12, 22, 14]);
+        cat.check_indexes().unwrap();
     }
 }

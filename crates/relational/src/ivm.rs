@@ -10,12 +10,22 @@
 //! Lᵒˡᵈ ⋈ ΔR decomposition, which is what Dougherty-style RA-to-transaction
 //! translations emit for joins).
 //!
-//! Every rule mirrors the executable operators in [`crate::ops`] *exactly*
-//! (`select_eq` matches through [`Value::as_i64`], both join halves pair
-//! rows through [`crate::rowset`]'s one cell equality on the kernel
-//! `ops::hash_join` runs, join output columns are prefixed `right.` until
-//! unique), so a delta-maintained view is bit-identical, up to row order,
-//! to re-running its definition from scratch.
+//! **Representation.** A [`Delta`] is a typed [`Table`] with its target's
+//! column names and types plus one `i64` multiplicity per row. Rows arrive
+//! as `Vec<Value>`s at one edge only — `Catalog::insert_rows` /
+//! `delete_rows` convert them once, checked against the table's schema —
+//! and every later step is a typed pass over columns.
+//!
+//! Every rule *is* the executable operator it mirrors, run by
+//! [`crate::rowset`] with the delta as a source and the multiplicities
+//! gathered beside it: a selection is the executor's filter (`select_eq`
+//! matches through [`Value::as_i64`], `select_str_eq` verbatim strings), a
+//! projection is a gather, and both join halves are one [`RowSet`] join
+//! with the delta as the left source — the one cell equality, the same
+//! choice between a chained join and an index-nested loop, join output
+//! columns prefixed `right.` until unique — so a delta-maintained view is
+//! bit-identical, up to row order, to re-running its definition from
+//! scratch.
 //!
 //! **Row order.** A table is a multiset: [`apply_delta`] appends the
 //! batch's insertions and then deletes by moving the table's last row into
@@ -23,26 +33,30 @@
 //! order across a delete. Anything that needs an order (a dense cast) fixes
 //! it with a sort key, as the data model already requires.
 //!
-//! **Cost.** One batch costs hash work proportional to the delta: a
-//! retraction finds its rows through the target's row-multiset index
-//! ([`crate::row_index`]), and each join half indexes the *delta*'s key
-//! cells and probes them with one typed pass over the table's key column —
-//! skipped outright when the delta is empty. The row index belongs to the
-//! owner of the mutable table ([`crate::IndexedTable`]: a catalog entry, a
-//! maintainer's cached join input), is built by the first retraction, and
-//! is never cloned.
+//! **Cost.** One batch costs typed work proportional to the delta: the
+//! apply hashes the delta's rows a word per cell, nets them in flat `u32`
+//! chains, finds each retraction through the target's row-multiset index
+//! ([`crate::row_index`]) and appends a column at a time; a join half reads
+//! the stored side's key column once, or only the buckets of the delta's
+//! keys where that side has a column index, and nothing when the delta is
+//! empty. The row index belongs to the owner of the mutable table
+//! ([`crate::IndexedTable`]: a catalog entry, a maintainer's cached join
+//! input), is built by the first retraction, and is never cloned.
 
-use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
-use crate::row_index::RowIndex;
-use crate::rowset;
+use crate::row_index::{
+    position, row_hashes, rows_identical, RowIndex, GOLDEN, MIN_BUCKETS, NIL,
+};
+use crate::rowset::{ColRef, Out, RowSet};
 use crate::table::{Column, Table, Value};
+use crate::IndexedTable;
 
 /// Table rows the update path reads: rows hashed into a row index, chain
-/// candidates a retraction compares, rows a delete relocates, and
-/// key-column cells a join half scans. A batch against an indexed table
-/// adds a small multiple of |Δ| here, whatever the table's size.
+/// candidates a retraction compares, rows a delete relocates, and the
+/// stored-side rows a join half reads (see [`RowSet`]'s `join_reading`). A
+/// batch against an indexed table adds a small multiple of |Δ| here,
+/// whatever the table's size.
 pub(crate) static ROWS_EXAMINED: hadad_obs::LazyCounter =
     hadad_obs::LazyCounter::new("ivm.rows_examined");
 
@@ -88,20 +102,21 @@ impl fmt::Display for IvmError {
 
 impl std::error::Error for IvmError {}
 
-/// A signed multiset of rows over a named-column schema: `+n` inserts `n`
+/// A signed multiset of rows over a table's schema: `+n` inserts `n`
 /// copies, `-n` retracts `n` copies.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Delta {
-    /// Schema of each row, in order.
-    pub columns: Vec<String>,
-    /// `(row, multiplicity)` pairs; positive inserts, negative retracts.
-    pub rows: Vec<(Vec<Value>, i64)>,
+    /// The rows, with the target table's column names and types.
+    pub(crate) rows: Table,
+    /// Multiplicity of each row of `rows` (one each): positive inserts,
+    /// negative retracts.
+    pub(crate) mult: Vec<i64>,
 }
 
 /// Canonical serialization of a row, used as the multiset key in error
 /// messages and tests: floats key by bit pattern (exact, not rounded),
 /// strings are length-prefixed so a cell can never impersonate a
-/// separator. Hot paths use [`row_hash`] + exact comparison instead.
+/// separator. The update path hashes and compares typed columns instead.
 pub fn row_key(row: &[Value]) -> String {
     let mut s = String::new();
     for v in row {
@@ -131,19 +146,6 @@ pub fn table_fingerprint(t: &Table) -> Vec<String> {
     rows
 }
 
-/// Exact row equality with bitwise float semantics — the equality
-/// [`row_hash`] / [`row_key`] induce (`NaN` equals itself, `-0.0` is
-/// distinct from `0.0`), used wherever hash buckets are disambiguated.
-pub fn rows_identical(a: &[Value], b: &[Value]) -> bool {
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(x, y)| match (x, y) {
-            (Value::Int(i), Value::Int(j)) => i == j,
-            (Value::Float(f), Value::Float(g)) => f.to_bits() == g.to_bits(),
-            (Value::Str(s), Value::Str(t)) => s == t,
-            _ => false,
-        })
-}
-
 const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
@@ -169,23 +171,11 @@ fn fnv_str(mut h: u64, s: &str) -> u64 {
     h
 }
 
-/// FNV-1a fingerprint of a row, consistent with [`row_key`] equality
-/// (type-tagged, floats by bit pattern). Collisions are resolved by exact
-/// comparison wherever the hash is used.
-pub fn row_hash(row: &[Value]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for v in row {
-        h = match v {
-            Value::Int(i) => fnv_cell(h, 0, *i as u64),
-            Value::Float(f) => fnv_cell(h, 1, f.to_bits()),
-            Value::Str(s) => fnv_str(h, s),
-        };
-    }
-    h
-}
-
-/// Per-row fingerprints ([`row_hash`]) of a whole table, computed
-/// column-major with no per-cell allocation.
+/// A stable FNV-1a fingerprint of every row, computed column-major:
+/// type-tagged, floats by bit pattern, byte by byte. Its values are fixed
+/// forever (corpus hashes are built from them), which is why the update
+/// path does not use it: the row index hashes a word per cell instead
+/// ([`crate::row_index`]).
 pub fn table_row_hashes(t: &Table) -> Vec<u64> {
     let mut hashes = vec![FNV_OFFSET; t.num_rows()];
     for c in 0..t.num_cols() {
@@ -208,15 +198,6 @@ pub fn table_row_hashes(t: &Table) -> Vec<u64> {
         }
     }
     hashes
-}
-
-/// [`row_hash`] of table row `r`, read straight from the columns.
-pub(crate) fn table_row_hash(t: &Table, r: usize) -> u64 {
-    (0..t.num_cols()).fold(FNV_OFFSET, |h, c| match t.column_at(c) {
-        Column::Int(v) => fnv_cell(h, 0, v[r] as u64),
-        Column::Float(v) => fnv_cell(h, 1, v[r].to_bits()),
-        Column::Str(v) => fnv_str(h, &v[r]),
-    })
 }
 
 /// Output column names of `ops::hash_join(left, _, right, right_key)`:
@@ -254,60 +235,90 @@ pub(crate) fn push_joined_columns(
     kept
 }
 
-/// The shared core of both join halves, driven from the delta side: every
-/// `(delta_row, table_row)` pair whose key cells are equal, from
-/// [`rowset::join_columns`] over the delta's key cells and the table's key
-/// column. Pairs come back in delta order (table order within one delta
-/// row), so a batch that arrived clustered leaves the join clustered. An
-/// empty delta reads nothing.
-fn matches(
-    table: &Table,
-    table_key: usize,
-    delta: &Delta,
-    delta_key: usize,
-) -> Result<impl Iterator<Item = (usize, usize)>, IvmError> {
-    let (mut ds, mut rs) = (Vec::new(), Vec::new());
-    if !delta.rows.is_empty() {
-        let keys = delta.column(delta_key)?;
-        ROWS_EXAMINED.add(table.num_rows() as u64);
-        (ds, rs) = rowset::join_columns(&keys, table.column_at(table_key));
+/// Net multiplicity per distinct row of `rows` (bitwise identity, see
+/// [`rows_identical`]), whose [`row_hashes`] are `hashes`: the first
+/// occurrence of a row represents it, representatives in order of first
+/// occurrence, as `(representatives, nets)`. Netted in flat `u32` chains
+/// over the representatives — a constant number of allocations, whatever
+/// the row count.
+fn net(rows: &Table, mult: &[i64], hashes: &[u64]) -> (Vec<u32>, Vec<i64>) {
+    let n = rows.num_rows();
+    let buckets = (2 * n).max(MIN_BUCKETS).next_power_of_two();
+    let shift = 64 - buckets.trailing_zeros();
+    let mut heads = vec![NIL; buckets];
+    let mut next: Vec<u32> = Vec::with_capacity(n);
+    let (mut reps, mut nets) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    'rows: for (i, (&hash, &m)) in hashes.iter().zip(mult).enumerate() {
+        let b = (hash.wrapping_mul(GOLDEN) >> shift) as usize;
+        let mut at = heads[b];
+        while at != NIL {
+            let rep = reps[at as usize] as usize;
+            if hashes[rep] == hash && rows_identical(rows, rep, rows, i) {
+                nets[at as usize] += m;
+                continue 'rows;
+            }
+            at = next[at as usize];
+        }
+        next.push(heads[b]);
+        heads[b] = position(reps.len());
+        reps.push(position(i));
+        nets.push(m);
     }
-    Ok(ds.into_iter().zip(rs).map(|(d, r)| (d as usize, r as usize)))
+    (reps, nets)
 }
 
 impl Delta {
-    /// Delta with the given schema and no rows.
-    pub fn empty(columns: Vec<String>) -> Self {
-        Delta { columns, rows: Vec::new() }
+    /// Delta with `schema`'s column names and types and no rows.
+    pub fn empty(schema: &Table) -> Self {
+        Delta { rows: schema.empty_like(), mult: Vec::new() }
     }
 
-    /// An all-insertions delta over `table`'s schema.
-    pub fn inserts(table: &Table, rows: Vec<Vec<Value>>) -> Self {
-        Delta {
-            columns: table.column_names().to_vec(),
-            rows: rows.into_iter().map(|r| (r, 1)).collect(),
-        }
+    /// An all-insertions delta over `schema`'s column names and types. The
+    /// rows are converted once, a column at a time (strings moved); a wrong
+    /// arity or cell type errors with the first failing row's
+    /// [`Table::row_matches_schema`] detail.
+    pub fn inserts(schema: &Table, rows: Vec<Vec<Value>>) -> Result<Self, String> {
+        Delta::uniform(schema, rows, 1)
     }
 
-    /// An all-retractions delta over `table`'s schema.
-    pub fn deletes(table: &Table, rows: Vec<Vec<Value>>) -> Self {
-        Delta {
-            columns: table.column_names().to_vec(),
-            rows: rows.into_iter().map(|r| (r, -1)).collect(),
-        }
+    /// An all-retractions delta over `schema`'s column names and types,
+    /// converted and checked as [`Delta::inserts`] does.
+    pub fn deletes(schema: &Table, rows: Vec<Vec<Value>>) -> Result<Self, String> {
+        Delta::uniform(schema, rows, -1)
     }
 
-    /// Whether every multiplicity nets to zero.
+    fn uniform(schema: &Table, rows: Vec<Vec<Value>>, n: i64) -> Result<Self, String> {
+        let mult = vec![n; rows.len()];
+        Ok(Delta { rows: Table::from_rows(schema, rows)?, mult })
+    }
+
+    /// Column names, in order.
+    pub fn columns(&self) -> &[String] {
+        self.rows.column_names()
+    }
+
+    /// Rows listed, before netting.
+    pub fn num_rows(&self) -> usize {
+        self.rows.num_rows()
+    }
+
+    /// Whether every distinct row's multiplicities net to zero. A delta
+    /// whose multiplicities share one sign is checked without hashing.
     pub fn is_empty(&self) -> bool {
-        self.rows.iter().all(|(_, n)| *n == 0)
+        if self.mult.iter().all(|&n| n >= 0) || self.mult.iter().all(|&n| n <= 0) {
+            return self.mult.iter().all(|&n| n == 0);
+        }
+        let (_, nets) = net(&self.rows, &self.mult, &row_hashes(&self.rows));
+        nets.iter().all(|&n| n == 0)
     }
 
-    /// Net number of inserted (positive) and retracted (negative) copies.
+    /// Inserted (positive) and retracted (negative) copies, summed row by
+    /// row without netting.
     pub fn counts(&self) -> (i64, i64) {
         let mut ins = 0;
         let mut del = 0;
-        for (_, n) in &self.rows {
-            if *n > 0 {
+        for &n in &self.mult {
+            if n > 0 {
                 ins += n;
             } else {
                 del -= n;
@@ -318,143 +329,115 @@ impl Delta {
 
     /// The inverse delta: applying `d` then `d.negated()` is the identity.
     pub fn negated(&self) -> Delta {
-        Delta {
-            columns: self.columns.clone(),
-            rows: self.rows.iter().map(|(r, n)| (r.clone(), -n)).collect(),
-        }
-    }
-
-    /// Column `i` as a typed column of the first row's cell type; a delta
-    /// mixing cell types in one column matches no table schema.
-    fn column(&self, i: usize) -> Result<Column, IvmError> {
-        let mut cells = self.rows.iter().map(|(row, _)| &row[i]).peekable();
-        let mut column = match cells.peek() {
-            None | Some(Value::Int(_)) => Column::Int(Vec::new()),
-            Some(Value::Float(_)) => Column::Float(Vec::new()),
-            Some(Value::Str(_)) => Column::Str(Vec::new()),
-        };
-        match cells.find(|v| !column.push(v)) {
-            None => Ok(column),
-            Some(v) => Err(IvmError::SchemaMismatch {
-                table: "<delta>".into(),
-                detail: format!("column {} mixes cell types at {v}", self.columns[i]),
-            }),
-        }
+        Delta { rows: self.rows.clone(), mult: self.mult.iter().map(|n| -n).collect() }
     }
 
     fn col_index(&self, name: &str) -> Result<usize, IvmError> {
-        self.columns
-            .iter()
-            .position(|c| c == name)
-            .ok_or_else(|| IvmError::MissingColumn(name.to_owned()))
+        self.rows.column_index(name).ok_or_else(|| IvmError::MissingColumn(name.to_owned()))
+    }
+
+    /// The rows `rows` (a set whose source 0 is this delta's table) selects,
+    /// each with its multiplicity.
+    fn picked(&self, rows: &RowSet<'_>) -> Delta {
+        Delta { rows: rows.gather(), mult: rows.gather_slice(0, &self.mult) }
+    }
+
+    /// The rows whose cell in `column` equals `constant` under the
+    /// executor's filter.
+    fn filtered(&self, column: &str, constant: &Value) -> Result<Delta, IvmError> {
+        let column = self.col_index(column)?;
+        let mut rows = RowSet::scan(&self.rows);
+        rows.filter(ColRef { source: 0, column }, constant);
+        Ok(self.picked(&rows))
     }
 
     /// Δσ: keeps delta rows whose cell matches the integer constant through
     /// [`Value::as_i64`] — exactly the executable `SelectEq` predicate.
     pub fn select_eq(&self, column: &str, value: i64) -> Result<Delta, IvmError> {
-        let i = self.col_index(column)?;
-        Ok(Delta {
-            columns: self.columns.clone(),
-            rows: self
-                .rows
-                .iter()
-                .filter(|(r, _)| r[i].as_i64() == Some(value))
-                .cloned()
-                .collect(),
-        })
+        self.filtered(column, &Value::Int(value))
     }
 
     /// Δσ on a string column: `Str` cells only, verbatim equality.
     pub fn select_str_eq(&self, column: &str, value: &str) -> Result<Delta, IvmError> {
-        let i = self.col_index(column)?;
-        Ok(Delta {
-            columns: self.columns.clone(),
-            rows: self
-                .rows
-                .iter()
-                .filter(|(r, _)| matches!(&r[i], Value::Str(s) if s == value))
-                .cloned()
-                .collect(),
-        })
+        self.filtered(column, &Value::Str(value.to_owned()))
     }
 
     /// Δπ: projects every row to the named columns; multiplicities ride
     /// along unchanged (bag projection never deduplicates).
     pub fn project(&self, columns: &[String]) -> Result<Delta, IvmError> {
-        let idx: Vec<usize> =
-            columns.iter().map(|c| self.col_index(c)).collect::<Result<_, _>>()?;
-        Ok(Delta {
-            columns: columns.to_vec(),
-            rows: self
-                .rows
-                .iter()
-                .map(|(r, n)| (idx.iter().map(|&i| r[i].clone()).collect(), *n))
-                .collect(),
-        })
+        let mut rows = RowSet::scan(&self.rows);
+        rows.project(columns).map_err(IvmError::MissingColumn)?;
+        Ok(self.picked(&rows))
     }
 
-    /// ΔL ⋈ R: joins every delta row against the (full) right table.
-    /// Multiplicities multiply — table rows count 1 each, so each match
-    /// inherits the delta row's signed count. An empty delta reads no row
-    /// of `right`.
+    /// ΔL ⋈ R: joins every delta row against the (full) right relation —
+    /// a catalog's [`crate::Catalog::scan`], whose column indexes the join
+    /// may read through, or a [`RowSet::scan`] of a table. Multiplicities
+    /// multiply — table rows count 1 each, so each match inherits the delta
+    /// row's signed count. Output is in delta order; an empty delta reads
+    /// no row of `right`.
     pub fn join_right(
         &self,
-        right: &Table,
+        right: RowSet<'_>,
         left_key: &str,
         right_key: &str,
     ) -> Result<Delta, IvmError> {
-        let lk = self.col_index(left_key)?;
+        let column = self.col_index(left_key)?;
         let rk = right
-            .column_index(right_key)
+            .column_names()
+            .iter()
+            .position(|n| n == right_key)
             .ok_or_else(|| IvmError::MissingColumn(right_key.to_owned()))?;
-        let (columns, kept) = joined_columns(&self.columns, right.column_names(), right_key);
-        let rows = matches(right, rk, self, lk)?
-            .map(|(d, r)| {
-                let (row, n) = &self.rows[d];
-                let mut out = row.clone();
-                out.extend(kept.iter().map(|&i| right.column_at(i).value(r)));
-                (out, *n)
-            })
-            .collect();
-        Ok(Delta { columns, rows })
+        let mut rows = RowSet::scan(&self.rows);
+        let read = rows.hash_join_reading(ColRef { source: 0, column }, right, rk);
+        ROWS_EXAMINED.add(read as u64);
+        Ok(self.picked(&rows))
     }
 
     /// L ⋈ ΔR: joins the (full, *pre-update*) left table against a delta of
-    /// the right table. Output schema matches [`Delta::join_right`] — the
-    /// two halves of Δ(L ⋈ R) concatenate by [`Delta::merge`]. An empty
-    /// delta reads no row of `left`.
+    /// the right table, the delta driving the join as its left source and
+    /// `left`'s column indexes serving it. Output schema matches
+    /// [`Delta::join_right`] — the two halves of Δ(L ⋈ R) concatenate by
+    /// [`Delta::merge`] — and output is in delta order, table order within
+    /// one delta row. An empty delta reads no row of `left`.
     pub fn join_left(
-        left: &Table,
+        left: &IndexedTable,
         right_delta: &Delta,
         left_key: &str,
         right_key: &str,
     ) -> Result<Delta, IvmError> {
-        let lk = left
+        let table = left.table();
+        let lk = table
             .column_index(left_key)
             .ok_or_else(|| IvmError::MissingColumn(left_key.to_owned()))?;
         let rk = right_delta.col_index(right_key)?;
-        let (columns, kept) =
-            joined_columns(left.column_names(), &right_delta.columns, right_key);
-        let rows = matches(left, lk, right_delta, rk)?
-            .map(|(d, l)| {
-                let (drow, n) = &right_delta.rows[d];
-                let mut out = left.row(l);
-                out.extend(kept.iter().map(|&i| drow[i].clone()));
-                (out, *n)
-            })
-            .collect();
-        Ok(Delta { columns, rows })
+        let (names, kept) =
+            joined_columns(table.column_names(), right_delta.columns(), right_key);
+        let mut rows = RowSet::scan(&right_delta.rows);
+        let (base, read) = rows.join_reading(
+            ColRef { source: 0, column: rk },
+            RowSet::scan_entry(left),
+            ColRef { source: 0, column: lk },
+        );
+        ROWS_EXAMINED.add(read as u64);
+        // Today's column order: the stored side's columns, then the delta's.
+        let cells = (0..table.num_cols())
+            .map(|column| ColRef { source: base, column })
+            .chain(kept.into_iter().map(|column| ColRef { source: 0, column }));
+        let head = names.iter().map(String::as_str).zip(cells.map(Out::Cell)).collect();
+        Ok(Delta { rows: rows.gather_as(head), mult: rows.gather_slice(0, &right_delta.mult) })
     }
 
-    /// Concatenates another delta over the same schema.
+    /// Appends another delta over the same schema, column by column.
     pub fn merge(&mut self, other: Delta) -> Result<(), IvmError> {
-        if self.columns != other.columns {
+        if let Some(detail) = self.rows.schema_mismatch(&other.rows) {
             return Err(IvmError::SchemaMismatch {
                 table: "<delta>".into(),
-                detail: format!("merge of {:?} with {:?}", self.columns, other.columns),
+                detail: format!("merge of {detail}"),
             });
         }
-        self.rows.extend(other.rows);
+        self.rows.append(other.rows);
+        self.mult.extend(other.mult);
         Ok(())
     }
 }
@@ -464,12 +447,13 @@ impl Delta {
 /// re-insertion of the same row cancel), then negative nets retract
 /// matching rows (erroring — before any mutation — if the table holds too
 /// few copies) and positive nets append. Returns `(inserted, deleted)` row
-/// counts.
+/// counts; `(0, 0)` means the table is untouched.
 ///
-/// Row order: insertions append, then each retracted row is replaced by
-/// the table's then-last row — so surviving rows do **not** keep their
-/// relative order after a delete, and a batch that both inserts and
-/// retracts overwrites retracted rows with inserted ones.
+/// Row order: insertions append (each distinct row's copies together, in
+/// order of first occurrence in the delta), then each retracted row is
+/// replaced by the table's then-last row — so surviving rows do **not**
+/// keep their relative order after a delete, and a batch that both inserts
+/// and retracts overwrites retracted rows with inserted ones.
 ///
 /// This index-less form builds a throw-away row index when the delta
 /// retracts anything — O(|table|). Owners of a long-lived mutable table
@@ -492,85 +476,66 @@ pub(crate) fn apply_delta_indexed(
     delta: &Delta,
     name: &str,
 ) -> Result<(usize, usize), IvmError> {
-    if delta.columns != table.column_names() {
-        return Err(IvmError::SchemaMismatch {
-            table: name.to_owned(),
-            detail: format!(
-                "delta columns {:?} vs table columns {:?}",
-                delta.columns,
-                table.column_names()
-            ),
-        });
+    let mismatch = |detail| IvmError::SchemaMismatch { table: name.to_owned(), detail };
+    let rows = &delta.rows;
+    if rows.column_names() != table.column_names() {
+        return Err(mismatch(format!(
+            "delta columns {:?} vs table columns {:?}",
+            rows.column_names(),
+            table.column_names()
+        )));
     }
-    // Net multiplicity per distinct row (first occurrence is the
-    // representative): bucketed by row hash, disambiguated exactly.
-    let mut net: Vec<(&Vec<Value>, u64, i64)> = Vec::new();
-    let mut by_hash: HashMap<u64, Vec<usize>> = HashMap::new();
-    for (row, n) in &delta.rows {
-        let hash = row_hash(row);
-        let bucket = by_hash.entry(hash).or_default();
-        match bucket.iter().find(|&&i| rows_identical(net[i].0, row)) {
-            Some(&i) => net[i].2 += n,
-            None => {
-                bucket.push(net.len());
-                net.push((row, hash, *n));
-            }
-        }
+    // One type check per column: from here on every cell fits.
+    if let Some(detail) = rows.schema_mismatch(table) {
+        return Err(mismatch(format!("delta {detail} in the table")));
     }
-
-    // Pre-validate insert types so the whole application is atomic.
-    for (row, _, n) in &net {
-        if *n > 0 {
-            table.row_matches_schema(row).map_err(|detail| IvmError::SchemaMismatch {
-                table: name.to_owned(),
-                detail,
-            })?;
-        }
-    }
+    let hashes = row_hashes(rows);
+    let (reps, nets) = net(rows, &delta.mult, &hashes);
+    let wanted = |n: i64| usize::try_from(n.unsigned_abs()).unwrap_or(usize::MAX);
 
     // Retractions, step one: locate |n| copies of each negative-net row
     // through the index — all of them before the first mutation, so an
     // underflow leaves the table untouched.
-    let mut doomed: Vec<(u32, u64)> = Vec::new();
-    if net.iter().any(|(_, _, n)| *n < 0) {
+    let total = |sign: i64| {
+        let of_sign = nets.iter().filter(|&&n| n.signum() == sign);
+        of_sign.fold(0usize, |sum, &n| sum.saturating_add(wanted(n)))
+    };
+    let retracted = total(-1);
+    let mut doomed: Vec<(u32, u64)> = Vec::with_capacity(retracted.min(table.num_rows()));
+    if retracted > 0 {
         let idx = index.get_or_insert_with(|| RowIndex::build(table));
         let mut examined = 0;
-        for (row, hash, n) in &net {
-            if *n < 0 {
-                let want = usize::try_from(n.unsigned_abs()).unwrap_or(usize::MAX);
-                let before = doomed.len();
-                examined += idx.find(table, *hash, row, want, &mut doomed);
-                let found = doomed.len() - before;
-                if found < want {
-                    return Err(IvmError::MissingRow {
-                        table: name.to_owned(),
-                        row: format!(
-                            "{} ({} unmatched retractions)",
-                            row_key(row),
-                            n.unsigned_abs() - found as u64
-                        ),
-                    });
-                }
+        for (&rep, &n) in reps.iter().zip(&nets).filter(|(_, &n)| n < 0) {
+            let (rep, want) = (rep as usize, wanted(n));
+            let before = doomed.len();
+            examined += idx.find(table, (rows, rep, hashes[rep]), want, &mut doomed);
+            let found = doomed.len() - before;
+            if found < want {
+                return Err(IvmError::MissingRow {
+                    table: name.to_owned(),
+                    row: format!(
+                        "{} ({} unmatched retractions)",
+                        row_key(&rows.row(rep)),
+                        n.unsigned_abs() - found as u64
+                    ),
+                });
             }
         }
         // Every delete also reads the row it relocates.
         ROWS_EXAMINED.add((examined + doomed.len()) as u64);
     }
 
-    // Insertions: append n copies of each positive-net row. Appending
-    // moves nothing, so the located positions stay valid.
-    let mut inserted = 0usize;
-    for (row, hash, n) in &net {
-        for _ in 0..*n {
-            table.push_row(row).map_err(|detail| IvmError::SchemaMismatch {
-                table: name.to_owned(),
-                detail,
-            })?;
-            if let Some(idx) = index.as_mut() {
-                idx.push(table, *hash);
-            }
-            inserted += 1;
-        }
+    // Insertions: n copies of each positive-net row, appended a column at a
+    // time, then linked into the index in one pass. Appending moves
+    // nothing, so the located positions stay valid.
+    let inserted = total(1);
+    let mut appended = Vec::with_capacity(inserted);
+    for (&rep, &n) in reps.iter().zip(&nets).filter(|(_, &n)| n > 0) {
+        appended.extend(std::iter::repeat_n(rep, wanted(n)));
+    }
+    table.append_gathered(rows, &appended);
+    if let Some(idx) = index.as_mut() {
+        idx.extend(table, appended.iter().map(|&r| hashes[r as usize]));
     }
 
     // Retractions, step two: delete highest position first, so the row
@@ -632,7 +597,6 @@ impl UpdateLog {
 mod tests {
     use super::*;
     use crate::ops;
-    use crate::table::Column;
 
     fn users() -> Table {
         Table::new(vec![
@@ -648,26 +612,56 @@ mod tests {
         ])
     }
 
+    /// A delta over `schema` listing `rows` with multiplicities `mult`.
+    fn signed(schema: &Table, rows: Vec<Vec<Value>>, mult: &[i64]) -> Delta {
+        let mut d = Delta::inserts(schema, rows).unwrap();
+        d.mult = mult.to_vec();
+        d
+    }
+
+    /// `(multiplicity, row_key)` of every row, sorted: a delta as a bag.
+    fn bag(d: &Delta) -> Vec<String> {
+        let mut keys: Vec<String> = (0..d.num_rows())
+            .map(|r| format!("{:+} {}", d.mult[r], row_key(&d.rows.row(r))))
+            .collect();
+        keys.sort();
+        keys
+    }
+
     #[test]
     fn select_delta_mirrors_executable_predicate() {
         let d = Delta::inserts(
             &users(),
             vec![vec![Value::Int(1), Value::Int(5)], vec![Value::Int(9), Value::Int(7)]],
-        );
+        )
+        .unwrap();
         let s = d.select_eq("id", 1).unwrap();
-        assert_eq!(s.rows.len(), 1);
-        assert_eq!(s.rows[0].0[1], Value::Int(5));
+        assert_eq!(s.num_rows(), 1);
+        assert_eq!(s.rows.value(0, "followers"), Value::Int(5));
+        assert_eq!(s.mult, [1]);
         // Missing column errors instead of silently passing everything.
         assert!(d.select_eq("nope", 1).is_err());
+        // Integral floats match an integer, strings never do; strings match
+        // strings verbatim.
+        let mixed = Table::new(vec![("f", Column::Float(vec![])), ("s", Column::Str(vec![]))]);
+        let row = |f: f64, s: &str| vec![Value::Float(f), Value::Str(s.into())];
+        let d = signed(&mixed, vec![row(1.0, "1"), row(1.5, "a"), row(-0.0, "1")], &[2, -1, 3]);
+        assert_eq!(d.select_eq("f", 1).unwrap().mult, [2]);
+        assert_eq!(d.select_eq("f", 0).unwrap().mult, [3]);
+        assert_eq!(d.select_eq("s", 1).unwrap().num_rows(), 0);
+        assert_eq!(d.select_str_eq("s", "1").unwrap().mult, [2, 3]);
+        assert_eq!(d.select_str_eq("f", "1").unwrap().num_rows(), 0);
     }
 
     #[test]
     fn project_delta_keeps_multiplicities() {
-        let mut d = Delta::inserts(&users(), vec![vec![Value::Int(1), Value::Int(5)]]);
-        d.rows[0].1 = 3;
+        let mut d = Delta::inserts(&users(), vec![vec![Value::Int(1), Value::Int(5)]]).unwrap();
+        d.mult[0] = 3;
         let p = d.project(&["followers".into()]).unwrap();
-        assert_eq!(p.columns, vec!["followers".to_string()]);
-        assert_eq!(p.rows, vec![(vec![Value::Int(5)], 3)]);
+        assert_eq!(p.columns(), ["followers".to_string()]);
+        assert_eq!(p.rows.row(0), [Value::Int(5)]);
+        assert_eq!(p.mult, [3]);
+        assert_eq!(d.project(&["nope".into()]), Err(IvmError::MissingColumn("nope".into())));
     }
 
     #[test]
@@ -677,28 +671,31 @@ mod tests {
         let d = Delta::inserts(
             &tweets(),
             vec![vec![Value::Int(200), Value::Int(1)], vec![Value::Int(201), Value::Int(7)]],
-        );
-        let j = d.join_right(&users(), "uid", "id").unwrap();
+        )
+        .unwrap();
+        let users = users();
+        let j = d.join_right(RowSet::scan(&users), "uid", "id").unwrap();
         assert_eq!(
-            j.columns,
-            vec!["tid".to_string(), "uid".to_string(), "followers".to_string()]
+            j.columns(),
+            ["tid".to_string(), "uid".to_string(), "followers".to_string()]
         );
         // uid 7 has no match and drops out.
-        assert_eq!(j.rows.len(), 1);
-        assert_eq!(j.rows[0], (vec![Value::Int(200), Value::Int(1), Value::Int(10)], 1));
+        assert_eq!(j.num_rows(), 1);
+        assert_eq!(j.rows.row(0), [Value::Int(200), Value::Int(1), Value::Int(10)]);
+        assert_eq!(j.mult, [1]);
     }
 
     #[test]
     fn join_left_matches_all_probe_rows() {
-        // A new user 1 arrives: both existing tweets by uid 1 join it.
-        let d = Delta::deletes(&users(), vec![vec![Value::Int(1), Value::Int(10)]]);
-        let j = Delta::join_left(&tweets(), &d, "uid", "id").unwrap();
-        assert_eq!(j.rows.len(), 2);
-        assert!(j.rows.iter().all(|(_, n)| *n == -1));
+        // User 1 leaves: both existing tweets by uid 1 join the retraction.
+        let d = Delta::deletes(&users(), vec![vec![Value::Int(1), Value::Int(10)]]).unwrap();
+        let j = Delta::join_left(&IndexedTable::new(tweets()), &d, "uid", "id").unwrap();
+        assert_eq!(j.mult, [-1, -1]);
         assert_eq!(
-            j.columns,
-            vec!["tid".to_string(), "uid".to_string(), "followers".to_string()]
+            j.columns(),
+            ["tid".to_string(), "uid".to_string(), "followers".to_string()]
         );
+        assert_eq!(j.rows.column("tid").unwrap(), &Column::Int(vec![100, 101]));
     }
 
     #[test]
@@ -707,92 +704,119 @@ mod tests {
         // ops::hash_join from scratch.
         let mut t_new = tweets();
         t_new.push_row(&[Value::Int(300), Value::Int(2)]).unwrap();
-        let d = Delta::inserts(&tweets(), vec![vec![Value::Int(300), Value::Int(2)]]);
-        let dj = d.join_right(&users(), "uid", "id").unwrap();
-        let mut joined = ops::hash_join(&tweets(), "uid", &users(), "id").unwrap();
+        let d = Delta::inserts(&tweets(), vec![vec![Value::Int(300), Value::Int(2)]]).unwrap();
+        let users = users();
+        let dj = d.join_right(RowSet::scan(&users), "uid", "id").unwrap();
+        let mut joined = ops::hash_join(&tweets(), "uid", &users, "id").unwrap();
         apply_delta(&mut joined, &dj, "joined").unwrap();
-        let full = ops::hash_join(&t_new, "uid", &users(), "id").unwrap();
+        let full = ops::hash_join(&t_new, "uid", &users, "id").unwrap();
         assert_eq!(
             ops::sort_by_int(&joined, "tid").unwrap(),
             ops::sort_by_int(&full, "tid").unwrap()
         );
     }
 
-    /// Both halves against `ops::hash_join` for every pairing of key types:
-    /// duplicate keys on both sides, integral and fractional float keys,
-    /// `NaN`, string keys (which join strings and never numbers), and a
-    /// signed delta.
+    /// Both halves against `ops::hash_join` for every pairing of key types,
+    /// from either side: duplicate keys on both sides, integral and
+    /// fractional float keys, both zeros, `NaN`, string keys (which join
+    /// strings and never numbers), and a signed delta. The stored side is
+    /// a plain scan and a catalog entry, three times each, so its column
+    /// index is built and then read; a stored side eight times the size
+    /// sends the one-row deltas through that index.
     #[test]
     fn join_halves_mirror_hash_join_on_float_and_duplicate_keys() {
         let strs = |v: &[&str]| Column::Str(v.iter().map(|s| (*s).to_owned()).collect());
         let left = Table::new(vec![
-            ("k", Column::Float(vec![1.0, 1.0, 2.5, 3.0, f64::NAN])),
-            ("a", Column::Int(vec![10, 11, 12, 13, 14])),
+            ("k", Column::Float(vec![1.0, 1.0, 2.5, 3.0, f64::NAN, -0.0])),
+            ("a", Column::Int(vec![10, 11, 12, 13, 14, 15])),
         ]);
         let right = Table::new(vec![
-            ("k", Column::Int(vec![1, 3, 3, 9])),
-            ("b", strs(&["p", "q", "r", "s"])),
+            ("k", Column::Int(vec![1, 3, 3, 9, 0])),
+            ("b", strs(&["p", "q", "r", "s", "t"])),
         ]);
         let fractional = Table::new(vec![
-            ("k", Column::Float(vec![2.5, f64::NAN, 1.0, 2.5])),
-            ("b", Column::Int(vec![20, 21, 22, 23])),
+            ("k", Column::Float(vec![2.5, f64::NAN, 1.0, 2.5, 0.0])),
+            ("b", Column::Int(vec![20, 21, 22, 23, 24])),
         ]);
         let names = Table::new(vec![
             ("k", strs(&["1", "x", "", "x"])),
             ("c", Column::Int(vec![30, 31, 32, 33])),
         ]);
-        let full =
-            |l: &Table, r: &Table| table_fingerprint(&ops::hash_join(l, "k", r, "k").unwrap());
-        let signed = |d: &Delta| {
-            let mut keys: Vec<String> =
-                d.rows.iter().map(|(r, n)| format!("{n:+} {}", row_key(r))).collect();
-            keys.sort();
-            keys
+        let tile = |t: &Table, times: usize| {
+            t.gather(&(0..times * t.num_rows()).map(|i| i % t.num_rows()).collect::<Vec<_>>())
         };
-        let plus = |fp: Vec<String>| -> Vec<String> {
-            fp.into_iter().map(|k| format!("+1 {k}")).collect()
+        let full = |l: &Table, r: &Table| {
+            let fp = table_fingerprint(&ops::hash_join(l, "k", r, "k").unwrap());
+            fp.into_iter().map(|k| format!("+1 {k}")).collect::<Vec<_>>()
         };
         let all = |t: &Table| Delta::inserts(t, (0..t.num_rows()).map(|r| t.row(r)).collect());
+        let one = |t: &Table, r: usize| Delta::inserts(t, vec![t.row(r)]).unwrap();
 
         // ΔL ⋈ R for an all-insert ΔL is hash_join(ΔL as a table, R), and
         // L ⋈ ΔR likewise.
         let tables = [&left, &right, &fractional, &names];
         for l in tables {
             for r in tables {
-                let want = plus(full(l, r));
-                assert_eq!(signed(&all(l).join_right(r, "k", "k").unwrap()), want);
-                assert_eq!(signed(&Delta::join_left(l, &all(r), "k", "k").unwrap()), want);
+                let want = full(l, r);
+                let le = IndexedTable::new(l.clone());
+                let mut cat = crate::Catalog::new();
+                cat.register("r", r.clone());
+                for _ in 0..3 {
+                    let dl = all(l).unwrap();
+                    assert_eq!(bag(&dl.join_right(RowSet::scan(r), "k", "k").unwrap()), want);
+                    assert_eq!(
+                        bag(&dl.join_right(cat.scan("r").unwrap(), "k", "k").unwrap()),
+                        want
+                    );
+                    let dr = all(r).unwrap();
+                    assert_eq!(bag(&Delta::join_left(&le, &dr, "k", "k").unwrap()), want);
+                }
+                // One delta row against eight copies of the stored side.
+                let (big_l, big_r) = (tile(l, 8), tile(r, 8));
+                let (ble, mut bcat) = (IndexedTable::new(big_l.clone()), crate::Catalog::new());
+                bcat.register("r", big_r.clone());
+                for run in 0..3 {
+                    for i in 0..l.num_rows() {
+                        let got = one(l, i).join_right(bcat.scan("r").unwrap(), "k", "k");
+                        let alone = l.gather(&[i]);
+                        assert_eq!(bag(&got.unwrap()), full(&alone, &big_r), "run {run}");
+                    }
+                    for j in 0..r.num_rows() {
+                        let got = Delta::join_left(&ble, &one(r, j), "k", "k");
+                        let alone = r.gather(&[j]);
+                        assert_eq!(bag(&got.unwrap()), full(&big_l, &alone), "run {run}");
+                    }
+                }
             }
         }
-        // 2.5 = 2.5 twice, NaN = NaN, 1.0 = 1.0 twice; "x" = "x" both ways;
-        // "1" is not 1.
-        assert_eq!(full(&left, &fractional).len(), 5);
+        // 2.5 = 2.5 twice, NaN = NaN, 1.0 = 1.0 twice, -0.0 = 0.0; "x" = "x"
+        // both ways; "1" is not 1.
+        assert_eq!(full(&left, &fractional).len(), 6);
+        assert_eq!(full(&left, &right).len(), 5);
         assert_eq!(full(&names, &names).len(), 6);
         assert!(full(&names, &right).is_empty() && full(&right, &names).is_empty());
 
         // Matches come back in delta order, table order within a row.
-        let got = all(&left).join_right(&right, "k", "k").unwrap();
-        let a_col: Vec<_> = got.rows.iter().map(|(r, _)| r[1].clone()).collect();
-        assert_eq!(a_col, [10, 11, 13, 13].map(Value::Int));
+        let got = all(&left).unwrap().join_right(RowSet::scan(&right), "k", "k").unwrap();
+        assert_eq!(got.rows.column("a").unwrap(), &Column::Int(vec![10, 11, 13, 13, 15]));
+        let got =
+            Delta::join_left(&IndexedTable::new(left.clone()), &all(&right).unwrap(), "k", "k")
+                .unwrap();
+        assert_eq!(got.rows.column("b").unwrap(), &strs(&["p", "p", "q", "r", "t"]));
 
         // A retraction riding along: key 1 matches two left rows (+1 each),
         // key 3 one (-2 and +1).
-        let mut dr = all(&right);
-        dr.rows[1].1 = -2;
-        let got = Delta::join_left(&left, &dr, "k", "k").unwrap();
-        assert_eq!(got.rows.iter().map(|(_, n)| *n).sum::<i64>(), 1);
-
-        // A delta no table could hold is refused, not guessed at.
-        dr.rows[0].0[0] = Value::Str("1".into());
-        assert!(matches!(dr.join_right(&left, "k", "k"), Err(IvmError::SchemaMismatch { .. })));
+        let mut dr = all(&right).unwrap();
+        dr.mult[1] = -2;
+        let got = Delta::join_left(&IndexedTable::new(left.clone()), &dr, "k", "k").unwrap();
+        assert_eq!(got.mult, [1, 1, -2, 1, 1]);
     }
 
     #[test]
     fn apply_delta_counts_retract_duplicates_exactly() {
         let mut t = Table::new(vec![("v", Column::Int(vec![7, 7, 7, 8]))]);
         // Retract two of the three 7s.
-        let mut d = Delta::deletes(&t, vec![vec![Value::Int(7)]]);
-        d.rows[0].1 = -2;
+        let d = signed(&t, vec![vec![Value::Int(7)]], &[-2]);
         let (ins, del) = apply_delta(&mut t, &d, "t").unwrap();
         assert_eq!((ins, del), (0, 2));
         assert_eq!(t.num_rows(), 2);
@@ -804,36 +828,74 @@ mod tests {
     #[test]
     fn apply_delta_nets_out_cancelling_rows() {
         let mut t = Table::new(vec![("v", Column::Int(vec![1]))]);
-        let d = Delta {
-            columns: vec!["v".into()],
-            rows: vec![(vec![Value::Int(2)], 1), (vec![Value::Int(2)], -1)],
-        };
-        apply_delta(&mut t, &d, "t").unwrap();
+        let d = signed(&t, vec![vec![Value::Int(2)], vec![Value::Int(2)]], &[1, -1]);
+        assert!(d.is_empty());
+        assert_eq!(apply_delta(&mut t, &d, "t"), Ok((0, 0)));
         assert_eq!(t.num_rows(), 1);
+    }
+
+    /// Emptiness nets per distinct row, under bitwise identity.
+    #[test]
+    fn is_empty_nets_per_distinct_row() {
+        let t = Table::new(vec![("v", Column::Float(vec![]))]);
+        let f = |v: &[f64]| v.iter().map(|&x| vec![Value::Float(x)]).collect::<Vec<_>>();
+        assert!(signed(&t, f(&[1.0, 2.0, 1.0, 2.0]), &[1, 1, -1, -1]).is_empty());
+        assert!(signed(&t, f(&[f64::NAN, f64::NAN]), &[2, -2]).is_empty());
+        assert!(signed(&t, f(&[1.0]), &[0]).is_empty());
+        assert!(Delta::empty(&t).is_empty());
+        assert!(!signed(&t, f(&[1.0, 1.0, 2.0]), &[1, -1, 1]).is_empty());
+        assert!(!signed(&t, f(&[-0.0, 0.0]), &[1, -1]).is_empty());
+        assert!(!signed(&t, f(&[3.0, 3.0]), &[-1, -1]).is_empty());
     }
 
     #[test]
     fn apply_delta_underflow_is_an_error_and_atomic() {
         let mut t = Table::new(vec![("v", Column::Int(vec![1, 2]))]);
-        let mut d = Delta::deletes(&t, vec![vec![Value::Int(2)]]);
-        d.rows[0].1 = -3; // only one copy present
-        d.rows.push((vec![Value::Int(9)], 1));
-        assert!(matches!(apply_delta(&mut t, &d, "t"), Err(IvmError::MissingRow { .. })));
+        // Only one copy of 2 is present.
+        let d = signed(&t, vec![vec![Value::Int(2)], vec![Value::Int(9)]], &[-3, 1]);
+        assert_eq!(
+            apply_delta(&mut t, &d, "t"),
+            Err(IvmError::MissingRow {
+                table: "t".into(),
+                row: "i2; (2 unmatched retractions)".into()
+            })
+        );
         // Nothing was applied: the insert of 9 did not slip through.
-        assert_eq!(t.num_rows(), 2);
+        assert_eq!(t, Table::new(vec![("v", Column::Int(vec![1, 2]))]));
+    }
+
+    /// A delta whose columns or column types differ from the table's is
+    /// refused whole.
+    #[test]
+    fn apply_delta_checks_the_schema_once_per_column() {
+        let mut t = users();
+        let floats =
+            Table::new(vec![("id", Column::Int(vec![])), ("followers", Column::Float(vec![]))]);
+        let d = Delta::inserts(&floats, vec![vec![Value::Int(4), Value::Float(1.0)]]).unwrap();
+        let err = apply_delta(&mut t, &d, "u").unwrap_err();
+        assert_eq!(
+            err,
+            IvmError::SchemaMismatch {
+                table: "u".into(),
+                detail: "delta column followers is Float vs Int in the table".into()
+            }
+        );
+        let d = Delta::inserts(&tweets(), vec![vec![Value::Int(4), Value::Int(1)]]).unwrap();
+        assert!(matches!(apply_delta(&mut t, &d, "u"), Err(IvmError::SchemaMismatch { .. })));
+        assert_eq!(t, users());
+        let mut d = Delta::empty(&users());
+        assert!(matches!(d.merge(Delta::empty(&floats)), Err(IvmError::SchemaMismatch { .. })));
     }
 
     #[test]
     fn negated_roundtrip_is_identity() {
         let orig = users();
         let mut t = users();
-        let d = Delta {
-            columns: t.column_names().to_vec(),
-            rows: vec![
-                (vec![Value::Int(4), Value::Int(40)], 2),
-                (vec![Value::Int(1), Value::Int(10)], -1),
-            ],
-        };
+        let d = signed(
+            &t,
+            vec![vec![Value::Int(4), Value::Int(40)], vec![Value::Int(1), Value::Int(10)]],
+            &[2, -1],
+        );
         apply_delta(&mut t, &d, "u").unwrap();
         assert_eq!(t.num_rows(), 4);
         apply_delta(&mut t, &d.negated(), "u").unwrap();
@@ -851,12 +913,25 @@ mod tests {
         );
     }
 
+    /// The stable fingerprint's values are fixed: corpus hashes are built
+    /// from them.
+    #[test]
+    fn table_row_hashes_are_pinned() {
+        let t = Table::new(vec![
+            ("i", Column::Int(vec![0, -1])),
+            ("f", Column::Float(vec![0.5, -0.0])),
+            ("s", Column::Str(vec!["".into(), "ab".into()])),
+        ]);
+        assert_eq!(table_row_hashes(&t), [0x86E4_1528_E01C_140B, 0xAD4C_79EA_C5B8_B7FF]);
+    }
+
     #[test]
     fn update_log_drains_in_order_and_skips_empty() {
         let mut log = UpdateLog::default();
-        log.push("a", Delta::inserts(&users(), vec![vec![Value::Int(9), Value::Int(0)]]));
-        log.push("b", Delta::empty(vec!["x".into()]));
-        log.push("a", Delta::deletes(&users(), vec![vec![Value::Int(9), Value::Int(0)]]));
+        let row = || vec![vec![Value::Int(9), Value::Int(0)]];
+        log.push("a", Delta::inserts(&users(), row()).unwrap());
+        log.push("b", Delta::empty(&users()));
+        log.push("a", Delta::deletes(&users(), row()).unwrap());
         assert_eq!(log.entries().len(), 2);
         let drained = log.drain();
         assert_eq!(drained.len(), 2);

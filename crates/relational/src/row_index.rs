@@ -6,11 +6,21 @@
 //! arrays — `heads` (bucket → first row position) and `next`/`prev` (row
 //! position → chain neighbours) — at most 16 bytes per row, with no stored
 //! hashes or keys: a chain candidate is confirmed by comparing the table row
-//! itself. Duplicate rows simply share a chain. Deleting row `p` unlinks it
-//! and moves the table's last row into `p` (per-column swap-remove),
-//! patching that row's two neighbours; the doubly linked chains make both
-//! steps O(1) however many duplicates a chain holds. It is built lazily by
-//! the first retraction and kept in sync by every later insert and delete.
+//! itself, column by typed column (`rows_identical`: bitwise, so `NaN` is
+//! itself and `-0.0` is not `0.0`). Duplicate rows simply share a chain.
+//! Deleting row `p` unlinks it and moves the table's last row into `p`
+//! (per-column swap-remove), patching that row's two neighbours; the doubly
+//! linked chains make both steps O(1) however many duplicates a chain
+//! holds. It is built lazily by the first retraction; a batch's insertions
+//! are appended a column at a time and then linked in one pass (or the
+//! index is rebuilt, once, when they outgrow its buckets).
+//!
+//! The index keys on the update path's own row hash (`row_hashes`): one
+//! word per cell, folded in a typed pass per column — the same hash that
+//! nets a delta's multiplicities before it is applied. It is not
+//! [`crate::ivm::table_row_hashes`], the byte-wise FNV fingerprint whose
+//! values are fixed because corpus hashes are built from them: that one
+//! stays as it is, and off the update path.
 //!
 //! **Column indexes** (`ColumnIndex`): one equality index per column, so
 //! that a selection or a join against a catalog table reads the rows it
@@ -33,19 +43,80 @@
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::OnceLock;
 
-use crate::ivm::{
-    apply_delta_indexed, table_row_hash, table_row_hashes, Delta, IvmError, ROWS_EXAMINED,
-};
-use crate::table::{Table, Value};
+use crate::ivm::{apply_delta_indexed, Delta, IvmError, ROWS_EXAMINED};
+use crate::table::{Column, Table};
 
 pub(crate) const NIL: u32 = u32::MAX;
 /// 2^64 / φ: multiplicative (Fibonacci) hashing takes the *top* bits of the
 /// product, which depend on every bit of the hashed word.
 pub(crate) const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
 pub(crate) const MIN_BUCKETS: usize = 8;
+/// The row hash's per-word multiplier (FxHash's): odd, with its set bits
+/// spread over the whole word.
+const MIX: u64 = 0x517C_C1B7_2722_0A95;
 
-/// Chained hash index over the rows of one table, keyed by
-/// [`crate::ivm::row_hash`]. Positions are `u32`; chains are doubly linked.
+fn mix(h: u64, word: u64) -> u64 {
+    (h.rotate_left(5) ^ word).wrapping_mul(MIX)
+}
+
+/// A string as one word: its length, then its bytes eight at a time.
+fn str_word(s: &str) -> u64 {
+    let mut chunks = s.as_bytes().chunks_exact(8);
+    let mut h = s.len() as u64;
+    for chunk in &mut chunks {
+        h = mix(h, u64::from_le_bytes(chunk.try_into().expect("an 8-byte chunk")));
+    }
+    let rest = chunks.remainder();
+    if !rest.is_empty() {
+        let mut word = [0u8; 8];
+        word[..rest.len()].copy_from_slice(rest);
+        h = mix(h, u64::from_le_bytes(word));
+    }
+    h
+}
+
+/// The update path's row hash of every row of `t`, one typed pass per
+/// column: a row's cells folded one word each (an `Int` as itself, a
+/// `Float` by bit pattern, a `Str` through [`str_word`]). Equal under
+/// [`rows_identical`] means equal hash. No type tag is mixed in: the rows
+/// it compares always share one schema.
+pub(crate) fn row_hashes(t: &Table) -> Vec<u64> {
+    let mut hashes = vec![0; t.num_rows()];
+    for c in 0..t.num_cols() {
+        let cells = hashes.iter_mut();
+        match t.column_at(c) {
+            Column::Int(v) => cells.zip(v).for_each(|(h, x)| *h = mix(*h, *x as u64)),
+            Column::Float(v) => cells.zip(v).for_each(|(h, x)| *h = mix(*h, x.to_bits())),
+            Column::Str(v) => cells.zip(v).for_each(|(h, x)| *h = mix(*h, str_word(x))),
+        }
+    }
+    hashes
+}
+
+/// [`row_hashes`] of row `r` alone.
+pub(crate) fn row_hash(t: &Table, r: usize) -> u64 {
+    (0..t.num_cols()).fold(0, |h, c| match t.column_at(c) {
+        Column::Int(v) => mix(h, v[r] as u64),
+        Column::Float(v) => mix(h, v[r].to_bits()),
+        Column::Str(v) => mix(h, str_word(&v[r])),
+    })
+}
+
+/// Whether row `i` of `a` and row `j` of `b` (tables of one schema) are the
+/// same row, cell for cell and bit for bit: `NaN` is itself, `-0.0` is not
+/// `0.0` — the identity a multiset of rows counts by, which [`row_hashes`]
+/// and [`crate::ivm::row_key`] induce too.
+pub(crate) fn rows_identical(a: &Table, i: usize, b: &Table, j: usize) -> bool {
+    (0..a.num_cols()).all(|c| match (a.column_at(c), b.column_at(c)) {
+        (Column::Int(x), Column::Int(y)) => x[i] == y[j],
+        (Column::Float(x), Column::Float(y)) => x[i].to_bits() == y[j].to_bits(),
+        (Column::Str(x), Column::Str(y)) => x[i] == y[j],
+        _ => false,
+    })
+}
+
+/// Chained hash index over the rows of one table, keyed by [`row_hashes`].
+/// Positions are `u32`; chains are doubly linked.
 #[derive(Debug)]
 pub(crate) struct RowIndex {
     /// Bucket → position of the first row in its chain, or `NIL`.
@@ -77,7 +148,7 @@ impl RowIndex {
             prev: Vec::with_capacity(rows),
             shift: 64 - buckets.trailing_zeros(),
         };
-        for h in table_row_hashes(table) {
+        for h in row_hashes(table) {
             index.link(h);
         }
         index
@@ -101,26 +172,25 @@ impl RowIndex {
         self.heads[b] = pos;
     }
 
-    /// Indexes the row `table` just gained through `push_row` (its last),
-    /// whose hash is `hash`. Doubles the bucket array when chains would
-    /// average more than one row.
-    pub(crate) fn push(&mut self, table: &Table, hash: u64) {
-        debug_assert_eq!(self.next.len() + 1, table.num_rows());
-        if self.next.len() >= self.heads.len() {
+    /// Indexes the rows `table` just gained at its end, whose hashes are
+    /// `hashes`, in one pass — or rebuilds the index, bucket array grown,
+    /// when chains would average more than one row.
+    pub(crate) fn extend(&mut self, table: &Table, hashes: impl ExactSizeIterator<Item = u64>) {
+        debug_assert_eq!(self.next.len() + hashes.len(), table.num_rows());
+        if table.num_rows() > self.heads.len() {
             *self = RowIndex::build(table);
         } else {
-            self.link(hash);
+            hashes.for_each(|h| self.link(h));
         }
     }
 
     /// Appends to `out` the `(position, hash)` of up to `want` rows identical
-    /// to `row` (whose hash is `hash`); returns how many chain candidates
-    /// were compared.
+    /// to row `row` of `of` (whose hash is `hash`); returns how many chain
+    /// candidates were compared.
     pub(crate) fn find(
         &self,
         table: &Table,
-        hash: u64,
-        row: &[Value],
+        (of, row, hash): (&Table, usize, u64),
         want: usize,
         out: &mut Vec<(u32, u64)>,
     ) -> usize {
@@ -129,7 +199,7 @@ impl RowIndex {
         let mut pos = self.heads[self.bucket(hash)];
         while pos != NIL && out.len() < stop {
             examined += 1;
-            if table.row_eq(pos as usize, row) {
+            if rows_identical(table, pos as usize, of, row) {
                 out.push((pos, hash));
             }
             pos = self.next[pos as usize];
@@ -156,7 +226,7 @@ impl RowIndex {
             // The last row takes over `pos`: re-point its neighbours.
             let (p, n) = (self.prev[last as usize], self.next[last as usize]);
             if p == NIL {
-                let b = self.bucket(table_row_hash(table, last as usize));
+                let b = self.bucket(row_hash(table, last as usize));
                 self.heads[b] = pos;
             } else {
                 self.next[p as usize] = pos;
@@ -189,7 +259,7 @@ impl RowIndex {
         {
             return Err(format!("{} buckets with shift {}", self.heads.len(), self.shift));
         }
-        let hashes = table_row_hashes(table);
+        let hashes = row_hashes(table);
         let mut seen = vec![false; rows];
         for (b, &head) in self.heads.iter().enumerate() {
             let (mut before, mut pos) = (NIL, head);
@@ -349,11 +419,13 @@ impl IndexedTable {
     }
 
     /// [`crate::ivm::apply_delta`] through this table's row index: a batch
-    /// costs hash work proportional to the delta, not to the table. Every
-    /// column index goes, with its lookup count.
+    /// costs hash work proportional to the delta, not to the table. If it
+    /// changed a row, every column index goes, with its lookup count.
     pub fn apply(&mut self, delta: &Delta, name: &str) -> Result<(usize, usize), IvmError> {
         let applied = apply_delta_indexed(&mut self.table, &mut self.index, delta, name)?;
-        self.columns.iter_mut().for_each(|slot| *slot = ColumnSlot::default());
+        if applied != (0, 0) {
+            self.columns.iter_mut().for_each(|slot| *slot = ColumnSlot::default());
+        }
         Ok(applied)
     }
 
@@ -385,18 +457,21 @@ mod tests {
     use super::*;
     use crate::catalog::Catalog;
     use crate::ivm::{row_key, table_fingerprint};
-    use crate::table::Column;
+    use crate::table::Value;
 
     /// Column types of the model test's schemas: 'i', 'f' or 's' per column.
     const SCHEMAS: [&str; 4] = ["i", "ifs", "s", "ff"];
+    const P53: i64 = 1 << 53;
 
     /// A cell from a domain small enough that duplicate rows, cancelling
-    /// pairs and shared hash chains are the common case.
+    /// pairs and shared hash chains are the common case — with both zeros
+    /// (distinct rows), `NaN` (one row), and integers around 2⁵³ that a
+    /// float would round together.
     fn cell(rng: &mut Rng64, ty: char) -> Value {
         match ty {
-            'i' => Value::Int(rng.range_i64(0, 3)),
-            'f' => Value::Float([0.0, -0.0, f64::NAN, 1.5][rng.range_usize(4)]),
-            _ => Value::Str(["", "a", "ab"][rng.range_usize(3)].to_owned()),
+            'i' => Value::Int([0, 1, P53 - 1, P53, P53 + 1][rng.range_usize(5)]),
+            'f' => Value::Float([0.0, -0.0, f64::NAN, 1.5, P53 as f64][rng.range_usize(5)]),
+            _ => Value::Str(["", "a", "ab", "abcdefghi"][rng.range_usize(4)].to_owned()),
         }
     }
 
@@ -407,23 +482,30 @@ mod tests {
     fn table_of(schema: &str, rows: &[Vec<Value>]) -> Table {
         let names: Vec<String> = (0..schema.len()).map(|c| format!("c{c}")).collect();
         let columns = schema.chars().enumerate().map(|(c, ty)| {
-            let cells = rows.iter().map(|r| &r[c]);
-            let column = match ty {
-                'i' => Column::Int(cells.map(|v| v.as_i64().unwrap()).collect()),
-                'f' => Column::Float(cells.map(|v| v.as_f64().unwrap()).collect()),
-                _ => Column::Str(cells.map(ToString::to_string).collect()),
+            let empty = match ty {
+                'i' => Column::Int(Vec::new()),
+                'f' => Column::Float(Vec::new()),
+                _ => Column::Str(Vec::new()),
             };
-            (names[c].as_str(), column)
+            (names[c].as_str(), empty)
         });
-        Table::new(columns.collect())
+        Table::from_rows(&Table::new(columns.collect()), rows.to_vec()).unwrap()
     }
 
-    /// The naive reference: a `Vec` multiset. Nets the delta per distinct
+    /// A delta of `(row, multiplicity)` pairs over `schema`.
+    fn delta_of(schema: &Table, pairs: &[(Vec<Value>, i64)]) -> Delta {
+        let mut d =
+            Delta::inserts(schema, pairs.iter().map(|p| p.0.clone()).collect()).unwrap();
+        d.mult = pairs.iter().map(|p| p.1).collect();
+        d
+    }
+
+    /// The naive reference: a `Vec` multiset. Nets the pairs per distinct
     /// row, refuses (changing nothing) if any row would go negative, then
     /// removes and appends copies one at a time.
-    fn model_apply(model: &mut Vec<Vec<Value>>, delta: &Delta) -> bool {
+    fn model_apply(model: &mut Vec<Vec<Value>>, pairs: &[(Vec<Value>, i64)]) -> bool {
         let mut net: HashMap<String, (Vec<Value>, i64)> = HashMap::new();
-        for (r, n) in &delta.rows {
+        for (r, n) in pairs {
             net.entry(row_key(r)).or_insert_with(|| (r.clone(), 0)).1 += n;
         }
         let held = |model: &[Vec<Value>], k: &str| {
@@ -453,10 +535,11 @@ mod tests {
 
     /// Model-based property test: random interleavings of inserts, deletes
     /// of held rows, signed deltas with cancelling pairs and duplicates,
-    /// underflowing deletes and `register`-replace, over Int / Float (with
-    /// `NaN` and `-0.0`) / Str columns. After every step the indexed table
-    /// must be the same multiset as the naive model, errors must have
-    /// changed nothing, and the index invariant must hold.
+    /// underflowing deletes and `register`-replace, over Int (around 2⁵³) /
+    /// Float (with `NaN`, `0.0` and `-0.0` as distinct rows) / Str columns.
+    /// After every step the indexed table must be the same multiset as the
+    /// naive model, errors must have changed nothing, and the index
+    /// invariant must hold.
     #[test]
     fn model_random_interleavings_match_a_naive_multiset() {
         for seed in 0..16u64 {
@@ -467,17 +550,13 @@ mod tests {
             cat.register("t", table_of(schema, &model));
             for step in 0..60 {
                 let ctx = format!("seed {seed} step {step}");
-                let columns = cat.get("t").unwrap().column_names().to_vec();
                 match rng.range_usize(8) {
                     0..=2 => {
                         let rows: Vec<_> = (0..1 + rng.range_usize(6))
                             .map(|_| row(&mut rng, schema))
                             .collect();
-                        let delta = Delta {
-                            columns,
-                            rows: rows.iter().cloned().map(|r| (r, 1)).collect(),
-                        };
-                        assert!(model_apply(&mut model, &delta));
+                        let pairs: Vec<_> = rows.iter().cloned().map(|r| (r, 1)).collect();
+                        assert!(model_apply(&mut model, &pairs));
                         assert_eq!(cat.insert_rows("t", rows.clone()), Ok(rows.len()), "{ctx}");
                     }
                     3 | 4 if !model.is_empty() => {
@@ -488,29 +567,28 @@ mod tests {
                         let rows: Vec<_> = (0..k)
                             .map(|_| pool.swap_remove(rng.range_usize(pool.len())))
                             .collect();
-                        let delta = Delta {
-                            columns,
-                            rows: rows.iter().cloned().map(|r| (r, -1)).collect(),
-                        };
-                        assert!(model_apply(&mut model, &delta));
+                        let pairs: Vec<_> = rows.iter().cloned().map(|r| (r, -1)).collect();
+                        assert!(model_apply(&mut model, &pairs));
                         assert_eq!(cat.delete_rows("t", rows), Ok(k), "{ctx}");
                     }
                     5 => {
                         // Signed delta: random multiplicities, a cancelling
                         // pair, a repeated row. May underflow.
-                        let mut rows: Vec<(Vec<Value>, i64)> = (0..1 + rng.range_usize(4))
+                        let mut pairs: Vec<(Vec<Value>, i64)> = (0..1 + rng.range_usize(4))
                             .map(|_| (row(&mut rng, schema), rng.range_i64(-2, 2)))
                             .collect();
                         let pair = row(&mut rng, schema);
-                        rows.push((pair.clone(), 1));
-                        rows.push((pair, -1));
-                        rows.push(rows[0].clone());
-                        let delta = Delta { columns, rows };
+                        pairs.push((pair.clone(), 1));
+                        pairs.push((pair, -1));
+                        pairs.push(pairs[0].clone());
+                        let delta = delta_of(cat.get("t").unwrap(), &pairs);
                         let before = cat.epoch();
-                        let ok = model_apply(&mut model, &delta);
+                        let ok = model_apply(&mut model, &pairs);
                         let got = cat.apply_unlogged("t", &delta);
                         assert_eq!(got.is_ok(), ok, "{ctx}: {got:?}");
-                        assert_eq!(cat.epoch() > before, ok, "{ctx}");
+                        // Only a change moves the epoch.
+                        let changed = got.is_ok_and(|applied| applied != (0, 0));
+                        assert_eq!(cat.epoch() > before, changed, "{ctx}");
                     }
                     6 => {
                         // One more copy than the table holds: a hard error
@@ -539,19 +617,23 @@ mod tests {
     #[test]
     fn index_survives_growth_and_draining() {
         let mut t = IndexedTable::new(table_of("i", &[vec![Value::Int(0)]]));
-        let columns = t.table().column_names().to_vec();
-        let signed = |rows: std::ops::Range<i64>, n: i64| Delta {
-            columns: columns.clone(),
-            rows: rows.map(|i| (vec![Value::Int(i % 7)], n)).collect(),
+        let signed = |t: &IndexedTable, rows: std::ops::Range<i64>, n: i64| {
+            let pairs: Vec<_> = rows.map(|i| (vec![Value::Int(i % 7)], n)).collect();
+            delta_of(t.table(), &pairs)
         };
-        t.apply(&signed(0..1, -1), "t").unwrap();
+        t.apply(&signed(&t, 0..1, -1), "t").unwrap();
         assert!(t.has_index() && t.table().num_rows() == 0);
         for round in 0..3 {
-            // 40 rows over 7 distinct values: five rebuilds from 8 buckets.
-            t.apply(&signed(0..40, 1), "t").unwrap();
+            // 40 rows over 7 distinct values: outgrows 8 buckets in one batch.
+            t.apply(&signed(&t, 0..40, 1), "t").unwrap();
             t.check_index().unwrap();
             assert_eq!(t.table().num_rows(), 40, "round {round}");
-            t.apply(&signed(0..40, -1), "t").unwrap();
+            // One row at a time from 40 to 70: links, then one rebuild at 65.
+            for i in 40..70 {
+                t.apply(&signed(&t, i..i + 1, 1), "t").unwrap();
+                t.check_index().unwrap();
+            }
+            t.apply(&signed(&t, 0..70, -1), "t").unwrap();
             t.check_index().unwrap();
             assert_eq!(t.table().num_rows(), 0, "round {round}");
         }
@@ -561,11 +643,35 @@ mod tests {
     fn clone_carries_rows_but_no_index() {
         let mut t =
             IndexedTable::new(table_of("i", &[vec![Value::Int(1)], vec![Value::Int(2)]]));
-        let d = Delta::deletes(t.table(), vec![vec![Value::Int(1)]]);
+        let d = Delta::deletes(t.table(), vec![vec![Value::Int(1)]]).unwrap();
         t.apply(&d, "t").unwrap();
         assert!(t.has_index());
         let copy = t.clone();
         assert!(!copy.has_index());
         assert_eq!(copy.table(), t.table());
+    }
+
+    /// The row hash sees every cell: rows that differ in one cell, in a
+    /// zero's sign, or in where a string's bytes split, hash apart; equal
+    /// rows hash together, one row or a whole table at a time.
+    #[test]
+    fn row_hashes_follow_bitwise_identity() {
+        let t = Table::new(vec![
+            ("f", Column::Float(vec![0.0, -0.0, f64::NAN, f64::NAN, 0.0])),
+            (
+                "s",
+                Column::Str(
+                    ["ab", "ab", "abcdefghij", "abcdefghij", "a"].map(String::from).to_vec(),
+                ),
+            ),
+        ]);
+        let h = row_hashes(&t);
+        assert_eq!(h, (0..5).map(|r| row_hash(&t, r)).collect::<Vec<_>>());
+        assert_eq!(h[2], h[3]);
+        assert!(rows_identical(&t, 2, &t, 3));
+        assert!(!rows_identical(&t, 0, &t, 1));
+        assert!(h[0] != h[1] && h[0] != h[4] && h[1] != h[2]);
+        assert_ne!(str_word("ab"), str_word("ab\0"));
+        assert_ne!(str_word("abcdefgh"), str_word("abcdefghi"));
     }
 }

@@ -58,7 +58,7 @@
 
 use crate::ivm::push_joined_columns;
 use crate::row_index::{position, ColumnIndex, IndexedTable, GOLDEN, MIN_BUCKETS, NIL};
-use crate::table::{float_key, stable_hash, Column, Table, Value};
+use crate::table::{float_key, same_type, stable_hash, Column, Table, Value};
 
 /// Rows every filter and probe pass reads: a whole pass over the rows it
 /// filters or probes with, or, through a column index, the rows of the
@@ -143,13 +143,6 @@ fn build_index(column: &Column) -> ColumnIndex {
         Column::Float(v) => ColumnIndex::build(n, |r| word(FloatKey(v), r)),
         Column::Str(v) => ColumnIndex::build(n, |r| word(StrKey(v), r)),
     }
-}
-
-/// Whether two columns hold one cell type: the pairs a column index serves.
-/// A mixed pair (`Int` × `Float`) keys one side through the other's view,
-/// which the index was not built under.
-fn same_type(a: &Column, b: &Column) -> bool {
-    std::mem::discriminant(a) == std::mem::discriminant(b)
 }
 
 /// A relation under construction; see the [module docs](self).
@@ -380,17 +373,17 @@ fn join_pairs<K: KeyWord>(
 const INDEX_JOIN_SHARE: usize = 4;
 
 /// The index-nested loop: every `(probe, indexed)` position pair whose keys
-/// are equal, in probe order, indexed positions ascending within one probe
-/// position — one bucket lookup per probe key. `None`, having stopped
-/// early, once the buckets looked up hold more than `ni / INDEX_JOIN_SHARE`
-/// rows.
+/// are equal (as [`Pairs`] `left` and `right`), in probe order, indexed
+/// positions ascending within one probe position — one bucket lookup per
+/// probe key. `None`, having stopped early, once the buckets looked up hold
+/// more than `ni / INDEX_JOIN_SHARE` rows.
 fn index_pairs<K: KeyWord>(
     index: &ColumnIndex,
     np: usize,
     pkey: impl Fn(usize) -> Option<K>,
     ni: usize,
     ikey: impl Fn(usize) -> Option<K>,
-) -> Option<(Vec<u32>, Vec<u32>)> {
+) -> Option<Pairs> {
     let budget = ni / INDEX_JOIN_SHARE;
     let mut read = 0;
     let (mut ppos, mut ipos) = (Vec::new(), Vec::new());
@@ -409,7 +402,15 @@ fn index_pairs<K: KeyWord>(
         }
     }
     ROWS_IN.add((np + read) as u64);
-    Some((ppos, ipos))
+    Some(Pairs { left: ppos, right: ipos, read: np + read })
+}
+
+/// The matches of one join as parallel position vectors, and what the join
+/// read to find them (see [`RowSet::join_reading`]).
+struct Pairs {
+    left: Vec<u32>,
+    right: Vec<u32>,
+    read: usize,
 }
 
 /// `(left, right)` pairs that arrived right-major, in left order with right
@@ -433,14 +434,6 @@ fn equal_pairs(
         |l, r| join_pairs(nl, |i| l.key(lsel.row(i)), nr, |j| r.key(rsel.row(j))),
         (Vec::new(), Vec::new())
     )
-}
-
-/// Every `(left row, right row)` pair of two whole columns whose cells are
-/// equal, in the module's order contract — the join the IVM delta rules
-/// run, on the kernel [`RowSet::join`] runs.
-pub(crate) fn join_columns(left: &Column, right: &Column) -> (Vec<u32>, Vec<u32>) {
-    let (nl, nr) = (checked_rows(left.len()), checked_rows(right.len()));
-    equal_pairs((left, &Sel::All, nl), (right, &Sel::All, nr))
 }
 
 /// The positions in `0..n` that satisfy `keep`, ascending. Branch-free:
@@ -513,6 +506,11 @@ impl<'a> RowSet<'a> {
         self.rows
     }
 
+    /// Output column names, in order.
+    pub(crate) fn column_names(&self) -> &[String] {
+        &self.names
+    }
+
     /// The cell behind output column `name`, if present.
     pub fn column(&self, name: &str) -> Option<ColRef> {
         self.names.iter().position(|n| n == name).map(|i| self.cells[i])
@@ -583,14 +581,32 @@ impl<'a> RowSet<'a> {
     /// contract. `right`'s sources are appended to this set's — the
     /// returned offset rebases a [`ColRef`] into `right` — and its output
     /// columns are dropped.
-    pub fn join(&mut self, left: ColRef, mut right: RowSet<'a>, right_col: ColRef) -> usize {
+    pub fn join(&mut self, left: ColRef, right: RowSet<'a>, right_col: ColRef) -> usize {
+        self.join_reading(left, right, right_col).0
+    }
+
+    /// [`RowSet::join`], also returning the rows it read besides one pass
+    /// over this set's keys: the right key column on a chained join, the
+    /// probe keys and the buckets they read on an index-nested loop, nothing
+    /// when either side is empty.
+    pub(crate) fn join_reading(
+        &mut self,
+        left: ColRef,
+        mut right: RowSet<'a>,
+        right_col: ColRef,
+    ) -> (usize, usize) {
         let _span = hadad_obs::span("relexec.join");
         let (ls, rs) = (&self.sources[left.source], &right.sources[right_col.source]);
         let (lc, rc) = (ls.table.column_at(left.column), rs.table.column_at(right_col.column));
         let (nl, nr) = (self.rows, right.rows);
-        // An index on the right probes in left order; one on the left needs
-        // its matches sorted back into it.
-        let by_index = if same_type(lc, rc) {
+        // A column index serves same-typed pairs only: a mixed pair (`Int` ×
+        // `Float`) keys one side through the other's view, which the index
+        // was not built under. An index on the right probes in left order;
+        // one on the left needs its matches sorted back into it. An empty
+        // side pairs nothing, reads nothing and counts no lookup.
+        let by_index = if nl == 0 || nr == 0 {
+            Some(Pairs { left: Vec::new(), right: Vec::new(), read: 0 })
+        } else if same_type(lc, rc) {
             with_keys!(
                 lc,
                 rc,
@@ -600,9 +616,9 @@ impl<'a> RowSet<'a> {
                     rs.index(right_col.column)
                         .and_then(|index| index_pairs(index, nl, lkey, nr, rkey))
                         .or_else(|| {
-                            let (rpos, lpos) =
-                                index_pairs(ls.index(left.column)?, nr, rkey, nl, lkey)?;
-                            Some(left_major(&rpos, &lpos))
+                            let p = index_pairs(ls.index(left.column)?, nr, rkey, nl, lkey)?;
+                            let (left, right) = left_major(&p.left, &p.right);
+                            Some(Pairs { left, right, read: p.read })
                         })
                 },
                 None
@@ -610,14 +626,15 @@ impl<'a> RowSet<'a> {
         } else {
             None
         };
-        let (lpos, rpos) = by_index.unwrap_or_else(|| {
+        let pairs = by_index.unwrap_or_else(|| {
             ROWS_IN.add((nl + nr) as u64);
-            equal_pairs((lc, &ls.sel, nl), (rc, &rs.sel, nr))
+            let (left, right) = equal_pairs((lc, &ls.sel, nl), (rc, &rs.sel, nr));
+            Pairs { left, right, read: nr }
         });
-        checked_rows(lpos.len());
-        self.pick(&lpos);
-        right.pick(&rpos);
-        self.append(right)
+        checked_rows(pairs.left.len());
+        self.pick(&pairs.left);
+        right.pick(&pairs.right);
+        (self.append(right), pairs.read)
     }
 
     /// Left-major Cartesian product with `right`; sources and columns as in
@@ -652,13 +669,24 @@ impl<'a> RowSet<'a> {
     /// `left` = `right`'s output column `right_key` and appends `right`'s
     /// other output columns, prefixed `right.` until unique.
     pub fn hash_join(&mut self, left: ColRef, right: RowSet<'a>, right_key: usize) {
+        self.hash_join_reading(left, right, right_key);
+    }
+
+    /// [`RowSet::hash_join`], returning what the join read as
+    /// [`RowSet::join_reading`] does.
+    pub(crate) fn hash_join_reading(
+        &mut self,
+        left: ColRef,
+        right: RowSet<'a>,
+        right_key: usize,
+    ) -> usize {
         let kept = push_joined_columns(&mut self.names, &right.names, &right.names[right_key]);
         // `right`'s sources will follow this set's.
         let base = self.sources.len();
         let rebased = |c: ColRef| ColRef { source: base + c.source, ..c };
         self.cells.extend(kept.into_iter().map(|c| rebased(right.cells[c])));
         let key = right.cells[right_key];
-        self.join(left, right, key);
+        self.join_reading(left, right, key).1
     }
 
     /// Restricts (and reorders) the output to the named columns; `Err`
@@ -689,6 +717,16 @@ impl<'a> RowSet<'a> {
         keyed.sort_unstable();
         let order: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
         self.pick(&order);
+    }
+
+    /// `values` (one per row of source `source`'s table) at the source rows
+    /// this set reads, in output order: a side column gathered beside the
+    /// table's own.
+    pub(crate) fn gather_slice<T: Copy>(&self, source: usize, values: &[T]) -> Vec<T> {
+        match &self.sources[source].sel {
+            Sel::All => values.to_vec(),
+            Sel::Rows(rows) => rows.iter().map(|&r| values[r as usize]).collect(),
+        }
     }
 
     /// Materializes the output columns.
@@ -1055,14 +1093,20 @@ mod tests {
 
                 // The IVM halves: columns are `k`, `row`, `right.row`.
                 let all = |t: &Table| {
-                    Delta::inserts(t, (0..t.num_rows()).map(|i| t.row(i)).collect())
+                    Delta::inserts(t, (0..t.num_rows()).map(|i| t.row(i)).collect()).unwrap()
                 };
                 let tags = |d: Delta| -> Vec<(usize, usize)> {
-                    let tag = |v: &Value| v.as_i64().unwrap() as usize;
-                    d.rows.iter().map(|(row, _)| (tag(&row[1]), tag(&row[2]))).collect()
+                    let tag =
+                        |r: usize, c: usize| d.rows.column_at(c).key_at(r).unwrap() as usize;
+                    (0..d.num_rows()).map(|r| (tag(r, 1), tag(r, 2))).collect()
                 };
-                assert_eq!(tags(all(&lt).join_right(&rt, "k", "k").unwrap()), want);
-                let mut right_major = tags(Delta::join_left(&lt, &all(&rt), "k", "k").unwrap());
+                assert_eq!(
+                    tags(all(&lt).join_right(RowSet::scan(&rt), "k", "k").unwrap()),
+                    want
+                );
+                let stored = IndexedTable::new(lt.clone());
+                let mut right_major =
+                    tags(Delta::join_left(&stored, &all(&rt), "k", "k").unwrap());
                 right_major.sort_unstable();
                 assert_eq!(right_major, want);
             }

@@ -55,6 +55,11 @@ pub(crate) fn float_key(v: f64) -> Option<i64> {
     }
 }
 
+/// Whether two columns hold one cell type.
+pub(crate) fn same_type(a: &Column, b: &Column) -> bool {
+    std::mem::discriminant(a) == std::mem::discriminant(b)
+}
+
 /// A typed column of values.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
@@ -124,16 +129,47 @@ impl Column {
         )
     }
 
-    /// Cell comparison without materializing a [`Value`] (no string
-    /// clones). Floats compare bitwise — the same equality the IVM row
-    /// keys use, so `-0.0` and `0.0` are distinct and `NaN` equals itself.
-    pub fn cell_eq(&self, row: usize, v: &Value) -> bool {
-        match (self, v) {
-            (Column::Int(c), Value::Int(x)) => c[row] == *x,
-            (Column::Float(c), Value::Float(x)) => c[row].to_bits() == x.to_bits(),
-            (Column::Str(c), Value::Str(x)) => c[row] == *x,
-            _ => false,
+    /// An empty column of this column's type.
+    pub(crate) fn empty_like(&self) -> Column {
+        match self {
+            Column::Int(_) => Column::Int(Vec::new()),
+            Column::Float(_) => Column::Float(Vec::new()),
+            Column::Str(_) => Column::Str(Vec::new()),
         }
+    }
+
+    /// The cell type's name, for error messages.
+    pub(crate) fn type_name(&self) -> &'static str {
+        match self {
+            Column::Int(_) => "Int",
+            Column::Float(_) => "Float",
+            Column::Str(_) => "Str",
+        }
+    }
+
+    /// Moves every cell of `src` (a column of the same type) onto the end;
+    /// `false` (and no change) on a type mismatch.
+    pub(crate) fn append(&mut self, src: Column) -> bool {
+        match (self, src) {
+            (Column::Int(c), Column::Int(s)) => c.extend(s),
+            (Column::Float(c), Column::Float(s)) => c.extend(s),
+            (Column::Str(c), Column::Str(s)) => c.extend(s),
+            _ => return false,
+        }
+        true
+    }
+
+    /// Appends the cells of `src` (a column of the same type) at `rows`,
+    /// in order; `false` (and no change) on a type mismatch.
+    pub(crate) fn extend_gathered(&mut self, src: &Column, rows: &[u32]) -> bool {
+        let rows = rows.iter().map(|&r| r as usize);
+        match (self, src) {
+            (Column::Int(c), Column::Int(s)) => c.extend(rows.map(|r| s[r])),
+            (Column::Float(c), Column::Float(s)) => c.extend(rows.map(|r| s[r])),
+            (Column::Str(c), Column::Str(s)) => c.extend(rows.map(|r| s[r].clone())),
+            _ => return false,
+        }
+        true
     }
 
     /// Removes the cell at `row` by moving the last cell into its place.
@@ -263,10 +299,106 @@ impl Table {
         self.columns.iter().map(|c| c.value(r)).collect()
     }
 
-    /// Row-vs-cells comparison without cloning (see [`Column::cell_eq`]).
-    pub fn row_eq(&self, r: usize, row: &[Value]) -> bool {
-        row.len() == self.columns.len()
-            && self.columns.iter().zip(row).all(|(c, v)| c.cell_eq(r, v))
+    /// An empty table with this table's column names and types.
+    pub(crate) fn empty_like(&self) -> Table {
+        Table {
+            names: self.names.clone(),
+            columns: self.columns.iter().map(Column::empty_like).collect(),
+            rows: 0,
+        }
+    }
+
+    /// The rows `rows`, converted once into columns of `schema`'s names and
+    /// types (strings are moved, not cloned). Errors, with the first failing
+    /// row's [`Table::row_matches_schema`] detail, on an arity or type
+    /// mismatch.
+    pub(crate) fn from_rows(
+        schema: &Table,
+        mut rows: Vec<Vec<Value>>,
+    ) -> Result<Table, String> {
+        let first_error = |rows: &[Vec<Value>]| {
+            rows.iter().find_map(|r| schema.row_matches_schema(r).err()).unwrap_or_default()
+        };
+        if rows.iter().any(|r| r.len() != schema.num_cols()) {
+            return Err(first_error(&rows));
+        }
+        /// Column `c` of `rows` as cells of one type, or `None` at the first
+        /// cell of another; sized once, whatever the row count.
+        fn typed<T>(
+            rows: &mut [Vec<Value>],
+            c: usize,
+            cell: impl Fn(&mut Value) -> Option<T>,
+        ) -> Option<Vec<T>> {
+            let mut out = Vec::with_capacity(rows.len());
+            for r in rows {
+                out.push(cell(&mut r[c])?);
+            }
+            Some(out)
+        }
+        let mut columns = Vec::with_capacity(schema.num_cols());
+        for (c, like) in schema.columns.iter().enumerate() {
+            let column = match like {
+                Column::Int(_) => typed(&mut rows, c, |v| match v {
+                    Value::Int(x) => Some(*x),
+                    _ => None,
+                })
+                .map(Column::Int),
+                Column::Float(_) => typed(&mut rows, c, |v| match v {
+                    Value::Float(x) => Some(*x),
+                    _ => None,
+                })
+                .map(Column::Float),
+                // A taken string leaves a `Str` behind: the error scan still
+                // sees every cell's type.
+                Column::Str(_) => typed(&mut rows, c, |v| match v {
+                    Value::Str(x) => Some(std::mem::take(x)),
+                    _ => None,
+                })
+                .map(Column::Str),
+            };
+            match column {
+                Some(column) => columns.push(column),
+                None => return Err(first_error(&rows)),
+            }
+        }
+        Ok(Table { names: schema.names.clone(), columns, rows: rows.len() })
+    }
+
+    /// The first disagreement between this table's column names and types
+    /// and `other`'s, if any.
+    pub(crate) fn schema_mismatch(&self, other: &Table) -> Option<String> {
+        if self.names != other.names {
+            return Some(format!("columns {:?} vs {:?}", self.names, other.names));
+        }
+        let (a, b) = (&self.columns, &other.columns);
+        let c = (0..a.len()).find(|&c| !same_type(&a[c], &b[c]))?;
+        Some(format!(
+            "column {} is {} vs {}",
+            self.names[c],
+            a[c].type_name(),
+            b[c].type_name()
+        ))
+    }
+
+    /// Moves every row of `src` onto the end, one column at a time. `src`
+    /// must have this table's column types (see [`Table::schema_mismatch`]).
+    pub(crate) fn append(&mut self, src: Table) {
+        self.rows += src.rows;
+        for (c, s) in self.columns.iter_mut().zip(src.columns) {
+            let ok = c.append(s);
+            assert!(ok, "append across column types");
+        }
+    }
+
+    /// Appends the rows `rows` of `src`, in order, one column at a time.
+    /// `src` must have this table's column types (see
+    /// [`Table::schema_mismatch`]).
+    pub(crate) fn append_gathered(&mut self, src: &Table, rows: &[u32]) {
+        for (c, s) in self.columns.iter_mut().zip(&src.columns) {
+            let ok = c.extend_gathered(s, rows);
+            assert!(ok, "append_gathered across column types");
+        }
+        self.rows += rows.len();
     }
 
     /// Checks a row against the table's schema (arity and per-column

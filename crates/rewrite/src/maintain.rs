@@ -8,10 +8,11 @@
 //! The join rule Δ(L ⋈ R) = ΔL ⋈ Rⁿᵉʷ + Lᵒˡᵈ ⋈ ΔR needs the *old* left
 //! input of every join stage, so the maintainer caches those intermediates
 //! per view (selections and projections are linear — they need no state),
-//! each with the row index its retractions go through (owned here, built on
-//! the first retraction — see [`hadad_relational::row_index`]). Each half
-//! of the rule is driven from its delta, and a half whose delta is empty
-//! reads nothing.
+//! each with the indexes its retractions and joins go through (owned here —
+//! see [`hadad_relational::row_index`]). Each half of the rule is one
+//! executor join with its delta as the left source: ΔL against the
+//! catalog's scan of R, ΔR against the cached L; a half whose delta is
+//! empty reads nothing.
 //! Update batches that touch several tables compose sequentially: entries
 //! are propagated in log order, and when a join's right table carries
 //! *later* pending entries, the maintainer reconstructs the table as of
@@ -24,7 +25,7 @@ use std::collections::HashMap;
 use std::time::Instant;
 
 use hadad_relational::ivm::{apply_delta, Delta, TableUpdate};
-use hadad_relational::{Catalog, IndexedTable, Table};
+use hadad_relational::{Catalog, IndexedTable, RowSet, Table};
 
 use crate::hybrid::{HybridError, RelOp, TableView};
 
@@ -201,7 +202,9 @@ impl ViewMaintainer {
         let mut queue: Vec<TableUpdate> = Vec::new();
         for e in catalog.take_updates() {
             match queue.last_mut() {
-                Some(prev) if prev.table == e.table => prev.delta.rows.extend(e.delta.rows),
+                Some(prev) if prev.table == e.table => {
+                    prev.delta.merge(e.delta).map_err(HybridError::Ivm)?;
+                }
                 _ => queue.push(e),
             }
         }
@@ -221,11 +224,16 @@ impl ViewMaintainer {
                     let _span = hadad_obs::span("maintain.propagate");
                     self.propagate(view, entry, catalog, &queue, i)?
                 };
-                if delta.is_empty() {
+                if delta.num_rows() == 0 {
                     continue;
                 }
+                // A delta that nets to nothing changes nothing: no change to
+                // report, no epoch, nothing to propagate further.
                 let (ins, del) =
                     catalog.apply_unlogged(&view.name, &delta).map_err(HybridError::Ivm)?;
+                if (ins, del) == (0, 0) {
+                    continue;
+                }
                 report.changes.push(ViewChange {
                     view: view.name.clone(),
                     rows_inserted: ins,
@@ -244,11 +252,13 @@ impl ViewMaintainer {
         static ROWS_DEL: hadad_obs::LazyCounter =
             hadad_obs::LazyCounter::new("maintain.rows_deleted");
         report.entries_processed = queue.len();
+        // The drained batches are freed inside the measured pass.
+        drop(queue);
         // One measurement, two consumers: the public report field and the
         // shared-registry latency histogram.
         report.maintain_us = start.elapsed().as_micros();
         PASS_US.record(u64::try_from(report.maintain_us).unwrap_or(u64::MAX));
-        ENTRIES.add(queue.len() as u64);
+        ENTRIES.add(report.entries_processed as u64);
         ROWS_INS.add(report.changes.iter().map(|c| c.rows_inserted as u64).sum());
         ROWS_DEL.add(report.changes.iter().map(|c| c.rows_deleted as u64).sum());
         report.epoch = catalog.epoch();
@@ -275,7 +285,7 @@ impl ViewMaintainer {
             let scan = catalog
                 .get(&view.def.table)
                 .ok_or_else(|| HybridError::MissingTable(view.def.table.clone()))?;
-            Cow::Owned(Delta::empty(scan.column_names().to_vec()))
+            Cow::Owned(Delta::empty(scan))
         };
         for (k, op) in view.def.ops.iter().enumerate() {
             match op {
@@ -300,25 +310,26 @@ impl ViewMaintainer {
                     // R as of this entry: the catalog already holds every
                     // queued delta, so unapply the ones that come later —
                     // unless ΔL is empty, when no row of R is read at all.
-                    let later = if delta.rows.is_empty() { &[] } else { &queue[idx + 1..] };
-                    let right = right_as_of(catalog, later, table)?;
+                    let later = if delta.num_rows() == 0 { &[] } else { &queue[idx + 1..] };
+                    let before = right_before(catalog, later, table)?;
+                    let right = match &before {
+                        Some(t) => RowSet::scan(t),
+                        None => catalog
+                            .scan(table)
+                            .ok_or_else(|| HybridError::MissingTable(table.clone()))?,
+                    };
                     let mut out = delta
-                        .join_right(&right, left_key, right_key)
+                        .join_right(right, left_key, right_key)
                         .map_err(HybridError::Ivm)?;
                     if table == &entry.table {
                         out.merge(
-                            Delta::join_left(
-                                left_old.table(),
-                                &entry.delta,
-                                left_key,
-                                right_key,
-                            )
-                            .map_err(HybridError::Ivm)?,
+                            Delta::join_left(left_old, &entry.delta, left_key, right_key)
+                                .map_err(HybridError::Ivm)?,
                         )
                         .map_err(HybridError::Ivm)?;
                     }
                     // Advance the cached left input by ΔL for later entries.
-                    if !delta.is_empty() {
+                    if delta.num_rows() > 0 {
                         let left = self
                             .states
                             .get_mut(&view.name)
@@ -348,25 +359,26 @@ fn references(view: &TableView, table: &str) -> bool {
             .any(|op| matches!(op, RelOp::HashJoin { table: t, .. } if t == table))
 }
 
-/// The named table as of before the queued entries `later`: the catalog
-/// state with each of their deltas for it unapplied. Borrows when none
-/// touches the table (the common, single-table-batch fast path).
-fn right_as_of<'a>(
-    catalog: &'a Catalog,
+/// The named table as of before the queued entries `later`, when any of
+/// them touches it: the catalog state with each of their deltas for it
+/// unapplied. `None` when none does (the common, single-table-batch case),
+/// and the catalog's own entry is the table.
+fn right_before(
+    catalog: &Catalog,
     later: &[TableUpdate],
     name: &str,
-) -> Result<Cow<'a, Table>, HybridError> {
-    let t = catalog.get(name).ok_or_else(|| HybridError::MissingTable(name.to_owned()))?;
+) -> Result<Option<Table>, HybridError> {
     let later: Vec<&Delta> =
         later.iter().filter(|e| e.table == name).map(|e| &e.delta).collect();
     if later.is_empty() {
-        return Ok(Cow::Borrowed(t));
+        return Ok(None);
     }
+    let t = catalog.get(name).ok_or_else(|| HybridError::MissingTable(name.to_owned()))?;
     let mut t = t.clone();
     for d in later.iter().rev() {
         apply_delta(&mut t, &d.negated(), name).map_err(HybridError::Ivm)?;
     }
-    Ok(Cow::Owned(t))
+    Ok(Some(t))
 }
 
 #[cfg(test)]

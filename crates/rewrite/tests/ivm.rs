@@ -301,6 +301,49 @@ fn irrelevant_updates_touch_nothing() {
     assert_eq!(catalog.cardinality("v"), Some(1));
 }
 
+/// A batch that nets to zero — a row inserted into a selection view's base
+/// table and deleted again before the pass — changes no view: no change is
+/// reported, the two log entries coalesce into one, and the pass leaves the
+/// epoch (and with it every cached plan and snapshot) alone. The same holds
+/// through a join view, from either side.
+#[test]
+fn a_batch_that_nets_to_zero_changes_nothing() {
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "t",
+        Table::new(vec![("id", Column::Int(vec![1, 2])), ("topic", Column::Int(vec![3, 4]))]),
+    );
+    catalog.register("u", Table::new(vec![("topic", Column::Int(vec![3, 3]))]));
+    let defs = [
+        ("v", RelQuery::scan("t").select_eq("topic", 3)),
+        ("j", RelQuery::scan("t").join("u", "topic", "topic")),
+        ("k", RelQuery::scan("u").join("t", "topic", "topic")),
+    ];
+    let mut maintainer = ViewMaintainer::new();
+    let mut views = Vec::new();
+    for (name, def) in defs {
+        catalog.register(name, def.execute(&catalog).unwrap());
+        let view = TableView { name: name.into(), def };
+        maintainer.track(&catalog, &view).unwrap();
+        views.push(view);
+    }
+    let before: Vec<_> = views.iter().map(|v| catalog.get(&v.name).unwrap().clone()).collect();
+
+    let row = || vec![vec![Value::Int(9), Value::Int(3)]];
+    catalog.insert_rows("t", row()).unwrap();
+    catalog.delete_rows("t", row()).unwrap();
+    let epoch = catalog.epoch();
+    let report = maintainer.maintain(&mut catalog, &views).unwrap();
+    assert!(report.changes.is_empty(), "{:?}", report.changes);
+    assert_eq!(report.entries_processed, 1);
+    assert_eq!((report.epoch, catalog.epoch()), (epoch, epoch));
+    for (v, old) in views.iter().zip(&before) {
+        assert_eq!(catalog.get(&v.name).unwrap(), old, "view {}", v.name);
+    }
+    assert_views_fresh(&catalog, &views, "after a net-zero batch");
+    maintainer.check_indexes().unwrap();
+}
+
 /// Tracking over a catalog with pending updates is refused — building the
 /// join-input caches from post-update tables would double-count the
 /// pending deltas on the next maintenance pass.

@@ -1,11 +1,14 @@
 //! Work counts of the update path, independent of timing: how many table
-//! rows one batch examines, read from the `ivm.rows_examined` counter.
+//! rows one batch examines, read from the `ivm.rows_examined` counter —
+//! rows hashed into a row index, chain candidates compared, rows relocated,
+//! and the stored-side rows a join half reads (its key column on a chained
+//! join, the probe keys plus their buckets through a column index).
 //!
 //! The counter is process-global, so this binary holds exactly one test —
 //! nothing else may move it between two reads.
 
 use hadad_relational::ivm::Delta;
-use hadad_relational::{Catalog, Column, Table, Value};
+use hadad_relational::{Catalog, Column, RowSet, Table, Value};
 use hadad_rewrite::hybrid::{RelQuery, TableView};
 use hadad_rewrite::ViewMaintainer;
 
@@ -71,8 +74,28 @@ fn a_batch_examines_rows_in_proportion_to_the_delta() {
 
     // An empty ΔL reads no row of R.
     let big = tweets(50_000);
-    let empty = Delta::empty(vec!["uid".into(), "verified".into()]);
-    assert_eq!(examined_by(|| drop(empty.join_right(&big, "uid", "uid").unwrap())), 0);
+    let users =
+        Table::new(vec![("uid", Column::Int(vec![])), ("verified", Column::Int(vec![]))]);
+    let empty = Delta::empty(&users);
+    let join = |d: &Delta, r: RowSet<'_>| drop(d.join_right(r, "uid", "tid").unwrap());
+    assert_eq!(examined_by(|| join(&empty, RowSet::scan(&big))), 0);
+
+    // A ten-row ΔL joined to R's unique `tid` through the catalog: the
+    // first join reads R's key column; the second builds R's column index,
+    // and it and every later one read the ten probe keys plus their
+    // buckets (about two rows each), not the table.
+    let mut cat = Catalog::new();
+    cat.register("tweets", big.clone());
+    let ten = Delta::inserts(
+        &users,
+        (0..10).map(|i| vec![Value::Int(i * 997), Value::Int(1)]).collect(),
+    )
+    .unwrap();
+    assert_eq!(examined_by(|| join(&ten, cat.scan("tweets").unwrap())), 50_000);
+    for run in 0..3 {
+        let cost = examined_by(|| join(&ten, cat.scan("tweets").unwrap()));
+        assert!((20..=100).contains(&cost), "run {run}: {cost}");
+    }
 
     // The same through the maintainer: `users ⋈ tweets` with only tweets
     // updated. ΔL is empty, so propagation reads the 3 cached rows of L
