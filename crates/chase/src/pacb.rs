@@ -515,6 +515,49 @@ mod tests {
         assert!(rw.query.is_safe());
     }
 
+    /// Coalescing: the guarded key EGD `R(x,y) ∧ R(x,z) ∧ K(x) → y = z`
+    /// merges the backchase's two `R` facts, whose formulas are `p0` (from
+    /// `P2`) and `p1` (from `P1`). The merged fact's formula must be their
+    /// disjunction, so the match of `Q` into `P1`'s atoms reads off the
+    /// minimal `[1]` rather than `[0, 1]`. The EGD is not of the functional
+    /// two-atom shape, so existential reuse does not pre-empt the merge.
+    #[test]
+    fn rehash_coalescing_ors_the_merged_formulas() {
+        let mut vocab = Vocabulary::new();
+        let r = vocab.predicate("R", 2);
+        let s = vocab.predicate("S", 1);
+        let k = vocab.predicate("K", 1);
+        let p2 = vocab.predicate("P2", 1);
+        let p1 = vocab.predicate("P1", 1);
+        let (x, y, z) = (Term::Var(0), Term::Var(1), Term::Var(2));
+        let rsk = vec![Atom::new(r, vec![x, y]), Atom::new(s, vec![y]), Atom::new(k, vec![x])];
+        let views = [
+            View::new(
+                "P2",
+                p2,
+                Cq::with_var_head(
+                    vec![0],
+                    vec![Atom::new(r, vec![x, y]), Atom::new(k, vec![x])],
+                ),
+            ),
+            View::new("P1", p1, Cq::with_var_head(vec![0], rsk.clone())),
+        ];
+        let key = crate::constraint::Egd::new(
+            "R-key-on-K",
+            vec![Atom::new(r, vec![x, y]), Atom::new(r, vec![x, z]), Atom::new(k, vec![x])],
+            vec![(y, z)],
+        );
+        let constraints = [Constraint::from(key)];
+        let q = Cq::with_var_head(vec![0], rsk);
+        let result = Pacb::new(&constraints, &views).rewrite(&q);
+
+        assert_eq!(result.universal_plan_size, 2);
+        assert_eq!(result.backchase_stats.egd_merges, 1);
+        assert_eq!(result.rewritings.len(), 1);
+        assert_eq!(result.rewritings[0].u_atoms, vec![1]);
+        assert_eq!(result.rewritings[0].query.body[0].pred, p1);
+    }
+
     /// `Prune_prov`: with a cost function and a threshold, backchase steps
     /// justified only by expensive universal-plan atoms are vetoed (and
     /// counted), while the cheap rewriting survives.
