@@ -24,7 +24,7 @@
 use std::collections::HashMap;
 
 use hadad_chase::homomorphism::{for_each_match, satisfiable_with};
-use hadad_chase::{Atom, Bindings, Constraint, Egd, Instance, NodeId, Provenance, Term, Tgd};
+use hadad_chase::{Atom, Bindings, Constraint, Egd, Instance, NodeId, Term, Tgd};
 
 use crate::{IssueKind, RuleIssue, Severity};
 
@@ -108,7 +108,7 @@ fn freeze_premise(atoms: &[hadad_chase::Atom]) -> (Instance, Bindings) {
                 Term::Const(c) => inst.const_node(*c),
             })
             .collect();
-        inst.insert(atom.pred, args, Provenance::empty(), None);
+        inst.insert(atom.pred, args);
     }
     (inst, frozen)
 }
@@ -154,7 +154,7 @@ fn tgd_subsumes(a: &Tgd, b: &Tgd) -> bool {
                     break;
                 }
             };
-            chased.insert(atom.pred, args, Provenance::empty(), None);
+            chased.insert(atom.pred, args);
         }
         if ok && satisfiable_with(&chased, &b.conclusion, &frozen) {
             found = true;

@@ -7,17 +7,24 @@
 //! later conclusion check and index has to carry; an [`Analysis`] computes
 //! it directly, at the three points where the chase touches classes:
 //!
-//! * [`Analysis::make`] sees every conclusion fact a TGD firing inserts.
-//!   A fact over a class the firing just minted is where that class is
-//!   born, and the class has no data until `make` gives it some.
+//! * [`Analysis::make`] sees every conclusion fact a TGD firing inserts,
+//!   or finds already there, by its index. A fact over a class the firing
+//!   just minted is where that class is born, and the class has no data
+//!   until `make` gives it some.
 //! * [`Analysis::join`] sees every merge an EGD performs, and may refuse
 //!   it: the chase then stops with [`crate::ChaseOutcome::AnalysisConflict`].
+//! * [`Analysis::rehashed`] sees how the `rehash` after an EGD's merges
+//!   renumbered the facts, coalescing the ones the merges made duplicates.
+//!   It defaults to ignoring it; an analysis that keeps data per fact
+//!   (PACB's provenance formulas) moves that data along.
 //! * [`Analysis::guard`] decides a rule's guard ([`crate::Tgd::guard`]) on
 //!   each premise match. A refused match is never buffered, never offered
 //!   to `allow`, and never counts as a veto.
 //! * [`Analysis::allow`] may veto a firing just before it applies — the
 //!   hook cost-based pruning (PACB's `Prune_prov`, §7.3) is built on. It
-//!   defaults to allowing everything.
+//!   defaults to allowing everything. An allowed firing's `make` calls
+//!   follow its `allow` with no other call between them, so `allow` may
+//!   prepare what those calls share.
 //!
 //! An analysis is the engine's only extension point, and the engine is
 //! generic over it, so a run without one ([`NoAnalysis`], as PACB's forward
@@ -32,9 +39,9 @@ use crate::instance::{Instance, NodeId};
 /// Per-class data the chase maintains while it runs.
 pub trait Analysis {
     /// A firing of rule `rule` (an index into the engine's rule set)
-    /// inserted the fact of conclusion atom `atom` over `args` — or found
-    /// it already there. `args` are union-find roots.
-    fn make(&mut self, inst: &Instance, rule: usize, atom: &Atom, args: &[NodeId]);
+    /// inserted fact `fact` for conclusion atom `atom` — or found it
+    /// already there. The fact's args are union-find roots.
+    fn make(&mut self, inst: &Instance, rule: usize, atom: &Atom, fact: usize);
 
     /// An EGD merged the class rooted at `absorbed` into the one rooted at
     /// `root`. An error stops the chase: the two classes carry data that
@@ -52,6 +59,14 @@ pub trait Analysis {
     /// premise facts is re-stamped.
     fn guard(&self, inst: &Instance, guard: &Atom, bindings: &Bindings) -> bool;
 
+    /// The instance's `rehash` after an EGD's merges renumbered its facts:
+    /// old fact `i` is now fact `moved_to[i]`. Facts the merges made
+    /// duplicates share one new index, that of the earliest of them.
+    /// Nothing to do by default.
+    fn rehashed(&mut self, inst: &Instance, moved_to: &[usize]) {
+        let _ = (inst, moved_to);
+    }
+
     /// Whether the firing of TGD `tgd` (rule `rule` of the engine's set, as
     /// compiled — see [`crate::RuleSet::compile`]) on premise match `m` may
     /// apply. Asked just before it would: after the guard held and the
@@ -59,7 +74,8 @@ pub trait Analysis {
     /// counted in [`crate::RuleStats::vetoes`]; under semi-naïve evaluation
     /// the match is not offered again until one of its premise facts is
     /// re-stamped, so a refusal must not rest on anything that loosens
-    /// during the run. Everything is allowed by default.
+    /// during the run. When it allows, the firing's [`Self::make`] calls
+    /// come next. Everything is allowed by default.
     fn allow(&mut self, inst: &Instance, rule: usize, tgd: &Tgd, m: &Match) -> bool {
         let _ = (inst, rule, tgd, m);
         true
@@ -71,7 +87,7 @@ pub trait Analysis {
 pub struct NoAnalysis;
 
 impl Analysis for NoAnalysis {
-    fn make(&mut self, _: &Instance, _: usize, _: &Atom, _: &[NodeId]) {}
+    fn make(&mut self, _: &Instance, _: usize, _: &Atom, _: usize) {}
 
     fn join(&mut self, _: &Instance, _: NodeId, _: NodeId) -> Result<(), AnalysisConflict> {
         Ok(())

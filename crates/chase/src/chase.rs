@@ -31,9 +31,11 @@
 //!
 //! The engine has one extension point, the [`Analysis`] trait
 //! ([`ChaseEngine::chase_analyzed`]; [`ChaseEngine::chase`] runs with
-//! [`NoAnalysis`]): per-class data a domain keeps beside the instance sees
-//! every fact a firing inserts and every merge, decides rule guards, and
-//! may veto a firing ([`Analysis::allow`]). Cost-based pruning (PACB's
+//! [`NoAnalysis`]): data a domain keeps beside the instance — per class,
+//! or per fact — sees every fact a firing inserts or finds (right after
+//! the firing's [`Analysis::allow`]), every merge and every renumbering of
+//! the facts a merge's `rehash` makes, decides rule guards, and may veto a
+//! firing. Cost-based pruning (PACB's
 //! `Prune_prov`, §7.3: a firing whose premise image already costs more than
 //! a fixed threshold never executes, Example 7.2) is such a veto. Under
 //! semi-naïve evaluation a vetoed firing is not offered again until one of
@@ -48,7 +50,6 @@ use crate::atom::Atom;
 use crate::constraint::{Constraint, Egd, Tgd};
 use crate::homomorphism::{slot_count, Bindings, Match, Matcher};
 use crate::instance::{ConstClash, Fact, Instance, NodeId};
-use crate::provenance::Provenance;
 use crate::symbols::{PredId, SymId};
 use crate::term::Term;
 
@@ -249,9 +250,6 @@ pub struct ChaseStats {
     pub rules: Vec<RuleStats>,
     /// Node merges performed by EGDs.
     pub egd_merges: usize,
-    /// Size of the delta frontier at the start of each round (round one
-    /// counts every fact).
-    pub round_deltas: Vec<usize>,
     /// When the outcome is [`ChaseOutcome::BudgetExhausted`], which bound
     /// tripped.
     pub exhausted: Option<ExhaustedBy>,
@@ -633,7 +631,6 @@ impl<'r> ChaseEngine<'r> {
         // Per-rule clock watermark: facts stamped after it are this rule's
         // delta. Zero means "everything is new" (the naive first round).
         let mut last_seen: Vec<u64> = vec![0; rules.len()];
-        let mut prev_round_clock = 0u64;
         for _round in 0..self.budget.max_rounds {
             if self.budget.deadline_passed() {
                 stats.exhausted = Some(ExhaustedBy::Deadline);
@@ -644,8 +641,6 @@ impl<'r> ChaseEngine<'r> {
                 return (ChaseOutcome::BudgetExhausted, stats);
             }
             stats.rounds += 1;
-            stats.round_deltas.push(inst.delta_size(prev_round_clock));
-            prev_round_clock = inst.clock();
             let mut changed = false;
             for (ci, rule) in rules.iter().enumerate() {
                 let watermark = last_seen[ci];
@@ -773,10 +768,6 @@ impl<'r> ChaseEngine<'r> {
                 stats.vetoes += 1;
                 continue;
             }
-            // Provenance of new facts: conjunction of the premise image.
-            let premise_provs: Vec<&Provenance> =
-                firing.fact_indices.iter().map(|&fi| &inst.fact(fi).prov).collect();
-            let prov = Provenance::and_all(&premise_provs);
             let bindings = &mut firing.bindings;
             // Existential reuse: a conclusion atom over a functional
             // predicate whose input positions are fully bound determines
@@ -828,8 +819,8 @@ impl<'r> ChaseEngine<'r> {
                         Term::Const(c) => inst.const_node(*c),
                     })
                     .collect();
-                let (fact, _) = inst.insert(atom.pred, args, prov.clone(), Some(rule_idx));
-                analysis.make(inst, rule_idx, atom, &inst.fact(fact).args);
+                let (fact, _) = inst.insert(atom.pred, args);
+                analysis.make(inst, rule_idx, atom, fact);
             }
             stats.firings += 1;
             if inst.num_facts() > self.budget.max_facts {
@@ -897,7 +888,8 @@ fn apply_egd<A: Analysis>(
         }
     }
     if count > 0 {
-        inst.rehash();
+        let moved_to = inst.rehash();
+        analysis.rehashed(inst, &moved_to);
     }
     Ok(count)
 }
@@ -1007,8 +999,8 @@ mod tests {
         let r2 = inst.const_node(vocab.constant("bob"));
         let t1 = inst.fresh_null();
         let t2 = inst.fresh_null();
-        inst.insert(review, vec![p, r1, t1], Provenance::empty(), None);
-        inst.insert(review, vec![p, r2, t2], Provenance::empty(), None);
+        inst.insert(review, vec![p, r1, t1]);
+        inst.insert(review, vec![p, r2, t2]);
 
         let rules = RuleSet::compile(vec![tgd.into(), egd.into()]);
         let engine = ChaseEngine::new(&rules);
@@ -1034,7 +1026,7 @@ mod tests {
         );
         let mut inst = Instance::new();
         let a = inst.const_node(vocab.constant("a"));
-        inst.insert(p, vec![a], Provenance::empty(), None);
+        inst.insert(p, vec![a]);
         let rules = RuleSet::compile(vec![tgd.into()]);
         let engine = ChaseEngine::new(&rules);
         let (outcome, _) = engine.chase(&mut inst);
@@ -1056,7 +1048,7 @@ mod tests {
         let mut inst = Instance::new();
         let a = inst.const_node(vocab.constant("a"));
         let b = inst.const_node(vocab.constant("b"));
-        inst.insert(e, vec![a, b], Provenance::empty(), None);
+        inst.insert(e, vec![a, b]);
         let rules = RuleSet::compile(vec![tgd.into()]);
         let engine = ChaseEngine::new(&rules).with_budget(ChaseBudget {
             max_rounds: 3,
@@ -1076,7 +1068,7 @@ mod tests {
     struct Allow<F>(F);
 
     impl<F: FnMut(&Match) -> bool> Analysis for Allow<F> {
-        fn make(&mut self, _: &Instance, _: usize, _: &Atom, _: &[NodeId]) {}
+        fn make(&mut self, _: &Instance, _: usize, _: &Atom, _: usize) {}
 
         fn join(&mut self, _: &Instance, _: NodeId, _: NodeId) -> Result<(), AnalysisConflict> {
             Ok(())
@@ -1103,7 +1095,7 @@ mod tests {
         );
         let mut inst = Instance::new();
         let a = inst.const_node(vocab.constant("a"));
-        inst.insert(p, vec![a], Provenance::empty(), None);
+        inst.insert(p, vec![a]);
         let rules = RuleSet::compile(vec![tgd.into()]);
         let engine = ChaseEngine::new(&rules);
         let (outcome, stats) = engine.chase_analyzed(&mut inst, &mut Allow(|_: &Match| false));
@@ -1130,7 +1122,7 @@ mod tests {
         let build = |vocab: &mut Vocabulary| {
             let mut inst = Instance::new();
             let a = inst.const_node(vocab.constant("a"));
-            inst.insert(p, vec![a], Provenance::empty(), None);
+            inst.insert(p, vec![a]);
             inst
         };
         let rules = RuleSet::compile(vec![tgd.into()]);
@@ -1162,8 +1154,8 @@ mod tests {
         let x = inst.const_node(vocab.constant("x"));
         let o1 = inst.fresh_null();
         let o2 = inst.fresh_null();
-        inst.insert(f, vec![x, o1], Provenance::empty(), None);
-        inst.insert(f, vec![x, o2], Provenance::empty(), None);
+        inst.insert(f, vec![x, o1]);
+        inst.insert(f, vec![x, o2]);
         let rules = RuleSet::compile(vec![egd.into()]);
         let engine = ChaseEngine::new(&rules);
         let (outcome, _) = engine.chase(&mut inst);
@@ -1183,8 +1175,8 @@ mod tests {
         let two = vocab.constant("two");
         let n1 = inst.const_node(one);
         let n2 = inst.const_node(two);
-        inst.insert(f, vec![x, n1], Provenance::empty(), None);
-        inst.insert(f, vec![x, n2], Provenance::empty(), None);
+        inst.insert(f, vec![x, n1]);
+        inst.insert(f, vec![x, n2]);
         let rules = RuleSet::compile(vec![egd.into()]);
         let engine = ChaseEngine::new(&rules);
         let (outcome, _) = engine.chase(&mut inst);
@@ -1239,8 +1231,8 @@ mod tests {
         let mut inst = Instance::new();
         let a = inst.const_node(vocab.constant("a"));
         let n = inst.fresh_null();
-        inst.insert(f, vec![a, a], Provenance::empty(), None);
-        inst.insert(q, vec![a, n], Provenance::empty(), None);
+        inst.insert(f, vec![a, a]);
+        inst.insert(q, vec![a, n]);
         // EGD ordered first so its first (naive) round sees only f(a,a);
         // the TGD then adds f(a,n) and the EGD's delta round must pair the
         // old f(a,a) with the new f(a,n) to merge a = n.
@@ -1283,7 +1275,7 @@ mod tests {
             let ns: Vec<NodeId> =
                 (0..6).map(|i| inst.const_node(vocab.constant(format!("n{i}")))).collect();
             for w in ns.windows(2) {
-                inst.insert(e, vec![w[0], w[1]], Provenance::empty(), None);
+                inst.insert(e, vec![w[0], w[1]]);
             }
             inst
         };
@@ -1306,7 +1298,6 @@ mod tests {
             s2.matches_enumerated(),
             s1.matches_enumerated()
         );
-        assert_eq!(s2.round_deltas[0], 5, "round one sees all base facts");
     }
 
     /// The naive reference: the engine restarted every round. A run's first
@@ -1359,8 +1350,8 @@ mod tests {
         let a = inst.const_node(vocab.constant("a"));
         let b = inst.const_node(vocab.constant("b"));
         let c = inst.const_node(vocab.constant("c"));
-        inst.insert(p, vec![a, b], Provenance::empty(), None);
-        inst.insert(p, vec![a, c], Provenance::empty(), None);
+        inst.insert(p, vec![a, b]);
+        inst.insert(p, vec![a, c]);
         let rules = RuleSet::compile(vec![tgd.into()]);
         let mut offers = 0;
         let mut count = Allow(|_: &Match| {
@@ -1391,9 +1382,9 @@ mod tests {
         let mut inst = Instance::new();
         let a = inst.const_node(vocab.constant("a"));
         let b = inst.const_node(vocab.constant("b"));
-        inst.insert(p, vec![a], Provenance::empty(), None);
-        inst.insert(p, vec![b], Provenance::empty(), None);
-        inst.insert(q, vec![a], Provenance::empty(), None);
+        inst.insert(p, vec![a]);
+        inst.insert(p, vec![b]);
+        inst.insert(q, vec![a]);
         let rules = RuleSet::compile(vec![tgd.into()]);
         let mut offers = 0;
         let mut count = Allow(|_: &Match| {
@@ -1445,7 +1436,7 @@ mod tests {
         let mut inst = Instance::new();
         let a = inst.const_node(vocab.constant("a"));
         let b = inst.const_node(vocab.constant("b"));
-        inst.insert(p, vec![a, b], Provenance::empty(), None);
+        inst.insert(p, vec![a, b]);
         let (outcome, stats) = ChaseEngine::new(&rules).chase(&mut inst);
         assert_eq!(outcome, ChaseOutcome::Saturated);
         assert_eq!(stats.rules[0].firings, 1);
@@ -1464,9 +1455,9 @@ mod tests {
     }
 
     impl Analysis for Depth {
-        fn make(&mut self, inst: &Instance, _: usize, _: &Atom, args: &[NodeId]) {
+        fn make(&mut self, inst: &Instance, _: usize, _: &Atom, fact: usize) {
             self.depths.resize(inst.num_nodes(), None);
-            let [y, z] = args else { return };
+            let &[y, z] = &inst.fact(fact).args[..] else { return };
             let next = self.depths[y.0 as usize].map(|d| d + 1);
             self.depths[z.0 as usize].get_or_insert(next.unwrap_or(0));
         }
@@ -1512,8 +1503,8 @@ mod tests {
         let build = |depths: [u32; 4]| {
             let mut inst = Instance::new();
             let n: Vec<NodeId> = (0..4).map(|_| inst.fresh_null()).collect();
-            inst.insert(p, vec![n[0], n[1]], Provenance::empty(), None);
-            inst.insert(p, vec![n[2], n[3]], Provenance::empty(), None);
+            inst.insert(p, vec![n[0], n[1]]);
+            inst.insert(p, vec![n[2], n[3]]);
             (inst, Depth { depths: depths.map(Some).to_vec(), even })
         };
 

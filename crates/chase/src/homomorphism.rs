@@ -489,7 +489,6 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::provenance::Provenance;
     use crate::symbols::{PredId, SymId, Vocabulary};
 
     fn setup() -> (Vocabulary, Instance, PredId, PredId) {
@@ -502,9 +501,9 @@ mod tests {
         let b = inst.const_node(vocab.constant("b"));
         let c = inst.const_node(vocab.constant("c"));
         let d = inst.const_node(vocab.constant("d"));
-        inst.insert(r, vec![a, b], Provenance::empty(), None);
-        inst.insert(r, vec![b, c], Provenance::empty(), None);
-        inst.insert(s, vec![b, d], Provenance::empty(), None);
+        inst.insert(r, vec![a, b]);
+        inst.insert(r, vec![b, c]);
+        inst.insert(s, vec![b, d]);
         (vocab, inst, r, s)
     }
 
@@ -585,7 +584,7 @@ mod tests {
         // Add S(c, e): exactly the one new join (through R(b, c)) appears.
         let c = inst.const_node(vocab.constant("c"));
         let e = inst.const_node(vocab.constant("e"));
-        inst.insert(s, vec![c, e], Provenance::empty(), None);
+        inst.insert(s, vec![c, e]);
         let mut new_matches = Vec::new();
         for_each_match_since(&inst, &atoms, w, &mut |m| {
             new_matches.push(m.clone());
@@ -606,8 +605,8 @@ mod tests {
         // Both atoms map to new facts sharing a node: the pivot scheme must
         // yield the match exactly once even though two atoms are in delta.
         let a = inst.const_node(vocab.constant("a"));
-        inst.insert(p, vec![a], Provenance::empty(), None);
-        inst.insert(q, vec![a], Provenance::empty(), None);
+        inst.insert(p, vec![a]);
+        inst.insert(q, vec![a]);
         let atoms = vec![Atom::new(p, vec![Term::Var(0)]), Atom::new(q, vec![Term::Var(0)])];
         let mut seen = 0;
         for_each_match_since(&inst, &atoms, w, &mut |_| {
@@ -627,8 +626,8 @@ mod tests {
         let b = inst.fresh_null();
         let c = inst.fresh_null();
         let d = inst.const_node(vocab.constant("d"));
-        inst.insert(r, vec![a, b], Provenance::empty(), None);
-        inst.insert(s, vec![c, d], Provenance::empty(), None);
+        inst.insert(r, vec![a, b]);
+        inst.insert(s, vec![c, d]);
         let atoms = vec![
             Atom::new(r, vec![Term::Var(0), Term::Var(1)]),
             Atom::new(s, vec![Term::Var(1), Term::Var(2)]),
@@ -678,7 +677,7 @@ mod tests {
             for _ in 0..n {
                 let p = rng.below(3);
                 let args = (0..ARITIES[p]).map(|_| nodes[rng.below(nodes.len())]).collect();
-                inst.insert(PredId(p as u32), args, Provenance::empty(), None);
+                inst.insert(PredId(p as u32), args);
             }
         };
         let first = 10 + rng.below(20);

@@ -7,32 +7,30 @@
 //! value-equal expressions* — the saturated instance is therefore an
 //! e-graph over expression classes, which `hadad-core` exploits for
 //! min-cost extraction.
+//!
+//! A [`Fact`] is a predicate, its argument nodes and a revision stamp —
+//! nothing a client of the chase keeps about it. Such data (PACB's
+//! provenance formulas, per fact) lives in the client's
+//! [`crate::Analysis`], indexed by the fact indices [`Instance::insert`]
+//! returns; [`Instance::rehash`] reports how it renumbered them.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::atom::Atom;
-use crate::provenance::Provenance;
-use crate::symbols::{PredId, SymId, Vocabulary};
-use crate::term::Term;
+use crate::symbols::{PredId, SymId};
 
 /// Node in the instance's union-find.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NodeId(pub u32);
 
-/// A ground fact over nodes, carrying its provenance formula and the name of
-/// the rule that produced it (empty for input facts).
+/// A ground fact over nodes.
 #[derive(Debug, Clone)]
 pub struct Fact {
     /// The predicate symbol.
     pub pred: PredId,
     /// Argument nodes (canonical at last rehash).
     pub args: Vec<NodeId>,
-    /// Provenance formula: which input conjuncts support the fact.
-    pub prov: Provenance,
-    /// Index (into the engine's rule list) of the producing rule, if any.
-    pub rule: Option<usize>,
     /// Monotonic revision stamp: assigned on insertion and bumped by
     /// [`Instance::rehash`] whenever a merge rewrote the fact's canonical
     /// args (or attached a constant to one of its classes). Semi-naïve
@@ -158,22 +156,6 @@ pub struct ConstClash {
     /// Second, distinct, equated constant.
     pub b: SymId,
 }
-
-/// Error: [`Instance::insert_ground`] was handed an atom still carrying a
-/// variable.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct NonGroundAtom {
-    /// The variable that made the atom non-ground.
-    pub var: u32,
-}
-
-impl std::fmt::Display for NonGroundAtom {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "insert_ground on non-ground atom (variable {})", self.var)
-    }
-}
-
-impl std::error::Error for NonGroundAtom {}
 
 impl Default for Instance {
     fn default() -> Self {
@@ -301,9 +283,12 @@ impl Instance {
     }
 
     /// Rebuilds the canonical fact index after merges. Facts that become
-    /// duplicates are coalesced; their provenance formulas are OR-ed (either
-    /// derivation justifies the fact, cf. PACB's provenance semantics).
-    pub fn rehash(&mut self) {
+    /// duplicates are coalesced into the earliest of them, and the facts
+    /// after one move down. Returns where each fact went: entry `i` is the
+    /// new index of old fact `i` — for a coalesced duplicate, the index of
+    /// the fact it became. The map is ascending, and the identity when
+    /// nothing coalesced.
+    pub fn rehash(&mut self) -> Vec<usize> {
         let mut dirty_roots: Vec<NodeId> = std::mem::take(&mut self.const_dirty);
         for n in &mut dirty_roots {
             *n = self.find(*n);
@@ -318,12 +303,13 @@ impl Instance {
         }
         // One pass, in fact order: rewrite args to canonical roots in place,
         // drop a fact whose canonical form an earlier fact already has
-        // (OR-ing its provenance into that one), and re-stamp a kept fact
+        // (mapping it to that one), and re-stamp a kept fact
         // whose canonical args changed (or whose classes gained a
         // constant): it can participate in matches that did not exist
         // before the merge, so semi-naïve rules must revisit it.
         let old = std::mem::take(&mut self.facts);
         self.facts.reserve(old.len());
+        let mut moved_to = Vec::with_capacity(old.len());
         for mut f in old {
             let mut rewritten = false;
             for a in &mut f.args {
@@ -332,12 +318,13 @@ impl Instance {
                 *a = root;
             }
             match self.dedup(f.pred, &f.args) {
-                Some(first) => self.facts[first].prov.or_with(&f.prov),
+                Some(first) => moved_to.push(first),
                 None => {
                     if rewritten || f.args.iter().any(|a| dirty_roots.contains(a)) {
                         self.clock += 1;
                         f.stamp = self.clock;
                     }
+                    moved_to.push(self.facts.len());
                     self.push_indexed(f);
                 }
             }
@@ -348,6 +335,7 @@ impl Instance {
             list.sort_by_key(|&i| self.facts[i].stamp);
         }
         self.canonical = true;
+        moved_to
     }
 
     /// One probe of the dedup index: the existing fact with these
@@ -390,44 +378,18 @@ impl Instance {
         self.facts.push(f);
     }
 
-    /// Inserts a fact (args canonicalized). Returns `(fact index, inserted)`;
-    /// when the fact already exists its provenance is OR-ed with `prov`.
-    pub fn insert(
-        &mut self,
-        pred: PredId,
-        mut args: Vec<NodeId>,
-        prov: Provenance,
-        rule: Option<usize>,
-    ) -> (usize, bool) {
+    /// Inserts a fact (args canonicalized). Returns `(fact index, inserted)`:
+    /// the index of the fact already there when `inserted` is false.
+    pub fn insert(&mut self, pred: PredId, mut args: Vec<NodeId>) -> (usize, bool) {
         for a in &mut args {
             *a = self.find(*a);
         }
         if let Some(i) = self.dedup(pred, &args) {
-            self.facts[i].prov.or_with(&prov);
             return (i, false);
         }
         self.clock += 1;
-        self.push_indexed(Fact { pred, args, prov, rule, stamp: self.clock });
+        self.push_indexed(Fact { pred, args, stamp: self.clock });
         (self.facts.len() - 1, true)
-    }
-
-    /// Inserts a ground atom whose terms must all be constants. A variable
-    /// anywhere in the atom is a caller error reported as [`NonGroundAtom`]
-    /// — bad input must not be able to crash the engine.
-    pub fn insert_ground(
-        &mut self,
-        atom: &Atom,
-        prov: Provenance,
-    ) -> Result<usize, NonGroundAtom> {
-        let args: Vec<NodeId> = atom
-            .args
-            .iter()
-            .map(|t| match t {
-                Term::Const(c) => Ok(self.const_node(*c)),
-                Term::Var(v) => Err(NonGroundAtom { var: *v }),
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(self.insert(atom.pred, args, prov, None).0)
     }
 
     /// All facts, in insertion order. After a [`Self::rehash`] duplicates
@@ -497,11 +459,6 @@ impl Instance {
         self.clock
     }
 
-    /// Number of facts stamped after `watermark` (the delta frontier size).
-    pub fn delta_size(&self, watermark: u64) -> usize {
-        self.facts.iter().filter(|f| f.stamp > watermark).count()
-    }
-
     /// Node carrying a constant, if the constant was ever interned into the
     /// instance (read-only counterpart of [`Self::const_node`]).
     pub fn node_of_const(&self, c: SymId) -> Option<NodeId> {
@@ -513,30 +470,6 @@ impl Instance {
         let canon: Vec<NodeId> = args.iter().map(|&a| self.find(a)).collect();
         let head = self.index.get(&fact_key(pred, &canon)).copied().unwrap_or(NO_FACT);
         in_chain(&self.facts, &self.same_key, head, pred, &canon).is_some()
-    }
-
-    /// Renders all facts for debugging.
-    pub fn display(&self, vocab: &Vocabulary) -> String {
-        let mut lines: Vec<String> = self
-            .facts
-            .iter()
-            .map(|f| {
-                let args: Vec<String> = f
-                    .args
-                    .iter()
-                    .map(|&a| {
-                        let root = self.find(a);
-                        match self.const_of(root) {
-                            Some(c) => format!("{:?}", vocab.const_name(c)),
-                            None => format!("_{}", root.0),
-                        }
-                    })
-                    .collect();
-                format!("{}({})", vocab.pred_name(f.pred), args.join(", "))
-            })
-            .collect();
-        lines.sort();
-        lines.join("\n")
     }
 
     /// The set of canonical nodes appearing in facts.
@@ -588,16 +521,20 @@ mod tests {
     }
 
     #[test]
-    fn insert_dedups_and_ors_provenance() {
+    fn insert_dedups() {
         let mut inst = Instance::new();
         let a = inst.fresh_null();
-        let (i1, fresh1) = inst.insert(PredId(0), vec![a], Provenance::term(0), None);
-        let (i2, fresh2) = inst.insert(PredId(0), vec![a], Provenance::term(1), None);
+        let (i1, fresh1) = inst.insert(PredId(0), vec![a]);
+        let (i2, fresh2) = inst.insert(PredId(0), vec![a]);
         assert!(fresh1);
         assert!(!fresh2);
         assert_eq!(i1, i2);
         assert_eq!(inst.num_facts(), 1);
-        assert_eq!(inst.fact(i1).prov.conjuncts().len(), 2);
+    }
+
+    #[test]
+    fn fact_is_a_predicate_its_arguments_and_a_stamp() {
+        assert_eq!(std::mem::size_of::<Fact>(), 40);
     }
 
     #[test]
@@ -606,8 +543,8 @@ mod tests {
         let a = inst.fresh_null();
         let b = inst.fresh_null();
         let c = inst.fresh_null();
-        inst.insert(PredId(0), vec![a, b], Provenance::empty(), None);
-        inst.insert(PredId(0), vec![c, b], Provenance::empty(), None);
+        inst.insert(PredId(0), vec![a, b]);
+        inst.insert(PredId(0), vec![c, b]);
         assert_eq!(inst.facts_with_pred_arg(PredId(0), 0, a), Some(&[0usize][..]));
         assert_eq!(inst.facts_with_pred_arg(PredId(0), 1, b).unwrap().len(), 2);
         assert!(inst.is_canonical());
@@ -626,11 +563,14 @@ mod tests {
         let a = inst.fresh_null();
         let b = inst.fresh_null();
         let c = inst.fresh_null();
-        let (i_ab, _) = inst.insert(PredId(0), vec![a], Provenance::empty(), None);
-        let (i_c, _) = inst.insert(PredId(1), vec![c], Provenance::empty(), None);
+        let (i_ab, _) = inst.insert(PredId(0), vec![a]);
+        let (i_c, _) = inst.insert(PredId(1), vec![c]);
         let clock_before = inst.clock();
-        assert_eq!(inst.delta_size(0), 2);
-        assert_eq!(inst.delta_size(clock_before), 0);
+        let since = |inst: &Instance, watermark| {
+            [PredId(0), PredId(1)].map(|p| inst.facts_with_pred_since(p, watermark).len())
+        };
+        assert_eq!(since(&inst, 0), [1, 1]);
+        assert_eq!(since(&inst, clock_before), [0, 0]);
         inst.merge(a, b).unwrap();
         inst.rehash();
         // `a` was the rank-equal merge target; whichever root won, the fact
@@ -642,7 +582,7 @@ mod tests {
         let before = inst.clock();
         inst.merge(c, a).unwrap();
         inst.rehash();
-        assert_eq!(inst.delta_size(before), 1, "only the fact over c's class is rewritten");
+        assert_eq!(since(&inst, before), [0, 1], "only the fact over c's class is rewritten");
         assert!(inst.fact(i_ab).stamp <= before);
     }
 
@@ -659,12 +599,13 @@ mod tests {
         let mut inst = Instance::new();
         let a = inst.fresh_null();
         let b = inst.fresh_null();
-        inst.insert(PredId(0), vec![a], Provenance::empty(), None);
-        inst.insert(PredId(0), vec![b], Provenance::empty(), None);
-        assert_eq!(inst.num_facts(), 2);
+        inst.insert(PredId(0), vec![a]);
+        inst.insert(PredId(0), vec![b]);
+        inst.insert(PredId(1), vec![b]);
+        assert_eq!(inst.num_facts(), 3);
         inst.merge(a, b).unwrap();
-        inst.rehash();
-        assert_eq!(inst.num_facts(), 1);
+        assert_eq!(inst.rehash(), [0, 0, 1], "the duplicate became fact 0, fact 2 moved down");
+        assert_eq!(inst.num_facts(), 2);
         assert!(inst.contains(PredId(0), &[a]));
         assert!(inst.contains(PredId(0), &[b]));
     }

@@ -19,10 +19,13 @@
 //!   and extensible without recompiling ([`chase::RuleSet::extended`]);
 //!   [`chase::ChaseEngine`]: bounded restricted chase over a borrowed rule
 //!   set, with cost-pruning hooks (the paper's `Prune_prov`, §7.3).
-//! * [`Analysis`]: per-class data kept beside the chase (an e-class
-//!   analysis), which also decides rule guards.
+//! * [`Analysis`]: data kept beside the chase, per class (an e-class
+//!   analysis) or per fact, which also decides rule guards and may veto
+//!   firings.
 //! * [`pacb::Pacb`]: view-based reformulation via Chase & Backchase with
-//!   provenance formulas (paper §4.2, Example 4.1).
+//!   provenance formulas (paper §4.2, Example 4.1). The formulas are
+//!   PACB's own analysis; a [`instance::Fact`] is a predicate, its
+//!   arguments and a stamp.
 
 pub mod analysis;
 pub mod atom;
@@ -32,7 +35,7 @@ pub mod cq;
 pub mod homomorphism;
 pub mod instance;
 pub mod pacb;
-pub mod provenance;
+mod provenance;
 pub mod symbols;
 pub mod term;
 
@@ -46,8 +49,7 @@ pub use chase::{
 pub use constraint::{Constraint, Egd, Tgd};
 pub use cq::Cq;
 pub use homomorphism::{Bindings, Match};
-pub use instance::{ConstClash, Instance, NodeId, NonGroundAtom};
-pub use pacb::{CostFn, Pacb, PacbOptions, PacbResult, Rewriting, View};
-pub use provenance::Provenance;
+pub use instance::{ConstClash, Instance, NodeId};
+pub use pacb::{CostFn, Pacb, PacbResult, Rewriting, View};
 pub use symbols::{PredId, SymId, Vocabulary};
 pub use term::Term;

@@ -14,14 +14,23 @@
 //!    exceeds the cost threshold, when pruning is enabled);
 //! 5. match `Q` into the result; each conjunct of the DNF provenance of a
 //!    match image is a subset of `U` that forms an equivalent rewriting.
+//!
+//! The formulas are PACB's alone: the chase engine's facts carry none.
+//! The backchase keeps them in its own [`Analysis`], one per fact of the
+//! universal plan's instance. Its `allow` computes a firing's premise
+//! conjunction once — for the `Prune_prov` veto and for the `make` calls
+//! that follow, each of which ORs it into the fact the firing inserted or
+//! found — and its `rehashed` ORs a fact an EGD merge made a duplicate
+//! into the one it became. The forward chase (phase i) computes no
+//! formula.
 
 use std::collections::HashMap;
 
 use crate::analysis::{Analysis, AnalysisConflict};
 use crate::atom::Atom;
 use crate::chase::{
-    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, Degraded, RewritePhase,
-    RuleSet,
+    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, DegradeReason,
+    Degraded, ExhaustedBy, RewritePhase, RuleSet,
 };
 use crate::constraint::{Constraint, Tgd};
 use crate::cq::Cq;
@@ -67,16 +76,6 @@ impl View {
     }
 }
 
-/// Options for a PACB run.
-#[derive(Debug, Clone, Default)]
-pub struct PacbOptions {
-    /// Budget applied to both chase phases.
-    pub budget: ChaseBudget,
-    /// When set, backchase steps whose premise image (a subquery of `U`)
-    /// costs strictly more than this threshold are pruned (`Prune_prov`).
-    pub prune_threshold: Option<f64>,
-}
-
 /// An equivalent rewriting of the input query over the view schema.
 #[derive(Debug, Clone)]
 pub struct Rewriting {
@@ -84,7 +83,7 @@ pub struct Rewriting {
     pub query: Cq,
     /// Indices (into the universal plan) of the atoms used.
     pub u_atoms: Vec<usize>,
-    /// Cost under the caller-supplied cost function, if any.
+    /// Cost under the pruning cost function, if the run pruned.
     pub cost: Option<f64>,
 }
 
@@ -97,49 +96,64 @@ pub struct Pacb<'a> {
     pub constraints: &'a [Constraint],
     /// The registered views to reformulate over.
     pub views: &'a [View],
-    /// Budgets and pruning knobs.
-    pub options: PacbOptions,
-    /// Cost of a candidate rewriting, given the universal-plan atoms it
-    /// uses. Required when `prune_threshold` is set; also used to attach
-    /// costs to results.
-    pub cost_fn: Option<CostFn<'a>>,
+    /// Budget applied to both chase phases.
+    pub budget: ChaseBudget,
+    /// `Prune_prov` (§7.3): the cost of a candidate rewriting given the
+    /// universal-plan atoms it uses, and a threshold. Backchase steps whose
+    /// premise image (a subquery of `U`) costs strictly more than the
+    /// threshold are pruned, and so are rewritings that do; the others
+    /// carry their cost.
+    pub prune: Option<(CostFn<'a>, f64)>,
 }
 
-/// `Prune_prov` (§7.3) as the backchase's analysis: it keeps no per-class
-/// data (its `make`, `join` and `guard` are those of
-/// [`crate::NoAnalysis`]) and vetoes a firing whose premise image already
-/// costs more than `threshold` — the cost of the original query, fixed for
-/// the run, so a veto never needs revisiting. Vetoes are counted by the
-/// engine (`ChaseStats::pruned_firings()`), which PACB surfaces as
+/// The backchase's analysis: the provenance formula of every fact, by
+/// fact index, seeded with `p_i` for the universal-plan atoms. It keeps
+/// no per-class data (its `join` and `guard` are those of
+/// [`crate::NoAnalysis`]). With `prune` set it is also `Prune_prov`
+/// (§7.3): it vetoes a firing whose premise image already costs more than
+/// the threshold — the cost of the original query, fixed for the run, so
+/// a veto never needs revisiting. Vetoes are counted by the engine
+/// (`ChaseStats::pruned_firings()`), which PACB surfaces as
 /// `backchase_stats`.
-struct PruneProv<'b> {
-    cost_fn: CostFn<'b>,
-    threshold: f64,
+struct Formulas<'b> {
+    /// Formula of fact `i` of the backchased instance.
+    of_fact: Vec<Provenance>,
+    /// The premise conjunction of the firing `allow` last let through,
+    /// which that firing's `make` calls OR into their facts.
+    premise: Provenance,
+    prune: Option<(CostFn<'b>, f64)>,
 }
 
-impl PruneProv<'_> {
-    /// Prices a firing by the provenance of its premise image (Example
-    /// 7.2): the cheapest conjunct of the combined premise provenance, since
-    /// any rewriting the step contributes to must read at least that much.
-    /// `0.0` — never vetoed — when nothing in the universal plan justifies
-    /// the premise.
-    fn firing_cost(&self, inst: &Instance, m: &Match) -> f64 {
-        let provs: Vec<&Provenance> =
-            m.fact_indices.iter().map(|&fi| &inst.fact(fi).prov).collect();
-        let combined = Provenance::and_all(&provs);
-        if combined.is_empty() {
-            return 0.0;
-        }
-        combined
-            .conjuncts()
-            .iter()
-            .map(|&c| (self.cost_fn)(inst, &Provenance::conjunct_terms(c)))
-            .fold(f64::INFINITY, f64::min)
+/// Prices a premise conjunction (Example 7.2): its cheapest conjunct, since
+/// any rewriting the step contributes to must read at least that much.
+/// `0.0` — never vetoed — when nothing in the universal plan justifies the
+/// premise.
+fn firing_cost(cost_fn: CostFn<'_>, inst: &Instance, premise: &Provenance) -> f64 {
+    if premise.is_empty() {
+        return 0.0;
+    }
+    premise
+        .conjuncts()
+        .iter()
+        .map(|&c| cost_fn(inst, &Provenance::conjunct_terms(c)))
+        .fold(f64::INFINITY, f64::min)
+}
+
+impl Formulas<'_> {
+    /// Conjunction of the formulas of a match image's facts.
+    fn of_image(&self, m: &Match) -> Provenance {
+        Provenance::and_all(m.fact_indices.iter().map(|&fi| &self.of_fact[fi]))
     }
 }
 
-impl Analysis for PruneProv<'_> {
-    fn make(&mut self, _: &Instance, _: usize, _: &Atom, _: &[NodeId]) {}
+impl Analysis for Formulas<'_> {
+    fn make(&mut self, _: &Instance, _: usize, _: &Atom, fact: usize) {
+        if fact == self.of_fact.len() {
+            self.of_fact.push(self.premise.clone());
+        } else {
+            self.of_fact[fact].or_with(&self.premise);
+        }
+    }
 
     fn join(&mut self, _: &Instance, _: NodeId, _: NodeId) -> Result<(), AnalysisConflict> {
         Ok(())
@@ -149,8 +163,24 @@ impl Analysis for PruneProv<'_> {
         false
     }
 
+    /// Either derivation justifies a coalesced fact: its formula is the
+    /// disjunction of its duplicates', the earliest's first.
+    fn rehashed(&mut self, _: &Instance, moved_to: &[usize]) {
+        let old = std::mem::take(&mut self.of_fact);
+        for (formula, &to) in old.into_iter().zip(moved_to) {
+            if to == self.of_fact.len() {
+                self.of_fact.push(formula);
+            } else {
+                self.of_fact[to].or_with(&formula);
+            }
+        }
+    }
+
     fn allow(&mut self, inst: &Instance, _: usize, _: &Tgd, m: &Match) -> bool {
-        self.firing_cost(inst, m) <= self.threshold
+        self.premise = self.of_image(m);
+        self.prune.is_none_or(|(cost_fn, threshold)| {
+            firing_cost(cost_fn, inst, &self.premise) <= threshold
+        })
     }
 }
 
@@ -170,28 +200,31 @@ pub struct PacbResult {
     /// Statistics of the backchase (phase iv); `pruned_firings()` counts
     /// the steps vetoed by `Prune_prov`.
     pub backchase_stats: ChaseStats,
-    /// Set when either chase phase ran out of budget/deadline: the
-    /// rewritings found are a sound subset of the full search's (anytime
-    /// semantics — the caller still gets every reformulation discovered
-    /// before the cut).
+    /// Set when either chase phase ran out of budget/deadline, or when the
+    /// universal plan was cut at 128 atoms, one per provenance term (a fact
+    /// budget of the chase phase): the rewritings found are a sound subset
+    /// of the full search's (anytime semantics — the caller still gets
+    /// every reformulation discovered before the cut).
     pub degraded: Option<Degraded>,
 }
 
 impl<'a> Pacb<'a> {
-    /// A PACB engine over `constraints` and `views` with default options.
+    /// A PACB engine over `constraints` and `views` with the default
+    /// budget and no pruning.
     pub fn new(constraints: &'a [Constraint], views: &'a [View]) -> Self {
-        Pacb { constraints, views, options: PacbOptions::default(), cost_fn: None }
+        Pacb { constraints, views, budget: ChaseBudget::default(), prune: None }
     }
 
-    /// Replaces the options.
-    pub fn with_options(mut self, options: PacbOptions) -> Self {
-        self.options = options;
+    /// Replaces the budget.
+    pub fn with_budget(mut self, budget: ChaseBudget) -> Self {
+        self.budget = budget;
         self
     }
 
-    /// Attaches the cost function pruning and ranking read.
-    pub fn with_cost_fn(mut self, f: CostFn<'a>) -> Self {
-        self.cost_fn = Some(f);
+    /// Prunes with `cost_fn` at `threshold` (`Prune_prov`, see
+    /// [`Pacb::prune`]).
+    pub fn with_pruning(mut self, cost_fn: CostFn<'a>, threshold: f64) -> Self {
+        self.prune = Some((cost_fn, threshold));
         self
     }
 
@@ -207,7 +240,7 @@ impl<'a> Pacb<'a> {
         };
         for atom in &q.body {
             let args: Vec<NodeId> = atom.args.iter().map(|t| node_of(&mut inst, t)).collect();
-            inst.insert(atom.pred, args, Provenance::empty(), None);
+            inst.insert(atom.pred, args);
         }
         let head_nodes: Vec<NodeId> = q.head.iter().map(|t| node_of(&mut inst, t)).collect();
 
@@ -216,21 +249,26 @@ impl<'a> Pacb<'a> {
             io_constraints.push(v.io_constraint().into());
         }
         let io_rules = RuleSet::compile(io_constraints);
-        let engine = ChaseEngine::new(&io_rules).with_budget(self.options.budget);
+        let engine = ChaseEngine::new(&io_rules).with_budget(self.budget);
         let (chase_outcome, chase_stats) = {
             let _span = hadad_obs::span("pacb.chase");
             engine.chase(&mut inst)
         };
 
         // Phase (ii)+(iii): universal plan = view atoms, each with a fresh
-        // provenance term, rebuilt in a fresh instance.
+        // provenance term, rebuilt in a fresh instance. A plan with more
+        // atoms than there are terms is cut, and the run reports it.
         let view_preds: Vec<PredId> = self.views.iter().map(|v| v.head_pred).collect();
         let mut u = Instance::new();
+        let mut formulas =
+            Formulas { of_fact: Vec::new(), premise: Provenance::empty(), prune: self.prune };
         let mut node_map: HashMap<NodeId, NodeId> = HashMap::new();
         let mut u_atoms: Vec<(PredId, Vec<NodeId>)> = Vec::new();
+        let mut truncated = false;
         for &vp in &view_preds {
             for &fi in inst.facts_with_pred(vp) {
                 if u_atoms.len() >= MAX_PROV_TERMS {
+                    truncated = true;
                     break;
                 }
                 let fact = inst.fact(fi);
@@ -246,7 +284,10 @@ impl<'a> Pacb<'a> {
                     })
                     .collect();
                 let term = Provenance::term(u_atoms.len());
-                u.insert(vp, args.clone(), term, None);
+                match u.insert(vp, args.clone()) {
+                    (_, true) => formulas.of_fact.push(term),
+                    (i, false) => formulas.of_fact[i].or_with(&term),
+                }
                 u_atoms.push((vp, args));
             }
         }
@@ -260,15 +301,10 @@ impl<'a> Pacb<'a> {
             oi_constraints.push(v.oi_constraint().into());
         }
         let oi_rules = RuleSet::compile(oi_constraints);
-        let back_engine = ChaseEngine::new(&oi_rules).with_budget(self.options.budget);
+        let back_engine = ChaseEngine::new(&oi_rules).with_budget(self.budget);
         let (backchase_outcome, backchase_stats) = {
             let _span = hadad_obs::span("pacb.backchase");
-            match (self.options.prune_threshold, self.cost_fn) {
-                (Some(threshold), Some(cost_fn)) => {
-                    back_engine.chase_analyzed(&mut u, &mut PruneProv { cost_fn, threshold })
-                }
-                _ => back_engine.chase(&mut u),
-            }
+            back_engine.chase_analyzed(&mut u, &mut formulas)
         };
 
         // Phase (v): match Q into the backchase result; read rewritings off
@@ -289,9 +325,7 @@ impl<'a> Pacb<'a> {
                 None => false,
             });
             if compatible {
-                let provs: Vec<&Provenance> =
-                    m.fact_indices.iter().map(|&fi| &u.fact(fi).prov).collect();
-                rewriting_masks.or_with(&Provenance::and_all(&provs));
+                rewriting_masks.or_with(&formulas.of_image(m));
             }
             true
         });
@@ -306,12 +340,13 @@ impl<'a> Pacb<'a> {
             let Some(rw) = self.build_rewriting(&u, &u_atoms, &atom_idxs, &head_in_u) else {
                 continue;
             };
-            let cost = self.cost_fn.map(|f| f(&u, &atom_idxs));
-            if let (Some(cost_v), Some(t)) = (cost, self.options.prune_threshold) {
-                if cost_v > t {
-                    continue;
-                }
-            }
+            let cost = match self.prune {
+                Some((cost_fn, threshold)) => match cost_fn(&u, &atom_idxs) {
+                    c if c > threshold => continue,
+                    c => Some(c),
+                },
+                None => None,
+            };
             rewritings.push(Rewriting { query: rw, u_atoms: atom_idxs, cost });
         }
         rewritings.sort_by(|a, b| {
@@ -320,7 +355,12 @@ impl<'a> Pacb<'a> {
                 .partial_cmp(&b.cost.unwrap_or(f64::INFINITY))
                 .unwrap_or(std::cmp::Ordering::Equal)
         });
+        let cut = truncated.then_some(Degraded {
+            reason: DegradeReason::Budget(ExhaustedBy::Facts),
+            phase: RewritePhase::Chase,
+        });
         let degraded = degradation_of(&chase_stats, RewritePhase::Chase)
+            .or(cut)
             .or_else(|| degradation_of(&backchase_stats, RewritePhase::Backchase));
         static RUNS: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("pacb.runs");
         static REWRITINGS: hadad_obs::LazyCounter =
@@ -558,6 +598,41 @@ mod tests {
         assert_eq!(result.rewritings[0].query.body[0].pred, p1);
     }
 
+    /// A universal plan with more view atoms than there are provenance
+    /// terms is cut at 128 — and the run says so, so nothing caches its
+    /// rewritings as the full search's: ten copies of `V(x,y) :- R(x,y)`
+    /// over a 13-atom `R` chain make 130 view atoms.
+    #[test]
+    fn a_truncated_universal_plan_is_reported_degraded() {
+        let mut vocab = Vocabulary::new();
+        let r = vocab.predicate("R", 2);
+        let views: Vec<View> = (0..10)
+            .map(|i| {
+                let v = vocab.predicate(format!("V{i}"), 2);
+                let def = Cq::with_var_head(
+                    vec![0, 1],
+                    vec![Atom::new(r, vec![Term::Var(0), Term::Var(1)])],
+                );
+                View::new(format!("V{i}"), v, def)
+            })
+            .collect();
+        let chain =
+            (0..13).map(|i| Atom::new(r, vec![Term::Var(i), Term::Var(i + 1)])).collect();
+        let q = Cq::with_var_head(vec![0, 13], chain);
+        let result = Pacb::new(&[], &views).rewrite(&q);
+
+        assert_eq!(result.universal_plan_size, 128);
+        assert_eq!(result.chase_outcome, ChaseOutcome::Saturated);
+        assert_eq!(result.backchase_outcome, ChaseOutcome::Saturated);
+        assert_eq!(
+            result.degraded,
+            Some(Degraded {
+                reason: DegradeReason::Budget(ExhaustedBy::Facts),
+                phase: RewritePhase::Chase,
+            })
+        );
+    }
+
     /// `Prune_prov`: with a cost function and a threshold, backchase steps
     /// justified only by expensive universal-plan atoms are vetoed (and
     /// counted), while the cheap rewriting survives.
@@ -581,9 +656,7 @@ mod tests {
         let cost_fn = |inst: &Instance, atoms: &[usize]| -> f64 {
             atoms.iter().map(|&i| if inst.fact(i).pred == ve { 100.0 } else { 1.0 }).sum()
         };
-        let pacb = Pacb::new(&[], &views)
-            .with_options(PacbOptions { prune_threshold: Some(50.0), ..Default::default() })
-            .with_cost_fn(&cost_fn);
+        let pacb = Pacb::new(&[], &views).with_pruning(&cost_fn, 50.0);
         let result = pacb.rewrite(&q);
 
         assert_eq!(result.universal_plan_size, 2);

@@ -1,4 +1,5 @@
-//! Provenance formulas for the backchase (paper §4.2).
+//! Provenance formulas for the backchase (paper §4.2), private to PACB
+//! (`pacb.rs`): the chase engine never sees one.
 //!
 //! Each atom of the universal plan gets a unique provenance *term*
 //! `p_i`; atoms produced during the backchase carry provenance *formulas*
@@ -79,8 +80,8 @@ impl Provenance {
         out
     }
 
-    /// Conjunction over many formulas; `⊤` if the slice is empty.
-    pub fn and_all(formulas: &[&Provenance]) -> Provenance {
+    /// Conjunction over many formulas; `⊤` if there are none.
+    pub fn and_all<'p>(formulas: impl IntoIterator<Item = &'p Provenance>) -> Provenance {
         let mut acc = Provenance::top();
         for f in formulas {
             acc = acc.and(f);
@@ -137,7 +138,7 @@ mod tests {
 
     #[test]
     fn and_all_of_empty_slice_is_top() {
-        let t = Provenance::and_all(&[]);
+        let t = Provenance::and_all([]);
         assert_eq!(t, Provenance::top());
     }
 

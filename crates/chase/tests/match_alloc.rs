@@ -1,7 +1,10 @@
 //! Allocation-freedom of premise matching and of the streamed conclusion
 //! check, pinned by a count rather than a timer: enumerating 10 000 matches
 //! allocates exactly as often as enumerating 100, and so does applying a
-//! TGD whose every match is dropped by the restricted-chase check.
+//! TGD whose every match is dropped by the restricted-chase check. A firing
+//! allocates its conclusion's argument vector and a share of the growing
+//! indexes — no formula and nothing per premise fact: the engine's facts
+//! carry no provenance.
 //!
 //! Own test binary: it installs a counting `#[global_allocator]`, and the
 //! count is only meaningful while nothing else runs — hence one `#[test]`.
@@ -12,7 +15,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hadad_chase::homomorphism::for_each_match;
 use hadad_chase::{
-    Atom, ChaseEngine, ChaseOutcome, Instance, PredId, Provenance, RuleSet, SymId, Term, Tgd,
+    Atom, ChaseEngine, ChaseOutcome, Instance, PredId, RuleSet, SymId, Term, Tgd,
 };
 
 /// The system allocator, counting the calls the measuring thread makes.
@@ -77,15 +80,15 @@ fn star(k: u32, closed: bool) -> Instance {
     let a: Vec<_> = (0..k).map(|i| inst.const_node(SymId(1 + i))).collect();
     let d: Vec<_> = (0..k).map(|j| inst.const_node(SymId(1 + k + j))).collect();
     for &ai in &a {
-        inst.insert(R, vec![ai, hub], Provenance::empty(), None);
+        inst.insert(R, vec![ai, hub]);
     }
     for &dj in &d {
-        inst.insert(S, vec![hub, dj], Provenance::empty(), None);
+        inst.insert(S, vec![hub, dj]);
     }
     if closed {
         for &ai in &a {
             for &dj in &d {
-                inst.insert(T, vec![ai, dj], Provenance::empty(), None);
+                inst.insert(T, vec![ai, dj]);
             }
         }
     }
@@ -143,4 +146,18 @@ fn matching_and_the_conclusion_check_allocate_nothing_per_match() {
     chase(2); // first use registers the chase's lazy metrics
     let (few, many) = (chase(10), chase(100));
     assert_eq!(few, many, "100 dropped matches took {few} allocations, 10 000 took {many}");
+
+    // TGD application with every conclusion missing: 40 000 firings, each
+    // inserting one `T` fact.
+    let mut inst = star(200, false);
+    let mut result = None;
+    let allocations = allocations_of(|| result = Some(engine.chase(&mut inst)));
+    let (outcome, stats) = result.expect("the chase ran");
+    assert_eq!(outcome, ChaseOutcome::Saturated);
+    assert_eq!(stats.firings(), 40_000);
+    let per_firing = allocations as f64 / stats.firings() as f64;
+    assert!(
+        per_firing <= 1.25,
+        "{allocations} allocations over 40 000 firings: {per_firing:.2} each"
+    );
 }

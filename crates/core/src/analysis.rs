@@ -176,8 +176,9 @@ impl LaAnalysis {
 }
 
 impl Analysis for LaAnalysis {
-    fn make(&mut self, inst: &Instance, rule: usize, atom: &Atom, args: &[NodeId]) {
+    fn make(&mut self, inst: &Instance, rule: usize, atom: &Atom, fact: usize) {
         self.grow(inst);
+        let args = &inst.fact(fact).args;
         if let Some(v) = self.views.iter().position(|(rules, _)| rules.contains(&rule)) {
             for (term, &class) in atom.args.iter().zip(args) {
                 let known = term.as_var().and_then(|x| self.views[v].1.get(x as usize));
@@ -246,7 +247,6 @@ impl Analysis for LaAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hadad_chase::Provenance;
 
     /// `op(inputs…, outputs…)` over fresh classes of the given shapes
     /// (densities known), made by the analysis: the outputs' data.
@@ -264,9 +264,9 @@ mod tests {
         }
         let terms = (0..args.len() as u32).map(Term::Var).collect();
         let atom = Atom::new(vrem.op(kind), terms);
-        inst.insert(atom.pred, args.clone(), Provenance::empty(), None);
+        let (fact, _) = inst.insert(atom.pred, args.clone());
         let mut analysis = LaAnalysis::new(&vrem, classes);
-        analysis.make(&inst, 0, &atom, &args);
+        analysis.make(&inst, 0, &atom, fact);
         args[kind.num_inputs()..].iter().map(|&out| analysis.class(out)).collect()
     }
 

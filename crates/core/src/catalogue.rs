@@ -766,7 +766,7 @@ mod tests {
         let sym = vrem.vocab.constant("A");
         let dup = inst.fresh_null();
         let sn = inst.const_node(sym);
-        inst.insert(vrem.name, vec![dup, sn], hadad_chase::Provenance::empty(), None);
+        inst.insert(vrem.name, vec![dup, sn]);
         let rules = RuleSet::compile(Catalogue::standard(&mut vrem).constraints);
         let engine = ChaseEngine::new(&rules);
         let (outcome, _) = engine.chase(&mut inst);

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use hadad_chase::{Atom, Instance, NodeId, PredId, Provenance, SymId, Term};
+use hadad_chase::{Atom, Instance, NodeId, PredId, SymId, Term};
 
 use crate::analysis::ClassData;
 use crate::expr::Expr;
@@ -241,7 +241,7 @@ impl<'a> Encoder<'a> {
         let add = |enc: &mut Self, tag: &str| {
             let sym = enc.vrem.vocab.constant(tag);
             let sn = enc.inst.const_node(sym);
-            enc.inst.insert(enc.vrem.ty, vec![node, sn], Provenance::empty(), None);
+            enc.inst.insert(enc.vrem.ty, vec![node, sn]);
         };
         if flags.symmetric_pd {
             add(self, "S");
@@ -279,7 +279,7 @@ impl HashCons for Encoder<'_> {
         let sym_node = sym.map(|s| self.inst.const_node(s));
         let class = self.inst.fresh_null();
         let args = std::iter::once(class).chain(sym_node).collect();
-        self.inst.insert(pred, args, Provenance::empty(), None);
+        self.inst.insert(pred, args);
         if let Expr::Mat(n) = e {
             if let Some(meta) = self.cat.get(n) {
                 self.type_facts(class, meta.flags);
@@ -293,7 +293,7 @@ impl HashCons for Encoder<'_> {
         let mut args = Vec::with_capacity(inputs.len() + 1);
         args.extend_from_slice(inputs);
         args.push(out);
-        self.inst.insert(self.vrem.op(kind), args, Provenance::empty(), None);
+        self.inst.insert(self.vrem.op(kind), args);
         out
     }
 
@@ -303,7 +303,7 @@ impl HashCons for Encoder<'_> {
     fn new_pair(&mut self, kind: OpKind, input: NodeId) -> (NodeId, NodeId) {
         let o1 = self.inst.fresh_null();
         let o2 = self.inst.fresh_null();
-        self.inst.insert(self.vrem.op(kind), vec![input, o1, o2], Provenance::empty(), None);
+        self.inst.insert(self.vrem.op(kind), vec![input, o1, o2]);
         if let Some(&Some(of)) = self.classes.get(input.0 as usize) {
             for out in [o1, o2] {
                 record(&mut self.classes, out.0 as usize, ClassData { density: None, ..of });

@@ -32,7 +32,7 @@ use std::time::Instant;
 
 use hadad_chase::{
     ChaseBudget, ChaseOutcome, ChaseStats, Cq, DegradeReason, Degraded, Instance, Pacb,
-    PacbOptions, PacbResult, RewritePhase,
+    PacbResult, RewritePhase,
 };
 use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
@@ -776,11 +776,8 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
     let (pacb, pacb_us) = hadad_obs::timed("hybrid.pacb", &PACB_US, || {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             Pacb::new(&[], &views)
-                .with_options(PacbOptions {
-                    budget: state.budget,
-                    prune_threshold: Some(cost_original),
-                })
-                .with_cost_fn(&cost_fn)
+                .with_budget(state.budget)
+                .with_pruning(&cost_fn, cost_original)
                 .rewrite(&compiled.cq)
         }))
         .unwrap_or_else(|_| PacbResult {

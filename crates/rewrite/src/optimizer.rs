@@ -109,7 +109,7 @@ pub struct RewriteReport {
     /// The backend calibration constants every cost in this report was
     /// priced under (estimator and extraction DP alike).
     pub cost_profile: BackendProfile,
-    /// Per-rule firings/matches and per-round delta sizes from the chase.
+    /// Per-rule matches, firings and vetoes, merges and rounds of the chase.
     pub chase_stats: ChaseStats,
     /// `Some` when the pipeline had to give up completeness — a budget or
     /// deadline tripped, or a phase worker panicked and was contained. The

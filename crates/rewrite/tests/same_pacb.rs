@@ -8,8 +8,7 @@
 //! less, or prunes one step more or less, fails here.
 
 use hadad_chase::{
-    Atom, Constraint, Cq, Egd, Instance, Pacb, PacbOptions, PacbResult, PredId, Term, View,
-    Vocabulary,
+    Atom, Constraint, Cq, Egd, Instance, Pacb, PacbResult, PredId, Term, View, Vocabulary,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_relational::{Catalog, Column, Table};
@@ -53,10 +52,7 @@ fn run_both(
 ) {
     let plain = Pacb::new(constraints, views).rewrite(q);
     out.push_str(&render(&format!("{name} plain"), vocab, &plain));
-    let pruned = Pacb::new(constraints, views)
-        .with_options(PacbOptions { prune_threshold: Some(threshold), ..Default::default() })
-        .with_cost_fn(cost)
-        .rewrite(q);
+    let pruned = Pacb::new(constraints, views).with_pruning(cost, threshold).rewrite(q);
     out.push_str(&render(&format!("{name} pruned"), vocab, &pruned));
 }
 
