@@ -5,7 +5,7 @@
 //! `hadad-core`, a matrix class's shape and estimated density. Deriving
 //! that knowledge with rules costs matches, firings and facts that every
 //! later conclusion check and index has to carry; an [`Analysis`] computes
-//! it directly, at the three points where the chase touches classes:
+//! it directly, at the points where the chase touches classes and facts:
 //!
 //! * [`Analysis::make`] sees every conclusion fact a TGD firing inserts,
 //!   or finds already there, by its index. A fact over a class the firing
@@ -36,7 +36,7 @@ use crate::constraint::Tgd;
 use crate::homomorphism::{Bindings, Match};
 use crate::instance::{Instance, NodeId};
 
-/// Per-class data the chase maintains while it runs.
+/// Per-class (or per-fact) data the chase maintains while it runs.
 pub trait Analysis {
     /// A firing of rule `rule` (an index into the engine's rule set)
     /// inserted fact `fact` for conclusion atom `atom` — or found it
