@@ -58,7 +58,7 @@ impl ENode {
 /// Pluggable cost for the extraction DP. Implementations see operator
 /// kinds and per-class [`ClassStats`] (shape + estimated density), so
 /// `hadad-core` stays decoupled from any particular estimator;
-/// `hadad-rewrite` supplies one built on the shared `op_cost_with` table.
+/// `hadad-rewrite` supplies one built on the shared `op_cost` table.
 /// Densities are the analysis's (encoded subexpressions, view classes, and
 /// the transposes, `rev`s and scalar multiples that copy them). A
 /// chase-created class without one is priced as dense where it is an
@@ -571,7 +571,7 @@ mod tests {
     use super::*;
     use crate::encode::Encoder;
     use crate::expr::dsl::*;
-    use crate::stats::{op_cost_with, BackendProfile, MatrixMeta, MetaCatalog};
+    use crate::stats::{MatrixMeta, MetaCatalog};
 
     fn cat() -> MetaCatalog {
         let mut c = MetaCatalog::new();
@@ -625,8 +625,7 @@ mod tests {
         assert_eq!(roundtrip(&z), z);
     }
 
-    /// Flops pricing as `hadad_rewrite::FlopsCost` does it, on the
-    /// reference profile.
+    /// Flops pricing as `hadad_rewrite::FlopsCost` does it.
     struct Flops;
 
     impl ExtractionCost for Flops {
@@ -641,7 +640,7 @@ mod tests {
             ch: &[ClassStats],
             out: ClassStats,
         ) -> f64 {
-            op_cost_with(&BackendProfile::reference(), kind, out_idx, ch, &out)
+            crate::stats::op_cost(kind, out_idx, ch, &out)
         }
     }
 

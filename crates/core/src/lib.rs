@@ -38,6 +38,6 @@ pub use extract::{ExtractionCost, Extractor, TreeSizeCost};
 pub use fingerprint::{canonicalize, leaf_bands, rename_leaves, CanonicalExpr, StatsBand};
 pub use schema::{OpKind, Vrem, DENSITY_SCALE};
 pub use stats::{
-    expr_estimate, expr_stats, op_cost_with, op_flops, op_stats, BackendProfile, ClassStats,
-    MatrixMeta, MetaCatalog, ShapeError, TypeFlags, MEM_WEIGHT,
+    expr_estimate, expr_stats, op_cost, op_flops, op_stats, ClassStats, MatrixMeta,
+    MetaCatalog, ShapeError, TypeFlags, MEM_WEIGHT,
 };

@@ -1,11 +1,13 @@
 //! Matrix metadata and the **unified cost oracle's** estimator: dimensions,
 //! non-zero counts, structural type flags, and the single
 //! shape/density/flops propagation every consumer shares — per operator
-//! ([`op_stats`]/[`op_flops`]/[`op_cost_with`], which the extraction DP's
+//! ([`op_stats`]/[`op_flops`]/[`op_cost`], which the extraction DP's
 //! `hadad_rewrite::FlopsCost` prices classes with) and per expression
 //! ([`expr_estimate`], the one recursion over [`Expr`], which
 //! [`expr_stats`] wraps, `hadad_rewrite::Optimizer` ranks plans with, and
-//! whose one-level step the encoders run bottom-up).
+//! whose one-level step the encoders run bottom-up). Costs are in
+//! reference flops: one model on every host, whichever kernels later run
+//! the plan.
 //!
 //! The estimator is the paper's *naïve* metadata propagation (§7.2.1) and
 //! the only one here: it reads `rows`, `cols` and `nnz`, so that is what
@@ -144,7 +146,7 @@ impl std::error::Error for ShapeError {}
 /// Shape + density estimate of one equivalence class of expressions — the
 /// currency of the unified cost oracle. Seeds the chase's analysis
 /// ([`crate::analysis`]), is propagated per operator by [`op_stats`], and
-/// is priced by [`op_flops`]/[`op_cost_with`].
+/// is priced by [`op_flops`]/[`op_cost`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassStats {
     /// Row count.
@@ -178,7 +180,7 @@ impl ClassStats {
 }
 
 /// Weight of one materialized output cell relative to one flop, shared by
-/// every estimator built on [`op_cost_with`] (paper §7.1: flops plus
+/// every estimator built on [`op_cost`] (paper §7.1: flops plus
 /// intermediate materialization).
 pub const MEM_WEIGHT: f64 = 0.5;
 
@@ -268,127 +270,30 @@ pub fn op_flops(kind: OpKind, _out_idx: usize, child: &[ClassStats]) -> f64 {
     }
 }
 
-/// Calibration constants for one execution backend
-/// (`hadad_linalg::backend`): how much faster than the reference kernels
-/// its product kernels run, per representation class. Every cost consumer
-/// (ranking through [`expr_estimate`], extraction `FlopsCost`) prices
-/// plans through [`op_cost_with`] under the optimizer's profile, so plan
-/// choice tracks what the selected hardware backend actually runs fastest
-/// — the SystemML lesson that abstract flops alone mis-rank plans.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BackendProfile {
-    /// Backend name, as reported by `ExecBackend::name`.
-    pub name: &'static str,
-    /// Worker threads the backend fans product rows across.
-    pub threads: usize,
-    /// Dense GEMM tile width (0 = unblocked).
-    pub tile: usize,
-    /// Effective speedup of dense-representation products over the
-    /// reference i-k-j kernel (cache blocking × sublinear thread scaling).
-    pub dense_mul_speedup: f64,
-    /// Effective speedup of sparse-representation products (direct CSR
-    /// assembly instead of a global triplet sort, × thread scaling).
-    pub sparse_mul_speedup: f64,
-    /// Per-output-nnz materialization weight (memory traffic does not
-    /// scale with threads, so it is per-profile rather than global).
-    pub mem_weight: f64,
-}
-
-impl BackendProfile {
-    /// The reference kernels: the unit everything is calibrated against.
-    pub const fn reference() -> Self {
-        BackendProfile {
-            name: "reference",
-            threads: 1,
-            tile: 0,
-            dense_mul_speedup: 1.0,
-            sparse_mul_speedup: 1.0,
-            mem_weight: MEM_WEIGHT,
-        }
-    }
-
-    /// The `Parallel` backend at a given worker count. Single-thread
-    /// dividends come from cache blocking (dense) and direct-CSR SpGEMM
-    /// assembly (sparse); extra threads scale sublinearly — dense GEMM is
-    /// compute-bound and scales well, sparse kernels are memory-bound and
-    /// scale worse.
-    pub fn parallel(threads: usize) -> Self {
-        let t = threads.max(1) as f64;
-        BackendProfile {
-            name: "parallel",
-            threads: threads.max(1),
-            tile: hadad_linalg::backend::GEMM_TILE,
-            dense_mul_speedup: 1.25 * (1.0 + 0.85 * (t - 1.0)),
-            sparse_mul_speedup: 2.0 * (1.0 + 0.6 * (t - 1.0)),
-            mem_weight: MEM_WEIGHT,
-        }
-    }
-
-    /// Profile for a backend selection, with `Parallel` sized to the host
-    /// the way the backend itself sizes its thread pool.
-    pub fn for_kind(kind: hadad_linalg::BackendKind) -> Self {
-        match kind {
-            hadad_linalg::BackendKind::Reference => BackendProfile::reference(),
-            hadad_linalg::BackendKind::Parallel => {
-                BackendProfile::parallel(hadad_linalg::backend::auto_threads())
-            }
-        }
-    }
-}
-
-impl Default for BackendProfile {
-    fn default() -> Self {
-        BackendProfile::reference()
-    }
-}
-
-/// Full per-operator charge under a backend's calibration constants: flops
-/// plus the materialization of the output's estimated non-zeros. Only
-/// products route through [`ExecBackend`](hadad_linalg::ExecBackend)
-/// kernels, so only `Mul` flops are scaled; the representation policy of
-/// the kernels (sparse × sparse stays sparse, anything dense densifies)
-/// picks which speedup applies via the child densities.
-pub fn op_cost_with(
-    profile: &BackendProfile,
-    kind: OpKind,
-    out_idx: usize,
-    child: &[ClassStats],
-    out: &ClassStats,
-) -> f64 {
-    let mut flops = op_flops(kind, out_idx, child);
-    if kind == OpKind::Mul {
-        // Matrices denser than the CSR break-even point run the dense
-        // kernels; a fully sparse pair runs SpGEMM.
-        let sparse_pair = child[0].density < 0.5 && child[1].density < 0.5;
-        let speedup =
-            if sparse_pair { profile.sparse_mul_speedup } else { profile.dense_mul_speedup };
-        flops /= speedup.max(1e-9);
-    }
-    flops + profile.mem_weight * out.nnz()
+/// Full per-operator charge in reference flops: the operator's flops plus
+/// the materialization of the output's estimated non-zeros. One model for
+/// every host — plans are priced the same whatever kernels execute them.
+pub fn op_cost(kind: OpKind, out_idx: usize, child: &[ClassStats], out: &ClassStats) -> f64 {
+    op_flops(kind, out_idx, child) + MEM_WEIGHT * out.nnz()
 }
 
 /// Infers shape *and* density of an expression from base-matrix metadata,
 /// validating operator shapes along the way: the stats half of
-/// [`expr_estimate`], which does not depend on the backend profile. The
-/// encoder seeds the chase's analysis with the same stats for every
-/// subexpression (computed by the same one-level step, once per node), so
-/// the chase and the extractor start from the estimates the ranking cost
-/// model computes.
+/// [`expr_estimate`]. The encoder seeds the chase's analysis with the same
+/// stats for every subexpression (computed by the same one-level step,
+/// once per node), so the chase and the extractor start from the estimates
+/// the ranking cost model computes.
 pub fn expr_stats(e: &Expr, cat: &MetaCatalog) -> Result<ClassStats, ShapeError> {
-    expr_estimate(e, cat, &BackendProfile::reference()).map(|(stats, _)| stats)
+    expr_estimate(e, cat).map(|(stats, _)| stats)
 }
 
 /// The estimator over full expressions (§7.2.1): shape and density of `e`
-/// plus the accumulated cost of computing it under `profile` — children
-/// first, then this operator's [`op_cost_with`] charge. Leaves read the
-/// metadata catalog and cost nothing (base matrices and literals are
-/// already materialized); every operator application is validated by the
-/// one shape-rule table (`check_shapes`).
-pub fn expr_estimate(
-    e: &Expr,
-    cat: &MetaCatalog,
-    profile: &BackendProfile,
-) -> Result<(ClassStats, f64), ShapeError> {
+/// plus the accumulated cost of computing it — children first, then this
+/// operator's [`op_cost`] charge. Leaves read the metadata catalog and
+/// cost nothing (base matrices and literals are already materialized);
+/// every operator application is validated by the one shape-rule table
+/// (`check_shapes`).
+pub fn expr_estimate(e: &Expr, cat: &MetaCatalog) -> Result<(ClassStats, f64), ShapeError> {
     let children = e.children();
     if children.is_empty() {
         return Ok((leaf_stats(e, cat)?, 0.0));
@@ -396,13 +301,13 @@ pub fn expr_estimate(
     let mut child = [ClassStats::dense(0, 0); 2];
     let mut cost = 0.0;
     for (slot, c) in child.iter_mut().zip(&children) {
-        let (stats, child_cost) = expr_estimate(c, cat, profile)?;
+        let (stats, child_cost) = expr_estimate(c, cat)?;
         *slot = stats;
         cost += child_cost;
     }
     let child = &child[..children.len()];
     let (kind, out_idx, out) = op_step(e, child)?;
-    Ok((out, cost + op_cost_with(profile, kind, out_idx, child, &out)))
+    Ok((out, cost + op_cost(kind, out_idx, child, &out)))
 }
 
 /// Stats of a leaf (`Mat`, `Const`, `Identity`, `Zero`) — the leaf half of
@@ -531,43 +436,9 @@ mod tests {
         let out = op_stats(OpKind::Mul, 0, &[a, b]);
         assert_eq!(out.shape(), (30, 30));
         assert_eq!(out.density, 1.0);
-        let cost = op_cost_with(&BackendProfile::reference(), OpKind::Mul, 0, &[a, b], &out);
+        let cost = op_cost(OpKind::Mul, 0, &[a, b], &out);
         // 2·30·4·30 flops + 30·30 output term + mem weight on 900 cells.
         assert!((cost - (7200.0 + 900.0 + MEM_WEIGHT * 900.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn backend_profile_scales_only_product_flops() {
-        let refp = BackendProfile::reference();
-        let par = BackendProfile::parallel(4);
-        let a = ClassStats::dense(100, 100);
-        let out = op_stats(OpKind::Mul, 0, &[a, a]);
-        let base = op_cost_with(&refp, OpKind::Mul, 0, &[a, a], &out);
-        let fast = op_cost_with(&par, OpKind::Mul, 0, &[a, a], &out);
-        assert!(fast < base, "parallel profile must price products cheaper");
-        // The materialization term is backend-invariant: the gap is purely
-        // the flops term divided by the dense speedup.
-        let flops = op_flops(OpKind::Mul, 0, &[a, a]);
-        assert!((base - fast - (flops - flops / par.dense_mul_speedup)).abs() < 1e-6);
-        // Non-product operators are not kernel-routed and cost the same.
-        let t_out = op_stats(OpKind::Transpose, 0, &[a]);
-        assert_eq!(
-            op_cost_with(&refp, OpKind::Transpose, 0, &[a], &t_out),
-            op_cost_with(&par, OpKind::Transpose, 0, &[a], &t_out),
-        );
-    }
-
-    #[test]
-    fn sparse_pairs_use_the_spgemm_speedup() {
-        let par = BackendProfile::parallel(1);
-        let s = ClassStats { rows: 1000, cols: 1000, density: 0.01 };
-        let out = op_stats(OpKind::Mul, 0, &[s, s]);
-        let flops = op_flops(OpKind::Mul, 0, &[s, s]);
-        let got = op_cost_with(&par, OpKind::Mul, 0, &[s, s], &out);
-        assert!(
-            (got - (flops / par.sparse_mul_speedup + par.mem_weight * out.nnz())).abs() < 1e-6
-        );
-        assert!(par.sparse_mul_speedup > par.dense_mul_speedup, "single-core SpGEMM dividend");
     }
 
     #[test]

@@ -31,8 +31,11 @@
 //!
 //! Only products route through the backend: element-wise ops, aggregates,
 //! and decompositions are memory-bound or inherently sequential and stay
-//! on the shared kernels. The calibration constants the cost oracle uses
-//! to price each backend live in `hadad_core::stats::BackendProfile`.
+//! on the shared kernels. [`default_backend`] is `Parallel`, what every
+//! plan runs on; `Reference` is the differential reference the tests and
+//! `xtask kernels` compare it with. Neither is a cost input: the cost
+//! oracle (`hadad_core::stats::op_cost`) prices every plan in reference
+//! flops, so plan choice does not depend on the host.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -97,7 +100,7 @@ pub struct WorkerPanicked;
 /// the output is loaded, accumulated over this many steps and stored, so
 /// the `B` strip the blocks of one column share — 256 × 16 `f64` at the
 /// widest strip, 32 KiB — stays L1-resident while every row block passes
-/// over it. Also the tile `BackendProfile::parallel` reports.
+/// over it.
 pub const GEMM_TILE: usize = 256;
 
 /// Upper bound on worker threads, so a large host does not drown small
@@ -106,8 +109,8 @@ const MAX_THREADS: usize = 8;
 
 /// Worker count for `threads = 0` (auto): physical parallelism, capped,
 /// observed once per process like [`Width::detected`] —
-/// `available_parallelism` reads cgroup files, and `BackendProfile` asks on
-/// every rewrite.
+/// `available_parallelism` reads cgroup files, and every product kernel of
+/// the auto-sized [`Parallel`] asks.
 pub fn auto_threads() -> usize {
     static DETECTED: OnceLock<usize> = OnceLock::new();
     *DETECTED.get_or_init(|| {
@@ -568,36 +571,15 @@ pub fn tmul_dense_sparse(
     sparse_right(a, true, b, threads, width)
 }
 
-/// Backend selection, settable per `Optimizer` (builder); the default is
-/// [`BackendKind::Parallel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum BackendKind {
-    /// The single-threaded textbook kernels.
-    Reference,
-    /// The threaded, cache-blocked kernels.
-    #[default]
-    Parallel,
-}
-
 /// Shared backend instances ([`Parallel`] carries the fused-call counter,
 /// so callers needing isolation construct their own).
 pub static REFERENCE: Reference = Reference;
 /// Shared [`Parallel`] instance with auto-sized workers.
 pub static PARALLEL: Parallel = Parallel::auto();
 
-impl BackendKind {
-    /// The shared instance of this kind.
-    pub fn select(self) -> &'static dyn ExecBackend {
-        match self {
-            BackendKind::Reference => &REFERENCE,
-            BackendKind::Parallel => &PARALLEL,
-        }
-    }
-}
-
 /// The process-default backend: the shared [`Parallel`] instance.
 pub fn default_backend() -> &'static dyn ExecBackend {
-    BackendKind::Parallel.select()
+    &PARALLEL
 }
 
 #[cfg(test)]

@@ -49,8 +49,8 @@ pub mod decomp {
 }
 
 pub use backend::{
-    backend_panics, default_backend, take_backend_panics, BackendKind, BackendPanic,
-    ExecBackend, Parallel, Reference, PARALLEL, REFERENCE,
+    backend_panics, default_backend, take_backend_panics, BackendPanic, ExecBackend, Parallel,
+    Reference, PARALLEL, REFERENCE,
 };
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, Result};

@@ -193,21 +193,6 @@ impl Catalog {
     pub fn scan_cost<'a>(&self, names: impl IntoIterator<Item = &'a str>) -> f64 {
         names.into_iter().map(|n| self.cardinality(n).map_or(f64::INFINITY, |c| c as f64)).sum()
     }
-
-    /// [`Catalog::scan_cost`] that names the offending table instead of
-    /// returning an unattributable infinity — for callers that treat a
-    /// vanished view as a hard error rather than an unpriceable plan.
-    pub fn scan_cost_checked<'a>(
-        &self,
-        names: impl IntoIterator<Item = &'a str>,
-    ) -> Result<f64, IvmError> {
-        let mut total = 0.0;
-        for n in names {
-            total +=
-                self.cardinality(n).ok_or_else(|| IvmError::MissingTable(n.to_owned()))? as f64;
-        }
-        Ok(total)
-    }
 }
 
 #[cfg(test)]
@@ -247,17 +232,6 @@ mod tests {
         assert_eq!(cat.scan_cost(["users", "users"]), 4.0);
         assert_eq!(cat.scan_cost(["users", "missing"]), f64::INFINITY);
         assert_eq!(cat.scan_cost([]), 0.0);
-    }
-
-    #[test]
-    fn scan_cost_checked_names_the_missing_table() {
-        let mut cat = Catalog::new();
-        cat.register("users", Table::new(vec![("id", Column::Int(vec![1, 2]))]));
-        assert_eq!(cat.scan_cost_checked(["users", "users"]), Ok(4.0));
-        assert_eq!(
-            cat.scan_cost_checked(["users", "gone"]),
-            Err(IvmError::MissingTable("gone".into()))
-        );
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub struct CacheReport {
 
 /// Probe key: the canonical skeleton of the input expression, its leaf
 /// names in first-occurrence order, one [`StatsBand`] per leaf, an opaque
-/// configuration hash (budget/backend/views/rules), and the catalog
+/// configuration hash (budget/deadline/views/rules), and the catalog
 /// epoch the probing optimizer is pinned to.
 #[derive(Debug, Clone)]
 pub struct PlanCacheKey {

@@ -5,32 +5,21 @@
 //! [`FlopsCost`] is the extraction DP's [`ExtractionCost`], pricing each
 //! class at the shape and density the chase's analysis holds for it (see
 //! [`ExtractionCost`] for classes without a density) through
-//! `op_cost_with`. Full expressions — the original and every extracted
+//! `op_cost`. Full expressions — the original and every extracted
 //! candidate — are priced by `hadad_core::expr_estimate` itself, the
-//! naïve metadata estimator of §7.2.1.
+//! naïve metadata estimator of §7.2.1. Both price in reference flops: one
+//! model on every host, whatever kernels later run the plan.
 //!
 //! The LA chase itself runs unpruned: `Prune_prov` (§7.3) lives in PACB's
 //! backchase (`hadad_chase::pacb`), against a fixed threshold.
 
-use hadad_core::{op_cost_with, BackendProfile, ClassStats, ExtractionCost, OpKind};
+use hadad_core::{ClassStats, ExtractionCost, OpKind};
 
 /// Stats-aware cost for the extraction DP: the shared per-operator charge
 /// (sparsity-discounted flops plus materialization of the output's
-/// estimated non-zeros), priced under one execution backend's calibration
-/// constants. `Default` is the reference profile, which reproduces the old
-/// dense-flops model on all-dense stats.
-#[derive(Default)]
-pub struct FlopsCost {
-    /// Calibration constants of the backend being priced for.
-    pub profile: BackendProfile,
-}
-
-impl FlopsCost {
-    /// Cost model under a specific backend's calibration constants.
-    pub fn with_profile(profile: BackendProfile) -> Self {
-        FlopsCost { profile }
-    }
-}
+/// estimated non-zeros), which reduces to dense flops on all-dense stats.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct FlopsCost;
 
 impl ExtractionCost for FlopsCost {
     fn leaf_cost(&self, _stats: ClassStats) -> f64 {
@@ -45,7 +34,7 @@ impl ExtractionCost for FlopsCost {
         child: &[ClassStats],
         out: ClassStats,
     ) -> f64 {
-        op_cost_with(&self.profile, kind, out_idx, child, &out)
+        hadad_core::op_cost(kind, out_idx, child, &out)
     }
 }
 
@@ -53,7 +42,7 @@ impl ExtractionCost for FlopsCost {
 mod tests {
     use super::*;
     use hadad_core::expr::dsl::*;
-    use hadad_core::{expr_estimate, op_stats, Expr, MatrixMeta, MetaCatalog};
+    use hadad_core::{expr_estimate, Expr, MatrixMeta, MetaCatalog};
 
     fn cat() -> MetaCatalog {
         let mut c = MetaCatalog::new();
@@ -63,9 +52,9 @@ mod tests {
         c
     }
 
-    /// `expr_estimate`'s cost of `e` under the reference profile.
+    /// `expr_estimate`'s cost of `e`.
     fn cost(c: &MetaCatalog, e: &Expr) -> f64 {
-        expr_estimate(e, c, &BackendProfile::reference()).unwrap().1
+        expr_estimate(e, c).unwrap().1
     }
 
     #[test]
@@ -100,8 +89,7 @@ mod tests {
         c.register("P", MatrixMeta::dense(8, 8));
         // Sub desugars to a + (-1 · b); the direct estimate must at least
         // cover the Add part and carry the union density.
-        let (stats, cost) =
-            expr_estimate(&sub(m("P"), m("P")), &c, &BackendProfile::reference()).unwrap();
+        let (stats, cost) = expr_estimate(&sub(m("P"), m("P")), &c).unwrap();
         assert_eq!((stats.rows, stats.cols), (8, 8));
         assert_eq!(stats.density, 1.0);
         assert!(cost > 0.0);
@@ -110,15 +98,14 @@ mod tests {
     #[test]
     fn shape_errors_surface() {
         let c = cat();
-        let reference = BackendProfile::reference();
-        assert!(expr_estimate(&add(m("A"), m("B")), &c, &reference).is_err());
-        assert!(expr_estimate(&m("missing"), &c, &reference).is_err());
-        assert!(expr_estimate(&trace(m("A")), &c, &reference).is_err());
+        assert!(expr_estimate(&add(m("A"), m("B")), &c).is_err());
+        assert!(expr_estimate(&m("missing"), &c).is_err());
+        assert!(expr_estimate(&trace(m("A")), &c).is_err());
     }
 
     #[test]
     fn flops_cost_orders_mul_shapes() {
-        let f = FlopsCost::default();
+        let f = FlopsCost;
         let big = f.op_cost(
             OpKind::Mul,
             0,
@@ -132,30 +119,5 @@ mod tests {
             ClassStats::dense(4, 4),
         );
         assert!(small < big);
-    }
-
-    /// Backend profiles scale product charges uniformly, so the *ordering*
-    /// of candidate plans is preserved while absolute costs drop — and the
-    /// profiled estimator and DP cost drop together.
-    #[test]
-    fn parallel_profile_lowers_costs_consistently() {
-        let c = cat();
-        let profile = BackendProfile::parallel(4);
-        let priced = |e: &Expr| expr_estimate(e, &c, &profile).unwrap().1;
-        let e = trace(mul(m("A"), m("B")));
-        let base = cost(&c, &e);
-        let fast = priced(&e);
-        assert!(fast < base, "parallel profile must cheapen products: {fast} vs {base}");
-        // Ranking is preserved: the rotated trace still wins under either.
-        let ab = priced(&trace(mul(m("A"), m("B"))));
-        let ba = priced(&trace(mul(m("B"), m("A"))));
-        assert!(ba < ab);
-        // The DP's cost function agrees with the estimator's scaling.
-        let f = FlopsCost::with_profile(profile);
-        let child = [ClassStats::dense(30, 4), ClassStats::dense(4, 30)];
-        let out = op_stats(OpKind::Mul, 0, &child);
-        let dp = f.op_cost(OpKind::Mul, 0, &child, out);
-        let reference = FlopsCost::default().op_cost(OpKind::Mul, 0, &child, out);
-        assert!(dp < reference);
     }
 }

@@ -31,8 +31,8 @@ use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
 use hadad_chase::{
-    ChaseBudget, ChaseOutcome, ChaseStats, Cq, DegradeReason, Degraded, Instance, Pacb,
-    PacbResult, RewritePhase,
+    ChaseOutcome, ChaseStats, Cq, DegradeReason, Degraded, Instance, Pacb, PacbResult,
+    RewritePhase,
 };
 use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
@@ -261,8 +261,6 @@ pub struct HybridOptimizer {
     pub catalog: Catalog,
     /// The LA side: rewriter, cost oracle, and LA views.
     pub optimizer: Optimizer,
-    /// Budget applied to the relational (PACB) chase phases.
-    pub budget: ChaseBudget,
     table_views: Vec<TableView>,
     maintainer: ViewMaintainer,
     maintained_casts: Vec<MaintainedCast>,
@@ -273,27 +271,17 @@ pub struct HybridOptimizer {
 }
 
 impl HybridOptimizer {
-    /// A hybrid optimizer over `catalog` and `optimizer`, with no views
-    /// and a default chase budget.
+    /// A hybrid optimizer over `catalog` and `optimizer`, with no views.
+    /// PACB runs under the default chase budget.
     pub fn new(catalog: Catalog, optimizer: Optimizer) -> Self {
         HybridOptimizer {
             catalog,
             optimizer,
-            budget: ChaseBudget::default(),
             table_views: Vec::new(),
             maintainer: ViewMaintainer::new(),
             maintained_casts: Vec::new(),
             shared: None,
         }
-    }
-
-    /// Selects the execution backend for the LA suffix: both the kernels
-    /// the suffix runs on and the calibration constants its plans are
-    /// ranked under (the inner [`Optimizer`] is what the hybrid path
-    /// clones for suffix rewriting).
-    pub fn with_backend(mut self, backend: hadad_linalg::BackendKind) -> Self {
-        self.optimizer = self.optimizer.with_backend(backend);
-        self
     }
 
     /// Materializes `def` over the current catalog and registers the result
@@ -366,14 +354,16 @@ impl HybridOptimizer {
 
     /// Registers a cast whose matrix metadata tracks the underlying view
     /// across updates, and stamps it now. The cast name must be fresh in
-    /// the LA catalog — re-stamping over an existing input matrix (or a
-    /// previously registered cast) would silently repoint every plan that
-    /// reads it at the cast's metadata.
+    /// the LA catalog and among the LA views — re-stamping over an
+    /// existing input matrix (or a previously registered cast) would
+    /// silently repoint every plan that reads it at the cast's metadata,
+    /// and a view's name would merge the cast with the view's definition.
     pub fn register_maintained_cast(
         &mut self,
         cast: MaintainedCast,
     ) -> Result<(), HybridError> {
         if self.optimizer.cat.get(&cast.cast_name).is_some()
+            || self.optimizer.has_la_view(&cast.cast_name)
             || self.maintained_casts.iter().any(|c| c.cast_name == cast.cast_name)
         {
             return Err(HybridError::DuplicateName(cast.cast_name));
@@ -591,7 +581,6 @@ impl HybridOptimizer {
             catalog: self.catalog.clone(),
             table_views: self.table_views.clone(),
             optimizer,
-            budget: self.budget,
             epoch,
             memo: Arc::default(),
         }
@@ -666,7 +655,6 @@ impl HybridOptimizer {
                 catalog: &self.catalog,
                 table_views: &self.table_views,
                 optimizer: &self.optimizer,
-                budget: self.budget,
                 epoch: self.catalog.epoch(),
                 degraded,
                 memo: None,
@@ -686,7 +674,6 @@ struct RunState<'a> {
     catalog: &'a Catalog,
     table_views: &'a [TableView],
     optimizer: &'a Optimizer,
-    budget: ChaseBudget,
     /// Catalog epoch the state was captured at — stamped onto the LA
     /// optimizer clone so its plan-cache probes are epoch-checked.
     epoch: u64,
@@ -775,10 +762,7 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
     // fallback — instead of unwinding out of the pipeline.
     let (pacb, pacb_us) = hadad_obs::timed("hybrid.pacb", &PACB_US, || {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Pacb::new(&[], &views)
-                .with_budget(state.budget)
-                .with_pruning(&cost_fn, cost_original)
-                .rewrite(&compiled.cq)
+            Pacb::new(&[], &views).with_pruning(&cost_fn, cost_original).rewrite(&compiled.cq)
         }))
         .unwrap_or_else(|_| PacbResult {
             rewritings: Vec::new(),
@@ -977,7 +961,7 @@ impl PrefixMemo {
 
 /// An immutable, owned copy of a [`HybridOptimizer`]'s rewriting state —
 /// relational catalog, table views, LA optimizer (plan-cache epoch already
-/// stamped), and chase budget — captured at a committed catalog epoch.
+/// stamped) — captured at a committed catalog epoch.
 ///
 /// Every method takes `&self`, so one snapshot (behind an [`Arc`]) serves
 /// hybrid rewrites from any number of threads while the writer keeps
@@ -993,7 +977,6 @@ pub struct CatalogSnapshot {
     catalog: Catalog,
     table_views: Vec<TableView>,
     optimizer: Optimizer,
-    budget: ChaseBudget,
     epoch: u64,
     /// Prefix outcomes computed against this snapshot; published empty,
     /// dropped with the snapshot (a clone of the snapshot shares it).
@@ -1050,7 +1033,6 @@ impl CatalogSnapshot {
             catalog: &self.catalog,
             table_views: &self.table_views,
             optimizer: &self.optimizer,
-            budget: self.budget,
             epoch: self.epoch,
             degraded: None,
             memo,

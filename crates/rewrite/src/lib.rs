@@ -29,7 +29,7 @@ pub mod query;
 pub use cache::{CacheReport, PlanCache};
 pub use cost::FlopsCost;
 pub use eval::{eval, eval_with, Env, EvalError};
-pub use hadad_linalg::{BackendKind, ExecBackend};
+pub use hadad_linalg::ExecBackend;
 pub use hybrid::{
     eval_cq, CastKind, CatalogSnapshot, CompiledQuery, HybridError, HybridOptimizer,
     HybridPipeline, HybridResult, MaintainedCast, RelOp, RelPhase, RelQuery, SnapshotReader,

@@ -7,6 +7,10 @@
 //! cost-ranked extraction from the saturated instance plays the role of
 //! the backchase — every candidate it returns is a full reformulation
 //! justified by the constraints, and the cost model picks the winner.
+//! There is one cost model: ranking (`expr_estimate`) and extraction
+//! ([`FlopsCost`]) price every plan in reference flops, so plan choice is
+//! the same on every host; `rewrite_verified` and `check_equivalent`
+//! evaluate on [`default_backend`].
 //!
 //! The constraint set a call chases with is the process-wide standard
 //! catalogue ([`Catalogue::shared_standard`]: LA properties are fixed, so
@@ -38,10 +42,10 @@ use hadad_chase::{
 };
 use hadad_core::fingerprint::{canonicalize, leaf_bands, rename_leaves};
 use hadad_core::{
-    expr_estimate, expr_stats, BackendProfile, Catalogue, ClassData, Encoder, Expr, Extractor,
-    LaAnalysis, MatrixMeta, MetaCatalog, RuleRejection, ShapeError, Vrem,
+    expr_estimate, expr_stats, Catalogue, ClassData, Encoder, Expr, Extractor, LaAnalysis,
+    MatrixMeta, MetaCatalog, RuleRejection, ShapeError, Vrem,
 };
-use hadad_linalg::{approx_eq, BackendKind, Matrix};
+use hadad_linalg::{approx_eq, default_backend, Matrix};
 
 use crate::cache::{CacheReport, CachedPlans, PlanCache, PlanCacheKey};
 use crate::cost::FlopsCost;
@@ -74,7 +78,7 @@ fn record_total_us(us: u128) {
 pub struct Plan {
     /// The rewritten expression.
     pub expr: Expr,
-    /// Estimated execution cost under the active backend profile.
+    /// Estimated execution cost, in reference flops.
     pub est_cost: f64,
 }
 
@@ -106,9 +110,6 @@ pub struct RewriteReport {
     pub extract_us: u128,
     /// Time spent costing and sorting candidates.
     pub rank_us: u128,
-    /// The backend calibration constants every cost in this report was
-    /// priced under (estimator and extraction DP alike).
-    pub cost_profile: BackendProfile,
     /// Per-rule matches, firings and vetoes, merges and rounds of the chase.
     pub chase_stats: ChaseStats,
     /// `Some` when the pipeline had to give up completeness — a budget or
@@ -128,7 +129,7 @@ pub struct RewriteReport {
 /// reformulations, cheapest first.
 #[derive(Debug, Clone)]
 pub struct RankedPlans {
-    /// The unrewritten input, priced under the same profile.
+    /// The unrewritten input, priced by the same estimator.
     pub original: Plan,
     /// Candidates sorted by ascending estimated cost, exact ties going to
     /// the original expression — which is among them whenever extraction
@@ -173,6 +174,10 @@ pub enum RewriteError {
     /// are range-unrestricted or break weak acyclicity modulo reuse (a
     /// chase-termination risk the budgets would otherwise have to absorb).
     Rejected(RuleRejection),
+    /// An LA view registration named a registered LA view or a catalogued
+    /// matrix: the chase's `name-unique` EGD would merge the two
+    /// definitions and make unrelated expressions "equivalent".
+    DuplicateName(String),
 }
 
 impl std::fmt::Display for RewriteError {
@@ -182,6 +187,9 @@ impl std::fmt::Display for RewriteError {
             RewriteError::Eval(e) => write!(f, "original failed to evaluate: {e}"),
             RewriteError::NoPlan => write!(f, "no plan could be extracted"),
             RewriteError::Rejected(r) => write!(f, "{r}"),
+            RewriteError::DuplicateName(n) => {
+                write!(f, "name {n} is already a registered LA view or matrix")
+            }
         }
     }
 }
@@ -228,16 +236,14 @@ fn registration_gate(offered: &[Constraint], vrem: &Vrem) -> Result<(), RuleReje
 
 /// A registered, materialized LA view: a name the evaluation environment
 /// binds to a precomputed matrix, plus the defining expression over base
-/// matrices (paper §6.2.4). Metadata is taken from `meta` when given,
-/// otherwise estimated from the definition at rewrite time.
+/// matrices (paper §6.2.4). Its metadata is estimated from the definition
+/// at rewrite time.
 #[derive(Debug, Clone)]
 pub struct LaView {
     /// Name the environment binds to the materialized matrix.
     pub name: String,
     /// Defining expression over base matrices.
     pub def: Expr,
-    /// Explicit metadata; estimated from `def` when `None`.
-    pub meta: Option<MatrixMeta>,
     /// The static gate's verdict on this view's `V_IO`/`V_OI` pair, set
     /// the first time the pair can be built: at registration, or — for a
     /// definition over matrices catalogued later — by the first rewrite
@@ -265,11 +271,6 @@ pub struct Optimizer {
     /// each contributes `V_IO`/`V_OI` constraints to the chase, so plans
     /// can land on (and expand through) `Mat(view)` leaves.
     pub views: Vec<LaView>,
-    /// Execution backend the chosen plan will run on: selects the kernels
-    /// `rewrite_verified`/`check_equivalent` evaluate with *and* the
-    /// calibration constants every cost estimate is priced under. Defaults
-    /// to `Parallel`.
-    pub backend: BackendKind,
     /// Optional wall-clock allowance for each `rewrite` call. When set, the
     /// chase budget is stamped with `Instant::now() + deadline` at the start
     /// of the call; a chase cut short by it still yields an anytime result
@@ -289,8 +290,8 @@ pub struct Optimizer {
 }
 
 impl Optimizer {
-    /// Optimizer over `cat` with default budgets, the standard catalogue,
-    /// and the `Parallel` backend.
+    /// Optimizer over `cat` with default budgets and the standard
+    /// catalogue.
     pub fn new(cat: MetaCatalog) -> Self {
         Optimizer {
             cat,
@@ -303,7 +304,6 @@ impl Optimizer {
                 deadline: None,
             },
             views: Vec::new(),
-            backend: BackendKind::Parallel,
             deadline: None,
             extra_constraints: Vec::new(),
             cache: None,
@@ -339,12 +339,6 @@ impl Optimizer {
         self.cache_epoch
     }
 
-    /// Selects the execution backend (kernels and cost calibration).
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
     /// Bounds each `rewrite` call to roughly `timeout` of wall-clock time.
     /// The bound is enforced inside the chase (checked at every round start
     /// and every few TGD firings), so the pipeline degrades to the best plan
@@ -352,11 +346,6 @@ impl Optimizer {
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
         self.deadline = Some(timeout);
         self
-    }
-
-    /// Calibration constants of the selected backend.
-    fn profile(&self) -> BackendProfile {
-        BackendProfile::for_kind(self.backend)
     }
 
     /// Replaces the chase budget.
@@ -367,7 +356,9 @@ impl Optimizer {
 
     /// Registers a materialized LA view. Shape/density metadata is
     /// estimated from the definition when the view is used (so definitions
-    /// may reference matrices registered later, e.g. a hybrid cast).
+    /// may reference matrices registered later, e.g. a hybrid cast). A
+    /// name that is already a registered LA view or a matrix of `cat` is
+    /// refused with [`RewriteError::DuplicateName`].
     ///
     /// The view's `V_IO`/`V_OI` constraints are statically analyzed
     /// against the standard catalogue and rejected with
@@ -382,34 +373,17 @@ impl Optimizer {
         name: impl Into<String>,
         def: Expr,
     ) -> Result<(), RewriteError> {
-        self.register_la_view_inner(name.into(), def, None)
-    }
-
-    /// Registers a materialized LA view with explicit metadata (e.g. from
-    /// the actual materialized matrix). Statically gated like
-    /// [`Optimizer::register_la_view`].
-    pub fn register_la_view_with_meta(
-        &mut self,
-        name: impl Into<String>,
-        def: Expr,
-        meta: MatrixMeta,
-    ) -> Result<(), RewriteError> {
-        self.register_la_view_inner(name.into(), def, Some(meta))
-    }
-
-    fn register_la_view_inner(
-        &mut self,
-        name: String,
-        def: Expr,
-        meta: Option<MatrixMeta>,
-    ) -> Result<(), RewriteError> {
+        let name = name.into();
+        if self.has_la_view(&name) || self.cat.get(&name).is_some() {
+            return Err(RewriteError::DuplicateName(name));
+        }
         // Build the candidate view's constraints over a clone of the
         // shared schema and gate on certification. `effective_cat`/
         // `la_view_constraints` failures mean metadata is not available
         // yet (the definition references matrices to be registered later):
         // the verdict is then reached by the first rewrite that can build
         // them — the documented contract, kept by `chase_rules`.
-        let candidate = LaView { name, def, meta, gate: Arc::default() };
+        let candidate = LaView { name, def, gate: Arc::default() };
         if let Ok(meta_cat) = self.effective_cat() {
             let mut vrem = Catalogue::shared_standard().0.clone();
             if let Ok(view) = Catalogue::la_view_constraints(
@@ -423,6 +397,11 @@ impl Optimizer {
         }
         self.views.push(candidate);
         Ok(())
+    }
+
+    /// Whether `name` is a registered LA view.
+    pub(crate) fn has_la_view(&self, name: &str) -> bool {
+        self.views.iter().any(|v| v.name == name)
     }
 
     /// Registers a *mined* constraint generator (e.g. rules discovered
@@ -443,9 +422,9 @@ impl Optimizer {
         Ok(())
     }
 
-    /// The metadata catalog with every registered view priced in: explicit
-    /// metadata when given, otherwise shape and density estimated from the
-    /// definition (views may build on earlier views).
+    /// The metadata catalog with every registered view priced in: shape
+    /// and density estimated from the definition (views may build on
+    /// earlier views).
     fn effective_cat(&self) -> Result<MetaCatalog, RewriteError> {
         if self.views.is_empty() {
             return Ok(self.cat.clone());
@@ -455,15 +434,9 @@ impl Optimizer {
             if cat.get(&v.name).is_some() {
                 continue;
             }
-            let meta = match &v.meta {
-                Some(m) => m.clone(),
-                None => {
-                    let est = expr_stats(&v.def, &cat)?;
-                    let nnz = (est.density * est.rows as f64 * est.cols as f64).round();
-                    MatrixMeta::sparse(est.rows, est.cols, nnz as usize)
-                }
-            };
-            cat.register(&v.name, meta);
+            let est = expr_stats(&v.def, &cat)?;
+            let nnz = (est.density * est.rows as f64 * est.cols as f64).round();
+            cat.register(&v.name, MatrixMeta::sparse(est.rows, est.cols, nnz as usize));
         }
         Ok(cat)
     }
@@ -477,7 +450,7 @@ impl Optimizer {
         let mut env = env.clone();
         for v in &self.views {
             if env.get(&v.name).is_none() {
-                let m = eval_with(&v.def, &env, self.backend.select())?;
+                let m = eval_with(&v.def, &env, default_backend())?;
                 env.bind(&v.name, m);
             }
         }
@@ -518,7 +491,6 @@ impl Optimizer {
     /// the same hash would run an identical cold pipeline on equal inputs.
     fn config_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
-        self.backend.hash(&mut h);
         self.budget.max_rounds.hash(&mut h);
         self.budget.max_facts.hash(&mut h);
         self.budget.max_nulls.hash(&mut h);
@@ -526,9 +498,6 @@ impl Optimizer {
         for v in &self.views {
             v.name.hash(&mut h);
             v.def.to_string().hash(&mut h);
-            if let Some(m) = &v.meta {
-                (m.rows, m.cols, m.nnz).hash(&mut h);
-            }
         }
         // Generators are hashed by allocation identity (`Arc` pointer): two
         // optimizers share one exactly when one was cloned from the other
@@ -558,10 +527,8 @@ impl Optimizer {
         M_REWRITE_CALLS.incr();
         let cat = self.effective_cat()?;
         // Both cost consumers below — ranking estimator and extraction DP —
-        // price plans under the selected backend's calibration constants,
-        // so plan choice tracks the kernels that will actually execute.
-        let profile = self.profile();
-        let original = Plan { expr: e.clone(), est_cost: expr_estimate(e, &cat, &profile)?.1 };
+        // price plans in reference flops through the one `op_cost`.
+        let original = Plan { expr: e.clone(), est_cost: expr_estimate(e, &cat)?.1 };
 
         // Plan-cache probe: a hit at the current epoch is served straight
         // from the cache; a stale entry is refused and, like a miss, takes
@@ -570,9 +537,8 @@ impl Optimizer {
         if let Some(cache) = &self.cache {
             if let Some(key) = self.cache_key(e, &cat) {
                 if let Some(cached) = cache.lookup(&key) {
-                    let priced = (&cat, &profile);
                     if let Some(served) =
-                        serve_hit(cache, *cached, &key, priced, original.clone(), start)
+                        serve_hit(cache, *cached, &key, &cat, original.clone(), start)
                     {
                         return Ok(served);
                     }
@@ -632,7 +598,6 @@ impl Optimizer {
                 }
             });
 
-        let cost_fn = FlopsCost::with_profile(profile);
         let conflict = matches!(chase_outcome, ChaseOutcome::AnalysisConflict(_));
         let (candidates, extract_us) =
             hadad_obs::timed("rewrite.extract", &M_EXTRACT_US, || {
@@ -640,7 +605,7 @@ impl Optimizer {
                     return Vec::new();
                 }
                 catch_unwind(AssertUnwindSafe(|| {
-                    let extractor = Extractor::new(&vrem, &inst, &analysis, &cost_fn);
+                    let extractor = Extractor::new(&vrem, &inst, &analysis, &FlopsCost);
                     let mut candidates = extractor.candidates(encoded.root);
                     if candidates.is_empty() {
                         // Un-chased leaf-only expressions still decode via
@@ -663,7 +628,7 @@ impl Optimizer {
 
         let (plans, rank_us) = hadad_obs::timed("rewrite.rank", &M_RANK_US, || {
             let mut plans =
-                catch_unwind(AssertUnwindSafe(|| rank_candidates(&cat, &profile, candidates)))
+                catch_unwind(AssertUnwindSafe(|| rank_candidates(&cat, candidates)))
                     .unwrap_or_else(|_| {
                         degraded.get_or_insert(Degraded {
                             reason: DegradeReason::WorkerPanic,
@@ -699,7 +664,6 @@ impl Optimizer {
             chase_us,
             extract_us,
             rank_us,
-            cost_profile: profile,
             chase_stats: stats,
             degraded,
             cache: self.cache.as_ref().map_or_else(CacheReport::default, |c| c.report(false)),
@@ -726,7 +690,7 @@ impl Optimizer {
         rtol: f64,
     ) -> Result<bool, EvalError> {
         let env = self.env_with_views(env)?;
-        let backend = self.backend.select();
+        let backend = default_backend();
         let a = eval_with(original, &env, backend)?;
         let b = eval_with(candidate, &env, backend)?;
         Ok(approx_eq(&a, &b, rtol))
@@ -745,7 +709,7 @@ impl Optimizer {
     ) -> Result<(RankedPlans, Plan, Matrix), RewriteError> {
         let ranked = self.rewrite(e)?;
         let env = self.env_with_views(env).map_err(RewriteError::Eval)?;
-        let backend = self.backend.select();
+        let backend = default_backend();
         let reference = eval_with(e, &env, backend).map_err(RewriteError::Eval)?;
         for plan in &ranked.plans {
             if let Ok(value) = eval_with(&plan.expr, &env, backend) {
@@ -792,7 +756,7 @@ fn serve_hit(
     cache: &PlanCache,
     cached: CachedPlans,
     key: &PlanCacheKey,
-    (cat, profile): (&MetaCatalog, &BackendProfile),
+    cat: &MetaCatalog,
     original: Plan,
     start: Instant,
 ) -> Option<RankedPlans> {
@@ -801,7 +765,7 @@ fn serve_hit(
         plans.original = original;
     } else {
         let renamed = plans.plans.iter().map(|p| rename_leaves(&p.expr, &names, &key.names));
-        let mut reskinned = rank_candidates(cat, profile, renamed.collect());
+        let mut reskinned = rank_candidates(cat, renamed.collect());
         if reskinned.is_empty() {
             return None;
         }
@@ -825,15 +789,11 @@ fn serve_hit(
 /// classes can in rare cases fall outside the metadata catalog (e.g. a
 /// literal the cost model cannot shape); those are skipped rather than
 /// failing the call.
-fn rank_candidates(
-    cat: &MetaCatalog,
-    profile: &BackendProfile,
-    candidates: Vec<Expr>,
-) -> Vec<Plan> {
+fn rank_candidates(cat: &MetaCatalog, candidates: Vec<Expr>) -> Vec<Plan> {
     candidates
         .into_iter()
         .filter_map(|expr| {
-            expr_estimate(&expr, cat, profile).ok().map(|(_, est_cost)| Plan { expr, est_cost })
+            expr_estimate(&expr, cat).ok().map(|(_, est_cost)| Plan { expr, est_cost })
         })
         .collect()
 }
@@ -911,17 +871,19 @@ mod tests {
         assert!(ranked.best().est_cost < ranked.original.est_cost);
     }
 
-    /// Explicit metadata wins over the estimate, and `effective_cat` does
-    /// not leak into the caller's catalog.
+    /// A view's metadata is estimated from its definition, and
+    /// `effective_cat` does not leak into the caller's catalog.
     #[test]
     fn view_metadata_is_estimated_or_explicit() {
         let mut cat = MetaCatalog::new();
         cat.register("A", MatrixMeta::dense(10, 10));
+        cat.register("S", MatrixMeta::sparse(10, 10, 10));
         let mut opt = Optimizer::new(cat);
-        opt.register_la_view_with_meta("V", mul(m("A"), m("A")), MatrixMeta::sparse(10, 10, 3))
-            .unwrap();
+        opt.register_la_view("V", mul(m("A"), m("A"))).unwrap();
+        opt.register_la_view("W", had(m("S"), m("S"))).unwrap();
         let eff = opt.effective_cat().unwrap();
-        assert_eq!(eff.get("V").unwrap().nnz, 3);
+        assert_eq!(*eff.get("V").unwrap(), MatrixMeta::dense(10, 10));
+        assert_eq!(*eff.get("W").unwrap(), MatrixMeta::sparse(10, 10, 1));
         assert!(opt.cat.get("V").is_none());
     }
 

@@ -18,8 +18,8 @@ use hadad_chase::{
 };
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    expr_estimate, expr_stats, BackendProfile, Catalogue, Encoder, Expr, Extractor, LaAnalysis,
-    MatrixMeta, MetaCatalog, ShapeError, Vrem,
+    expr_estimate, expr_stats, Catalogue, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta,
+    MetaCatalog, ShapeError, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::FlopsCost;
@@ -179,7 +179,7 @@ fn naive_and_semi_naive_chases_agree_on_random_corpus() {
             signature(&pair.semi_inst),
             "sample {i} ({e}): saturated instances are not isomorphic"
         );
-        let cost_fn = FlopsCost::default();
+        let cost_fn = FlopsCost;
         let naive_ex =
             Extractor::new(&pair.vrem, &pair.naive_inst, &pair.naive_analysis, &cost_fn);
         let semi_ex =
@@ -236,22 +236,20 @@ fn chain8_saturates_in_default_budget_and_semi_naive_wins() {
         pair.semi_matches,
         pair.naive_matches
     );
-    let cost_fn = FlopsCost::default();
+    let cost_fn = FlopsCost;
     let ex = Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cost_fn);
     let best = ex.extract(pair.root).expect("chain decodes");
     assert_eq!(best.to_string(), "(M1 (M2 (M3 (M4 (M5 (M6 (M7 M8)))))))");
 }
 
 /// One estimator: the encoder's `expr_stats` and the ranking's
-/// `expr_estimate` under a parallel profile report the same shape and
-/// density, bit for bit, for every subexpression of the corpus — a backend
-/// profile only prices — and enforce the same shape rules: `qr.R`/`lu.U`
+/// `expr_estimate` report the same shape and density, bit for bit, for
+/// every subexpression of the corpus, and enforce the same shape rules: `qr.R`/`lu.U`
 /// need a square input like their `Q`/`L` halves, whichever of the two is
 /// asked.
 #[test]
 fn expr_stats_and_cost_model_are_one_estimator() {
     let cat = corpus_catalog();
-    let profile = BackendProfile::parallel(4);
     let mut rng = Rng64::new(0xADAD_5EED);
     let mut checked = 0usize;
     for _ in 0..120 {
@@ -259,8 +257,7 @@ fn expr_stats_and_cost_model_are_one_estimator() {
         let mut todo = vec![&e];
         while let Some(sub) = todo.pop() {
             let stats = expr_stats(sub, &cat).expect("generator emits valid shapes");
-            let (est, _) =
-                expr_estimate(sub, &cat, &profile).expect("generator emits valid shapes");
+            let (est, _) = expr_estimate(sub, &cat).expect("generator emits valid shapes");
             assert_eq!(
                 (stats.rows, stats.cols, stats.density.to_bits()),
                 (est.rows, est.cols, est.density.to_bits()),
@@ -274,9 +271,6 @@ fn expr_stats_and_cost_model_are_one_estimator() {
 
     for e in [Expr::QrR(Box::new(m("A"))), Expr::LuU(Box::new(m("A")))] {
         assert!(matches!(expr_stats(&e, &cat), Err(ShapeError::Mismatch(_))), "{e}");
-        assert!(
-            matches!(expr_estimate(&e, &cat, &profile), Err(ShapeError::Mismatch(_))),
-            "{e}"
-        );
+        assert!(matches!(expr_estimate(&e, &cat), Err(ShapeError::Mismatch(_))), "{e}");
     }
 }

@@ -3,20 +3,19 @@
 //! naive chase engine is kept for the semi-naïve one. Over the 124
 //! expressions `same_chase.rs` pins, each chased as a cold `rewrite` chases
 //! it, every class's best cost must be bitwise equal, and the extracted
-//! root expression and the root's candidates equal — under tree size, and
-//! under flops with both backend profiles. Both read shapes and densities
-//! from the same chase's analysis.
+//! root expression and the root's candidates equal — under tree size and
+//! under flops. Both read shapes and densities from the same chase's
+//! analysis.
 
 use std::collections::HashMap;
 
 use hadad_chase::{ChaseEngine, Instance, NodeId};
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    op_stats, BackendProfile, Catalogue, ClassStats, Encoder, Expr, ExtractionCost, Extractor,
-    LaAnalysis, MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, Vrem,
+    op_stats, Catalogue, ClassStats, Encoder, Expr, ExtractionCost, Extractor, LaAnalysis,
+    MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, Vrem,
 };
 use hadad_linalg::rng::Rng64;
-use hadad_linalg::BackendKind;
 use hadad_rewrite::{FlopsCost, Optimizer};
 
 mod common;
@@ -308,17 +307,8 @@ fn corpus() -> Vec<(MetaCatalog, Expr)> {
 fn worklist_extraction_equals_the_fixpoint_relaxation() {
     let (standard_vrem, rules) = Catalogue::shared_standard();
     let budget = Optimizer::new(MetaCatalog::new()).budget;
-    let costs: [(&str, Box<dyn ExtractionCost>); 3] = [
-        ("tree size", Box::new(TreeSizeCost)),
-        (
-            "flops, reference profile",
-            Box::new(FlopsCost::with_profile(BackendProfile::for_kind(BackendKind::Reference))),
-        ),
-        (
-            "flops, parallel profile",
-            Box::new(FlopsCost::with_profile(BackendProfile::for_kind(BackendKind::Parallel))),
-        ),
-    ];
+    let costs: [(&str, &dyn ExtractionCost); 2] =
+        [("tree size", &TreeSizeCost), ("flops", &FlopsCost)];
     let samples = corpus();
     assert_eq!(samples.len(), 124);
     let mut solved = 0usize;
@@ -330,8 +320,8 @@ fn worklist_extraction_equals_the_fixpoint_relaxation() {
         ChaseEngine::new(rules).with_budget(budget).chase_analyzed(&mut inst, &mut analysis);
         let root = inst.find(enc.root);
         for (name, cost) in &costs {
-            let ex = Extractor::new(&vrem, &inst, &analysis, cost.as_ref());
-            let reference = Relaxation::new(&vrem, &inst, &analysis, cost.as_ref());
+            let ex = Extractor::new(&vrem, &inst, &analysis, *cost);
+            let reference = Relaxation::new(&vrem, &inst, &analysis, *cost);
             for n in 0..inst.num_nodes() {
                 let class = inst.find(NodeId(n as u32));
                 let want = reference.best.get(&class).map(|&(c, _)| c.to_bits());
@@ -350,5 +340,5 @@ fn worklist_extraction_equals_the_fixpoint_relaxation() {
             );
         }
     }
-    assert!(solved >= 124 * 3 * 5, "corpus too degenerate: {solved} solved classes");
+    assert!(solved >= 124 * costs.len() * 5, "corpus too degenerate: {solved} solved classes");
 }

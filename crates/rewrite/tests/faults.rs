@@ -20,7 +20,7 @@ use hadad_chase::{ChaseBudget, ChaseOutcome, DegradeReason, ExhaustedBy, Rewrite
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog};
 use hadad_failpoint::{scoped, FailAction};
-use hadad_linalg::{rand_gen, take_backend_panics, BackendKind, Matrix};
+use hadad_linalg::{rand_gen, take_backend_panics, Matrix};
 use hadad_relational::{Catalog, Column, Table, Value};
 use hadad_rewrite::{
     CastKind, Env, HybridError, HybridOptimizer, HybridPipeline, Optimizer, RelQuery,
@@ -165,7 +165,7 @@ fn extraction_panic_falls_back_to_original_plan() {
 #[test]
 fn kernel_panic_degrades_to_reference_backend() {
     let (cat, env, expr) = chain(&[60, 40, 20, 1]);
-    let opt = Optimizer::new(cat).with_backend(BackendKind::Parallel);
+    let opt = Optimizer::new(cat);
     let _g = scoped("linalg.kernel", FailAction::Panic);
     let (ranked, plan, _) = quiet_panics(|| opt.rewrite_verified(&expr, &env, 1e-9)).unwrap();
     assert!(plan.est_cost <= ranked.original.est_cost);
@@ -323,7 +323,7 @@ fn env_driven_single_fault_degrades_cleanly() {
     quiet_panics(|| {
         // LA pipeline: must return a verified plan under every fault.
         let (cat, env, expr) = chain(&[60, 40, 20, 1]);
-        let opt = Optimizer::new(cat).with_backend(BackendKind::Parallel);
+        let opt = Optimizer::new(cat);
         let (ranked, plan, _) = opt.rewrite_verified(&expr, &env, 1e-9).unwrap();
         assert!(plan.est_cost <= ranked.original.est_cost);
         if armed("chase.round") || armed("extract.solve") {

@@ -12,7 +12,7 @@ use hadad_relational::{Catalog, Column, Table, Value};
 use hadad_rewrite::hybrid::{eval_cq, TableVocab};
 use hadad_rewrite::{
     eval, CastKind, Env, HybridError, HybridOptimizer, HybridPipeline, MaintainedCast,
-    Optimizer, RelQuery,
+    Optimizer, RelQuery, RewriteError,
 };
 
 const NUM_TWEETS: usize = 500;
@@ -212,9 +212,7 @@ fn sparse_cast_records_real_density_for_the_oracle() {
     let mut dense_cat = MetaCatalog::new();
     dense_cat.register("N", MatrixMeta::dense(NUM_TWEETS, NUM_TOPICS));
     dense_cat.register("w", MatrixMeta::dense(NUM_TWEETS, 1));
-    let reference = hadad_core::BackendProfile::reference();
-    let (_, dense_cost) =
-        hadad_core::expr_estimate(&pipeline.suffix, &dense_cat, &reference).unwrap();
+    let (_, dense_cost) = hadad_core::expr_estimate(&pipeline.suffix, &dense_cat).unwrap();
     assert!(
         r.ranked.original.est_cost < dense_cost / 10.0,
         "oracle priced the sparse cast as dense: {} vs {}",
@@ -695,6 +693,51 @@ fn duplicate_view_names_are_rejected() {
     // The original view is intact.
     assert_eq!(hy.catalog.cardinality("v"), Some(NUM_TWEETS / NUM_TOPICS));
     assert_eq!(hy.table_views().len(), 1);
+}
+
+/// An LA view's name must be fresh: a second definition under a view's
+/// name, a view named after a catalogued matrix, or a maintained cast named
+/// after a view would let the chase's `name-unique` EGD merge two different
+/// matrices, and rewrites would trade one for the other.
+#[test]
+fn taken_la_view_names_are_rejected() {
+    let mut catalog = Catalog::new();
+    catalog.register("tweets", tweets());
+    let mut la_cat = MetaCatalog::new();
+    for name in ["A", "B", "C"] {
+        la_cat.register(name, MatrixMeta::dense(6, 6));
+    }
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(la_cat));
+    hy.register_la_view("V", mul(m("B"), m("C"))).unwrap();
+    let taken = |err: HybridError, name: &str| match err {
+        HybridError::Rewrite(RewriteError::DuplicateName(n))
+        | HybridError::DuplicateName(n) => n == name,
+        _ => false,
+    };
+    // A second definition under the view's name...
+    let err = hy.register_la_view("V", mul(m("C"), m("B"))).unwrap_err();
+    assert!(taken(err, "V"));
+    // ...a view named after a base matrix...
+    let err = hy.register_la_view("A", mul(m("B"), m("C"))).unwrap_err();
+    assert!(taken(err, "A"));
+    // ...and a cast named after the view are all refused.
+    let cast = MaintainedCast {
+        cast_name: "V".into(),
+        view: "tweets".into(),
+        sort_key: None,
+        cast: CastKind::Dense { columns: vec!["level".into()] },
+    };
+    let err = hy.register_maintained_cast(cast).unwrap_err();
+    assert!(taken(err, "V"));
+    assert_eq!(hy.optimizer.views.len(), 1);
+    assert!(hy.maintained_casts().is_empty());
+
+    // B·C lands on its view, and on nothing the refused names would equate.
+    let ranked = hy.optimizer.rewrite(&mul(m("B"), m("C"))).unwrap();
+    assert_eq!(ranked.best().expr, m("V"));
+    for plan in &ranked.plans {
+        assert!(plan.expr != mul(m("C"), m("B")) && plan.expr != m("A"), "{}", plan.expr);
+    }
 }
 
 /// Without a matching materialized view the prefix falls back to the

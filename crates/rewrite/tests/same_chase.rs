@@ -11,17 +11,15 @@
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog};
 use hadad_linalg::rng::Rng64;
-use hadad_linalg::BackendKind;
 use hadad_rewrite::Optimizer;
 
 mod common;
 use common::{corpus_catalog, random_expr};
 
 /// `rounds matches firings egd_merges num_facts | best plan` of one cold
-/// rewrite. The reference backend's cost profile does not depend on the
-/// host's core count, and there is no plan cache: every call chases.
+/// rewrite. There is no plan cache: every call chases.
 fn render(cat: MetaCatalog, e: &Expr) -> String {
-    let opt = Optimizer::new(cat).with_backend(BackendKind::Reference).with_plan_cache(0);
+    let opt = Optimizer::new(cat).with_plan_cache(0);
     let ranked = opt.rewrite(e).expect("generator emits valid shapes");
     let r = &ranked.report;
     format!(
