@@ -45,7 +45,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use hadad_chase::chase::functional_sig;
-use hadad_chase::{Constraint, FunctionalSig, PredId, Term, Tgd, Vocabulary};
+use hadad_chase::{Constraint, FunctionalSig, PredId, ResolutionOrder, Tgd, Vocabulary};
 
 pub use graph::{EdgeKind, PositionGraph};
 
@@ -377,45 +377,15 @@ impl<'a> Analyzer<'a> {
 }
 
 /// The set of a TGD's existential variables that the engine's
-/// conclusion-atom reuse can bind to existing witnesses: reached by the
-/// same fixpoint the engine runs — an existential resolves when some
-/// conclusion atom over a functional predicate places it at an output
-/// position with every input position filled by a constant or an
-/// already-resolved variable.
+/// conclusion-atom reuse can bind to existing witnesses: those a lookup of
+/// the TGD's [`ResolutionOrder`] binds — the order the engine compiles
+/// for the rule, where an existential resolves when some conclusion atom
+/// over a functional predicate places it at an output position with every
+/// input position filled by a constant or an already-resolved variable.
 pub fn reuse_bound_existentials(
     tgd: &Tgd,
     functional: &HashMap<PredId, FunctionalSig>,
 ) -> HashSet<u32> {
-    let premise_vars: HashSet<u32> =
-        tgd.premise.iter().flat_map(hadad_chase::Atom::vars).collect();
-    let mut resolved = premise_vars;
-    loop {
-        let mut progressed = false;
-        for atom in &tgd.conclusion {
-            let Some(sig) = functional.get(&atom.pred) else {
-                continue;
-            };
-            if sig.inputs.iter().chain(&sig.outputs).any(|&p| p >= atom.args.len()) {
-                continue; // arity mismatch — reported separately by safety
-            }
-            let inputs_bound = sig.inputs.iter().all(|&p| match atom.args[p] {
-                Term::Var(v) => resolved.contains(&v),
-                Term::Const(_) => true,
-            });
-            if !inputs_bound {
-                continue;
-            }
-            for &p in &sig.outputs {
-                if let Term::Var(v) = atom.args[p] {
-                    if resolved.insert(v) {
-                        progressed = true;
-                    }
-                }
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    tgd.existential_vars().into_iter().filter(|v| resolved.contains(v)).collect()
+    let order = ResolutionOrder::compile(tgd, |p| functional.get(&p));
+    tgd.existential_vars().into_iter().filter(|&v| order.binds(v)).collect()
 }

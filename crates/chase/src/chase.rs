@@ -19,15 +19,25 @@
 //!
 //! Rules are *compiled* once into a [`RuleSet`] — slot count, existential
 //! variables, the symmetric-EGD test, the functional signatures the engine's
-//! own EGDs prove, shared rule names — and the engine borrows it, so
-//! nothing about a rule is recomputed per application or per run; a set
-//! that adds rules to another ([`RuleSet::extended`]) shares the other's
-//! compiled rules. Premise
-//! matches bind variables in a dense slot array
+//! own EGDs prove, each TGD conclusion's [`ResolutionOrder`], shared rule
+//! names — and the engine borrows it, so nothing about a rule is
+//! recomputed per application or per run; a set that adds rules to
+//! another ([`RuleSet::extended`]) shares the other's compiled rules and
+//! orders. Premise matches bind variables in a dense slot array
 //! ([`crate::homomorphism::Bindings`]); a TGD's conclusion check runs
 //! *while* its premise matches are enumerated, and only the matches whose
 //! conclusion is not yet satisfied are buffered (in one flat arena) for
 //! application. Matching and checking allocate nothing per match.
+//!
+//! The check is a walk of the conclusion's resolution order, not a search
+//! ([`crate::resolve`]): each atom over a functional predicate is one probe
+//! of the instance's memo from (predicate, canonical input nodes) to the
+//! facts carrying them, binding or comparing the atom's outputs, and each
+//! other atom is ground by its turn — one probe of the dedup index. Only a
+//! conclusion with no complete order falls back to the backtracking
+//! search. Existential reuse walks the same order. A run keeps the memo
+//! for its set's signatures ([`Instance`] builds it when the run starts,
+//! on insertion and in `rehash`) and none when the set proves none.
 //!
 //! The engine has one extension point, the [`Analysis`] trait
 //! ([`ChaseEngine::chase_analyzed`]; [`ChaseEngine::chase`] runs with
@@ -49,7 +59,8 @@ use crate::analysis::{Analysis, AnalysisConflict, NoAnalysis};
 use crate::atom::Atom;
 use crate::constraint::{Constraint, Egd, Tgd};
 use crate::homomorphism::{slot_count, Bindings, Match, Matcher};
-use crate::instance::{ConstClash, Fact, Instance, NodeId};
+use crate::instance::{ConstClash, Instance, NodeId};
+use crate::resolve::{ResolutionOrder, Resolver};
 use crate::symbols::{PredId, SymId};
 use crate::term::Term;
 
@@ -297,8 +308,9 @@ fn publish_chase_metrics(stats: &ChaseStats) {
 /// EGDs: `inputs` are the agreeing positions of the two-atom premise,
 /// `outputs` the equated ones. Existence of such an EGD proves that the
 /// outputs are semantically determined by the inputs, which is what makes
-/// conclusion-atom *reuse* sound (see `ChaseEngine::apply_tgd`). Public
-/// so static analysis (`hadad-analyze`) can certify which TGD existentials
+/// a conclusion atom over the predicate a memo lookup and
+/// conclusion-atom *reuse* sound (see [`ResolutionOrder`]). Public so
+/// static analysis (`hadad-analyze`) can certify which TGD existentials
 /// the engine will bind by reuse rather than mint as fresh nulls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionalSig {
@@ -368,6 +380,8 @@ pub struct CompiledRule {
     existentials: Vec<u32>,
     /// An EGD of the symmetric two-atom shape (see [`is_symmetric_pair`]).
     symmetric: bool,
+    /// A TGD's conclusion as lookups over the set's functional signatures.
+    order: Option<ResolutionOrder>,
 }
 
 impl CompiledRule {
@@ -384,8 +398,9 @@ impl CompiledRule {
 }
 
 /// An ordered constraint list compiled for the engine: per rule the slot
-/// count, existential variables, symmetric-EGD flag and a shared name; per
-/// predicate the [`FunctionalSig`] the set's own EGDs prove. Built once
+/// count, existential variables, symmetric-EGD flag and a shared name, and
+/// per TGD the [`ResolutionOrder`] of its conclusion; per predicate the
+/// [`FunctionalSig`] the set's own EGDs prove. Built once
 /// *per process* for the standard catalogue (`hadad-core` keeps it behind
 /// `Catalogue::shared_standard`) and borrowed by every [`ChaseEngine`] over
 /// it; a caller with rules of its own — an optimizer's view constraints —
@@ -396,11 +411,16 @@ pub struct RuleSet {
     rules: Vec<Arc<CompiledRule>>,
     /// Indexed by predicate id: the signature the *last* functional EGD
     /// over that predicate proves. Conclusion atoms over such predicates
-    /// may bind existentials to existing witnesses (core-chase-style
-    /// reuse) instead of churning fresh nulls the EGDs would merge a round
-    /// later. Shared with the set this one extends until an added EGD
-    /// proves a signature of its own.
+    /// are resolved through the instance's memo and may bind existentials
+    /// to existing witnesses (core-chase-style reuse) instead of churning
+    /// fresh nulls the EGDs would merge a round later. Shared with the set
+    /// this one extends until an added EGD proves a signature of its own.
     functional: Arc<Vec<Option<FunctionalSig>>>,
+}
+
+/// The signature `functional` (indexed by predicate id) holds for `pred`.
+fn sig_of(functional: &[Option<FunctionalSig>], pred: PredId) -> Option<&FunctionalSig> {
+    functional.get(pred.0 as usize)?.as_ref()
 }
 
 impl RuleSet {
@@ -417,13 +437,37 @@ impl RuleSet {
     /// would compile the concatenation: this set's rules are shared (one
     /// pointer copy each, nothing recompiled), only `extra` is compiled,
     /// and a functional EGD in `extra` overrides the signature an earlier
-    /// one proved for the same predicate.
+    /// one proved for the same predicate. An inherited TGD whose
+    /// conclusion uses a predicate such an override changes is compiled
+    /// again, for its resolution order.
     pub fn extended(&self, extra: Vec<Constraint>) -> Self {
-        let mut rules = Vec::with_capacity(self.rules.len() + extra.len());
-        rules.extend(self.rules.iter().cloned());
+        let extra: Vec<Constraint> = extra.into_iter().map(densify).collect();
         let mut functional = Arc::clone(&self.functional);
-        for c in extra {
-            let constraint = densify(c);
+        for (pred, sig) in extra.iter().filter_map(|c| match c {
+            Constraint::Egd(e) => functional_sig(e),
+            Constraint::Tgd(_) => None,
+        }) {
+            let functional = Arc::make_mut(&mut functional);
+            let p = pred.0 as usize;
+            if functional.len() <= p {
+                functional.resize(p + 1, None);
+            }
+            functional[p] = Some(sig);
+        }
+        let order_of = |c: &Constraint| match c {
+            Constraint::Tgd(t) => Some(ResolutionOrder::compile(t, |p| sig_of(&functional, p))),
+            Constraint::Egd(_) => None,
+        };
+        let shared = Arc::ptr_eq(&functional, &self.functional);
+        let changed = |pred| sig_of(&functional, pred) != sig_of(&self.functional, pred);
+        let mut rules = Vec::with_capacity(self.rules.len() + extra.len());
+        rules.extend(self.rules.iter().map(|rule| match &rule.constraint {
+            Constraint::Tgd(t) if !shared && t.conclusion.iter().any(|a| changed(a.pred)) => {
+                Arc::new(CompiledRule { order: order_of(&rule.constraint), ..(**rule).clone() })
+            }
+            _ => Arc::clone(rule),
+        }));
+        for constraint in extra {
             let (slots, existentials, symmetric) = match &constraint {
                 Constraint::Tgd(t) => (
                     slot_count(&t.premise).max(slot_count(&t.conclusion)),
@@ -431,14 +475,6 @@ impl RuleSet {
                     false,
                 ),
                 Constraint::Egd(e) => {
-                    if let Some((pred, sig)) = functional_sig(e) {
-                        let functional = Arc::make_mut(&mut functional);
-                        let p = pred.0 as usize;
-                        if functional.len() <= p {
-                            functional.resize(p + 1, None);
-                        }
-                        functional[p] = Some(sig);
-                    }
                     let slots = e
                         .equalities
                         .iter()
@@ -450,6 +486,7 @@ impl RuleSet {
             };
             rules.push(Arc::new(CompiledRule {
                 name: Arc::from(constraint.name()),
+                order: order_of(&constraint),
                 constraint,
                 slots,
                 existentials,
@@ -460,7 +497,8 @@ impl RuleSet {
     }
 
     /// The compiled rules, in firing order. A rule an extension inherited
-    /// is the very allocation of the set it extends.
+    /// is the very allocation of the set it extends, unless the extension
+    /// changed a signature its conclusion resolves through.
     pub fn rules(&self) -> &[Arc<CompiledRule>] {
         &self.rules
     }
@@ -475,8 +513,9 @@ impl RuleSet {
         self.rules.is_empty()
     }
 
+    #[cfg(test)]
     fn functional(&self, pred: PredId) -> Option<&FunctionalSig> {
-        self.functional.get(pred.0 as usize)?.as_ref()
+        sig_of(&self.functional, pred)
     }
 }
 
@@ -556,9 +595,8 @@ enum MergeArg {
 struct RunScratch {
     /// Enumerates premise matches.
     premise: Matcher,
-    /// Runs conclusion checks — while `premise` is mid-enumeration, hence a
-    /// second matcher.
-    check: Matcher,
+    /// Resolves conclusions — while `premise` is mid-enumeration.
+    check: Resolver,
     /// The pending match being applied (what [`Analysis::allow`] is shown).
     firing: Match,
     /// Flat arena of pending TGD matches: binding slots at a stride of the
@@ -628,6 +666,7 @@ impl<'r> ChaseEngine<'r> {
             ..Default::default()
         };
         let mut scratch = RunScratch::default();
+        inst.index_functional(&self.rules.functional);
         // Per-rule clock watermark: facts stamped after it are this rule's
         // delta. Zero means "everything is new" (the naive first round).
         let mut last_seen: Vec<u64> = vec![0; rules.len()];
@@ -710,6 +749,10 @@ impl<'r> ChaseEngine<'r> {
     /// counting matches, firings and vetoes into `stats`, letting
     /// `analysis` veto each firing and showing it every fact one inserts.
     /// Returns the bound that tripped, if one did.
+    ///
+    /// Both the check and the reuse walk the rule's [`ResolutionOrder`]:
+    /// one memo lookup per functional conclusion atom, one dedup probe per
+    /// ground one (see [`crate::resolve`]).
     fn apply_tgd<A: Analysis>(
         &self,
         inst: &mut Instance,
@@ -720,15 +763,16 @@ impl<'r> ChaseEngine<'r> {
         stats: &mut RuleStats,
     ) -> Option<ExhaustedBy> {
         let RunScratch { premise, check, firing, pending_slots, pending_facts, .. } = scratch;
+        let order = rule.order.as_ref().expect("a TGD has a resolution order");
         let slots = rule.slots;
         let arity = tgd.premise.len();
         // Phase 1: enumerate premise matches against the still-immutable
-        // instance, drop those the guard refuses, and run the
-        // restricted-chase check on the rest right away. Applying a TGD
-        // only appends facts and never merges, so a conclusion satisfied
-        // now stays satisfied for the whole application: such a match
-        // (most of them) is dropped without being buffered. Survivors go
-        // into the flat pending arena.
+        // instance, drop those the guard refuses, and resolve the
+        // conclusion of the rest right away. Applying a TGD only appends
+        // facts and never merges, so a conclusion satisfied now stays
+        // satisfied for the whole application: such a match (most of them)
+        // is dropped without being buffered. Survivors go into the flat
+        // pending arena.
         pending_slots.clear();
         pending_facts.clear();
         let mut pending = 0usize;
@@ -738,7 +782,7 @@ impl<'r> ChaseEngine<'r> {
             if tgd.guard.as_ref().is_some_and(|g| !analysis_now.guard(inst, g, &m.bindings)) {
                 return true;
             }
-            if !check.satisfiable(inst, &tgd.conclusion, slots, &m.bindings) {
+            if !check.holds(inst, order, &tgd.conclusion, slots, &m.bindings) {
                 pending_slots.extend_from_slice(m.bindings.slots());
                 pending_facts.extend_from_slice(&m.fact_indices);
                 pending += 1;
@@ -746,10 +790,11 @@ impl<'r> ChaseEngine<'r> {
             true
         });
 
-        // Phase 2: re-check satisfiability against the instance as it grows
-        // (an earlier firing of this application may have satisfied a later
-        // pending match), let the analysis veto, and apply. Fact indices stay
-        // valid throughout: TGD application only appends facts.
+        // Phase 2: re-check against the instance as it grows (an earlier
+        // firing of this application may have satisfied a later pending
+        // match), let the analysis veto, and apply. Fact indices stay
+        // valid throughout: TGD application only appends facts, so the
+        // memo and the dedup index stay exact without a rehash.
         // The deadline is re-checked every `DEADLINE_STRIDE` pending matches
         // so a rule with a huge pending buffer can't blow past it by a round.
         const DEADLINE_STRIDE: usize = 64;
@@ -761,7 +806,7 @@ impl<'r> ChaseEngine<'r> {
             firing.bindings.load(&pending_slots[fi * slots..(fi + 1) * slots]);
             firing.fact_indices.clear();
             firing.fact_indices.extend_from_slice(&pending_facts[fi * arity..(fi + 1) * arity]);
-            if check.satisfiable(inst, &tgd.conclusion, slots, &firing.bindings) {
+            if check.holds(inst, order, &tgd.conclusion, slots, &firing.bindings) {
                 continue;
             }
             if !analysis.allow(inst, rule_idx, tgd, firing) {
@@ -769,44 +814,13 @@ impl<'r> ChaseEngine<'r> {
                 continue;
             }
             let bindings = &mut firing.bindings;
-            // Existential reuse: a conclusion atom over a functional
-            // predicate whose input positions are fully bound determines
-            // its outputs semantically — if a witnessing fact exists, bind
-            // the existentials to it instead of minting fresh nulls the
-            // functional EGD would merge (and re-stamp) a round later.
-            // Iterated because one reuse can bind another atom's inputs
-            // (e.g. `mul(b,c,F) ∧ mul(a,F,W)` chains through `F`).
-            loop {
-                let mut progressed = false;
-                for atom in &tgd.conclusion {
-                    let Some(sig) = self.rules.functional(atom.pred) else {
-                        continue;
-                    };
-                    let unbound =
-                        |t: Term| t.as_var().is_some_and(|v| bindings.get(v).is_none());
-                    if !sig.outputs.iter().any(|&p| unbound(atom.args[p])) {
-                        continue;
-                    }
-                    let Some(witness) = find_witness(inst, atom, sig, bindings) else {
-                        continue;
-                    };
-                    // Last position first, binding only what is unbound: a
-                    // variable repeated across output positions ends up with
-                    // its last position's node.
-                    for &p in sig.outputs.iter().rev() {
-                        match atom.args[p] {
-                            Term::Var(v) if bindings.get(v).is_none() => {
-                                bindings.set(v, inst.find(witness.args[p]));
-                            }
-                            _ => {}
-                        }
-                    }
-                    progressed = true;
-                }
-                if !progressed {
-                    break;
-                }
-            }
+            // Existential reuse: a lookup whose inputs are bound determines
+            // its outputs semantically, so an existential there is bound to
+            // the existing witness instead of a fresh null the functional
+            // EGD would merge (and re-stamp) a round later. The lookups run
+            // in order, so one reuse binds a later atom's inputs (e.g.
+            // `mul(b,c,F) ∧ mul(a,F,W)` chains through `F`).
+            check.reuse(inst, order, &tgd.conclusion, bindings);
             for &ev in &rule.existentials {
                 bindings.get_or_insert_with(ev, || inst.fresh_null());
             }
@@ -853,25 +867,31 @@ fn apply_egd<A: Analysis>(
         Term::Const(c) => Some(MergeArg::Const(*c)),
     };
     merges.clear();
+    let view = &*inst;
     let mut collect = |m: &Match| {
         stats.matches += 1;
         for (l, r) in &egd.equalities {
-            if let (Some(ln), Some(rn)) = (resolve(&m.bindings, l), resolve(&m.bindings, r)) {
-                merges.push((ln, rn));
+            match (resolve(&m.bindings, l), resolve(&m.bindings, r)) {
+                // Already one class (a fact matched with itself, mostly):
+                // nothing to merge, so nothing to buffer.
+                (Some(MergeArg::Node(a)), Some(MergeArg::Node(b)))
+                    if view.find(a) == view.find(b) => {}
+                (Some(ln), Some(rn)) => merges.push((ln, rn)),
+                _ => {}
             }
         }
         true
     };
     if rule.symmetric {
         premise.for_each_match_since_symmetric(
-            inst,
+            view,
             &egd.premise,
             rule.slots,
             watermark,
             &mut collect,
         );
     } else {
-        premise.for_each_match_since(inst, &egd.premise, rule.slots, watermark, &mut collect);
+        premise.for_each_match_since(view, &egd.premise, rule.slots, watermark, &mut collect);
     }
     let mut count = 0;
     for &(a, b) in merges.iter() {
@@ -892,39 +912,6 @@ fn apply_egd<A: Analysis>(
         analysis.rehashed(inst, &moved_to);
     }
     Ok(count)
-}
-
-/// A fact over `atom`'s predicate agreeing with the nodes `bindings` (or
-/// the instance's constants) give the `sig.inputs` positions of `atom`, if
-/// those are all bound and such a fact exists — the witness an existential
-/// reuse binds to. Probes the positional index through the first input
-/// position (the instance is canonical during TGD application); a
-/// predicate functional in *all* positions has at most one semantically
-/// distinct fact, so the first is taken.
-fn find_witness<'a>(
-    inst: &'a Instance,
-    atom: &Atom,
-    sig: &FunctionalSig,
-    bindings: &Bindings,
-) -> Option<&'a Fact> {
-    let input = |p: usize| match atom.args[p] {
-        Term::Var(v) => bindings.get(v),
-        Term::Const(c) => inst.node_of_const(c),
-    };
-    if sig.inputs.iter().any(|&p| input(p).is_none()) {
-        return None;
-    }
-    let agrees = |f: &&Fact| {
-        sig.inputs
-            .iter()
-            .all(|&p| input(p).is_some_and(|n| inst.find(f.args[p]) == inst.find(n)))
-    };
-    let indexed = sig
-        .inputs
-        .first()
-        .and_then(|&p| inst.facts_with_pred_arg(atom.pred, p as u32, inst.find(input(p)?)));
-    let candidates = indexed.unwrap_or_else(|| inst.facts_with_pred(atom.pred));
-    candidates.iter().map(|&i| inst.fact(i)).find(agrees)
 }
 
 /// True for the `Egd::functional` shape: two atoms over the same predicate
@@ -1143,6 +1130,31 @@ mod tests {
         let (_, stats) = engine.chase_analyzed(&mut inst, &mut priced_below(50.0));
         assert_eq!(inst.facts_with_pred(q).len(), 1);
         assert_eq!(stats.pruned_firings(), 0);
+    }
+
+    /// A merge the caller left pending when the chase starts is seen by
+    /// the lookups: the run builds the memo over the current classes.
+    #[test]
+    fn lookups_see_a_merge_pending_at_the_start() {
+        let mut vocab = Vocabulary::new();
+        let (p, f) = (vocab.predicate("p", 1), vocab.predicate("f", 2));
+        let rules = RuleSet::compile(vec![
+            Tgd::new(
+                "p-has-f",
+                vec![Atom::new(p, vec![Term::Var(0)])],
+                vec![Atom::new(f, vec![Term::Var(0), Term::Var(1)])],
+            )
+            .into(),
+            Egd::functional("f-func", f, 2).into(),
+        ]);
+        let mut inst = Instance::new();
+        let (a, b, o) = (inst.fresh_null(), inst.fresh_null(), inst.fresh_null());
+        inst.insert(p, vec![a]);
+        inst.insert(f, vec![b, o]);
+        inst.merge(a, b).unwrap();
+        let (outcome, stats) = ChaseEngine::new(&rules).chase(&mut inst);
+        assert_eq!(outcome, ChaseOutcome::Saturated);
+        assert_eq!(stats.firings(), 0, "f(b, o) already holds for a");
     }
 
     #[test]
@@ -1541,9 +1553,10 @@ mod tests {
     }
 
     /// An extension is the concatenation compiled — without compiling the
-    /// base again: inherited rules are the base's allocations, a functional
-    /// EGD among the added rules wins over the base's for its predicate,
-    /// and the base itself is left as it was.
+    /// base again: inherited rules are the base's allocations unless an
+    /// added EGD changes a signature their conclusion resolves through, a
+    /// functional EGD among the added rules wins over the base's for its
+    /// predicate, and the base itself is left as it was.
     #[test]
     fn extended_shares_the_base_rules_and_merges_functional_last_wins() {
         let mut vocab = Vocabulary::new();
@@ -1566,23 +1579,32 @@ mod tests {
             vec![(Term::Var(1), Term::Var(3)), (Term::Var(2), Term::Var(4))],
         );
         let extra: Vec<Constraint> =
-            vec![Egd::functional("q-func", q, 2).into(), narrower.into()];
+            vec![Egd::functional("q-func", q, 2).into(), narrower.clone().into()];
 
         let base = RuleSet::compile(base_list.clone());
         let ext = base.extended(extra.clone());
         let whole = RuleSet::compile(base_list.into_iter().chain(extra).collect());
 
         assert_eq!(ext.len(), 4);
-        for (inherited, own) in ext.rules().iter().zip(base.rules()) {
-            assert!(Arc::ptr_eq(inherited, own), "{} was recompiled", own.name());
-        }
+        // `q-func` gives Q, which `copy` concludes over, a signature: `copy`
+        // alone is compiled again (keeping its name), for its order.
+        let inherited: Vec<bool> =
+            ext.rules().iter().zip(base.rules()).map(|(e, b)| Arc::ptr_eq(e, b)).collect();
+        assert_eq!(inherited, [false, true]);
+        assert!(Arc::ptr_eq(&ext.rules()[0].name, &base.rules()[0].name));
+        let lookups =
+            |set: &RuleSet| set.rules()[0].order.as_ref().map(ResolutionOrder::lookups);
+        assert_eq!((lookups(&base), lookups(&ext)), (Some(0), Some(1)));
         for (e, w) in ext.rules().iter().zip(whole.rules()) {
             assert_eq!(e.constraint(), w.constraint());
             assert_eq!(
-                (e.slots, &e.existentials, e.symmetric),
-                (w.slots, &w.existentials, w.symmetric)
+                (e.slots, &e.existentials, e.symmetric, &e.order),
+                (w.slots, &w.existentials, w.symmetric, &w.order)
             );
         }
+        // A changed signature `copy` does not resolve through shares it.
+        let narrowed = base.extended(vec![narrower.into()]);
+        assert!(narrowed.rules().iter().zip(base.rules()).all(|(n, b)| Arc::ptr_eq(n, b)));
         assert_eq!(ext.functional, whole.functional);
         assert_eq!(ext.functional(p).unwrap().inputs, vec![0], "the later EGD over P wins");
         assert_eq!(base.functional(p).unwrap().inputs, vec![0, 1], "the base keeps its own");
@@ -1590,5 +1612,222 @@ mod tests {
 
         // Nothing added: the signatures are shared, not copied.
         assert!(Arc::ptr_eq(&base.extended(Vec::new()).functional, &base.functional));
+    }
+
+    /// Local xorshift64* for the randomized differential below.
+    struct XorShift(u64);
+
+    impl XorShift {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// The witness existential reuse took before conclusions were resolved
+    /// through the memo, kept as the reference: a fact over `atom`'s
+    /// predicate agreeing with the bound inputs, probed through the
+    /// positional index on the first input.
+    fn witness_reference<'a>(
+        inst: &'a Instance,
+        atom: &Atom,
+        sig: &FunctionalSig,
+        bindings: &Bindings,
+    ) -> Option<&'a crate::instance::Fact> {
+        let input = |p: usize| match atom.args[p] {
+            Term::Var(v) => bindings.get(v),
+            Term::Const(c) => inst.node_of_const(c),
+        };
+        if sig.inputs.iter().any(|&p| input(p).is_none()) {
+            return None;
+        }
+        let agrees = |f: &&crate::instance::Fact| {
+            sig.inputs
+                .iter()
+                .all(|&p| input(p).is_some_and(|n| inst.find(f.args[p]) == inst.find(n)))
+        };
+        let indexed = sig
+            .inputs
+            .first()
+            .and_then(|&p| inst.facts_with_pred_arg(atom.pred, p as u32, inst.find(input(p)?)));
+        let candidates = indexed.unwrap_or_else(|| inst.facts_with_pred(atom.pred));
+        candidates.iter().map(|&i| inst.fact(i)).find(agrees)
+    }
+
+    /// The reuse loop resolution orders replaced, kept as the reference:
+    /// passes over the conclusion in its own order until nothing binds.
+    fn reuse_reference(
+        inst: &Instance,
+        conclusion: &[Atom],
+        rules: &RuleSet,
+        bindings: &mut Bindings,
+    ) {
+        loop {
+            let mut progressed = false;
+            for atom in conclusion {
+                let Some(sig) = rules.functional(atom.pred) else {
+                    continue;
+                };
+                let unbound = |t: Term| t.as_var().is_some_and(|v| bindings.get(v).is_none());
+                if !sig.outputs.iter().any(|&p| unbound(atom.args[p])) {
+                    continue;
+                }
+                let Some(witness) = witness_reference(inst, atom, sig, bindings) else {
+                    continue;
+                };
+                for &p in sig.outputs.iter().rev() {
+                    match atom.args[p] {
+                        Term::Var(v) if bindings.get(v).is_none() => {
+                            bindings.set(v, inst.find(witness.args[p]));
+                        }
+                        _ => {}
+                    }
+                }
+                progressed = true;
+            }
+            if !progressed {
+                break;
+            }
+        }
+    }
+
+    /// The lookup check equals the general search (`Matcher::satisfiable`),
+    /// and reuse binds what the reference loop binds, on seeded random
+    /// instances of at most 64 facts and random conclusions: predicates
+    /// functional in one output, in two, inversely (input after output, as
+    /// `name-unique`) and not at all; same-input chains longer than one
+    /// fact, before and after a merge's rehash; constants the instance
+    /// never interned; repeated variables; constant output positions.
+    #[test]
+    fn lookups_decide_what_the_search_decides_and_reuse_what_the_loop_reused() {
+        const ARITY: [usize; 5] = [3, 2, 3, 2, 2];
+        let (f, g, q, k, n) = (PredId(0), PredId(1), PredId(2), PredId(3), PredId(4));
+        let (x, y, z, w) = (Term::Var(0), Term::Var(1), Term::Var(2), Term::Var(3));
+        let rules = RuleSet::compile(vec![
+            Egd::functional("f", f, 3).into(),
+            Egd::functional("g", g, 2).into(),
+            Egd::new(
+                "q",
+                vec![Atom::new(q, vec![x, y, z]), Atom::new(q, vec![x, w, Term::Var(4)])],
+                vec![(y, w), (z, Term::Var(4))],
+            )
+            .into(),
+            Egd::new(
+                "k",
+                vec![Atom::new(k, vec![x, z]), Atom::new(k, vec![y, z])],
+                vec![(x, y)],
+            )
+            .into(),
+        ]);
+        assert_eq!(rules.functional(q).map(|s| s.outputs.len()), Some(2));
+        assert_eq!(rules.functional(k).map(|s| s.inputs.clone()), Some(vec![1]));
+        assert_eq!(rules.functional(n), None);
+        let (mut resolver, mut matcher) = (Resolver::default(), Matcher::default());
+        let premise = vec![Atom::new(PredId(9), vec![x, y, z])];
+
+        // One input pair, two facts: the check gets past the newest fact
+        // to the older one, and reuse takes the older (lowest-index) one.
+        let mut inst = Instance::new();
+        inst.index_functional(&rules.functional);
+        let [a, b, c1, c2] = [0, 1, 2, 3].map(|c| inst.const_node(SymId(c)));
+        inst.insert(f, vec![a, b, c1]);
+        inst.insert(f, vec![a, b, c2]);
+        let check = Tgd::new("check", premise.clone(), vec![Atom::new(f, vec![x, y, z])]);
+        let reuse = Tgd::new("reuse", premise.clone(), vec![Atom::new(f, vec![x, y, w])]);
+        let mut partial = Bindings::new(4);
+        for (v, node) in [(0, a), (1, b), (2, c1)] {
+            partial.set(v, node);
+        }
+        let order = ResolutionOrder::compile(&check, |p| rules.functional(p));
+        assert!(resolver.holds(&inst, &order, &check.conclusion, 4, &partial));
+        let order = ResolutionOrder::compile(&reuse, |p| rules.functional(p));
+        let mut reused = partial.clone();
+        resolver.reuse(&inst, &order, &reuse.conclusion, &mut reused);
+        assert_eq!(reused.get(3), Some(c1));
+
+        let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+        let mut seen = [0usize; 5]; // held, failed, reused, incomplete, long chains
+        for round in 0..12 {
+            let mut inst = Instance::new();
+            if round % 2 == 0 {
+                inst.index_functional(&rules.functional); // built as facts arrive
+            }
+            let mut nodes: Vec<NodeId> = (0..4).map(|c| inst.const_node(SymId(c))).collect();
+            nodes.extend((0..3 + rng.below(3)).map(|_| inst.fresh_null()));
+            let add_facts = |inst: &mut Instance, rng: &mut XorShift, count: usize| {
+                for _ in 0..count {
+                    let p = rng.below(5);
+                    let args = (0..ARITY[p]).map(|_| nodes[rng.below(nodes.len())]).collect();
+                    inst.insert(PredId(p as u32), args);
+                }
+            };
+            let count = 15 + rng.below(20);
+            add_facts(&mut inst, &mut rng, count);
+            if round % 3 == 0 {
+                for _ in 0..2 {
+                    let (a, b) = (rng.below(nodes.len()), rng.below(nodes.len()));
+                    let _ = inst.merge(nodes[a], nodes[b]); // clashing constants refuse
+                }
+                inst.rehash();
+                let count = rng.below(20);
+                add_facts(&mut inst, &mut rng, count);
+            }
+            inst.index_functional(&rules.functional); // built over the facts there
+            assert!(inst.num_facts() <= 64);
+            let facts = inst.facts();
+            seen[4] += facts
+                .iter()
+                .enumerate()
+                .filter(|(i, a)| {
+                    rules.functional(a.pred).is_some_and(|sig| {
+                        facts[..*i].iter().any(|b| {
+                            b.pred == a.pred
+                                && sig.inputs.iter().all(|&p| a.args[p] == b.args[p])
+                        })
+                    })
+                })
+                .count();
+
+            for _ in 0..30 {
+                // Variables 0..3 are the premise's; 3..6 are existential.
+                let conclusion: Vec<Atom> = (0..1 + rng.below(3))
+                    .map(|_| {
+                        let p = rng.below(5);
+                        let args = (0..ARITY[p])
+                            .map(|_| match rng.below(6) {
+                                0 => Term::Const(SymId(rng.below(5) as u32)), // c4: never interned
+                                _ => Term::Var(rng.below(6) as u32),
+                            })
+                            .collect();
+                        Atom::new(PredId(p as u32), args)
+                    })
+                    .collect();
+                let tgd = Tgd::new("t", premise.clone(), conclusion);
+                let order = ResolutionOrder::compile(&tgd, |p| rules.functional(p));
+                let mut partial = Bindings::new(6);
+                for v in 0..3 {
+                    partial.set(v, inst.find(nodes[rng.below(nodes.len())]));
+                }
+
+                let expected = matcher.satisfiable(&inst, &tgd.conclusion, 6, &partial);
+                let held = resolver.holds(&inst, &order, &tgd.conclusion, 6, &partial);
+                assert_eq!(held, expected, "check of {:?} under {partial:?}", tgd.conclusion);
+                seen[usize::from(!held)] += usize::from(order.is_complete());
+                seen[3] += usize::from(!order.is_complete());
+
+                let (mut reused, mut reference) = (partial.clone(), partial.clone());
+                resolver.reuse(&inst, &order, &tgd.conclusion, &mut reused);
+                reuse_reference(&inst, &tgd.conclusion, &rules, &mut reference);
+                assert_eq!(reused, reference, "reuse for {:?}", tgd.conclusion);
+                seen[2] += usize::from(reused != partial);
+            }
+        }
+        assert!(seen.iter().all(|&s| s >= 5), "every case is exercised: {seen:?}");
     }
 }

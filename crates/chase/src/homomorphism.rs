@@ -86,6 +86,11 @@ impl Bindings {
         self.slots[..slots.len()].copy_from_slice(slots);
     }
 
+    /// Unbinds `var` (a search backtracking over it).
+    pub(crate) fn unset(&mut self, var: u32) {
+        self.slots[var as usize] = UNBOUND;
+    }
+
     /// All slots unbound, exactly `slots` of them.
     pub(crate) fn reset(&mut self, slots: usize) {
         self.slots.clear();

@@ -13,11 +13,19 @@
 //! provenance formulas, per fact) lives in the client's
 //! [`crate::Analysis`], indexed by the fact indices [`Instance::insert`]
 //! returns; [`Instance::rehash`] reports how it renumbered them.
+//!
+//! Besides the dedup and positional indexes, an instance a chase has run
+//! on keeps a memo from (predicate, canonical input nodes) to the facts
+//! carrying them, for every predicate the chase's rule set proves
+//! functional: the hash-cons the engine resolves conclusions through (see
+//! [`crate::resolve`]).
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
+use crate::chase::FunctionalSig;
 use crate::symbols::{PredId, SymId};
 
 /// Node in the instance's union-find.
@@ -78,12 +86,13 @@ type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 /// End of a `same_key` chain.
 const NO_FACT: u32 = u32::MAX;
 
-/// Hash of a fact's identity — predicate plus argument nodes as given
-/// (callers pass canonical ones) — the key of [`Instance::index`].
-fn fact_key(pred: PredId, args: &[NodeId]) -> u64 {
+/// Hash of a predicate and a sequence of nodes: over a fact's canonical
+/// arguments, the key of [`Instance::index`]; over its canonical input
+/// nodes, the key of [`Instance::memo`].
+fn fact_key(pred: PredId, nodes: impl IntoIterator<Item = NodeId>) -> u64 {
     let mut h = IdHasher::default();
     h.mix(u64::from(pred.0));
-    for a in args {
+    for a in nodes {
         h.mix(u64::from(a.0));
     }
     h.0
@@ -134,6 +143,17 @@ pub struct Instance {
     /// the lists but keeps them (and their keys) allocated, so an absent
     /// key and an empty list mean the same thing.
     pos_index: IdMap<(PredId, u32, NodeId), Vec<usize>>,
+    /// The functional signatures the memo is built for, indexed by
+    /// predicate id; `None` (no signature proved) keeps no memo at all.
+    functional: Option<Arc<Vec<Option<FunctionalSig>>>>,
+    /// Memo: [`fact_key`] of (pred, canonical nodes at the signature's
+    /// input positions) -> the newest fact over a functional predicate
+    /// with that key hash, older ones chained through `same_inputs`, the
+    /// way `index` chains through `same_key`.
+    memo: IdMap<u64, u32>,
+    /// Per fact while the memo is kept: the next-older fact with the same
+    /// memo key hash, or `NO_FACT` (always, for a non-functional fact).
+    same_inputs: Vec<u32>,
     /// Monotonic revision clock feeding fact stamps.
     clock: u64,
     /// False between a `merge` and the next `rehash`: positional-index
@@ -169,6 +189,9 @@ impl Default for Instance {
             same_key: Vec::new(),
             by_pred: Vec::new(),
             pos_index: IdMap::default(),
+            functional: None,
+            memo: IdMap::default(),
+            same_inputs: Vec::new(),
             clock: 0,
             canonical: true,
             const_dirty: Vec::new(),
@@ -295,6 +318,8 @@ impl Instance {
         }
         self.index.clear();
         self.same_key.clear();
+        self.memo.clear();
+        self.same_inputs.clear();
         for list in &mut self.by_pred {
             list.clear();
         }
@@ -345,7 +370,7 @@ impl Instance {
     fn dedup(&mut self, pred: PredId, args: &[NodeId]) -> Option<usize> {
         let new = u32::try_from(self.facts.len()).expect("fact count fits the dedup chain");
         debug_assert_eq!(self.same_key.len(), self.facts.len());
-        let older = match self.index.entry(fact_key(pred, args)) {
+        let older = match self.index.entry(fact_key(pred, args.iter().copied())) {
             Entry::Occupied(mut e) => {
                 let head = *e.get();
                 if let Some(i) = in_chain(&self.facts, &self.same_key, head, pred, args) {
@@ -364,7 +389,7 @@ impl Instance {
     }
 
     /// Appends a fact [`Self::dedup`] just made room for, entering it into
-    /// the per-predicate and positional indexes.
+    /// the per-predicate and positional indexes and the memo.
     fn push_indexed(&mut self, f: Fact) {
         let i = self.facts.len();
         let p = f.pred.0 as usize;
@@ -376,6 +401,88 @@ impl Instance {
             self.pos_index.entry((f.pred, pos as u32, a)).or_default().push(i);
         }
         self.facts.push(f);
+        if self.functional.is_some() {
+            self.enter_memo(i);
+        }
+    }
+
+    /// Chains fact `i` (the next one `same_inputs` has no entry for) into
+    /// the memo under its canonical input nodes, if its predicate is
+    /// functional.
+    fn enter_memo(&mut self, i: usize) {
+        debug_assert_eq!(self.same_inputs.len(), i);
+        let f = &self.facts[i];
+        let sig =
+            self.functional.as_ref().and_then(|sigs| sigs.get(f.pred.0 as usize)?.as_ref());
+        let older = match sig {
+            Some(sig) => {
+                let key = fact_key(f.pred, sig.inputs.iter().map(|&p| self.find(f.args[p])));
+                let i = u32::try_from(i).expect("fact count fits the memo chain");
+                self.memo.insert(key, i).unwrap_or(NO_FACT)
+            }
+            None => NO_FACT,
+        };
+        self.same_inputs.push(older);
+    }
+
+    /// Keeps the memo for the signatures `functional` proves (indexed by
+    /// predicate id; an empty list proves none and drops the memo),
+    /// building it over the facts already there unless it was built for
+    /// these very signatures and no merge is pending since. A chase calls
+    /// this before its first round; [`Self::insert`] and [`Self::rehash`]
+    /// keep the memo up to date after that.
+    pub(crate) fn index_functional(&mut self, functional: &Arc<Vec<Option<FunctionalSig>>>) {
+        let same = self.functional.as_ref().is_some_and(|f| Arc::ptr_eq(f, functional));
+        if (same && self.canonical) || (functional.is_empty() && self.functional.is_none()) {
+            return;
+        }
+        self.memo.clear();
+        self.same_inputs.clear();
+        if functional.is_empty() {
+            self.functional = None;
+            return;
+        }
+        self.functional = Some(Arc::clone(functional));
+        let memoized: usize = functional
+            .iter()
+            .enumerate()
+            .filter(|(_, sig)| sig.is_some())
+            .map(|(p, _)| self.by_pred.get(p).map_or(0, Vec::len))
+            .sum();
+        self.memo.reserve(memoized);
+        self.same_inputs.reserve(self.facts.len());
+        for i in 0..self.facts.len() {
+            self.enter_memo(i);
+        }
+    }
+
+    /// Appends to `out` the index of every fact over `pred` whose input
+    /// positions — those of the signature the memo keeps for `pred` — hold
+    /// the canonical nodes `inputs`, newest first: one memo probe plus a
+    /// walk of its (usually one-fact) chain. Appends nothing when the memo
+    /// keeps no signature for `pred`.
+    pub(crate) fn facts_with_inputs(
+        &self,
+        pred: PredId,
+        inputs: &[NodeId],
+        out: &mut Vec<u32>,
+    ) {
+        let sigs = self.functional.as_deref().map_or(&[][..], Vec::as_slice);
+        let Some(sig) = sigs.get(pred.0 as usize).and_then(Option::as_ref) else {
+            return;
+        };
+        debug_assert_eq!(sig.inputs.len(), inputs.len());
+        let key = fact_key(pred, inputs.iter().copied());
+        let mut next = self.memo.get(&key).copied().unwrap_or(NO_FACT);
+        while next != NO_FACT {
+            let f = &self.facts[next as usize];
+            if f.pred == pred
+                && sig.inputs.iter().zip(inputs).all(|(&p, &n)| self.find(f.args[p]) == n)
+            {
+                out.push(next);
+            }
+            next = self.same_inputs[next as usize];
+        }
     }
 
     /// Inserts a fact (args canonicalized). Returns `(fact index, inserted)`:
@@ -465,11 +572,23 @@ impl Instance {
         self.node_of_const.get(&c).map(|&n| self.find(n))
     }
 
-    /// True when the instance contains a fact with these canonical args.
+    /// True when the instance contains a fact whose args are the
+    /// canonical nodes of `args`. One probe of the dedup index; allocates
+    /// nothing.
     pub fn contains(&self, pred: PredId, args: &[NodeId]) -> bool {
-        let canon: Vec<NodeId> = args.iter().map(|&a| self.find(a)).collect();
-        let head = self.index.get(&fact_key(pred, &canon)).copied().unwrap_or(NO_FACT);
-        in_chain(&self.facts, &self.same_key, head, pred, &canon).is_some()
+        let key = fact_key(pred, args.iter().map(|&a| self.find(a)));
+        let mut next = self.index.get(&key).copied().unwrap_or(NO_FACT);
+        while next != NO_FACT {
+            let f = &self.facts[next as usize];
+            if f.pred == pred
+                && f.args.len() == args.len()
+                && f.args.iter().zip(args).all(|(&x, &a)| x == self.find(a))
+            {
+                return true;
+            }
+            next = self.same_key[next as usize];
+        }
+        false
     }
 
     /// The set of canonical nodes appearing in facts.

@@ -19,6 +19,9 @@
 //!   and extensible without recompiling ([`chase::RuleSet::extended`]);
 //!   [`chase::ChaseEngine`]: bounded restricted chase over a borrowed rule
 //!   set, with cost-pruning hooks (the paper's `Prune_prov`, §7.3).
+//! * [`ResolutionOrder`]: a TGD conclusion compiled into memo lookups over
+//!   functional predicates and ground probes — how the engine checks a
+//!   conclusion and reuses existing witnesses for its existentials.
 //! * [`Analysis`]: data kept beside the chase, per class (an e-class
 //!   analysis) or per fact, which also decides rule guards and may veto
 //!   firings.
@@ -36,6 +39,7 @@ pub mod homomorphism;
 pub mod instance;
 pub mod pacb;
 mod provenance;
+pub mod resolve;
 pub mod symbols;
 pub mod term;
 
@@ -51,5 +55,6 @@ pub use cq::Cq;
 pub use homomorphism::{Bindings, Match};
 pub use instance::{ConstClash, Instance, NodeId};
 pub use pacb::{CostFn, Pacb, PacbResult, Rewriting, View};
+pub use resolve::ResolutionOrder;
 pub use symbols::{PredId, SymId, Vocabulary};
 pub use term::Term;

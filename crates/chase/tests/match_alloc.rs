@@ -4,7 +4,9 @@
 //! TGD whose every match is dropped by the restricted-chase check. A firing
 //! allocates its conclusion's argument vector and a share of the growing
 //! indexes — no formula and nothing per premise fact: the engine's facts
-//! carry no provenance.
+//! carry no provenance. Both hold for a conclusion the dedup index decides
+//! (`r-s-t`) and for conclusions resolved through the memo of a predicate a
+//! functional EGD covers (`r-s-f`, `r-s-f-reuse`).
 //!
 //! Own test binary: it installs a counting `#[global_allocator]`, and the
 //! count is only meaningful while nothing else runs — hence one `#[test]`.
@@ -15,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hadad_chase::homomorphism::for_each_match;
 use hadad_chase::{
-    Atom, ChaseEngine, ChaseOutcome, Instance, PredId, RuleSet, SymId, Term, Tgd,
+    Atom, ChaseEngine, ChaseOutcome, Egd, Instance, PredId, RuleSet, SymId, Term, Tgd,
 };
 
 /// The system allocator, counting the calls the measuring thread makes.
@@ -71,9 +73,11 @@ fn allocations_of(f: impl FnOnce()) -> usize {
 const R: PredId = PredId(0);
 const S: PredId = PredId(1);
 const T: PredId = PredId(2);
+const F: PredId = PredId(3);
 
 /// `R(a_i, hub)` and `S(hub, d_j)` for `i, j < k` — `k²` matches of
-/// `R(x, y) ∧ S(y, z)` — plus, when `closed`, every `T(a_i, d_j)`.
+/// `R(x, y) ∧ S(y, z)` — plus, when `closed`, every `T(a_i, d_j)` and
+/// `F(a_i, d_j, hub)`.
 fn star(k: u32, closed: bool) -> Instance {
     let mut inst = Instance::new();
     let hub = inst.const_node(SymId(0));
@@ -89,6 +93,7 @@ fn star(k: u32, closed: bool) -> Instance {
         for &ai in &a {
             for &dj in &d {
                 inst.insert(T, vec![ai, dj]);
+                inst.insert(F, vec![ai, dj, hub]);
             }
         }
     }
@@ -121,43 +126,63 @@ fn matching_and_the_conclusion_check_allocate_nothing_per_match() {
     let (few, many) = (enumerate(10), enumerate(100));
     assert_eq!(few, many, "100 matches took {few} allocations, 10 000 took {many}");
 
-    // TGD application with every conclusion already satisfied: each match
-    // is checked while enumerating and dropped, so nothing is buffered and
-    // the run allocates what a run allocates.
-    let rules = RuleSet::compile(vec![Tgd::new(
+    // `r-s-t` concludes a ground atom: the dedup index decides it. With
+    // `f-func` proving `F` functional in its last position, `r-s-f`'s
+    // conclusion is a memo lookup comparing the output, and
+    // `r-s-f-reuse`'s a lookup binding its existential `w`.
+    let (x, y, z) = (Term::Var(0), Term::Var(1), Term::Var(2));
+    let ground = RuleSet::compile(vec![Tgd::new(
         "r-s-t",
         atoms.clone(),
-        vec![Atom::new(T, vec![Term::Var(0), Term::Var(2)])],
+        vec![Atom::new(T, vec![x, z])],
     )
     .into()]);
-    let engine = ChaseEngine::new(&rules);
-    let chase = |k: u32| {
-        let mut inst = star(k, true);
-        let facts = inst.num_facts();
+    let functional = RuleSet::compile(vec![
+        Tgd::new("r-s-f", atoms.clone(), vec![Atom::new(F, vec![x, z, y])]).into(),
+        Tgd::new("r-s-f-reuse", atoms.clone(), vec![Atom::new(F, vec![x, z, Term::Var(3)])])
+            .into(),
+        Egd::functional("f-func", F, 3).into(),
+    ]);
+    // Matches per premise pair: one per TGD, and for `f-func` each `F`
+    // fact paired with itself.
+    for (rules, per_pair) in [(&ground, 1), (&functional, 3)] {
+        let name = rules.rules()[0].name();
+        let engine = ChaseEngine::new(rules);
+
+        // TGD application with every conclusion already satisfied: each
+        // match is checked while enumerating and dropped, so nothing is
+        // buffered and the run allocates what a run allocates.
+        let chase = |k: u32| {
+            let mut inst = star(k, true);
+            let facts = inst.num_facts();
+            let mut result = None;
+            let allocations = allocations_of(|| result = Some(engine.chase(&mut inst)));
+            let (outcome, stats) = result.expect("the chase ran");
+            assert_eq!(outcome, ChaseOutcome::Saturated);
+            assert_eq!(stats.matches_enumerated(), per_pair * u64::from(k * k));
+            assert_eq!(stats.firings(), 0);
+            assert_eq!(inst.num_facts(), facts);
+            allocations
+        };
+        chase(2); // first use registers the chase's lazy metrics
+        let (few, many) = (chase(10), chase(100));
+        assert_eq!(
+            few, many,
+            "{name}: 100 dropped matches took {few} allocations, 10 000 took {many}"
+        );
+
+        // TGD application with every conclusion missing: 40 000 firings,
+        // each inserting one fact (`r-s-f-reuse` then finds each of them).
+        let mut inst = star(200, false);
         let mut result = None;
         let allocations = allocations_of(|| result = Some(engine.chase(&mut inst)));
         let (outcome, stats) = result.expect("the chase ran");
         assert_eq!(outcome, ChaseOutcome::Saturated);
-        assert_eq!(stats.matches_enumerated(), u64::from(k * k));
-        assert_eq!(stats.firings(), 0);
-        assert_eq!(inst.num_facts(), facts);
-        allocations
-    };
-    chase(2); // first use registers the chase's lazy metrics
-    let (few, many) = (chase(10), chase(100));
-    assert_eq!(few, many, "100 dropped matches took {few} allocations, 10 000 took {many}");
-
-    // TGD application with every conclusion missing: 40 000 firings, each
-    // inserting one `T` fact.
-    let mut inst = star(200, false);
-    let mut result = None;
-    let allocations = allocations_of(|| result = Some(engine.chase(&mut inst)));
-    let (outcome, stats) = result.expect("the chase ran");
-    assert_eq!(outcome, ChaseOutcome::Saturated);
-    assert_eq!(stats.firings(), 40_000);
-    let per_firing = allocations as f64 / stats.firings() as f64;
-    assert!(
-        per_firing <= 1.25,
-        "{allocations} allocations over 40 000 firings: {per_firing:.2} each"
-    );
+        assert_eq!(stats.firings(), 40_000);
+        let per_firing = allocations as f64 / stats.firings() as f64;
+        assert!(
+            per_firing <= 1.25,
+            "{name}: {allocations} allocations over 40 000 firings: {per_firing:.2} each"
+        );
+    }
 }
