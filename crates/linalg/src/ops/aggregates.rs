@@ -6,15 +6,17 @@ use crate::dense::DenseMatrix;
 use crate::error::{LinalgError, Result};
 use crate::matrix::Matrix;
 
-/// Sum of all cells.
+/// Sum of all cells. A sparse matrix sums its stored values in `(row, col)`
+/// order, from the start value [`Sum`](std::iter::Sum) uses.
 pub fn sum(a: &Matrix) -> f64 {
     match a {
         Matrix::Dense(d) => d.data().iter().sum(),
-        Matrix::Sparse(s) => s.triplets().map(|(_, _, v)| v).sum(),
+        Matrix::Sparse(s) => s.values().iter().sum(),
     }
 }
 
-/// Column vector (`rows x 1`) of per-row sums.
+/// Column vector (`rows x 1`) of per-row sums. A stored sparse row adds its
+/// values left to right onto `0.0`.
 pub fn row_sums(a: &Matrix) -> Matrix {
     let mut out = DenseMatrix::zeros(a.rows(), 1);
     match a {
@@ -24,9 +26,9 @@ pub fn row_sums(a: &Matrix) -> Matrix {
             }
         }
         Matrix::Sparse(s) => {
-            for (r, _, v) in s.triplets() {
-                let cur = out.get(r, 0);
-                out.set(r, 0, cur + v);
+            let data = out.data_mut();
+            for (r, _, vals) in s.stored_rows() {
+                data[r] = vals.iter().fold(0.0, |acc, &v| acc + v);
             }
         }
     }
@@ -47,9 +49,9 @@ pub fn col_sums(a: &Matrix) -> Matrix {
             }
         }
         Matrix::Sparse(s) => {
-            for (_, c, v) in s.triplets() {
-                let cur = out.get(0, c);
-                out.set(0, c, cur + v);
+            let data = out.data_mut();
+            for (&c, &v) in s.indices().iter().zip(s.values()) {
+                data[c] += v;
             }
         }
     }
@@ -97,16 +99,12 @@ fn fold_cells(a: &Matrix, init: f64, f: impl Fn(f64, f64) -> f64) -> f64 {
     match a {
         Matrix::Dense(d) => d.data().iter().fold(init, |acc, &v| f(acc, v)),
         Matrix::Sparse(s) => {
-            let mut acc = init;
-            let mut stored = 0usize;
-            for (_, _, v) in s.triplets() {
-                acc = f(acc, v);
-                stored += 1;
+            let acc = s.values().iter().fold(init, |acc, &v| f(acc, v));
+            if (s.nnz() as u128) < s.rows() as u128 * s.cols() as u128 {
+                f(acc, 0.0)
+            } else {
+                acc
             }
-            if (stored as u128) < s.rows() as u128 * s.cols() as u128 {
-                acc = f(acc, 0.0);
-            }
-            acc
         }
     }
 }
@@ -222,6 +220,85 @@ mod tests {
         assert_eq!(sum(&d), sum(&s));
         assert_eq!(row_sums(&d), row_sums(&s));
         assert_eq!(col_sums(&d), col_sums(&s));
+    }
+
+    /// Stored `(row, col, value)` entries in `(row, col)` order, read row
+    /// by row through the public `row`.
+    fn entries(s: &crate::sparse::SparseMatrix) -> Vec<(usize, usize, f64)> {
+        (0..s.rows())
+            .flat_map(|r| {
+                let (idx, vals) = s.row(r);
+                idx.iter().zip(vals).map(move |(&c, &v)| (r, c, v))
+            })
+            .collect()
+    }
+
+    /// The parent commit's sparse `sum`, `row_sums`, `col_sums`, `min` and
+    /// `max`, entry by entry, as bits.
+    fn oracle(a: &Matrix) -> Vec<u64> {
+        let Matrix::Sparse(s) = a else { unreachable!() };
+        let stored = entries(s);
+        let mut rs = DenseMatrix::zeros(s.rows(), 1);
+        let mut cs = DenseMatrix::zeros(1, s.cols());
+        for &(r, c, v) in &stored {
+            rs.set(r, 0, rs.get(r, 0) + v);
+            cs.set(0, c, cs.get(0, c) + v);
+        }
+        let fold = |init: f64, f: fn(f64, f64) -> f64| {
+            let acc = stored.iter().fold(init, |acc, e| f(acc, e.2));
+            if stored.len() < s.rows() * s.cols() {
+                f(acc, 0.0)
+            } else {
+                acc
+            }
+        };
+        let sum: f64 = stored.iter().map(|e| e.2).sum();
+        let mut bits =
+            vec![sum, fold(f64::INFINITY, f64::min), fold(f64::NEG_INFINITY, f64::max)];
+        bits.extend(rs.data().iter().chain(cs.data()));
+        bits.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn aggregated(a: &Matrix) -> Vec<u64> {
+        let mut bits = vec![sum(a), min(a), max(a)];
+        bits.extend(row_sums(a).to_dense().data().iter().chain(col_sums(a).to_dense().data()));
+        bits.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Bit for bit the parent's sparse aggregates, on both row layouts,
+    /// with values whose sums depend on their order and sign: `±0.0` from
+    /// cancelled duplicates, `NaN`, ±∞, and magnitudes that round.
+    #[test]
+    fn sparse_aggregates_read_the_stored_arrays_in_the_parents_order() {
+        // One entry-by-entry sum is 1e16 (each `+ 1` rounds away); a sum of
+        // per-row sums would be 1e16 + 2.
+        let rounding = Matrix::sparse(3, 2, vec![(0, 0, 1e16), (1, 0, 1.0), (1, 1, 1.0)]);
+        assert_eq!(sum(&rounding), 1e16);
+        assert_eq!(aggregated(&rounding), oracle(&rounding));
+        let salt = [1e16, 1.0, -1e16, 0.1, -0.0, 3.0, f64::NAN, f64::INFINITY, -2.5];
+        let mut rng = crate::rng::Rng64::new(35);
+        for &(rows, cols, n) in &[(1, 1, 1), (3, 4, 0), (3, 4, 12), (40, 5, 9), (40, 5, 60)] {
+            for round in 0..6 {
+                let trips: Vec<_> = (0..n)
+                    .map(|_| {
+                        let v = salt[rng.range_usize(salt.len() - 3 + round.min(3))];
+                        (rng.range_usize(rows), rng.range_usize(cols), v)
+                    })
+                    .collect();
+                let m = Matrix::sparse(rows, cols, trips.clone());
+                let twin = Matrix::Sparse(m.to_sparse().flat_twin());
+                let what = format!("{rows}x{cols}, {n} entries, round {round}");
+                assert_eq!(aggregated(&m), oracle(&m), "{what}");
+                assert_eq!(aggregated(&twin), oracle(&twin), "{what}, flat");
+                // A cancelled duplicate stays stored as an explicit zero.
+                let cancelled = Matrix::sparse(
+                    rows,
+                    cols,
+                    trips.iter().chain([(0, 0, 1.0), (0, 0, -1.0)].iter()).copied(),
+                );
+                assert_eq!(aggregated(&cancelled), oracle(&cancelled), "{what}, cancelled");
+            }
+        }
     }
 
     #[test]

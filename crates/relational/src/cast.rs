@@ -2,7 +2,7 @@
 //! converted into a relation (the order among matrix rows is lost), and the
 //! opposite conversion (each tuple becomes a matrix line...)").
 
-use hadad_linalg::{DenseMatrix, Matrix, SparseBuilder};
+use hadad_linalg::{DenseMatrix, Matrix, SparseBuilder, SparseMatrix};
 
 use crate::table::{float_key, str_numeric, Column, Table};
 
@@ -34,10 +34,14 @@ pub fn table_to_matrix(t: &Table, cols: &[&str]) -> Matrix {
 /// An id is the cell's integer key, in range: negative, non-integral and
 /// string ids are dropped with the out-of-range ones; values at one
 /// coordinate are summed. The three columns are resolved once and read by
-/// one loop typed on all three, which hands each entry to a
-/// [`SparseBuilder`]: a table in `(row, col)` order — any prefix result
-/// sorted on its row id — is written straight into the matrix in
-/// O(table rows), whatever `rows` is; anything else is sorted once.
+/// passes typed on all three. The first reads them without allocating: a
+/// table whose ids are all in range, whose values are all non-zero and
+/// whose `(row, col)` pairs strictly ascend — any prefix over a table or
+/// view in row-id order — is then written in bulk, one exact-size collect
+/// per matrix array, into [`SparseMatrix::from_sorted_rows`]. Any other
+/// table hands its entries one at a time to a [`SparseBuilder`], which
+/// writes an in-order run straight into the matrix and sorts anything else
+/// once. Either way the cast is O(table rows), whatever `rows` is.
 pub fn table_to_sparse(
     t: &Table,
     row_col: &str,
@@ -49,29 +53,34 @@ pub fn table_to_sparse(
     let rc = t.column(row_col).unwrap_or_else(|| panic!("no column {row_col}"));
     let cc = t.column(col_col).unwrap_or_else(|| panic!("no column {col_col}"));
     let vc = t.column(val_col).unwrap_or_else(|| panic!("no column {val_col}"));
-    let mut out = SparseBuilder::new(rows, cols, t.num_rows());
-    match rc {
-        Column::Int(r) => entries_by_col(&mut out, r, cc, vc),
-        Column::Float(r) => entries_by_col(&mut out, r, cc, vc),
-        Column::Str(_) => {}
-    }
-    Matrix::Sparse(out.finish())
+    let cast = typed(rc, cc, vc, Cast { rows, cols })
+        // No string cell is an id: nothing is stored.
+        .unwrap_or_else(|| SparseMatrix::zeros(rows, cols));
+    Matrix::Sparse(cast)
 }
 
-/// A cell of an id column: its integer key, when it has one below `bound`.
+/// A cell of an id column.
 trait IdCell: Copy {
-    fn id(self, bound: usize) -> Option<usize>;
+    /// The cell's integer key, or `u64::MAX` for a negative cell or one
+    /// without a key: past every bound.
+    fn key(self) -> u64;
+
+    /// The cell's id, when it is below `bound`.
+    fn id(self, bound: usize) -> Option<usize> {
+        let k = self.key();
+        (k < bound as u64).then_some(k as usize)
+    }
 }
 
 impl IdCell for i64 {
-    fn id(self, bound: usize) -> Option<usize> {
-        usize::try_from(self).ok().filter(|&k| k < bound)
+    fn key(self) -> u64 {
+        u64::try_from(self).unwrap_or(u64::MAX)
     }
 }
 
 impl IdCell for f64 {
-    fn id(self, bound: usize) -> Option<usize> {
-        float_key(self)?.id(bound)
+    fn key(self) -> u64 {
+        float_key(self).map_or(u64::MAX, i64::key)
     }
 }
 
@@ -98,39 +107,124 @@ impl ValCell for String {
     }
 }
 
-fn entries_by_col<R: IdCell>(out: &mut SparseBuilder, r: &[R], cc: &Column, vc: &Column) {
-    match cc {
-        Column::Int(c) => entries_by_val(out, r, c, vc),
-        Column::Float(c) => entries_by_val(out, r, c, vc),
-        Column::Str(_) => {}
+/// A pass over the three columns of a sparse cast, typed on all three.
+trait CastPass {
+    type Out;
+    fn run<R: IdCell, C: IdCell, V: ValCell>(self, r: &[R], c: &[C], v: &[V]) -> Self::Out;
+}
+
+/// Runs `pass` over the columns' typed cells; `None` when an id column
+/// holds strings.
+fn typed<P: CastPass>(rc: &Column, cc: &Column, vc: &Column, pass: P) -> Option<P::Out> {
+    fn by_col<P: CastPass, R: IdCell>(
+        r: &[R],
+        cc: &Column,
+        vc: &Column,
+        p: P,
+    ) -> Option<P::Out> {
+        match cc {
+            Column::Int(c) => Some(by_val(r, c, vc, p)),
+            Column::Float(c) => Some(by_val(r, c, vc, p)),
+            Column::Str(_) => None,
+        }
+    }
+    fn by_val<P: CastPass, R: IdCell, C: IdCell>(
+        r: &[R],
+        c: &[C],
+        vc: &Column,
+        p: P,
+    ) -> P::Out {
+        match vc {
+            Column::Int(v) => p.run(r, c, v),
+            Column::Float(v) => p.run(r, c, v),
+            Column::Str(v) => p.run(r, c, v),
+        }
+    }
+    match rc {
+        Column::Int(r) => by_col(r, cc, vc, pass),
+        Column::Float(r) => by_col(r, cc, vc, pass),
+        Column::Str(_) => None,
     }
 }
 
-fn entries_by_val<R: IdCell, C: IdCell>(
-    out: &mut SparseBuilder,
-    r: &[R],
-    c: &[C],
-    vc: &Column,
-) {
-    match vc {
-        Column::Int(v) => entries(out, r, c, v),
-        Column::Float(v) => entries(out, r, c, v),
-        Column::Str(v) => entries(out, r, c, v),
+/// The cast into a `rows x cols` matrix: in bulk when the table allows it,
+/// entry by entry otherwise.
+struct Cast {
+    rows: usize,
+    cols: usize,
+}
+
+impl CastPass for Cast {
+    type Out = SparseMatrix;
+    fn run<R: IdCell, C: IdCell, V: ValCell>(self, r: &[R], c: &[C], v: &[V]) -> SparseMatrix {
+        let Cast { rows, cols } = self;
+        bulk(r, c, v, rows, cols).unwrap_or_else(|| {
+            let mut out = SparseBuilder::new(rows, cols, r.len());
+            for ((r, c), v) in r.iter().zip(c).zip(v) {
+                if let (Some(r), Some(c)) = (r.id(rows), c.id(cols)) {
+                    out.push(r, c, v.val());
+                }
+            }
+            out.finish()
+        })
     }
 }
 
-fn entries<R: IdCell, C: IdCell, V: ValCell>(
-    out: &mut SparseBuilder,
+/// The bulk cast of a table every row of which is an entry, in strictly
+/// ascending `(row, col)` order; `None`, having allocated nothing, for any
+/// other table.
+fn bulk<R: IdCell, C: IdCell, V: ValCell>(
     r: &[R],
     c: &[C],
     v: &[V],
-) {
-    let (rows, cols) = out.shape();
-    for ((r, c), v) in r.iter().zip(c).zip(v) {
-        if let (Some(r), Some(c)) = (r.id(rows), c.id(cols)) {
-            out.push(r, c, v.val());
+    rows: usize,
+    cols: usize,
+) -> Option<SparseMatrix> {
+    let n = r.len();
+    let stored = sorted_rows(r, c, v, rows, cols)?;
+    let (row_ids, starts) = if stored == n {
+        // One entry per row, the cast of a keyed selection.
+        (r.iter().map(|r| r.key() as usize).collect(), (0..=n).collect())
+    } else {
+        let (mut row_ids, mut starts) =
+            (Vec::with_capacity(stored), Vec::with_capacity(stored + 1));
+        for (i, r) in r.iter().enumerate() {
+            let r = r.key() as usize;
+            if row_ids.last() != Some(&r) {
+                row_ids.push(r);
+                starts.push(i);
+            }
         }
+        starts.push(n);
+        (row_ids, starts)
+    };
+    let indices = c.iter().map(|c| c.key() as usize).collect();
+    let values = v.iter().map(ValCell::val).collect();
+    Some(SparseMatrix::from_sorted_rows(rows, cols, row_ids, starts, indices, values))
+}
+
+/// How many distinct row ids the table has, when every row is an entry —
+/// both ids in range, the value non-zero — and `(row, col)` strictly
+/// ascends; `None`, at the first row that is not, otherwise. Reads the
+/// columns once and allocates nothing.
+fn sorted_rows<R: IdCell, C: IdCell, V: ValCell>(
+    r: &[R],
+    c: &[C],
+    v: &[V],
+    rows: usize,
+    cols: usize,
+) -> Option<usize> {
+    let mut last: Option<(usize, usize)> = None;
+    let mut stored = 0;
+    for ((r, c), v) in r.iter().zip(c).zip(v) {
+        let at = (r.id(rows)?, c.id(cols)?);
+        if last >= Some(at) || v.val() == 0.0 {
+            return None;
+        }
+        stored += usize::from(last.is_none_or(|l| l.0 < at.0));
+        last = Some(at);
     }
+    Some(stored)
 }
 
 /// Casts a matrix back into a table with synthesized column names
@@ -161,6 +255,7 @@ pub fn matrix_to_table(m: &Matrix) -> Table {
 mod tests {
     use super::*;
     use crate::table::Value;
+    use hadad_linalg::rng::Rng64;
 
     #[test]
     fn dense_cast_roundtrip() {
@@ -279,6 +374,141 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`bulk`] alone, without the fallback.
+    struct BulkOnly {
+        rows: usize,
+        cols: usize,
+    }
+
+    impl CastPass for BulkOnly {
+        type Out = Option<SparseMatrix>;
+        fn run<R: IdCell, C: IdCell, V: ValCell>(self, r: &[R], c: &[C], v: &[V]) -> Self::Out {
+            bulk(r, c, v, self.rows, self.cols)
+        }
+    }
+
+    /// Stored entries, values as bits (`NaN` is a value too).
+    fn bits(m: &Matrix) -> Vec<(usize, usize, u64)> {
+        m.to_sparse().triplets().map(|(r, c, v)| (r, c, v.to_bits())).collect()
+    }
+
+    /// Whether every row of `t` is an entry — ids in range, value non-zero
+    /// — in strictly ascending `(row, col)` order: the tables the bulk path
+    /// must take, spelled out cell by cell.
+    fn sorted_entries(t: &Table, rows: usize, cols: usize) -> bool {
+        let (rc, cc, vc) =
+            (t.column("r").unwrap(), t.column("c").unwrap(), t.column("v").unwrap());
+        let id = |c: &Column, i: usize, bound: usize| {
+            c.key_at(i).and_then(|k| usize::try_from(k).ok()).filter(|&k| k < bound)
+        };
+        let mut last = None;
+        (0..t.num_rows()).all(|i| {
+            let at = id(rc, i, rows).zip(id(cc, i, cols));
+            let ok = at.is_some() && vc.numeric(i) != 0.0 && last < at;
+            last = at;
+            ok
+        })
+    }
+
+    /// `n` sorted `(row, col)` coordinates: distinct rows, or a few rows
+    /// holding several entries each.
+    fn sorted_coords(
+        rng: &mut Rng64,
+        n: usize,
+        rows: usize,
+        cols: usize,
+        per_row: bool,
+    ) -> Vec<(f64, f64)> {
+        let from = if per_row { rows } else { 1 + n / 3 };
+        let mut coords: Vec<(usize, usize)> =
+            (0..n).map(|_| (rng.range_usize(from), rng.range_usize(cols))).collect();
+        coords.sort_unstable();
+        if per_row {
+            coords.dedup_by_key(|c| c.0);
+        } else {
+            coords.dedup();
+        }
+        coords.into_iter().map(|(r, c)| (r as f64, c as f64)).collect()
+    }
+
+    /// Seeded tables of at most 64 rows over every column-type triple:
+    /// sorted with one entry per row and with several, and each corner one
+    /// cell away from sorted — a `(row, col)` tie at the end, an
+    /// out-of-range id first or last, a zero, `-0.0` or `NaN` value,
+    /// fractional and non-finite float ids, two entries swapped. The cast
+    /// equals the oracle bit for bit, and the bulk pass takes exactly the
+    /// sorted tables.
+    #[test]
+    fn the_bulk_cast_takes_exactly_the_sorted_tables_and_agrees_with_the_oracle() {
+        let mut rng = Rng64::new(35);
+        let cols = 5;
+        let mut taken = [0usize; 2];
+        for kind in 0..8 {
+            for ty in 0..27 {
+                let (rt, ct, vt) = (ty / 9, ty / 3 % 3, ty % 3);
+                let rows = [64, 1000][rng.range_usize(2)];
+                let n = 1 + rng.range_usize(if kind == 2 { 63 } else { 64 });
+                let mut coords = sorted_coords(&mut rng, n, rows, cols, kind != 1);
+                let mut vals: Vec<f64> = coords
+                    .iter()
+                    .map(|_| [-2.0, -1.0, 1.0, 3.0, 7.0][rng.range_usize(5)])
+                    .collect();
+                let last = coords.len() - 1;
+                let at = rng.range_usize(coords.len());
+                let far = [-1.0, rows as f64, 1e18][rng.range_usize(3)];
+                match kind {
+                    2 => {
+                        coords.push(coords[last]);
+                        vals.push(1.0);
+                    }
+                    3 => coords[0].0 = far,
+                    4 => coords[last].1 = far.min(cols as f64),
+                    5 => vals[at] = [0.0, -0.0, f64::NAN][rng.range_usize(3)],
+                    6 => {
+                        let odd =
+                            [2.5, -0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300];
+                        let odd = odd[rng.range_usize(odd.len())];
+                        if rng.range_usize(2) == 0 {
+                            coords[at].0 = odd;
+                        } else {
+                            coords[at].1 = odd;
+                        }
+                    }
+                    7 if last > 0 => coords.swap(at, (at + 1) % (last + 1)),
+                    _ => {}
+                }
+                let ids = |ty: usize, xs: Vec<f64>| match ty {
+                    0 => Column::Int(xs.iter().map(|&x| x as i64).collect()),
+                    1 => Column::Float(xs),
+                    _ => Column::Str(xs.iter().map(f64::to_string).collect()),
+                };
+                let t = Table::new(vec![
+                    ("r", ids(rt, coords.iter().map(|c| c.0).collect())),
+                    ("c", ids(ct, coords.iter().map(|c| c.1).collect())),
+                    ("v", ids(vt, vals)),
+                ]);
+                let what = format!("kind {kind}, types {rt}{ct}{vt}, {rows} rows, {n} drawn");
+                let want = bits(&oracle(&t, ("r", "c"), "v", rows, cols));
+                assert_eq!(
+                    bits(&table_to_sparse(&t, "r", "c", "v", rows, cols)),
+                    want,
+                    "{what}"
+                );
+                let (rc, cc, vc) =
+                    (t.column("r").unwrap(), t.column("c").unwrap(), t.column("v").unwrap());
+                let bulk = typed(rc, cc, vc, BulkOnly { rows, cols }).flatten();
+                let sorted = sorted_entries(&t, rows, cols);
+                assert_eq!(bulk.is_some(), sorted, "{what}");
+                if let Some(m) = bulk {
+                    assert_eq!(bits(&Matrix::Sparse(m)), want, "{what}");
+                }
+                taken[usize::from(sorted)] += 1;
+            }
+        }
+        // Both sides of the line are exercised.
+        assert!(taken.iter().all(|&k| k > 20), "{taken:?}");
     }
 
     #[test]

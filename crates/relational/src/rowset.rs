@@ -24,6 +24,9 @@
 //!   instead: one lookup per key of the other side, nothing built;
 //! * a projection reorders the output-column list;
 //! * a sort reorders the selection vectors by a cached typed key;
+//! * a filter that keeps every row, or a sort of rows already in key
+//!   order, rewrites nothing: a bare scan's "all rows" stays unallocated
+//!   (though, as after any filter, its column indexes no longer serve it);
 //! * [`RowSet::gather`] copies each *output* column once — the only place
 //!   a cell is copied or a `String` cloned.
 //!
@@ -516,15 +519,41 @@ impl<'a> RowSet<'a> {
         self.names.iter().position(|n| n == name).map(|i| self.cells[i])
     }
 
-    /// Replaces every selection vector by its entries at `positions`.
-    fn pick(&mut self, positions: &[u32]) {
-        for s in &mut self.sources {
+    /// Replaces every selection vector by its entries at `positions`. A
+    /// bare scan's entries are the positions themselves: the last one
+    /// adopts the vector, any other gets a copy.
+    fn pick(&mut self, positions: Vec<u32>) {
+        let adopter = self.sources.iter().rposition(|s| matches!(s.sel, Sel::All));
+        for (k, s) in self.sources.iter_mut().enumerate() {
             s.sel = Sel::Rows(match &s.sel {
-                Sel::All => positions.to_vec(),
+                Sel::All if Some(k) == adopter => continue,
+                Sel::All => positions.clone(),
                 Sel::Rows(rows) => positions.iter().map(|&i| rows[i as usize]).collect(),
             });
         }
         self.rows = positions.len();
+        if let Some(k) = adopter {
+            self.sources[k].sel = Sel::Rows(positions);
+        }
+    }
+
+    /// [`pick`](Self::pick) for positions that ascend without repeats, as a
+    /// filter keeps them: all `n` of them are the identity.
+    fn keep(&mut self, kept: Vec<u32>) {
+        if kept.len() < self.rows {
+            self.pick(kept);
+        } else {
+            self.pick_identity();
+        }
+    }
+
+    /// The identity pick: every selection stays as it is (a bare scan's
+    /// gather stays a column clone), and, as after any pick, no source
+    /// serves column-index lookups any more.
+    fn pick_identity(&mut self) {
+        for s in &mut self.sources {
+            s.entry = None;
+        }
     }
 
     /// Keeps the rows whose `col` cell equals the constant, in order.
@@ -557,7 +586,7 @@ impl<'a> RowSet<'a> {
             },
             Vec::new()
         );
-        self.pick(&keep);
+        self.keep(keep);
     }
 
     /// Keeps the rows whose `a` and `b` cells are equal.
@@ -574,7 +603,7 @@ impl<'a> RowSet<'a> {
             }),
             Vec::new()
         );
-        self.pick(&keep);
+        self.keep(keep);
     }
 
     /// Equi-joins with `right` on `left = right_col`, in the module's order
@@ -632,8 +661,8 @@ impl<'a> RowSet<'a> {
             Pairs { left, right, read: nr }
         });
         checked_rows(pairs.left.len());
-        self.pick(&pairs.left);
-        right.pick(&pairs.right);
+        self.pick(pairs.left);
+        right.pick(pairs.right);
         (self.append(right), pairs.read)
     }
 
@@ -648,11 +677,11 @@ impl<'a> RowSet<'a> {
         if nr != 1 && !self.sources.is_empty() {
             let each: Vec<u32> =
                 (0..nl as u32).flat_map(|i| std::iter::repeat_n(i, nr)).collect();
-            self.pick(&each);
+            self.pick(each);
         }
         if nl != 1 && !right.sources.is_empty() {
             let tiled: Vec<u32> = (0..nl).flat_map(|_| 0..nr as u32).collect();
-            right.pick(&tiled);
+            right.pick(tiled);
         }
         self.rows = rows;
         self.append(right)
@@ -713,10 +742,12 @@ impl<'a> RowSet<'a> {
             // No cell keys: every row ties and a stable sort moves nothing.
             Column::Str(_) => return,
         };
+        if keyed.is_sorted() {
+            return self.pick_identity();
+        }
         // (key, position) pairs are distinct, so this is the stable order.
         keyed.sort_unstable();
-        let order: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
-        self.pick(&order);
+        self.pick(keyed.into_iter().map(|(_, i)| i).collect());
     }
 
     /// `values` (one per row of source `source`'s table) at the source rows
@@ -1283,6 +1314,80 @@ mod tests {
         let mut order: Vec<usize> = (0..expected.num_rows()).collect();
         order.sort_by_key(|&r| expected.value(r, "tid").as_i64());
         assert_eq!(rows.gather(), expected.gather(&order));
+    }
+
+    /// A filter that keeps every row — through a scan, through a built
+    /// column index's bucket, column against column — and a sort of rows
+    /// already in key order leave a bare scan's selection unallocated. The
+    /// rows, a join after each and what that join reads are those of an
+    /// explicit identity pick, the selection these steps used to make.
+    #[test]
+    fn keep_all_selections_stay_unselected_and_joins_after_them_agree() {
+        let t = Table::new(vec![
+            ("k", Column::Int((0..40).map(|i| i / 2 * 3).collect())),
+            ("c", Column::Int(vec![3; 40])),
+            ("s", Column::Str((0..40).map(|i| format!("s{i}")).collect())),
+        ]);
+        let other = keyed(30, 7, 50, "b");
+        let entry = IndexedTable::new(t.clone());
+        let other_entry = IndexedTable::new(other.clone());
+        type Step = fn(&mut RowSet<'_>);
+        let steps: [(&str, Step); 4] = [
+            ("filter", |r| r.filter(cell(0, 1), &Int(3))),
+            ("mixed filter", |r| r.filter(cell(0, 1), &Float(3.0))),
+            ("filter_eq", |r| r.filter_eq(cell(0, 1), cell(0, 1))),
+            ("sort", |r| r.sort_by_key(cell(0, 0))),
+        ];
+        // The first lookups of `c` scan, a later one builds its index, the
+        // rest read its bucket.
+        for run in 0..3 {
+            for (name, step) in steps {
+                for right in [None, Some(&other_entry)] {
+                    let mut joined = Vec::new();
+                    for picked in [false, true] {
+                        let mut rows = RowSet::scan_entry(&entry);
+                        step(&mut rows);
+                        assert!(matches!(rows.sources[0].sel, Sel::All), "{name}");
+                        if picked {
+                            rows.pick((0..40).collect());
+                        }
+                        assert_eq!(rows.gather(), t, "run {run}: {name}");
+                        let what = format!("run {run}: {name}, then a join, picked {picked}");
+                        let read =
+                            rows.hash_join_reading(cell(0, 0), scan_of(&other, right), 0);
+                        joined.push((rows.gather(), read));
+                        assert_eq!(
+                            joined.last().unwrap().0,
+                            nested_loop_join(&t, "k", &other, "k"),
+                            "{what}"
+                        );
+                    }
+                    assert_eq!(joined[0].1, joined[1].1, "run {run}: {name}: rows read");
+                }
+            }
+        }
+        // `c` got its index from the filter's second lookup, so the later
+        // keep-all filters read a bucket; `k` of the filtered side never
+        // served a lookup, as after a pick.
+        assert_eq!(entry.column_indexes(), 1);
+    }
+
+    /// A `Sel::All` source adopts the positions a pick hands it; with two
+    /// bare scans one adopts and one copies, and a selected source maps
+    /// them through its own selection.
+    #[test]
+    fn a_pick_maps_every_source_through_the_positions() {
+        let (l, r) = (tagged(&Column::Int(vec![5, 6, 7])), tagged(&Column::Int(vec![8, 9])));
+        let mut rows = RowSet::scan(&l);
+        let source = rows.product(RowSet::scan(&r));
+        rows.pick(vec![5, 0, 3]);
+        assert_eq!(tag_pairs(&rows, source), [(2, 1), (0, 0), (1, 1)]);
+        let mut rows = RowSet::scan(&l);
+        let source = rows.product(RowSet::unit());
+        assert_eq!(source, 1);
+        rows.pick(vec![2, 0]);
+        rows.pick(vec![1]);
+        assert_eq!(row_tags(&rows), [0]);
     }
 
     #[test]

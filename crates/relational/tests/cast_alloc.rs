@@ -1,7 +1,8 @@
 //! A sparse cast costs what it stores, pinned by bytes rather than a timer:
 //! casting 1 000 rows into a 202 000-row id space requests under 64 KiB from
 //! the allocator (a flat row-pointer array alone would be 1.6 MB), and the
-//! same rows into a ten times larger id space request exactly as much.
+//! same rows into a ten times larger id space request exactly as much; a
+//! sorted 40 000-row cast requests its four matrix arrays and nothing else.
 //!
 //! Own test binary: it installs a counting `#[global_allocator]`, and the
 //! count is only meaningful while nothing else runs — hence one `#[test]`.
@@ -98,4 +99,21 @@ fn a_sparse_cast_allocates_for_its_rows_not_for_the_id_space() {
     let (sorted, sort_bytes) = cast_into(&shuffled, 202_000);
     assert_eq!(sorted.nnz(), ROWS);
     assert!(sort_bytes < 128 * 1024, "{sort_bytes} B for {ROWS} shuffled rows");
+
+    // A `level_sparse` prefix: 40 000 tuples, one per stored row, in `tid`
+    // order. The bulk cast requests its four arrays at their exact size —
+    // row ids, starts, indices, values, eight bytes an entry each — with no
+    // growth and no intermediate triplet vector.
+    const BULK: usize = 40_000;
+    let bulk = Table::new(vec![
+        ("tid", Column::Int((0..BULK as i64).map(|i| i * 5 + i % 3).collect())),
+        ("topic", Column::Int((0..BULK as i64).map(|i| i * 7 % 200).collect())),
+        ("level", Column::Int((0..BULK as i64).map(|i| i % 4 + 1).collect())),
+    ]);
+    let (m, bulk_bytes) = cast_into(&bulk, 202_000);
+    assert_eq!((m.shape(), m.nnz()), ((202_000, 200), BULK));
+    assert!(
+        bulk_bytes <= 4 * 8 * BULK + 1024,
+        "{bulk_bytes} B for {BULK} sorted rows into 202 000 x 200"
+    );
 }
