@@ -1331,6 +1331,7 @@ mod tests {
         let other = keyed(30, 7, 50, "b");
         let entry = IndexedTable::new(t.clone());
         let other_entry = IndexedTable::new(other.clone());
+        let want = nested_loop_join(&t, "k", &other, "k");
         type Step = fn(&mut RowSet<'_>);
         let steps: [(&str, Step); 4] = [
             ("filter", |r| r.filter(cell(0, 1), &Int(3))),
@@ -1356,11 +1357,7 @@ mod tests {
                         let read =
                             rows.hash_join_reading(cell(0, 0), scan_of(&other, right), 0);
                         joined.push((rows.gather(), read));
-                        assert_eq!(
-                            joined.last().unwrap().0,
-                            nested_loop_join(&t, "k", &other, "k"),
-                            "{what}"
-                        );
+                        assert_eq!(joined.last().unwrap().0, want, "{what}");
                     }
                     assert_eq!(joined[0].1, joined[1].1, "run {run}: {name}: rows read");
                 }
