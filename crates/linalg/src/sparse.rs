@@ -52,7 +52,7 @@
 //! |---|---|---|
 //! | [`SparseBuilder`], [`SparseMatrix::from_triplets`] in `(row, col)` order | O(n + rows) | O(n) |
 //! | — out of order | O(n log n + rows) | O(n log n) |
-//! | [`SparseMatrix::from_sorted_rows`] (a sorted table's bulk cast: one checking pass, no per-entry push) | O(nnz + rows) | O(nnz) |
+//! | [`SparseMatrix::from_sorted_rows`] (one entry per row, a keyed table's bulk cast: one checking pass, no per-entry push) | O(nnz + rows) | O(nnz) |
 //! | `clone`, `triplets`, `to_dense`'s scatter, `filter`, `prune`, `map_values`, `==`, the aggregates, `add`, `hadamard` | O(rows + nnz) | O(nnz) |
 //! | `row(r)`, `get(r, c)` | O(1), O(log row) | O(log stored) more |
 //! | `transpose` | O(nnz + rows + cols) | O(nnz log nnz) when the result is compact too |
@@ -261,59 +261,44 @@ impl SparseMatrix {
         b.finish()
     }
 
-    /// Builds from the four arrays a [`SparseBuilder`] fed in strictly
-    /// ascending `(row, col)` order ends with: the non-empty rows
-    /// (`row_ids`, ascending), where each starts in `indices`/`values`
-    /// (`starts`, closed by `nnz`), and the entries themselves. The bulk
-    /// constructor of a cast from a sorted table: no per-entry push, no
-    /// merge, no growth. The arrays are checked by one read of each (the
-    /// column order within a row only when some row holds two entries), and
-    /// the layout rule then applies as it does to a builder's arrays.
+    /// Builds from one entry per stored row: the rows (`row_ids`, strictly
+    /// ascending) and the column and value of each, aligned. The bulk
+    /// constructor of a cast from a table keyed and ordered by the row id:
+    /// no per-entry push, no merge, no growth. The arrays are checked by
+    /// one read of each, and the layout rule then applies as it does to a
+    /// builder's arrays, stored row `k` starting at entry `k`.
     ///
     /// # Panics
     ///
     /// When the arrays break that shape: a row or column out of bounds, a
-    /// coordinate not above its predecessor, an empty stored row, an
-    /// explicit zero, or lengths that disagree.
+    /// row not above its predecessor, an explicit zero, or lengths that
+    /// disagree.
     pub fn from_sorted_rows(
         rows: usize,
         cols: usize,
         row_ids: Vec<usize>,
-        starts: Vec<usize>,
         indices: Vec<usize>,
         values: Vec<f64>,
     ) -> Self {
+        let n = row_ids.len();
         assert!(
-            starts.len() == row_ids.len() + 1
-                && starts.first() == Some(&0)
-                && starts.last() == Some(&indices.len())
-                && indices.len() == values.len(),
-            "{} row ids, {} starts, {} indices, {} values",
-            row_ids.len(),
-            starts.len(),
+            indices.len() == n && values.len() == n,
+            "{n} row ids, {} indices, {} values",
             indices.len(),
             values.len()
         );
         // Folded without a branch: each check is one straight read.
-        let ascending = |s: &[usize]| s.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]));
         assert!(
-            ascending(&row_ids) && row_ids.last().is_none_or(|&r| r < rows),
+            row_ids.windows(2).fold(true, |ok, w| ok & (w[0] < w[1]))
+                && row_ids.last().is_none_or(|&r| r < rows),
             "row ids not ascending below {rows}"
         );
-        assert!(ascending(&starts), "an empty stored row");
         assert!(
             indices.iter().fold(true, |ok, &c| ok & (c < cols)),
             "a column index out of bounds {rows}x{cols}"
         );
         assert!(values.iter().fold(true, |ok, &v| ok & (v != 0.0)), "an explicit zero");
-        // One entry per stored row has no order within a row to check.
-        if row_ids.len() < indices.len() {
-            assert!(
-                starts.windows(2).all(|w| ascending(&indices[w[0]..w[1]])),
-                "columns not ascending within a row"
-            );
-        }
-        SparseMatrix::laid_out(rows, cols, row_ids, starts, indices, values)
+        SparseMatrix::laid_out(rows, cols, row_ids, (0..=n).collect(), indices, values)
     }
 
     /// The matrix over valid sorted-row arrays, in the layout the rule picks
@@ -786,22 +771,13 @@ mod tests {
         }
     }
 
-    /// The four arrays of strictly ascending, zero-free triplets, as a
-    /// sorted cast writes them.
-    type RowArrays = (Vec<usize>, Vec<usize>, Vec<usize>, Vec<f64>);
+    /// The three arrays of zero-free triplets with strictly ascending rows,
+    /// as a keyed cast writes them.
+    type RowArrays = (Vec<usize>, Vec<usize>, Vec<f64>);
 
     fn row_arrays(entries: &[(usize, usize, f64)]) -> RowArrays {
-        let (mut row_ids, mut starts) = (Vec::new(), Vec::new());
-        for (i, &(r, _, _)) in entries.iter().enumerate() {
-            if row_ids.last() != Some(&r) {
-                row_ids.push(r);
-                starts.push(i);
-            }
-        }
-        starts.push(entries.len());
         (
-            row_ids,
-            starts,
+            entries.iter().map(|e| e.0).collect(),
             entries.iter().map(|e| e.1).collect(),
             entries.iter().map(|e| e.2).collect(),
         )
@@ -817,41 +793,33 @@ mod tests {
                 let mut entries = bag(&mut rng, rows, cols, stored, n);
                 entries.retain(|e| e.2 != 0.0);
                 entries.sort_by_key(|e| (e.0, e.1));
-                entries.dedup_by_key(|e| (e.0, e.1));
-                let (ids, starts, idx, vals) = row_arrays(&entries);
-                let got = SparseMatrix::from_sorted_rows(rows, cols, ids, starts, idx, vals);
+                entries.dedup_by_key(|e| e.0);
+                let (ids, idx, vals) = row_arrays(&entries);
+                let got = SparseMatrix::from_sorted_rows(rows, cols, ids, idx, vals);
                 let want = SparseMatrix::from_triplets(rows, cols, entries);
                 assert_same(&got, &want, &format!("{rows}x{cols} over {stored} rows, {n}"));
                 assert_eq!(got.is_compact(), want.is_compact());
             }
         }
-        let ok = [(0, 1, 1.0), (0, 2, -2.0), (3, 0, 0.5)];
+        let ok = [(0, 1, 1.0), (2, 2, -2.0), (3, 0, 0.5)];
         let refused = |entries: &[(usize, usize, f64)], edit: &dyn Fn(&mut RowArrays)| {
             let mut arrays = row_arrays(entries);
             edit(&mut arrays);
-            let (ids, starts, idx, vals) = arrays;
-            std::panic::catch_unwind(|| {
-                SparseMatrix::from_sorted_rows(4, 3, ids, starts, idx, vals)
-            })
-            .is_err()
+            let (ids, idx, vals) = arrays;
+            std::panic::catch_unwind(|| SparseMatrix::from_sorted_rows(4, 3, ids, idx, vals))
+                .is_err()
         };
         assert!(!refused(&ok, &|_| {}));
         assert!(!refused(&[], &|_| {}));
-        // Out of bounds, a tie, a column or row out of order, an explicit
-        // zero (`-0.0` is one), an empty stored row, lengths that disagree.
+        // A row or column out of bounds, two entries in a row, rows out of
+        // order, an explicit zero (`-0.0` is one), lengths that disagree.
         assert!(refused(&[(0, 1, 1.0), (4, 0, 1.0)], &|_| {}));
         assert!(refused(&[(0, 1, 1.0), (2, 3, 1.0)], &|_| {}));
-        assert!(refused(&[(0, 1, 1.0), (0, 1, 1.0)], &|_| {}));
-        assert!(refused(&[(0, 2, 1.0), (0, 1, 1.0)], &|_| {}));
+        assert!(refused(&[(0, 1, 1.0), (0, 2, 1.0)], &|_| {}));
         assert!(refused(&[(2, 0, 1.0), (1, 0, 1.0)], &|_| {}));
-        assert!(refused(&ok, &|a| a.3[1] = -0.0));
-        assert!(refused(&ok, &|a| {
-            a.0.insert(1, 1);
-            a.1.insert(1, 2);
-        }));
+        assert!(refused(&ok, &|a| a.2[1] = -0.0));
         assert!(refused(&ok, &|a| a.0.push(3)));
-        assert!(refused(&ok, &|a| a.3.pop().map_or((), drop)));
-        assert!(refused(&ok, &|a| a.1[0] = 1));
+        assert!(refused(&ok, &|a| a.2.pop().map_or((), drop)));
     }
 
     #[test]
