@@ -41,16 +41,6 @@ impl Cq {
         self.head_vars().all(|h| self.body.iter().any(|a| a.vars().any(|v| v == h)))
     }
 
-    /// Largest variable index used, plus one (for fresh-variable allocation).
-    pub fn var_bound(&self) -> u32 {
-        self.body
-            .iter()
-            .flat_map(super::atom::Atom::vars)
-            .chain(self.head_vars())
-            .max()
-            .map_or(0, |v| v + 1)
-    }
-
     /// Renders `Q(?h..) :- atom, atom` for debugging.
     pub fn display(&self, vocab: &Vocabulary) -> String {
         let head: Vec<String> = self
@@ -63,22 +53,6 @@ impl Cq {
             .collect();
         let body: Vec<String> = self.body.iter().map(|a| a.display(vocab)).collect();
         format!("Q({}) :- {}", head.join(", "), body.join(" ∧ "))
-    }
-
-    /// Applies a variable renaming `old -> new` to every term.
-    pub fn rename_vars(&self, f: impl Fn(u32) -> u32) -> Cq {
-        let map = |t: &Term| match t {
-            Term::Var(v) => Term::Var(f(*v)),
-            c => *c,
-        };
-        Cq {
-            head: self.head.iter().map(&map).collect(),
-            body: self
-                .body
-                .iter()
-                .map(|a| Atom { pred: a.pred, args: a.args.iter().map(&map).collect() })
-                .collect(),
-        }
     }
 }
 
@@ -106,19 +80,5 @@ mod tests {
         let q = Cq::new(vec![Term::Var(0), Term::Const(seven)], vec![atom(0, &[0, 1])]);
         assert!(q.is_safe());
         assert_eq!(q.head_vars().collect::<Vec<_>>(), vec![0]);
-    }
-
-    #[test]
-    fn var_bound_counts_head_and_body() {
-        let q = Cq { head: vec![Term::Var(0)], body: vec![atom(0, &[0, 5])] };
-        assert_eq!(q.var_bound(), 6);
-    }
-
-    #[test]
-    fn rename_shifts_everything() {
-        let q = Cq::with_var_head(vec![0], vec![atom(0, &[0, 1])]);
-        let r = q.rename_vars(|v| v + 10);
-        assert_eq!(r.head, vec![Term::Var(10)]);
-        assert_eq!(r.body[0].args, vec![Term::Var(10), Term::Var(11)]);
     }
 }

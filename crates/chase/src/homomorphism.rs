@@ -225,7 +225,14 @@ impl Matcher {
         }
     }
 
-    /// [`for_each_match_since_symmetric`] over this matcher's buffers.
+    /// Like [`Matcher::for_each_match_since`], but for *symmetric* two-atom
+    /// premises — both atoms identical up to one equated variable, the
+    /// [`crate::Egd::functional`] shape. The match set is closed under
+    /// swapping the two atoms and a swap preserves the induced equality
+    /// pair, so the single `Δ ⋈ any` pass covers every consequence of the
+    /// delta: a `(old, new)` match is the mirror of a `(new, old)` one this
+    /// pass enumerates. Halves the dominant EGD enumeration cost of the
+    /// chase.
     pub(crate) fn for_each_match_since_symmetric(
         &mut self,
         inst: &Instance,
@@ -286,28 +293,6 @@ pub fn for_each_match_since(
     sink: &mut dyn FnMut(&Match) -> bool,
 ) {
     Matcher::default().for_each_match_since(inst, atoms, slot_count(atoms), watermark, sink);
-}
-
-/// Like [`for_each_match_since`], but for *symmetric* two-atom premises —
-/// both atoms identical up to one equated variable, the [`crate::Egd::functional`]
-/// shape. The match set is closed under swapping the two atoms and a swap
-/// preserves the induced equality pair, so the single `Δ ⋈ any` pass covers
-/// every consequence of the delta: a `(old, new)` match is the mirror of a
-/// `(new, old)` one this pass enumerates. Halves the dominant EGD
-/// enumeration cost of the chase.
-pub fn for_each_match_since_symmetric(
-    inst: &Instance,
-    atoms: &[Atom],
-    watermark: u64,
-    sink: &mut dyn FnMut(&Match) -> bool,
-) {
-    Matcher::default().for_each_match_since_symmetric(
-        inst,
-        atoms,
-        slot_count(atoms),
-        watermark,
-        sink,
-    );
 }
 
 /// Collects all homomorphisms (convenience for tests and small workloads).

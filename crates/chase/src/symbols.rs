@@ -63,11 +63,6 @@ impl Vocabulary {
         id
     }
 
-    /// Looks up a predicate without declaring it.
-    pub fn find_predicate(&self, name: &str) -> Option<PredId> {
-        self.pred_ids.get(name).copied()
-    }
-
     /// The name a constant was interned under.
     pub fn const_name(&self, id: SymId) -> &str {
         &self.consts[id.0 as usize]
@@ -108,8 +103,6 @@ mod tests {
         let p = v.predicate("multiM", 3);
         assert_eq!(v.pred_arity(p), 3);
         assert_eq!(v.pred_name(p), "multiM");
-        assert_eq!(v.find_predicate("multiM"), Some(p));
-        assert_eq!(v.find_predicate("nope"), None);
     }
 
     #[test]

@@ -28,10 +28,6 @@ pub enum LinalgError {
     },
     /// Matrix is not symmetric positive definite where SPD is required.
     NotPositiveDefinite,
-    /// IO / parse failure.
-    Io(String),
-    /// Anything else (kept for extensibility of the engine layer).
-    Unsupported(String),
 }
 
 impl fmt::Display for LinalgError {
@@ -49,19 +45,11 @@ impl fmt::Display for LinalgError {
             LinalgError::NotPositiveDefinite => {
                 write!(f, "matrix is not symmetric positive definite")
             }
-            LinalgError::Io(msg) => write!(f, "io error: {msg}"),
-            LinalgError::Unsupported(msg) => write!(f, "unsupported: {msg}"),
         }
     }
 }
 
 impl std::error::Error for LinalgError {}
-
-impl From<std::io::Error> for LinalgError {
-    fn from(e: std::io::Error) -> Self {
-        LinalgError::Io(e.to_string())
-    }
-}
 
 /// Convenience result alias.
 pub type Result<T> = std::result::Result<T, LinalgError>;

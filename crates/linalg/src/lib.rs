@@ -6,8 +6,7 @@
 //! operator set `Lops` of HADAD §6.1 (products, element-wise ops,
 //! transposition, inversion, determinants, traces, aggregates, Kronecker /
 //! direct sums, matrix exponential), the matrix decompositions the
-//! constraint catalogue reasons about (LU, pivoted LU, Cholesky, QR), and
-//! CSV / MatrixMarket IO.
+//! constraint catalogue reasons about (LU, pivoted LU, Cholesky, QR).
 //!
 //! Everything is implemented from scratch on `Vec<f64>` storage — no BLAS —
 //! so that benchmark wall-times are a deterministic function of the
@@ -22,7 +21,6 @@
 pub mod backend;
 pub mod dense;
 pub mod error;
-pub mod io;
 pub mod matrix;
 mod micro;
 pub mod rand_gen;
@@ -85,13 +83,18 @@ pub fn bitwise_eq(a: &Matrix, b: &Matrix) -> bool {
 }
 
 /// Returns true when `a` and `b` are element-wise equal within a relative
-/// tolerance of `rtol` (absolute floor `1e-10`). Two sparse matrices are
-/// compared over the cells either stores, in O(nnz).
+/// tolerance of `rtol` (absolute floor `1e-10`). A cell that is `NaN` or
+/// infinite on either side agrees only with an equal cell or, if `NaN`,
+/// with a `NaN`. Two sparse matrices are compared over the cells either
+/// stores, in O(nnz).
 pub fn approx_eq(a: &Matrix, b: &Matrix, rtol: f64) -> bool {
     if a.rows() != b.rows() || a.cols() != b.cols() {
         return false;
     }
     let differ = |x: f64, y: f64| {
+        if !(x.is_finite() && y.is_finite()) {
+            return x != y && !(x.is_nan() && y.is_nan());
+        }
         let scale = x.abs().max(y.abs()).max(1.0);
         (x - y).abs() > rtol * scale + 1e-10
     };
@@ -117,4 +120,34 @@ pub fn approx_eq(a: &Matrix, b: &Matrix, rtol: f64) -> bool {
         }
     }
     true
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Non-finite cells agree only when equal or both `NaN`, in dense and
+    /// sparse operands alike, and a stored `NaN` never matches an absent
+    /// cell.
+    #[test]
+    fn approx_eq_refuses_non_finite_cells_that_differ() {
+        let (inf, nan) = (f64::INFINITY, f64::NAN);
+        let dense = |v: f64| Matrix::dense(1, 1, vec![v]);
+        let sparse = |v: f64| Matrix::sparse(1, 2, vec![(0, 1, v)]);
+        for (x, y, agree) in [
+            (nan, 1.0, false),
+            (inf, 1.0, false),
+            (inf, -inf, false),
+            (inf, inf, true),
+            (nan, nan, true),
+        ] {
+            for (a, b) in [(x, y), (y, x)] {
+                assert_eq!(approx_eq(&dense(a), &dense(b), 1e-8), agree, "dense {a} vs {b}");
+                assert_eq!(approx_eq(&sparse(a), &sparse(b), 1e-8), agree, "sparse {a} vs {b}");
+            }
+        }
+        let absent = Matrix::sparse(1, 2, Vec::new());
+        assert!(!approx_eq(&sparse(nan), &absent, 1e-8));
+        assert!(!approx_eq(&absent, &sparse(nan), 1e-8));
+    }
 }

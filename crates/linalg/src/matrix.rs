@@ -113,16 +113,6 @@ impl Matrix {
         }
     }
 
-    /// Number of *materialized* cells: the memory-footprint proxy HADAD's
-    /// cost model sums over intermediates (§7.1). Sparse matrices count
-    /// their stored non-zeros, dense matrices their full extent.
-    pub fn materialized_size(&self) -> usize {
-        match self {
-            Matrix::Dense(d) => d.len(),
-            Matrix::Sparse(s) => s.nnz(),
-        }
-    }
-
     /// Densified copy (or clone if already dense).
     pub fn to_dense(&self) -> DenseMatrix {
         match self {
@@ -242,14 +232,6 @@ mod tests {
         assert_eq!(m.shape(), (1, 1));
         assert_eq!(m.as_scalar(), Some(4.5));
         assert_eq!(Matrix::zeros(2, 3).as_scalar(), None);
-    }
-
-    #[test]
-    fn materialized_size_tracks_representation() {
-        let d = Matrix::dense(2, 2, vec![0., 1., 0., 0.]);
-        assert_eq!(d.materialized_size(), 4);
-        let s = Matrix::sparse(2, 2, vec![(0, 1, 1.0)]);
-        assert_eq!(s.materialized_size(), 1);
     }
 
     #[test]

@@ -40,32 +40,6 @@ pub fn random_sparse(rows: usize, cols: usize, density: f64, seed: u64) -> Spars
     SparseMatrix::from_triplets(rows, cols, triplets)
 }
 
-/// Sparse matrix whose values are integers in `[lo, hi]` (e.g. filter levels
-/// 1..=5 for the Twitter matrix, service outcomes for MIMIC).
-pub fn random_sparse_int(
-    rows: usize,
-    cols: usize,
-    density: f64,
-    lo: i64,
-    hi: i64,
-    seed: u64,
-) -> SparseMatrix {
-    let mut rng = Rng64::new(seed);
-    let target = ((rows * cols) as f64 * density).round() as usize;
-    let mut seen = std::collections::HashSet::with_capacity(target);
-    let mut triplets = Vec::with_capacity(target);
-    for _ in 0..target {
-        let r = rng.range_usize(rows.max(1));
-        let c = rng.range_usize(cols.max(1));
-        // Skip duplicate coordinates: summed duplicates would leave the
-        // declared value range.
-        if seen.insert((r, c)) {
-            triplets.push((r, c, rng.range_i64(lo, hi) as f64));
-        }
-    }
-    SparseMatrix::from_triplets(rows, cols, triplets)
-}
-
 /// Well-conditioned invertible matrix: random entries plus `n` on the
 /// diagonal (strictly diagonally dominant).
 pub fn random_invertible(n: usize, seed: u64) -> DenseMatrix {
@@ -117,14 +91,5 @@ mod tests {
     fn spd_is_symmetric() {
         let m = random_spd(6, 77);
         assert!(m.is_symmetric(1e-9));
-    }
-
-    #[test]
-    fn int_sparse_values_in_range() {
-        let s = random_sparse_int(50, 50, 0.1, 1, 5, 3);
-        for (_, _, v) in s.triplets() {
-            assert!((1.0..=5.0).contains(&v));
-            assert_eq!(v.fract(), 0.0);
-        }
     }
 }

@@ -30,9 +30,6 @@ pub use trace::{
     RING_CAPACITY,
 };
 
-#[cfg(any(test, feature = "gate-audit"))]
-pub use trace::audit;
-
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 

@@ -4,9 +4,9 @@
 //! Gate discipline (stricter than `hadad-failpoint`, which pays an armed
 //! flag *and* a `OnceLock` load): a single `AtomicU8` encodes
 //! uninitialized / off / on, so once initialized the disabled path is
-//! exactly **one relaxed atomic load** and no allocation. The `gate-audit`
-//! feature (always on for unit tests) counts gate loads per thread so the
-//! overhead guard test can assert that bound instead of trusting it.
+//! exactly **one relaxed atomic load** and no allocation. Unit-test builds
+//! count gate loads per thread so the overhead guard test can assert that
+//! bound instead of trusting it; no other build carries the counter.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -27,12 +27,12 @@ static STATE: AtomicU8 = AtomicU8::new(UNINIT);
 
 static DROPPED: LazyCounter = LazyCounter::new("trace.dropped_spans");
 
-/// Gate-load audit instrumentation, compiled for unit tests and under the
-/// `gate-audit` feature: counts how many atomic loads of the tracing gate
-/// the current thread has performed, so tests can pin the disabled-span
-/// cost to exactly one load per site.
-#[cfg(any(test, feature = "gate-audit"))]
-pub mod audit {
+/// Gate-load audit instrumentation, compiled for unit tests only: counts
+/// how many atomic loads of the tracing gate the current thread has
+/// performed, so tests can pin the disabled-span cost to exactly one load
+/// per site.
+#[cfg(test)]
+mod audit {
     use std::cell::Cell;
 
     thread_local! {
@@ -55,12 +55,12 @@ pub mod audit {
     }
 }
 
-#[cfg(any(test, feature = "gate-audit"))]
+#[cfg(test)]
 fn note_gate_load() {
     audit::note_load();
 }
 
-#[cfg(not(any(test, feature = "gate-audit")))]
+#[cfg(not(test))]
 #[inline(always)]
 fn note_gate_load() {}
 

@@ -2,7 +2,8 @@
 //! allocate. Uses a counting global allocator with a *thread-local*
 //! counter so concurrent harness threads cannot pollute the measurement.
 //! (The companion "exactly one atomic gate load per span" bound is pinned
-//! by the `gate-audit` unit test inside the crate.)
+//! by the gate-load audit test inside the crate,
+//! `trace::tests::disabled_span_costs_exactly_one_gate_load`.)
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

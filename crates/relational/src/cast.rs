@@ -210,34 +210,9 @@ fn one_per_row<R: IdCell, C: IdCell, V: ValCell>(
     })
 }
 
-/// Casts a matrix back into a table with synthesized column names
-/// `c0, c1, ...` (row order is whatever the matrix had; the relational view
-/// forgets it, per the paper's data model). Each column is built once —
-/// strided out of a dense matrix, scattered from the stored entries of a
-/// sparse one — and moved into the table.
-pub fn matrix_to_table(m: &Matrix) -> Table {
-    let columns: Vec<Vec<f64>> = match m {
-        Matrix::Dense(d) => (0..d.cols())
-            .map(|c| d.data().iter().skip(c).step_by(d.cols()).copied().collect())
-            .collect(),
-        Matrix::Sparse(s) => {
-            let mut columns = vec![vec![0.0; s.rows()]; s.cols()];
-            for (r, c, v) in s.triplets() {
-                columns[c][r] = v;
-            }
-            columns
-        }
-    };
-    let names: Vec<String> = (0..m.cols()).map(|c| format!("c{c}")).collect();
-    Table::new(
-        names.iter().map(String::as_str).zip(columns.into_iter().map(Column::Float)).collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::table::Value;
     use hadad_linalg::rng::Rng64;
 
     #[test]
@@ -250,9 +225,6 @@ mod tests {
         assert_eq!(m.shape(), (2, 2));
         assert_eq!(m.get(1, 0), 2.0);
         assert_eq!(m.get(0, 1), 0.5);
-        let back = matrix_to_table(&m);
-        assert_eq!(back.num_rows(), 2);
-        assert_eq!(back.value(1, "c0"), Value::Float(2.0));
     }
 
     #[test]
@@ -520,15 +492,5 @@ mod tests {
         assert_eq!(back, m);
         assert_eq!(m.transpose().get(7, rows - 1), 4.0);
         assert!(hadad_linalg::approx_eq(&back, &m, 0.0));
-    }
-
-    #[test]
-    fn matrix_to_table_reads_dense_and_sparse_alike() {
-        let s = Matrix::sparse(3, 2, vec![(0, 1, 2.0), (2, 0, -1.0)]);
-        let from_sparse = matrix_to_table(&s);
-        assert_eq!(from_sparse, matrix_to_table(&Matrix::Dense(s.to_dense())));
-        assert_eq!(from_sparse.column_names(), ["c0", "c1"]);
-        assert_eq!(from_sparse.column("c1"), Some(&Column::Float(vec![2.0, 0.0, 0.0])));
-        assert_eq!(matrix_to_table(&Matrix::zeros(2, 0)).num_cols(), 0);
     }
 }

@@ -48,7 +48,7 @@ use std::fmt::{self, Write as _};
 use crate::row_index::{
     position, row_hashes, rows_identical, RowIndex, GOLDEN, MIN_BUCKETS, NIL,
 };
-use crate::rowset::{ColRef, Out, RowSet};
+use crate::rowset::{joined_columns, ColRef, Out, RowSet};
 use crate::table::{Column, Table, Value};
 use crate::IndexedTable;
 
@@ -198,41 +198,6 @@ pub fn table_row_hashes(t: &Table) -> Vec<u64> {
         }
     }
     hashes
-}
-
-/// Output column names of `ops::hash_join(left, _, right, right_key)`:
-/// all left columns, then every non-key right column prefixed `right.`
-/// until unique. Returns the names plus the kept right column indices.
-pub fn joined_columns(
-    left: &[String],
-    right_cols: &[String],
-    right_key: &str,
-) -> (Vec<String>, Vec<usize>) {
-    let mut names = left.to_vec();
-    let kept = push_joined_columns(&mut names, right_cols, right_key);
-    (names, kept)
-}
-
-/// [`joined_columns`] in place: appends the join's right-side output names
-/// to the left side's `names` and returns the kept right column indices.
-pub(crate) fn push_joined_columns(
-    names: &mut Vec<String>,
-    right_cols: &[String],
-    right_key: &str,
-) -> Vec<usize> {
-    let mut kept = Vec::new();
-    for (i, n) in right_cols.iter().enumerate() {
-        if n == right_key {
-            continue;
-        }
-        let mut out_name = n.clone();
-        while names.contains(&out_name) {
-            out_name = format!("right.{out_name}");
-        }
-        names.push(out_name);
-        kept.push(i);
-    }
-    kept
 }
 
 /// Net multiplicity per distinct row of `rows` (bitwise identity, see

@@ -59,7 +59,6 @@
 //! a `HashJoin` stage, the column that first bound a CQ variable), so two
 //! equivalent plans return the same bag *up to representative*.
 
-use crate::ivm::push_joined_columns;
 use crate::row_index::{position, ColumnIndex, IndexedTable, GOLDEN, MIN_BUCKETS, NIL};
 use crate::table::{float_key, same_type, stable_hash, Column, Table, Value};
 
@@ -795,10 +794,46 @@ impl<'a> RowSet<'a> {
     }
 }
 
+/// Output column names of [`RowSet::hash_join`] (and so of
+/// `ops::hash_join(left, _, right, right_key)`): all left columns, then
+/// every non-key right column prefixed `right.` until unique. Returns the
+/// names plus the kept right column indices.
+pub fn joined_columns(
+    left: &[String],
+    right_cols: &[String],
+    right_key: &str,
+) -> (Vec<String>, Vec<usize>) {
+    let mut names = left.to_vec();
+    let kept = push_joined_columns(&mut names, right_cols, right_key);
+    (names, kept)
+}
+
+/// [`joined_columns`] in place: appends the join's right-side output names
+/// to the left side's `names` and returns the kept right column indices.
+pub fn push_joined_columns(
+    names: &mut Vec<String>,
+    right_cols: &[String],
+    right_key: &str,
+) -> Vec<usize> {
+    let mut kept = Vec::new();
+    for (i, n) in right_cols.iter().enumerate() {
+        if n == right_key {
+            continue;
+        }
+        let mut out_name = n.clone();
+        while names.contains(&out_name) {
+            out_name = format!("right.{out_name}");
+        }
+        names.push(out_name);
+        kept.push(i);
+    }
+    kept
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ivm::{joined_columns, Delta};
+    use crate::ivm::Delta;
     use crate::ops;
     use Value::{Float, Int, Str};
 

@@ -58,7 +58,7 @@ pub struct CacheReport {
 /// Probe key: the canonical skeleton of the input expression, its leaf
 /// names in first-occurrence order, one [`StatsBand`] per leaf, an opaque
 /// configuration hash (budget/deadline/views/rules), and the catalog
-/// epoch the probing optimizer is pinned to.
+/// epoch the probing call carries.
 #[derive(Debug, Clone)]
 pub struct PlanCacheKey {
     /// Precomputed shard/bucket hash over skeleton + bands + ctx.
@@ -82,7 +82,7 @@ pub struct PlanCacheKey {
 
 impl PlanCacheKey {
     /// Builds a key from an already-canonicalized expression, per-leaf
-    /// bands, and the probing optimizer's configuration and epoch.
+    /// bands, the probing optimizer's configuration and the call's epoch.
     pub(crate) fn new(
         canon: CanonicalExpr,
         bands: Vec<StatsBand>,

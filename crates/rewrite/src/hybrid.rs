@@ -40,7 +40,7 @@ use hadad_relational::{Catalog, Column, Table, Value};
 
 use crate::cast::{apply_cast, restamp_cast_into};
 use crate::eval::{Env, EvalError};
-use crate::optimizer::{Optimizer, Plan, RankedPlans, RewriteError};
+use crate::optimizer::{CallContext, Optimizer, Plan, RankedPlans, RewriteError};
 use crate::query::eval_cq_sorted;
 use hadad_core::Expr;
 
@@ -570,18 +570,11 @@ impl HybridOptimizer {
     }
 
     fn make_snapshot(&self) -> CatalogSnapshot {
-        let epoch = self.catalog.epoch();
-        // Stamp the clone's plan-cache epoch now: every probe from the
-        // snapshot must validate against the state it captured, and the
-        // shared `PlanCache` Arc means entries it inserts serve later
-        // same-epoch readers too.
-        let mut optimizer = self.optimizer.clone();
-        optimizer.set_cache_epoch(epoch);
         CatalogSnapshot {
             catalog: self.catalog.clone(),
             table_views: self.table_views.clone(),
-            optimizer,
-            epoch,
+            optimizer: self.optimizer.clone(),
+            epoch: self.catalog.epoch(),
             memo: Arc::default(),
         }
     }
@@ -674,8 +667,8 @@ struct RunState<'a> {
     catalog: &'a Catalog,
     table_views: &'a [TableView],
     optimizer: &'a Optimizer,
-    /// Catalog epoch the state was captured at — stamped onto the LA
-    /// optimizer clone so its plan-cache probes are epoch-checked.
+    /// Catalog epoch the state was captured at — the epoch the LA
+    /// suffix's plan-cache probes and inserts carry.
     epoch: u64,
     /// Pre-determined degradation (poisoned maintainer): the run proceeds
     /// with no materialized views offered.
@@ -828,21 +821,16 @@ fn run_state(
         None => run_prefix(state, p)?,
     };
 
-    // Phase 5: LA suffix rewriting with the cast matrix catalogued from
-    // its actual materialization (shape and nnz) — for a sparse cast this
-    // records the true ultra-sparse density, which the encoder seeds the
-    // chase's analysis with for the cost oracle to read.
-    //
-    // The clone is pinned to the captured epoch so plan-cache entries it
-    // creates (or serves) are validated against the snapshotted catalog
-    // state, not whatever the live catalog has moved on to.
-    let mut la_opt = state.optimizer.clone();
-    la_opt.set_cache_epoch(state.epoch);
-    la_opt.cat.register(&p.cast_name, cast_meta.clone());
+    // Phase 5: LA suffix rewriting with the cast matrix catalogued, for
+    // this call only, from its actual materialization (shape and nnz) —
+    // for a sparse cast the true ultra-sparse density, which the encoder
+    // seeds the chase's analysis with. The call's plan-cache entries carry
+    // the captured epoch, not whatever the live catalog has moved on to.
+    let call = CallContext { epoch: state.epoch, cast: Some((&p.cast_name, &cast_meta)) };
 
     let (ranked, best, verified) = match verify {
         None => {
-            let ranked = la_opt.rewrite(&p.suffix)?;
+            let ranked = state.optimizer.rewrite_in(&p.suffix, call)?;
             let best = ranked.best().clone();
             (ranked, best, None)
         }
@@ -861,7 +849,8 @@ fn run_state(
             // back for the result.
             let mut env = env.clone();
             env.bind(&p.cast_name, mat);
-            let (ranked, plan, _) = la_opt.rewrite_verified(&p.suffix, &env, rtol)?;
+            let (ranked, plan, _) =
+                state.optimizer.rewrite_verified_in(&p.suffix, &env, rtol, call)?;
             mat = env.unbind(&p.cast_name).expect("bound above");
             // Verified only if the *best-ranked* plan is the one that
             // passed execution (a fallback to a later plan or to the
@@ -960,8 +949,8 @@ impl PrefixMemo {
 }
 
 /// An immutable, owned copy of a [`HybridOptimizer`]'s rewriting state —
-/// relational catalog, table views, LA optimizer (plan-cache epoch already
-/// stamped) — captured at a committed catalog epoch.
+/// relational catalog, table views, LA optimizer — captured at a committed
+/// catalog epoch.
 ///
 /// Every method takes `&self`, so one snapshot (behind an [`Arc`]) serves
 /// hybrid rewrites from any number of threads while the writer keeps
@@ -1022,10 +1011,10 @@ impl CatalogSnapshot {
         run_state(&self.state(None), p, Some((env, rtol)))
     }
 
-    /// Rewrites a pure-LA expression against the snapshot's optimizer
-    /// (whose plan-cache probes carry the snapshot's epoch).
+    /// Rewrites a pure-LA expression against the snapshot's optimizer;
+    /// its plan-cache probes carry the snapshot's epoch.
     pub fn rewrite(&self, e: &Expr) -> Result<RankedPlans, RewriteError> {
-        self.optimizer.rewrite(e)
+        self.optimizer.rewrite_in(e, CallContext { epoch: self.epoch, cast: None })
     }
 
     fn state<'a>(&'a self, memo: Option<&'a PrefixMemo>) -> RunState<'a> {

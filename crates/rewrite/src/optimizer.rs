@@ -281,12 +281,18 @@ pub struct Optimizer {
     /// catalogue on every `rewrite` call.
     extra_constraints: Vec<ConstraintGen>,
     /// Shared plan cache (`None` = disabled). Clones share the same cache,
-    /// which is how the hybrid path's per-run optimizer clones and
-    /// concurrent snapshot readers all hit one map.
+    /// which is how the live hybrid path and concurrent snapshot readers
+    /// all hit one map.
     cache: Option<Arc<PlanCache>>,
-    /// Catalog epoch this optimizer's cache probes and inserts are pinned
-    /// to; see [`Optimizer::set_cache_epoch`].
-    cache_epoch: u64,
+}
+
+/// What a hybrid call adds to one rewrite: the catalog epoch its plan-cache
+/// probes and inserts carry, and the cast leaf, catalogued for that call
+/// only. The default is a bare [`Optimizer::rewrite`]: epoch 0, no leaf.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct CallContext<'a> {
+    pub(crate) epoch: u64,
+    pub(crate) cast: Option<(&'a str, &'a MatrixMeta)>,
 }
 
 impl Optimizer {
@@ -307,7 +313,6 @@ impl Optimizer {
             deadline: None,
             extra_constraints: Vec::new(),
             cache: None,
-            cache_epoch: 0,
         }
     }
 
@@ -323,20 +328,6 @@ impl Optimizer {
     /// The shared plan cache, when one is enabled.
     pub fn plan_cache(&self) -> Option<&Arc<PlanCache>> {
         self.cache.as_ref()
-    }
-
-    /// Pins plan-cache probes and inserts to `epoch` — the relational
-    /// [`Catalog`](hadad_relational::Catalog)'s monotonic version in
-    /// hybrid deployments. An entry stamped with a different epoch is
-    /// refused (and evicted), which keeps hits sound across IVM updates.
-    /// Purely-LA deployments can leave the default of `0`.
-    pub fn set_cache_epoch(&mut self, epoch: u64) {
-        self.cache_epoch = epoch;
-    }
-
-    /// The epoch cache entries are currently stamped with.
-    pub fn cache_epoch(&self) -> u64 {
-        self.cache_epoch
     }
 
     /// Bounds each `rewrite` call to roughly `timeout` of wall-clock time.
@@ -384,7 +375,7 @@ impl Optimizer {
         // the verdict is then reached by the first rewrite that can build
         // them — the documented contract, kept by `chase_rules`.
         let candidate = LaView { name, def, gate: Arc::default() };
-        if let Ok(meta_cat) = self.effective_cat() {
+        if let Ok(meta_cat) = self.effective_cat(CallContext::default()) {
             let mut vrem = Catalogue::shared_standard().0.clone();
             if let Ok(view) = Catalogue::la_view_constraints(
                 &mut vrem,
@@ -422,14 +413,14 @@ impl Optimizer {
         Ok(())
     }
 
-    /// The metadata catalog with every registered view priced in: shape
-    /// and density estimated from the definition (views may build on
-    /// earlier views).
-    fn effective_cat(&self) -> Result<MetaCatalog, RewriteError> {
-        if self.views.is_empty() {
-            return Ok(self.cat.clone());
-        }
+    /// The metadata catalog with the call's `cast` leaf registered, then
+    /// every registered view priced in: shape and density estimated from
+    /// the definition (views may build on the cast and on earlier views).
+    fn effective_cat(&self, call: CallContext<'_>) -> Result<MetaCatalog, RewriteError> {
         let mut cat = self.cat.clone();
+        if let Some((name, meta)) = call.cast {
+            cat.register(name, meta.clone());
+        }
         for v in &self.views {
             if cat.get(&v.name).is_some() {
                 continue;
@@ -513,19 +504,28 @@ impl Optimizer {
     /// its own terms). Cross-name sharing is only allowed while no views
     /// or extra rules are registered — their plans can embed leaves tied
     /// to concrete names, so those keys bind the leaf names too.
-    fn cache_key(&self, e: &Expr, cat: &MetaCatalog) -> Option<PlanCacheKey> {
+    fn cache_key(&self, e: &Expr, cat: &MetaCatalog, epoch: u64) -> Option<PlanCacheKey> {
         let canon = canonicalize(e);
         let bands = leaf_bands(&canon.leaves, cat)?;
         let names_bound = !self.views.is_empty() || !self.extra_constraints.is_empty();
-        Some(PlanCacheKey::new(canon, bands, self.config_hash(), self.cache_epoch, names_bound))
+        Some(PlanCacheKey::new(canon, bands, self.config_hash(), epoch, names_bound))
     }
 
     /// Rewrites `e` into cost-ranked equivalent plans.
     pub fn rewrite(&self, e: &Expr) -> Result<RankedPlans, RewriteError> {
+        self.rewrite_in(e, CallContext::default())
+    }
+
+    /// [`Optimizer::rewrite`] with what a hybrid call adds.
+    pub(crate) fn rewrite_in(
+        &self,
+        e: &Expr,
+        call: CallContext<'_>,
+    ) -> Result<RankedPlans, RewriteError> {
         let start = Instant::now();
         let _span = hadad_obs::span("rewrite");
         M_REWRITE_CALLS.incr();
-        let cat = self.effective_cat()?;
+        let cat = self.effective_cat(call)?;
         // Both cost consumers below — ranking estimator and extraction DP —
         // price plans in reference flops through the one `op_cost`.
         let original = Plan { expr: e.clone(), est_cost: expr_estimate(e, &cat)?.1 };
@@ -535,7 +535,7 @@ impl Optimizer {
         // the cold path below.
         let mut pending: Option<(Arc<PlanCache>, PlanCacheKey)> = None;
         if let Some(cache) = &self.cache {
-            if let Some(key) = self.cache_key(e, &cat) {
+            if let Some(key) = self.cache_key(e, &cat, call.epoch) {
                 if let Some(cached) = cache.lookup(&key) {
                     if let Some(served) =
                         serve_hit(cache, *cached, &key, &cat, original.clone(), start)
@@ -707,7 +707,18 @@ impl Optimizer {
         env: &Env,
         rtol: f64,
     ) -> Result<(RankedPlans, Plan, Matrix), RewriteError> {
-        let ranked = self.rewrite(e)?;
+        self.rewrite_verified_in(e, env, rtol, CallContext::default())
+    }
+
+    /// [`Optimizer::rewrite_verified`] with what a hybrid call adds.
+    pub(crate) fn rewrite_verified_in(
+        &self,
+        e: &Expr,
+        env: &Env,
+        rtol: f64,
+        call: CallContext<'_>,
+    ) -> Result<(RankedPlans, Plan, Matrix), RewriteError> {
+        let ranked = self.rewrite_in(e, call)?;
         let env = self.env_with_views(env).map_err(RewriteError::Eval)?;
         let backend = default_backend();
         let reference = eval_with(e, &env, backend).map_err(RewriteError::Eval)?;
@@ -881,7 +892,7 @@ mod tests {
         let mut opt = Optimizer::new(cat);
         opt.register_la_view("V", mul(m("A"), m("A"))).unwrap();
         opt.register_la_view("W", had(m("S"), m("S"))).unwrap();
-        let eff = opt.effective_cat().unwrap();
+        let eff = opt.effective_cat(CallContext::default()).unwrap();
         assert_eq!(*eff.get("V").unwrap(), MatrixMeta::dense(10, 10));
         assert_eq!(*eff.get("W").unwrap(), MatrixMeta::sparse(10, 10, 1));
         assert!(opt.cat.get("V").is_none());
@@ -951,7 +962,8 @@ mod tests {
         cat.register("X", MatrixMeta::dense(200, 8));
         let (_, standard) = Catalogue::shared_standard();
         let rules_of = |opt: &Optimizer| {
-            opt.chase_rules(&opt.effective_cat().unwrap()).expect("rules build")
+            opt.chase_rules(&opt.effective_cat(CallContext::default()).unwrap())
+                .expect("rules build")
         };
         let inherits_standard = |rules: &RuleSet| {
             rules.rules().iter().zip(standard.rules()).all(|(a, b)| Arc::ptr_eq(a, b))

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use hadad_chase::{Atom, Cq, PredId, Term, Vocabulary};
-use hadad_relational::rowset::{ColRef, Out};
+use hadad_relational::rowset::{push_joined_columns, ColRef, Out};
 use hadad_relational::{Catalog, RowSet, Table, Value};
 
 use crate::hybrid::HybridError;
@@ -259,24 +259,16 @@ impl RelQuery {
                     if right.column_index(right_key).is_none() {
                         return Err(HybridError::MissingColumn(right_key.clone()));
                     }
-                    let mut args = Vec::with_capacity(right.num_cols());
-                    let mut new_cols: Vec<(String, Term)> = Vec::new();
-                    for n in right.column_names() {
-                        if n == right_key {
-                            args.push(key_term);
-                        } else {
-                            let t = fresh(&mut next_var);
-                            args.push(t);
-                            // Mirror ops::hash_join's collision prefixing.
-                            let mut out_name = n.clone();
-                            while cols.iter().chain(&new_cols).any(|(c, _)| *c == out_name) {
-                                out_name = format!("right.{out_name}");
-                            }
-                            new_cols.push((out_name, t));
-                        }
+                    // The key's positions read the left key; every kept
+                    // column gets a fresh variable under the executor's name.
+                    let mut names: Vec<String> = cols.iter().map(|(n, _)| n.clone()).collect();
+                    let kept = push_joined_columns(&mut names, right.column_names(), right_key);
+                    let mut args = vec![key_term; right.num_cols()];
+                    for (i, name) in kept.into_iter().zip(names.drain(cols.len()..)) {
+                        args[i] = fresh(&mut next_var);
+                        cols.push((name, args[i]));
                     }
                     atoms.push(Atom::new(tv.pred(table)?, args));
-                    cols.extend(new_cols);
                 }
                 RelOp::Project { columns } => {
                     let mut picked = Vec::with_capacity(columns.len());

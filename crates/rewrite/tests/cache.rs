@@ -83,28 +83,33 @@ fn cross_name_repeat_hits_and_reskins() {
     assert_plans_identical(&want, &repeat, "cross-name hit");
 }
 
-/// Pinning a clone to a different epoch refuses (and evicts) the entry:
-/// the stale probe is a miss, and the re-primed entry serves at the new
-/// epoch only.
+/// A snapshot taken after a catalog mutation probes at a newer epoch and
+/// refuses (and evicts) the entry an older snapshot primed: the stale
+/// probe is a miss, and the re-primed entry serves at the new epoch only.
 #[test]
 fn stale_epoch_probe_refuses_entry() {
+    let mut catalog = Catalog::new();
+    catalog.register("events", Table::new(vec![("eid", Column::Int(vec![0, 1]))]));
     let mut cat = MetaCatalog::new();
     cat.register("A", MatrixMeta::dense(300, 6));
     cat.register("B", MatrixMeta::dense(6, 300));
-    let opt = Optimizer::new(cat).with_plan_cache(16);
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(cat).with_plan_cache(16));
+    let reader = hy.reader().expect("reader");
     let e = trace(mul(m("A"), m("B")));
 
-    assert!(!opt.rewrite(&e).expect("prime").report.cache.hit);
-    assert!(opt.rewrite(&e).expect("same epoch").report.cache.hit);
+    let before = reader.current();
+    assert!(!before.rewrite(&e).expect("prime").report.cache.hit);
+    assert!(before.rewrite(&e).expect("same epoch").report.cache.hit);
 
-    let mut bumped = opt.clone();
-    bumped.set_cache_epoch(opt.cache_epoch() + 1);
-    let refused = bumped.rewrite(&e).expect("stale probe");
+    hy.insert_rows("events", vec![vec![Value::Int(2)]]).expect("insert applies");
+    let after = reader.current();
+    assert!(after.epoch() > before.epoch(), "the insert publishes a newer epoch");
+    let refused = after.rewrite(&e).expect("stale probe");
     assert!(!refused.report.cache.hit, "a newer-epoch probe must refuse the entry");
     assert!(refused.report.cache.evictions >= 1, "the refusal evicts the stale entry");
-    assert!(bumped.rewrite(&e).expect("re-primed").report.cache.hit);
-    // The original clone is now the stale one.
-    assert!(!opt.rewrite(&e).expect("old epoch probe").report.cache.hit);
+    assert!(after.rewrite(&e).expect("re-primed").report.cache.hit);
+    // The older snapshot is now the stale one.
+    assert!(!before.rewrite(&e).expect("old epoch probe").report.cache.hit);
 }
 
 /// The cache is off by default: without `with_plan_cache`, repeats are
