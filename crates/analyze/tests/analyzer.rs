@@ -74,6 +74,44 @@ fn functional_egd_downgrades_cycle_to_guarded() {
     assert!(guarded.iter().all(|i| i.severity == Severity::Info));
 }
 
+/// EGDs that equate outputs only at a constant input (`q(c,x) ∧ q(c,y)`) or
+/// only on the diagonal (`d(x,x,y) ∧ d(x,x,z)`) prove neither predicate
+/// functional on its other facts: no signature, so `gen`'s cycle stays
+/// unguarded and the set does not certify.
+#[test]
+fn restricted_egds_prove_no_signature() {
+    let mut vocab = Vocabulary::new();
+    let q = vocab.predicate("q", 2);
+    let d = vocab.predicate("d", 3);
+    let c = Term::Const(vocab.constant("c"));
+    let rules: Vec<Constraint> = vec![
+        Tgd::new(
+            "gen",
+            vec![Atom::new(q, vec![v(0), v(1)])],
+            vec![Atom::new(q, vec![v(1), v(2)])],
+        )
+        .into(),
+        Egd::new(
+            "q-at-c",
+            vec![Atom::new(q, vec![c, v(0)]), Atom::new(q, vec![c, v(1)])],
+            vec![(v(0), v(1))],
+        )
+        .into(),
+        Egd::new(
+            "d-diagonal",
+            vec![Atom::new(d, vec![v(0), v(0), v(1)]), Atom::new(d, vec![v(0), v(0), v(2)])],
+            vec![(v(1), v(2))],
+        )
+        .into(),
+    ];
+
+    let report = Analyzer::new(&rules).with_vocab(&vocab).report();
+    assert_eq!(report.functional_preds, Vec::new());
+    assert!(!report.wa_modulo_reuse);
+    assert!(!report.certified());
+    assert!(has_kind(&report, |k| matches!(k, IssueKind::SpecialCycle { .. })));
+}
+
 #[test]
 fn safety_checks_flag_unsafe_rules() {
     let mut vocab = Vocabulary::new();

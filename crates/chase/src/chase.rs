@@ -18,12 +18,11 @@
 //! their naive reference.
 //!
 //! Rules are *compiled* once into a [`RuleSet`] — slot count, existential
-//! variables, the symmetric-EGD test, the functional signatures the engine's
-//! own EGDs prove, each TGD conclusion's [`ResolutionOrder`], shared rule
-//! names — and the engine borrows it, so nothing about a rule is
-//! recomputed per application or per run; a set that adds rules to
-//! another ([`RuleSet::extended`]) shares the other's compiled rules and
-//! orders. Premise matches bind variables in a dense slot array
+//! variables, the functional signature each EGD proves, each TGD
+//! conclusion's [`ResolutionOrder`], shared rule names — and the engine
+//! borrows it, so nothing about a rule is recomputed per application or
+//! per run; a set that adds rules to another ([`RuleSet::extended`])
+//! shares the other's compiled rules and orders. Premise matches bind variables in a dense slot array
 //! ([`crate::homomorphism::Bindings`]); a TGD's conclusion check runs
 //! *while* its premise matches are enumerated, and only the matches whose
 //! conclusion is not yet satisfied are buffered (in one flat arena) for
@@ -38,6 +37,11 @@
 //! search. Existential reuse walks the same order. A run keeps the memo
 //! for its set's signatures ([`Instance`] builds it when the run starts,
 //! on insertion and in `rehash`) and none when the set proves none.
+//!
+//! The memo also enforces the EGDs that prove those signatures: such an
+//! EGD pairs each delta fact with its memo chain — exact, since the
+//! instance is canonical at every EGD turn — instead of joining its two
+//! premise atoms. Every other EGD is a premise join.
 //!
 //! The engine has one extension point, the [`Analysis`] trait
 //! ([`ChaseEngine::chase_analyzed`]; [`ChaseEngine::chase`] runs with
@@ -241,7 +245,9 @@ pub struct RuleStats {
     /// The rule's name, shared with the [`RuleSet`] it was compiled into.
     pub name: Arc<str>,
     /// Premise matches enumerated. Semi-naïve evaluation should report
-    /// dramatically fewer than naive on saturating workloads.
+    /// dramatically fewer than naive on saturating workloads. For a
+    /// functional EGD the memo enforces, the chain members visited per
+    /// delta fact (the delta fact itself among them).
     pub matches: u64,
     /// Successful firings (always 0 for an EGD; see
     /// [`ChaseStats::egd_merges`]).
@@ -305,27 +311,32 @@ fn publish_chase_metrics(stats: &ChaseStats) {
 }
 
 /// Positions a predicate is functional in, derived from the engine's own
-/// EGDs: `inputs` are the agreeing positions of the two-atom premise,
-/// `outputs` the equated ones. Existence of such an EGD proves that the
-/// outputs are semantically determined by the inputs, which is what makes
-/// a conclusion atom over the predicate a memo lookup and
-/// conclusion-atom *reuse* sound (see [`ResolutionOrder`]). Public so
-/// static analysis (`hadad-analyze`) can certify which TGD existentials
-/// the engine will bind by reuse rather than mint as fresh nulls.
+/// EGDs: `inputs` are the agreeing positions of the two-atom premise, each
+/// holding a variable found at no other position, and `outputs` the
+/// equated ones. Existence of such an EGD proves that the outputs are
+/// semantically determined by the inputs on *every* fact of the predicate,
+/// which is what makes a conclusion atom over the predicate a memo lookup,
+/// conclusion-atom *reuse* sound (see [`ResolutionOrder`]) and the EGD
+/// itself a walk of the memo's chains. Public so static analysis
+/// (`hadad-analyze`) can certify which TGD existentials the engine will
+/// bind by reuse rather than mint as fresh nulls.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FunctionalSig {
-    /// Premise positions the two atoms agree on (the functional key).
+    /// Premise positions the two atoms agree on (the functional key), each
+    /// holding a distinct variable.
     pub inputs: Vec<usize>,
     /// Positions whose values the EGD forces equal (determined outputs).
     pub outputs: Vec<usize>,
 }
 
 /// Detects the generalized `Egd::functional` shape: two atoms over one
-/// predicate whose args agree on the `inputs` positions and carry distinct,
-/// premise-unique variables on the `outputs` positions, every such pair
-/// (and nothing else) being equated. Covers `I_multiM` (one output) and
-/// the QR/LU EGDs (two outputs) as well as inverse-functional constraints
-/// like `name-unique` (input = the name constant position).
+/// predicate that share a distinct variable at each `inputs` position and
+/// carry distinct, premise-unique variables on the `outputs` positions,
+/// every such pair (and nothing else) being equated. Covers `I_multiM`
+/// (one output) and the QR/LU EGDs (two outputs) as well as
+/// inverse-functional constraints like `name-unique` (input = the name
+/// constant position). An agreeing constant or repeated variable
+/// (`f(c,x) ∧ f(c,y)`, `f(x,x,y) ∧ f(x,x,z)`) proves no signature.
 pub fn functional_sig(egd: &Egd) -> Option<(crate::symbols::PredId, FunctionalSig)> {
     let [a, b] = egd.premise.as_slice() else {
         return None;
@@ -333,21 +344,25 @@ pub fn functional_sig(egd: &Egd) -> Option<(crate::symbols::PredId, FunctionalSi
     if a.pred != b.pred || a.args.len() != b.args.len() {
         return None;
     }
+    let occurrences = |v: &u32| {
+        egd.premise.iter().flat_map(|a| &a.args).filter(|t| **t == Term::Var(*v)).count()
+    };
     let mut inputs = Vec::new();
     let mut outputs = Vec::new();
     let mut pairs = Vec::new();
     for (i, (ta, tb)) in a.args.iter().zip(&b.args).enumerate() {
-        if ta == tb {
+        let (Term::Var(x), Term::Var(y)) = (ta, tb) else {
+            return None;
+        };
+        if x == y {
+            // An input variable is at this position of both atoms only.
+            if occurrences(x) != 2 {
+                return None;
+            }
             inputs.push(i);
         } else {
-            let (Term::Var(x), Term::Var(y)) = (ta, tb) else {
-                return None;
-            };
             // The equated variables must be tied to their slot alone.
-            let occurrences = |v: u32| {
-                egd.premise.iter().flat_map(|a| &a.args).filter(|t| **t == Term::Var(v)).count()
-            };
-            if occurrences(*x) != 1 || occurrences(*y) != 1 {
+            if occurrences(x) != 1 || occurrences(y) != 1 {
                 return None;
             }
             outputs.push(i);
@@ -378,13 +393,43 @@ pub struct CompiledRule {
     slots: usize,
     /// A TGD's existential variables, in first-occurrence order.
     existentials: Vec<u32>,
-    /// An EGD of the symmetric two-atom shape (see [`is_symmetric_pair`]).
-    symmetric: bool,
+    /// The signature an EGD proves ([`functional_sig`]): while the memo
+    /// keeps it for the predicate, the EGD is a walk of the memo's chains.
+    sig: Option<(PredId, FunctionalSig)>,
     /// A TGD's conclusion as lookups over the set's functional signatures.
     order: Option<ResolutionOrder>,
 }
 
 impl CompiledRule {
+    /// `constraint` compiled but for its resolution order, which depends
+    /// on the whole set ([`RuleSet::extended`]).
+    fn new(constraint: Constraint) -> Self {
+        let (slots, existentials, sig) = match &constraint {
+            Constraint::Tgd(t) => (
+                slot_count(&t.premise).max(slot_count(&t.conclusion)),
+                t.existential_vars(),
+                None,
+            ),
+            Constraint::Egd(e) => {
+                let slots = e
+                    .equalities
+                    .iter()
+                    .flat_map(|(l, r)| [l, r])
+                    .filter_map(Term::as_var)
+                    .fold(slot_count(&e.premise), |n, v| n.max(v as usize + 1));
+                (slots, Vec::new(), functional_sig(e))
+            }
+        };
+        CompiledRule {
+            name: Arc::from(constraint.name()),
+            constraint,
+            slots,
+            existentials,
+            sig,
+            order: None,
+        }
+    }
+
     /// The rule's name.
     pub fn name(&self) -> &str {
         &self.name
@@ -398,9 +443,10 @@ impl CompiledRule {
 }
 
 /// An ordered constraint list compiled for the engine: per rule the slot
-/// count, existential variables, symmetric-EGD flag and a shared name, and
-/// per TGD the [`ResolutionOrder`] of its conclusion; per predicate the
-/// [`FunctionalSig`] the set's own EGDs prove. Built once
+/// count, existential variables and a shared name, per EGD the
+/// [`FunctionalSig`] it proves, and per TGD the [`ResolutionOrder`] of its
+/// conclusion; per predicate the signature the memo keeps — the one the
+/// set's last functional EGD over it proves. Built once
 /// *per process* for the standard catalogue (`hadad-core` keeps it behind
 /// `Catalogue::shared_standard`) and borrowed by every [`ChaseEngine`] over
 /// it; a caller with rules of its own — an optimizer's view constraints —
@@ -441,18 +487,16 @@ impl RuleSet {
     /// conclusion uses a predicate such an override changes is compiled
     /// again, for its resolution order.
     pub fn extended(&self, extra: Vec<Constraint>) -> Self {
-        let extra: Vec<Constraint> = extra.into_iter().map(densify).collect();
+        let extra: Vec<CompiledRule> =
+            extra.into_iter().map(|c| CompiledRule::new(densify(c))).collect();
         let mut functional = Arc::clone(&self.functional);
-        for (pred, sig) in extra.iter().filter_map(|c| match c {
-            Constraint::Egd(e) => functional_sig(e),
-            Constraint::Tgd(_) => None,
-        }) {
+        for (pred, sig) in extra.iter().filter_map(|r| r.sig.as_ref()) {
             let functional = Arc::make_mut(&mut functional);
             let p = pred.0 as usize;
             if functional.len() <= p {
                 functional.resize(p + 1, None);
             }
-            functional[p] = Some(sig);
+            functional[p] = Some(sig.clone());
         }
         let order_of = |c: &Constraint| match c {
             Constraint::Tgd(t) => Some(ResolutionOrder::compile(t, |p| sig_of(&functional, p))),
@@ -467,32 +511,11 @@ impl RuleSet {
             }
             _ => Arc::clone(rule),
         }));
-        for constraint in extra {
-            let (slots, existentials, symmetric) = match &constraint {
-                Constraint::Tgd(t) => (
-                    slot_count(&t.premise).max(slot_count(&t.conclusion)),
-                    t.existential_vars(),
-                    false,
-                ),
-                Constraint::Egd(e) => {
-                    let slots = e
-                        .equalities
-                        .iter()
-                        .flat_map(|(l, r)| [l, r])
-                        .filter_map(Term::as_var)
-                        .fold(slot_count(&e.premise), |n, v| n.max(v as usize + 1));
-                    (slots, Vec::new(), is_symmetric_pair(e))
-                }
-            };
-            rules.push(Arc::new(CompiledRule {
-                name: Arc::from(constraint.name()),
-                order: order_of(&constraint),
-                constraint,
-                slots,
-                existentials,
-                symmetric,
-            }));
-        }
+        rules.extend(
+            extra.into_iter().map(|rule| {
+                Arc::new(CompiledRule { order: order_of(&rule.constraint), ..rule })
+            }),
+        );
         RuleSet { rules, functional }
     }
 
@@ -597,7 +620,8 @@ struct RunScratch {
     premise: Matcher,
     /// Resolves conclusions — while `premise` is mid-enumeration.
     check: Resolver,
-    /// The pending match being applied (what [`Analysis::allow`] is shown).
+    /// The pending match being applied (what [`Analysis::allow`] is
+    /// shown), or the fact pair a functional EGD is enforced on.
     firing: Match,
     /// Flat arena of pending TGD matches: binding slots at a stride of the
     /// rule's slot count ...
@@ -606,6 +630,10 @@ struct RunScratch {
     pending_facts: Vec<usize>,
     /// Merge requests of the EGD being applied.
     merges: Vec<(MergeArg, MergeArg)>,
+    /// A functional EGD's memo probe: a delta fact's canonical inputs and
+    /// the chain they key.
+    inputs: Vec<NodeId>,
+    chain: Vec<u32>,
 }
 
 impl<'r> ChaseEngine<'r> {
@@ -692,6 +720,7 @@ impl<'r> ChaseEngine<'r> {
                         let applied = apply_egd(
                             inst,
                             (rule, egd),
+                            &self.rules.functional,
                             analysis,
                             watermark,
                             &mut scratch,
@@ -853,15 +882,20 @@ impl<'r> ChaseEngine<'r> {
 /// constants clashed, or the analysis refused a merge). Merge requests
 /// stream out of the enumeration sink (no match materialization) and apply
 /// afterwards.
+///
+/// An EGD whose signature `functional` (the memo's) keeps pairs each delta
+/// fact, in stamp order, with its memo chain oldest first: the join's
+/// matches, in the join's order.
 fn apply_egd<A: Analysis>(
     inst: &mut Instance,
     (rule, egd): (&CompiledRule, &Egd),
+    functional: &[Option<FunctionalSig>],
     analysis: &mut A,
     watermark: u64,
     scratch: &mut RunScratch,
     stats: &mut RuleStats,
 ) -> Result<usize, ChaseOutcome> {
-    let RunScratch { premise, merges, .. } = scratch;
+    let RunScratch { premise, firing, merges, inputs, chain, .. } = scratch;
     let resolve = |bindings: &Bindings, t: &Term| match t {
         Term::Var(v) => bindings.get(*v).map(MergeArg::Node),
         Term::Const(c) => Some(MergeArg::Const(*c)),
@@ -882,16 +916,35 @@ fn apply_egd<A: Analysis>(
         }
         true
     };
-    if rule.symmetric {
-        premise.for_each_match_since_symmetric(
+    match &rule.sig {
+        Some((pred, sig)) if sig_of(functional, *pred) == Some(sig) => {
+            let bind = |bindings: &mut Bindings, atom: &Atom, fact: usize| {
+                for (t, &n) in atom.args.iter().zip(&view.fact(fact).args) {
+                    if let Term::Var(v) = *t {
+                        bindings.set(v, n);
+                    }
+                }
+            };
+            firing.bindings.reset(rule.slots);
+            for &d in view.facts_with_pred_since(*pred, watermark) {
+                inputs.clear();
+                inputs.extend(sig.inputs.iter().map(|&p| view.find(view.fact(d).args[p])));
+                chain.clear();
+                view.facts_with_inputs(*pred, inputs, chain);
+                bind(&mut firing.bindings, &egd.premise[0], d);
+                for &e in chain.iter().rev() {
+                    bind(&mut firing.bindings, &egd.premise[1], e as usize);
+                    collect(firing);
+                }
+            }
+        }
+        _ => premise.for_each_match_since(
             view,
             &egd.premise,
             rule.slots,
             watermark,
             &mut collect,
-        );
-    } else {
-        premise.for_each_match_since(view, &egd.premise, rule.slots, watermark, &mut collect);
+        ),
     }
     let mut count = 0;
     for &(a, b) in merges.iter() {
@@ -912,44 +965,6 @@ fn apply_egd<A: Analysis>(
         analysis.rehashed(inst, &moved_to);
     }
     Ok(count)
-}
-
-/// True for the `Egd::functional` shape: two atoms over the same predicate
-/// that agree everywhere except one position holding two distinct variables
-/// equated by the EGD. Matches of such a premise are closed under swapping
-/// the atoms, so the engine may enumerate only one orientation.
-fn is_symmetric_pair(egd: &Egd) -> bool {
-    let [a, b] = egd.premise.as_slice() else {
-        return false;
-    };
-    if a.pred != b.pred || a.args.len() != b.args.len() || egd.equalities.len() != 1 {
-        return false;
-    }
-    let mut diff = None;
-    for (ta, tb) in a.args.iter().zip(&b.args) {
-        if ta != tb {
-            if diff.is_some() {
-                return false;
-            }
-            diff = Some((ta, tb));
-        }
-    }
-    match diff {
-        Some((Term::Var(x), Term::Var(y))) => {
-            // The swap argument needs each differing variable tied to its
-            // atom's slot alone: occurring anywhere else in the premise
-            // (e.g. [f(x,x), f(x,y)]) breaks the mirror-match bijection.
-            let occurrences = |v: u32| {
-                egd.premise.iter().flat_map(|a| &a.args).filter(|t| **t == Term::Var(v)).count()
-            };
-            if occurrences(*x) != 1 || occurrences(*y) != 1 {
-                return false;
-            }
-            let eq = &egd.equalities[0];
-            *eq == (Term::Var(*x), Term::Var(*y)) || *eq == (Term::Var(*y), Term::Var(*x))
-        }
-        _ => false,
-    }
 }
 
 #[cfg(test)]
@@ -1202,21 +1217,69 @@ mod tests {
     }
 
     #[test]
-    fn symmetric_pair_detection_requires_unique_diff_vars() {
-        use crate::symbols::PredId;
-        assert!(is_symmetric_pair(&Egd::functional("f", PredId(0), 3)));
-        // [f(x,x), f(x,y)] → x = y: one differing position, but x also
-        // occurs elsewhere, so the atom-swap mirror argument fails and the
-        // single-orientation pass must not be used.
-        let tricky = Egd::new(
-            "tricky",
-            vec![
-                Atom::new(PredId(0), vec![Term::Var(0), Term::Var(0)]),
-                Atom::new(PredId(0), vec![Term::Var(0), Term::Var(1)]),
-            ],
-            vec![(Term::Var(0), Term::Var(1))],
+    fn functional_sig_requires_distinct_input_vars_and_premise_unique_outputs() {
+        let (f, x, y, z) = (PredId(0), Term::Var(0), Term::Var(1), Term::Var(2));
+        assert_eq!(
+            functional_sig(&Egd::functional("f", f, 3)),
+            Some((f, FunctionalSig { inputs: vec![0, 1], outputs: vec![2] }))
         );
-        assert!(!is_symmetric_pair(&tricky));
+        let egd = |premise: [Vec<Term>; 2], equalities| {
+            Egd::new("e", premise.map(|args| Atom::new(f, args)).to_vec(), equalities)
+        };
+        // [f(x,x), f(x,y)] → x = y: one differing position, but x also
+        // occurs elsewhere, so a chain member is not a match.
+        let tricky = egd([vec![x, x], vec![x, y]], vec![(x, y)]);
+        assert_eq!(functional_sig(&tricky), None);
+        // An agreeing constant or repeated variable restricts the facts
+        // the EGD applies to: it proves nothing about the others.
+        let constant = Term::Const(SymId(0));
+        let at_constant = egd([vec![constant, x], vec![constant, y]], vec![(x, y)]);
+        assert_eq!(functional_sig(&at_constant), None);
+        let diagonal = egd([vec![x, x, y], vec![x, x, z]], vec![(y, z)]);
+        assert_eq!(functional_sig(&diagonal), None);
+    }
+
+    /// The chase reuses a witness only where an EGD proves it is the only
+    /// one: `f(d, w)` is no witness for `Q(d) → ∃z f(d, z) ∧ g(z)` under an
+    /// EGD that only equates outputs at the constant `c`, or only on the
+    /// diagonal — `g(w)` follows from neither.
+    #[test]
+    fn a_restricted_egd_makes_no_witness_reusable() {
+        let mut vocab = Vocabulary::new();
+        let (q, g) = (vocab.predicate("Q", 2), vocab.predicate("g", 1));
+        let (x, y, z, u, v) =
+            (Term::Var(0), Term::Var(1), Term::Var(2), Term::Var(3), Term::Var(4));
+        let c = Term::Const(vocab.constant("c"));
+        let (f2, f3) = (vocab.predicate("f2", 2), vocab.predicate("f3", 3));
+        // Per shape: the EGD's premise over `f`, its equality, and the
+        // TGD's `f` atom.
+        let shapes = [
+            ("at-c", f2, [vec![c, x], vec![c, y]], (x, y), vec![u, z]),
+            ("diagonal", f3, [vec![x, x, y], vec![x, x, z]], (y, z), vec![u, v, z]),
+        ];
+        for (name, f, premise, equality, concluded) in shapes {
+            let premise = premise.map(|args| Atom::new(f, args)).to_vec();
+            let egd = Egd::new(name, premise, vec![equality]);
+            let tgd = Tgd::new(
+                "q-f-g",
+                vec![Atom::new(q, vec![u, v])],
+                vec![Atom::new(f, concluded), Atom::new(g, vec![z])],
+            );
+            let mut inst = Instance::new();
+            let (d, e) =
+                (inst.const_node(vocab.constant("d")), inst.const_node(vocab.constant("e")));
+            let w = inst.fresh_null();
+            let args = if f == f2 { vec![d, w] } else { vec![d, e, w] };
+            inst.insert(f, args);
+            inst.insert(q, vec![d, e]);
+            let rules = RuleSet::compile(vec![tgd.into(), egd.into()]);
+            let (outcome, stats) = ChaseEngine::new(&rules).chase(&mut inst);
+            assert_eq!(outcome, ChaseOutcome::Saturated);
+            assert_eq!(stats.firings(), 1, "{name}: the TGD fires");
+            let derived = inst.fact(inst.facts_with_pred(g)[0]).args[0];
+            assert_ne!(inst.find(derived), inst.find(w), "{name}: g(w) is not implied");
+            assert_eq!(inst.num_nulls(), 2, "{name}: a fresh witness is minted");
+        }
     }
 
     #[test]
@@ -1437,11 +1500,9 @@ mod tests {
         assert_eq!(rules.rules()[0].name(), "sparse");
         assert_eq!(rules.rules()[1].constraint(), &Constraint::Egd(dense));
         assert_eq!(rules.rules()[1].slots, 3, "?0, ?1 and the equated ?2");
-        assert!(rules.rules()[1].symmetric);
-        assert_eq!(
-            rules.functional(q),
-            Some(&FunctionalSig { inputs: vec![0], outputs: vec![1] })
-        );
+        let sig = FunctionalSig { inputs: vec![0], outputs: vec![1] };
+        assert_eq!(rules.rules()[1].sig, Some((q, sig.clone())));
+        assert_eq!(rules.functional(q), Some(&sig));
         assert_eq!(rules.functional(p), None);
 
         // The renumbered rule chases like the original.
@@ -1598,8 +1659,8 @@ mod tests {
         for (e, w) in ext.rules().iter().zip(whole.rules()) {
             assert_eq!(e.constraint(), w.constraint());
             assert_eq!(
-                (e.slots, &e.existentials, e.symmetric, &e.order),
-                (w.slots, &w.existentials, w.symmetric, &w.order)
+                (e.slots, &e.existentials, &e.sig, &e.order),
+                (w.slots, &w.existentials, &w.sig, &w.order)
             );
         }
         // A changed signature `copy` does not resolve through shares it.
@@ -1829,5 +1890,107 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s >= 5), "every case is exercised: {seen:?}");
+    }
+
+    /// A functional EGD enforced through the memo merges what the premise
+    /// join merges: on seeded random instances, the rule set and a copy
+    /// whose EGDs carry no signature (each a join, as every EGD was before)
+    /// end with the same outcome, roots, facts and merge count. Copy TGDs
+    /// after the EGDs add facts sharing inputs with older ones, so later
+    /// rounds pair new facts with old; the signatures have one output, two
+    /// (QR-shaped), and one input after its output with the equality
+    /// written second atom first (a flipped merge).
+    #[test]
+    fn memo_enforced_egds_merge_what_the_join_merges() {
+        const ARITY: [usize; 6] = [3, 3, 2, 3, 3, 2];
+        let [f, q, k, rf, rq, rk] = [0, 1, 2, 3, 4, 5].map(PredId);
+        let [x, y, z, w, v] = [0, 1, 2, 3, 4].map(Term::Var);
+        let copy = |name: &str, from: PredId, to: PredId| -> Constraint {
+            let args: Vec<Term> = (0..ARITY[from.0 as usize] as u32).map(Term::Var).collect();
+            Tgd::new(name, vec![Atom::new(from, args.clone())], vec![Atom::new(to, args)])
+                .into()
+        };
+        let memo = RuleSet::compile(vec![
+            Egd::functional("f", f, 3).into(),
+            Egd::new(
+                "q",
+                vec![Atom::new(q, vec![x, y, z]), Atom::new(q, vec![x, w, v])],
+                vec![(y, w), (z, v)],
+            )
+            .into(),
+            Egd::new(
+                "k",
+                vec![Atom::new(k, vec![x, z]), Atom::new(k, vec![y, z])],
+                vec![(y, x)],
+            )
+            .into(),
+            copy("rf", rf, f),
+            copy("rq", rq, q),
+            copy("rk", rk, k),
+        ]);
+        assert!(memo.rules()[..3].iter().all(|r| r.sig.is_some()));
+        let join = RuleSet {
+            rules: memo
+                .rules()
+                .iter()
+                .map(|r| Arc::new(CompiledRule { sig: None, ..(**r).clone() }))
+                .collect(),
+            functional: Arc::clone(&memo.functional),
+        };
+        let roots = |inst: &Instance| -> Vec<NodeId> {
+            (0..inst.num_nodes() as u32).map(|n| inst.find(NodeId(n))).collect()
+        };
+        let facts = |inst: &Instance| -> Vec<(PredId, Vec<NodeId>, u64)> {
+            inst.facts().iter().map(|f| (f.pred, f.args.clone(), f.stamp)).collect()
+        };
+        let mut rng = XorShift(0x2545_f491_4f6c_dd1d);
+        let mut seen = [0usize; 2]; // saturated, merged after round one
+        for _ in 0..60 {
+            // Nodes 0 and 1 are constants, rarely used, so merges can clash.
+            let nodes = 5 + rng.below(4);
+            let node = |rng: &mut XorShift| match rng.below(10) {
+                0 => rng.below(2),
+                _ => 2 + rng.below(nodes - 2),
+            };
+            let spec: Vec<(PredId, Vec<usize>)> = (0..10 + rng.below(20))
+                .map(|_| {
+                    let p = rng.below(6);
+                    (PredId(p as u32), (0..ARITY[p]).map(|_| node(&mut rng)).collect())
+                })
+                .collect();
+            let build = || {
+                let mut inst = Instance::new();
+                let ids: Vec<NodeId> = (0..nodes)
+                    .map(|i| {
+                        if i < 2 {
+                            inst.const_node(SymId(i as u32))
+                        } else {
+                            inst.fresh_null()
+                        }
+                    })
+                    .collect();
+                for (p, args) in &spec {
+                    inst.insert(*p, args.iter().map(|&a| ids[a]).collect());
+                }
+                inst
+            };
+            let (mut by_memo, mut by_join) = (build(), build());
+            let (memo_outcome, memo_stats) = ChaseEngine::new(&memo).chase(&mut by_memo);
+            let (join_outcome, join_stats) = ChaseEngine::new(&join).chase(&mut by_join);
+            assert_eq!(memo_outcome, join_outcome, "{spec:?}");
+            assert_eq!(memo_stats.egd_merges, join_stats.egd_merges, "{spec:?}");
+            assert_eq!(roots(&by_memo), roots(&by_join), "{spec:?}");
+            assert_eq!(facts(&by_memo), facts(&by_join), "{spec:?}");
+            // The join enumerates each (old, new) pair in both orientations
+            // where the memo visits it once.
+            for (m, j) in memo_stats.rules.iter().zip(&join_stats.rules).take(3) {
+                assert!(m.matches <= j.matches, "{}: {} > {}", m.name, m.matches, j.matches);
+            }
+            let one_round = ChaseBudget { max_rounds: 1, ..ChaseBudget::default() };
+            let (_, first) = ChaseEngine::new(&memo).with_budget(one_round).chase(&mut build());
+            seen[0] += usize::from(memo_outcome == ChaseOutcome::Saturated);
+            seen[1] += usize::from(memo_stats.egd_merges > first.egd_merges);
+        }
+        assert!(seen.iter().all(|&s| s >= 10), "every case is exercised: {seen:?}");
     }
 }

@@ -225,34 +225,6 @@ impl Matcher {
         }
     }
 
-    /// Like [`Matcher::for_each_match_since`], but for *symmetric* two-atom
-    /// premises — both atoms identical up to one equated variable, the
-    /// [`crate::Egd::functional`] shape. The match set is closed under
-    /// swapping the two atoms and a swap preserves the induced equality
-    /// pair, so the single `Δ ⋈ any` pass covers every consequence of the
-    /// delta: a `(old, new)` match is the mirror of a `(new, old)` one this
-    /// pass enumerates. Halves the dominant EGD enumeration cost of the
-    /// chase.
-    pub(crate) fn for_each_match_since_symmetric(
-        &mut self,
-        inst: &Instance,
-        atoms: &[Atom],
-        slots: usize,
-        watermark: u64,
-        sink: &mut dyn FnMut(&Match) -> bool,
-    ) {
-        debug_assert_eq!(atoms.len(), 2);
-        if watermark == 0 {
-            return self.for_each_match(inst, atoms, slots, sink);
-        }
-        if inst.facts_with_pred_since(atoms[0].pred, watermark).is_empty() {
-            return;
-        }
-        self.prepare(atoms.len(), slots);
-        self.set_reqs([StampReq::NewOnly, StampReq::Any].into_iter());
-        self.run(inst, atoms, watermark, sink);
-    }
-
     /// True when some homomorphism of `atoms` into `inst` extends `partial`
     /// (the restricted chase's "conclusion already satisfied" test). Stops
     /// at the first witness.

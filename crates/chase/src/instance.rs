@@ -18,7 +18,7 @@
 //! on keeps a memo from (predicate, canonical input nodes) to the facts
 //! carrying them, for every predicate the chase's rule set proves
 //! functional: the hash-cons the engine resolves conclusions through (see
-//! [`crate::resolve`]).
+//! [`crate::resolve`]) and enforces the functional EGDs through.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};

@@ -6,7 +6,9 @@
 //! indexes — no formula and nothing per premise fact: the engine's facts
 //! carry no provenance. Both hold for a conclusion the dedup index decides
 //! (`r-s-t`) and for conclusions resolved through the memo of a predicate a
-//! functional EGD covers (`r-s-f`, `r-s-f-reuse`).
+//! functional EGD covers (`r-s-f`, `r-s-f-reuse`). Enforcing that EGD
+//! (`f-func`) walks each delta fact's memo chain: over 10 000 facts it
+//! allocates exactly as often as over 100.
 //!
 //! Own test binary: it installs a counting `#[global_allocator]`, and the
 //! count is only meaningful while nothing else runs — hence one `#[test]`.
@@ -185,4 +187,21 @@ fn matching_and_the_conclusion_check_allocate_nothing_per_match() {
             "{name}: {allocations} allocations over 40 000 firings: {per_firing:.2} each"
         );
     }
+
+    // `f-func` alone, every `F` fact in its first delta: each fact is alone
+    // in its memo chain, so the run visits one chain member per fact and
+    // merges nothing — and the chain and input buffers are the run's.
+    let egd = RuleSet::compile(vec![Egd::functional("f-func", F, 3).into()]);
+    let engine = ChaseEngine::new(&egd);
+    let enforce = |k: u32| {
+        let mut inst = star(k, true);
+        let mut result = None;
+        let allocations = allocations_of(|| result = Some(engine.chase(&mut inst)));
+        let (outcome, stats) = result.expect("the chase ran");
+        assert_eq!(outcome, ChaseOutcome::Saturated);
+        assert_eq!((stats.matches_enumerated(), stats.egd_merges), (u64::from(k * k), 0));
+        allocations
+    };
+    let (few, many) = (enforce(10), enforce(100));
+    assert_eq!(few, many, "f-func over 100 facts took {few} allocations, over 10 000 {many}");
 }
