@@ -1,8 +1,7 @@
 //! Static rule-soundness analysis for HADAD constraint sets.
 //!
 //! The chase's guarantees are only as good as the constraints it runs:
-//! the MMC catalogue, per-view `V_IO`/`V_OI` constraints, and any future
-//! *mined* constraints are all just
+//! the MMC catalogue and the per-view `V_IO`/`V_OI` constraints are
 //! `Vec<Constraint>` values trusted at face value, with runtime
 //! fact/null/round budgets as the only backstop. This crate provides the
 //! classic *static* certificates of dependency theory (Fagin et al., data

@@ -29,8 +29,8 @@ use std::collections::HashMap;
 use crate::analysis::{Analysis, AnalysisConflict};
 use crate::atom::Atom;
 use crate::chase::{
-    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, DegradeReason,
-    Degraded, ExhaustedBy, RewritePhase, RuleSet,
+    degradation_of, ChaseEngine, ChaseOutcome, ChaseStats, DegradeReason, Degraded,
+    ExhaustedBy, RewritePhase, RuleSet,
 };
 use crate::constraint::{Constraint, Tgd};
 use crate::cq::Cq;
@@ -96,8 +96,6 @@ pub struct Pacb<'a> {
     pub constraints: &'a [Constraint],
     /// The registered views to reformulate over.
     pub views: &'a [View],
-    /// Budget applied to both chase phases.
-    pub budget: ChaseBudget,
     /// `Prune_prov` (§7.3): the cost of a candidate rewriting given the
     /// universal-plan atoms it uses, and a threshold. Backchase steps whose
     /// premise image (a subquery of `U`) costs strictly more than the
@@ -200,7 +198,7 @@ pub struct PacbResult {
     /// Statistics of the backchase (phase iv); `pruned_firings()` counts
     /// the steps vetoed by `Prune_prov`.
     pub backchase_stats: ChaseStats,
-    /// Set when either chase phase ran out of budget/deadline, or when the
+    /// Set when either chase phase ran out of budget, or when the
     /// universal plan was cut at 128 atoms, one per provenance term (a fact
     /// budget of the chase phase): the rewritings found are a sound subset
     /// of the full search's (anytime semantics — the caller still gets
@@ -209,16 +207,10 @@ pub struct PacbResult {
 }
 
 impl<'a> Pacb<'a> {
-    /// A PACB engine over `constraints` and `views` with the default
-    /// budget and no pruning.
+    /// A PACB engine over `constraints` and `views` with no pruning. Both
+    /// chase phases run under the default [`crate::ChaseBudget`].
     pub fn new(constraints: &'a [Constraint], views: &'a [View]) -> Self {
-        Pacb { constraints, views, budget: ChaseBudget::default(), prune: None }
-    }
-
-    /// Replaces the budget.
-    pub fn with_budget(mut self, budget: ChaseBudget) -> Self {
-        self.budget = budget;
-        self
+        Pacb { constraints, views, prune: None }
     }
 
     /// Prunes with `cost_fn` at `threshold` (`Prune_prov`, see
@@ -249,7 +241,7 @@ impl<'a> Pacb<'a> {
             io_constraints.push(v.io_constraint().into());
         }
         let io_rules = RuleSet::compile(io_constraints);
-        let engine = ChaseEngine::new(&io_rules).with_budget(self.budget);
+        let engine = ChaseEngine::new(&io_rules);
         let (chase_outcome, chase_stats) = {
             let _span = hadad_obs::span("pacb.chase");
             engine.chase(&mut inst)
@@ -301,7 +293,7 @@ impl<'a> Pacb<'a> {
             oi_constraints.push(v.oi_constraint().into());
         }
         let oi_rules = RuleSet::compile(oi_constraints);
-        let back_engine = ChaseEngine::new(&oi_rules).with_budget(self.budget);
+        let back_engine = ChaseEngine::new(&oi_rules);
         let (backchase_outcome, backchase_stats) = {
             let _span = hadad_obs::span("pacb.backchase");
             back_engine.chase_analyzed(&mut u, &mut formulas)

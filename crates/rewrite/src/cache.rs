@@ -5,8 +5,8 @@
 //! → rank pass. The cache keys extracted [`RankedPlans`] by **canonical
 //! skeleton × per-leaf stats band × catalog epoch** (see
 //! `hadad_core::fingerprint`): a repeat with the same shapes — even under
-//! different base-matrix names, when no views or extra rules bind concrete
-//! names — is served straight from the cache, re-skinned and re-priced,
+//! different base-matrix names, when no views bind concrete names — is
+//! served straight from the cache, re-skinned and re-priced,
 //! for the cost of a hash probe instead of a chase.
 //!
 //! Soundness under updates is anchored the way Berkholz–Keppeler–
@@ -74,7 +74,7 @@ pub struct PlanCacheKey {
     ctx: u64,
     /// Catalog epoch of the probe; entries stamped otherwise are refused.
     epoch: u64,
-    /// When `true` (views or extra rules are registered), plans may embed
+    /// When `true` (views are registered), plans may embed
     /// leaves tied to concrete names, so cross-name sharing is unsound and
     /// entries additionally require exact `names` equality.
     names_bound: bool,

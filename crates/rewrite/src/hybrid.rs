@@ -66,7 +66,8 @@ pub enum HybridError {
         /// Column count the definition produces.
         got: usize,
     },
-    /// A view registration would shadow an existing table or view.
+    /// A view registration would shadow an existing table or view, or a
+    /// pipeline casts its prefix under the name of a registered LA view.
     DuplicateName(String),
     /// Registered views whose base tables carry unmaintained updates — run
     /// maintenance before rewriting, or the rewriter would read stale
@@ -815,6 +816,11 @@ fn run_state(
     let _span = hadad_obs::span("hybrid.run");
     RUNS.incr();
     let start = Instant::now();
+    // The chase's `name-unique` EGD would merge the cast leaf with the
+    // view's definition and make the two "equivalent".
+    if state.optimizer.has_la_view(&p.cast_name) {
+        return Err(HybridError::DuplicateName(p.cast_name.clone()));
+    }
 
     let PrefixOutcome { rel, table, cast: mut mat, cast_meta, cast_us } = match state.memo {
         Some(memo) => memo.answer(p, || run_prefix(state, p))?,

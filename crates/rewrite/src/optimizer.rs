@@ -14,12 +14,11 @@
 //!
 //! The constraint set a call chases with is the process-wide standard
 //! catalogue ([`Catalogue::shared_standard`]: LA properties are fixed, so
-//! they are interned and compiled once) plus a per-call extension — this
-//! optimizer's view rules, built against the call's catalog, then
-//! registered-generator output — in that order, into a clone of the shared
-//! [`Vrem`] the call's expression is then encoded into. An optimizer
-//! without views or generators chases over the shared rule set as it is;
-//! one with `v` views compiles `2·v` rules per call and shares the rest
+//! they are interned and compiled once) plus the `V_IO`/`V_OI` pair of each
+//! registered view, built against the call's catalog into a clone of the
+//! shared [`Vrem`] the call's expression is then encoded into. An optimizer
+//! without views chases over the shared rule set as it is; one with `v`
+//! views compiles `2·v` rules per call and shares the rest
 //! ([`RuleSet::extended`]). Nothing is kept from one call to the next, so
 //! nothing is keyed, locked or evicted.
 //!
@@ -208,12 +207,7 @@ impl From<RuleRejection> for RewriteError {
     }
 }
 
-/// A generator of additional constraints (e.g. mined from workload logs),
-/// re-evaluated against each `rewrite` call's own [`Vrem`] so predicate
-/// and constant interning stay consistent with that call's encoding.
-pub type ConstraintGen = Arc<dyn Fn(&mut Vrem) -> Vec<Constraint> + Send + Sync>;
-
-/// Static gate shared by every registration entry point: the standard
+/// Static gate of an LA view's `V_IO`/`V_OI` pair: the standard
 /// catalogue — read back from the shared compiled rules — followed by the
 /// `offered` rules must certify (range restriction, weak acyclicity modulo
 /// conclusion-atom reuse). `vrem` is the clone of the shared schema
@@ -269,17 +263,15 @@ pub struct Optimizer {
     pub budget: ChaseBudget,
     /// Materialized LA views registered for view-based reformulation:
     /// each contributes `V_IO`/`V_OI` constraints to the chase, so plans
-    /// can land on (and expand through) `Mat(view)` leaves.
-    pub views: Vec<LaView>,
+    /// can land on (and expand through) `Mat(view)` leaves. Only
+    /// [`Optimizer::register_la_view`] adds one, so every pair the chase
+    /// runs is the one its gate verdict covers.
+    views: Vec<LaView>,
     /// Optional wall-clock allowance for each `rewrite` call. When set, the
     /// chase budget is stamped with `Instant::now() + deadline` at the start
     /// of the call; a chase cut short by it still yields an anytime result
     /// (see [`RewriteReport::degraded`]).
     pub deadline: Option<Duration>,
-    /// Extra constraint generators accepted by
-    /// [`Optimizer::register_constraints`]; appended to the standard
-    /// catalogue on every `rewrite` call.
-    extra_constraints: Vec<ConstraintGen>,
     /// Shared plan cache (`None` = disabled). Clones share the same cache,
     /// which is how the live hybrid path and concurrent snapshot readers
     /// all hit one map.
@@ -311,7 +303,6 @@ impl Optimizer {
             },
             views: Vec::new(),
             deadline: None,
-            extra_constraints: Vec::new(),
             cache: None,
         }
     }
@@ -391,31 +382,15 @@ impl Optimizer {
     }
 
     /// Whether `name` is a registered LA view.
-    pub(crate) fn has_la_view(&self, name: &str) -> bool {
+    pub fn has_la_view(&self, name: &str) -> bool {
         self.views.iter().any(|v| v.name == name)
-    }
-
-    /// Registers a *mined* constraint generator (e.g. rules discovered
-    /// from workload logs): the future constraint-discovery entry point.
-    /// The generated rules are statically analyzed against the standard
-    /// catalogue on a scratch schema and refused with
-    /// [`RewriteError::Rejected`] unless range-restricted and weakly
-    /// acyclic modulo conclusion-atom reuse; accepted generators run
-    /// against every `rewrite` call's own [`Vrem`] and their rules are
-    /// chased after the catalogue's and the views'.
-    pub fn register_constraints<F>(&mut self, gen: F) -> Result<(), RewriteError>
-    where
-        F: Fn(&mut Vrem) -> Vec<Constraint> + Send + Sync + 'static,
-    {
-        let mut vrem = Catalogue::shared_standard().0.clone();
-        registration_gate(&gen(&mut vrem), &vrem)?;
-        self.extra_constraints.push(Arc::new(gen));
-        Ok(())
     }
 
     /// The metadata catalog with the call's `cast` leaf registered, then
     /// every registered view priced in: shape and density estimated from
     /// the definition (views may build on the cast and on earlier views).
+    /// A view over a matrix this call does not catalogue is left out of
+    /// the call; a view whose shapes mismatch fails it.
     fn effective_cat(&self, call: CallContext<'_>) -> Result<MetaCatalog, RewriteError> {
         let mut cat = self.cat.clone();
         if let Some((name, meta)) = call.cast {
@@ -425,7 +400,10 @@ impl Optimizer {
             if cat.get(&v.name).is_some() {
                 continue;
             }
-            let est = expr_stats(&v.def, &cat)?;
+            let est = match expr_stats(&v.def, &cat) {
+                Err(ShapeError::UnknownMatrix(_)) => continue,
+                est => est?,
+            };
             let nnz = (est.density * est.rows as f64 * est.cols as f64).round();
             cat.register(&v.name, MatrixMeta::sparse(est.rows, est.cols, nnz as usize));
         }
@@ -433,7 +411,9 @@ impl Optimizer {
     }
 
     /// Clone of `env` with every registered view materialized and bound
-    /// (views already bound by the caller are left untouched).
+    /// (views already bound by the caller are left untouched). A view over
+    /// a matrix `env` does not bind stays unbound: a plan that reads it
+    /// fails to evaluate on its own.
     fn env_with_views(&self, env: &Env) -> Result<Env, EvalError> {
         if self.views.is_empty() {
             return Ok(env.clone());
@@ -441,8 +421,13 @@ impl Optimizer {
         let mut env = env.clone();
         for v in &self.views {
             if env.get(&v.name).is_none() {
-                let m = eval_with(&v.def, &env, default_backend())?;
-                env.bind(&v.name, m);
+                match eval_with(&v.def, &env, default_backend()) {
+                    Ok(m) => {
+                        env.bind(&v.name, m);
+                    }
+                    Err(EvalError::Unbound(_)) => {}
+                    Err(e) => return Err(e),
+                }
             }
         }
         Ok(env)
@@ -452,28 +437,27 @@ impl Optimizer {
     /// shared standard rules extended — in this order, which fixes symbol
     /// ids and firing order — by each view's `V_IO`/`V_OI` pair built
     /// against `cat` (the class stats they come with follow the metadata
-    /// of the leaves the definition mentions, call by call) and by the
-    /// registered generators' output. With neither, the shared set itself.
+    /// of the leaves the definition mentions, call by call). A view over a
+    /// matrix `cat` lacks is left out, as in [`Optimizer::effective_cat`].
+    /// Without views, the shared set itself.
     fn chase_rules(&self, cat: &MetaCatalog) -> Result<CallRules, RewriteError> {
         let (vrem, standard) = Catalogue::shared_standard();
         let mut vrem = vrem.clone();
-        if self.views.is_empty() && self.extra_constraints.is_empty() {
+        if self.views.is_empty() {
             return Ok(CallRules { vrem, rules: Arc::clone(standard), views: Vec::new() });
         }
         let mut extra = Vec::with_capacity(2 * self.views.len());
         let mut views = Vec::with_capacity(self.views.len());
         for v in &self.views {
-            let view = Catalogue::la_view_constraints(&mut vrem, cat, &v.name, &v.def)?;
+            let view = match Catalogue::la_view_constraints(&mut vrem, cat, &v.name, &v.def) {
+                Err(ShapeError::UnknownMatrix(_)) => continue,
+                view => view?,
+            };
             // A view registered ahead of its leaves is certified here, once.
             v.certified(&view.constraints, &vrem)?;
             let first = standard.len() + extra.len();
             extra.extend(view.constraints);
             views.push((first..standard.len() + extra.len(), view.classes));
-        }
-        // Mined constraints re-generate against this schema; their shape
-        // was certified at registration time.
-        for gen in &self.extra_constraints {
-            extra.extend(gen(&mut vrem));
         }
         Ok(CallRules { vrem, rules: Arc::new(standard.extended(extra)), views })
     }
@@ -490,25 +474,18 @@ impl Optimizer {
             v.name.hash(&mut h);
             v.def.to_string().hash(&mut h);
         }
-        // Generators are hashed by allocation identity (`Arc` pointer): two
-        // optimizers share one exactly when one was cloned from the other
-        // with it already registered.
-        for g in &self.extra_constraints {
-            (Arc::as_ptr(g) as *const () as usize).hash(&mut h);
-        }
         h.finish()
     }
 
     /// Plan-cache key for `e` over the effective catalog, or `None` when
     /// some leaf has no metadata (the rewrite will fail shape inference on
     /// its own terms). Cross-name sharing is only allowed while no views
-    /// or extra rules are registered — their plans can embed leaves tied
-    /// to concrete names, so those keys bind the leaf names too.
+    /// are registered — their plans can embed leaves tied to concrete
+    /// names, so those keys bind the leaf names too.
     fn cache_key(&self, e: &Expr, cat: &MetaCatalog, epoch: u64) -> Option<PlanCacheKey> {
         let canon = canonicalize(e);
         let bands = leaf_bands(&canon.leaves, cat)?;
-        let names_bound = !self.views.is_empty() || !self.extra_constraints.is_empty();
-        Some(PlanCacheKey::new(canon, bands, self.config_hash(), epoch, names_bound))
+        Some(PlanCacheKey::new(canon, bands, self.config_hash(), epoch, !self.views.is_empty()))
     }
 
     /// Rewrites `e` into cost-ranked equivalent plans.
@@ -954,8 +931,8 @@ mod tests {
 
     /// The per-call extension: a view-less optimizer chases over the shared
     /// standard set itself (nothing compiled); `v` views add exactly `2·v`
-    /// rules after the inherited ones, built against the catalog of *this*
-    /// call; a generator's rules come after the views'.
+    /// rules after the inherited ones, in registration order, built against
+    /// the catalog of *this* call.
     #[test]
     fn view_rules_extend_the_shared_standard_call_by_call() {
         let mut cat = MetaCatalog::new();
@@ -996,21 +973,11 @@ mod tests {
         assert_eq!(view_shape(&rules_of(&opt)), (6, 6), "built against this call's catalog");
 
         opt.register_la_view("H", mul(m("X"), t(m("X")))).unwrap();
-        opt.register_constraints(|vrem| {
-            let tr = vrem.op(hadad_core::OpKind::Transpose);
-            let v = hadad_chase::Term::Var;
-            let twice = vec![
-                hadad_chase::Atom::new(tr, vec![v(0), v(1)]),
-                hadad_chase::Atom::new(tr, vec![v(1), v(2)]),
-            ];
-            vec![hadad_chase::Tgd::new("mined", twice.clone(), twice).into()]
-        })
-        .unwrap();
         let all = rules_of(&opt);
         assert!(inherits_standard(&all.rules));
         let own: Vec<&str> =
             all.rules.rules()[standard.len()..].iter().map(|r| r.name()).collect();
-        assert_eq!(own, ["V_IO:G", "V_OI:G", "V_IO:H", "V_OI:H", "mined"]);
+        assert_eq!(own, ["V_IO:G", "V_OI:G", "V_IO:H", "V_OI:H"]);
         let h = standard.len() + 2..standard.len() + 4;
         assert_eq!(all.views.iter().map(|(r, _)| r.clone()).nth(1), Some(h));
     }

@@ -1,14 +1,15 @@
-//! A constraint that merges classes of different shapes — an unsound rule
-//! offered through `register_constraints` — ends the rewrite with the
-//! original plan, degraded with a typed reason and counted; neither of the
-//! two shapes is ever picked silently.
+//! A constraint that merges classes of different shapes ends the rewrite
+//! with the original plan, degraded with a typed reason and counted;
+//! neither of the two shapes is ever picked silently. Here the constraint
+//! is a registered view's `V_IO` rule, after the view's name was
+//! catalogued as a matrix of another shape.
 //!
 //! The `rewrite.analysis_conflicts` counter is process-global, so this
 //! binary holds exactly one test.
 
-use hadad_chase::{Atom, ChaseOutcome, DegradeReason, Egd, RewritePhase, Term};
+use hadad_chase::{ChaseOutcome, DegradeReason, RewritePhase};
 use hadad_core::expr::dsl::*;
-use hadad_core::{MatrixMeta, MetaCatalog, OpKind};
+use hadad_core::{MatrixMeta, MetaCatalog};
 use hadad_rewrite::Optimizer;
 
 fn conflicts() -> u64 {
@@ -19,17 +20,14 @@ fn conflicts() -> u64 {
 fn equating_a_matrix_with_its_transpose_degrades_to_the_original() {
     let mut cat = MetaCatalog::new();
     cat.register("A", MatrixMeta::dense(3, 5));
-    cat.register("B", MatrixMeta::dense(5, 4));
+    cat.register("B", MatrixMeta::dense(5, 3));
     let mut opt = Optimizer::new(cat);
-    // "Every matrix is its own transpose": tr(x, y) → x = y.
-    opt.register_constraints(|vrem| {
-        let tr = vrem.op(OpKind::Transpose);
-        let premise = vec![Atom::new(tr, vec![Term::Var(0), Term::Var(1)])];
-        vec![Egd::new("unsound-symmetry", premise, vec![(Term::Var(0), Term::Var(1))]).into()]
-    })
-    .expect("the rule is range-restricted, so the static gate admits it");
+    opt.register_la_view("V", mul(m("A"), m("B"))).expect("a well-formed view certifies");
+    // `V` now names a 4×4 matrix too: the view's `name-unique` merge equates
+    // it with the 3×3 product A·B.
+    opt.cat.register("V", MatrixMeta::dense(4, 4));
 
-    let e = mul(t(t(m("A"))), m("B"));
+    let e = add(sum(m("V")), sum(mul(m("A"), m("B"))));
     let before = conflicts();
     let ranked = opt.rewrite(&e).expect("a conflict degrades, it does not fail");
     assert_eq!(conflicts() - before, 1);

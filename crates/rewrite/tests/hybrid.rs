@@ -729,7 +729,7 @@ fn taken_la_view_names_are_rejected() {
     };
     let err = hy.register_maintained_cast(cast).unwrap_err();
     assert!(taken(err, "V"));
-    assert_eq!(hy.optimizer.views.len(), 1);
+    assert!(hy.optimizer.has_la_view("V") && !hy.optimizer.has_la_view("A"));
     assert!(hy.maintained_casts().is_empty());
 
     // B·C lands on its view, and on nothing the refused names would equate.
@@ -738,6 +738,80 @@ fn taken_la_view_names_are_rejected() {
     for plan in &ranked.plans {
         assert!(plan.expr != mul(m("C"), m("B")) && plan.expr != m("A"), "{}", plan.expr);
     }
+}
+
+/// A pipeline that casts its prefix under an LA view's name is refused on
+/// the live, verified and snapshot paths: the view's `name-unique` merge
+/// would equate the cast with the view's definition, and `V + A·B` would
+/// "rewrite" to `V + V`.
+#[test]
+fn a_cast_named_like_an_la_view_is_refused() {
+    let mut catalog = Catalog::new();
+    catalog.register("tweets", tweets());
+    let rows = NUM_TWEETS / NUM_TOPICS;
+    let mut la_cat = MetaCatalog::new();
+    la_cat.register("A", MatrixMeta::dense(rows, 4));
+    la_cat.register("B", MatrixMeta::dense(4, 1));
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(la_cat));
+    hy.register_la_view("V", mul(m("A"), m("B"))).unwrap();
+
+    let pipeline = HybridPipeline {
+        prefix: RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC),
+        sort_key: Some("tid".into()),
+        cast: CastKind::Dense { columns: vec!["level".into()] },
+        cast_name: "V".into(),
+        suffix: add(m("V"), mul(m("A"), m("B"))),
+    };
+    let mut env = Env::new();
+    env.bind("A", Matrix::Dense(rand_gen::random_dense(rows, 4, 3)));
+    env.bind("B", Matrix::Dense(rand_gen::random_dense(4, 1, 4)));
+
+    let refused =
+        |r: Result<_, HybridError>| matches!(r, Err(HybridError::DuplicateName(n)) if n == "V");
+    assert!(refused(hy.rewrite_hybrid(&pipeline)));
+    assert!(refused(hy.rewrite_hybrid_verified(&pipeline, &env, 1e-9)));
+    let reader = hy.reader().unwrap();
+    assert!(refused(reader.current().rewrite_hybrid(&pipeline)));
+}
+
+/// An LA view over one pipeline's cast is left out of every other
+/// pipeline's call, which rewrites as if the view were not registered;
+/// the pipeline that casts its leaf still lands on it.
+#[test]
+fn a_view_over_another_pipelines_cast_leaves_this_pipeline_alone() {
+    let mut catalog = Catalog::new();
+    catalog.register("tweets", tweets());
+    let mut la_cat = MetaCatalog::new();
+    la_cat.register("w", MatrixMeta::dense(NUM_TWEETS, 1));
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(la_cat));
+    // No placeholder entry for `N`: only the pipeline casting it catalogues it.
+    hy.register_la_view("NT", t(m("N"))).unwrap();
+
+    let pipeline = |cast_name: &str| HybridPipeline {
+        prefix: RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC),
+        sort_key: None,
+        cast: CastKind::Sparse {
+            row: "tid".into(),
+            col: "topic".into(),
+            val: "level".into(),
+            rows: NUM_TWEETS,
+            cols: NUM_TOPICS,
+        },
+        cast_name: cast_name.into(),
+        suffix: mul(t(m(cast_name)), m("w")),
+    };
+    let mut env = Env::new();
+    env.bind("w", Matrix::Dense(rand_gen::random_dense(NUM_TWEETS, 1, 6)));
+
+    let other = pipeline("M");
+    let r = hy.rewrite_hybrid(&other).expect("the view over N is left out");
+    assert!(r.ranked.report.degraded.is_none());
+    assert!(r.ranked.plans.iter().all(|p| !p.expr.to_string().contains("NT")));
+    let r = hy.rewrite_hybrid_verified(&other, &env, 1e-9).expect("and N is not bound");
+    assert_eq!(r.verified, Some(true));
+
+    let own = hy.rewrite_hybrid(&pipeline("N")).unwrap();
+    assert_eq!(own.best.expr, mul(m("NT"), m("w")));
 }
 
 /// Without a matching materialized view the prefix falls back to the

@@ -1,115 +1,16 @@
-//! Negative tests for the static registration gate: crafted unsafe or
-//! non-terminating rule sets must be refused with the typed
-//! [`RewriteError::Rejected`] / [`HybridError::RejectedView`] errors at
-//! registration time, while well-formed registrations keep working.
+//! The static registration gate admits well-formed registrations: an LA
+//! view's `V_IO`/`V_OI` pair certifies against the standard catalogue and
+//! the view is chased afterwards.
 
 mod common;
 
 use common::corpus_catalog;
-use hadad_chase::{Atom, Egd, Term, Tgd};
-use hadad_core::analyze::IssueKind;
 use hadad_core::expr::dsl::*;
-use hadad_core::schema::OpKind;
-use hadad_core::Vrem;
-use hadad_rewrite::{Optimizer, RewriteError};
-
-fn v(i: u32) -> Term {
-    Term::Var(i)
-}
-
-/// A generator minting a rule that cycles through an *input* position of
-/// `multiM`: the existential `?3` lands where no functional EGD can bind
-/// it (the catalogue proves `multiM` functional in its *output*), so the
-/// position graph gains an unguarded special cycle — rejected.
-#[test]
-fn cyclic_unguarded_rule_is_rejected_at_registration() {
-    let mut opt = Optimizer::new(corpus_catalog());
-    let err = opt
-        .register_constraints(|vrem: &mut Vrem| {
-            let mul = vrem.op(OpKind::Mul);
-            vec![Tgd::new(
-                "evil-cycle",
-                vec![Atom::new(mul, vec![v(0), v(1), v(2)])],
-                vec![Atom::new(mul, vec![v(3), v(0), v(1)])],
-            )
-            .into()]
-        })
-        .expect_err("unguarded cyclic rule must be refused");
-    let RewriteError::Rejected(rej) = err else {
-        panic!("expected Rejected, got {err}");
-    };
-    assert!(rej.issues.iter().any(|i| matches!(i.kind, IssueKind::SpecialCycle { .. })));
-    // The rejection renders the witness cycle for diagnostics.
-    assert!(rej.to_string().contains("termination risk"));
-}
-
-/// An EGD equating a variable its premise never binds is statically
-/// unsafe (not range-restricted) and must be refused.
-#[test]
-fn unsafe_egd_is_rejected_at_registration() {
-    let mut opt = Optimizer::new(corpus_catalog());
-    let err = opt
-        .register_constraints(|vrem: &mut Vrem| {
-            let tr = vrem.op(OpKind::Transpose);
-            vec![Egd::new(
-                "evil-egd",
-                vec![Atom::new(tr, vec![v(0), v(1)])],
-                vec![(v(7), v(1))],
-            )
-            .into()]
-        })
-        .expect_err("EGD with an unbound equality variable must be refused");
-    let RewriteError::Rejected(rej) = err else {
-        panic!("expected Rejected, got {err}");
-    };
-    assert!(rej.issues.iter().any(|i| matches!(i.kind, IssueKind::UnboundEgdVar { var: 7 })));
-}
-
-/// A rejected generator leaves the optimizer untouched: rewriting still
-/// works and no rules from the refused set leak into the chase.
-#[test]
-fn rejected_generator_does_not_poison_the_optimizer() {
-    let mut opt = Optimizer::new(corpus_catalog());
-    assert!(opt
-        .register_constraints(|vrem: &mut Vrem| {
-            let mul = vrem.op(OpKind::Mul);
-            vec![Tgd::new(
-                "evil-cycle",
-                vec![Atom::new(mul, vec![v(0), v(1), v(2)])],
-                vec![Atom::new(mul, vec![v(3), v(0), v(1)])],
-            )
-            .into()]
-        })
-        .is_err());
-    let expr = mul(mul(m("A"), m("B")), mul(m("D"), m("y")));
-    let ranked = opt.rewrite(&expr).expect("rewrite must survive a refused registration");
-    assert!(ranked.best().est_cost <= ranked.original.est_cost);
-}
-
-/// A well-formed mined rule passes the gate and participates in every
-/// subsequent rewrite. The rule is a redundant-but-safe commutativity
-/// fact over `add` (safe: every variable premise-bound, acyclic).
-#[test]
-fn safe_mined_rule_is_accepted_and_chased() {
-    let mut opt = Optimizer::new(corpus_catalog());
-    opt.register_constraints(|vrem: &mut Vrem| {
-        let add_p = vrem.op(OpKind::Add);
-        vec![Tgd::new(
-            "mined-add-comm",
-            vec![Atom::new(add_p, vec![v(0), v(1), v(2)])],
-            vec![Atom::new(add_p, vec![v(1), v(0), v(2)])],
-        )
-        .into()]
-    })
-    .expect("safe generator must register");
-    let expr = add(mul(m("A"), m("B")), m("D"));
-    let ranked = opt.rewrite(&expr).expect("rewrite with mined rule");
-    assert!(ranked.best().est_cost <= ranked.original.est_cost);
-}
+use hadad_rewrite::Optimizer;
 
 /// LA view registration stays `Ok` for a well-formed definition and the
 /// view is usable by the rewriter afterwards — the gate must not reject
-/// the constraints its own generator emits.
+/// the pair `Catalogue::la_view_constraints` builds.
 #[test]
 fn well_formed_la_view_still_registers() {
     let mut opt = Optimizer::new(corpus_catalog());
