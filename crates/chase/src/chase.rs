@@ -38,10 +38,15 @@
 //! for its set's signatures ([`Instance`] builds it when the run starts,
 //! on insertion and in `rehash`) and none when the set proves none.
 //!
-//! The memo also enforces the EGDs that prove those signatures: such an
-//! EGD pairs each delta fact with its memo chain — exact, since the
-//! instance is canonical at every EGD turn — instead of joining its two
-//! premise atoms. Every other EGD is a premise join.
+//! The memo also enforces the EGDs that prove those signatures, as an
+//! e-graph keeps congruence at its hash-cons: a fact the memo chains
+//! behind an older one with the same canonical inputs and another output
+//! queues the union of the outputs, wherever the memo is written (an
+//! insertion, the build when a run starts, a `rehash`). At such an EGD's
+//! turn the engine merges the queue — every functional predicate's, so a
+//! cascade from one predicate to another lands in the same turn — and
+//! rehashes, and repeats while the rehash queues more; the EGD enumerates
+//! nothing. Every other EGD is a premise join over its delta.
 //!
 //! The engine has one extension point, the [`Analysis`] trait
 //! ([`ChaseEngine::chase_analyzed`]; [`ChaseEngine::chase`] runs with
@@ -245,9 +250,9 @@ pub struct RuleStats {
     /// The rule's name, shared with the [`RuleSet`] it was compiled into.
     pub name: Arc<str>,
     /// Premise matches enumerated. Semi-naïve evaluation should report
-    /// dramatically fewer than naive on saturating workloads. For a
-    /// functional EGD the memo enforces, the chain members visited per
-    /// delta fact (the delta fact itself among them).
+    /// dramatically fewer than naive on saturating workloads. A functional
+    /// EGD the memo enforces enumerates none: it merges what the memo
+    /// queued.
     pub matches: u64,
     /// Successful firings (always 0 for an EGD; see
     /// [`ChaseStats::egd_merges`]).
@@ -317,7 +322,7 @@ fn publish_chase_metrics(stats: &ChaseStats) {
 /// semantically determined by the inputs on *every* fact of the predicate,
 /// which is what makes a conclusion atom over the predicate a memo lookup,
 /// conclusion-atom *reuse* sound (see [`ResolutionOrder`]) and the EGD
-/// itself a walk of the memo's chains. Public so static analysis
+/// itself the unions the memo queues. Public so static analysis
 /// (`hadad-analyze`) can certify which TGD existentials the engine will
 /// bind by reuse rather than mint as fresh nulls.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -394,7 +399,8 @@ pub struct CompiledRule {
     /// A TGD's existential variables, in first-occurrence order.
     existentials: Vec<u32>,
     /// The signature an EGD proves ([`functional_sig`]): while the memo
-    /// keeps it for the predicate, the EGD is a walk of the memo's chains.
+    /// keeps it for the predicate, the EGD merges the unions the memo
+    /// queued instead of joining its premise.
     sig: Option<(PredId, FunctionalSig)>,
     /// A TGD's conclusion as lookups over the set's functional signatures.
     order: Option<ResolutionOrder>,
@@ -621,7 +627,7 @@ struct RunScratch {
     /// Resolves conclusions — while `premise` is mid-enumeration.
     check: Resolver,
     /// The pending match being applied (what [`Analysis::allow`] is
-    /// shown), or the fact pair a functional EGD is enforced on.
+    /// shown).
     firing: Match,
     /// Flat arena of pending TGD matches: binding slots at a stride of the
     /// rule's slot count ...
@@ -630,10 +636,8 @@ struct RunScratch {
     pending_facts: Vec<usize>,
     /// Merge requests of the EGD being applied.
     merges: Vec<(MergeArg, MergeArg)>,
-    /// A functional EGD's memo probe: a delta fact's canonical inputs and
-    /// the chain they key.
-    inputs: Vec<NodeId>,
-    chain: Vec<u32>,
+    /// The unions taken from the memo's queue, being merged.
+    unions: Vec<(NodeId, NodeId)>,
 }
 
 impl<'r> ChaseEngine<'r> {
@@ -717,15 +721,21 @@ impl<'r> ChaseEngine<'r> {
                 let rule_stats = &mut stats.rules[ci];
                 match &rule.constraint {
                     Constraint::Egd(egd) => {
-                        let applied = apply_egd(
-                            inst,
-                            (rule, egd),
-                            &self.rules.functional,
-                            analysis,
-                            watermark,
-                            &mut scratch,
-                            rule_stats,
-                        );
+                        let applied = match &rule.sig {
+                            Some((pred, sig))
+                                if sig_of(&self.rules.functional, *pred) == Some(sig) =>
+                            {
+                                drain_unions(inst, analysis, &mut scratch.unions)
+                            }
+                            _ => apply_egd(
+                                inst,
+                                (rule, egd),
+                                analysis,
+                                watermark,
+                                &mut scratch,
+                                rule_stats,
+                            ),
+                        };
                         match applied {
                             Ok(merges) => {
                                 if merges > 0 {
@@ -882,27 +892,22 @@ impl<'r> ChaseEngine<'r> {
 /// constants clashed, or the analysis refused a merge). Merge requests
 /// stream out of the enumeration sink (no match materialization) and apply
 /// afterwards.
-///
-/// An EGD whose signature `functional` (the memo's) keeps pairs each delta
-/// fact, in stamp order, with its memo chain oldest first: the join's
-/// matches, in the join's order.
 fn apply_egd<A: Analysis>(
     inst: &mut Instance,
     (rule, egd): (&CompiledRule, &Egd),
-    functional: &[Option<FunctionalSig>],
     analysis: &mut A,
     watermark: u64,
     scratch: &mut RunScratch,
     stats: &mut RuleStats,
 ) -> Result<usize, ChaseOutcome> {
-    let RunScratch { premise, firing, merges, inputs, chain, .. } = scratch;
+    let RunScratch { premise, merges, .. } = scratch;
     let resolve = |bindings: &Bindings, t: &Term| match t {
         Term::Var(v) => bindings.get(*v).map(MergeArg::Node),
         Term::Const(c) => Some(MergeArg::Const(*c)),
     };
     merges.clear();
     let view = &*inst;
-    let mut collect = |m: &Match| {
+    premise.for_each_match_since(view, &egd.premise, rule.slots, watermark, &mut |m| {
         stats.matches += 1;
         for (l, r) in &egd.equalities {
             match (resolve(&m.bindings, l), resolve(&m.bindings, r)) {
@@ -915,56 +920,64 @@ fn apply_egd<A: Analysis>(
             }
         }
         true
-    };
-    match &rule.sig {
-        Some((pred, sig)) if sig_of(functional, *pred) == Some(sig) => {
-            let bind = |bindings: &mut Bindings, atom: &Atom, fact: usize| {
-                for (t, &n) in atom.args.iter().zip(&view.fact(fact).args) {
-                    if let Term::Var(v) = *t {
-                        bindings.set(v, n);
-                    }
-                }
-            };
-            firing.bindings.reset(rule.slots);
-            for &d in view.facts_with_pred_since(*pred, watermark) {
-                inputs.clear();
-                inputs.extend(sig.inputs.iter().map(|&p| view.find(view.fact(d).args[p])));
-                chain.clear();
-                view.facts_with_inputs(*pred, inputs, chain);
-                bind(&mut firing.bindings, &egd.premise[0], d);
-                for &e in chain.iter().rev() {
-                    bind(&mut firing.bindings, &egd.premise[1], e as usize);
-                    collect(firing);
-                }
-            }
-        }
-        _ => premise.for_each_match_since(
-            view,
-            &egd.premise,
-            rule.slots,
-            watermark,
-            &mut collect,
-        ),
-    }
+    });
     let mut count = 0;
     for &(a, b) in merges.iter() {
-        let mut root_of = |arg| match arg {
-            MergeArg::Node(n) => inst.find(n),
+        let mut node = |arg| match arg {
+            MergeArg::Node(n) => n,
             MergeArg::Const(c) => inst.const_node(c),
         };
-        let (a, b) = (root_of(a), root_of(b));
-        if a != b {
-            let root = inst.merge(a, b).map_err(ChaseOutcome::ConstClash)?;
-            let absorbed = if root == a { b } else { a };
-            analysis.join(inst, root, absorbed).map_err(ChaseOutcome::AnalysisConflict)?;
-            count += 1;
-        }
+        let (a, b) = (node(a), node(b));
+        count += usize::from(merge_joined(inst, analysis, a, b)?);
     }
     if count > 0 {
         let moved_to = inst.rehash();
         analysis.rehashed(inst, &moved_to);
     }
     Ok(count)
+}
+
+/// Enforces the functional EGDs whose signatures the memo keeps: merges
+/// every union the memo queued (see [`Instance`]), joining each into
+/// `analysis`, then rehashes once; entering the memo again queues the
+/// unions those merges imply, and the drain repeats until none is queued.
+/// Returns what [`apply_egd`] returns.
+fn drain_unions<A: Analysis>(
+    inst: &mut Instance,
+    analysis: &mut A,
+    unions: &mut Vec<(NodeId, NodeId)>,
+) -> Result<usize, ChaseOutcome> {
+    let mut count = 0;
+    loop {
+        inst.take_unions(unions);
+        let before = count;
+        for &(a, b) in unions.iter() {
+            count += usize::from(merge_joined(inst, analysis, a, b)?);
+        }
+        if count == before {
+            return Ok(count);
+        }
+        let moved_to = inst.rehash();
+        analysis.rehashed(inst, &moved_to);
+    }
+}
+
+/// Merges the classes of `a` and `b` unless they are one, joining the
+/// absorbed class into `analysis`; true when it merged.
+fn merge_joined<A: Analysis>(
+    inst: &mut Instance,
+    analysis: &mut A,
+    a: NodeId,
+    b: NodeId,
+) -> Result<bool, ChaseOutcome> {
+    let (a, b) = (inst.find(a), inst.find(b));
+    if a == b {
+        return Ok(false);
+    }
+    let root = inst.merge(a, b).map_err(ChaseOutcome::ConstClash)?;
+    let absorbed = if root == a { b } else { a };
+    analysis.join(inst, root, absorbed).map_err(ChaseOutcome::AnalysisConflict)?;
+    Ok(true)
 }
 
 #[cfg(test)]
@@ -1214,6 +1227,70 @@ mod tests {
             }
             other => panic!("expected ConstClash, got {other:?}"),
         }
+    }
+
+    /// Two facts with the same inputs and different outputs, there before
+    /// the instance was ever chased: building the memo when the run starts
+    /// queues their union, and the EGD's first turn merges it.
+    #[test]
+    fn a_violation_there_at_the_start_is_merged_in_round_one() {
+        let f = PredId(0);
+        let rules = RuleSet::compile(vec![Egd::functional("f-func", f, 2).into()]);
+        let mut inst = Instance::new();
+        let (x, o1, o2) = (inst.fresh_null(), inst.fresh_null(), inst.fresh_null());
+        inst.insert(f, vec![x, o1]);
+        inst.insert(f, vec![x, o2]);
+        let one_round = ChaseBudget { max_rounds: 1, ..ChaseBudget::default() };
+        let (_, stats) = ChaseEngine::new(&rules).with_budget(one_round).chase(&mut inst);
+        assert_eq!((stats.rounds, stats.egd_merges, stats.matches_enumerated()), (1, 1, 0));
+        assert_eq!(inst.find(o1), inst.find(o2));
+        assert_eq!(inst.num_facts(), 1, "the two facts coalesced");
+    }
+
+    /// The memo outlives a run: an insertion between two chases of one
+    /// instance under one rule set queues its union on the memo the first
+    /// run built, and the second run, keeping that memo, merges it.
+    #[test]
+    fn unions_queued_between_two_chases_are_merged_by_the_second() {
+        let f = PredId(0);
+        let rules = RuleSet::compile(vec![Egd::functional("f-func", f, 2).into()]);
+        let engine = ChaseEngine::new(&rules);
+        let mut inst = Instance::new();
+        let (x, o1, o2) = (inst.fresh_null(), inst.fresh_null(), inst.fresh_null());
+        inst.insert(f, vec![x, o1]);
+        let (outcome, stats) = engine.chase(&mut inst);
+        assert_eq!((outcome, stats.egd_merges), (ChaseOutcome::Saturated, 0));
+        inst.insert(f, vec![x, o2]);
+        let (outcome, stats) = engine.chase(&mut inst);
+        assert_eq!((outcome, stats.egd_merges), (ChaseOutcome::Saturated, 1));
+        assert_eq!(inst.find(o1), inst.find(o2));
+    }
+
+    /// A clash the drain meets in a cascade ends the run with both
+    /// constants: merging `u` and `v` (both `f(w, ·)`) makes `f(u, one)` and
+    /// `f(v, two)` share their input, and the union this queues equates
+    /// `one` and `two` in the same turn.
+    #[test]
+    fn a_clash_in_the_drains_cascade_carries_both_constants() {
+        let mut vocab = Vocabulary::new();
+        let f = vocab.predicate("f", 2);
+        let rules = RuleSet::compile(vec![Egd::functional("f-func", f, 2).into()]);
+        let (one, two) = (vocab.constant("one"), vocab.constant("two"));
+        let mut inst = Instance::new();
+        let (u, v, w) = (inst.fresh_null(), inst.fresh_null(), inst.fresh_null());
+        let (n1, n2) = (inst.const_node(one), inst.const_node(two));
+        inst.insert(f, vec![u, n1]);
+        inst.insert(f, vec![v, n2]);
+        inst.insert(f, vec![w, u]);
+        inst.insert(f, vec![w, v]);
+        let (outcome, stats) = ChaseEngine::new(&rules).chase(&mut inst);
+        let ChaseOutcome::ConstClash(clash) = outcome else {
+            panic!("expected ConstClash, got {outcome:?}");
+        };
+        let mut pair = [clash.a, clash.b];
+        pair.sort_unstable();
+        assert_eq!(pair, [one, two]);
+        assert_eq!(stats.rounds, 1, "u = v, then the clash, in one turn");
     }
 
     #[test]
@@ -1895,10 +1972,12 @@ mod tests {
     /// A functional EGD enforced through the memo merges what the premise
     /// join merges: on seeded random instances, the rule set and a copy
     /// whose EGDs carry no signature (each a join, as every EGD was before)
-    /// end with the same outcome, roots, facts and merge count. Copy TGDs
-    /// after the EGDs add facts sharing inputs with older ones, so later
-    /// rounds pair new facts with old; the signatures have one output, two
-    /// (QR-shaped), and one input after its output with the equality
+    /// end with the same outcome. A saturated pair has the same classes,
+    /// canonical facts and merge count; a clashing pair clashes on the same
+    /// two constants, after however many merges its schedule made first.
+    /// Copy TGDs after the EGDs add facts sharing inputs with older ones, so
+    /// later rounds pair new facts with old; the signatures have one output,
+    /// two (QR-shaped), and one input after its output with the equality
     /// written second atom first (a flipped merge).
     #[test]
     fn memo_enforced_egds_merge_what_the_join_merges() {
@@ -1937,14 +2016,30 @@ mod tests {
                 .collect(),
             functional: Arc::clone(&memo.functional),
         };
-        let roots = |inst: &Instance| -> Vec<NodeId> {
-            (0..inst.num_nodes() as u32).map(|n| inst.find(NodeId(n))).collect()
+        // Each node named by the least node of its class: equal for two
+        // instances exactly when their classes are, whichever roots won.
+        let classes = |inst: &Instance| -> Vec<u32> {
+            let mut least = vec![u32::MAX; inst.num_nodes()];
+            (0..inst.num_nodes() as u32)
+                .map(|n| {
+                    let class = &mut least[inst.find(NodeId(n)).0 as usize];
+                    *class = (*class).min(n);
+                    *class
+                })
+                .collect()
         };
-        let facts = |inst: &Instance| -> Vec<(PredId, Vec<NodeId>, u64)> {
-            inst.facts().iter().map(|f| (f.pred, f.args.clone(), f.stamp)).collect()
+        let facts = |inst: &Instance| -> Vec<(PredId, Vec<u32>)> {
+            let named = classes(inst);
+            let mut facts: Vec<(PredId, Vec<u32>)> = inst
+                .facts()
+                .iter()
+                .map(|f| (f.pred, f.args.iter().map(|a| named[a.0 as usize]).collect()))
+                .collect();
+            facts.sort();
+            facts
         };
         let mut rng = XorShift(0x2545_f491_4f6c_dd1d);
-        let mut seen = [0usize; 2]; // saturated, merged after round one
+        let mut seen = [0usize; 3]; // saturated, merged after round one, clashed
         for _ in 0..60 {
             // Nodes 0 and 1 are constants, rarely used, so merges can clash.
             let nodes = 5 + rng.below(4);
@@ -1977,15 +2072,21 @@ mod tests {
             let (mut by_memo, mut by_join) = (build(), build());
             let (memo_outcome, memo_stats) = ChaseEngine::new(&memo).chase(&mut by_memo);
             let (join_outcome, join_stats) = ChaseEngine::new(&join).chase(&mut by_join);
-            assert_eq!(memo_outcome, join_outcome, "{spec:?}");
-            assert_eq!(memo_stats.egd_merges, join_stats.egd_merges, "{spec:?}");
-            assert_eq!(roots(&by_memo), roots(&by_join), "{spec:?}");
-            assert_eq!(facts(&by_memo), facts(&by_join), "{spec:?}");
-            // The join enumerates each (old, new) pair in both orientations
-            // where the memo visits it once.
-            for (m, j) in memo_stats.rules.iter().zip(&join_stats.rules).take(3) {
-                assert!(m.matches <= j.matches, "{}: {} > {}", m.name, m.matches, j.matches);
+            match (memo_outcome, join_outcome) {
+                (ChaseOutcome::ConstClash(m), ChaseOutcome::ConstClash(j)) => {
+                    let pair = |c: ConstClash| if c.a < c.b { (c.a, c.b) } else { (c.b, c.a) };
+                    assert_eq!(pair(m), pair(j), "{spec:?}");
+                    seen[2] += 1;
+                }
+                (m, j) => {
+                    assert_eq!(m, j, "{spec:?}");
+                    assert_eq!(memo_stats.egd_merges, join_stats.egd_merges, "{spec:?}");
+                    assert_eq!(classes(&by_memo), classes(&by_join), "{spec:?}");
+                    assert_eq!(facts(&by_memo), facts(&by_join), "{spec:?}");
+                }
             }
+            // The memo's EGDs enumerate nothing: they merge what it queued.
+            assert!(memo_stats.rules[..3].iter().all(|r| r.matches == 0), "{memo_stats:?}");
             let one_round = ChaseBudget { max_rounds: 1, ..ChaseBudget::default() };
             let (_, first) = ChaseEngine::new(&memo).with_budget(one_round).chase(&mut build());
             seen[0] += usize::from(memo_outcome == ChaseOutcome::Saturated);

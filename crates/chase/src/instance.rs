@@ -18,7 +18,10 @@
 //! on keeps a memo from (predicate, canonical input nodes) to the facts
 //! carrying them, for every predicate the chase's rule set proves
 //! functional: the hash-cons the engine resolves conclusions through (see
-//! [`crate::resolve`]) and enforces the functional EGDs through.
+//! [`crate::resolve`]). It is also where the functional EGDs are enforced,
+//! the way an e-graph keeps congruence: a fact the memo chains behind an
+//! older fact with the same inputs but another output queues the union of
+//! the two outputs, and the engine merges the queue at the EGD's turn.
 
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
@@ -154,6 +157,12 @@ pub struct Instance {
     /// Per fact while the memo is kept: the next-older fact with the same
     /// memo key hash, or `NO_FACT` (always, for a non-functional fact).
     same_inputs: Vec<u32>,
+    /// The output pairs the memo found unequal — a fact entered behind an
+    /// older one with the same predicate and canonical inputs, per
+    /// differing output (new fact's node, older fact's node) — oldest
+    /// first, not merged yet ([`Self::take_unions`]). Re-derived wherever
+    /// the memo is rebuilt, which finds them all again while unmerged.
+    unions: Vec<(NodeId, NodeId)>,
     /// Monotonic revision clock feeding fact stamps.
     clock: u64,
     /// False between a `merge` and the next `rehash`: positional-index
@@ -192,6 +201,7 @@ impl Default for Instance {
             functional: None,
             memo: IdMap::default(),
             same_inputs: Vec::new(),
+            unions: Vec::new(),
             clock: 0,
             canonical: true,
             const_dirty: Vec::new(),
@@ -310,7 +320,8 @@ impl Instance {
     /// after one move down. Returns where each fact went: entry `i` is the
     /// new index of old fact `i` — for a coalesced duplicate, the index of
     /// the fact it became. The map is ascending, and the identity when
-    /// nothing coalesced.
+    /// nothing coalesced. The memo is entered afresh, so its queue then
+    /// holds exactly the unions the merged classes still violate.
     pub fn rehash(&mut self) -> Vec<usize> {
         let mut dirty_roots: Vec<NodeId> = std::mem::take(&mut self.const_dirty);
         for n in &mut dirty_roots {
@@ -320,6 +331,7 @@ impl Instance {
         self.same_key.clear();
         self.memo.clear();
         self.same_inputs.clear();
+        self.unions.clear();
         for list in &mut self.by_pred {
             list.clear();
         }
@@ -408,29 +420,53 @@ impl Instance {
 
     /// Chains fact `i` (the next one `same_inputs` has no entry for) into
     /// the memo under its canonical input nodes, if its predicate is
-    /// functional.
+    /// functional, and queues a union per output it does not share with
+    /// the newest older fact carrying the same inputs.
     fn enter_memo(&mut self, i: usize) {
         debug_assert_eq!(self.same_inputs.len(), i);
         let f = &self.facts[i];
         let sig =
             self.functional.as_ref().and_then(|sigs| sigs.get(f.pred.0 as usize)?.as_ref());
-        let older = match sig {
-            Some(sig) => {
-                let key = fact_key(f.pred, sig.inputs.iter().map(|&p| self.find(f.args[p])));
-                let i = u32::try_from(i).expect("fact count fits the memo chain");
-                self.memo.insert(key, i).unwrap_or(NO_FACT)
-            }
-            None => NO_FACT,
+        let Some(sig) = sig else {
+            self.same_inputs.push(NO_FACT);
+            return;
         };
+        let key = fact_key(f.pred, sig.inputs.iter().map(|&p| self.find(f.args[p])));
+        let new = u32::try_from(i).expect("fact count fits the memo chain");
+        let older = self.memo.insert(key, new).unwrap_or(NO_FACT);
         self.same_inputs.push(older);
+        let mut next = older;
+        while next != NO_FACT {
+            let g = &self.facts[next as usize];
+            if g.pred == f.pred
+                && sig.inputs.iter().all(|&p| self.find(g.args[p]) == self.find(f.args[p]))
+            {
+                for &o in &sig.outputs {
+                    if self.find(f.args[o]) != self.find(g.args[o]) {
+                        self.unions.push((f.args[o], g.args[o]));
+                    }
+                }
+                return;
+            }
+            next = self.same_inputs[next as usize];
+        }
+    }
+
+    /// Moves the unions the memo queued into `out` (emptied first), oldest
+    /// first; the queue keeps `out`'s old buffer, so a caller passing the
+    /// same `out` every time allocates nothing once both have grown.
+    pub(crate) fn take_unions(&mut self, out: &mut Vec<(NodeId, NodeId)>) {
+        out.clear();
+        std::mem::swap(&mut self.unions, out);
     }
 
     /// Keeps the memo for the signatures `functional` proves (indexed by
     /// predicate id; an empty list proves none and drops the memo),
-    /// building it over the facts already there unless it was built for
-    /// these very signatures and no merge is pending since. A chase calls
-    /// this before its first round; [`Self::insert`] and [`Self::rehash`]
-    /// keep the memo up to date after that.
+    /// building it over the facts already there — queuing the unions they
+    /// violate — unless it was built for these very signatures and no
+    /// merge is pending since. A chase calls this before its first round;
+    /// [`Self::insert`] and [`Self::rehash`] keep the memo and its queue
+    /// up to date after that.
     pub(crate) fn index_functional(&mut self, functional: &Arc<Vec<Option<FunctionalSig>>>) {
         let same = self.functional.as_ref().is_some_and(|f| Arc::ptr_eq(f, functional));
         if (same && self.canonical) || (functional.is_empty() && self.functional.is_none()) {
@@ -438,6 +474,7 @@ impl Instance {
         }
         self.memo.clear();
         self.same_inputs.clear();
+        self.unions.clear();
         if functional.is_empty() {
             self.functional = None;
             return;

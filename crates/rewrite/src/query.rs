@@ -467,3 +467,133 @@ fn decode_const(s: &str) -> Value {
         Value::Str(s.to_owned())
     }
 }
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use crate::hybrid::HybridError;
+    use hadad_relational::{ops, Column};
+
+    fn tweets() -> Table {
+        // 60 tweets over 6 topics; level cycles 1..=4.
+        let n = 60i64;
+        Table::new(vec![
+            ("tid", Column::Int((0..n).collect())),
+            ("topic", Column::Int((0..n).map(|i| i % 6).collect())),
+            ("level", Column::Int((0..n).map(|i| i % 4 + 1).collect())),
+        ])
+    }
+
+    pub(crate) fn catalog() -> Catalog {
+        let mut c = Catalog::new();
+        c.register("tweets", tweets());
+        c
+    }
+
+    #[test]
+    fn execute_matches_compiled_semantics() {
+        let cat = catalog();
+        let q = RelQuery::scan("tweets").select_eq("topic", 3).project(&["tid", "level"]);
+        let direct = q.execute(&cat).unwrap();
+        assert_eq!(direct.num_rows(), 10);
+
+        let mut tv = TableVocab::from_catalog(&cat);
+        let compiled = q.compile(&cat, &mut tv).unwrap();
+        assert_eq!(compiled.columns, vec!["tid".to_string(), "level".to_string()]);
+        assert_eq!(compiled.cq.body.len(), 1);
+        let via_cq = eval_cq(&compiled.cq, &compiled.columns, &cat, &tv).unwrap();
+        let sorted_direct = ops::sort_by_int(&direct, "tid").unwrap();
+        let sorted_cq = ops::sort_by_int(&via_cq, "tid").unwrap();
+        assert_eq!(sorted_direct, sorted_cq);
+    }
+
+    #[test]
+    fn compile_places_selection_constants_in_head() {
+        let cat = catalog();
+        let mut tv = TableVocab::from_catalog(&cat);
+        let q = RelQuery::scan("tweets").select_eq("topic", 3);
+        let compiled = q.compile(&cat, &mut tv).unwrap();
+        // Head: (tid, 3, level) — the selected column is a constant.
+        assert!(matches!(compiled.cq.head[1], Term::Const(_)));
+        assert!(compiled.cq.is_safe());
+    }
+
+    #[test]
+    fn compile_join_shares_variables_and_prefixes_collisions() {
+        let mut cat = catalog();
+        cat.register(
+            "topics",
+            Table::new(vec![
+                ("id", Column::Int((0..6).collect())),
+                ("level", Column::Int(vec![9; 6])), // collides with tweets.level
+            ]),
+        );
+        let q = RelQuery::scan("tweets").join("topics", "topic", "id");
+        let mut tv = TableVocab::from_catalog(&cat);
+        let compiled = q.compile(&cat, &mut tv).unwrap();
+        assert_eq!(
+            compiled.columns,
+            vec![
+                "tid".to_string(),
+                "topic".to_string(),
+                "level".to_string(),
+                "right.level".to_string()
+            ]
+        );
+        // The join key variable is shared between the two atoms.
+        assert_eq!(compiled.cq.body[0].args[1], compiled.cq.body[1].args[0]);
+        // Execution produces the same schema.
+        let t = q.execute(&cat).unwrap();
+        assert_eq!(
+            t.column_names(),
+            &["tid", "topic", "level", "right.level"].map(String::from)
+        );
+        let via_cq = eval_cq(&compiled.cq, &compiled.columns, &cat, &tv).unwrap();
+        assert_eq!(
+            ops::sort_by_int(&t, "tid").unwrap(),
+            ops::sort_by_int(&via_cq, "tid").unwrap()
+        );
+    }
+
+    #[test]
+    fn contradictory_selections_are_rejected() {
+        let cat = catalog();
+        let mut tv = TableVocab::from_catalog(&cat);
+        let q = RelQuery::scan("tweets").select_eq("topic", 3).select_eq("topic", 4);
+        assert!(matches!(q.compile(&cat, &mut tv), Err(HybridError::Unsatisfiable(_))));
+        // Repeating the same selection is fine.
+        let q = RelQuery::scan("tweets").select_eq("topic", 3).select_eq("topic", 3);
+        assert!(q.compile(&cat, &mut tv).is_ok());
+    }
+
+    /// Regression: integer and string constants never cross-match, in
+    /// either execution path — `Str("7")` is not the number 7.
+    #[test]
+    fn string_and_int_constants_do_not_cross_match() {
+        let mut cat = Catalog::new();
+        cat.register(
+            "t",
+            Table::new(vec![
+                ("k", Column::Str(vec!["7".into(), "en".into()])),
+                ("v", Column::Int(vec![1, 2])),
+            ]),
+        );
+        let mut tv = TableVocab::from_catalog(&cat);
+
+        // Numeric selection on a string column: empty both ways.
+        let q_int = RelQuery::scan("t").select_eq("k", 7);
+        assert_eq!(q_int.execute(&cat).unwrap().num_rows(), 0);
+        let c = q_int.compile(&cat, &mut tv).unwrap();
+        assert_eq!(eval_cq(&c.cq, &c.columns, &cat, &tv).unwrap().num_rows(), 0);
+
+        // String selection for "7": exactly the Str("7") row, both ways.
+        let q_str = RelQuery::scan("t").select_str_eq("k", "7");
+        assert_eq!(q_str.execute(&cat).unwrap().num_rows(), 1);
+        let c = q_str.compile(&cat, &mut tv).unwrap();
+        let via_cq = eval_cq(&c.cq, &c.columns, &cat, &tv).unwrap();
+        assert_eq!(via_cq.num_rows(), 1);
+        assert_eq!(via_cq.value(0, "v"), Value::Int(1));
+        // The head constant decodes back to the string, not the number.
+        assert_eq!(via_cq.value(0, "k"), Value::Str("7".into()));
+    }
+}
