@@ -5,8 +5,11 @@
 //! instance indexes, compiled rule set). A matcher change that enumerates,
 //! fires or derives anything different — even with an isomorphic result —
 //! fails here, not only in a bench count. The count columns were
-//! re-recorded once, when shapes and densities moved from stats rules and
-//! facts into the chase's analysis; every plan stayed byte-equal.
+//! re-recorded twice, every plan and fact count staying byte-equal: when
+//! shapes and densities moved from stats rules and facts into the chase's
+//! analysis, and when functional EGDs came to be enforced where the memo
+//! is written — their premise matches are gone from every row, and on one
+//! row a cascade of merges now lands a round earlier.
 
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog};
