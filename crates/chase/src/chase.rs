@@ -270,7 +270,9 @@ pub struct ChaseStats {
     pub rounds: usize,
     /// Per-rule counters, in the engine's rule order.
     pub rules: Vec<RuleStats>,
-    /// Node merges performed by EGDs.
+    /// Node merges performed by EGDs, counted as they are made: a run that
+    /// ends in a clash or an analysis conflict counts the merges before it,
+    /// and a merge the analysis refused.
     pub egd_merges: usize,
     /// When the outcome is [`ChaseOutcome::BudgetExhausted`], which bound
     /// tripped.
@@ -721,11 +723,13 @@ impl<'r> ChaseEngine<'r> {
                 let rule_stats = &mut stats.rules[ci];
                 match &rule.constraint {
                     Constraint::Egd(egd) => {
+                        let merges_before = stats.egd_merges;
+                        let merged = &mut stats.egd_merges;
                         let applied = match &rule.sig {
                             Some((pred, sig))
                                 if sig_of(&self.rules.functional, *pred) == Some(sig) =>
                             {
-                                drain_unions(inst, analysis, &mut scratch.unions)
+                                drain_unions(inst, analysis, &mut scratch.unions, merged)
                             }
                             _ => apply_egd(
                                 inst,
@@ -733,18 +737,13 @@ impl<'r> ChaseEngine<'r> {
                                 analysis,
                                 watermark,
                                 &mut scratch,
-                                rule_stats,
+                                (rule_stats, merged),
                             ),
                         };
-                        match applied {
-                            Ok(merges) => {
-                                if merges > 0 {
-                                    stats.egd_merges += merges;
-                                    changed = true;
-                                }
-                            }
-                            Err(failed) => return (failed, stats),
+                        if let Err(failed) = applied {
+                            return (failed, stats);
                         }
+                        changed |= stats.egd_merges > merges_before;
                     }
                     Constraint::Tgd(tgd) => {
                         let firings_before = rule_stats.firings;
@@ -887,19 +886,19 @@ impl<'r> ChaseEngine<'r> {
     }
 }
 
-/// Applies one EGD over its delta, joining each merge into `analysis`;
-/// returns the number of merges, or the outcome that ends the chase (two
-/// constants clashed, or the analysis refused a merge). Merge requests
-/// stream out of the enumeration sink (no match materialization) and apply
-/// afterwards.
+/// Applies one EGD over its delta, joining each merge into `analysis` and
+/// counting it into `merged`; fails with the outcome that ends the chase
+/// (two constants clashed, or the analysis refused a merge), the merges
+/// made before it counted. Merge requests stream out of the enumeration
+/// sink (no match materialization) and apply afterwards.
 fn apply_egd<A: Analysis>(
     inst: &mut Instance,
     (rule, egd): (&CompiledRule, &Egd),
     analysis: &mut A,
     watermark: u64,
     scratch: &mut RunScratch,
-    stats: &mut RuleStats,
-) -> Result<usize, ChaseOutcome> {
+    (stats, merged): (&mut RuleStats, &mut usize),
+) -> Result<(), ChaseOutcome> {
     let RunScratch { premise, merges, .. } = scratch;
     let resolve = |bindings: &Bindings, t: &Term| match t {
         Term::Var(v) => bindings.get(*v).map(MergeArg::Node),
@@ -921,63 +920,65 @@ fn apply_egd<A: Analysis>(
         }
         true
     });
-    let mut count = 0;
+    let before = *merged;
     for &(a, b) in merges.iter() {
         let mut node = |arg| match arg {
             MergeArg::Node(n) => n,
             MergeArg::Const(c) => inst.const_node(c),
         };
         let (a, b) = (node(a), node(b));
-        count += usize::from(merge_joined(inst, analysis, a, b)?);
+        merge_joined(inst, analysis, a, b, merged)?;
     }
-    if count > 0 {
+    if *merged > before {
         let moved_to = inst.rehash();
         analysis.rehashed(inst, &moved_to);
     }
-    Ok(count)
+    Ok(())
 }
 
 /// Enforces the functional EGDs whose signatures the memo keeps: merges
 /// every union the memo queued (see [`Instance`]), joining each into
 /// `analysis`, then rehashes once; entering the memo again queues the
 /// unions those merges imply, and the drain repeats until none is queued.
-/// Returns what [`apply_egd`] returns.
+/// Counts and fails as [`apply_egd`] does.
 fn drain_unions<A: Analysis>(
     inst: &mut Instance,
     analysis: &mut A,
     unions: &mut Vec<(NodeId, NodeId)>,
-) -> Result<usize, ChaseOutcome> {
-    let mut count = 0;
+    merged: &mut usize,
+) -> Result<(), ChaseOutcome> {
     loop {
         inst.take_unions(unions);
-        let before = count;
+        let before = *merged;
         for &(a, b) in unions.iter() {
-            count += usize::from(merge_joined(inst, analysis, a, b)?);
+            merge_joined(inst, analysis, a, b, merged)?;
         }
-        if count == before {
-            return Ok(count);
+        if *merged == before {
+            return Ok(());
         }
         let moved_to = inst.rehash();
         analysis.rehashed(inst, &moved_to);
     }
 }
 
-/// Merges the classes of `a` and `b` unless they are one, joining the
-/// absorbed class into `analysis`; true when it merged.
+/// Merges the classes of `a` and `b` unless they are one, counting the
+/// merge into `merged`, then joins the absorbed class into `analysis`. A
+/// merge the analysis then refuses is counted: the classes are one.
 fn merge_joined<A: Analysis>(
     inst: &mut Instance,
     analysis: &mut A,
     a: NodeId,
     b: NodeId,
-) -> Result<bool, ChaseOutcome> {
+    merged: &mut usize,
+) -> Result<(), ChaseOutcome> {
     let (a, b) = (inst.find(a), inst.find(b));
     if a == b {
-        return Ok(false);
+        return Ok(());
     }
     let root = inst.merge(a, b).map_err(ChaseOutcome::ConstClash)?;
+    *merged += 1;
     let absorbed = if root == a { b } else { a };
-    analysis.join(inst, root, absorbed).map_err(ChaseOutcome::AnalysisConflict)?;
-    Ok(true)
+    analysis.join(inst, root, absorbed).map_err(ChaseOutcome::AnalysisConflict)
 }
 
 #[cfg(test)]
@@ -1291,6 +1292,7 @@ mod tests {
         pair.sort_unstable();
         assert_eq!(pair, [one, two]);
         assert_eq!(stats.rounds, 1, "u = v, then the clash, in one turn");
+        assert_eq!(stats.egd_merges, 1, "the merge made before the clash is counted");
     }
 
     #[test]
@@ -1681,13 +1683,38 @@ mod tests {
         );
         let rules = RuleSet::compile(vec![collapse.into()]);
         let (mut inst, mut depth) = build([5, 0, 5, 5]);
-        let (outcome, _) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut depth);
+        let (outcome, stats) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut depth);
         let ChaseOutcome::AnalysisConflict(conflict) = outcome else {
             panic!("expected a conflict, got {outcome:?}");
         };
         let mut pair = [conflict.root.0, conflict.absorbed.0];
         pair.sort_unstable();
         assert_eq!(pair, [0, 1]);
+        assert_eq!(stats.egd_merges, 1, "the refused merge was made, so it counts");
+    }
+
+    /// The memo's drain counts a merge the analysis refuses as the join
+    /// does: `f(u, a) ∧ f(u, b)` queues `a = b`, whose depths differ.
+    #[test]
+    fn a_merge_the_analysis_refuses_in_the_drain_is_counted() {
+        let mut vocab = Vocabulary::new();
+        let f = vocab.predicate("f", 2);
+        let even = vocab.predicate("even", 1);
+        let rules = RuleSet::compile(vec![Egd::functional("f-func", f, 2).into()]);
+        let mut inst = Instance::new();
+        let (u, a, b) = (inst.fresh_null(), inst.fresh_null(), inst.fresh_null());
+        inst.insert(f, vec![u, a]);
+        inst.insert(f, vec![u, b]);
+        let mut depth = Depth { depths: vec![Some(0), Some(1), Some(2)], even };
+        let (outcome, stats) = ChaseEngine::new(&rules).chase_analyzed(&mut inst, &mut depth);
+        let ChaseOutcome::AnalysisConflict(conflict) = outcome else {
+            panic!("expected a conflict, got {outcome:?}");
+        };
+        let mut pair = [conflict.root, conflict.absorbed];
+        pair.sort_unstable();
+        assert_eq!(pair, [a, b]);
+        assert_eq!((stats.rounds, stats.egd_merges), (1, 1));
+        assert_eq!(stats.rules[0].matches, 0, "the memo queued it; nothing was enumerated");
     }
 
     /// An extension is the concatenation compiled — without compiling the

@@ -15,6 +15,12 @@
 //! 5. match `Q` into the result; each conjunct of the DNF provenance of a
 //!    match image is a subset of `U` that forms an equivalent rewriting.
 //!
+//! `I` and `V` are registered once and each query pays only for its own
+//! reasoning: [`Pacb::new`] compiles both rule sets, `I ∪ C_V^IO` and
+//! `I ∪ C_V^OI`, and every [`Pacb::rewrite`] runs steps 1–5 over them.
+//! `Prune_prov`'s cost function and threshold are per call, because they
+//! depend on the query.
+//!
 //! The formulas are PACB's alone: the chase engine's facts carry none.
 //! The backchase keeps them in its own [`Analysis`], one per fact of the
 //! universal plan's instance. Its `allow` computes a firing's premise
@@ -90,18 +96,17 @@ pub struct Rewriting {
 /// Cost of a candidate rewriting given the universal-plan atoms it uses.
 pub type CostFn<'a> = &'a dyn Fn(&Instance, &[usize]) -> f64;
 
-/// The PACB engine.
-pub struct Pacb<'a> {
-    /// Source integrity constraints `I`.
-    pub constraints: &'a [Constraint],
-    /// The registered views to reformulate over.
-    pub views: &'a [View],
-    /// `Prune_prov` (§7.3): the cost of a candidate rewriting given the
-    /// universal-plan atoms it uses, and a threshold. Backchase steps whose
-    /// premise image (a subquery of `U`) costs strictly more than the
-    /// threshold are pruned, and so are rewritings that do; the others
-    /// carry their cost.
-    pub prune: Option<(CostFn<'a>, f64)>,
+/// The PACB engine over one set of integrity constraints `I` and views
+/// `V`, with both of its rule sets compiled: build it once per schema and
+/// run [`Pacb::rewrite`] per query.
+pub struct Pacb {
+    /// `I ∪ C_V^IO`: the forward chase's rules (phase i).
+    io_rules: RuleSet,
+    /// `I ∪ C_V^OI`: the backchase's rules (phase iv).
+    oi_rules: RuleSet,
+    /// The views' head predicates, in view order: the universal plan is
+    /// their facts (phase ii).
+    view_preds: Vec<PredId>,
 }
 
 /// The backchase's analysis: the provenance formula of every fact, by
@@ -206,23 +211,32 @@ pub struct PacbResult {
     pub degraded: Option<Degraded>,
 }
 
-impl<'a> Pacb<'a> {
-    /// A PACB engine over `constraints` and `views` with no pruning. Both
+impl Pacb {
+    /// A PACB engine over `constraints` and `views`: compiles `I ∪ C_V^IO`
+    /// and `I ∪ C_V^OI` (each view's [`View::io_constraint`] and
+    /// [`View::oi_constraint`] after the constraints, in view order). Both
     /// chase phases run under the default [`crate::ChaseBudget`].
-    pub fn new(constraints: &'a [Constraint], views: &'a [View]) -> Self {
-        Pacb { constraints, views, prune: None }
-    }
-
-    /// Prunes with `cost_fn` at `threshold` (`Prune_prov`, see
-    /// [`Pacb::prune`]).
-    pub fn with_pruning(mut self, cost_fn: CostFn<'a>, threshold: f64) -> Self {
-        self.prune = Some((cost_fn, threshold));
-        self
+    pub fn new(constraints: &[Constraint], views: &[View]) -> Self {
+        let with = |pair: fn(&View) -> Tgd| {
+            let rules = constraints.iter().cloned().chain(views.iter().map(|v| pair(v).into()));
+            RuleSet::compile(rules.collect())
+        };
+        Pacb {
+            io_rules: with(View::io_constraint),
+            oi_rules: with(View::oi_constraint),
+            view_preds: views.iter().map(|v| v.head_pred).collect(),
+        }
     }
 
     /// Finds every reformulation of `q` over the view predicates that is
     /// equivalent under the constraints (paper Example 4.1 end-to-end).
-    pub fn rewrite(&self, q: &Cq) -> PacbResult {
+    ///
+    /// `prune` is `Prune_prov` (§7.3): the cost of a candidate rewriting
+    /// given the universal-plan atoms it uses, and a threshold. Backchase
+    /// steps whose premise image (a subquery of `U`) costs strictly more
+    /// than the threshold are pruned, and so are rewritings that do; the
+    /// others carry their cost. `None` prunes nothing and costs nothing.
+    pub fn rewrite(&self, q: &Cq, prune: Option<(CostFn<'_>, f64)>) -> PacbResult {
         // Phase (i): canonical instance of Q, chased with I ∪ C_IO.
         let mut inst = Instance::new();
         let mut var_node = Bindings::default();
@@ -236,12 +250,7 @@ impl<'a> Pacb<'a> {
         }
         let head_nodes: Vec<NodeId> = q.head.iter().map(|t| node_of(&mut inst, t)).collect();
 
-        let mut io_constraints: Vec<Constraint> = self.constraints.to_vec();
-        for v in self.views {
-            io_constraints.push(v.io_constraint().into());
-        }
-        let io_rules = RuleSet::compile(io_constraints);
-        let engine = ChaseEngine::new(&io_rules);
+        let engine = ChaseEngine::new(&self.io_rules);
         let (chase_outcome, chase_stats) = {
             let _span = hadad_obs::span("pacb.chase");
             engine.chase(&mut inst)
@@ -250,14 +259,13 @@ impl<'a> Pacb<'a> {
         // Phase (ii)+(iii): universal plan = view atoms, each with a fresh
         // provenance term, rebuilt in a fresh instance. A plan with more
         // atoms than there are terms is cut, and the run reports it.
-        let view_preds: Vec<PredId> = self.views.iter().map(|v| v.head_pred).collect();
         let mut u = Instance::new();
         let mut formulas =
-            Formulas { of_fact: Vec::new(), premise: Provenance::empty(), prune: self.prune };
+            Formulas { of_fact: Vec::new(), premise: Provenance::empty(), prune };
         let mut node_map: HashMap<NodeId, NodeId> = HashMap::new();
         let mut u_atoms: Vec<(PredId, Vec<NodeId>)> = Vec::new();
         let mut truncated = false;
-        for &vp in &view_preds {
+        for &vp in &self.view_preds {
             for &fi in inst.facts_with_pred(vp) {
                 if u_atoms.len() >= MAX_PROV_TERMS {
                     truncated = true;
@@ -288,12 +296,7 @@ impl<'a> Pacb<'a> {
             head_nodes.iter().map(|n| node_map.get(&inst.find(*n)).copied()).collect();
 
         // Phase (iv): backchase U with I ∪ C_OI (provenance-propagating).
-        let mut oi_constraints: Vec<Constraint> = self.constraints.to_vec();
-        for v in self.views {
-            oi_constraints.push(v.oi_constraint().into());
-        }
-        let oi_rules = RuleSet::compile(oi_constraints);
-        let back_engine = ChaseEngine::new(&oi_rules);
+        let back_engine = ChaseEngine::new(&self.oi_rules);
         let (backchase_outcome, backchase_stats) = {
             let _span = hadad_obs::span("pacb.backchase");
             back_engine.chase_analyzed(&mut u, &mut formulas)
@@ -332,7 +335,7 @@ impl<'a> Pacb<'a> {
             let Some(rw) = self.build_rewriting(&u, &u_atoms, &atom_idxs, &head_in_u) else {
                 continue;
             };
-            let cost = match self.prune {
+            let cost = match prune {
                 Some((cost_fn, threshold)) => match cost_fn(&u, &atom_idxs) {
                     c if c > threshold => continue,
                     c => Some(c),
@@ -451,7 +454,7 @@ mod tests {
         );
         let views = [view];
         let pacb = Pacb::new(&[], &views);
-        let result = pacb.rewrite(&q);
+        let result = pacb.rewrite(&q, None);
         assert_eq!(result.chase_outcome, ChaseOutcome::Saturated);
         assert_eq!(result.universal_plan_size, 1);
         assert_eq!(result.rewritings.len(), 1);
@@ -480,7 +483,7 @@ mod tests {
             Cq::with_var_head(vec![0, 1], vec![Atom::new(t, vec![Term::Var(0), Term::Var(1)])]);
         let views = [view];
         let pacb = Pacb::new(&[], &views);
-        let result = pacb.rewrite(&q);
+        let result = pacb.rewrite(&q, None);
         assert!(result.rewritings.is_empty());
     }
 
@@ -506,7 +509,7 @@ mod tests {
         );
         let views = [view];
         let pacb = Pacb::new(&[], &views);
-        let result = pacb.rewrite(&q);
+        let result = pacb.rewrite(&q, None);
         assert_eq!(result.rewritings.len(), 1);
         assert_eq!(result.rewritings[0].query.body.len(), 1);
     }
@@ -533,7 +536,7 @@ mod tests {
         );
         let views = [view];
         let pacb = Pacb::new(&[], &views);
-        let result = pacb.rewrite(&q);
+        let result = pacb.rewrite(&q, None);
         assert_eq!(result.rewritings.len(), 1);
         let rw = &result.rewritings[0];
         assert_eq!(rw.query.body.len(), 1);
@@ -581,7 +584,7 @@ mod tests {
         );
         let constraints = [Constraint::from(key)];
         let q = Cq::with_var_head(vec![0], rsk);
-        let result = Pacb::new(&constraints, &views).rewrite(&q);
+        let result = Pacb::new(&constraints, &views).rewrite(&q, None);
 
         assert_eq!(result.universal_plan_size, 2);
         assert_eq!(result.backchase_stats.egd_merges, 1);
@@ -611,7 +614,7 @@ mod tests {
         let chain =
             (0..13).map(|i| Atom::new(r, vec![Term::Var(i), Term::Var(i + 1)])).collect();
         let q = Cq::with_var_head(vec![0, 13], chain);
-        let result = Pacb::new(&[], &views).rewrite(&q);
+        let result = Pacb::new(&[], &views).rewrite(&q, None);
 
         assert_eq!(result.universal_plan_size, 128);
         assert_eq!(result.chase_outcome, ChaseOutcome::Saturated);
@@ -648,8 +651,8 @@ mod tests {
         let cost_fn = |inst: &Instance, atoms: &[usize]| -> f64 {
             atoms.iter().map(|&i| if inst.fact(i).pred == ve { 100.0 } else { 1.0 }).sum()
         };
-        let pacb = Pacb::new(&[], &views).with_pruning(&cost_fn, 50.0);
-        let result = pacb.rewrite(&q);
+        let pacb = Pacb::new(&[], &views);
+        let result = pacb.rewrite(&q, Some((&cost_fn, 50.0)));
 
         assert_eq!(result.universal_plan_size, 2);
         // The Ve-justified backchase step was pruned...
@@ -660,5 +663,18 @@ mod tests {
         assert_eq!(rw.query.body[0].pred, vc);
         assert_eq!(rw.cost, Some(1.0));
         assert_eq!(rw.u_atoms, vec![1]);
+
+        // Pruning is the call's, not the engine's: the same engine run
+        // unpruned lets Ve's step fire first (which leaves Vc's nothing to
+        // add) and costs nothing, and a pruned run after it prunes as the
+        // first did.
+        let plain = pacb.rewrite(&q, None);
+        assert_eq!(plain.backchase_stats.pruned_firings(), 0);
+        let atoms: Vec<_> =
+            plain.rewritings.iter().map(|rw| (rw.u_atoms.clone(), rw.cost)).collect();
+        assert_eq!(atoms, vec![(vec![0], None)]);
+        let again = pacb.rewrite(&q, Some((&cost_fn, 50.0)));
+        assert_eq!(again.backchase_stats.pruned_firings(), 1);
+        assert_eq!(again.rewritings[0].u_atoms, vec![1]);
     }
 }

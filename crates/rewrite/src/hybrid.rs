@@ -8,7 +8,10 @@
 //!   from the table catalog and runs through [`Pacb::rewrite`], with
 //!   `Prune_prov` driven by the catalog's row-count cost
 //!   ([`hadad_relational::Catalog::scan_cost`]), so preprocessing queries
-//!   land on materialized table views instead of re-scanning base tables;
+//!   land on materialized table views instead of re-scanning base tables.
+//!   What no query changes — the table vocabulary, the views' CQs and
+//!   PACB's two rule sets — is compiled once per catalog schema, when a
+//!   view is registered, and shared by every run and snapshot;
 //! * the LA suffix goes through [`Optimizer::rewrite`], whose registered
 //!   LA views contribute `V_IO`/`V_OI` constraints to the chase, so the
 //!   pipeline lands on zero-cost `Mat(view)` leaves.
@@ -32,7 +35,7 @@ use std::time::Instant;
 
 use hadad_chase::{
     ChaseOutcome, ChaseStats, Cq, DegradeReason, Degraded, Instance, Pacb, PacbResult,
-    RewritePhase,
+    RewritePhase, View,
 };
 use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
@@ -265,6 +268,9 @@ pub struct HybridOptimizer {
     table_views: Vec<TableView>,
     maintainer: ViewMaintainer,
     maintained_casts: Vec<MaintainedCast>,
+    /// The relational side compiled for `catalog` and `table_views`,
+    /// shared with every published snapshot.
+    schema: Arc<RelSchema>,
     /// Published read snapshot, lazily allocated by [`HybridOptimizer::reader`].
     /// `None` until a reader exists — snapshot clones are only paid for
     /// once someone reads concurrently.
@@ -276,6 +282,7 @@ impl HybridOptimizer {
     /// PACB runs under the default chase budget.
     pub fn new(catalog: Catalog, optimizer: Optimizer) -> Self {
         HybridOptimizer {
+            schema: Arc::new(RelSchema::compile(&catalog, &[])),
             catalog,
             optimizer,
             table_views: Vec::new(),
@@ -308,6 +315,7 @@ impl HybridOptimizer {
         let view = TableView { name, def };
         self.maintainer.track(&self.catalog, &view)?;
         self.table_views.push(view);
+        self.schema = Arc::new(RelSchema::compile(&self.catalog, &self.table_views));
         self.publish();
         Ok(())
     }
@@ -505,6 +513,7 @@ impl HybridOptimizer {
         self.catalog.take_updates();
         self.maintainer = ViewMaintainer::new();
         let result = self.rebuild_inner();
+        self.schema = Arc::new(RelSchema::compile(&self.catalog, &self.table_views));
         if result.is_err() {
             // A partial rebuild is as unknown as a partial maintenance
             // pass — keep refusing until a rebuild fully succeeds.
@@ -574,6 +583,7 @@ impl HybridOptimizer {
         CatalogSnapshot {
             catalog: self.catalog.clone(),
             table_views: self.table_views.clone(),
+            schema: Arc::clone(&self.schema),
             optimizer: self.optimizer.clone(),
             epoch: self.catalog.epoch(),
             memo: Arc::default(),
@@ -648,6 +658,7 @@ impl HybridOptimizer {
             &RunState {
                 catalog: &self.catalog,
                 table_views: &self.table_views,
+                schema: &self.schema,
                 optimizer: &self.optimizer,
                 epoch: self.catalog.epoch(),
                 degraded,
@@ -667,6 +678,9 @@ impl HybridOptimizer {
 struct RunState<'a> {
     catalog: &'a Catalog,
     table_views: &'a [TableView],
+    /// The relational side compiled for `table_views` over a catalog
+    /// schema: `catalog`'s, unless its stamp says the schema moved since.
+    schema: &'a RelSchema,
     optimizer: &'a Optimizer,
     /// Catalog epoch the state was captured at — the epoch the LA
     /// suffix's plan-cache probes and inserts carry.
@@ -708,6 +722,57 @@ impl PrefixOutcome {
     }
 }
 
+/// The relational side of a run that no query changes, compiled for one
+/// catalog schema and its table views: the table vocabulary (with the
+/// views' constants interned), the views' CQs and PACB's two rule sets.
+/// [`HybridOptimizer`] compiles it where views are registered or rebuilt
+/// and shares it with every snapshot; a run whose catalog schema moved
+/// since compiles its own.
+struct RelSchema {
+    /// The [`Catalog::schema_stamp`] it was compiled at.
+    stamp: u64,
+    /// One predicate per catalog table; a run compiles its prefix into a
+    /// clone, so the prefix's constants stay the run's.
+    vocab: TableVocab,
+    /// PACB over the views, or the first error compiling them gave.
+    pacb: Result<Pacb, HybridError>,
+}
+
+impl RelSchema {
+    /// Compiles `views` over `catalog`'s schema: each definition to a CQ,
+    /// checked against the arity of its materialization, then PACB over
+    /// them all. Counted by `hybrid.schema_compiles`.
+    fn compile(catalog: &Catalog, views: &[TableView]) -> Self {
+        static COMPILES: hadad_obs::LazyCounter =
+            hadad_obs::LazyCounter::new("hybrid.schema_compiles");
+        COMPILES.incr();
+        let mut vocab = TableVocab::from_catalog(catalog);
+        let compiled: Result<Vec<View>, HybridError> =
+            views.iter().map(|v| compile_view(catalog, v, &mut vocab)).collect();
+        let pacb = compiled.map(|views| Pacb::new(&[], &views));
+        RelSchema { stamp: catalog.schema_stamp(), vocab, pacb }
+    }
+}
+
+/// A table view's definition as a PACB view over `vocab`, refused when its
+/// materialization in `catalog` has another arity.
+fn compile_view(
+    catalog: &Catalog,
+    v: &TableView,
+    vocab: &mut TableVocab,
+) -> Result<View, HybridError> {
+    let def = v.def.compile(catalog, vocab)?;
+    let mat_cols = catalog.get(&v.name).map_or(def.columns.len(), Table::num_cols);
+    if mat_cols != def.columns.len() {
+        return Err(HybridError::ViewArity {
+            view: v.name.clone(),
+            expected: def.columns.len(),
+            got: mat_cols,
+        });
+    }
+    Ok(View::new(&v.name, vocab.pred(&v.name)?, def.cq))
+}
+
 /// Phases 1–4 of a run: compile, PACB, execute and cast the prefix. What
 /// they return depends only on the pipeline's prefix, sort key and cast
 /// and on the state's catalog and views — which is what lets a snapshot
@@ -717,28 +782,28 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
     static EXEC_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("hybrid.exec_us");
     static CAST_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("hybrid.cast_us");
 
-    // Phase 1: compile the prefix and the view definitions to CQs over
-    // the catalog vocabulary. A degraded run offers no views.
-    let mut tv = TableVocab::from_catalog(state.catalog);
+    // Phase 1: compile the prefix to a CQ over the schema's vocabulary.
+    // The state's compiled schema serves while the catalog's schema is the
+    // one it was compiled at and its views compiled; otherwise the run
+    // compiles its own, so its errors come out as the compile finds them:
+    // the prefix's first, then the views'. A degraded run offers no views.
+    let mut own = None;
+    let shared = state.schema;
+    let schema = if state.degraded.is_none()
+        && shared.stamp == state.catalog.schema_stamp()
+        && shared.pacb.is_ok()
+    {
+        shared
+    } else {
+        let views = if state.degraded.is_some() { &[] } else { state.table_views };
+        &*own.insert(RelSchema::compile(state.catalog, views))
+    };
+    let mut tv = schema.vocab.clone();
     let compiled = p.prefix.compile(state.catalog, &mut tv)?;
-    let usable_views: &[TableView] =
-        if state.degraded.is_some() { &[] } else { state.table_views };
-    let mut views = Vec::with_capacity(usable_views.len());
-    for v in usable_views {
-        let def = v.def.compile(state.catalog, &mut tv)?;
-        let mat_cols = state
-            .catalog
-            .get(&v.name)
-            .map_or(def.columns.len(), hadad_relational::Table::num_cols);
-        if mat_cols != def.columns.len() {
-            return Err(HybridError::ViewArity {
-                view: v.name.clone(),
-                expected: def.columns.len(),
-                got: mat_cols,
-            });
-        }
-        views.push(hadad_chase::View::new(&v.name, tv.pred(&v.name)?, def.cq));
-    }
+    // Only a schema this run compiled can have failed: move its error out.
+    let Ok(pacb) = &schema.pacb else {
+        return Err(own.and_then(|s| s.pacb.err()).expect("the shared schema compiled"));
+    };
 
     // Phase 2: PACB with the catalog's row-count cost as `Prune_prov`
     // threshold — rewritings that cannot beat re-running the original
@@ -756,7 +821,7 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
     // fallback — instead of unwinding out of the pipeline.
     let (pacb, pacb_us) = hadad_obs::timed("hybrid.pacb", &PACB_US, || {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            Pacb::new(&[], &views).with_pruning(&cost_fn, cost_original).rewrite(&compiled.cq)
+            pacb.rewrite(&compiled.cq, Some((&cost_fn, cost_original)))
         }))
         .unwrap_or_else(|_| PacbResult {
             rewritings: Vec::new(),
@@ -956,7 +1021,8 @@ impl PrefixMemo {
 
 /// An immutable, owned copy of a [`HybridOptimizer`]'s rewriting state —
 /// relational catalog, table views, LA optimizer — captured at a committed
-/// catalog epoch.
+/// catalog epoch. The relational side compiled for that catalog's schema
+/// is the writer's, shared rather than copied: a publish compiles nothing.
 ///
 /// Every method takes `&self`, so one snapshot (behind an [`Arc`]) serves
 /// hybrid rewrites from any number of threads while the writer keeps
@@ -971,6 +1037,7 @@ impl PrefixMemo {
 pub struct CatalogSnapshot {
     catalog: Catalog,
     table_views: Vec<TableView>,
+    schema: Arc<RelSchema>,
     optimizer: Optimizer,
     epoch: u64,
     /// Prefix outcomes computed against this snapshot; published empty,
@@ -1027,6 +1094,7 @@ impl CatalogSnapshot {
         RunState {
             catalog: &self.catalog,
             table_views: &self.table_views,
+            schema: &self.schema,
             optimizer: &self.optimizer,
             epoch: self.epoch,
             degraded: None,

@@ -342,6 +342,59 @@ fn readers_on_different_snapshots_rewrite_over_views_independently() {
     }
 }
 
+/// Registering a table view while readers run compiles a new relational
+/// schema for the next publish and leaves every published one alone:
+/// readers of the snapshot held from before keep the old views (the new
+/// view's prefix gets no rewriting), and every snapshot a reader loads
+/// answers from exactly the views it was published with. The readers run
+/// the verified path, which never reads the prefix memo, so every call
+/// runs PACB over its snapshot's compiled schema.
+#[test]
+fn a_view_registered_while_readers_run_leaves_old_snapshots_on_the_old_views() {
+    let _unarmed = unarmed();
+    let (mut hy, _) = fixture();
+    let reader = hy.reader().expect("reader");
+    let held = reader.current();
+    let calm = HybridPipeline {
+        prefix: RelQuery::scan("events").select_eq("kind", 1),
+        sort_key: Some("eid".into()),
+        cast: CastKind::Dense { columns: vec!["eid".into()] },
+        cast_name: "C".into(),
+        suffix: m("C"),
+    };
+    let env = hadad_rewrite::Env::new();
+    let start = std::sync::Barrier::new(4);
+    thread::scope(|s| {
+        let readers: Vec<_> = (0..3)
+            .map(|_| {
+                let (reader, held, calm, env, start) = (&reader, &held, &calm, &env, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for _ in 0..20 {
+                        let r = held.rewrite_hybrid_verified(calm, env, 1e-9).expect("held");
+                        assert!(r.rel.rewriting.is_none(), "the held snapshot has no view");
+                        assert_eq!(r.verified, Some(true));
+                        let snap = reader.current();
+                        let has_calm = snap.table_views().iter().any(|v| v.name == "calm");
+                        let r = snap.rewrite_hybrid_verified(calm, env, 1e-9).expect("loaded");
+                        assert_eq!(r.rel.rewriting.is_some(), has_calm);
+                        assert_eq!(r.rel.rows_out, 16);
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        hy.register_table_view("calm", RelQuery::scan("events").select_eq("kind", 1))
+            .expect("view materializes");
+        for r in readers {
+            r.join().expect("reader thread");
+        }
+    });
+    let r = reader.current().rewrite_hybrid(&calm).expect("fresh snapshot");
+    assert_eq!(r.rel.cost_best, Some(16.0), "a fresh load lands on the new view");
+    assert_eq!(held.table_views().len(), 1);
+}
+
 /// A cast's stored cells as `(row, col, value bits)`.
 type CastBits = Vec<(usize, usize, u64)>;
 

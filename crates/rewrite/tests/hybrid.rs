@@ -977,3 +977,66 @@ fn an_unrewritten_prefix_runs_as_its_cq_and_returns_the_pipelines_rows() {
         }
     }
 }
+
+/// A table registered straight into `hy.catalog` moves the catalog's
+/// schema past the one the optimizer compiled at registration. The next
+/// run compiles its own and answers as an optimizer built over that
+/// catalog answers: the new table is queryable and the view still serves.
+/// Once the view's materialization loses a column, the run refuses with
+/// `ViewArity`, though a prefix error still comes first. `rebuild_views`
+/// recompiles the schema, and the view serves again.
+#[test]
+fn a_table_registered_straight_into_the_catalog_answers_as_a_fresh_optimizer() {
+    let users = || Table::new(vec![("uid", Column::Int((0..8).collect()))]);
+    let covid = || RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC);
+    let mut catalog = Catalog::new();
+    catalog.register("tweets", tweets());
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
+    hy.register_table_view("covid_tweets", covid()).unwrap();
+    hy.catalog.register("users", users());
+
+    let mut catalog = Catalog::new();
+    catalog.register("tweets", tweets());
+    catalog.register("users", users());
+    let mut fresh = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
+    fresh.register_table_view("covid_tweets", covid()).unwrap();
+
+    let pipeline = |prefix: RelQuery, column: &str| HybridPipeline {
+        prefix,
+        sort_key: None,
+        cast: CastKind::Dense { columns: vec![column.into()] },
+        cast_name: "M".into(),
+        suffix: m("M"),
+    };
+    let on_view = pipeline(covid(), "level");
+    let on_users = pipeline(RelQuery::scan("users"), "uid");
+    for p in [&on_view, &on_users] {
+        let (got, want) = (hy.rewrite_hybrid(p).unwrap(), fresh.rewrite_hybrid(p).unwrap());
+        assert_eq!(got.rel.compiled.cq, want.rel.compiled.cq);
+        assert_eq!(got.rel.rewriting, want.rel.rewriting);
+        assert_eq!(
+            (got.rel.cost_original, got.rel.cost_best),
+            (want.rel.cost_original, want.rel.cost_best)
+        );
+        assert_eq!(got.table, want.table);
+    }
+    assert!(hy.rewrite_hybrid(&on_view).unwrap().rel.rewriting.is_some());
+
+    // The view's materialization replaced by a one-column table.
+    hy.catalog.register("covid_tweets", Table::new(vec![("other", Column::Int(vec![1]))]));
+    match hy.rewrite_hybrid(&on_view) {
+        Err(HybridError::ViewArity { view, expected, got }) => {
+            assert_eq!((view.as_str(), expected, got), ("covid_tweets", 3, 1));
+        }
+        other => panic!("expected ViewArity, got {:?}", other.map(|r| r.rel.rows_out)),
+    }
+    let missing = pipeline(RelQuery::scan("ghosts"), "uid");
+    assert!(
+        matches!(hy.rewrite_hybrid(&missing), Err(HybridError::MissingTable(t)) if t == "ghosts")
+    );
+
+    hy.rebuild_views().unwrap();
+    let r = hy.rewrite_hybrid(&on_view).unwrap();
+    assert_eq!(r.rel.rewriting, fresh.rewrite_hybrid(&on_view).unwrap().rel.rewriting);
+    assert_eq!(r.rel.cost_best, Some((NUM_TWEETS / NUM_TOPICS) as f64));
+}

@@ -40,19 +40,19 @@ fn render(name: &str, vocab: &Vocabulary, r: &PacbResult) -> String {
     )
 }
 
-/// Runs `q` twice: unpruned, then with `cost` and `threshold`.
+/// Runs `q` on `pacb` twice: unpruned, then with `cost` and `threshold`.
 fn run_both(
     out: &mut String,
     name: &str,
     vocab: &Vocabulary,
-    (constraints, views): (&[Constraint], &[View]),
+    pacb: &Pacb,
     q: &Cq,
     cost: &dyn Fn(&Instance, &[usize]) -> f64,
     threshold: f64,
 ) {
-    let plain = Pacb::new(constraints, views).rewrite(q);
+    let plain = pacb.rewrite(q, None);
     out.push_str(&render(&format!("{name} plain"), vocab, &plain));
-    let pruned = Pacb::new(constraints, views).with_pruning(cost, threshold).rewrite(q);
+    let pruned = pacb.rewrite(q, Some((cost, threshold)));
     out.push_str(&render(&format!("{name} pruned"), vocab, &pruned));
 }
 
@@ -69,7 +69,9 @@ fn catalog(tables: Vec<(&str, Table)>, views: &[(&str, RelQuery)]) -> Catalog {
     catalog
 }
 
-/// The prefixes of one `hybrid.rs` catalog, compiled with its views and
+/// The prefixes of one `hybrid.rs` catalog, compiled as a hybrid run
+/// compiles them — the views once, into the catalog's vocabulary, and each
+/// prefix into a clone of it — run on one PACB engine over those views and
 /// priced as the hybrid pipeline prices them: the catalog's row counts,
 /// with the original prefix's cost as the threshold.
 fn render_prefixes(
@@ -79,16 +81,18 @@ fn render_prefixes(
     views: &[(&str, RelQuery)],
     prefixes: &[RelQuery],
 ) {
+    let mut schema = TableVocab::from_catalog(catalog);
+    let views: Vec<View> = views
+        .iter()
+        .map(|(v, def)| {
+            let def = def.compile(catalog, &mut schema).expect("view compiles");
+            View::new(*v, schema.pred(v).expect("view is materialized"), def.cq)
+        })
+        .collect();
+    let pacb = Pacb::new(&[], &views);
     for (i, prefix) in prefixes.iter().enumerate() {
-        let mut tv = TableVocab::from_catalog(catalog);
+        let mut tv = schema.clone();
         let compiled = prefix.compile(catalog, &mut tv).expect("prefix compiles");
-        let views: Vec<View> = views
-            .iter()
-            .map(|(v, def)| {
-                let def = def.compile(catalog, &mut tv).expect("view compiles");
-                View::new(*v, tv.pred(v).expect("view is materialized"), def.cq)
-            })
-            .collect();
         let threshold =
             catalog.scan_cost(compiled.cq.body.iter().filter_map(|a| tv.table_of(a.pred)));
         let cost = |inst: &Instance, atoms: &[usize]| -> f64 {
@@ -96,7 +100,7 @@ fn render_prefixes(
                 .scan_cost(atoms.iter().map(|&i| tv.table_of(inst.fact(i).pred).unwrap_or("?")))
         };
         let label = format!("{name}#{i}");
-        run_both(out, &label, &tv.vocab, (&[], &views), &compiled.cq, &cost, threshold);
+        run_both(out, &label, &tv.vocab, &pacb, &compiled.cq, &cost, threshold);
     }
 }
 
@@ -267,7 +271,7 @@ fn render_guarded_key(out: &mut String) {
         atoms.iter().map(|&i| if inst.fact(i).pred == p2 { 1.0 } else { 3.0 }).sum()
     };
     let q = Cq::with_var_head(vec![0], rsk);
-    run_both(out, "guarded-key", &vocab, (&constraints, &views), &q, &cost, 3.0);
+    run_both(out, "guarded-key", &vocab, &Pacb::new(&constraints, &views), &q, &cost, 3.0);
 }
 
 /// Base predicates `R/2 S/2 T/2 K/1`, a constant `c`, and views over them
@@ -338,11 +342,12 @@ fn render_random(out: &mut String) {
             })
             .sum()
     };
+    let pacb = Pacb::new(&[], &views);
     let mut rng = Rng64::new(0x9ACB_5EED);
     for i in 0..100 {
         let q = random_cq(&mut rng, &base, c);
         let label = format!("random#{i} {}", q.display(&vocab));
-        run_both(out, &label, &vocab, (&[], &views), &q, &cost, 2.5);
+        run_both(out, &label, &vocab, &pacb, &q, &cost, 2.5);
     }
 }
 

@@ -203,6 +203,7 @@ fn obs_dump() -> ExitCode {
         "snapshot.publishes",
         "snapshot.reads",
         "hybrid.prefix_memo_hits",
+        "hybrid.schema_compiles",
     ] {
         let v = snap.counter(key).unwrap_or(0);
         println!("  {key} = {v}");
