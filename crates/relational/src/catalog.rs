@@ -13,7 +13,6 @@
 //! log and every maintenance step after it read typed columns only.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::ivm::{Delta, IvmError, TableUpdate, UpdateLog};
 use crate::row_index::IndexedTable;
@@ -36,56 +35,24 @@ use crate::table::{Table, Value};
 /// drops both with the table it replaces, and `clone()` leaves both behind
 /// — a cloned catalog is a read snapshot and carries rows only.
 ///
-/// Two versions stamp a catalog. The [`Catalog::epoch`] moves with every
-/// change to a row, and a cached plan or a snapshot keys on it. The
-/// [`Catalog::schema_stamp`] moves only when a table is registered, and
-/// what is compiled from table names and columns alone (a query vocabulary,
-/// view rules) keys on it.
-#[derive(Debug, Clone)]
+/// One version stamps a catalog: the [`Catalog::epoch`], moved by every
+/// change to a row and every registration; a cached plan or a snapshot keys
+/// on it. What is compiled from the schema alone is recompiled where a table
+/// is registered (`HybridOptimizer::register_table` in `hadad-rewrite`).
+#[derive(Debug, Clone, Default)]
 pub struct Catalog {
     tables: BTreeMap<String, IndexedTable>,
     log: UpdateLog,
     /// Monotonic state version: bumped by every successful mutation that
     /// changes a row — logged inserts/deletes, maintenance writes — and by
-    /// (re-)registration. See
-    /// [`Catalog::epoch`].
+    /// (re-)registration. See [`Catalog::epoch`].
     epoch: u64,
-    /// The schema's stamp, drawn from [`NEXT_SCHEMA`]. See
-    /// [`Catalog::schema_stamp`].
-    schema: u64,
-}
-
-/// Where every catalog draws its schema stamps: one counter per process, so
-/// two catalogs share a stamp only when one is a clone of the other.
-static NEXT_SCHEMA: AtomicU64 = AtomicU64::new(0);
-
-fn fresh_schema_stamp() -> u64 {
-    NEXT_SCHEMA.fetch_add(1, Ordering::Relaxed)
-}
-
-impl Default for Catalog {
-    fn default() -> Self {
-        Catalog {
-            tables: BTreeMap::new(),
-            log: UpdateLog::default(),
-            epoch: 0,
-            schema: fresh_schema_stamp(),
-        }
-    }
 }
 
 impl Catalog {
     /// Empty catalog.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// The stamp of the catalog's schema (its table names and columns):
-    /// only [`Catalog::register`] draws a new one. Stamps come from one
-    /// process-wide counter, so equal stamps mean equal schemas — one
-    /// catalog is a clone of the other, and neither registered since.
-    pub fn schema_stamp(&self) -> u64 {
-        self.schema
     }
 
     /// The catalog's monotonically increasing epoch. Every successful
@@ -117,7 +84,6 @@ impl Catalog {
     /// table's row index goes with it.
     pub fn register(&mut self, name: impl Into<String>, table: Table) -> Option<Table> {
         self.bump_epoch();
-        self.schema = fresh_schema_stamp();
         self.tables.insert(name.into(), IndexedTable::new(table)).map(IndexedTable::into_table)
     }
 
@@ -313,70 +279,6 @@ mod tests {
         let delta = Delta::inserts(table, vec![vec![Value::Int(9)]]).unwrap();
         cat.apply_unlogged("users", &delta).unwrap();
         assert_eq!(cat.epoch(), 4);
-    }
-
-    #[test]
-    fn register_draws_a_new_schema_stamp() {
-        let mut cat = Catalog::new();
-        let empty = cat.schema_stamp();
-        cat.register("users", Table::new(vec![("id", Column::Int(vec![1, 2]))]));
-        let one = cat.schema_stamp();
-        assert_ne!(one, empty);
-        // Re-registering a name is a schema change too, even with equal rows.
-        cat.register("users", Table::new(vec![("id", Column::Int(vec![1, 2]))]));
-        assert_ne!(cat.schema_stamp(), one);
-    }
-
-    #[test]
-    fn row_changes_and_draining_the_log_keep_the_schema_stamp() {
-        let mut cat = Catalog::new();
-        cat.register("users", Table::new(vec![("id", Column::Int(vec![1, 2]))]));
-        let stamp = cat.schema_stamp();
-        cat.insert_rows("users", vec![vec![Value::Int(3)]]).unwrap();
-        cat.delete_rows("users", vec![vec![Value::Int(1)]]).unwrap();
-        assert!(cat.insert_rows("users", vec![vec![Value::Str("x".into())]]).is_err());
-        // A batch that nets to zero: one copy in, one copy out.
-        let mut delta =
-            Delta::inserts(cat.get("users").unwrap(), vec![vec![Value::Int(7)]; 2]).unwrap();
-        delta.mult[1] = -1;
-        assert_eq!(cat.apply_unlogged("users", &delta), Ok((0, 0)));
-        // A maintenance write that changes rows.
-        let delta =
-            Delta::inserts(cat.get("users").unwrap(), vec![vec![Value::Int(9)]]).unwrap();
-        assert_eq!(cat.apply_unlogged("users", &delta), Ok((1, 0)));
-        assert_eq!(cat.take_updates().len(), 2);
-        assert_eq!(cat.schema_stamp(), stamp);
-        assert_eq!(cat.epoch(), 4, "the rows did change");
-    }
-
-    #[test]
-    fn a_clone_shares_the_schema_stamp_until_either_registers() {
-        let mut cat = Catalog::new();
-        cat.register("users", Table::new(vec![("id", Column::Int(vec![1, 2]))]));
-        let mut snapshot = cat.clone();
-        assert_eq!(snapshot.schema_stamp(), cat.schema_stamp());
-        snapshot.insert_rows("users", vec![vec![Value::Int(3)]]).unwrap();
-        assert_eq!(snapshot.schema_stamp(), cat.schema_stamp());
-        snapshot.register("tweets", Table::new(vec![("tid", Column::Int(vec![7]))]));
-        assert_ne!(snapshot.schema_stamp(), cat.schema_stamp());
-    }
-
-    /// Catalogs built apart never share a stamp, whatever they hold: the
-    /// stamps come from one counter per process, not one per catalog.
-    #[test]
-    fn catalogs_built_apart_never_share_a_schema_stamp() {
-        let build = |tables: &[&str]| {
-            let mut cat = Catalog::new();
-            for name in tables {
-                cat.register(*name, Table::new(vec![("id", Column::Int(vec![1]))]));
-            }
-            cat
-        };
-        let cats = [build(&[]), build(&[]), build(&["a"]), build(&["b"]), build(&["a", "b"])];
-        let mut stamps: Vec<u64> = cats.iter().map(Catalog::schema_stamp).collect();
-        stamps.sort_unstable();
-        stamps.dedup();
-        assert_eq!(stamps.len(), cats.len());
     }
 
     fn built_indexes(cat: &Catalog) -> usize {

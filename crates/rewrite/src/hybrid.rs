@@ -11,7 +11,7 @@
 //!   land on materialized table views instead of re-scanning base tables.
 //!   What no query changes — the table vocabulary, the views' CQs and
 //!   PACB's two rule sets — is compiled once per catalog schema, when a
-//!   view is registered, and shared by every run and snapshot;
+//!   table or view is registered, and shared by every run and snapshot;
 //! * the LA suffix goes through [`Optimizer::rewrite`], whose registered
 //!   LA views contribute `V_IO`/`V_OI` constraints to the chase, so the
 //!   pipeline lands on zero-cost `Mat(view)` leaves.
@@ -24,12 +24,18 @@
 //! executions live in [`crate::query`], the cast in [`crate::cast`]; both
 //! are re-exported here, so `hybrid::RelQuery` and the like resolve.
 //!
+//! [`HybridOptimizer`] is the catalog's one owner: callers read it through
+//! a [`LiveCatalog`], whose only writes are logged row changes, and add
+//! tables through [`HybridOptimizer::register_table`]. So only a view's
+//! definition and the maintainer write its table.
+//!
 //! Execution verifies both halves (the paper's machine-checkable
 //! soundness): the rewritten prefix must produce the same cast matrix as
 //! the operator pipeline, and the winning LA plan must agree with the
 //! original suffix on the backend.
 
 use std::collections::{HashMap, HashSet};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::Instant;
 
@@ -39,7 +45,7 @@ use hadad_chase::{
 };
 use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
-use hadad_relational::{Catalog, Column, Table, Value};
+use hadad_relational::{Catalog, Column, IvmError, Table, Value};
 
 use crate::cast::{apply_cast, restamp_cast_into};
 use crate::eval::{Env, EvalError};
@@ -60,17 +66,8 @@ pub enum HybridError {
     MissingColumn(String),
     /// An equality selection contradicts an earlier one on the same column.
     Unsatisfiable(String),
-    /// A table view's materialized arity differs from its definition's.
-    ViewArity {
-        /// The offending view.
-        view: String,
-        /// Column count of the stored materialization.
-        expected: usize,
-        /// Column count the definition produces.
-        got: usize,
-    },
-    /// A view registration would shadow an existing table or view, or a
-    /// pipeline casts its prefix under the name of a registered LA view.
+    /// A registration would shadow a table or view (or replace a view's
+    /// table), or a pipeline casts its prefix under an LA view's name.
     DuplicateName(String),
     /// Registered views whose base tables carry unmaintained updates — run
     /// maintenance before rewriting, or the rewriter would read stale
@@ -109,9 +106,6 @@ impl std::fmt::Display for HybridError {
             HybridError::MissingColumn(c) => write!(f, "unknown column {c}"),
             HybridError::Unsatisfiable(c) => {
                 write!(f, "contradictory equality selections on {c}")
-            }
-            HybridError::ViewArity { view, expected, got } => {
-                write!(f, "view {view}: definition has {expected} columns, table has {got}")
             }
             HybridError::DuplicateName(n) => {
                 write!(f, "name {n} is already registered in the catalog")
@@ -256,13 +250,84 @@ pub struct HybridResult {
     pub elapsed_us: u128,
 }
 
+/// The live catalog of a [`HybridOptimizer`]: base tables plus the table
+/// views' materializations. It reads as a [`Catalog`]; its only writes are
+/// logged row changes, whose views stay stale until
+/// [`HybridOptimizer::maintain_views`]. Write base tables only: maintenance
+/// does not undo a write to a view's own table. Tables arrive through
+/// [`HybridOptimizer::register_table`], and only maintenance drains the log.
+///
+/// ```
+/// # use hadad_relational::{Catalog, Column, Table, Value};
+/// # use hadad_rewrite::{HybridOptimizer, Optimizer, RelQuery};
+/// let mut hy = HybridOptimizer::new(Catalog::new(), Optimizer::new(Default::default()));
+/// hy.register_table("tweets", Table::new(vec![("topic", Column::Int(vec![3, 4]))]))?;
+/// hy.register_table_view("topic3", RelQuery::scan("tweets").select_eq("topic", 3))?;
+/// hy.catalog.insert_rows("tweets", vec![vec![Value::Int(3)]])?;
+/// assert_eq!(hy.stale_views(), ["topic3"]);
+/// hy.maintain_views()?;
+/// assert_eq!(hy.catalog.cardinality("topic3"), Some(2));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+///
+/// Registering a table, draining the log and applying an unlogged delta
+/// through the handle do not compile:
+///
+/// ```compile_fail,E0596
+/// # use {hadad_relational::{Catalog, Table}, hadad_rewrite::{HybridOptimizer, Optimizer}};
+/// let mut hy = HybridOptimizer::new(Catalog::new(), Optimizer::new(Default::default()));
+/// hy.catalog.register("t", Table::new(vec![]));
+/// ```
+///
+/// ```compile_fail,E0596
+/// # use {hadad_relational::Catalog, hadad_rewrite::{HybridOptimizer, Optimizer}};
+/// let mut hy = HybridOptimizer::new(Catalog::new(), Optimizer::new(Default::default()));
+/// hy.catalog.take_updates();
+/// ```
+///
+/// ```compile_fail,E0596
+/// # use hadad_relational::{ivm::Delta, Catalog, Table};
+/// # use hadad_rewrite::{HybridOptimizer, Optimizer};
+/// let mut hy = HybridOptimizer::new(Catalog::new(), Optimizer::new(Default::default()));
+/// hy.catalog.apply_unlogged("t", &Delta::empty(&Table::new(vec![])));
+/// ```
+pub struct LiveCatalog(Catalog);
+
+impl Deref for LiveCatalog {
+    type Target = Catalog;
+
+    fn deref(&self) -> &Catalog {
+        &self.0
+    }
+}
+
+impl LiveCatalog {
+    /// [`Catalog::insert_rows`], logged for [`HybridOptimizer::maintain_views`].
+    pub fn insert_rows(
+        &mut self,
+        name: &str,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<usize, IvmError> {
+        self.0.insert_rows(name, rows)
+    }
+
+    /// [`Catalog::delete_rows`], logged for [`HybridOptimizer::maintain_views`].
+    pub fn delete_rows(
+        &mut self,
+        name: &str,
+        rows: Vec<Vec<Value>>,
+    ) -> Result<usize, IvmError> {
+        self.0.delete_rows(name, rows)
+    }
+}
+
 /// The hybrid facade: a table catalog + table views on the relational side,
 /// an [`Optimizer`] (with its LA views) on the LA side, and a
 /// [`ViewMaintainer`] keeping the materializations consistent under
 /// base-table updates.
 pub struct HybridOptimizer {
     /// The relational side: base tables plus materialized views.
-    pub catalog: Catalog,
+    pub catalog: LiveCatalog,
     /// The LA side: rewriter, cost oracle, and LA views.
     pub optimizer: Optimizer,
     table_views: Vec<TableView>,
@@ -281,9 +346,11 @@ impl HybridOptimizer {
     /// A hybrid optimizer over `catalog` and `optimizer`, with no views.
     /// PACB runs under the default chase budget.
     pub fn new(catalog: Catalog, optimizer: Optimizer) -> Self {
+        let schema =
+            RelSchema::compile(&catalog, &[]).expect("a schema without views compiles");
         HybridOptimizer {
-            schema: Arc::new(RelSchema::compile(&catalog, &[])),
-            catalog,
+            schema: Arc::new(schema),
+            catalog: LiveCatalog(catalog),
             optimizer,
             table_views: Vec::new(),
             maintainer: ViewMaintainer::new(),
@@ -311,13 +378,25 @@ impl HybridOptimizer {
         self.analyze_table_view(&name, &def)?;
         self.maintain_views()?;
         let table = def.execute(&self.catalog)?;
-        self.catalog.register(&name, table);
+        self.catalog.0.register(&name, table);
         let view = TableView { name, def };
         self.maintainer.track(&self.catalog, &view)?;
         self.table_views.push(view);
-        self.schema = Arc::new(RelSchema::compile(&self.catalog, &self.table_views));
+        self.schema = Arc::new(RelSchema::compile(&self.catalog, &self.table_views)?);
         self.publish();
         Ok(())
+    }
+
+    /// Adds or replaces the base table `name`, then
+    /// [`HybridOptimizer::rebuild_views`], so no view or cast is left stale
+    /// and the schema is compiled once. A table view's name is refused
+    /// ([`HybridError::DuplicateName`]): its definition owns its table.
+    pub fn register_table(&mut self, name: &str, table: Table) -> Result<(), HybridError> {
+        if self.table_views.iter().any(|v| v.name == name) {
+            return Err(HybridError::DuplicateName(name.to_owned()));
+        }
+        self.catalog.0.register(name, table);
+        self.rebuild_views()
     }
 
     /// Static gate for a candidate table view: compiles the definition on
@@ -388,34 +467,11 @@ impl HybridOptimizer {
         &self.maintained_casts
     }
 
-    /// Inserts rows into a base table and immediately delta-maintains
-    /// every affected view and maintained cast.
-    pub fn insert_rows(
-        &mut self,
-        table: &str,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<MaintenanceReport, HybridError> {
-        self.catalog.insert_rows(table, rows)?;
-        self.maintain_views()
-    }
-
-    /// Deletes rows from a base table (counting semantics — each listed
-    /// row retracts one copy) and immediately delta-maintains every
-    /// affected view and maintained cast.
-    pub fn delete_rows(
-        &mut self,
-        table: &str,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<MaintenanceReport, HybridError> {
-        self.catalog.delete_rows(table, rows)?;
-        self.maintain_views()
-    }
-
     /// Drains the catalog's update log, delta-maintains every registered
     /// table view, and re-stamps the matrix metadata of maintained casts
-    /// whose source changed. Called automatically by the mutation facade;
-    /// call it explicitly after batching raw `catalog.insert_rows` /
-    /// `catalog.delete_rows` mutations.
+    /// whose source changed. Call it after a batch of
+    /// [`LiveCatalog::insert_rows`] / [`LiveCatalog::delete_rows`] writes:
+    /// until then, the views and casts those writes reach are stale.
     pub fn maintain_views(&mut self) -> Result<MaintenanceReport, HybridError> {
         if self.maintainer.is_poisoned() {
             return Err(HybridError::MaintenancePoisoned);
@@ -428,7 +484,7 @@ impl HybridOptimizer {
         }
         let mut dirty: HashSet<String> =
             self.catalog.pending_updates().iter().map(|e| e.table.clone()).collect();
-        let mut report = self.maintainer.maintain(&mut self.catalog, &self.table_views)?;
+        let mut report = self.maintainer.maintain(&mut self.catalog.0, &self.table_views)?;
         dirty.extend(report.changes.iter().map(|c| c.view.clone()));
         static RESTAMP_US: hadad_obs::LazyHistogram =
             hadad_obs::LazyHistogram::new("maintain.restamp_us");
@@ -505,21 +561,18 @@ impl HybridOptimizer {
         stale
     }
 
-    /// Recovery from a failed maintenance pass (or any state drift): drops
+    /// Recovery from a failed maintenance pass (or a replaced table): drops
     /// the pending log, re-materializes every view from the current base
     /// tables in registration order, re-tracks them on a fresh maintainer,
-    /// and re-stamps every maintained cast.
+    /// re-stamps every maintained cast and compiles the relational side.
     pub fn rebuild_views(&mut self) -> Result<(), HybridError> {
-        self.catalog.take_updates();
+        self.catalog.0.take_updates();
         self.maintainer = ViewMaintainer::new();
         let result = self.rebuild_inner();
-        self.schema = Arc::new(RelSchema::compile(&self.catalog, &self.table_views));
         if result.is_err() {
             // A partial rebuild is as unknown as a partial maintenance
             // pass — keep refusing until a rebuild fully succeeds.
             self.maintainer.poison();
-        } else {
-            self.publish();
         }
         result
     }
@@ -527,12 +580,14 @@ impl HybridOptimizer {
     fn rebuild_inner(&mut self) -> Result<(), HybridError> {
         for v in &self.table_views {
             let table = v.def.execute(&self.catalog)?;
-            self.catalog.register(&v.name, table);
+            self.catalog.0.register(&v.name, table);
             self.maintainer.track(&self.catalog, v)?;
         }
         for cast in &self.maintained_casts {
             restamp_cast_into(&self.catalog, &mut self.optimizer, cast)?;
         }
+        self.schema = Arc::new(RelSchema::compile(&self.catalog, &self.table_views)?);
+        self.publish();
         Ok(())
     }
 
@@ -657,7 +712,6 @@ impl HybridOptimizer {
         run_state(
             &RunState {
                 catalog: &self.catalog,
-                table_views: &self.table_views,
                 schema: &self.schema,
                 optimizer: &self.optimizer,
                 epoch: self.catalog.epoch(),
@@ -677,9 +731,8 @@ impl HybridOptimizer {
 /// optimizer itself.
 struct RunState<'a> {
     catalog: &'a Catalog,
-    table_views: &'a [TableView],
-    /// The relational side compiled for `table_views` over a catalog
-    /// schema: `catalog`'s, unless its stamp says the schema moved since.
+    /// The relational side compiled for `catalog`'s schema and its table
+    /// views; a degraded run compiles a view-less one of its own instead.
     schema: &'a RelSchema,
     optimizer: &'a Optimizer,
     /// Catalog epoch the state was captured at — the epoch the LA
@@ -725,52 +778,34 @@ impl PrefixOutcome {
 /// The relational side of a run that no query changes, compiled for one
 /// catalog schema and its table views: the table vocabulary (with the
 /// views' constants interned), the views' CQs and PACB's two rule sets.
-/// [`HybridOptimizer`] compiles it where views are registered or rebuilt
-/// and shares it with every snapshot; a run whose catalog schema moved
-/// since compiles its own.
+/// [`HybridOptimizer`] compiles it wherever a table or view is registered
+/// or the views are rebuilt — the only places the schema moves — and
+/// shares it with every snapshot.
 struct RelSchema {
-    /// The [`Catalog::schema_stamp`] it was compiled at.
-    stamp: u64,
     /// One predicate per catalog table; a run compiles its prefix into a
     /// clone, so the prefix's constants stay the run's.
     vocab: TableVocab,
-    /// PACB over the views, or the first error compiling them gave.
-    pacb: Result<Pacb, HybridError>,
+    /// PACB over the views.
+    pacb: Pacb,
 }
 
 impl RelSchema {
     /// Compiles `views` over `catalog`'s schema: each definition to a CQ,
-    /// checked against the arity of its materialization, then PACB over
-    /// them all. Counted by `hybrid.schema_compiles`.
-    fn compile(catalog: &Catalog, views: &[TableView]) -> Self {
+    /// then PACB over them all. Counted by `hybrid.schema_compiles`.
+    fn compile(catalog: &Catalog, views: &[TableView]) -> Result<Self, HybridError> {
         static COMPILES: hadad_obs::LazyCounter =
             hadad_obs::LazyCounter::new("hybrid.schema_compiles");
         COMPILES.incr();
         let mut vocab = TableVocab::from_catalog(catalog);
-        let compiled: Result<Vec<View>, HybridError> =
-            views.iter().map(|v| compile_view(catalog, v, &mut vocab)).collect();
-        let pacb = compiled.map(|views| Pacb::new(&[], &views));
-        RelSchema { stamp: catalog.schema_stamp(), vocab, pacb }
+        let views = views
+            .iter()
+            .map(|v| {
+                let def = v.def.compile(catalog, &mut vocab)?;
+                Ok(View::new(&v.name, vocab.pred(&v.name)?, def.cq))
+            })
+            .collect::<Result<Vec<View>, HybridError>>()?;
+        Ok(RelSchema { pacb: Pacb::new(&[], &views), vocab })
     }
-}
-
-/// A table view's definition as a PACB view over `vocab`, refused when its
-/// materialization in `catalog` has another arity.
-fn compile_view(
-    catalog: &Catalog,
-    v: &TableView,
-    vocab: &mut TableVocab,
-) -> Result<View, HybridError> {
-    let def = v.def.compile(catalog, vocab)?;
-    let mat_cols = catalog.get(&v.name).map_or(def.columns.len(), Table::num_cols);
-    if mat_cols != def.columns.len() {
-        return Err(HybridError::ViewArity {
-            view: v.name.clone(),
-            expected: def.columns.len(),
-            got: mat_cols,
-        });
-    }
-    Ok(View::new(&v.name, vocab.pred(&v.name)?, def.cq))
 }
 
 /// Phases 1–4 of a run: compile, PACB, execute and cast the prefix. What
@@ -782,28 +817,18 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
     static EXEC_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("hybrid.exec_us");
     static CAST_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("hybrid.cast_us");
 
-    // Phase 1: compile the prefix to a CQ over the schema's vocabulary.
-    // The state's compiled schema serves while the catalog's schema is the
-    // one it was compiled at and its views compiled; otherwise the run
-    // compiles its own, so its errors come out as the compile finds them:
-    // the prefix's first, then the views'. A degraded run offers no views.
-    let mut own = None;
-    let shared = state.schema;
-    let schema = if state.degraded.is_none()
-        && shared.stamp == state.catalog.schema_stamp()
-        && shared.pacb.is_ok()
-    {
-        shared
-    } else {
-        let views = if state.degraded.is_some() { &[] } else { state.table_views };
-        &*own.insert(RelSchema::compile(state.catalog, views))
+    // Phase 1: compile the prefix to a CQ over the schema's vocabulary. A
+    // degraded run offers no views, so it compiles a view-less schema.
+    let own;
+    let schema = match state.degraded {
+        None => state.schema,
+        Some(_) => {
+            own = RelSchema::compile(state.catalog, &[])?;
+            &own
+        }
     };
     let mut tv = schema.vocab.clone();
     let compiled = p.prefix.compile(state.catalog, &mut tv)?;
-    // Only a schema this run compiled can have failed: move its error out.
-    let Ok(pacb) = &schema.pacb else {
-        return Err(own.and_then(|s| s.pacb.err()).expect("the shared schema compiled"));
-    };
 
     // Phase 2: PACB with the catalog's row-count cost as `Prune_prov`
     // threshold — rewritings that cannot beat re-running the original
@@ -821,7 +846,7 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
     // fallback — instead of unwinding out of the pipeline.
     let (pacb, pacb_us) = hadad_obs::timed("hybrid.pacb", &PACB_US, || {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            pacb.rewrite(&compiled.cq, Some((&cost_fn, cost_original)))
+            schema.pacb.rewrite(&compiled.cq, Some((&cost_fn, cost_original)))
         }))
         .unwrap_or_else(|_| PacbResult {
             rewritings: Vec::new(),
@@ -1093,7 +1118,6 @@ impl CatalogSnapshot {
     fn state<'a>(&'a self, memo: Option<&'a PrefixMemo>) -> RunState<'a> {
         RunState {
             catalog: &self.catalog,
-            table_views: &self.table_views,
             schema: &self.schema,
             optimizer: &self.optimizer,
             epoch: self.epoch,

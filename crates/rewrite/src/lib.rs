@@ -32,8 +32,8 @@ pub use eval::{eval, eval_with, Env, EvalError};
 pub use hadad_linalg::ExecBackend;
 pub use hybrid::{
     eval_cq, CastKind, CatalogSnapshot, CompiledQuery, HybridError, HybridOptimizer,
-    HybridPipeline, HybridResult, MaintainedCast, RelOp, RelPhase, RelQuery, SnapshotReader,
-    TableView, TableVocab,
+    HybridPipeline, HybridResult, LiveCatalog, MaintainedCast, RelOp, RelPhase, RelQuery,
+    SnapshotReader, TableView, TableVocab,
 };
 pub use maintain::{MaintenanceReport, ViewChange, ViewMaintainer};
 pub use optimizer::{LaView, Optimizer, Plan, RankedPlans, RewriteError, RewriteReport};

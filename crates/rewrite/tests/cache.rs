@@ -101,7 +101,8 @@ fn stale_epoch_probe_refuses_entry() {
     assert!(!before.rewrite(&e).expect("prime").report.cache.hit);
     assert!(before.rewrite(&e).expect("same epoch").report.cache.hit);
 
-    hy.insert_rows("events", vec![vec![Value::Int(2)]]).expect("insert applies");
+    hy.catalog.insert_rows("events", vec![vec![Value::Int(2)]]).expect("insert applies");
+    hy.maintain_views().expect("maintenance applies");
     let after = reader.current();
     assert!(after.epoch() > before.epoch(), "the insert publishes a newer epoch");
     let refused = after.rewrite(&e).expect("stale probe");
@@ -164,16 +165,20 @@ fn hybrid_updates_invalidate_cached_plans() {
     assert!(warm.ranked.report.cache.hit, "same-epoch repeat must hit");
     assert_eq!(warm.best.expr, cold.best.expr);
 
-    // Insert (auto-maintained): the epoch moves, the entry must be refused.
-    hy.insert_rows("events", vec![vec![Value::Int(32), Value::Int(3)]])
+    // Insert and maintain: the epoch moves, the entry must be refused.
+    hy.catalog
+        .insert_rows("events", vec![vec![Value::Int(32), Value::Int(3)]])
         .expect("insert applies");
+    hy.maintain_views().expect("maintenance applies");
     let after_insert = hy.rewrite_hybrid(&pipeline).expect("post-insert");
     assert!(!after_insert.ranked.report.cache.hit, "insert_rows must invalidate cached plans");
     assert!(hy.rewrite_hybrid(&pipeline).expect("re-primed").ranked.report.cache.hit);
 
     // Deletes invalidate the re-primed entry the same way.
-    hy.delete_rows("events", vec![vec![Value::Int(32), Value::Int(3)]])
+    hy.catalog
+        .delete_rows("events", vec![vec![Value::Int(32), Value::Int(3)]])
         .expect("delete applies");
+    hy.maintain_views().expect("maintenance applies");
     let after_delete = hy.rewrite_hybrid(&pipeline).expect("post-delete");
     assert!(!after_delete.ranked.report.cache.hit, "delete_rows must invalidate cached plans");
     assert!(hy.rewrite_hybrid(&pipeline).expect("re-primed again").ranked.report.cache.hit);

@@ -95,10 +95,14 @@ fn concurrent_rewrites_while_maintaining() {
         // maintained and therefore republished at a new committed epoch.
         for batch in 0..10i64 {
             let eid = 1000 + batch;
-            hy.insert_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
+            hy.catalog
+                .insert_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
                 .expect("insert applies");
-            hy.delete_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
+            hy.maintain_views().expect("maintenance applies");
+            hy.catalog
+                .delete_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
                 .expect("delete applies");
+            hy.maintain_views().expect("maintenance applies");
         }
     });
 
@@ -151,10 +155,14 @@ fn metric_counter_totals_are_exact_under_stress() {
         }
         for batch in 0..10i64 {
             let eid = 2000 + batch;
-            hy.insert_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
+            hy.catalog
+                .insert_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
                 .expect("insert applies");
-            hy.delete_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
+            hy.maintain_views().expect("maintenance applies");
+            hy.catalog
+                .delete_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
                 .expect("delete applies");
+            hy.maintain_views().expect("maintenance applies");
         }
     });
 
@@ -190,8 +198,10 @@ fn held_snapshot_survives_later_updates() {
     let held_epoch = held.epoch();
     let held_rows = held.catalog().cardinality("events").expect("events snapshotted");
 
-    hy.insert_rows("events", vec![vec![Value::Int(999), Value::Int(3)]])
+    hy.catalog
+        .insert_rows("events", vec![vec![Value::Int(999), Value::Int(3)]])
         .expect("insert applies");
+    hy.maintain_views().expect("maintenance applies");
 
     // The held snapshot is frozen at its epoch and row count...
     assert_eq!(held.epoch(), held_epoch);
@@ -215,8 +225,10 @@ fn held_snapshot_survives_swap_removing_deletes() {
     let (mut hy, pipeline) = fixture();
     // One delete up front, so the live tables carry built indexes by the
     // time the snapshot is cloned from them.
-    hy.delete_rows("events", vec![vec![Value::Int(63), Value::Int(3)]])
+    hy.catalog
+        .delete_rows("events", vec![vec![Value::Int(63), Value::Int(3)]])
         .expect("delete applies");
+    hy.maintain_views().expect("maintenance applies");
     let reader = hy.reader().expect("reader");
     let held = reader.current();
     let events_before = held.catalog().get("events").expect("events snapshotted").clone();
@@ -227,7 +239,8 @@ fn held_snapshot_survives_swap_removing_deletes() {
     // tail, so the live tables' leading rows all change.
     let batch: Vec<Vec<Value>> =
         (0..16).map(|i| vec![Value::Int(i), Value::Int(i % 4)]).collect();
-    hy.delete_rows("events", batch).expect("delete batch applies");
+    hy.catalog.delete_rows("events", batch).expect("delete batch applies");
+    hy.maintain_views().expect("maintenance applies");
     hy.catalog.check_indexes().expect("live indexes stay consistent");
     let live = hy.catalog.get("events").expect("events live");
     assert_eq!(live.num_rows(), 47);
@@ -286,7 +299,7 @@ fn readers_on_different_snapshots_rewrite_over_views_independently() {
     let (hy, _) = fixture();
     let mut la_cat = MetaCatalog::new();
     la_cat.register("v", MatrixMeta::dense(4, 1));
-    let mut hy = HybridOptimizer::new(hy.catalog, Optimizer::new(la_cat));
+    let mut hy = HybridOptimizer::new((*hy.catalog).clone(), Optimizer::new(la_cat));
     hy.register_la_view("G", mul(t(m("E")), m("E"))).expect("forward reference is accepted");
     hy.register_maintained_cast(MaintainedCast {
         cast_name: "E".into(),
@@ -307,7 +320,8 @@ fn readers_on_different_snapshots_rewrite_over_views_independently() {
     let mut snapshots = vec![reader.current()];
     for batch in 0..2i64 {
         let rows = (0..40).map(|i| vec![Value::Int(100 + batch * 40 + i), Value::Int(3)]);
-        hy.insert_rows("events", rows.collect()).expect("insert applies");
+        hy.catalog.insert_rows("events", rows.collect()).expect("insert applies");
+        hy.maintain_views().expect("maintenance applies");
         snapshots.push(reader.current());
     }
 

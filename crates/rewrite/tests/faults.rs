@@ -16,7 +16,9 @@
 
 use std::time::Duration;
 
-use hadad_chase::{ChaseBudget, ChaseOutcome, DegradeReason, ExhaustedBy, RewritePhase};
+use hadad_chase::{
+    ChaseBudget, ChaseOutcome, DegradeReason, Degraded, ExhaustedBy, RewritePhase,
+};
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog};
 use hadad_failpoint::{scoped, FailAction};
@@ -199,23 +201,32 @@ fn hybrid_with_view() -> (HybridOptimizer, HybridPipeline) {
 }
 
 /// The poisoning contract under an injected mid-pass fault: the failed
-/// maintenance pass poisons the maintainer, runs degrade (base tables
-/// only) instead of erroring, and `rebuild_views` recovers fully.
+/// maintenance pass poisons the maintainer, maintenance refuses and every
+/// view reads stale, runs degrade (base tables only) instead of erroring,
+/// and `rebuild_views` recovers fully — logged writes and maintenance
+/// included.
 #[test]
 fn maintenance_midpass_fault_poisons_then_rebuild_recovers() {
     let (mut hy, p) = hybrid_with_view();
+    let row = |tid: i64| vec![vec![Value::Int(tid), Value::Int(3), Value::Int(1)]];
     let g = scoped("maintain.midpass", FailAction::Error);
-    let err = hy
-        .insert_rows("tweets", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]])
-        .unwrap_err();
+    hy.catalog.insert_rows("tweets", row(600)).unwrap();
+    let err = hy.maintain_views().unwrap_err();
     assert!(matches!(err, HybridError::Fault { site: "maintain.midpass" }));
     assert!(matches!(hy.maintain_views(), Err(HybridError::MaintenancePoisoned)));
     drop(g);
+    assert_eq!(hy.stale_views(), vec!["topic3"]);
 
     // Degraded anytime run: base tables are current (the insert landed),
     // the unknown view is simply not offered to the rewriter.
     let r = hy.rewrite_hybrid(&p).unwrap();
-    assert_eq!(r.degraded.as_ref().map(|d| d.reason), Some(DegradeReason::MaintenancePoisoned));
+    assert_eq!(
+        r.degraded,
+        Some(Degraded {
+            reason: DegradeReason::MaintenancePoisoned,
+            phase: RewritePhase::Maintenance,
+        })
+    );
     assert!(r.rel.rewriting.is_none());
     assert_eq!(r.rel.rows_out, 11);
 
@@ -227,6 +238,12 @@ fn maintenance_midpass_fault_poisons_then_rebuild_recovers() {
     assert!(r.degraded.is_none());
     assert!(r.rel.rewriting.is_some());
     assert_eq!(r.rel.rows_out, 11);
+
+    // And maintenance works again: a logged write reaches the view.
+    hy.catalog.insert_rows("tweets", row(601)).unwrap();
+    hy.maintain_views().unwrap();
+    assert_eq!(hy.catalog.cardinality("topic3"), Some(12));
+    assert_eq!(hy.rewrite_hybrid(&p).unwrap().rel.rows_out, 12);
 }
 
 /// Same contract when the pass *panics* mid-way instead of erroring.
@@ -234,10 +251,10 @@ fn maintenance_midpass_fault_poisons_then_rebuild_recovers() {
 fn maintenance_midpass_panic_poisons_instead_of_unwinding() {
     let (mut hy, p) = hybrid_with_view();
     let g = scoped("maintain.midpass", FailAction::Panic);
-    let err = quiet_panics(|| {
-        hy.insert_rows("tweets", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]])
-    })
-    .unwrap_err();
+    hy.catalog
+        .insert_rows("tweets", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]])
+        .unwrap();
+    let err = quiet_panics(|| hy.maintain_views()).unwrap_err();
     assert!(matches!(err, HybridError::MaintenancePoisoned));
     drop(g);
     assert!(hy.rewrite_hybrid(&p).unwrap().degraded.is_some());
@@ -258,9 +275,10 @@ fn restamp_fault_poisons_then_rebuild_recovers() {
     })
     .unwrap();
     let g = scoped("hybrid.restamp", FailAction::Error);
-    let err = hy
+    hy.catalog
         .insert_rows("tweets", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]])
-        .unwrap_err();
+        .unwrap();
+    let err = hy.maintain_views().unwrap_err();
     assert!(matches!(err, HybridError::Fault { site: "hybrid.restamp" }));
     assert!(matches!(hy.maintain_views(), Err(HybridError::MaintenancePoisoned)));
     drop(g);
@@ -354,9 +372,10 @@ fn env_driven_single_fault_degrades_cleanly() {
                 "unexpected cast registration failure: {e}"
             );
         }
-        let ins =
-            hy.insert_rows("tweets", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]]);
-        match ins {
+        hy.catalog
+            .insert_rows("tweets", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]])
+            .unwrap();
+        match hy.maintain_views() {
             Ok(_) => {
                 let r = hy.rewrite_hybrid(&p).unwrap();
                 assert_eq!(r.rel.rows_out, 11);

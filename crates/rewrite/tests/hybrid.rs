@@ -3,7 +3,7 @@
 //! LA suffix rewritten onto registered LA views — both halves ranked
 //! cheaper than the originals and verified by execution.
 
-use hadad_chase::{DegradeReason, Degraded, RewritePhase};
+use hadad_chase::DegradeReason;
 use hadad_core::expr::dsl::*;
 use hadad_core::{MatrixMeta, MetaCatalog};
 use hadad_linalg::{approx_eq, rand_gen, Matrix};
@@ -317,7 +317,7 @@ fn updates_delta_maintain_the_view_and_reverify_the_pipeline() {
 
     // Three new covid tweets, one non-covid, and one covid tweet deleted.
     // (tid 7 is the first covid row: 7 % 20 == 7.)
-    let report = hy
+    hy.catalog
         .insert_rows(
             "tweets",
             vec![
@@ -328,10 +328,16 @@ fn updates_delta_maintain_the_view_and_reverify_the_pipeline() {
             ],
         )
         .unwrap();
+    let report = hy.maintain_views().unwrap();
     assert_eq!(report.changes.len(), 1, "only the covid view changes");
     assert_eq!(report.changes[0].rows_inserted, 3);
-    hy.delete_rows("tweets", vec![vec![Value::Int(7), Value::Int(COVID_TOPIC), Value::Int(3)]])
+    hy.catalog
+        .delete_rows(
+            "tweets",
+            vec![vec![Value::Int(7), Value::Int(COVID_TOPIC), Value::Int(3)]],
+        )
         .unwrap();
+    hy.maintain_views().unwrap();
 
     // The maintained view matches a from-scratch materialization...
     let expected_rows = base_rows + 3 - 1;
@@ -434,14 +440,16 @@ fn maintained_cast_restamps_meta_to_match_scratch_materialization() {
     let nnz0 = hy.optimizer.cat.get("N").unwrap().nnz;
     assert_eq!(nnz0, NUM_TWEETS / NUM_TOPICS);
 
-    hy.insert_rows(
-        "tweets",
-        vec![
-            vec![Value::Int(50), Value::Int(COVID_TOPIC), Value::Int(2)],
-            vec![Value::Int(51), Value::Int(COVID_TOPIC), Value::Int(3)],
-        ],
-    )
-    .unwrap();
+    hy.catalog
+        .insert_rows(
+            "tweets",
+            vec![
+                vec![Value::Int(50), Value::Int(COVID_TOPIC), Value::Int(2)],
+                vec![Value::Int(51), Value::Int(COVID_TOPIC), Value::Int(3)],
+            ],
+        )
+        .unwrap();
+    hy.maintain_views().unwrap();
 
     let meta = hy.optimizer.cat.get("N").unwrap().clone();
     let scratch = hadad_relational::cast::table_to_sparse(
@@ -470,8 +478,13 @@ fn maintained_cast_restamps_meta_to_match_scratch_materialization() {
         cast: CastKind::Dense { columns: vec!["tid".into(), "level".into()] },
     };
     hy.register_maintained_cast(dense("tid")).unwrap();
-    hy.insert_rows("tweets", vec![vec![Value::Int(3), Value::Int(COVID_TOPIC), Value::Int(0)]])
+    hy.catalog
+        .insert_rows(
+            "tweets",
+            vec![vec![Value::Int(3), Value::Int(COVID_TOPIC), Value::Int(0)]],
+        )
         .unwrap();
+    hy.maintain_views().unwrap();
     let view = hy.catalog.get("covid_tweets").unwrap();
     let tids: Vec<i64> =
         (0..view.num_rows()).map(|r| view.value(r, "tid").as_i64().unwrap()).collect();
@@ -537,70 +550,6 @@ fn stale_maintained_cast_over_base_table_blocks_rewrites() {
     assert!(hy.rewrite_hybrid(&pipeline).is_ok());
 }
 
-/// A failed maintenance pass leaves the facade in a loudly-broken state:
-/// maintenance and rewrites refuse until `rebuild_views` re-materializes
-/// everything from the current base tables.
-#[test]
-fn poisoned_maintenance_recovers_through_rebuild() {
-    let mut catalog = Catalog::new();
-    catalog.register("tweets", tweets());
-    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
-    hy.register_table_view(
-        "covid_tweets",
-        RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC),
-    )
-    .unwrap();
-
-    // Sabotage the materialization through the raw catalog handle, then
-    // update the base table: the propagated delta cannot apply.
-    hy.catalog.register("covid_tweets", Table::new(vec![("other", Column::Str(vec![]))]));
-    hy.catalog
-        .insert_rows(
-            "tweets",
-            vec![vec![Value::Int(600), Value::Int(COVID_TOPIC), Value::Int(1)]],
-        )
-        .unwrap();
-    assert!(matches!(hy.maintain_views(), Err(HybridError::Ivm(_))));
-    // Poisoned: maintenance refuses, and rewrites see every view stale.
-    assert!(matches!(hy.maintain_views(), Err(HybridError::MaintenancePoisoned)));
-    assert_eq!(hy.stale_views(), vec!["covid_tweets"]);
-    let pipeline = HybridPipeline {
-        prefix: RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC),
-        sort_key: None,
-        cast: CastKind::Dense { columns: vec!["level".into()] },
-        cast_name: "M".into(),
-        suffix: m("M"),
-    };
-    // Poisoned, the pipeline still runs — degraded: base tables only (they
-    // are current; only view materializations are unknown), no views
-    // offered to either rewriter, and the degradation surfaced.
-    let r = hy.rewrite_hybrid(&pipeline).unwrap();
-    assert_eq!(
-        r.degraded,
-        Some(Degraded {
-            reason: DegradeReason::MaintenancePoisoned,
-            phase: RewritePhase::Maintenance,
-        })
-    );
-    assert!(r.rel.rewriting.is_none());
-    assert_eq!(r.rel.rows_out, NUM_TWEETS / NUM_TOPICS + 1);
-
-    // Rebuild re-materializes from the current base tables (which include
-    // the insert) and clears the poison.
-    hy.rebuild_views().unwrap();
-    assert_eq!(hy.catalog.cardinality("covid_tweets"), Some(NUM_TWEETS / NUM_TOPICS + 1));
-    let r = hy.rewrite_hybrid(&pipeline).unwrap();
-    assert!(r.degraded.is_none());
-    assert_eq!(r.rel.rows_out, NUM_TWEETS / NUM_TOPICS + 1);
-    // And maintenance works again.
-    hy.insert_rows(
-        "tweets",
-        vec![vec![Value::Int(601), Value::Int(COVID_TOPIC), Value::Int(2)]],
-    )
-    .unwrap();
-    assert_eq!(hy.catalog.cardinality("covid_tweets"), Some(NUM_TWEETS / NUM_TOPICS + 2));
-}
-
 /// A maintained cast's name must be fresh in the LA catalog: re-stamping
 /// over an existing input matrix (or another cast) would silently repoint
 /// every plan reading that name at the cast's metadata.
@@ -628,9 +577,11 @@ fn duplicate_cast_names_are_rejected() {
     assert_eq!(hy.maintained_casts().len(), 1);
 }
 
-/// A failed cast re-stamp after the log is drained must poison the
-/// maintainer — otherwise the staleness signal is gone and rewrites would
-/// price plans with pre-update cast metadata.
+/// A table replaced under a maintained cast by one lacking the cast's
+/// column fails the rebuild `register_table` runs with `MissingColumn`,
+/// and the failure poisons the maintainer instead of leaving the cast's
+/// old metadata looking current. Registering the original table back
+/// rebuilds and recovers.
 #[test]
 fn failed_restamp_poisons_instead_of_clearing_staleness() {
     let mut catalog = Catalog::new();
@@ -644,14 +595,13 @@ fn failed_restamp_poisons_instead_of_clearing_staleness() {
     })
     .unwrap();
 
-    // Replace the cast's source with a table lacking the cast column, then
-    // log an update on it: maintenance drains the log, the re-stamp fails.
-    hy.catalog.register("tweets", Table::new(vec![("other", Column::Int(vec![1]))]));
-    hy.catalog.insert_rows("tweets", vec![vec![Value::Int(2)]]).unwrap();
-    assert!(matches!(hy.maintain_views(), Err(HybridError::MissingColumn(_))));
+    let broken = || Table::new(vec![("other", Column::Int(vec![1]))]);
+    let err = hy.register_table("tweets", broken()).unwrap_err();
+    assert!(matches!(err, HybridError::MissingColumn(ref c) if c == "level"), "{err:?}");
 
-    // The drained log must not have cleared the staleness: the cast stays
-    // stale (poisoned) and rewrites over it are refused.
+    // The cast stays stale (poisoned): maintenance refuses, even after a
+    // logged write, and runs degrade to the (current) base table.
+    hy.catalog.insert_rows("tweets", vec![vec![Value::Int(2)]]).unwrap();
     assert!(matches!(hy.maintain_views(), Err(HybridError::MaintenancePoisoned)));
     let pipeline = HybridPipeline {
         prefix: RelQuery::scan("tweets"),
@@ -660,21 +610,23 @@ fn failed_restamp_poisons_instead_of_clearing_staleness() {
         cast_name: "M".into(),
         suffix: m("M"),
     };
-    // Poisoned runs degrade rather than refuse: the pipeline reads the
-    // (current) base table, and the degradation is surfaced on the result.
     let r = hy.rewrite_hybrid(&pipeline).unwrap();
     assert_eq!(r.degraded.as_ref().map(|d| d.reason), Some(DegradeReason::MaintenancePoisoned));
+    assert_eq!(r.rel.rows_out, 2);
 
-    // Rebuild fails while the source stays broken — and the failed
-    // rebuild keeps the poison, so runs stay degraded.
+    // A rebuild fails while the source stays broken, and keeps the poison.
     assert!(hy.rebuild_views().is_err());
     assert!(hy.rewrite_hybrid(&pipeline).unwrap().degraded.is_some());
-    // Once the source is restored, rebuild succeeds and the cast metadata
-    // is stamped from the restored table.
-    hy.catalog.register("tweets", tweets());
-    hy.rebuild_views().unwrap();
+    // Registering the original back rebuilds: the cast is stamped from
+    // the restored table and maintenance works again.
+    hy.register_table("tweets", tweets()).unwrap();
     assert_eq!(hy.optimizer.cat.get("N").unwrap().rows, NUM_TWEETS);
-    // (This pipeline casts the sabotage-era column, which is gone again.)
+    hy.catalog
+        .insert_rows("tweets", vec![vec![Value::Int(900), Value::Int(1), Value::Int(1)]])
+        .unwrap();
+    hy.maintain_views().unwrap();
+    assert_eq!(hy.optimizer.cat.get("N").unwrap().rows, NUM_TWEETS + 1);
+    // (This pipeline casts the broken table's column, which is gone again.)
     assert!(matches!(hy.rewrite_hybrid(&pipeline), Err(HybridError::MissingColumn(_))));
 }
 
@@ -978,22 +930,20 @@ fn an_unrewritten_prefix_runs_as_its_cq_and_returns_the_pipelines_rows() {
     }
 }
 
-/// A table registered straight into `hy.catalog` moves the catalog's
-/// schema past the one the optimizer compiled at registration. The next
-/// run compiles its own and answers as an optimizer built over that
-/// catalog answers: the new table is queryable and the view still serves.
-/// Once the view's materialization loses a column, the run refuses with
-/// `ViewArity`, though a prefix error still comes first. `rebuild_views`
-/// recompiles the schema, and the view serves again.
+/// A table added through `register_table` answers as an optimizer built
+/// over a catalog that held it from the start: the same CQ, rewriting,
+/// costs and table. A view's name is refused — its materialization belongs
+/// to its definition — and the refusal changes nothing: not the view's
+/// table, the catalog's epoch or names, nor the registered views.
 #[test]
-fn a_table_registered_straight_into_the_catalog_answers_as_a_fresh_optimizer() {
+fn a_table_added_through_register_table_answers_as_a_fresh_optimizer() {
     let users = || Table::new(vec![("uid", Column::Int((0..8).collect()))]);
     let covid = || RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC);
     let mut catalog = Catalog::new();
     catalog.register("tweets", tweets());
     let mut hy = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
     hy.register_table_view("covid_tweets", covid()).unwrap();
-    hy.catalog.register("users", users());
+    hy.register_table("users", users()).unwrap();
 
     let mut catalog = Catalog::new();
     catalog.register("tweets", tweets());
@@ -1020,23 +970,79 @@ fn a_table_registered_straight_into_the_catalog_answers_as_a_fresh_optimizer() {
         );
         assert_eq!(got.table, want.table);
     }
-    assert!(hy.rewrite_hybrid(&on_view).unwrap().rel.rewriting.is_some());
 
-    // The view's materialization replaced by a one-column table.
-    hy.catalog.register("covid_tweets", Table::new(vec![("other", Column::Int(vec![1]))]));
-    match hy.rewrite_hybrid(&on_view) {
-        Err(HybridError::ViewArity { view, expected, got }) => {
-            assert_eq!((view.as_str(), expected, got), ("covid_tweets", 3, 1));
-        }
-        other => panic!("expected ViewArity, got {:?}", other.map(|r| r.rel.rows_out)),
-    }
-    let missing = pipeline(RelQuery::scan("ghosts"), "uid");
-    assert!(
-        matches!(hy.rewrite_hybrid(&missing), Err(HybridError::MissingTable(t)) if t == "ghosts")
-    );
-
-    hy.rebuild_views().unwrap();
+    let before = (hy.catalog.get("covid_tweets").unwrap().clone(), hy.catalog.epoch());
+    let names: Vec<String> = hy.catalog.names().map(str::to_owned).collect();
+    let err = hy.register_table("covid_tweets", users()).unwrap_err();
+    assert!(matches!(err, HybridError::DuplicateName(ref n) if n == "covid_tweets"), "{err:?}");
+    assert_eq!((hy.catalog.get("covid_tweets").unwrap().clone(), hy.catalog.epoch()), before);
+    assert_eq!(hy.catalog.names().collect::<Vec<_>>(), names);
+    assert_eq!(hy.table_views().len(), 1);
+    assert_eq!(hy.table_views()[0].name, "covid_tweets");
     let r = hy.rewrite_hybrid(&on_view).unwrap();
-    assert_eq!(r.rel.rewriting, fresh.rewrite_hybrid(&on_view).unwrap().rel.rewriting);
+    assert!(r.rel.rewriting.is_some());
     assert_eq!(r.rel.cost_best, Some((NUM_TWEETS / NUM_TOPICS) as f64));
+}
+
+/// Replacing a base table under a view and a maintained cast rebuilds
+/// both: the view's cardinality and the cast's stamped metadata equal
+/// those of an optimizer built from scratch over the new table.
+#[test]
+fn a_replaced_table_rebuilds_its_views_and_casts() {
+    let covid = || RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC);
+    let cast = || MaintainedCast {
+        cast_name: "N".into(),
+        view: "covid_tweets".into(),
+        sort_key: None,
+        cast: CastKind::Sparse {
+            row: "tid".into(),
+            col: "topic".into(),
+            val: "level".into(),
+            rows: NUM_TWEETS,
+            cols: NUM_TOPICS,
+        },
+    };
+    let build = |tweets: Table| {
+        let mut catalog = Catalog::new();
+        catalog.register("tweets", tweets);
+        let mut hy = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
+        hy.register_table_view("covid_tweets", covid()).unwrap();
+        hy.register_maintained_cast(cast()).unwrap();
+        hy
+    };
+    // Half the tweets on the covid topic, and every level doubled.
+    let n = NUM_TWEETS as i64;
+    let replacement = Table::new(vec![
+        ("tid", Column::Int((0..n).collect())),
+        (
+            "topic",
+            Column::Int((0..n).map(|i| if i % 2 == 0 { COVID_TOPIC } else { i % 5 }).collect()),
+        ),
+        ("level", Column::Int((0..n).map(|i| 2 * (i % 5 + 1)).collect())),
+    ]);
+
+    let mut hy = build(tweets());
+    assert_eq!(hy.catalog.cardinality("covid_tweets"), Some(NUM_TWEETS / NUM_TOPICS));
+    hy.register_table("tweets", replacement.clone()).unwrap();
+    let scratch = build(replacement);
+    assert_eq!(hy.catalog.cardinality("covid_tweets"), Some(NUM_TWEETS / 2));
+    assert_eq!(
+        hy.catalog.cardinality("covid_tweets"),
+        scratch.catalog.cardinality("covid_tweets")
+    );
+    assert_eq!(hy.optimizer.cat.get("N").unwrap().nnz, NUM_TWEETS / 2);
+    assert_eq!(hy.optimizer.cat.get("N"), scratch.optimizer.cat.get("N"));
+    assert!(hy.stale_views().is_empty());
+
+    // The new rows reach the view through PACB as they do from scratch.
+    let p = HybridPipeline {
+        prefix: covid(),
+        sort_key: Some("tid".into()),
+        cast: CastKind::Dense { columns: vec!["level".into()] },
+        cast_name: "M".into(),
+        suffix: m("M"),
+    };
+    let (got, want) = (hy.rewrite_hybrid(&p).unwrap(), scratch.rewrite_hybrid(&p).unwrap());
+    assert!(got.rel.rewriting.is_some());
+    assert_eq!((got.rel.cost_best, &got.table), (want.rel.cost_best, &want.table));
 }

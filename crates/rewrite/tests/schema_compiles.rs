@@ -1,9 +1,10 @@
 //! The relational side of a hybrid run — the table vocabulary, the table
 //! views' CQs and PACB's two rule sets — is compiled once per catalog
-//! schema, not once per run: a registration or a rebuild compiles it, and
-//! runs, row changes, maintenance passes, publishes and snapshot reads
-//! compile nothing. A table registered straight into the catalog moves the
-//! schema, and each run compiles its own until the optimizer recompiles.
+//! schema, not once per run: construction, a table or view registration
+//! and a rebuild compile it once each, and runs, row changes, maintenance
+//! passes, publishes and snapshot reads compile nothing. A degraded run (a
+//! poisoned maintainer) offers no views, so it compiles a view-less schema
+//! of its own, once per run.
 //!
 //! Compiles are read from the process-global `hybrid.schema_compiles`
 //! counter, so this binary holds exactly one test: nothing else may move it
@@ -74,11 +75,12 @@ fn the_relational_side_compiles_once_per_catalog_schema() {
     });
     assert_eq!(runs, 0, "a run compiles nothing");
 
-    // Row changes, through the facade and raw, and maintenance passes.
+    // Row changes, one per maintenance pass and batched.
     let row = |tid: i64| vec![vec![Value::Int(tid), Value::Int(3), Value::Int(1)]];
     let updates = compiled_by(|| {
-        hy.insert_rows("tweets", row(500)).unwrap();
-        hy.delete_rows("tweets", row(500)).unwrap();
+        hy.catalog.insert_rows("tweets", row(500)).unwrap();
+        hy.maintain_views().unwrap();
+        hy.catalog.delete_rows("tweets", row(500)).unwrap();
         hy.catalog.insert_rows("tweets", row(501)).unwrap();
         hy.maintain_views().unwrap();
         assert_eq!(hy.catalog.cardinality("topic3"), Some(21));
@@ -92,7 +94,8 @@ fn the_relational_side_compiles_once_per_catalog_schema() {
     let published = compiled_by(|| {
         let reader = hy.reader().unwrap();
         snapshots.push(reader.current());
-        hy.insert_rows("tweets", row(502)).unwrap();
+        hy.catalog.insert_rows("tweets", row(502)).unwrap();
+        hy.maintain_views().unwrap();
         snapshots.push(hy.reader().unwrap().current());
         for snap in &snapshots {
             for topic in [3, 5] {
@@ -103,14 +106,35 @@ fn the_relational_side_compiles_once_per_catalog_schema() {
     });
     assert_eq!(published, 0, "a publish and a snapshot read compile nothing");
 
-    // A table registered straight into the catalog: every run compiles its
-    // own until the optimizer compiles again, and a snapshot published
-    // before it keeps serving from the old schema.
-    hy.catalog.register("users", Table::new(vec![("uid", Column::Int((0..4).collect()))]));
+    // A table registration compiles exactly once; later live runs compile
+    // nothing, and a snapshot published before it serves from the old
+    // schema without compiling either.
+    let users = Table::new(vec![("uid", Column::Int((0..4).collect()))]);
+    assert_eq!(compiled_by(|| hy.register_table("users", users).unwrap()), 1);
     for _ in 0..3 {
-        assert_eq!(compiled_by(|| drop(hy.rewrite_hybrid(&pipeline(3)).unwrap())), 1);
+        assert_eq!(compiled_by(|| drop(hy.rewrite_hybrid(&pipeline(3)).unwrap())), 0);
     }
     assert_eq!(compiled_by(|| drop(snapshots[1].rewrite_hybrid(&pipeline(7)).unwrap())), 0);
-    assert_eq!(compiled_by(|| hy.rebuild_views().unwrap()), 1);
+
+    // A replacement the views cannot read fails its rebuild before the
+    // compile and poisons the maintainer. Each degraded run then compiles
+    // one view-less schema, until a registration that rebuilds recovers.
+    let on_users = HybridPipeline {
+        prefix: RelQuery::scan("users"),
+        sort_key: None,
+        cast: CastKind::Dense { columns: vec!["uid".into()] },
+        cast_name: "M".into(),
+        suffix: m("M"),
+    };
+    let topicless = Table::new(vec![("tid", Column::Int(vec![1]))]);
+    assert_eq!(compiled_by(|| assert!(hy.register_table("tweets", topicless).is_err())), 0);
+    for _ in 0..3 {
+        let degraded = compiled_by(|| {
+            assert!(hy.rewrite_hybrid(&on_users).unwrap().degraded.is_some());
+        });
+        assert_eq!(degraded, 1, "a degraded run compiles its own view-less schema");
+    }
+    assert_eq!(compiled_by(|| hy.register_table("tweets", tweets()).unwrap()), 1);
     assert_eq!(compiled_by(|| drop(hy.rewrite_hybrid(&pipeline(3)).unwrap())), 0);
+    assert_eq!(compiled_by(|| drop(hy.rewrite_hybrid(&on_users).unwrap())), 0);
 }
