@@ -623,7 +623,7 @@ mod tests {
     use crate::encode::Encoder;
     use crate::expr::dsl::*;
     use crate::extract::{Extractor, TreeSizeCost};
-    use crate::stats::{MatrixMeta, MetaCatalog, TypeFlags};
+    use crate::stats::{expr_stats, MatrixMeta, MetaCatalog, TypeFlags};
     use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, Instance, NodeId, RuleSet};
 
     /// An expression chased under the standard catalogue plus the
@@ -800,7 +800,7 @@ mod tests {
         cat.register("V", MatrixMeta::dense(40, 40));
         let def = mul(m("S"), m("S"));
         let mut c = Chased::new(&m("V"), &cat, &[("V", def.clone())]);
-        let estimate = ClassData::estimated(cat.expr_stats(&def).unwrap());
+        let estimate = ClassData::estimated(expr_stats(&def, &cat).unwrap());
         assert!(estimate.density < Some(1.0));
         let v_class = c.named("V");
         assert_eq!(c.analysis.class(v_class), Some(estimate));

@@ -114,13 +114,6 @@ impl MetaCatalog {
     pub fn names(&self) -> impl Iterator<Item = &str> {
         self.entries.keys().map(std::string::String::as_str)
     }
-
-    /// Shape + density estimate of an expression over this catalog —
-    /// sparsity estimates for products, sums, decompositions, and every
-    /// other operator flow through the shared [`op_stats`] table.
-    pub fn expr_stats(&self, e: &Expr) -> Result<ClassStats, ShapeError> {
-        expr_stats(e, self)
-    }
 }
 
 /// Shape-inference error.
@@ -385,7 +378,7 @@ mod tests {
     #[test]
     fn shapes_of_products_and_transposes() {
         let c = cat();
-        let shape = |e: Expr| c.expr_stats(&e).unwrap().shape();
+        let shape = |e: Expr| expr_stats(&e, &c).unwrap().shape();
         assert_eq!(shape(mul(m("M"), m("N"))), (50, 50));
         assert_eq!(shape(t(mul(m("M"), m("N")))), (50, 50));
         assert_eq!(shape(col_sums(m("M"))), (1, 10));
@@ -396,10 +389,10 @@ mod tests {
     #[test]
     fn mismatches_detected() {
         let c = cat();
-        assert!(c.expr_stats(&add(m("M"), m("N"))).is_err());
-        assert!(c.expr_stats(&mul(m("M"), m("M"))).is_err());
-        assert!(c.expr_stats(&det(m("M"))).is_err());
-        assert!(c.expr_stats(&m("missing")).is_err());
+        assert!(expr_stats(&add(m("M"), m("N")), &c).is_err());
+        assert!(expr_stats(&mul(m("M"), m("M")), &c).is_err());
+        assert!(expr_stats(&det(m("M")), &c).is_err());
+        assert!(expr_stats(&m("missing"), &c).is_err());
     }
 
     #[test]
@@ -415,18 +408,18 @@ mod tests {
         c.register("D", MatrixMeta::dense(100, 100));
         // Transpose preserves density; Hadamard multiplies; Add unions;
         // inverses densify.
-        let s = c.expr_stats(&t(m("S"))).unwrap();
+        let s = expr_stats(&t(m("S")), &c).unwrap();
         assert!((s.density - 0.01).abs() < 1e-12);
-        let h = c.expr_stats(&had(m("S"), m("S"))).unwrap();
+        let h = expr_stats(&had(m("S"), m("S")), &c).unwrap();
         assert!((h.density - 0.0001).abs() < 1e-12);
-        let a = c.expr_stats(&add(m("S"), m("S"))).unwrap();
+        let a = expr_stats(&add(m("S"), m("S")), &c).unwrap();
         assert!((a.density - 0.02).abs() < 1e-12);
-        assert_eq!(c.expr_stats(&inv(m("S"))).unwrap().density, 1.0);
+        assert_eq!(expr_stats(&inv(m("S")), &c).unwrap().density, 1.0);
         // Product of sparse factors stays sparse under the independence
         // estimate; dense × dense stays dense.
-        let ss = c.expr_stats(&mul(m("S"), m("S"))).unwrap();
+        let ss = expr_stats(&mul(m("S"), m("S")), &c).unwrap();
         assert!(ss.density < 0.02, "density {}", ss.density);
-        assert_eq!(c.expr_stats(&mul(m("D"), m("D"))).unwrap().density, 1.0);
+        assert_eq!(expr_stats(&mul(m("D"), m("D")), &c).unwrap().density, 1.0);
     }
 
     #[test]

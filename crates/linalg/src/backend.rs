@@ -39,7 +39,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 use crate::dense::{transpose_into, DenseMatrix};
 use crate::error::{LinalgError, Result};
@@ -49,46 +49,19 @@ pub use crate::micro::Width;
 use crate::ops;
 use crate::sparse::{SparseBuilder, SparseMatrix};
 
-/// A contained kernel-worker panic. `Parallel` discards the partial
-/// output, records one of these in the process-wide event log, and retries
-/// the operation once on [`Reference`] — a panicking kernel degrades to
-/// the slow path instead of aborting the process.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BackendPanic {
-    /// Backend whose worker panicked.
-    pub backend: &'static str,
-    /// Operation being executed (`"multiply"` / `"transpose_multiply"`).
-    pub op: &'static str,
-}
-
-impl std::fmt::Display for BackendPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker panic in {} backend during {}", self.backend, self.op)
-    }
-}
-
-static PANIC_EVENTS: Mutex<Vec<BackendPanic>> = Mutex::new(Vec::new());
-
+/// Records a contained kernel-worker panic: `Parallel` discards the partial
+/// output and retries the operation once on [`Reference`], so a panicking
+/// kernel degrades to the slow path instead of aborting the process. The
+/// record is one `kernel.panics` increment and one `linalg.kernel` entry
+/// in the obs event log naming the backend and the op.
 fn record_backend_panic(backend: &'static str, op: &'static str) {
     static PANICS: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("kernel.panics");
-    static DEGRADED: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("kernel.degraded");
-    let event = BackendPanic { backend, op };
-    // Mirror the typed event into the shared registry + structured event
-    // log: one panic, one degradation (the retry on Reference).
     PANICS.incr();
-    DEGRADED.incr();
-    hadad_obs::event("linalg.kernel", hadad_obs::Severity::Warn, event.to_string());
-    PANIC_EVENTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(event);
-}
-
-/// Snapshot of every contained kernel panic so far (observability hook).
-pub fn backend_panics() -> Vec<BackendPanic> {
-    PANIC_EVENTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner).clone()
-}
-
-/// Drains the contained-panic event log (tests isolate with this).
-pub fn take_backend_panics() -> Vec<BackendPanic> {
-    std::mem::take(&mut *PANIC_EVENTS.lock().unwrap_or_else(std::sync::PoisonError::into_inner))
+    hadad_obs::event(
+        "linalg.kernel",
+        hadad_obs::Severity::Warn,
+        format!("worker panic in {backend} backend during {op}"),
+    );
 }
 
 /// Internal marker: a supervised worker panicked and the kernel's output
@@ -259,8 +232,8 @@ impl ExecBackend for Parallel {
         };
         match attempt {
             Ok(m) => Ok(m),
-            // A worker panicked: surface the typed event, drop the partial
-            // output, retry once on the single-threaded reference kernels.
+            // A worker panicked: record it, drop the partial output, retry
+            // once on the single-threaded reference kernels.
             Err(WorkerPanicked) => {
                 record_backend_panic(self.name(), "multiply");
                 REFERENCE.multiply(a, b)

@@ -46,10 +46,7 @@ pub mod decomp {
     pub mod qr;
 }
 
-pub use backend::{
-    backend_panics, default_backend, take_backend_panics, BackendPanic, ExecBackend, Parallel,
-    Reference, PARALLEL, REFERENCE,
-};
+pub use backend::{default_backend, ExecBackend, Parallel, Reference, PARALLEL, REFERENCE};
 pub use dense::DenseMatrix;
 pub use error::{LinalgError, Result};
 pub use matrix::Matrix;

@@ -12,9 +12,9 @@
 //!
 //! Everything lives in one process-wide registry: call-sites declare
 //! [`LazyCounter`] / [`LazyHistogram`] statics, [`snapshot`] reads the
-//! whole registry into a [`MetricsSnapshot`] that serializes to JSON and
-//! Prometheus text exposition, and [`take_trace`] drains the per-thread
-//! span rings for [`chrome_trace_json`].
+//! whole registry into a [`MetricsSnapshot`] that serializes to JSON, and
+//! [`take_trace`] drains the per-thread span rings for
+//! [`chrome_trace_json`].
 
 mod events;
 mod metrics;

@@ -1,5 +1,5 @@
 //! Lock-free metrics: sharded counters, log2-bucketed histograms, and the
-//! process-wide registry with JSON / Prometheus snapshot export.
+//! process-wide registry with JSON snapshot export.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -382,42 +382,6 @@ impl MetricsSnapshot {
         out.push_str("\n  }\n}\n");
         out
     }
-
-    /// Serializes to Prometheus text exposition format. Metric names are
-    /// prefixed `hadad_` with `.` mapped to `_`; histograms emit
-    /// cumulative `_bucket{le="..."}` series plus `_sum` / `_count`.
-    #[must_use]
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for c in &self.counters {
-            let name = prom_name(&c.name);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.value));
-        }
-        for h in &self.histograms {
-            let name = prom_name(&h.name);
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (b, &c) in h.buckets.iter().enumerate() {
-                cumulative += c;
-                if c == 0 && b + 1 != h.buckets.len() {
-                    continue;
-                }
-                out.push_str(&format!(
-                    "{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    bucket_upper_bound(b)
-                ));
-            }
-            out.push_str(&format!("{name}_bucket{{le=\"+Inf\"}} {}\n", h.count));
-            out.push_str(&format!("{name}_sum {}\n{name}_count {}\n", h.sum, h.count));
-        }
-        out
-    }
-}
-
-fn prom_name(name: &str) -> String {
-    let mangled: String =
-        name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
-    format!("hadad_{mangled}")
 }
 
 fn escape_json(s: &str) -> String {
@@ -526,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_exports_json_and_prometheus() {
+    fn snapshot_exports_json() {
         counter("test.metrics.export_c").add(5);
         histogram("test.metrics.export_h").record(1000);
         let snap = snapshot();
@@ -534,10 +498,5 @@ mod tests {
         let json = snap.to_json();
         assert!(json.contains("\"test.metrics.export_c\""));
         assert!(json.contains("\"test.metrics.export_h\""));
-        let prom = snap.to_prometheus();
-        assert!(prom.contains("# TYPE hadad_test_metrics_export_c counter"));
-        assert!(prom.contains("# TYPE hadad_test_metrics_export_h histogram"));
-        assert!(prom.contains("hadad_test_metrics_export_h_bucket{le=\"+Inf\"}"));
-        assert!(prom.contains("hadad_test_metrics_export_h_count"));
     }
 }

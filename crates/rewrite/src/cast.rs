@@ -2,7 +2,9 @@
 //! relational prefix's output becomes the matrix the LA suffix reads
 //! ([`CastKind`], one implementation — `apply_cast`), and a cast whose
 //! catalogued metadata follows its source table across updates
-//! ([`MaintainedCast`]).
+//! ([`MaintainedCast`]). The [`crate::ViewMaintainer`] owns the maintained
+//! casts and decides when one is re-stamped; `restamp_cast` only computes
+//! the metadata, which the caller catalogues.
 
 use hadad_core::MatrixMeta;
 use hadad_linalg::Matrix;
@@ -10,7 +12,6 @@ use hadad_relational::cast::{table_to_matrix, table_to_sparse};
 use hadad_relational::{Catalog, Table};
 
 use crate::hybrid::HybridError;
-use crate::optimizer::Optimizer;
 
 /// How the relational prefix's output becomes a matrix (paper §3).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -37,10 +38,10 @@ pub enum CastKind {
 }
 
 /// A cast whose matrix metadata is kept fresh across base-table updates:
-/// after each maintenance pass the source view (or base table) is re-cast
-/// and its [`MatrixMeta`] — shape and nnz, all the cost oracle reads —
-/// re-stamped into the LA optimizer's catalog, so the suffix cost oracle
-/// prices post-update instances correctly.
+/// each maintenance pass that touches the source view (or base table)
+/// re-casts it, and its [`MatrixMeta`] — shape and nnz, all the cost
+/// oracle reads — is re-stamped into the LA optimizer's catalog, so the
+/// suffix cost oracle prices post-update instances correctly.
 #[derive(Debug, Clone)]
 pub struct MaintainedCast {
     /// Name the matrix metadata is stamped under in the LA catalog.
@@ -56,26 +57,23 @@ pub struct MaintainedCast {
     pub cast: CastKind,
 }
 
-/// Re-casts a maintained cast's source table and stamps the resulting
-/// matrix metadata into the LA optimizer's catalog. The rows are cast in
-/// table order: the stamped shape and nnz do not depend on it, so the
-/// `sort_key` is checked, not applied.
-pub(crate) fn restamp_cast_into(
+/// Re-casts a maintained cast's source table and returns the metadata to
+/// catalogue the cast under. The rows are cast in table order: the
+/// stamped shape and nnz do not depend on it, so the `sort_key` is
+/// checked, not applied.
+pub(crate) fn restamp_cast(
     catalog: &Catalog,
-    optimizer: &mut Optimizer,
     cast: &MaintainedCast,
-) -> Result<(), HybridError> {
+) -> Result<MatrixMeta, HybridError> {
     // Fault surface: a re-stamp failure after maintenance drained the log
-    // must poison the maintainer (see `maintain_views`), not pass silently.
+    // must poison the maintainer, not pass silently.
     hadad_failpoint::hit("hybrid.restamp")?;
     let t =
         catalog.get(&cast.view).ok_or_else(|| HybridError::MissingTable(cast.view.clone()))?;
     if let Some(key) = &cast.sort_key {
         require_column(t, key)?;
     }
-    let mat = apply_cast(t, &cast.cast)?;
-    optimizer.cat.register(&cast.cast_name, MatrixMeta::from_matrix(&mat));
-    Ok(())
+    Ok(MatrixMeta::from_matrix(&apply_cast(t, &cast.cast)?))
 }
 
 pub(crate) fn apply_cast(t: &Table, kind: &CastKind) -> Result<Matrix, HybridError> {

@@ -27,17 +27,20 @@
 //! [`HybridOptimizer`] is the catalog's one owner: callers read it through
 //! a [`LiveCatalog`], whose only writes are logged row changes, and add
 //! tables through [`HybridOptimizer::register_table`]. So only a view's
-//! definition and the maintainer write its table.
+//! definition and the maintainer write its table. Freshness has one owner
+//! too: the [`ViewMaintainer`] holds the table views, the maintained casts
+//! and the poison flag, and the optimizer asks it whether it may rewrite
+//! against the views or publish them; it keeps the catalog, the LA
+//! optimizer, the compiled relational side and publishing.
 //!
 //! Execution verifies both halves (the paper's machine-checkable
 //! soundness): the rewritten prefix must produce the same cast matrix as
 //! the operator pipeline, and the winning LA plan must agree with the
 //! original suffix on the backend.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
-use std::time::Instant;
 
 use hadad_chase::{
     ChaseOutcome, ChaseStats, Cq, DegradeReason, Degraded, Instance, Pacb, PacbResult,
@@ -47,7 +50,7 @@ use hadad_core::MatrixMeta;
 use hadad_linalg::{approx_eq, Matrix};
 use hadad_relational::{Catalog, Column, IvmError, Table, Value};
 
-use crate::cast::{apply_cast, restamp_cast_into};
+use crate::cast::apply_cast;
 use crate::eval::{Env, EvalError};
 use crate::optimizer::{CallContext, Optimizer, Plan, RankedPlans, RewriteError};
 use crate::query::eval_cq_sorted;
@@ -73,14 +76,16 @@ pub enum HybridError {
     /// maintenance before rewriting, or the rewriter would read stale
     /// materializations.
     StaleViews(Vec<String>),
-    /// A view reached the maintainer without being tracked first.
-    UntrackedView(String),
     /// Tracking a view over a catalog with unmaintained updates (the
     /// cached intermediates would double-count them); maintain first.
     PendingUpdates(Vec<String>),
     /// A previous maintenance pass failed partway, leaving view state
     /// unknown — rebuild the views before maintaining or rewriting again.
     MaintenancePoisoned,
+    /// A logged write reached a table view's own table, which only its
+    /// definition writes: maintenance refuses it and poisons, and a rebuild
+    /// re-derives the view.
+    ViewWrite(String),
     /// A delta-maintenance step failed (schema drift, retraction of a
     /// missing row, ...).
     Ivm(hadad_relational::IvmError),
@@ -113,7 +118,6 @@ impl std::fmt::Display for HybridError {
             HybridError::StaleViews(vs) => {
                 write!(f, "views stale under pending updates: {}", vs.join(", "))
             }
-            HybridError::UntrackedView(v) => write!(f, "view {v} is not tracked"),
             HybridError::PendingUpdates(ts) => {
                 write!(f, "catalog holds unmaintained updates for: {}", ts.join(", "))
             }
@@ -122,6 +126,9 @@ impl std::fmt::Display for HybridError {
                     f,
                     "a failed maintenance pass left view state unknown; rebuild the views"
                 )
+            }
+            HybridError::ViewWrite(v) => {
+                write!(f, "a logged write reached view {v}, which only its definition writes")
             }
             HybridError::Ivm(e) => write!(f, "{e}"),
             HybridError::Fault { site } => write!(f, "injected fault at failpoint `{site}`"),
@@ -254,7 +261,8 @@ pub struct HybridResult {
 /// views' materializations. It reads as a [`Catalog`]; its only writes are
 /// logged row changes, whose views stay stale until
 /// [`HybridOptimizer::maintain_views`]. Write base tables only: maintenance
-/// does not undo a write to a view's own table. Tables arrive through
+/// refuses a write to a view's own table ([`HybridError::ViewWrite`]) and
+/// poisons until [`HybridOptimizer::rebuild_views`]. Tables arrive through
 /// [`HybridOptimizer::register_table`], and only maintenance drains the log.
 ///
 /// ```
@@ -321,19 +329,18 @@ impl LiveCatalog {
     }
 }
 
-/// The hybrid facade: a table catalog + table views on the relational side,
-/// an [`Optimizer`] (with its LA views) on the LA side, and a
-/// [`ViewMaintainer`] keeping the materializations consistent under
-/// base-table updates.
+/// The hybrid facade: a table catalog on the relational side, an
+/// [`Optimizer`] (with its LA views) on the LA side, and a
+/// [`ViewMaintainer`] owning the table views and maintained casts and
+/// keeping them consistent under base-table updates.
 pub struct HybridOptimizer {
     /// The relational side: base tables plus materialized views.
     pub catalog: LiveCatalog,
     /// The LA side: rewriter, cost oracle, and LA views.
     pub optimizer: Optimizer,
-    table_views: Vec<TableView>,
+    /// The table views, the maintained casts and their freshness.
     maintainer: ViewMaintainer,
-    maintained_casts: Vec<MaintainedCast>,
-    /// The relational side compiled for `catalog` and `table_views`,
+    /// The relational side compiled for `catalog` and the table views,
     /// shared with every published snapshot.
     schema: Arc<RelSchema>,
     /// Published read snapshot, lazily allocated by [`HybridOptimizer::reader`].
@@ -352,9 +359,7 @@ impl HybridOptimizer {
             schema: Arc::new(schema),
             catalog: LiveCatalog(catalog),
             optimizer,
-            table_views: Vec::new(),
             maintainer: ViewMaintainer::new(),
-            maintained_casts: Vec::new(),
             shared: None,
         }
     }
@@ -379,10 +384,8 @@ impl HybridOptimizer {
         self.maintain_views()?;
         let table = def.execute(&self.catalog)?;
         self.catalog.0.register(&name, table);
-        let view = TableView { name, def };
-        self.maintainer.track(&self.catalog, &view)?;
-        self.table_views.push(view);
-        self.schema = Arc::new(RelSchema::compile(&self.catalog, &self.table_views)?);
+        self.maintainer.track(&self.catalog, TableView { name, def })?;
+        self.schema = Arc::new(RelSchema::compile(&self.catalog, self.maintainer.views())?);
         self.publish();
         Ok(())
     }
@@ -392,7 +395,7 @@ impl HybridOptimizer {
     /// and the schema is compiled once. A table view's name is refused
     /// ([`HybridError::DuplicateName`]): its definition owns its table.
     pub fn register_table(&mut self, name: &str, table: Table) -> Result<(), HybridError> {
-        if self.table_views.iter().any(|v| v.name == name) {
+        if self.maintainer.views().iter().any(|v| v.name == name) {
             return Err(HybridError::DuplicateName(name.to_owned()));
         }
         self.catalog.0.register(name, table);
@@ -437,34 +440,35 @@ impl HybridOptimizer {
 
     /// The registered table views, in registration order.
     pub fn table_views(&self) -> &[TableView] {
-        &self.table_views
+        self.maintainer.views()
     }
 
     /// Registers a cast whose matrix metadata tracks the underlying view
     /// across updates, and stamps it now. The cast name must be fresh in
-    /// the LA catalog and among the LA views — re-stamping over an
-    /// existing input matrix (or a previously registered cast) would
-    /// silently repoint every plan that reads it at the cast's metadata,
-    /// and a view's name would merge the cast with the view's definition.
+    /// the LA catalog (which holds every maintained cast from its first
+    /// stamp) and among the LA views — re-stamping over an existing input
+    /// matrix (or a previously registered cast) would silently repoint
+    /// every plan that reads it at the cast's metadata, and a view's name
+    /// would merge the cast with the view's definition.
     pub fn register_maintained_cast(
         &mut self,
         cast: MaintainedCast,
     ) -> Result<(), HybridError> {
         if self.optimizer.cat.get(&cast.cast_name).is_some()
             || self.optimizer.has_la_view(&cast.cast_name)
-            || self.maintained_casts.iter().any(|c| c.cast_name == cast.cast_name)
         {
             return Err(HybridError::DuplicateName(cast.cast_name));
         }
-        restamp_cast_into(&self.catalog, &mut self.optimizer, &cast)?;
-        self.maintained_casts.push(cast);
+        let name = cast.cast_name.clone();
+        let meta = self.maintainer.track_cast(&self.catalog, cast)?;
+        self.optimizer.cat.register(name, meta);
         self.publish();
         Ok(())
     }
 
     /// The registered maintained casts, in registration order.
     pub fn maintained_casts(&self) -> &[MaintainedCast] {
-        &self.maintained_casts
+        self.maintainer.casts()
     }
 
     /// Drains the catalog's update log, delta-maintains every registered
@@ -473,139 +477,35 @@ impl HybridOptimizer {
     /// [`LiveCatalog::insert_rows`] / [`LiveCatalog::delete_rows`] writes:
     /// until then, the views and casts those writes reach are stale.
     pub fn maintain_views(&mut self) -> Result<MaintenanceReport, HybridError> {
-        if self.maintainer.is_poisoned() {
-            return Err(HybridError::MaintenancePoisoned);
-        }
-        if self.catalog.pending_updates().is_empty() {
-            return Ok(MaintenanceReport {
-                epoch: self.catalog.epoch(),
-                ..MaintenanceReport::default()
-            });
-        }
-        let mut dirty: HashSet<String> =
-            self.catalog.pending_updates().iter().map(|e| e.table.clone()).collect();
-        let mut report = self.maintainer.maintain(&mut self.catalog.0, &self.table_views)?;
-        dirty.extend(report.changes.iter().map(|c| c.view.clone()));
-        static RESTAMP_US: hadad_obs::LazyHistogram =
-            hadad_obs::LazyHistogram::new("maintain.restamp_us");
-        let _restamp_span = hadad_obs::span("maintain.restamp");
-        let restamp_start = Instant::now();
-        for cast in &self.maintained_casts {
-            if dirty.contains(&cast.view) {
-                if let Err(e) = restamp_cast_into(&self.catalog, &mut self.optimizer, cast) {
-                    // The log is already drained, so a failed re-stamp must
-                    // not silently clear the staleness signal: poison the
-                    // maintainer and require a rebuild, exactly as for a
-                    // failed propagation pass.
-                    self.maintainer.poison();
-                    return Err(e);
-                }
+        let report = self.maintainer.maintain(&mut self.catalog.0)?;
+        if report.entries_processed > 0 {
+            for (name, meta) in &report.restamped {
+                self.optimizer.cat.register(name.as_str(), meta.clone());
             }
+            self.publish();
         }
-        report.restamp_us = restamp_start.elapsed().as_micros();
-        RESTAMP_US.record(u64::try_from(report.restamp_us).unwrap_or(u64::MAX));
-        drop(_restamp_span);
-        self.publish();
         Ok(report)
-    }
-
-    /// Tables carrying unmaintained state: pending-update base tables plus
-    /// every view they reach (directly or through another dirty view). A
-    /// poisoned maintainer dirties every view — a failed pass leaves their
-    /// contents unknown.
-    fn dirty_names(&self) -> HashSet<&str> {
-        let mut dirty: HashSet<&str> =
-            self.catalog.pending_updates().iter().map(|e| e.table.as_str()).collect();
-        for v in &self.table_views {
-            let hit = self.maintainer.is_poisoned()
-                || dirty.contains(v.def.table.as_str())
-                || v.def.ops.iter().any(
-                    |op| matches!(op, RelOp::HashJoin { table, .. } if dirty.contains(table.as_str())),
-                );
-            if hit {
-                dirty.insert(v.name.as_str());
-            }
-        }
-        dirty
     }
 
     /// Views whose base tables (direct, or through another stale view)
     /// carry unmaintained updates, or whose maintainer is poisoned.
     pub fn stale_views(&self) -> Vec<&str> {
-        let dirty = self.dirty_names();
-        self.table_views
-            .iter()
-            .filter(|v| dirty.contains(v.name.as_str()))
-            .map(|v| v.name.as_str())
-            .collect()
-    }
-
-    /// Stale materializations a rewrite must not read: stale views plus
-    /// maintained casts whose source table (a view *or* a base table) is
-    /// dirty — the LA catalog's stamped metadata no longer matches it.
-    fn stale_materializations(&self) -> Vec<String> {
-        let dirty = self.dirty_names();
-        let mut stale: Vec<String> = self
-            .table_views
-            .iter()
-            .filter(|v| dirty.contains(v.name.as_str()))
-            .map(|v| v.name.clone())
-            .collect();
-        let poisoned = self.maintainer.is_poisoned();
-        stale.extend(
-            self.maintained_casts
-                .iter()
-                .filter(|c| poisoned || dirty.contains(c.view.as_str()))
-                .map(|c| format!("cast {}", c.cast_name)),
-        );
-        stale
+        self.maintainer.stale_views(&self.catalog)
     }
 
     /// Recovery from a failed maintenance pass (or a replaced table): drops
-    /// the pending log, re-materializes every view from the current base
-    /// tables in registration order, re-tracks them on a fresh maintainer,
-    /// re-stamps every maintained cast and compiles the relational side.
+    /// the pending log, re-derives every view from the current base tables
+    /// in place, in registration order, re-stamps every maintained cast and
+    /// compiles the relational side. A failure keeps every registration and
+    /// leaves the maintainer poisoned.
     pub fn rebuild_views(&mut self) -> Result<(), HybridError> {
-        self.catalog.0.take_updates();
-        self.maintainer = ViewMaintainer::new();
-        let result = self.rebuild_inner();
-        if result.is_err() {
-            // A partial rebuild is as unknown as a partial maintenance
-            // pass — keep refusing until a rebuild fully succeeds.
-            self.maintainer.poison();
+        for (name, meta) in self.maintainer.rebuild(&mut self.catalog.0)? {
+            self.optimizer.cat.register(name, meta);
         }
-        result
-    }
-
-    fn rebuild_inner(&mut self) -> Result<(), HybridError> {
-        for v in &self.table_views {
-            let table = v.def.execute(&self.catalog)?;
-            self.catalog.0.register(&v.name, table);
-            self.maintainer.track(&self.catalog, v)?;
-        }
-        for cast in &self.maintained_casts {
-            restamp_cast_into(&self.catalog, &mut self.optimizer, cast)?;
-        }
-        self.schema = Arc::new(RelSchema::compile(&self.catalog, &self.table_views)?);
+        // Every definition compiled when it was registered and re-executed
+        // just now, so this compiles.
+        self.schema = Arc::new(RelSchema::compile(&self.catalog, self.maintainer.views())?);
         self.publish();
-        Ok(())
-    }
-
-    /// Whether the current state may be rewritten against and committed
-    /// to a snapshot — the one check [`HybridOptimizer::reader`],
-    /// `publish` and every live rewrite share. A poisoned maintainer means
-    /// view contents are unknown; stale materializations mean PACB could
-    /// land a prefix on a view whose contents no longer match its
-    /// definition, or the LA catalog's stamped metadata would misprice
-    /// the suffix.
-    fn committable(&self) -> Result<(), HybridError> {
-        if self.maintainer.is_poisoned() {
-            return Err(HybridError::MaintenancePoisoned);
-        }
-        let stale = self.stale_materializations();
-        if !stale.is_empty() {
-            return Err(HybridError::StaleViews(stale));
-        }
         Ok(())
     }
 
@@ -613,13 +513,13 @@ impl HybridOptimizer {
     /// snapshot. The first call allocates the shared slot (snapshot clones
     /// are only paid for once a concurrent reader exists); every call
     /// republishes the current state first, and is refused while that
-    /// state is not committable: a poisoned maintainer or stale
+    /// state is not fresh: a poisoned maintainer or stale
     /// materializations would bake unknown or outdated view contents into
     /// every read served from it. Clone the returned handle freely across
     /// threads — the writer's later clean commits (registrations,
     /// maintenance passes, rebuilds) show up in readers automatically.
     pub fn reader(&mut self) -> Result<SnapshotReader, HybridError> {
-        self.committable()?;
+        self.maintainer.check_fresh(&self.catalog)?;
         match &self.shared {
             Some(shared) => {
                 let shared = Arc::clone(shared);
@@ -637,7 +537,7 @@ impl HybridOptimizer {
     fn make_snapshot(&self) -> CatalogSnapshot {
         CatalogSnapshot {
             catalog: self.catalog.clone(),
-            table_views: self.table_views.clone(),
+            views: self.maintainer.views().to_vec(),
             schema: Arc::clone(&self.schema),
             optimizer: self.optimizer.clone(),
             epoch: self.catalog.epoch(),
@@ -646,7 +546,7 @@ impl HybridOptimizer {
     }
 
     /// Republishes the shared snapshot after a state change. A no-op until
-    /// a reader exists; silently skipped when the state is not committable
+    /// a reader exists; silently skipped when the state is not fresh
     /// (poisoned maintainer, stale materializations) — readers then keep
     /// serving the last clean snapshot, which is exactly the wanted
     /// semantics for a writer mid-batch.
@@ -656,7 +556,7 @@ impl HybridOptimizer {
         static EPOCH_ADVANCE: hadad_obs::LazyHistogram =
             hadad_obs::LazyHistogram::new("snapshot.epoch_advance");
         let Some(shared) = &self.shared else { return };
-        if self.committable().is_err() {
+        if self.maintainer.check_fresh(&self.catalog).is_err() {
             return;
         }
         let snap = Arc::new(self.make_snapshot());
@@ -701,7 +601,7 @@ impl HybridOptimizer {
         // Stale materializations, unlike poisoning, have a cheap remedy —
         // `maintain_views()` — so they stay a hard error rather than a
         // silent degradation.
-        let degraded = match self.committable() {
+        let degraded = match self.maintainer.check_fresh(&self.catalog) {
             Ok(()) => None,
             Err(HybridError::MaintenancePoisoned) => Some(Degraded {
                 reason: DegradeReason::MaintenancePoisoned,
@@ -894,7 +794,8 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
 }
 
 /// One hybrid rewrite over a captured [`RunState`]: shared verbatim by the
-/// live `&self` path and by snapshot readers on other threads.
+/// live `&self` path and by snapshot readers on other threads. Its
+/// `elapsed_us` is the measurement `hybrid.total_us` records.
 fn run_state(
     state: &RunState<'_>,
     p: &HybridPipeline,
@@ -903,9 +804,20 @@ fn run_state(
     static RUNS: hadad_obs::LazyCounter = hadad_obs::LazyCounter::new("hybrid.runs");
     static TOTAL_US: hadad_obs::LazyHistogram =
         hadad_obs::LazyHistogram::new("hybrid.total_us");
-    let _span = hadad_obs::span("hybrid.run");
     RUNS.incr();
-    let start = Instant::now();
+    let (result, elapsed_us) =
+        hadad_obs::timed("hybrid.run", &TOTAL_US, || run_phases(state, p, verify));
+    let mut result = result?;
+    result.elapsed_us = elapsed_us;
+    Ok(result)
+}
+
+/// The phases of [`run_state`], untimed.
+fn run_phases(
+    state: &RunState<'_>,
+    p: &HybridPipeline,
+    verify: Option<(&Env, f64)>,
+) -> Result<HybridResult, HybridError> {
     // The chase's `name-unique` EGD would merge the cast leaf with the
     // view's definition and make the two "equivalent".
     if state.optimizer.has_la_view(&p.cast_name) {
@@ -964,8 +876,6 @@ fn run_state(
         .or_else(|| rel.pacb.degraded.clone())
         .or_else(|| ranked.report.degraded.clone());
 
-    let elapsed_us = start.elapsed().as_micros();
-    TOTAL_US.record(u64::try_from(elapsed_us).unwrap_or(u64::MAX));
     Ok(HybridResult {
         rel,
         table,
@@ -976,7 +886,7 @@ fn run_state(
         best,
         verified,
         degraded,
-        elapsed_us,
+        elapsed_us: 0,
     })
 }
 
@@ -1052,7 +962,7 @@ impl PrefixMemo {
 /// Every method takes `&self`, so one snapshot (behind an [`Arc`]) serves
 /// hybrid rewrites from any number of threads while the writer keeps
 /// mutating and maintaining the live optimizer. Snapshots are only ever
-/// published from committable states (maintainer healthy, nothing stale),
+/// published from fresh states (maintainer healthy, nothing stale),
 /// so the stale-view and poisoning checks of the live path are vacuous
 /// here by construction. Because a snapshot never changes, it memoizes
 /// the relational half of [`CatalogSnapshot::rewrite_hybrid`] for all of
@@ -1061,7 +971,7 @@ impl PrefixMemo {
 #[derive(Clone)]
 pub struct CatalogSnapshot {
     catalog: Catalog,
-    table_views: Vec<TableView>,
+    views: Vec<TableView>,
     schema: Arc<RelSchema>,
     optimizer: Optimizer,
     epoch: u64,
@@ -1083,7 +993,7 @@ impl CatalogSnapshot {
 
     /// The snapshotted table views, in registration order.
     pub fn table_views(&self) -> &[TableView] {
-        &self.table_views
+        &self.views
     }
 
     /// Rewrites a hybrid pipeline against the snapshot, without the LA

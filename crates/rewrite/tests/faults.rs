@@ -22,7 +22,7 @@ use hadad_chase::{
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog};
 use hadad_failpoint::{scoped, FailAction};
-use hadad_linalg::{rand_gen, take_backend_panics, Matrix};
+use hadad_linalg::{rand_gen, Matrix};
 use hadad_relational::{Catalog, Column, Table, Value};
 use hadad_rewrite::{
     CastKind, Env, HybridError, HybridOptimizer, HybridPipeline, Optimizer, RelQuery,
@@ -162,18 +162,26 @@ fn extraction_panic_falls_back_to_original_plan() {
 }
 
 /// A panicking parallel kernel worker retries on the reference backend:
-/// the rewrite still verifies, and the retry is recorded as a typed
-/// `BackendPanic` event rather than aborting the evaluation.
+/// the rewrite still verifies, and each retry is recorded as a
+/// `linalg.kernel` event naming the backend rather than aborting the
+/// evaluation.
 #[test]
 fn kernel_panic_degrades_to_reference_backend() {
     let (cat, env, expr) = chain(&[60, 40, 20, 1]);
     let opt = Optimizer::new(cat);
     let _g = scoped("linalg.kernel", FailAction::Panic);
+    let before = kernel_events().len();
     let (ranked, plan, _) = quiet_panics(|| opt.rewrite_verified(&expr, &env, 1e-9)).unwrap();
     assert!(plan.est_cost <= ranked.original.est_cost);
-    let events = take_backend_panics();
-    assert!(!events.is_empty(), "kernel retries must surface BackendPanic events");
-    assert!(events.iter().all(|e| e.backend == "parallel"));
+    let events = &kernel_events()[before..];
+    assert!(!events.is_empty(), "kernel retries must surface linalg.kernel events");
+    assert!(events.iter().all(|m| m.starts_with("worker panic in parallel backend during ")));
+}
+
+/// The messages of every `linalg.kernel` entry in the obs event log.
+fn kernel_events() -> Vec<String> {
+    let events = hadad_obs::events().into_iter().filter(|e| e.site == "linalg.kernel");
+    events.map(|e| e.message).collect()
 }
 
 fn tweets() -> Table {
@@ -393,6 +401,5 @@ fn env_driven_single_fault_degrades_cleanly() {
                 assert_eq!(hy.catalog.cardinality("topic3"), Some(11));
             }
         }
-        let _ = take_backend_panics();
     });
 }

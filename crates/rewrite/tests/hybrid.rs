@@ -1046,3 +1046,98 @@ fn a_replaced_table_rebuilds_its_views_and_casts() {
     assert!(got.rel.rewriting.is_some());
     assert_eq!((got.rel.cost_best, &got.table), (want.rel.cost_best, &want.table));
 }
+
+/// A logged write to a table view's own table is refused where the log is
+/// read: maintenance fails typed and poisons, a run degrades to the base
+/// table (its 10 rows, not the written view's 11) and reads no view, and a
+/// rebuild re-derives the view from its definition.
+#[test]
+fn a_write_to_a_views_own_table_poisons_until_rebuilt() {
+    let n = 60i64;
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "tweets",
+        Table::new(vec![
+            ("tid", Column::Int((0..n).collect())),
+            ("topic", Column::Int((0..n).map(|i| i % 6).collect())),
+            ("level", Column::Int((0..n).map(|i| i % 4 + 1).collect())),
+        ]),
+    );
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
+    let topic3 = || RelQuery::scan("tweets").select_eq("topic", 3);
+    hy.register_table_view("topic3", topic3()).unwrap();
+    let p = HybridPipeline {
+        prefix: topic3(),
+        sort_key: Some("tid".into()),
+        cast: CastKind::Dense { columns: vec!["tid".into(), "level".into()] },
+        cast_name: "M".into(),
+        suffix: m("M"),
+    };
+    assert_eq!(hy.rewrite_hybrid(&p).unwrap().rel.rows_out, 10);
+
+    hy.catalog
+        .insert_rows("topic3", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]])
+        .unwrap();
+    let err = hy.maintain_views().unwrap_err();
+    assert!(matches!(err, HybridError::ViewWrite(ref v) if v == "topic3"), "{err:?}");
+    assert!(matches!(hy.maintain_views(), Err(HybridError::MaintenancePoisoned)));
+    let r = hy.rewrite_hybrid(&p).unwrap();
+    assert_eq!(r.degraded.map(|d| d.reason), Some(DegradeReason::MaintenancePoisoned));
+    assert!(r.rel.rewriting.is_none());
+    assert_eq!(r.rel.rows_out, 10);
+
+    hy.rebuild_views().unwrap();
+    assert_eq!(hy.catalog.cardinality("topic3"), Some(10));
+    let r = hy.rewrite_hybrid(&p).unwrap();
+    assert!(r.degraded.is_none());
+    assert!(r.rel.rewriting.is_some());
+    assert_eq!(r.rel.rows_out, 10);
+}
+
+/// A failed rebuild keeps every view and cast registered and the
+/// maintainer poisoned; the next rebuild re-derives them all in place, and
+/// maintenance reaches both again.
+#[test]
+fn a_failed_rebuild_keeps_every_view_and_cast_registered() {
+    let mut catalog = Catalog::new();
+    catalog.register("tweets", tweets());
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(MetaCatalog::new()));
+    hy.register_table_view(
+        "covid_tweets",
+        RelQuery::scan("tweets").select_eq("topic", COVID_TOPIC),
+    )
+    .unwrap();
+    hy.register_maintained_cast(MaintainedCast {
+        cast_name: "N".into(),
+        view: "covid_tweets".into(),
+        sort_key: None,
+        cast: CastKind::Sparse {
+            row: "tid".into(),
+            col: "topic".into(),
+            val: "level".into(),
+            rows: NUM_TWEETS + 1,
+            cols: NUM_TOPICS,
+        },
+    })
+    .unwrap();
+
+    let broken = Table::new(vec![("tid", Column::Int(vec![1]))]);
+    let err = hy.register_table("tweets", broken).unwrap_err();
+    assert!(matches!(err, HybridError::MissingColumn(ref c) if c == "topic"), "{err:?}");
+    assert_eq!(hy.table_views().len(), 1);
+    assert_eq!(hy.maintained_casts().len(), 1);
+    assert!(matches!(hy.maintain_views(), Err(HybridError::MaintenancePoisoned)));
+    assert_eq!(hy.stale_views(), ["covid_tweets"]);
+
+    hy.register_table("tweets", tweets()).unwrap();
+    assert!(hy.stale_views().is_empty());
+    let covid = NUM_TWEETS / NUM_TOPICS;
+    assert_eq!(hy.catalog.cardinality("covid_tweets"), Some(covid));
+    assert_eq!(hy.optimizer.cat.get("N").unwrap().nnz, covid);
+    let row = vec![Value::Int(NUM_TWEETS as i64), Value::Int(COVID_TOPIC), Value::Int(1)];
+    hy.catalog.insert_rows("tweets", vec![row]).unwrap();
+    let report = hy.maintain_views().unwrap();
+    assert_eq!(report.restamped.len(), 1);
+    assert_eq!(hy.catalog.cardinality("covid_tweets"), Some(covid + 1));
+    assert_eq!(hy.optimizer.cat.get("N").unwrap().nnz, covid + 1);
+}

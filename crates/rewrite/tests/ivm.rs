@@ -166,7 +166,7 @@ fn property_random_update_sequences_keep_views_fresh() {
             let table = def.execute(&catalog).unwrap();
             catalog.register(name, table);
             let view = TableView { name: name.into(), def };
-            maintainer.track(&catalog, &view).unwrap();
+            maintainer.track(&catalog, view.clone()).unwrap();
             views.push(view);
         }
         assert_views_fresh(&catalog, &views, "seed state");
@@ -203,7 +203,7 @@ fn property_random_update_sequences_keep_views_fresh() {
             // Row indexes (catalog entries, cached join inputs) must hold
             // their invariant both mid-batch and after the pass.
             catalog.check_indexes().unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
-            let report = maintainer.maintain(&mut catalog, &views).unwrap();
+            let report = maintainer.maintain(&mut catalog).unwrap();
             assert!(report.entries_processed > 0);
             assert_views_fresh(&catalog, &views, &format!("seed {seed} step {step}"));
             catalog.check_indexes().unwrap_or_else(|e| panic!("seed {seed} step {step}: {e}"));
@@ -235,14 +235,14 @@ fn multi_table_batch_does_not_double_count_delta_join_delta() {
     catalog.register("j", table);
     let view = TableView { name: "j".into(), def };
     let mut maintainer = ViewMaintainer::new();
-    maintainer.track(&catalog, &view).unwrap();
+    maintainer.track(&catalog, view.clone()).unwrap();
 
     // ΔL and ΔR share the key 2: the correct view gains exactly one row
     // (2, 11, 21); double counting ΔL ⋈ ΔR would add it twice.
     catalog.insert_rows("l", vec![vec![Value::Int(2), Value::Int(11)]]).unwrap();
     catalog.insert_rows("r", vec![vec![Value::Int(2), Value::Int(21)]]).unwrap();
     let views = [view];
-    maintainer.maintain(&mut catalog, &views).unwrap();
+    maintainer.maintain(&mut catalog).unwrap();
 
     let j = catalog.get("j").unwrap();
     let expected = views[0].def.execute(&catalog).unwrap();
@@ -267,11 +267,11 @@ fn projection_duplicates_retract_by_count() {
     catalog.register("levels", def.execute(&catalog).unwrap());
     let view = TableView { name: "levels".into(), def };
     let mut maintainer = ViewMaintainer::new();
-    maintainer.track(&catalog, &view).unwrap();
+    maintainer.track(&catalog, view.clone()).unwrap();
 
     catalog.delete_rows("t", vec![vec![Value::Int(2), Value::Int(7)]]).unwrap();
     let views = [view];
-    maintainer.maintain(&mut catalog, &views).unwrap();
+    maintainer.maintain(&mut catalog).unwrap();
     let levels = catalog.get("levels").unwrap();
     assert_eq!(levels.num_rows(), 3, "exactly one of the three 7s is retracted");
     assert_eq!(fingerprint(levels), fingerprint(&views[0].def.execute(&catalog).unwrap()));
@@ -291,11 +291,10 @@ fn irrelevant_updates_touch_nothing() {
     catalog.register("v", def.execute(&catalog).unwrap());
     let view = TableView { name: "v".into(), def };
     let mut maintainer = ViewMaintainer::new();
-    maintainer.track(&catalog, &view).unwrap();
+    maintainer.track(&catalog, view).unwrap();
 
     catalog.insert_rows("t", vec![vec![Value::Int(9), Value::Int(99)]]).unwrap();
-    let views = [view];
-    let report = maintainer.maintain(&mut catalog, &views).unwrap();
+    let report = maintainer.maintain(&mut catalog).unwrap();
     assert_eq!(report.rows_touched(), 0);
     assert!(report.changes.is_empty());
     assert_eq!(catalog.cardinality("v"), Some(1));
@@ -324,7 +323,7 @@ fn a_batch_that_nets_to_zero_changes_nothing() {
     for (name, def) in defs {
         catalog.register(name, def.execute(&catalog).unwrap());
         let view = TableView { name: name.into(), def };
-        maintainer.track(&catalog, &view).unwrap();
+        maintainer.track(&catalog, view.clone()).unwrap();
         views.push(view);
     }
     let before: Vec<_> = views.iter().map(|v| catalog.get(&v.name).unwrap().clone()).collect();
@@ -333,7 +332,7 @@ fn a_batch_that_nets_to_zero_changes_nothing() {
     catalog.insert_rows("t", row()).unwrap();
     catalog.delete_rows("t", row()).unwrap();
     let epoch = catalog.epoch();
-    let report = maintainer.maintain(&mut catalog, &views).unwrap();
+    let report = maintainer.maintain(&mut catalog).unwrap();
     assert!(report.changes.is_empty(), "{:?}", report.changes);
     assert_eq!(report.entries_processed, 1);
     assert_eq!((report.epoch, catalog.epoch()), (epoch, epoch));
@@ -355,7 +354,7 @@ fn tracking_with_pending_updates_is_refused() {
     catalog.register("v", def.execute(&catalog).unwrap());
     catalog.insert_rows("t", vec![vec![Value::Int(3)]]).unwrap();
     let mut maintainer = ViewMaintainer::new();
-    let err = maintainer.track(&catalog, &TableView { name: "v".into(), def }).unwrap_err();
+    let err = maintainer.track(&catalog, TableView { name: "v".into(), def }).unwrap_err();
     assert!(matches!(err, HybridError::PendingUpdates(ref ts) if ts == &["t".to_string()]));
 }
 
@@ -370,39 +369,17 @@ fn failed_maintenance_poisons_the_maintainer() {
     catalog.register("v", def.execute(&catalog).unwrap());
     let view = TableView { name: "v".into(), def };
     let mut maintainer = ViewMaintainer::new();
-    maintainer.track(&catalog, &view).unwrap();
+    maintainer.track(&catalog, view).unwrap();
     assert!(!maintainer.is_poisoned());
 
     // Sabotage the materialization through the raw catalog handle: the
     // view delta no longer matches its schema, so the pass fails.
     catalog.register("v", Table::new(vec![("other", Column::Str(vec![]))]));
     catalog.insert_rows("t", vec![vec![Value::Int(1)]]).unwrap();
-    let views = [view];
-    let err = maintainer.maintain(&mut catalog, &views).unwrap_err();
+    let err = maintainer.maintain(&mut catalog).unwrap_err();
     assert!(matches!(err, HybridError::Ivm(_)));
     assert!(maintainer.is_poisoned());
     // Every further pass refuses until the views are rebuilt.
-    let err = maintainer.maintain(&mut catalog, &views).unwrap_err();
+    let err = maintainer.maintain(&mut catalog).unwrap_err();
     assert!(matches!(err, HybridError::MaintenancePoisoned));
-}
-
-/// Untracked views are a hard error, not silently skipped staleness.
-#[test]
-fn maintaining_an_untracked_join_view_errors() {
-    let mut catalog = Catalog::new();
-    catalog.register(
-        "l",
-        Table::new(vec![("k", Column::Int(vec![1])), ("a", Column::Int(vec![10]))]),
-    );
-    catalog.register(
-        "r",
-        Table::new(vec![("k", Column::Int(vec![1])), ("b", Column::Int(vec![20]))]),
-    );
-    let def = RelQuery::scan("l").join("r", "k", "k");
-    catalog.register("j", def.execute(&catalog).unwrap());
-    let views = [TableView { name: "j".into(), def }];
-    catalog.insert_rows("l", vec![vec![Value::Int(1), Value::Int(11)]]).unwrap();
-    let mut maintainer = ViewMaintainer::new();
-    let err = maintainer.maintain(&mut catalog, &views).unwrap_err();
-    assert!(matches!(err, HybridError::UntrackedView(v) if v == "j"));
 }

@@ -115,14 +115,14 @@ fn a_batch_examines_rows_in_proportion_to_the_delta() {
     cat.register("verified_tweets", joined);
     let views = [TableView { name: "verified_tweets".into(), def }];
     let mut maintainer = ViewMaintainer::new();
-    maintainer.track(&cat, &views[0]).unwrap();
+    maintainer.track(&cat, views[0].clone()).unwrap();
     cat.insert_rows(
         "tweets",
         (0..10).map(|i| vec![Value::Int(90_000 + i), Value::Int(i % 5)]).collect(),
     )
     .unwrap();
     let cost = examined_by(|| {
-        let report = maintainer.maintain(&mut cat, &views).unwrap();
+        let report = maintainer.maintain(&mut cat).unwrap();
         assert_eq!(report.rows_touched(), 6, "uids 0, 1, 2 of 0..5, twice each");
     });
     assert_eq!(cost, 3, "L ⋈ ΔR scans L's key column once; R is never read");

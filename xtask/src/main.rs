@@ -11,8 +11,7 @@
 //! pipeline layer (chase, extraction, kernels, view maintenance, plan
 //! cache, snapshot prefix memo), and exports the run profile: `TRACE_rewrite.json` (Chrome
 //! `chrome://tracing` / Perfetto format) plus a metrics snapshot in JSON
-//! (`METRICS_snapshot.json`) and Prometheus text
-//! (`METRICS_snapshot.prom`). Exits nonzero if any layer failed to light
+//! (`METRICS_snapshot.json`). Exits nonzero if any layer failed to light
 //! up its counters — CI runs it as the observability smoke gate.
 //!
 //! `kernels` times the `Parallel` backend's product kernels on the operand
@@ -170,13 +169,12 @@ fn obs_dump() -> ExitCode {
         }
     }
 
-    // Export: Chrome trace + metrics snapshot (JSON and Prometheus text).
+    // Export: Chrome trace + metrics snapshot (JSON).
     let spans = hadad_obs::take_trace();
     let snap = hadad_obs::snapshot();
     let writes = [
         ("TRACE_rewrite.json", hadad_obs::chrome_trace_json(&spans)),
         ("METRICS_snapshot.json", snap.to_json()),
-        ("METRICS_snapshot.prom", snap.to_prometheus()),
     ];
     for (path, contents) in &writes {
         if let Err(e) = std::fs::write(path, contents) {
@@ -220,7 +218,7 @@ fn obs_dump() -> ExitCode {
         best.expr,
         ranked.est_speedup(),
     );
-    println!("wrote TRACE_rewrite.json + METRICS_snapshot.json + METRICS_snapshot.prom");
+    println!("wrote TRACE_rewrite.json + METRICS_snapshot.json");
     if ok {
         ExitCode::SUCCESS
     } else {
