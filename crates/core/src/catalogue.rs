@@ -622,6 +622,7 @@ mod tests {
     use crate::analysis::LaAnalysis;
     use crate::encode::Encoder;
     use crate::expr::dsl::*;
+    use crate::expr::UnaryOp;
     use crate::extract::{Extractor, TreeSizeCost};
     use crate::stats::{expr_stats, MatrixMeta, MetaCatalog, TypeFlags};
     use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, Instance, NodeId, RuleSet};
@@ -726,7 +727,8 @@ mod tests {
         // trace(Q·R) where [Q,R] = QR(D) must land in trace(D)'s class.
         let mut cat = MetaCatalog::new();
         cat.register("D", MatrixMeta::dense(8, 8));
-        let e = trace(mul(Expr::QrQ(Box::new(m("D"))), Expr::QrR(Box::new(m("D")))));
+        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Box::new(m("D")));
+        let e = trace(mul(qr(0), qr(1)));
         let c = chase_of(&e, &cat);
         assert_eq!(c.extractor().extract(c.root).unwrap(), trace(m("D")));
     }

@@ -406,8 +406,8 @@ impl HashCons for CqEncoder<'_> {
     }
 }
 
-/// Operator kind of a non-leaf expression (decomposition accessors excluded:
-/// they need special two-output handling).
+/// Operator kind of a non-leaf expression (`Sub` is the `Add` it desugars
+/// to; a QR/LU component is its pair's kind).
 pub fn op_kind_of(e: &Expr) -> Option<OpKind> {
     use Expr::*;
     Some(match e {
@@ -418,33 +418,8 @@ pub fn op_kind_of(e: &Expr) -> Option<OpKind> {
         Kron(..) => OpKind::Kron,
         DirectSum(..) => OpKind::DirectSum,
         ScalarMul(..) => OpKind::ScalarMul,
-        Transpose(..) => OpKind::Transpose,
-        Inv(..) => OpKind::Inv,
-        Adj(..) => OpKind::Adj,
-        Exp(..) => OpKind::Exp,
-        Diag(..) => OpKind::Diag,
-        Rev(..) => OpKind::Rev,
-        RowSums(..) => OpKind::RowSums,
-        ColSums(..) => OpKind::ColSums,
-        RowMeans(..) => OpKind::RowMeans,
-        ColMeans(..) => OpKind::ColMeans,
-        RowMin(..) => OpKind::RowMin,
-        RowMax(..) => OpKind::RowMax,
-        ColMin(..) => OpKind::ColMin,
-        ColMax(..) => OpKind::ColMax,
-        RowVar(..) => OpKind::RowVar,
-        ColVar(..) => OpKind::ColVar,
-        Det(..) => OpKind::Det,
-        Trace(..) => OpKind::Trace,
-        Sum(..) => OpKind::Sum,
-        Min(..) => OpKind::Min,
-        Max(..) => OpKind::Max,
-        Mean(..) => OpKind::Mean,
-        Var(..) => OpKind::Var,
-        Cho(..) => OpKind::Cho,
-        Mat(_) | Const(_) | Identity(_) | Zero(..) | QrQ(_) | QrR(_) | LuL(_) | LuU(_) => {
-            return None
-        }
+        Unary(op, _) => op.kind(),
+        Mat(_) | Const(_) | Identity(_) | Zero(..) => return None,
     })
 }
 
@@ -452,6 +427,7 @@ pub fn op_kind_of(e: &Expr) -> Option<OpKind> {
 mod tests {
     use super::*;
     use crate::expr::dsl::*;
+    use crate::expr::UnaryOp;
     use crate::stats::MatrixMeta;
 
     fn cat() -> MetaCatalog {
@@ -511,7 +487,8 @@ mod tests {
         let mut vrem = Vrem::new();
         let mut c = MetaCatalog::new();
         c.register("D", MatrixMeta::dense(8, 8));
-        let e = mul(Expr::QrQ(Box::new(m("D"))), Expr::QrR(Box::new(m("D"))));
+        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Box::new(m("D")));
+        let e = mul(qr(0), qr(1));
         let enc = Encoder::new(&mut vrem, &c).encode(&e).unwrap();
         assert_eq!(enc.instance.facts_with_pred(vrem.op(OpKind::Qr)).len(), 1);
     }
@@ -543,7 +520,9 @@ mod tests {
         let root = enc.enc(&t(m("M"))).unwrap();
         // name(M) + tr: the stats are beside the atoms, not among them.
         assert_eq!(enc.atoms.len(), 2);
-        let q = enc.enc(&Expr::QrQ(Box::new(m("D")))).unwrap();
+        let q = enc
+            .enc(&Expr::Unary(UnaryOp::new(OpKind::Qr, 0).unwrap(), Box::new(m("D"))))
+            .unwrap();
         let of = |v: u32| enc.classes.get(v as usize)?.map(|d| (d.shape(), d.density));
         assert_eq!(of(0), Some(((6, 4), Some(1.0))));
         assert_eq!(of(root), Some(((4, 6), Some(1.0))), "the transposed dims");

@@ -6,8 +6,18 @@
 //! expressions. Subtraction is kept in the surface syntax but desugared to
 //! `Add(a, ScalarMul(-1, b))` by the relational encoder so that every
 //! addition property applies to it for free; the decoder resugars.
+//!
+//! Each unary operator is declared once, as an [`OpKind`] (one VREM
+//! relation of the paper's Table 1). An [`Expr::Unary`] node names it
+//! through the checked [`UnaryOp`], so traversals, hashing, the encoder
+//! and the extractor handle every unary operator in one arm. What an
+//! operator does is said per kind: its shape rule and cost in
+//! [`crate::stats`], its kernel in the evaluator. `Display` prints the
+//! relation's name, except for `ᵀ`, `⁻¹` and the decompositions.
 
 use std::fmt;
+
+use crate::schema::OpKind;
 
 /// A hybrid linear-algebra expression.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,83 +49,69 @@ pub enum Expr {
     /// Scalar-matrix product; the first operand must be scalar (1x1).
     ScalarMul(Box<Expr>, Box<Expr>),
 
-    // -- unary, matrix-valued --
-    /// Transposition.
-    Transpose(Box<Expr>),
-    /// Matrix inverse.
-    Inv(Box<Expr>),
-    /// Adjugate (classical adjoint).
-    Adj(Box<Expr>),
-    /// Matrix exponential.
-    Exp(Box<Expr>),
-    /// Diagonal of a square matrix, as a column vector.
-    Diag(Box<Expr>),
-    /// Row-order reversal (SystemML `rev`).
-    Rev(Box<Expr>),
-    /// Per-row sums, as a column vector.
-    RowSums(Box<Expr>),
-    /// Per-column sums, as a row vector.
-    ColSums(Box<Expr>),
-    /// Per-row means, as a column vector.
-    RowMeans(Box<Expr>),
-    /// Per-column means, as a row vector.
-    ColMeans(Box<Expr>),
-    /// Per-row minima, as a column vector.
-    RowMin(Box<Expr>),
-    /// Per-row maxima, as a column vector.
-    RowMax(Box<Expr>),
-    /// Per-column minima, as a row vector.
-    ColMin(Box<Expr>),
-    /// Per-column maxima, as a row vector.
-    ColMax(Box<Expr>),
-    /// Per-row population variances, as a column vector.
-    RowVar(Box<Expr>),
-    /// Per-column population variances, as a row vector.
-    ColVar(Box<Expr>),
+    // -- unary --
+    /// A unary operator applied to its operand: transposition, inverse,
+    /// an aggregate, a decomposition component, ... ([`UnaryOp`]).
+    Unary(UnaryOp, Box<Expr>),
+}
 
-    // -- unary, scalar-valued (1x1) --
-    /// Determinant.
-    Det(Box<Expr>),
-    /// Trace.
-    Trace(Box<Expr>),
-    /// Sum of all entries.
-    Sum(Box<Expr>),
-    /// Minimum entry.
-    Min(Box<Expr>),
-    /// Maximum entry.
-    Max(Box<Expr>),
-    /// Mean of all entries.
-    Mean(Box<Expr>),
-    /// Population variance of all entries.
-    Var(Box<Expr>),
+/// The operator of an [`Expr::Unary`] node: a unary [`OpKind`] and, for
+/// QR and LU, which of their two outputs (`qr.Q`/`lu.L` are 0, `qr.R`/`lu.U`
+/// are 1). [`UnaryOp::new`] is the only constructor, so an `Expr` never
+/// holds a binary kind or an output its operator does not have.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct UnaryOp {
+    kind: OpKind,
+    out: u8,
+}
 
-    // -- decomposition component accessors --
-    /// Cholesky factor `L` with `M = L L^T` (M symmetric positive definite).
-    Cho(Box<Expr>),
-    /// `Q` of `QR(M) = [Q, R]`.
-    QrQ(Box<Expr>),
-    /// `R` of `QR(M) = [Q, R]`.
-    QrR(Box<Expr>),
-    /// `L` of `LU(M) = [L, U]`.
-    LuL(Box<Expr>),
-    /// `U` of `LU(M) = [L, U]`.
-    LuU(Box<Expr>),
+impl UnaryOp {
+    /// Output `out` of the unary `kind`; `None` for a binary kind or an
+    /// output past the kind's last.
+    pub fn new(kind: OpKind, out: usize) -> Option<UnaryOp> {
+        let outputs = kind.arity() - kind.num_inputs();
+        (kind.num_inputs() == 1 && out < outputs).then_some(UnaryOp { kind, out: out as u8 })
+    }
+
+    /// The operator kind (one VREM relation).
+    pub fn kind(self) -> OpKind {
+        self.kind
+    }
+
+    /// Which output of the kind's relation this is (0 unless QR/LU).
+    pub fn out(self) -> usize {
+        usize::from(self.out)
+    }
+
+    /// Writes `op(a)`: postfix for transposition and inverse, else a
+    /// function named as the operator's VREM relation is, but for the
+    /// decompositions.
+    fn fmt(self, a: &Expr, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        use OpKind::*;
+        let name = match (self.kind, self.out) {
+            (Transpose, _) => return write!(f, "{a}ᵀ"),
+            (Inv, _) => return write!(f, "{a}⁻¹"),
+            (Cho, _) => "cho",
+            (Qr, 0) => "qr.Q",
+            (Qr, _) => "qr.R",
+            (Lu, 0) => "lu.L",
+            (Lu, _) => "lu.U",
+            (kind, _) => kind.pred_name(),
+        };
+        write!(f, "{name}({a})")
+    }
+}
+
+/// The single-output unary `kind` applied to `a`.
+fn apply(kind: OpKind, a: Expr) -> Expr {
+    let op = UnaryOp::new(kind, 0).expect("a single-output unary kind");
+    Expr::Unary(op, Box::new(a))
 }
 
 impl Expr {
     /// A base matrix (or view) reference.
     pub fn mat(name: impl Into<String>) -> Expr {
         Expr::Mat(name.into())
-    }
-
-    /// `A^k` for `k >= 1`, unrolled as a left-deep multiplication chain.
-    pub fn power(base: Expr, k: u32) -> Expr {
-        assert!(k >= 1, "power requires k >= 1");
-        let mut e = base.clone();
-        for _ in 1..k {
-            e = Expr::Mul(Box::new(e), Box::new(base.clone()));
-        }
-        e
     }
 
     /// Children of this node, for generic traversals.
@@ -131,12 +127,7 @@ impl Expr {
             | Kron(a, b)
             | DirectSum(a, b)
             | ScalarMul(a, b) => vec![a, b],
-            Transpose(a) | Inv(a) | Adj(a) | Exp(a) | Diag(a) | Rev(a) | RowSums(a)
-            | ColSums(a) | RowMeans(a) | ColMeans(a) | RowMin(a) | RowMax(a) | ColMin(a)
-            | ColMax(a) | RowVar(a) | ColVar(a) | Det(a) | Trace(a) | Sum(a) | Min(a)
-            | Max(a) | Mean(a) | Var(a) | Cho(a) | QrQ(a) | QrR(a) | LuL(a) | LuU(a) => {
-                vec![a]
-            }
+            Unary(_, a) => vec![a],
         }
     }
 
@@ -180,41 +171,15 @@ impl fmt::Display for Expr {
             Kron(a, b) => write!(f, "({a} ⊗ {b})"),
             DirectSum(a, b) => write!(f, "({a} ⊕ {b})"),
             ScalarMul(a, b) => write!(f, "({a} · {b})"),
-            Transpose(a) => write!(f, "{a}ᵀ"),
-            Inv(a) => write!(f, "{a}⁻¹"),
-            Adj(a) => write!(f, "adj({a})"),
-            Exp(a) => write!(f, "exp({a})"),
-            Diag(a) => write!(f, "diag({a})"),
-            Rev(a) => write!(f, "rev({a})"),
-            RowSums(a) => write!(f, "rowSums({a})"),
-            ColSums(a) => write!(f, "colSums({a})"),
-            RowMeans(a) => write!(f, "rowMeans({a})"),
-            ColMeans(a) => write!(f, "colMeans({a})"),
-            RowMin(a) => write!(f, "rowMin({a})"),
-            RowMax(a) => write!(f, "rowMax({a})"),
-            ColMin(a) => write!(f, "colMin({a})"),
-            ColMax(a) => write!(f, "colMax({a})"),
-            RowVar(a) => write!(f, "rowVar({a})"),
-            ColVar(a) => write!(f, "colVar({a})"),
-            Det(a) => write!(f, "det({a})"),
-            Trace(a) => write!(f, "trace({a})"),
-            Sum(a) => write!(f, "sum({a})"),
-            Min(a) => write!(f, "min({a})"),
-            Max(a) => write!(f, "max({a})"),
-            Mean(a) => write!(f, "mean({a})"),
-            Var(a) => write!(f, "var({a})"),
-            Cho(a) => write!(f, "cho({a})"),
-            QrQ(a) => write!(f, "qr.Q({a})"),
-            QrR(a) => write!(f, "qr.R({a})"),
-            LuL(a) => write!(f, "lu.L({a})"),
-            LuU(a) => write!(f, "lu.U({a})"),
+            Unary(op, a) => op.fmt(a, f),
         }
     }
 }
 
 /// Convenience constructors (keep workload definitions terse).
 pub mod dsl {
-    use super::Expr;
+    use super::{apply, Expr};
+    use crate::schema::OpKind;
 
     /// [`Expr::Mat`] reference.
     pub fn m(name: &str) -> Expr {
@@ -250,39 +215,39 @@ pub mod dsl {
     }
     /// Transpose.
     pub fn t(a: Expr) -> Expr {
-        Expr::Transpose(Box::new(a))
+        apply(OpKind::Transpose, a)
     }
     /// Inverse.
     pub fn inv(a: Expr) -> Expr {
-        Expr::Inv(Box::new(a))
+        apply(OpKind::Inv, a)
     }
     /// Determinant.
     pub fn det(a: Expr) -> Expr {
-        Expr::Det(Box::new(a))
+        apply(OpKind::Det, a)
     }
     /// Trace.
     pub fn trace(a: Expr) -> Expr {
-        Expr::Trace(Box::new(a))
+        apply(OpKind::Trace, a)
     }
     /// Sum of all entries.
     pub fn sum(a: Expr) -> Expr {
-        Expr::Sum(Box::new(a))
+        apply(OpKind::Sum, a)
     }
     /// Matrix exponential.
     pub fn exp(a: Expr) -> Expr {
-        Expr::Exp(Box::new(a))
+        apply(OpKind::Exp, a)
     }
     /// Per-row sums.
     pub fn row_sums(a: Expr) -> Expr {
-        Expr::RowSums(Box::new(a))
+        apply(OpKind::RowSums, a)
     }
     /// Per-column sums.
     pub fn col_sums(a: Expr) -> Expr {
-        Expr::ColSums(Box::new(a))
+        apply(OpKind::ColSums, a)
     }
     /// Cholesky factor `L`.
     pub fn cho(a: Expr) -> Expr {
-        Expr::Cho(Box::new(a))
+        apply(OpKind::Cho, a)
     }
 }
 
@@ -290,6 +255,8 @@ pub mod dsl {
 mod tests {
     use super::dsl::*;
     use super::*;
+    use crate::fingerprint::{canonicalize, leaf_bands, structural_hash};
+    use crate::{Encoder, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, TreeSizeCost, Vrem};
 
     #[test]
     fn display_is_readable() {
@@ -299,11 +266,68 @@ mod tests {
         assert_eq!(ols.to_string(), "((Xᵀ X)⁻¹ (Xᵀ y))");
     }
 
+    /// Every unary operator over a square `D`, in `OpKind::all()` order
+    /// and then output order, as `Display` prints it.
+    const UNARY_OVER_D: [&str; 28] = [
+        "Dᵀ",
+        "D⁻¹",
+        "adj(D)",
+        "exp(D)",
+        "diag(D)",
+        "rev(D)",
+        "rowSums(D)",
+        "colSums(D)",
+        "rowMeans(D)",
+        "colMeans(D)",
+        "rowMin(D)",
+        "rowMax(D)",
+        "colMin(D)",
+        "colMax(D)",
+        "rowVar(D)",
+        "colVar(D)",
+        "det(D)",
+        "trace(D)",
+        "sum(D)",
+        "min(D)",
+        "max(D)",
+        "mean(D)",
+        "var(D)",
+        "cho(D)",
+        "qr.Q(D)",
+        "qr.R(D)",
+        "lu.L(D)",
+        "lu.U(D)",
+    ];
+
+    /// Each unary `(kind, out)` the checked constructor admits prints as it
+    /// always did, comes back from encode → extract as itself, and keys
+    /// the plan cache apart from every other one (`qr.Q` from `qr.R`
+    /// too). Binary kinds and outputs past a kind's last are refused, or
+    /// the count would not be 28.
     #[test]
-    fn power_unrolls() {
-        let e = Expr::power(m("D"), 3);
-        assert_eq!(e.to_string(), "((D D) D)");
-        assert_eq!(Expr::power(m("D"), 1), m("D"));
+    fn every_unary_operator_prints_round_trips_and_hashes_apart() {
+        let ops: Vec<UnaryOp> = OpKind::all()
+            .iter()
+            .flat_map(|&kind| (0..3).filter_map(move |out| UnaryOp::new(kind, out)))
+            .collect();
+        assert_eq!(ops.len(), UNARY_OVER_D.len());
+        let mut cat = MetaCatalog::new();
+        cat.register("D", MatrixMeta::dense(10, 10));
+        let bands = leaf_bands(&["D".to_owned()], &cat).unwrap();
+        let mut hashes = Vec::new();
+        for (&op, shown) in ops.iter().zip(UNARY_OVER_D) {
+            let e = Expr::Unary(op, Box::new(m("D")));
+            assert_eq!(e.to_string(), shown);
+            let mut vrem = Vrem::new();
+            let enc = Encoder::new(&mut vrem, &cat).encode(&e).unwrap();
+            let analysis = LaAnalysis::new(&vrem, enc.classes);
+            let ex = Extractor::new(&vrem, &enc.instance, &analysis, &TreeSizeCost);
+            assert_eq!(ex.extract(enc.root).as_ref(), Some(&e), "{shown}");
+            hashes.push(structural_hash(&canonicalize(&e).skeleton, &bands));
+        }
+        hashes.sort_unstable();
+        hashes.dedup();
+        assert_eq!(hashes.len(), ops.len(), "two unary operators share a cache hash");
     }
 
     #[test]

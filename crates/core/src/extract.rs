@@ -16,7 +16,9 @@
 //! once, when the last of its operand classes is popped. Classes are priced
 //! at the shapes and densities the chase's analysis holds
 //! ([`LaAnalysis`]). Expressions are rebuilt from the chosen e-nodes on
-//! demand, resugaring the encoder's `a + (-1 · b)` back to subtraction.
+//! demand, resugaring the encoder's `a + (-1 · b)` back to subtraction. A
+//! unary e-node is rebuilt as one [`Expr::Unary`] through [`UnaryOp::new`]
+//! from its kind and output index, so no unary operator is named here.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -25,7 +27,7 @@ use std::ops::Range;
 use hadad_chase::{Instance, NodeId};
 
 use crate::analysis::LaAnalysis;
-use crate::expr::Expr;
+use crate::expr::{Expr, UnaryOp};
 use crate::schema::{OpKind, Vrem};
 use crate::stats::{op_stats, ClassStats};
 
@@ -481,8 +483,8 @@ impl<'a> Extractor<'a> {
             }
             ENode::Op { kind, out_idx, inputs } => {
                 let a = Box::new(self.build_best(inputs[0])?);
-                if kind.num_inputs() == 1 {
-                    unary_expr(kind, out_idx, a)
+                if let Some(op) = UnaryOp::new(kind, out_idx) {
+                    Expr::Unary(op, a)
                 } else {
                     binary_expr(kind, a, Box::new(self.build_best(inputs[1])?))
                 }
@@ -503,42 +505,6 @@ fn binary_expr(kind: OpKind, a: Box<Expr>, b: Box<Expr>) -> Expr {
         Kron => Expr::Kron(a, b),
         DirectSum => Expr::DirectSum(a, b),
         _ => unreachable!("{kind:?} is unary"),
-    }
-}
-
-/// The `Expr` node of a unary operator's output `out_idx`.
-fn unary_expr(kind: OpKind, out_idx: usize, a: Box<Expr>) -> Expr {
-    use OpKind::*;
-    match kind {
-        Transpose => Expr::Transpose(a),
-        Inv => Expr::Inv(a),
-        Adj => Expr::Adj(a),
-        Exp => Expr::Exp(a),
-        Diag => Expr::Diag(a),
-        Rev => Expr::Rev(a),
-        RowSums => Expr::RowSums(a),
-        ColSums => Expr::ColSums(a),
-        RowMeans => Expr::RowMeans(a),
-        ColMeans => Expr::ColMeans(a),
-        RowMin => Expr::RowMin(a),
-        RowMax => Expr::RowMax(a),
-        ColMin => Expr::ColMin(a),
-        ColMax => Expr::ColMax(a),
-        RowVar => Expr::RowVar(a),
-        ColVar => Expr::ColVar(a),
-        Det => Expr::Det(a),
-        Trace => Expr::Trace(a),
-        Sum => Expr::Sum(a),
-        Min => Expr::Min(a),
-        Max => Expr::Max(a),
-        Mean => Expr::Mean(a),
-        Var => Expr::Var(a),
-        Cho => Expr::Cho(a),
-        Qr if out_idx == 0 => Expr::QrQ(a),
-        Qr => Expr::QrR(a),
-        Lu if out_idx == 0 => Expr::LuL(a),
-        Lu => Expr::LuU(a),
-        _ => unreachable!("{kind:?} is binary"),
     }
 }
 
@@ -611,9 +577,10 @@ mod tests {
 
     #[test]
     fn reconstructs_decomposition_pairs() {
-        let e = mul(Expr::QrQ(Box::new(m("D"))), Expr::QrR(Box::new(m("D"))));
+        let of_d = |kind, out| Expr::Unary(UnaryOp::new(kind, out).unwrap(), Box::new(m("D")));
+        let e = mul(of_d(OpKind::Qr, 0), of_d(OpKind::Qr, 1));
         assert_eq!(roundtrip(&e), e);
-        let lu = mul(Expr::LuL(Box::new(m("D"))), Expr::LuU(Box::new(m("D"))));
+        let lu = mul(of_d(OpKind::Lu, 0), of_d(OpKind::Lu, 1));
         assert_eq!(roundtrip(&lu), lu);
     }
 
@@ -656,7 +623,7 @@ mod tests {
         let n = 100_000_000;
         let mut c = MetaCatalog::new();
         c.register("S", MatrixMeta::sparse(n, n, 0));
-        let x = Expr::Diag(Box::new(m("S")));
+        let x = Expr::Unary(UnaryOp::new(OpKind::Diag, 0).unwrap(), Box::new(m("S")));
         let mut vrem = Vrem::new();
         let (mut inst, roots, classes) = Encoder::new(&mut vrem, &c)
             .encode_many(&[&x, &t(x.clone()), &t(t(x.clone()))])

@@ -12,6 +12,10 @@
 //! skeleton +
 //! matching bands ⇒ the cold pipeline would have produced the same plan
 //! shapes, which is exactly when serving from the cache is sound.
+//!
+//! Skeletons are rebuilt by one walk with an arm per node shape (a unary
+//! node keeps its [`crate::expr::UnaryOp`]), and [`hash_expr`] hashes a
+//! unary node's operator, so `qr.Q(A)` and `qr.R(A)` key apart.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -92,34 +96,7 @@ fn map_children(e: &Expr, f: &impl Fn(&Expr) -> Expr) -> Expr {
         Kron(x, y) => Kron(b(x), b(y)),
         DirectSum(x, y) => DirectSum(b(x), b(y)),
         ScalarMul(x, y) => ScalarMul(b(x), b(y)),
-        Transpose(x) => Transpose(b(x)),
-        Inv(x) => Inv(b(x)),
-        Adj(x) => Adj(b(x)),
-        Exp(x) => Exp(b(x)),
-        Diag(x) => Diag(b(x)),
-        Rev(x) => Rev(b(x)),
-        RowSums(x) => RowSums(b(x)),
-        ColSums(x) => ColSums(b(x)),
-        RowMeans(x) => RowMeans(b(x)),
-        ColMeans(x) => ColMeans(b(x)),
-        RowMin(x) => RowMin(b(x)),
-        RowMax(x) => RowMax(b(x)),
-        ColMin(x) => ColMin(b(x)),
-        ColMax(x) => ColMax(b(x)),
-        RowVar(x) => RowVar(b(x)),
-        ColVar(x) => ColVar(b(x)),
-        Det(x) => Det(b(x)),
-        Trace(x) => Trace(b(x)),
-        Sum(x) => Sum(b(x)),
-        Min(x) => Min(b(x)),
-        Max(x) => Max(b(x)),
-        Mean(x) => Mean(b(x)),
-        Var(x) => Var(b(x)),
-        Cho(x) => Cho(b(x)),
-        QrQ(x) => QrQ(b(x)),
-        QrR(x) => QrR(b(x)),
-        LuL(x) => LuL(b(x)),
-        LuU(x) => LuU(b(x)),
+        Unary(op, x) => Unary(*op, b(x)),
     }
 }
 
@@ -165,7 +142,8 @@ pub fn structural_hash(skeleton: &Expr, bands: &[StatsBand]) -> u64 {
 }
 
 /// Recursive structural hash over `Expr`, which cannot derive `Hash`
-/// (`Const` holds an `f64`); literals hash by bit pattern.
+/// (`Const` holds an `f64`); literals hash by bit pattern, and a unary node
+/// hashes its operator (kind and output) after the variant.
 pub fn hash_expr(e: &Expr, h: &mut impl Hasher) {
     std::mem::discriminant(e).hash(h);
     match e {
@@ -175,6 +153,10 @@ pub fn hash_expr(e: &Expr, h: &mut impl Hasher) {
         Expr::Zero(r, c) => {
             r.hash(h);
             c.hash(h);
+        }
+        Expr::Unary(op, a) => {
+            op.hash(h);
+            hash_expr(a, h);
         }
         _ => {
             for c in e.children() {

@@ -33,7 +33,7 @@ pub mod stats;
 pub use analysis::{ClassData, LaAnalysis};
 pub use catalogue::{Catalogue, ViewRules};
 pub use encode::{CqEncoder, Encoded, Encoder};
-pub use expr::Expr;
+pub use expr::{Expr, UnaryOp};
 pub use extract::{ExtractionCost, Extractor, TreeSizeCost};
 pub use fingerprint::{canonicalize, leaf_bands, rename_leaves, CanonicalExpr, StatsBand};
 pub use schema::{OpKind, Vrem, DENSITY_SCALE};

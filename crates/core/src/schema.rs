@@ -34,33 +34,33 @@ pub enum OpKind {
     Transpose,
     /// Matrix inverse — `invM`.
     Inv,
-    /// Adjugate — `adj`.
+    /// Adjugate (classical adjoint) — `adj`.
     Adj,
     /// Matrix exponential — `expM`.
     Exp,
-    /// Diagonal extraction — `diag`.
+    /// Diagonal of a square matrix, as a column vector — `diag`.
     Diag,
-    /// Row-order reversal — `rev`.
+    /// Row-order reversal (SystemML `rev`) — `rev`.
     Rev,
-    /// Per-row sums.
+    /// Per-row sums, as a column vector.
     RowSums,
-    /// Per-column sums.
+    /// Per-column sums, as a row vector.
     ColSums,
-    /// Per-row means.
+    /// Per-row means, as a column vector.
     RowMeans,
-    /// Per-column means.
+    /// Per-column means, as a row vector.
     ColMeans,
-    /// Per-row minima.
+    /// Per-row minima, as a column vector.
     RowMin,
-    /// Per-row maxima.
+    /// Per-row maxima, as a column vector.
     RowMax,
-    /// Per-column minima.
+    /// Per-column minima, as a row vector.
     ColMin,
-    /// Per-column maxima.
+    /// Per-column maxima, as a row vector.
     ColMax,
-    /// Per-row variances.
+    /// Per-row population variances, as a column vector.
     RowVar,
-    /// Per-column variances.
+    /// Per-column population variances, as a row vector.
     ColVar,
     /// Determinant — `det`.
     Det,
@@ -76,11 +76,11 @@ pub enum OpKind {
     Mean,
     /// Population variance of all entries.
     Var,
-    /// Cholesky: `CHO(M, L)`.
+    /// Cholesky factor `L` of a symmetric positive definite `M = L Lᵀ`: `CHO(M, L)`.
     Cho,
-    /// QR: `QR(M, Q, R)` — two outputs.
+    /// QR: `QR(M, Q, R)` — two outputs, `qr.Q` (0) and `qr.R` (1).
     Qr,
-    /// LU: `LU(M, L, U)` — two outputs.
+    /// LU: `LU(M, L, U)` — two outputs, `lu.L` (0) and `lu.U` (1).
     Lu,
 }
 

@@ -333,13 +333,8 @@ pub(crate) fn op_step(
 /// Operator kind and output index of a non-leaf expression (`Sub` is
 /// estimated as the `Add` it desugars to).
 fn op_of(e: &Expr) -> (OpKind, usize) {
-    match e {
-        Expr::QrQ(_) => (OpKind::Qr, 0),
-        Expr::QrR(_) => (OpKind::Qr, 1),
-        Expr::LuL(_) => (OpKind::Lu, 0),
-        Expr::LuU(_) => (OpKind::Lu, 1),
-        _ => (crate::encode::op_kind_of(e).expect("non-leaf expression"), 0),
-    }
+    let out = if let Expr::Unary(op, _) = e { op.out() } else { 0 };
+    (crate::encode::op_kind_of(e).expect("non-leaf expression"), out)
 }
 
 /// The shape rules of the operator set: what [`op_stats`] assumes of its

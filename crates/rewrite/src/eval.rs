@@ -6,7 +6,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 
-use hadad_core::Expr;
+use hadad_core::{Expr, OpKind, UnaryOp};
 use hadad_linalg::ops::{aggregates, structural};
 use hadad_linalg::{decomp, default_backend, ExecBackend, LinalgError, Matrix};
 
@@ -88,31 +88,28 @@ pub fn eval_with(e: &Expr, env: &Env, backend: &dyn ExecBackend) -> Result<Matri
 
 /// QR/LU factorizations memoized per input subexpression, so an
 /// expression using both components factors once, matching how the
-/// encoder shares one VREM fact for the pair.
+/// encoder shares one VREM fact for the pair. `op.out()` picks the
+/// component.
 fn decomp_pair(
-    e: &Expr,
+    op: UnaryOp,
     a: &Expr,
     env: &Env,
     backend: &dyn ExecBackend,
     memo: &mut HashMap<String, Matrix>,
 ) -> Result<Matrix, EvalError> {
-    use Expr::*;
-    let (tag, first) = match e {
-        QrQ(_) => ("QR", true),
-        QrR(_) => ("QR", false),
-        LuL(_) => ("LU", true),
-        _ => ("LU", false),
-    };
-    let (key1, key2) = (format!("{tag}.1({a})"), format!("{tag}.2({a})"));
-    let key = if first { key1.clone() } else { key2.clone() };
-    if let Some(m) = memo.get(&key) {
+    let tag = op.kind().pred_name();
+    let keys = [format!("{tag}.1({a})"), format!("{tag}.2({a})")];
+    if let Some(m) = memo.get(&keys[op.out()]) {
         return Ok(m.clone());
     }
     let input = eval_memo(a, env, backend, memo)?;
-    let (c1, c2) = if tag == "QR" { decomp::qr::qr(&input)? } else { decomp::lu::lu(&input)? };
-    memo.insert(key1, Matrix::Dense(c1));
-    memo.insert(key2, Matrix::Dense(c2));
-    Ok(memo[&key].clone())
+    let (c1, c2) =
+        if op.kind() == OpKind::Qr { decomp::qr::qr(&input)? } else { decomp::lu::lu(&input)? };
+    let [k1, k2] = keys;
+    let out = if op.out() == 0 { c1.clone() } else { c2.clone() };
+    memo.insert(k1, Matrix::Dense(c1));
+    memo.insert(k2, Matrix::Dense(c2));
+    Ok(Matrix::Dense(out))
 }
 
 /// The value of `e`: a bound matrix is borrowed from `env` (a leaf costs
@@ -137,7 +134,7 @@ fn eval_memo<'e>(
         // Rewrite-aware fusion: a resugared `tr(A)·B` never materializes
         // the transpose — the backend's fused kernel reads `A` in place.
         Mul(a, b) => match a.as_ref() {
-            Transpose(inner) => {
+            Unary(op, inner) if op.kind() == OpKind::Transpose => {
                 let lhs = go(inner)?;
                 let rhs = go(b)?;
                 backend.transpose_multiply(&lhs, &rhs)?
@@ -156,32 +153,45 @@ fn eval_memo<'e>(
             let sv = go(s)?.as_scalar().ok_or_else(|| EvalError::NonScalar(e.to_string()))?;
             go(a)?.scalar_mul(sv)
         }
-        Transpose(a) => go(a)?.transpose(),
-        Inv(a) => go(a)?.inverse()?,
-        Adj(a) => decomp::adjugate::adjugate(&*go(a)?)?,
-        Exp(a) => decomp::exp::matrix_exp(&*go(a)?)?,
-        Diag(a) => structural::diag(&*go(a)?)?,
-        Rev(a) => structural::reverse_rows(&*go(a)?),
-        RowSums(a) => aggregates::row_sums(&*go(a)?),
-        ColSums(a) => aggregates::col_sums(&*go(a)?),
-        RowMeans(a) => aggregates::row_means(&*go(a)?),
-        ColMeans(a) => aggregates::col_means(&*go(a)?),
-        RowMin(a) => aggregates::row_min(&*go(a)?),
-        RowMax(a) => aggregates::row_max(&*go(a)?),
-        ColMin(a) => aggregates::col_min(&*go(a)?),
-        ColMax(a) => aggregates::col_max(&*go(a)?),
-        RowVar(a) => aggregates::row_var(&*go(a)?),
-        ColVar(a) => aggregates::col_var(&*go(a)?),
-        Det(a) => Matrix::scalar(go(a)?.det()?),
-        Trace(a) => Matrix::scalar(go(a)?.trace()?),
-        Sum(a) => Matrix::scalar(go(a)?.sum()),
-        Min(a) => Matrix::scalar(aggregates::min(&*go(a)?)),
-        Max(a) => Matrix::scalar(aggregates::max(&*go(a)?)),
-        Mean(a) => Matrix::scalar(aggregates::mean(&*go(a)?)),
-        Var(a) => Matrix::scalar(aggregates::var(&*go(a)?)),
-        Cho(a) => Matrix::Dense(decomp::cholesky::cholesky(&*go(a)?)?),
-        QrQ(a) | QrR(a) | LuL(a) | LuU(a) => decomp_pair(e, a, env, backend, memo)?,
+        Unary(op, a) => match op.kind() {
+            OpKind::Qr | OpKind::Lu => decomp_pair(*op, a, env, backend, memo)?,
+            kind => unary(kind, &*go(a)?)?,
+        },
     }))
+}
+
+/// The single-output unary operator `kind` applied to `x`.
+fn unary(kind: OpKind, x: &Matrix) -> Result<Matrix, EvalError> {
+    use OpKind::*;
+    Ok(match kind {
+        Transpose => x.transpose(),
+        Inv => x.inverse()?,
+        Adj => decomp::adjugate::adjugate(x)?,
+        Exp => decomp::exp::matrix_exp(x)?,
+        Diag => structural::diag(x)?,
+        Rev => structural::reverse_rows(x),
+        RowSums => aggregates::row_sums(x),
+        ColSums => aggregates::col_sums(x),
+        RowMeans => aggregates::row_means(x),
+        ColMeans => aggregates::col_means(x),
+        RowMin => aggregates::row_min(x),
+        RowMax => aggregates::row_max(x),
+        ColMin => aggregates::col_min(x),
+        ColMax => aggregates::col_max(x),
+        RowVar => aggregates::row_var(x),
+        ColVar => aggregates::col_var(x),
+        Det => Matrix::scalar(x.det()?),
+        Trace => Matrix::scalar(x.trace()?),
+        Sum => Matrix::scalar(x.sum()),
+        Min => Matrix::scalar(aggregates::min(x)),
+        Max => Matrix::scalar(aggregates::max(x)),
+        Mean => Matrix::scalar(aggregates::mean(x)),
+        Var => Matrix::scalar(aggregates::var(x)),
+        Cho => Matrix::Dense(decomp::cholesky::cholesky(x)?),
+        Qr | Lu | Add | Mul | Hadamard | Div | ScalarMul | Kron | DirectSum => {
+            unreachable!("{kind:?} is not a single-output unary operator")
+        }
+    })
 }
 
 #[cfg(test)]
@@ -233,14 +243,8 @@ mod tests {
         let mut env = Env::new();
         let d = Matrix::Dense(rand_gen::random_invertible(8, 3));
         env.bind("D", d.clone());
-        let q_r = eval(
-            &mul(
-                hadad_core::Expr::QrQ(Box::new(m("D"))),
-                hadad_core::Expr::QrR(Box::new(m("D"))),
-            ),
-            &env,
-        )
-        .unwrap();
+        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Box::new(m("D")));
+        let q_r = eval(&mul(qr(0), qr(1)), &env).unwrap();
         assert!(approx_eq(&q_r, &d, 1e-9));
     }
 }

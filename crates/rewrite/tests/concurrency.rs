@@ -288,11 +288,13 @@ fn poisoned_state_is_never_published() {
 
 /// Readers on *different* snapshots rewrite a view-carrying expression at
 /// the same time and each gets what its snapshot answers alone. The LA
-/// view is defined over a maintained cast, so its `V_IO`/`V_OI` constants
-/// differ from snapshot to snapshot: every call builds its own view rules
-/// on top of the one shared standard set — no reader waits for, or
-/// evicts, another's. The view is registered ahead of the cast, so the
-/// first rewrites also race to certify it.
+/// view is defined over a maintained cast. Its `V_IO`/`V_OI` atoms carry
+/// only the view name, the leaf names and the literals, so they are the
+/// same on every snapshot; what differs is the class data they come with
+/// (`ViewRules.classes`: the cast's density). Every call builds its own
+/// view rules on top of the one shared standard set — no reader waits
+/// for, or evicts, another's. The view is registered ahead of the cast,
+/// so the first rewrites also race to certify it.
 #[test]
 fn readers_on_different_snapshots_rewrite_over_views_independently() {
     let _unarmed = unarmed();

@@ -19,7 +19,7 @@ use hadad_chase::{
 use hadad_core::expr::dsl::*;
 use hadad_core::{
     expr_estimate, expr_stats, Catalogue, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta,
-    MetaCatalog, ShapeError, Vrem,
+    MetaCatalog, OpKind, ShapeError, UnaryOp, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::FlopsCost;
@@ -269,7 +269,8 @@ fn expr_stats_and_cost_model_are_one_estimator() {
     }
     assert!(checked >= 600, "corpus too degenerate: {checked} subexpressions");
 
-    for e in [Expr::QrR(Box::new(m("A"))), Expr::LuU(Box::new(m("A")))] {
+    for kind in [OpKind::Qr, OpKind::Lu] {
+        let e = Expr::Unary(UnaryOp::new(kind, 1).unwrap(), Box::new(m("A")));
         assert!(matches!(expr_stats(&e, &cat), Err(ShapeError::Mismatch(_))), "{e}");
         assert!(matches!(expr_estimate(&e, &cat), Err(ShapeError::Mismatch(_))), "{e}");
     }

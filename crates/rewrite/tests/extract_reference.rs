@@ -13,7 +13,7 @@ use hadad_chase::{ChaseEngine, Instance, NodeId};
 use hadad_core::expr::dsl::*;
 use hadad_core::{
     op_stats, Catalogue, ClassStats, Encoder, Expr, ExtractionCost, Extractor, LaAnalysis,
-    MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, Vrem,
+    MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, UnaryOp, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::{FlopsCost, Optimizer};
@@ -229,37 +229,8 @@ fn op_expr(kind: OpKind, out_idx: usize, mut ch: Vec<Expr>) -> Expr {
     use OpKind::*;
     let b = Box::new(ch.pop().expect("an operand"));
     let Some(a) = ch.pop().map(Box::new) else {
-        return match kind {
-            Transpose => Expr::Transpose(b),
-            Inv => Expr::Inv(b),
-            Adj => Expr::Adj(b),
-            Exp => Expr::Exp(b),
-            Diag => Expr::Diag(b),
-            Rev => Expr::Rev(b),
-            RowSums => Expr::RowSums(b),
-            ColSums => Expr::ColSums(b),
-            RowMeans => Expr::RowMeans(b),
-            ColMeans => Expr::ColMeans(b),
-            RowMin => Expr::RowMin(b),
-            RowMax => Expr::RowMax(b),
-            ColMin => Expr::ColMin(b),
-            ColMax => Expr::ColMax(b),
-            RowVar => Expr::RowVar(b),
-            ColVar => Expr::ColVar(b),
-            Det => Expr::Det(b),
-            Trace => Expr::Trace(b),
-            Sum => Expr::Sum(b),
-            Min => Expr::Min(b),
-            Max => Expr::Max(b),
-            Mean => Expr::Mean(b),
-            Var => Expr::Var(b),
-            Cho => Expr::Cho(b),
-            Qr if out_idx == 0 => Expr::QrQ(b),
-            Qr => Expr::QrR(b),
-            Lu if out_idx == 0 => Expr::LuL(b),
-            Lu => Expr::LuU(b),
-            _ => unreachable!("{kind:?} is binary"),
-        };
+        let op = UnaryOp::new(kind, out_idx).expect("a unary operator's output");
+        return Expr::Unary(op, b);
     };
     let negated = |e: &Expr| match e {
         Expr::ScalarMul(s, x) if **s == lit(-1.0) => Some(x.clone()),

@@ -3,7 +3,7 @@
 //! linalg backend (HADAD §2 examples, §9 workloads).
 
 use hadad_core::expr::dsl::*;
-use hadad_core::{Expr, MatrixMeta, MetaCatalog, TypeFlags};
+use hadad_core::{Expr, MatrixMeta, MetaCatalog, OpKind, TypeFlags, UnaryOp};
 use hadad_linalg::{rand_gen, Matrix};
 use hadad_rewrite::{Env, Optimizer};
 
@@ -79,7 +79,8 @@ fn qr_reuse_family() {
     let mut env = Env::new();
     env.bind("D", Matrix::Dense(rand_gen::random_invertible(60, 8)));
     let opt = Optimizer::new(cat);
-    let e = trace(mul(Expr::QrQ(Box::new(m("D"))), Expr::QrR(Box::new(m("D")))));
+    let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Box::new(m("D")));
+    let e = trace(mul(qr(0), qr(1)));
     assert_rewrites_cheaper(&opt, &env, &e, "trace(D)");
 }
 

@@ -5,7 +5,8 @@
 //!   original (within `1e-9` relative tolerance).
 
 use hadad_core::{
-    Encoder, Expr, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, TreeSizeCost, Vrem,
+    Encoder, Expr, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind, TreeSizeCost,
+    UnaryOp, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_linalg::{approx_eq, rand_gen, Matrix};
@@ -45,6 +46,7 @@ impl Gen {
             return self.base(rows, cols);
         }
         let b = |e: Expr| Box::new(e);
+        let un = |kind, e| Expr::Unary(UnaryOp::new(kind, 0).unwrap(), b(e));
         match self.rng.range_usize(9) {
             0 => Expr::Add(
                 b(self.gen(rows, cols, depth - 1)),
@@ -68,15 +70,15 @@ impl Gen {
                 let c = 0.5 + self.rng.range_usize(4) as f64 * 0.5;
                 Expr::ScalarMul(b(Expr::Const(c)), b(self.gen(rows, cols, depth - 1)))
             }
-            5 => Expr::Transpose(b(self.gen(cols, rows, depth - 1))),
-            6 if cols == 1 && rows > 1 => Expr::Diag(b(self.gen(rows, rows, depth - 1))),
+            5 => un(OpKind::Transpose, self.gen(cols, rows, depth - 1)),
+            6 if cols == 1 && rows > 1 => un(OpKind::Diag, self.gen(rows, rows, depth - 1)),
             7 if rows == 1 && cols == 1 => {
                 let n = self.dim();
-                Expr::Trace(b(self.gen(n, n, depth - 1)))
+                un(OpKind::Trace, self.gen(n, n, depth - 1))
             }
             8 if cols == 1 => {
                 let k = self.dim();
-                Expr::RowSums(b(self.gen(rows, k, depth - 1)))
+                un(OpKind::RowSums, self.gen(rows, k, depth - 1))
             }
             _ => self.base(rows, cols),
         }
@@ -112,7 +114,9 @@ fn rewritten_plans_evaluate_to_same_matrix() {
     // vacuous, then add random expressions.
     let tall = g.base(6, 2);
     let wide = g.base(2, 6);
-    let mut corpus = vec![Expr::Trace(Box::new(Expr::Mul(Box::new(tall), Box::new(wide))))];
+    let trace = UnaryOp::new(OpKind::Trace, 0).unwrap();
+    let mut corpus =
+        vec![Expr::Unary(trace, Box::new(Expr::Mul(Box::new(tall), Box::new(wide))))];
     for i in 0..25 {
         corpus.push(g.random_expr(1 + i % 3));
     }
