@@ -735,14 +735,20 @@ struct CallRules {
 
 /// Sorts `plans` cheapest first. Exact cost ties go to the input
 /// expression, so `best()` is a rewrite only when something is strictly
-/// cheaper.
-fn sort_plans(plans: &mut [Plan], original: &Expr) {
-    plans.sort_by(|a, b| {
+/// cheaper; the remaining ties go by the plans' rendering, so the order
+/// does not depend on the order extraction met them in (the fact order of
+/// the chased instance).
+fn sort_plans(plans: &mut Vec<Plan>, original: &Expr) {
+    let mut keyed: Vec<(String, Plan)> =
+        plans.drain(..).map(|p| (p.expr.to_string(), p)).collect();
+    keyed.sort_by(|(ka, a), (kb, b)| {
         a.est_cost
             .partial_cmp(&b.est_cost)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| (&b.expr == original).cmp(&(&a.expr == original)))
+            .then_with(|| ka.cmp(kb))
     });
+    plans.extend(keyed.into_iter().map(|(_, p)| p));
 }
 
 /// Serves a cache hit: the cached plans are re-anchored on this call's
@@ -921,6 +927,35 @@ mod tests {
         let ranked = opt.rewrite(&trace(mul(m("A"), m("B")))).unwrap();
         assert!(ranked.report.degraded.is_none());
         assert_eq!(ranked.best().expr.to_string(), "trace((B A))");
+    }
+
+    /// Every association of a square 4-chain costs the same, so the
+    /// ranking is all ties: whatever order the candidates arrive in, they
+    /// sort into one order, the original first.
+    #[test]
+    fn ties_sort_the_same_from_any_candidate_order() {
+        let mut cat = MetaCatalog::new();
+        for name in ["A", "B", "C", "D"] {
+            cat.register(name, MatrixMeta::dense(16, 16));
+        }
+        let e = mul(mul(mul(m("A"), m("B")), m("C")), m("D"));
+        let ranked = Optimizer::new(cat).rewrite(&e).unwrap();
+        assert!(ranked.plans.len() >= 3, "one candidate per split of the root");
+        assert!(ranked.plans.iter().all(|p| p.est_cost == ranked.original.est_cost));
+        assert_eq!(ranked.best().expr, e);
+        let render =
+            |plans: &[Plan]| plans.iter().map(|p| p.expr.to_string()).collect::<Vec<_>>();
+        let sorted = render(&ranked.plans);
+        let n = ranked.plans.len();
+        for shift in 0..n {
+            let mut permuted = ranked.plans.clone();
+            permuted.rotate_left(shift);
+            sort_plans(&mut permuted, &e);
+            assert_eq!(render(&permuted), sorted, "rotated by {shift}");
+            permuted.reverse();
+            sort_plans(&mut permuted, &e);
+            assert_eq!(render(&permuted), sorted, "rotated by {shift}, reversed");
+        }
     }
 
     #[test]
