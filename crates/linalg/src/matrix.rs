@@ -203,11 +203,6 @@ impl Matrix {
     pub fn det(&self) -> Result<f64> {
         crate::decomp::lu::det(self)
     }
-
-    /// `self^k` for `k >= 1` by repeated multiplication.
-    pub fn power(&self, k: u32) -> Result<Matrix> {
-        ops::structural::power(self, k)
-    }
 }
 
 impl From<DenseMatrix> for Matrix {

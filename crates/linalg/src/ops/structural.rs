@@ -1,5 +1,5 @@
 //! Structural operators: Kronecker (direct) product, direct sum, diagonal
-//! extraction, integer powers, row reversal, and concatenation (the latter
+//! extraction, row reversal, and concatenation (the latter
 //! backs Morpheus' normalized-matrix materialization `M = [S, K R]`).
 
 use crate::dense::DenseMatrix;
@@ -53,24 +53,6 @@ pub fn diag(a: &Matrix) -> Result<Matrix> {
         out.set(i, 0, a.get(i, i));
     }
     Ok(Matrix::Dense(out))
-}
-
-/// `A^k` for integer `k >= 0` by repeated squaring (`A^0 = I`).
-pub fn power(a: &Matrix, k: u32) -> Result<Matrix> {
-    a.check_square("power")?;
-    let mut result = Matrix::identity(a.rows());
-    let mut base = a.clone();
-    let mut k = k;
-    while k > 0 {
-        if k & 1 == 1 {
-            result = result.multiply(&base)?;
-        }
-        k >>= 1;
-        if k > 0 {
-            base = base.multiply(&base)?;
-        }
-    }
-    Ok(result)
 }
 
 /// Reverses the row order (SystemML's `rev`).
@@ -127,7 +109,6 @@ pub fn vconcat(a: &Matrix, b: &Matrix) -> Result<Matrix> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::approx_eq;
 
     #[test]
     fn kronecker_small() {
@@ -155,17 +136,6 @@ mod tests {
         let m = Matrix::dense(2, 2, vec![7., 1., 1., 9.]);
         assert_eq!(diag(&m).unwrap().to_dense().data(), &[7., 9.]);
         assert!(diag(&Matrix::zeros(2, 3)).is_err());
-    }
-
-    #[test]
-    fn power_by_squaring() {
-        let m = Matrix::dense(2, 2, vec![1., 1., 0., 1.]);
-        let m3 = power(&m, 3).unwrap();
-        assert_eq!(m3.get(0, 1), 3.0);
-        let m0 = power(&m, 0).unwrap();
-        assert!(approx_eq(&m0, &Matrix::identity(2), 1e-12));
-        let naive = m.multiply(&m).unwrap().multiply(&m).unwrap();
-        assert!(approx_eq(&m3, &naive, 1e-12));
     }
 
     #[test]
