@@ -28,6 +28,7 @@
 //! different shapes ends the call with the original plan, degraded
 //! ([`DegradeReason::AnalysisConflict`]).
 
+use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -738,17 +739,13 @@ struct CallRules {
 /// cheaper; the remaining ties go by the plans' rendering, so the order
 /// does not depend on the order extraction met them in (the fact order of
 /// the chased instance).
-fn sort_plans(plans: &mut Vec<Plan>, original: &Expr) {
-    let mut keyed: Vec<(String, Plan)> =
-        plans.drain(..).map(|p| (p.expr.to_string(), p)).collect();
-    keyed.sort_by(|(ka, a), (kb, b)| {
-        a.est_cost
-            .partial_cmp(&b.est_cost)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (&b.expr == original).cmp(&(&a.expr == original)))
-            .then_with(|| ka.cmp(kb))
-    });
-    plans.extend(keyed.into_iter().map(|(_, p)| p));
+fn sort_plans(plans: &mut [Plan], original: &Expr) {
+    plans.sort_by(|a, b| a.est_cost.partial_cmp(&b.est_cost).unwrap_or(Ordering::Equal));
+    for tied in plans.chunk_by_mut(|a, b| a.est_cost == b.est_cost) {
+        if tied.len() > 1 {
+            tied.sort_by_cached_key(|p| (&p.expr != original, p.expr.to_string()));
+        }
+    }
 }
 
 /// Serves a cache hit: the cached plans are re-anchored on this call's
