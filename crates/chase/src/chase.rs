@@ -12,10 +12,23 @@
 //! the instance's revision clock and only enumerates matches touching facts
 //! stamped after it — fresh insertions plus facts rewritten by EGD merges
 //! (the merged classes feed back into the frontier through `rehash`
-//! re-stamping). Every run starts with all watermarks at zero, so its
-//! first round is the classic naive round; a naive chase is therefore this
+//! re-stamping). A run starts with all watermarks at zero, so its first
+//! round is the classic naive round; a naive chase is therefore this
 //! engine restarted every round, which is how the differential tests build
 //! their naive reference.
+//!
+//! A caller may start named rules' watermarks at a later clock
+//! ([`ChaseEngine::with_watermarks`]) when it knows the instance is
+//! already closed under them up to that clock: every premise match among
+//! the facts stamped up to it has its conclusion in the instance. That is
+//! the state the rules would leave behind had they run to fixpoint there,
+//! so skipping those matches is *sound* (nothing is derived that the rules
+//! would not derive) and *complete*: a match that involves a fact stamped
+//! later — an insertion, or a fact a merge's `rehash` re-stamped — is
+//! still enumerated, and a conclusion once present stays present, merges
+//! only renaming its nodes. The LA optimizer starts `mul-assoc-l`/`-r`
+//! where the encoder's product-chain tables end (`Encoded::tabulate_chains`
+//! in `hadad-core`); every other caller, PACB included, starts at zero.
 //!
 //! Rules are *compiled* once into a [`RuleSet`] — slot count, existential
 //! variables, the functional signature each EGD proves, each TGD
@@ -610,6 +623,9 @@ pub struct ChaseEngine<'r> {
     pub rules: &'r RuleSet,
     /// Resource bounds ending a divergent run.
     pub budget: ChaseBudget,
+    /// Rules (indexes into `rules`) whose watermark starts at the clock
+    /// beside them instead of 0 ([`ChaseEngine::with_watermarks`]).
+    pub start: (&'r [usize], u64),
 }
 
 /// A merge an EGD match asks for: a node bound during the match, or a
@@ -645,12 +661,24 @@ struct RunScratch {
 impl<'r> ChaseEngine<'r> {
     /// An engine over `rules` with the default budget.
     pub fn new(rules: &'r RuleSet) -> Self {
-        ChaseEngine { rules, budget: ChaseBudget::default() }
+        ChaseEngine { rules, budget: ChaseBudget::default(), start: (&[], 0) }
     }
 
     /// Replaces the budget.
     pub fn with_budget(mut self, budget: ChaseBudget) -> Self {
         self.budget = budget;
+        self
+    }
+
+    /// Starts the watermarks of `rules` (indexes into the set) at `clock`
+    /// instead of 0, so their first round enumerates only the matches
+    /// that involve a fact stamped after it. Sound and complete only when
+    /// the caller knows that every premise match of those rules among the
+    /// facts stamped up to `clock` already has its conclusion in the
+    /// instance — as after the rules ran to fixpoint there (see the module
+    /// docs).
+    pub fn with_watermarks(mut self, rules: &'r [usize], clock: u64) -> Self {
+        self.start = (rules, clock);
         self
     }
 
@@ -704,6 +732,9 @@ impl<'r> ChaseEngine<'r> {
         // Per-rule clock watermark: facts stamped after it are this rule's
         // delta. Zero means "everything is new" (the naive first round).
         let mut last_seen: Vec<u64> = vec![0; rules.len()];
+        for &r in self.start.0 {
+            last_seen[r] = self.start.1;
+        }
         for _round in 0..self.budget.max_rounds {
             if self.budget.deadline_passed() {
                 stats.exhausted = Some(ExhaustedBy::Deadline);

@@ -108,6 +108,11 @@ impl LaAnalysis {
         self
     }
 
+    /// The data by node id, for a seed handed on to a later analysis.
+    pub(crate) fn into_classes(self) -> Vec<Option<ClassData>> {
+        self.classes
+    }
+
     /// What is known of the class rooted at `root`.
     pub fn class(&self, root: NodeId) -> Option<ClassData> {
         self.classes.get(root.0 as usize).copied().flatten()

@@ -16,13 +16,24 @@
 //! classes; a leaf's interned symbol; the dims of `I` and `0` — so equal
 //! subexpressions share one class, and every node is keyed, shape-checked
 //! and estimated once, bottom-up, by the estimator's one-level step.
+//!
+//! One step runs after [`Encoder::encode`], on what it returns:
+//! [`Encoded::tabulate_chains`] adds each maximal product chain's
+//! matrix-chain (CYK) table — a class per contiguous sub-chain, a `mul`
+//! fact per split — which is the instance the two associativity rules
+//! would saturate it into over several chase rounds. The encoded instance
+//! is then closed under them, and the clock the step returns is where a
+//! chase may start their watermarks (see [`hadad_chase::chase`]). The
+//! encoder itself is unchanged, so decoding an encoding still gives the
+//! input back.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use hadad_chase::{Atom, Instance, NodeId, PredId, SymId, Term};
+use hadad_chase::{Analysis, Atom, ChaseBudget, Instance, NodeId, PredId, SymId, Term};
 
-use crate::analysis::ClassData;
+use crate::analysis::{ClassData, LaAnalysis};
 use crate::expr::Expr;
 use crate::schema::{OpKind, Vrem};
 use crate::stats::{
@@ -196,6 +207,153 @@ pub struct Encoded {
     /// Shape and estimated density of every class, indexed by `NodeId.0`:
     /// the seed of [`crate::analysis::LaAnalysis`].
     pub classes: Vec<Option<ClassData>>,
+}
+
+impl Encoded {
+    /// Closes the instance under associativity of `mul` before any chase
+    /// runs: every maximal product chain gets its matrix-chain (CYK)
+    /// table, one class per contiguous sub-chain and one `mul` fact per
+    /// split of it. Call it on an instance as [`Encoder::encode`] returns
+    /// it, where every class still has one defining fact.
+    ///
+    /// Classes are keyed by factor sequence across all chains: a sub-chain
+    /// the input already built (or another chain shares) keeps its class,
+    /// two associations of one sequence in the input are merged into one
+    /// (their analysis data joined as a chase merge joins it), and a class
+    /// only the table has is seeded with its shape and no density — what
+    /// [`crate::LaAnalysis`] gives a class a chase firing mints.
+    ///
+    /// Returns the clock the table ends at: every premise match of
+    /// `mul-assoc-l`/`-r` among the facts stamped up to it already has its
+    /// conclusion, so a chase may start those two rules' watermarks there
+    /// ([`hadad_chase::ChaseEngine::with_watermarks`]). Declines — `None`,
+    /// the instance untouched — when the tables could push it past
+    /// `budget`'s fact or null cap: an n-chain's table holds n(n²−1)/6
+    /// `mul` facts.
+    pub fn tabulate_chains(&mut self, vrem: &Vrem, budget: &ChaseBudget) -> Option<u64> {
+        let mul = vrem.op(OpKind::Mul);
+        let inst = &mut self.instance;
+        let products: Vec<[NodeId; 3]> = inst
+            .facts_with_pred(mul)
+            .iter()
+            .map(|&i| {
+                let args = &inst.fact(i).args;
+                [args[0], args[1], args[2]]
+            })
+            .collect();
+        // Chain lengths (a factor is 1) and roots: operands are encoded
+        // before the product over them, so one pass in stamp order sees
+        // every operand's length first.
+        let mut len = vec![0u64; inst.num_nodes()];
+        let mut operand = vec![false; inst.num_nodes()];
+        for &[a, b, c] in &products {
+            len[c.0 as usize] = len[a.0 as usize].max(1) + len[b.0 as usize].max(1);
+            operand[a.0 as usize] = true;
+            operand[b.0 as usize] = true;
+        }
+        let roots: Vec<NodeId> =
+            products.iter().map(|p| p[2]).filter(|c| !operand[c.0 as usize]).collect();
+        let (facts, nulls) = roots.iter().fold((0u64, 0u64), |(f, n), r| {
+            let k = len[r.0 as usize];
+            (
+                f.saturating_add(k.saturating_mul(k * k - 1) / 6),
+                n.saturating_add(k * (k - 1) / 2),
+            )
+        });
+        if inst.num_facts() as u64 + facts > budget.max_facts as u64
+            || inst.num_nulls() as u64 + nulls > budget.max_nulls as u64
+        {
+            return None;
+        }
+
+        // Every product class's factor sequence, as a span of one arena.
+        let mut arena: Vec<NodeId> = Vec::new();
+        let mut span = vec![(0, 0); inst.num_nodes()];
+        for &[a, b, c] in &products {
+            let start = arena.len();
+            for x in [a, b] {
+                match span[x.0 as usize] {
+                    (from, to) if to > from => arena.extend_from_within(from..to),
+                    _ => arena.push(x),
+                }
+            }
+            span[c.0 as usize] = (start, arena.len());
+        }
+        let seq = |c: NodeId| &arena[span[c.0 as usize].0..span[c.0 as usize].1];
+
+        // One class per factor sequence: a second association of a
+        // sequence is merged into the first.
+        let mut tabled: HashMap<&[NodeId], (NodeId, bool)> = HashMap::new();
+        let mut merges = Vec::new();
+        for &[_, _, c] in &products {
+            let first = tabled.entry(seq(c)).or_insert((c, false)).0;
+            if first != c {
+                merges.push((first, c));
+            }
+        }
+        if !merges.is_empty() {
+            let mut analysis = LaAnalysis::new(vrem, std::mem::take(&mut self.classes));
+            for (a, b) in merges {
+                let (ra, rb) = (inst.find(a), inst.find(b));
+                let root = inst.merge(ra, rb).expect("product classes carry no constant");
+                let absorbed = if root == ra { rb } else { ra };
+                analysis.join(inst, root, absorbed).expect("one factor sequence has one shape");
+            }
+            self.classes = analysis.into_classes();
+            inst.rehash();
+            self.root = inst.find(self.root);
+        }
+
+        // Each root's table, shortest sub-chains first so that a split's
+        // operands exist before it; `cell[i * n + w - 1]` is the class of
+        // the `w` factors from the `i`-th.
+        let mut cell = Vec::new();
+        for &r in &roots {
+            let s = seq(r);
+            let n = s.len();
+            cell.clear();
+            cell.resize(n * n, r);
+            for (i, &factor) in s.iter().enumerate() {
+                cell[i * n] = inst.find(factor);
+            }
+            for width in 2..=n {
+                for i in 0..=n - width {
+                    let sub = &s[i..i + width];
+                    let class = match tabled.entry(sub) {
+                        Entry::Occupied(mut seen) => {
+                            let (c, done) = seen.get_mut();
+                            let c = inst.find(*c);
+                            cell[i * n + width - 1] = c;
+                            if std::mem::replace(done, true) {
+                                continue;
+                            }
+                            c
+                        }
+                        Entry::Vacant(slot) => {
+                            let c = inst.fresh_null();
+                            slot.insert((c, true));
+                            cell[i * n + width - 1] = c;
+                            let (first, last) = (sub[0].0 as usize, sub[width - 1].0 as usize);
+                            if let (Some(Some(f)), Some(Some(l))) =
+                                (self.classes.get(first), self.classes.get(last))
+                            {
+                                let data =
+                                    ClassData { rows: f.rows, cols: l.cols, density: None };
+                                record(&mut self.classes, c.0 as usize, data);
+                            }
+                            c
+                        }
+                    };
+                    for k in 1..width {
+                        let left = cell[i * n + k - 1];
+                        let right = cell[(i + k) * n + width - k - 1];
+                        inst.insert(mul, vec![left, right, class]);
+                    }
+                }
+            }
+        }
+        Some(inst.clock())
+    }
 }
 
 /// Encoder state: shares subexpression classes structurally so that e.g.

@@ -22,6 +22,11 @@
 //! ([`RuleSet::extended`]). Nothing is kept from one call to the next, so
 //! nothing is keyed, locked or evicted.
 //!
+//! Encoding includes each product chain's matrix-chain table
+//! ([`hadad_core::Encoded::tabulate_chains`]): the encoded instance is then
+//! closed under associativity, and the chase starts `mul-assoc-l`/`-r`
+//! where the table ends, so they enumerate only what later rules derive.
+//!
 //! The chase runs with the LA analysis ([`LaAnalysis`]): shapes and
 //! densities seeded by the encoder, kept for the classes the chase creates
 //! and merges, and read by extraction. A constraint that merges classes of
@@ -546,10 +551,14 @@ impl Optimizer {
         }
 
         let CallRules { mut vrem, rules, views } = self.chase_rules(&cat)?;
+        // The product chains' tables are encoding work: the two
+        // associativity rules then start where the tables end.
         let (encoded, encode_us) = hadad_obs::timed("rewrite.encode", &M_ENCODE_US, || {
-            Encoder::new(&mut vrem, &cat).encode(e)
+            let mut encoded = Encoder::new(&mut vrem, &cat).encode(e)?;
+            let tabled = encoded.tabulate_chains(&vrem, &self.budget);
+            Ok::<_, ShapeError>((encoded, tabled))
         });
-        let encoded = encoded?;
+        let (encoded, tabled) = encoded?;
         let mut analysis = LaAnalysis::new(&vrem, encoded.classes);
         for (rules, classes) in views {
             analysis = analysis.with_view(rules, classes);
@@ -559,7 +568,10 @@ impl Optimizer {
             Some(timeout) => self.budget.with_deadline(timeout),
             None => self.budget,
         };
-        let engine = ChaseEngine::new(&rules).with_budget(budget);
+        let mut engine = ChaseEngine::new(&rules).with_budget(budget);
+        if let Some(clock) = tabled {
+            engine = engine.with_watermarks(assoc_rules(), clock);
+        }
         let mut inst = encoded.instance;
         // Phase supervision: a panic inside the chase (a bug, or an injected
         // fault) is contained here. The partially saturated instance is still
@@ -732,6 +744,21 @@ struct CallRules {
     /// Each view's `V_IO`/`V_OI` rule indexes in `rules`, and the class
     /// stats their firings join ([`LaAnalysis::with_view`]).
     views: Vec<(Range<usize>, Vec<Option<ClassData>>)>,
+}
+
+/// Indexes of `mul-assoc-l`/`-r` in the shared standard rules, and so in
+/// every set extending them: the rules [`hadad_core::Encoded::tabulate_chains`]
+/// closes the encoded instance under.
+fn assoc_rules() -> &'static [usize] {
+    static ASSOC: OnceLock<Vec<usize>> = OnceLock::new();
+    ASSOC.get_or_init(|| {
+        let (_, standard) = Catalogue::shared_standard();
+        let found: Vec<usize> = (0..standard.len())
+            .filter(|&i| matches!(standard.rules()[i].name(), "mul-assoc-l" | "mul-assoc-r"))
+            .collect();
+        assert_eq!(found.len(), 2, "the standard catalogue has both associativity rules");
+        found
+    })
 }
 
 /// Sorts `plans` cheapest first. Exact cost ties go to the input

@@ -136,10 +136,14 @@ fn chase_error_fault_is_a_typed_budget_stop() {
 }
 
 /// A slow chase round (injected delay) trips the wall-clock deadline: the
-/// degradation names the deadline, not the fault.
+/// degradation names the deadline, not the fault. The deadline is read
+/// when a round starts, so the chase must need a second one: a bare chain
+/// is tabled before the chase and saturates in one round, its transpose
+/// derives products (`tr-mul`) the table does not hold.
 #[test]
 fn chase_delay_trips_the_deadline() {
     let (cat, _, expr) = chain(&[60, 40, 20, 1]);
+    let expr = t(expr);
     let opt = Optimizer::new(cat).with_deadline(Duration::from_millis(10));
     let _g = scoped("chase.round", FailAction::Delay(30));
     let ranked = opt.rewrite(&expr).unwrap();
