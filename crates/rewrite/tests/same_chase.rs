@@ -5,11 +5,15 @@
 //! instance indexes, compiled rule set). A matcher change that enumerates,
 //! fires or derives anything different — even with an isomorphic result —
 //! fails here, not only in a bench count. The count columns were
-//! re-recorded twice, every plan and fact count staying byte-equal: when
-//! shapes and densities moved from stats rules and facts into the chase's
-//! analysis, and when functional EGDs came to be enforced where the memo
-//! is written — their premise matches are gone from every row, and on one
-//! row a cascade of merges now lands a round earlier. Two rows' plans were
+//! re-recorded three times, every plan and fact count staying byte-equal:
+//! when shapes and densities moved from stats rules and facts into the
+//! chase's analysis; when functional EGDs came to be enforced where the
+//! memo is written — their premise matches are gone from every row, and on
+//! one row a cascade of merges now lands a round earlier; and when the
+//! encoder came to tabulate product chains — the associativity rules no
+//! longer re-derive the table, so the 18 rows with a chain of three or
+//! more factors lose those matches and firings (the 12-chain goes from 6
+//! rounds and 1 740 matches to 1 round and none). Two rows' plans were
 //! re-recorded when ranking came to break equal-cost ties by the plans'
 //! rendering instead of by extraction order: samples 54 and 85 each tie
 //! several candidates at the best cost (40 and 1 776 flops).
