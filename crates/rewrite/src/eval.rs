@@ -5,15 +5,18 @@
 
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hadad_core::{Expr, OpKind, UnaryOp};
 use hadad_linalg::ops::{aggregates, structural};
 use hadad_linalg::{decomp, default_backend, ExecBackend, LinalgError, Matrix};
 
-/// Named matrix bindings for evaluation.
+/// Named matrix bindings for evaluation. A clone shares the bound
+/// matrices: an environment extended per call (a view materialized, a
+/// cast lent for verification) copies names, not matrices.
 #[derive(Debug, Clone, Default)]
 pub struct Env {
-    bindings: HashMap<String, Matrix>,
+    bindings: HashMap<String, Arc<Matrix>>,
 }
 
 impl Env {
@@ -24,18 +27,20 @@ impl Env {
 
     /// Binds `name` to a matrix, replacing any prior binding.
     pub fn bind(&mut self, name: impl Into<String>, m: Matrix) -> &mut Self {
-        self.bindings.insert(name.into(), m);
+        self.bindings.insert(name.into(), Arc::new(m));
         self
     }
 
-    /// Removes and returns the matrix bound to `name`.
+    /// Removes and returns the matrix bound to `name` (a copy while a
+    /// clone of this environment still shares it).
     pub fn unbind(&mut self, name: &str) -> Option<Matrix> {
-        self.bindings.remove(name)
+        let m = self.bindings.remove(name)?;
+        Some(Arc::try_unwrap(m).unwrap_or_else(|shared| (*shared).clone()))
     }
 
     /// Matrix bound to `name`.
     pub fn get(&self, name: &str) -> Option<&Matrix> {
-        self.bindings.get(name)
+        self.bindings.get(name).map(|m| &**m)
     }
 }
 
