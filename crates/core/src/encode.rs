@@ -253,6 +253,11 @@ impl Encoded {
         }
         let roots: Vec<NodeId> =
             products.iter().map(|p| p[2]).filter(|c| !operand[c.0 as usize]).collect();
+        // No product over a product: every chain is one `mul` fact, its own
+        // table.
+        if roots.len() == products.len() {
+            return Some(inst.clock());
+        }
         let (facts, nulls) = roots.iter().fold((0u64, 0u64), |(f, n), r| {
             let k = len[r.0 as usize];
             (
