@@ -10,7 +10,8 @@
 //!   tabled, and its chase ends as it did before tables existed.
 
 use hadad_chase::{
-    ChaseBudget, ChaseEngine, ChaseOutcome, DegradeReason, Degraded, RewritePhase, RuleSet,
+    ChaseBudget, ChaseEngine, ChaseOutcome, DegradeReason, Degraded, ExhaustedBy, RewritePhase,
+    RuleSet,
 };
 use hadad_core::expr::dsl::*;
 use hadad_core::{
@@ -314,7 +315,7 @@ fn a_table_over_the_fact_budget_is_not_built() {
     let report = opt.rewrite(&e).expect("a degraded rewrite still answers").report;
     assert_eq!(report.chase_outcome, ChaseOutcome::BudgetExhausted);
     let facts_cut = Degraded {
-        reason: DegradeReason::Budget(hadad_chase::ExhaustedBy::Facts),
+        reason: DegradeReason::Budget(ExhaustedBy::Facts),
         phase: RewritePhase::Chase,
     };
     assert_eq!(report.degraded, Some(facts_cut));
