@@ -180,6 +180,10 @@ impl Matcher {
         slots: usize,
         sink: &mut dyn FnMut(&Match) -> bool,
     ) {
+        // A predicate without facts: no match, and nothing to set up.
+        if has_empty_pred(inst, atoms) {
+            return;
+        }
         self.prepare(atoms.len(), slots);
         self.set_reqs(atoms.iter().map(|_| StampReq::Any));
         self.run(inst, atoms, 0, sink);
@@ -196,6 +200,13 @@ impl Matcher {
     ) {
         if watermark == 0 {
             return self.for_each_match(inst, atoms, slots, sink);
+        }
+        // No match at all, for any watermark: a rule over a predicate that
+        // has no fact yet costs one array read per atom. The fact that
+        // later gives it one is stamped after the caller's snapshot, so it
+        // is still in the rule's next delta.
+        if has_empty_pred(inst, atoms) {
+            return;
         }
         // An empty premise has one (empty) match, which involves no delta
         // fact — and the loop below has no pivot to offer it.
@@ -245,6 +256,12 @@ impl Matcher {
         });
         found
     }
+}
+
+/// True when some atom's predicate has no fact in `inst`: then no
+/// homomorphism of `atoms` exists. An empty conjunction has none such.
+fn has_empty_pred(inst: &Instance, atoms: &[Atom]) -> bool {
+    atoms.iter().any(|a| inst.facts_with_pred(a.pred).is_empty())
 }
 
 /// Enumerates homomorphisms of `atoms` into `inst`, invoking `sink` for
@@ -505,6 +522,38 @@ mod tests {
         let zz = vocab.constant("zz"); // interned in vocab, absent from inst
         let atoms = vec![Atom::new(r, vec![Term::Const(zz), Term::Var(0)])];
         assert!(all_matches(&inst, &atoms).is_empty());
+    }
+
+    #[test]
+    fn a_predicate_without_facts_matches_nothing_at_any_watermark() {
+        let (mut vocab, mut inst, r, _) = setup();
+        let t = vocab.predicate("T", 1);
+        let atoms = vec![
+            Atom::new(r, vec![Term::Var(0), Term::Var(1)]),
+            Atom::new(t, vec![Term::Var(1)]),
+        ];
+        let count = |inst: &Instance, atoms: &[Atom], w: u64| {
+            let mut seen = 0;
+            for_each_match_since(inst, atoms, w, &mut |_| {
+                seen += 1;
+                true
+            });
+            seen
+        };
+        for w in 0..=inst.clock() {
+            assert_eq!(count(&inst, &atoms, w), 0);
+        }
+        // The fact that gives `T` one is stamped after every watermark
+        // above, so each of them now sees the match it completes.
+        let b = inst.node_of_const(vocab.constant("b")).unwrap();
+        let before = inst.clock();
+        inst.insert(t, vec![b]);
+        for w in 0..=before {
+            assert_eq!(count(&inst, &atoms, w), 1);
+        }
+        // An empty conjunction still has its one match (which involves no
+        // delta fact, so only a full enumeration offers it).
+        assert_eq!(count(&inst, &[], 0), 1);
     }
 
     #[test]

@@ -536,6 +536,22 @@ impl Instance {
         (self.facts.len() - 1, true)
     }
 
+    /// Makes room for `facts` more facts over `pred` whose arguments add at
+    /// most `keys` new (predicate, position, node) keys, so that inserting
+    /// them grows neither the fact list nor the dedup and positional
+    /// indexes.
+    pub fn reserve(&mut self, pred: PredId, facts: usize, keys: usize) {
+        self.facts.reserve(facts);
+        self.same_key.reserve(facts);
+        self.index.reserve(facts);
+        self.pos_index.reserve(keys);
+        let p = pred.0 as usize;
+        if self.by_pred.len() <= p {
+            self.by_pred.resize_with(p + 1, Vec::new);
+        }
+        self.by_pred[p].reserve(facts);
+    }
+
     /// All facts, in insertion order. After a [`Self::rehash`] duplicates
     /// that merges created are gone: each was coalesced into the earliest
     /// fact with the same canonical args.

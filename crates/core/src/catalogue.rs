@@ -73,13 +73,16 @@ impl Catalogue {
     /// so a caller clones the [`Vrem`] (its own encoding interns into it),
     /// builds its view rules against the clone, and chases over
     /// [`RuleSet::extended`] — or over the shared set itself when it has
-    /// nothing to add. The constraints read back from the compiled rules
-    /// ([`hadad_chase::CompiledRule::constraint`]).
+    /// nothing to add. The schema's vocabulary is frozen
+    /// ([`hadad_chase::Vocabulary::freeze`]), so that clone copies no name:
+    /// only what the caller interns is its own. The constraints read back
+    /// from the compiled rules ([`hadad_chase::CompiledRule::constraint`]).
     pub fn shared_standard() -> &'static (Vrem, Arc<RuleSet>) {
         static SHARED: OnceLock<(Vrem, Arc<RuleSet>)> = OnceLock::new();
         SHARED.get_or_init(|| {
             let mut vrem = Vrem::new();
             let rules = RuleSet::compile(Catalogue::standard(&mut vrem).constraints);
+            vrem.vocab.freeze();
             (vrem, Arc::new(rules))
         })
     }

@@ -258,11 +258,12 @@ impl Encoded {
         if roots.len() == products.len() {
             return Some(inst.clock());
         }
-        let (facts, nulls) = roots.iter().fold((0u64, 0u64), |(f, n), r| {
+        let (facts, nulls, factors) = roots.iter().fold((0u64, 0u64, 0u64), |(f, n, l), r| {
             let k = len[r.0 as usize];
             (
                 f.saturating_add(k.saturating_mul(k * k - 1) / 6),
                 n.saturating_add(k * (k - 1) / 2),
+                l.saturating_add(k),
             )
         });
         if inst.num_facts() as u64 + facts > budget.max_facts as u64
@@ -308,6 +309,11 @@ impl Encoded {
             inst.rehash();
             self.root = inst.find(self.root);
         }
+
+        // Within the budget, so each count fits a `usize`. A table fact's
+        // three arguments are classes of its chain — a factor or a tabled
+        // sub-chain — so it adds at most three positional keys per class.
+        inst.reserve(mul, facts as usize, 3 * (nulls + factors) as usize);
 
         // Each root's table, shortest sub-chains first so that a split's
         // operands exist before it; `cell[i * n + w - 1]` is the class of

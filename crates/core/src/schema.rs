@@ -173,8 +173,9 @@ pub struct Vrem {
     /// `square(M)`: a rule guard, never a fact — it holds when the
     /// analysis gives class `M` a square shape.
     pub square: PredId,
-    /// Operator relation per `OpKind`, indexed by discriminant.
-    ops: Vec<PredId>,
+    /// Operator relation per `OpKind`, indexed by discriminant; shared
+    /// with every clone.
+    ops: Arc<[PredId]>,
     /// Reverse of `ops`, indexed by `PredId.0`; shared with every clone
     /// and with the analysis.
     kinds: Arc<[Option<OpKind>]>,
@@ -194,10 +195,10 @@ impl Vrem {
         let ty = vocab.predicate("type", 2);
         let lit = vocab.predicate("lit", 2);
         let square = vocab.predicate("square", 1);
-        let ops: Vec<PredId> =
+        let ops: Arc<[PredId]> =
             OpKind::all().iter().map(|k| vocab.predicate(k.pred_name(), k.arity())).collect();
         let mut kinds = vec![None; vocab.num_preds()];
-        for (&k, p) in OpKind::all().iter().zip(&ops) {
+        for (&k, p) in OpKind::all().iter().zip(ops.iter()) {
             kinds[p.0 as usize] = Some(k);
         }
         Vrem { vocab, name, zero, identity, ty, lit, square, ops, kinds: kinds.into() }

@@ -682,8 +682,9 @@ impl PrefixOutcome {
 /// or the views are rebuilt — the only places the schema moves — and
 /// shares it with every snapshot.
 struct RelSchema {
-    /// One predicate per catalog table; a run compiles its prefix into a
-    /// clone, so the prefix's constants stay the run's.
+    /// One predicate per catalog table, and the views' constants, frozen:
+    /// a run compiles its prefix into an O(1) clone, so the prefix's
+    /// constants stay the run's.
     vocab: TableVocab,
     /// PACB over the views.
     pacb: Pacb,
@@ -704,6 +705,7 @@ impl RelSchema {
                 Ok(View::new(&v.name, vocab.pred(&v.name)?, def.cq))
             })
             .collect::<Result<Vec<View>, HybridError>>()?;
+        vocab.vocab.freeze();
         Ok(RelSchema { pacb: Pacb::new(&[], &views), vocab })
     }
 }

@@ -16,9 +16,11 @@
 //! catalogue ([`Catalogue::shared_standard`]: LA properties are fixed, so
 //! they are interned and compiled once) plus the `V_IO`/`V_OI` pair of each
 //! registered view, built against the call's catalog into a clone of the
-//! shared [`Vrem`] the call's expression is then encoded into. An optimizer
-//! without views chases over the shared rule set as it is; one with `v`
-//! views compiles `2·v` rules per call and shares the rest
+//! shared [`Vrem`] the call's expression is then encoded into. That clone
+//! copies no name: the shared vocabulary is frozen, and the clone owns only
+//! the tail the call interns into (its leaf names, its views' constants).
+//! An optimizer without views chases over the shared rule set as it is;
+//! one with `v` views compiles `2·v` rules per call and shares the rest
 //! ([`RuleSet::extended`]). Nothing is kept from one call to the next, so
 //! nothing is keyed, locked or evicted.
 //!

@@ -302,40 +302,40 @@ pub struct CompiledQuery {
 }
 
 /// Vocabulary derived from the table catalog: one predicate per table
-/// (arity = column count), with both directions of the mapping.
+/// (arity = column count), interned first, so the table predicates are the
+/// ids `0..n` and the vocabulary itself answers both directions of the
+/// mapping. A clone costs what the vocabulary's tail holds.
 #[derive(Debug, Clone)]
 pub struct TableVocab {
-    /// The chase vocabulary the table predicates are interned in.
+    /// The chase vocabulary the table predicates are interned in. Intern
+    /// into it freely, but keep it: its first predicates are the tables'.
     pub vocab: Vocabulary,
-    by_name: HashMap<String, PredId>,
-    by_pred: HashMap<PredId, String>,
+    /// The number of tables: a predicate below it is a table's.
+    tables: usize,
 }
 
 impl TableVocab {
     /// Interns one predicate per catalog table (arity = column count).
     pub fn from_catalog(catalog: &Catalog) -> Self {
-        let mut tv = TableVocab {
-            vocab: Vocabulary::new(),
-            by_name: HashMap::new(),
-            by_pred: HashMap::new(),
-        };
+        let mut vocab = Vocabulary::new();
         for name in catalog.names() {
             let arity = catalog.get(name).map_or(0, hadad_relational::Table::num_cols);
-            let pred = tv.vocab.predicate(name, arity);
-            tv.by_name.insert(name.to_owned(), pred);
-            tv.by_pred.insert(pred, name.to_owned());
+            vocab.predicate(name, arity);
         }
-        tv
+        TableVocab { tables: vocab.num_preds(), vocab }
     }
 
     /// The predicate interned for `table`.
     pub fn pred(&self, table: &str) -> Result<PredId, HybridError> {
-        self.by_name.get(table).copied().ok_or_else(|| HybridError::MissingTable(table.into()))
+        self.vocab
+            .lookup_predicate(table)
+            .filter(|p| (p.0 as usize) < self.tables)
+            .ok_or_else(|| HybridError::MissingTable(table.into()))
     }
 
     /// Reverse lookup: the table `pred` was interned for.
     pub fn table_of(&self, pred: PredId) -> Option<&str> {
-        self.by_pred.get(&pred).map(std::string::String::as_str)
+        ((pred.0 as usize) < self.tables).then(|| self.vocab.pred_name(pred))
     }
 }
 

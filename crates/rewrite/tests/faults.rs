@@ -6,7 +6,12 @@
 //! never aborts.
 //!
 //! Programmatic tests arm sites through [`hadad_failpoint::scoped`], whose
-//! guard also serializes them behind the global fault-test lock. The
+//! guard also serializes them behind the global fault-test lock. Every test
+//! holds that lock for its whole body: one that arms nothing, or not yet,
+//! or no longer, holds it through an inert site ([`unarmed`]), so no other
+//! test's armed site lands on its steps. The lock is not reentrant, so a
+//! test swaps one guard for the next ([`arm`], [`disarm`]) and runs nothing
+//! in between. The
 //! `env_driven` test instead reads `HADAD_FAILPOINTS` — that is the entry
 //! point CI's fault matrix runs under one config at a time:
 //!
@@ -21,7 +26,7 @@ use hadad_chase::{
 };
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog};
-use hadad_failpoint::{scoped, FailAction};
+use hadad_failpoint::{scoped, FailAction, ScopedFailpoint};
 use hadad_linalg::{rand_gen, Matrix};
 use hadad_relational::{Catalog, Column, Table, Value};
 use hadad_rewrite::{
@@ -52,6 +57,23 @@ fn chain(dims: &[usize]) -> (MetaCatalog, Env, Expr) {
 
 const CHAIN12: [usize; 13] = [96, 88, 80, 64, 48, 40, 36, 24, 16, 12, 6, 4, 1];
 
+/// Holds the fault-test lock with nothing armed.
+fn unarmed() -> ScopedFailpoint {
+    scoped("faults.unarmed", FailAction::Delay(0))
+}
+
+/// Swaps the held fault-test lock for a guard arming `site`.
+fn arm(held: ScopedFailpoint, site: &str, action: FailAction) -> ScopedFailpoint {
+    drop(held);
+    scoped(site, action)
+}
+
+/// Disarms `armed` and takes the fault-test lock back, unarmed.
+fn disarm(armed: ScopedFailpoint) -> ScopedFailpoint {
+    drop(armed);
+    unarmed()
+}
+
 /// Runs `f` with panic output silenced (worker panics would otherwise spray
 /// backtraces through the captured test output), restoring the hook after.
 fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
@@ -67,6 +89,7 @@ fn quiet_panics<T>(f: impl FnOnce() -> T) -> T {
 /// input expression.
 #[test]
 fn fact_budget_exhaustion_still_yields_verified_plan() {
+    let _lock = unarmed();
     let (cat, env, expr) = chain(&[96, 80, 64, 48, 24, 1]);
     let opt = Optimizer::new(cat).with_budget(ChaseBudget {
         max_rounds: 12,
@@ -93,6 +116,7 @@ fn fact_budget_exhaustion_still_yields_verified_plan() {
 /// expression.
 #[test]
 fn one_ms_deadline_on_12_chain_returns_verified_plan() {
+    let _lock = unarmed();
     let (cat, env, expr) = chain(&CHAIN12);
     let opt = Optimizer::new(cat)
         .with_budget(ChaseBudget {
@@ -113,9 +137,10 @@ fn one_ms_deadline_on_12_chain_returns_verified_plan() {
 
 #[test]
 fn chase_panic_is_contained_and_degrades() {
+    let lock = unarmed();
     let (cat, env, expr) = chain(&[60, 40, 20, 1]);
     let opt = Optimizer::new(cat);
-    let _g = scoped("chase.round", FailAction::Panic);
+    let _g = arm(lock, "chase.round", FailAction::Panic);
     let (ranked, plan, _) = quiet_panics(|| opt.rewrite_verified(&expr, &env, 1e-9)).unwrap();
     let d = ranked.report.degraded.as_ref().expect("contained panic marks degradation");
     assert_eq!(d.reason, DegradeReason::WorkerPanic);
@@ -125,9 +150,10 @@ fn chase_panic_is_contained_and_degrades() {
 
 #[test]
 fn chase_error_fault_is_a_typed_budget_stop() {
+    let lock = unarmed();
     let (cat, env, expr) = chain(&[60, 40, 20, 1]);
     let opt = Optimizer::new(cat);
-    let _g = scoped("chase.round", FailAction::Error);
+    let _g = arm(lock, "chase.round", FailAction::Error);
     let (ranked, plan, _) = opt.rewrite_verified(&expr, &env, 1e-9).unwrap();
     assert_eq!(ranked.report.chase_outcome, ChaseOutcome::BudgetExhausted);
     let d = ranked.report.degraded.as_ref().unwrap();
@@ -142,10 +168,11 @@ fn chase_error_fault_is_a_typed_budget_stop() {
 /// derives products (`tr-mul`) the table does not hold.
 #[test]
 fn chase_delay_trips_the_deadline() {
+    let lock = unarmed();
     let (cat, _, expr) = chain(&[60, 40, 20, 1]);
     let expr = t(expr);
     let opt = Optimizer::new(cat).with_deadline(Duration::from_millis(10));
-    let _g = scoped("chase.round", FailAction::Delay(30));
+    let _g = arm(lock, "chase.round", FailAction::Delay(30));
     let ranked = opt.rewrite(&expr).unwrap();
     let d = ranked.report.degraded.as_ref().expect("deadline must trip");
     assert_eq!(d.reason, DegradeReason::Deadline);
@@ -154,9 +181,10 @@ fn chase_delay_trips_the_deadline() {
 
 #[test]
 fn extraction_panic_falls_back_to_original_plan() {
+    let lock = unarmed();
     let (cat, env, expr) = chain(&[60, 40, 20, 1]);
     let opt = Optimizer::new(cat);
-    let _g = scoped("extract.solve", FailAction::Panic);
+    let _g = arm(lock, "extract.solve", FailAction::Panic);
     let (ranked, plan, _) = quiet_panics(|| opt.rewrite_verified(&expr, &env, 1e-9)).unwrap();
     let d = ranked.report.degraded.as_ref().unwrap();
     assert_eq!(d.reason, DegradeReason::WorkerPanic);
@@ -171,9 +199,10 @@ fn extraction_panic_falls_back_to_original_plan() {
 /// evaluation.
 #[test]
 fn kernel_panic_degrades_to_reference_backend() {
+    let lock = unarmed();
     let (cat, env, expr) = chain(&[60, 40, 20, 1]);
     let opt = Optimizer::new(cat);
-    let _g = scoped("linalg.kernel", FailAction::Panic);
+    let _g = arm(lock, "linalg.kernel", FailAction::Panic);
     let before = kernel_events().len();
     let (ranked, plan, _) = quiet_panics(|| opt.rewrite_verified(&expr, &env, 1e-9)).unwrap();
     assert!(plan.est_cost <= ranked.original.est_cost);
@@ -219,14 +248,15 @@ fn hybrid_with_view() -> (HybridOptimizer, HybridPipeline) {
 /// included.
 #[test]
 fn maintenance_midpass_fault_poisons_then_rebuild_recovers() {
+    let lock = unarmed();
     let (mut hy, p) = hybrid_with_view();
     let row = |tid: i64| vec![vec![Value::Int(tid), Value::Int(3), Value::Int(1)]];
-    let g = scoped("maintain.midpass", FailAction::Error);
+    let g = arm(lock, "maintain.midpass", FailAction::Error);
     hy.catalog.insert_rows("tweets", row(600)).unwrap();
     let err = hy.maintain_views().unwrap_err();
     assert!(matches!(err, HybridError::Fault { site: "maintain.midpass" }));
     assert!(matches!(hy.maintain_views(), Err(HybridError::MaintenancePoisoned)));
-    drop(g);
+    let _lock = disarm(g);
     assert_eq!(hy.stale_views(), vec!["topic3"]);
 
     // Degraded anytime run: base tables are current (the insert landed),
@@ -261,14 +291,15 @@ fn maintenance_midpass_fault_poisons_then_rebuild_recovers() {
 /// Same contract when the pass *panics* mid-way instead of erroring.
 #[test]
 fn maintenance_midpass_panic_poisons_instead_of_unwinding() {
+    let lock = unarmed();
     let (mut hy, p) = hybrid_with_view();
-    let g = scoped("maintain.midpass", FailAction::Panic);
+    let g = arm(lock, "maintain.midpass", FailAction::Panic);
     hy.catalog
         .insert_rows("tweets", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]])
         .unwrap();
     let err = quiet_panics(|| hy.maintain_views()).unwrap_err();
     assert!(matches!(err, HybridError::MaintenancePoisoned));
-    drop(g);
+    let _lock = disarm(g);
     assert!(hy.rewrite_hybrid(&p).unwrap().degraded.is_some());
     hy.rebuild_views().unwrap();
     assert!(hy.rewrite_hybrid(&p).unwrap().degraded.is_none());
@@ -278,6 +309,7 @@ fn maintenance_midpass_panic_poisons_instead_of_unwinding() {
 /// clear staleness); rebuild recovers and re-stamps.
 #[test]
 fn restamp_fault_poisons_then_rebuild_recovers() {
+    let lock = unarmed();
     let (mut hy, p) = hybrid_with_view();
     hy.register_maintained_cast(hadad_rewrite::MaintainedCast {
         cast_name: "N".into(),
@@ -286,14 +318,14 @@ fn restamp_fault_poisons_then_rebuild_recovers() {
         cast: CastKind::Dense { columns: vec!["tid".into(), "level".into()] },
     })
     .unwrap();
-    let g = scoped("hybrid.restamp", FailAction::Error);
+    let g = arm(lock, "hybrid.restamp", FailAction::Error);
     hy.catalog
         .insert_rows("tweets", vec![vec![Value::Int(600), Value::Int(3), Value::Int(1)]])
         .unwrap();
     let err = hy.maintain_views().unwrap_err();
     assert!(matches!(err, HybridError::Fault { site: "hybrid.restamp" }));
     assert!(matches!(hy.maintain_views(), Err(HybridError::MaintenancePoisoned)));
-    drop(g);
+    let _lock = disarm(g);
     assert!(hy.rewrite_hybrid(&p).unwrap().degraded.is_some());
     hy.rebuild_views().unwrap();
     assert_eq!(hy.optimizer.cat.get("N").unwrap().rows, 11);
@@ -305,19 +337,17 @@ fn restamp_fault_poisons_then_rebuild_recovers() {
 /// runs cold (and clean), and only the read after that hits.
 #[test]
 fn degraded_prefix_is_never_memoized() {
+    let lock = unarmed();
     let (mut hy, p) = hybrid_with_view();
     let snap = hy.reader().unwrap().current();
-    let r = quiet_panics(|| {
-        let _g = scoped("chase.round", FailAction::Panic);
-        snap.rewrite_hybrid(&p).unwrap()
-    });
+    let g = arm(lock, "chase.round", FailAction::Panic);
+    let r = quiet_panics(|| snap.rewrite_hybrid(&p).unwrap());
     assert_eq!(r.degraded.map(|d| d.reason), Some(DegradeReason::WorkerPanic));
     assert!(!r.rel.memo_hit);
     assert!(r.rel.rewriting.is_none());
 
-    // Take the fault-test lock back (through an inert site): the reads
-    // below must be unarmed, and another test's fault would land on them.
-    let _lock = scoped("memo.hold", FailAction::Delay(0));
+    // The reads below must be unarmed.
+    let _lock = disarm(g);
     let cold = snap.rewrite_hybrid(&p).unwrap();
     assert!(!cold.rel.memo_hit, "the panicked read must not have been stored");
     assert!(cold.degraded.is_none());
@@ -337,9 +367,7 @@ fn degraded_prefix_is_never_memoized() {
 /// process never aborts. Also passes with no env set (the clean run).
 #[test]
 fn env_driven_single_fault_degrades_cleanly() {
-    // Hold the fault-test lock (via an inert scoped site) so concurrently
-    // running programmatic fault tests cannot interleave with this one.
-    let _lock = scoped("env.hold", FailAction::Delay(0));
+    let _lock = unarmed();
     hadad_failpoint::init_from_env();
     // A typo'd spec entry would leave its site unarmed and this run would
     // pass vacuously; fail loudly instead so the matrix config gets fixed.
