@@ -49,14 +49,16 @@ pub struct Fact {
     pub stamp: u64,
 }
 
-/// Multiply-rotate hasher for the instance's maps. Every key is made of
-/// ids the instance or its vocabulary handed out itself (`PredId`, `SymId`,
-/// `NodeId`, argument positions) — small dense integers nobody adversarial
-/// chooses — so the maps trade SipHash's collision resistance, which
-/// protects nothing here, for a few cycles per probe. Deliberately *not*
+/// Multiply-rotate hasher for maps keyed on ids: the instance's maps, and
+/// the encoders' hash-consing memos and factor-sequence table in
+/// `hadad-core`. Every key is made of ids the instance or its vocabulary
+/// handed out itself (`PredId`, `SymId`, `NodeId`, argument positions,
+/// operator kinds, dims) — small dense integers nobody adversarial chooses
+/// — so the maps trade SipHash's collision resistance, which protects
+/// nothing here, for a few cycles per probe. Deliberately *not*
 /// DoS-resistant: never key it with values from outside the program.
 #[derive(Debug, Default, Clone, Copy)]
-struct IdHasher(u64);
+pub struct IdHasher(u64);
 
 impl IdHasher {
     fn mix(&mut self, word: u64) {
@@ -77,6 +79,10 @@ impl Hasher for IdHasher {
 
     fn write_u64(&mut self, n: u64) {
         self.mix(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.mix(n as u64);
     }
 
     fn finish(&self) -> u64 {

@@ -53,7 +53,7 @@ pub use chase::{
 pub use constraint::{Constraint, Egd, Tgd};
 pub use cq::Cq;
 pub use homomorphism::{Bindings, Match};
-pub use instance::{ConstClash, Instance, NodeId};
+pub use instance::{ConstClash, IdHasher, Instance, NodeId};
 pub use pacb::{CostFn, Pacb, PacbResult, Rewriting, View};
 pub use resolve::ResolutionOrder;
 pub use symbols::{PredId, SymId, Vocabulary};

@@ -623,7 +623,7 @@ impl Catalogue {
 mod tests {
     use super::*;
     use crate::analysis::LaAnalysis;
-    use crate::encode::Encoder;
+    use crate::encode::{ChainCells, Encoder};
     use crate::expr::dsl::*;
     use crate::expr::UnaryOp;
     use crate::extract::{Extractor, TreeSizeCost};
@@ -669,7 +669,13 @@ mod tests {
         }
 
         fn extractor(&self) -> Extractor<'_> {
-            Extractor::new(&self.vrem, &self.inst, &self.analysis, &TreeSizeCost)
+            Extractor::new(
+                &self.vrem,
+                &self.inst,
+                &self.analysis,
+                &ChainCells::default(),
+                &TreeSizeCost,
+            )
         }
 
         fn candidates(&self, class: NodeId) -> Vec<String> {

@@ -17,21 +17,37 @@
 //! subexpressions share one class, and every node is keyed, shape-checked
 //! and estimated once, bottom-up, by the estimator's one-level step.
 //!
-//! One step runs after [`Encoder::encode`], on what it returns:
-//! [`Encoded::tabulate_chains`] adds each maximal product chain's
-//! matrix-chain (CYK) table — a class per contiguous sub-chain, a `mul`
-//! fact per split — which is the instance the two associativity rules
-//! would saturate it into over several chase rounds. The encoded instance
-//! is then closed under them, and the clock the step returns is where a
-//! chase may start their watermarks (see [`hadad_chase::chase`]). The
-//! encoder itself is unchanged, so decoding an encoding still gives the
-//! input back.
+//! One step runs after [`Encoder::encode`], on what it returns: each
+//! maximal product chain's matrix-chain (CYK) table — a class per
+//! contiguous sub-chain, a `mul` split per way to cut it in two — which is
+//! what the two associativity rules would saturate the chain into over
+//! several chase rounds. One enumeration writes the table to one of two
+//! places:
+//!
+//! * [`Encoded::tabulate_chains`] inserts it as `mul` facts over fresh
+//!   nulls, so every rule of the chase can read it;
+//! * [`Encoded::tabulate_chains_as_cells`] keeps it out of the instance,
+//!   in [`Encoded::cells`], which extraction enumerates as `mul` e-nodes
+//!   over class ids after the instance's ([`crate::Extractor`]). That is
+//!   only sound where no rule but associativity can read a class only the
+//!   table has; the caller decides (`hadad-rewrite`'s optimizer does, per
+//!   call).
+//!
+//! Either way the chains are then closed under associativity, and the
+//! clock the step returns is where a chase may start the two rules'
+//! watermarks (see [`hadad_chase::chase`]). The encoder itself is
+//! unchanged, so decoding an encoding still gives the input back.
+//!
+//! The hash-consing memos and the table's factor-sequence map key on ids
+//! only, so they hash with [`IdHasher`] rather than SipHash.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash};
 
-use hadad_chase::{Analysis, Atom, ChaseBudget, Instance, NodeId, PredId, SymId, Term};
+use hadad_chase::{
+    Analysis, Atom, ChaseBudget, IdHasher, Instance, NodeId, PredId, SymId, Term,
+};
 
 use crate::analysis::{ClassData, LaAnalysis};
 use crate::expr::Expr;
@@ -63,16 +79,19 @@ enum Key<C> {
     Op(OpKind, usize, [C; 2]),
 }
 
+/// A map keyed on ids.
+type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
 /// Hash-consing state of one encoder.
 struct Memo<C> {
-    classes: HashMap<Key<C>, (C, ClassStats)>,
+    classes: IdMap<Key<C>, (C, ClassStats)>,
     /// QR/LU: one fact with two output classes per operator and input.
-    pairs: HashMap<(OpKind, C), (C, C)>,
+    pairs: IdMap<(OpKind, C), (C, C)>,
 }
 
 impl<C> Default for Memo<C> {
     fn default() -> Self {
-        Memo { classes: HashMap::new(), pairs: HashMap::new() }
+        Memo { classes: IdMap::default(), pairs: IdMap::default() }
     }
 }
 
@@ -207,6 +226,99 @@ pub struct Encoded {
     /// Shape and estimated density of every class, indexed by `NodeId.0`:
     /// the seed of [`crate::analysis::LaAnalysis`].
     pub classes: Vec<Option<ClassData>>,
+    /// The chain tables kept out of the instance
+    /// ([`Encoded::tabulate_chains_as_cells`]); empty until then.
+    pub cells: ChainCells,
+}
+
+/// A class of a chain table kept out of the instance ([`ChainCells`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChainCell {
+    /// A class of the instance: a factor, or a sub-chain the input built.
+    Class(NodeId),
+    /// The `j`-th class only the table has, `ChainCells::classes[j]`.
+    Table(u32),
+}
+
+impl From<NodeId> for ChainCell {
+    fn from(class: NodeId) -> Self {
+        ChainCell::Class(class)
+    }
+}
+
+/// Matrix-chain tables kept out of the instance: the classes only they
+/// have and every split of every sub-chain. [`crate::Extractor`] reads the
+/// `j`-th table-only class as class `num_nodes() + j` and each split as a
+/// `mul` e-node of its output.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ChainCells {
+    /// Shape of each table-only class — rows of its first factor, columns
+    /// of its last — and no density: what [`crate::LaAnalysis`] gives a
+    /// class a chase firing mints, and what [`Encoded::tabulate_chains`]
+    /// records for the null it inserts instead.
+    pub classes: Vec<Option<ClassData>>,
+    /// Every split `[left, right, product]`, in the order
+    /// [`Encoded::tabulate_chains`] inserts the same splits as facts.
+    pub splits: Vec<[ChainCell; 3]>,
+}
+
+/// Where [`Encoded::tabulate`] writes a table: the instance or
+/// [`Encoded::cells`].
+trait TableSink {
+    /// How a class of the table is named.
+    type Cell: Copy + From<NodeId>;
+    /// Room for `splits` more splits over `classes` more classes.
+    fn reserve(&self, enc: &mut Encoded, splits: usize, classes: usize);
+    /// A class only the table has, with its analysis data.
+    fn fresh(&self, enc: &mut Encoded, data: Option<ClassData>) -> Self::Cell;
+    /// The split `left · right = out`.
+    fn split(&self, enc: &mut Encoded, left: Self::Cell, right: Self::Cell, out: Self::Cell);
+}
+
+/// The table as `mul` facts over fresh nulls.
+struct Facts(PredId);
+
+impl TableSink for Facts {
+    type Cell = NodeId;
+
+    /// A table fact's three arguments are classes of its chain, so it adds
+    /// at most three positional keys per class.
+    fn reserve(&self, enc: &mut Encoded, splits: usize, classes: usize) {
+        enc.instance.reserve(self.0, splits, 3 * classes);
+    }
+
+    fn fresh(&self, enc: &mut Encoded, data: Option<ClassData>) -> NodeId {
+        let c = enc.instance.fresh_null();
+        if let Some(data) = data {
+            record(&mut enc.classes, c.0 as usize, data);
+        }
+        c
+    }
+
+    fn split(&self, enc: &mut Encoded, left: NodeId, right: NodeId, out: NodeId) {
+        enc.instance.insert(self.0, vec![left, right, out]);
+    }
+}
+
+/// The table as [`ChainCells`].
+struct Cells;
+
+impl TableSink for Cells {
+    type Cell = ChainCell;
+
+    fn reserve(&self, enc: &mut Encoded, splits: usize, classes: usize) {
+        enc.cells.splits.reserve(splits);
+        enc.cells.classes.reserve(classes);
+    }
+
+    fn fresh(&self, enc: &mut Encoded, data: Option<ClassData>) -> ChainCell {
+        enc.cells.classes.push(data);
+        ChainCell::Table(enc.cells.classes.len() as u32 - 1)
+    }
+
+    fn split(&self, enc: &mut Encoded, left: ChainCell, right: ChainCell, out: ChainCell) {
+        enc.cells.splits.push([left, right, out]);
+    }
 }
 
 impl Encoded {
@@ -231,6 +343,34 @@ impl Encoded {
     /// `budget`'s fact or null cap: an n-chain's table holds n(n²−1)/6
     /// `mul` facts.
     pub fn tabulate_chains(&mut self, vrem: &Vrem, budget: &ChaseBudget) -> Option<u64> {
+        self.tabulate(vrem, budget, &Facts(vrem.op(OpKind::Mul)))
+    }
+
+    /// [`Encoded::tabulate_chains`], with the tables kept out of the
+    /// instance: the classes only they have and their splits go to
+    /// [`Encoded::cells`], and the instance gains nothing but the merges of
+    /// two associations of one sequence. The same budget check declines
+    /// (`None`, nothing added), since the cells bound extraction's arrays
+    /// as the facts would bound the instance.
+    ///
+    /// Sound only where no rule other than `mul-assoc-l`/`-r` and the
+    /// functional EGDs can bind a class only the table has — the returned
+    /// clock is then where those two rules may start, as for the facts.
+    pub fn tabulate_chains_as_cells(
+        &mut self,
+        vrem: &Vrem,
+        budget: &ChaseBudget,
+    ) -> Option<u64> {
+        self.tabulate(vrem, budget, &Cells)
+    }
+
+    /// The one CYK enumeration under both entry points.
+    fn tabulate<S: TableSink>(
+        &mut self,
+        vrem: &Vrem,
+        budget: &ChaseBudget,
+        sink: &S,
+    ) -> Option<u64> {
         let mul = vrem.op(OpKind::Mul);
         let inst = &mut self.instance;
         let products: Vec<[NodeId; 3]> = inst
@@ -289,12 +429,12 @@ impl Encoded {
 
         // One class per factor sequence: a second association of a
         // sequence is merged into the first.
-        let mut tabled: HashMap<&[NodeId], (NodeId, bool)> = HashMap::new();
+        let mut first: IdMap<&[NodeId], NodeId> = IdMap::default();
         let mut merges = Vec::new();
         for &[_, _, c] in &products {
-            let first = tabled.entry(seq(c)).or_insert((c, false)).0;
-            if first != c {
-                merges.push((first, c));
+            let class = *first.entry(seq(c)).or_insert(c);
+            if class != c {
+                merges.push((class, c));
             }
         }
         if !merges.is_empty() {
@@ -309,11 +449,14 @@ impl Encoded {
             inst.rehash();
             self.root = inst.find(self.root);
         }
+        // Each sequence's class, and whether its splits are written yet.
+        let mut tabled: IdMap<&[NodeId], (S::Cell, bool)> = IdMap::default();
+        tabled.reserve(first.len() + nulls as usize);
+        tabled
+            .extend(first.into_iter().map(|(s, c)| (s, (S::Cell::from(inst.find(c)), false))));
 
-        // Within the budget, so each count fits a `usize`. A table fact's
-        // three arguments are classes of its chain — a factor or a tabled
-        // sub-chain — so it adds at most three positional keys per class.
-        inst.reserve(mul, facts as usize, 3 * (nulls + factors) as usize);
+        // Within the budget, so each count fits a `usize`.
+        sink.reserve(self, facts as usize, (nulls + factors) as usize);
 
         // Each root's table, shortest sub-chains first so that a split's
         // operands exist before it; `cell[i * n + w - 1]` is the class of
@@ -323,9 +466,9 @@ impl Encoded {
             let s = seq(r);
             let n = s.len();
             cell.clear();
-            cell.resize(n * n, r);
+            cell.resize(n * n, S::Cell::from(r));
             for (i, &factor) in s.iter().enumerate() {
-                cell[i * n] = inst.find(factor);
+                cell[i * n] = S::Cell::from(self.instance.find(factor));
             }
             for width in 2..=n {
                 for i in 0..=n - width {
@@ -333,37 +476,37 @@ impl Encoded {
                     let class = match tabled.entry(sub) {
                         Entry::Occupied(mut seen) => {
                             let (c, done) = seen.get_mut();
-                            let c = inst.find(*c);
-                            cell[i * n + width - 1] = c;
+                            cell[i * n + width - 1] = *c;
                             if std::mem::replace(done, true) {
                                 continue;
                             }
-                            c
+                            *c
                         }
                         Entry::Vacant(slot) => {
-                            let c = inst.fresh_null();
+                            let (first, last) = (sub[0].0 as usize, sub[width - 1].0 as usize);
+                            let data = match (self.classes.get(first), self.classes.get(last)) {
+                                (Some(Some(f)), Some(Some(l))) => Some(ClassData {
+                                    rows: f.rows,
+                                    cols: l.cols,
+                                    density: None,
+                                }),
+                                _ => None,
+                            };
+                            let c = sink.fresh(self, data);
                             slot.insert((c, true));
                             cell[i * n + width - 1] = c;
-                            let (first, last) = (sub[0].0 as usize, sub[width - 1].0 as usize);
-                            if let (Some(Some(f)), Some(Some(l))) =
-                                (self.classes.get(first), self.classes.get(last))
-                            {
-                                let data =
-                                    ClassData { rows: f.rows, cols: l.cols, density: None };
-                                record(&mut self.classes, c.0 as usize, data);
-                            }
                             c
                         }
                     };
                     for k in 1..width {
                         let left = cell[i * n + k - 1];
                         let right = cell[(i + k) * n + width - k - 1];
-                        inst.insert(mul, vec![left, right, class]);
+                        sink.split(self, left, right, class);
                     }
                 }
             }
         }
-        Some(inst.clock())
+        Some(self.instance.clock())
     }
 }
 
@@ -389,7 +532,12 @@ impl<'a> Encoder<'a> {
     /// classes' stats.
     pub fn encode(mut self, e: &Expr) -> Result<Encoded, ShapeError> {
         let (root, _) = self.class_of(e)?;
-        Ok(Encoded { instance: self.inst, root, classes: self.classes })
+        Ok(Encoded {
+            instance: self.inst,
+            root,
+            classes: self.classes,
+            cells: ChainCells::default(),
+        })
     }
 
     /// Encodes several expressions into one shared instance, returning

@@ -256,7 +256,9 @@ mod tests {
     use super::dsl::*;
     use super::*;
     use crate::fingerprint::{canonicalize, leaf_bands, structural_hash};
-    use crate::{Encoder, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, TreeSizeCost, Vrem};
+    use crate::{
+        ChainCells, Encoder, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, TreeSizeCost, Vrem,
+    };
 
     #[test]
     fn display_is_readable() {
@@ -321,7 +323,13 @@ mod tests {
             let mut vrem = Vrem::new();
             let enc = Encoder::new(&mut vrem, &cat).encode(&e).unwrap();
             let analysis = LaAnalysis::new(&vrem, enc.classes);
-            let ex = Extractor::new(&vrem, &enc.instance, &analysis, &TreeSizeCost);
+            let ex = Extractor::new(
+                &vrem,
+                &enc.instance,
+                &analysis,
+                &ChainCells::default(),
+                &TreeSizeCost,
+            );
             assert_eq!(ex.extract(enc.root).as_ref(), Some(&e), "{shown}");
             hashes.push(structural_hash(&canonicalize(&e).skeleton, &bands));
         }

@@ -19,6 +19,15 @@
 //! demand, resugaring the encoder's `a + (-1 · b)` back to subtraction. A
 //! unary e-node is rebuilt as one [`Expr::Unary`] through [`UnaryOp::new`]
 //! from its kind and output index, so no unary operator is named here.
+//!
+//! A product chain whose table the encoder kept out of the instance
+//! ([`crate::Encoded::tabulate_chains_as_cells`]) is extracted from its
+//! [`ChainCells`]: the `j`-th class only the table has is class
+//! `num_nodes() + j`, with the shape the cells give it and no density, and
+//! each split is one more `mul` e-node of its product's class. The worklist
+//! then runs over them as over any e-node — on a chain it is the
+//! matrix-chain DP — and prices and builds exactly what it would from the
+//! same table inserted as facts.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -27,6 +36,7 @@ use std::ops::Range;
 use hadad_chase::{Instance, NodeId};
 
 use crate::analysis::LaAnalysis;
+use crate::encode::{ChainCell, ChainCells};
 use crate::expr::{Expr, UnaryOp};
 use crate::schema::{OpKind, Vrem};
 use crate::stats::{op_stats, ClassStats};
@@ -102,7 +112,8 @@ impl ExtractionCost for TreeSizeCost {
 }
 
 /// Min-cost extractor over a VREM instance. Every per-class vector is
-/// indexed by the class's canonical `NodeId.0`.
+/// indexed by the class's canonical `NodeId.0`, then by `num_nodes() + j`
+/// for the `j`-th class only a [`ChainCells`] table has.
 pub struct Extractor<'a> {
     inst: &'a Instance,
     /// Base-matrix names the `Mat` e-nodes point into.
@@ -154,12 +165,15 @@ struct Worklist {
 }
 
 impl<'a> Extractor<'a> {
-    /// Collects e-nodes from the instance, shapes and densities from its
-    /// analysis, and solves for every class's cheapest derivation.
+    /// Collects e-nodes from the instance and from `cells` (empty where no
+    /// table was kept out of the instance), shapes and densities from the
+    /// analysis and the cells, and solves for every class's cheapest
+    /// derivation.
     pub fn new(
         vrem: &Vrem,
         inst: &'a Instance,
         analysis: &LaAnalysis,
+        cells: &ChainCells,
         cost: &dyn ExtractionCost,
     ) -> Self {
         // Fault-injection site: `extract.solve=panic` exercises the
@@ -171,17 +185,21 @@ impl<'a> Extractor<'a> {
         SOLVES.incr();
         let _span = hadad_obs::span("extract.solve");
         let n = inst.num_nodes();
-        let class = |c: usize| analysis.class(NodeId(c as u32));
+        let total = n + cells.classes.len();
+        let class = |c: usize| match c.checked_sub(n) {
+            None => analysis.class(NodeId(c as u32)),
+            Some(j) => cells.classes[j],
+        };
         let mut ex = Extractor {
             inst,
             names: Vec::new(),
             nodes: Vec::new(),
-            first: vec![0; n + 1],
-            shapes: (0..n).map(|c| class(c).map(|d| d.shape())).collect(),
-            densities: (0..n).map(|c| class(c).and_then(|d| d.density)).collect(),
-            best: vec![None; n],
+            first: vec![0; total + 1],
+            shapes: (0..total).map(|c| class(c).map(|d| d.shape())).collect(),
+            densities: (0..total).map(|c| class(c).and_then(|d| d.density)).collect(),
+            best: vec![None; total],
         };
-        ex.collect(vrem);
+        ex.collect(vrem, cells);
         ex.solve(cost);
         ex
     }
@@ -190,10 +208,11 @@ impl<'a> Extractor<'a> {
         self.first[class] as usize..self.first[class + 1] as usize
     }
 
-    fn collect(&mut self, vrem: &Vrem) {
+    fn collect(&mut self, vrem: &Vrem, cells: &ChainCells) {
         let inst = self.inst;
         let constant = |n: NodeId| inst.const_of(n).map(|s| vrem.vocab.const_name(s));
-        let mut found: Vec<(u32, ENode)> = Vec::with_capacity(inst.num_facts());
+        let mut found: Vec<(u32, ENode)> =
+            Vec::with_capacity(inst.num_facts() + cells.splits.len());
         for f in inst.facts() {
             let arg = |i: usize| inst.find(f.args[i]);
             if f.pred == vrem.name {
@@ -222,6 +241,15 @@ impl<'a> Extractor<'a> {
                     found.push((arg(n_in + out_idx).0, ENode::Op { kind, out_idx, inputs }));
                 }
             }
+        }
+        let n = inst.num_nodes() as u32;
+        let id = |cell: ChainCell| match cell {
+            ChainCell::Class(c) => inst.find(c),
+            ChainCell::Table(j) => NodeId(n + j),
+        };
+        for &[left, right, out] in &cells.splits {
+            let inputs = [id(left), id(right)];
+            found.push((id(out).0, ENode::Op { kind: OpKind::Mul, out_idx: 0, inputs }));
         }
         // Group by class; the sort is stable, so fact order within a class
         // survives, and a repeated e-node keeps its first position.
@@ -553,7 +581,13 @@ mod tests {
         let c = cat();
         let enc = Encoder::new(&mut vrem, &c).encode(e).unwrap();
         let analysis = LaAnalysis::new(&vrem, enc.classes);
-        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &TreeSizeCost);
+        let ex = Extractor::new(
+            &vrem,
+            &enc.instance,
+            &analysis,
+            &ChainCells::default(),
+            &TreeSizeCost,
+        );
         ex.extract(enc.root).expect("root extractable")
     }
 
@@ -630,7 +664,13 @@ mod tests {
             .unwrap();
         inst.merge(roots[0], roots[2]).unwrap();
         inst.rehash();
-        let ex = Extractor::new(&vrem, &inst, &LaAnalysis::new(&vrem, classes), &Flops);
+        let ex = Extractor::new(
+            &vrem,
+            &inst,
+            &LaAnalysis::new(&vrem, classes),
+            &ChainCells::default(),
+            &Flops,
+        );
         assert_eq!(ex.class_cost(roots[0]), Some(n as f64));
         assert_eq!(ex.class_cost(roots[1]), Some(n as f64), "the clamp is absorbed");
         assert_eq!(ex.extract(roots[0]), Some(x.clone()));
@@ -638,6 +678,93 @@ mod tests {
         assert_eq!(ex.extract(roots[1]), Some(t(x.clone())));
         // The cyclic derivation is still a candidate, built on the acyclic one.
         assert_eq!(ex.candidates(roots[0]), vec![x.clone(), t(t(x))]);
+    }
+
+    /// `e` encoded with its chain tables as facts, and encoded with them
+    /// as cells: each instance, analysis and cells.
+    fn both_tables(e: &Expr, c: &MetaCatalog) -> [(Vrem, crate::Encoded, LaAnalysis); 2] {
+        let budget = hadad_chase::ChaseBudget::default();
+        let table = |as_cells: bool| {
+            let mut vrem = Vrem::new();
+            let mut enc = Encoder::new(&mut vrem, c).encode(e).unwrap();
+            let clock = if as_cells {
+                enc.tabulate_chains_as_cells(&vrem, &budget)
+            } else {
+                enc.tabulate_chains(&vrem, &budget)
+            };
+            assert_eq!(clock, Some(enc.instance.clock()));
+            let analysis = LaAnalysis::new(&vrem, std::mem::take(&mut enc.classes));
+            (vrem, enc, analysis)
+        };
+        [table(false), table(true)]
+    }
+
+    /// A 5-chain's cells are the e-graph its table inserted as facts is:
+    /// the same e-nodes per class, every class at the same cost, the same
+    /// best plan and candidates.
+    #[test]
+    fn chain_cells_extract_as_the_same_table_as_facts() {
+        let mut c = MetaCatalog::new();
+        let dims = [40, 6, 30, 2, 25, 8];
+        let names = ["A", "B", "C", "E", "F"];
+        for (i, name) in names.iter().enumerate() {
+            c.register(*name, MatrixMeta::dense(dims[i], dims[i + 1]));
+        }
+        let e = names[1..].iter().fold(m(names[0]), |acc, n| mul(acc, m(n)));
+        let [(vrem, facts, fa), (_, cells, ca)] = both_tables(&e, &c);
+        assert!(facts.cells.splits.is_empty());
+        assert_eq!(cells.cells.splits.len(), 5 * 24 / 6, "n(n²−1)/6 splits");
+        assert_eq!(cells.cells.classes.len(), 10 - 4, "sub-chains the input did not build");
+        assert_eq!(facts.instance.num_facts(), 5 + 20);
+        assert_eq!(cells.instance.num_facts(), 5 + 4);
+
+        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &facts.cells, &Flops);
+        let implicit = Extractor::new(&vrem, &cells.instance, &ca, &cells.cells, &Flops);
+        assert_eq!(implicit.nodes, tabled.nodes);
+        assert_eq!(implicit.first, tabled.first);
+        assert_eq!(implicit.shapes, tabled.shapes);
+        assert_eq!(implicit.densities, tabled.densities);
+        let costs = |ex: &Extractor<'_>| -> Vec<Option<u64>> {
+            ex.best.iter().map(|b| b.map(|(c, _)| c.to_bits())).collect()
+        };
+        assert_eq!(costs(&implicit), costs(&tabled));
+        for n in 0..cells.instance.num_nodes() as u32 {
+            let bits = |ex: &Extractor<'_>| ex.class_cost(NodeId(n)).map(f64::to_bits);
+            assert_eq!(bits(&implicit), bits(&tabled), "class {n}");
+        }
+        let best = implicit.extract(cells.root).unwrap();
+        assert_eq!(best.to_string(), "((A (B C)) (E F))");
+        assert_eq!(tabled.extract(facts.root), Some(best));
+        let candidates = implicit.candidates(cells.root);
+        assert_eq!(candidates.len(), 4, "one per split of the root");
+        assert_eq!(tabled.candidates(facts.root), candidates);
+    }
+
+    /// In `(A B)(A B)` both occurrences of `A B` are the class the encoder
+    /// built for it: the table adds only `B A`, `A B A` and `B A B`.
+    #[test]
+    fn a_repeated_sub_chain_is_one_cell() {
+        let mut c = MetaCatalog::new();
+        c.register("A", MatrixMeta::dense(6, 9));
+        c.register("B", MatrixMeta::dense(9, 6));
+        let ab = mul(m("A"), m("B"));
+        let e = mul(ab.clone(), ab);
+        let [(vrem, facts, fa), (_, cells, ca)] = both_tables(&e, &c);
+        let inst = &cells.instance;
+        let fact = inst.fact(inst.facts_with_pred(vrem.op(OpKind::Mul))[1]);
+        assert_eq!(fact.args[0], fact.args[1], "the encoder shares A B");
+        let ab = ChainCell::Class(fact.args[0]);
+        assert_eq!(cells.cells.classes.len(), 3);
+        let root = ChainCell::Class(cells.root);
+        assert!(cells.cells.splits.contains(&[ab, ab, root]));
+        let reads_ab = cells.cells.splits.iter().filter(|s| s[..2].contains(&ab)).count();
+        assert_eq!(reads_ab, 3, "(A B)(A B), (A B) A, B (A B)");
+
+        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &facts.cells, &Flops);
+        let implicit = Extractor::new(&vrem, inst, &ca, &cells.cells, &Flops);
+        assert_eq!(implicit.extract(cells.root), tabled.extract(facts.root));
+        assert_eq!(implicit.candidates(cells.root), tabled.candidates(facts.root));
+        assert_eq!(implicit.candidates(cells.root).len(), 3);
     }
 
     #[test]
@@ -652,7 +779,13 @@ mod tests {
             Encoder::new(&mut vrem, &c).encode_many(&[&e, &m("P")]).unwrap();
         inst.merge(roots[0], roots[1]).unwrap();
         inst.rehash();
-        let ex = Extractor::new(&vrem, &inst, &LaAnalysis::new(&vrem, classes), &TreeSizeCost);
+        let ex = Extractor::new(
+            &vrem,
+            &inst,
+            &LaAnalysis::new(&vrem, classes),
+            &ChainCells::default(),
+            &TreeSizeCost,
+        );
         assert_eq!(ex.extract(roots[0]).unwrap(), m("P"));
         // Both derivations remain available as candidates.
         let cands = ex.candidates(roots[0]);

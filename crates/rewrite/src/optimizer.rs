@@ -24,10 +24,18 @@
 //! ([`RuleSet::extended`]). Nothing is kept from one call to the next, so
 //! nothing is keyed, locked or evicted.
 //!
-//! Encoding includes each product chain's matrix-chain table
-//! ([`hadad_core::Encoded::tabulate_chains`]): the encoded instance is then
-//! closed under associativity, and the chase starts `mul-assoc-l`/`-r`
-//! where the table ends, so they enumerate only what later rules derive.
+//! Encoding includes each product chain's matrix-chain table: the chains
+//! are then closed under associativity, and the chase starts
+//! `mul-assoc-l`/`-r` where the tables end, so they enumerate only what
+//! later rules derive. Where nothing but those two rules could read the
+//! table, it stays out of the instance
+//! ([`hadad_core::Encoded::tabulate_chains_as_cells`]) and extraction
+//! enumerates its splits; that is a call with no LA view whose encoding is
+//! `name` and `mul` facts alone, since no standard rule other than the two
+//! and the functional EGDs matches such facts (asserted once per process).
+//! Every other call inserts the tables as facts
+//! ([`hadad_core::Encoded::tabulate_chains`]), where view rules, `tr-mul`
+//! and the rest can read them.
 //!
 //! The chase runs with the LA analysis ([`LaAnalysis`]): shapes and
 //! densities seeded by the encoder, kept for the classes the chase creates
@@ -44,13 +52,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use hadad_chase::{
-    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, Constraint,
-    DegradeReason, Degraded, RewritePhase, RuleSet,
+    degradation_of, functional_sig, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats,
+    Constraint, DegradeReason, Degraded, Instance, RewritePhase, RuleSet,
 };
 use hadad_core::fingerprint::{canonicalize, leaf_bands, rename_leaves};
 use hadad_core::{
     expr_estimate, expr_stats, Catalogue, ClassData, Encoder, Expr, Extractor, LaAnalysis,
-    MatrixMeta, MetaCatalog, RuleRejection, ShapeError, Vrem,
+    MatrixMeta, MetaCatalog, OpKind, RuleRejection, ShapeError, Vrem,
 };
 use hadad_linalg::{approx_eq, default_backend, Matrix};
 
@@ -99,7 +107,8 @@ pub struct RewriteReport {
     pub chase_outcome: ChaseOutcome,
     /// Chase rounds executed.
     pub chase_rounds: usize,
-    /// Facts in the final instance.
+    /// Facts in the final instance. A chain table kept out of the instance
+    /// adds none: its splits are extraction's e-nodes, not facts.
     pub num_facts: usize,
     /// Candidate plans extracted.
     pub num_candidates: usize,
@@ -557,7 +566,11 @@ impl Optimizer {
         // associativity rules then start where the tables end.
         let (encoded, encode_us) = hadad_obs::timed("rewrite.encode", &M_ENCODE_US, || {
             let mut encoded = Encoder::new(&mut vrem, &cat).encode(e)?;
-            let tabled = encoded.tabulate_chains(&vrem, &self.budget);
+            let tabled = if views.is_empty() && names_and_products(&encoded.instance, &vrem) {
+                encoded.tabulate_chains_as_cells(&vrem, &self.budget)
+            } else {
+                encoded.tabulate_chains(&vrem, &self.budget)
+            };
             Ok::<_, ShapeError>((encoded, tabled))
         });
         let (encoded, tabled) = encoded?;
@@ -617,7 +630,8 @@ impl Optimizer {
                     return Vec::new();
                 }
                 catch_unwind(AssertUnwindSafe(|| {
-                    let extractor = Extractor::new(&vrem, &inst, &analysis, &FlopsCost);
+                    let extractor =
+                        Extractor::new(&vrem, &inst, &analysis, &encoded.cells, &FlopsCost);
                     let mut candidates = extractor.candidates(encoded.root);
                     if candidates.is_empty() {
                         // Un-chased leaf-only expressions still decode via
@@ -750,17 +764,54 @@ struct CallRules {
 
 /// Indexes of `mul-assoc-l`/`-r` in the shared standard rules, and so in
 /// every set extending them: the rules [`hadad_core::Encoded::tabulate_chains`]
-/// closes the encoded instance under.
+/// closes the encoded instance under. Asserts, once, that no other
+/// standard rule can read a table kept out of the instance
+/// ([`table_readers`]).
 fn assoc_rules() -> &'static [usize] {
     static ASSOC: OnceLock<Vec<usize>> = OnceLock::new();
     ASSOC.get_or_init(|| {
-        let (_, standard) = Catalogue::shared_standard();
-        let found: Vec<usize> = (0..standard.len())
-            .filter(|&i| matches!(standard.rules()[i].name(), "mul-assoc-l" | "mul-assoc-r"))
-            .collect();
+        let (vrem, standard) = Catalogue::shared_standard();
+        let found: Vec<usize> =
+            (0..standard.len()).filter(|&i| is_assoc(standard.rules()[i].name())).collect();
         assert_eq!(found.len(), 2, "the standard catalogue has both associativity rules");
+        let readers = table_readers(standard, vrem);
+        assert!(readers.is_empty(), "standard rules read name/mul facts alone: {readers:?}");
         found
     })
+}
+
+fn is_assoc(rule: &str) -> bool {
+    matches!(rule, "mul-assoc-l" | "mul-assoc-r")
+}
+
+/// Whether every fact of `inst` is a `name` or a `mul` fact.
+fn names_and_products(inst: &Instance, vrem: &Vrem) -> bool {
+    let of = |pred| inst.facts_with_pred(pred).len();
+    of(vrem.name) + of(vrem.op(OpKind::Mul)) == inst.num_facts()
+}
+
+/// The rules of `rules` that could bind a class only a chain's table has
+/// on an instance of `name` and `mul` facts alone: every rule whose
+/// premise is made of such atoms only, except `mul-assoc-l`/`-r` — the
+/// table is their closure — and the functional EGDs, which hold by
+/// construction (one class per factor sequence). A rule with any other
+/// premise atom matches nothing there. A table may stay out of the
+/// instance only while this is empty.
+fn table_readers<'r>(rules: &'r RuleSet, vrem: &Vrem) -> Vec<&'r str> {
+    let mul = vrem.op(OpKind::Mul);
+    let reads = |rule: &Constraint| {
+        let (premise, functional) = match rule {
+            Constraint::Tgd(t) => (&t.premise, false),
+            Constraint::Egd(e) => (&e.premise, functional_sig(e).is_some()),
+        };
+        !functional && premise.iter().all(|a| a.pred == vrem.name || a.pred == mul)
+    };
+    rules
+        .rules()
+        .iter()
+        .filter(|r| !is_assoc(r.name()) && reads(r.constraint()))
+        .map(|r| r.name())
+        .collect()
 }
 
 /// Sorts `plans` cheapest first. Exact cost ties go to the input
@@ -982,6 +1033,27 @@ mod tests {
             sort_plans(&mut permuted, &e);
             assert_eq!(render(&permuted), sorted, "rotated by {shift}, reversed");
         }
+    }
+
+    /// No standard rule but associativity and the functional EGDs reads an
+    /// instance of `name` and `mul` facts; a TGD over `mul` atoms alone
+    /// would, and is named.
+    #[test]
+    fn only_associativity_reads_a_bare_chain() {
+        let (vrem, standard) = Catalogue::shared_standard();
+        assert!(table_readers(standard, vrem).is_empty());
+        assert_eq!(assoc_rules().len(), 2);
+        let mul = vrem.op(OpKind::Mul);
+        let atom = |args: [u32; 3]| {
+            hadad_chase::Atom::new(
+                mul,
+                args.iter().map(|&v| hadad_chase::Term::Var(v)).collect(),
+            )
+        };
+        let commute =
+            hadad_chase::Tgd::new("mul-commute", vec![atom([0, 1, 2])], vec![atom([1, 0, 3])]);
+        let extended = standard.extended(vec![Constraint::Tgd(commute)]);
+        assert_eq!(table_readers(&extended, vrem), ["mul-commute"]);
     }
 
     #[test]

@@ -5,7 +5,13 @@
 //!   their own, chased from watermark 0.
 //! * Differential: the optimizer starts the two rules' watermarks where the
 //!   table ends; chasing the same tabled instance from watermark 0 must
-//!   reach the same facts, outcome, candidates and ranked plans.
+//!   reach the same facts, outcome, candidates and ranked plans. Where the
+//!   optimizer keeps the table out of the instance
+//!   (`Encoded::tabulate_chains_as_cells`: no view, `name` and `mul` facts
+//!   alone), extraction over the cells must give the candidates, and the
+//!   optimizer the ranked plans at bitwise equal costs, of the tabled
+//!   instance chased from watermark 0.
+//! * Chains another rule can read stay tabled as facts.
 //! * Fallback: a chain whose table would not fit the fact budget is not
 //!   tabled, and its chase ends as it did before tables existed.
 
@@ -16,7 +22,7 @@ use hadad_chase::{
 use hadad_core::expr::dsl::*;
 use hadad_core::{
     expr_estimate, expr_stats, Catalogue, Encoded, Encoder, Expr, Extractor, LaAnalysis,
-    MatrixMeta, MetaCatalog, OpKind, Vrem,
+    MatrixMeta, MetaCatalog, OpKind, TypeFlags, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::{FlopsCost, Optimizer};
@@ -179,16 +185,17 @@ fn each_factor_sequence_has_one_class() {
 
 /// What one rewrite of `e` yields: the chase's outcome and facts, the
 /// extracted candidates (sorted), and the ranked plans as the optimizer
-/// ranks them (cost, then the original, then the rendering).
+/// ranks them (cost, then the original, then the rendering), each with its
+/// cost's bits.
 #[derive(Debug, PartialEq)]
 struct Run {
     outcome: ChaseOutcome,
     num_facts: usize,
     candidates: Vec<String>,
-    plans: Vec<String>,
+    plans: Vec<(String, u64)>,
 }
 
-fn ranked(cat: &MetaCatalog, e: &Expr, candidates: Vec<Expr>) -> Vec<String> {
+fn ranked(cat: &MetaCatalog, e: &Expr, candidates: Vec<Expr>) -> Vec<(String, u64)> {
     let original = expr_estimate(e, cat).expect("priced").1;
     let mut plans: Vec<(f64, bool, String)> = candidates
         .iter()
@@ -198,20 +205,52 @@ fn ranked(cat: &MetaCatalog, e: &Expr, candidates: Vec<Expr>) -> Vec<String> {
         plans.push((original, false, e.to_string()));
     }
     plans.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| (a.1, &a.2).cmp(&(b.1, &b.2))));
-    plans.iter().map(|(cost, _, p)| format!("{p} @ {cost}")).collect()
+    plans.into_iter().map(|(cost, _, p)| (p, cost.to_bits())).collect()
 }
 
-/// The optimizer's pipeline on `e` with `views` registered, spelled out
-/// through the public API: the table always, the associativity rules'
-/// watermarks at its clock when `closed`, else at 0.
-fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, closed: bool) -> Run {
-    let opt = Optimizer::new(cat.clone());
+/// A chase's facts, matches and firings.
+type Work = (usize, u64, u64);
+
+/// Where a run's chain tables go and where the associativity rules start.
+#[derive(Clone, Copy, PartialEq)]
+enum Table {
+    /// Facts, the rules' watermarks at the table's clock.
+    Closed,
+    /// Facts, the rules' watermarks at 0.
+    Open,
+    /// Cells beside the instance, the watermarks at the clock.
+    Cells,
+}
+
+/// `cat` with each view priced in, as the optimizer prices it.
+fn with_views(cat: &MetaCatalog, views: &[(&str, Expr)]) -> MetaCatalog {
     let mut cat = cat.clone();
     for (name, def) in views {
         let est = expr_stats(def, &cat).expect("views are shape-valid");
         let nnz = (est.density * est.rows as f64 * est.cols as f64).round();
         cat.register(*name, MatrixMeta::sparse(est.rows, est.cols, nnz as usize));
     }
+    cat
+}
+
+/// Facts of `e` as encoded, before any table, and whether the optimizer
+/// keeps its tables out of the instance: no view, and every fact a `name`
+/// or a `mul` fact.
+fn encoded_facts(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr) -> (usize, bool) {
+    let mut vrem = Catalogue::shared_standard().0.clone();
+    let enc = Encoder::new(&mut vrem, &with_views(cat, views)).encode(e).expect("shape-valid");
+    let inst = &enc.instance;
+    let of = |pred| inst.facts_with_pred(pred).len();
+    let bare = of(vrem.name) + of(vrem.op(OpKind::Mul)) == inst.num_facts();
+    (inst.num_facts(), views.is_empty() && bare)
+}
+
+/// The optimizer's pipeline on `e` with `views` registered, spelled out
+/// through the public API, with the tables where `table` puts them; and
+/// the chase's matches and firings.
+fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, table: Table) -> (Run, Work) {
+    let opt = Optimizer::new(cat.clone());
+    let cat = with_views(cat, views);
     let (standard_vrem, standard) = Catalogue::shared_standard();
     let mut vrem = standard_vrem.clone();
     let mut extra = Vec::new();
@@ -224,50 +263,65 @@ fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, closed: bool) ->
     }
     let rules = standard.extended(extra);
     let mut enc = Encoder::new(&mut vrem, &cat).encode(e).expect("shape-valid");
-    let clock = enc.tabulate_chains(&vrem, &opt.budget);
+    let clock = match table {
+        Table::Cells => enc.tabulate_chains_as_cells(&vrem, &opt.budget),
+        Table::Closed | Table::Open => enc.tabulate_chains(&vrem, &opt.budget),
+    };
     let mut analysis = LaAnalysis::new(&vrem, enc.classes);
     for (range, classes) in view_classes {
         analysis = analysis.with_view(range, classes);
     }
     let assoc = assoc_indexes(&rules);
     let mut engine = ChaseEngine::new(&rules).with_budget(opt.budget);
-    if let (true, Some(clock)) = (closed, clock) {
+    if let (Table::Closed | Table::Cells, Some(clock)) = (table, clock) {
         engine = engine.with_watermarks(&assoc, clock);
     }
     let mut inst = enc.instance;
-    let (outcome, _) = engine.chase_analyzed(&mut inst, &mut analysis);
-    let extractor = Extractor::new(&vrem, &inst, &analysis, &FlopsCost);
+    let (outcome, stats) = engine.chase_analyzed(&mut inst, &mut analysis);
+    let extractor = Extractor::new(&vrem, &inst, &analysis, &enc.cells, &FlopsCost);
     let mut candidates = extractor.candidates(enc.root);
     if candidates.is_empty() {
         candidates.extend(extractor.extract(enc.root));
     }
     let mut rendered: Vec<String> = candidates.iter().map(Expr::to_string).collect();
     rendered.sort();
-    Run {
+    let run = Run {
         outcome,
         num_facts: inst.num_facts(),
         candidates: rendered,
         plans: ranked(&cat, e, candidates),
-    }
+    };
+    (run, (inst.num_facts(), stats.matches_enumerated(), stats.firings()))
 }
 
-/// The closed watermark against watermark 0 on the same tabled instance,
-/// and the optimizer against the closed run.
+/// The closed watermark against watermark 0 on the same tabled instance;
+/// where the optimizer keeps the tables out of the instance, the cells'
+/// candidates against watermark 0's; and the optimizer against watermark
+/// 0: its outcome and ranked plans, bitwise costs included, and its facts —
+/// the tabled count, or for a table kept out the encoded count.
 fn assert_same(name: &str, cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr) {
-    let closed = rewrite(cat, views, e, true);
-    let open = rewrite(cat, views, e, false);
+    let (closed, _) = rewrite(cat, views, e, Table::Closed);
+    let (open, _) = rewrite(cat, views, e, Table::Open);
     assert_eq!(closed, open, "{name}: {e}");
+    let (encoded, implicit) = encoded_facts(cat, views, e);
+    if implicit {
+        let (cells, _) = rewrite(cat, views, e, Table::Cells);
+        assert_eq!(cells.candidates, open.candidates, "{name}: {e}");
+        assert_eq!(cells.plans, open.plans, "{name}: {e}");
+        assert_eq!((cells.outcome, cells.num_facts), (open.outcome, encoded), "{name}: {e}");
+    }
 
     let mut opt = Optimizer::new(cat.clone());
     for (view, def) in views {
         opt.register_la_view(*view, def.clone()).expect("views certify");
     }
     let got = opt.rewrite(e).expect("rewrites");
-    assert_eq!(got.report.chase_outcome, closed.outcome, "{name}: {e}");
-    assert_eq!(got.report.num_facts, closed.num_facts, "{name}: {e}");
-    let plans: Vec<String> =
-        got.plans.iter().map(|p| format!("{} @ {}", p.expr, p.est_cost)).collect();
-    assert_eq!(plans, closed.plans, "{name}: {e}");
+    assert_eq!(got.report.chase_outcome, open.outcome, "{name}: {e}");
+    let facts = if implicit { encoded } else { open.num_facts };
+    assert_eq!(got.report.num_facts, facts, "{name}: {e}");
+    let plans: Vec<(String, u64)> =
+        got.plans.iter().map(|p| (p.expr.to_string(), p.est_cost.to_bits())).collect();
+    assert_eq!(plans, open.plans, "{name}: {e}");
 }
 
 #[test]
@@ -284,6 +338,43 @@ fn the_closed_watermark_derives_what_watermark_zero_derives() {
         let (cat, e) = chain(len, Assoc::Left);
         let view = mul(m(&format!("M{}", len - 1)), m(&format!("M{len}")));
         assert_same(&format!("{len}-chain with a view"), &cat, &[("V", view)], &e);
+    }
+}
+
+/// A chain another rule can read keeps its table as facts: with a view,
+/// with a transposed factor, with an `I` factor, under `trace`, and with a
+/// factor flagged orthogonal. The optimizer's chase does the work the
+/// tabled pipeline's does — facts, matches, firings — which differs from
+/// the work over a table kept out of the instance.
+#[test]
+fn chains_other_rules_can_read_are_tabled_as_facts() {
+    let (cat, e) = chain(5, Assoc::Left);
+    let mut flagged = cat.clone();
+    let orthogonal = TypeFlags { orthogonal: true, ..TypeFlags::default() };
+    flagged.register("M3", MatrixMeta::dense(DIMS[2], DIMS[3]).with_flags(orthogonal));
+    let sq = square_catalog();
+    let abcd = |second: Expr| product(&[m("A"), second, m("C"), m("D")], Assoc::Left);
+    let inputs = [
+        ("a view", &cat, vec![("V", mul(m("M4"), m("M5")))], e.clone()),
+        ("a transposed factor", &sq, Vec::new(), abcd(t(m("B")))),
+        ("an I factor", &sq, Vec::new(), abcd(Expr::Identity(8))),
+        ("under trace", &sq, Vec::new(), trace(abcd(m("B")))),
+        ("an orthogonal factor", &flagged, Vec::new(), e),
+    ];
+    for (name, cat, views, e) in inputs {
+        let views = &views[..];
+        assert!(!encoded_facts(cat, views, &e).1, "{name}");
+        let (_, tabled) = rewrite(cat, views, &e, Table::Closed);
+        let (_, cells) = rewrite(cat, views, &e, Table::Cells);
+        assert_ne!(tabled, cells, "{name}");
+        let mut opt = Optimizer::new(cat.clone());
+        for (view, def) in views {
+            opt.register_la_view(*view, def.clone()).expect("views certify");
+        }
+        let report = opt.rewrite(&e).expect("rewrites").report;
+        let stats = &report.chase_stats;
+        let work = (report.num_facts, stats.matches_enumerated(), stats.firings());
+        assert_eq!(work, tabled, "{name}");
     }
 }
 

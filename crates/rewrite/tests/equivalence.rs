@@ -18,8 +18,8 @@ use hadad_chase::{
 };
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    expr_estimate, expr_stats, Catalogue, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta,
-    MetaCatalog, OpKind, ShapeError, UnaryOp, Vrem,
+    expr_estimate, expr_stats, Catalogue, ChainCells, Encoder, Expr, Extractor, LaAnalysis,
+    MatrixMeta, MetaCatalog, OpKind, ShapeError, UnaryOp, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::FlopsCost;
@@ -180,10 +180,20 @@ fn naive_and_semi_naive_chases_agree_on_random_corpus() {
             "sample {i} ({e}): saturated instances are not isomorphic"
         );
         let cost_fn = FlopsCost;
-        let naive_ex =
-            Extractor::new(&pair.vrem, &pair.naive_inst, &pair.naive_analysis, &cost_fn);
-        let semi_ex =
-            Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cost_fn);
+        let naive_ex = Extractor::new(
+            &pair.vrem,
+            &pair.naive_inst,
+            &pair.naive_analysis,
+            &ChainCells::default(),
+            &cost_fn,
+        );
+        let semi_ex = Extractor::new(
+            &pair.vrem,
+            &pair.semi_inst,
+            &pair.semi_analysis,
+            &ChainCells::default(),
+            &cost_fn,
+        );
         let (np, sp) = (naive_ex.extract(pair.root), semi_ex.extract(pair.root));
         if np != sp {
             panic!(
@@ -237,7 +247,13 @@ fn chain8_saturates_in_default_budget_and_semi_naive_wins() {
         pair.naive_matches
     );
     let cost_fn = FlopsCost;
-    let ex = Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cost_fn);
+    let ex = Extractor::new(
+        &pair.vrem,
+        &pair.semi_inst,
+        &pair.semi_analysis,
+        &ChainCells::default(),
+        &cost_fn,
+    );
     let best = ex.extract(pair.root).expect("chain decodes");
     assert_eq!(best.to_string(), "(M1 (M2 (M3 (M4 (M5 (M6 (M7 M8)))))))");
 }

@@ -12,8 +12,8 @@ use std::collections::HashMap;
 use hadad_chase::{ChaseEngine, Instance, NodeId};
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    op_stats, Catalogue, ClassStats, Encoder, Expr, ExtractionCost, Extractor, LaAnalysis,
-    MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, UnaryOp, Vrem,
+    op_stats, Catalogue, ChainCells, ClassStats, Encoder, Expr, ExtractionCost, Extractor,
+    LaAnalysis, MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, UnaryOp, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::{FlopsCost, Optimizer};
@@ -291,7 +291,7 @@ fn worklist_extraction_equals_the_fixpoint_relaxation() {
         ChaseEngine::new(rules).with_budget(budget).chase_analyzed(&mut inst, &mut analysis);
         let root = inst.find(enc.root);
         for (name, cost) in &costs {
-            let ex = Extractor::new(&vrem, &inst, &analysis, *cost);
+            let ex = Extractor::new(&vrem, &inst, &analysis, &ChainCells::default(), *cost);
             let reference = Relaxation::new(&vrem, &inst, &analysis, *cost);
             for n in 0..inst.num_nodes() {
                 let class = inst.find(NodeId(n as u32));
