@@ -13,10 +13,14 @@
 //! encoder came to tabulate product chains — the associativity rules no
 //! longer re-derive the table, so the 18 rows with a chain of three or
 //! more factors lose those matches and firings (the 12-chain goes from 6
-//! rounds and 1 740 matches to 1 round and none). Two rows' plans were
-//! re-recorded when ranking came to break equal-cost ties by the plans'
-//! rendering instead of by extraction order: samples 54 and 85 each tie
-//! several candidates at the best cost (40 and 1 776 flops).
+//! rounds and 1 740 matches to 1 round and none). The fact column alone
+//! was re-recorded when a chain's table came to stay out of the instance
+//! where no rule but associativity can read it: the four chains and seven
+//! corpus rows count their encoded facts only (the 12-chain 298 → 23).
+//! Two rows' plans were re-recorded when ranking came to break equal-cost
+//! ties by the plans' rendering instead of by extraction order: samples 54
+//! and 85 each tie several candidates at the best cost (40 and 1 776
+//! flops).
 
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog};
