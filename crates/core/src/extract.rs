@@ -247,13 +247,20 @@ impl<'a> Extractor<'a> {
             ChainCell::Class(c) => inst.find(c),
             ChainCell::Table(j) => NodeId(n + j),
         };
-        for &[left, right, out] in &cells.splits {
-            let inputs = [id(left), id(right)];
-            found.push((id(out).0, ENode::Op { kind: OpKind::Mul, out_idx: 0, inputs }));
-        }
+        let split = |&[left, right, out]: &[ChainCell; 3]| {
+            (
+                id(out).0,
+                ENode::Op { kind: OpKind::Mul, out_idx: 0, inputs: [id(left), id(right)] },
+            )
+        };
+        let into_table = |s: &&[ChainCell; 3]| matches!(s[2], ChainCell::Table(_));
+        found.extend(cells.splits.iter().filter(|s| !into_table(s)).map(split));
         // Group by class; the sort is stable, so fact order within a class
-        // survives, and a repeated e-node keeps its first position.
+        // survives, and a repeated e-node keeps its first position. A
+        // table-only class's splits follow its creation, so they are in
+        // class order already, after every instance class.
         found.sort_by_key(|&(class, _)| class);
+        found.extend(cells.splits.iter().filter(into_table).map(split));
         let mut group = (u32::MAX, 0);
         for (class, node) in found {
             if group.0 != class {
