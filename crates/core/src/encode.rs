@@ -233,7 +233,7 @@ pub struct Encoded {
 
 /// A class of a chain table kept out of the instance ([`ChainCells`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChainCell {
+pub(crate) enum ChainCell {
     /// A class of the instance: a factor, or a sub-chain the input built.
     Class(NodeId),
     /// The `j`-th class only the table has, `ChainCells::classes[j]`.
@@ -249,17 +249,20 @@ impl From<NodeId> for ChainCell {
 /// Matrix-chain tables kept out of the instance: the classes only they
 /// have and every split of every sub-chain. [`crate::Extractor`] reads the
 /// `j`-th table-only class as class `num_nodes() + j` and each split as a
-/// `mul` e-node of its output.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// `mul` e-node of its output. Only [`Encoded::tabulate_chains_as_cells`]
+/// fills it; the default is empty, for an instance without such tables.
+#[derive(Debug, Default)]
 pub struct ChainCells {
     /// Shape of each table-only class — rows of its first factor, columns
     /// of its last — and no density: what [`crate::LaAnalysis`] gives a
     /// class a chase firing mints, and what [`Encoded::tabulate_chains`]
     /// records for the null it inserts instead.
-    pub classes: Vec<Option<ClassData>>,
+    pub(crate) classes: Vec<Option<ClassData>>,
     /// Every split `[left, right, product]`, in the order
-    /// [`Encoded::tabulate_chains`] inserts the same splits as facts.
-    pub splits: Vec<[ChainCell; 3]>,
+    /// [`Encoded::tabulate_chains`] inserts the same splits as facts. A
+    /// table-only class's splits directly follow its creation, so they are
+    /// in class order.
+    pub(crate) splits: Vec<[ChainCell; 3]>,
 }
 
 /// Where [`Encoded::tabulate`] writes a table: the instance or

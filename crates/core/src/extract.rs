@@ -256,9 +256,9 @@ impl<'a> Extractor<'a> {
         let into_table = |s: &&[ChainCell; 3]| matches!(s[2], ChainCell::Table(_));
         found.extend(cells.splits.iter().filter(|s| !into_table(s)).map(split));
         // Group by class; the sort is stable, so fact order within a class
-        // survives, and a repeated e-node keeps its first position. A
-        // table-only class's splits follow its creation, so they are in
-        // class order already, after every instance class.
+        // survives, and a repeated e-node keeps its first position. The
+        // splits of table-only classes are in class order already, after
+        // every instance class.
         found.sort_by_key(|&(class, _)| class);
         found.extend(cells.splits.iter().filter(into_table).map(split));
         let mut group = (u32::MAX, 0);

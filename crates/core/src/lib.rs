@@ -32,7 +32,7 @@ pub mod stats;
 
 pub use analysis::{ClassData, LaAnalysis};
 pub use catalogue::{Catalogue, ViewRules};
-pub use encode::{ChainCell, ChainCells, CqEncoder, Encoded, Encoder};
+pub use encode::{ChainCells, CqEncoder, Encoded, Encoder};
 pub use expr::{Expr, UnaryOp};
 pub use extract::{ExtractionCost, Extractor, TreeSizeCost};
 pub use fingerprint::{canonicalize, leaf_bands, rename_leaves, CanonicalExpr, StatsBand};
