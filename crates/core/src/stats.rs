@@ -15,8 +15,21 @@
 //! when someone builds it, it brings its row/column count histograms with
 //! their reader, built once at registration, and a q-error metric in its
 //! own `[benchmark]` change.
+//!
+//! A [`MetaCatalog`] is a frozen map and a tail, as a `Vocabulary` is a
+//! frozen prefix and a tail. [`MetaCatalog::freeze`] folds every entry
+//! registered so far into the frozen map, an `Arc` every clone shares;
+//! what is registered after that goes into the tail, which each clone
+//! owns, and a tail entry shadows a frozen one of the same name. The
+//! catalog's owner freezes wherever it already holds `&mut` and is about
+//! to hand out copies (`Optimizer::new`, every snapshot publish), so a
+//! rewrite's copy of the catalog — cloned to register the call's own cast
+//! and view entries — is a pointer bump and a tail of those entries,
+//! whatever the number of matrices registered.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hadad_linalg::Matrix;
 
@@ -88,10 +101,16 @@ impl MatrixMeta {
     }
 }
 
-/// Catalog of metadata for named base matrices and views.
-#[derive(Debug, Clone, Default)]
+/// Catalog of metadata for named base matrices and views: a frozen map
+/// every clone shares and a tail each clone owns (see the module docs).
+#[derive(Clone, Default)]
 pub struct MetaCatalog {
-    entries: BTreeMap<String, MatrixMeta>,
+    /// The entries registered up to the last [`Self::freeze`], shared by
+    /// every clone.
+    frozen: Arc<BTreeMap<String, MatrixMeta>>,
+    /// The entries registered since, sorted by name, each name once. An
+    /// entry here shadows the frozen entry of its name.
+    tail: Vec<(String, MatrixMeta)>,
 }
 
 impl MetaCatalog {
@@ -100,19 +119,77 @@ impl MetaCatalog {
         Self::default()
     }
 
-    /// Registers (or replaces) metadata under `name`.
+    /// Folds the tail into the shared map, so that a clone copies only
+    /// what is registered after this call. The map is copied first if a
+    /// clone still shares it: once per freeze, never per registration.
+    pub fn freeze(&mut self) {
+        if self.tail.is_empty() {
+            return;
+        }
+        let tail = std::mem::take(&mut self.tail);
+        if self.frozen.is_empty() {
+            self.frozen = Arc::new(tail.into_iter().collect());
+        } else {
+            Arc::make_mut(&mut self.frozen).extend(tail);
+        }
+    }
+
+    /// Registers (or replaces) metadata under `name`, in this catalog's
+    /// tail. Inserting costs up to the tail's length: freeze after a bulk
+    /// registration.
     pub fn register(&mut self, name: impl Into<String>, meta: MatrixMeta) {
-        self.entries.insert(name.into(), meta);
+        let name = name.into();
+        match self.tail_slot(&name) {
+            Ok(i) => self.tail[i].1 = meta,
+            Err(i) => self.tail.insert(i, (name, meta)),
+        }
     }
 
-    /// Metadata registered under `name`, if any.
+    /// Metadata registered under `name`, if any: the tail's entry, else
+    /// the frozen one.
     pub fn get(&self, name: &str) -> Option<&MatrixMeta> {
-        self.entries.get(name)
+        match self.tail_slot(name) {
+            Ok(i) => Some(&self.tail[i].1),
+            Err(_) => self.frozen.get(name),
+        }
     }
 
-    /// All registered names, sorted.
+    /// All registered names, sorted, each once.
     pub fn names(&self) -> impl Iterator<Item = &str> {
-        self.entries.keys().map(std::string::String::as_str)
+        self.entries().map(|(name, _)| name)
+    }
+
+    /// Where `name` is, or would be inserted, in the tail.
+    fn tail_slot(&self, name: &str) -> Result<usize, usize> {
+        self.tail.binary_search_by(|(n, _)| n.as_str().cmp(name))
+    }
+
+    /// Every entry `get` answers with, sorted by name: the frozen map and
+    /// the tail merged, a shadowed frozen entry skipped.
+    fn entries(&self) -> impl Iterator<Item = (&str, &MatrixMeta)> {
+        let mut frozen = self.frozen.iter().map(|(n, m)| (n.as_str(), m)).peekable();
+        let mut tail = self.tail.iter().map(|(n, m)| (n.as_str(), m)).peekable();
+        std::iter::from_fn(move || {
+            let order = match (frozen.peek(), tail.peek()) {
+                (Some(f), Some(t)) => f.0.cmp(t.0),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            match order {
+                Ordering::Less => frozen.next(),
+                Ordering::Equal => {
+                    frozen.next();
+                    tail.next()
+                }
+                Ordering::Greater => tail.next(),
+            }
+        })
+    }
+}
+
+impl std::fmt::Debug for MetaCatalog {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_map().entries(self.entries()).finish()
     }
 }
 
@@ -388,6 +465,70 @@ mod tests {
         assert!(expr_stats(&mul(m("M"), m("M")), &c).is_err());
         assert!(expr_stats(&det(m("M")), &c).is_err());
         assert!(expr_stats(&m("missing"), &c).is_err());
+    }
+
+    /// `cat()` frozen, plus a tail: `N` re-registered and `A`, `Z` new.
+    fn frozen_with_tail() -> MetaCatalog {
+        let mut c = cat();
+        c.freeze();
+        c.register("Z", MatrixMeta::dense(1, 1));
+        c.register("N", MatrixMeta::dense(10, 60));
+        c.register("A", MatrixMeta::dense(2, 2));
+        c
+    }
+
+    #[test]
+    fn re_registering_a_frozen_name_wins_in_get() {
+        let c = frozen_with_tail();
+        assert_eq!(c.get("N"), Some(&MatrixMeta::dense(10, 60)));
+        assert_eq!(c.get("M"), Some(&MatrixMeta::dense(50, 10)), "read from the frozen map");
+        assert_eq!(c.get("A"), Some(&MatrixMeta::dense(2, 2)), "read from the tail");
+        assert_eq!(c.get("B"), None);
+    }
+
+    #[test]
+    fn names_are_sorted_and_listed_once_across_the_frozen_map_and_the_tail() {
+        let c = frozen_with_tail();
+        assert_eq!(c.names().collect::<Vec<_>>(), ["A", "M", "N", "Z"]);
+        assert_eq!(MetaCatalog::new().names().count(), 0);
+        assert_eq!(cat().names().collect::<Vec<_>>(), ["M", "N"], "a tail alone");
+        assert_eq!(format!("{:?}", MetaCatalog::new()), "{}");
+    }
+
+    #[test]
+    fn freeze_keeps_the_tail_value() {
+        let mut c = frozen_with_tail();
+        let held = c.clone();
+        c.freeze();
+        for name in ["A", "M", "N", "Z"] {
+            assert_eq!(c.get(name), held.get(name), "{name}");
+        }
+        assert_eq!(c.names().collect::<Vec<_>>(), ["A", "M", "N", "Z"]);
+        // Freezing again, with nothing registered since, changes nothing.
+        c.freeze();
+        assert_eq!(c.get("N"), Some(&MatrixMeta::dense(10, 60)));
+    }
+
+    #[test]
+    fn registering_into_a_clone_reaches_neither_the_original_nor_a_sibling() {
+        let mut base = cat();
+        base.freeze();
+        let mut one = base.clone();
+        let mut two = base.clone();
+        one.register("M", MatrixMeta::dense(5, 5));
+        one.register("X", MatrixMeta::dense(3, 3));
+        two.register("M", MatrixMeta::dense(7, 7));
+        two.freeze();
+        assert_eq!(base.get("M"), Some(&MatrixMeta::dense(50, 10)));
+        assert_eq!(base.get("X"), None);
+        assert_eq!(one.get("M"), Some(&MatrixMeta::dense(5, 5)));
+        assert_eq!(two.get("M"), Some(&MatrixMeta::dense(7, 7)));
+        assert_eq!(two.get("X"), None);
+        // And the original's own registrations reach no clone.
+        base.register("N", MatrixMeta::dense(1, 1));
+        base.freeze();
+        assert_eq!(one.get("N"), Some(&MatrixMeta::dense(10, 50)));
+        assert_eq!(two.get("N"), Some(&MatrixMeta::dense(10, 50)));
     }
 
     #[test]

@@ -46,7 +46,7 @@ use hadad_chase::{
     ChaseOutcome, ChaseStats, Cq, DegradeReason, Degraded, Instance, Pacb, PacbResult,
     RewritePhase, View,
 };
-use hadad_core::MatrixMeta;
+use hadad_core::{MatrixMeta, MetaCatalog};
 use hadad_linalg::{approx_eq, Matrix};
 use hadad_relational::{Catalog, Column, IvmError, Table, Value};
 
@@ -527,6 +527,7 @@ impl HybridOptimizer {
                 Ok(SnapshotReader { shared })
             }
             None => {
+                self.optimizer.cat.freeze();
                 let shared = Arc::new(Mutex::new(Arc::new(self.make_snapshot())));
                 self.shared = Some(Arc::clone(&shared));
                 Ok(SnapshotReader { shared })
@@ -549,12 +550,15 @@ impl HybridOptimizer {
     /// a reader exists; silently skipped when the state is not fresh
     /// (poisoned maintainer, stale materializations) — readers then keep
     /// serving the last clean snapshot, which is exactly the wanted
-    /// semantics for a writer mid-batch.
-    fn publish(&self) {
+    /// semantics for a writer mid-batch. Freezes the LA catalog first,
+    /// reader or not: the snapshot, each of its calls and each call on the
+    /// live optimizer then share what was registered by pointer.
+    fn publish(&mut self) {
         static PUBLISHES: hadad_obs::LazyCounter =
             hadad_obs::LazyCounter::new("snapshot.publishes");
         static EPOCH_ADVANCE: hadad_obs::LazyHistogram =
             hadad_obs::LazyHistogram::new("snapshot.epoch_advance");
+        self.optimizer.cat.freeze();
         let Some(shared) = &self.shared else { return };
         if self.maintainer.check_fresh(&self.catalog).is_err() {
             return;
@@ -996,6 +1000,12 @@ impl CatalogSnapshot {
     /// The snapshotted table views, in registration order.
     pub fn table_views(&self) -> &[TableView] {
         &self.views
+    }
+
+    /// The snapshotted LA metadata catalog: every matrix and maintained
+    /// cast as stamped at this snapshot's epoch.
+    pub fn meta_catalog(&self) -> &MetaCatalog {
+        &self.optimizer.cat
     }
 
     /// Rewrites a hybrid pipeline against the snapshot, without the LA

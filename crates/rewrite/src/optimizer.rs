@@ -24,6 +24,18 @@
 //! ([`RuleSet::extended`]). Nothing is kept from one call to the next, so
 //! nothing is keyed, locked or evicted.
 //!
+//! The call's catalog is a clone of the optimizer's [`MetaCatalog`] with
+//! the call's cast and view entries registered into its tail. The
+//! optimizer's catalog is frozen by [`Optimizer::new`] and by every
+//! snapshot publish of a hybrid optimizer ([`MetaCatalog::freeze`]), so
+//! that clone shares the registered matrices by pointer: its cost follows
+//! the call's own entries, not the size of the catalog. So does the
+//! plan-cache key's configuration hash, computed when the budget, the
+//! deadline or the views change rather than per call. Everything up to
+//! the cold path — the call's catalog, pricing the original, the cache key
+//! and probe (serving a hit) and the call's rules — is one timed phase,
+//! [`RewriteReport::setup_us`].
+//!
 //! Encoding includes each product chain's matrix-chain table: the chains
 //! are then closed under associativity, and the chase starts
 //! `mul-assoc-l`/`-r` where the tables end, so they enumerate only what
@@ -82,6 +94,7 @@ static M_CHASE_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("rew
 static M_EXTRACT_US: hadad_obs::LazyHistogram =
     hadad_obs::LazyHistogram::new("rewrite.extract_us");
 static M_RANK_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("rewrite.rank_us");
+static M_SETUP_US: hadad_obs::LazyHistogram = hadad_obs::LazyHistogram::new("rewrite.setup_us");
 
 /// Where a cache miss's plans are stored: the cache and their key.
 type CacheSlot = (Arc<PlanCache>, PlanCacheKey);
@@ -97,10 +110,8 @@ pub struct Plan {
 }
 
 /// Diagnostics from one `rewrite` call, including a per-phase time
-/// breakdown (encode → chase → extract → rank) and the full chase
-/// statistics, so regressions show up in the right phase. Setup work —
-/// original-plan costing and building the call's view rules — is covered
-/// only by `elapsed_us`, not by any phase bucket.
+/// breakdown (setup → encode → chase → extract → rank) and the full chase
+/// statistics, so regressions show up in the right phase.
 #[derive(Debug, Clone)]
 pub struct RewriteReport {
     /// How the chase ended (fixpoint, or which budget tripped).
@@ -117,11 +128,15 @@ pub struct RewriteReport {
     pub pruned_firings: usize,
     /// End-to-end wall-clock time of the `rewrite` call, microseconds.
     pub elapsed_us: u128,
+    /// Time spent before encoding: the call's catalog, pricing the
+    /// original, the plan-cache key and probe, and the call's rules. A
+    /// call served from the cache ends in this phase.
+    pub setup_us: u128,
     /// Time spent encoding the expression into a canonical instance.
     pub encode_us: u128,
     /// Time spent chasing the instance to (bounded) fixpoint.
     pub chase_us: u128,
-    /// Time spent in the extraction DP.
+    /// Time spent in the extraction DP, and dropping the call's instance.
     pub extract_us: u128,
     /// Time spent costing and sorting candidates.
     pub rank_us: u128,
@@ -273,10 +288,12 @@ impl LaView {
 /// The optimizer facade.
 #[derive(Clone)]
 pub struct Optimizer {
-    /// Metadata catalog the estimator prices against.
+    /// Metadata catalog the estimator prices against. Frozen by
+    /// [`Optimizer::new`]; freeze it again after registering many entries,
+    /// or every call copies them.
     pub cat: MetaCatalog,
     /// Chase resource budget.
-    pub budget: ChaseBudget,
+    budget: ChaseBudget,
     /// Materialized LA views registered for view-based reformulation:
     /// each contributes `V_IO`/`V_OI` constraints to the chase, so plans
     /// can land on (and expand through) `Mat(view)` leaves. Only
@@ -287,11 +304,14 @@ pub struct Optimizer {
     /// chase budget is stamped with `Instant::now() + deadline` at the start
     /// of the call; a chase cut short by it still yields an anytime result
     /// (see [`RewriteReport::degraded`]).
-    pub deadline: Option<Duration>,
+    deadline: Option<Duration>,
     /// Shared plan cache (`None` = disabled). Clones share the same cache,
     /// which is how the live hybrid path and concurrent snapshot readers
     /// all hit one map.
     cache: Option<Arc<PlanCache>>,
+    /// [`Optimizer::config_hash`] of the current budget, deadline and
+    /// views, stored by every method that changes one of them.
+    config: u64,
 }
 
 /// What a hybrid call adds to one rewrite: the catalog epoch its plan-cache
@@ -305,9 +325,11 @@ pub(crate) struct CallContext<'a> {
 
 impl Optimizer {
     /// Optimizer over `cat` with default budgets and the standard
-    /// catalogue.
-    pub fn new(cat: MetaCatalog) -> Self {
-        Optimizer {
+    /// catalogue. Freezes `cat`, so that every call's copy of it shares
+    /// what is registered so far.
+    pub fn new(mut cat: MetaCatalog) -> Self {
+        cat.freeze();
+        let mut opt = Optimizer {
             cat,
             // Tighter than the chase default: rewriting works expression by
             // expression, so instances are small and saturate quickly.
@@ -320,7 +342,10 @@ impl Optimizer {
             views: Vec::new(),
             deadline: None,
             cache: None,
-        }
+            config: 0,
+        };
+        opt.config = opt.config_hash();
+        opt
     }
 
     /// Enables the plan cache with `capacity` total entries (`0`
@@ -343,13 +368,20 @@ impl Optimizer {
     /// derivable from the partial instance rather than erroring.
     pub fn with_deadline(mut self, timeout: Duration) -> Self {
         self.deadline = Some(timeout);
+        self.config = self.config_hash();
         self
     }
 
     /// Replaces the chase budget.
     pub fn with_budget(mut self, budget: ChaseBudget) -> Self {
         self.budget = budget;
+        self.config = self.config_hash();
         self
+    }
+
+    /// The chase budget each call runs under.
+    pub fn budget(&self) -> ChaseBudget {
+        self.budget
     }
 
     /// Registers a materialized LA view. Shape/density metadata is
@@ -394,6 +426,7 @@ impl Optimizer {
             }
         }
         self.views.push(candidate);
+        self.config = self.config_hash();
         Ok(())
     }
 
@@ -480,6 +513,7 @@ impl Optimizer {
 
     /// Opaque configuration hash for plan-cache keys: two optimizers with
     /// the same hash would run an identical cold pipeline on equal inputs.
+    /// Computed when the configuration changes; calls read `self.config`.
     fn config_hash(&self) -> u64 {
         let mut h = DefaultHasher::new();
         self.budget.max_rounds.hash(&mut h);
@@ -501,7 +535,7 @@ impl Optimizer {
     fn cache_key(&self, e: &Expr, cat: &MetaCatalog, epoch: u64) -> Option<PlanCacheKey> {
         let canon = canonicalize(e);
         let bands = leaf_bands(&canon.leaves, cat)?;
-        Some(PlanCacheKey::new(canon, bands, self.config_hash(), epoch, !self.views.is_empty()))
+        Some(PlanCacheKey::new(canon, bands, self.config, epoch, !self.views.is_empty()))
     }
 
     /// Rewrites `e` into cost-ranked equivalent plans.
@@ -532,21 +566,15 @@ impl Optimizer {
         Ok(ranked)
     }
 
-    /// The phases of [`Optimizer::rewrite_in`], untimed: the plans, and on
-    /// a cache miss the cache and key to store them under.
-    fn rewrite_phases(
-        &self,
-        e: &Expr,
-        call: CallContext<'_>,
-    ) -> Result<(RankedPlans, Option<CacheSlot>), RewriteError> {
+    /// What a call does before its cold path: the call's catalog, the
+    /// priced original and the plan-cache probe — a hit at the current
+    /// epoch is served from the cache; a stale entry is refused and, like a
+    /// miss, goes on to the call's rules.
+    fn setup(&self, e: &Expr, call: CallContext<'_>) -> Result<Setup, RewriteError> {
         let cat = self.effective_cat(call)?;
-        // Both cost consumers below — ranking estimator and extraction DP —
-        // price plans in reference flops through the one `op_cost`.
+        // Both cost consumers — ranking estimator and extraction DP — price
+        // plans in reference flops through the one `op_cost`.
         let original = Plan { expr: e.clone(), est_cost: expr_estimate(e, &cat)?.1 };
-
-        // Plan-cache probe: a hit at the current epoch is served straight
-        // from the cache; a stale entry is refused and, like a miss, takes
-        // the cold path below.
         let mut pending: Option<CacheSlot> = None;
         if let Some(cache) = &self.cache {
             if let Some(key) = self.cache_key(e, &cat, call.epoch) {
@@ -554,14 +582,30 @@ impl Optimizer {
                     if let Some(served) =
                         serve_hit(cache, *cached, &key, &cat, original.clone())
                     {
-                        return Ok((served, None));
+                        return Ok(Setup::Served(served));
                     }
                 }
                 pending = Some((Arc::clone(cache), key));
             }
         }
+        let rules = self.chase_rules(&cat)?;
+        Ok(Setup::Cold(ColdStart { cat, original, pending, rules }))
+    }
 
-        let CallRules { mut vrem, rules, views } = self.chase_rules(&cat)?;
+    /// The phases of [`Optimizer::rewrite_in`], untimed: the plans, and on
+    /// a cache miss the cache and key to store them under.
+    fn rewrite_phases(
+        &self,
+        e: &Expr,
+        call: CallContext<'_>,
+    ) -> Result<(RankedPlans, Option<CacheSlot>), RewriteError> {
+        let (setup, setup_us) =
+            hadad_obs::timed("rewrite.setup", &M_SETUP_US, || self.setup(e, call));
+        let ColdStart { cat, original, pending, rules: CallRules { mut vrem, rules, views } } =
+            match setup? {
+                Setup::Served(served) => return Ok((served, None)),
+                Setup::Cold(cold) => cold,
+            };
         // The product chains' tables are encoding work: the two
         // associativity rules then start where the tables end.
         let (encoded, encode_us) = hadad_obs::timed("rewrite.encode", &M_ENCODE_US, || {
@@ -624,29 +668,36 @@ impl Optimizer {
             });
 
         let conflict = matches!(chase_outcome, ChaseOutcome::AnalysisConflict(_));
+        let num_facts = inst.num_facts();
         let (candidates, extract_us) =
             hadad_obs::timed("rewrite.extract", &M_EXTRACT_US, || {
-                if conflict {
-                    return Vec::new();
-                }
-                catch_unwind(AssertUnwindSafe(|| {
-                    let extractor =
-                        Extractor::new(&vrem, &inst, &analysis, &encoded.cells, &FlopsCost);
-                    let mut candidates = extractor.candidates(encoded.root);
-                    if candidates.is_empty() {
-                        // Un-chased leaf-only expressions still decode via
-                        // `extract`.
-                        candidates.extend(extractor.extract(encoded.root));
-                    }
-                    candidates
-                }))
-                .unwrap_or_else(|_| {
-                    degraded.get_or_insert(Degraded {
-                        reason: DegradeReason::WorkerPanic,
-                        phase: RewritePhase::Extraction,
-                    });
+                let candidates = if conflict {
                     Vec::new()
-                })
+                } else {
+                    catch_unwind(AssertUnwindSafe(|| {
+                        let extractor =
+                            Extractor::new(&vrem, &inst, &analysis, &encoded.cells, &FlopsCost);
+                        let mut candidates = extractor.candidates(encoded.root);
+                        if candidates.is_empty() {
+                            // Un-chased leaf-only expressions still decode
+                            // via `extract`.
+                            candidates.extend(extractor.extract(encoded.root));
+                        }
+                        candidates
+                    }))
+                    .unwrap_or_else(|_| {
+                        degraded.get_or_insert(Degraded {
+                            reason: DegradeReason::WorkerPanic,
+                            phase: RewritePhase::Extraction,
+                        });
+                        Vec::new()
+                    })
+                };
+                // Nothing after extraction reads the instance. Dropping it
+                // (hundreds of facts for a tabled chain) is this phase's
+                // work, not time that no phase sees.
+                drop((inst, analysis, encoded.cells, vrem));
+                candidates
             });
         if candidates.is_empty() && degraded.is_none() {
             return Err(RewriteError::NoPlan);
@@ -680,10 +731,11 @@ impl Optimizer {
         let report = RewriteReport {
             chase_outcome,
             chase_rounds: stats.rounds,
-            num_facts: inst.num_facts(),
+            num_facts,
             num_candidates: plans.len(),
             pruned_firings: stats.pruned_firings(),
             elapsed_us: 0,
+            setup_us,
             encode_us,
             chase_us,
             extract_us,
@@ -749,6 +801,23 @@ impl Optimizer {
         let plan = ranked.original.clone();
         Ok((ranked, plan, reference))
     }
+}
+
+/// What a call's set-up ends in ([`Optimizer::setup`]).
+enum Setup {
+    /// Plans served from the plan cache.
+    Served(RankedPlans),
+    /// What the cold path starts from.
+    Cold(ColdStart),
+}
+
+/// The cold path's start: the call's catalog, the priced original, where
+/// to cache the plans (on a miss) and the call's rules.
+struct ColdStart {
+    cat: MetaCatalog,
+    original: Plan,
+    pending: Option<CacheSlot>,
+    rules: CallRules,
 }
 
 /// What one `rewrite` call chases with (see [`Optimizer::chase_rules`]).
@@ -959,6 +1028,34 @@ mod tests {
         assert_eq!(*eff.get("V").unwrap(), MatrixMeta::dense(10, 10));
         assert_eq!(*eff.get("W").unwrap(), MatrixMeta::sparse(10, 10, 1));
         assert!(opt.cat.get("V").is_none());
+    }
+
+    /// The stored configuration hash is what a fresh computation gives,
+    /// after each method that changes the configuration, and each change
+    /// moves it.
+    #[test]
+    fn stored_config_hash_follows_every_reconfiguration() {
+        let mut cat = MetaCatalog::new();
+        cat.register("X", MatrixMeta::dense(200, 8));
+        let mut opt = Optimizer::new(cat);
+        let mut seen = vec![opt.config];
+        assert_eq!(opt.config, opt.config_hash());
+        opt.register_la_view("G", mul(t(m("X")), m("X"))).unwrap();
+        assert_eq!(opt.config, opt.config_hash(), "after register_la_view");
+        seen.push(opt.config);
+        let budget = ChaseBudget { max_rounds: 3, ..opt.budget() };
+        let opt = opt.with_budget(budget);
+        assert_eq!(opt.config, opt.config_hash(), "after with_budget");
+        seen.push(opt.config);
+        let opt = opt.with_deadline(Duration::from_secs(5));
+        assert_eq!(opt.config, opt.config_hash(), "after with_deadline");
+        seen.push(opt.config);
+        seen.dedup();
+        assert_eq!(seen.len(), 4, "every change moves the hash");
+        // A clone carries it, and a refused registration leaves it alone.
+        let mut clone = opt.clone();
+        assert!(clone.register_la_view("G", m("X")).is_err());
+        assert_eq!((clone.config, clone.config_hash()), (opt.config, opt.config));
     }
 
     /// Rank ties return the input: the ridge normal equations only admit

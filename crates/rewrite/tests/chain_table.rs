@@ -125,7 +125,7 @@ fn tabled_inputs() -> Vec<(String, MetaCatalog, Expr)> {
 fn tabled(e: &Expr, cat: &MetaCatalog) -> (Vrem, Encoded, u64) {
     let mut vrem = Catalogue::shared_standard().0.clone();
     let mut enc = Encoder::new(&mut vrem, cat).encode(e).expect("inputs are shape-valid");
-    let budget = Optimizer::new(cat.clone()).budget;
+    let budget = Optimizer::new(cat.clone()).budget();
     let clock = enc.tabulate_chains(&vrem, &budget).expect("the table fits the budget");
     (vrem, enc, clock)
 }
@@ -264,15 +264,15 @@ fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, table: Table) ->
     let rules = standard.extended(extra);
     let mut enc = Encoder::new(&mut vrem, &cat).encode(e).expect("shape-valid");
     let clock = match table {
-        Table::Cells => enc.tabulate_chains_as_cells(&vrem, &opt.budget),
-        Table::Closed | Table::Open => enc.tabulate_chains(&vrem, &opt.budget),
+        Table::Cells => enc.tabulate_chains_as_cells(&vrem, &opt.budget()),
+        Table::Closed | Table::Open => enc.tabulate_chains(&vrem, &opt.budget()),
     };
     let mut analysis = LaAnalysis::new(&vrem, enc.classes);
     for (range, classes) in view_classes {
         analysis = analysis.with_view(range, classes);
     }
     let assoc = assoc_indexes(&rules);
-    let mut engine = ChaseEngine::new(&rules).with_budget(opt.budget);
+    let mut engine = ChaseEngine::new(&rules).with_budget(opt.budget());
     if let (Table::Closed | Table::Cells, Some(clock)) = (table, clock) {
         engine = engine.with_watermarks(&assoc, clock);
     }
@@ -398,9 +398,9 @@ fn a_table_over_the_fact_budget_is_not_built() {
     let mut vrem = Catalogue::shared_standard().0.clone();
     let mut enc = Encoder::new(&mut vrem, &cat).encode(&e).expect("shape-valid");
     let (facts, nulls) = (enc.instance.num_facts(), enc.instance.num_nulls());
-    assert_eq!(enc.tabulate_chains(&vrem, &opt.budget), None);
+    assert_eq!(enc.tabulate_chains(&vrem, &opt.budget()), None);
     assert_eq!((enc.instance.num_facts(), enc.instance.num_nulls()), (facts, nulls));
-    let roomy = ChaseBudget { max_facts: 40_000, ..opt.budget };
+    let roomy = ChaseBudget { max_facts: 40_000, ..opt.budget() };
     assert!(enc.tabulate_chains(&vrem, &roomy).is_some(), "36 109 facts fit 40 000");
 
     let report = opt.rewrite(&e).expect("a degraded rewrite still answers").report;

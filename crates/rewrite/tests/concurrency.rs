@@ -1,8 +1,10 @@
 //! Concurrent rewriting while maintaining: reader threads serve hybrid
 //! rewrites from published [`CatalogSnapshot`]s (through a shared
 //! [`SnapshotReader`]) while the writer thread mutates base tables and
-//! delta-maintains views on the live `HybridOptimizer`. Run under the CI
-//! ThreadSanitizer job alongside the backend suite.
+//! delta-maintains views on the live `HybridOptimizer` (and, in one test,
+//! registers matrices whose metadata each publish freezes into the shared
+//! catalog). Run under the CI ThreadSanitizer job alongside the backend
+//! suite.
 
 use std::thread;
 
@@ -356,6 +358,87 @@ fn readers_on_different_snapshots_rewrite_over_views_independently() {
             assert_eq!(got, &sequential[(tid + i) % 3], "thread {tid}, call {i}");
         }
     }
+}
+
+/// Readers read matrix metadata from the snapshots they load while the
+/// writer registers matrices on the live optimizer, restamps a maintained
+/// cast and publishes — each publish folding what was registered into the
+/// catalog the snapshots share. Every loaded snapshot is whole: the cast's
+/// stamp matches the snapshot's own view, each batch's matrix is there
+/// with every earlier one, and a call's copy of the catalog (a rewrite
+/// over the batch matrices) prices against that snapshot alone.
+#[test]
+fn readers_read_matrix_metadata_while_the_writer_freezes_and_publishes() {
+    let _unarmed = unarmed();
+    let (mut hy, _) = fixture();
+    hy.register_maintained_cast(MaintainedCast {
+        cast_name: "S".into(),
+        view: "spikes".into(),
+        sort_key: None,
+        cast: CastKind::Sparse {
+            row: "eid".into(),
+            col: "kind".into(),
+            val: "kind".into(),
+            rows: 4096,
+            cols: 4,
+        },
+    })
+    .expect("cast stamps");
+    let reader = hy.reader().expect("reader");
+    const BATCHES: usize = 10;
+
+    thread::scope(|s| {
+        for worker in 0..4 {
+            let reader = reader.clone();
+            s.spawn(move || {
+                for i in 0..25 {
+                    let snap = reader.current();
+                    let cat = snap.meta_catalog();
+                    // Every spike is one non-zero of the cast.
+                    let spikes = snap.catalog().cardinality("spikes").expect("view");
+                    assert_eq!(cat.get("S").map(|m| m.nnz), Some(spikes), "worker {worker}");
+                    // The batch matrices arrive in order, all of them.
+                    let batches =
+                        (0..BATCHES).take_while(|b| cat.get(&format!("w{b}")).is_some());
+                    let batches = batches.count();
+                    let listed = cat.names().filter(|n| n.starts_with('w')).count();
+                    assert_eq!(listed, batches, "worker {worker} iter {i}");
+                    let names: Vec<&str> = cat.names().collect();
+                    assert!(names.windows(2).all(|w| w[0] < w[1]), "sorted, each once");
+                    if batches > 0 {
+                        let last = format!("w{}", batches - 1);
+                        let ranked = snap.rewrite(&mul(m("A"), m(&last))).expect("rewrites");
+                        assert_eq!(ranked.original.est_cost, expected_cost(batches - 1));
+                    }
+                }
+            });
+        }
+
+        for batch in 0..BATCHES as i64 {
+            hy.optimizer
+                .cat
+                .register(format!("w{batch}"), MatrixMeta::dense(8, batch as usize + 1));
+            let eid = 2000 + batch;
+            hy.catalog
+                .insert_rows("events", vec![vec![Value::Int(eid), Value::Int(3)]])
+                .expect("insert applies");
+            hy.maintain_views().expect("maintenance applies");
+        }
+    });
+
+    let last = reader.current();
+    assert_eq!(last.epoch(), hy.catalog.epoch());
+    assert_eq!(last.meta_catalog().get("S"), hy.optimizer.cat.get("S"));
+    assert_eq!(last.meta_catalog().names().filter(|n| n.starts_with('w')).count(), BATCHES);
+}
+
+/// Estimated cost of `A · w{b}`, `A` being 120 × 8 and `w{b}` 8 × (b + 1),
+/// both dense.
+fn expected_cost(b: usize) -> f64 {
+    let mut cat = MetaCatalog::new();
+    cat.register("A", MatrixMeta::dense(120, 8));
+    cat.register("w", MatrixMeta::dense(8, b + 1));
+    hadad_core::expr_estimate(&mul(m("A"), m("w")), &cat).expect("prices").1
 }
 
 /// Registering a table view while readers run compiles a new relational

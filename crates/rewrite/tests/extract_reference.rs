@@ -277,7 +277,7 @@ fn corpus() -> Vec<(MetaCatalog, Expr)> {
 #[test]
 fn worklist_extraction_equals_the_fixpoint_relaxation() {
     let (standard_vrem, rules) = Catalogue::shared_standard();
-    let budget = Optimizer::new(MetaCatalog::new()).budget;
+    let budget = Optimizer::new(MetaCatalog::new()).budget();
     let costs: [(&str, &dyn ExtractionCost); 2] =
         [("tree size", &TreeSizeCost), ("flops", &FlopsCost)];
     let samples = corpus();

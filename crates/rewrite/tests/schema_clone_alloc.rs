@@ -3,7 +3,11 @@
 //! `TableVocab` each request at most 512 bytes from the allocator (the
 //! same clones of an unfrozen vocabulary copy every name), and a premise
 //! over a predicate without facts is rejected before the matcher allocates
-//! anything or calls its sink.
+//! anything or calls its sink. So does a call's copy of the matrix
+//! catalog: cloning the catalog of a new `Optimizer`, or of a snapshot
+//! published after matrices were registered, and registering one cast
+//! requests at most 512 bytes plus the cast's name, whatever the number of
+//! matrices (the same clone of an unfrozen catalog copies every entry).
 //!
 //! Own test binary: it installs a counting `#[global_allocator]`, and the
 //! count is only meaningful while nothing else runs — hence one `#[test]`.
@@ -14,9 +18,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hadad_chase::homomorphism::for_each_match_since;
 use hadad_chase::{Atom, Instance, Term, Vocabulary};
-use hadad_core::{Catalogue, Vrem};
-use hadad_relational::{Catalog, Column, Table};
-use hadad_rewrite::TableVocab;
+use hadad_core::{Catalogue, MatrixMeta, MetaCatalog, Vrem};
+use hadad_relational::{Catalog, Column, Table, Value};
+use hadad_rewrite::{
+    CastKind, HybridOptimizer, MaintainedCast, Optimizer, RelQuery, TableVocab,
+};
 
 /// The system allocator, summing the calls and bytes the measuring thread
 /// requests.
@@ -145,4 +151,95 @@ fn a_compiled_schema_clones_in_constant_space() {
         });
         assert_eq!((calls, bytes, sink_calls), (0, 0, 0), "watermark {watermark}");
     }
+
+    a_frozen_matrix_catalog_clones_in_constant_space();
+}
+
+/// `n` dense matrices, `m0` to `m{n-1}`, registered into `cat`.
+fn register_matrices(cat: &mut MetaCatalog, n: usize) {
+    for i in 0..n {
+        cat.register(format!("m{i}"), MatrixMeta::dense(8 + i % 5, 8));
+    }
+}
+
+/// Bytes a call's copy of `cat` requests: the clone, and one cast
+/// registered into it.
+fn call_copy_bytes(cat: &MetaCatalog, cast: &str) -> usize {
+    let (copy, _, bytes) = requested_by(|| {
+        let mut copy = cat.clone();
+        copy.register(cast, MatrixMeta::sparse(4096, 4, 16));
+        copy
+    });
+    assert!(copy.get(cast).is_some() && cat.get(cast).is_none());
+    bytes
+}
+
+/// The matrix-catalog half of the test: `Optimizer::new` and every publish
+/// freeze the catalog, so a call's copy costs its own entries only.
+fn a_frozen_matrix_catalog_clones_in_constant_space() {
+    const CAST: &str = "HotN";
+    const BOUND: usize = 512 + CAST.len();
+
+    // A new optimizer's catalog of 500 matrices.
+    let mut cat = MetaCatalog::new();
+    register_matrices(&mut cat, 500);
+    let opt = Optimizer::new(cat.clone());
+    let bytes = call_copy_bytes(&opt.cat, CAST);
+    assert!(bytes <= BOUND, "a frozen 500-entry catalog's call copy requested {bytes} bytes");
+    assert_eq!(opt.cat.names().count(), 500);
+    // The same copy of the unfrozen catalog copies all 500 entries.
+    let bytes = call_copy_bytes(&cat, CAST);
+    assert!(bytes > 16 * 1024, "an unfrozen catalog's call copy requested only {bytes} bytes");
+
+    // A hybrid optimizer whose matrices arrive after its first reader:
+    // only the publish of the next maintenance pass can freeze them.
+    let events = Table::new(vec![
+        ("eid", Column::Int((0..64).collect())),
+        ("kind", Column::Int((0..64).map(|i| i % 4).collect())),
+    ]);
+    let mut relational = Catalog::new();
+    relational.register("events", events);
+    let mut hy = HybridOptimizer::new(relational, Optimizer::new(MetaCatalog::new()));
+    hy.register_table_view("hot", RelQuery::scan("events").select_eq("kind", 3))
+        .expect("view materializes");
+    hy.register_maintained_cast(MaintainedCast {
+        cast_name: CAST.into(),
+        view: "hot".into(),
+        sort_key: None,
+        cast: CastKind::Sparse {
+            row: "eid".into(),
+            col: "kind".into(),
+            val: "kind".into(),
+            rows: 4096,
+            cols: 4,
+        },
+    })
+    .expect("cast stamps");
+    let reader = hy.reader().expect("a clean state publishes");
+    let stamped = hy.optimizer.cat.get(CAST).expect("stamped").clone();
+    register_matrices(&mut hy.optimizer.cat, 500);
+    hy.catalog
+        .insert_rows("events", vec![vec![Value::Int(1000), Value::Int(3)]])
+        .expect("insert applies");
+    hy.maintain_views().expect("maintenance applies");
+
+    // The snapshot reads the restamped cast and the matrices, and a call's
+    // copy of its catalog shares them.
+    let held = reader.current();
+    let restamped = held.meta_catalog().get(CAST).expect("the cast is catalogued").clone();
+    assert_eq!(restamped.nnz, stamped.nnz + 1, "the snapshot reads the restamp");
+    assert_eq!(Some(&restamped), hy.optimizer.cat.get(CAST));
+    assert_eq!(held.meta_catalog().names().count(), 501);
+    let bytes = call_copy_bytes(held.meta_catalog(), "E");
+    assert!(bytes <= 512 + 1, "a published catalog's call copy requested {bytes} bytes");
+
+    // Later registrations on the live optimizer stay out of the held
+    // snapshot, frozen or not.
+    hy.optimizer.cat.register(CAST, MatrixMeta::dense(1, 1));
+    hy.optimizer.cat.register("late", MatrixMeta::dense(2, 2));
+    assert_eq!(held.meta_catalog().get(CAST), Some(&restamped));
+    assert!(held.meta_catalog().get("late").is_none());
+    hy.optimizer.cat.freeze();
+    assert_eq!(held.meta_catalog().get(CAST), Some(&restamped));
+    assert!(held.meta_catalog().get("late").is_none());
 }
