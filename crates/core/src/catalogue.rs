@@ -626,7 +626,7 @@ mod tests {
     use crate::encode::{ChainCells, Encoder};
     use crate::expr::dsl::*;
     use crate::expr::UnaryOp;
-    use crate::extract::{Extractor, TreeSizeCost};
+    use crate::extract::Extractor;
     use crate::stats::{expr_stats, MatrixMeta, MetaCatalog, TypeFlags};
     use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, Instance, NodeId, RuleSet};
 
@@ -669,13 +669,7 @@ mod tests {
         }
 
         fn extractor(&self) -> Extractor<'_> {
-            Extractor::new(
-                &self.vrem,
-                &self.inst,
-                &self.analysis,
-                &ChainCells::default(),
-                &TreeSizeCost,
-            )
+            Extractor::new(&self.vrem, &self.inst, &self.analysis, &ChainCells::default())
         }
 
         fn candidates(&self, class: NodeId) -> Vec<String> {
@@ -794,7 +788,7 @@ mod tests {
         cat.register("A", MatrixMeta::dense(30, 4));
         cat.register("B", MatrixMeta::dense(4, 30));
         let c = Chased::new(&trace(mul(m("A"), m("B"))), &cat, &[("W", mul(m("A"), m("B")))]);
-        // trace(W) (size 2) beats trace((A B)) (size 4) under tree size.
+        // trace(W) costs the trace alone; trace((A B)) also the product.
         assert_eq!(c.extractor().extract(c.root).unwrap(), trace(m("W")));
         let strs = c.candidates(c.root);
         assert!(strs.contains(&"trace(W)".to_string()), "{strs:?}");

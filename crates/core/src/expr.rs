@@ -256,9 +256,7 @@ mod tests {
     use super::dsl::*;
     use super::*;
     use crate::fingerprint::{canonicalize, leaf_bands, structural_hash};
-    use crate::{
-        ChainCells, Encoder, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, TreeSizeCost, Vrem,
-    };
+    use crate::{ChainCells, Encoder, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, Vrem};
 
     #[test]
     fn display_is_readable() {
@@ -323,13 +321,7 @@ mod tests {
             let mut vrem = Vrem::new();
             let enc = Encoder::new(&mut vrem, &cat).encode(&e).unwrap();
             let analysis = LaAnalysis::new(&vrem, enc.classes);
-            let ex = Extractor::new(
-                &vrem,
-                &enc.instance,
-                &analysis,
-                &ChainCells::default(),
-                &TreeSizeCost,
-            );
+            let ex = Extractor::new(&vrem, &enc.instance, &analysis, &ChainCells::default());
             assert_eq!(ex.extract(enc.root).as_ref(), Some(&e), "{shown}");
             hashes.push(structural_hash(&canonicalize(&e).skeleton, &bands));
         }

@@ -39,7 +39,7 @@ use crate::analysis::LaAnalysis;
 use crate::encode::{ChainCell, ChainCells};
 use crate::expr::{Expr, UnaryOp};
 use crate::schema::{OpKind, Vrem};
-use crate::stats::{op_stats, ClassStats};
+use crate::stats::{op_cost, op_stats, ClassStats};
 
 /// One way to produce a class: a leaf fact or an operator application.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,53 +67,17 @@ impl ENode {
     }
 }
 
-/// Pluggable cost for the extraction DP. Implementations see operator
-/// kinds and per-class [`ClassStats`] (shape + estimated density), so
-/// `hadad-core` stays decoupled from any particular estimator;
-/// `hadad-rewrite` supplies one built on the shared `op_cost` table.
-/// Densities are the analysis's (encoded subexpressions, view classes, and
-/// the transposes, `rev`s and scalar multiples that copy them). A
-/// chase-created class without one is priced as dense where it is an
-/// operand, and at its operator's propagated estimate where it is the
-/// output — a deterministic, derivation-order-independent choice.
-pub trait ExtractionCost {
-    /// Cost of reading a leaf (base matrix / literal / identity / zero).
-    fn leaf_cost(&self, stats: ClassStats) -> f64;
-
-    /// Cost of one operator application (children excluded). `out_idx`
-    /// distinguishes the two outputs of QR/LU.
-    fn op_cost(
-        &self,
-        kind: OpKind,
-        out_idx: usize,
-        child: &[ClassStats],
-        out: ClassStats,
-    ) -> f64;
-}
-
-/// Default cost: expression-tree size. Extraction under this cost returns
-/// the syntactically smallest representative of a class.
-pub struct TreeSizeCost;
-
-impl ExtractionCost for TreeSizeCost {
-    fn leaf_cost(&self, _stats: ClassStats) -> f64 {
-        1.0
-    }
-
-    fn op_cost(
-        &self,
-        _kind: OpKind,
-        _out_idx: usize,
-        _child: &[ClassStats],
-        _out: ClassStats,
-    ) -> f64 {
-        1.0
-    }
-}
-
 /// Min-cost extractor over a VREM instance. Every per-class vector is
 /// indexed by the class's canonical `NodeId.0`, then by `num_nodes() + j`
 /// for the `j`-th class only a [`ChainCells`] table has.
+///
+/// Leaves cost nothing (base matrices and literals are already
+/// materialized) and an operator e-node costs [`op_cost`] of its classes'
+/// [`ClassStats`]. Densities are the analysis's (encoded subexpressions,
+/// view classes, and the transposes, `rev`s and scalar multiples that copy
+/// them). A chase-created class without one is priced as dense where it is
+/// an operand, and at its operator's propagated estimate where it is the
+/// output — a deterministic, derivation-order-independent choice.
 pub struct Extractor<'a> {
     inst: &'a Instance,
     /// Base-matrix names the `Mat` e-nodes point into.
@@ -174,7 +138,6 @@ impl<'a> Extractor<'a> {
         inst: &'a Instance,
         analysis: &LaAnalysis,
         cells: &ChainCells,
-        cost: &dyn ExtractionCost,
     ) -> Self {
         // Fault-injection site: `extract.solve=panic` exercises the
         // optimizer's phase-level catch_unwind (degrade to the original
@@ -200,7 +163,7 @@ impl<'a> Extractor<'a> {
             best: vec![None; total],
         };
         ex.collect(vrem, cells);
-        ex.solve(cost);
+        ex.solve();
         ex
     }
 
@@ -279,7 +242,7 @@ impl<'a> Extractor<'a> {
     /// Knuth's worklist: pop the cheapest queued class, which makes its
     /// cost final; every e-node reading it that has no operand left to
     /// wait for is costed and offered to its own class.
-    fn solve(&mut self, cost: &dyn ExtractionCost) {
+    fn solve(&mut self) {
         let n = self.best.len();
         // Per e-node: its class and its operands not yet final. Per class:
         // the e-nodes reading it, once per operand position —
@@ -315,14 +278,12 @@ impl<'a> Extractor<'a> {
             for i in self.class_nodes(class) {
                 match self.nodes[i] {
                     ENode::Const(_) => {
-                        let c = cost.leaf_cost(self.stats(class, (1, 1)));
-                        self.set_shape(class, (1, 1), cost, &mut queue);
-                        self.offer(class, i, c, &mut queue);
+                        self.set_shape(class, (1, 1), &mut queue);
+                        self.offer(class, i, 0.0, &mut queue);
                     }
                     ENode::Mat(_) | ENode::Identity | ENode::Zero => {
-                        if let Some(shape) = self.shapes[class] {
-                            let c = cost.leaf_cost(self.stats(class, shape));
-                            self.offer(class, i, c, &mut queue);
+                        if self.shapes[class].is_some() {
+                            self.offer(class, i, 0.0, &mut queue);
                         }
                     }
                     ENode::Op { .. } => {}
@@ -339,14 +300,14 @@ impl<'a> Extractor<'a> {
                 let i = readers[r as usize] as usize;
                 waiting[i] -= 1;
                 if waiting[i] == 0 {
-                    self.cost_op(owner[i], i, cost, &mut queue);
+                    self.cost_op(owner[i], i, &mut queue);
                 }
             }
         }
     }
 
     /// Costs operator e-node `i` of `class`, whose operands are all final.
-    fn cost_op(&mut self, class: usize, i: usize, cost: &dyn ExtractionCost, q: &mut Worklist) {
+    fn cost_op(&mut self, class: usize, i: usize, q: &mut Worklist) {
         if q.done[class] {
             return;
         }
@@ -373,28 +334,21 @@ impl<'a> Extractor<'a> {
         // Clamp so a parent costs more than its children. In f64 the clamp
         // can vanish into a large child cost; a popped class is final all
         // the same, so a cyclic class never becomes its own derivation.
-        let total = cost.op_cost(kind, out_idx, child, out).max(1e-9) + child_costs;
-        self.set_shape(class, shape, cost, q);
+        let total = op_cost(kind, out_idx, child, &out).max(1e-9) + child_costs;
+        self.set_shape(class, shape, q);
         self.offer(class, i, total, q);
     }
 
     /// Fixes a shapeless class's shape, which prices its shape-dependent
     /// leaves (`Mat`/`Identity`/`Zero`).
-    fn set_shape(
-        &mut self,
-        class: usize,
-        shape: (usize, usize),
-        cost: &dyn ExtractionCost,
-        q: &mut Worklist,
-    ) {
+    fn set_shape(&mut self, class: usize, shape: (usize, usize), q: &mut Worklist) {
         if self.shapes[class].is_some() {
             return;
         }
         self.shapes[class] = Some(shape);
         for i in self.class_nodes(class) {
             if matches!(self.nodes[i], ENode::Mat(_) | ENode::Identity | ENode::Zero) {
-                let c = cost.leaf_cost(self.stats(class, shape));
-                self.offer(class, i, c, q);
+                self.offer(class, i, 0.0, q);
             }
         }
     }
@@ -452,8 +406,8 @@ impl<'a> Extractor<'a> {
         })
     }
 
-    /// The stats the cost sees for `class` at `shape`: dense unless the
-    /// analysis has a density for it.
+    /// The stats an operand `class` at `shape` is priced at: dense unless
+    /// the analysis has a density for it.
     fn stats(&self, class: usize, shape: (usize, usize)) -> ClassStats {
         ClassStats {
             rows: shape.0,
@@ -484,7 +438,8 @@ impl<'a> Extractor<'a> {
 
     /// One candidate expression per derivation of the root class, each
     /// completed with min-cost children and deduplicated.
-    /// The caller ranks these with its own (richer) cost model.
+    /// The caller re-prices these with `expr_estimate`, whose densities
+    /// come from the expression tree, not from the analysis.
     pub fn candidates(&self, root: NodeId) -> Vec<Expr> {
         let root = self.inst.find(root).0 as usize;
         let mut out: Vec<Expr> = Vec::new();
@@ -588,13 +543,7 @@ mod tests {
         let c = cat();
         let enc = Encoder::new(&mut vrem, &c).encode(e).unwrap();
         let analysis = LaAnalysis::new(&vrem, enc.classes);
-        let ex = Extractor::new(
-            &vrem,
-            &enc.instance,
-            &analysis,
-            &ChainCells::default(),
-            &TreeSizeCost,
-        );
+        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &ChainCells::default());
         ex.extract(enc.root).expect("root extractable")
     }
 
@@ -633,25 +582,6 @@ mod tests {
         assert_eq!(roundtrip(&z), z);
     }
 
-    /// Flops pricing as `hadad_rewrite::FlopsCost` does it.
-    struct Flops;
-
-    impl ExtractionCost for Flops {
-        fn leaf_cost(&self, _stats: ClassStats) -> f64 {
-            0.0
-        }
-
-        fn op_cost(
-            &self,
-            kind: OpKind,
-            out_idx: usize,
-            ch: &[ClassStats],
-            out: ClassStats,
-        ) -> f64 {
-            crate::stats::op_cost(kind, out_idx, ch, &out)
-        }
-    }
-
     /// `X = diag(S)` of an all-zero 10⁸ × 10⁸ sparse `S` costs 10⁸ flops;
     /// a transpose of it moves no non-zeros, so each costs the 1e-9 clamp,
     /// which 10⁸ + 1e-9 absorbs. Merging `(Xᵀ)ᵀ` into `X` gives the class a
@@ -676,7 +606,6 @@ mod tests {
             &inst,
             &LaAnalysis::new(&vrem, classes),
             &ChainCells::default(),
-            &Flops,
         );
         assert_eq!(ex.class_cost(roots[0]), Some(n as f64));
         assert_eq!(ex.class_cost(roots[1]), Some(n as f64), "the clamp is absorbed");
@@ -725,8 +654,8 @@ mod tests {
         assert_eq!(facts.instance.num_facts(), 5 + 20);
         assert_eq!(cells.instance.num_facts(), 5 + 4);
 
-        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &facts.cells, &Flops);
-        let implicit = Extractor::new(&vrem, &cells.instance, &ca, &cells.cells, &Flops);
+        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &facts.cells);
+        let implicit = Extractor::new(&vrem, &cells.instance, &ca, &cells.cells);
         assert_eq!(implicit.nodes, tabled.nodes);
         assert_eq!(implicit.first, tabled.first);
         assert_eq!(implicit.shapes, tabled.shapes);
@@ -767,8 +696,8 @@ mod tests {
         let reads_ab = cells.cells.splits.iter().filter(|s| s[..2].contains(&ab)).count();
         assert_eq!(reads_ab, 3, "(A B)(A B), (A B) A, B (A B)");
 
-        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &facts.cells, &Flops);
-        let implicit = Extractor::new(&vrem, inst, &ca, &cells.cells, &Flops);
+        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &facts.cells);
+        let implicit = Extractor::new(&vrem, inst, &ca, &cells.cells);
         assert_eq!(implicit.extract(cells.root), tabled.extract(facts.root));
         assert_eq!(implicit.candidates(cells.root), tabled.candidates(facts.root));
         assert_eq!(implicit.candidates(cells.root).len(), 3);
@@ -777,7 +706,7 @@ mod tests {
     #[test]
     fn extraction_picks_cheaper_enode_after_merge() {
         // Manually merge the class of (M N) with the class of a base matrix
-        // "P": extraction under tree size must then prefer P.
+        // "P": extraction must then prefer the leaf P, which costs nothing.
         let mut vrem = Vrem::new();
         let mut c = cat();
         c.register("P", MatrixMeta::dense(100, 100));
@@ -791,7 +720,6 @@ mod tests {
             &inst,
             &LaAnalysis::new(&vrem, classes),
             &ChainCells::default(),
-            &TreeSizeCost,
         );
         assert_eq!(ex.extract(roots[0]).unwrap(), m("P"));
         // Both derivations remain available as candidates.

@@ -34,7 +34,7 @@ pub use analysis::{ClassData, LaAnalysis};
 pub use catalogue::{Catalogue, ViewRules};
 pub use encode::{ChainCells, CqEncoder, Encoded, Encoder};
 pub use expr::{Expr, UnaryOp};
-pub use extract::{ExtractionCost, Extractor, TreeSizeCost};
+pub use extract::Extractor;
 pub use fingerprint::{canonicalize, leaf_bands, rename_leaves, CanonicalExpr, StatsBand};
 pub use schema::{OpKind, Vrem, DENSITY_SCALE};
 pub use stats::{

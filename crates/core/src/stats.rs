@@ -1,8 +1,8 @@
 //! Matrix metadata and the **unified cost oracle's** estimator: dimensions,
 //! non-zero counts, structural type flags, and the single
 //! shape/density/flops propagation every consumer shares — per operator
-//! ([`op_stats`]/[`op_flops`]/[`op_cost`], which the extraction DP's
-//! `hadad_rewrite::FlopsCost` prices classes with) and per expression
+//! ([`op_stats`]/[`op_flops`]/[`op_cost`], which the extraction DP prices
+//! classes with at the analysis' densities) and per expression
 //! ([`expr_estimate`], the one recursion over [`Expr`], which
 //! [`expr_stats`] wraps, `hadad_rewrite::Optimizer` ranks plans with, and
 //! whose one-level step the encoders run bottom-up). Costs are in
@@ -568,6 +568,75 @@ mod tests {
         let cost = op_cost(OpKind::Mul, 0, &[a, b], &out);
         // 2·30·4·30 flops + 30·30 output term + mem weight on 900 cells.
         assert!((cost - (7200.0 + 900.0 + MEM_WEIGHT * 900.0)).abs() < 1e-9);
+    }
+
+    /// Base matrices for the cost comparisons: a rectangular pair and a
+    /// large sparse square.
+    fn cost_cat() -> MetaCatalog {
+        let mut c = MetaCatalog::new();
+        c.register("A", MatrixMeta::dense(30, 4));
+        c.register("B", MatrixMeta::dense(4, 30));
+        c.register("S", MatrixMeta::sparse(1000, 1000, 5000));
+        c
+    }
+
+    /// `expr_estimate`'s cost of `e`.
+    fn cost(c: &MetaCatalog, e: &Expr) -> f64 {
+        expr_estimate(e, c).unwrap().1
+    }
+
+    #[test]
+    fn rotated_trace_is_cheaper() {
+        let c = cost_cat();
+        let ab = cost(&c, &trace(mul(m("A"), m("B"))));
+        let ba = cost(&c, &trace(mul(m("B"), m("A"))));
+        assert!(ba < ab, "trace(BA)={ba} should beat trace(AB)={ab}");
+    }
+
+    #[test]
+    fn right_deep_chain_is_cheaper() {
+        let mut c = cost_cat();
+        c.register("x", MatrixMeta::dense(30, 1));
+        let left = cost(&c, &mul(mul(m("A"), m("B")), m("x")));
+        let right = cost(&c, &mul(m("A"), mul(m("B"), m("x"))));
+        assert!(right < left);
+    }
+
+    #[test]
+    fn sparsity_lowers_product_cost() {
+        let sparse = cost(&cost_cat(), &mul(m("S"), m("S")));
+        let mut dense_cat = MetaCatalog::new();
+        dense_cat.register("S", MatrixMeta::dense(1000, 1000));
+        let dense = cost(&dense_cat, &mul(m("S"), m("S")));
+        assert!(sparse < dense / 10.0, "sparse={sparse} dense={dense}");
+    }
+
+    #[test]
+    fn subtraction_costs_like_addition() {
+        let mut c = MetaCatalog::new();
+        c.register("P", MatrixMeta::dense(8, 8));
+        // Sub desugars to a + (-1 · b); the direct estimate must at least
+        // cover the Add part and carry the union density.
+        let (stats, cost) = expr_estimate(&sub(m("P"), m("P")), &c).unwrap();
+        assert_eq!((stats.rows, stats.cols), (8, 8));
+        assert_eq!(stats.density, 1.0);
+        assert!(cost > 0.0);
+    }
+
+    #[test]
+    fn shape_errors_surface() {
+        let c = cost_cat();
+        assert!(expr_estimate(&add(m("A"), m("B")), &c).is_err());
+        assert!(expr_estimate(&m("missing"), &c).is_err());
+        assert!(expr_estimate(&trace(m("A")), &c).is_err());
+    }
+
+    #[test]
+    fn op_cost_orders_mul_shapes() {
+        let (a, b) = (ClassStats::dense(30, 4), ClassStats::dense(4, 30));
+        let big = op_cost(OpKind::Mul, 0, &[a, b], &ClassStats::dense(30, 30));
+        let small = op_cost(OpKind::Mul, 0, &[b, a], &ClassStats::dense(4, 4));
+        assert!(small < big);
     }
 
     #[test]

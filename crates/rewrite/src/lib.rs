@@ -19,7 +19,6 @@
 
 pub mod cache;
 pub mod cast;
-pub mod cost;
 pub mod eval;
 pub mod hybrid;
 pub mod maintain;
@@ -27,7 +26,6 @@ pub mod optimizer;
 pub mod query;
 
 pub use cache::{CacheReport, PlanCache};
-pub use cost::FlopsCost;
 pub use eval::{eval, eval_with, Env, EvalError};
 pub use hadad_linalg::ExecBackend;
 pub use hybrid::{

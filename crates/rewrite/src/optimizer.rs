@@ -7,10 +7,14 @@
 //! cost-ranked extraction from the saturated instance plays the role of
 //! the backchase — every candidate it returns is a full reformulation
 //! justified by the constraints, and the cost model picks the winner.
-//! There is one cost model: ranking (`expr_estimate`) and extraction
-//! ([`FlopsCost`]) price every plan in reference flops, so plan choice is
-//! the same on every host; `rewrite_verified` and `check_equivalent`
-//! evaluate on [`default_backend`].
+//! There is one cost model, `op_cost`, in reference flops, so plan choice
+//! is the same on every host; `rewrite_verified` and `check_equivalent`
+//! evaluate on [`default_backend`]. Extraction ([`Extractor`]) prices each
+//! class with it at the densities the chase's analysis holds; ranking
+//! re-prices every candidate with `expr_estimate`, which reads densities
+//! from the expression tree. The two differ where the analysis' density is
+//! ppm-quantized or the lower of merged classes, and on a subtraction's
+//! `-1 ·`, so a plan's `est_cost` is `expr_estimate`'s price.
 //!
 //! The constraint set a call chases with is the process-wide standard
 //! catalogue ([`Catalogue::shared_standard`]: LA properties are fixed, so
@@ -75,7 +79,6 @@ use hadad_core::{
 use hadad_linalg::{approx_eq, default_backend, Matrix};
 
 use crate::cache::{CacheReport, CachedPlans, PlanCache, PlanCacheKey};
-use crate::cost::FlopsCost;
 use crate::eval::{eval_with, Env, EvalError};
 
 // Shared-registry instrumentation for the rewrite pipeline. The phase
@@ -572,8 +575,8 @@ impl Optimizer {
     /// miss, goes on to the call's rules.
     fn setup(&self, e: &Expr, call: CallContext<'_>) -> Result<Setup, RewriteError> {
         let cat = self.effective_cat(call)?;
-        // Both cost consumers — ranking estimator and extraction DP — price
-        // plans in reference flops through the one `op_cost`.
+        // The original is priced as every ranked plan is: by
+        // `expr_estimate`, not by the extraction DP's analysis densities.
         let original = Plan { expr: e.clone(), est_cost: expr_estimate(e, &cat)?.1 };
         let mut pending: Option<CacheSlot> = None;
         if let Some(cache) = &self.cache {
@@ -675,15 +678,8 @@ impl Optimizer {
                     Vec::new()
                 } else {
                     catch_unwind(AssertUnwindSafe(|| {
-                        let extractor =
-                            Extractor::new(&vrem, &inst, &analysis, &encoded.cells, &FlopsCost);
-                        let mut candidates = extractor.candidates(encoded.root);
-                        if candidates.is_empty() {
-                            // Un-chased leaf-only expressions still decode
-                            // via `extract`.
-                            candidates.extend(extractor.extract(encoded.root));
-                        }
-                        candidates
+                        Extractor::new(&vrem, &inst, &analysis, &encoded.cells)
+                            .candidates(encoded.root)
                     }))
                     .unwrap_or_else(|_| {
                         degraded.get_or_insert(Degraded {

@@ -25,7 +25,7 @@ use hadad_core::{
     MatrixMeta, MetaCatalog, OpKind, TypeFlags, Vrem,
 };
 use hadad_linalg::rng::Rng64;
-use hadad_rewrite::{FlopsCost, Optimizer};
+use hadad_rewrite::Optimizer;
 
 mod common;
 use common::{corpus_catalog, random_expr};
@@ -278,11 +278,7 @@ fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, table: Table) ->
     }
     let mut inst = enc.instance;
     let (outcome, stats) = engine.chase_analyzed(&mut inst, &mut analysis);
-    let extractor = Extractor::new(&vrem, &inst, &analysis, &enc.cells, &FlopsCost);
-    let mut candidates = extractor.candidates(enc.root);
-    if candidates.is_empty() {
-        candidates.extend(extractor.extract(enc.root));
-    }
+    let candidates = Extractor::new(&vrem, &inst, &analysis, &enc.cells).candidates(enc.root);
     let mut rendered: Vec<String> = candidates.iter().map(Expr::to_string).collect();
     rendered.sort();
     let run = Run {

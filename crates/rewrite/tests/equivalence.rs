@@ -22,7 +22,6 @@ use hadad_core::{
     MatrixMeta, MetaCatalog, OpKind, ShapeError, UnaryOp, Vrem,
 };
 use hadad_linalg::rng::Rng64;
-use hadad_rewrite::FlopsCost;
 
 mod common;
 use common::{corpus_catalog, random_expr};
@@ -179,21 +178,10 @@ fn naive_and_semi_naive_chases_agree_on_random_corpus() {
             signature(&pair.semi_inst),
             "sample {i} ({e}): saturated instances are not isomorphic"
         );
-        let cost_fn = FlopsCost;
-        let naive_ex = Extractor::new(
-            &pair.vrem,
-            &pair.naive_inst,
-            &pair.naive_analysis,
-            &ChainCells::default(),
-            &cost_fn,
-        );
-        let semi_ex = Extractor::new(
-            &pair.vrem,
-            &pair.semi_inst,
-            &pair.semi_analysis,
-            &ChainCells::default(),
-            &cost_fn,
-        );
+        let cells = ChainCells::default();
+        let naive_ex =
+            Extractor::new(&pair.vrem, &pair.naive_inst, &pair.naive_analysis, &cells);
+        let semi_ex = Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cells);
         let (np, sp) = (naive_ex.extract(pair.root), semi_ex.extract(pair.root));
         if np != sp {
             panic!(
@@ -246,13 +234,11 @@ fn chain8_saturates_in_default_budget_and_semi_naive_wins() {
         pair.semi_matches,
         pair.naive_matches
     );
-    let cost_fn = FlopsCost;
     let ex = Extractor::new(
         &pair.vrem,
         &pair.semi_inst,
         &pair.semi_analysis,
         &ChainCells::default(),
-        &cost_fn,
     );
     let best = ex.extract(pair.root).expect("chain decodes");
     assert_eq!(best.to_string(), "(M1 (M2 (M3 (M4 (M5 (M6 (M7 M8)))))))");

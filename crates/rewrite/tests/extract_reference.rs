@@ -3,20 +3,21 @@
 //! naive chase engine is kept for the semi-naïve one. Over the 124
 //! expressions `same_chase.rs` pins, each chased as a cold `rewrite` chases
 //! it, every class's best cost must be bitwise equal, and the extracted
-//! root expression and the root's candidates equal — under tree size and
-//! under flops. Both read shapes and densities from the same chase's
-//! analysis.
+//! root expression and the root's candidates equal. Both read shapes and
+//! densities from the same chase's analysis and price operators through
+//! `op_cost`; the corpus must make the reference break exact-cost ties, so
+//! the two tie orders are compared too.
 
 use std::collections::HashMap;
 
 use hadad_chase::{ChaseEngine, Instance, NodeId};
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    op_stats, Catalogue, ChainCells, ClassStats, Encoder, Expr, ExtractionCost, Extractor,
-    LaAnalysis, MatrixMeta, MetaCatalog, OpKind, TreeSizeCost, UnaryOp, Vrem,
+    expr_estimate, op_cost, op_stats, Catalogue, ChainCells, ClassStats, Encoder, Expr,
+    Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind, UnaryOp, Vrem,
 };
 use hadad_linalg::rng::Rng64;
-use hadad_rewrite::{FlopsCost, Optimizer};
+use hadad_rewrite::Optimizer;
 
 mod common;
 use common::{corpus_catalog, random_expr};
@@ -39,20 +40,19 @@ struct Relaxation {
     shapes: HashMap<NodeId, (usize, usize)>,
     densities: HashMap<NodeId, f64>,
     best: HashMap<NodeId, (f64, usize)>,
+    /// Comparisons of an e-node with its class's incumbent, another e-node
+    /// at exactly its cost, decided by the tie key.
+    ties: usize,
 }
 
 impl Relaxation {
-    fn new(
-        vrem: &Vrem,
-        inst: &Instance,
-        analysis: &LaAnalysis,
-        cost: &dyn ExtractionCost,
-    ) -> Self {
+    fn new(vrem: &Vrem, inst: &Instance, analysis: &LaAnalysis) -> Self {
         let mut r = Relaxation {
             classes: HashMap::new(),
             shapes: HashMap::new(),
             densities: HashMap::new(),
             best: HashMap::new(),
+            ties: 0,
         };
         for class in (0..inst.num_nodes() as u32).map(NodeId) {
             let Some(data) = analysis.class(class).filter(|_| inst.find(class) == class) else {
@@ -64,7 +64,7 @@ impl Relaxation {
             }
         }
         r.collect(vrem, inst);
-        r.solve(cost);
+        r.solve();
         r
     }
 
@@ -104,7 +104,7 @@ impl Relaxation {
 
     /// Costs converge within #classes sweeps; tie-break refinement (keys
     /// depend on child costs) may take as long again.
-    fn solve(&mut self, cost: &dyn ExtractionCost) {
+    fn solve(&mut self) {
         let mut class_ids: Vec<NodeId> = self.classes.keys().copied().collect();
         class_ids.sort_unstable();
         for _ in 0..2 * (class_ids.len() + 1) {
@@ -112,16 +112,17 @@ impl Relaxation {
             for &class in &class_ids {
                 for idx in 0..self.classes[&class].len() {
                     let node = &self.classes[&class][idx];
-                    let Some((c, shape)) = self.candidate(node, class, cost) else {
+                    let Some((c, shape)) = self.candidate(node, class) else {
                         continue;
                     };
                     self.shapes.entry(class).or_insert(shape);
                     let improves = match self.best.get(&class) {
                         None => true,
-                        Some(&(cur, ci)) => {
-                            let cur_node = &self.classes[&class][ci];
-                            c < cur || (c == cur && self.tie_key(node) < self.tie_key(cur_node))
+                        Some(&(cur, ci)) if c == cur && ci != idx => {
+                            self.ties += 1;
+                            self.tie_key(node) < self.tie_key(&self.classes[&class][ci])
                         }
+                        Some(&(cur, _)) => c < cur,
                     };
                     if improves {
                         self.best.insert(class, (c, idx));
@@ -151,12 +152,9 @@ impl Relaxation {
         }
     }
 
-    fn candidate(
-        &self,
-        node: &ENode,
-        class: NodeId,
-        cost: &dyn ExtractionCost,
-    ) -> Option<(f64, (usize, usize))> {
+    /// A leaf costs nothing; an operator e-node costs its `op_cost` plus
+    /// its operands' best costs.
+    fn candidate(&self, node: &ENode, class: NodeId) -> Option<(f64, (usize, usize))> {
         let stats_of = |n: NodeId, shape: (usize, usize)| ClassStats {
             rows: shape.0,
             cols: shape.1,
@@ -164,9 +162,9 @@ impl Relaxation {
         };
         match node {
             ENode::Mat(_) | ENode::Identity | ENode::Zero => {
-                self.shapes.get(&class).map(|&s| (cost.leaf_cost(stats_of(class, s)), s))
+                self.shapes.get(&class).map(|&s| (0.0, s))
             }
-            ENode::Const(_) => Some((cost.leaf_cost(stats_of(class, (1, 1))), (1, 1))),
+            ENode::Const(_) => Some((0.0, (1, 1))),
             ENode::Op { kind, inputs, out_idx } => {
                 let mut child_costs = 0.0;
                 let mut child_stats = Vec::with_capacity(inputs.len());
@@ -182,7 +180,7 @@ impl Relaxation {
                     cols: shape.1,
                     density: self.densities.get(&class).copied().unwrap_or(propagated.density),
                 };
-                let op = cost.op_cost(*kind, *out_idx, &child_stats, out);
+                let op = op_cost(*kind, *out_idx, &child_stats, &out);
                 Some((op.max(1e-9) + child_costs, shape))
             }
         }
@@ -278,11 +276,9 @@ fn corpus() -> Vec<(MetaCatalog, Expr)> {
 fn worklist_extraction_equals_the_fixpoint_relaxation() {
     let (standard_vrem, rules) = Catalogue::shared_standard();
     let budget = Optimizer::new(MetaCatalog::new()).budget();
-    let costs: [(&str, &dyn ExtractionCost); 2] =
-        [("tree size", &TreeSizeCost), ("flops", &FlopsCost)];
     let samples = corpus();
     assert_eq!(samples.len(), 124);
-    let mut solved = 0usize;
+    let (mut solved, mut ties) = (0usize, 0usize);
     for (i, (cat, e)) in samples.iter().enumerate() {
         let mut vrem = standard_vrem.clone();
         let enc = Encoder::new(&mut vrem, cat).encode(e).expect("generator emits valid shapes");
@@ -290,26 +286,85 @@ fn worklist_extraction_equals_the_fixpoint_relaxation() {
         let mut analysis = LaAnalysis::new(&vrem, enc.classes);
         ChaseEngine::new(rules).with_budget(budget).chase_analyzed(&mut inst, &mut analysis);
         let root = inst.find(enc.root);
-        for (name, cost) in &costs {
-            let ex = Extractor::new(&vrem, &inst, &analysis, &ChainCells::default(), *cost);
-            let reference = Relaxation::new(&vrem, &inst, &analysis, *cost);
-            for n in 0..inst.num_nodes() {
-                let class = inst.find(NodeId(n as u32));
-                let want = reference.best.get(&class).map(|&(c, _)| c.to_bits());
-                assert_eq!(
-                    ex.class_cost(class).map(f64::to_bits),
-                    want,
-                    "sample {i} ({e}), {name}: class {class:?} costs differ"
-                );
-                solved += usize::from(want.is_some() && class.0 as usize == n);
-            }
-            assert_eq!(ex.extract(root), reference.extract(root), "sample {i} ({e}), {name}");
+        let ex = Extractor::new(&vrem, &inst, &analysis, &ChainCells::default());
+        let reference = Relaxation::new(&vrem, &inst, &analysis);
+        for n in 0..inst.num_nodes() {
+            let class = inst.find(NodeId(n as u32));
+            let want = reference.best.get(&class).map(|&(c, _)| c.to_bits());
             assert_eq!(
-                ex.candidates(root),
-                reference.candidates(root),
-                "sample {i} ({e}), {name}"
+                ex.class_cost(class).map(f64::to_bits),
+                want,
+                "sample {i} ({e}): class {class:?} costs differ"
             );
+            solved += usize::from(want.is_some() && class.0 as usize == n);
         }
+        assert_eq!(ex.extract(root), reference.extract(root), "sample {i} ({e})");
+        assert_eq!(ex.candidates(root), reference.candidates(root), "sample {i} ({e})");
+        ties += reference.ties;
     }
-    assert!(solved >= 124 * costs.len() * 5, "corpus too degenerate: {solved} solved classes");
+    assert!(solved >= 124 * 5, "corpus too degenerate: {solved} solved classes");
+    assert!(ties > 0, "no class's derivation was decided by an exact-cost tie");
+}
+
+/// `e` chased as in `worklist_extraction_equals_the_fixpoint_relaxation`:
+/// the extraction DP's price of the root, its best plan, and
+/// `expr_estimate`'s price of that plan.
+fn dp_and_plan_price(cat: &MetaCatalog, e: &Expr) -> (f64, Expr, f64) {
+    let (standard_vrem, rules) = Catalogue::shared_standard();
+    let budget = Optimizer::new(MetaCatalog::new()).budget();
+    let mut vrem = standard_vrem.clone();
+    let enc = Encoder::new(&mut vrem, cat).encode(e).expect("valid shapes");
+    let mut inst = enc.instance;
+    let mut analysis = LaAnalysis::new(&vrem, enc.classes);
+    ChaseEngine::new(rules).with_budget(budget).chase_analyzed(&mut inst, &mut analysis);
+    let ex = Extractor::new(&vrem, &inst, &analysis, &ChainCells::default());
+    let plan = ex.extract(enc.root).expect("root extractable");
+    let estimate = expr_estimate(&plan, cat).expect("plan prices").1;
+    (ex.class_cost(enc.root).expect("root solvable"), plan, estimate)
+}
+
+/// Whether `e` has a node `pred` holds for.
+fn has(e: &Expr, pred: &dyn Fn(&Expr) -> bool) -> bool {
+    pred(e) || e.children().into_iter().any(|c| has(c, pred))
+}
+
+/// The extraction DP and `expr_estimate` share `op_cost`, but the DP reads
+/// each class's density from the analysis and `expr_estimate` from the
+/// expression tree. Where every density is exact (dense operands, no
+/// identity, zero or subtraction) the DP's price of the root is the best
+/// plan's price, bit for bit. Elsewhere they part: the analysis keeps
+/// densities ppm-quantized (and the lower one of merged classes), and the
+/// DP charges the encoder's `-1 ·` of a subtraction, which `expr_estimate`
+/// prices as the `Add` it desugars to. That is why ranking re-prices every
+/// candidate with `expr_estimate` (`rank_candidates`) and does not reuse
+/// the DP's price.
+#[test]
+fn the_dp_price_is_the_plan_price_where_densities_are_exact() {
+    let exact = |e: &Expr| {
+        !has(e, &|n| matches!(n, Expr::Identity(_) | Expr::Zero(..) | Expr::Sub(..)))
+    };
+    let mut checked = 0usize;
+    for (i, (cat, e)) in corpus().iter().enumerate() {
+        if !exact(e) {
+            continue;
+        }
+        let (dp, plan, estimate) = dp_and_plan_price(cat, e);
+        assert!(exact(&plan), "sample {i} ({e}): plan {plan}");
+        assert_eq!(dp.to_bits(), estimate.to_bits(), "sample {i} ({e}): {dp} vs {estimate}");
+        checked += 1;
+    }
+    assert!(checked >= 90, "only {checked} samples checked");
+
+    let mut cat = corpus_catalog();
+    cat.register("P", MatrixMeta::dense(12, 12));
+    // 1/12 is not a whole number of ppm: the analysis' density of `0.5 I`
+    // is not the tree's.
+    let ridge = add(m("P"), smul(lit(0.5), Expr::Identity(12)));
+    let (dp, plan, estimate) = dp_and_plan_price(&cat, &ridge);
+    assert!(has(&plan, &|n| matches!(n, Expr::Identity(_))), "{plan}");
+    assert_ne!(dp.to_bits(), estimate.to_bits(), "{plan}: {dp}");
+    // The DP charges `-1 · x`; `expr_estimate` prices `x - x` as `x + x`.
+    let (dp, plan, estimate) = dp_and_plan_price(&cat, &sub(m("x"), m("x")));
+    assert_eq!(plan, sub(m("x"), m("x")));
+    assert_ne!(dp.to_bits(), estimate.to_bits(), "{plan}: {dp}");
 }

@@ -5,8 +5,8 @@
 //!   original (within `1e-9` relative tolerance).
 
 use hadad_core::{
-    ChainCells, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind,
-    TreeSizeCost, UnaryOp, Vrem,
+    ChainCells, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind, UnaryOp,
+    Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_linalg::{approx_eq, rand_gen, Matrix};
@@ -101,13 +101,7 @@ fn encode_extract_roundtrips_random_corpus() {
             .encode(&e)
             .unwrap_or_else(|err| panic!("encode {e}: {err}"));
         let analysis = LaAnalysis::new(&vrem, enc.classes);
-        let ex = Extractor::new(
-            &vrem,
-            &enc.instance,
-            &analysis,
-            &ChainCells::default(),
-            &TreeSizeCost,
-        );
+        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &ChainCells::default());
         let back = ex.extract(enc.root).unwrap_or_else(|| panic!("extract {e}"));
         assert_eq!(back, e, "round-trip mismatch for corpus item {i}");
     }
