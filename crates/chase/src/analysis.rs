@@ -2,7 +2,7 @@
 //! the style of egg's e-class analyses (Willsey et al., POPL 2021).
 //!
 //! A domain often knows more about a class than its facts say — for
-//! `hadad-core`, a matrix class's shape and estimated density. Deriving
+//! `hadad-core`, a matrix class's shape. Deriving
 //! that knowledge with rules costs matches, firings and facts that every
 //! later conclusion check and index has to carry; an [`Analysis`] computes
 //! it directly, at the points where the chase touches classes and facts:

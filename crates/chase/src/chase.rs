@@ -222,8 +222,6 @@ pub enum RewritePhase {
     Backchase,
     /// Plan extraction from the saturated instance.
     Extraction,
-    /// Candidate ranking / verification.
-    Ranking,
     /// Incremental view maintenance.
     Maintenance,
 }
@@ -234,7 +232,6 @@ impl std::fmt::Display for RewritePhase {
             RewritePhase::Chase => "chase",
             RewritePhase::Backchase => "backchase",
             RewritePhase::Extraction => "extraction",
-            RewritePhase::Ranking => "ranking",
             RewritePhase::Maintenance => "maintenance",
         };
         f.write_str(s)

@@ -15,7 +15,7 @@
 //!   decomposition *reuse* (a second `QR(M, _, _)` fact merges with a
 //!   materialized one through the functional EGDs).
 //!
-//! No rule derives shapes or densities: those are the chase's analysis
+//! No rule derives shapes: they are the chase's analysis
 //! ([`crate::analysis::LaAnalysis`]), and the one rule gated on them —
 //! `inv-mul`, on "A square" — reads them through a guard.
 //!
@@ -51,9 +51,9 @@ pub struct Catalogue {
 pub struct ViewRules {
     /// `V_IO`, then `V_OI`.
     pub constraints: Vec<Constraint>,
-    /// Shape and estimated density of each class the definition's CQ names,
-    /// by variable: a firing of either rule joins them into the classes it
-    /// concludes on ([`crate::analysis::LaAnalysis::with_view`]).
+    /// Shape of each class the definition's CQ names, by variable: a
+    /// firing of either rule gives them to the classes it concludes on
+    /// ([`crate::analysis::LaAnalysis::with_view`]).
     pub classes: Vec<Option<ClassData>>,
 }
 
@@ -627,13 +627,14 @@ mod tests {
     use crate::expr::dsl::*;
     use crate::expr::UnaryOp;
     use crate::extract::Extractor;
-    use crate::stats::{expr_stats, MatrixMeta, MetaCatalog, TypeFlags};
+    use crate::stats::{expr_stats, op_stats, ClassStats, MatrixMeta, MetaCatalog, TypeFlags};
     use hadad_chase::{ChaseBudget, ChaseEngine, ChaseOutcome, Instance, NodeId, RuleSet};
 
     /// An expression chased under the standard catalogue plus the
     /// `(name, definition)` views given, with its analysis.
     struct Chased {
         vrem: Vrem,
+        cat: MetaCatalog,
         inst: Instance,
         root: NodeId,
         outcome: ChaseOutcome,
@@ -665,15 +666,16 @@ mod tests {
             });
             let mut inst = enc.instance;
             let (outcome, _) = engine.chase_analyzed(&mut inst, &mut analysis);
-            Chased { vrem, inst, root: enc.root, outcome, analysis }
+            Chased { vrem, cat: cat.clone(), inst, root: enc.root, outcome, analysis }
         }
 
         fn extractor(&self) -> Extractor<'_> {
-            Extractor::new(&self.vrem, &self.inst, &self.analysis, &ChainCells::default())
+            let cells = ChainCells::default();
+            Extractor::new(&self.vrem, &self.inst, &self.analysis, &self.cat, &cells)
         }
 
         fn candidates(&self, class: NodeId) -> Vec<String> {
-            self.extractor().candidates(class).iter().map(ToString::to_string).collect()
+            self.extractor().candidates(class).iter().map(|(e, _)| e.to_string()).collect()
         }
 
         /// The class `name(class, n)` anchors.
@@ -781,12 +783,14 @@ mod tests {
 
     /// `V_IO`: a query subexpression matching a registered view's
     /// definition gains the view's `name` fact, and extraction can land on
-    /// the zero-extra-cost `Mat(view)` leaf.
+    /// the zero-extra-cost `Mat(view)` leaf, priced from the view's
+    /// catalog entry.
     #[test]
     fn view_io_lands_query_on_view_leaf() {
         let mut cat = MetaCatalog::new();
         cat.register("A", MatrixMeta::dense(30, 4));
         cat.register("B", MatrixMeta::dense(4, 30));
+        cat.register("W", MatrixMeta::dense(30, 30));
         let c = Chased::new(&trace(mul(m("A"), m("B"))), &cat, &[("W", mul(m("A"), m("B")))]);
         // trace(W) costs the trace alone; trace((A B)) also the product.
         assert_eq!(c.extractor().extract(c.root).unwrap(), trace(m("W")));
@@ -794,21 +798,22 @@ mod tests {
         assert!(strs.contains(&"trace(W)".to_string()), "{strs:?}");
     }
 
-    /// A view rule's firing joins the definition's estimate into the
-    /// classes it concludes on: expanding a use of `V` leaves `V`'s class
-    /// with the lower of its catalogued density (dense) and the estimate of
-    /// its sparse definition.
+    /// A view rule's firing gives the definition's shapes to the classes
+    /// it concludes on: expanding a use of `V` shapes the definition's
+    /// leaves, which nothing else in the instance names, and `V`'s class
+    /// keeps the definition's shape.
     #[test]
     fn view_rules_join_the_definition_estimate() {
         let mut cat = MetaCatalog::new();
-        cat.register("S", MatrixMeta::sparse(40, 40, 80));
-        cat.register("V", MatrixMeta::dense(40, 40));
-        let def = mul(m("S"), m("S"));
+        cat.register("S", MatrixMeta::sparse(40, 30, 80));
+        cat.register("x", MatrixMeta::dense(30, 1));
+        cat.register("V", MatrixMeta::dense(40, 1));
+        let def = mul(m("S"), m("x"));
         let mut c = Chased::new(&m("V"), &cat, &[("V", def.clone())]);
-        let estimate = ClassData::estimated(expr_stats(&def, &cat).unwrap());
-        assert!(estimate.density < Some(1.0));
         let v_class = c.named("V");
-        assert_eq!(c.analysis.class(v_class), Some(estimate));
+        assert_eq!(c.analysis.class(v_class), Some(expr_stats(&def, &cat).unwrap().into()));
+        let x_class = c.named("x");
+        assert_eq!(c.analysis.class(x_class).map(|d| d.shape()), Some((30, 1)));
     }
 
     /// `V_OI`: a query *using* the view name expands into the definition,
@@ -856,24 +861,24 @@ mod tests {
             let out = inst.find(inst.fact(i).args[2]);
             assert!(c.analysis.class(out).is_some(), "mul output class without a shape");
         }
-        // The re-associated (B x) intermediate got the right shape, and no
-        // density estimate: it is priced from its operands.
+        // The re-associated (B x) intermediate got the right shape, and
+        // extraction prices it at the density of its derivation.
         let ex = c.extractor();
+        let shape = |class| ex.stats(class).map(|s| s.shape());
         let bx = inst
             .facts_with_pred(mul_pred)
             .iter()
             .map(|&i| inst.fact(i))
-            .find(|f| {
-                ex.shape(f.args[0]) == Some((10, 40)) && ex.shape(f.args[1]) == Some((40, 1))
-            })
+            .find(|f| shape(f.args[0]) == Some((10, 40)) && shape(f.args[1]) == Some((40, 1)))
             .map(|f| f.args[2])
             .expect("chase derived mul(B, x, ·)");
-        assert_eq!(ex.shape(bx), Some((10, 1)));
-        assert_eq!(ex.density(bx), None);
+        assert_eq!(c.analysis.class(inst.find(bx)).map(|d| d.shape()), Some((10, 1)));
+        let operands = [ClassStats::dense(10, 40), ClassStats::dense(40, 1)];
+        assert_eq!(ex.stats(bx), Some(op_stats(OpKind::Mul, 0, &operands)));
     }
 
-    /// Density propagation: a chase-created transpose class inherits the
-    /// operand's catalogued sparsity from the analysis' `make`.
+    /// Density propagation: extraction prices a chase-created transpose
+    /// class at its operand's catalogued sparsity.
     #[test]
     fn density_propagates_through_transpose() {
         let mut cat = MetaCatalog::new();
@@ -893,7 +898,7 @@ mod tests {
             .find(|f| inst.find(f.args[0]) == s_class)
             .map(|f| inst.find(f.args[1]))
             .expect("chase derived Sᵀ");
-        assert_eq!(c.extractor().density(st_class), Some(0.05));
+        assert_eq!(c.extractor().stats(st_class).map(|s| s.density), Some(0.05));
     }
 
     /// `inv-mul`'s "A square" is a guard: `(A B)⁻¹` pushes the inverse

@@ -5,8 +5,8 @@
 //! [`Instance`]; each operator application becomes a fact of the matching
 //! VREM relation whose last argument is the (fresh) result class. `type`
 //! facts record structural flags and base matrices are anchored by `name`
-//! facts; shapes and estimated densities are not facts but the seed of the
-//! chase's analysis ([`Encoded::classes`], [`crate::analysis`]).
+//! facts; shapes are not facts but the seed of the chase's analysis
+//! ([`Encoded::classes`], [`crate::analysis`]).
 //!
 //! Surface subtraction is desugared to `a + (-1 · b)` so that the addition
 //! property catalogue covers it; the decoder resugars (see `extract`).
@@ -111,8 +111,8 @@ trait HashCons {
     fn new_op(&mut self, kind: OpKind, inputs: &[Self::Class]) -> Self::Class;
     /// The two new classes QR/LU computes from `input`.
     fn new_pair(&mut self, kind: OpKind, input: Self::Class) -> (Self::Class, Self::Class);
-    /// Records the estimated stats of a new class.
-    fn new_stats(&mut self, class: Self::Class, stats: ClassStats);
+    /// Records the shape of a new class.
+    fn new_shape(&mut self, class: Self::Class, data: ClassData);
 
     /// The class of `e` and its stats, encoding what is not encoded yet.
     /// Operands go first, left to right, so new classes appear in the
@@ -210,7 +210,7 @@ trait HashCons {
         class: Self::Class,
         stats: ClassStats,
     ) -> (Self::Class, ClassStats) {
-        self.new_stats(class, stats);
+        self.new_shape(class, stats.into());
         self.memo().classes.insert(key, (class, stats));
         (class, stats)
     }
@@ -223,8 +223,8 @@ pub struct Encoded {
     pub instance: Instance,
     /// Class of the whole expression (the CQ head of `enc_LA(E)`).
     pub root: NodeId,
-    /// Shape and estimated density of every class, indexed by `NodeId.0`:
-    /// the seed of [`crate::analysis::LaAnalysis`].
+    /// Shape of every class, indexed by `NodeId.0`: the seed of
+    /// [`crate::analysis::LaAnalysis`].
     pub classes: Vec<Option<ClassData>>,
     /// The chain tables kept out of the instance
     /// ([`Encoded::tabulate_chains_as_cells`]); empty until then.
@@ -254,9 +254,9 @@ impl From<NodeId> for ChainCell {
 #[derive(Debug, Default)]
 pub struct ChainCells {
     /// Shape of each table-only class — rows of its first factor, columns
-    /// of its last — and no density: what [`crate::LaAnalysis`] gives a
-    /// class a chase firing mints, and what [`Encoded::tabulate_chains`]
-    /// records for the null it inserts instead.
+    /// of its last: what [`crate::LaAnalysis`] gives a class a chase firing
+    /// mints, and what [`Encoded::tabulate_chains`] records for the null it
+    /// inserts instead.
     pub(crate) classes: Vec<Option<ClassData>>,
     /// Every split `[left, right, product]`, in the order
     /// [`Encoded::tabulate_chains`] inserts the same splits as facts. A
@@ -335,7 +335,7 @@ impl Encoded {
     /// the input already built (or another chain shares) keeps its class,
     /// two associations of one sequence in the input are merged into one
     /// (their analysis data joined as a chase merge joins it), and a class
-    /// only the table has is seeded with its shape and no density — what
+    /// only the table has is seeded with its shape — what
     /// [`crate::LaAnalysis`] gives a class a chase firing mints.
     ///
     /// Returns the clock the table ends at: every premise match of
@@ -488,11 +488,9 @@ impl Encoded {
                         Entry::Vacant(slot) => {
                             let (first, last) = (sub[0].0 as usize, sub[width - 1].0 as usize);
                             let data = match (self.classes.get(first), self.classes.get(last)) {
-                                (Some(Some(f)), Some(Some(l))) => Some(ClassData {
-                                    rows: f.rows,
-                                    cols: l.cols,
-                                    density: None,
-                                }),
+                                (Some(Some(f)), Some(Some(l))) => {
+                                    Some(ClassData { rows: f.rows, cols: l.cols })
+                                }
                                 _ => None,
                             };
                             let c = sink.fresh(self, data);
@@ -617,25 +615,23 @@ impl HashCons for Encoder<'_> {
         out
     }
 
-    /// Both outputs get the input's shape; the one the expression reads
-    /// gets its estimate from [`HashCons::new_stats`] next, the other stays
-    /// without a density, like any class the chase creates.
+    /// Both outputs get the input's shape, the one the expression does not
+    /// read too.
     fn new_pair(&mut self, kind: OpKind, input: NodeId) -> (NodeId, NodeId) {
         let o1 = self.inst.fresh_null();
         let o2 = self.inst.fresh_null();
         self.inst.insert(self.vrem.op(kind), vec![input, o1, o2]);
         if let Some(&Some(of)) = self.classes.get(input.0 as usize) {
             for out in [o1, o2] {
-                record(&mut self.classes, out.0 as usize, ClassData { density: None, ..of });
+                record(&mut self.classes, out.0 as usize, of);
             }
         }
         (o1, o2)
     }
 
-    /// The analysis seed: every encoded subexpression starts from the
-    /// estimate the ranking cost model computes for it.
-    fn new_stats(&mut self, node: NodeId, stats: ClassStats) {
-        record(&mut self.classes, node.0 as usize, ClassData::estimated(stats));
+    /// The analysis seed: every encoded subexpression's shape.
+    fn new_shape(&mut self, node: NodeId, data: ClassData) {
+        record(&mut self.classes, node.0 as usize, data);
     }
 }
 
@@ -650,9 +646,9 @@ pub struct CqEncoder<'a> {
     pub cat: &'a MetaCatalog,
     /// The accumulated CQ body.
     pub atoms: Vec<Atom>,
-    /// Shape and estimated density of each variable's class, indexed by
-    /// variable (`None` for the output of QR/LU the expression never
-    /// reads): what a rule concluding these atoms tells the analysis.
+    /// Shape of each variable's class, indexed by variable (`None` for the
+    /// output of QR/LU the expression never reads): what a rule concluding
+    /// these atoms tells the analysis.
     pub classes: Vec<Option<ClassData>>,
     next_var: u32,
     memo: Memo<u32>,
@@ -721,8 +717,8 @@ impl HashCons for CqEncoder<'_> {
         (o1, o2)
     }
 
-    fn new_stats(&mut self, var: u32, stats: ClassStats) {
-        record(&mut self.classes, var as usize, ClassData::estimated(stats));
+    fn new_shape(&mut self, var: u32, data: ClassData) {
+        record(&mut self.classes, var as usize, data);
     }
 }
 
@@ -771,11 +767,11 @@ mod tests {
         // The transpose fact's output is the root.
         let tr_fact = &inst.facts()[inst.facts_with_pred(vrem.op(OpKind::Transpose))[0]];
         assert_eq!(inst.find(tr_fact.args[1]), inst.find(enc.root));
-        // Stats, not facts, for M, N, MN, (MN)^T.
+        // Shapes, not facts, for M, N, MN, (MN)^T.
         assert_eq!(inst.num_facts(), 4);
         assert_eq!(enc.classes.iter().flatten().count(), 4);
-        let root = enc.classes[enc.root.0 as usize].expect("the root is estimated");
-        assert_eq!((root.shape(), root.density), ((100, 100), Some(1.0)));
+        let root = enc.classes[enc.root.0 as usize].expect("the root is shaped");
+        assert_eq!(root.shape(), (100, 100));
     }
 
     #[test]
@@ -843,22 +839,12 @@ mod tests {
         let q = enc
             .enc(&Expr::Unary(UnaryOp::new(OpKind::Qr, 0).unwrap(), Box::new(m("D"))))
             .unwrap();
-        let of = |v: u32| enc.classes.get(v as usize)?.map(|d| (d.shape(), d.density));
-        assert_eq!(of(0), Some(((6, 4), Some(1.0))));
-        assert_eq!(of(root), Some(((4, 6), Some(1.0))), "the transposed dims");
-        // QR read through Q only: R's variable has no estimate.
-        assert_eq!(of(q), Some(((5, 5), Some(1.0))));
+        let of = |v: u32| enc.classes.get(v as usize)?.map(|d| d.shape());
+        assert_eq!(of(0), Some((6, 4)));
+        assert_eq!(of(root), Some((4, 6)), "the transposed dims");
+        // QR read through Q only: R's variable has no shape.
+        assert_eq!(of(q), Some((5, 5)));
         assert_eq!(of(q + 1), None);
-    }
-
-    #[test]
-    fn encoder_records_catalogued_sparsity() {
-        let mut vrem = Vrem::new();
-        let mut c = MetaCatalog::new();
-        c.register("S", MatrixMeta::sparse(100, 100, 500)); // density 0.05
-        let enc = Encoder::new(&mut vrem, &c).encode(&t(m("S"))).unwrap();
-        let dens: Vec<Option<f64>> = enc.classes.iter().flatten().map(|d| d.density).collect();
-        assert_eq!(dens, [Some(0.05); 2], "one estimate per subexpression");
     }
 
     #[test]

@@ -321,7 +321,8 @@ mod tests {
             let mut vrem = Vrem::new();
             let enc = Encoder::new(&mut vrem, &cat).encode(&e).unwrap();
             let analysis = LaAnalysis::new(&vrem, enc.classes);
-            let ex = Extractor::new(&vrem, &enc.instance, &analysis, &ChainCells::default());
+            let cells = ChainCells::default();
+            let ex = Extractor::new(&vrem, &enc.instance, &analysis, &cat, &cells);
             assert_eq!(ex.extract(enc.root).as_ref(), Some(&e), "{shown}");
             hashes.push(structural_hash(&canonicalize(&e).skeleton, &bands));
         }

@@ -10,21 +10,27 @@
 //! e-nodes of every class in arrays indexed by the class's dense
 //! union-find id and finds each class's cheapest derivation in one
 //! worklist pass — Knuth's generalization of Dijkstra's algorithm. An
-//! e-node costs `max(op, 1e-9) + Σ operand classes`, which is monotone in
-//! every operand and never below any of them, so the cheapest class still
-//! queued is final when it is popped, and an e-node is costed exactly
-//! once, when the last of its operand classes is popped. Classes are priced
-//! at the shapes and densities the chase's analysis holds
-//! ([`LaAnalysis`]). Expressions are rebuilt from the chosen e-nodes on
-//! demand, resugaring the encoder's `a + (-1 · b)` back to subtraction. A
-//! unary e-node is rebuilt as one [`Expr::Unary`] through [`UnaryOp::new`]
-//! from its kind and output index, so no unary operator is named here.
+//! e-node costs `op + Σ operand classes` with `op ≥ 0`, which is monotone
+//! in every operand and never below any of them, so the cheapest class
+//! still queued is final when it is popped, and an e-node is costed exactly
+//! once, when the last of its operand classes is popped.
+//!
+//! A class's price is the price of the plan its cheapest e-node builds, as
+//! [`crate::expr_estimate`] computes it: each class carries that plan's
+//! [`ClassStats`], a leaf's from the estimator's `leaf_stats` (a base
+//! matrix's from the catalog) and an operator's from [`op_stats`] over its
+//! operands' stats, charged [`op_cost`]. An `Add` rebuilt as a subtraction
+//! is priced as that subtraction, so the encoder's `-1 ·` costs nothing.
+//! Expressions are rebuilt from the chosen e-nodes on demand, resugaring
+//! the encoder's `a + (-1 · b)` back to subtraction. A unary e-node is
+//! rebuilt as one [`Expr::Unary`] through [`UnaryOp::new`] from its kind
+//! and output index, so no unary operator is named here.
 //!
 //! A product chain whose table the encoder kept out of the instance
 //! ([`crate::Encoded::tabulate_chains_as_cells`]) is extracted from its
 //! [`ChainCells`]: the `j`-th class only the table has is class
-//! `num_nodes() + j`, with the shape the cells give it and no density, and
-//! each split is one more `mul` e-node of its product's class. The worklist
+//! `num_nodes() + j`, with the shape the cells give it, and each split is
+//! one more `mul` e-node of its product's class. The worklist
 //! then runs over them as over any e-node — on a chain it is the
 //! matrix-chain DP — and prices and builds exactly what it would from the
 //! same table inserted as facts.
@@ -39,7 +45,7 @@ use crate::analysis::LaAnalysis;
 use crate::encode::{ChainCell, ChainCells};
 use crate::expr::{Expr, UnaryOp};
 use crate::schema::{OpKind, Vrem};
-use crate::stats::{op_cost, op_stats, ClassStats};
+use crate::stats::{leaf_stats, op_cost, op_stats, ClassStats, MetaCatalog};
 
 /// One way to produce a class: a leaf fact or an operator application.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,14 +78,12 @@ impl ENode {
 /// for the `j`-th class only a [`ChainCells`] table has.
 ///
 /// Leaves cost nothing (base matrices and literals are already
-/// materialized) and an operator e-node costs [`op_cost`] of its classes'
-/// [`ClassStats`]. Densities are the analysis's (encoded subexpressions,
-/// view classes, and the transposes, `rev`s and scalar multiples that copy
-/// them). A chase-created class without one is priced as dense where it is
-/// an operand, and at its operator's propagated estimate where it is the
-/// output — a deterministic, derivation-order-independent choice.
+/// materialized); a base matrix the catalog lacks is never a derivation.
+/// An operator e-node costs [`op_cost`] over its operands' plans' stats.
 pub struct Extractor<'a> {
     inst: &'a Instance,
+    /// The call's catalog, which base matrices are priced from.
+    cat: &'a MetaCatalog,
     /// Base-matrix names the `Mat` e-nodes point into.
     names: Vec<String>,
     /// Every class's e-nodes, grouped by class and in fact order within
@@ -87,14 +91,19 @@ pub struct Extractor<'a> {
     nodes: Vec<ENode>,
     first: Vec<u32>,
     /// Shape, from the analysis or, for a class it knows nothing of, from
-    /// the first costed literal (1 × 1) or operator e-node.
+    /// the first priced leaf or operator e-node.
     shapes: Vec<Option<(usize, usize)>>,
-    /// Estimated density, from the analysis (which keeps the minimum of
-    /// merged derivations' estimates: min is order-independent, keeping
-    /// extraction deterministic when they disagree).
-    densities: Vec<Option<f64>>,
-    /// Cheapest derivation: its cost and its index into `nodes`.
-    best: Vec<Option<(f64, u32)>>,
+    /// Cheapest derivation.
+    best: Vec<Option<Best>>,
+}
+
+/// A class's cheapest derivation: its price, its index into
+/// `Extractor::nodes`, and the stats of the plan it builds.
+#[derive(Clone, Copy)]
+struct Best {
+    cost: f64,
+    node: u32,
+    stats: ClassStats,
 }
 
 /// A class queued at a tentative cost. The heap pops the cheapest first
@@ -130,13 +139,14 @@ struct Worklist {
 
 impl<'a> Extractor<'a> {
     /// Collects e-nodes from the instance and from `cells` (empty where no
-    /// table was kept out of the instance), shapes and densities from the
-    /// analysis and the cells, and solves for every class's cheapest
-    /// derivation.
+    /// table was kept out of the instance), shapes from the analysis and
+    /// the cells, and solves for every class's cheapest derivation, pricing
+    /// base matrices from `cat`.
     pub fn new(
         vrem: &Vrem,
         inst: &'a Instance,
         analysis: &LaAnalysis,
+        cat: &'a MetaCatalog,
         cells: &ChainCells,
     ) -> Self {
         // Fault-injection site: `extract.solve=panic` exercises the
@@ -155,11 +165,11 @@ impl<'a> Extractor<'a> {
         };
         let mut ex = Extractor {
             inst,
+            cat,
             names: Vec::new(),
             nodes: Vec::new(),
             first: vec![0; total + 1],
             shapes: (0..total).map(|c| class(c).map(|d| d.shape())).collect(),
-            densities: (0..total).map(|c| class(c).and_then(|d| d.density)).collect(),
             best: vec![None; total],
         };
         ex.collect(vrem, cells);
@@ -275,20 +285,7 @@ impl<'a> Extractor<'a> {
 
         let mut queue = Worklist { heap: BinaryHeap::new(), done: vec![false; n] };
         for class in 0..n {
-            for i in self.class_nodes(class) {
-                match self.nodes[i] {
-                    ENode::Const(_) => {
-                        self.set_shape(class, (1, 1), &mut queue);
-                        self.offer(class, i, 0.0, &mut queue);
-                    }
-                    ENode::Mat(_) | ENode::Identity | ENode::Zero => {
-                        if self.shapes[class].is_some() {
-                            self.offer(class, i, 0.0, &mut queue);
-                        }
-                    }
-                    ENode::Op { .. } => {}
-                }
-            }
+            self.offer_leaves(class, &mut queue);
         }
         while let Some(Reverse(Queued(_, class))) = queue.heap.pop() {
             let class = class as usize;
@@ -307,69 +304,99 @@ impl<'a> Extractor<'a> {
     }
 
     /// Costs operator e-node `i` of `class`, whose operands are all final.
+    /// A popped class is final, so a cyclic class never becomes its own
+    /// derivation, even where an operator costs nothing.
     fn cost_op(&mut self, class: usize, i: usize, q: &mut Worklist) {
         if q.done[class] {
             return;
         }
-        let ENode::Op { kind, out_idx, .. } = self.nodes[i] else {
-            unreachable!("only operator e-nodes wait for operands")
-        };
-        let mut child = [ClassStats::dense(0, 0); 2];
-        let mut child_costs = 0.0;
-        let operands = self.nodes[i].operands();
-        for (slot, o) in child.iter_mut().zip(operands) {
-            let o = o.0 as usize;
-            let (c, _) = self.best[o].expect("a final class has a derivation");
-            child_costs += c;
-            *slot = self.stats(o, self.shapes[o].expect("a final class has a shape"));
-        }
-        let child = &child[..operands.len()];
-        let propagated = op_stats(kind, out_idx, child);
-        let shape = self.shapes[class].unwrap_or_else(|| propagated.shape());
-        let out = ClassStats {
-            rows: shape.0,
-            cols: shape.1,
-            density: self.densities[class].unwrap_or(propagated.density),
-        };
-        // Clamp so a parent costs more than its children. In f64 the clamp
-        // can vanish into a large child cost; a popped class is final all
-        // the same, so a cyclic class never becomes its own derivation.
-        let total = op_cost(kind, out_idx, child, &out).max(1e-9) + child_costs;
-        self.set_shape(class, shape, q);
-        self.offer(class, i, total, q);
+        let (cost, stats) = self.price(class, self.nodes[i]).expect("its operands are final");
+        self.set_shape(class, stats.shape(), q);
+        self.offer(class, i, cost, stats, q);
     }
 
-    /// Fixes a shapeless class's shape, which prices its shape-dependent
-    /// leaves (`Mat`/`Identity`/`Zero`).
-    fn set_shape(&mut self, class: usize, shape: (usize, usize), q: &mut Worklist) {
-        if self.shapes[class].is_some() {
-            return;
+    /// The price of e-node `node` of `class` and the stats of the plan it
+    /// builds — what [`crate::expr_estimate`] computes for that plan. A
+    /// leaf costs nothing and has the stats `leaf_stats` gives it. An
+    /// operator costs its operands' cheapest prices, in operand order, plus
+    /// [`op_cost`] over their stats; an `Add` with an addend whose cheapest
+    /// derivation is `(-1) · x` is the subtraction [`add_or_sub`] rebuilds,
+    /// priced over `x`. `None` for a base matrix the catalog lacks, an
+    /// identity or zero matrix of a class without a shape yet, and an
+    /// operator while an operand has no derivation.
+    fn price(&self, class: usize, node: ENode) -> Option<(f64, ClassStats)> {
+        let ENode::Op { kind, out_idx, inputs: [a, b] } = node else {
+            return Some((0.0, leaf_stats(&self.build(class, node)?, self.cat).ok()?));
+        };
+        let mut operands = [a, b];
+        if kind == OpKind::Add {
+            if let Some(x) = self.negated(b) {
+                operands = [a, x];
+            } else if let Some(x) = self.negated(a) {
+                operands = [b, x];
+            }
         }
-        self.shapes[class] = Some(shape);
+        let mut child = [ClassStats::dense(0, 0); 2];
+        let mut cost = 0.0;
+        for (slot, o) in child.iter_mut().zip(&operands[..kind.num_inputs()]) {
+            let best = self.best[o.0 as usize]?;
+            cost += best.cost;
+            *slot = best.stats;
+        }
+        let child = &child[..kind.num_inputs()];
+        let out = op_stats(kind, out_idx, child);
+        Some((cost + op_cost(kind, out_idx, child, &out), out))
+    }
+
+    /// `x` if the class's cheapest derivation is `(-1) · x`.
+    fn negated(&self, class: NodeId) -> Option<NodeId> {
+        let best = |c: NodeId| self.best[c.0 as usize].map(|b| self.nodes[b.node as usize]);
+        let ENode::Op { kind: OpKind::ScalarMul, inputs: [s, x], .. } = best(class)? else {
+            return None;
+        };
+        matches!(best(s)?, ENode::Const(v) if v == -1.0).then_some(x)
+    }
+
+    /// Offers every leaf e-node of `class` that [`Self::price`] prices.
+    fn offer_leaves(&mut self, class: usize, q: &mut Worklist) {
         for i in self.class_nodes(class) {
-            if matches!(self.nodes[i], ENode::Mat(_) | ENode::Identity | ENode::Zero) {
-                self.offer(class, i, 0.0, q);
+            let node = self.nodes[i];
+            if matches!(node, ENode::Op { .. }) {
+                continue;
+            }
+            if let Some((cost, stats)) = self.price(class, node) {
+                self.set_shape(class, stats.shape(), q);
+                self.offer(class, i, cost, stats, q);
             }
         }
     }
 
-    /// Makes e-node `i` (costing `c`) the class's derivation if it beats
-    /// the incumbent: strictly cheaper, or as cheap with a smaller
-    /// [`Self::tie_cmp`] key.
-    fn offer(&mut self, class: usize, i: usize, c: f64, q: &mut Worklist) {
+    /// Fixes a shapeless class's shape, which prices its shape-dependent
+    /// leaves (`Identity`/`Zero`).
+    fn set_shape(&mut self, class: usize, shape: (usize, usize), q: &mut Worklist) {
+        if self.shapes[class].is_none() {
+            self.shapes[class] = Some(shape);
+            self.offer_leaves(class, q);
+        }
+    }
+
+    /// Makes e-node `i` (costing `c`, building a plan of `stats`) the
+    /// class's derivation if it beats the incumbent: strictly cheaper, or
+    /// as cheap with a smaller [`Self::tie_cmp`] key.
+    fn offer(&mut self, class: usize, i: usize, c: f64, stats: ClassStats, q: &mut Worklist) {
         if q.done[class] {
             return;
         }
         let better = match self.best[class] {
             None => true,
-            Some((cur, j)) => {
-                c < cur
-                    || (c == cur
-                        && self.tie_cmp(&self.nodes[i], &self.nodes[j as usize]).is_lt())
+            Some(cur) => {
+                c < cur.cost
+                    || (c == cur.cost
+                        && self.tie_cmp(&self.nodes[i], &self.nodes[cur.node as usize]).is_lt())
             }
         };
         if better {
-            self.best[class] = Some((c, i as u32));
+            self.best[class] = Some(Best { cost: c, node: i as u32, stats });
             q.heap.push(Reverse(Queued(c, class as u32)));
         }
     }
@@ -389,7 +416,7 @@ impl<'a> Extractor<'a> {
             ENode::Zero => 3,
             ENode::Op { .. } => 4,
         };
-        let bits = |o: &NodeId| self.best[o.0 as usize].map_or(u64::MAX, |(c, _)| c.to_bits());
+        let bits = |o: &NodeId| self.best[o.0 as usize].map_or(u64::MAX, |b| b.cost.to_bits());
         variant(a).cmp(&variant(b)).then_with(|| match (a, b) {
             (ENode::Mat(x), ENode::Mat(y)) => {
                 self.names[*x as usize].cmp(&self.names[*y as usize])
@@ -406,29 +433,14 @@ impl<'a> Extractor<'a> {
         })
     }
 
-    /// The stats an operand `class` at `shape` is priced at: dense unless
-    /// the analysis has a density for it.
-    fn stats(&self, class: usize, shape: (usize, usize)) -> ClassStats {
-        ClassStats {
-            rows: shape.0,
-            cols: shape.1,
-            density: self.densities[class].unwrap_or(1.0),
-        }
-    }
-
-    /// Cost of the cheapest derivation of a class, if one exists.
+    /// Price of the cheapest derivation of a class, if one exists.
     pub fn class_cost(&self, class: NodeId) -> Option<f64> {
-        self.best[self.inst.find(class).0 as usize].map(|(c, _)| c)
+        self.best[self.inst.find(class).0 as usize].map(|b| b.cost)
     }
 
-    /// Shape of a class, from the analysis or inference.
-    pub fn shape(&self, class: NodeId) -> Option<(usize, usize)> {
-        self.shapes[self.inst.find(class).0 as usize]
-    }
-
-    /// Estimated density of a class, if the analysis has one.
-    pub fn density(&self, class: NodeId) -> Option<f64> {
-        self.densities[self.inst.find(class).0 as usize]
+    /// Stats of the plan the cheapest derivation of a class builds.
+    pub fn stats(&self, class: NodeId) -> Option<ClassStats> {
+        self.best[self.inst.find(class).0 as usize].map(|b| b.stats)
     }
 
     /// The cheapest expression of a class, resugared.
@@ -436,17 +448,17 @@ impl<'a> Extractor<'a> {
         self.build_best(self.inst.find(root))
     }
 
-    /// One candidate expression per derivation of the root class, each
-    /// completed with min-cost children and deduplicated.
-    /// The caller re-prices these with `expr_estimate`, whose densities
-    /// come from the expression tree, not from the analysis.
-    pub fn candidates(&self, root: NodeId) -> Vec<Expr> {
+    /// One candidate per derivation of the root class, completed with
+    /// min-cost children and deduplicated, with its price: what
+    /// [`crate::expr_estimate`] prices that expression at.
+    pub fn candidates(&self, root: NodeId) -> Vec<(Expr, f64)> {
         let root = self.inst.find(root).0 as usize;
-        let mut out: Vec<Expr> = Vec::new();
+        let mut out: Vec<(Expr, f64)> = Vec::new();
         for i in self.class_nodes(root) {
-            if let Some(e) = self.build(root, self.nodes[i]) {
-                if !out.contains(&e) {
-                    out.push(e);
+            let node = self.nodes[i];
+            if let Some(((price, _), e)) = self.price(root, node).zip(self.build(root, node)) {
+                if !out.iter().any(|(seen, _)| *seen == e) {
+                    out.push((e, price));
                 }
             }
         }
@@ -455,8 +467,8 @@ impl<'a> Extractor<'a> {
 
     fn build_best(&self, class: NodeId) -> Option<Expr> {
         let class = class.0 as usize;
-        let (_, i) = self.best[class]?;
-        self.build(class, self.nodes[i as usize])
+        let best = self.best[class]?;
+        self.build(class, self.nodes[best.node as usize])
     }
 
     /// Rebuilds an expression from a chosen e-node, following best
@@ -543,7 +555,7 @@ mod tests {
         let c = cat();
         let enc = Encoder::new(&mut vrem, &c).encode(e).unwrap();
         let analysis = LaAnalysis::new(&vrem, enc.classes);
-        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &ChainCells::default());
+        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &c, &ChainCells::default());
         ex.extract(enc.root).expect("root extractable")
     }
 
@@ -583,12 +595,12 @@ mod tests {
     }
 
     /// `X = diag(S)` of an all-zero 10⁸ × 10⁸ sparse `S` costs 10⁸ flops;
-    /// a transpose of it moves no non-zeros, so each costs the 1e-9 clamp,
-    /// which 10⁸ + 1e-9 absorbs. Merging `(Xᵀ)ᵀ` into `X` gives the class a
-    /// cyclic e-node exactly as cheap as `diag(S)` and with a smaller tie
-    /// key (`Transpose` sorts before `Diag`): a relaxation to fixpoint
-    /// would pick it and `extract` would never return. The worklist
-    /// finalizes `X` before its cyclic e-node is ever costed.
+    /// a transpose of it moves no non-zeros, so each costs nothing. Merging
+    /// `(Xᵀ)ᵀ` into `X` gives the class a cyclic e-node exactly as cheap as
+    /// `diag(S)` and with a smaller tie key (`Transpose` sorts before
+    /// `Diag`): a relaxation to fixpoint would pick it and `extract` would
+    /// never return. The worklist finalizes `X` before its cyclic e-node is
+    /// ever costed.
     #[test]
     fn a_class_is_never_its_own_best_derivation() {
         let n = 100_000_000;
@@ -601,19 +613,15 @@ mod tests {
             .unwrap();
         inst.merge(roots[0], roots[2]).unwrap();
         inst.rehash();
-        let ex = Extractor::new(
-            &vrem,
-            &inst,
-            &LaAnalysis::new(&vrem, classes),
-            &ChainCells::default(),
-        );
+        let analysis = LaAnalysis::new(&vrem, classes);
+        let ex = Extractor::new(&vrem, &inst, &analysis, &c, &ChainCells::default());
         assert_eq!(ex.class_cost(roots[0]), Some(n as f64));
-        assert_eq!(ex.class_cost(roots[1]), Some(n as f64), "the clamp is absorbed");
+        assert_eq!(ex.class_cost(roots[1]), Some(n as f64), "a transpose costs nothing");
         assert_eq!(ex.extract(roots[0]), Some(x.clone()));
         assert_eq!(ex.extract(roots[2]), Some(x.clone()));
         assert_eq!(ex.extract(roots[1]), Some(t(x.clone())));
         // The cyclic derivation is still a candidate, built on the acyclic one.
-        assert_eq!(ex.candidates(roots[0]), vec![x.clone(), t(t(x))]);
+        assert_eq!(ex.candidates(roots[0]), vec![(x.clone(), n as f64), (t(t(x)), n as f64)]);
     }
 
     /// `e` encoded with its chain tables as facts, and encoded with them
@@ -654,14 +662,13 @@ mod tests {
         assert_eq!(facts.instance.num_facts(), 5 + 20);
         assert_eq!(cells.instance.num_facts(), 5 + 4);
 
-        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &facts.cells);
-        let implicit = Extractor::new(&vrem, &cells.instance, &ca, &cells.cells);
+        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &c, &facts.cells);
+        let implicit = Extractor::new(&vrem, &cells.instance, &ca, &c, &cells.cells);
         assert_eq!(implicit.nodes, tabled.nodes);
         assert_eq!(implicit.first, tabled.first);
         assert_eq!(implicit.shapes, tabled.shapes);
-        assert_eq!(implicit.densities, tabled.densities);
         let costs = |ex: &Extractor<'_>| -> Vec<Option<u64>> {
-            ex.best.iter().map(|b| b.map(|(c, _)| c.to_bits())).collect()
+            ex.best.iter().map(|b| b.map(|b| b.cost.to_bits())).collect()
         };
         assert_eq!(costs(&implicit), costs(&tabled));
         for n in 0..cells.instance.num_nodes() as u32 {
@@ -696,8 +703,8 @@ mod tests {
         let reads_ab = cells.cells.splits.iter().filter(|s| s[..2].contains(&ab)).count();
         assert_eq!(reads_ab, 3, "(A B)(A B), (A B) A, B (A B)");
 
-        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &facts.cells);
-        let implicit = Extractor::new(&vrem, inst, &ca, &cells.cells);
+        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &c, &facts.cells);
+        let implicit = Extractor::new(&vrem, inst, &ca, &c, &cells.cells);
         assert_eq!(implicit.extract(cells.root), tabled.extract(facts.root));
         assert_eq!(implicit.candidates(cells.root), tabled.candidates(facts.root));
         assert_eq!(implicit.candidates(cells.root).len(), 3);
@@ -715,12 +722,8 @@ mod tests {
             Encoder::new(&mut vrem, &c).encode_many(&[&e, &m("P")]).unwrap();
         inst.merge(roots[0], roots[1]).unwrap();
         inst.rehash();
-        let ex = Extractor::new(
-            &vrem,
-            &inst,
-            &LaAnalysis::new(&vrem, classes),
-            &ChainCells::default(),
-        );
+        let analysis = LaAnalysis::new(&vrem, classes);
+        let ex = Extractor::new(&vrem, &inst, &analysis, &c, &ChainCells::default());
         assert_eq!(ex.extract(roots[0]).unwrap(), m("P"));
         // Both derivations remain available as candidates.
         let cands = ex.candidates(roots[0]);

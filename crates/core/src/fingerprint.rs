@@ -5,13 +5,12 @@
 //! instances and extract isomorphic plans, so the cache abstracts leaves
 //! to first-occurrence indices: `trace(A B)` and `trace(C D)` share a
 //! canonical skeleton, and a hit is re-skinned onto the probe's names.
-//! Shape and density still matter — the chase's analysis carries them and
-//! the extraction DP prices against them — so the key also carries a
-//! [`StatsBand`] per distinct leaf, bucketing density at the same ppm
-//! granularity the analysis itself uses ([`DENSITY_SCALE`]). Matching
-//! skeleton +
-//! matching bands ⇒ the cold pipeline would have produced the same plan
-//! shapes, which is exactly when serving from the cache is sound.
+//! Shape and density still matter — rules fire on shapes and extraction
+//! prices plans from the leaves' catalogued stats — so the key also
+//! carries a [`StatsBand`] per distinct leaf, bucketing density to parts
+//! per million ([`DENSITY_SCALE`]). Matching skeleton + matching bands ⇒
+//! the cold pipeline would have produced the same plan shapes, which is
+//! when serving from the cache is sound.
 //!
 //! Skeletons are rebuilt by one walk with an arm per node shape (a unary
 //! node keeps its [`crate::expr::UnaryOp`]), and [`hash_expr`] hashes a
@@ -21,8 +20,10 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use crate::expr::Expr;
-use crate::schema::DENSITY_SCALE;
 use crate::stats::{ClassStats, MetaCatalog};
+
+/// A stats band's density resolution: parts per million.
+pub const DENSITY_SCALE: f64 = 1_000_000.0;
 
 /// Prefix of canonical placeholder leaf names. A control character keeps
 /// placeholders disjoint from any user-registered matrix name.
@@ -101,9 +102,8 @@ fn map_children(e: &Expr, f: &impl Fn(&Expr) -> Expr) -> Expr {
 }
 
 /// Shape/density bucket of one leaf, derived from [`ClassStats`]: exact
-/// dimensions plus density quantized to parts-per-million — the same
-/// granularity the chase's analysis keeps densities at, so two leaves in
-/// the same band are indistinguishable to the whole cost pipeline.
+/// dimensions plus density quantized to parts-per-million
+/// ([`DENSITY_SCALE`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StatsBand {
     /// Row count (exact — shapes gate which rules fire).

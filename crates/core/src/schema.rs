@@ -1,8 +1,8 @@
 //! The VREM schema (Virtual Relational Encoding of Matrices, paper §6.2,
 //! Table 1): one virtual relation per LA operation, plus `name`, `zero`,
 //! `identity`, `type`, and scalar-literal relations. The paper's `size`
-//! relation is not one here: shapes and densities are the per-class data
-//! of [`crate::analysis::LaAnalysis`], which rules read through guards.
+//! relation is not one here: shapes are the per-class data of
+//! [`crate::analysis::LaAnalysis`], which rules read through guards.
 //!
 //! IDs in these relations denote *value-equivalence classes* of expressions
 //! (§6.2.1): the chase's functional EGDs merge IDs of provably value-equal
@@ -180,10 +180,6 @@ pub struct Vrem {
     /// and with the analysis.
     kinds: Arc<[Option<OpKind>]>,
 }
-
-/// Densities are estimated in parts per million: the resolution of the
-/// analysis's density data and of the plan cache's stats bands.
-pub const DENSITY_SCALE: f64 = 1_000_000.0;
 
 impl Vrem {
     /// A fresh schema: interns every VREM predicate into a new vocabulary.

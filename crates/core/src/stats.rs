@@ -2,12 +2,12 @@
 //! non-zero counts, structural type flags, and the single
 //! shape/density/flops propagation every consumer shares — per operator
 //! ([`op_stats`]/[`op_flops`]/[`op_cost`], which the extraction DP prices
-//! classes with at the analysis' densities) and per expression
-//! ([`expr_estimate`], the one recursion over [`Expr`], which
-//! [`expr_stats`] wraps, `hadad_rewrite::Optimizer` ranks plans with, and
-//! whose one-level step the encoders run bottom-up). Costs are in
-//! reference flops: one model on every host, whichever kernels later run
-//! the plan.
+//! each plan it builds with) and per expression ([`expr_estimate`], the
+//! one recursion over [`Expr`], which [`expr_stats`] wraps,
+//! `hadad_rewrite::Optimizer` prices the original with, and whose
+//! one-level step the encoders run bottom-up). Both compute the same price
+//! for the same plan. Costs are in reference flops: one model on every
+//! host, whichever kernels later run the plan.
 //!
 //! The estimator is the paper's *naïve* metadata propagation (§7.2.1) and
 //! the only one here: it reads `rows`, `cols` and `nnz`, so that is what
@@ -213,10 +213,10 @@ impl std::fmt::Display for ShapeError {
 
 impl std::error::Error for ShapeError {}
 
-/// Shape + density estimate of one equivalence class of expressions — the
-/// currency of the unified cost oracle. Seeds the chase's analysis
-/// ([`crate::analysis`]), is propagated per operator by [`op_stats`], and
-/// is priced by [`op_flops`]/[`op_cost`].
+/// Shape + density estimate of one expression — the currency of the
+/// unified cost oracle. Is propagated per operator by [`op_stats`] and
+/// priced by [`op_flops`]/[`op_cost`]; its shape seeds the chase's
+/// analysis ([`crate::analysis`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClassStats {
     /// Row count.
@@ -349,10 +349,9 @@ pub fn op_cost(kind: OpKind, out_idx: usize, child: &[ClassStats], out: &ClassSt
 
 /// Infers shape *and* density of an expression from base-matrix metadata,
 /// validating operator shapes along the way: the stats half of
-/// [`expr_estimate`]. The encoder seeds the chase's analysis with the same
-/// stats for every subexpression (computed by the same one-level step,
-/// once per node), so the chase and the extractor start from the estimates
-/// the ranking cost model computes.
+/// [`expr_estimate`]. The encoder seeds the chase's analysis with the
+/// shapes of every subexpression, computed by the same one-level step,
+/// once per node.
 pub fn expr_stats(e: &Expr, cat: &MetaCatalog) -> Result<ClassStats, ShapeError> {
     expr_estimate(e, cat).map(|(stats, _)| stats)
 }
@@ -381,7 +380,8 @@ pub fn expr_estimate(e: &Expr, cat: &MetaCatalog) -> Result<(ClassStats, f64), S
 }
 
 /// Stats of a leaf (`Mat`, `Const`, `Identity`, `Zero`) — the leaf half of
-/// the estimator's one-level step. Base matrices read `cat`.
+/// the estimator's one-level step, and what extraction prices a leaf
+/// e-node at. Base matrices read `cat`.
 pub(crate) fn leaf_stats(e: &Expr, cat: &MetaCatalog) -> Result<ClassStats, ShapeError> {
     use Expr::*;
     Ok(match e {

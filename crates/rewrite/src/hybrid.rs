@@ -837,8 +837,8 @@ fn run_phases(
 
     // Phase 5: LA suffix rewriting with the cast matrix catalogued, for
     // this call only, from its actual materialization (shape and nnz) —
-    // for a sparse cast the true ultra-sparse density, which the encoder
-    // seeds the chase's analysis with. The call's plan-cache entries carry
+    // for a sparse cast the true ultra-sparse density, which extraction
+    // prices every plan over it with. The call's plan-cache entries carry
     // the captured epoch, not whatever the live catalog has moved on to.
     let call = CallContext { epoch: state.epoch, cast: Some((&p.cast_name, &cast_meta)) };
 

@@ -9,12 +9,10 @@
 //! justified by the constraints, and the cost model picks the winner.
 //! There is one cost model, `op_cost`, in reference flops, so plan choice
 //! is the same on every host; `rewrite_verified` and `check_equivalent`
-//! evaluate on [`default_backend`]. Extraction ([`Extractor`]) prices each
-//! class with it at the densities the chase's analysis holds; ranking
-//! re-prices every candidate with `expr_estimate`, which reads densities
-//! from the expression tree. The two differ where the analysis' density is
-//! ppm-quantized or the lower of merged classes, and on a subtraction's
-//! `-1 ·`, so a plan's `est_cost` is `expr_estimate`'s price.
+//! evaluate on [`default_backend`]. Extraction ([`Extractor`]) prices every
+//! candidate as the plan it builds, which is the price `expr_estimate`
+//! gives that plan, so ranking only sorts: a plan's `est_cost` is the
+//! extraction's price, and the original's is `expr_estimate`'s.
 //!
 //! The constraint set a call chases with is the process-wide standard
 //! catalogue ([`Catalogue::shared_standard`]: LA properties are fixed, so
@@ -53,10 +51,10 @@
 //! ([`hadad_core::Encoded::tabulate_chains`]), where view rules, `tr-mul`
 //! and the rest can read them.
 //!
-//! The chase runs with the LA analysis ([`LaAnalysis`]): shapes and
-//! densities seeded by the encoder, kept for the classes the chase creates
-//! and merges, and read by extraction. A constraint that merges classes of
-//! different shapes ends the call with the original plan, degraded
+//! The chase runs with the LA analysis ([`LaAnalysis`]): shapes seeded by
+//! the encoder, kept for the classes the chase creates and merges, and
+//! read by extraction. A constraint that merges classes of different
+//! shapes ends the call with the original plan, degraded
 //! ([`DegradeReason::AnalysisConflict`]).
 
 use std::cmp::Ordering;
@@ -141,7 +139,7 @@ pub struct RewriteReport {
     pub chase_us: u128,
     /// Time spent in the extraction DP, and dropping the call's instance.
     pub extract_us: u128,
-    /// Time spent costing and sorting candidates.
+    /// Time spent turning priced candidates into plans and sorting them.
     pub rank_us: u128,
     /// Per-rule matches, firings and vetoes, merges and rounds of the chase.
     pub chase_stats: ChaseStats,
@@ -575,8 +573,8 @@ impl Optimizer {
     /// miss, goes on to the call's rules.
     fn setup(&self, e: &Expr, call: CallContext<'_>) -> Result<Setup, RewriteError> {
         let cat = self.effective_cat(call)?;
-        // The original is priced as every ranked plan is: by
-        // `expr_estimate`, not by the extraction DP's analysis densities.
+        // The original is priced by `expr_estimate`, which prices every
+        // candidate plan as extraction does.
         let original = Plan { expr: e.clone(), est_cost: expr_estimate(e, &cat)?.1 };
         let mut pending: Option<CacheSlot> = None;
         if let Some(cache) = &self.cache {
@@ -678,7 +676,7 @@ impl Optimizer {
                     Vec::new()
                 } else {
                     catch_unwind(AssertUnwindSafe(|| {
-                        Extractor::new(&vrem, &inst, &analysis, &encoded.cells)
+                        Extractor::new(&vrem, &inst, &analysis, &cat, &encoded.cells)
                             .candidates(encoded.root)
                     }))
                     .unwrap_or_else(|_| {
@@ -700,15 +698,10 @@ impl Optimizer {
         }
 
         let (plans, rank_us) = hadad_obs::timed("rewrite.rank", &M_RANK_US, || {
-            let mut plans =
-                catch_unwind(AssertUnwindSafe(|| rank_candidates(&cat, candidates)))
-                    .unwrap_or_else(|_| {
-                        degraded.get_or_insert(Degraded {
-                            reason: DegradeReason::WorkerPanic,
-                            phase: RewritePhase::Ranking,
-                        });
-                        Vec::new()
-                    });
+            let mut plans: Vec<Plan> = candidates
+                .into_iter()
+                .map(|(expr, est_cost)| Plan { expr, est_cost })
+                .collect();
             // The unrewritten expression is always a sound incumbent: unless
             // a candidate is strictly cheaper it is the answer, so it joins
             // the ranking even when extraction did not rebuild it (children
@@ -924,10 +917,8 @@ fn serve_hit(
     Some(plans)
 }
 
-/// Estimates candidate costs. Candidates assembled from chase-created
-/// classes can in rare cases fall outside the metadata catalog (e.g. a
-/// literal the cost model cannot shape); those are skipped rather than
-/// failing the call.
+/// Prices re-skinned cached plans under the probe's catalog; a plan that
+/// does not price there is skipped rather than failing the call.
 fn rank_candidates(cat: &MetaCatalog, candidates: Vec<Expr>) -> Vec<Plan> {
     candidates
         .into_iter()

@@ -179,8 +179,8 @@ fn each_factor_sequence_has_one_class() {
     let sum = inst.fact(inst.facts_with_pred(vrem.op(OpKind::Add))[0]);
     assert_eq!(inst.find(sum.args[0]), inst.find(sum.args[1]), "both terms are one class");
     assert_eq!(inst.facts_with_pred(mul_pred).len(), 4, "AB, BC and two splits of ABC");
-    let data = enc.classes[inst.find(sum.args[0]).0 as usize].expect("an estimated class");
-    assert_eq!((data.shape(), data.density), ((8, 8), Some(1.0)));
+    let data = enc.classes[inst.find(sum.args[0]).0 as usize].expect("a shaped class");
+    assert_eq!(data.shape(), (8, 8));
 }
 
 /// What one rewrite of `e` yields: the chase's outcome and facts, the
@@ -195,12 +195,10 @@ struct Run {
     plans: Vec<(String, u64)>,
 }
 
-fn ranked(cat: &MetaCatalog, e: &Expr, candidates: Vec<Expr>) -> Vec<(String, u64)> {
+fn ranked(cat: &MetaCatalog, e: &Expr, candidates: &[(Expr, f64)]) -> Vec<(String, u64)> {
     let original = expr_estimate(e, cat).expect("priced").1;
-    let mut plans: Vec<(f64, bool, String)> = candidates
-        .iter()
-        .filter_map(|c| Some((expr_estimate(c, cat).ok()?.1, c != e, c.to_string())))
-        .collect();
+    let mut plans: Vec<(f64, bool, String)> =
+        candidates.iter().map(|(c, price)| (*price, c != e, c.to_string())).collect();
     if !plans.iter().any(|p| p.0 < original || !p.1) {
         plans.push((original, false, e.to_string()));
     }
@@ -278,14 +276,15 @@ fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, table: Table) ->
     }
     let mut inst = enc.instance;
     let (outcome, stats) = engine.chase_analyzed(&mut inst, &mut analysis);
-    let candidates = Extractor::new(&vrem, &inst, &analysis, &enc.cells).candidates(enc.root);
-    let mut rendered: Vec<String> = candidates.iter().map(Expr::to_string).collect();
+    let candidates =
+        Extractor::new(&vrem, &inst, &analysis, &cat, &enc.cells).candidates(enc.root);
+    let mut rendered: Vec<String> = candidates.iter().map(|(c, _)| c.to_string()).collect();
     rendered.sort();
     let run = Run {
         outcome,
         num_facts: inst.num_facts(),
         candidates: rendered,
-        plans: ranked(&cat, e, candidates),
+        plans: ranked(&cat, e, &candidates),
     };
     (run, (inst.num_facts(), stats.matches_enumerated(), stats.firings()))
 }

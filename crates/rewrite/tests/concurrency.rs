@@ -293,7 +293,7 @@ fn poisoned_state_is_never_published() {
 /// view is defined over a maintained cast. Its `V_IO`/`V_OI` atoms carry
 /// only the view name, the leaf names and the literals, so they are the
 /// same on every snapshot; what differs is the class data they come with
-/// (`ViewRules.classes`: the cast's density). Every call builds its own
+/// (`ViewRules.classes`: the cast's shape). Every call builds its own
 /// view rules on top of the one shared standard set — no reader waits
 /// for, or evicts, another's. The view is registered ahead of the cast,
 /// so the first rewrites also race to certify it.

@@ -180,8 +180,9 @@ fn naive_and_semi_naive_chases_agree_on_random_corpus() {
         );
         let cells = ChainCells::default();
         let naive_ex =
-            Extractor::new(&pair.vrem, &pair.naive_inst, &pair.naive_analysis, &cells);
-        let semi_ex = Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cells);
+            Extractor::new(&pair.vrem, &pair.naive_inst, &pair.naive_analysis, &cat, &cells);
+        let semi_ex =
+            Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cat, &cells);
         let (np, sp) = (naive_ex.extract(pair.root), semi_ex.extract(pair.root));
         if np != sp {
             panic!(
@@ -234,12 +235,8 @@ fn chain8_saturates_in_default_budget_and_semi_naive_wins() {
         pair.semi_matches,
         pair.naive_matches
     );
-    let ex = Extractor::new(
-        &pair.vrem,
-        &pair.semi_inst,
-        &pair.semi_analysis,
-        &ChainCells::default(),
-    );
+    let cells = ChainCells::default();
+    let ex = Extractor::new(&pair.vrem, &pair.semi_inst, &pair.semi_analysis, &cat, &cells);
     let best = ex.extract(pair.root).expect("chain decodes");
     assert_eq!(best.to_string(), "(M1 (M2 (M3 (M4 (M5 (M6 (M7 M8)))))))");
 }

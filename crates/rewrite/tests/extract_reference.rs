@@ -1,20 +1,27 @@
 //! Differential test of the extractor's worklist solver against the
 //! fixpoint relaxation it replaced, kept here as the reference the way the
 //! naive chase engine is kept for the semi-naïve one. Over the 124
-//! expressions `same_chase.rs` pins, each chased as a cold `rewrite` chases
-//! it, every class's best cost must be bitwise equal, and the extracted
-//! root expression and the root's candidates equal. Both read shapes and
-//! densities from the same chase's analysis and price operators through
-//! `op_cost`; the corpus must make the reference break exact-cost ties, so
-//! the two tie orders are compared too.
+//! expressions `same_chase.rs` pins, and its 120 random expressions again
+//! over sparse leaves, each chased as a cold `rewrite` chases it, every
+//! class's best cost must be bitwise equal, and the extracted
+//! root expression and the root's priced candidates equal. Both read
+//! shapes from the same chase's analysis and price a class as the plan its
+//! chosen e-node builds: leaves from the catalog, operators through
+//! `op_stats`/`op_cost` over the operands' chosen plans. The corpus must
+//! make the reference break exact-cost ties, so the two tie orders are
+//! compared too.
+//!
+//! A second test checks that price against `expr_estimate`: every
+//! candidate extraction returns, over a dense and a sparse catalog, is
+//! priced bit for bit as `expr_estimate` prices it.
 
 use std::collections::HashMap;
 
 use hadad_chase::{ChaseEngine, Instance, NodeId};
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    expr_estimate, op_cost, op_stats, Catalogue, ChainCells, ClassStats, Encoder, Expr,
-    Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind, UnaryOp, Vrem,
+    expr_estimate, expr_stats, op_cost, op_stats, Catalogue, ChainCells, ClassStats, Encoder,
+    Expr, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind, UnaryOp, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::Optimizer;
@@ -31,26 +38,37 @@ enum ENode {
     Op { kind: OpKind, inputs: Vec<NodeId>, out_idx: usize },
 }
 
-/// The extractor before the worklist: e-nodes, shapes, densities and best
+/// A class's chosen derivation: its price, its e-node's index, and the
+/// stats of the plan it builds.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Chosen {
+    cost: f64,
+    idx: usize,
+    stats: ClassStats,
+}
+
+/// The extractor before the worklist: e-nodes, shapes and chosen
 /// derivations in `HashMap`s, solved by in-place Bellman-Ford sweeps over
-/// every class until nothing changes. Classes are swept in id order, so
-/// the reference is deterministic.
-struct Relaxation {
+/// every class until nothing changes. Each sweep re-derives a class's
+/// choice as the cheapest of its e-nodes at the operands' current choices,
+/// so a class priced from an operand's superseded plan is re-priced.
+/// Classes are swept in id order, so the reference is deterministic.
+struct Relaxation<'c> {
+    cat: &'c MetaCatalog,
     classes: HashMap<NodeId, Vec<ENode>>,
     shapes: HashMap<NodeId, (usize, usize)>,
-    densities: HashMap<NodeId, f64>,
-    best: HashMap<NodeId, (f64, usize)>,
-    /// Comparisons of an e-node with its class's incumbent, another e-node
-    /// at exactly its cost, decided by the tie key.
+    best: HashMap<NodeId, Chosen>,
+    /// Comparisons of an e-node with the cheapest so far of its class,
+    /// another e-node at exactly its cost, decided by the tie key.
     ties: usize,
 }
 
-impl Relaxation {
-    fn new(vrem: &Vrem, inst: &Instance, analysis: &LaAnalysis) -> Self {
+impl<'c> Relaxation<'c> {
+    fn new(vrem: &Vrem, inst: &Instance, analysis: &LaAnalysis, cat: &'c MetaCatalog) -> Self {
         let mut r = Relaxation {
+            cat,
             classes: HashMap::new(),
             shapes: HashMap::new(),
-            densities: HashMap::new(),
             best: HashMap::new(),
             ties: 0,
         };
@@ -59,9 +77,6 @@ impl Relaxation {
                 continue;
             };
             r.shapes.insert(class, data.shape());
-            if let Some(d) = data.density {
-                r.densities.insert(class, d);
-            }
         }
         r.collect(vrem, inst);
         r.solve();
@@ -102,7 +117,7 @@ impl Relaxation {
         }
     }
 
-    /// Costs converge within #classes sweeps; tie-break refinement (keys
+    /// Choices converge within #classes sweeps; tie-break refinement (keys
     /// depend on child costs) may take as long again.
     fn solve(&mut self) {
         let mut class_ids: Vec<NodeId> = self.classes.keys().copied().collect();
@@ -110,22 +125,26 @@ impl Relaxation {
         for _ in 0..2 * (class_ids.len() + 1) {
             let mut changed = false;
             for &class in &class_ids {
-                for idx in 0..self.classes[&class].len() {
-                    let node = &self.classes[&class][idx];
-                    let Some((c, shape)) = self.candidate(node, class) else {
+                let mut chosen: Option<Chosen> = None;
+                for (idx, node) in self.classes[&class].iter().enumerate() {
+                    let Some((cost, stats)) = self.price(node, class) else {
                         continue;
                     };
-                    self.shapes.entry(class).or_insert(shape);
-                    let improves = match self.best.get(&class) {
+                    self.shapes.entry(class).or_insert(stats.shape());
+                    let better = match chosen {
                         None => true,
-                        Some(&(cur, ci)) if c == cur && ci != idx => {
+                        Some(cur) if cost == cur.cost => {
                             self.ties += 1;
-                            self.tie_key(node) < self.tie_key(&self.classes[&class][ci])
+                            self.tie_key(node) < self.tie_key(&self.classes[&class][cur.idx])
                         }
-                        Some(&(cur, _)) => c < cur,
+                        Some(cur) => cost < cur.cost,
                     };
-                    if improves {
-                        self.best.insert(class, (c, idx));
+                    if better {
+                        chosen = Some(Chosen { cost, idx, stats });
+                    }
+                }
+                if let Some(chosen) = chosen {
+                    if self.best.insert(class, chosen) != Some(chosen) {
                         changed = true;
                     }
                 }
@@ -145,59 +164,66 @@ impl Relaxation {
             ENode::Op { kind, inputs, out_idx } => {
                 let child_costs = inputs
                     .iter()
-                    .map(|i| self.best.get(i).map_or(u64::MAX, |&(c, _)| c.to_bits()))
+                    .map(|i| self.best.get(i).map_or(u64::MAX, |b| b.cost.to_bits()))
                     .collect();
                 (4, *kind as u32, *out_idx as u8, child_costs, "")
             }
         }
     }
 
-    /// A leaf costs nothing; an operator e-node costs its `op_cost` plus
-    /// its operands' best costs.
-    fn candidate(&self, node: &ENode, class: NodeId) -> Option<(f64, (usize, usize))> {
-        let stats_of = |n: NodeId, shape: (usize, usize)| ClassStats {
-            rows: shape.0,
-            cols: shape.1,
-            density: self.densities.get(&n).copied().unwrap_or(1.0),
-        };
-        match node {
-            ENode::Mat(_) | ENode::Identity | ENode::Zero => {
-                self.shapes.get(&class).map(|&s| (0.0, s))
+    /// `x` if the class's chosen e-node is `(-1) · x`.
+    fn negated(&self, class: NodeId) -> Option<NodeId> {
+        let chosen = |c: &NodeId| self.best.get(c).map(|b| &self.classes[c][b.idx]);
+        match chosen(&class)? {
+            ENode::Op { kind: OpKind::ScalarMul, inputs, .. }
+                if chosen(&inputs[0]) == Some(&ENode::Const(-1.0)) =>
+            {
+                Some(inputs[1])
             }
-            ENode::Const(_) => Some((0.0, (1, 1))),
-            ENode::Op { kind, inputs, out_idx } => {
-                let mut child_costs = 0.0;
-                let mut child_stats = Vec::with_capacity(inputs.len());
-                for &i in inputs {
-                    let (&(c, _), &s) = (self.best.get(&i)?, self.shapes.get(&i)?);
-                    child_costs += c;
-                    child_stats.push(stats_of(i, s));
-                }
-                let propagated = op_stats(*kind, *out_idx, &child_stats);
-                let shape = self.shapes.get(&class).copied().unwrap_or(propagated.shape());
-                let out = ClassStats {
-                    rows: shape.0,
-                    cols: shape.1,
-                    density: self.densities.get(&class).copied().unwrap_or(propagated.density),
-                };
-                let op = op_cost(*kind, *out_idx, &child_stats, &out);
-                Some((op.max(1e-9) + child_costs, shape))
-            }
+            _ => None,
         }
     }
 
-    fn extract(&self, root: NodeId) -> Option<Expr> {
-        let &(_, idx) = self.best.get(&root)?;
-        self.build(root, &self.classes[&root][idx])
+    /// A leaf costs nothing and has the catalog's stats (none for an
+    /// uncatalogued matrix); an operator e-node costs its `op_cost` plus
+    /// its operands' chosen prices. An `Add` over a chosen `(-1) · x` is
+    /// priced as the subtraction it is rebuilt as: over `x`.
+    fn price(&self, node: &ENode, class: NodeId) -> Option<(f64, ClassStats)> {
+        let ENode::Op { kind, inputs, out_idx } = node else {
+            return Some((0.0, expr_stats(&self.build(class, node)?, self.cat).ok()?));
+        };
+        let mut operands = inputs.clone();
+        if *kind == OpKind::Add {
+            if let Some(x) = self.negated(inputs[1]) {
+                operands = vec![inputs[0], x];
+            } else if let Some(x) = self.negated(inputs[0]) {
+                operands = vec![inputs[1], x];
+            }
+        }
+        let mut child_costs = 0.0;
+        let mut child_stats = Vec::with_capacity(operands.len());
+        for i in &operands {
+            let chosen = self.best.get(i)?;
+            child_costs += chosen.cost;
+            child_stats.push(chosen.stats);
+        }
+        let out = op_stats(*kind, *out_idx, &child_stats);
+        Some((child_costs + op_cost(*kind, *out_idx, &child_stats, &out), out))
     }
 
-    /// Old `candidates`: every root derivation, deduplicated by rendering.
-    fn candidates(&self, root: NodeId) -> Vec<Expr> {
+    fn extract(&self, root: NodeId) -> Option<Expr> {
+        let chosen = self.best.get(&root)?;
+        self.build(root, &self.classes[&root][chosen.idx])
+    }
+
+    /// Old `candidates`: every root derivation, deduplicated by rendering,
+    /// with its price.
+    fn candidates(&self, root: NodeId) -> Vec<(Expr, f64)> {
         let mut seen = std::collections::HashSet::new();
         self.classes[&root]
             .iter()
-            .filter_map(|n| self.build(root, n))
-            .filter(|e| seen.insert(e.to_string()))
+            .filter_map(|n| Some((self.build(root, n)?, self.price(n, root)?.0)))
+            .filter(|(e, _)| seen.insert(e.to_string()))
             .collect()
     }
 
@@ -272,25 +298,51 @@ fn corpus() -> Vec<(MetaCatalog, Expr)> {
     out
 }
 
-#[test]
-fn worklist_extraction_equals_the_fixpoint_relaxation() {
+/// `corpus_catalog`'s names and shapes, sparse: no density is a whole
+/// number of parts per million.
+fn sparse_catalog() -> MetaCatalog {
+    let mut cat = MetaCatalog::new();
+    cat.register("A", MatrixMeta::sparse(12, 8, 10));
+    cat.register("B", MatrixMeta::sparse(8, 12, 9));
+    cat.register("C", MatrixMeta::sparse(8, 8, 7));
+    cat.register("D", MatrixMeta::sparse(12, 12, 20));
+    cat.register("x", MatrixMeta::sparse(8, 1, 3));
+    cat.register("y", MatrixMeta::sparse(12, 1, 5));
+    cat
+}
+
+/// `corpus`'s 120 random expressions over `sparse_catalog`.
+fn sparse_corpus() -> impl Iterator<Item = (MetaCatalog, Expr)> {
+    let mut rng = Rng64::new(0xADAD_5EED);
+    (0..120).map(move |_| (sparse_catalog(), random_expr(&mut rng)))
+}
+
+/// `e` encoded over `cat` and chased as a cold `rewrite` chases it (the
+/// chain tables aside), with its analysis and root.
+fn chased(cat: &MetaCatalog, e: &Expr) -> (Vrem, Instance, LaAnalysis, NodeId) {
     let (standard_vrem, rules) = Catalogue::shared_standard();
     let budget = Optimizer::new(MetaCatalog::new()).budget();
-    let samples = corpus();
-    assert_eq!(samples.len(), 124);
+    let mut vrem = standard_vrem.clone();
+    let enc = Encoder::new(&mut vrem, cat).encode(e).expect("generator emits valid shapes");
+    let mut inst = enc.instance;
+    let mut analysis = LaAnalysis::new(&vrem, enc.classes);
+    ChaseEngine::new(rules).with_budget(budget).chase_analyzed(&mut inst, &mut analysis);
+    let root = inst.find(enc.root);
+    (vrem, inst, analysis, root)
+}
+
+#[test]
+fn worklist_extraction_equals_the_fixpoint_relaxation() {
+    let samples: Vec<_> = corpus().into_iter().chain(sparse_corpus()).collect();
+    assert_eq!(samples.len(), 244);
     let (mut solved, mut ties) = (0usize, 0usize);
     for (i, (cat, e)) in samples.iter().enumerate() {
-        let mut vrem = standard_vrem.clone();
-        let enc = Encoder::new(&mut vrem, cat).encode(e).expect("generator emits valid shapes");
-        let mut inst = enc.instance;
-        let mut analysis = LaAnalysis::new(&vrem, enc.classes);
-        ChaseEngine::new(rules).with_budget(budget).chase_analyzed(&mut inst, &mut analysis);
-        let root = inst.find(enc.root);
-        let ex = Extractor::new(&vrem, &inst, &analysis, &ChainCells::default());
-        let reference = Relaxation::new(&vrem, &inst, &analysis);
+        let (vrem, inst, analysis, root) = chased(cat, e);
+        let ex = Extractor::new(&vrem, &inst, &analysis, cat, &ChainCells::default());
+        let reference = Relaxation::new(&vrem, &inst, &analysis, cat);
         for n in 0..inst.num_nodes() {
             let class = inst.find(NodeId(n as u32));
-            let want = reference.best.get(&class).map(|&(c, _)| c.to_bits());
+            let want = reference.best.get(&class).map(|b| b.cost.to_bits());
             assert_eq!(
                 ex.class_cost(class).map(f64::to_bits),
                 want,
@@ -302,69 +354,38 @@ fn worklist_extraction_equals_the_fixpoint_relaxation() {
         assert_eq!(ex.candidates(root), reference.candidates(root), "sample {i} ({e})");
         ties += reference.ties;
     }
-    assert!(solved >= 124 * 5, "corpus too degenerate: {solved} solved classes");
+    assert!(solved >= 244 * 5, "corpus too degenerate: {solved} solved classes");
     assert!(ties > 0, "no class's derivation was decided by an exact-cost tie");
 }
 
-/// `e` chased as in `worklist_extraction_equals_the_fixpoint_relaxation`:
-/// the extraction DP's price of the root, its best plan, and
-/// `expr_estimate`'s price of that plan.
-fn dp_and_plan_price(cat: &MetaCatalog, e: &Expr) -> (f64, Expr, f64) {
-    let (standard_vrem, rules) = Catalogue::shared_standard();
-    let budget = Optimizer::new(MetaCatalog::new()).budget();
-    let mut vrem = standard_vrem.clone();
-    let enc = Encoder::new(&mut vrem, cat).encode(e).expect("valid shapes");
-    let mut inst = enc.instance;
-    let mut analysis = LaAnalysis::new(&vrem, enc.classes);
-    ChaseEngine::new(rules).with_budget(budget).chase_analyzed(&mut inst, &mut analysis);
-    let ex = Extractor::new(&vrem, &inst, &analysis, &ChainCells::default());
-    let plan = ex.extract(enc.root).expect("root extractable");
-    let estimate = expr_estimate(&plan, cat).expect("plan prices").1;
-    (ex.class_cost(enc.root).expect("root solvable"), plan, estimate)
-}
-
-/// Whether `e` has a node `pred` holds for.
-fn has(e: &Expr, pred: &dyn Fn(&Expr) -> bool) -> bool {
-    pred(e) || e.children().into_iter().any(|c| has(c, pred))
-}
-
-/// The extraction DP and `expr_estimate` share `op_cost`, but the DP reads
-/// each class's density from the analysis and `expr_estimate` from the
-/// expression tree. Where every density is exact (dense operands, no
-/// identity, zero or subtraction) the DP's price of the root is the best
-/// plan's price, bit for bit. Elsewhere they part: the analysis keeps
-/// densities ppm-quantized (and the lower one of merged classes), and the
-/// DP charges the encoder's `-1 ·` of a subtraction, which `expr_estimate`
-/// prices as the `Add` it desugars to. That is why ranking re-prices every
-/// candidate with `expr_estimate` (`rank_candidates`) and does not reuse
-/// the DP's price.
+/// Every candidate extraction prices, and every plan a cold `rewrite`
+/// ranks, costs exactly what `expr_estimate` prices that expression at:
+/// over the 124-expression corpus and over its 120 random expressions
+/// again with sparse leaves. Identities, subtractions (the encoder's
+/// `-1 ·` costs nothing) and densities that are no whole number of ppm
+/// price the same way too.
 #[test]
-fn the_dp_price_is_the_plan_price_where_densities_are_exact() {
-    let exact = |e: &Expr| {
-        !has(e, &|n| matches!(n, Expr::Identity(_) | Expr::Zero(..) | Expr::Sub(..)))
-    };
-    let mut checked = 0usize;
-    for (i, (cat, e)) in corpus().iter().enumerate() {
-        if !exact(e) {
-            continue;
-        }
-        let (dp, plan, estimate) = dp_and_plan_price(cat, e);
-        assert!(exact(&plan), "sample {i} ({e}): plan {plan}");
-        assert_eq!(dp.to_bits(), estimate.to_bits(), "sample {i} ({e}): {dp} vs {estimate}");
-        checked += 1;
-    }
-    assert!(checked >= 90, "only {checked} samples checked");
-
-    let mut cat = corpus_catalog();
-    cat.register("P", MatrixMeta::dense(12, 12));
-    // 1/12 is not a whole number of ppm: the analysis' density of `0.5 I`
-    // is not the tree's.
+fn every_candidate_is_priced_as_its_plan() {
+    let mut ridge_cat = corpus_catalog();
+    ridge_cat.register("P", MatrixMeta::dense(12, 12));
     let ridge = add(m("P"), smul(lit(0.5), Expr::Identity(12)));
-    let (dp, plan, estimate) = dp_and_plan_price(&cat, &ridge);
-    assert!(has(&plan, &|n| matches!(n, Expr::Identity(_))), "{plan}");
-    assert_ne!(dp.to_bits(), estimate.to_bits(), "{plan}: {dp}");
-    // The DP charges `-1 · x`; `expr_estimate` prices `x - x` as `x + x`.
-    let (dp, plan, estimate) = dp_and_plan_price(&cat, &sub(m("x"), m("x")));
-    assert_eq!(plan, sub(m("x"), m("x")));
-    assert_ne!(dp.to_bits(), estimate.to_bits(), "{plan}: {dp}");
+    let extra = [(ridge_cat.clone(), ridge), (ridge_cat, sub(m("x"), m("x")))];
+    let (mut candidates, mut sparse_seen) = (0usize, 0usize);
+    for (i, (cat, e)) in corpus().into_iter().chain(sparse_corpus()).chain(extra).enumerate() {
+        let (vrem, inst, analysis, root) = chased(&cat, &e);
+        let ex = Extractor::new(&vrem, &inst, &analysis, &cat, &ChainCells::default());
+        let priced = ex.candidates(root);
+        assert!(!priced.is_empty(), "sample {i} ({e})");
+        candidates += priced.len();
+        let opt = Optimizer::new(cat.clone()).with_plan_cache(0);
+        let ranked = opt.rewrite(&e).expect("generator emits valid shapes");
+        let plans = ranked.plans.into_iter().map(|p| (p.expr, p.est_cost));
+        for (plan, price) in priced.into_iter().chain(plans) {
+            let (stats, estimate) = expr_estimate(&plan, &cat).expect("a candidate prices");
+            assert_eq!(price.to_bits(), estimate.to_bits(), "sample {i} ({e}): {plan}");
+            sparse_seen += usize::from(stats.density < 1.0);
+        }
+    }
+    assert!(candidates >= 398, "only {candidates} candidates priced");
+    assert!(sparse_seen > 0, "no candidate was sparse");
 }

@@ -101,7 +101,8 @@ fn encode_extract_roundtrips_random_corpus() {
             .encode(&e)
             .unwrap_or_else(|err| panic!("encode {e}: {err}"));
         let analysis = LaAnalysis::new(&vrem, enc.classes);
-        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &ChainCells::default());
+        let cells = ChainCells::default();
+        let ex = Extractor::new(&vrem, &enc.instance, &analysis, &g.cat, &cells);
         let back = ex.extract(enc.root).unwrap_or_else(|| panic!("extract {e}"));
         assert_eq!(back, e, "round-trip mismatch for corpus item {i}");
     }
