@@ -2,19 +2,27 @@
 //!
 //! Production traffic repeats a small number of expression shapes, yet
 //! every `Optimizer::rewrite` call pays the full encode → chase → extract
-//! → rank pass. The cache keys extracted [`RankedPlans`] by **canonical
-//! skeleton × per-leaf stats band × catalog epoch** (see
+//! → rank pass. The cache keys extracted [`RankedPlans`](crate::RankedPlans)
+//! by **canonical skeleton × per-leaf stats band × catalog epoch** (see
 //! `hadad_core::fingerprint`): a repeat with the same shapes — even under
 //! different base-matrix names, when no views bind concrete names — is
 //! served straight from the cache, re-skinned and re-priced,
 //! for the cost of a hash probe instead of a chase.
+//!
+//! A hit shares the entry it reads: the entry's plans (`Arc<[Plan]>`) and
+//! the cold pass's report, whose chase statistics are an `Arc` too, are
+//! handed out by refcount, and the probe's leaf names are compared with
+//! the entry's under the shard lock. A same-name hit copies no plan, name
+//! or rule counter; only a cross-name hit builds plans of its own.
 //!
 //! Soundness under updates is anchored the way Berkholz–Keppeler–
 //! Schweikardt anchor answering under updates: every entry is stamped with
 //! the [`Catalog`](hadad_relational::Catalog) epoch it was computed at,
 //! and a probe carrying a newer epoch *refuses* the entry (it is evicted
 //! on the spot) and the caller takes the cold path — stale work is never
-//! trusted.
+//! trusted. Epochs only move forward, so a probe from an older snapshot
+//! misses without evicting the newer entry, and an insert never replaces
+//! an entry stamped newer than itself.
 //!
 //! Concurrency: the map is sharded by key hash, each shard behind its own
 //! mutex, so reader threads rewriting against catalog snapshots contend
@@ -26,14 +34,14 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use hadad_obs::{Counter, LazyCounter};
 
 use hadad_core::fingerprint::{structural_hash, CanonicalExpr, StatsBand};
 use hadad_core::Expr;
 
-use crate::optimizer::RankedPlans;
+use crate::optimizer::{Plan, RewriteReport};
 
 /// Plan-cache counters for one `rewrite` call, surfaced on
 /// `RewriteReport`. Cumulative counts cover the whole cache (shared by
@@ -51,7 +59,8 @@ pub struct CacheReport {
     /// stale-epoch refusals.
     pub evictions: u64,
     /// Cumulative stale-epoch refusals (the subset of `misses` whose entry
-    /// matched but carried an outdated epoch stamp and was evicted).
+    /// matched but carried an epoch stamp older than the probe's and was
+    /// evicted). A probe older than the entry misses without a refusal.
     pub stale_refusals: u64,
 }
 
@@ -110,24 +119,27 @@ impl PlanCacheKey {
     }
 }
 
-/// A served cache entry: the ranked plans as extracted at insert time and
-/// the leaf names they were extracted under.
-#[derive(Debug, Clone)]
+/// A served cache entry: what a hit reads, shared with the entry.
+#[derive(Debug)]
 pub(crate) struct CachedPlans {
     /// The plans, still under the entry's own leaf names.
-    pub plans: RankedPlans,
-    /// Leaf names (first-occurrence order) the entry was inserted under.
-    pub names: Vec<String>,
+    pub plans: Arc<[Plan]>,
+    /// The report of the cold pass that produced `plans`.
+    pub report: RewriteReport,
+    /// `None` when the probe's leaf names are the entry's; otherwise the
+    /// entry's names (first-occurrence order), for re-skinning `plans`.
+    pub names: Option<Arc<[String]>>,
 }
 
 struct Entry {
     skeleton: Expr,
-    names: Vec<String>,
+    names: Arc<[String]>,
     bands: Vec<StatsBand>,
     ctx: u64,
     epoch: u64,
     names_bound: bool,
-    plans: RankedPlans,
+    plans: Arc<[Plan]>,
+    report: RewriteReport,
     last_used: u64,
 }
 
@@ -137,7 +149,7 @@ impl Entry {
             && self.names_bound == key.names_bound
             && self.bands == key.bands
             && self.skeleton == key.skeleton
-            && (!self.names_bound || self.names == key.names)
+            && (!self.names_bound || *self.names == *key.names)
     }
 }
 
@@ -146,7 +158,7 @@ impl Entry {
 const NUM_SHARDS: usize = 8;
 
 /// Sharded, epoch-validated map from canonical plan fingerprints to
-/// extracted [`RankedPlans`].
+/// extracted [`RankedPlans`](crate::RankedPlans).
 pub struct PlanCache {
     shards: Vec<Mutex<HashMap<u64, Entry>>>,
     per_shard: usize,
@@ -218,32 +230,32 @@ impl PlanCache {
         &self.shards[(key.hash as usize) % NUM_SHARDS]
     }
 
-    /// Probes for `key`: `Some` on a matching entry at the probe's epoch.
-    /// A matching entry at a *different* epoch is refused and evicted, and
-    /// reads as a miss like any other.
-    pub(crate) fn lookup(&self, key: &PlanCacheKey) -> Option<Box<CachedPlans>> {
+    /// Probes for `key`: `Some` on a matching entry at the probe's epoch,
+    /// sharing its plans and report. A matching entry at an *older* epoch
+    /// is refused and evicted; one at a newer epoch (the probe comes from
+    /// an older snapshot) is left in place. Either reads as a miss.
+    pub(crate) fn lookup(&self, key: &PlanCacheKey) -> Option<CachedPlans> {
         let mut shard = lock(self.shard(key));
         match shard.get_mut(&key.hash) {
-            Some(entry) if entry.matches(key) => {
-                if entry.epoch == key.epoch {
-                    entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                    self.hits.incr();
-                    M_HITS.incr();
-                    Some(Box::new(CachedPlans {
-                        plans: entry.plans.clone(),
-                        names: entry.names.clone(),
-                    }))
-                } else {
-                    // Epoch mismatch: refuse and evict.
-                    shard.remove(&key.hash);
-                    self.misses.incr();
-                    self.evictions.incr();
-                    self.stale_refusals.incr();
-                    M_MISSES.incr();
-                    M_EVICTIONS.incr();
-                    M_STALE.incr();
-                    None
-                }
+            Some(entry) if entry.matches(key) && entry.epoch == key.epoch => {
+                entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                self.hits.incr();
+                M_HITS.incr();
+                Some(CachedPlans {
+                    plans: Arc::clone(&entry.plans),
+                    report: entry.report.clone(),
+                    names: (*entry.names != *key.names).then(|| Arc::clone(&entry.names)),
+                })
+            }
+            Some(entry) if entry.matches(key) && entry.epoch < key.epoch => {
+                shard.remove(&key.hash);
+                self.misses.incr();
+                self.evictions.incr();
+                self.stale_refusals.incr();
+                M_MISSES.incr();
+                M_EVICTIONS.incr();
+                M_STALE.incr();
+                None
             }
             _ => {
                 self.misses.incr();
@@ -253,27 +265,37 @@ impl PlanCache {
         }
     }
 
-    /// Inserts (or replaces, on bucket collision) an entry under `key`.
-    /// Full shards evict their least-recently-used entry first.
-    pub(crate) fn insert(&self, key: &PlanCacheKey, plans: RankedPlans) {
-        let mut shard = lock(self.shard(key));
-        if !shard.contains_key(&key.hash) && shard.len() >= self.per_shard {
-            if let Some(&lru) = shard.iter().min_by_key(|(_, e)| e.last_used).map(|(h, _)| h) {
-                shard.remove(&lru);
-                self.evictions.incr();
-                M_EVICTIONS.incr();
+    /// Stores `plans` and the `report` of the cold pass that produced them
+    /// under `key`, replacing an entry on bucket collision unless that
+    /// entry is stamped with a newer epoch than `key`. Full shards evict
+    /// their least-recently-used entry first.
+    pub(crate) fn insert(&self, key: PlanCacheKey, plans: Arc<[Plan]>, report: RewriteReport) {
+        let mut shard = lock(self.shard(&key));
+        match shard.get(&key.hash) {
+            Some(entry) if entry.epoch > key.epoch => return,
+            Some(_) => {}
+            None if shard.len() >= self.per_shard => {
+                if let Some(&lru) =
+                    shard.iter().min_by_key(|(_, e)| e.last_used).map(|(h, _)| h)
+                {
+                    shard.remove(&lru);
+                    self.evictions.incr();
+                    M_EVICTIONS.incr();
+                }
             }
+            None => {}
         }
         shard.insert(
             key.hash,
             Entry {
-                skeleton: key.skeleton.clone(),
-                names: key.names.clone(),
-                bands: key.bands.clone(),
+                skeleton: key.skeleton,
+                names: key.names.into(),
+                bands: key.bands,
                 ctx: key.ctx,
                 epoch: key.epoch,
                 names_bound: key.names_bound,
                 plans,
+                report,
                 last_used: self.tick.fetch_add(1, Ordering::Relaxed),
             },
         );
@@ -285,4 +307,62 @@ impl PlanCache {
 /// panic can propagate), so a poisoned shard is still a valid map.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Optimizer;
+    use hadad_core::expr::dsl::*;
+    use hadad_core::fingerprint::{canonicalize, leaf_bands};
+    use hadad_core::{MatrixMeta, MetaCatalog};
+
+    /// `trace(A B)`, a cold pass's plans and report for it, and a key
+    /// builder at any epoch.
+    fn fixture() -> (Arc<[Plan]>, RewriteReport, impl Fn(u64) -> PlanCacheKey) {
+        let mut cat = MetaCatalog::new();
+        cat.register("A", MatrixMeta::dense(300, 6));
+        cat.register("B", MatrixMeta::dense(6, 300));
+        let e = trace(mul(m("A"), m("B")));
+        let ranked = Optimizer::new(cat.clone()).rewrite(&e).expect("cold rewrite");
+        let key = move |epoch| {
+            let canon = canonicalize(&e);
+            let bands = leaf_bands(&canon.leaves, &cat).expect("every leaf is catalogued");
+            PlanCacheKey::new(canon, bands, 0, epoch, false)
+        };
+        (ranked.plans, ranked.report, key)
+    }
+
+    #[test]
+    fn an_older_probe_misses_without_evicting_a_newer_entry() {
+        let (plans, report, key) = fixture();
+        let cache = PlanCache::new(8);
+        cache.insert(key(2), plans, report);
+        assert!(cache.lookup(&key(1)).is_none(), "an older probe misses");
+        let counts = cache.report(false);
+        assert_eq!((counts.misses, counts.stale_refusals, counts.evictions), (1, 0, 0));
+        assert_eq!(cache.len(), 1, "the newer entry stays");
+        assert!(cache.lookup(&key(2)).is_some(), "and still serves its own epoch");
+        // A newer probe refuses and evicts it.
+        assert!(cache.lookup(&key(3)).is_none());
+        let counts = cache.report(false);
+        assert_eq!((counts.misses, counts.stale_refusals, counts.evictions), (2, 1, 1));
+        assert!(cache.is_empty());
+    }
+
+    #[test]
+    fn an_insert_never_replaces_a_newer_entry() {
+        let (plans, report, key) = fixture();
+        let cache = PlanCache::new(8);
+        cache.insert(key(2), Arc::clone(&plans), report.clone());
+        let slow: Arc<[Plan]> = plans.to_vec().into();
+        cache.insert(key(1), Arc::clone(&slow), report.clone());
+        let served = cache.lookup(&key(2)).expect("the newer entry stays");
+        assert!(Arc::ptr_eq(&served.plans, &plans) && served.names.is_none());
+        assert!(cache.lookup(&key(1)).is_none(), "the slow miss stored nothing");
+        // An insert at a newer epoch replaces it.
+        cache.insert(key(3), Arc::clone(&slow), report);
+        assert!(Arc::ptr_eq(&cache.lookup(&key(3)).expect("replaced").plans, &slow));
+        assert_eq!(cache.len(), 1);
+    }
 }

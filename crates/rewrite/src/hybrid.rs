@@ -39,6 +39,7 @@
 //! original suffix on the backend.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasher, RandomState};
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
@@ -223,14 +224,20 @@ pub struct RelPhase {
 /// phase, with the machine-checked verification verdict when requested.
 #[derive(Debug)]
 pub struct HybridResult {
-    /// The relational (PACB) phase.
-    pub rel: RelPhase,
-    /// Output of the (possibly rewritten) relational prefix.
-    pub table: Table,
+    /// The relational (PACB) phase. On a snapshot memo hit, the memo
+    /// entry's, shared rather than copied.
+    pub rel: Arc<RelPhase>,
+    /// Output of the (possibly rewritten) relational prefix. Shared with
+    /// the snapshot's prefix memo when the memo answered or stored it.
+    pub table: Arc<Table>,
     /// The matrix `table` was cast into: bind it under the pipeline's
     /// `cast_name` to evaluate `best` — casting `table` again would only
-    /// rebuild it.
-    pub cast: Matrix,
+    /// rebuild it. Shared with the snapshot's prefix memo when the memo
+    /// answered or stored it. `Env::bind` takes a `Matrix`: bind
+    /// `Arc::unwrap_or_clone(result.cast)`, which moves the matrix out when
+    /// the result holds the only reference (the live path and every
+    /// verified run) and copies it only while the memo shares it.
+    pub cast: Arc<Matrix>,
     /// Metadata the cast matrix was catalogued under for the LA suffix:
     /// real shape and nnz from the materialization — a sparse cast must
     /// surface its true density here (not a dense default), or the
@@ -652,12 +659,13 @@ struct RunState<'a> {
 
 /// The relational half of one run (phases 1–4): the prefix's PACB phase,
 /// its output table, the matrix that table was cast into and the metadata
-/// that matrix is catalogued under.
+/// that matrix is catalogued under. A clone shares the phase, table and
+/// cast: it is how a memo hit hands them out.
 #[derive(Clone)]
 struct PrefixOutcome {
-    rel: RelPhase,
-    table: Table,
-    cast: Matrix,
+    rel: Arc<RelPhase>,
+    table: Arc<Table>,
+    cast: Arc<Matrix>,
     cast_meta: MatrixMeta,
     cast_us: u128,
 }
@@ -671,7 +679,7 @@ impl PrefixOutcome {
                 c => c.len() * size_of::<i64>(),
             })
             .sum();
-        let cast = match &self.cast {
+        let cast = match &*self.cast {
             Matrix::Dense(_) => self.cast_meta.rows * self.cast_meta.cols * size_of::<f64>(),
             Matrix::Sparse(_) => self.cast_meta.nnz * (size_of::<usize>() + size_of::<f64>()),
         };
@@ -796,7 +804,13 @@ fn run_prefix(state: &RunState<'_>, p: &HybridPipeline) -> Result<PrefixOutcome,
         rows_out: table.num_rows(),
         memo_hit: false,
     };
-    Ok(PrefixOutcome { rel, table, cast, cast_meta, cast_us })
+    Ok(PrefixOutcome {
+        rel: Arc::new(rel),
+        table: Arc::new(table),
+        cast: Arc::new(cast),
+        cast_meta,
+        cast_us,
+    })
 }
 
 /// One hybrid rewrite over a captured [`RunState`]: shared verbatim by the
@@ -860,12 +874,13 @@ fn run_phases(
                 }
             };
             // The cast is lent to the verification environment and taken
-            // back for the result.
+            // back for the result. This path never reads the memo, so the
+            // run holds the cast's only reference and lends it uncopied.
             let mut env = env.clone();
-            env.bind(&p.cast_name, mat);
+            env.bind(&p.cast_name, Arc::unwrap_or_clone(mat));
             let (ranked, plan, _) =
                 state.optimizer.rewrite_verified_in(&p.suffix, &env, rtol, call)?;
-            mat = env.unbind(&p.cast_name).expect("bound above");
+            mat = Arc::new(env.unbind(&p.cast_name).expect("bound above"));
             // Verified only if the *best-ranked* plan is the one that
             // passed execution (a fallback to a later plan or to the
             // original means the top plan failed the check).
@@ -904,17 +919,39 @@ const PREFIX_MEMO_BYTES: usize = 32 << 20;
 /// A published snapshot's answers to the relational prefixes it was asked
 /// for, keyed by value on what [`run_prefix`] reads of a pipeline. The
 /// snapshot never changes, so an entry never goes stale: there is no
-/// invalidation, only the byte bound.
+/// invalidation, only the byte bound. A hit shares the entry's phase,
+/// table and cast with the caller.
 #[derive(Default)]
 struct PrefixMemo {
     entries: RwLock<MemoEntries>,
+    /// Hashes a pipeline's `(prefix, sort_key, cast)` without copying it.
+    hasher: RandomState,
 }
 
 #[derive(Default)]
 struct MemoEntries {
-    /// Stored as a hit reads them: timings zeroed, `memo_hit` set.
-    by_prefix: HashMap<(RelQuery, Option<String>, CastKind), Arc<PrefixOutcome>>,
+    /// The entries whose `(prefix, sort_key, cast)` hash to the key.
+    by_prefix: HashMap<u64, Vec<MemoEntry>>,
     bytes: usize,
+}
+
+/// One memoized prefix: what it was asked for, and its outcome stored as a
+/// hit reads it (timings zeroed, `memo_hit` set).
+struct MemoEntry {
+    prefix: RelQuery,
+    sort_key: Option<String>,
+    cast: CastKind,
+    outcome: PrefixOutcome,
+}
+
+impl MemoEntries {
+    /// The entry for `p`'s `(prefix, sort_key, cast)`, which hash to `hash`.
+    fn get(&self, hash: u64, p: &HybridPipeline) -> Option<&MemoEntry> {
+        self.by_prefix
+            .get(&hash)?
+            .iter()
+            .find(|e| e.prefix == p.prefix && e.sort_key == p.sort_key && e.cast == p.cast)
+    }
 }
 
 impl PrefixMemo {
@@ -930,30 +967,28 @@ impl PrefixMemo {
     ) -> Result<PrefixOutcome, HybridError> {
         static HITS: hadad_obs::LazyCounter =
             hadad_obs::LazyCounter::new("hybrid.prefix_memo_hits");
-        let key = (p.prefix.clone(), p.sort_key.clone(), p.cast.clone());
-        let hit = self
-            .entries
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .by_prefix
-            .get(&key)
-            .cloned();
-        if let Some(entry) = hit {
+        let hash = self.hasher.hash_one((&p.prefix, &p.sort_key, &p.cast));
+        let entries = self.entries.read().unwrap_or_else(PoisonError::into_inner);
+        if let Some(hit) = entries.get(hash, p) {
             HITS.incr();
-            return Ok(PrefixOutcome::clone(&entry));
+            return Ok(hit.outcome.clone());
         }
+        drop(entries);
         let out = cold()?;
         if out.rel.pacb.degraded.is_none() {
             let bytes = out.bytes();
             let mut entries = self.entries.write().unwrap_or_else(PoisonError::into_inner);
-            if entries.bytes + bytes <= PREFIX_MEMO_BYTES
-                && !entries.by_prefix.contains_key(&key)
-            {
-                let mut stored = out.clone();
-                stored.rel.memo_hit = true;
-                (stored.rel.pacb_us, stored.rel.exec_us, stored.cast_us) = (0, 0, 0);
+            if entries.bytes + bytes <= PREFIX_MEMO_BYTES && entries.get(hash, p).is_none() {
+                let rel =
+                    RelPhase { memo_hit: true, pacb_us: 0, exec_us: 0, ..(*out.rel).clone() };
+                let outcome = PrefixOutcome { rel: Arc::new(rel), cast_us: 0, ..out.clone() };
                 entries.bytes += bytes;
-                entries.by_prefix.insert(key, Arc::new(stored));
+                entries.by_prefix.entry(hash).or_default().push(MemoEntry {
+                    prefix: p.prefix.clone(),
+                    sort_key: p.sort_key.clone(),
+                    cast: p.cast.clone(),
+                    outcome,
+                });
             }
         }
         Ok(out)
@@ -1103,7 +1138,7 @@ mod tests {
         assert!(r.rel.rewriting.is_some());
         assert_eq!(r.rel.rows_out, 10);
         let direct = ops::sort_by_int(&prefix.execute(&hy.catalog).unwrap(), "level").unwrap();
-        assert_eq!(r.table, direct);
+        assert_eq!(*r.table, direct);
     }
 
     #[test]

@@ -142,7 +142,9 @@ pub struct RewriteReport {
     /// Time spent turning priced candidates into plans and sorting them.
     pub rank_us: u128,
     /// Per-rule matches, firings and vetoes, merges and rounds of the chase.
-    pub chase_stats: ChaseStats,
+    /// Shared, not copied: a cache hit's report holds the entry's counters
+    /// (the cold pass that produced its plans), as does every clone.
+    pub chase_stats: Arc<ChaseStats>,
     /// `Some` when the pipeline had to give up completeness — a budget or
     /// deadline tripped, or a phase worker panicked and was contained. The
     /// returned plans are still sound (every candidate is justified by the
@@ -164,8 +166,11 @@ pub struct RankedPlans {
     pub original: Plan,
     /// Candidates sorted by ascending estimated cost, exact ties going to
     /// the original expression — which is among them whenever extraction
-    /// rebuilds it or no candidate is strictly cheaper.
-    pub plans: Vec<Plan>,
+    /// rebuilds it or no candidate is strictly cheaper. Shared, not
+    /// copied: a same-name cache hit hands out the entry's plans, and a
+    /// clone shares them too; iterate with `.iter()`, and copy with
+    /// `.to_vec()` to reorder them.
+    pub plans: Arc<[Plan]>,
     /// Diagnostics for this call.
     pub report: RewriteReport,
 }
@@ -561,7 +566,7 @@ impl Optimizer {
         // cheaper plans, and serving it later would freeze the degradation.
         if let Some((cache, key)) = pending {
             if ranked.report.degraded.is_none() {
-                cache.insert(&key, ranked.clone());
+                cache.insert(key, Arc::clone(&ranked.plans), ranked.report.clone());
             }
         }
         Ok(ranked)
@@ -569,8 +574,8 @@ impl Optimizer {
 
     /// What a call does before its cold path: the call's catalog, the
     /// priced original and the plan-cache probe — a hit at the current
-    /// epoch is served from the cache; a stale entry is refused and, like a
-    /// miss, goes on to the call's rules.
+    /// epoch is served from the cache and takes the original; a stale entry
+    /// is refused and, like a miss, goes on to the call's rules.
     fn setup(&self, e: &Expr, call: CallContext<'_>) -> Result<Setup, RewriteError> {
         let cat = self.effective_cat(call)?;
         // The original is priced by `expr_estimate`, which prices every
@@ -580,10 +585,10 @@ impl Optimizer {
         if let Some(cache) = &self.cache {
             if let Some(key) = self.cache_key(e, &cat, call.epoch) {
                 if let Some(cached) = cache.lookup(&key) {
-                    if let Some(served) =
-                        serve_hit(cache, *cached, &key, &cat, original.clone())
+                    if let Some((plans, report)) =
+                        serve_hit(cache, cached, &key, &cat, &original.expr)
                     {
-                        return Ok(Setup::Served(served));
+                        return Ok(Setup::Served(RankedPlans { original, plans, report }));
                     }
                 }
                 pending = Some((Arc::clone(cache), key));
@@ -729,11 +734,11 @@ impl Optimizer {
             chase_us,
             extract_us,
             rank_us,
-            chase_stats: stats,
+            chase_stats: Arc::new(stats),
             degraded,
             cache: self.cache.as_ref().map_or_else(CacheReport::default, |c| c.report(false)),
         };
-        Ok((RankedPlans { original, plans, report }, pending))
+        Ok((RankedPlans { original, plans: plans.into(), report }, pending))
     }
 
     /// Execution hook: evaluates `original` and `candidate` on the linalg
@@ -779,7 +784,7 @@ impl Optimizer {
         let env = self.env_with_views(env).map_err(RewriteError::Eval)?;
         let backend = default_backend();
         let reference = eval_with(e, &env, backend).map_err(RewriteError::Eval)?;
-        for plan in &ranked.plans {
+        for plan in ranked.plans.iter() {
             if let Ok(value) = eval_with(&plan.expr, &env, backend) {
                 if approx_eq(&value, &reference, rtol) {
                     let plan = plan.clone();
@@ -886,35 +891,36 @@ fn sort_plans(plans: &mut [Plan], original: &Expr) {
     }
 }
 
-/// Serves a cache hit: the cached plans are re-anchored on this call's
-/// freshly priced original and, on a cross-name hit (same skeleton and
-/// bands, different leaf names), re-skinned onto the probe's names and
-/// re-priced under its catalog. Returns `None` when no re-skinned plan
-/// prices (treated as a miss by the caller).
+/// Serves a cache hit: the cached plans and report, to be anchored on this
+/// call's freshly priced `original`. A same-name hit shares the entry's
+/// plans; a cross-name hit (same skeleton and bands, different leaf names)
+/// re-skins them onto the probe's names and re-prices them under its
+/// catalog. Returns `None` when no re-skinned plan prices (treated as a
+/// miss by the caller).
 fn serve_hit(
     cache: &PlanCache,
     cached: CachedPlans,
     key: &PlanCacheKey,
     cat: &MetaCatalog,
-    original: Plan,
-) -> Option<RankedPlans> {
-    let CachedPlans { mut plans, names } = cached;
-    if names == key.names {
-        plans.original = original;
-    } else {
-        let renamed = plans.plans.iter().map(|p| rename_leaves(&p.expr, &names, &key.names));
-        let mut reskinned = rank_candidates(cat, renamed.collect());
-        if reskinned.is_empty() {
-            return None;
+    original: &Expr,
+) -> Option<(Arc<[Plan]>, RewriteReport)> {
+    let CachedPlans { plans, mut report, names } = cached;
+    let plans = match names {
+        None => plans,
+        Some(names) => {
+            let renamed = plans.iter().map(|p| rename_leaves(&p.expr, &names, &key.names));
+            let mut reskinned = rank_candidates(cat, renamed.collect());
+            if reskinned.is_empty() {
+                return None;
+            }
+            sort_plans(&mut reskinned, original);
+            report.num_candidates = reskinned.len();
+            reskinned.into()
         }
-        sort_plans(&mut reskinned, &original.expr);
-        plans.plans = reskinned;
-        plans.original = original;
-        plans.report.num_candidates = plans.plans.len();
-    }
-    plans.report.cache = cache.report(true);
+    };
+    report.cache = cache.report(true);
     M_CACHE_SERVED.incr();
-    Some(plans)
+    Some((plans, report))
 }
 
 /// Prices re-skinned cached plans under the probe's catalog; a plan that
@@ -1109,7 +1115,7 @@ mod tests {
         let sorted = render(&ranked.plans);
         let n = ranked.plans.len();
         for shift in 0..n {
-            let mut permuted = ranked.plans.clone();
+            let mut permuted = ranked.plans.to_vec();
             permuted.rotate_left(shift);
             sort_plans(&mut permuted, &e);
             assert_eq!(render(&permuted), sorted, "rotated by {shift}");

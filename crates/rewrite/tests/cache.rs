@@ -5,6 +5,8 @@
 
 mod common;
 
+use std::sync::Arc;
+
 use hadad_core::expr::dsl::*;
 use hadad_core::{MatrixMeta, MetaCatalog};
 use hadad_linalg::rng::Rng64;
@@ -23,7 +25,7 @@ fn assert_plans_identical(want: &RankedPlans, got: &RankedPlans, ctx: &str) {
         "{ctx}: original cost"
     );
     assert_eq!(want.plans.len(), got.plans.len(), "{ctx}: plan count");
-    for (i, (w, g)) in want.plans.iter().zip(&got.plans).enumerate() {
+    for (i, (w, g)) in want.plans.iter().zip(got.plans.iter()).enumerate() {
         assert_eq!(w.expr, g.expr, "{ctx}: plan {i} expr");
         assert_eq!(
             w.est_cost.to_bits(),
@@ -85,7 +87,8 @@ fn cross_name_repeat_hits_and_reskins() {
 
 /// A snapshot taken after a catalog mutation probes at a newer epoch and
 /// refuses (and evicts) the entry an older snapshot primed: the stale
-/// probe is a miss, and the re-primed entry serves at the new epoch only.
+/// probe is a miss, and the re-primed entry serves at the new epoch only;
+/// a probe from the older snapshot misses and leaves it in place.
 #[test]
 fn stale_epoch_probe_refuses_entry() {
     let mut catalog = Catalog::new();
@@ -111,6 +114,77 @@ fn stale_epoch_probe_refuses_entry() {
     assert!(after.rewrite(&e).expect("re-primed").report.cache.hit);
     // The older snapshot is now the stale one.
     assert!(!before.rewrite(&e).expect("old epoch probe").report.cache.hit);
+    assert!(after.rewrite(&e).expect("newer entry kept").report.cache.hit);
+}
+
+/// A served hit shares its entry, and no hit mutates it: cross-name hits
+/// (re-skinned and re-priced) interleaved with same-name hits on one entry
+/// leave every same-name answer bitwise equal to the cold path, two
+/// same-name hits hand out the same plans and chase statistics, and two
+/// prefix-memo hits on one snapshot the same phase, table and cast.
+#[test]
+fn served_hits_share_an_entry_no_hit_mutates() {
+    let mut cat = MetaCatalog::new();
+    for (a, b) in [("A", "B"), ("C", "D"), ("F", "G")] {
+        cat.register(a, MatrixMeta::dense(400, 8));
+        cat.register(b, MatrixMeta::dense(8, 400));
+    }
+    let cold = Optimizer::new(cat.clone());
+    let cached = Optimizer::new(cat).with_plan_cache(16);
+    let e = mul(mul(m("A"), m("B")), m("A"));
+    let want = cold.rewrite(&e).expect("cold");
+    let primed = cached.rewrite(&e).expect("prime");
+    assert!(!primed.report.cache.hit);
+    let mut last = cached.rewrite(&e).expect("first hit");
+    for (i, (x, y)) in [("C", "D"), ("F", "G"), ("C", "D")].into_iter().enumerate() {
+        let other = mul(mul(m(x), m(y)), m(x));
+        let reskinned = cached.rewrite(&other).expect("cross-name hit");
+        assert!(reskinned.report.cache.hit, "round {i}: cross-name repeat hits");
+        let want_other = cold.rewrite(&other).expect("cold cross-name");
+        assert_plans_identical(&want_other, &reskinned, &format!("round {i}: {other}"));
+        let hit = cached.rewrite(&e).expect("same-name hit");
+        assert!(hit.report.cache.hit);
+        assert_plans_identical(&want, &hit, &format!("round {i}: same-name hit"));
+        assert!(Arc::ptr_eq(&hit.plans, &last.plans), "round {i}: plans shared");
+        assert!(Arc::ptr_eq(&hit.report.chase_stats, &last.report.chase_stats));
+        last = hit;
+    }
+    assert!(Arc::ptr_eq(&last.plans, &primed.plans), "the entry holds the cold pass's plans");
+
+    let mut catalog = Catalog::new();
+    catalog.register(
+        "events",
+        Table::new(vec![
+            ("eid", Column::Int((0..32).collect())),
+            ("kind", Column::Int((0..32).map(|i| i % 4).collect())),
+        ]),
+    );
+    let mut la_cat = MetaCatalog::new();
+    la_cat.register("x", MatrixMeta::dense(4, 1));
+    let mut hy = HybridOptimizer::new(catalog, Optimizer::new(la_cat).with_plan_cache(16));
+    let snapshot = hy.reader().expect("reader").current();
+    let pipeline = HybridPipeline {
+        prefix: RelQuery::scan("events").select_eq("kind", 3),
+        sort_key: None,
+        cast: CastKind::Sparse {
+            row: "eid".into(),
+            col: "kind".into(),
+            val: "kind".into(),
+            rows: 32,
+            cols: 4,
+        },
+        cast_name: "E".into(),
+        suffix: mul(m("E"), m("x")),
+    };
+    let miss = snapshot.rewrite_hybrid(&pipeline).expect("memo miss");
+    let (a, b) = (
+        snapshot.rewrite_hybrid(&pipeline).expect("memo hit"),
+        snapshot.rewrite_hybrid(&pipeline).expect("memo hit again"),
+    );
+    assert!(!miss.rel.memo_hit && a.rel.memo_hit && b.rel.memo_hit);
+    assert!(Arc::ptr_eq(&a.rel, &b.rel), "memo hits share the relational phase");
+    assert!(Arc::ptr_eq(&a.table, &b.table) && Arc::ptr_eq(&a.cast, &b.cast));
+    assert!(*a.table == *miss.table && *a.cast == *miss.cast, "hits answer as the miss did");
 }
 
 /// The cache is off by default: without `with_plan_cache`, repeats are

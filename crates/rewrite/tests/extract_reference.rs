@@ -379,7 +379,7 @@ fn every_candidate_is_priced_as_its_plan() {
         candidates += priced.len();
         let opt = Optimizer::new(cat.clone()).with_plan_cache(0);
         let ranked = opt.rewrite(&e).expect("generator emits valid shapes");
-        let plans = ranked.plans.into_iter().map(|p| (p.expr, p.est_cost));
+        let plans = ranked.plans.iter().map(|p| (p.expr.clone(), p.est_cost));
         for (plan, price) in priced.into_iter().chain(plans) {
             let (stats, estimate) = expr_estimate(&plan, &cat).expect("a candidate prices");
             assert_eq!(price.to_bits(), estimate.to_bits(), "sample {i} ({e}): {plan}");

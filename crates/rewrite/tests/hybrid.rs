@@ -111,7 +111,7 @@ fn tweet_pipeline_rewrites_both_halves_and_verifies() {
 
     // The result returns the matrix it cast (the verified path lends it to
     // the check and takes it back): a caller binds it, it does not re-cast.
-    assert_eq!(r.cast, direct_n);
+    assert_eq!(*r.cast, direct_n);
     assert_eq!(MatrixMeta::from_matrix(&r.cast), r.cast_meta);
 }
 
@@ -687,7 +687,7 @@ fn taken_la_view_names_are_rejected() {
     // B·C lands on its view, and on nothing the refused names would equate.
     let ranked = hy.optimizer.rewrite(&mul(m("B"), m("C"))).unwrap();
     assert_eq!(ranked.best().expr, m("V"));
-    for plan in &ranked.plans {
+    for plan in ranked.plans.iter() {
         assert!(plan.expr != mul(m("C"), m("B")) && plan.expr != m("A"), "{}", plan.expr);
     }
 }
@@ -923,8 +923,8 @@ fn an_unrewritten_prefix_runs_as_its_cq_and_returns_the_pipelines_rows() {
             for run in 0..3 {
                 let r = hy.rewrite_hybrid(&pipeline).unwrap();
                 assert!(r.rel.rewriting.is_none(), "no view to rewrite onto");
-                assert_eq!(r.table, expected, "{prefix:?} sorted by {sort_key:?}, run {run}");
-                assert_eq!(r.cast, cast, "{prefix:?} sorted by {sort_key:?}, run {run}");
+                assert_eq!(*r.table, expected, "{prefix:?} sorted by {sort_key:?}, run {run}");
+                assert_eq!(*r.cast, cast, "{prefix:?} sorted by {sort_key:?}, run {run}");
             }
         }
     }

@@ -129,7 +129,7 @@ fn rewritten_plans_evaluate_to_same_matrix() {
             hadad_rewrite::eval(&e, &g.env).unwrap_or_else(|err| panic!("eval {e}: {err}"));
         // Every candidate the optimizer ranks must agree with the
         // original — soundness of the whole encode/chase/decode loop.
-        for plan in &ranked.plans {
+        for plan in ranked.plans.iter() {
             let value = hadad_rewrite::eval(&plan.expr, &g.env)
                 .unwrap_or_else(|err| panic!("eval plan {} of {e}: {err}", plan.expr));
             assert!(
