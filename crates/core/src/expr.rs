@@ -255,7 +255,7 @@ pub mod dsl {
 mod tests {
     use super::dsl::*;
     use super::*;
-    use crate::fingerprint::{canonicalize, leaf_bands, structural_hash};
+    use crate::fingerprint::{canonicalize, structural_hash};
     use crate::{ChainCells, Encoder, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, Vrem};
 
     #[test]
@@ -313,7 +313,7 @@ mod tests {
         assert_eq!(ops.len(), UNARY_OVER_D.len());
         let mut cat = MetaCatalog::new();
         cat.register("D", MatrixMeta::dense(10, 10));
-        let bands = leaf_bands(&["D".to_owned()], &cat).unwrap();
+        let leaves = [MatrixMeta::dense(10, 10)];
         let mut hashes = Vec::new();
         for (&op, shown) in ops.iter().zip(UNARY_OVER_D) {
             let e = Expr::Unary(op, Box::new(m("D")));
@@ -324,7 +324,7 @@ mod tests {
             let cells = ChainCells::default();
             let ex = Extractor::new(&vrem, &enc.instance, &analysis, &cat, &cells);
             assert_eq!(ex.extract(enc.root).as_ref(), Some(&e), "{shown}");
-            hashes.push(structural_hash(&canonicalize(&e).skeleton, &bands));
+            hashes.push(structural_hash(&canonicalize(&e).skeleton, &leaves));
         }
         hashes.sort_unstable();
         hashes.dedup();

@@ -1,16 +1,15 @@
-//! Canonical expression fingerprints and stats bands — the key space of
-//! the plan cache in `hadad-rewrite`.
+//! Canonical expression fingerprints — the key space of the plan cache in
+//! `hadad-rewrite`.
 //!
 //! Two queries that differ only in base-matrix *names* chase to isomorphic
 //! instances and extract isomorphic plans, so the cache abstracts leaves
 //! to first-occurrence indices: `trace(A B)` and `trace(C D)` share a
 //! canonical skeleton, and a hit is re-skinned onto the probe's names.
-//! Shape and density still matter — rules fire on shapes and extraction
-//! prices plans from the leaves' catalogued stats — so the key also
-//! carries a [`StatsBand`] per distinct leaf, bucketing density to parts
-//! per million ([`DENSITY_SCALE`]). Matching skeleton + matching bands ⇒
-//! the cold pipeline would have produced the same plan shapes, which is
-//! when serving from the cache is sound.
+//! What a rewrite reads of a leaf is its whole [`MatrixMeta`] — shape and
+//! exact nnz price the plans, and the type flags gate the decomposition
+//! rules — so the key carries each leaf's metadata unabridged, and
+//! [`structural_hash`] hashes it with the skeleton. Matching skeleton and
+//! matching metadata ⇒ the cold pipeline would produce the same plans.
 //!
 //! Skeletons are rebuilt by one walk with an arm per node shape (a unary
 //! node keeps its [`crate::expr::UnaryOp`]), and [`hash_expr`] hashes a
@@ -20,10 +19,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use crate::expr::Expr;
-use crate::stats::{ClassStats, MetaCatalog};
-
-/// A stats band's density resolution: parts per million.
-pub const DENSITY_SCALE: f64 = 1_000_000.0;
+use crate::stats::MatrixMeta;
 
 /// Prefix of canonical placeholder leaf names. A control character keeps
 /// placeholders disjoint from any user-registered matrix name.
@@ -101,43 +97,13 @@ fn map_children(e: &Expr, f: &impl Fn(&Expr) -> Expr) -> Expr {
     }
 }
 
-/// Shape/density bucket of one leaf, derived from [`ClassStats`]: exact
-/// dimensions plus density quantized to parts-per-million
-/// ([`DENSITY_SCALE`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct StatsBand {
-    /// Row count (exact — shapes gate which rules fire).
-    pub rows: usize,
-    /// Column count (exact).
-    pub cols: usize,
-    /// Density rounded to parts-per-million, clamped to `[0, 1]`.
-    pub density_ppm: u32,
-}
-
-impl StatsBand {
-    /// The band of one class-stats summary.
-    pub fn of(stats: ClassStats) -> Self {
-        StatsBand {
-            rows: stats.rows,
-            cols: stats.cols,
-            density_ppm: (stats.density.clamp(0.0, 1.0) * DENSITY_SCALE).round() as u32,
-        }
-    }
-}
-
-/// Bands for each leaf name in order, or `None` when some leaf has no
-/// catalog entry (the rewrite itself would fail shape inference anyway).
-pub fn leaf_bands(leaves: &[String], cat: &MetaCatalog) -> Option<Vec<StatsBand>> {
-    leaves.iter().map(|n| cat.get(n).map(|m| StatsBand::of(m.stats()))).collect()
-}
-
-/// Structural hash of a canonical skeleton plus its leaf bands. Collisions
-/// are tolerated by the cache (entries verify full skeleton equality), so
-/// `DefaultHasher` is sufficient.
-pub fn structural_hash(skeleton: &Expr, bands: &[StatsBand]) -> u64 {
+/// Structural hash of a canonical skeleton plus its leaves' metadata.
+/// Collisions are tolerated by the cache (entries verify full equality),
+/// so `DefaultHasher` is sufficient.
+pub fn structural_hash(skeleton: &Expr, leaves: &[MatrixMeta]) -> u64 {
     let mut h = DefaultHasher::new();
     hash_expr(skeleton, &mut h);
-    bands.hash(&mut h);
+    leaves.hash(&mut h);
     h.finish()
 }
 
@@ -170,7 +136,7 @@ pub fn hash_expr(e: &Expr, h: &mut impl Hasher) {
 mod tests {
     use super::*;
     use crate::expr::dsl::*;
-    use crate::stats::MatrixMeta;
+    use crate::stats::TypeFlags;
 
     #[test]
     fn canonicalize_abstracts_names_in_occurrence_order() {
@@ -193,23 +159,23 @@ mod tests {
         assert_eq!(back, e);
     }
 
-    #[test]
-    fn bands_follow_shape_and_density() {
-        let mut cat = MetaCatalog::new();
-        cat.register("A", MatrixMeta::dense(10, 4));
-        cat.register("S", MatrixMeta::sparse(10, 4, 2));
-        let bands = leaf_bands(&["A".into(), "S".into()], &cat).unwrap();
-        assert_eq!(bands[0], StatsBand { rows: 10, cols: 4, density_ppm: 1_000_000 });
-        assert_eq!(bands[1].density_ppm, 50_000);
-        assert!(leaf_bands(&["missing".into()], &cat).is_none());
-    }
-
+    /// Shape, exact nnz and type flags all key apart: an nnz below the
+    /// ppm resolution of a density, and a flag that fires a decomposition
+    /// rule, change the plans.
     #[test]
     fn structural_hash_separates_shapes_and_literals() {
         let canon = canonicalize(&mul(m("A"), m("B"))).skeleton;
-        let b1 = vec![StatsBand { rows: 8, cols: 8, density_ppm: 1_000_000 }; 2];
-        let b2 = vec![StatsBand { rows: 9, cols: 8, density_ppm: 1_000_000 }; 2];
+        let b1 = vec![MatrixMeta::dense(8, 8); 2];
+        let b2 = vec![MatrixMeta::dense(9, 8); 2];
         assert_ne!(structural_hash(&canon, &b1), structural_hash(&canon, &b2));
+        let nnz = |n| vec![MatrixMeta::sparse(4000, 1000, n); 2];
+        assert_ne!(
+            structural_hash(&canon, &nnz(2_000_000)),
+            structural_hash(&canon, &nnz(2_000_001))
+        );
+        let orthogonal = TypeFlags { orthogonal: true, ..TypeFlags::default() };
+        let flagged = vec![MatrixMeta::dense(8, 8).with_flags(orthogonal); 2];
+        assert_ne!(structural_hash(&canon, &b1), structural_hash(&canon, &flagged));
         let l1 = canonicalize(&smul(lit(2.0), m("A"))).skeleton;
         let l2 = canonicalize(&smul(lit(3.0), m("A"))).skeleton;
         assert_ne!(structural_hash(&l1, &b1), structural_hash(&l2, &b1));

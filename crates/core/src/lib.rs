@@ -36,7 +36,7 @@ pub use catalogue::{Catalogue, ViewRules};
 pub use encode::{ChainCells, CqEncoder, Encoded, Encoder};
 pub use expr::{Expr, UnaryOp};
 pub use extract::Extractor;
-pub use fingerprint::{canonicalize, leaf_bands, rename_leaves, CanonicalExpr, StatsBand};
+pub use fingerprint::{canonicalize, rename_leaves, CanonicalExpr};
 pub use schema::{OpKind, Vrem};
 pub use stats::{
     expr_estimate, expr_stats, op_cost, op_flops, op_stats, ClassStats, MatrixMeta,

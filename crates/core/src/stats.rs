@@ -29,6 +29,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use hadad_linalg::Matrix;
@@ -51,8 +52,18 @@ pub struct TypeFlags {
     pub orthogonal: bool,
 }
 
-/// Metadata for one base matrix (or materialized view).
-#[derive(Debug, Clone, PartialEq)]
+/// The four flags in one write: a plan-cache probe hashes every leaf's.
+impl Hash for TypeFlags {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let TypeFlags { symmetric_pd, lower_triangular, upper_triangular, orthogonal } = *self;
+        let flags = [symmetric_pd, lower_triangular, upper_triangular, orthogonal];
+        u32::from_le_bytes(flags.map(u8::from)).hash(state);
+    }
+}
+
+/// Metadata for one base matrix (or materialized view). Everything a
+/// rewrite reads of a leaf, so it is the leaf's part of a plan-cache key.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MatrixMeta {
     /// Row count.
     pub rows: usize,

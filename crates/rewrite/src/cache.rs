@@ -3,11 +3,11 @@
 //! Production traffic repeats a small number of expression shapes, yet
 //! every `Optimizer::rewrite` call pays the full encode → chase → extract
 //! → rank pass. The cache keys extracted [`RankedPlans`](crate::RankedPlans)
-//! by **canonical skeleton × per-leaf stats band × catalog epoch** (see
-//! `hadad_core::fingerprint`): a repeat with the same shapes — even under
-//! different base-matrix names, when no views bind concrete names — is
-//! served straight from the cache, re-skinned and re-priced,
-//! for the cost of a hash probe instead of a chase.
+//! by **canonical skeleton × each leaf's [`MatrixMeta`] × configuration**
+//! (see `hadad_core::fingerprint`): a repeat with the same shapes — even
+//! under different base-matrix names, when no views bind concrete names —
+//! is served straight from the cache, re-skinned and re-priced, for the
+//! cost of a hash probe instead of a chase.
 //!
 //! A hit shares the entry it reads: the entry's plans (`Arc<[Plan]>`) and
 //! the cold pass's report, whose chase statistics are an `Arc` too, are
@@ -15,21 +15,23 @@
 //! the entry's under the shard lock. A same-name hit copies no plan, name
 //! or rule counter; only a cross-name hit builds plans of its own.
 //!
-//! Soundness under updates is anchored the way Berkholz–Keppeler–
-//! Schweikardt anchor answering under updates: every entry is stamped with
-//! the [`Catalog`](hadad_relational::Catalog) epoch it was computed at,
-//! and a probe carrying a newer epoch *refuses* the entry (it is evicted
-//! on the spot) and the caller takes the cold path — stale work is never
-//! trusted. Epochs only move forward, so a probe from an older snapshot
-//! misses without evicting the newer entry, and an insert never replaces
-//! an entry stamped newer than itself.
+//! A plan is a function of its key. The key holds everything the cold pass
+//! reads — the skeleton, the full metadata of each leaf (shape, exact nnz,
+//! type flags), the optimizer's configuration and, with LA views
+//! registered, the metadata of each view and of each leaf of its
+//! definition — so an entry never goes stale: a catalog update that
+//! changes what a plan read changes the key, and one that does not leaves
+//! the plan valid. This is how Berkholz–Keppeler–Schweikardt keep answers
+//! valid under updates, by maintaining exactly what an answer depends on;
+//! nothing is stamped, refused or invalidated, and entries whose keys no
+//! probe repeats age out through the LRU.
 //!
 //! Concurrency: the map is sharded by key hash, each shard behind its own
 //! mutex, so reader threads rewriting against catalog snapshots contend
 //! only when they collide on a shard. Counters are lock-free
 //! [`hadad_obs::Counter`]s, surfaced on `RewriteReport` as [`CacheReport`]
 //! and mirrored into the process-wide registry (`cache.hits`,
-//! `cache.misses`, `cache.stale_refusals`, `cache.evictions`).
+//! `cache.misses`, `cache.evictions`).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
@@ -38,8 +40,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use hadad_obs::{Counter, LazyCounter};
 
-use hadad_core::fingerprint::{structural_hash, CanonicalExpr, StatsBand};
-use hadad_core::Expr;
+use hadad_core::fingerprint::{structural_hash, CanonicalExpr};
+use hadad_core::{Expr, MatrixMeta};
 
 use crate::optimizer::{Plan, RewriteReport};
 
@@ -53,68 +55,64 @@ pub struct CacheReport {
     pub hit: bool,
     /// Cumulative cache hits.
     pub hits: u64,
-    /// Cumulative cache misses (stale-epoch refusals included).
+    /// Cumulative cache misses.
     pub misses: u64,
-    /// Cumulative evictions: capacity-pressure LRU removals plus
-    /// stale-epoch refusals.
+    /// Cumulative capacity-pressure LRU evictions.
     pub evictions: u64,
-    /// Cumulative stale-epoch refusals (the subset of `misses` whose entry
-    /// matched but carried an epoch stamp older than the probe's and was
-    /// evicted). A probe older than the entry misses without a refusal.
-    pub stale_refusals: u64,
 }
 
 /// Probe key: the canonical skeleton of the input expression, its leaf
-/// names in first-occurrence order, one [`StatsBand`] per leaf, an opaque
-/// configuration hash (budget/deadline/views/rules), and the catalog
-/// epoch the probing call carries.
+/// names in first-occurrence order, each leaf's [`MatrixMeta`], an opaque
+/// configuration hash (budget/deadline/views/rules) and, when views are
+/// registered, what the call's catalog holds for each view and each leaf
+/// of its definition.
 #[derive(Debug, Clone)]
 pub struct PlanCacheKey {
-    /// Precomputed shard/bucket hash over skeleton + bands + ctx.
+    /// Precomputed shard/bucket hash over every other field (the names
+    /// only when views are registered).
     hash: u64,
     /// Canonical skeleton (leaves abstracted to occurrence indices).
     skeleton: Expr,
     /// Concrete leaf names, in first-occurrence order.
     pub(crate) names: Vec<String>,
-    /// Per-leaf shape/density bands, aligned with `names`.
-    bands: Vec<StatsBand>,
+    /// Each leaf's metadata in the call's catalog, aligned with `names`.
+    leaves: Vec<MatrixMeta>,
+    /// Per registered view in order: the call's catalog entry for its
+    /// name, then for each leaf of its definition. The view rules and the
+    /// view leaves extraction prices read these; the query's leaves do
+    /// not cover them. Empty without views; with views, plans may embed
+    /// leaves tied to concrete names, so cross-name sharing is unsound and
+    /// entries additionally require exact `names` equality.
+    views: Vec<Option<MatrixMeta>>,
     /// Opaque optimizer-configuration hash: entries only match probes
     /// from an identically configured optimizer.
     ctx: u64,
-    /// Catalog epoch of the probe; entries stamped otherwise are refused.
-    epoch: u64,
-    /// When `true` (views are registered), plans may embed
-    /// leaves tied to concrete names, so cross-name sharing is unsound and
-    /// entries additionally require exact `names` equality.
-    names_bound: bool,
 }
 
 impl PlanCacheKey {
-    /// Builds a key from an already-canonicalized expression, per-leaf
-    /// bands, the probing optimizer's configuration and the call's epoch.
+    /// Builds a key from an already-canonicalized expression, its leaves'
+    /// metadata, the views' entries and the probing optimizer's
+    /// configuration.
     pub(crate) fn new(
         canon: CanonicalExpr,
-        bands: Vec<StatsBand>,
+        leaves: Vec<MatrixMeta>,
+        views: Vec<Option<MatrixMeta>>,
         ctx: u64,
-        epoch: u64,
-        names_bound: bool,
     ) -> Self {
-        let mut hash = structural_hash(&canon.skeleton, &bands);
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        hash.hash(&mut h);
+        structural_hash(&canon.skeleton, &leaves).hash(&mut h);
+        views.hash(&mut h);
         ctx.hash(&mut h);
-        if names_bound {
+        if !views.is_empty() {
             canon.leaves.hash(&mut h);
         }
-        hash = h.finish();
         PlanCacheKey {
-            hash,
+            hash: h.finish(),
             skeleton: canon.skeleton,
             names: canon.leaves,
-            bands,
+            leaves,
+            views,
             ctx,
-            epoch,
-            names_bound,
         }
     }
 }
@@ -134,10 +132,9 @@ pub(crate) struct CachedPlans {
 struct Entry {
     skeleton: Expr,
     names: Arc<[String]>,
-    bands: Vec<StatsBand>,
+    leaves: Vec<MatrixMeta>,
+    views: Vec<Option<MatrixMeta>>,
     ctx: u64,
-    epoch: u64,
-    names_bound: bool,
     plans: Arc<[Plan]>,
     report: RewriteReport,
     last_used: u64,
@@ -146,10 +143,10 @@ struct Entry {
 impl Entry {
     fn matches(&self, key: &PlanCacheKey) -> bool {
         self.ctx == key.ctx
-            && self.names_bound == key.names_bound
-            && self.bands == key.bands
+            && self.leaves == key.leaves
+            && self.views == key.views
             && self.skeleton == key.skeleton
-            && (!self.names_bound || *self.names == *key.names)
+            && (self.views.is_empty() || *self.names == *key.names)
     }
 }
 
@@ -157,7 +154,7 @@ impl Entry {
 /// contend on collisions.
 const NUM_SHARDS: usize = 8;
 
-/// Sharded, epoch-validated map from canonical plan fingerprints to
+/// Sharded map from canonical plan fingerprints to
 /// extracted [`RankedPlans`](crate::RankedPlans).
 pub struct PlanCache {
     shards: Vec<Mutex<HashMap<u64, Entry>>>,
@@ -165,7 +162,6 @@ pub struct PlanCache {
     hits: Counter,
     misses: Counter,
     evictions: Counter,
-    stale_refusals: Counter,
     tick: AtomicU64,
 }
 
@@ -174,7 +170,6 @@ pub struct PlanCache {
 static M_HITS: LazyCounter = LazyCounter::new("cache.hits");
 static M_MISSES: LazyCounter = LazyCounter::new("cache.misses");
 static M_EVICTIONS: LazyCounter = LazyCounter::new("cache.evictions");
-static M_STALE: LazyCounter = LazyCounter::new("cache.stale_refusals");
 
 impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -198,7 +193,6 @@ impl PlanCache {
             hits: Counter::new(),
             misses: Counter::new(),
             evictions: Counter::new(),
-            stale_refusals: Counter::new(),
             tick: AtomicU64::new(0),
         }
     }
@@ -222,7 +216,6 @@ impl PlanCache {
             hits: self.hits.get(),
             misses: self.misses.get(),
             evictions: self.evictions.get(),
-            stale_refusals: self.stale_refusals.get(),
         }
     }
 
@@ -230,14 +223,12 @@ impl PlanCache {
         &self.shards[(key.hash as usize) % NUM_SHARDS]
     }
 
-    /// Probes for `key`: `Some` on a matching entry at the probe's epoch,
-    /// sharing its plans and report. A matching entry at an *older* epoch
-    /// is refused and evicted; one at a newer epoch (the probe comes from
-    /// an older snapshot) is left in place. Either reads as a miss.
+    /// Probes for `key`: `Some` on a matching entry, sharing its plans and
+    /// report.
     pub(crate) fn lookup(&self, key: &PlanCacheKey) -> Option<CachedPlans> {
         let mut shard = lock(self.shard(key));
         match shard.get_mut(&key.hash) {
-            Some(entry) if entry.matches(key) && entry.epoch == key.epoch => {
+            Some(entry) if entry.matches(key) => {
                 entry.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
                 self.hits.incr();
                 M_HITS.incr();
@@ -246,16 +237,6 @@ impl PlanCache {
                     report: entry.report.clone(),
                     names: (*entry.names != *key.names).then(|| Arc::clone(&entry.names)),
                 })
-            }
-            Some(entry) if entry.matches(key) && entry.epoch < key.epoch => {
-                shard.remove(&key.hash);
-                self.misses.incr();
-                self.evictions.incr();
-                self.stale_refusals.incr();
-                M_MISSES.incr();
-                M_EVICTIONS.incr();
-                M_STALE.incr();
-                None
             }
             _ => {
                 self.misses.incr();
@@ -266,34 +247,25 @@ impl PlanCache {
     }
 
     /// Stores `plans` and the `report` of the cold pass that produced them
-    /// under `key`, replacing an entry on bucket collision unless that
-    /// entry is stamped with a newer epoch than `key`. Full shards evict
-    /// their least-recently-used entry first.
+    /// under `key`, replacing an entry on bucket collision. Full shards
+    /// evict their least-recently-used entry first.
     pub(crate) fn insert(&self, key: PlanCacheKey, plans: Arc<[Plan]>, report: RewriteReport) {
         let mut shard = lock(self.shard(&key));
-        match shard.get(&key.hash) {
-            Some(entry) if entry.epoch > key.epoch => return,
-            Some(_) => {}
-            None if shard.len() >= self.per_shard => {
-                if let Some(&lru) =
-                    shard.iter().min_by_key(|(_, e)| e.last_used).map(|(h, _)| h)
-                {
-                    shard.remove(&lru);
-                    self.evictions.incr();
-                    M_EVICTIONS.incr();
-                }
+        if !shard.contains_key(&key.hash) && shard.len() >= self.per_shard {
+            if let Some(&lru) = shard.iter().min_by_key(|(_, e)| e.last_used).map(|(h, _)| h) {
+                shard.remove(&lru);
+                self.evictions.incr();
+                M_EVICTIONS.incr();
             }
-            None => {}
         }
         shard.insert(
             key.hash,
             Entry {
                 skeleton: key.skeleton,
                 names: key.names.into(),
-                bands: key.bands,
+                leaves: key.leaves,
+                views: key.views,
                 ctx: key.ctx,
-                epoch: key.epoch,
-                names_bound: key.names_bound,
                 plans,
                 report,
                 last_used: self.tick.fetch_add(1, Ordering::Relaxed),
@@ -307,62 +279,4 @@ impl PlanCache {
 /// panic can propagate), so a poisoned shard is still a valid map.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::Optimizer;
-    use hadad_core::expr::dsl::*;
-    use hadad_core::fingerprint::{canonicalize, leaf_bands};
-    use hadad_core::{MatrixMeta, MetaCatalog};
-
-    /// `trace(A B)`, a cold pass's plans and report for it, and a key
-    /// builder at any epoch.
-    fn fixture() -> (Arc<[Plan]>, RewriteReport, impl Fn(u64) -> PlanCacheKey) {
-        let mut cat = MetaCatalog::new();
-        cat.register("A", MatrixMeta::dense(300, 6));
-        cat.register("B", MatrixMeta::dense(6, 300));
-        let e = trace(mul(m("A"), m("B")));
-        let ranked = Optimizer::new(cat.clone()).rewrite(&e).expect("cold rewrite");
-        let key = move |epoch| {
-            let canon = canonicalize(&e);
-            let bands = leaf_bands(&canon.leaves, &cat).expect("every leaf is catalogued");
-            PlanCacheKey::new(canon, bands, 0, epoch, false)
-        };
-        (ranked.plans, ranked.report, key)
-    }
-
-    #[test]
-    fn an_older_probe_misses_without_evicting_a_newer_entry() {
-        let (plans, report, key) = fixture();
-        let cache = PlanCache::new(8);
-        cache.insert(key(2), plans, report);
-        assert!(cache.lookup(&key(1)).is_none(), "an older probe misses");
-        let counts = cache.report(false);
-        assert_eq!((counts.misses, counts.stale_refusals, counts.evictions), (1, 0, 0));
-        assert_eq!(cache.len(), 1, "the newer entry stays");
-        assert!(cache.lookup(&key(2)).is_some(), "and still serves its own epoch");
-        // A newer probe refuses and evicts it.
-        assert!(cache.lookup(&key(3)).is_none());
-        let counts = cache.report(false);
-        assert_eq!((counts.misses, counts.stale_refusals, counts.evictions), (2, 1, 1));
-        assert!(cache.is_empty());
-    }
-
-    #[test]
-    fn an_insert_never_replaces_a_newer_entry() {
-        let (plans, report, key) = fixture();
-        let cache = PlanCache::new(8);
-        cache.insert(key(2), Arc::clone(&plans), report.clone());
-        let slow: Arc<[Plan]> = plans.to_vec().into();
-        cache.insert(key(1), Arc::clone(&slow), report.clone());
-        let served = cache.lookup(&key(2)).expect("the newer entry stays");
-        assert!(Arc::ptr_eq(&served.plans, &plans) && served.names.is_none());
-        assert!(cache.lookup(&key(1)).is_none(), "the slow miss stored nothing");
-        // An insert at a newer epoch replaces it.
-        cache.insert(key(3), Arc::clone(&slow), report);
-        assert!(Arc::ptr_eq(&cache.lookup(&key(3)).expect("replaced").plans, &slow));
-        assert_eq!(cache.len(), 1);
-    }
 }

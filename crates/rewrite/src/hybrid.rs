@@ -625,7 +625,6 @@ impl HybridOptimizer {
                 catalog: &self.catalog,
                 schema: &self.schema,
                 optimizer: &self.optimizer,
-                epoch: self.catalog.epoch(),
                 degraded,
                 memo: None,
             },
@@ -646,9 +645,6 @@ struct RunState<'a> {
     /// views; a degraded run compiles a view-less one of its own instead.
     schema: &'a RelSchema,
     optimizer: &'a Optimizer,
-    /// Catalog epoch the state was captured at — the epoch the LA
-    /// suffix's plan-cache probes and inserts carry.
-    epoch: u64,
     /// Pre-determined degradation (poisoned maintainer): the run proceeds
     /// with no materialized views offered.
     degraded: Option<Degraded>,
@@ -852,9 +848,9 @@ fn run_phases(
     // Phase 5: LA suffix rewriting with the cast matrix catalogued, for
     // this call only, from its actual materialization (shape and nnz) —
     // for a sparse cast the true ultra-sparse density, which extraction
-    // prices every plan over it with. The call's plan-cache entries carry
-    // the captured epoch, not whatever the live catalog has moved on to.
-    let call = CallContext { epoch: state.epoch, cast: Some((&p.cast_name, &cast_meta)) };
+    // prices every plan over it with. The plan-cache key holds that
+    // metadata, so a hit was priced on this very cast.
+    let call = CallContext { cast: Some((&p.cast_name, &cast_meta)) };
 
     let (ranked, best, verified) = match verify {
         None => {
@@ -1066,10 +1062,12 @@ impl CatalogSnapshot {
         run_state(&self.state(None), p, Some((env, rtol)))
     }
 
-    /// Rewrites a pure-LA expression against the snapshot's optimizer;
-    /// its plan-cache probes carry the snapshot's epoch.
+    /// Rewrites a pure-LA expression against the snapshot's optimizer.
+    /// Its plan-cache key holds the snapshot's metadata of every leaf the
+    /// rewrite reads, so it hits an entry any snapshot primed exactly when
+    /// those leaves are unchanged.
     pub fn rewrite(&self, e: &Expr) -> Result<RankedPlans, RewriteError> {
-        self.optimizer.rewrite_in(e, CallContext { epoch: self.epoch, cast: None })
+        self.optimizer.rewrite(e)
     }
 
     fn state<'a>(&'a self, memo: Option<&'a PrefixMemo>) -> RunState<'a> {
@@ -1077,7 +1075,6 @@ impl CatalogSnapshot {
             catalog: &self.catalog,
             schema: &self.schema,
             optimizer: &self.optimizer,
-            epoch: self.epoch,
             degraded: None,
             memo,
         }

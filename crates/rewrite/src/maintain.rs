@@ -65,8 +65,8 @@ pub struct MaintenanceReport {
     pub maintain_us: u128,
     /// Time spent re-casting the maintained casts in `restamped`.
     pub restamp_us: u128,
-    /// Catalog epoch after the pass committed — the epoch fresh plan-cache
-    /// entries and snapshots are stamped with from here on.
+    /// Catalog epoch after the pass committed — the epoch snapshots
+    /// published from here on are stamped with.
     pub epoch: u64,
 }
 

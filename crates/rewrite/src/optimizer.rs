@@ -33,7 +33,11 @@
 //! that clone shares the registered matrices by pointer: its cost follows
 //! the call's own entries, not the size of the catalog. So does the
 //! plan-cache key's configuration hash, computed when the budget, the
-//! deadline or the views change rather than per call. Everything up to
+//! deadline or the views change rather than per call. The rest of the key
+//! is read from the call's catalog: each leaf's metadata (the cast leaf's
+//! included) and, with views, the entries of each view and of each leaf of
+//! its definition. That is everything the cold path reads, so a hit is the
+//! plan the cold path would build ([`crate::cache`]). Everything up to
 //! the cold path — the call's catalog, pricing the original, the cache key
 //! and probe (serving a hit) and the call's rules — is one timed phase,
 //! [`RewriteReport::setup_us`].
@@ -69,7 +73,7 @@ use hadad_chase::{
     degradation_of, functional_sig, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats,
     Constraint, DegradeReason, Degraded, Instance, RewritePhase, RuleSet,
 };
-use hadad_core::fingerprint::{canonicalize, leaf_bands, rename_leaves};
+use hadad_core::fingerprint::{canonicalize, rename_leaves};
 use hadad_core::{
     expr_estimate, expr_stats, Catalogue, ClassData, Encoder, Expr, Extractor, LaAnalysis,
     MatrixMeta, MetaCatalog, OpKind, RuleRejection, ShapeError, Vrem,
@@ -320,12 +324,10 @@ pub struct Optimizer {
     config: u64,
 }
 
-/// What a hybrid call adds to one rewrite: the catalog epoch its plan-cache
-/// probes and inserts carry, and the cast leaf, catalogued for that call
-/// only. The default is a bare [`Optimizer::rewrite`]: epoch 0, no leaf.
+/// What a hybrid call adds to one rewrite: the cast leaf, catalogued for
+/// that call only. The default is a bare [`Optimizer::rewrite`]: no leaf.
 #[derive(Clone, Copy, Default)]
 pub(crate) struct CallContext<'a> {
-    pub(crate) epoch: u64,
     pub(crate) cast: Option<(&'a str, &'a MatrixMeta)>,
 }
 
@@ -356,8 +358,8 @@ impl Optimizer {
 
     /// Enables the plan cache with `capacity` total entries (`0`
     /// disables); it is off until this is called. Clones of this optimizer
-    /// share the cache; see [`crate::cache`] for the key and the
-    /// epoch-invalidation rule.
+    /// share the cache; see [`crate::cache`] for the key, which holds
+    /// everything a plan depends on.
     pub fn with_plan_cache(mut self, capacity: usize) -> Self {
         self.cache = (capacity > 0).then(|| Arc::new(PlanCache::new(capacity)));
         self
@@ -533,15 +535,24 @@ impl Optimizer {
         h.finish()
     }
 
-    /// Plan-cache key for `e` over the effective catalog, or `None` when
-    /// some leaf has no metadata (the rewrite will fail shape inference on
-    /// its own terms). Cross-name sharing is only allowed while no views
-    /// are registered — their plans can embed leaves tied to concrete
-    /// names, so those keys bind the leaf names too.
-    fn cache_key(&self, e: &Expr, cat: &MetaCatalog, epoch: u64) -> Option<PlanCacheKey> {
+    /// Plan-cache key for `e` over the call's catalog `cat`, or `None`
+    /// when some leaf has no metadata (the rewrite will fail shape
+    /// inference on its own terms): each leaf's metadata and, per view,
+    /// `cat`'s entries for its name and its definition's leaves — what
+    /// [`Optimizer::effective_cat`], [`Optimizer::chase_rules`] and
+    /// extraction read beyond the query's leaves. Cross-name sharing is
+    /// only allowed while no views are registered — their plans can embed
+    /// leaves tied to concrete names, so those keys bind the leaf names too.
+    fn cache_key(&self, e: &Expr, cat: &MetaCatalog) -> Option<PlanCacheKey> {
         let canon = canonicalize(e);
-        let bands = leaf_bands(&canon.leaves, cat)?;
-        Some(PlanCacheKey::new(canon, bands, self.config, epoch, !self.views.is_empty()))
+        let leaves = canon.leaves.iter().map(|n| cat.get(n).cloned()).collect::<Option<_>>()?;
+        let views = self
+            .views
+            .iter()
+            .flat_map(|v| std::iter::once(v.name.as_str()).chain(v.def.base_matrices()))
+            .map(|n| cat.get(n).cloned())
+            .collect();
+        Some(PlanCacheKey::new(canon, leaves, views, self.config))
     }
 
     /// Rewrites `e` into cost-ranked equivalent plans.
@@ -573,9 +584,8 @@ impl Optimizer {
     }
 
     /// What a call does before its cold path: the call's catalog, the
-    /// priced original and the plan-cache probe — a hit at the current
-    /// epoch is served from the cache and takes the original; a stale entry
-    /// is refused and, like a miss, goes on to the call's rules.
+    /// priced original and the plan-cache probe — a hit is served from the
+    /// cache and takes the original; a miss goes on to the call's rules.
     fn setup(&self, e: &Expr, call: CallContext<'_>) -> Result<Setup, RewriteError> {
         let cat = self.effective_cat(call)?;
         // The original is priced by `expr_estimate`, which prices every
@@ -583,7 +593,7 @@ impl Optimizer {
         let original = Plan { expr: e.clone(), est_cost: expr_estimate(e, &cat)?.1 };
         let mut pending: Option<CacheSlot> = None;
         if let Some(cache) = &self.cache {
-            if let Some(key) = self.cache_key(e, &cat, call.epoch) {
+            if let Some(key) = self.cache_key(e, &cat) {
                 if let Some(cached) = cache.lookup(&key) {
                     if let Some((plans, report)) =
                         serve_hit(cache, cached, &key, &cat, &original.expr)
@@ -893,7 +903,7 @@ fn sort_plans(plans: &mut [Plan], original: &Expr) {
 
 /// Serves a cache hit: the cached plans and report, to be anchored on this
 /// call's freshly priced `original`. A same-name hit shares the entry's
-/// plans; a cross-name hit (same skeleton and bands, different leaf names)
+/// plans; a cross-name hit (same skeleton and leaf metadata, different leaf names)
 /// re-skins them onto the probe's names and re-prices them under its
 /// catalog. Returns `None` when no re-skinned plan prices (treated as a
 /// miss by the caller).

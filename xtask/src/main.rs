@@ -99,11 +99,12 @@ fn obs_dump() -> ExitCode {
     }
 
     // Relational layer: a filtered view over an events table behind a
-    // plan-cached hybrid optimizer. Two same-epoch rewrites (miss + hit;
-    // both filter the `spikes` view, so the second builds its column
-    // index), a logged insert + maintenance pass (IVM + epoch bump), then
-    // two more rewrites (stale refusal + re-primed hit), then two reads of
-    // the published snapshot (prefix memo miss + hit).
+    // plan-cached hybrid optimizer. Two rewrites (miss + hit; both filter
+    // the `spikes` view, so the second builds its column index), a logged
+    // insert + maintenance pass (IVM + epoch bump), then two more rewrites
+    // (both hits: the suffix `(A·B)·x` does not read the cast `E`, so the
+    // update leaves its plan-cache key alone), then two reads of the
+    // published snapshot (prefix memo miss + hit).
     let events = Table::new(vec![
         ("eid", Column::Int((0..64).collect())),
         ("kind", Column::Int((0..64).map(|i| i % 4).collect())),
@@ -139,7 +140,7 @@ fn obs_dump() -> ExitCode {
         cast_name: "E".into(),
         suffix: expr.clone(),
     };
-    for step in ["cold", "warm", "post-update", "re-primed"] {
+    for step in ["cold", "warm", "post-update", "repeat"] {
         if step == "post-update" {
             let row = vec![Value::Int(64), Value::Int(3)];
             if hy.catalog.insert_rows("events", vec![row]).is_err()
@@ -197,7 +198,6 @@ fn obs_dump() -> ExitCode {
         "relexec.index_builds",
         "kernel.gemm",
         "cache.hits",
-        "cache.stale_refusals",
         "snapshot.publishes",
         "snapshot.reads",
         "hybrid.prefix_memo_hits",
