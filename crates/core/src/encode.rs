@@ -28,10 +28,13 @@
 //!   nulls, so every rule of the chase can read it;
 //! * [`Encoded::tabulate_chains_as_cells`] keeps it out of the instance,
 //!   in [`Encoded::cells`], which extraction enumerates as `mul` e-nodes
-//!   over class ids after the instance's ([`crate::Extractor`]). That is
-//!   only sound where no rule but associativity can read a class only the
-//!   table has; the caller decides (`hadad-rewrite`'s optimizer does, per
-//!   call).
+//!   over class ids after the instance's ([`crate::Extractor`]). It also
+//!   writes each given view whose definition is a product of base factors
+//!   into the cells, as a `Mat(view)` leaf of the class of its factor
+//!   sequence: the class a view rule would bind the view's name to. That
+//!   is only sound where no rule but associativity can read a class only
+//!   the table has, and where no other rule needs the view; the caller
+//!   decides (`hadad-rewrite`'s optimizer does, per call).
 //!
 //! Either way the chains are then closed under associativity, and the
 //! clock the step returns is where a chase may start the two rules'
@@ -247,10 +250,12 @@ impl From<NodeId> for ChainCell {
 }
 
 /// Matrix-chain tables kept out of the instance: the classes only they
-/// have and every split of every sub-chain. [`crate::Extractor`] reads the
-/// `j`-th table-only class as class `num_nodes() + j` and each split as a
-/// `mul` e-node of its output. Only [`Encoded::tabulate_chains_as_cells`]
-/// fills it; the default is empty, for an instance without such tables.
+/// have, every split of every sub-chain, and the views found in them.
+/// [`crate::Extractor`] reads the `j`-th table-only class as class
+/// `num_nodes() + j`, each split as a `mul` e-node of its output and each
+/// view as a `Mat` leaf of its class. Only
+/// [`Encoded::tabulate_chains_as_cells`] fills it; the default is empty,
+/// for an instance without such tables.
 #[derive(Debug, Default)]
 pub struct ChainCells {
     /// Shape of each table-only class — rows of its first factor, columns
@@ -263,6 +268,9 @@ pub struct ChainCells {
     /// table-only class's splits directly follow its creation, so they are
     /// in class order.
     pub(crate) splits: Vec<[ChainCell; 3]>,
+    /// Each view whose factor sequence the tables hold: the class of that
+    /// sequence and the view's name, in the order the views were given.
+    pub(crate) views: Vec<(ChainCell, String)>,
 }
 
 /// Where [`Encoded::tabulate`] writes a table: the instance or
@@ -276,9 +284,16 @@ trait TableSink {
     fn fresh(&self, enc: &mut Encoded, data: Option<ClassData>) -> Self::Cell;
     /// The split `left · right = out`.
     fn split(&self, enc: &mut Encoded, left: Self::Cell, right: Self::Cell, out: Self::Cell);
+    /// The views to find in the table, each a name and a definition.
+    fn views(&self) -> &[(&str, &Expr)] {
+        &[]
+    }
+    /// `view` is the class `cell`.
+    fn view(&self, _enc: &mut Encoded, _cell: Self::Cell, _view: &str) {}
 }
 
-/// The table as `mul` facts over fresh nulls.
+/// The table as `mul` facts over fresh nulls. It finds no view: the
+/// chase's view rules read the facts.
 struct Facts(PredId);
 
 impl TableSink for Facts {
@@ -303,10 +318,10 @@ impl TableSink for Facts {
     }
 }
 
-/// The table as [`ChainCells`].
-struct Cells;
+/// The table as [`ChainCells`], with the views it holds.
+struct Cells<'v>(&'v [(&'v str, &'v Expr)]);
 
-impl TableSink for Cells {
+impl TableSink for Cells<'_> {
     type Cell = ChainCell;
 
     fn reserve(&self, enc: &mut Encoded, splits: usize, classes: usize) {
@@ -321,6 +336,14 @@ impl TableSink for Cells {
 
     fn split(&self, enc: &mut Encoded, left: ChainCell, right: ChainCell, out: ChainCell) {
         enc.cells.splits.push([left, right, out]);
+    }
+
+    fn views(&self) -> &[(&str, &Expr)] {
+        self.0
+    }
+
+    fn view(&self, enc: &mut Encoded, cell: ChainCell, view: &str) {
+        enc.cells.views.push((cell, view.to_owned()));
     }
 }
 
@@ -344,7 +367,8 @@ impl Encoded {
     /// ([`hadad_chase::ChaseEngine::with_watermarks`]). Declines — `None`,
     /// the instance untouched — when the tables could push it past
     /// `budget`'s fact or null cap: an n-chain's table holds n(n²−1)/6
-    /// `mul` facts.
+    /// `mul` facts ([`chain_table_size`]). It finds no view: a view over a
+    /// sub-chain is the chase's, through the view's rules.
     pub fn tabulate_chains(&mut self, vrem: &Vrem, budget: &ChaseBudget) -> Option<u64> {
         self.tabulate(vrem, budget, &Facts(vrem.op(OpKind::Mul)))
     }
@@ -356,15 +380,24 @@ impl Encoded {
     /// (`None`, nothing added), since the cells bound extraction's arrays
     /// as the facts would bound the instance.
     ///
+    /// Each of `views` (name, definition) whose definition is a product of
+    /// two or more base factors ([`Expr::product_factors`]) and whose
+    /// factor sequence the tables hold becomes a `Mat(view)` leaf of that
+    /// sequence's class, in the cells: the class a view's `V_IO` rule binds
+    /// its name to on the same table as facts. Any other view is skipped.
+    ///
     /// Sound only where no rule other than `mul-assoc-l`/`-r` and the
     /// functional EGDs can bind a class only the table has — the returned
-    /// clock is then where those two rules may start, as for the facts.
+    /// clock is then where those two rules may start, as for the facts —
+    /// and where every view is found here or nowhere: its definition a
+    /// product of base factors, and its name none of the input's leaves.
     pub fn tabulate_chains_as_cells(
         &mut self,
         vrem: &Vrem,
         budget: &ChaseBudget,
+        views: &[(&str, &Expr)],
     ) -> Option<u64> {
-        self.tabulate(vrem, budget, &Cells)
+        self.tabulate(vrem, budget, &Cells(views))
     }
 
     /// The one CYK enumeration under both entry points.
@@ -397,17 +430,14 @@ impl Encoded {
         let roots: Vec<NodeId> =
             products.iter().map(|p| p[2]).filter(|c| !operand[c.0 as usize]).collect();
         // No product over a product: every chain is one `mul` fact, its own
-        // table.
-        if roots.len() == products.len() {
+        // table, and with no view to find there is nothing to do.
+        if roots.len() == products.len() && sink.views().is_empty() {
             return Some(inst.clock());
         }
         let (facts, nulls, factors) = roots.iter().fold((0u64, 0u64, 0u64), |(f, n, l), r| {
             let k = len[r.0 as usize];
-            (
-                f.saturating_add(k.saturating_mul(k * k - 1) / 6),
-                n.saturating_add(k * (k - 1) / 2),
-                l.saturating_add(k),
-            )
+            let (splits, classes) = chain_table_size(k);
+            (f.saturating_add(splits), n.saturating_add(classes), l.saturating_add(k))
         });
         if inst.num_facts() as u64 + facts > budget.max_facts as u64
             || inst.num_nulls() as u64 + nulls > budget.max_nulls as u64
@@ -507,8 +537,36 @@ impl Encoded {
                 }
             }
         }
+
+        // Each view's factor sequence, from the classes its leaves name.
+        let inst = &self.instance;
+        let named = |leaf: &str| {
+            inst.facts_with_pred(vrem.name).iter().map(|&i| &inst.fact(i).args).find_map(|a| {
+                let sym = inst.const_of(a[1])?;
+                (vrem.vocab.const_name(sym) == leaf).then_some(a[0])
+            })
+        };
+        let found: Vec<(S::Cell, &str)> = sink
+            .views()
+            .iter()
+            .filter_map(|&(view, def)| {
+                let seq: Vec<NodeId> =
+                    def.product_factors()?.into_iter().map(named).collect::<Option<_>>()?;
+                tabled.get(&seq[..]).map(|&(cell, _)| (cell, view))
+            })
+            .collect();
+        for (cell, view) in found {
+            sink.view(self, cell, view);
+        }
         Some(self.instance.clock())
     }
+}
+
+/// What an `n`-factor chain's table holds: n(n²−1)/6 splits — one `mul`
+/// fact each, on the instance — over n(n−1)/2 sub-chains of two or more
+/// factors, each a class. Saturates rather than overflows.
+pub fn chain_table_size(n: u64) -> (u64, u64) {
+    (n.saturating_mul(n.saturating_mul(n).saturating_sub(1)) / 6, n * n.saturating_sub(1) / 2)
 }
 
 /// Encoder state: shares subexpression classes structurally so that e.g.

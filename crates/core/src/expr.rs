@@ -153,6 +153,25 @@ impl Expr {
             c.collect_bases(out);
         }
     }
+
+    /// The factors of a product chain, left to right — the leaf names of a
+    /// tree of `Mul` over `Mat` leaves, repeats included, so a bare `Mat`
+    /// is a chain of one — or `None` for any other expression.
+    pub fn product_factors(&self) -> Option<Vec<&str>> {
+        let mut out = Vec::new();
+        self.collect_factors(&mut out).then_some(out)
+    }
+
+    fn collect_factors<'a>(&'a self, out: &mut Vec<&'a str>) -> bool {
+        match self {
+            Expr::Mat(n) => {
+                out.push(n);
+                true
+            }
+            Expr::Mul(a, b) => a.collect_factors(out) && b.collect_factors(out),
+            _ => false,
+        }
+    }
 }
 
 impl fmt::Display for Expr {

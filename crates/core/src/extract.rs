@@ -29,11 +29,14 @@
 //! A product chain whose table the encoder kept out of the instance
 //! ([`crate::Encoded::tabulate_chains_as_cells`]) is extracted from its
 //! [`ChainCells`]: the `j`-th class only the table has is class
-//! `num_nodes() + j`, with the shape the cells give it, and each split is
-//! one more `mul` e-node of its product's class. The worklist
-//! then runs over them as over any e-node — on a chain it is the
-//! matrix-chain DP — and prices and builds exactly what it would from the
-//! same table inserted as facts.
+//! `num_nodes() + j`, with the shape the cells give it, each split is one
+//! more `mul` e-node of its product's class, and each view the cells hold
+//! is one more `Mat` leaf of its class, after every other e-node of it —
+//! where a view rule's `name` fact lands on the same table as facts —
+//! priced like any base matrix, from the call's catalog. The worklist then
+//! runs over them as over any e-node — on a chain it is the matrix-chain
+//! DP — and prices and builds exactly what it would from the same table
+//! inserted as facts, with its views chased.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -190,14 +193,7 @@ impl<'a> Extractor<'a> {
             let arg = |i: usize| inst.find(f.args[i]);
             if f.pred == vrem.name {
                 if let Some(name) = constant(arg(1)) {
-                    let i = match self.names.iter().position(|n| n == name) {
-                        Some(i) => i,
-                        None => {
-                            self.names.push(name.to_owned());
-                            self.names.len() - 1
-                        }
-                    };
-                    found.push((arg(0).0, ENode::Mat(i as u32)));
+                    found.push((arg(0).0, self.mat(name)));
                 }
             } else if f.pred == vrem.lit {
                 if let Some(v) = constant(arg(1)).and_then(|s| s.parse::<f64>().ok()) {
@@ -234,6 +230,14 @@ impl<'a> Extractor<'a> {
         // every instance class.
         found.sort_by_key(|&(class, _)| class);
         found.extend(cells.splits.iter().filter(into_table).map(split));
+        // A view's leaf goes after every other e-node of its class, where
+        // the same table as facts gets the `name` fact its `V_IO` rule
+        // chases; two views of one class keep the order they were given in.
+        for (cell, view) in &cells.views {
+            let leaf = (id(*cell).0, self.mat(view));
+            let at = found.partition_point(|&(class, _)| class <= leaf.0);
+            found.insert(at, leaf);
+        }
         let mut group = (u32::MAX, 0);
         for (class, node) in found {
             if group.0 != class {
@@ -247,6 +251,18 @@ impl<'a> Extractor<'a> {
         for c in 1..self.first.len() {
             self.first[c] += self.first[c - 1];
         }
+    }
+
+    /// The `Mat` e-node of base matrix `name`.
+    fn mat(&mut self, name: &str) -> ENode {
+        let i = match self.names.iter().position(|n| n == name) {
+            Some(i) => i,
+            None => {
+                self.names.push(name.to_owned());
+                self.names.len() - 1
+            }
+        };
+        ENode::Mat(i as u32)
     }
 
     /// Knuth's worklist: pop the cheapest queued class, which makes its
@@ -625,14 +641,18 @@ mod tests {
     }
 
     /// `e` encoded with its chain tables as facts, and encoded with them
-    /// as cells: each instance, analysis and cells.
-    fn both_tables(e: &Expr, c: &MetaCatalog) -> [(Vrem, crate::Encoded, LaAnalysis); 2] {
+    /// as cells holding `views`: each instance, analysis and cells.
+    fn both_tables(
+        e: &Expr,
+        c: &MetaCatalog,
+        views: &[(&str, &Expr)],
+    ) -> [(Vrem, crate::Encoded, LaAnalysis); 2] {
         let budget = hadad_chase::ChaseBudget::default();
         let table = |as_cells: bool| {
             let mut vrem = Vrem::new();
             let mut enc = Encoder::new(&mut vrem, c).encode(e).unwrap();
             let clock = if as_cells {
-                enc.tabulate_chains_as_cells(&vrem, &budget)
+                enc.tabulate_chains_as_cells(&vrem, &budget, views)
             } else {
                 enc.tabulate_chains(&vrem, &budget)
             };
@@ -655,7 +675,7 @@ mod tests {
             c.register(*name, MatrixMeta::dense(dims[i], dims[i + 1]));
         }
         let e = names[1..].iter().fold(m(names[0]), |acc, n| mul(acc, m(n)));
-        let [(vrem, facts, fa), (_, cells, ca)] = both_tables(&e, &c);
+        let [(vrem, facts, fa), (_, cells, ca)] = both_tables(&e, &c, &[]);
         assert!(facts.cells.splits.is_empty());
         assert_eq!(cells.cells.splits.len(), 5 * 24 / 6, "n(n²−1)/6 splits");
         assert_eq!(cells.cells.classes.len(), 10 - 4, "sub-chains the input did not build");
@@ -692,7 +712,7 @@ mod tests {
         c.register("B", MatrixMeta::dense(9, 6));
         let ab = mul(m("A"), m("B"));
         let e = mul(ab.clone(), ab);
-        let [(vrem, facts, fa), (_, cells, ca)] = both_tables(&e, &c);
+        let [(vrem, facts, fa), (_, cells, ca)] = both_tables(&e, &c, &[]);
         let inst = &cells.instance;
         let fact = inst.fact(inst.facts_with_pred(vrem.op(OpKind::Mul))[1]);
         assert_eq!(fact.args[0], fact.args[1], "the encoder shares A B");
@@ -708,6 +728,65 @@ mod tests {
         assert_eq!(implicit.extract(cells.root), tabled.extract(facts.root));
         assert_eq!(implicit.candidates(cells.root), tabled.candidates(facts.root));
         assert_eq!(implicit.candidates(cells.root).len(), 3);
+    }
+
+    /// A view in the cells is the leaf its `name` fact is on the same table
+    /// as facts, where a view rule inserts that fact after the table: the
+    /// same e-nodes in the same order, every class at the same cost, the
+    /// same plans. `V := B C` lands on a class only the table has, `W` on
+    /// the root, and `U`, defined as `W` is, beside `W`; `X := A C` is no
+    /// sub-chain and lands nowhere.
+    #[test]
+    fn a_view_in_the_cells_is_the_leaf_its_name_fact_is() {
+        let mut c = MetaCatalog::new();
+        let dims = [40, 6, 30, 2, 25, 8];
+        let names = ["A", "B", "C", "E", "F"];
+        for (i, name) in names.iter().enumerate() {
+            c.register(*name, MatrixMeta::dense(dims[i], dims[i + 1]));
+        }
+        c.register("V", MatrixMeta::dense(6, 2));
+        for whole in ["W", "U"] {
+            c.register(whole, MatrixMeta::dense(40, 8));
+        }
+        c.register("X", MatrixMeta::dense(40, 2));
+        let e = names[1..].iter().fold(m(names[0]), |acc, n| mul(acc, m(n)));
+        let (bc, ac) = (mul(m("B"), m("C")), mul(m("A"), m("C")));
+        let whole = mul(m("A"), mul(mul(m("B"), m("C")), mul(m("E"), m("F"))));
+        let views = [("V", &bc), ("W", &whole), ("X", &ac), ("U", &whole)];
+        let [(mut vrem, mut facts, fa), (_, cells, ca)] = both_tables(&e, &c, &views);
+        let n = cells.instance.num_nodes() as u32;
+        let found: Vec<_> =
+            cells.cells.views.iter().map(|(cell, v)| (*cell, v.as_str())).collect();
+        assert_eq!(found[0], (ChainCell::Table(0), "V"), "B C is the first sub-chain tabled");
+        assert_eq!(found[1..], [(ChainCell::Class(cells.root), "W"), (cells.root.into(), "U")]);
+        for (cell, view) in found {
+            let class = match cell {
+                ChainCell::Class(c) => c,
+                ChainCell::Table(j) => NodeId(n + j),
+            };
+            let sym = vrem.vocab.constant(view);
+            let sym = facts.instance.const_node(sym);
+            facts.instance.insert(vrem.name, vec![class, sym]);
+        }
+
+        let tabled = Extractor::new(&vrem, &facts.instance, &fa, &c, &facts.cells);
+        let implicit = Extractor::new(&vrem, &cells.instance, &ca, &c, &cells.cells);
+        assert_eq!(implicit.nodes, tabled.nodes);
+        let classes = implicit.best.len();
+        assert_eq!(
+            implicit.first[..],
+            tabled.first[..=classes],
+            "a name's node adds no e-node"
+        );
+        let costs = |ex: &Extractor<'_>| -> Vec<Option<u64>> {
+            ex.best[..classes].iter().map(|b| b.map(|b| b.cost.to_bits())).collect()
+        };
+        assert_eq!(costs(&implicit), costs(&tabled));
+        assert_eq!(implicit.extract(cells.root), Some(m("U")), "U sorts before W");
+        assert_eq!(tabled.extract(facts.root), Some(m("U")));
+        let candidates = implicit.candidates(cells.root);
+        assert_eq!(candidates.len(), 4 + 2, "one per split of the root and per view");
+        assert_eq!(tabled.candidates(facts.root), candidates);
     }
 
     #[test]

@@ -21,8 +21,9 @@
 //! shared [`Vrem`] the call's expression is then encoded into. That clone
 //! copies no name: the shared vocabulary is frozen, and the clone owns only
 //! the tail the call interns into (its leaf names, its views' constants).
-//! An optimizer without views chases over the shared rule set as it is;
-//! one with `v` views compiles `2·v` rules per call and shares the rest
+//! An optimizer without views chases over the shared rule set as it is, and
+//! so does a call whose views the chain tables hold (below); otherwise `v`
+//! views compile `2·v` rules per call and share the rest
 //! ([`RuleSet::extended`]). Nothing is kept from one call to the next, so
 //! nothing is keyed, locked or evicted.
 //!
@@ -48,12 +49,18 @@
 //! later rules derive. Where nothing but those two rules could read the
 //! table, it stays out of the instance
 //! ([`hadad_core::Encoded::tabulate_chains_as_cells`]) and extraction
-//! enumerates its splits; that is a call with no LA view whose encoding is
-//! `name` and `mul` facts alone, since no standard rule other than the two
-//! and the functional EGDs matches such facts (asserted once per process).
-//! Every other call inserts the tables as facts
-//! ([`hadad_core::Encoded::tabulate_chains`]), where view rules, `tr-mul`
-//! and the rest can read them.
+//! enumerates its splits; that is a call whose encoding is `name` and `mul`
+//! facts alone, since no standard rule other than the two and the
+//! functional EGDs matches such facts (asserted once per process), and
+//! which chases no view pair. A view whose definition is a product chain
+//! of base factors needs no pair there: the table holds its factor
+//! sequence's class, and the view is a `Mat` leaf of that cell, priced as
+//! the call's catalog prices the view — what its `V_IO` rule would have
+//! derived on the same table as facts. So a call whose views are all such
+//! chains, over a product of unflagged leaves none of which is a view,
+//! tables as cells and chases the shared standard set. Every other call
+//! inserts the tables as facts ([`hadad_core::Encoded::tabulate_chains`]),
+//! where view rules, `tr-mul` and the rest can read them.
 //!
 //! The chase runs with the LA analysis ([`LaAnalysis`]): shapes seeded by
 //! the encoder, kept for the classes the chase creates and merges, and
@@ -75,8 +82,9 @@ use hadad_chase::{
 };
 use hadad_core::fingerprint::{canonicalize, rename_leaves};
 use hadad_core::{
-    expr_estimate, expr_stats, Catalogue, ClassData, Encoder, Expr, Extractor, LaAnalysis,
-    MatrixMeta, MetaCatalog, OpKind, RuleRejection, ShapeError, Vrem,
+    chain_table_size, expr_estimate, expr_stats, Catalogue, ClassData, Encoder, Expr,
+    Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind, RuleRejection, ShapeError,
+    TypeFlags, Vrem,
 };
 use hadad_linalg::{approx_eq, default_backend, Matrix};
 
@@ -293,6 +301,14 @@ impl LaView {
     fn certified(&self, pair: &[Constraint], vrem: &Vrem) -> Result<(), RuleRejection> {
         self.gate.get_or_init(|| registration_gate(pair, vrem)).clone()
     }
+
+    /// Whether the definition is a product of two or more factors, none a
+    /// view of `opt` ([`Expr::product_factors`]): a view the chain tables
+    /// hold as a leaf of a cell, with no rule.
+    fn is_product_chain(&self, opt: &Optimizer) -> bool {
+        matches!(self.def, Expr::Mul(..))
+            && self.def.product_factors().is_some_and(|f| f.iter().all(|f| !opt.has_la_view(f)))
+    }
 }
 
 /// The optimizer facade.
@@ -490,21 +506,36 @@ impl Optimizer {
         Ok(env)
     }
 
-    /// What one call chases with: a clone of the shared schema and the
+    /// What one call chases `e` with: a clone of the shared schema and the
     /// shared standard rules extended — in this order, which fixes symbol
     /// ids and firing order — by each view's `V_IO`/`V_OI` pair built
     /// against `cat` (the class stats they come with follow the metadata
     /// of the leaves the definition mentions, call by call). A view over a
     /// matrix `cat` lacks is left out, as in [`Optimizer::effective_cat`].
-    /// Without views, the shared set itself.
-    fn chase_rules(&self, cat: &MetaCatalog) -> Result<CallRules, RewriteError> {
+    /// Without views, and where `e`'s chain tables hold every view
+    /// ([`Optimizer::tables_hold_views`]), the shared set itself; a view
+    /// registered ahead of its leaves is still certified by the first call
+    /// that can build its pair.
+    fn chase_rules(&self, e: &Expr, cat: &MetaCatalog) -> Result<CallRules, RewriteError> {
         let (vrem, standard) = Catalogue::shared_standard();
         let mut vrem = vrem.clone();
-        if self.views.is_empty() {
-            return Ok(CallRules { vrem, rules: Arc::clone(standard), views: Vec::new() });
+        if self.views.is_empty() || self.tables_hold_views(e, cat) {
+            for v in &self.views {
+                match v.gate.get() {
+                    Some(verdict) => verdict.clone()?,
+                    None => {
+                        match Catalogue::la_view_constraints(&mut vrem, cat, &v.name, &v.def) {
+                            Err(ShapeError::UnknownMatrix(_)) => {}
+                            view => v.certified(&view?.constraints, &vrem)?,
+                        }
+                    }
+                }
+            }
+            let rules = Arc::clone(standard);
+            return Ok(CallRules { vrem, rules, pairs: Vec::new() });
         }
         let mut extra = Vec::with_capacity(2 * self.views.len());
-        let mut views = Vec::with_capacity(self.views.len());
+        let mut pairs = Vec::with_capacity(self.views.len());
         for v in &self.views {
             let view = match Catalogue::la_view_constraints(&mut vrem, cat, &v.name, &v.def) {
                 Err(ShapeError::UnknownMatrix(_)) => continue,
@@ -514,9 +545,36 @@ impl Optimizer {
             v.certified(&view.constraints, &vrem)?;
             let first = standard.len() + extra.len();
             extra.extend(view.constraints);
-            views.push((first..standard.len() + extra.len(), view.classes));
+            pairs.push((first..standard.len() + extra.len(), view.classes));
         }
-        Ok(CallRules { vrem, rules: Arc::new(standard.extended(extra)), views })
+        Ok(CallRules { vrem, rules: Arc::new(standard.extended(extra)), pairs })
+    }
+
+    /// Whether `e`'s chain tables, kept out of the instance
+    /// ([`hadad_core::Encoded::tabulate_chains_as_cells`]), hold every view
+    /// of the call as a leaf of a cell, so that the call chases no pair.
+    /// Each view must be left out of the call or be a product chain of
+    /// base factors ([`LaView::is_product_chain`]): the cell of its factor
+    /// sequence is then the class its `V_IO` rule would bind. `e` must
+    /// encode to `name` and `mul` facts alone — a product of unflagged
+    /// leaves, none a view — which is what keeps a table out of the
+    /// instance at all. And its table must fit the budget whatever `e`
+    /// shares, since a declined table holds no view where the chase of the
+    /// view rules would still find it.
+    fn tables_hold_views(&self, e: &Expr, cat: &MetaCatalog) -> bool {
+        let left_out = |v: &LaView| v.def.base_matrices().iter().any(|l| cat.get(l).is_none());
+        if !self.views.iter().all(|v| v.is_product_chain(self) || left_out(v)) {
+            return false;
+        }
+        let Some(factors) = e.product_factors() else { return false };
+        let unflagged = |f: &str| cat.get(f).is_some_and(|m| m.flags == TypeFlags::default());
+        // At most a `name` fact and a class per factor, a `mul` fact and a
+        // class per product, before the table.
+        let n = factors.len() as u64;
+        let (splits, classes) = chain_table_size(n);
+        factors.iter().all(|f| unflagged(f) && !self.has_la_view(f))
+            && 2 * n - 1 + splits <= self.budget.max_facts as u64
+            && 2 * n - 1 + classes <= self.budget.max_nulls as u64
     }
 
     /// Opaque configuration hash for plan-cache keys: two optimizers with
@@ -604,7 +662,7 @@ impl Optimizer {
                 pending = Some((Arc::clone(cache), key));
             }
         }
-        let rules = self.chase_rules(&cat)?;
+        let rules = self.chase_rules(e, &cat)?;
         Ok(Setup::Cold(ColdStart { cat, original, pending, rules }))
     }
 
@@ -617,17 +675,20 @@ impl Optimizer {
     ) -> Result<(RankedPlans, Option<CacheSlot>), RewriteError> {
         let (setup, setup_us) =
             hadad_obs::timed("rewrite.setup", &M_SETUP_US, || self.setup(e, call));
-        let ColdStart { cat, original, pending, rules: CallRules { mut vrem, rules, views } } =
+        let ColdStart { cat, original, pending, rules: CallRules { mut vrem, rules, pairs } } =
             match setup? {
                 Setup::Served(served) => return Ok((served, None)),
                 Setup::Cold(cold) => cold,
             };
         // The product chains' tables are encoding work: the two
-        // associativity rules then start where the tables end.
+        // associativity rules then start where the tables end. A call that
+        // chases no view pair has its views held by the tables, if any.
         let (encoded, encode_us) = hadad_obs::timed("rewrite.encode", &M_ENCODE_US, || {
             let mut encoded = Encoder::new(&mut vrem, &cat).encode(e)?;
-            let tabled = if views.is_empty() && names_and_products(&encoded.instance, &vrem) {
-                encoded.tabulate_chains_as_cells(&vrem, &self.budget)
+            let tabled = if names_and_products(&encoded.instance, &vrem) && pairs.is_empty() {
+                let views: Vec<(&str, &Expr)> =
+                    self.views.iter().map(|v| (v.name.as_str(), &v.def)).collect();
+                encoded.tabulate_chains_as_cells(&vrem, &self.budget, &views)
             } else {
                 encoded.tabulate_chains(&vrem, &self.budget)
             };
@@ -635,7 +696,7 @@ impl Optimizer {
         });
         let (encoded, tabled) = encoded?;
         let mut analysis = LaAnalysis::new(&vrem, encoded.classes);
-        for (rules, classes) in views {
+        for (rules, classes) in pairs {
             analysis = analysis.with_view(rules, classes);
         }
 
@@ -830,9 +891,18 @@ struct CallRules {
     vrem: Vrem,
     /// The shared standard rules, extended by the call's own.
     rules: Arc<RuleSet>,
-    /// Each view's `V_IO`/`V_OI` rule indexes in `rules`, and the class
-    /// stats their firings join ([`LaAnalysis::with_view`]).
-    views: Vec<(Range<usize>, Vec<Option<ClassData>>)>,
+    /// Each chased view's `V_IO`/`V_OI` rule indexes in `rules`, and the
+    /// class stats their firings join ([`LaAnalysis::with_view`]). Empty
+    /// without views, and where the chain tables hold them.
+    pairs: Vec<(Range<usize>, Vec<Option<ClassData>>)>,
+}
+
+/// Whether every fact of `inst` is a `name` or a `mul` fact. For a call
+/// whose views the tables hold, [`Optimizer::tables_hold_views`] has made
+/// sure of it before encoding.
+fn names_and_products(inst: &Instance, vrem: &Vrem) -> bool {
+    let of = |pred| inst.facts_with_pred(pred).len();
+    of(vrem.name) + of(vrem.op(OpKind::Mul)) == inst.num_facts()
 }
 
 /// Indexes of `mul-assoc-l`/`-r` in the shared standard rules, and so in
@@ -855,12 +925,6 @@ fn assoc_rules() -> &'static [usize] {
 
 fn is_assoc(rule: &str) -> bool {
     matches!(rule, "mul-assoc-l" | "mul-assoc-r")
-}
-
-/// Whether every fact of `inst` is a `name` or a `mul` fact.
-fn names_and_products(inst: &Instance, vrem: &Vrem) -> bool {
-    let of = |pred| inst.facts_with_pred(pred).len();
-    of(vrem.name) + of(vrem.op(OpKind::Mul)) == inst.num_facts()
 }
 
 /// The rules of `rules` that could bind a class only a chain's table has
@@ -1175,7 +1239,7 @@ mod tests {
         cat.register("X", MatrixMeta::dense(200, 8));
         let (_, standard) = Catalogue::shared_standard();
         let rules_of = |opt: &Optimizer| {
-            opt.chase_rules(&opt.effective_cat(CallContext::default()).unwrap())
+            opt.chase_rules(&m("X"), &opt.effective_cat(CallContext::default()).unwrap())
                 .expect("rules build")
         };
         let inherits_standard = |rules: &RuleSet| {
@@ -1183,7 +1247,7 @@ mod tests {
         };
         // The shape the analysis joins into the class `V_IO:G` tags.
         let view_shape = |call: &CallRules| -> (usize, usize) {
-            let (rules, classes) = &call.views[0];
+            let (rules, classes) = &call.pairs[0];
             let io = &call.rules.rules()[rules.start];
             assert_eq!(io.name(), "V_IO:G");
             let Constraint::Tgd(tgd) = io.constraint() else { panic!("V_IO is a TGD") };
@@ -1200,7 +1264,7 @@ mod tests {
         opt.register_la_view("G", mul(t(m("X")), m("X"))).unwrap();
         let one_view = rules_of(&opt);
         assert_eq!(one_view.rules.len(), standard.len() + 2, "V_IO:G and V_OI:G");
-        assert_eq!(one_view.views[0].0, standard.len()..standard.len() + 2);
+        assert_eq!(one_view.pairs[0].0, standard.len()..standard.len() + 2);
         assert!(inherits_standard(&one_view.rules), "the standard rules are shared");
         assert_eq!(view_shape(&one_view), (8, 8));
 
@@ -1215,7 +1279,39 @@ mod tests {
             all.rules.rules()[standard.len()..].iter().map(|r| r.name()).collect();
         assert_eq!(own, ["V_IO:G", "V_OI:G", "V_IO:H", "V_OI:H"]);
         let h = standard.len() + 2..standard.len() + 4;
-        assert_eq!(all.views.iter().map(|(r, _)| r.clone()).nth(1), Some(h));
+        assert_eq!(all.pairs.iter().map(|(r, _)| r.clone()).nth(1), Some(h));
+    }
+
+    /// A call whose views are all product chains of base factors chases
+    /// the shared standard set itself, its views held by the chain tables;
+    /// a query the tables cannot hold, a query naming a view, or a view
+    /// over a transpose gets each view's pair, as before.
+    #[test]
+    fn product_chain_views_are_chased_with_the_shared_standard_set() {
+        let mut cat = MetaCatalog::new();
+        cat.register("A", MatrixMeta::dense(40, 6));
+        cat.register("B", MatrixMeta::dense(6, 40));
+        cat.register("x", MatrixMeta::dense(40, 1));
+        let (_, standard) = Catalogue::shared_standard();
+        let rules_of = |opt: &Optimizer, e: &Expr| {
+            opt.chase_rules(e, &opt.effective_cat(CallContext::default()).unwrap())
+                .expect("rules build")
+        };
+        let mut opt = Optimizer::new(cat);
+        opt.register_la_view("P", mul(m("A"), m("B"))).unwrap();
+        let nested = mul(mul(m("A"), m("B")), m("x"));
+        let folded = rules_of(&opt, &nested);
+        assert!(Arc::ptr_eq(&folded.rules, standard), "the shared set as it is");
+        assert!(folded.pairs.is_empty());
+        for e in [trace(mul(m("A"), m("B"))), mul(m("P"), m("x"))] {
+            let paired = rules_of(&opt, &e);
+            assert_eq!(paired.rules.len(), standard.len() + 2, "{e}");
+            assert_eq!(paired.pairs.len(), 1, "{e}");
+        }
+
+        opt.register_la_view("G", mul(t(m("A")), m("A"))).unwrap();
+        let both = rules_of(&opt, &nested);
+        assert_eq!(both.rules.len(), standard.len() + 4, "one view the tables cannot hold");
     }
 
     /// One optimizer whose view leaf alternates between two shapes (what a

@@ -7,13 +7,17 @@
 //!   table ends; chasing the same tabled instance from watermark 0 must
 //!   reach the same facts, outcome, candidates and ranked plans. Where the
 //!   optimizer keeps the table out of the instance
-//!   (`Encoded::tabulate_chains_as_cells`: no view, `name` and `mul` facts
-//!   alone), extraction over the cells must give the candidates, and the
+//!   (`Encoded::tabulate_chains_as_cells`: `name` and `mul` facts alone,
+//!   no view among the leaves, every view a product chain of base factors,
+//!   which the cells hold as leaves), extraction over the cells, chased
+//!   with the standard rules alone, must give the candidates, and the
 //!   optimizer the ranked plans at bitwise equal costs, of the tabled
-//!   instance chased from watermark 0.
-//! * Chains another rule can read stay tabled as facts.
+//!   instance chased with the views' rules from watermark 0.
+//! * Chains another rule can read, and views only a rule can find, stay
+//!   tabled as facts.
 //! * Fallback: a chain whose table would not fit the fact budget is not
-//!   tabled, and its chase ends as it did before tables existed.
+//!   tabled, and its chase ends as it did before tables existed; with a
+//!   view, the view keeps its rules.
 
 use hadad_chase::{
     ChaseBudget, ChaseEngine, ChaseOutcome, DegradeReason, Degraded, ExhaustedBy, RewritePhase,
@@ -232,20 +236,30 @@ fn with_views(cat: &MetaCatalog, views: &[(&str, Expr)]) -> MetaCatalog {
 }
 
 /// Facts of `e` as encoded, before any table, and whether the optimizer
-/// keeps its tables out of the instance: no view, and every fact a `name`
-/// or a `mul` fact.
+/// keeps its tables out of the instance: every fact a `name` or a `mul`
+/// fact, no leaf a view, and every view a product of two or more factors,
+/// none a view. (Every table here fits the budget.)
 fn encoded_facts(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr) -> (usize, bool) {
     let mut vrem = Catalogue::shared_standard().0.clone();
     let enc = Encoder::new(&mut vrem, &with_views(cat, views)).encode(e).expect("shape-valid");
     let inst = &enc.instance;
     let of = |pred| inst.facts_with_pred(pred).len();
     let bare = of(vrem.name) + of(vrem.op(OpKind::Mul)) == inst.num_facts();
-    (inst.num_facts(), views.is_empty() && bare)
+    let is_view = |leaf: &str| views.iter().any(|(v, _)| *v == leaf);
+    let product_chain = |def: &Expr| {
+        matches!(def, Expr::Mul(..))
+            && def.product_factors().is_some_and(|f| !f.into_iter().any(is_view))
+    };
+    let folds = !e.base_matrices().into_iter().any(is_view)
+        && views.iter().all(|(_, def)| product_chain(def));
+    (inst.num_facts(), bare && folds)
 }
 
 /// The optimizer's pipeline on `e` with `views` registered, spelled out
-/// through the public API, with the tables where `table` puts them; and
-/// the chase's matches and firings.
+/// through the public API, with the tables where `table` puts them — in
+/// the cells, with the views as their leaves and no view rule; as facts,
+/// with each view's `V_IO`/`V_OI` pair — and the chase's matches and
+/// firings.
 fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, table: Table) -> (Run, Work) {
     let opt = Optimizer::new(cat.clone());
     let cat = with_views(cat, views);
@@ -253,7 +267,7 @@ fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, table: Table) ->
     let mut vrem = standard_vrem.clone();
     let mut extra = Vec::new();
     let mut view_classes = Vec::new();
-    for (name, def) in views {
+    for (name, def) in views.iter().filter(|_| table != Table::Cells) {
         let view = Catalogue::la_view_constraints(&mut vrem, &cat, name, def).expect("builds");
         let first = standard.len() + extra.len();
         extra.extend(view.constraints);
@@ -262,7 +276,10 @@ fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, table: Table) ->
     let rules = standard.extended(extra);
     let mut enc = Encoder::new(&mut vrem, &cat).encode(e).expect("shape-valid");
     let clock = match table {
-        Table::Cells => enc.tabulate_chains_as_cells(&vrem, &opt.budget()),
+        Table::Cells => {
+            let views: Vec<(&str, &Expr)> = views.iter().map(|(v, def)| (*v, def)).collect();
+            enc.tabulate_chains_as_cells(&vrem, &opt.budget(), &views)
+        }
         Table::Closed | Table::Open => enc.tabulate_chains(&vrem, &opt.budget()),
     };
     let mut analysis = LaAnalysis::new(&vrem, enc.classes);
@@ -336,11 +353,66 @@ fn the_closed_watermark_derives_what_watermark_zero_derives() {
     }
 }
 
-/// A chain another rule can read keeps its table as facts: with a view,
-/// with a transposed factor, with an `I` factor, under `trace`, and with a
-/// factor flagged orthogonal. The optimizer's chase does the work the
-/// tabled pipeline's does — facts, matches, firings — which differs from
-/// the work over a table kept out of the instance.
+/// Views the cells hold, each against the tabled-facts chase of its view
+/// rules (ranked plans and bitwise costs): two views over overlapping
+/// sub-chains, a view over the whole chain, two views with one definition
+/// (one class, two leaves), and `(A·B)·x` with `P := A·B`, whose class is
+/// one the input built.
+#[test]
+fn product_views_are_leaves_of_their_cells() {
+    let (cat, e) = chain(6, Assoc::Left);
+    let whole =
+        product(&(1..=6).map(|i| m(&format!("M{i}"))).collect::<Vec<_>>(), Assoc::Right);
+    let mut nested = MetaCatalog::new();
+    nested.register("A", MatrixMeta::dense(40, 6));
+    nested.register("B", MatrixMeta::dense(6, 40));
+    nested.register("x", MatrixMeta::dense(40, 1));
+    let ab = || mul(m("A"), m("B"));
+    let inputs = [
+        (
+            "overlapping views",
+            &cat,
+            vec![("V", mul(m("M3"), m("M4"))), ("W", mul(m("M4"), m("M5")))],
+            e.clone(),
+        ),
+        ("a view over the whole chain", &cat, vec![("V", whole)], e.clone()),
+        (
+            "two views with one definition",
+            &cat,
+            vec![("V", mul(m("M5"), m("M6"))), ("W", mul(m("M5"), m("M6")))],
+            e.clone(),
+        ),
+        ("(A·B)·x with P := A·B", &nested, vec![("P", ab())], mul(ab(), m("x"))),
+    ];
+    for (name, cat, views, e) in inputs {
+        assert!(encoded_facts(cat, &views, &e).1, "{name}: the cells hold the views");
+        assert_same(name, cat, &views, &e);
+    }
+}
+
+/// A 12-chain with a product view holds the bare chain's 23 facts and
+/// chases the standard rules alone, and its best plan reads the view.
+#[test]
+fn a_product_view_adds_no_fact_and_no_rule() {
+    let (cat, e) = chain(12, Assoc::Left);
+    let bare = Optimizer::new(cat.clone()).rewrite(&e).expect("rewrites").report;
+    let mut opt = Optimizer::new(cat);
+    opt.register_la_view("V", mul(m("M11"), m("M12"))).expect("certifies");
+    let got = opt.rewrite(&e).expect("rewrites");
+    assert_eq!((bare.num_facts, got.report.num_facts), (23, 23));
+    let (_, standard) = Catalogue::shared_standard();
+    assert_eq!(got.report.chase_stats.rules.len(), standard.len(), "no V_IO/V_OI pair");
+    let best = "(M1 (M2 (M3 (M4 (M5 (M6 (M7 (M8 (M9 (M10 V))))))))))";
+    assert_eq!(got.best().expr.to_string(), best);
+}
+
+/// A chain another rule can read keeps its table as facts, and so does a
+/// chain with a view only a view rule can find: a view over a transposed
+/// factor, a query that names its view, a transposed factor, an `I`
+/// factor, under `trace`, and a factor flagged orthogonal. The optimizer's
+/// chase does the work the tabled pipeline's does — facts, matches,
+/// firings — which differs from the work over a table kept out of the
+/// instance.
 #[test]
 fn chains_other_rules_can_read_are_tabled_as_facts() {
     let (cat, e) = chain(5, Assoc::Left);
@@ -349,8 +421,15 @@ fn chains_other_rules_can_read_are_tabled_as_facts() {
     flagged.register("M3", MatrixMeta::dense(DIMS[2], DIMS[3]).with_flags(orthogonal));
     let sq = square_catalog();
     let abcd = |second: Expr| product(&[m("A"), second, m("C"), m("D")], Assoc::Left);
+    let names_v = product(&[m("M1"), m("M2"), m("M3"), m("V")], Assoc::Left);
     let inputs = [
-        ("a view", &cat, vec![("V", mul(m("M4"), m("M5")))], e.clone()),
+        (
+            "a view over a transposed factor",
+            &cat,
+            vec![("V", mul(t(m("M4")), m("M4")))],
+            e.clone(),
+        ),
+        ("a query that names its view", &cat, vec![("V", mul(m("M4"), m("M5")))], names_v),
         ("a transposed factor", &sq, Vec::new(), abcd(t(m("B")))),
         ("an I factor", &sq, Vec::new(), abcd(Expr::Identity(8))),
         ("under trace", &sq, Vec::new(), trace(abcd(m("B")))),
@@ -376,7 +455,8 @@ fn chains_other_rules_can_read_are_tabled_as_facts() {
 /// A 60-chain's table (35 990 products) exceeds `Optimizer::new`'s 30 000
 /// facts: the step declines and leaves the instance as encoded, and the
 /// chase ends as it did before tables existed — on the fact budget, after
-/// five rounds.
+/// five rounds. A product view over it is chased by its rules, as no cell
+/// holds it.
 #[test]
 fn a_table_over_the_fact_budget_is_not_built() {
     let mut cat = MetaCatalog::new();
@@ -406,4 +486,17 @@ fn a_table_over_the_fact_budget_is_not_built() {
     };
     assert_eq!(report.degraded, Some(facts_cut));
     assert_eq!((report.chase_rounds, report.num_facts), (5, 30_001));
+
+    // With a view over the last two factors, the table the cells would
+    // hold it in is not built either, so the view keeps its rules, which
+    // find it as the chase derives its sub-chain.
+    let mut opt = opt;
+    opt.register_la_view("V", mul(m("M59"), m("M60"))).expect("certifies");
+    let report = opt.rewrite(&e).expect("a degraded rewrite still answers").report;
+    let rules = &report.chase_stats.rules;
+    let (_, standard) = Catalogue::shared_standard();
+    assert_eq!(rules.len(), standard.len() + 2, "the view's pair is chased");
+    assert!(rules[standard.len()].firings > 0, "V_IO finds the view");
+    let reason = report.degraded.map(|d| d.reason);
+    assert_eq!(reason, Some(DegradeReason::Budget(ExhaustedBy::Facts)));
 }

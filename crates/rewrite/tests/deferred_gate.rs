@@ -1,7 +1,9 @@
 //! The static gate on an LA view registered ahead of the matrices it is
 //! defined over (the hybrid "view over a cast catalogued later" case):
 //! its `V_IO`/`V_OI` pair cannot be built at registration, so the first
-//! rewrite that can build it analyzes it — once, for every clone.
+//! rewrite that can build it analyzes it — once, for every clone. That
+//! holds for a product-chain view too, whose call chases no pair: the
+//! chain tables hold the view.
 //!
 //! Read from the `analyze.reports` counter, which is process-global, so
 //! this binary holds exactly one test.
@@ -47,4 +49,28 @@ fn forward_referencing_view_is_analyzed_once_by_the_first_rewrite_that_builds_it
     assert_eq!(reports(), before + 2);
     opt.rewrite(&e).unwrap();
     assert_eq!(reports(), before + 2);
+
+    // A product chain over `E`, not catalogued yet, on an optimizer whose
+    // calls fold it into the chain tables.
+    let mut cat = MetaCatalog::new();
+    cat.register("D", MatrixMeta::dense(200, 30));
+    cat.register("y", MatrixMeta::dense(200, 1));
+    let mut opt = Optimizer::new(cat);
+    opt.register_la_view("P", mul(m("D"), m("E"))).expect("forward reference is accepted");
+    assert!(opt.rewrite(&m("y")).is_ok(), "P is left out");
+    assert_eq!(reports(), before + 2);
+    opt.cat.register("E", MatrixMeta::dense(30, 200));
+    let clone = opt.clone();
+    let chain = mul(mul(m("D"), m("E")), m("y"));
+    let first = opt.rewrite(&chain).expect("buildable now");
+    assert_eq!(reports(), before + 3, "the first call that can build P's pair analyzes it");
+    assert_eq!(first.report.chase_stats.rules.len(), shared_rules(), "and chases no pair");
+    assert!(first.plans.iter().any(|p| p.expr == mul(m("P"), m("y"))), "the cells hold P");
+    opt.rewrite(&chain).unwrap();
+    clone.rewrite(&chain).unwrap();
+    assert_eq!(reports(), before + 3, "the verdict is remembered with the view");
+}
+
+fn shared_rules() -> usize {
+    hadad_core::Catalogue::shared_standard().1.len()
 }
