@@ -27,8 +27,9 @@
 //! later — an insertion, or a fact a merge's `rehash` re-stamped — is
 //! still enumerated, and a conclusion once present stays present, merges
 //! only renaming its nodes. The LA optimizer starts `mul-assoc-l`/`-r`
-//! where the encoder's product-chain tables end (`Encoded::tabulate_chains`
-//! in `hadad-core`); every other caller, PACB included, starts at zero.
+//! (`hadad-core`'s `Catalogue::watermark_rules`) where the encoder's chain
+//! tables end, in the instance or out of it; every other caller, PACB
+//! included, starts at zero.
 //!
 //! Rules are *compiled* once into a [`RuleSet`] — slot count, existential
 //! variables, the functional signature each EGD proves, each TGD

@@ -25,7 +25,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use hadad_chase::{Atom, Constraint, Egd, RuleSet, Term, Tgd};
+use hadad_chase::{functional_sig, Atom, Constraint, Egd, RuleSet, Term, Tgd};
 
 use crate::analysis::ClassData;
 use crate::encode::CqEncoder;
@@ -84,6 +84,25 @@ impl Catalogue {
             let rules = RuleSet::compile(Catalogue::standard(&mut vrem).constraints);
             vrem.vocab.freeze();
             (vrem, Arc::new(rules))
+        })
+    }
+
+    /// Indexes of `mul-assoc-l`/`-r` in the shared standard rules, and so
+    /// in every set extending them: the watermark rules, which a chase may
+    /// start where an instance's chain tables end. Asserts, once, what a
+    /// table kept out of the instance rests on
+    /// ([`crate::Encoded::tabulate_chains_as_cells`]): no other standard
+    /// rule but the functional EGDs reads `name` and `mul` facts alone.
+    pub fn watermark_rules() -> &'static [usize] {
+        static ASSOC: OnceLock<Vec<usize>> = OnceLock::new();
+        ASSOC.get_or_init(|| {
+            let (vrem, standard) = Catalogue::shared_standard();
+            let found: Vec<usize> =
+                (0..standard.len()).filter(|&i| is_assoc(standard.rules()[i].name())).collect();
+            assert_eq!(found.len(), 2, "the standard catalogue has both associativity rules");
+            let readers = table_readers(standard, vrem);
+            assert!(readers.is_empty(), "rules read name/mul facts alone: {readers:?}");
+            found
         })
     }
 
@@ -619,6 +638,32 @@ impl Catalogue {
     }
 }
 
+fn is_assoc(rule: &str) -> bool {
+    matches!(rule, "mul-assoc-l" | "mul-assoc-r")
+}
+
+/// The rules of `rules` whose premise is made of `name` and `mul` atoms
+/// alone, so that they could bind a class only a chain's table has. Not
+/// `mul-assoc-l`/`-r`, since the table is their closure, nor the
+/// functional EGDs, which it keeps by construction (one class per factor
+/// sequence).
+fn table_readers<'r>(rules: &'r RuleSet, vrem: &Vrem) -> Vec<&'r str> {
+    let mul = vrem.op(OpKind::Mul);
+    let reads = |rule: &Constraint| {
+        let (premise, functional) = match rule {
+            Constraint::Tgd(t) => (&t.premise, false),
+            Constraint::Egd(e) => (&e.premise, functional_sig(e).is_some()),
+        };
+        !functional && premise.iter().all(|a| a.pred == vrem.name || a.pred == mul)
+    };
+    rules
+        .rules()
+        .iter()
+        .filter(|r| !is_assoc(r.name()) && reads(r.constraint()))
+        .map(|r| r.name())
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,6 +738,21 @@ mod tests {
 
     fn chase_of(e: &Expr, cat: &MetaCatalog) -> Chased {
         Chased::new(e, cat, &[])
+    }
+
+    /// No standard rule but associativity and the functional EGDs reads an
+    /// instance of `name` and `mul` facts; a TGD over `mul` atoms alone
+    /// would, and is named.
+    #[test]
+    fn only_associativity_reads_a_bare_chain() {
+        let (vrem, standard) = Catalogue::shared_standard();
+        assert!(table_readers(standard, vrem).is_empty());
+        assert_eq!(Catalogue::watermark_rules().len(), 2);
+        let mul = vrem.op(OpKind::Mul);
+        let atom = |args: [u32; 3]| Atom::new(mul, args.iter().map(|&a| v(a)).collect());
+        let commute = Tgd::new("mul-commute", vec![atom([0, 1, 2])], vec![atom([1, 0, 3])]);
+        let extended = standard.extended(vec![Constraint::Tgd(commute)]);
+        assert_eq!(table_readers(&extended, vrem), ["mul-commute"]);
     }
 
     #[test]

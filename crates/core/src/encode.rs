@@ -29,12 +29,12 @@
 //! * [`Encoded::tabulate_chains_as_cells`] keeps it out of the instance,
 //!   in [`Encoded::cells`], which extraction enumerates as `mul` e-nodes
 //!   over class ids after the instance's ([`crate::Extractor`]). It also
-//!   writes each given view whose definition is a product of base factors
-//!   into the cells, as a `Mat(view)` leaf of the class of its factor
-//!   sequence: the class a view rule would bind the view's name to. That
-//!   is only sound where no rule but associativity can read a class only
-//!   the table has, and where no other rule needs the view; the caller
-//!   decides (`hadad-rewrite`'s optimizer does, per call).
+//!   writes each given view, a product of base factors, into the cells as
+//!   a `Mat(view)` leaf of the class of its factor sequence: the class a
+//!   view rule would bind the view's name to. That is only sound where no
+//!   rule but associativity can read a class only the table has, and
+//!   where no other rule needs a view; the encoder decides, and declines
+//!   everything else, which a caller then tables as facts.
 //!
 //! Either way the chains are then closed under associativity, and the
 //! clock the step returns is where a chase may start the two rules'
@@ -367,7 +367,7 @@ impl Encoded {
     /// ([`hadad_chase::ChaseEngine::with_watermarks`]). Declines — `None`,
     /// the instance untouched — when the tables could push it past
     /// `budget`'s fact or null cap: an n-chain's table holds n(n²−1)/6
-    /// `mul` facts ([`chain_table_size`]). It finds no view: a view over a
+    /// `mul` facts. It finds no view: a view over a
     /// sub-chain is the chase's, through the view's rules.
     pub fn tabulate_chains(&mut self, vrem: &Vrem, budget: &ChaseBudget) -> Option<u64> {
         self.tabulate(vrem, budget, &Facts(vrem.op(OpKind::Mul)))
@@ -376,27 +376,37 @@ impl Encoded {
     /// [`Encoded::tabulate_chains`], with the tables kept out of the
     /// instance: the classes only they have and their splits go to
     /// [`Encoded::cells`], and the instance gains nothing but the merges of
-    /// two associations of one sequence. The same budget check declines
-    /// (`None`, nothing added), since the cells bound extraction's arrays
-    /// as the facts would bound the instance.
+    /// two associations of one sequence. Each of `views` (name, definition)
+    /// whose factor sequence the tables hold becomes a `Mat(view)` leaf of
+    /// that sequence's class: the class its `V_IO` rule binds its name to.
     ///
-    /// Each of `views` (name, definition) whose definition is a product of
-    /// two or more base factors ([`Expr::product_factors`]) and whose
-    /// factor sequence the tables hold becomes a `Mat(view)` leaf of that
-    /// sequence's class, in the cells: the class a view's `V_IO` rule binds
-    /// its name to on the same table as facts. Any other view is skipped.
-    ///
-    /// Sound only where no rule other than `mul-assoc-l`/`-r` and the
-    /// functional EGDs can bind a class only the table has — the returned
-    /// clock is then where those two rules may start, as for the facts —
-    /// and where every view is found here or nowhere: its definition a
-    /// product of base factors, and its name none of the input's leaves.
+    /// The one place that decides whether a table may stay out of the
+    /// instance. `None`, the instance untouched, unless every fact is a
+    /// `name` or `mul` fact, no leaf is a view, every view is a product of
+    /// two or more factors none of which is a view, and the table fits
+    /// `budget` as [`Encoded::tabulate_chains`] measures it. A chase of the
+    /// standard rules alone is then sound from the returned clock: no other
+    /// standard rule but the functional EGDs reads such an instance
+    /// ([`crate::Catalogue::watermark_rules`]), and no view rule could match
+    /// a class the table lacks or expand a leaf that is no view.
     pub fn tabulate_chains_as_cells(
         &mut self,
         vrem: &Vrem,
         budget: &ChaseBudget,
         views: &[(&str, &Expr)],
     ) -> Option<u64> {
+        let inst = &self.instance;
+        let is_view = |leaf: &str| views.iter().any(|&(view, _)| view == leaf);
+        let of = |pred| inst.facts_with_pred(pred).len();
+        let bare = of(vrem.name) + of(vrem.op(OpKind::Mul)) == inst.num_facts();
+        let chains = views.iter().all(|&(view, def)| {
+            self.named(vrem, view).is_none()
+                && matches!(def, Expr::Mul(..))
+                && def.product_factors().is_some_and(|f| !f.into_iter().any(is_view))
+        });
+        if !bare || !chains {
+            return None;
+        }
         self.tabulate(vrem, budget, &Cells(views))
     }
 
@@ -539,20 +549,13 @@ impl Encoded {
         }
 
         // Each view's factor sequence, from the classes its leaves name.
-        let inst = &self.instance;
-        let named = |leaf: &str| {
-            inst.facts_with_pred(vrem.name).iter().map(|&i| &inst.fact(i).args).find_map(|a| {
-                let sym = inst.const_of(a[1])?;
-                (vrem.vocab.const_name(sym) == leaf).then_some(a[0])
-            })
-        };
         let found: Vec<(S::Cell, &str)> = sink
             .views()
             .iter()
             .filter_map(|&(view, def)| {
-                let seq: Vec<NodeId> =
-                    def.product_factors()?.into_iter().map(named).collect::<Option<_>>()?;
-                tabled.get(&seq[..]).map(|&(cell, _)| (cell, view))
+                let seq: Option<Vec<NodeId>> =
+                    def.product_factors()?.into_iter().map(|f| self.named(vrem, f)).collect();
+                tabled.get(&seq?[..]).map(|&(cell, _)| (cell, view))
             })
             .collect();
         for (cell, view) in found {
@@ -562,10 +565,21 @@ impl Encoded {
     }
 }
 
+impl Encoded {
+    /// The class a `name` fact gives `leaf`, if any.
+    fn named(&self, vrem: &Vrem, leaf: &str) -> Option<NodeId> {
+        let inst = &self.instance;
+        inst.facts_with_pred(vrem.name).iter().map(|&i| &inst.fact(i).args).find_map(|a| {
+            let sym = inst.const_of(a[1])?;
+            (vrem.vocab.const_name(sym) == leaf).then_some(a[0])
+        })
+    }
+}
+
 /// What an `n`-factor chain's table holds: n(n²−1)/6 splits — one `mul`
 /// fact each, on the instance — over n(n−1)/2 sub-chains of two or more
 /// factors, each a class. Saturates rather than overflows.
-pub fn chain_table_size(n: u64) -> (u64, u64) {
+fn chain_table_size(n: u64) -> (u64, u64) {
     (n.saturating_mul(n.saturating_mul(n).saturating_sub(1)) / 6, n * n.saturating_sub(1) / 2)
 }
 

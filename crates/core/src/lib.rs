@@ -33,7 +33,7 @@ pub mod stats;
 
 pub use analysis::{ClassData, LaAnalysis};
 pub use catalogue::{Catalogue, ViewRules};
-pub use encode::{chain_table_size, ChainCells, CqEncoder, Encoded, Encoder};
+pub use encode::{ChainCells, CqEncoder, Encoded, Encoder};
 pub use expr::{Expr, UnaryOp};
 pub use extract::Extractor;
 pub use fingerprint::{canonicalize, rename_leaves, CanonicalExpr};

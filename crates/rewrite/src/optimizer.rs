@@ -16,13 +16,14 @@
 //!
 //! The constraint set a call chases with is the process-wide standard
 //! catalogue ([`Catalogue::shared_standard`]: LA properties are fixed, so
-//! they are interned and compiled once) plus the `V_IO`/`V_OI` pair of each
+//! they are interned and compiled once) plus, where the call's chain
+//! tables are instance facts (below), the `V_IO`/`V_OI` pair of each
 //! registered view, built against the call's catalog into a clone of the
-//! shared [`Vrem`] the call's expression is then encoded into. That clone
+//! shared [`Vrem`] the call's expression is encoded into. That clone
 //! copies no name: the shared vocabulary is frozen, and the clone owns only
 //! the tail the call interns into (its leaf names, its views' constants).
 //! An optimizer without views chases over the shared rule set as it is, and
-//! so does a call whose views the chain tables hold (below); otherwise `v`
+//! so does a call whose tables are kept out of the instance; otherwise `v`
 //! views compile `2·v` rules per call and share the rest
 //! ([`RuleSet::extended`]). Nothing is kept from one call to the next, so
 //! nothing is keyed, locked or evicted.
@@ -39,28 +40,22 @@
 //! included) and, with views, the entries of each view and of each leaf of
 //! its definition. That is everything the cold path reads, so a hit is the
 //! plan the cold path would build ([`crate::cache`]). Everything up to
-//! the cold path — the call's catalog, pricing the original, the cache key
-//! and probe (serving a hit) and the call's rules — is one timed phase,
+//! the cold path — the call's catalog, pricing the original, and the cache
+//! key and probe (serving a hit) — is one timed phase,
 //! [`RewriteReport::setup_us`].
 //!
-//! Encoding includes each product chain's matrix-chain table: the chains
-//! are then closed under associativity, and the chase starts
-//! `mul-assoc-l`/`-r` where the tables end, so they enumerate only what
-//! later rules derive. Where nothing but those two rules could read the
-//! table, it stays out of the instance
-//! ([`hadad_core::Encoded::tabulate_chains_as_cells`]) and extraction
-//! enumerates its splits; that is a call whose encoding is `name` and `mul`
-//! facts alone, since no standard rule other than the two and the
-//! functional EGDs matches such facts (asserted once per process), and
-//! which chases no view pair. A view whose definition is a product chain
-//! of base factors needs no pair there: the table holds its factor
-//! sequence's class, and the view is a `Mat` leaf of that cell, priced as
-//! the call's catalog prices the view — what its `V_IO` rule would have
-//! derived on the same table as facts. So a call whose views are all such
-//! chains, over a product of unflagged leaves none of which is a view,
-//! tables as cells and chases the shared standard set. Every other call
-//! inserts the tables as facts ([`hadad_core::Encoded::tabulate_chains`]),
-//! where view rules, `tr-mul` and the rest can read them.
+//! Encoding includes each product chain's matrix-chain table, so the chase
+//! starts the two associativity rules where the tables end
+//! ([`Catalogue::watermark_rules`]). The encoder decides where a table
+//! goes ([`hadad_core::Encoded::tabulate_chains_as_cells`]). Offered the
+//! call's views, it keeps a table out of the instance wherever nothing but
+//! associativity could read it, and makes each product-chain view a `Mat`
+//! leaf of its factor sequence's cell — what the view's `V_IO` rule would
+//! derive — so the call chases the shared standard set. Where it declines,
+//! the call builds its views' pairs and inserts the tables as facts
+//! ([`hadad_core::Encoded::tabulate_chains`]), where view rules, `tr-mul`
+//! and the rest can read them; both are encoding work
+//! ([`RewriteReport::encode_us`]).
 //!
 //! The chase runs with the LA analysis ([`LaAnalysis`]): shapes seeded by
 //! the encoder, kept for the classes the chase creates and merges, and
@@ -77,14 +72,13 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use hadad_chase::{
-    degradation_of, functional_sig, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats,
-    Constraint, DegradeReason, Degraded, Instance, RewritePhase, RuleSet,
+    degradation_of, ChaseBudget, ChaseEngine, ChaseOutcome, ChaseStats, Constraint,
+    DegradeReason, Degraded, RewritePhase, RuleSet,
 };
 use hadad_core::fingerprint::{canonicalize, rename_leaves};
 use hadad_core::{
-    chain_table_size, expr_estimate, expr_stats, Catalogue, ClassData, Encoder, Expr,
-    Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind, RuleRejection, ShapeError,
-    TypeFlags, Vrem,
+    expr_estimate, expr_stats, Catalogue, ClassData, Encoded, Encoder, Expr, Extractor,
+    LaAnalysis, MatrixMeta, MetaCatalog, RuleRejection, ShapeError, ViewRules, Vrem,
 };
 use hadad_linalg::{approx_eq, default_backend, Matrix};
 
@@ -142,10 +136,14 @@ pub struct RewriteReport {
     /// End-to-end wall-clock time of the `rewrite` call, microseconds.
     pub elapsed_us: u128,
     /// Time spent before encoding: the call's catalog, pricing the
-    /// original, the plan-cache key and probe, and the call's rules. A
-    /// call served from the cache ends in this phase.
+    /// original, and the plan-cache key and probe. A call served from the
+    /// cache ends in this phase. The call's view rules are built after
+    /// encoding, where they are built at all, and timed in
+    /// [`RewriteReport::encode_us`].
     pub setup_us: u128,
-    /// Time spent encoding the expression into a canonical instance.
+    /// Time spent encoding the expression into a canonical instance,
+    /// tabling its product chains and, where the tables are instance
+    /// facts, building the call's view rules.
     pub encode_us: u128,
     /// Time spent chasing the instance to (bounded) fixpoint.
     pub chase_us: u128,
@@ -302,12 +300,23 @@ impl LaView {
         self.gate.get_or_init(|| registration_gate(pair, vrem)).clone()
     }
 
-    /// Whether the definition is a product of two or more factors, none a
-    /// view of `opt` ([`Expr::product_factors`]): a view the chain tables
-    /// hold as a leaf of a cell, with no rule.
-    fn is_product_chain(&self, opt: &Optimizer) -> bool {
-        matches!(self.def, Expr::Mul(..))
-            && self.def.product_factors().is_some_and(|f| f.iter().all(|f| !opt.has_la_view(f)))
+    /// This view's `V_IO`/`V_OI` pair built against `cat` into `vrem`, once
+    /// the gate has certified it; `None` for a view over a matrix `cat`
+    /// lacks, which is left out of the call.
+    fn pair(
+        &self,
+        vrem: &mut Vrem,
+        cat: &MetaCatalog,
+    ) -> Result<Option<ViewRules>, RewriteError> {
+        match Catalogue::la_view_constraints(vrem, cat, &self.name, &self.def) {
+            Err(ShapeError::UnknownMatrix(_)) => Ok(None),
+            view => {
+                let view = view?;
+                // A view registered ahead of its leaves is certified here, once.
+                self.certified(&view.constraints, vrem)?;
+                Ok(Some(view))
+            }
+        }
     }
 }
 
@@ -436,7 +445,7 @@ impl Optimizer {
         // `la_view_constraints` failures mean metadata is not available
         // yet (the definition references matrices to be registered later):
         // the verdict is then reached by the first rewrite that can build
-        // them — the documented contract, kept by `chase_rules`.
+        // them — the documented contract, kept by `encode_call`.
         let candidate = LaView { name, def, gate: Arc::default() };
         if let Ok(meta_cat) = self.effective_cat(CallContext::default()) {
             let mut vrem = Catalogue::shared_standard().0.clone();
@@ -506,75 +515,50 @@ impl Optimizer {
         Ok(env)
     }
 
-    /// What one call chases `e` with: a clone of the shared schema and the
-    /// shared standard rules extended — in this order, which fixes symbol
-    /// ids and firing order — by each view's `V_IO`/`V_OI` pair built
-    /// against `cat` (the class stats they come with follow the metadata
-    /// of the leaves the definition mentions, call by call). A view over a
-    /// matrix `cat` lacks is left out, as in [`Optimizer::effective_cat`].
-    /// Without views, and where `e`'s chain tables hold every view
-    /// ([`Optimizer::tables_hold_views`]), the shared set itself; a view
-    /// registered ahead of its leaves is still certified by the first call
-    /// that can build its pair.
-    fn chase_rules(&self, e: &Expr, cat: &MetaCatalog) -> Result<CallRules, RewriteError> {
+    /// `e` encoded for one call into a clone of the shared schema, with its
+    /// chain tables and the rules it chases. The encoder decides where the
+    /// tables go, offered the call's views (those over matrices `cat`
+    /// catalogues). In the cells, the call chases the shared standard set;
+    /// a view registered ahead of its leaves is still certified by the
+    /// first call that can build its pair. Otherwise the standard rules are
+    /// extended — in this order, which fixes symbol ids and firing order —
+    /// by each view's `V_IO`/`V_OI` pair built against `cat` (its class
+    /// stats follow the metadata of the definition's leaves, call by call),
+    /// and the tables are instance facts.
+    fn encode_call(&self, e: &Expr, cat: &MetaCatalog) -> Result<CallEncoding, RewriteError> {
         let (vrem, standard) = Catalogue::shared_standard();
         let mut vrem = vrem.clone();
-        if self.views.is_empty() || self.tables_hold_views(e, cat) {
+        let mut encoded = Encoder::new(&mut vrem, cat).encode(e)?;
+        let in_call = |v: &&LaView| v.def.base_matrices().iter().all(|l| cat.get(l).is_some());
+        let views: Vec<(&str, &Expr)> =
+            self.views.iter().filter(in_call).map(|v| (v.name.as_str(), &v.def)).collect();
+        let clock = encoded.tabulate_chains_as_cells(&vrem, &self.budget, &views);
+        if clock.is_some() {
             for v in &self.views {
                 match v.gate.get() {
                     Some(verdict) => verdict.clone()?,
-                    None => {
-                        match Catalogue::la_view_constraints(&mut vrem, cat, &v.name, &v.def) {
-                            Err(ShapeError::UnknownMatrix(_)) => {}
-                            view => v.certified(&view?.constraints, &vrem)?,
-                        }
-                    }
+                    // Built only to be certified: no rule of it is chased.
+                    None => drop(v.pair(&mut vrem, cat)?),
                 }
             }
             let rules = Arc::clone(standard);
-            return Ok(CallRules { vrem, rules, pairs: Vec::new() });
+            return Ok(CallEncoding { vrem, encoded, clock, rules, pairs: Vec::new() });
         }
         let mut extra = Vec::with_capacity(2 * self.views.len());
         let mut pairs = Vec::with_capacity(self.views.len());
         for v in &self.views {
-            let view = match Catalogue::la_view_constraints(&mut vrem, cat, &v.name, &v.def) {
-                Err(ShapeError::UnknownMatrix(_)) => continue,
-                view => view?,
-            };
-            // A view registered ahead of its leaves is certified here, once.
-            v.certified(&view.constraints, &vrem)?;
+            let Some(view) = v.pair(&mut vrem, cat)? else { continue };
             let first = standard.len() + extra.len();
             extra.extend(view.constraints);
             pairs.push((first..standard.len() + extra.len(), view.classes));
         }
-        Ok(CallRules { vrem, rules: Arc::new(standard.extended(extra)), pairs })
-    }
-
-    /// Whether `e`'s chain tables, kept out of the instance
-    /// ([`hadad_core::Encoded::tabulate_chains_as_cells`]), hold every view
-    /// of the call as a leaf of a cell, so that the call chases no pair.
-    /// Each view must be left out of the call or be a product chain of
-    /// base factors ([`LaView::is_product_chain`]): the cell of its factor
-    /// sequence is then the class its `V_IO` rule would bind. `e` must
-    /// encode to `name` and `mul` facts alone — a product of unflagged
-    /// leaves, none a view — which is what keeps a table out of the
-    /// instance at all. And its table must fit the budget whatever `e`
-    /// shares, since a declined table holds no view where the chase of the
-    /// view rules would still find it.
-    fn tables_hold_views(&self, e: &Expr, cat: &MetaCatalog) -> bool {
-        let left_out = |v: &LaView| v.def.base_matrices().iter().any(|l| cat.get(l).is_none());
-        if !self.views.iter().all(|v| v.is_product_chain(self) || left_out(v)) {
-            return false;
-        }
-        let Some(factors) = e.product_factors() else { return false };
-        let unflagged = |f: &str| cat.get(f).is_some_and(|m| m.flags == TypeFlags::default());
-        // At most a `name` fact and a class per factor, a `mul` fact and a
-        // class per product, before the table.
-        let n = factors.len() as u64;
-        let (splits, classes) = chain_table_size(n);
-        factors.iter().all(|f| unflagged(f) && !self.has_la_view(f))
-            && 2 * n - 1 + splits <= self.budget.max_facts as u64
-            && 2 * n - 1 + classes <= self.budget.max_nulls as u64
+        let rules = if extra.is_empty() {
+            Arc::clone(standard)
+        } else {
+            Arc::new(standard.extended(extra))
+        };
+        let clock = encoded.tabulate_chains(&vrem, &self.budget);
+        Ok(CallEncoding { vrem, encoded, clock, rules, pairs })
     }
 
     /// Opaque configuration hash for plan-cache keys: two optimizers with
@@ -597,7 +581,7 @@ impl Optimizer {
     /// when some leaf has no metadata (the rewrite will fail shape
     /// inference on its own terms): each leaf's metadata and, per view,
     /// `cat`'s entries for its name and its definition's leaves — what
-    /// [`Optimizer::effective_cat`], [`Optimizer::chase_rules`] and
+    /// [`Optimizer::effective_cat`], [`Optimizer::encode_call`] and
     /// extraction read beyond the query's leaves. Cross-name sharing is
     /// only allowed while no views are registered — their plans can embed
     /// leaves tied to concrete names, so those keys bind the leaf names too.
@@ -643,7 +627,7 @@ impl Optimizer {
 
     /// What a call does before its cold path: the call's catalog, the
     /// priced original and the plan-cache probe — a hit is served from the
-    /// cache and takes the original; a miss goes on to the call's rules.
+    /// cache and takes the original; a miss goes on to the cold path.
     fn setup(&self, e: &Expr, call: CallContext<'_>) -> Result<Setup, RewriteError> {
         let cat = self.effective_cat(call)?;
         // The original is priced by `expr_estimate`, which prices every
@@ -662,8 +646,7 @@ impl Optimizer {
                 pending = Some((Arc::clone(cache), key));
             }
         }
-        let rules = self.chase_rules(e, &cat)?;
-        Ok(Setup::Cold(ColdStart { cat, original, pending, rules }))
+        Ok(Setup::Cold(ColdStart { cat, original, pending }))
     }
 
     /// The phases of [`Optimizer::rewrite_in`], untimed: the plans, and on
@@ -675,26 +658,15 @@ impl Optimizer {
     ) -> Result<(RankedPlans, Option<CacheSlot>), RewriteError> {
         let (setup, setup_us) =
             hadad_obs::timed("rewrite.setup", &M_SETUP_US, || self.setup(e, call));
-        let ColdStart { cat, original, pending, rules: CallRules { mut vrem, rules, pairs } } =
-            match setup? {
-                Setup::Served(served) => return Ok((served, None)),
-                Setup::Cold(cold) => cold,
-            };
-        // The product chains' tables are encoding work: the two
-        // associativity rules then start where the tables end. A call that
-        // chases no view pair has its views held by the tables, if any.
-        let (encoded, encode_us) = hadad_obs::timed("rewrite.encode", &M_ENCODE_US, || {
-            let mut encoded = Encoder::new(&mut vrem, &cat).encode(e)?;
-            let tabled = if names_and_products(&encoded.instance, &vrem) && pairs.is_empty() {
-                let views: Vec<(&str, &Expr)> =
-                    self.views.iter().map(|v| (v.name.as_str(), &v.def)).collect();
-                encoded.tabulate_chains_as_cells(&vrem, &self.budget, &views)
-            } else {
-                encoded.tabulate_chains(&vrem, &self.budget)
-            };
-            Ok::<_, ShapeError>((encoded, tabled))
-        });
-        let (encoded, tabled) = encoded?;
+        let ColdStart { cat, original, pending } = match setup? {
+            Setup::Served(served) => return Ok((served, None)),
+            Setup::Cold(cold) => cold,
+        };
+        // The product chains' tables are encoding work, and so are the
+        // call's view rules, which only a call tabled as facts builds.
+        let (call, encode_us) =
+            hadad_obs::timed("rewrite.encode", &M_ENCODE_US, || self.encode_call(e, &cat));
+        let CallEncoding { vrem, encoded, clock, rules, pairs } = call?;
         let mut analysis = LaAnalysis::new(&vrem, encoded.classes);
         for (rules, classes) in pairs {
             analysis = analysis.with_view(rules, classes);
@@ -705,8 +677,8 @@ impl Optimizer {
             None => self.budget,
         };
         let mut engine = ChaseEngine::new(&rules).with_budget(budget);
-        if let Some(clock) = tabled {
-            engine = engine.with_watermarks(assoc_rules(), clock);
+        if let Some(clock) = clock {
+            engine = engine.with_watermarks(Catalogue::watermark_rules(), clock);
         }
         let mut inst = encoded.instance;
         // Phase supervision: a panic inside the chase (a bug, or an injected
@@ -876,79 +848,30 @@ enum Setup {
     Cold(ColdStart),
 }
 
-/// The cold path's start: the call's catalog, the priced original, where
-/// to cache the plans (on a miss) and the call's rules.
+/// The cold path's start: the call's catalog, the priced original and
+/// where to cache the plans (on a miss).
 struct ColdStart {
     cat: MetaCatalog,
     original: Plan,
     pending: Option<CacheSlot>,
-    rules: CallRules,
 }
 
-/// What one `rewrite` call chases with (see [`Optimizer::chase_rules`]).
-struct CallRules {
+/// What one `rewrite` call chases (see [`Optimizer::encode_call`]).
+struct CallEncoding {
     /// The call's clone of the shared schema.
     vrem: Vrem,
+    /// The expression's encoding, its chain tables in the instance or in
+    /// its cells.
+    encoded: Encoded,
+    /// Where the tables end, and the watermark rules start; `None` where
+    /// a table would not fit the budget.
+    clock: Option<u64>,
     /// The shared standard rules, extended by the call's own.
     rules: Arc<RuleSet>,
     /// Each chased view's `V_IO`/`V_OI` rule indexes in `rules`, and the
     /// class stats their firings join ([`LaAnalysis::with_view`]). Empty
-    /// without views, and where the chain tables hold them.
+    /// without views, and where the cells hold them.
     pairs: Vec<(Range<usize>, Vec<Option<ClassData>>)>,
-}
-
-/// Whether every fact of `inst` is a `name` or a `mul` fact. For a call
-/// whose views the tables hold, [`Optimizer::tables_hold_views`] has made
-/// sure of it before encoding.
-fn names_and_products(inst: &Instance, vrem: &Vrem) -> bool {
-    let of = |pred| inst.facts_with_pred(pred).len();
-    of(vrem.name) + of(vrem.op(OpKind::Mul)) == inst.num_facts()
-}
-
-/// Indexes of `mul-assoc-l`/`-r` in the shared standard rules, and so in
-/// every set extending them: the rules [`hadad_core::Encoded::tabulate_chains`]
-/// closes the encoded instance under. Asserts, once, that no other
-/// standard rule can read a table kept out of the instance
-/// ([`table_readers`]).
-fn assoc_rules() -> &'static [usize] {
-    static ASSOC: OnceLock<Vec<usize>> = OnceLock::new();
-    ASSOC.get_or_init(|| {
-        let (vrem, standard) = Catalogue::shared_standard();
-        let found: Vec<usize> =
-            (0..standard.len()).filter(|&i| is_assoc(standard.rules()[i].name())).collect();
-        assert_eq!(found.len(), 2, "the standard catalogue has both associativity rules");
-        let readers = table_readers(standard, vrem);
-        assert!(readers.is_empty(), "standard rules read name/mul facts alone: {readers:?}");
-        found
-    })
-}
-
-fn is_assoc(rule: &str) -> bool {
-    matches!(rule, "mul-assoc-l" | "mul-assoc-r")
-}
-
-/// The rules of `rules` that could bind a class only a chain's table has
-/// on an instance of `name` and `mul` facts alone: every rule whose
-/// premise is made of such atoms only, except `mul-assoc-l`/`-r` — the
-/// table is their closure — and the functional EGDs, which hold by
-/// construction (one class per factor sequence). A rule with any other
-/// premise atom matches nothing there. A table may stay out of the
-/// instance only while this is empty.
-fn table_readers<'r>(rules: &'r RuleSet, vrem: &Vrem) -> Vec<&'r str> {
-    let mul = vrem.op(OpKind::Mul);
-    let reads = |rule: &Constraint| {
-        let (premise, functional) = match rule {
-            Constraint::Tgd(t) => (&t.premise, false),
-            Constraint::Egd(e) => (&e.premise, functional_sig(e).is_some()),
-        };
-        !functional && premise.iter().all(|a| a.pred == vrem.name || a.pred == mul)
-    };
-    rules
-        .rules()
-        .iter()
-        .filter(|r| !is_assoc(r.name()) && reads(r.constraint()))
-        .map(|r| r.name())
-        .collect()
 }
 
 /// Sorts `plans` cheapest first. Exact cost ties go to the input
@@ -1199,27 +1122,6 @@ mod tests {
         }
     }
 
-    /// No standard rule but associativity and the functional EGDs reads an
-    /// instance of `name` and `mul` facts; a TGD over `mul` atoms alone
-    /// would, and is named.
-    #[test]
-    fn only_associativity_reads_a_bare_chain() {
-        let (vrem, standard) = Catalogue::shared_standard();
-        assert!(table_readers(standard, vrem).is_empty());
-        assert_eq!(assoc_rules().len(), 2);
-        let mul = vrem.op(OpKind::Mul);
-        let atom = |args: [u32; 3]| {
-            hadad_chase::Atom::new(
-                mul,
-                args.iter().map(|&v| hadad_chase::Term::Var(v)).collect(),
-            )
-        };
-        let commute =
-            hadad_chase::Tgd::new("mul-commute", vec![atom([0, 1, 2])], vec![atom([1, 0, 3])]);
-        let extended = standard.extended(vec![Constraint::Tgd(commute)]);
-        assert_eq!(table_readers(&extended, vrem), ["mul-commute"]);
-    }
-
     #[test]
     fn leaf_expression_survives() {
         let mut cat = MetaCatalog::new();
@@ -1239,14 +1141,14 @@ mod tests {
         cat.register("X", MatrixMeta::dense(200, 8));
         let (_, standard) = Catalogue::shared_standard();
         let rules_of = |opt: &Optimizer| {
-            opt.chase_rules(&m("X"), &opt.effective_cat(CallContext::default()).unwrap())
+            opt.encode_call(&m("X"), &opt.effective_cat(CallContext::default()).unwrap())
                 .expect("rules build")
         };
         let inherits_standard = |rules: &RuleSet| {
             rules.rules().iter().zip(standard.rules()).all(|(a, b)| Arc::ptr_eq(a, b))
         };
         // The shape the analysis joins into the class `V_IO:G` tags.
-        let view_shape = |call: &CallRules| -> (usize, usize) {
+        let view_shape = |call: &CallEncoding| -> (usize, usize) {
             let (rules, classes) = &call.pairs[0];
             let io = &call.rules.rules()[rules.start];
             assert_eq!(io.name(), "V_IO:G");
@@ -1294,7 +1196,7 @@ mod tests {
         cat.register("x", MatrixMeta::dense(40, 1));
         let (_, standard) = Catalogue::shared_standard();
         let rules_of = |opt: &Optimizer, e: &Expr| {
-            opt.chase_rules(e, &opt.effective_cat(CallContext::default()).unwrap())
+            opt.encode_call(e, &opt.effective_cat(CallContext::default()).unwrap())
                 .expect("rules build")
         };
         let mut opt = Optimizer::new(cat);

@@ -25,8 +25,8 @@ use hadad_chase::{
 };
 use hadad_core::expr::dsl::*;
 use hadad_core::{
-    expr_estimate, expr_stats, Catalogue, Encoded, Encoder, Expr, Extractor, LaAnalysis,
-    MatrixMeta, MetaCatalog, OpKind, TypeFlags, Vrem,
+    expr_estimate, expr_stats, Catalogue, ChainCells, Encoded, Encoder, Expr, Extractor,
+    LaAnalysis, MatrixMeta, MetaCatalog, OpKind, TypeFlags, Vrem,
 };
 use hadad_linalg::rng::Rng64;
 use hadad_rewrite::Optimizer;
@@ -134,16 +134,10 @@ fn tabled(e: &Expr, cat: &MetaCatalog) -> (Vrem, Encoded, u64) {
     (vrem, enc, clock)
 }
 
-/// Indexes of the two associativity rules in `rules`.
-fn assoc_indexes(rules: &RuleSet) -> Vec<usize> {
-    let assoc = |i: &usize| rules.rules()[*i].name().starts_with("mul-assoc-");
-    (0..rules.len()).filter(assoc).collect()
-}
-
 #[test]
 fn a_tabled_instance_is_closed_under_associativity() {
     let (_, standard) = Catalogue::shared_standard();
-    let assoc = assoc_indexes(standard);
+    let assoc = Catalogue::watermark_rules();
     assert_eq!(assoc.len(), 2);
     let only_assoc = RuleSet::compile(
         assoc.iter().map(|&i| standard.rules()[i].constraint().clone()).collect(),
@@ -235,24 +229,23 @@ fn with_views(cat: &MetaCatalog, views: &[(&str, Expr)]) -> MetaCatalog {
     cat
 }
 
-/// Facts of `e` as encoded, before any table, and whether the optimizer
-/// keeps its tables out of the instance: every fact a `name` or a `mul`
-/// fact, no leaf a view, and every view a product of two or more factors,
-/// none a view. (Every table here fits the budget.)
+/// Facts of `e` as encoded, before any table, and whether its tables are
+/// kept out of the instance: `Encoded::tabulate_chains_as_cells` takes
+/// them under the optimizer's default budget, or declines and leaves the
+/// encoding as it was.
 fn encoded_facts(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr) -> (usize, bool) {
     let mut vrem = Catalogue::shared_standard().0.clone();
-    let enc = Encoder::new(&mut vrem, &with_views(cat, views)).encode(e).expect("shape-valid");
-    let inst = &enc.instance;
-    let of = |pred| inst.facts_with_pred(pred).len();
-    let bare = of(vrem.name) + of(vrem.op(OpKind::Mul)) == inst.num_facts();
-    let is_view = |leaf: &str| views.iter().any(|(v, _)| *v == leaf);
-    let product_chain = |def: &Expr| {
-        matches!(def, Expr::Mul(..))
-            && def.product_factors().is_some_and(|f| !f.into_iter().any(is_view))
-    };
-    let folds = !e.base_matrices().into_iter().any(is_view)
-        && views.iter().all(|(_, def)| product_chain(def));
-    (inst.num_facts(), bare && folds)
+    let mut enc =
+        Encoder::new(&mut vrem, &with_views(cat, views)).encode(e).expect("shape-valid");
+    let (facts, encoded) = (enc.instance.num_facts(), format!("{:?}", enc.instance));
+    let views: Vec<(&str, &Expr)> = views.iter().map(|(v, def)| (*v, def)).collect();
+    let budget = Optimizer::new(cat.clone()).budget();
+    let cells = enc.tabulate_chains_as_cells(&vrem, &budget, &views).is_some();
+    if !cells {
+        assert_eq!(format!("{:?}", enc.instance), encoded, "{e}: a decline adds nothing");
+        assert_eq!(format!("{:?}", enc.cells), format!("{:?}", ChainCells::default()), "{e}");
+    }
+    (facts, cells)
 }
 
 /// The optimizer's pipeline on `e` with `views` registered, spelled out
@@ -286,10 +279,9 @@ fn rewrite(cat: &MetaCatalog, views: &[(&str, Expr)], e: &Expr, table: Table) ->
     for (range, classes) in view_classes {
         analysis = analysis.with_view(range, classes);
     }
-    let assoc = assoc_indexes(&rules);
     let mut engine = ChaseEngine::new(&rules).with_budget(opt.budget());
     if let (Table::Closed | Table::Cells, Some(clock)) = (table, clock) {
-        engine = engine.with_watermarks(&assoc, clock);
+        engine = engine.with_watermarks(Catalogue::watermark_rules(), clock);
     }
     let mut inst = enc.instance;
     let (outcome, stats) = engine.chase_analyzed(&mut inst, &mut analysis);
@@ -406,13 +398,38 @@ fn a_product_view_adds_no_fact_and_no_rule() {
     assert_eq!(got.best().expr.to_string(), best);
 }
 
+/// A chain of repeated factors whose table fits the budget as it is built
+/// but not as six distinct factors' would: `A·A·A·A·A·A` encodes to 6
+/// facts, and its table adds at most 35 splits, 41 within 43; six distinct
+/// factors would encode to 11. With `P := A·A` it tables as cells, adds no
+/// fact and chases no view pair, at the plans and bitwise costs of its
+/// table as facts chased with `P`'s pair.
+#[test]
+fn a_repeated_chain_that_fits_the_budget_tables_as_cells() {
+    let mut cat = MetaCatalog::new();
+    cat.register("A", MatrixMeta::dense(8, 8));
+    let e = product(&vec![m("A"); 6], Assoc::Left);
+    let views = [("P", mul(m("A"), m("A")))];
+    let opt = Optimizer::new(cat.clone());
+    let mut opt = opt.clone().with_budget(ChaseBudget { max_facts: 43, ..opt.budget() });
+    opt.register_la_view("P", views[0].1.clone()).expect("certifies");
+    let got = opt.rewrite(&e).expect("rewrites");
+    assert_eq!(got.report.num_facts, 6, "the encoded facts alone");
+    let pair = |name: &str| name.starts_with("V_IO:") || name.starts_with("V_OI:");
+    assert!(!got.report.chase_stats.rules.iter().any(|r| pair(&r.name)), "no view pair");
+    let (open, _) = rewrite(&cat, &views, &e, Table::Open);
+    let plans: Vec<(String, u64)> =
+        got.plans.iter().map(|p| (p.expr.to_string(), p.est_cost.to_bits())).collect();
+    assert_eq!(plans, open.plans);
+}
+
 /// A chain another rule can read keeps its table as facts, and so does a
 /// chain with a view only a view rule can find: a view over a transposed
 /// factor, a query that names its view, a transposed factor, an `I`
-/// factor, under `trace`, and a factor flagged orthogonal. The optimizer's
+/// factor, under `trace`, and a factor flagged orthogonal. The cells
+/// decline each, leaving the instance as encoded, and the optimizer's
 /// chase does the work the tabled pipeline's does — facts, matches,
-/// firings — which differs from the work over a table kept out of the
-/// instance.
+/// firings.
 #[test]
 fn chains_other_rules_can_read_are_tabled_as_facts() {
     let (cat, e) = chain(5, Assoc::Left);
@@ -439,8 +456,6 @@ fn chains_other_rules_can_read_are_tabled_as_facts() {
         let views = &views[..];
         assert!(!encoded_facts(cat, views, &e).1, "{name}");
         let (_, tabled) = rewrite(cat, views, &e, Table::Closed);
-        let (_, cells) = rewrite(cat, views, &e, Table::Cells);
-        assert_ne!(tabled, cells, "{name}");
         let mut opt = Optimizer::new(cat.clone());
         for (view, def) in views {
             opt.register_la_view(*view, def.clone()).expect("views certify");
