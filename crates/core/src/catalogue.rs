@@ -792,7 +792,7 @@ mod tests {
         // trace(Q·R) where [Q,R] = QR(D) must land in trace(D)'s class.
         let mut cat = MetaCatalog::new();
         cat.register("D", MatrixMeta::dense(8, 8));
-        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Box::new(m("D")));
+        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Arc::new(m("D")));
         let e = trace(mul(qr(0), qr(1)));
         let c = chase_of(&e, &cat);
         assert_eq!(c.extractor().extract(c.root).unwrap(), trace(m("D")));

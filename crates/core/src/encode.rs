@@ -813,6 +813,8 @@ pub fn op_kind_of(e: &Expr) -> Option<OpKind> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::expr::dsl::*;
     use crate::expr::UnaryOp;
@@ -875,7 +877,7 @@ mod tests {
         let mut vrem = Vrem::new();
         let mut c = MetaCatalog::new();
         c.register("D", MatrixMeta::dense(8, 8));
-        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Box::new(m("D")));
+        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Arc::new(m("D")));
         let e = mul(qr(0), qr(1));
         let enc = Encoder::new(&mut vrem, &c).encode(&e).unwrap();
         assert_eq!(enc.instance.facts_with_pred(vrem.op(OpKind::Qr)).len(), 1);
@@ -909,7 +911,7 @@ mod tests {
         // name(M) + tr: the stats are beside the atoms, not among them.
         assert_eq!(enc.atoms.len(), 2);
         let q = enc
-            .enc(&Expr::Unary(UnaryOp::new(OpKind::Qr, 0).unwrap(), Box::new(m("D"))))
+            .enc(&Expr::Unary(UnaryOp::new(OpKind::Qr, 0).unwrap(), Arc::new(m("D"))))
             .unwrap();
         let of = |v: u32| enc.classes.get(v as usize)?.map(|d| d.shape());
         assert_eq!(of(0), Some((6, 4)));

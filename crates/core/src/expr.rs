@@ -14,8 +14,17 @@
 //! operator does is said per kind: its shape rule and cost in
 //! [`crate::stats`], its kernel in the evaluator. `Display` prints the
 //! relation's name, except for `ᵀ`, `⁻¹` and the decompositions.
+//!
+//! An expression is a shared tree: a node holds its operands as
+//! `Arc<Expr>` and a leaf its name as `Arc<str>`, so a clone is O(1) — a
+//! refcount bump, whatever the tree's size — and one subtree may sit
+//! under many parents (the extractor's candidates share their operands'
+//! plans). Equality stays structural and derived: two trees are equal
+//! when their shapes, names and literals are, whether or not they share
+//! nodes, and a `Const(NaN)` is never equal to itself, shared or not.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::schema::OpKind;
 
@@ -23,7 +32,7 @@ use crate::schema::OpKind;
 #[derive(Debug, Clone, PartialEq)]
 pub enum Expr {
     /// Base matrix (or materialized view) identified by name.
-    Mat(String),
+    Mat(Arc<str>),
     /// Literal scalar, as a 1x1 matrix.
     Const(f64),
     /// Identity matrix of order `n`.
@@ -33,26 +42,26 @@ pub enum Expr {
 
     // -- binary --
     /// Matrix addition.
-    Add(Box<Expr>, Box<Expr>),
+    Add(Arc<Expr>, Arc<Expr>),
     /// Matrix subtraction.
-    Sub(Box<Expr>, Box<Expr>),
+    Sub(Arc<Expr>, Arc<Expr>),
     /// Matrix product.
-    Mul(Box<Expr>, Box<Expr>),
+    Mul(Arc<Expr>, Arc<Expr>),
     /// Element-wise (Hadamard) product.
-    Hadamard(Box<Expr>, Box<Expr>),
+    Hadamard(Arc<Expr>, Arc<Expr>),
     /// Element-wise division.
-    Div(Box<Expr>, Box<Expr>),
+    Div(Arc<Expr>, Arc<Expr>),
     /// Kronecker / direct product (paper `product_D`).
-    Kron(Box<Expr>, Box<Expr>),
+    Kron(Arc<Expr>, Arc<Expr>),
     /// Direct sum (paper `sum_D`).
-    DirectSum(Box<Expr>, Box<Expr>),
+    DirectSum(Arc<Expr>, Arc<Expr>),
     /// Scalar-matrix product; the first operand must be scalar (1x1).
-    ScalarMul(Box<Expr>, Box<Expr>),
+    ScalarMul(Arc<Expr>, Arc<Expr>),
 
     // -- unary --
     /// A unary operator applied to its operand: transposition, inverse,
     /// an aggregate, a decomposition component, ... ([`UnaryOp`]).
-    Unary(UnaryOp, Box<Expr>),
+    Unary(UnaryOp, Arc<Expr>),
 }
 
 /// The operator of an [`Expr::Unary`] node: a unary [`OpKind`] and, for
@@ -105,12 +114,12 @@ impl UnaryOp {
 /// The single-output unary `kind` applied to `a`.
 fn apply(kind: OpKind, a: Expr) -> Expr {
     let op = UnaryOp::new(kind, 0).expect("a single-output unary kind");
-    Expr::Unary(op, Box::new(a))
+    Expr::Unary(op, Arc::new(a))
 }
 
 impl Expr {
     /// A base matrix (or view) reference.
-    pub fn mat(name: impl Into<String>) -> Expr {
+    pub fn mat(name: impl Into<Arc<str>>) -> Expr {
         Expr::Mat(name.into())
     }
 
@@ -145,7 +154,7 @@ impl Expr {
 
     fn collect_bases<'a>(&'a self, out: &mut Vec<&'a str>) {
         if let Expr::Mat(n) = self {
-            if !out.contains(&n.as_str()) {
+            if !out.contains(&n.as_ref()) {
                 out.push(n);
             }
         }
@@ -197,6 +206,8 @@ impl fmt::Display for Expr {
 
 /// Convenience constructors (keep workload definitions terse).
 pub mod dsl {
+    use std::sync::Arc;
+
     use super::{apply, Expr};
     use crate::schema::OpKind;
 
@@ -210,27 +221,27 @@ pub mod dsl {
     }
     /// `a + b`.
     pub fn add(a: Expr, b: Expr) -> Expr {
-        Expr::Add(Box::new(a), Box::new(b))
+        Expr::Add(Arc::new(a), Arc::new(b))
     }
     /// `a - b`.
     pub fn sub(a: Expr, b: Expr) -> Expr {
-        Expr::Sub(Box::new(a), Box::new(b))
+        Expr::Sub(Arc::new(a), Arc::new(b))
     }
     /// Matrix product `a b`.
     pub fn mul(a: Expr, b: Expr) -> Expr {
-        Expr::Mul(Box::new(a), Box::new(b))
+        Expr::Mul(Arc::new(a), Arc::new(b))
     }
     /// Hadamard product.
     pub fn had(a: Expr, b: Expr) -> Expr {
-        Expr::Hadamard(Box::new(a), Box::new(b))
+        Expr::Hadamard(Arc::new(a), Arc::new(b))
     }
     /// Element-wise division.
     pub fn div(a: Expr, b: Expr) -> Expr {
-        Expr::Div(Box::new(a), Box::new(b))
+        Expr::Div(Arc::new(a), Arc::new(b))
     }
     /// Scalar-matrix product (`s` must be 1x1).
     pub fn smul(s: Expr, a: Expr) -> Expr {
-        Expr::ScalarMul(Box::new(s), Box::new(a))
+        Expr::ScalarMul(Arc::new(s), Arc::new(a))
     }
     /// Transpose.
     pub fn t(a: Expr) -> Expr {
@@ -335,7 +346,7 @@ mod tests {
         let leaves = [MatrixMeta::dense(10, 10)];
         let mut hashes = Vec::new();
         for (&op, shown) in ops.iter().zip(UNARY_OVER_D) {
-            let e = Expr::Unary(op, Box::new(m("D")));
+            let e = Expr::Unary(op, Arc::new(m("D")));
             assert_eq!(e.to_string(), shown);
             let mut vrem = Vrem::new();
             let enc = Encoder::new(&mut vrem, &cat).encode(&e).unwrap();

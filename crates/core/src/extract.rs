@@ -21,8 +21,16 @@
 //! matrix's from the catalog) and an operator's from [`op_stats`] over its
 //! operands' stats, charged [`op_cost`]. An `Add` rebuilt as a subtraction
 //! is priced as that subtraction, so the encoder's `-1 ·` costs nothing.
+//! A leaf e-node is priced from its name, value or class shape, without
+//! building it.
+//!
 //! Expressions are rebuilt from the chosen e-nodes on demand, resugaring
-//! the encoder's `a + (-1 · b)` back to subtraction. A unary e-node is
+//! the encoder's `a + (-1 · b)` back to subtraction. One built plan per
+//! class: a call to [`Extractor::extract`] or [`Extractor::candidates`]
+//! builds each class's cheapest plan at most once, memoized by class id in
+//! a `Vec` indexed like the cheapest derivations, and every plan over that
+//! class shares it by `Arc` — a candidate is one new node over its
+//! operands' shared plans, not a copy of their trees. A unary e-node is
 //! rebuilt as one [`Expr::Unary`] through [`UnaryOp::new`] from its kind
 //! and output index, so no unary operator is named here.
 //!
@@ -41,6 +49,7 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use hadad_chase::{Instance, NodeId};
 
@@ -48,7 +57,7 @@ use crate::analysis::LaAnalysis;
 use crate::encode::{ChainCell, ChainCells};
 use crate::expr::{Expr, UnaryOp};
 use crate::schema::{OpKind, Vrem};
-use crate::stats::{leaf_stats, op_cost, op_stats, ClassStats, MetaCatalog};
+use crate::stats::{op_cost, op_stats, ClassStats, MetaCatalog};
 
 /// One way to produce a class: a leaf fact or an operator application.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -87,8 +96,9 @@ pub struct Extractor<'a> {
     inst: &'a Instance,
     /// The call's catalog, which base matrices are priced from.
     cat: &'a MetaCatalog,
-    /// Base-matrix names the `Mat` e-nodes point into.
-    names: Vec<String>,
+    /// Base-matrix names the `Mat` e-nodes point into; a built leaf
+    /// shares its name.
+    names: Vec<Arc<str>>,
     /// Every class's e-nodes, grouped by class and in fact order within
     /// one: class `c`'s are `nodes[first[c]..first[c + 1]]`.
     nodes: Vec<ENode>,
@@ -255,10 +265,10 @@ impl<'a> Extractor<'a> {
 
     /// The `Mat` e-node of base matrix `name`.
     fn mat(&mut self, name: &str) -> ENode {
-        let i = match self.names.iter().position(|n| n == name) {
+        let i = match self.names.iter().position(|n| **n == *name) {
             Some(i) => i,
             None => {
-                self.names.push(name.to_owned());
+                self.names.push(name.into());
                 self.names.len() - 1
             }
         };
@@ -333,7 +343,7 @@ impl<'a> Extractor<'a> {
 
     /// The price of e-node `node` of `class` and the stats of the plan it
     /// builds — what [`crate::expr_estimate`] computes for that plan. A
-    /// leaf costs nothing and has the stats `leaf_stats` gives it. An
+    /// leaf costs nothing and has the stats [`Self::leaf_stats`] gives it. An
     /// operator costs its operands' cheapest prices, in operand order, plus
     /// [`op_cost`] over their stats; an `Add` with an addend whose cheapest
     /// derivation is `(-1) · x` is the subtraction [`add_or_sub`] rebuilds,
@@ -342,7 +352,7 @@ impl<'a> Extractor<'a> {
     /// operator while an operand has no derivation.
     fn price(&self, class: usize, node: ENode) -> Option<(f64, ClassStats)> {
         let ENode::Op { kind, out_idx, inputs: [a, b] } = node else {
-            return Some((0.0, leaf_stats(&self.build(class, node)?, self.cat).ok()?));
+            return Some((0.0, self.leaf_stats(class, node)?));
         };
         let mut operands = [a, b];
         if kind == OpKind::Add {
@@ -362,6 +372,24 @@ impl<'a> Extractor<'a> {
         let child = &child[..kind.num_inputs()];
         let out = op_stats(kind, out_idx, child);
         Some((cost + op_cost(kind, out_idx, child, &out), out))
+    }
+
+    /// Stats of leaf e-node `node` of `class`, read from its name, value or
+    /// the class's shape without building it: what the estimator's
+    /// `leaf_stats` gives the leaf [`Self::build`] would build. `None` for a
+    /// base matrix the catalog lacks and a shape-dependent leaf of a
+    /// shapeless class.
+    fn leaf_stats(&self, class: usize, node: ENode) -> Option<ClassStats> {
+        Some(match node {
+            ENode::Mat(i) => self.cat.get(&self.names[i as usize])?.stats(),
+            ENode::Const(_) => ClassStats::dense(1, 1),
+            ENode::Identity => ClassStats::identity(self.shapes[class]?.0),
+            ENode::Zero => {
+                let (r, c) = self.shapes[class]?;
+                ClassStats::zero(r, c)
+            }
+            ENode::Op { .. } => unreachable!("an operator e-node is no leaf"),
+        })
     }
 
     /// `x` if the class's cheapest derivation is `(-1) · x`.
@@ -461,18 +489,25 @@ impl<'a> Extractor<'a> {
 
     /// The cheapest expression of a class, resugared.
     pub fn extract(&self, root: NodeId) -> Option<Expr> {
-        self.build_best(self.inst.find(root))
+        let root = self.inst.find(root).0 as usize;
+        let best = self.best[root]?;
+        self.build(root, self.nodes[best.node as usize], &mut vec![None; self.best.len()])
     }
 
     /// One candidate per derivation of the root class, completed with
     /// min-cost children and deduplicated, with its price: what
-    /// [`crate::expr_estimate`] prices that expression at.
+    /// [`crate::expr_estimate`] prices that expression at. Each class's
+    /// cheapest plan is built once per call and shared by every candidate
+    /// over it, so a candidate is one new node over shared operands.
     pub fn candidates(&self, root: NodeId) -> Vec<(Expr, f64)> {
         let root = self.inst.find(root).0 as usize;
+        let mut built = vec![None; self.best.len()];
         let mut out: Vec<(Expr, f64)> = Vec::new();
         for i in self.class_nodes(root) {
             let node = self.nodes[i];
-            if let Some(((price, _), e)) = self.price(root, node).zip(self.build(root, node)) {
+            if let Some(((price, _), e)) =
+                self.price(root, node).zip(self.build(root, node, &mut built))
+            {
                 if !out.iter().any(|(seen, _)| *seen == e) {
                     out.push((e, price));
                 }
@@ -481,18 +516,30 @@ impl<'a> Extractor<'a> {
         out
     }
 
-    fn build_best(&self, class: NodeId) -> Option<Expr> {
+    /// The cheapest plan of `class`, built on its first use in a call and
+    /// shared from `built` (indexed like `best`) on every later one.
+    fn build_best(&self, class: NodeId, built: &mut [Option<Arc<Expr>>]) -> Option<Arc<Expr>> {
         let class = class.0 as usize;
+        if let Some(plan) = &built[class] {
+            return Some(Arc::clone(plan));
+        }
         let best = self.best[class]?;
-        self.build(class, self.nodes[best.node as usize])
+        let plan = Arc::new(self.build(class, self.nodes[best.node as usize], built)?);
+        built[class] = Some(Arc::clone(&plan));
+        Some(plan)
     }
 
-    /// Rebuilds an expression from a chosen e-node, following best
-    /// derivations below it — an acyclic walk, since a class's best
-    /// e-node only reads classes that were final before it.
-    fn build(&self, class: usize, node: ENode) -> Option<Expr> {
+    /// Rebuilds an expression from a chosen e-node over the best plans of
+    /// its operand classes — an acyclic walk, since a class's best e-node
+    /// only reads classes that were final before it.
+    fn build(
+        &self,
+        class: usize,
+        node: ENode,
+        built: &mut [Option<Arc<Expr>>],
+    ) -> Option<Expr> {
         Some(match node {
-            ENode::Mat(i) => Expr::Mat(self.names[i as usize].clone()),
+            ENode::Mat(i) => Expr::Mat(Arc::clone(&self.names[i as usize])),
             ENode::Const(v) => Expr::Const(v),
             ENode::Identity => Expr::Identity(self.shapes[class]?.0),
             ENode::Zero => {
@@ -500,11 +547,11 @@ impl<'a> Extractor<'a> {
                 Expr::Zero(r, c)
             }
             ENode::Op { kind, out_idx, inputs } => {
-                let a = Box::new(self.build_best(inputs[0])?);
+                let a = self.build_best(inputs[0], built)?;
                 if let Some(op) = UnaryOp::new(kind, out_idx) {
                     Expr::Unary(op, a)
                 } else {
-                    binary_expr(kind, a, Box::new(self.build_best(inputs[1])?))
+                    binary_expr(kind, a, self.build_best(inputs[1], built)?)
                 }
             }
         })
@@ -512,7 +559,7 @@ impl<'a> Extractor<'a> {
 }
 
 /// The `Expr` node of a binary operator; `Add` resugars.
-fn binary_expr(kind: OpKind, a: Box<Expr>, b: Box<Expr>) -> Expr {
+fn binary_expr(kind: OpKind, a: Arc<Expr>, b: Arc<Expr>) -> Expr {
     use OpKind::*;
     match kind {
         Add => add_or_sub(a, b),
@@ -529,25 +576,24 @@ fn binary_expr(kind: OpKind, a: Box<Expr>, b: Box<Expr>) -> Expr {
 /// `a + b`, resugaring the encoder's `a + (-1 · b)` to `a - b` — in either
 /// addend order, since the chase may commute additions. Operands are built
 /// bottom-up, so they are resugared already.
-fn add_or_sub(a: Box<Expr>, b: Box<Expr>) -> Expr {
-    let b = match negated_operand(b) {
-        Ok(x) => return Expr::Sub(a, x),
-        Err(b) => b,
-    };
-    match negated_operand(a) {
-        Ok(x) => Expr::Sub(b, x),
-        Err(a) => Expr::Add(a, b),
+fn add_or_sub(a: Arc<Expr>, b: Arc<Expr>) -> Expr {
+    if let Some(x) = negated_operand(&b) {
+        return Expr::Sub(a, x);
+    }
+    match negated_operand(&a) {
+        Some(x) => Expr::Sub(b, x),
+        None => Expr::Add(a, b),
     }
 }
 
-/// `x` if `e` is `(-1) · x`, else `e` back.
-fn negated_operand(e: Box<Expr>) -> Result<Box<Expr>, Box<Expr>> {
-    if matches!(&*e, Expr::ScalarMul(s, _) if matches!(**s, Expr::Const(v) if v == -1.0)) {
-        if let Expr::ScalarMul(_, x) = *e {
-            return Ok(x);
+/// `x` if `e` is `(-1) · x`.
+fn negated_operand(e: &Expr) -> Option<Arc<Expr>> {
+    match e {
+        Expr::ScalarMul(s, x) if matches!(**s, Expr::Const(v) if v == -1.0) => {
+            Some(Arc::clone(x))
         }
+        _ => None,
     }
-    Err(e)
 }
 
 #[cfg(test)]
@@ -595,7 +641,7 @@ mod tests {
 
     #[test]
     fn reconstructs_decomposition_pairs() {
-        let of_d = |kind, out| Expr::Unary(UnaryOp::new(kind, out).unwrap(), Box::new(m("D")));
+        let of_d = |kind, out| Expr::Unary(UnaryOp::new(kind, out).unwrap(), Arc::new(m("D")));
         let e = mul(of_d(OpKind::Qr, 0), of_d(OpKind::Qr, 1));
         assert_eq!(roundtrip(&e), e);
         let lu = mul(of_d(OpKind::Lu, 0), of_d(OpKind::Lu, 1));
@@ -622,7 +668,7 @@ mod tests {
         let n = 100_000_000;
         let mut c = MetaCatalog::new();
         c.register("S", MatrixMeta::sparse(n, n, 0));
-        let x = Expr::Unary(UnaryOp::new(OpKind::Diag, 0).unwrap(), Box::new(m("S")));
+        let x = Expr::Unary(UnaryOp::new(OpKind::Diag, 0).unwrap(), Arc::new(m("S")));
         let mut vrem = Vrem::new();
         let (mut inst, roots, classes) = Encoder::new(&mut vrem, &c)
             .encode_many(&[&x, &t(x.clone()), &t(t(x.clone()))])

@@ -11,12 +11,15 @@
 //! [`structural_hash`] hashes it with the skeleton. Matching skeleton and
 //! matching metadata ⇒ the cold pipeline would produce the same plans.
 //!
-//! Skeletons are rebuilt by one walk with an arm per node shape (a unary
-//! node keeps its [`crate::expr::UnaryOp`]), and [`hash_expr`] hashes a
-//! unary node's operator, so `qr.Q(A)` and `qr.R(A)` key apart.
+//! Skeletons and re-skinned plans are rebuilt by one walk over the leaves
+//! (a unary node keeps its [`crate::expr::UnaryOp`]) that shares every
+//! subtree whose names it leaves alone, and the key's leaf names share the
+//! expression's. [`hash_expr`] hashes a unary node's operator, so
+//! `qr.Q(A)` and `qr.R(A)` key apart.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use crate::expr::Expr;
 use crate::stats::MatrixMeta;
@@ -26,8 +29,8 @@ use crate::stats::MatrixMeta;
 const PLACEHOLDER: char = '\u{1}';
 
 /// The canonical placeholder name for the `idx`-th distinct leaf.
-pub fn placeholder(idx: usize) -> String {
-    format!("{PLACEHOLDER}{idx}")
+pub fn placeholder(idx: usize) -> Arc<str> {
+    format!("{PLACEHOLDER}{idx}").into()
 }
 
 /// An expression with base-matrix names abstracted to first-occurrence
@@ -37,64 +40,78 @@ pub fn placeholder(idx: usize) -> String {
 pub struct CanonicalExpr {
     /// The skeleton: every `Mat(name)` replaced by `Mat(placeholder(i))`.
     pub skeleton: Expr,
-    /// Distinct concrete leaf names, in first-occurrence order;
-    /// `leaves[i]` is what `placeholder(i)` stands for.
-    pub leaves: Vec<String>,
+    /// Distinct concrete leaf names, in first-occurrence order, shared with
+    /// the expression; `leaves[i]` is what `placeholder(i)` stands for.
+    pub leaves: Vec<Arc<str>>,
 }
 
-/// Abstracts `e`'s base-matrix names to first-occurrence indices.
+/// Abstracts `e`'s base-matrix names to first-occurrence indices. A
+/// subtree without a `Mat` leaf is shared with `e`.
 pub fn canonicalize(e: &Expr) -> CanonicalExpr {
-    let leaves = std::cell::RefCell::new(Vec::new());
-    let skeleton = canon_rec(e, &leaves);
-    CanonicalExpr { skeleton, leaves: leaves.into_inner() }
-}
-
-fn canon_rec(e: &Expr, leaves: &std::cell::RefCell<Vec<String>>) -> Expr {
-    if let Expr::Mat(name) = e {
-        let mut leaves = leaves.borrow_mut();
-        let idx = match leaves.iter().position(|l| l == name) {
-            Some(i) => i,
-            None => {
-                leaves.push(name.clone());
-                leaves.len() - 1
-            }
-        };
-        return Expr::Mat(placeholder(idx));
-    }
-    map_children(e, &|c| canon_rec(c, leaves))
+    let mut leaves: Vec<Arc<str>> = Vec::new();
+    let mut marks: Vec<Arc<str>> = Vec::new();
+    let skeleton = map_leaves(e, &mut |name| {
+        let idx = leaves.iter().position(|l| l == name).unwrap_or_else(|| {
+            leaves.push(Arc::clone(name));
+            marks.push(placeholder(marks.len()));
+            leaves.len() - 1
+        });
+        Some(Arc::clone(&marks[idx]))
+    });
+    CanonicalExpr { skeleton: skeleton.unwrap_or_else(|| e.clone()), leaves }
 }
 
 /// Rewrites every `Mat` leaf whose name appears in `from` to the
 /// positionally corresponding name in `to` (leaves outside `from` are kept
 /// verbatim). This re-skins a cached plan onto a dimension-compatible
-/// probe with different base-matrix names.
-pub fn rename_leaves(e: &Expr, from: &[String], to: &[String]) -> Expr {
+/// probe with different base-matrix names; a subtree with no leaf in
+/// `from` is shared with `e`.
+pub fn rename_leaves(e: &Expr, from: &[Arc<str>], to: &[Arc<str>]) -> Expr {
     debug_assert_eq!(from.len(), to.len());
-    if let Expr::Mat(name) = e {
-        if let Some(i) = from.iter().position(|f| f == name) {
-            return Expr::Mat(to[i].clone());
-        }
-        return e.clone();
-    }
-    map_children(e, &|c| rename_leaves(c, from, to))
+    let renamed = map_leaves(e, &mut |name| {
+        from.iter().position(|f| f == name).map(|i| Arc::clone(&to[i]))
+    });
+    renamed.unwrap_or_else(|| e.clone())
 }
 
-/// Rebuilds an expression with each child replaced by `f(child)`.
-fn map_children(e: &Expr, f: &impl Fn(&Expr) -> Expr) -> Expr {
+/// `e` with each `Mat` name `n` replaced by `leaf(n)`, or `None` where
+/// `leaf` replaces no name in `e`: the caller then shares `e` itself, and
+/// an unchanged operand is shared into the rebuilt node.
+fn map_leaves(e: &Expr, leaf: &mut impl FnMut(&Arc<str>) -> Option<Arc<str>>) -> Option<Expr> {
     use Expr::*;
-    let b = |x: &Expr| Box::new(f(x));
-    match e {
-        Mat(_) | Const(_) | Identity(_) | Zero(..) => e.clone(),
-        Add(x, y) => Add(b(x), b(y)),
-        Sub(x, y) => Sub(b(x), b(y)),
-        Mul(x, y) => Mul(b(x), b(y)),
-        Hadamard(x, y) => Hadamard(b(x), b(y)),
-        Div(x, y) => Div(b(x), b(y)),
-        Kron(x, y) => Kron(b(x), b(y)),
-        DirectSum(x, y) => DirectSum(b(x), b(y)),
-        ScalarMul(x, y) => ScalarMul(b(x), b(y)),
-        Unary(op, x) => Unary(*op, b(x)),
+    let (x, y) = match e {
+        Mat(n) => return leaf(n).map(Mat),
+        Const(_) | Identity(_) | Zero(..) => return None,
+        Unary(op, x) => return map_leaves(x, leaf).map(|x| Unary(*op, Arc::new(x))),
+        Add(x, y)
+        | Sub(x, y)
+        | Mul(x, y)
+        | Hadamard(x, y)
+        | Div(x, y)
+        | Kron(x, y)
+        | DirectSum(x, y)
+        | ScalarMul(x, y) => (x, y),
+    };
+    let (new_x, new_y) = (map_leaves(x, leaf), map_leaves(y, leaf));
+    if new_x.is_none() && new_y.is_none() {
+        return None;
     }
+    let share =
+        |new: Option<Expr>, old: &Arc<Expr>| new.map_or_else(|| Arc::clone(old), Arc::new);
+    let (x, y) = (share(new_x, x), share(new_y, y));
+    Some(match e {
+        Add(..) => Add(x, y),
+        Sub(..) => Sub(x, y),
+        Mul(..) => Mul(x, y),
+        Hadamard(..) => Hadamard(x, y),
+        Div(..) => Div(x, y),
+        Kron(..) => Kron(x, y),
+        DirectSum(..) => DirectSum(x, y),
+        ScalarMul(..) => ScalarMul(x, y),
+        Mat(_) | Const(_) | Identity(_) | Zero(..) | Unary(..) => {
+            unreachable!("returned above")
+        }
+    })
 }
 
 /// Structural hash of a canonical skeleton plus its leaves' metadata.
@@ -142,7 +159,7 @@ mod tests {
     fn canonicalize_abstracts_names_in_occurrence_order() {
         let e = trace(mul(m("A"), mul(m("B"), m("A"))));
         let canon = canonicalize(&e);
-        assert_eq!(canon.leaves, vec!["A".to_owned(), "B".to_owned()]);
+        assert_eq!(canon.leaves, vec![Arc::from("A"), Arc::from("B")]);
         let f = trace(mul(m("X"), mul(m("Y"), m("X"))));
         assert_eq!(canonicalize(&f).skeleton, canon.skeleton);
         // Different sharing structure yields a different skeleton.

@@ -74,7 +74,7 @@ pub struct PlanCacheKey {
     /// Canonical skeleton (leaves abstracted to occurrence indices).
     skeleton: Expr,
     /// Concrete leaf names, in first-occurrence order.
-    pub(crate) names: Vec<String>,
+    pub(crate) names: Vec<Arc<str>>,
     /// Each leaf's metadata in the call's catalog, aligned with `names`.
     leaves: Vec<MatrixMeta>,
     /// Per registered view in order: the call's catalog entry for its
@@ -126,12 +126,12 @@ pub(crate) struct CachedPlans {
     pub report: RewriteReport,
     /// `None` when the probe's leaf names are the entry's; otherwise the
     /// entry's names (first-occurrence order), for re-skinning `plans`.
-    pub names: Option<Arc<[String]>>,
+    pub names: Option<Arc<[Arc<str>]>>,
 }
 
 struct Entry {
     skeleton: Expr,
-    names: Arc<[String]>,
+    names: Arc<[Arc<str>]>,
     leaves: Vec<MatrixMeta>,
     views: Vec<Option<MatrixMeta>>,
     ctx: u64,

@@ -129,7 +129,10 @@ fn eval_memo<'e>(
     let mut go = |x: &Expr| eval_memo(x, env, backend, memo);
     Ok(Cow::Owned(match e {
         Mat(n) => {
-            return env.get(n).map(Cow::Borrowed).ok_or_else(|| EvalError::Unbound(n.clone()))
+            return env
+                .get(n)
+                .map(Cow::Borrowed)
+                .ok_or_else(|| EvalError::Unbound(n.to_string()))
         }
         Const(v) => Matrix::scalar(*v),
         Identity(n) => Matrix::identity(*n),
@@ -248,7 +251,7 @@ mod tests {
         let mut env = Env::new();
         let d = Matrix::Dense(rand_gen::random_invertible(8, 3));
         env.bind("D", d.clone());
-        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Box::new(m("D")));
+        let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Arc::new(m("D")));
         let q_r = eval(&mul(qr(0), qr(1)), &env).unwrap();
         assert!(approx_eq(&q_r, &d, 1e-9));
     }

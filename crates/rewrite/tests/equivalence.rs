@@ -12,6 +12,7 @@
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 use hadad_chase::{
     ChaseBudget, ChaseEngine, ChaseOutcome, ExhaustedBy, Instance, NodeId, RuleSet,
@@ -269,7 +270,7 @@ fn expr_stats_and_cost_model_are_one_estimator() {
     assert!(checked >= 600, "corpus too degenerate: {checked} subexpressions");
 
     for kind in [OpKind::Qr, OpKind::Lu] {
-        let e = Expr::Unary(UnaryOp::new(kind, 1).unwrap(), Box::new(m("A")));
+        let e = Expr::Unary(UnaryOp::new(kind, 1).unwrap(), Arc::new(m("A")));
         assert!(matches!(expr_stats(&e, &cat), Err(ShapeError::Mismatch(_))), "{e}");
         assert!(matches!(expr_estimate(&e, &cat), Err(ShapeError::Mismatch(_))), "{e}");
     }

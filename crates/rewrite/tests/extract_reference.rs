@@ -16,6 +16,7 @@
 //! priced bit for bit as `expr_estimate` prices it.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use hadad_chase::{ChaseEngine, Instance, NodeId};
 use hadad_core::expr::dsl::*;
@@ -251,8 +252,8 @@ impl<'c> Relaxation<'c> {
 
 fn op_expr(kind: OpKind, out_idx: usize, mut ch: Vec<Expr>) -> Expr {
     use OpKind::*;
-    let b = Box::new(ch.pop().expect("an operand"));
-    let Some(a) = ch.pop().map(Box::new) else {
+    let b = Arc::new(ch.pop().expect("an operand"));
+    let Some(a) = ch.pop().map(Arc::new) else {
         let op = UnaryOp::new(kind, out_idx).expect("a unary operator's output");
         return Expr::Unary(op, b);
     };

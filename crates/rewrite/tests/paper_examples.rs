@@ -2,6 +2,8 @@
 //! find, each verified by executing original vs. rewritten plan on the
 //! linalg backend (HADAD §2 examples, §9 workloads).
 
+use std::sync::Arc;
+
 use hadad_core::expr::dsl::*;
 use hadad_core::{Expr, MatrixMeta, MetaCatalog, OpKind, TypeFlags, UnaryOp};
 use hadad_linalg::{rand_gen, Matrix};
@@ -79,7 +81,7 @@ fn qr_reuse_family() {
     let mut env = Env::new();
     env.bind("D", Matrix::Dense(rand_gen::random_invertible(60, 8)));
     let opt = Optimizer::new(cat);
-    let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Box::new(m("D")));
+    let qr = |out| Expr::Unary(UnaryOp::new(OpKind::Qr, out).unwrap(), Arc::new(m("D")));
     let e = trace(mul(qr(0), qr(1)));
     assert_rewrites_cheaper(&opt, &env, &e, "trace(D)");
 }

@@ -4,6 +4,8 @@
 //! * the optimizer's best plan evaluates to the same matrix as the
 //!   original (within `1e-9` relative tolerance).
 
+use std::sync::Arc;
+
 use hadad_core::{
     ChainCells, Encoder, Expr, Extractor, LaAnalysis, MatrixMeta, MetaCatalog, OpKind, UnaryOp,
     Vrem,
@@ -45,7 +47,7 @@ impl Gen {
         if depth == 0 {
             return self.base(rows, cols);
         }
-        let b = |e: Expr| Box::new(e);
+        let b = |e: Expr| Arc::new(e);
         let un = |kind, e| Expr::Unary(UnaryOp::new(kind, 0).unwrap(), b(e));
         match self.rng.range_usize(9) {
             0 => Expr::Add(
@@ -117,7 +119,7 @@ fn rewritten_plans_evaluate_to_same_matrix() {
     let wide = g.base(2, 6);
     let trace = UnaryOp::new(OpKind::Trace, 0).unwrap();
     let mut corpus =
-        vec![Expr::Unary(trace, Box::new(Expr::Mul(Box::new(tall), Box::new(wide))))];
+        vec![Expr::Unary(trace, Arc::new(Expr::Mul(Arc::new(tall), Arc::new(wide))))];
     for i in 0..25 {
         corpus.push(g.random_expr(1 + i % 3));
     }

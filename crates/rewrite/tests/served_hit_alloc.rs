@@ -1,8 +1,10 @@
 //! A served hit shares the entry it reads, pinned by bytes rather than a
 //! timer. A same-name plan-cache hit on a 12-chain requests the same bytes
-//! whether its entry holds 11 plans or 12, and fewer than eight copies of
-//! its input expression: it copies neither the entry's plans nor its 68
-//! rule counters (a deep copy of either alone exceeds that bound). A
+//! whether its entry holds 11 plans or 12, and at most three deep copies
+//! of its input expression: it copies neither the entry's plans nor its
+//! 68 rule counters (a deep copy of either alone exceeds that bound). A
+//! clone of an expression only bumps a refcount, so the yardstick is a
+//! rebuild of the input that shares no node or name with it. A
 //! snapshot's prefix-memo hit on an 850-row prefix requests fewer bytes
 //! than one column of the prefix's output: it copies neither the table
 //! nor the cast.
@@ -82,6 +84,15 @@ fn chain(n: usize) -> Expr {
     (1..n).fold(m("A0"), |e, i| mul(e, m(&format!("A{i}"))))
 }
 
+/// A copy of the product chain `e` that shares no node or name with it.
+fn deep_copy(e: &Expr) -> Expr {
+    match e {
+        Expr::Mat(name) => m(name),
+        Expr::Mul(a, b) => mul(deep_copy(a), deep_copy(b)),
+        _ => unreachable!("{e} is no product chain"),
+    }
+}
+
 /// A primed same-name hit on the 12-chain over `dims` (matrix `Ai` is
 /// `dims[i] x dims[i + 1]`): the cold pass's plans, and the bytes the hit
 /// requests.
@@ -108,10 +119,11 @@ fn a_served_hit_copies_nothing_its_entry_holds() {
     assert_eq!(rect_bytes, square_bytes, "a hit's bytes follow its entry's plan count");
 
     let e = chain(12);
-    let (_, _, input) = requested_by(|| e.clone());
-    let bound = 8 * input;
+    let (_, _, input) = requested_by(|| deep_copy(&e));
+    let bound = 3 * input;
     assert!(rect_bytes <= bound, "a same-name hit requested {rect_bytes} bytes (> {bound})");
-    let (_, _, plans) = requested_by(|| rect.plans.to_vec());
+    let deep_plans = || rect.plans.iter().map(|p| deep_copy(&p.expr)).collect::<Vec<_>>();
+    let (_, _, plans) = requested_by(deep_plans);
     let (_, _, rules) = requested_by(|| (*rect.report.chase_stats).clone());
     assert_eq!(rect.report.chase_stats.rules.len(), 68);
     assert!(rect_bytes + plans > bound, "a deep copy of the plans ({plans} bytes) fits");
