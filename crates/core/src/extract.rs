@@ -21,8 +21,6 @@
 //! matrix's from the catalog) and an operator's from [`op_stats`] over its
 //! operands' stats, charged [`op_cost`]. An `Add` rebuilt as a subtraction
 //! is priced as that subtraction, so the encoder's `-1 ·` costs nothing.
-//! A leaf e-node is priced from its name, value or class shape, without
-//! building it.
 //!
 //! Expressions are rebuilt from the chosen e-nodes on demand, resugaring
 //! the encoder's `a + (-1 · b)` back to subtraction. One built plan per
@@ -57,7 +55,7 @@ use crate::analysis::LaAnalysis;
 use crate::encode::{ChainCell, ChainCells};
 use crate::expr::{Expr, UnaryOp};
 use crate::schema::{OpKind, Vrem};
-use crate::stats::{op_cost, op_stats, ClassStats, MetaCatalog};
+use crate::stats::{leaf_stats, op_cost, op_stats, ClassStats, MetaCatalog};
 
 /// One way to produce a class: a leaf fact or an operator application.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -343,7 +341,7 @@ impl<'a> Extractor<'a> {
 
     /// The price of e-node `node` of `class` and the stats of the plan it
     /// builds — what [`crate::expr_estimate`] computes for that plan. A
-    /// leaf costs nothing and has the stats [`Self::leaf_stats`] gives it. An
+    /// leaf costs nothing and has the stats of the leaf it builds. An
     /// operator costs its operands' cheapest prices, in operand order, plus
     /// [`op_cost`] over their stats; an `Add` with an addend whose cheapest
     /// derivation is `(-1) · x` is the subtraction [`add_or_sub`] rebuilds,
@@ -352,7 +350,7 @@ impl<'a> Extractor<'a> {
     /// operator while an operand has no derivation.
     fn price(&self, class: usize, node: ENode) -> Option<(f64, ClassStats)> {
         let ENode::Op { kind, out_idx, inputs: [a, b] } = node else {
-            return Some((0.0, self.leaf_stats(class, node)?));
+            return Some((0.0, leaf_stats(&self.build(class, node, &mut [])?, self.cat).ok()?));
         };
         let mut operands = [a, b];
         if kind == OpKind::Add {
@@ -372,24 +370,6 @@ impl<'a> Extractor<'a> {
         let child = &child[..kind.num_inputs()];
         let out = op_stats(kind, out_idx, child);
         Some((cost + op_cost(kind, out_idx, child, &out), out))
-    }
-
-    /// Stats of leaf e-node `node` of `class`, read from its name, value or
-    /// the class's shape without building it: what the estimator's
-    /// `leaf_stats` gives the leaf [`Self::build`] would build. `None` for a
-    /// base matrix the catalog lacks and a shape-dependent leaf of a
-    /// shapeless class.
-    fn leaf_stats(&self, class: usize, node: ENode) -> Option<ClassStats> {
-        Some(match node {
-            ENode::Mat(i) => self.cat.get(&self.names[i as usize])?.stats(),
-            ENode::Const(_) => ClassStats::dense(1, 1),
-            ENode::Identity => ClassStats::identity(self.shapes[class]?.0),
-            ENode::Zero => {
-                let (r, c) = self.shapes[class]?;
-                ClassStats::zero(r, c)
-            }
-            ENode::Op { .. } => unreachable!("an operator e-node is no leaf"),
-        })
     }
 
     /// `x` if the class's cheapest derivation is `(-1) · x`.

@@ -79,39 +79,35 @@ pub fn rename_leaves(e: &Expr, from: &[Arc<str>], to: &[Arc<str>]) -> Expr {
 /// an unchanged operand is shared into the rebuilt node.
 fn map_leaves(e: &Expr, leaf: &mut impl FnMut(&Arc<str>) -> Option<Arc<str>>) -> Option<Expr> {
     use Expr::*;
-    let (x, y) = match e {
-        Mat(n) => return leaf(n).map(Mat),
-        Const(_) | Identity(_) | Zero(..) => return None,
-        Unary(op, x) => return map_leaves(x, leaf).map(|x| Unary(*op, Arc::new(x))),
-        Add(x, y)
-        | Sub(x, y)
-        | Mul(x, y)
-        | Hadamard(x, y)
-        | Div(x, y)
-        | Kron(x, y)
-        | DirectSum(x, y)
-        | ScalarMul(x, y) => (x, y),
-    };
+    match e {
+        Mat(n) => leaf(n).map(Mat),
+        Const(_) | Identity(_) | Zero(..) => None,
+        Unary(op, x) => map_leaves(x, leaf).map(|x| Unary(*op, Arc::new(x))),
+        Add(x, y) => pair(x, y, leaf).map(|(x, y)| Add(x, y)),
+        Sub(x, y) => pair(x, y, leaf).map(|(x, y)| Sub(x, y)),
+        Mul(x, y) => pair(x, y, leaf).map(|(x, y)| Mul(x, y)),
+        Hadamard(x, y) => pair(x, y, leaf).map(|(x, y)| Hadamard(x, y)),
+        Div(x, y) => pair(x, y, leaf).map(|(x, y)| Div(x, y)),
+        Kron(x, y) => pair(x, y, leaf).map(|(x, y)| Kron(x, y)),
+        DirectSum(x, y) => pair(x, y, leaf).map(|(x, y)| DirectSum(x, y)),
+        ScalarMul(x, y) => pair(x, y, leaf).map(|(x, y)| ScalarMul(x, y)),
+    }
+}
+
+/// [`map_leaves`] over both operands of a binary node, `x` first: the new
+/// operands, an unchanged one shared, or `None` where neither changed.
+fn pair(
+    x: &Arc<Expr>,
+    y: &Arc<Expr>,
+    leaf: &mut impl FnMut(&Arc<str>) -> Option<Arc<str>>,
+) -> Option<(Arc<Expr>, Arc<Expr>)> {
     let (new_x, new_y) = (map_leaves(x, leaf), map_leaves(y, leaf));
     if new_x.is_none() && new_y.is_none() {
         return None;
     }
     let share =
         |new: Option<Expr>, old: &Arc<Expr>| new.map_or_else(|| Arc::clone(old), Arc::new);
-    let (x, y) = (share(new_x, x), share(new_y, y));
-    Some(match e {
-        Add(..) => Add(x, y),
-        Sub(..) => Sub(x, y),
-        Mul(..) => Mul(x, y),
-        Hadamard(..) => Hadamard(x, y),
-        Div(..) => Div(x, y),
-        Kron(..) => Kron(x, y),
-        DirectSum(..) => DirectSum(x, y),
-        ScalarMul(..) => ScalarMul(x, y),
-        Mat(_) | Const(_) | Identity(_) | Zero(..) | Unary(..) => {
-            unreachable!("returned above")
-        }
-    })
+    Some((share(new_x, x), share(new_y, y)))
 }
 
 /// Structural hash of a canonical skeleton plus its leaves' metadata.

@@ -244,16 +244,6 @@ impl ClassStats {
         ClassStats { rows, cols, density: 1.0 }
     }
 
-    /// Stats of the order-`n` identity matrix.
-    pub(crate) fn identity(n: usize) -> Self {
-        ClassStats { rows: n, cols: n, density: 1.0 / n.max(1) as f64 }
-    }
-
-    /// Stats of the all-zero `rows x cols` matrix.
-    pub(crate) fn zero(rows: usize, cols: usize) -> Self {
-        ClassStats { rows, cols, density: 0.0 }
-    }
-
     /// `(rows, cols)`.
     pub fn shape(&self) -> (usize, usize) {
         (self.rows, self.cols)
@@ -401,14 +391,14 @@ pub fn expr_estimate(e: &Expr, cat: &MetaCatalog) -> Result<(ClassStats, f64), S
 }
 
 /// Stats of a leaf (`Mat`, `Const`, `Identity`, `Zero`) — the leaf half of
-/// the estimator's one-level step. Base matrices read `cat`; extraction
-/// prices a leaf e-node from the same catalog entry and constructors.
+/// the estimator's one-level step, and what extraction prices a leaf
+/// e-node at. Base matrices read `cat`.
 pub(crate) fn leaf_stats(e: &Expr, cat: &MetaCatalog) -> Result<ClassStats, ShapeError> {
     use Expr::*;
     Ok(match e {
         Mat(n) => cat.get(n).ok_or_else(|| ShapeError::UnknownMatrix(n.to_string()))?.stats(),
-        Identity(n) => ClassStats::identity(*n),
-        Zero(r, c) => ClassStats::zero(*r, *c),
+        Identity(n) => ClassStats { rows: *n, cols: *n, density: 1.0 / (*n).max(1) as f64 },
+        Zero(r, c) => ClassStats { rows: *r, cols: *c, density: 0.0 },
         Const(_) => ClassStats::dense(1, 1),
         _ => unreachable!("{e} is not a leaf"),
     })

@@ -3,9 +3,10 @@
 //! builds each class's cheapest plan once, so its calls grow with the
 //! classes (78), not with the candidates times their 12 leaves and 11
 //! products (the copying extractor made 377 calls here). A cold 12-chain
-//! `rewrite` and the drop of its plans stay at or below the 355 calls
-//! measured when plans became shared trees (the copying extractor made
-//! 723).
+//! `rewrite` and the drop of its plans stay at or below 400 calls: 355
+//! were measured when plans became shared trees, and the slack absorbs a
+//! stray allocation elsewhere in the pipeline while a return to copied
+//! trees (the copying extractor made 723) still fails.
 //!
 //! Own test binary: it installs a counting `#[global_allocator]`, and the
 //! count is only meaningful while nothing else runs — hence one `#[test]`.
@@ -111,5 +112,5 @@ fn plans_share_their_subtrees() {
     let opt = Optimizer::new(cat);
     drop(opt.rewrite(&e).expect("warm-up"));
     let ((), calls) = calls_of(|| drop(opt.rewrite(&e).expect("cold rewrite")));
-    assert!(calls <= 355, "a cold 12-chain rewrite made {calls} allocator calls (> 355)");
+    assert!(calls <= 400, "a cold 12-chain rewrite made {calls} allocator calls (> 400)");
 }
